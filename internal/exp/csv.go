@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -14,36 +12,23 @@ import (
 
 // WriteCurvesCSV emits Figure 1 data as benchmark,threads,speedup rows.
 func WriteCurvesCSV(w io.Writer, curves []SpeedupCurve) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"benchmark", "threads", "speedup"}); err != nil {
-		return err
-	}
+	var records [][]string
 	for _, c := range curves {
 		for _, p := range c.Points {
-			rec := []string{c.Benchmark, strconv.Itoa(p.Threads), fmtF(p.Speedup)}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+			records = append(records, []string{c.Benchmark, strconv.Itoa(p.Threads), stack.CSVFloat(p.Speedup)})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return stack.WriteCSV(w, []string{"benchmark", "threads", "speedup"}, records)
 }
 
 // WriteFigure4CSV emits benchmark,threads,actual,estimated rows.
 func WriteFigure4CSV(w io.Writer, rows []Figure4Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"benchmark", "threads", "actual", "estimated"}); err != nil {
-		return err
+	records := make([][]string, len(rows))
+	for i, r := range rows {
+		records[i] = []string{r.Benchmark, strconv.Itoa(r.Threads),
+			stack.CSVFloat(r.Actual), stack.CSVFloat(r.Estimated)}
 	}
-	for _, r := range rows {
-		rec := []string{r.Benchmark, strconv.Itoa(r.Threads), fmtF(r.Actual), fmtF(r.Estimated)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return stack.WriteCSV(w, []string{"benchmark", "threads", "actual", "estimated"}, records)
 }
 
 // WriteStacksCSV emits one row per stack with every component in speedup
@@ -54,44 +39,29 @@ func WriteStacksCSV(w io.Writer, bars []stack.Bar) error {
 
 // WriteInterferenceCSV emits Figure 8/9 rows.
 func WriteInterferenceCSV(w io.Writer, rows []InterferenceRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"label", "negative", "positive", "net"}); err != nil {
-		return err
+	records := make([][]string, len(rows))
+	for i, r := range rows {
+		records[i] = []string{r.Label, stack.CSVFloat(r.Negative),
+			stack.CSVFloat(r.Positive), stack.CSVFloat(r.Net)}
 	}
-	for _, r := range rows {
-		rec := []string{r.Label, fmtF(r.Negative), fmtF(r.Positive), fmtF(r.Net)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return stack.WriteCSV(w, []string{"label", "negative", "positive", "net"}, records)
 }
 
 // WriteTreeCSV emits Figure 6 rows.
 func WriteTreeCSV(w io.Writer, rows []TreeRow) error {
-	cw := csv.NewWriter(w)
 	header := []string{"class", "comp1", "comp2", "comp3", "benchmark", "suite",
 		"speedup", "paper_speedup"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
 	comp := func(c []string, i int) string {
 		if i < len(c) {
 			return c[i]
 		}
 		return ""
 	}
-	for _, r := range rows {
-		rec := []string{string(r.Class), comp(r.Components, 0), comp(r.Components, 1),
+	records := make([][]string, len(rows))
+	for i, r := range rows {
+		records[i] = []string{string(r.Class), comp(r.Components, 0), comp(r.Components, 1),
 			comp(r.Components, 2), r.Benchmark, r.Suite,
-			fmtF(r.Speedup), fmtF(r.PaperSpeedup)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+			stack.CSVFloat(r.Speedup), stack.CSVFloat(r.PaperSpeedup)}
 	}
-	cw.Flush()
-	return cw.Error()
+	return stack.WriteCSV(w, header, records)
 }
-
-func fmtF(v float64) string { return fmt.Sprintf("%.4f", v) }

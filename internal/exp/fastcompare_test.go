@@ -95,13 +95,13 @@ func TestFastStacksStableAcrossWorkers(t *testing.T) {
 	}
 	// Repeated sweeps hit the memo; a fresh engine re-simulates. Both must
 	// reproduce the same bytes.
-	fresh := NewEngine(fastCfg, WithWorkers(8), WithIntraRunShards(4))
+	fresh := NewEngine(fastCfg, WithWorkers(8))
 	again, err := fresh.Sweep(ctx, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, again) {
-		t.Fatal("fast-mode outcomes differ across engines (intra-run shards active)")
+		t.Fatal("fast-mode outcomes differ across engines")
 	}
 	if s := fresh.Stats(); s.FastCellRuns != len(cells) || s.FastSeqRuns == 0 {
 		t.Errorf("fast run counters not tracked: %+v", s)

@@ -69,11 +69,12 @@ func (e *Engine) MeasureIntervals(ctx context.Context, req Request, count int) (
 		cellKey: cellKey{cfg: cfg, fp: b.Spec.Fingerprint(), threads: cell.Threads, cores: cell.Cores},
 		count:   count,
 	}
-	sk := ik.storeKey()
-	out, err := storeDo(ctx, e.intervals, sk,
+	out, err := e.intervals.Do(ctx, ik,
 		func() { e.addHit(&e.stats.IntervalHits) },
-		func() (IntervalOutcome, error) { return e.runIntervals(ctx, ik, b) })
-	e.intervals.Touch(sk)
+		func() (IntervalOutcome, bool, error) {
+			out, err := e.runIntervals(ctx, ik, b)
+			return out, true, err
+		})
 	if err != nil {
 		return IntervalOutcome{}, err
 	}

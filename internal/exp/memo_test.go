@@ -206,3 +206,16 @@ func TestCellMemoUnboundedByDefault(t *testing.T) {
 		t.Errorf("CellEvictions = %d, want 0", st.CellEvictions)
 	}
 }
+
+// TestStatsOccupancy pins the cache-pressure surface: entries and the
+// configured limit are visible next to the existing churn counters.
+func TestStatsOccupancy(t *testing.T) {
+	e := NewEngine(sim.Default(), WithWorkers(2), WithCellMemoLimit(7))
+	if _, err := e.Sweep(context.Background(), []Cell{{Bench: "blackscholes_parsec_small", Threads: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.CellMemoEntries != 1 || st.CellMemoLimit != 7 {
+		t.Fatalf("occupancy entries=%d limit=%d, want 1 and 7", st.CellMemoEntries, st.CellMemoLimit)
+	}
+}

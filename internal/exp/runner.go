@@ -28,7 +28,10 @@
 //   - Memoization is engine-lifetime and singleflight: duplicates within a
 //     batch, across batches, and across concurrent batches all collapse
 //     onto one execution. A request finding an in-flight entry waits for it
-//     rather than re-simulating ("hit" in Stats counts both cases).
+//     rather than re-simulating ("hit" in Stats counts both cases). The
+//     three memos — sequential references, cells, interval series — are
+//     instances of the repo's one cache, internal/memo, keyed directly by
+//     seqKey, cellKey and intervalKey.
 //   - Every simulation is a deterministic function of (config, workload),
 //     so real errors are memoized like values — retrying cannot help. The
 //     one exception is a claim abandoned because its context was canceled

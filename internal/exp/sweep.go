@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/memo"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -121,11 +122,11 @@ type Stats struct {
 	// in-flight) entry.
 	SeqHits  int
 	CellHits int
-	// CellEvictions counts completed outcomes dropped by the cell store's
+	// CellEvictions counts completed outcomes dropped by the cell memo's
 	// retention bound (WithCellMemoLimit); an evicted cell re-simulates on
 	// its next request.
 	CellEvictions int
-	// CellMemoEntries and CellMemoLimit are the cell store's occupancy:
+	// CellMemoEntries and CellMemoLimit are the cell memo's occupancy:
 	// currently retained entries (in-flight claims included) against the
 	// configured bound (0 = unbounded) — cache pressure, not just churn.
 	CellMemoEntries int
@@ -162,24 +163,17 @@ type Engine struct {
 	// "seq", "cell" or "interval"). Intended for tests and instrumentation.
 	hook func(kind string, bench string, threads, cores int)
 
-	// intraShards, when positive, runs every cell simulation with
-	// sim.WithAccountingShards(intraShards): the tag-directory walks of a
-	// single run execute on worker goroutines (intra-run parallelism).
-	// Results are byte-identical by the sim package's shard contract, so
-	// this is engine tuning, not part of any memo key.
-	intraShards int
-
 	mu    sync.Mutex
 	stats Stats
 
-	// The three memos, each a pluggable CacheStore (see store.go). The
-	// defaults are in-process MemStores: seq unbounded (one uint64 per
-	// workload), cells and intervals each LRU-bounded by cellLimit.
-	// cellLimit only shapes the defaults; replacement stores own their own
-	// retention policy.
-	seq       CacheStore
-	cells     CacheStore
-	intervals CacheStore
+	// The three memos (internal/memo: singleflight plus LRU), keyed by the
+	// engine's own identities: seq unbounded (one uint64 per workload),
+	// cells and intervals each bounded by cellLimit. Simulations are
+	// deterministic, so every run retains its result, errors included; only
+	// a claim abandoned by cancellation is released for the next caller.
+	seq       *memo.Cache[seqKey, uint64]
+	cells     *memo.Cache[cellKey, Outcome]
+	intervals *memo.Cache[intervalKey, IntervalOutcome]
 	cellLimit int
 
 	progressMu          sync.Mutex
@@ -210,33 +204,17 @@ func WithRunHook(f func(kind, bench string, threads, cores int)) Option {
 	return func(e *Engine) { e.hook = f }
 }
 
-// WithIntraRunShards runs each cell simulation with n accounting shards
-// (sim.WithAccountingShards): one large cell spreads its tag-directory
-// walks over n extra OS threads instead of running on one goroutine.
-// Results are byte-identical for any n, so the option composes freely with
-// memoization and with WithWorkers — use it when cells are few and large
-// (a single /v1/stack request), skip it when a wide sweep already saturates
-// the host with one goroutine per cell. n <= 0 disables (the default).
-func WithIntraRunShards(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.intraShards = n
-		}
-	}
-}
-
-// WithCellMemoLimit bounds the default outcome memo to at most n completed
+// WithCellMemoLimit bounds the outcome memo to at most n completed
 // cells (successful outcomes and memoized errors alike), evicted
 // least-recently-used. Long-running engines (the speedupd service) use
 // this to keep memory bounded; n <= 0 means unbounded, the right choice
 // for one-shot regeneration where every cell is known up front. Eviction
 // only drops completed entries — an in-flight simulation keeps its
 // singleflight slot until it finishes — and an evicted cell simply
-// re-simulates on its next request, so results are unaffected. The limit
-// shapes the default MemStores; a store plugged in via WithStores owns its
-// own retention policy.
+// re-simulates on its next request, so results are unaffected. The interval
+// memo gets the same bound of its own.
 func WithCellMemoLimit(n int) Option {
-	return func(e *Engine) { e.cellLimit = n }
+	return func(e *Engine) { e.cellLimit = max(n, 0) }
 }
 
 // NewEngine returns an Engine executing against the given base machine.
@@ -248,18 +226,9 @@ func NewEngine(cfg sim.Config, opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	// Defaults for whichever memos no option replaced. WithCellMemoLimit
-	// must be observable regardless of option order, so the bounded stores
-	// are built after all options ran.
-	if e.seq == nil {
-		e.seq = NewMemStore(0)
-	}
-	if e.cells == nil {
-		e.cells = NewMemStore(e.cellLimit)
-	}
-	if e.intervals == nil {
-		e.intervals = NewMemStore(e.cellLimit)
-	}
+	e.seq = memo.New[seqKey, uint64](0)
+	e.cells = memo.New[cellKey, Outcome](e.cellLimit)
+	e.intervals = memo.New[intervalKey, IntervalOutcome](e.cellLimit)
 	return e
 }
 
@@ -267,8 +236,7 @@ func NewEngine(cfg sim.Config, opts ...Option) *Engine {
 func (e *Engine) Config() sim.Config { return e.base }
 
 // Stats returns a snapshot of the engine's simulation counters, merged
-// with the memo stores' retention counters (evictions and occupancy live
-// in the stores since the CacheStore extraction).
+// with the memos' retention counters (evictions and occupancy).
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	st := e.stats
@@ -410,16 +378,16 @@ func (e *Engine) acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// cell resolves one unique cell through the cell store: claim and
+// cell resolves one unique cell through the cell memo: claim and
 // simulate, or wait for whoever holds it. Abandoned claims (context
 // canceled before the simulation ran) are retried by the next caller.
 func (e *Engine) cell(ctx context.Context, k cellKey, b workload.Benchmark) (Outcome, error) {
-	sk := k.storeKey()
-	out, err := storeDo(ctx, e.cells, sk,
+	return e.cells.Do(ctx, k,
 		func() { e.addHit(&e.stats.CellHits) },
-		func() (Outcome, error) { return e.runCell(ctx, k, b) })
-	e.cells.Touch(sk)
-	return out, err
+		func() (Outcome, bool, error) {
+			out, err := e.runCell(ctx, k, b)
+			return out, true, err
+		})
 }
 
 // addHit bumps one of the hit counters under the stats lock.
@@ -467,11 +435,7 @@ func (e *Engine) runCell(ctx context.Context, k cellKey, b workload.Benchmark) (
 	if err != nil {
 		return Outcome{}, err
 	}
-	opts := b.Spec.PipelineOptions(k.threads)
-	if e.intraShards > 0 {
-		opts = append(opts, sim.WithAccountingShards(e.intraShards))
-	}
-	res, err := sim.Run(cfg, progs, opts...)
+	res, err := sim.Run(cfg, progs, b.Spec.PipelineOptions(k.threads)...)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("%s x%d: %w", b.FullName(), k.threads, err)
 	}
@@ -495,9 +459,12 @@ func (e *Engine) runCell(ctx context.Context, k cellKey, b workload.Benchmark) (
 // cfg, with the same claim-or-wait discipline as cell.
 func (e *Engine) seqTime(ctx context.Context, cfg sim.Config, b workload.Benchmark) (uint64, error) {
 	k := seqKey{cfg: cfg.WithCores(1), fp: b.Spec.Fingerprint()}
-	return storeDo(ctx, e.seq, k.storeKey(),
+	return e.seq.Do(ctx, k,
 		func() { e.addHit(&e.stats.SeqHits) },
-		func() (uint64, error) { return e.runSeq(ctx, cfg, b) })
+		func() (uint64, bool, error) {
+			ts, err := e.runSeq(ctx, cfg, b)
+			return ts, true, err
+		})
 }
 
 // runSeq executes the single-threaded reference simulation.

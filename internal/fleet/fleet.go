@@ -35,7 +35,6 @@ package fleet
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -43,6 +42,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/memo"
 	"repro/internal/service"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -72,10 +72,9 @@ type Handler struct {
 	ring   *Ring
 	self   string
 	client *http.Client
-	cache  *respCache
-
-	flightMu sync.Mutex
-	inflight map[string]*flightCall
+	// cache holds the peers' 200 responses by full request identity and
+	// collapses concurrent identical misses onto one forwarded request.
+	cache *memo.Cache[string, *peerResp]
 
 	mu         sync.Mutex
 	local      uint64 // routable requests served by this node as home
@@ -83,13 +82,6 @@ type Handler struct {
 	received   uint64 // hop-marked requests served for peers
 	peerHits   uint64 // answers filled from the peer-response cache
 	peerErrors uint64 // peer fetch failures (fell back to local)
-}
-
-// flightCall collapses concurrent identical peer fetches.
-type flightCall struct {
-	done chan struct{}
-	resp *peerResp
-	err  error
 }
 
 // peerResp is one captured peer (or local sub-request) response.
@@ -126,12 +118,11 @@ func Wrap(inner http.Handler, opts Options) (*Handler, error) {
 		cacheEntries = defaultCacheEntries
 	}
 	return &Handler{
-		inner:    inner,
-		ring:     ring,
-		self:     self,
-		client:   client,
-		cache:    newRespCache(cacheEntries),
-		inflight: make(map[string]*flightCall),
+		inner:  inner,
+		ring:   ring,
+		self:   self,
+		client: client,
+		cache:  memo.New[string, *peerResp](cacheEntries),
 	}, nil
 }
 
@@ -322,6 +313,12 @@ func (h *Handler) routeHome(w http.ResponseWriter, r *http.Request, home string,
 	}
 	resp, err := h.fromPeer(r, home, r.URL.RawQuery, body, bodyID)
 	if err != nil {
+		if r.Context().Err() != nil {
+			// The fetch ended with this request, not with the peer: the
+			// client is gone, so there is nobody to answer, no peer failed,
+			// and a local simulation would only break exactly-once.
+			return
+		}
 		// The home is unreachable: simulate locally rather than fail the
 		// request. This trades strict fleet-wide exactly-once for
 		// availability during partitions; the local result is byte-identical
@@ -334,41 +331,23 @@ func (h *Handler) routeHome(w http.ResponseWriter, r *http.Request, home string,
 }
 
 // fromPeer answers from the peer-response cache, collapsing concurrent
-// identical misses onto a single forwarded request.
+// identical misses onto a single forwarded request. Only a 200 is retained
+// for later callers; an error reply or a failed fetch still reaches everyone
+// who was waiting on it. Any answer this request did not fetch itself is a
+// peer-cache hit. When the request that was fetching is canceled, a waiter
+// that is still live fetches again instead of inheriting the cancellation.
 func (h *Handler) fromPeer(r *http.Request, home, query string, body []byte, bodyID string) (*peerResp, error) {
-	key := peerKey(r, home, query, bodyID)
-	if h.cache != nil {
-		if resp, ok := h.cache.get(key); ok {
-			h.count(&h.peerHits)
-			return resp, nil
-		}
+	fetched := false
+	resp, err := h.cache.Do(r.Context(), peerKey(r, home, query, bodyID), nil,
+		func() (*peerResp, bool, error) {
+			fetched = true
+			resp, err := h.forward(r, home, query, body)
+			return resp, err == nil && resp.status == http.StatusOK, err
+		})
+	if err == nil && !fetched {
+		h.count(&h.peerHits)
 	}
-	h.flightMu.Lock()
-	if c, ok := h.inflight[key]; ok {
-		h.flightMu.Unlock()
-		select {
-		case <-c.done:
-		case <-r.Context().Done():
-			return nil, r.Context().Err()
-		}
-		if c.err == nil {
-			h.count(&h.peerHits)
-		}
-		return c.resp, c.err
-	}
-	call := &flightCall{done: make(chan struct{})}
-	h.inflight[key] = call
-	h.flightMu.Unlock()
-
-	call.resp, call.err = h.forward(r, home, query, body)
-	if call.err == nil && call.resp.status == http.StatusOK && h.cache != nil {
-		h.cache.put(key, call.resp)
-	}
-	h.flightMu.Lock()
-	delete(h.inflight, key)
-	h.flightMu.Unlock()
-	close(call.done)
-	return call.resp, call.err
+	return resp, err
 }
 
 // peerKey is the cache identity of a forwarded request: everything that
@@ -475,52 +454,4 @@ func (r *recorder) WriteHeader(code int) {
 func (r *recorder) Write(b []byte) (int, error) {
 	r.wrote = true
 	return r.body.Write(b)
-}
-
-// respCache is a bounded LRU of peer responses keyed by full request
-// identity.
-type respCache struct {
-	mu      sync.Mutex
-	limit   int
-	entries map[string]*list.Element
-	lru     *list.List // front = most recent; values are *respCacheEntry
-}
-
-type respCacheEntry struct {
-	key  string
-	resp *peerResp
-}
-
-func newRespCache(limit int) *respCache {
-	if limit < 0 {
-		return nil
-	}
-	return &respCache{limit: limit, entries: make(map[string]*list.Element), lru: list.New()}
-}
-
-func (c *respCache) get(key string) (*peerResp, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*respCacheEntry).resp, true
-}
-
-func (c *respCache) put(key string, resp *peerResp) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*respCacheEntry).resp = resp
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&respCacheEntry{key: key, resp: resp})
-	for c.limit > 0 && c.lru.Len() > c.limit {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*respCacheEntry).key)
-	}
 }

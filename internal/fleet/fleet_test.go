@@ -39,6 +39,14 @@ func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // own engine, and returns their base URLs and engines.
 func newFleet(t *testing.T, n int) (urls []string, engines []*exp.Engine, handlers []*fleet.Handler) {
 	t.Helper()
+	return newFleetWith(t, n, nil)
+}
+
+// newFleetWith is newFleet with a say in each node's set-up: tune, if not
+// nil, may adjust node i's fleet options (Self and Peers are filled in) and
+// returns extra options for its engine.
+func newFleetWith(t *testing.T, n int, tune func(i int, o *fleet.Options) []exp.Option) (urls []string, engines []*exp.Engine, handlers []*fleet.Handler) {
+	t.Helper()
 	late := make([]*lateHandler, n)
 	urls = make([]string, n)
 	for i := range late {
@@ -50,9 +58,14 @@ func newFleet(t *testing.T, n int) (urls []string, engines []*exp.Engine, handle
 	engines = make([]*exp.Engine, n)
 	handlers = make([]*fleet.Handler, n)
 	for i := range late {
-		engines[i] = exp.NewEngine(sim.Default(), exp.WithWorkers(2))
+		opts := fleet.Options{Self: urls[i], Peers: urls}
+		eopts := []exp.Option{exp.WithWorkers(2)}
+		if tune != nil {
+			eopts = append(eopts, tune(i, &opts)...)
+		}
+		engines[i] = exp.NewEngine(sim.Default(), eopts...)
 		svc := service.New(service.Options{Engine: engines[i]})
-		fh, err := fleet.Wrap(svc.Handler(), fleet.Options{Self: urls[i], Peers: urls})
+		fh, err := fleet.Wrap(svc.Handler(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

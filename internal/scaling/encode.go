@@ -1,7 +1,6 @@
 package scaling
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -94,29 +93,21 @@ func Text(a Advice) string {
 // (parameters, N*, classification) repeat on every record so the file stays
 // a single flat table.
 func encodeCSV(w io.Writer, a Advice) error {
-	cw := csv.NewWriter(w)
+	f := stack.CSVFloat
 	header := []string{"benchmark", "threads", "measured", "amdahl", "usl",
 		"sigma", "kappa", "n_star", "classification", "sigma_stack", "sigma_agrees"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, p := range a.Points {
+	records := make([][]string, len(a.Points))
+	for i, p := range a.Points {
 		n := float64(p.Threads)
-		rec := []string{
-			a.Benchmark, strconv.Itoa(p.Threads), csvF(p.Speedup),
-			csvF(a.Amdahl.Speedup(n)), csvF(a.USL.Speedup(n)),
-			csvF(a.USL.Sigma), csvF(a.USL.Kappa), csvF(a.NStar),
-			string(a.Class), csvF(a.SigmaStack), strconv.FormatBool(a.SigmaAgrees),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
+		records[i] = []string{
+			a.Benchmark, strconv.Itoa(p.Threads), f(p.Speedup),
+			f(a.Amdahl.Speedup(n)), f(a.USL.Speedup(n)),
+			f(a.USL.Sigma), f(a.USL.Kappa), f(a.NStar),
+			string(a.Class), f(a.SigmaStack), strconv.FormatBool(a.SigmaAgrees),
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return stack.WriteCSV(w, header, records)
 }
-
-func csvF(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 
 // Chart builds the fit-overlay curve chart: measured sweep with markers,
 // both fitted models dashed, the ideal-scaling reference, and an N* marker

@@ -97,11 +97,14 @@ func asAPIError(err error) *apiError {
 	return badRequest("%v", err)
 }
 
-// simAPIError maps a simulation failure onto an apiError: timeouts are the
-// gateway's fault (504), cancellations the client's (499-style 408),
-// anything else a 500.
+// simAPIError maps a failed engine call onto an apiError: timeouts are the
+// gateway's fault (504), cancellations the client's (499-style 408), an
+// intervention ID the engine does not know the same 404 the parse step
+// gives, anything else a 500.
 func (s *Server) simAPIError(err error) *apiError {
 	switch {
+	case errors.Is(err, whatif.ErrUnknownIntervention):
+		return asAPIError(err)
 	case errors.Is(err, context.DeadlineExceeded):
 		return &apiError{Status: http.StatusGatewayTimeout, Code: codeSimTimeout,
 			Message: fmt.Sprintf("simulation exceeded the %s limit", s.simTimeout)}

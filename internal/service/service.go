@@ -107,6 +107,14 @@
 // entry. Simulation parallelism across all requests is bounded by the
 // engine's worker pool; requests beyond it queue on the pool rather than
 // piling onto the CPUs.
+//
+// One request path: every simulating handler is its parse step followed by
+// serve — the engine call run by detached (under a context of its own, so a
+// request that exceeds Options.SimTimeout or hangs up gets its error
+// promptly while the work finishes in the background and lands in the memo,
+// where a retry finds it), one error mapping, the negotiated Content-Type,
+// the encoder. The streamed NDJSON sweep runs each cell through the same
+// detached.
 package service
 
 import (
@@ -389,71 +397,90 @@ func (s *Server) modeConfig(m sim.Mode) *sim.Config {
 	return &cfg
 }
 
-// sweep runs cells on the engine (under cfg when non-nil, the base machine
-// otherwise), detaching from the request when its context expires: the
-// caller gets ctx.Err() promptly (504/408), while the simulations keep
-// running in the background and land in the cache — deterministic work is
+// detached runs one engine call under a context of its own and waits for it
+// under ctx. When ctx ends first the caller gets ctx.Err() promptly (504 on
+// the deadline, 408 when the client went away) while the call keeps running
+// in the background and lands in the engine's memo — deterministic work is
 // never wasted, and a retry of the same request becomes a cache hit.
 // Background completion is still bounded by the engine's worker pool and
-// the simulator's MaxCycles safety net.
-func (s *Server) sweep(ctx context.Context, cells []exp.Cell, cfg *sim.Config) ([]exp.Outcome, error) {
-	reqs := make([]exp.Request, len(cells))
-	for i, c := range cells {
-		reqs[i] = exp.Request{Cell: c, Config: cfg}
-	}
+// the simulator's MaxCycles safety net. This is the one place a request's
+// simulations leave the request's lifetime.
+func detached[T any](ctx context.Context, call func(context.Context) (T, error)) (T, error) {
 	type result struct {
-		outs []exp.Outcome
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		outs, err := s.engine.Do(context.Background(), reqs)
-		ch <- result{outs, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.outs, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// measureIntervals runs one time-resolved cell on the engine with the same
-// detach-on-timeout discipline as sweep: the caller gets ctx.Err() promptly
-// while the simulation finishes in the background and lands in the interval
-// memo, so a retry is a hit.
-func (s *Server) measureIntervals(ctx context.Context, req exp.Request, count int) (exp.IntervalOutcome, error) {
-	type result struct {
-		out exp.IntervalOutcome
+		v   T
 		err error
 	}
 	ch := make(chan result, 1)
 	go func() {
-		out, err := s.engine.MeasureIntervals(context.Background(), req, count)
-		ch <- result{out, err}
+		v, err := call(context.Background())
+		ch <- result{v, err}
 	}()
 	select {
 	case r := <-ch:
-		return r.out, r.err
+		return r.v, r.err
 	case <-ctx.Done():
-		return exp.IntervalOutcome{}, ctx.Err()
+		var zero T
+		return zero, ctx.Err()
 	}
 }
 
-// respondSeries encodes a time-resolved stack in the negotiated format.
-func (s *Server) respondSeries(w http.ResponseWriter, f stack.Format, out exp.IntervalOutcome) {
-	w.Header().Set("Content-Type", f.ContentType())
-	stack.EncodeTimeSeries(w, f, out.Series)
-}
-
-// respond encodes the outcomes in the negotiated format.
-func (s *Server) respond(w http.ResponseWriter, f stack.Format, outs []exp.Outcome) {
-	bars := make([]stack.Bar, len(outs))
-	for i, out := range outs {
-		bars[i] = stack.Bar{Label: out.Bench.FullName(), Stack: out.Stack}
+// serve is the tail of every simulating endpoint, after its parse step: the
+// engine call, detached, under the request's simulation deadline; one error
+// mapping; the negotiated Content-Type; the encoder.
+func serve[T any](s *Server, w http.ResponseWriter, r *http.Request, f stack.Format,
+	call func(context.Context) (T, error), encode func(io.Writer, stack.Format, T) error) {
+	ctx, cancel := s.simContext(r)
+	defer cancel()
+	v, err := detached(ctx, call)
+	if err != nil {
+		writeError(w, r, s.simAPIError(err))
+		return
 	}
 	w.Header().Set("Content-Type", f.ContentType())
-	stack.Encode(w, f, bars)
+	encode(w, f, v)
+}
+
+// cellsCall is the engine call of the aggregate endpoints: cells in one
+// deduplicated pass, in opts.mode.
+func (s *Server) cellsCall(opts requestOptions, cells ...exp.Cell) func(context.Context) ([]exp.Outcome, error) {
+	cfg := s.modeConfig(opts.mode)
+	return func(ctx context.Context) ([]exp.Outcome, error) {
+		reqs := make([]exp.Request, len(cells))
+		for i, c := range cells {
+			reqs[i] = exp.Request{Cell: c, Config: cfg}
+		}
+		return s.engine.Do(ctx, reqs)
+	}
+}
+
+// serveCells answers an aggregate request: one stack row per cell.
+func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, opts requestOptions, cells ...exp.Cell) {
+	serve(s, w, r, opts.format, s.cellsCall(opts, cells...),
+		func(w io.Writer, f stack.Format, outs []exp.Outcome) error {
+			bars := make([]stack.Bar, len(outs))
+			for i, out := range outs {
+				bars[i] = outcomeBar(out)
+			}
+			return stack.Encode(w, f, bars)
+		})
+}
+
+// serveSeries answers a time-resolved request: cell split into count
+// intervals.
+func (s *Server) serveSeries(w http.ResponseWriter, r *http.Request, opts requestOptions, cell exp.Cell, count int) {
+	req := exp.Request{Cell: cell, Config: s.modeConfig(opts.mode)}
+	serve(s, w, r, opts.format,
+		func(ctx context.Context) (exp.IntervalOutcome, error) {
+			return s.engine.MeasureIntervals(ctx, req, count)
+		},
+		func(w io.Writer, f stack.Format, out exp.IntervalOutcome) error {
+			return stack.EncodeTimeSeries(w, f, out.Series)
+		})
+}
+
+// outcomeBar is the report row source of one outcome.
+func outcomeBar(out exp.Outcome) stack.Bar {
+	return stack.Bar{Label: out.Bench.FullName(), Stack: out.Stack}
 }
 
 // handleStack serves GET /v1/stack: one (benchmark, threads[, cores]) cell,
@@ -464,14 +491,7 @@ func (s *Server) handleStack(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, aerr)
 		return
 	}
-	ctx, cancel := s.simContext(r)
-	defer cancel()
-	outs, err := s.sweep(ctx, []exp.Cell{opts.cell}, s.modeConfig(opts.mode))
-	if err != nil {
-		writeError(w, r, s.simAPIError(err))
-		return
-	}
-	s.respond(w, opts.format, outs)
+	s.serveCells(w, r, opts, opts.cell)
 }
 
 // handleStackIntervals serves GET /v1/stack/intervals: one cell's
@@ -485,14 +505,7 @@ func (s *Server) handleStackIntervals(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, aerr)
 		return
 	}
-	ctx, cancel := s.simContext(r)
-	defer cancel()
-	out, err := s.measureIntervals(ctx, exp.Request{Cell: opts.cell, Config: s.modeConfig(opts.mode)}, opts.intervals)
-	if err != nil {
-		writeError(w, r, s.simAPIError(err))
-		return
-	}
-	s.respondSeries(w, opts.format, out)
+	s.serveSeries(w, r, opts, opts.cell, opts.intervals)
 }
 
 // sweepRequest is the POST /v1/sweep body.
@@ -543,46 +556,35 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		cells[i] = cell
 	}
 	if opts.format == stack.FormatNDJSON {
-		s.streamSweep(w, r, cells, s.modeConfig(opts.mode))
+		s.streamSweep(w, r, opts, cells)
 		return
 	}
-	ctx, cancel := s.simContext(r)
-	defer cancel()
-	outs, err := s.sweep(ctx, cells, s.modeConfig(opts.mode))
-	if err != nil {
-		writeError(w, r, s.simAPIError(err))
-		return
-	}
-	s.respond(w, opts.format, outs)
+	s.serveCells(w, r, opts, cells...)
 }
 
 // streamSweep answers an NDJSON sweep as a stream: one compact ReportRow
 // line per cell, in the declared cell order, each flushed onto the wire as
 // soon as that cell's result (and its predecessors') are available. Every
-// cell runs as its own engine request with the usual detach-on-timeout
-// discipline, so large batches start answering with their first completed
+// cell runs as its own detached engine call under the request's one
+// deadline, so large batches start answering with their first completed
 // rows instead of buffering the whole sweep, and a timeout still leaves
 // the finished work in the cache. A failure before the first row is the
 // normal error response; after rows are on the wire the status is already
 // 200, so the envelope becomes the terminating line of the stream —
 // NDJSON consumers must treat a line with an "error" key as a failed tail.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, cells []exp.Cell, cfg *sim.Config) {
+func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, opts requestOptions, cells []exp.Cell) {
 	ctx, cancel := s.simContext(r)
 	defer cancel()
 	type result struct {
-		out exp.Outcome
-		err error
+		outs []exp.Outcome
+		err  error
 	}
 	results := make([]chan result, len(cells))
 	for i := range cells {
 		results[i] = make(chan result, 1)
 		go func(i int, c exp.Cell) {
-			outs, err := s.sweep(ctx, []exp.Cell{c}, cfg)
-			if err != nil {
-				results[i] <- result{err: err}
-				return
-			}
-			results[i] <- result{out: outs[0]}
+			outs, err := detached(ctx, s.cellsCall(opts, c))
+			results[i] <- result{outs, err}
 		}(i, cells[i])
 	}
 	flusher, _ := w.(http.Flusher)
@@ -604,7 +606,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, cells []exp
 			w.Header().Set("Content-Type", stack.FormatNDJSON.ContentType())
 			wrote = true
 		}
-		stack.EncodeRowNDJSON(w, stack.Row(stack.Bar{Label: res.out.Bench.FullName(), Stack: res.out.Stack}))
+		stack.EncodeRowNDJSON(w, stack.Row(outcomeBar(res.outs[0])))
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -648,25 +650,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, asAPIError(err))
 		return
 	}
-	ctx, cancel := s.simContext(r)
-	defer cancel()
 	if count > 0 {
 		// Time-resolved analysis of the custom spec, sharing /v1/stack/
 		// intervals' memo and the aggregate's fingerprint-keyed cache.
-		out, err := s.measureIntervals(ctx, exp.Request{Cell: cell, Config: s.modeConfig(opts.mode)}, count)
-		if err != nil {
-			writeError(w, r, s.simAPIError(err))
-			return
-		}
-		s.respondSeries(w, opts.format, out)
+		s.serveSeries(w, r, opts, cell, count)
 		return
 	}
-	outs, err := s.sweep(ctx, []exp.Cell{cell}, s.modeConfig(opts.mode))
-	if err != nil {
-		writeError(w, r, s.simAPIError(err))
-		return
-	}
-	s.respond(w, opts.format, outs)
+	s.serveCells(w, r, opts, cell)
 }
 
 // validateResponse is the POST /v1/workloads/validate answer.
@@ -711,28 +701,6 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// advise runs the advisor's memoized thread sweep on the engine with the
-// same detach-on-timeout discipline as sweep: the caller gets ctx.Err()
-// promptly while the sweep finishes in the background and lands in the
-// cell memo, so a retry is mostly (or entirely) cache hits.
-func (s *Server) advise(ctx context.Context, req exp.Request, maxThreads int) (scaling.Advice, error) {
-	type result struct {
-		a   scaling.Advice
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		a, err := s.engine.Advise(context.Background(), req, maxThreads)
-		ch <- result{a, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.a, r.err
-	case <-ctx.Done():
-		return scaling.Advice{}, ctx.Err()
-	}
-}
-
 // handleAdvise serves GET /v1/advise: the scaling advisor for one
 // registered benchmark. The sweep's cells ride the same fingerprint-keyed
 // memo as every other endpoint, so advising a benchmark that has already
@@ -743,15 +711,12 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, aerr)
 		return
 	}
-	ctx, cancel := s.simContext(r)
-	defer cancel()
-	a, err := s.advise(ctx, exp.Request{Cell: opts.cell, Config: s.modeConfig(opts.mode)}, opts.maxThreads)
-	if err != nil {
-		writeError(w, r, s.simAPIError(err))
-		return
-	}
-	w.Header().Set("Content-Type", opts.format.ContentType())
-	scaling.Encode(w, opts.format, a)
+	req := exp.Request{Cell: opts.cell, Config: s.modeConfig(opts.mode)}
+	serve(s, w, r, opts.format,
+		func(ctx context.Context) (scaling.Advice, error) {
+			return s.engine.Advise(ctx, req, opts.maxThreads)
+		},
+		scaling.Encode)
 }
 
 // whatifRequest is the POST /v1/whatif body: a cell (bench or inline spec,
@@ -788,28 +753,6 @@ func parseWhatIf(req whatifRequest) (exp.Cell, []string, error) {
 	return cell, req.Interventions, nil
 }
 
-// whatIf runs the what-if engine with the same detach-on-timeout discipline
-// as sweep: the caller gets ctx.Err() promptly while the baseline and
-// mutated cells finish in the background and land in the memo, so a retry
-// is mostly (or entirely) cache hits.
-func (s *Server) whatIf(ctx context.Context, cell exp.Cell, ids []string) (whatif.Report, error) {
-	type result struct {
-		rep whatif.Report
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		rep, err := s.engine.WhatIf(context.Background(), exp.Request{Cell: cell}, ids)
-		ch <- result{rep, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.rep, r.err
-	case <-ctx.Done():
-		return whatif.Report{}, ctx.Err()
-	}
-}
-
 // handleWhatIf serves POST /v1/whatif: the causal what-if report for one
 // cell — each applicable catalog intervention predicted by re-evaluating
 // the estimator with its components scaled, validated by re-simulating the
@@ -831,19 +774,11 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, asAPIError(err))
 		return
 	}
-	ctx, cancel := s.simContext(r)
-	defer cancel()
-	rep, err := s.whatIf(ctx, cell, ids)
-	if err != nil {
-		if errors.Is(err, whatif.ErrUnknownIntervention) {
-			writeError(w, r, asAPIError(err))
-			return
-		}
-		writeError(w, r, s.simAPIError(err))
-		return
-	}
-	w.Header().Set("Content-Type", opts.format.ContentType())
-	whatif.Encode(w, opts.format, rep)
+	serve(s, w, r, opts.format,
+		func(ctx context.Context) (whatif.Report, error) {
+			return s.engine.WhatIf(ctx, exp.Request{Cell: cell}, ids)
+		},
+		whatif.Encode)
 }
 
 // handleBenchmarks serves GET /v1/benchmarks.

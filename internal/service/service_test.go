@@ -428,29 +428,62 @@ func TestSweepInlineSpecCells(t *testing.T) {
 	}
 }
 
+// TestSimTimeoutDetaches pins the detach contract on every simulating
+// endpoint, the streamed sweep included. A 1ns budget cannot wait for any
+// simulation: the request must answer 504 sim_timeout rather than hang — but
+// the detached engine call still runs to completion on its own and fills
+// the memo, so a patient retry answers what a server that never timed out
+// answers, without a single new simulation.
 func TestSimTimeoutDetaches(t *testing.T) {
-	// A 1ns budget cannot wait for any simulation: the request must
-	// answer 504 rather than hang — but the detached simulation still
-	// completes and fills the cache, so a patient retry is a hit.
-	e := exp.NewEngine(sim.Default(), exp.WithWorkers(1))
-	s := New(Options{Engine: e, SimTimeout: time.Nanosecond})
-	target := "/v1/stack?bench=" + testBench + "&threads=2"
-	if w := get(t, s.Handler(), target); w.Code != http.StatusGatewayTimeout {
-		t.Errorf("status %d, want 504 (%s)", w.Code, w.Body)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for e.Stats().CellRuns == 0 || e.Stats().InFlight > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("detached simulation never completed")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	patient := New(Options{Engine: e, SimTimeout: time.Minute})
-	if w := get(t, patient.Handler(), target); w.Code != http.StatusOK {
-		t.Errorf("retry after detach: status %d, want 200 (%s)", w.Code, w.Body)
-	}
-	if st := e.Stats(); st.CellRuns != 1 || st.CellHits != 1 {
-		t.Errorf("retry re-simulated: %+v", st)
+	cellBody := `{"bench":"` + testBench + `","threads":2}`
+	sweepBody := `{"cells":[` + cellBody + `,{"bench":"` + testBench + `","threads":1}]}`
+	for _, tc := range []struct {
+		name, method, target, body string
+	}{
+		{"stack", http.MethodGet, "/v1/stack?bench=" + testBench + "&threads=2", ""},
+		{"intervals", http.MethodGet, "/v1/stack/intervals?bench=" + testBench + "&threads=2&intervals=4", ""},
+		{"sweep", http.MethodPost, "/v1/sweep", sweepBody},
+		{"sweep streamed", http.MethodPost, "/v1/sweep?format=ndjson", sweepBody},
+		{"analyze", http.MethodPost, "/v1/workloads/analyze", `{"spec":` + testSpecJSON + `,"threads":2}`},
+		{"trace", http.MethodPost, "/v1/traces/analyze", string(recordTestTrace(t, 2))},
+		{"advise", http.MethodGet, "/v1/advise?bench=" + testBench + "&max_threads=4", ""},
+		{"whatif", http.MethodPost, "/v1/whatif", cellBody},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			do := func(e *exp.Engine, timeout time.Duration) *httptest.ResponseRecorder {
+				req := httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body))
+				w := httptest.NewRecorder()
+				New(Options{Engine: e, SimTimeout: timeout}).Handler().ServeHTTP(w, req)
+				return w
+			}
+			runs := func(e *exp.Engine) [3]int {
+				st := e.Stats()
+				return [3]int{st.SeqRuns, st.CellRuns, st.IntervalRuns}
+			}
+			ref := exp.NewEngine(sim.Default(), exp.WithWorkers(1))
+			want := do(ref, time.Minute)
+			if want.Code != http.StatusOK {
+				t.Fatalf("patient server: status %d (%s)", want.Code, want.Body)
+			}
+
+			e := exp.NewEngine(sim.Default(), exp.WithWorkers(1))
+			if w := do(e, time.Nanosecond); w.Code != http.StatusGatewayTimeout || !strings.Contains(w.Body.String(), codeSimTimeout) {
+				t.Fatalf("status %d, want 504 %s (%s)", w.Code, codeSimTimeout, w.Body)
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for runs(e) != runs(ref) || e.Stats().InFlight > 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("detached work never completed: ran %v, the request costs %v", runs(e), runs(ref))
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			if w := do(e, time.Minute); w.Code != http.StatusOK || w.Body.String() != want.Body.String() {
+				t.Errorf("retry after detach: status %d, body %q, want 200 %q", w.Code, w.Body, want.Body)
+			}
+			if runs(e) != runs(ref) {
+				t.Errorf("retry re-simulated: ran %v, the request costs %v", runs(e), runs(ref))
+			}
+		})
 	}
 }
 

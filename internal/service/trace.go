@@ -46,12 +46,5 @@ func (s *Server) handleTraceAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, asAPIError(err))
 		return
 	}
-	ctx, cancel := s.simContext(r)
-	defer cancel()
-	outs, err := s.sweep(ctx, []exp.Cell{cell}, s.modeConfig(opts.mode))
-	if err != nil {
-		writeError(w, r, s.simAPIError(err))
-		return
-	}
-	s.respond(w, opts.format, outs)
+	s.serveCells(w, r, opts, cell)
 }

@@ -93,8 +93,7 @@ func (m *Machine) memAccessFast(t *thread, c int, op *trace.Op) {
 	t.ct.LLCAccesses++
 	fc.detAccesses++
 	estHit, sampled, oraHit := false, false, false
-	walked := false
-	if m.acct && m.shardN == 0 {
+	if m.acct {
 		tag := lineAddr >> m.llcSetBits
 		if m.atds[c].SampledSet(set) {
 			estHit, sampled = m.atds[c].AccessSetTag(set, tag)
@@ -102,7 +101,6 @@ func (m *Machine) memAccessFast(t *thread, c int, op *trace.Op) {
 		}
 		oraHit, _ = m.oracleATDs[c].AccessSetTag(set, tag)
 		t.ct.OracleATDAccesses++
-		walked = true
 	}
 
 	if out.LLCHit {
@@ -119,12 +117,9 @@ func (m *Machine) memAccessFast(t *thread, c int, op *trace.Op) {
 			if sampled && !estHit {
 				t.ct.SampledInterThreadHits++
 			}
-			if walked && !oraHit {
+			if m.acct && !oraHit {
 				t.ct.OracleInterThreadHits++
 			}
-		}
-		if m.acct && m.shardN > 0 {
-			m.shardRecord(c, t.id, lineAddr, isLoad, true, 0, 0, 0)
 		}
 		return
 	}
@@ -136,9 +131,6 @@ func (m *Machine) memAccessFast(t *thread, c int, op *trace.Op) {
 		m.memc.Writeback(t.time, c, out.LLCVictimAddr)
 	}
 	if !isLoad {
-		if m.acct && m.shardN > 0 {
-			m.shardRecord(c, t.id, lineAddr, false, false, 0, 0, 0)
-		}
 		return
 	}
 
@@ -164,9 +156,6 @@ func (m *Machine) memAccessFast(t *thread, c int, op *trace.Op) {
 	if oraHit {
 		t.ct.OracleInterThreadMissStall += stall
 		t.ct.OracleInterThreadMissMemInterf += interfTruth
-	}
-	if m.acct && m.shardN > 0 {
-		m.shardRecord(c, t.id, lineAddr, true, false, stall, interfEst, interfTruth)
 	}
 }
 

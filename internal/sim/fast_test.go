@@ -9,9 +9,8 @@ import (
 	"repro/internal/workload"
 )
 
-// fastRunBench runs a registered workload in the given mode, optionally
-// with accounting shards.
-func fastRunBench(t *testing.T, name string, threads int, mode sim.Mode, opts ...sim.Option) sim.Result {
+// fastRunBench runs a registered workload in the given mode.
+func fastRunBench(t *testing.T, name string, threads int, mode sim.Mode) sim.Result {
 	t.Helper()
 	b, ok := workload.ByName(name)
 	if !ok {
@@ -23,7 +22,7 @@ func fastRunBench(t *testing.T, name string, threads int, mode sim.Mode, opts ..
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(cfg, progs, append(b.Spec.PipelineOptions(threads), opts...)...)
+	res, err := sim.Run(cfg, progs, b.Spec.PipelineOptions(threads)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,42 +103,6 @@ func TestPoolModeKeying(t *testing.T) {
 		if !reflect.DeepEqual(gotF, fast) {
 			t.Fatalf("pass %d: fast result drifted after exact runs on the pool", pass)
 		}
-	}
-}
-
-// TestAccountingShardsByteIdentical pins the intra-run parallelism
-// contract: diverting the tag-directory walks to worker goroutines changes
-// wall-clock behavior only — the Result is byte-identical to inline
-// accounting in both modes, for any shard count.
-func TestAccountingShardsByteIdentical(t *testing.T) {
-	for _, mode := range []sim.Mode{sim.ModeExact, sim.ModeFast} {
-		inline := fastRunBench(t, "water-nsquared_splash2", 8, mode)
-		for _, shards := range []int{1, 3, 8} {
-			got := fastRunBench(t, "water-nsquared_splash2", 8, mode,
-				sim.WithAccountingShards(shards))
-			if !reflect.DeepEqual(got, inline) {
-				t.Fatalf("mode=%v shards=%d: sharded result differs from inline", mode, shards)
-			}
-		}
-	}
-}
-
-// TestShardsAbortCleanly pins the MaxCycles error path: a run aborted
-// mid-flight must still flush and join its shard workers (a leak would
-// deadlock or trip the race detector here).
-func TestShardsAbortCleanly(t *testing.T) {
-	b, _ := workload.ByName("cholesky_splash2")
-	cfg := sim.Default().WithCores(8)
-	cfg.Policy = b.Spec.TunePolicy(cfg.Policy)
-	cfg.MaxCycles = cfg.Quantum // abort after the first quantum
-	progs, err := b.Spec.Parallel(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sim.Run(cfg, progs, append(b.Spec.PipelineOptions(8),
-		sim.WithAccountingShards(4))...)
-	if err == nil || !strings.Contains(err.Error(), "MaxCycles") {
-		t.Fatalf("expected MaxCycles abort, got %v", err)
 	}
 }
 

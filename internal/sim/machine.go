@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/atd"
 	"repro/internal/cache"
@@ -110,16 +109,6 @@ type Machine struct {
 	fast      bool
 	fastMask  uint64
 	fastCores []fastCore
-
-	// Accounting-shard state (WithAccountingShards, shards.go): shardN
-	// worker goroutines replay the deferred tag-directory walks; zero means
-	// inline accounting.
-	shardN       int
-	shardCh      []chan shardBatch
-	shardBufs    [][]atdRec
-	shardParts   [][]threadCounters
-	shardWG      sync.WaitGroup
-	shardBufPool sync.Pool
 
 	// quantum is the effective relaxed-synchronization quantum of the
 	// current run: cfg.Quantum, scaled in fast mode, or the whole horizon
@@ -231,7 +220,6 @@ func (m *Machine) reset(progs []trace.Program) error {
 	m.clock, m.finished, m.ops = 0, 0, 0
 	m.acct = true
 	m.snapEvery, m.nextSnap, m.snaps = 0, 0, nil
-	m.shardN = 0
 	for i := range m.fastCores {
 		m.fastCores[i] = fastCore{}
 	}
@@ -336,16 +324,6 @@ func syncPC(kind waitKind, id uint32) uint64 {
 
 // Run executes the machine to completion and returns the result.
 func (m *Machine) Run() (Result, error) {
-	// Accounting shards only make sense when there is accounting to shard,
-	// and are incompatible with interval snapshots (which read the
-	// cumulative counters mid-run). memAccess keys off shardN alone, so
-	// normalize it here.
-	if m.shardN > 0 && (!m.acct || m.snapEvery != 0) {
-		m.shardN = 0
-	}
-	if m.shardN > 0 {
-		m.startShards()
-	}
 	quantum := m.cfg.Quantum
 	if m.fast {
 		quantum *= fastQuantumScale
@@ -368,9 +346,6 @@ func (m *Machine) Run() (Result, error) {
 	m.quantum = quantum
 	for m.finished < len(m.threads) {
 		if m.clock >= m.cfg.MaxCycles {
-			if m.shardN > 0 {
-				m.drainShards() // no worker goroutine outlives the run
-			}
 			return Result{}, fmt.Errorf("sim: exceeded MaxCycles=%d with %d/%d threads finished",
 				m.cfg.MaxCycles, m.finished, len(m.threads))
 		}
@@ -385,9 +360,6 @@ func (m *Machine) Run() (Result, error) {
 			m.runCore(c, qEnd)
 		}
 		m.clock = qEnd
-	}
-	if m.shardN > 0 {
-		m.drainShards()
 	}
 	return m.result(), nil
 }

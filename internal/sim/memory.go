@@ -30,15 +30,11 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 	// hardware ATD observes every LLC access of its core (paper Section
 	// 4.1); only sampled sets are backed by state. Both directories mirror
 	// the LLC's geometry, so the address is decomposed once and the same
-	// (set, tag) pair drives the estimator and the oracle walk. With
-	// accounting shards active the walks — and the counters derived from
-	// their hit/miss answers — are deferred to the owning shard worker
-	// instead (shards.go); the record carries everything the walk needs.
+	// (set, tag) pair drives the estimator and the oracle walk.
 	t.ct.LLCAccesses++
 	lineAddr := op.Addr >> m.llcLineShift
 	estHit, sampled, oraHit := false, false, false
-	walked := false
-	if m.acct && m.shardN == 0 {
+	if m.acct {
 		set, tag := int(lineAddr&m.llcSetMask), lineAddr>>m.llcSetBits
 		if m.atds[c].SampledSet(set) {
 			estHit, sampled = m.atds[c].AccessSetTag(set, tag)
@@ -46,7 +42,6 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 		}
 		oraHit, _ = m.oracleATDs[c].AccessSetTag(set, tag)
 		t.ct.OracleATDAccesses++
-		walked = true
 	}
 
 	if out.LLCHit {
@@ -66,12 +61,9 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 			if sampled && !estHit {
 				t.ct.SampledInterThreadHits++
 			}
-			if walked && !oraHit {
+			if m.acct && !oraHit {
 				t.ct.OracleInterThreadHits++
 			}
-		}
-		if m.acct && m.shardN > 0 {
-			m.shardRecord(c, t.id, lineAddr, isLoad, true, 0, 0, 0)
 		}
 		return
 	}
@@ -84,9 +76,6 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 		m.memc.Writeback(t.time, c, out.LLCVictimAddr)
 	}
 	if !isLoad {
-		if m.acct && m.shardN > 0 {
-			m.shardRecord(c, t.id, lineAddr, false, false, 0, 0, 0)
-		}
 		return
 	}
 
@@ -111,8 +100,5 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 	if oraHit {
 		t.ct.OracleInterThreadMissStall += stall
 		t.ct.OracleInterThreadMissMemInterf += interfTruth
-	}
-	if m.acct && m.shardN > 0 {
-		m.shardRecord(c, t.id, lineAddr, true, false, stall, interfEst, interfTruth)
 	}
 }

@@ -120,25 +120,6 @@ func WithoutAccounting() Option {
 	return func(m *Machine) { m.acct = false }
 }
 
-// WithAccountingShards diverts the accounting hardware's tag-directory
-// walks to n worker goroutines for the run (intra-run parallelism; see
-// shards.go). Results are byte-identical to inline accounting for any n —
-// sharding is an execution choice, not a configuration — so it never
-// splits the machine pool or a sweep memo. It is ignored (accounting runs
-// inline) when accounting is disabled or interval snapshots are active;
-// n < 1 means inline.
-func WithAccountingShards(n int) Option {
-	return func(m *Machine) {
-		if n < 1 {
-			n = 0
-		}
-		if n > m.cfg.Cores {
-			n = m.cfg.Cores // one shard per core is the maximum useful split
-		}
-		m.shardN = n
-	}
-}
-
 // Run executes progs to completion on a machine for cfg. Machines (and the
 // multi-megabyte backing arrays inside them) are recycled through a
 // process-wide pool keyed by the full configuration, so repeated runs —

@@ -216,31 +216,37 @@ func EncodeRowNDJSON(w io.Writer, row ReportRow) error {
 // component in speedup units. The column layout is shared with the
 // experiment harness's figure CSV emitters.
 func EncodeCSV(w io.Writer, bars []Bar) error {
-	cw := csv.NewWriter(w)
 	header := []string{"label", "threads", "estimated", "actual",
 		"base", "posLLC", "negLLC", "netLLC", "memory", "spin", "yield", "imbalance"}
+	records := make([][]string, len(bars))
+	for i, b := range bars {
+		s := b.Stack
+		tp := float64(s.Tp)
+		records[i] = []string{
+			b.Label, strconv.Itoa(s.N), CSVFloat(s.Estimated()), CSVFloat(s.ActualSpeedup),
+			CSVFloat(s.Base()), CSVFloat(s.Components.PosLLC / tp), CSVFloat(s.Components.NegLLC / tp),
+			CSVFloat(s.Components.Net() / tp), CSVFloat(s.Components.NegMem / tp),
+			CSVFloat(s.Components.Spin / tp), CSVFloat(s.Components.Yield / tp),
+			CSVFloat(s.Components.Imbalance / tp),
+		}
+	}
+	return WriteCSV(w, header, records)
+}
+
+// CSVFloat is the spelling of a float in every CSV report of the repo:
+// fixed-point, four decimals.
+func CSVFloat(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
+
+// WriteCSV writes header and then records to w as one CSV document — the
+// shared tail of every CSV report (stacks, time series, advice, what-if
+// and the figure tables), so quoting and flushing are decided in one place.
+func WriteCSV(w io.Writer, header []string, records [][]string) error {
+	cw := csv.NewWriter(w)
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, b := range bars {
-		s := b.Stack
-		tp := float64(s.Tp)
-		rec := []string{
-			b.Label, strconv.Itoa(s.N), csvF(s.Estimated()), csvF(s.ActualSpeedup),
-			csvF(s.Base()), csvF(s.Components.PosLLC / tp), csvF(s.Components.NegLLC / tp),
-			csvF(s.Components.Net() / tp), csvF(s.Components.NegMem / tp),
-			csvF(s.Components.Spin / tp), csvF(s.Components.Yield / tp),
-			csvF(s.Components.Imbalance / tp),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return cw.WriteAll(records) // flushes
 }
-
-func csvF(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 
 // Encode writes the bars to w in the requested format. Text combines the
 // ASCII rendering with the numeric table; the other formats are the

@@ -1,7 +1,6 @@
 package stack
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -182,13 +181,9 @@ func EncodeTimeSeriesJSON(w io.Writer, ts TimeSeries) error {
 // the exact integer-cycle components, and a final "total" record carrying
 // the aggregate (to which the interval records sum exactly).
 func EncodeTimeSeriesCSV(w io.Writer, ts TimeSeries) error {
-	cw := csv.NewWriter(w)
 	header := []string{"benchmark", "threads", "interval", "start_ops", "end_ops",
 		"start_cycle", "end_cycle", "neg_llc_cycles", "pos_llc_cycles",
 		"memory_cycles", "spinning_cycles", "yielding_cycles", "imbalance_cycles"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
 	rec := func(slot string, startOps, endOps, startCycle, endCycle uint64, c core.IntComponents) []string {
 		return []string{
 			ts.Label, strconv.Itoa(ts.N), slot,
@@ -199,17 +194,13 @@ func EncodeTimeSeriesCSV(w io.Writer, ts TimeSeries) error {
 			strconv.FormatInt(c.Yield, 10), strconv.FormatInt(c.Imbalance, 10),
 		}
 	}
+	records := make([][]string, 0, len(ts.Intervals)+1)
 	for _, iv := range ts.Intervals {
-		if err := cw.Write(rec(strconv.Itoa(iv.Index), iv.StartOps, iv.EndOps,
-			iv.StartCycle, iv.EndCycle, iv.Components)); err != nil {
-			return err
-		}
+		records = append(records, rec(strconv.Itoa(iv.Index), iv.StartOps, iv.EndOps,
+			iv.StartCycle, iv.EndCycle, iv.Components))
 	}
-	if err := cw.Write(rec("total", 0, ts.TotalOps, 0, ts.Tp, ts.Aggregate)); err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
+	records = append(records, rec("total", 0, ts.TotalOps, 0, ts.Tp, ts.Aggregate))
+	return WriteCSV(w, header, records)
 }
 
 // TimeSeriesTable renders the series as a fixed-width text table: one row

@@ -1,7 +1,6 @@
 package whatif
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -67,25 +66,17 @@ func Text(r Report) string {
 // encodeCSV writes one record per prediction; the per-report baseline
 // repeats on every record so the file stays a single flat table.
 func encodeCSV(w io.Writer, r Report) error {
-	cw := csv.NewWriter(w)
+	f := stack.CSVFloat
 	header := []string{"benchmark", "threads", "baseline_speedup", "intervention", "component",
 		"mutation", "predicted_speedup", "actual_speedup", "predicted_gain", "actual_gain", "error"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, p := range r.Predictions {
-		rec := []string{
-			r.Benchmark, strconv.Itoa(r.Threads), csvF(r.BaselineSpeedup),
+	records := make([][]string, len(r.Predictions))
+	for i, p := range r.Predictions {
+		records[i] = []string{
+			r.Benchmark, strconv.Itoa(r.Threads), f(r.BaselineSpeedup),
 			p.Intervention, p.Component, p.Mutation,
-			csvF(p.PredictedSpeedup), csvF(p.ActualSpeedup),
-			csvF(p.PredictedGain), csvF(p.ActualGain), csvF(p.Error),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
+			f(p.PredictedSpeedup), f(p.ActualSpeedup),
+			f(p.PredictedGain), f(p.ActualGain), f(p.Error),
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return stack.WriteCSV(w, header, records)
 }
-
-func csvF(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
