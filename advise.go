@@ -3,12 +3,9 @@ package speedupstack
 import (
 	"context"
 	"io"
-	"runtime"
 
 	"repro/internal/exp"
 	"repro/internal/scaling"
-	"repro/internal/sim"
-	"repro/internal/stack"
 )
 
 // Advice is the scaling advisor's answer for one workload: the measured
@@ -46,35 +43,17 @@ const (
 	MaxAdviseThreads = exp.MaxAdviseThreads
 )
 
-// Advise sweeps the named benchmark analogue from 1 to maxThreads (powers
-// of two plus the top, threads = cores at every point) on the default
-// machine, fits the scaling models, and returns the full advisor answer.
-func Advise(benchmark string, maxThreads int) (Advice, error) {
-	return AdviseContext(context.Background(), benchmark, maxThreads)
-}
-
-// AdviseContext is Advise with cancellation.
-func AdviseContext(ctx context.Context, benchmark string, maxThreads int) (Advice, error) {
-	return advise(ctx, exp.Cell{Bench: benchmark}, maxThreads)
-}
-
-// AdviseSpec is Advise for a custom workload: the same sweep, fits and
-// recommendations for a spec that need not be registered, sharing — like
-// every other entry point — the fingerprint-keyed simulation identity.
-func AdviseSpec(w Workload, maxThreads int) (Advice, error) {
-	return AdviseSpecContext(context.Background(), w, maxThreads)
-}
-
-// AdviseSpecContext is AdviseSpec with cancellation.
-func AdviseSpecContext(ctx context.Context, w Workload, maxThreads int) (Advice, error) {
-	return advise(ctx, exp.Cell{Spec: &w}, maxThreads)
-}
-
-// advise runs the advisor sweep on a fresh all-CPU default-machine engine —
-// the shared back end of Advise and AdviseSpec.
-func advise(ctx context.Context, cell exp.Cell, maxThreads int) (Advice, error) {
-	e := exp.NewEngine(sim.Default(), exp.WithWorkers(runtime.NumCPU()))
-	return e.Advise(ctx, exp.Request{Cell: cell}, maxThreads)
+// Advise sweeps the request's workload from 1 to maxThreads (powers of two
+// plus the top, threads = cores at every point), fits the scaling models,
+// and returns the full advisor answer. The sweep sets the thread count:
+// r.Threads is ignored.
+func Advise(ctx context.Context, r Request, maxThreads int) (Advice, error) {
+	r.Threads = maxThreads
+	req, err := r.resolve()
+	if err != nil {
+		return Advice{}, err
+	}
+	return newEngine().Advise(ctx, req, maxThreads)
 }
 
 // EncodeAdvice writes an Advice to w in the requested format: FormatText is
@@ -84,9 +63,4 @@ func advise(ctx context.Context, cell exp.Cell, maxThreads int) (Advice, error) 
 // models.
 func EncodeAdvice(w io.Writer, f Format, a Advice) error {
 	return scaling.Encode(w, f, a)
-}
-
-// RenderAdviceSVG draws the advisor's fit-curve chart as a standalone SVG.
-func RenderAdviceSVG(a Advice) string {
-	return stack.CurveSVG(scaling.Chart(a))
 }

@@ -321,7 +321,7 @@ func TestClientAnalyzeTrace(t *testing.T) {
 	c := newTestClient(t)
 	ctx := context.Background()
 	var tr bytes.Buffer
-	if err := speedupstack.RecordTrace(&tr, testBench, 2); err != nil {
+	if err := speedupstack.RecordTrace(&tr, speedupstack.Request{Bench: testBench, Threads: 2}); err != nil {
 		t.Fatalf("record: %v", err)
 	}
 	row, err := c.AnalyzeTrace(ctx, bytes.NewReader(tr.Bytes()), 0)

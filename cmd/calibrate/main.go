@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -22,7 +23,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print the full component table per benchmark")
 	flag.Parse()
 
-	runner := exp.NewRunner(sim.Default())
+	e := exp.NewEngine(sim.Default())
 	benches := workload.All()
 	if *only != "" {
 		b, ok := workload.ByName(*only)
@@ -37,11 +38,12 @@ func main() {
 		"benchmark", "paper", "actual", "est", "err%", "components (measured)", "target")
 	for _, b := range benches {
 		t0 := time.Now()
-		out, err := runner.Run(b, *threads)
+		outs, err := e.Sweep(context.Background(), []exp.Cell{{Bench: b.FullName(), Threads: *threads}})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", b.FullName(), err)
 			continue
 		}
+		out := outs[0]
 		comps := stack.TopComponents(out.Stack, 3)
 		fmt.Printf("%-28s %7.2f %7.2f %7.2f %+6.1f  %-34s %v  (%.2fs)\n",
 			b.FullName(), b.PaperSpeedup16, out.Actual, out.Estimated,

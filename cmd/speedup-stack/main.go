@@ -55,250 +55,190 @@
 // workload or machine, and ranked by predicted gain. -interventions
 // restricts the run to a comma-separated subset of catalog IDs; svg draws
 // the baseline and per-intervention stacks as one chart.
+//
+// Flag combinations that would silently drop a flag are usage errors (exit
+// status 2): a negative -intervals, -interventions without -whatif,
+// -max-threads without -advise, and the -mode fast/-record/-trace
+// exclusions above.
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	speedupstack "repro"
 )
 
-func main() {
-	bench := flag.String("bench", "cholesky_splash2", "benchmark (name or name_suite)")
-	spec := flag.String("spec", "", "workload spec JSON file (overrides -bench)")
-	threads := flag.Int("threads", 16, "thread count (= core count)")
-	format := flag.String("format", "text", "output format: text|json|csv|svg")
-	intervals := flag.Int("intervals", 0, "time-resolve the stack into N intervals (0 = aggregate only)")
-	advise := flag.Bool("advise", false, "run the scaling advisor (Amdahl/USL fits and recommendations)")
-	maxThreads := flag.Int("max-threads", 16, "sweep top for -advise")
-	whatIf := flag.Bool("whatif", false, "run the causal what-if engine (predicted vs re-simulated intervention gains)")
-	interventions := flag.String("interventions", "", "comma-separated intervention IDs for -whatif (empty = full catalog)")
-	mode := flag.String("mode", "exact", "simulation fidelity: exact (byte-identical) or fast (sampled, several times faster, error-bounded)")
-	record := flag.String("record", "", "record the run's binary op trace to FILE instead of reporting")
-	tracePath := flag.String("trace", "", "replay a recorded trace FILE instead of generating a workload (overrides -bench/-spec)")
-	list := flag.Bool("list", false, "list available benchmarks and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, builds the one Request the
+// flags describe, makes the one library call the selected report needs and
+// returns the exit status (2 for a usage error, 1 for a failed run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("speedup-stack", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "cholesky_splash2", "benchmark (name or name_suite)")
+	spec := fs.String("spec", "", "workload spec JSON file (overrides -bench)")
+	threads := fs.Int("threads", 16, "thread count (= core count)")
+	format := fs.String("format", "text", "output format: text|json|csv|svg")
+	intervals := fs.Int("intervals", 0, "time-resolve the stack into N intervals (0 = aggregate only)")
+	advise := fs.Bool("advise", false, "run the scaling advisor (Amdahl/USL fits and recommendations)")
+	maxThreads := fs.Int("max-threads", 16, "sweep top for -advise")
+	whatIf := fs.Bool("whatif", false, "run the causal what-if engine (predicted vs re-simulated intervention gains)")
+	interventions := fs.String("interventions", "", "comma-separated intervention IDs for -whatif (empty = full catalog)")
+	mode := fs.String("mode", "exact", "simulation fidelity: exact (byte-identical) or fast (sampled, several times faster, error-bounded)")
+	record := fs.String("record", "", "record the run's binary op trace to FILE instead of reporting")
+	tracePath := fs.String("trace", "", "replay a recorded trace FILE instead of generating a workload (overrides -bench/-spec)")
+	list := fs.Bool("list", false, "list available benchmarks and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// exit reports a usage error (status 2) or a failed run (status 1).
+	exit := func(status int, msg any) int {
+		fmt.Fprintln(stderr, msg)
+		return status
+	}
 
 	if *list {
 		for _, n := range speedupstack.Benchmarks() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	}
 
 	f, err := speedupstack.ParseFormat(*format)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return exit(2, err)
 	}
-	fast := false
+	req := speedupstack.Request{Bench: *bench, Threads: *threads}
 	switch *mode {
 	case "", "exact":
 	case "fast":
-		fast = true
+		req.Fast = true
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -mode %q (want exact or fast)\n", *mode)
-		os.Exit(2)
+		return exit(2, fmt.Sprintf("unknown -mode %q (want exact or fast)", *mode))
 	}
-	if fast && (*whatIf || *advise || *intervals > 0) {
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	analysis := *whatIf || *advise || *intervals > 0
+	switch {
+	case req.Fast && analysis:
 		// The advisor, what-if and interval reports are exact-mode paths in
 		// this CLI; the speedupd service serves their fast variants
 		// (?mode=fast).
-		fmt.Fprintln(os.Stderr, "-mode fast applies to the aggregate stack only; drop -advise/-whatif/-intervals or use speedupd's ?mode=fast")
-		os.Exit(2)
+		return exit(2, "-mode fast applies to the aggregate stack only; drop -advise/-whatif/-intervals or use speedupd's ?mode=fast")
+	case *record != "" && (*tracePath != "" || analysis || req.Fast):
+		return exit(2, "-record captures one exact aggregate run; drop -trace/-advise/-whatif/-intervals/-mode fast")
+	case *tracePath != "" && (analysis || req.Fast):
+		// A trace replay is an exact aggregate measurement by contract:
+		// the replay must reproduce the recorded run byte-identically.
+		return exit(2, "-trace replays the recorded run exactly; drop -advise/-whatif/-intervals/-mode fast")
+	case *intervals < 0:
+		return exit(2, fmt.Sprintf("-intervals must not be negative, got %d", *intervals))
+	case given["interventions"] && !*whatIf:
+		return exit(2, "-interventions selects what-if interventions; add -whatif")
+	case given["max-threads"] && !*advise:
+		return exit(2, "-max-threads is the advisor's sweep top; add -advise")
 	}
-	if *record != "" {
-		if *tracePath != "" || *whatIf || *advise || *intervals > 0 || fast {
-			fmt.Fprintln(os.Stderr, "-record captures one exact aggregate run; drop -trace/-advise/-whatif/-intervals/-mode fast")
-			os.Exit(2)
+
+	// The workload: a recorded trace (at its recorded thread count), a spec
+	// file, or the registered -bench.
+	var w speedupstack.Workload
+	switch {
+	case *tracePath != "":
+		w, err = load(*tracePath, func(data []byte) (speedupstack.Workload, error) {
+			return speedupstack.LoadTrace(bytes.NewReader(data))
+		})
+		if err == nil {
+			req = speedupstack.Request{Workload: &w, Threads: w.TraceThreads()}
 		}
-		if err := recordTrace(*spec, *bench, *threads, *record); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	case *spec != "":
+		if w, err = load(*spec, speedupstack.ParseWorkload); err == nil {
+			req.Bench, req.Workload = "", &w
 		}
-		return
 	}
-	if *tracePath != "" {
-		if *whatIf || *advise || *intervals > 0 || fast {
-			// A trace replay is an exact aggregate measurement by contract:
-			// the replay must reproduce the recorded run byte-identically.
-			fmt.Fprintln(os.Stderr, "-trace replays the recorded run exactly; drop -advise/-whatif/-intervals/-mode fast")
-			os.Exit(2)
-		}
-		res, err := measureTrace(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report(f, res)
-		return
+	if err != nil {
+		return exit(1, err)
 	}
-	if *whatIf {
+
+	ctx := context.Background()
+	switch {
+	case *record != "":
+		err = recordTrace(req, *record)
+	case *whatIf:
 		var ids []string
 		if *interventions != "" {
 			ids = strings.Split(*interventions, ",")
 		}
-		rep, err := runWhatIf(*spec, *bench, *threads, ids)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		var rep speedupstack.WhatIfReport
+		if rep, err = speedupstack.WhatIf(ctx, req, ids...); err == nil {
+			err = speedupstack.EncodeWhatIf(stdout, f, rep)
 		}
-		if err := speedupstack.EncodeWhatIf(os.Stdout, f, rep); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	case *advise:
+		var a speedupstack.Advice
+		if a, err = speedupstack.Advise(ctx, req, *maxThreads); err == nil {
+			err = speedupstack.EncodeAdvice(stdout, f, a)
 		}
-		return
+	case *intervals > 0:
+		var ts speedupstack.TimeSeries
+		if ts, err = speedupstack.MeasureIntervals(ctx, req, *intervals); err == nil {
+			err = speedupstack.EncodeTimeSeries(stdout, f, ts)
+		}
+	default:
+		var res speedupstack.Result
+		if res, err = speedupstack.Measure(ctx, req); err == nil {
+			err = report(stdout, f, res)
+		}
 	}
-	if *advise {
-		a, err := runAdvise(*spec, *bench, *maxThreads)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := speedupstack.EncodeAdvice(os.Stdout, f, a); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *intervals > 0 {
-		ts, err := measureIntervals(*spec, *bench, *threads, *intervals)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := speedupstack.EncodeTimeSeries(os.Stdout, f, ts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	res, err := measure(*spec, *bench, *threads, fast)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return exit(1, err)
 	}
-	report(f, res)
+	return 0
 }
 
-// report prints one aggregate result in the requested format.
-func report(f speedupstack.Format, res speedupstack.Result) {
-	if f == speedupstack.FormatText {
-		fmt.Print(speedupstack.Render(res))
-		fmt.Println()
-		fmt.Print(speedupstack.Table(res))
-		fmt.Printf("\ntop bottlenecks: %v\n", speedupstack.TopBottlenecks(res, 3))
-		return
+// report prints one aggregate result in the requested format; the text
+// report also names the top bottlenecks.
+func report(w io.Writer, f speedupstack.Format, res speedupstack.Result) error {
+	if err := speedupstack.Encode(w, f, res); err != nil || f != speedupstack.FormatText {
+		return err
 	}
-	if err := speedupstack.Encode(os.Stdout, f, res); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	_, err := fmt.Fprintf(w, "\ntop bottlenecks: %v\n", speedupstack.TopBottlenecks(res, 3))
+	return err
 }
 
-// recordTrace captures one run of the workload as a binary op trace file.
-func recordTrace(specPath, bench string, threads int, path string) error {
+// recordTrace captures one run of the request as a binary op trace file.
+func recordTrace(req speedupstack.Request, path string) error {
 	out, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if specPath == "" {
-		err = speedupstack.RecordTrace(out, bench, threads)
-	} else {
-		var w speedupstack.Workload
-		if w, err = loadSpec(specPath); err == nil {
-			err = speedupstack.RecordTraceWorkload(out, w, threads)
-		}
-	}
+	err = speedupstack.RecordTrace(out, req)
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		os.Remove(path)
-		return err
 	}
-	return nil
+	return err
 }
 
-// measureTrace replays a recorded trace file at its recorded thread count.
-func measureTrace(path string) (speedupstack.Result, error) {
-	in, err := os.Open(path)
-	if err != nil {
-		return speedupstack.Result{}, err
-	}
-	defer in.Close()
-	res, err := speedupstack.MeasureTrace(in)
-	if err != nil {
-		return speedupstack.Result{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return res, nil
-}
-
-// measure resolves the workload — a spec file or a registered name — and
-// runs it in the requested fidelity.
-func measure(specPath, bench string, threads int, fast bool) (speedupstack.Result, error) {
-	if specPath == "" {
-		if fast {
-			return speedupstack.MeasureFast(bench, threads)
-		}
-		return speedupstack.Measure(bench, threads)
-	}
-	w, err := loadSpec(specPath)
-	if err != nil {
-		return speedupstack.Result{}, err
-	}
-	if fast {
-		return speedupstack.MeasureSpecFast(w, threads)
-	}
-	return speedupstack.MeasureSpec(w, threads)
-}
-
-// measureIntervals is measure's time-resolved counterpart.
-func measureIntervals(specPath, bench string, threads, intervals int) (speedupstack.TimeSeries, error) {
-	if specPath == "" {
-		return speedupstack.MeasureIntervals(bench, threads, intervals)
-	}
-	w, err := loadSpec(specPath)
-	if err != nil {
-		return speedupstack.TimeSeries{}, err
-	}
-	return speedupstack.MeasureSpecIntervals(w, threads, intervals)
-}
-
-// runAdvise is measure's scaling-advisor counterpart.
-func runAdvise(specPath, bench string, maxThreads int) (speedupstack.Advice, error) {
-	if specPath == "" {
-		return speedupstack.Advise(bench, maxThreads)
-	}
-	w, err := loadSpec(specPath)
-	if err != nil {
-		return speedupstack.Advice{}, err
-	}
-	return speedupstack.AdviseSpec(w, maxThreads)
-}
-
-// runWhatIf is measure's causal what-if counterpart.
-func runWhatIf(specPath, bench string, threads int, ids []string) (speedupstack.WhatIfReport, error) {
-	if specPath == "" {
-		return speedupstack.WhatIf(bench, threads, ids...)
-	}
-	w, err := loadSpec(specPath)
-	if err != nil {
-		return speedupstack.WhatIfReport{}, err
-	}
-	return speedupstack.WhatIfSpec(w, threads, ids...)
-}
-
-// loadSpec reads and parses a workload spec file.
-func loadSpec(path string) (speedupstack.Workload, error) {
+// load reads the workload file at path — a spec or a recorded trace — with
+// parse, naming the file in a parse error.
+func load(path string, parse func([]byte) (speedupstack.Workload, error)) (speedupstack.Workload, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return speedupstack.Workload{}, err
 	}
-	w, err := speedupstack.ParseWorkload(data)
+	w, err := parse(data)
 	if err != nil {
 		return speedupstack.Workload{}, fmt.Errorf("%s: %w", path, err)
 	}

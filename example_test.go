@@ -1,6 +1,7 @@
 package speedupstack_test
 
 import (
+	"context"
 	"fmt"
 
 	speedupstack "repro"
@@ -10,7 +11,8 @@ import (
 // hardware what limits its scaling. The simulator is deterministic, so the
 // numbers are stable across runs and machines.
 func ExampleMeasure() {
-	r, err := speedupstack.Measure("cholesky_splash2", 16)
+	r, err := speedupstack.Measure(context.Background(),
+		speedupstack.Request{Bench: "cholesky_splash2", Threads: 16})
 	if err != nil {
 		panic(err)
 	}
@@ -26,8 +28,13 @@ func ExampleMeasure() {
 // shared work is deduplicated (one sequential reference per benchmark) and
 // the simulations fan out over all CPUs.
 func ExampleMeasureAll() {
-	rs, err := speedupstack.MeasureAll(
-		[]string{"radix_splash2", "fft_splash2"}, []int{4, 8})
+	var grid []speedupstack.Request
+	for _, bench := range []string{"radix_splash2", "fft_splash2"} {
+		for _, threads := range []int{4, 8} {
+			grid = append(grid, speedupstack.Request{Bench: bench, Threads: threads})
+		}
+	}
+	rs, err := speedupstack.MeasureAll(context.Background(), grid)
 	if err != nil {
 		panic(err)
 	}
@@ -45,7 +52,8 @@ func ExampleMeasureAll() {
 // ExampleRender draws a measured stack as ASCII art; Encode produces the
 // same report as JSON, CSV or a standalone SVG chart.
 func ExampleRender() {
-	r, err := speedupstack.Measure("cholesky_splash2", 16)
+	r, err := speedupstack.Measure(context.Background(),
+		speedupstack.Request{Bench: "cholesky_splash2", Threads: 16})
 	if err != nil {
 		panic(err)
 	}
@@ -60,7 +68,8 @@ func ExampleRender() {
 // aggregate stack, so phase-local bottlenecks (here: barrier convergence
 // at the end of each of bodytrack's six phases) become visible.
 func ExampleMeasureIntervals() {
-	ts, err := speedupstack.MeasureIntervals("bodytrack_parsec_small", 16, 6)
+	ts, err := speedupstack.MeasureIntervals(context.Background(),
+		speedupstack.Request{Bench: "bodytrack_parsec_small", Threads: 16}, 6)
 	if err != nil {
 		panic(err)
 	}

@@ -8,20 +8,19 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"os"
 
-	"repro/internal/exp"
-	"repro/internal/sim"
-	"repro/internal/stack"
-	"repro/internal/workload"
+	speedupstack "repro"
 )
 
 func main() {
-	spec := workload.Spec{
+	spec := speedupstack.Workload{
 		Name:  "mykernel",
 		Suite: "custom",
-		Kind:  workload.KindDataParallel,
+		Kind:  speedupstack.WorkloadDataParallel,
 
 		ArrayBytes:     6 << 20, // 6 MB working set, thrashes a 2 MB LLC
 		SweepsPerPhase: 2,       // temporal reuse -> LLC interference visible
@@ -39,24 +38,20 @@ func main() {
 		Seed:         42,
 	}
 
-	bench := workload.Benchmark{Spec: spec}
-	runner := exp.NewRunner(sim.Default())
-
-	var bars []stack.Bar
+	var reqs []speedupstack.Request
 	for _, threads := range []int{2, 4, 8, 16} {
-		out, err := runner.Run(bench, threads)
-		if err != nil {
-			log.Fatal(err)
-		}
-		bars = append(bars, stack.Bar{
-			Label: fmt.Sprintf("mykernel x%d", threads),
-			Stack: out.Stack,
-		})
+		reqs = append(reqs, speedupstack.Request{Workload: &spec, Threads: threads})
+	}
+	results, err := speedupstack.MeasureAll(context.Background(), reqs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range results {
 		fmt.Printf("threads=%2d  actual=%5.2fx  estimated=%5.2fx  bottlenecks=%v\n",
-			threads, out.Actual, out.Estimated, stack.TopComponents(out.Stack, 3))
+			r.Threads, r.Stack.ActualSpeedup, r.Stack.Estimated(), speedupstack.TopBottlenecks(r, 3))
 	}
 	fmt.Println()
-	fmt.Print(stack.Render(bars, 64))
-	fmt.Println()
-	fmt.Print(stack.Table(bars))
+	if err := speedupstack.Encode(os.Stdout, speedupstack.FormatText, results...); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,8 @@ func main() {
 	fmt.Println()
 
 	for _, bench := range []string{"blackscholes_parsec_medium", "facesim_parsec_medium", "cholesky_splash2"} {
-		res, err := speedupstack.Measure(bench, 16)
+		res, err := speedupstack.Measure(context.Background(),
+			speedupstack.Request{Bench: bench, Threads: 16})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -42,16 +42,16 @@ func (e *Engine) Advise(ctx context.Context, req Request, maxThreads int) (scali
 		return scaling.Advice{}, fmt.Errorf("exp: advise max threads must be in [%d, %d], got %d",
 			MinAdviseThreads, MaxAdviseThreads, maxThreads)
 	}
-	b, err := resolveCell(req.Cell)
+	req.Threads, req.Cores = maxThreads, 0
+	b, k, err := e.resolve(req)
 	if err != nil {
 		return scaling.Advice{}, err
 	}
 	threads := AdviseThreads(maxThreads)
 	reqs := make([]Request, len(threads))
 	for i, n := range threads {
-		cell := req.Cell
-		cell.Threads, cell.Cores = n, 0
-		reqs[i] = Request{Cell: cell, Config: req.Config}
+		reqs[i] = req
+		reqs[i].Threads = n
 	}
 	outs, err := e.Do(ctx, reqs)
 	if err != nil {
@@ -62,15 +62,11 @@ func (e *Engine) Advise(ctx context.Context, req Request, maxThreads int) (scali
 		points[i] = scaling.Point{Threads: o.Threads, Speedup: o.Actual}
 	}
 	top := outs[len(outs)-1]
-	cfg := e.base
-	if req.Config != nil {
-		cfg = *req.Config
-	}
 	a, err := scaling.Build(b.FullName(), &b.Spec, points, &top.Stack)
 	if err != nil {
 		return scaling.Advice{}, err
 	}
-	attachPredictedGains(a.Recommendations, b.Spec, cfg, top.Stack)
+	attachPredictedGains(a.Recommendations, b.Spec, k.cfg, top.Stack)
 	return a, nil
 }
 

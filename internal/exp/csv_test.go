@@ -8,32 +8,6 @@ import (
 	"repro/internal/stack"
 )
 
-func TestWriteCurvesCSV(t *testing.T) {
-	var sb strings.Builder
-	curves := []SpeedupCurve{{Benchmark: "b", Points: []CurvePoint{{1, 1}, {2, 1.9}}}}
-	if err := WriteCurvesCSV(&sb, curves); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "benchmark,threads,speedup\n") {
-		t.Fatalf("header missing: %q", out)
-	}
-	if !strings.Contains(out, "b,2,1.9000") {
-		t.Fatalf("row missing: %q", out)
-	}
-}
-
-func TestWriteFigure4CSV(t *testing.T) {
-	var sb strings.Builder
-	rows := []Figure4Row{{Benchmark: "x", Threads: 8, Actual: 5.5, Estimated: 5.75}}
-	if err := WriteFigure4CSV(&sb, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "x,8,5.5000,5.7500") {
-		t.Fatalf("row missing: %q", sb.String())
-	}
-}
-
 func TestWriteStacksCSV(t *testing.T) {
 	var sb strings.Builder
 	bars := []stack.Bar{{Label: "l", Stack: core.Stack{
@@ -50,32 +24,6 @@ func TestWriteStacksCSV(t *testing.T) {
 	}
 	if !strings.Contains(out, "0.5000") { // yield in speedup units
 		t.Fatalf("yield column missing: %q", out)
-	}
-}
-
-func TestWriteInterferenceCSV(t *testing.T) {
-	var sb strings.Builder
-	rows := []InterferenceRow{{Label: "2MB", Negative: 1.5, Positive: 0.9, Net: 0.6}}
-	if err := WriteInterferenceCSV(&sb, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "2MB,1.5000,0.9000,0.6000") {
-		t.Fatalf("row missing: %q", sb.String())
-	}
-}
-
-func TestWriteTreeCSV(t *testing.T) {
-	var sb strings.Builder
-	rows := []TreeRow{{
-		Class: stack.ClassPoor, Components: []string{"yielding"},
-		Benchmark: "ferret", Suite: "parsec_small", Speedup: 2.98, PaperSpeedup: 2.94,
-	}}
-	if err := WriteTreeCSV(&sb, rows); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "poor,yielding,,,ferret,parsec_small,2.9800,2.9400") {
-		t.Fatalf("row missing: %q", out)
 	}
 }
 

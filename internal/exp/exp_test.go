@@ -9,13 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
-func TestRunnerPairsRuns(t *testing.T) {
-	r := NewRunner(sim.Default())
-	b, _ := workload.ByName("lud_rodinia")
-	out, err := r.Run(b, 4)
+func TestSweepPairsRuns(t *testing.T) {
+	outs, err := NewEngine(sim.Default()).Sweep(context.Background(), []Cell{{Bench: "lud_rodinia", Threads: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := outs[0]
 	if out.Ts == 0 || out.Tp == 0 {
 		t.Fatal("missing timings")
 	}
@@ -30,36 +29,36 @@ func TestRunnerPairsRuns(t *testing.T) {
 	}
 }
 
-func TestRunnerCachesSequentialTime(t *testing.T) {
-	r := NewRunner(sim.Default())
+func TestEngineCachesSequentialTime(t *testing.T) {
+	e := NewEngine(sim.Default())
 	b, _ := workload.ByName("swaptions_parsec_small")
-	ts1, err := r.SequentialTime(b)
+	ts1, err := e.seqTime(context.Background(), e.Config(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2, err := r.SequentialTime(b)
+	ts2, err := e.seqTime(context.Background(), e.Config(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ts1 != ts2 {
 		t.Fatalf("cache returned different Ts: %d vs %d", ts1, ts2)
 	}
+	if st := e.Stats(); st.SeqRuns != 1 || st.SeqHits != 1 {
+		t.Fatalf("second request re-simulated the reference: %+v", st)
+	}
 }
 
 func TestFigure1CurvesMonotoneStart(t *testing.T) {
 	// Restrict to the cheapest exemplar to keep the test fast: curves
 	// start at 1 and speedup at 2 threads must exceed 1.
-	r := NewRunner(sim.Default())
-	b, _ := workload.ByName("blackscholes_parsec_small")
-	out2, err := r.Run(b, 2)
+	outs, err := NewEngine(sim.Default()).Sweep(context.Background(), []Cell{
+		{Bench: "blackscholes_parsec_small", Threads: 2},
+		{Bench: "blackscholes_parsec_small", Threads: 4},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out4, err := r.Run(b, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2.Actual <= 1.5 || out4.Actual <= out2.Actual {
+	if out2, out4 := outs[0], outs[1]; out2.Actual <= 1.5 || out4.Actual <= out2.Actual {
 		t.Fatalf("scaling broken: 2T=%v 4T=%v", out2.Actual, out4.Actual)
 	}
 }

@@ -53,24 +53,13 @@ func (e *Engine) MeasureIntervals(ctx context.Context, req Request, count int) (
 	if count < 1 || count > MaxIntervals {
 		return IntervalOutcome{}, fmt.Errorf("exp: interval count must be in [1,%d], got %d", MaxIntervals, count)
 	}
-	cell := req.Cell.normalize()
-	if cell.Threads <= 0 {
-		return IntervalOutcome{}, fmt.Errorf("exp: non-positive thread count %d", cell.Threads)
-	}
-	b, err := resolveCell(req.Cell)
+	b, k, err := e.resolve(req)
 	if err != nil {
 		return IntervalOutcome{}, err
 	}
-	cfg := e.base
-	if req.Config != nil {
-		cfg = *req.Config
-	}
-	ik := intervalKey{
-		cellKey: cellKey{cfg: cfg, fp: b.Spec.Fingerprint(), threads: cell.Threads, cores: cell.Cores},
-		count:   count,
-	}
+	ik := intervalKey{cellKey: k, count: count}
 	out, err := e.intervals.Do(ctx, ik,
-		func() { e.addHit(&e.stats.IntervalHits) },
+		func() { e.add(&e.stats.IntervalHits, 1) },
 		func() (IntervalOutcome, bool, error) {
 			out, err := e.runIntervals(ctx, ik, b)
 			return out, true, err
@@ -106,21 +95,10 @@ func (e *Engine) runIntervals(ctx context.Context, ik intervalKey, b workload.Be
 		return IntervalOutcome{}, err
 	}
 	defer release()
-	if err := ctx.Err(); err != nil {
-		return IntervalOutcome{}, err
-	}
 	if e.hook != nil {
 		e.hook("interval", b.FullName(), ik.threads, ik.cores)
 	}
-	e.mu.Lock()
-	e.stats.IntervalRuns++
-	e.stats.InFlight++
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.stats.InFlight--
-		e.mu.Unlock()
-	}()
+	e.add(&e.stats.IntervalRuns, 1)
 
 	cfg := ik.cfg.WithCores(ik.cores)
 	cfg.Policy = b.Spec.TunePolicy(cfg.Policy)

@@ -63,8 +63,6 @@
 package exp
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -90,55 +88,4 @@ type Outcome struct {
 // Error returns the signed validation error (Ŝ−S)/N of Formula (6).
 func (o Outcome) Error() float64 {
 	return (o.Estimated - o.Actual) / float64(o.Threads)
-}
-
-// Runner is the single-cell convenience front end to the sweep engine: it
-// executes one benchmark at a time against one machine configuration,
-// sharing the engine's memo so repeated runs (and the sequential
-// references they depend on) are simulated once.
-type Runner struct {
-	e *Engine
-}
-
-// NewRunner returns a Runner for the given machine configuration.
-func NewRunner(cfg sim.Config) *Runner {
-	return &Runner{e: NewEngine(cfg)}
-}
-
-// Engine exposes the runner's underlying sweep engine.
-func (r *Runner) Engine() *Engine { return r.e }
-
-// Config returns the runner's machine configuration.
-func (r *Runner) Config() sim.Config { return r.e.Config() }
-
-// SequentialTime returns (computing and memoizing) the benchmark's
-// single-threaded execution time Ts on this machine.
-func (r *Runner) SequentialTime(b workload.Benchmark) (uint64, error) {
-	return r.e.seqTime(context.Background(), r.e.Config(), b)
-}
-
-// Run executes benchmark b with threads threads on threads cores (the
-// paper's default of one thread per core) and returns the paired outcome.
-func (r *Runner) Run(b workload.Benchmark, threads int) (Outcome, error) {
-	return r.RunOn(b, threads, threads)
-}
-
-// RunOn executes b with the given software thread count on cores cores
-// (threads may exceed cores, as in Figure 7). b need not be registered: the
-// memo keys on the spec's canonical fingerprint, so any two benchmarks
-// describing the same workload — registered or not, whatever their names —
-// share one simulation.
-func (r *Runner) RunOn(b workload.Benchmark, threads, cores int) (Outcome, error) {
-	if err := b.Spec.Validate(); err != nil {
-		return Outcome{}, err
-	}
-	cell := Cell{Threads: threads, Cores: cores}.normalize()
-	k := cellKey{cfg: r.e.Config(), fp: b.Spec.Fingerprint(),
-		threads: cell.Threads, cores: cell.Cores}
-	out, err := r.e.cell(context.Background(), k, b)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out.Bench = b // a fingerprint-equal alias may have simulated first
-	return out, nil
 }

@@ -88,10 +88,16 @@ type seqKey struct {
 	fp  workload.Fingerprint
 }
 
-// resolveCell maps a cell to the workload it names: the validated canonical
-// form of an inline Spec, or the registry entry for Bench (failing with the
-// nearest-name suggestion).
-func resolveCell(c Cell) (workload.Benchmark, error) {
+// Resolve validates the cell — a positive thread count, then a consistent
+// inline Spec or a registered Bench (failing with the nearest-name
+// suggestion) — and returns the workload it names, an inline Spec in its
+// canonical form. It is the one validation behind every engine entry point
+// and the root package's Request, so the same bad input reads the same at
+// every door.
+func (c Cell) Resolve() (workload.Benchmark, error) {
+	if c.Threads <= 0 {
+		return workload.Benchmark{}, fmt.Errorf("non-positive thread count %d", c.Threads)
+	}
 	if c.Spec != nil {
 		s := *c.Spec
 		if err := s.Validate(); err != nil {
@@ -252,11 +258,7 @@ func (e *Engine) Stats() Stats {
 // Sweep executes the cells under the engine's base configuration and
 // returns one Outcome per declared cell, in declared order.
 func (e *Engine) Sweep(ctx context.Context, cells []Cell) ([]Outcome, error) {
-	reqs := make([]Request, len(cells))
-	for i, c := range cells {
-		reqs[i] = Request{Cell: c}
-	}
-	return e.Do(ctx, reqs)
+	return e.SweepConfig(ctx, e.base, cells)
 }
 
 // SweepConfig executes the cells under an explicit machine configuration
@@ -267,6 +269,21 @@ func (e *Engine) SweepConfig(ctx context.Context, cfg sim.Config, cells []Cell) 
 		reqs[i] = Request{Cell: c, Config: &cfg}
 	}
 	return e.Do(ctx, reqs)
+}
+
+// resolve validates one request (Cell.Resolve) and maps it to the workload
+// it names and its memo key, under the request's machine or the engine's.
+func (e *Engine) resolve(req Request) (workload.Benchmark, cellKey, error) {
+	cell := req.Cell.normalize()
+	b, err := cell.Resolve()
+	if err != nil {
+		return workload.Benchmark{}, cellKey{}, err
+	}
+	cfg := e.base
+	if req.Config != nil {
+		cfg = *req.Config
+	}
+	return b, cellKey{cfg: cfg, fp: b.Spec.Fingerprint(), threads: cell.Threads, cores: cell.Cores}, nil
 }
 
 // Do executes a batch of requests, deduplicating identical cells within
@@ -281,24 +298,14 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 	resolved := make([]workload.Benchmark, len(reqs))
 	benches := make(map[workload.Fingerprint]workload.Benchmark, len(reqs))
 	for i, req := range reqs {
-		cell := req.Cell.normalize()
-		if cell.Threads <= 0 {
-			return nil, fmt.Errorf("exp: cell %d: non-positive thread count %d", CellErrorIndexBase+i, cell.Threads)
-		}
-		b, err := resolveCell(req.Cell)
+		b, k, err := e.resolve(req)
 		if err != nil {
 			return nil, fmt.Errorf("exp: cell %d: %w", CellErrorIndexBase+i, err)
 		}
-		resolved[i] = b
-		fp := b.Spec.Fingerprint()
-		if _, ok := benches[fp]; !ok {
-			benches[fp] = b
+		resolved[i], keys[i] = b, k
+		if _, ok := benches[k.fp]; !ok {
+			benches[k.fp] = b
 		}
-		cfg := e.base
-		if req.Config != nil {
-			cfg = *req.Config
-		}
-		keys[i] = cellKey{cfg: cfg, fp: fp, threads: cell.Threads, cores: cell.Cores}
 	}
 
 	// Collapse duplicates within the batch, preserving first-seen order.
@@ -367,15 +374,25 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 	return outs, nil
 }
 
-// acquire takes an engine-wide worker slot, or fails with the context's
-// error. The returned release must be called once the simulation is done.
+// acquire takes an engine-wide worker slot for one simulation and counts it
+// in flight, or fails with the context's error — also when the context died
+// while the slot was being handed over. The returned release must be called
+// once the simulation is done.
 func (e *Engine) acquire(ctx context.Context) (release func(), err error) {
 	select {
 	case e.sem <- struct{}{}:
-		return func() { <-e.sem }, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+	if err := ctx.Err(); err != nil {
+		<-e.sem
+		return nil, err
+	}
+	e.add(&e.stats.InFlight, 1)
+	return func() {
+		e.add(&e.stats.InFlight, -1)
+		<-e.sem
+	}, nil
 }
 
 // cell resolves one unique cell through the cell memo: claim and
@@ -383,17 +400,17 @@ func (e *Engine) acquire(ctx context.Context) (release func(), err error) {
 // canceled before the simulation ran) are retried by the next caller.
 func (e *Engine) cell(ctx context.Context, k cellKey, b workload.Benchmark) (Outcome, error) {
 	return e.cells.Do(ctx, k,
-		func() { e.addHit(&e.stats.CellHits) },
+		func() { e.add(&e.stats.CellHits, 1) },
 		func() (Outcome, bool, error) {
 			out, err := e.runCell(ctx, k, b)
 			return out, true, err
 		})
 }
 
-// addHit bumps one of the hit counters under the stats lock.
-func (e *Engine) addHit(counter *int) {
+// add moves one of the stats counters by d under the stats lock.
+func (e *Engine) add(counter *int, d int) {
 	e.mu.Lock()
-	*counter++
+	*counter += d
 	e.mu.Unlock()
 }
 
@@ -410,9 +427,6 @@ func (e *Engine) runCell(ctx context.Context, k cellKey, b workload.Benchmark) (
 		return Outcome{}, err
 	}
 	defer release()
-	if err := ctx.Err(); err != nil {
-		return Outcome{}, err
-	}
 	if e.hook != nil {
 		e.hook("cell", b.FullName(), k.threads, k.cores)
 	}
@@ -421,13 +435,7 @@ func (e *Engine) runCell(ctx context.Context, k cellKey, b workload.Benchmark) (
 	if k.cfg.Mode == sim.ModeFast {
 		e.stats.FastCellRuns++
 	}
-	e.stats.InFlight++
 	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.stats.InFlight--
-		e.mu.Unlock()
-	}()
 
 	cfg := k.cfg.WithCores(k.cores)
 	cfg.Policy = b.Spec.TunePolicy(cfg.Policy)
@@ -460,7 +468,7 @@ func (e *Engine) runCell(ctx context.Context, k cellKey, b workload.Benchmark) (
 func (e *Engine) seqTime(ctx context.Context, cfg sim.Config, b workload.Benchmark) (uint64, error) {
 	k := seqKey{cfg: cfg.WithCores(1), fp: b.Spec.Fingerprint()}
 	return e.seq.Do(ctx, k,
-		func() { e.addHit(&e.stats.SeqHits) },
+		func() { e.add(&e.stats.SeqHits, 1) },
 		func() (uint64, bool, error) {
 			ts, err := e.runSeq(ctx, cfg, b)
 			return ts, true, err
@@ -474,9 +482,6 @@ func (e *Engine) runSeq(ctx context.Context, cfg sim.Config, b workload.Benchmar
 		return 0, err
 	}
 	defer release()
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
 	if e.hook != nil {
 		e.hook("seq", b.FullName(), 1, 1)
 	}
@@ -485,13 +490,7 @@ func (e *Engine) runSeq(ctx context.Context, cfg sim.Config, b workload.Benchmar
 	if cfg.Mode == sim.ModeFast {
 		e.stats.FastSeqRuns++
 	}
-	e.stats.InFlight++
 	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.stats.InFlight--
-		e.mu.Unlock()
-	}()
 
 	prog, err := b.Spec.Sequential()
 	if err != nil {

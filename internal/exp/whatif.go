@@ -26,10 +26,9 @@ const MinWhatIfThreads = 2
 // repeating a what-if (or running one after an advise or sweep that already
 // simulated the baseline) costs zero extra simulations.
 func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.Report, error) {
-	cell := req.Cell.normalize()
-	if cell.Threads < MinWhatIfThreads {
+	if req.Threads < MinWhatIfThreads {
 		return whatif.Report{}, fmt.Errorf("exp: what-if needs at least %d threads (a single-threaded run has no scaling gap), got %d",
-			MinWhatIfThreads, cell.Threads)
+			MinWhatIfThreads, req.Threads)
 	}
 	ivs := whatif.Catalog()
 	if len(ids) > 0 {
@@ -42,13 +41,9 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 			ivs[i] = iv
 		}
 	}
-	b, err := resolveCell(req.Cell)
+	b, k, err := e.resolve(req)
 	if err != nil {
 		return whatif.Report{}, err
-	}
-	cfg := e.base
-	if req.Config != nil {
-		cfg = *req.Config
 	}
 
 	// Baseline first: the predictions are pure arithmetic over its stack.
@@ -65,7 +60,7 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 	muts := make([]whatif.Mutation, 0, len(ivs))
 	reqs := make([]Request, 0, len(ivs))
 	for _, iv := range ivs {
-		m, ok := iv.Mutate(b.Spec, cfg)
+		m, ok := iv.Mutate(b.Spec, k.cfg)
 		if !ok {
 			continue
 		}
@@ -104,7 +99,7 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 				PredictedSpeedup: base.Actual + gain,
 				ActualSpeedup:    out.Actual,
 				ActualGain:       out.Actual - base.Actual,
-				Error:            (base.Actual + gain - out.Actual) / float64(cell.Threads),
+				Error:            (base.Actual + gain - out.Actual) / float64(k.threads),
 			},
 			bar: stack.Bar{Label: iv.ID, Stack: out.Stack},
 		}
@@ -117,17 +112,17 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 
 	rep := whatif.Report{
 		Benchmark:         b.FullName(),
-		Threads:           cell.Threads,
+		Threads:           k.threads,
 		BaselineSpeedup:   base.Actual,
 		BaselineEstimated: base.Estimated,
 		Predictions:       preds,
 		Bars:              make([]stack.Bar, 0, len(rows)+1),
 	}
-	if cell.Cores != cell.Threads {
-		rep.Cores = cell.Cores
+	if k.cores != k.threads {
+		rep.Cores = k.cores
 	}
 	rep.Bars = append(rep.Bars, stack.Bar{
-		Label: fmt.Sprintf("%s x%d (baseline)", b.FullName(), cell.Threads),
+		Label: fmt.Sprintf("%s x%d (baseline)", b.FullName(), k.threads),
 		Stack: base.Stack,
 	})
 	// Bars follow the ranking so the chart reads top intervention first.

@@ -50,22 +50,9 @@ type CurveChart struct {
 	VLines []CurveVLine
 }
 
-// CurveSVG renders the chart as a standalone SVG document.
-func CurveSVG(c CurveChart) string {
-	var b strings.Builder
-	writeCurveSVG(&b, c)
-	return b.String()
-}
-
-// EncodeCurveSVG writes the chart's SVG document to w.
+// EncodeCurveSVG writes the chart to w as a standalone SVG document.
 func EncodeCurveSVG(w io.Writer, c CurveChart) error {
-	var b strings.Builder
-	writeCurveSVG(&b, c)
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func writeCurveSVG(b *strings.Builder, c CurveChart) {
+	b := new(strings.Builder)
 	const (
 		marginL = 46.0
 		marginT = 48.0
@@ -195,6 +182,8 @@ func writeCurveSVG(b *strings.Builder, c CurveChart) {
 	}
 
 	b.WriteString("</svg>\n")
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // tickStep picks a 1/2/5-scaled tick interval giving at most ~8 ticks.

@@ -70,8 +70,18 @@ func TestEncodeGolden(t *testing.T) {
 	}
 }
 
+// svgOf is the EncodeSVG document for the bars.
+func svgOf(t *testing.T, bars []Bar) string {
+	t.Helper()
+	var b strings.Builder
+	if err := EncodeSVG(&b, bars); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestSVGIsWellFormedXML(t *testing.T) {
-	doc := SVG(fixtureBars())
+	doc := svgOf(t, fixtureBars())
 	dec := xml.NewDecoder(strings.NewReader(doc))
 	for {
 		if _, err := dec.Token(); err != nil {
@@ -89,7 +99,7 @@ func TestSVGIsWellFormedXML(t *testing.T) {
 }
 
 func TestSVGEscapesLabels(t *testing.T) {
-	doc := SVG([]Bar{{Label: `x<&>"y`, Stack: core.Stack{N: 2, Tp: 100}}})
+	doc := svgOf(t, []Bar{{Label: `x<&>"y`, Stack: core.Stack{N: 2, Tp: 100}}})
 	if strings.Contains(doc, `x<&>`) {
 		t.Errorf("unescaped label in SVG")
 	}

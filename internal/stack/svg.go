@@ -42,22 +42,9 @@ var svgSeries = []string{
 	"#4a3aa7", // imbalance
 }
 
-// SVG renders the bars as a standalone SVG document.
-func SVG(bars []Bar) string {
-	var b strings.Builder
-	writeSVG(&b, bars)
-	return b.String()
-}
-
-// EncodeSVG writes the SVG document for the bars to w.
+// EncodeSVG writes the bars to w as a standalone SVG document.
 func EncodeSVG(w io.Writer, bars []Bar) error {
-	var b strings.Builder
-	writeSVG(&b, bars)
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func writeSVG(b *strings.Builder, bars []Bar) {
+	b := new(strings.Builder)
 	const (
 		marginL = 46.0  // room for y tick labels
 		marginT = 48.0  // title
@@ -180,6 +167,8 @@ func writeSVG(b *strings.Builder, bars []Bar) {
 		lx+18, yy+10, svgFont, svgInk2)
 
 	b.WriteString("</svg>\n")
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // barPath returns a rect path for one segment; the topmost segment of a

@@ -49,23 +49,10 @@ func timelineBands(iv Interval, n int) [5]float64 {
 	return out
 }
 
-// TimelineSVG renders the series as a standalone SVG stacked timeline.
-func TimelineSVG(ts TimeSeries) string {
-	var b strings.Builder
-	writeTimelineSVG(&b, ts)
-	return b.String()
-}
-
 // EncodeTimeSeriesSVG writes the stacked-timeline SVG document for the
 // series to w.
 func EncodeTimeSeriesSVG(w io.Writer, ts TimeSeries) error {
-	var b strings.Builder
-	writeTimelineSVG(&b, ts)
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func writeTimelineSVG(b *strings.Builder, ts TimeSeries) {
+	b := new(strings.Builder)
 	const (
 		marginL = 52.0
 		marginT = 48.0
@@ -188,6 +175,8 @@ func writeTimelineSVG(b *strings.Builder, ts TimeSeries) {
 	}
 
 	b.WriteString("</svg>\n")
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // fmtOps formats an op count compactly for axis labels (1234567 → "1.2M").

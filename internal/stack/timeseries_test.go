@@ -115,7 +115,11 @@ func TestTimeSeriesEncoders(t *testing.T) {
 		t.Fatal("text table missing label or total row")
 	}
 
-	svg := stack.TimelineSVG(ts)
+	buf.Reset()
+	if err := stack.EncodeTimeSeries(&buf, stack.FormatSVG, ts); err != nil {
+		t.Fatal(err)
+	}
+	svg := buf.String()
 	if !strings.HasPrefix(svg, "<svg xmlns=") || !strings.HasSuffix(svg, "</svg>\n") {
 		t.Fatal("timeline SVG is not a standalone document")
 	}

@@ -4,17 +4,22 @@
 // anchor that exists in the target, using GitHub's slug rules), and
 // intra-document fragments must match a local heading. External http(s)
 // and mailto links are syntax-checked only — CI has no business depending
-// on the network. Links inside fenced code blocks are ignored.
+// on the network. With -paths, back-ticked repo paths in prose (`cmd/…`,
+// `scripts/…`, `internal/…`, `examples/…`, `benchmark/…`, `*.md`, with or
+// without a trailing slash) must exist too, resolved like relative links —
+// for the documents that describe the tree as it is, not the ones that
+// record its history. Fenced code blocks are ignored.
 //
 // Usage:
 //
-//	go run ./scripts/mdcheck FILE.md...
+//	go run ./scripts/mdcheck [-paths] FILE.md...
 //
 // Exit status is non-zero when any finding is reported; CI keeps the doc
 // set warn-free.
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,19 +33,31 @@ var linkRE = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)(?:\s+"[^"]*")?\)`)
 // headingRE matches ATX headings.
 var headingRE = regexp.MustCompile(`^#{1,6}\s+(.*?)\s*#*\s*$`)
 
+// pathRE matches a code span that is nothing but a repo path: rooted at one
+// of the source directories, or any markdown file. Elements are words and a
+// file name may end in lowercase extensions, so a Go package pattern
+// (`internal/...`) or a qualified identifier (`internal/stack.Bar`) is not a
+// path.
+var pathRE = regexp.MustCompile("`((?:\\./)?(?:(?:cmd|scripts|internal|examples|benchmark)/(?:[\\w-]+/)*[\\w-]*(?:\\.[a-z]+)*|(?:[\\w-]+/)*[\\w-]+\\.md))`")
+
 func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: mdcheck FILE.md...")
+	paths := flag.Bool("paths", false, "also require back-ticked repo paths in prose to exist")
+	flag.Parse()
+	if flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: mdcheck [-paths] FILE.md...")
 		os.Exit(2)
 	}
 	findings := 0
-	for _, path := range os.Args[1:] {
-		n, err := checkFile(path)
+	for _, path := range flag.Args() {
+		found, err := checkFile(path, *paths)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mdcheck: %s: %v\n", path, err)
 			os.Exit(2)
 		}
-		findings += n
+		for _, f := range found {
+			fmt.Println(f)
+		}
+		findings += len(found)
 	}
 	if findings > 0 {
 		fmt.Fprintf(os.Stderr, "mdcheck: %d finding(s)\n", findings)
@@ -48,17 +65,25 @@ func main() {
 	}
 }
 
-// checkFile reports broken links of one document to stdout.
-func checkFile(path string) (int, error) {
+// checkFile returns one "file:line: target: problem" finding per broken
+// link — and, with paths set, per back-ticked repo path that does not
+// exist — of one document.
+func checkFile(path string, paths bool) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	findings := 0
-	for _, l := range links(string(data)) {
+	var findings []string
+	for _, l := range matches(string(data), linkRE) {
 		if err := checkLink(path, l.target); err != nil {
-			fmt.Printf("%s:%d: %s: %v\n", path, l.line, l.target, err)
-			findings++
+			findings = append(findings, fmt.Sprintf("%s:%d: %s: %v", path, l.line, l.target, err))
+		}
+	}
+	if paths {
+		for _, l := range matches(string(data), pathRE) {
+			if _, err := os.Stat(filepath.Join(filepath.Dir(path), l.target)); err != nil {
+				findings = append(findings, fmt.Sprintf("%s:%d: `%s`: path does not exist", path, l.line, l.target))
+			}
 		}
 	}
 	return findings, nil
@@ -70,9 +95,10 @@ type link struct {
 	target string
 }
 
-// links extracts every link target outside fenced code blocks, in document
-// order (a line may carry several links).
-func links(doc string) []link {
+// matches extracts re's first submatch — a link target, a repo path or a
+// heading — from every line outside fenced code blocks, in document order
+// (a line may carry several).
+func matches(doc string, re *regexp.Regexp) []link {
 	var out []link
 	fenced := false
 	for i, line := range strings.Split(doc, "\n") {
@@ -83,7 +109,7 @@ func links(doc string) []link {
 		if fenced {
 			continue
 		}
-		for _, m := range linkRE.FindAllStringSubmatch(line, -1) {
+		for _, m := range re.FindAllStringSubmatch(line, -1) {
 			out = append(out, link{line: i + 1, target: m[1]})
 		}
 	}
@@ -120,16 +146,8 @@ func checkAnchor(path, frag string) error {
 	if err != nil {
 		return fmt.Errorf("anchor target unreadable: %v", err)
 	}
-	fenced := false
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "```") {
-			fenced = !fenced
-			continue
-		}
-		if fenced {
-			continue
-		}
-		if m := headingRE.FindStringSubmatch(line); m != nil && slug(m[1]) == frag {
+	for _, h := range matches(string(data), headingRE) {
+		if slug(h.target) == frag {
 			return nil
 		}
 	}

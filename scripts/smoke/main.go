@@ -149,7 +149,7 @@ func main() {
 	// by the run totals in the metrics block below.
 	var tr bytes.Buffer
 	const traceBench = "blackscholes_parsec_small"
-	check("trace record", speedupstack.RecordTrace(&tr, traceBench, 2))
+	check("trace record", speedupstack.RecordTrace(&tr, speedupstack.Request{Bench: traceBench, Threads: 2}))
 	trow, err := c.AnalyzeTrace(ctx, bytes.NewReader(tr.Bytes()), 0)
 	check("trace analyze", err)
 	expect("trace analyze", trow.Benchmark == traceBench && trow.Threads == 2 && trow.Actual > 0,

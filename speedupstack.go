@@ -12,30 +12,31 @@
 // cycle-level CMP simulator it runs on, 28 calibrated benchmark analogues,
 // and the harness that regenerates every figure of the paper's evaluation.
 //
-// Quick start:
+// Every measurement takes a context and one Request — a registered
+// benchmark analogue by name, at a thread count:
 //
-//	st, err := speedupstack.Measure("cholesky", 16)
+//	r, err := speedupstack.Measure(ctx, speedupstack.Request{Bench: "cholesky", Threads: 16})
 //	if err != nil { ... }
-//	fmt.Println(speedupstack.Render(st))
+//	fmt.Println(speedupstack.Render(r))
 //
 // Batch measurements go through MeasureAll, which deduplicates shared
-// work (one sequential reference per benchmark) and runs the grid on all
-// CPUs via the exp sweep engine:
-//
-//	results, err := speedupstack.MeasureAll(
-//		speedupstack.Benchmarks(), []int{2, 4, 8, 16})
+// work (one sequential reference per workload) and runs the batch on all
+// CPUs via the exp sweep engine.
 //
 // Custom workloads are first-class: build a Workload (or parse one from
-// JSON with ParseWorkload) and measure it with MeasureSpec/MeasureSpecAll —
-// it flows through the same engine, dedup and caching as the registered
+// JSON with ParseWorkload) and put it in the Request instead of a name — it
+// flows through the same engine, dedup and caching as the registered
 // analogues, keyed by the spec's canonical fingerprint:
 //
 //	w, err := speedupstack.ParseWorkload(jsonBytes)
-//	st, err := speedupstack.MeasureSpec(w, 16)
+//	r, err := speedupstack.Measure(ctx, speedupstack.Request{Workload: &w, Threads: 16})
+//
+// MeasureIntervals, Advise, WhatIf and RecordTrace take the same Request.
 package speedupstack
 
 import (
 	"context"
+	"errors"
 	"io"
 	"runtime"
 
@@ -93,119 +94,79 @@ type WorkloadFingerprint = workload.Fingerprint
 // service accepts inline. Unknown fields are errors.
 func ParseWorkload(data []byte) (Workload, error) { return workload.ParseSpec(data) }
 
-// ValidateWorkload checks a workload for consistency without running
-// anything; the error names the offending field and the accepted range.
-func ValidateWorkload(w Workload) error { return w.Validate() }
+// Request names one measurement: a workload at a thread count on the
+// paper's default 16-core-class machine (threads = cores). It is the one
+// input of every measuring entry point.
+type Request struct {
+	// Bench names a registered benchmark analogue (name or name_suite form;
+	// see Benchmarks). Exactly one of Bench and Workload must be set.
+	Bench string
+	// Workload is a custom workload, which need not — and usually does not —
+	// exist in the registry. One identical to a registered analogue (or to
+	// another Workload under a different name) is the same simulation.
+	Workload *Workload
+	// Threads is the thread count.
+	Threads int
+	// Fast selects sampled fast mode (sim.ModeFast): only a deterministic
+	// subset of LLC sets runs the detailed cache and memory model and the
+	// rest is extrapolated — several times faster, every stack component
+	// within the documented sim.FastErrorBounds of the exact result.
+	// Deterministic, but not byte-identical to exact mode: leave it unset
+	// when results must reproduce the golden hashes.
+	Fast bool
+}
 
-// Measure runs the named benchmark analogue with the given thread count on
-// the paper's default 16-core-class machine (threads = cores), plus its
-// single-threaded reference, and returns the speedup stack with the actual
-// speedup attached.
-func Measure(benchmark string, threads int) (Result, error) {
-	b, ok := workload.ByName(benchmark)
-	if !ok {
-		return Result{}, workload.UnknownBenchmarkError(benchmark)
+// resolve is the one Request → exp.Request step behind every entry point:
+// it checks the request's shape, validates it with the engine's own
+// exp.Cell.Resolve (so every door fails with the same text) and binds the
+// resolved workload and, for Fast, the sampled machine.
+func (r Request) resolve() (exp.Request, error) {
+	if (r.Bench == "") == (r.Workload == nil) {
+		return exp.Request{}, errors.New("speedupstack: a Request names exactly one of Bench and Workload")
 	}
-	r := exp.NewRunner(sim.Default())
-	out, err := r.Run(b, threads)
+	b, err := exp.Cell{Bench: r.Bench, Spec: r.Workload, Threads: r.Threads}.Resolve()
+	if err != nil {
+		return exp.Request{}, err
+	}
+	req := exp.Request{Cell: exp.Cell{Spec: &b.Spec, Threads: r.Threads}}
+	if r.Fast {
+		cfg := sim.Default().WithMode(sim.ModeFast)
+		req.Config = &cfg
+	}
+	return req, nil
+}
+
+// newEngine returns the all-CPU default-machine engine every entry point
+// runs on.
+func newEngine() *exp.Engine {
+	return exp.NewEngine(sim.Default(), exp.WithWorkers(runtime.NumCPU()))
+}
+
+// Measure runs the request's workload plus its single-threaded reference
+// and returns the speedup stack with the actual speedup attached.
+func Measure(ctx context.Context, r Request) (Result, error) {
+	rs, err := MeasureAll(ctx, []Request{r})
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Benchmark: b.FullName(), Threads: threads, Stack: out.Stack}, nil
+	return rs[0], nil
 }
 
-// MeasureFast is Measure in sampled fast mode (sim.ModeFast): only a
-// deterministic 1-in-2^shift subset of LLC sets runs the detailed cache and
-// memory model and the rest is extrapolated, cutting wall-clock by >3x on
-// the full machine while keeping every stack component within the
-// documented sim.FastErrorBounds of the exact-mode result. Fast mode is
-// deterministic for a fixed (benchmark, threads) — just not byte-identical
-// to Measure. Use it for interactive exploration and wide sweeps; use
-// Measure when results must be reproducible against the golden hashes.
-func MeasureFast(benchmark string, threads int) (Result, error) {
-	b, ok := workload.ByName(benchmark)
-	if !ok {
-		return Result{}, workload.UnknownBenchmarkError(benchmark)
-	}
-	r := exp.NewRunner(sim.Default().WithMode(sim.ModeFast))
-	out, err := r.Run(b, threads)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Benchmark: b.FullName(), Threads: threads, Stack: out.Stack}, nil
-}
-
-// MeasureSpecFast is MeasureSpec in sampled fast mode — the custom-workload
-// counterpart of MeasureFast, with the same accuracy contract.
-func MeasureSpecFast(w Workload, threads int) (Result, error) {
-	r := exp.NewRunner(sim.Default().WithMode(sim.ModeFast))
-	out, err := r.Run(workload.Benchmark{Spec: w}, threads)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Benchmark: out.Bench.FullName(), Threads: threads, Stack: out.Stack}, nil
-}
-
-// MeasureSpec is Measure for a custom workload: it runs w (which need not —
-// and usually does not — exist in the registry) with the given thread count
-// on the default machine and returns its speedup stack. A spec identical to
-// a registered analogue produces the identical stack, and through MeasureAll
-// and the speedupd service would share the identical cached simulation.
-func MeasureSpec(w Workload, threads int) (Result, error) {
-	r := exp.NewRunner(sim.Default())
-	out, err := r.Run(workload.Benchmark{Spec: w}, threads)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Benchmark: out.Bench.FullName(), Threads: threads, Stack: out.Stack}, nil
-}
-
-// MeasureSpecAll measures every (workload, thread-count) combination of the
-// cross product, exactly like MeasureAll does for registered benchmarks:
-// one engine, shared sequential references, fingerprint-keyed dedup (two
-// identical specs under different names cost one simulation), results in
-// declared order.
-func MeasureSpecAll(ws []Workload, threads []int) ([]Result, error) {
-	return MeasureSpecAllContext(context.Background(), ws, threads)
-}
-
-// MeasureSpecAllContext is MeasureSpecAll with cancellation.
-func MeasureSpecAllContext(ctx context.Context, ws []Workload, threads []int) ([]Result, error) {
-	cells := make([]exp.Cell, 0, len(ws)*len(threads))
-	for i := range ws {
-		for _, n := range threads {
-			cells = append(cells, exp.Cell{Spec: &ws[i], Threads: n})
+// MeasureAll measures a batch of requests on one engine, deduplicating
+// shared work (one sequential reference per workload; two identical
+// workloads under different names cost one simulation) and fanning the
+// simulations out over all CPUs. Results come back in request order. A
+// malformed request fails the batch before anything runs; canceling ctx
+// aborts the remaining simulations promptly.
+func MeasureAll(ctx context.Context, rs []Request) ([]Result, error) {
+	reqs := make([]exp.Request, len(rs))
+	for i, r := range rs {
+		var err error
+		if reqs[i], err = r.resolve(); err != nil {
+			return nil, err
 		}
 	}
-	return measureCells(ctx, cells)
-}
-
-// MeasureAll measures every (benchmark, thread-count) combination of the
-// cross product on the paper's default machine, deduplicating shared work
-// (one sequential reference per benchmark) and fanning the simulations out
-// over all CPUs. Results come back in declared order: benchmark-major,
-// then by thread count. It is the batch counterpart of Measure.
-func MeasureAll(benchmarks []string, threads []int) ([]Result, error) {
-	return MeasureAllContext(context.Background(), benchmarks, threads)
-}
-
-// MeasureAllContext is MeasureAll with cancellation: canceling ctx aborts
-// the remaining simulations promptly.
-func MeasureAllContext(ctx context.Context, benchmarks []string, threads []int) ([]Result, error) {
-	cells := make([]exp.Cell, 0, len(benchmarks)*len(threads))
-	for _, b := range benchmarks {
-		for _, n := range threads {
-			cells = append(cells, exp.Cell{Bench: b, Threads: n})
-		}
-	}
-	return measureCells(ctx, cells)
-}
-
-// measureCells sweeps the cells on a fresh all-CPU engine against the
-// default machine — the shared back end of MeasureAll and MeasureSpecAll.
-func measureCells(ctx context.Context, cells []exp.Cell) ([]Result, error) {
-	e := exp.NewEngine(sim.Default(), exp.WithWorkers(runtime.NumCPU()))
-	outs, err := e.Sweep(ctx, cells)
+	outs, err := newEngine().Do(ctx, reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -232,9 +193,8 @@ type TimeSeriesReport = stack.TimeSeriesReport
 
 // TimeSeries is the time-resolved form of one speedup stack: the aggregate
 // decomposition plus per-interval component breakdowns whose integer-cycle
-// values sum exactly to the aggregate. Produce one with MeasureIntervals or
-// MeasureSpecIntervals; render it with EncodeTimeSeries or
-// RenderTimelineSVG.
+// values sum exactly to the aggregate. Produce one with MeasureIntervals;
+// render it with EncodeTimeSeries.
 type TimeSeries = stack.TimeSeries
 
 // TimeSeriesInterval is one time slice of a TimeSeries.
@@ -247,29 +207,17 @@ type IntervalComponents = core.IntComponents
 // MaxIntervals bounds the interval count of a time-resolved measurement.
 const MaxIntervals = exp.MaxIntervals
 
-// MeasureIntervals is Measure with time resolution: it runs the named
-// benchmark analogue at the given thread count, divides the run into
-// intervals equal slices of its committed trace operations, and returns the
-// per-interval speedup-stack decomposition next to the aggregate. The
-// aggregate stack (and its sequential reference) is shared with a plain
-// Measure of the same cell through the engine memo; interval accounting
-// itself never perturbs results (the simulator only snapshots counters).
-func MeasureIntervals(benchmark string, threads, intervals int) (TimeSeries, error) {
-	return measureIntervals(exp.Cell{Bench: benchmark, Threads: threads}, intervals)
-}
-
-// MeasureSpecIntervals is MeasureIntervals for a custom workload: the same
-// time-resolved measurement for a spec that need not be registered, keyed —
-// like every other cache layer — by the spec's canonical fingerprint.
-func MeasureSpecIntervals(w Workload, threads, intervals int) (TimeSeries, error) {
-	return measureIntervals(exp.Cell{Spec: &w, Threads: threads}, intervals)
-}
-
-// measureIntervals runs one time-resolved cell on a fresh default-machine
-// engine — the shared back end of MeasureIntervals and MeasureSpecIntervals.
-func measureIntervals(cell exp.Cell, intervals int) (TimeSeries, error) {
-	e := exp.NewEngine(sim.Default())
-	out, err := e.MeasureIntervals(context.Background(), exp.Request{Cell: cell}, intervals)
+// MeasureIntervals is Measure with time resolution: it divides the run into
+// intervals equal slices of its committed trace operations and returns the
+// per-interval speedup-stack decomposition next to the aggregate. Interval
+// accounting never perturbs results (the simulator only snapshots
+// counters).
+func MeasureIntervals(ctx context.Context, r Request, intervals int) (TimeSeries, error) {
+	req, err := r.resolve()
+	if err != nil {
+		return TimeSeries{}, err
+	}
+	out, err := newEngine().MeasureIntervals(ctx, req, intervals)
 	if err != nil {
 		return TimeSeries{}, err
 	}
@@ -283,13 +231,6 @@ func measureIntervals(cell exp.Cell, intervals int) (TimeSeries, error) {
 // stacked-timeline chart.
 func EncodeTimeSeries(w io.Writer, f Format, ts TimeSeries) error {
 	return stack.EncodeTimeSeries(w, f, ts)
-}
-
-// RenderTimelineSVG draws a time-resolved stack as a standalone SVG stacked
-// timeline: committed ops on the x axis, and per interval the fraction of
-// thread-cycle capacity lost to each scaling delimiter.
-func RenderTimelineSVG(ts TimeSeries) string {
-	return stack.TimelineSVG(ts)
 }
 
 // Render draws a result as an ASCII speedup stack with a legend.
@@ -322,11 +263,6 @@ func ParseFormat(s string) (Format, error) { return stack.ParseFormat(s) }
 // standalone SVG chart.
 func Encode(w io.Writer, f Format, rs ...Result) error {
 	return stack.Encode(w, f, bars(rs))
-}
-
-// RenderSVG draws the results as a standalone SVG speedup-stack chart.
-func RenderSVG(rs ...Result) string {
-	return stack.SVG(bars(rs))
 }
 
 func bars(rs []Result) []stack.Bar {

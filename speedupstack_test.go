@@ -1,9 +1,20 @@
 package speedupstack
 
 import (
+	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
+
+var ctx = context.Background()
 
 func TestBenchmarksListed(t *testing.T) {
 	// 28 paper analogues + the 10-pattern contention suite: the lookup
@@ -15,12 +26,12 @@ func TestBenchmarksListed(t *testing.T) {
 }
 
 func TestMeasureUnknownBenchmark(t *testing.T) {
-	if _, err := Measure("no-such-benchmark", 4); err == nil {
+	if _, err := Measure(ctx, Request{Bench: "no-such-benchmark", Threads: 4}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 	// Near-miss names carry the nearest registered name, so the CLI (which
 	// prints this error verbatim) suggests the fix.
-	_, err := Measure("choleski", 4)
+	_, err := Measure(ctx, Request{Bench: "choleski", Threads: 4})
 	if err == nil || !strings.Contains(err.Error(), `did you mean "cholesky"?`) {
 		t.Fatalf("no suggestion in %v", err)
 	}
@@ -30,15 +41,12 @@ func TestMeasureUnknownBenchmark(t *testing.T) {
 const specJSON = `{"name":"roottest","kind":"data_parallel","array_bytes":524288,
 	"sweeps_per_phase":1,"phases":1,"instr_per_access":2500,"store_frac":0.1,"seed":5}`
 
-func TestParseWorkloadAndMeasureSpec(t *testing.T) {
+func TestParseWorkloadAndMeasure(t *testing.T) {
 	w, err := ParseWorkload([]byte(specJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateWorkload(w); err != nil {
-		t.Fatal(err)
-	}
-	res, err := MeasureSpec(w, 4)
+	res, err := Measure(ctx, Request{Workload: &w, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +57,10 @@ func TestParseWorkloadAndMeasureSpec(t *testing.T) {
 		t.Fatalf("implausible speedup %v", res.Stack.ActualSpeedup)
 	}
 
-	// MeasureSpecAll: two names, one behaviour -> same stacks, own labels.
+	// MeasureAll: two names, one behaviour -> same stacks, own labels.
 	w2 := w
 	w2.Name = "roottest-twin"
-	results, err := MeasureSpecAll([]Workload{w, w2}, []int{4})
+	results, err := MeasureAll(ctx, []Request{{Workload: &w, Threads: 4}, {Workload: &w2, Threads: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +71,7 @@ func TestParseWorkloadAndMeasureSpec(t *testing.T) {
 		t.Fatal("fingerprint-identical workloads measured differently")
 	}
 	if results[0].Stack != res.Stack {
-		t.Fatal("MeasureSpecAll disagrees with MeasureSpec")
+		t.Fatal("MeasureAll disagrees with Measure")
 	}
 }
 
@@ -77,7 +85,7 @@ func TestParseWorkloadRejects(t *testing.T) {
 }
 
 func TestMeasureAndRender(t *testing.T) {
-	res, err := Measure("swaptions_parsec_small", 16)
+	res, err := Measure(ctx, Request{Bench: "swaptions_parsec_small", Threads: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,16 +108,17 @@ func TestMeasureAndRender(t *testing.T) {
 	}
 }
 
-// TestMeasureFast pins the root fast-mode API: sampled runs produce a
+// TestFastRequest pins the root fast-mode API: sampled runs produce a
 // well-formed stack within the documented bounds of the exact result, both
 // for registered analogues and custom specs, and are themselves
 // deterministic.
-func TestMeasureFast(t *testing.T) {
-	exact, err := Measure("swaptions_parsec_small", 8)
+func TestFastRequest(t *testing.T) {
+	exact, err := Measure(ctx, Request{Bench: "swaptions_parsec_small", Threads: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := MeasureFast("swaptions_parsec_small", 8)
+	fastReq := Request{Bench: "swaptions_parsec_small", Threads: 8, Fast: true}
+	fast, err := Measure(ctx, fastReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,62 +129,186 @@ func TestMeasureFast(t *testing.T) {
 		t.Fatalf("fast estimate %v too far from exact %v",
 			fast.Stack.Estimated(), exact.Stack.Estimated())
 	}
-	again, err := MeasureFast("swaptions_parsec_small", 8)
+	again, err := Measure(ctx, fastReq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Stack != fast.Stack {
-		t.Fatal("MeasureFast is not deterministic")
-	}
-	if _, err := MeasureFast("no-such-benchmark", 4); err == nil {
-		t.Fatal("unknown benchmark accepted")
+		t.Fatal("fast mode is not deterministic")
 	}
 
 	w, err := ParseWorkload([]byte(specJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := MeasureSpecFast(w, 4)
+	sf, err := Measure(ctx, Request{Workload: &w, Threads: 4, Fast: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sf.Benchmark != "roottest" || sf.Stack.N != 4 {
 		t.Fatalf("unexpected spec result: %+v", sf)
 	}
+	if err := RecordTrace(io.Discard, fastReq); err == nil {
+		t.Fatal("a fast run was recorded as a trace")
+	}
 }
 
-func TestMeasureAllBatch(t *testing.T) {
-	benches := []string{"swaptions_parsec_small", "blackscholes_parsec_small"}
-	results, err := MeasureAll(benches, []int{2, 4})
+// TestRequestValidation pins the one-seam guarantee: a malformed Request
+// fails with the same text at every door, before any simulation.
+func TestRequestValidation(t *testing.T) {
+	w, err := ParseWorkload([]byte(specJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 4 {
-		t.Fatalf("results = %d, want 4", len(results))
-	}
-	// Declared order: benchmark-major, then thread count.
-	want := []struct {
-		bench   string
-		threads int
+	bad := w
+	bad.ArrayBytes = 0
+	for _, tc := range []struct {
+		name string
+		req  Request
+		want string
 	}{
-		{"swaptions_parsec_small", 2},
-		{"swaptions_parsec_small", 4},
-		{"blackscholes_parsec_small", 2},
-		{"blackscholes_parsec_small", 4},
+		{"neither", Request{Threads: 4}, "exactly one of Bench and Workload"},
+		{"both", Request{Bench: "cholesky", Workload: &w, Threads: 4}, "exactly one of Bench and Workload"},
+		{"zero threads", Request{Bench: "cholesky"}, "non-positive thread count 0"},
+		{"negative threads", Request{Workload: &w, Threads: -2}, "non-positive thread count -2"},
+		{"unknown bench", Request{Bench: "choleski", Threads: 4}, `did you mean "cholesky"?`},
+		{"invalid workload", Request{Workload: &bad, Threads: 4}, "array_bytes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Measure(ctx, tc.req)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Measure: error %v, want one containing %q", err, tc.want)
+			}
+			doors := map[string]func() error{
+				"MeasureAll": func() error {
+					_, err := MeasureAll(ctx, []Request{{Bench: "cholesky", Threads: 2}, tc.req})
+					return err
+				},
+				"MeasureIntervals": func() error { _, err := MeasureIntervals(ctx, tc.req, 4); return err },
+				// The advisor's sweep top is its thread count.
+				"Advise":      func() error { _, err := Advise(ctx, tc.req, tc.req.Threads); return err },
+				"WhatIf":      func() error { _, err := WhatIf(ctx, tc.req); return err },
+				"RecordTrace": func() error { return RecordTrace(io.Discard, tc.req) },
+			}
+			for door, call := range doors {
+				if got := call(); got == nil || got.Error() != err.Error() {
+					t.Errorf("%s: error %v, want %v", door, got, err)
+				}
+			}
+		})
 	}
-	for i, w := range want {
-		if results[i].Benchmark != w.bench || results[i].Threads != w.threads {
+}
+
+// TestBenchAndWorkloadAgree checks that naming a registered analogue and
+// passing its spec as a Workload are the same measurement, in both modes.
+func TestBenchAndWorkloadAgree(t *testing.T) {
+	const bench = "swaptions_parsec_small"
+	b, ok := workload.ByName(bench)
+	if !ok {
+		t.Fatalf("%s is not registered", bench)
+	}
+	for _, fast := range []bool{false, true} {
+		rs, err := MeasureAll(ctx, []Request{
+			{Bench: bench, Threads: 4, Fast: fast},
+			{Workload: &b.Spec, Threads: 4, Fast: fast},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs[0] != rs[1] {
+			t.Errorf("fast=%v: by name %+v, by spec %+v", fast, rs[0], rs[1])
+		}
+	}
+}
+
+// TestAPISurface lists the root package's exported identifiers against a
+// golden list, so the surface only grows by a reviewed diff.
+func TestAPISurface(t *testing.T) {
+	want := strings.Fields(`
+		Advice AdviceClass AdviceFit AdviceLinear AdviceNegative AdvicePoint
+		AdviceRecommendation AdviceSaturated Advise Benchmarks Components
+		Encode EncodeAdvice EncodeTimeSeries EncodeWhatIf Format FormatCSV
+		FormatJSON FormatSVG FormatText Formats HardwareCost
+		IntervalComponents Interventions LoadTrace MaxAdviseThreads
+		MaxIntervals Measure MeasureAll MeasureIntervals MinAdviseThreads
+		MinWhatIfThreads ParseFormat ParseWorkload RecordTrace Render Request
+		Result Stack StackRow Table TimeSeries TimeSeriesInterval
+		TimeSeriesReport TopBottlenecks WhatIf WhatIfDoubleLLC
+		WhatIfHalveLockHold WhatIfHalveMemLatency WhatIfIntervention
+		WhatIfPrediction WhatIfRemoveImbalance WhatIfReport Workload
+		WorkloadDataParallel WorkloadFingerprint WorkloadKind
+		WorkloadPipeline WorkloadStage WorkloadTaskQueue`)
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					got = append(got, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						if spec.Name.IsExported() {
+							got = append(got, spec.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							if n.IsExported() {
+								got = append(got, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("exported identifiers changed; review the diff and update the list\n got: %v\nwant: %v", got, want)
+	}
+}
+
+func TestMeasureAllBatch(t *testing.T) {
+	reqs := []Request{
+		{Bench: "swaptions_parsec_small", Threads: 2},
+		{Bench: "swaptions_parsec_small", Threads: 4},
+		{Bench: "blackscholes_parsec_small", Threads: 2},
+		{Bench: "blackscholes_parsec_small", Threads: 4},
+	}
+	results, err := MeasureAll(ctx, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(reqs) {
+		t.Fatalf("results = %d, want %d", len(results), len(reqs))
+	}
+	// Results come back in request order.
+	for i, r := range reqs {
+		if results[i].Benchmark != r.Bench || results[i].Threads != r.Threads {
 			t.Fatalf("result %d = %s x%d, want %s x%d",
-				i, results[i].Benchmark, results[i].Threads, w.bench, w.threads)
+				i, results[i].Benchmark, results[i].Threads, r.Bench, r.Threads)
 		}
 		if results[i].Stack.ActualSpeedup <= 1 {
-			t.Fatalf("%s x%d speedup %v", w.bench, w.threads, results[i].Stack.ActualSpeedup)
+			t.Fatalf("%s x%d speedup %v", r.Bench, r.Threads, results[i].Stack.ActualSpeedup)
 		}
 	}
 }
 
 func TestMeasureAllUnknownBenchmark(t *testing.T) {
-	if _, err := MeasureAll([]string{"no-such-benchmark"}, []int{2}); err == nil {
+	if _, err := MeasureAll(ctx, []Request{{Bench: "no-such-benchmark", Threads: 2}}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -184,7 +317,7 @@ func TestMeasureAllUnknownBenchmark(t *testing.T) {
 // figure path (cell declaration, sweep engine, simulator, stack assembly,
 // text rendering) on a grid small enough for every PR.
 func TestFigurePathSmoke(t *testing.T) {
-	res, err := MeasureAll([]string{"swaptions_parsec_small"}, []int{2})
+	res, err := MeasureAll(ctx, []Request{{Bench: "swaptions_parsec_small", Threads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package speedupstack
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -15,24 +16,22 @@ import (
 // queue/barrier registrations and sync-library overrides. Replaying a trace
 // reproduces the original run's sim.Result byte-identically, at exactly the
 // thread count it was recorded with, and is memoized under the trace's
-// content hash (the label does not participate) across MeasureSpec, the
+// content hash (the label does not participate) across Measure, the
 // speedupd service and the fleet.
 
-// RecordTrace runs the named benchmark analogue at the given thread count on
-// the default machine and writes the binary op trace of that run to w. The
-// written bytes are what POST /v1/traces/analyze, LoadTrace and the
-// speedup-stack -trace flag accept.
-func RecordTrace(w io.Writer, benchmark string, threads int) error {
-	b, ok := workload.ByName(benchmark)
-	if !ok {
-		return workload.UnknownBenchmarkError(benchmark)
+// RecordTrace runs the request's workload once and writes the binary op
+// trace of that run to w. The written bytes are what POST
+// /v1/traces/analyze, LoadTrace and the speedup-stack -trace flag accept. A
+// trace captures an exact run: a Fast request is an error.
+func RecordTrace(w io.Writer, r Request) error {
+	if r.Fast {
+		return errors.New("speedupstack: a trace records an exact run; unset Fast")
 	}
-	return RecordTraceWorkload(w, b.Spec, threads)
-}
-
-// RecordTraceWorkload is RecordTrace for a custom workload.
-func RecordTraceWorkload(w io.Writer, wl Workload, threads int) error {
-	f, _, err := workload.Record(sim.Default(), wl, threads)
+	req, err := r.resolve()
+	if err != nil {
+		return err
+	}
+	f, _, err := workload.Record(sim.Default(), *req.Spec, req.Threads)
 	if err != nil {
 		return err
 	}
@@ -40,9 +39,9 @@ func RecordTraceWorkload(w io.Writer, wl Workload, threads int) error {
 }
 
 // LoadTrace reads a recorded binary op trace and returns the Workload that
-// replays it. The workload measures like any other (MeasureSpec,
-// MeasureSpecAll, the service), but only at the trace's recorded thread
-// count — TraceThreads reports it.
+// replays it. The workload measures like any other (Measure, MeasureAll,
+// the service), but only at the trace's recorded thread count, which its
+// TraceThreads method reports.
 func LoadTrace(r io.Reader) (Workload, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -53,14 +52,4 @@ func LoadTrace(r io.Reader) (Workload, error) {
 		return Workload{}, err
 	}
 	return workload.TraceSpec(d), nil
-}
-
-// MeasureTrace loads a recorded trace and measures its replay at the
-// recorded thread count — the one-call form of LoadTrace + MeasureSpec.
-func MeasureTrace(r io.Reader) (Result, error) {
-	w, err := LoadTrace(r)
-	if err != nil {
-		return Result{}, err
-	}
-	return MeasureSpec(w, w.TraceThreads())
 }

@@ -3,10 +3,8 @@ package speedupstack
 import (
 	"context"
 	"io"
-	"runtime"
 
 	"repro/internal/exp"
-	"repro/internal/sim"
 	"repro/internal/whatif"
 )
 
@@ -40,37 +38,15 @@ const MinWhatIfThreads = exp.MinWhatIfThreads
 // Interventions returns the what-if catalog, in presentation order.
 func Interventions() []WhatIfIntervention { return whatif.Catalog() }
 
-// WhatIf runs the causal what-if analysis for a registered benchmark
-// analogue at a thread count on the default machine. interventions selects
-// catalog entries by ID; none means the full catalog. Interventions that do
-// not apply to the workload are skipped.
-func WhatIf(benchmark string, threads int, interventions ...string) (WhatIfReport, error) {
-	return WhatIfContext(context.Background(), benchmark, threads, interventions...)
-}
-
-// WhatIfContext is WhatIf with cancellation.
-func WhatIfContext(ctx context.Context, benchmark string, threads int, interventions ...string) (WhatIfReport, error) {
-	return runWhatIf(ctx, exp.Cell{Bench: benchmark, Threads: threads}, interventions)
-}
-
-// WhatIfSpec is WhatIf for a custom workload: the same predictions and
-// re-simulated validations for a spec that need not be registered, sharing
-// — like every other entry point — the fingerprint-keyed simulation
-// identity.
-func WhatIfSpec(w Workload, threads int, interventions ...string) (WhatIfReport, error) {
-	return WhatIfSpecContext(context.Background(), w, threads, interventions...)
-}
-
-// WhatIfSpecContext is WhatIfSpec with cancellation.
-func WhatIfSpecContext(ctx context.Context, w Workload, threads int, interventions ...string) (WhatIfReport, error) {
-	return runWhatIf(ctx, exp.Cell{Spec: &w, Threads: threads}, interventions)
-}
-
-// runWhatIf executes the what-if engine on a fresh all-CPU default-machine
-// engine — the shared back end of WhatIf and WhatIfSpec.
-func runWhatIf(ctx context.Context, cell exp.Cell, ids []string) (WhatIfReport, error) {
-	e := exp.NewEngine(sim.Default(), exp.WithWorkers(runtime.NumCPU()))
-	return e.WhatIf(ctx, exp.Request{Cell: cell}, ids)
+// WhatIf runs the causal what-if analysis for the request's workload at its
+// thread count. interventions selects catalog entries by ID; none means the
+// full catalog. Interventions that do not apply to the workload are skipped.
+func WhatIf(ctx context.Context, r Request, interventions ...string) (WhatIfReport, error) {
+	req, err := r.resolve()
+	if err != nil {
+		return WhatIfReport{}, err
+	}
+	return newEngine().WhatIf(ctx, req, interventions)
 }
 
 // EncodeWhatIf writes a WhatIfReport to w in the requested format:
