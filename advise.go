@@ -2,7 +2,6 @@ package speedupstack
 
 import (
 	"context"
-	"io"
 
 	"repro/internal/exp"
 	"repro/internal/scaling"
@@ -14,7 +13,11 @@ import (
 // diminishing-returns thread count N* = sqrt((1−σ)/κ), a classification of
 // the sweep (linear / saturated / negative), a cross-check of the fitted
 // serial fraction against the speedup stack's serialization components, and
-// ranked workload-field-level recommendations.
+// ranked workload-field-level recommendations. It is a Document: FormatText
+// is the human-readable report, FormatJSON the Advice object, FormatCSV one
+// record per sweep point with the fitted values alongside, and FormatSVG a
+// standalone fit-curve chart overlaying the measured sweep with both fitted
+// models.
 type Advice = scaling.Advice
 
 // AdvicePoint is one measured sweep sample.
@@ -54,13 +57,4 @@ func Advise(ctx context.Context, r Request, maxThreads int) (Advice, error) {
 		return Advice{}, err
 	}
 	return newEngine().Advise(ctx, req, maxThreads)
-}
-
-// EncodeAdvice writes an Advice to w in the requested format: FormatText is
-// the human-readable report, FormatJSON the Advice object, FormatCSV one
-// record per sweep point with the fitted values alongside, and FormatSVG a
-// standalone fit-curve chart overlaying the measured sweep with both fitted
-// models.
-func EncodeAdvice(w io.Writer, f Format, a Advice) error {
-	return scaling.Encode(w, f, a)
 }

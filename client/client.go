@@ -15,7 +15,7 @@
 // human-readable message, and — on unknown-benchmark 404s — the
 // nearest-name suggestion:
 //
-//	rows, err := c.Stack(ctx, "choleski", 16, 0)
+//	row, err := c.Stack(ctx, client.Cell{Bench: "choleski", Threads: 16})
 //	var ae *client.APIError
 //	if errors.As(err, &ae) && ae.Suggestion != "" {
 //	    // retry with ae.Suggestion ("cholesky")
@@ -49,8 +49,8 @@ type Client struct {
 	// "exact" (full detail, byte-identical), "fast" (deterministic sampled
 	// sets, several times faster, error-bounded — see sim.FastErrorBounds),
 	// or empty for the server default (exact). It is sent as ?mode= on
-	// Stack, StackIntervals, Sweep, Analyze, AnalyzeIntervals and Advise;
-	// an unrecognized value fails with code "invalid_argument".
+	// Stack, StackIntervals, Sweep, AnalyzeTrace and Advise; an
+	// unrecognized value fails with code "invalid_argument".
 	Mode string
 	// Retries is the number of extra attempts for idempotent GET requests
 	// answered 429 (shed or rate-limited) or 503. Zero, the default,
@@ -76,14 +76,6 @@ func (c *Client) addMode(q url.Values) url.Values {
 	return q
 }
 
-// pathWithMode appends the client's Mode to a bare POST path, when set.
-func (c *Client) pathWithMode(path string) string {
-	if c.Mode == "" {
-		return path
-	}
-	return path + "?mode=" + url.QueryEscape(c.Mode)
-}
-
 // APIError is one failed request: the HTTP status plus the service's error
 // envelope. Responses that are not a JSON envelope (a plain text error
 // line, a proxy page) still produce an APIError with the body as Message
@@ -107,9 +99,11 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("speedupd: %s (HTTP %d)", e.Message, e.StatusCode)
 }
 
-// SweepCell is one cell of a Sweep batch: a registered benchmark by name,
-// or an inline workload spec (exactly one of Bench and Spec).
-type SweepCell struct {
+// Cell is one (workload, threads[, cores]) measurement — the argument of
+// Stack, StackIntervals and WhatIf and the element of a Sweep batch: a
+// registered benchmark by name, or an inline workload spec (exactly one of
+// Bench and Spec). Cores 0 means cores = threads (the paper's pairing).
+type Cell struct {
 	Bench   string                 `json:"bench,omitempty"`
 	Spec    *speedupstack.Workload `json:"spec,omitempty"`
 	Threads int                    `json:"threads"`
@@ -138,15 +132,36 @@ func (c *Client) Benchmarks(ctx context.Context) ([]string, error) {
 	return resp.Benchmarks, nil
 }
 
-// Stack measures one (benchmark, threads[, cores]) cell. cores 0 means
-// cores = threads (the paper's pairing).
-func (c *Client) Stack(ctx context.Context, bench string, threads, cores int) (speedupstack.StackRow, error) {
-	q := url.Values{"bench": {bench}, "threads": {strconv.Itoa(threads)}}
-	if cores != 0 {
-		q.Set("cores", strconv.Itoa(cores))
+// defaultIntervals is the server's slice count for GET /v1/stack/intervals
+// without ?intervals=. A spec cell's POST body has no such default (absent
+// means the aggregate), so StackIntervals names it there.
+const defaultIntervals = 32
+
+// measure sends one single-cell measurement and decodes the answer into v.
+// A named cell is a GET of path with the cell in the query; an inline spec
+// is a POST to /v1/workloads/analyze with the cell as the body. intervals,
+// when positive, asks for the time-resolved form.
+func (c *Client) measure(ctx context.Context, path string, cell Cell, intervals int, v any) error {
+	if cell.Spec != nil {
+		return c.postJSON(ctx, "/v1/workloads/analyze", c.addMode(url.Values{}), struct {
+			Cell
+			Intervals int `json:"intervals,omitempty"`
+		}{cell, intervals}, v)
 	}
+	q := url.Values{"bench": {cell.Bench}, "threads": {strconv.Itoa(cell.Threads)}}
+	if cell.Cores != 0 {
+		q.Set("cores", strconv.Itoa(cell.Cores))
+	}
+	if intervals != 0 {
+		q.Set("intervals", strconv.Itoa(intervals))
+	}
+	return c.getJSON(ctx, path, c.addMode(q), v)
+}
+
+// Stack measures one cell end to end.
+func (c *Client) Stack(ctx context.Context, cell Cell) (speedupstack.StackRow, error) {
 	var rows []speedupstack.StackRow
-	if err := c.getJSON(ctx, "/v1/stack", c.addMode(q), &rows); err != nil {
+	if err := c.measure(ctx, "/v1/stack", cell, 0, &rows); err != nil {
 		return speedupstack.StackRow{}, err
 	}
 	if len(rows) != 1 {
@@ -156,42 +171,22 @@ func (c *Client) Stack(ctx context.Context, bench string, threads, cores int) (s
 }
 
 // StackIntervals measures one cell time-resolved: the run split into
-// intervals equal slices (0 means the server default).
-func (c *Client) StackIntervals(ctx context.Context, bench string, threads, cores, intervals int) (speedupstack.TimeSeriesReport, error) {
-	q := url.Values{"bench": {bench}, "threads": {strconv.Itoa(threads)}}
-	if cores != 0 {
-		q.Set("cores", strconv.Itoa(cores))
-	}
-	if intervals != 0 {
-		q.Set("intervals", strconv.Itoa(intervals))
+// intervals equal slices (0 means the server default, 32).
+func (c *Client) StackIntervals(ctx context.Context, cell Cell, intervals int) (speedupstack.TimeSeriesReport, error) {
+	if intervals == 0 && cell.Spec != nil {
+		intervals = defaultIntervals
 	}
 	var rep speedupstack.TimeSeriesReport
-	err := c.getJSON(ctx, "/v1/stack/intervals", c.addMode(q), &rep)
+	err := c.measure(ctx, "/v1/stack/intervals", cell, intervals, &rep)
 	return rep, err
 }
 
 // Sweep measures a batch of cells in one engine pass, deduplicated against
 // each other and the server's cache.
-func (c *Client) Sweep(ctx context.Context, cells []SweepCell) ([]speedupstack.StackRow, error) {
+func (c *Client) Sweep(ctx context.Context, cells []Cell) ([]speedupstack.StackRow, error) {
 	var rows []speedupstack.StackRow
-	err := c.postJSON(ctx, c.pathWithMode("/v1/sweep"), map[string]any{"cells": cells}, &rows)
+	err := c.postJSON(ctx, "/v1/sweep", c.addMode(url.Values{}), map[string]any{"cells": cells}, &rows)
 	return rows, err
-}
-
-// Analyze measures one custom workload spec end to end.
-func (c *Client) Analyze(ctx context.Context, spec speedupstack.Workload, threads, cores int) (speedupstack.StackRow, error) {
-	body := map[string]any{"spec": spec, "threads": threads}
-	if cores != 0 {
-		body["cores"] = cores
-	}
-	var rows []speedupstack.StackRow
-	if err := c.postJSON(ctx, c.pathWithMode("/v1/workloads/analyze"), body, &rows); err != nil {
-		return speedupstack.StackRow{}, err
-	}
-	if len(rows) != 1 {
-		return speedupstack.StackRow{}, fmt.Errorf("speedupd: %d rows for one spec", len(rows))
-	}
-	return rows[0], nil
 }
 
 // AnalyzeTrace uploads a recorded binary op trace (the speedup-stack
@@ -204,17 +199,8 @@ func (c *Client) AnalyzeTrace(ctx context.Context, tr io.Reader, cores int) (spe
 	if cores != 0 {
 		q.Set("cores", strconv.Itoa(cores))
 	}
-	target := c.BaseURL + "/v1/traces/analyze"
-	if q = c.addMode(q); len(q) > 0 {
-		target += "?" + q.Encode()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, tr)
-	if err != nil {
-		return speedupstack.StackRow{}, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
 	var rows []speedupstack.StackRow
-	if err := c.do(req, &rows); err != nil {
+	if err := c.post(ctx, "/v1/traces/analyze", c.addMode(q), "application/octet-stream", tr, &rows); err != nil {
 		return speedupstack.StackRow{}, err
 	}
 	if len(rows) != 1 {
@@ -223,29 +209,12 @@ func (c *Client) AnalyzeTrace(ctx context.Context, tr io.Reader, cores int) (spe
 	return rows[0], nil
 }
 
-// AnalyzeIntervals is Analyze time-resolved.
-func (c *Client) AnalyzeIntervals(ctx context.Context, spec speedupstack.Workload, threads, cores, intervals int) (speedupstack.TimeSeriesReport, error) {
-	body := map[string]any{"spec": spec, "threads": threads, "intervals": intervals}
-	if cores != 0 {
-		body["cores"] = cores
-	}
-	var rep speedupstack.TimeSeriesReport
-	err := c.postJSON(ctx, c.pathWithMode("/v1/workloads/analyze"), body, &rep)
-	return rep, err
-}
-
 // Validate dry-runs the spec pipeline on raw spec JSON without simulating.
 // An invalid spec is a clean ValidateResult{Valid: false, Error: ...}, not
 // an APIError.
 func (c *Client) Validate(ctx context.Context, specJSON []byte) (ValidateResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.BaseURL+"/v1/workloads/validate", bytes.NewReader(specJSON))
-	if err != nil {
-		return ValidateResult{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
 	var resp ValidateResult
-	err = c.do(req, &resp)
+	err := c.post(ctx, "/v1/workloads/validate", nil, "application/json", bytes.NewReader(specJSON), &resp)
 	return resp, err
 }
 
@@ -262,30 +231,18 @@ func (c *Client) Advise(ctx context.Context, bench string, maxThreads int) (spee
 	return a, err
 }
 
-// WhatIf runs the causal what-if engine on one (benchmark, threads) cell:
-// each applicable catalog intervention's predicted speedup gain, validated
-// by re-simulating the mutated workload/machine, ranked by predicted gain.
-// interventions selects catalog entries by ID (nil means the full catalog);
-// an unknown ID is a 404 *APIError with code "unknown_intervention" and the
-// nearest catalog ID as Suggestion.
-func (c *Client) WhatIf(ctx context.Context, bench string, threads int, interventions []string) (speedupstack.WhatIfReport, error) {
-	body := map[string]any{"bench": bench, "threads": threads}
-	if len(interventions) > 0 {
-		body["interventions"] = interventions
-	}
+// WhatIf runs the causal what-if engine on one cell: each applicable
+// catalog intervention's predicted speedup gain, validated by re-simulating
+// the mutated workload/machine, ranked by predicted gain. interventions
+// selects catalog entries by ID (nil means the full catalog); an unknown ID
+// is a 404 *APIError with code "unknown_intervention" and the nearest
+// catalog ID as Suggestion.
+func (c *Client) WhatIf(ctx context.Context, cell Cell, interventions []string) (speedupstack.WhatIfReport, error) {
 	var rep speedupstack.WhatIfReport
-	err := c.postJSON(ctx, "/v1/whatif", body, &rep)
-	return rep, err
-}
-
-// WhatIfSpec is WhatIf for an inline custom workload spec.
-func (c *Client) WhatIfSpec(ctx context.Context, spec speedupstack.Workload, threads int, interventions []string) (speedupstack.WhatIfReport, error) {
-	body := map[string]any{"spec": spec, "threads": threads}
-	if len(interventions) > 0 {
-		body["interventions"] = interventions
-	}
-	var rep speedupstack.WhatIfReport
-	err := c.postJSON(ctx, "/v1/whatif", body, &rep)
+	err := c.postJSON(ctx, "/v1/whatif", nil, struct {
+		Cell
+		Interventions []string `json:"interventions,omitempty"`
+	}{cell, interventions}, &rep)
 	return rep, err
 }
 
@@ -311,30 +268,14 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 // escape hatch for non-JSON formats (?format=text|csv|svg). Error statuses
 // still decode into *APIError.
 func (c *Client) Raw(ctx context.Context, path string, query url.Values, accept string) ([]byte, string, error) {
-	target := c.BaseURL + path
-	if len(query) > 0 {
-		target += "?" + query.Encode()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
+	req, err := c.newRequest(ctx, http.MethodGet, path, query, nil)
 	if err != nil {
 		return nil, "", err
 	}
 	if accept != "" {
 		req.Header.Set("Accept", accept)
 	}
-	resp, err := c.send(req)
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, "", err
-	}
-	if resp.StatusCode >= 400 {
-		return nil, "", decodeAPIError(resp.StatusCode, body)
-	}
-	return body, resp.Header.Get("Content-Type"), nil
+	return c.fetch(req)
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -387,50 +328,67 @@ func retryDelay(resp *http.Response, attempt int) time.Duration {
 	return base + time.Duration(rand.Int63n(int64(base)/2+1))
 }
 
-// getJSON GETs path and decodes the JSON answer into v.
-func (c *Client) getJSON(ctx context.Context, path string, query url.Values, v any) error {
+// newRequest builds one request to path (with query, when not empty) on
+// the client's server.
+func (c *Client) newRequest(ctx context.Context, method, path string, query url.Values, body io.Reader) (*http.Request, error) {
 	target := c.BaseURL + path
 	if len(query) > 0 {
 		target += "?" + query.Encode()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
+	return http.NewRequestWithContext(ctx, method, target, body)
+}
+
+// getJSON GETs path and decodes the JSON answer into v.
+func (c *Client) getJSON(ctx context.Context, path string, query url.Values, v any) error {
+	req, err := c.newRequest(ctx, http.MethodGet, path, query, nil)
 	if err != nil {
 		return err
 	}
 	return c.do(req, v)
 }
 
-// postJSON POSTs body as JSON to path and decodes the answer into v.
-func (c *Client) postJSON(ctx context.Context, path string, body, v any) error {
+// post POSTs body as contentType to path and decodes the JSON answer into v.
+func (c *Client) post(ctx context.Context, path string, query url.Values, contentType string, body io.Reader, v any) error {
+	req, err := c.newRequest(ctx, http.MethodPost, path, query, body)
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", contentType)
+	return c.do(req, v)
+}
+
+// postJSON is post with body marshaled as JSON.
+func (c *Client) postJSON(ctx context.Context, path string, query url.Values, body, v any) error {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.do(req, v)
+	return c.post(ctx, path, query, "application/json", bytes.NewReader(data), v)
 }
 
-// do runs one request, mapping error statuses to *APIError and decoding a
-// success into v.
-func (c *Client) do(req *http.Request, v any) error {
+// fetch runs one request and returns the response body and its
+// Content-Type, mapping error statuses to *APIError.
+func (c *Client) fetch(req *http.Request) ([]byte, string, error) {
 	resp, err := c.send(req)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 	if resp.StatusCode >= 400 {
-		return decodeAPIError(resp.StatusCode, body)
+		return nil, "", decodeAPIError(resp.StatusCode, body)
 	}
-	if v == nil {
-		return nil
+	return body, resp.Header.Get("Content-Type"), nil
+}
+
+// do runs one request and decodes a success into v.
+func (c *Client) do(req *http.Request, v any) error {
+	body, _, err := c.fetch(req)
+	if err != nil {
+		return err
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("speedupd: decoding response: %v", err)

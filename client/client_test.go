@@ -46,7 +46,7 @@ func TestClientStackAndBenchmarks(t *testing.T) {
 		t.Errorf("only %d benchmarks", len(names))
 	}
 
-	row, err := c.Stack(ctx, testBench, 2, 0)
+	row, err := c.Stack(ctx, Cell{Bench: testBench, Threads: 2})
 	if err != nil {
 		t.Fatalf("stack: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestClientStackAndBenchmarks(t *testing.T) {
 		t.Errorf("unexpected row: %+v", row)
 	}
 
-	rep, err := c.StackIntervals(ctx, testBench, 2, 0, 4)
+	rep, err := c.StackIntervals(ctx, Cell{Bench: testBench, Threads: 2}, 4)
 	if err != nil {
 		t.Fatalf("intervals: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestClientStackAndBenchmarks(t *testing.T) {
 		t.Errorf("unexpected report: %+v", rep)
 	}
 
-	rows, err := c.Sweep(ctx, []SweepCell{
+	rows, err := c.Sweep(ctx, []Cell{
 		{Bench: testBench, Threads: 2},
 		{Bench: "swaptions", Threads: 2},
 	})
@@ -82,12 +82,31 @@ func TestClientAnalyzeAndValidate(t *testing.T) {
 		ArrayBytes: 524288, SweepsPerPhase: 1, Phases: 1,
 		InstrPerAccess: 2500, StoreFrac: 0.1, Seed: 7,
 	}
-	row, err := c.Analyze(ctx, spec, 2, 0)
+	// A spec cell goes through the same three methods as a named one: the
+	// client picks POST /v1/workloads/analyze (or /v1/whatif) for it.
+	cell := Cell{Spec: &spec, Threads: 2}
+	row, err := c.Stack(ctx, cell)
 	if err != nil {
-		t.Fatalf("analyze: %v", err)
+		t.Fatalf("stack of a spec: %v", err)
 	}
 	if row.Benchmark != "client-kernel" || row.Actual <= 0 {
 		t.Errorf("unexpected row: %+v", row)
+	}
+	for _, n := range []int{4, 0} { // 0: the server's default count, as for a named cell
+		rep, err := c.StackIntervals(ctx, cell, n)
+		if err != nil {
+			t.Fatalf("intervals of a spec: %v", err)
+		}
+		if rep.Benchmark != "client-kernel" || rep.Aggregate != row || len(rep.Intervals) == 0 || (n > 0 && len(rep.Intervals) > n) {
+			t.Errorf("intervals=%d: unexpected report: %+v", n, rep)
+		}
+	}
+	wrep, err := c.WhatIf(ctx, cell, []string{speedupstack.WhatIfDoubleLLC})
+	if err != nil {
+		t.Fatalf("what-if of a spec: %v", err)
+	}
+	if wrep.Benchmark != "client-kernel" || wrep.Threads != 2 || len(wrep.Predictions) != 1 {
+		t.Errorf("unexpected what-if report: %+v", wrep)
 	}
 
 	v, err := c.Validate(ctx, []byte(`{"name":"x","kind":"data_parallel","array_bytes":524288,"sweeps_per_phase":1,"phases":1}`))
@@ -131,7 +150,7 @@ func TestClientAPIError(t *testing.T) {
 	c := newTestClient(t)
 	ctx := context.Background()
 
-	_, err := c.Stack(ctx, "choleski", 2, 0)
+	_, err := c.Stack(ctx, Cell{Bench: "choleski", Threads: 2})
 	var ae *APIError
 	if !errors.As(err, &ae) {
 		t.Fatalf("error is %T (%v), want *APIError", err, err)
@@ -170,7 +189,7 @@ func TestClientMode(t *testing.T) {
 	c.Mode = "fast"
 	ctx := context.Background()
 
-	row, err := c.Stack(ctx, testBench, 2, 0)
+	row, err := c.Stack(ctx, Cell{Bench: testBench, Threads: 2})
 	if err != nil {
 		t.Fatalf("fast stack: %v", err)
 	}
@@ -181,7 +200,7 @@ func TestClientMode(t *testing.T) {
 		t.Fatalf("fast run not counted: %+v", st)
 	}
 
-	if _, err := c.Sweep(ctx, []SweepCell{{Bench: testBench, Threads: 4}}); err != nil {
+	if _, err := c.Sweep(ctx, []Cell{{Bench: testBench, Threads: 4}}); err != nil {
 		t.Fatalf("fast sweep: %v", err)
 	}
 	if st := e.Stats(); st.FastCellRuns != st.CellRuns {
@@ -198,7 +217,7 @@ func TestClientMode(t *testing.T) {
 	}
 
 	c.Mode = "bogus"
-	_, err = c.Stack(ctx, testBench, 2, 0)
+	_, err = c.Stack(ctx, Cell{Bench: testBench, Threads: 2})
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Code != "invalid_argument" {
 		t.Fatalf("bogus mode error = %v", err)
@@ -277,7 +296,7 @@ func TestClientNoRetryOnPost(t *testing.T) {
 	srv, hits := flakyServer(t, 100, http.StatusTooManyRequests)
 	c := New(srv.URL)
 	c.Retries = 3
-	_, err := c.Sweep(context.Background(), []SweepCell{{Bench: testBench, Threads: 2}})
+	_, err := c.Sweep(context.Background(), []Cell{{Bench: testBench, Threads: 2}})
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.StatusCode != 429 {
 		t.Fatalf("POST error = %v, want 429 APIError", err)

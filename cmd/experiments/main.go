@@ -63,6 +63,19 @@ type section struct {
 	run  func(context.Context, *exp.Engine) error
 }
 
+// show adapts a figure generator and its formatter into a section body:
+// run, then print.
+func show[T any](run func(context.Context, *exp.Engine) (T, error), format func(T) string) func(context.Context, *exp.Engine) error {
+	return func(ctx context.Context, e *exp.Engine) error {
+		v, err := run(ctx, e)
+		if err != nil {
+			return err
+		}
+		fmt.Print(format(v))
+		return nil
+	}
+}
+
 // onDemand marks sections that run only when named explicitly, never under
 // "all" — "all" regenerates exactly the paper's artifacts.
 var onDemand = map[string]bool{"custom": true, "phases": true, "advise": true,
@@ -71,72 +84,14 @@ var onDemand = map[string]bool{"custom": true, "phases": true, "advise": true,
 // sections is the single registry the command-line validation and the
 // execution loop both read, in output order.
 var sections = []section{
-	{"fig1", func(ctx context.Context, e *exp.Engine) error {
-		curves, err := exp.Figure1(ctx, e)
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatCurves(curves))
-		return nil
-	}},
-	{"validation", func(ctx context.Context, e *exp.Engine) error {
-		rows, err := exp.Validation(ctx, e)
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatValidation(rows))
-		return nil
-	}},
-	{"fig4", func(ctx context.Context, e *exp.Engine) error {
-		rows, err := exp.Figure4(ctx, e)
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatFigure4(rows))
-		return nil
-	}},
-	{"fig5", func(ctx context.Context, e *exp.Engine) error {
-		bars, err := exp.Figure5(ctx, e)
-		if err != nil {
-			return err
-		}
-		fmt.Print(stack.Render(bars, 64))
-		fmt.Println()
-		fmt.Print(stack.Table(bars))
-		return nil
-	}},
-	{"fig6", func(ctx context.Context, e *exp.Engine) error {
-		rows, err := exp.Figure6(ctx, e)
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatFigure6(rows))
-		return nil
-	}},
-	{"fig7", func(ctx context.Context, e *exp.Engine) error {
-		rows, err := exp.Figure7(ctx, e)
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatFigure7(rows))
-		return nil
-	}},
-	{"fig8", func(ctx context.Context, e *exp.Engine) error {
-		rows, err := exp.Figure8(ctx, e)
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatInterference(rows))
-		return nil
-	}},
-	{"fig9", func(ctx context.Context, e *exp.Engine) error {
-		rows, err := exp.Figure9(ctx, e)
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatInterference(rows))
-		return nil
-	}},
+	{"fig1", show(exp.Figure1, exp.FormatCurves)},
+	{"validation", show(exp.Validation, exp.FormatValidation)},
+	{"fig4", show(exp.Figure4, exp.FormatFigure4)},
+	{"fig5", show(exp.Figure5, func(bars []stack.Bar) string { return stack.Bars(bars).Text() })},
+	{"fig6", show(exp.Figure6, exp.FormatFigure6)},
+	{"fig7", show(exp.Figure7, exp.FormatFigure7)},
+	{"fig8", show(exp.Figure8, exp.FormatInterference)},
+	{"fig9", show(exp.Figure9, exp.FormatInterference)},
 	{"hwcost", func(ctx context.Context, e *exp.Engine) error {
 		fmt.Print(exp.HardwareCostReport())
 		return nil
@@ -177,7 +132,7 @@ var sections = []section{
 			if err != nil {
 				return err
 			}
-			err = stack.EncodeTimeSeriesSVG(f, ts)
+			err = ts.SVG(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -217,9 +172,7 @@ var sections = []section{
 				Stack: o.Stack,
 			}
 		}
-		fmt.Print(stack.Render(bars, 64))
-		fmt.Println()
-		fmt.Print(stack.Table(bars))
+		fmt.Print(stack.Bars(bars).Text())
 		return nil
 	}},
 	{"whatif", func(ctx context.Context, e *exp.Engine) error {
@@ -243,14 +196,7 @@ var sections = []section{
 		}
 		return nil
 	}},
-	{"fastcompare", func(ctx context.Context, e *exp.Engine) error {
-		rows, err := exp.ValidationCompare(ctx, e)
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.FormatValidationCompare(rows))
-		return nil
-	}},
+	{"fastcompare", show(exp.ValidationCompare, exp.FormatValidationCompare)},
 	{"advise", func(ctx context.Context, e *exp.Engine) error {
 		names := workload.Names()
 		fmt.Printf("scaling advisor, sweep 1..%d (powers of two), %d analogues\n\n",

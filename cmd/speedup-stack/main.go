@@ -78,8 +78,9 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: it parses args, builds the one Request the
-// flags describe, makes the one library call the selected report needs and
-// returns the exit status (2 for a usage error, 1 for a failed run).
+// flags describe, makes the one library call the selected report needs,
+// encodes its document and returns the exit status (2 for a usage error, 1
+// for a failed run).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("speedup-stack", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -170,49 +171,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exit(1, err)
 	}
 
+	if *record != "" {
+		if err := recordTrace(req, *record); err != nil {
+			return exit(1, err)
+		}
+		return 0
+	}
+	// Pick the analysis, encode once; the aggregate text report also names
+	// the top bottlenecks.
 	ctx := context.Background()
+	var doc speedupstack.Document
+	trailer := ""
 	switch {
-	case *record != "":
-		err = recordTrace(req, *record)
 	case *whatIf:
 		var ids []string
 		if *interventions != "" {
 			ids = strings.Split(*interventions, ",")
 		}
-		var rep speedupstack.WhatIfReport
-		if rep, err = speedupstack.WhatIf(ctx, req, ids...); err == nil {
-			err = speedupstack.EncodeWhatIf(stdout, f, rep)
-		}
+		doc, err = speedupstack.WhatIf(ctx, req, ids...)
 	case *advise:
-		var a speedupstack.Advice
-		if a, err = speedupstack.Advise(ctx, req, *maxThreads); err == nil {
-			err = speedupstack.EncodeAdvice(stdout, f, a)
-		}
+		doc, err = speedupstack.Advise(ctx, req, *maxThreads)
 	case *intervals > 0:
-		var ts speedupstack.TimeSeries
-		if ts, err = speedupstack.MeasureIntervals(ctx, req, *intervals); err == nil {
-			err = speedupstack.EncodeTimeSeries(stdout, f, ts)
-		}
+		doc, err = speedupstack.MeasureIntervals(ctx, req, *intervals)
 	default:
 		var res speedupstack.Result
-		if res, err = speedupstack.Measure(ctx, req); err == nil {
-			err = report(stdout, f, res)
+		if res, err = speedupstack.Measure(ctx, req); err == nil && f == speedupstack.FormatText {
+			trailer = fmt.Sprintf("\ntop bottlenecks: %v\n", speedupstack.TopBottlenecks(res, 3))
 		}
+		doc = speedupstack.Stacks(res)
+	}
+	if err == nil {
+		err = speedupstack.Encode(stdout, f, doc)
+	}
+	if err == nil {
+		_, err = io.WriteString(stdout, trailer)
 	}
 	if err != nil {
 		return exit(1, err)
 	}
 	return 0
-}
-
-// report prints one aggregate result in the requested format; the text
-// report also names the top bottlenecks.
-func report(w io.Writer, f speedupstack.Format, res speedupstack.Result) error {
-	if err := speedupstack.Encode(w, f, res); err != nil || f != speedupstack.FormatText {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "\ntop bottlenecks: %v\n", speedupstack.TopBottlenecks(res, 3))
-	return err
 }
 
 // recordTrace captures one run of the request as a binary op trace file.

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	speedupd [-addr :8080] [-workers N] [-cache CELLS] [-sim-timeout 2m]
-//	         [-max-sweep-cells 1024] [-drain 10s] [-pprof]
+//	         [-drain 10s] [-pprof]
 //	         [-max-inflight N] [-rate-limit RPS] [-rate-burst N]
 //	         [-self URL -peers URL,URL,...] [-fleet-cache N]
 //
@@ -12,11 +12,12 @@
 //
 //	GET  /v1/stack?bench=cholesky_splash2&threads=16&format=svg
 //	GET  /v1/stack/intervals?bench=bodytrack&threads=16&intervals=32
-//	POST /v1/sweep
+//	POST /v1/sweep                 (up to 1024 cells per batch)
 //	POST /v1/workloads/analyze
 //	POST /v1/workloads/validate
 //	POST /v1/traces/analyze        (binary op trace from speedup-stack -record)
 //	GET  /v1/advise?bench=ferret&max_threads=16
+//	POST /v1/whatif
 //	GET  /v1/benchmarks
 //	GET  /healthz
 //	GET  /metrics
@@ -66,7 +67,6 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "max concurrent simulations")
 	cache := flag.Int("cache", 4096, "LRU result cache size in cells (-1 = unbounded)")
 	simTimeout := flag.Duration("sim-timeout", 2*time.Minute, "per-request simulation budget (-1s = none)")
-	maxSweepCells := flag.Int("max-sweep-cells", 1024, "max cells per /v1/sweep batch")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profile a slow sweep live)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently admitted simulating requests (0 = unbounded; excess sheds 429)")
@@ -82,13 +82,12 @@ func main() {
 	}
 
 	srv := service.New(service.Options{
-		Workers:       *workers,
-		CacheCells:    *cache,
-		SimTimeout:    *simTimeout,
-		MaxSweepCells: *maxSweepCells,
-		MaxInFlight:   *maxInflight,
-		RateLimit:     *rateLimit,
-		RateBurst:     *rateBurst,
+		Workers:     *workers,
+		CacheCells:  *cache,
+		SimTimeout:  *simTimeout,
+		MaxInFlight: *maxInflight,
+		RateLimit:   *rateLimit,
+		RateBurst:   *rateBurst,
 	})
 
 	handler := srv.Handler()

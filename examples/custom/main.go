@@ -51,7 +51,7 @@ func main() {
 			r.Threads, r.Stack.ActualSpeedup, r.Stack.Estimated(), speedupstack.TopBottlenecks(r, 3))
 	}
 	fmt.Println()
-	if err := speedupstack.Encode(os.Stdout, speedupstack.FormatText, results...); err != nil {
+	if err := speedupstack.Encode(os.Stdout, speedupstack.FormatText, speedupstack.Stacks(results...)); err != nil {
 		log.Fatal(err)
 	}
 }

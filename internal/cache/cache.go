@@ -383,16 +383,3 @@ func (a *Array) Invalidate(addr uint64, coherence bool) (old Line, present bool)
 func (a *Array) VictimAddr(set int, v Line) uint64 {
 	return (v.Tag<<a.setBits | uint64(set)) << a.lineShift
 }
-
-// CountValid returns the number of valid lines (test/diagnostic helper).
-func (a *Array) CountValid() int {
-	n := 0
-	for _, s := range a.sets {
-		for _, l := range s {
-			if l.Valid {
-				n++
-			}
-		}
-	}
-	return n
-}

@@ -7,7 +7,7 @@ import (
 )
 
 // WriteStacksCSV emits one row per stack with every component in speedup
-// units (Figure 5 data). It is stack.EncodeCSV under its historical name.
+// units (Figure 5 data): the CSV form of stack.Bars under its historical name.
 func WriteStacksCSV(w io.Writer, bars []stack.Bar) error {
-	return stack.EncodeCSV(w, bars)
+	return stack.Encode(w, stack.FormatCSV, bars)
 }

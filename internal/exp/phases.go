@@ -55,7 +55,7 @@ func FormatPhases(series []stack.TimeSeries) string {
 		if i > 0 {
 			b.WriteByte('\n')
 		}
-		b.WriteString(stack.TimeSeriesTable(ts))
+		b.WriteString(ts.Text())
 	}
 	return b.String()
 }

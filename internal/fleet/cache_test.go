@@ -55,12 +55,19 @@ func homeAndAway(t *testing.T, urls []string, h *fleet.Handler, bench string) (h
 }
 
 // forwardSignal is a peer transport that reports each forwarded request as
-// it starts.
-type forwardSignal struct{ started chan struct{} }
+// it starts and, when failed is set, each one that ends in an error.
+type forwardSignal struct {
+	started chan struct{}
+	failed  chan error
+}
 
 func (f forwardSignal) RoundTrip(r *http.Request) (*http.Response, error) {
 	f.started <- struct{}{}
-	return http.DefaultTransport.RoundTrip(r)
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil && f.failed != nil {
+		f.failed <- err
+	}
+	return resp, err
 }
 
 // TestFleetCanceledFetchDoesNotFailItsWaiters pins the cancellation contract
@@ -162,6 +169,65 @@ func TestFleetCanceledFetchDoesNotFailItsWaiters(t *testing.T) {
 	}
 	if runs != 1 {
 		t.Errorf("fleet simulated the cell %d times, want exactly once", runs)
+	}
+}
+
+// TestFleetHangUpMidSplitSweep is the same contract on the split-sweep path:
+// a client that hangs up while its batch's cells are being filled from their
+// homes is nobody's failure. The node counts no peer error and starts no
+// local copy of a cell another node owns, so after a patient retry the fleet
+// has simulated each unique cell exactly once.
+func TestFleetHangUpMidSplitSweep(t *testing.T) {
+	hold := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(hold) }) }
+	forwards := forwardSignal{started: make(chan struct{}, 8), failed: make(chan error, 8)}
+	urls, _, handlers := newFleetWith(t, 2, func(i int, o *fleet.Options) []exp.Option {
+		o.Client = &http.Client{Transport: forwards}
+		return []exp.Option{exp.WithRunHook(func(string, string, int, int) { <-hold })}
+	})
+	t.Cleanup(release)
+	benchA, benchB := splitBenches(t, handlers[0])
+	body := fmt.Sprintf(`{"cells":[{"bench":%q,"threads":2},{"bench":%q,"threads":2}]}`, benchA, benchB)
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	client := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, urls[0]+"/v1/sweep", strings.NewReader(body))
+		if err != nil {
+			client <- err
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		client <- err
+	}()
+	<-forwards.started // one cell is on its way to its held home
+	hangUp()
+	if err := <-client; !errors.Is(err, context.Canceled) {
+		t.Fatalf("client: %v, want its own cancellation", err)
+	}
+	select {
+	case <-forwards.failed: // the node has seen the hang-up end its forward
+	case <-time.After(30 * time.Second):
+		t.Fatal("the forward outlived the client that asked for it")
+	}
+	release()
+
+	if code, resp := fetch(t, http.MethodPost, urls[0]+"/v1/sweep", body); code != http.StatusOK {
+		t.Fatalf("patient retry: %d %s", code, resp)
+	}
+	runs := 0
+	for _, u := range urls {
+		if n := metric(t, u, "speedupd_fleet_peer_errors_total"); n != 0 {
+			t.Errorf("%s: %d peer errors counted for a client that hung up", u, n)
+		}
+		runs += metric(t, u, "speedupd_sim_cell_runs_total")
+	}
+	if runs != 2 {
+		t.Errorf("fleet simulated %d cells for 2 unique cells, want exactly once each", runs)
 	}
 }
 

@@ -20,8 +20,8 @@
 //  4. If B is unreachable, A falls back to simulating locally —
 //     availability over strict exactly-once.
 //
-// POST /v1/sweep batches are split per cell: each cell is dispatched to
-// its home as a single-cell NDJSON sub-sweep (one compact row line), and
+// Multi-cell batches (sweeps) are split per cell: each cell is dispatched
+// to its home as a single-cell NDJSON sub-sweep (one compact row line), and
 // the rows are reassembled in declared order — a byte-exact merge, because
 // every encoder is deterministic and the json form is exactly the indented
 // ndjson rows (pinned by service tests). Sweeps in csv/svg/text formats
@@ -31,21 +31,25 @@
 // identical to a single node's, because routing only changes where the
 // simulation runs, never what is simulated (the engine memo and the ring
 // key on the same fingerprint identity).
+//
+// What the fleet knows about the wire it learns from service.Identify,
+// which reads the service's own route table: which requests are
+// workload-keyed, their fingerprints, the replayable body within the
+// route's limit, and how a batch splits into single-cell sub-requests. This
+// package holds no path, body shape or limit of the service — only what is
+// its own: the ring, the peer cache, the forward, the fallback, the merge.
 package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/memo"
 	"repro/internal/service"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Options configures a fleet member.
@@ -76,12 +80,11 @@ type Handler struct {
 	// collapses concurrent identical misses onto one forwarded request.
 	cache *memo.Cache[string, *peerResp]
 
-	mu         sync.Mutex
-	local      uint64 // routable requests served by this node as home
-	forwarded  uint64 // requests sent to a peer home
-	received   uint64 // hop-marked requests served for peers
-	peerHits   uint64 // answers filled from the peer-response cache
-	peerErrors uint64 // peer fetch failures (fell back to local)
+	local      atomic.Uint64 // routable requests served by this node as home
+	forwarded  atomic.Uint64 // requests sent to a peer home
+	received   atomic.Uint64 // hop-marked requests served for peers
+	peerHits   atomic.Uint64 // answers filled from the peer-response cache
+	peerErrors atomic.Uint64 // peer fetch failures (fell back to local)
 }
 
 // peerResp is one captured peer (or local sub-request) response.
@@ -142,176 +145,62 @@ func normalizeAddr(a string) string {
 // Ring exposes the member ring (tests, status).
 func (h *Handler) Ring() *Ring { return h.ring }
 
-func (h *Handler) count(c *uint64) {
-	h.mu.Lock()
-	*c++
-	h.mu.Unlock()
-}
-
 // ServeHTTP routes one request: hop-marked and non-routable requests go
 // straight to the local service; workload-keyed requests go to their home
-// node; sweeps split per cell.
+// node; batches whose cells have different homes split per cell. Anything
+// whose identity does not resolve (oversized or malformed body, unknown
+// benchmark, invalid spec) is served locally, where the service produces
+// the canonical error.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(service.HopHeader) != "" {
-		h.count(&h.received)
+		h.received.Add(1)
 		h.inner.ServeHTTP(w, r)
 		return
 	}
-	switch r.URL.Path {
-	case "/metrics":
+	if r.URL.Path == "/metrics" {
 		h.serveMetrics(w, r)
 		return
-	case "/v1/stack", "/v1/stack/intervals", "/v1/advise":
-		if r.Method == http.MethodGet {
-			h.routeQueryBench(w, r)
-			return
-		}
-	case "/v1/workloads/analyze", "/v1/whatif":
-		if r.Method == http.MethodPost {
-			h.routeBodyCell(w, r)
-			return
-		}
-	case "/v1/traces/analyze":
-		if r.Method == http.MethodPost {
-			h.routeTrace(w, r)
-			return
-		}
-	case "/v1/sweep":
-		if r.Method == http.MethodPost {
-			h.routeSweep(w, r)
-			return
-		}
 	}
-	h.inner.ServeHTTP(w, r)
+	id, routable := service.Identify(r)
+	if !routable {
+		h.inner.ServeHTTP(w, r)
+		return
+	}
+	if len(id.Keys) == 0 {
+		h.serveLocal(w, r)
+		return
+	}
+	homes := make([]string, len(id.Keys))
+	oneHome := true
+	for i, key := range id.Keys {
+		homes[i] = h.ring.Owner(key)
+		oneHome = oneHome && homes[i] == homes[0]
+	}
+	if oneHome {
+		// One home owns every workload of the request: it forwards verbatim
+		// (any format), and the home's engine deduplicates a batch
+		// internally.
+		h.routeHome(w, r, homes[0], id)
+		return
+	}
+	h.routeSplit(w, r, homes, id)
 }
 
 // serveLocal serves r on the local service.
 func (h *Handler) serveLocal(w http.ResponseWriter, r *http.Request) {
-	h.count(&h.local)
+	h.local.Add(1)
 	h.inner.ServeHTTP(w, r)
 }
 
-// routeQueryBench routes a GET keyed by its ?bench= parameter. Anything
-// the fleet layer cannot resolve (missing or unknown bench) is served
-// locally, where the service produces the canonical error.
-func (h *Handler) routeQueryBench(w http.ResponseWriter, r *http.Request) {
-	b, ok := workload.ByName(r.URL.Query().Get("bench"))
-	if !ok {
-		h.serveLocal(w, r)
-		return
-	}
-	h.routeKeyed(w, r, b.Spec.Fingerprint().String(), nil)
-}
-
-// cellIdentity is the lenient decode of any body that carries a workload:
-// just enough to compute the routing key, with full validation left to
-// the home node's service.
-type cellIdentity struct {
-	Bench string          `json:"bench"`
-	Spec  json.RawMessage `json:"spec"`
-}
-
-// fingerprint resolves the cell's workload identity, ok=false when the
-// body does not resolve cleanly (the local service will answer the error).
-func (c cellIdentity) fingerprint() (workload.Fingerprint, bool) {
-	if len(c.Spec) > 0 {
-		if c.Bench != "" {
-			return workload.Fingerprint{}, false
-		}
-		spec, err := workload.ParseSpec(c.Spec)
-		if err != nil {
-			return workload.Fingerprint{}, false
-		}
-		return spec.Fingerprint(), true
-	}
-	b, ok := workload.ByName(c.Bench)
-	if !ok {
-		return workload.Fingerprint{}, false
-	}
-	return b.Spec.Fingerprint(), true
-}
-
-// readBody buffers a POST body so it can be parsed for routing and then
-// replayed, either to the local service or to a peer. ok=false means the
-// body is oversized or unreadable; the caller should serve locally and
-// let the service's own limits answer.
-func readBody(r *http.Request) ([]byte, bool) {
-	return readBodyN(r, 1<<20)
-}
-
-// readBodyN is readBody with an explicit size bound (trace uploads are
-// bounded by the service's own 32MB trace limit, not the 1MB JSON bound).
-func readBodyN(r *http.Request, limit int64) ([]byte, bool) {
-	if r.Body == nil {
-		return nil, true
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	r.Body.Close()
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	if err != nil || int64(len(body)) > limit {
-		return body, false
-	}
-	return body, true
-}
-
-// routeBodyCell routes a POST whose body is one cell (analyze, whatif).
-func (h *Handler) routeBodyCell(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(r)
-	if !ok {
-		h.serveLocal(w, r)
-		return
-	}
-	var c cellIdentity
-	if err := json.Unmarshal(body, &c); err != nil {
-		h.serveLocal(w, r)
-		return
-	}
-	fp, ok := c.fingerprint()
-	if !ok {
-		h.serveLocal(w, r)
-		return
-	}
-	h.routeKeyed(w, r, fp.String(), body)
-}
-
-// routeTrace routes POST /v1/traces/analyze. The routing key is the
-// trace's cheap header identity — workload.TraceIdentity over DecodeMeta,
-// the same fingerprint the home's engine memo keys on — so the
-// multi-megabyte payload is never decoded on the routing path, and the
-// peer-response cache keys on that identity (plus the label, which appears
-// in the response row) instead of the payload bytes. A body that does not
-// even yield a header is served locally, where the service produces the
-// canonical 400 envelope.
-func (h *Handler) routeTrace(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBodyN(r, service.MaxTraceBytes)
-	if !ok {
-		h.serveLocal(w, r)
-		return
-	}
-	m, err := trace.DecodeMeta(body)
-	if err != nil {
-		h.serveLocal(w, r)
-		return
-	}
-	key := workload.TraceIdentity(m).String()
-	h.routeHome(w, r, h.ring.Owner(key), body, "trace\x00"+key+"\x00"+m.Label)
-}
-
-// routeKeyed serves a single-workload request: locally when this node is
-// the key's home, otherwise from the home peer via the response cache.
-func (h *Handler) routeKeyed(w http.ResponseWriter, r *http.Request, key string, body []byte) {
-	h.routeHome(w, r, h.ring.Owner(key), body, string(body))
-}
-
-// routeHome serves a request whose home node is already known. bodyID
-// stands in for the body in the peer-cache identity — the body itself for
-// JSON requests, the compact header identity for trace uploads.
-func (h *Handler) routeHome(w http.ResponseWriter, r *http.Request, home string, body []byte, bodyID string) {
+// routeHome serves a request whose one home node is known: locally when
+// this node is the home, otherwise from the home peer via the response
+// cache.
+func (h *Handler) routeHome(w http.ResponseWriter, r *http.Request, home string, id service.Identity) {
 	if home == h.self {
 		h.serveLocal(w, r)
 		return
 	}
-	resp, err := h.fromPeer(r, home, r.URL.RawQuery, body, bodyID)
+	resp, err := h.fromPeer(r, home, r.URL.RawQuery, id.Body, id.BodyID)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The fetch ended with this request, not with the peer: the
@@ -323,7 +212,7 @@ func (h *Handler) routeHome(w http.ResponseWriter, r *http.Request, home string,
 		// request. This trades strict fleet-wide exactly-once for
 		// availability during partitions; the local result is byte-identical
 		// by the determinism contract.
-		h.count(&h.peerErrors)
+		h.peerErrors.Add(1)
 		h.serveLocal(w, r)
 		return
 	}
@@ -345,15 +234,14 @@ func (h *Handler) fromPeer(r *http.Request, home, query string, body []byte, bod
 			return resp, err == nil && resp.status == http.StatusOK, err
 		})
 	if err == nil && !fetched {
-		h.count(&h.peerHits)
+		h.peerHits.Add(1)
 	}
 	return resp, err
 }
 
 // peerKey is the cache identity of a forwarded request: everything that
 // can change the response bytes (the Accept header participates in format
-// negotiation). bodyID is the body's stand-in — its bytes for JSON
-// requests, its header identity for traces.
+// negotiation). bodyID is the body's stand-in (service.Identity.BodyID).
 func peerKey(r *http.Request, home, query, bodyID string) string {
 	return r.Method + " " + home + r.URL.Path + "?" + query +
 		"\x00" + r.Header.Get("Accept") + "\x00" + bodyID
@@ -376,7 +264,7 @@ func (h *Handler) forward(r *http.Request, home, query string, body []byte) (*pe
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
 	}
-	h.count(&h.forwarded)
+	h.forwarded.Add(1)
 	resp, err := h.client.Do(req)
 	if err != nil {
 		return nil, err
@@ -407,51 +295,44 @@ func writePeerResp(w http.ResponseWriter, resp *peerResp) {
 
 // serveMetrics appends the fleet counters to the service's /metrics page.
 func (h *Handler) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	rec := newRecorder()
+	rec := &recorder{header: w.Header()} // the service's headers are the answer's
 	h.inner.ServeHTTP(rec, r)
-	for k, v := range rec.header {
-		w.Header()[k] = v
-	}
-	w.WriteHeader(rec.code)
+	w.WriteHeader(rec.status())
 	w.Write(rec.body.Bytes())
-	if rec.code != http.StatusOK {
+	if rec.status() != http.StatusOK {
 		return
 	}
-	h.mu.Lock()
-	local, forwarded, received := h.local, h.forwarded, h.received
-	peerHits, peerErrors := h.peerHits, h.peerErrors
-	h.mu.Unlock()
-	fmt.Fprintf(w, "speedupd_fleet_nodes %d\n", len(h.ring.nodes))
-	fmt.Fprintf(w, "speedupd_fleet_local_total %d\n", local)
-	fmt.Fprintf(w, "speedupd_fleet_forwarded_total %d\n", forwarded)
-	fmt.Fprintf(w, "speedupd_fleet_received_total %d\n", received)
-	fmt.Fprintf(w, "speedupd_fleet_peer_cache_hits_total %d\n", peerHits)
-	fmt.Fprintf(w, "speedupd_fleet_peer_errors_total %d\n", peerErrors)
+	fmt.Fprintf(w, "speedupd_fleet_nodes %d\n", h.ring.nodes)
+	fmt.Fprintf(w, "speedupd_fleet_local_total %d\n", h.local.Load())
+	fmt.Fprintf(w, "speedupd_fleet_forwarded_total %d\n", h.forwarded.Load())
+	fmt.Fprintf(w, "speedupd_fleet_received_total %d\n", h.received.Load())
+	fmt.Fprintf(w, "speedupd_fleet_peer_cache_hits_total %d\n", h.peerHits.Load())
+	fmt.Fprintf(w, "speedupd_fleet_peer_errors_total %d\n", h.peerErrors.Load())
 }
 
 // recorder is a minimal in-process http.ResponseWriter for serving the
 // local handler into a buffer (sub-sweeps, /metrics interception).
 type recorder struct {
 	header http.Header
-	code   int
-	wrote  bool
+	code   int // 0 until the response has started
 	body   bytes.Buffer
-}
-
-func newRecorder() *recorder {
-	return &recorder{header: make(http.Header), code: http.StatusOK}
 }
 
 func (r *recorder) Header() http.Header { return r.header }
 
 func (r *recorder) WriteHeader(code int) {
-	if !r.wrote {
+	if r.code == 0 {
 		r.code = code
-		r.wrote = true
 	}
 }
 
 func (r *recorder) Write(b []byte) (int, error) {
-	r.wrote = true
+	r.WriteHeader(http.StatusOK)
 	return r.body.Write(b)
+}
+
+// status is the response code: 200 when the handler never set one.
+func (r *recorder) status() int {
+	r.WriteHeader(http.StatusOK)
+	return r.code
 }

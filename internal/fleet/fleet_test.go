@@ -155,6 +155,38 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 	}
 }
 
+// TestFleetSweepLimitMatchesSingleNode: the batch bound is the service's
+// (service.MaxSweepCells), and splitting cannot carry a batch past it — a
+// mixed-home batch one cell over the bound gets, from every node, the
+// byte-identical 400 a single node gives, and nothing is simulated.
+func TestFleetSweepLimitMatchesSingleNode(t *testing.T) {
+	urls, engines, handlers := newFleet(t, 3)
+	single := httptest.NewServer(service.New(service.Options{
+		Engine: exp.NewEngine(sim.Default(), exp.WithWorkers(2)),
+	}).Handler())
+	t.Cleanup(single.Close)
+	benchA, benchB := splitBenches(t, handlers[0])
+	cells := make([]string, service.MaxSweepCells+1)
+	for i := range cells {
+		cells[i] = fmt.Sprintf(`{"bench":%q,"threads":2}`, []string{benchA, benchB}[i%2])
+	}
+	body := `{"cells":[` + strings.Join(cells, ",") + `]}`
+	wantCode, want := fetch(t, http.MethodPost, single.URL+"/v1/sweep", body)
+	if wantCode != http.StatusBadRequest {
+		t.Fatalf("single node: %d %s", wantCode, want)
+	}
+	for i, u := range urls {
+		if code, got := fetch(t, http.MethodPost, u+"/v1/sweep", body); code != wantCode || got != want {
+			t.Errorf("node %d: %d %q, single node answers %d %q", i, code, got, wantCode, want)
+		}
+	}
+	for i, e := range engines {
+		if n := e.Stats().CellRuns; n != 0 {
+			t.Errorf("node %d simulated %d cells of an over-limit batch", i, n)
+		}
+	}
+}
+
 // TestFleetExactlyOnceColdSweep hammers every node of a cold fleet with
 // concurrent identical requests and asserts the whole fleet simulated the
 // unique cell exactly once: home-node engine singleflight plus per-node

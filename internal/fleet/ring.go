@@ -22,7 +22,7 @@ const ringVnodes = 256
 
 // Ring is an immutable consistent-hash ring over a set of node addresses.
 type Ring struct {
-	nodes  []string
+	nodes  int
 	points []ringPoint
 }
 
@@ -48,7 +48,7 @@ func NewRing(nodes []string) (*Ring, error) {
 			return nil, fmt.Errorf("fleet: duplicate member %q", n)
 		}
 		seen[n] = true
-		r.nodes = append(r.nodes, n)
+		r.nodes++
 		for i := 0; i < ringVnodes; i++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", n, i)), node: n})
 		}
@@ -74,9 +74,6 @@ func (r *Ring) Owner(key string) string {
 	}
 	return r.points[i].node
 }
-
-// Nodes returns the ring members in registration order.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 
 func hash64(s string) uint64 {
 	h := fnv.New64a()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 
@@ -12,112 +11,44 @@ import (
 	"repro/internal/stack"
 )
 
-// Sweep splitting: a POST /v1/sweep batch mixing cells with different home
-// nodes is decomposed into one single-cell NDJSON sub-sweep per cell, each
-// dispatched to its home (or served locally), and the compact row lines
-// are reassembled in declared order. The merge is byte-exact: the service
-// pins that the json response body is exactly the indented array of the
-// ndjson row lines, so both formats can be reconstituted from sub-sweep
-// bytes without re-encoding (ReportRow floats are round-tripped nowhere).
-// Formats whose documents are not row-concatenations (csv, svg, text) are
-// served locally by the node that took the request.
+// Batch splitting: a batch mixing cells with different home nodes is
+// decomposed into one single-cell NDJSON sub-request per cell
+// (service.Identity.Split says how), each dispatched to its home (or served
+// locally), and the compact row lines are reassembled in declared order.
+// The merge is byte-exact: the service pins that the json response body is
+// exactly the indented array of the ndjson row lines, so both formats can
+// be reconstituted from sub-request bytes without re-encoding (ReportRow
+// floats are round-tripped nowhere). Formats whose documents are not
+// row-concatenations (csv, svg, text) are served locally by the node that
+// took the request.
 
-// sweepCellBody mirrors the service's cell shape closely enough to split
-// a batch and re-marshal each cell; full validation stays with the
-// service.
-type sweepCellBody struct {
-	Bench     string          `json:"bench,omitempty"`
-	Spec      json.RawMessage `json:"spec,omitempty"`
-	Threads   int             `json:"threads"`
-	Cores     int             `json:"cores,omitempty"`
-	Intervals int             `json:"intervals,omitempty"`
-}
-
-type sweepBody struct {
-	Cells []sweepCellBody `json:"cells"`
-}
-
-// fleetMaxSweepCells mirrors the service's default batch bound: batches
-// past it are served locally so splitting can never bypass the limit.
-const fleetMaxSweepCells = 1024
-
-// routeSweep routes POST /v1/sweep. Anything the fleet layer cannot
-// cleanly resolve — unreadable body, unknown benchmark, invalid spec,
-// interval cells, unexpected query parameters — is served locally so the
-// service produces the canonical error.
-func (h *Handler) routeSweep(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(r)
+// routeSplit answers a batch whose cells live on different homes.
+func (h *Handler) routeSplit(w http.ResponseWriter, r *http.Request, homes []string, id service.Identity) {
+	sp, ok := id.Split(r)
 	if !ok {
 		h.serveLocal(w, r)
 		return
 	}
-	var sb sweepBody
-	if err := json.Unmarshal(body, &sb); err != nil ||
-		len(sb.Cells) == 0 || len(sb.Cells) > fleetMaxSweepCells {
-		h.serveLocal(w, r)
-		return
-	}
-	homes := make([]string, len(sb.Cells))
-	allSame := true
-	for i, c := range sb.Cells {
-		if c.Intervals != 0 {
-			h.serveLocal(w, r)
-			return
-		}
-		fp, ok := cellIdentity{Bench: c.Bench, Spec: c.Spec}.fingerprint()
-		if !ok {
-			h.serveLocal(w, r)
-			return
-		}
-		homes[i] = h.ring.Owner(fp.String())
-		if homes[i] != homes[0] {
-			allSame = false
-		}
-	}
-	if allSame {
-		// One home owns every cell: the whole batch forwards verbatim (any
-		// format), and the home's engine deduplicates the batch internally.
-		h.routeHome(w, r, homes[0], body, string(body))
-		return
-	}
-
-	f, err := stack.NegotiateFormat(r.URL.Query().Get("format"), r.Header.Get("Accept"), stack.FormatJSON)
-	if err != nil || (f != stack.FormatJSON && f != stack.FormatNDJSON) {
-		h.serveLocal(w, r)
-		return
-	}
-	for k := range r.URL.Query() {
-		if k != "format" && k != "mode" {
-			// An unknown parameter must get the service's 400, not vanish
-			// into sub-requests that omit it.
-			h.serveLocal(w, r)
-			return
-		}
-	}
-	query := "format=ndjson"
-	if m := r.URL.Query().Get("mode"); m != "" {
-		query += "&mode=" + url.QueryEscape(m)
-	}
-
-	results := make([]*peerResp, len(sb.Cells))
+	results := make([]*peerResp, len(homes))
 	var wg sync.WaitGroup
-	for i := range sb.Cells {
+	for i := range homes {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sub, err := json.Marshal(sweepBody{Cells: []sweepCellBody{sb.Cells[i]}})
-			if err != nil {
-				return // results[i] stays nil; handled below
-			}
-			results[i] = h.subSweep(r, homes[i], query, sub)
+			results[i] = h.subRequest(r, homes[i], sp.Query, sp.Bodies[i])
 		}(i)
 	}
 	wg.Wait()
+	if r.Context().Err() != nil {
+		// The client is gone: nobody to answer, and a local run now would
+		// only simulate what the homes already own.
+		return
+	}
 	for i := range results {
 		if results[i] == nil {
-			// A sub-request could not even be built, or the request context
-			// died mid-fan-out; serving locally produces the canonical
-			// envelope (and is mostly cache hits by now).
+			// A sub-request could not even be built; serving locally
+			// produces the canonical envelope (and is mostly cache hits by
+			// now).
 			h.serveLocal(w, r)
 			return
 		}
@@ -133,7 +64,7 @@ func (h *Handler) routeSweep(w http.ResponseWriter, r *http.Request) {
 	for i := range results {
 		rows.Write(results[i].body)
 	}
-	if f == stack.FormatNDJSON {
+	if sp.Format == stack.FormatNDJSON {
 		w.Header().Set("Content-Type", stack.FormatNDJSON.ContentType())
 		w.Write(rows.Bytes())
 		return
@@ -149,35 +80,40 @@ func (h *Handler) routeSweep(w http.ResponseWriter, r *http.Request) {
 	w.Write(merged.Bytes())
 }
 
-// subSweep fills one single-cell sub-sweep from its home: locally when
+// subRequest fills one single-cell sub-request from its home: locally when
 // this node is home, else from the peer via the response cache with local
-// fallback on peer failure.
-func (h *Handler) subSweep(r *http.Request, home, query string, body []byte) *peerResp {
+// fallback on peer failure. A fetch that ended with the request itself
+// (the client hung up) is nobody's failure: it counts no peer error and
+// starts no local simulation, which would only break exactly-once.
+func (h *Handler) subRequest(r *http.Request, home, query string, body []byte) *peerResp {
 	if home != h.self {
 		resp, err := h.fromPeer(r, home, query, body, string(body))
 		if err == nil {
 			return resp
 		}
-		h.count(&h.peerErrors)
+		if r.Context().Err() != nil {
+			return nil
+		}
+		h.peerErrors.Add(1)
 	}
 	return h.localSub(r, query, body)
 }
 
-// localSub serves one sub-sweep on the local service. The hop header marks
+// localSub serves one sub-request on the local service. The hop header marks
 // it fleet-internal: the client was already rate-limit-accounted when the
 // batch was accepted.
 func (h *Handler) localSub(r *http.Request, query string, body []byte) *peerResp {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "/v1/sweep?"+query, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, r.URL.Path+"?"+query, bytes.NewReader(body))
 	if err != nil {
 		return nil
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(service.HopHeader, h.self)
-	h.count(&h.local)
-	rec := newRecorder()
+	h.local.Add(1)
+	rec := &recorder{header: make(http.Header)}
 	h.inner.ServeHTTP(rec, req)
 	return &peerResp{
-		status:      rec.code,
+		status:      rec.status(),
 		contentType: rec.header.Get("Content-Type"),
 		retryAfter:  rec.header.Get("Retry-After"),
 		body:        rec.body.Bytes(),

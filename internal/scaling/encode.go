@@ -1,7 +1,6 @@
 package scaling
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -10,33 +9,20 @@ import (
 	"repro/internal/stack"
 )
 
-// Encode writes an Advice to w in the requested format, reusing the stack
-// package's format vocabulary: text is the human-readable report, JSON the
-// Advice object, CSV one record per sweep point with the fitted values
-// alongside, and SVG the fit-curve overlay chart.
-func Encode(w io.Writer, f stack.Format, a Advice) error {
-	switch f {
-	case stack.FormatText, "":
-		_, err := io.WriteString(w, Text(a))
-		return err
-	case stack.FormatJSON:
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(a)
-	case stack.FormatNDJSON:
-		return json.NewEncoder(w).Encode(a)
-	case stack.FormatCSV:
-		return encodeCSV(w, a)
-	case stack.FormatSVG:
-		return stack.EncodeCurveSVG(w, Chart(a))
-	}
-	return fmt.Errorf("scaling: unknown format %q", f)
-}
+// Encode is stack.EncodeDocument(w, f, a); it survives as a name because
+// benchmark/probes.go compiles against it.
+func Encode(w io.Writer, f stack.Format, a Advice) error { return stack.EncodeDocument(w, f, a) }
+
+// JSON is the Advice object itself.
+func (a Advice) JSON() any { return a }
+
+// SVG draws the fit-overlay chart.
+func (a Advice) SVG(w io.Writer) error { return stack.EncodeCurveSVG(w, a.Chart()) }
 
 // Text renders the human-readable advisor report: the sweep with both fitted
 // models alongside, the fit parameters, the classification, the stack
 // cross-check, and the ranked recommendations.
-func Text(a Advice) string {
+func (a Advice) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s scaling (peak %.2fx at %d threads)\n",
 		a.Benchmark, a.Class, a.PeakSpeedup, a.PeakThreads)
@@ -89,10 +75,10 @@ func Text(a Advice) string {
 	return b.String()
 }
 
-// encodeCSV writes one record per sweep point; the per-workload fit results
+// CSV is one record per sweep point; the per-workload fit results
 // (parameters, N*, classification) repeat on every record so the file stays
 // a single flat table.
-func encodeCSV(w io.Writer, a Advice) error {
+func (a Advice) CSV() ([]string, [][]string) {
 	f := stack.CSVFloat
 	header := []string{"benchmark", "threads", "measured", "amdahl", "usl",
 		"sigma", "kappa", "n_star", "classification", "sigma_stack", "sigma_agrees"}
@@ -106,13 +92,13 @@ func encodeCSV(w io.Writer, a Advice) error {
 			string(a.Class), f(a.SigmaStack), strconv.FormatBool(a.SigmaAgrees),
 		}
 	}
-	return stack.WriteCSV(w, header, records)
+	return header, records
 }
 
 // Chart builds the fit-overlay curve chart: measured sweep with markers,
 // both fitted models dashed, the ideal-scaling reference, and an N* marker
 // when the fitted optimum lies inside the swept range.
-func Chart(a Advice) stack.CurveChart {
+func (a Advice) Chart() stack.CurveChart {
 	measured := stack.CurveSeries{Name: "measured", Marker: true}
 	for _, p := range a.Points {
 		measured.Points = append(measured.Points, stack.CurvePoint{X: float64(p.Threads), Y: p.Speedup})

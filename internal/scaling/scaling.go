@@ -151,7 +151,7 @@ type Recommendation struct {
 	PredictedGain float64 `json:"predicted_gain,omitempty"`
 }
 
-// Advice is the advisor's full answer for one workload sweep.
+// Advice is the advisor's full answer for one workload sweep, a stack.Document.
 type Advice struct {
 	// Benchmark labels the analyzed workload; MaxThreads is the top of the
 	// measured sweep.

@@ -13,9 +13,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Query-option parsing shared by every /v1 handler. Each endpoint declares
-// which parameters it accepts via an optionSpec; one parser enforces the
-// declaration, negotiates the format, and applies the bounds, so endpoints
+// Query-option parsing shared by every /v1 route. Each row of the route
+// table declares which parameters it accepts via an optionSpec; one parser
+// (called by the dispatcher, never by a handler) enforces the declaration, negotiates the format, and applies the bounds, so endpoints
 // cannot drift apart — and any parameter outside the declaration is a 400,
 // never silently ignored (a misspelled ?thread=8 would otherwise measure
 // the wrong cell without complaint).
@@ -37,6 +37,9 @@ type optionSpec struct {
 	// traceCell accepts cores — the trace-analyze shape. Threads are not a
 	// parameter: a trace replays at its recorded thread count.
 	traceCell bool
+	// unchecked skips the declaration check: the probe endpoints (/healthz,
+	// /metrics) ignore whatever query a load balancer or scraper appends.
+	unchecked bool
 }
 
 // params lists the accepted parameter names, sorted, for error messages.
@@ -78,6 +81,9 @@ type requestOptions struct {
 // endpoint's declaration. Unknown parameters, malformed values and
 // out-of-bounds shapes all come back as apiErrors ready for writeError.
 func parseOptions(r *http.Request, spec optionSpec) (requestOptions, *apiError) {
+	if spec.unchecked {
+		return requestOptions{}, nil
+	}
 	q := r.URL.Query()
 	allowed := make(map[string]bool, 6)
 	for _, name := range spec.params() {

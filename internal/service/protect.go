@@ -8,7 +8,8 @@ import (
 	"time"
 )
 
-// Protection for the simulating endpoints: admission control bounds the
+// Protection for the simulating endpoints (the protected rows of the route
+// table): admission control bounds the
 // number of requests concurrently occupying the simulation path, and an
 // optional per-client token bucket bounds each caller's request rate. Both
 // answer a fast 429 with a Retry-After header and the uniform error
@@ -137,33 +138,29 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-// protect wraps a simulating handler with the rate limiter and admission
-// gate. Order matters: a rate-limited client is rejected before it can
+// admit passes one request to a protected route through the rate limiter
+// and the admission gate; the caller releases the slot when the request is
+// done. Order matters: a rate-limited client is rejected before it can
 // occupy an admission slot.
-func (s *Server) protect(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(HopHeader) == "" {
-			if retry, ok := s.limiter.allow(clientKey(r), time.Now()); !ok {
-				s.mu.Lock()
-				s.rateLimited++
-				s.mu.Unlock()
-				writeError(w, r, &apiError{Status: http.StatusTooManyRequests, Code: codeRateLimited,
-					Message:    "per-client rate limit exceeded",
-					RetryAfter: int(math.Ceil(retry.Seconds()))})
-				return
-			}
-		}
-		release, ok := s.adm.acquire()
-		if !ok {
+func (s *Server) admit(r *http.Request) (release func(), aerr *apiError) {
+	if r.Header.Get(HopHeader) == "" {
+		if retry, ok := s.limiter.allow(clientKey(r), time.Now()); !ok {
 			s.mu.Lock()
-			s.shed++
+			s.rateLimited++
 			s.mu.Unlock()
-			writeError(w, r, &apiError{Status: http.StatusTooManyRequests, Code: codeOverloaded,
-				Message:    "server is at its concurrent-request bound; retry shortly",
-				RetryAfter: 1})
-			return
+			return nil, &apiError{Status: http.StatusTooManyRequests, Code: codeRateLimited,
+				Message:    "per-client rate limit exceeded",
+				RetryAfter: int(math.Ceil(retry.Seconds()))}
 		}
-		defer release()
-		h(w, r)
 	}
+	release, ok := s.adm.acquire()
+	if !ok {
+		s.mu.Lock()
+		s.shed++
+		s.mu.Unlock()
+		return nil, &apiError{Status: http.StatusTooManyRequests, Code: codeOverloaded,
+			Message:    "server is at its concurrent-request bound; retry shortly",
+			RetryAfter: 1}
+	}
+	return release, nil
 }

@@ -1,0 +1,509 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/url"
+
+	"repro/internal/exp"
+	"repro/internal/stack"
+	"repro/internal/trace"
+	"repro/internal/whatif"
+	"repro/internal/workload"
+)
+
+// identity says where a row's workload identity lives — what a fleet hashes
+// to find the request's home node.
+type identity int
+
+const (
+	// identNone: not workload-keyed; served wherever it arrives.
+	identNone identity = iota
+	// identQueryBench: the ?bench= parameter names a registered benchmark.
+	identQueryBench
+	// identBodyCell: the JSON body is one cell (bench or inline spec).
+	identBodyCell
+	// identBodyCells: the JSON body lists cells, each with its own identity.
+	identBodyCells
+	// identTraceHeader: the body is a binary trace; its header carries the
+	// content identity, so the payload is never decoded to route it.
+	identTraceHeader
+)
+
+// Body bounds. MaxTraceBytes covers a 16-thread trace of the heaviest
+// registered analogue (~10MB) with headroom while keeping a hostile upload
+// from buffering without bound; MaxSweepCells caps one POST /v1/sweep batch.
+// Both are enforced here and honored by Identify, so a routing layer in
+// front of the service can neither exceed nor bypass them.
+const (
+	maxJSONBytes  = 1 << 20
+	MaxTraceBytes = 32 << 20
+	MaxSweepCells = 1024
+)
+
+// route is one row of the table.
+type route struct {
+	method, path string
+	// opts declares the accepted query parameters (options.go).
+	opts optionSpec
+	// protected rows sit behind the rate limiter and the admission gate;
+	// the cheap introspection rows stay reachable while the server sheds.
+	protected bool
+	// identity is where the workload identity lives; body bounds the
+	// request body (0: the route takes none).
+	identity identity
+	body     int64
+	// parse turns a well-formed request into its engine call; the
+	// dispatcher serves the document the call answers. stream, when set,
+	// answers the ndjson format itself. plain answers a row that has no
+	// document (introspection, dry runs) directly.
+	parse  func(*Server, *http.Request, requestOptions) (call, *apiError)
+	stream func(*Server, http.ResponseWriter, *http.Request, requestOptions) *apiError
+	plain  func(*Server, http.ResponseWriter, *http.Request)
+}
+
+// routes is the route table (see the package comment): nothing else spells
+// a route. New registers the rows, the dispatcher runs them, Identify reads
+// them, and the tests range over them.
+var routes = []route{
+	{method: http.MethodGet, path: "/v1/stack", opts: optionSpec{format: true, cell: true, mode: true},
+		protected: true, identity: identQueryBench, parse: parseStack},
+	{method: http.MethodGet, path: "/v1/stack/intervals", opts: optionSpec{format: true, cell: true, intervals: true, mode: true},
+		protected: true, identity: identQueryBench, parse: parseStackIntervals},
+	{method: http.MethodPost, path: "/v1/sweep", opts: optionSpec{format: true, mode: true},
+		protected: true, identity: identBodyCells, body: maxJSONBytes, parse: parseSweepCall, stream: streamSweep},
+	{method: http.MethodPost, path: "/v1/workloads/analyze", opts: optionSpec{format: true, mode: true},
+		protected: true, identity: identBodyCell, body: maxJSONBytes, parse: parseAnalyze},
+	{method: http.MethodPost, path: "/v1/workloads/validate", body: maxJSONBytes, plain: validate},
+	{method: http.MethodPost, path: "/v1/traces/analyze", opts: optionSpec{format: true, mode: true, traceCell: true},
+		protected: true, identity: identTraceHeader, body: MaxTraceBytes, parse: parseTraceAnalyze},
+	{method: http.MethodGet, path: "/v1/advise", opts: optionSpec{format: true, advise: true, mode: true},
+		protected: true, identity: identQueryBench, parse: parseAdvise},
+	{method: http.MethodPost, path: "/v1/whatif", opts: optionSpec{format: true},
+		protected: true, identity: identBodyCell, body: maxJSONBytes, parse: parseWhatIfCall},
+	{method: http.MethodGet, path: "/v1/benchmarks", plain: benchmarks},
+	{method: http.MethodGet, path: "/healthz", opts: optionSpec{unchecked: true}, plain: healthz},
+	{method: http.MethodGet, path: "/metrics", opts: optionSpec{unchecked: true}, plain: metrics},
+}
+
+// cellRequest is one cell of a POST body: either a registered benchmark
+// named by bench, or an inline workload spec. Intervals asks for the
+// time-resolved decomposition; it is honored by /v1/workloads/analyze and
+// rejected in /v1/sweep batches (sweeps return aggregate rows).
+type cellRequest struct {
+	Bench     string          `json:"bench,omitempty"`
+	Spec      json.RawMessage `json:"spec,omitempty"`
+	Threads   int             `json:"threads"`
+	Cores     int             `json:"cores,omitempty"`
+	Intervals int             `json:"intervals,omitempty"`
+}
+
+// sweepRequest is the POST /v1/sweep body.
+type sweepRequest struct {
+	Cells []cellRequest `json:"cells"`
+}
+
+// decodeStrict decodes one JSON request body strictly: unknown fields
+// rejected, trailing data rejected — the same contract ParseSpec applies to
+// the spec object itself, so every front end agrees on what a valid input
+// is. The dispatcher has already capped the body's size.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the request object")
+	}
+	return nil
+}
+
+// buildCell resolves one body cell into an engine cell.
+func buildCell(c cellRequest) (exp.Cell, error) {
+	if len(c.Spec) > 0 {
+		if c.Bench != "" {
+			return exp.Cell{}, fmt.Errorf("give bench or spec, not both")
+		}
+		spec, err := workload.ParseSpec(c.Spec)
+		if err != nil {
+			return exp.Cell{}, err
+		}
+		return checkCellBounds(exp.Cell{Spec: &spec, Threads: c.Threads, Cores: c.Cores})
+	}
+	return checkCell(exp.Cell{Bench: c.Bench, Threads: c.Threads, Cores: c.Cores})
+}
+
+// parseStack is GET /v1/stack: one (benchmark, threads[, cores]) cell, in
+// the exact (default) or sampled fast simulation mode.
+func parseStack(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
+	return s.cellsCall(opts, opts.cell), nil
+}
+
+// parseStackIntervals is GET /v1/stack/intervals: one cell's time-resolved
+// speedup stack, the run split into ?intervals=K equal slices of its
+// committed ops (default 32).
+func parseStackIntervals(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
+	return s.seriesCall(opts, opts.cell, opts.intervals), nil
+}
+
+// parseSweep decodes and validates a POST /v1/sweep body into engine cells.
+func parseSweep(r *http.Request) ([]exp.Cell, *apiError) {
+	var req sweepRequest
+	if err := decodeStrict(r.Body, &req); err != nil {
+		return nil, badRequest("bad body: %v", err)
+	}
+	if len(req.Cells) == 0 {
+		return nil, badRequest("empty cell list")
+	}
+	if len(req.Cells) > MaxSweepCells {
+		return nil, badRequest("%d cells exceeds the %d-cell batch limit", len(req.Cells), MaxSweepCells)
+	}
+	cells := make([]exp.Cell, len(req.Cells))
+	for i, c := range req.Cells {
+		// Cell indices in error prefixes are 0-based positions in the
+		// declared JSON array — the contract exp.CellErrorIndexBase pins.
+		if c.Intervals != 0 {
+			return nil, badRequest(
+				"cell %d: sweeps return aggregate stacks; use /v1/stack/intervals or /v1/workloads/analyze for a time-resolved one",
+				exp.CellErrorIndexBase+i)
+		}
+		cell, err := buildCell(c)
+		if err != nil {
+			ae := asAPIError(err)
+			ae.Message = fmt.Sprintf("cell %d: %s", exp.CellErrorIndexBase+i, ae.Message)
+			return nil, ae
+		}
+		cells[i] = cell
+	}
+	return cells, nil
+}
+
+// parseSweepCall is POST /v1/sweep in every buffered format: a batch of
+// cells in one engine pass, deduplicated against each other and the cache.
+// ?mode=fast applies to every cell in the batch. (ndjson is streamSweep.)
+func parseSweepCall(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
+	cells, aerr := parseSweep(r)
+	if aerr != nil {
+		return nil, aerr
+	}
+	return s.cellsCall(opts, cells...), nil
+}
+
+// parseAnalyze is POST /v1/workloads/analyze: one inline custom workload at
+// a thread count, measured end-to-end. It is the bring-your-own-benchmark
+// twin of GET /v1/stack and shares its cache: the engine keys on the spec's
+// canonical fingerprint, so repeating a spec — under any name, inline or
+// registered — is a cache hit. "intervals" selects the time-resolved form.
+func parseAnalyze(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
+	var req cellRequest
+	if err := decodeStrict(r.Body, &req); err != nil {
+		return nil, badRequest("bad body: %v", err)
+	}
+	if len(req.Spec) == 0 {
+		return nil, badRequest("missing spec (POST {\"spec\":{...},\"threads\":N})")
+	}
+	if req.Bench != "" {
+		return nil, badRequest("analyze takes a spec, not a bench name (use /v1/stack)")
+	}
+	count := 0
+	if req.Intervals != 0 {
+		var err error
+		if count, err = parseIntervals("", req.Intervals); err != nil {
+			return nil, badRequest("%v", err)
+		}
+	}
+	cell, err := buildCell(req)
+	if err != nil {
+		return nil, asAPIError(err)
+	}
+	if count > 0 {
+		return s.seriesCall(opts, cell, count), nil
+	}
+	return s.cellsCall(opts, cell), nil
+}
+
+// parseTraceAnalyze is POST /v1/traces/analyze: the body is a recorded
+// binary op trace (the speedup-stack -record format, internal/trace),
+// decoded into a replay spec and measured like any other cell. The trace
+// replays at its recorded thread count — threads is not a parameter — and
+// cores defaults to that count like everywhere else. The cell rides the
+// engine's fingerprint-keyed memo under the trace's content hash, so
+// re-uploading the same trace (whatever its label) performs zero additional
+// simulations.
+func parseTraceAnalyze(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
+	data, err := io.ReadAll(r.Body)
+	if err != nil {
+		return nil, badRequest("reading body: %v", err)
+	}
+	td, err := trace.Decode(data)
+	if err != nil {
+		return nil, badRequest("bad trace: %v", err)
+	}
+	spec := workload.TraceSpec(td)
+	cell, err := checkCellBounds(exp.Cell{Spec: &spec, Threads: spec.TraceThreads(), Cores: opts.cores})
+	if err != nil {
+		return nil, asAPIError(err)
+	}
+	return s.cellsCall(opts, cell), nil
+}
+
+// parseAdvise is GET /v1/advise: the scaling advisor for one registered
+// benchmark. The sweep's cells ride the same fingerprint-keyed memo as
+// every other endpoint, so advising a benchmark that has already been
+// measured reuses those runs, and repeating an advise is free.
+func parseAdvise(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
+	req := exp.Request{Cell: opts.cell, Config: s.modeConfig(opts.mode)}
+	return func(ctx context.Context) (stack.Document, error) {
+		return s.engine.Advise(ctx, req, opts.maxThreads)
+	}, nil
+}
+
+// whatifRequest is the POST /v1/whatif body: a cell (bench or inline spec,
+// threads, optional cores) plus an optional list of catalog intervention
+// IDs; absent means the full catalog.
+type whatifRequest struct {
+	Bench         string          `json:"bench,omitempty"`
+	Spec          json.RawMessage `json:"spec,omitempty"`
+	Threads       int             `json:"threads"`
+	Cores         int             `json:"cores,omitempty"`
+	Interventions []string        `json:"interventions,omitempty"`
+}
+
+// parseWhatIf resolves a decoded what-if body into an engine cell and the
+// requested intervention IDs, applying the same cell bounds as every other
+// endpoint plus the what-if floor (a single-threaded run has no scaling gap
+// to attribute). It performs no simulation, so the fuzz suite can drive it
+// on arbitrary bodies; intervention IDs are resolved here too, so unknown
+// ones fail before any simulation is spent.
+func parseWhatIf(req whatifRequest) (exp.Cell, []string, error) {
+	cell, err := buildCell(cellRequest{Bench: req.Bench, Spec: req.Spec, Threads: req.Threads, Cores: req.Cores})
+	if err != nil {
+		return exp.Cell{}, nil, err
+	}
+	if req.Threads < exp.MinWhatIfThreads {
+		return exp.Cell{}, nil, badRequest("what-if needs threads >= %d (a single-threaded run has no scaling gap), got %d",
+			exp.MinWhatIfThreads, req.Threads)
+	}
+	for _, id := range req.Interventions {
+		if _, err := whatif.ByID(id); err != nil {
+			return exp.Cell{}, nil, err
+		}
+	}
+	return cell, req.Interventions, nil
+}
+
+// parseWhatIfCall is POST /v1/whatif: the causal what-if report for one
+// cell — each applicable catalog intervention predicted by re-evaluating
+// the estimator with its components scaled, validated by re-simulating the
+// mutated spec/machine, and ranked by predicted gain. Everything rides the
+// fingerprint-keyed memo, so repeating a request simulates nothing new.
+func parseWhatIfCall(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
+	var req whatifRequest
+	if err := decodeStrict(r.Body, &req); err != nil {
+		return nil, badRequest("bad body: %v", err)
+	}
+	cell, ids, err := parseWhatIf(req)
+	if err != nil {
+		return nil, asAPIError(err)
+	}
+	return func(ctx context.Context) (stack.Document, error) {
+		return s.engine.WhatIf(ctx, exp.Request{Cell: cell}, ids)
+	}, nil
+}
+
+// writeJSON answers a plain row with one indented JSON object.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
+}
+
+// validateResponse is the POST /v1/workloads/validate answer.
+type validateResponse struct {
+	Valid bool   `json:"valid"`
+	Error string `json:"error,omitempty"`
+	// Fingerprint is the canonical workload identity (the cache key) and
+	// Canonical the normalized spec it hashes; both only when valid.
+	Fingerprint string         `json:"fingerprint,omitempty"`
+	Name        string         `json:"name,omitempty"`
+	Canonical   *workload.Spec `json:"canonical,omitempty"`
+}
+
+// validate serves POST /v1/workloads/validate: a dry run of the spec
+// pipeline. The body is the bare workload spec JSON (the same bytes the
+// speedup-stack CLI takes via -spec); nothing is simulated. A syntactically
+// readable but invalid spec answers 200 with valid=false and the actionable
+// validation error, so CI pipelines can lint spec files cheaply.
+func validate(s *Server, w http.ResponseWriter, r *http.Request) {
+	data, err := io.ReadAll(r.Body)
+	if err != nil {
+		writeError(w, r, badRequest("reading body: %v", err))
+		return
+	}
+	spec, err := workload.ParseSpec(data)
+	if err != nil {
+		writeJSON(w, validateResponse{Valid: false, Error: err.Error()})
+		return
+	}
+	writeJSON(w, validateResponse{
+		Valid:       true,
+		Fingerprint: spec.Fingerprint().String(),
+		Name:        workload.Benchmark{Spec: spec}.FullName(),
+		Canonical:   &spec,
+	})
+}
+
+// benchmarks serves GET /v1/benchmarks.
+func benchmarks(s *Server, w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, map[string][]string{"benchmarks": workload.Names()})
+}
+
+// Identity is what a routing layer in front of the service (internal/fleet)
+// needs to know about one request, read from the route table without
+// simulating or fully validating anything: full validation stays with the
+// node that serves the request.
+type Identity struct {
+	// Keys are the workload fingerprints the request is about: one for a
+	// single-workload request, one per cell for a sweep. Empty when the
+	// identity does not resolve cleanly (oversized or malformed body,
+	// unknown benchmark, invalid spec, a batch outside its bounds): any
+	// node's service then answers the canonical error.
+	Keys []string
+	// Body is the buffered request body; r.Body has been reset to replay it.
+	Body []byte
+	// BodyID stands in for Body wherever two requests are compared for
+	// equality: the body itself, or for a trace upload its header identity
+	// and label, so megabytes of payload are never hashed or compared.
+	BodyID string
+
+	cells []cellRequest
+}
+
+// Identify resolves the workload identity of r from its route's row:
+// routable is false when no workload-keyed route matches r's method and
+// path. The identity step is deliberately lenient and cheap — a registry
+// lookup, one workload.ParseSpec per inline spec, trace.DecodeMeta on a
+// trace's header (never a payload decode) — and buffers the body within
+// the route's own limit. It is a function, not a Server method, because it
+// reads only the table: the handler behind a routing layer may be wrapped.
+func Identify(r *http.Request) (id Identity, routable bool) {
+	var rt *route
+	for i := range routes {
+		if routes[i].path == r.URL.Path && routes[i].method == r.Method && routes[i].identity != identNone {
+			rt = &routes[i]
+			break
+		}
+	}
+	if rt == nil {
+		return id, false
+	}
+	if rt.body > 0 && r.Body != nil {
+		body, err := io.ReadAll(io.LimitReader(r.Body, rt.body+1))
+		r.Body.Close()
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		id.Body = body
+		if err != nil || int64(len(body)) > rt.body {
+			return id, true
+		}
+	}
+	switch rt.identity {
+	case identQueryBench:
+		id.cells = []cellRequest{{Bench: r.URL.Query().Get("bench")}}
+	case identBodyCell:
+		id.cells = make([]cellRequest, 1)
+		if json.Unmarshal(id.Body, &id.cells[0]) != nil {
+			return id, true
+		}
+	case identBodyCells:
+		var req sweepRequest
+		if json.Unmarshal(id.Body, &req) != nil || len(req.Cells) > MaxSweepCells {
+			return id, true
+		}
+		id.cells = req.Cells
+	case identTraceHeader:
+		m, err := trace.DecodeMeta(id.Body)
+		if err != nil {
+			return id, true
+		}
+		key := workload.TraceIdentity(m).String()
+		id.Keys, id.BodyID = []string{key}, "trace\x00"+key+"\x00"+m.Label
+		return id, true
+	}
+	id.BodyID = string(id.Body)
+	keys := make([]string, len(id.cells))
+	for i, c := range id.cells {
+		fp, ok := c.fingerprint()
+		if !ok || (c.Intervals != 0 && rt.identity == identBodyCells) { // sweeps reject interval cells
+			return id, true
+		}
+		keys[i] = fp.String()
+	}
+	id.Keys = keys
+	return id, true
+}
+
+// fingerprint resolves the cell's workload identity; ok is false when it
+// does not resolve cleanly (the service will answer the error).
+func (c cellRequest) fingerprint() (fp workload.Fingerprint, ok bool) {
+	if len(c.Spec) == 0 {
+		if b, ok := workload.ByName(c.Bench); ok {
+			return b.Spec.Fingerprint(), true
+		}
+		return fp, false
+	}
+	if c.Bench != "" {
+		return fp, false
+	}
+	spec, err := workload.ParseSpec(c.Spec)
+	if err != nil {
+		return fp, false
+	}
+	return spec.Fingerprint(), true
+}
+
+// Split is how a multi-cell request divides into single-cell sub-requests
+// to the same path whose row lines, concatenated in declared order, are the
+// whole answer's ndjson body (and, indented as one array, its json body).
+type Split struct {
+	// Query is every sub-request's query string.
+	Query string
+	// Bodies are the sub-request bodies, one per cell, in declared order.
+	Bodies [][]byte
+	// Format is what the client negotiated: FormatJSON or FormatNDJSON.
+	Format stack.Format
+}
+
+// Split divides the identified multi-cell request r. ok is false when its
+// answer cannot be assembled from rows: a document format (csv, svg, text),
+// or a query parameter the sub-requests would not carry — which must reach
+// a service whole, to be answered or rejected there.
+func (id Identity) Split(r *http.Request) (sp Split, ok bool) {
+	q := r.URL.Query()
+	f, err := stack.NegotiateFormat(q.Get("format"), r.Header.Get("Accept"), stack.FormatJSON)
+	if err != nil || (f != stack.FormatJSON && f != stack.FormatNDJSON) {
+		return sp, false
+	}
+	for k := range q {
+		if k != "format" && k != "mode" {
+			return sp, false
+		}
+	}
+	sp.Format, sp.Query = f, "format=ndjson"
+	if m := q.Get("mode"); m != "" {
+		sp.Query += "&mode=" + url.QueryEscape(m)
+	}
+	sp.Bodies = make([][]byte, len(id.cells))
+	for i, c := range id.cells {
+		if sp.Bodies[i], err = json.Marshal(sweepRequest{Cells: []cellRequest{c}}); err != nil {
+			return sp, false
+		}
+	}
+	return sp, true
+}

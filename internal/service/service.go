@@ -108,21 +108,25 @@
 // engine's worker pool; requests beyond it queue on the pool rather than
 // piling onto the CPUs.
 //
-// One request path: every simulating handler is its parse step followed by
-// serve — the engine call run by detached (under a context of its own, so a
-// request that exceeds Options.SimTimeout or hangs up gets its error
+// One route table, one request path: routes.go declares every endpoint
+// above as one row — method, path, accepted query parameters, protection,
+// where the workload identity lives, and the parse step that turns the
+// request into an engine call answering a stack.Document. One dispatcher
+// serves every row: method check, protection, option parsing, the parse
+// step, then serve — the call run by detached (under a context of its own,
+// so a request that exceeds Options.SimTimeout or hangs up gets its error
 // promptly while the work finishes in the background and lands in the memo,
 // where a retry finds it), one error mapping, the negotiated Content-Type,
-// the encoder. The streamed NDJSON sweep runs each cell through the same
-// detached.
+// stack.EncodeDocument. The streamed NDJSON sweep runs each cell through
+// the same detached. Identify reads the same rows for a routing layer in
+// front of the service (internal/fleet), which therefore spells no path,
+// body shape or limit of its own.
 package service
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -130,11 +134,8 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/scaling"
 	"repro/internal/sim"
 	"repro/internal/stack"
-	"repro/internal/whatif"
-	"repro/internal/workload"
 )
 
 // Options configures a Server. The zero value serves the paper's default
@@ -150,8 +151,6 @@ type Options struct {
 	// simulations detach and finish in the background, filling the cache
 	// so a retry is a hit.
 	SimTimeout time.Duration
-	// MaxSweepCells caps the batch size of POST /v1/sweep (default 1024).
-	MaxSweepCells int
 	// MaxInFlight bounds how many requests may concurrently occupy the
 	// simulating endpoints; excess requests are shed immediately with a
 	// 429 "overloaded" envelope and a Retry-After header instead of
@@ -168,17 +167,15 @@ type Options struct {
 	// RateBurst is the token-bucket depth when RateLimit is set
 	// (default: ceil(RateLimit), minimum 1).
 	RateBurst int
-	// Config is the machine configuration (default sim.Default()).
-	Config *sim.Config
-	// Engine, if set, overrides Workers/CacheCells/Config with a
-	// caller-owned engine (tests, embedding).
+	// Engine, if set, overrides Workers/CacheCells with a caller-owned
+	// engine (tests, embedding); otherwise the server builds one on the
+	// paper's default machine.
 	Engine *exp.Engine
 }
 
 const (
-	defaultCacheCells    = 4096
-	defaultSimTimeout    = 2 * time.Minute
-	defaultMaxSweepCells = 1024
+	defaultCacheCells = 4096
+	defaultSimTimeout = 2 * time.Minute
 	// defaultIntervals is the slice count when an interval request does not
 	// name one; maxIntervals caps what one request may ask for (each
 	// interval snapshot copies per-thread counters, so the cap bounds the
@@ -192,13 +189,12 @@ const (
 
 // Server is the speedupd HTTP service.
 type Server struct {
-	engine        *exp.Engine
-	simTimeout    time.Duration
-	maxSweepCells int
-	mux           *http.ServeMux
-	started       time.Time
-	adm           *admission
-	limiter       *rateLimiter
+	engine     *exp.Engine
+	simTimeout time.Duration
+	mux        *http.ServeMux
+	started    time.Time
+	adm        *admission
+	limiter    *rateLimiter
 
 	mu          sync.Mutex
 	requests    map[string]uint64 // by route
@@ -211,10 +207,6 @@ type Server struct {
 func New(opts Options) *Server {
 	e := opts.Engine
 	if e == nil {
-		cfg := sim.Default()
-		if opts.Config != nil {
-			cfg = *opts.Config
-		}
 		cache := opts.CacheCells
 		if cache == 0 {
 			cache = defaultCacheCells
@@ -223,7 +215,7 @@ func New(opts Options) *Server {
 		if opts.Workers > 0 {
 			eopts = append(eopts, exp.WithWorkers(opts.Workers))
 		}
-		e = exp.NewEngine(cfg, eopts...)
+		e = exp.NewEngine(sim.Default(), eopts...)
 	}
 	st := opts.SimTimeout
 	if st == 0 {
@@ -232,34 +224,19 @@ func New(opts Options) *Server {
 	if st < 0 {
 		st = 0
 	}
-	maxCells := opts.MaxSweepCells
-	if maxCells <= 0 {
-		maxCells = defaultMaxSweepCells
-	}
 	s := &Server{
-		engine:        e,
-		simTimeout:    st,
-		maxSweepCells: maxCells,
-		mux:           http.NewServeMux(),
-		started:       time.Now(),
-		requests:      make(map[string]uint64),
-		responses:     make(map[int]uint64),
-		adm:           newAdmission(opts.MaxInFlight),
-		limiter:       newRateLimiter(opts.RateLimit, opts.RateBurst),
+		engine:     e,
+		simTimeout: st,
+		mux:        http.NewServeMux(),
+		started:    time.Now(),
+		requests:   make(map[string]uint64),
+		responses:  make(map[int]uint64),
+		adm:        newAdmission(opts.MaxInFlight),
+		limiter:    newRateLimiter(opts.RateLimit, opts.RateBurst),
 	}
-	// The simulating endpoints sit behind the protection layer; the cheap
-	// introspection endpoints stay reachable even when the server is shedding.
-	s.route("/v1/stack", http.MethodGet, s.protect(s.handleStack))
-	s.route("/v1/stack/intervals", http.MethodGet, s.protect(s.handleStackIntervals))
-	s.route("/v1/sweep", http.MethodPost, s.protect(s.handleSweep))
-	s.route("/v1/workloads/analyze", http.MethodPost, s.protect(s.handleAnalyze))
-	s.route("/v1/workloads/validate", http.MethodPost, s.handleValidate)
-	s.route("/v1/traces/analyze", http.MethodPost, s.protect(s.handleTraceAnalyze))
-	s.route("/v1/advise", http.MethodGet, s.protect(s.handleAdvise))
-	s.route("/v1/whatif", http.MethodPost, s.protect(s.handleWhatIf))
-	s.route("/v1/benchmarks", http.MethodGet, s.handleBenchmarks)
-	s.route("/healthz", http.MethodGet, s.handleHealthz)
-	s.route("/metrics", http.MethodGet, s.handleMetrics)
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.path, s.dispatcher(rt))
+	}
 	return s
 }
 
@@ -269,25 +246,60 @@ func (s *Server) Engine() *exp.Engine { return s.engine }
 // Handler returns the server's root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// route registers an instrumented handler: it counts the request, enforces
-// the method, and records the response status.
-func (s *Server) route(path, method string, h func(http.ResponseWriter, *http.Request)) {
-	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+// dispatcher is the one handler behind every row of the route table. It
+// counts the request and records the response status; in between, dispatch
+// runs the row.
+func (s *Server) dispatcher(rt route) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
-		s.requests[path]++
+		s.requests[rt.path]++
 		s.mu.Unlock()
 		rw := &statusWriter{ResponseWriter: w}
-		if r.Method != method {
-			rw.Header().Set("Allow", method)
-			writeError(rw, r, &apiError{Status: http.StatusMethodNotAllowed, Code: codeMethodNotAllowed,
-				Message: fmt.Sprintf("%s requires %s", path, method)})
-		} else {
-			h(rw, r)
+		if aerr := s.dispatch(rw, r, rt); aerr != nil {
+			writeError(rw, r, aerr)
 		}
 		s.mu.Lock()
 		s.responses[rw.status()]++
 		s.mu.Unlock()
-	})
+	}
+}
+
+// dispatch runs one request through its row: method check, the protection
+// layer (before any parsing, so a shed request costs nothing), the declared
+// query parameters, the body limit, then either the row's plain answer or
+// its parse step followed by serve. A returned error is the response.
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rt route) *apiError {
+	if r.Method != rt.method {
+		w.Header().Set("Allow", rt.method)
+		return &apiError{Status: http.StatusMethodNotAllowed, Code: codeMethodNotAllowed,
+			Message: fmt.Sprintf("%s requires %s", rt.path, rt.method)}
+	}
+	if rt.protected {
+		release, aerr := s.admit(r)
+		if aerr != nil {
+			return aerr
+		}
+		defer release()
+	}
+	opts, aerr := parseOptions(r, rt.opts)
+	if aerr != nil {
+		return aerr
+	}
+	if rt.body > 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, rt.body)
+	}
+	if rt.plain != nil {
+		rt.plain(s, w, r)
+		return nil
+	}
+	if rt.stream != nil && opts.format == stack.FormatNDJSON {
+		return rt.stream(s, w, r, opts)
+	}
+	c, aerr := rt.parse(s, r, opts)
+	if aerr != nil {
+		return aerr
+	}
+	return s.serve(w, r, opts.format, c)
 }
 
 // statusWriter captures the response code for metrics.
@@ -325,56 +337,6 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// cellRequest is one cell of a POST body: either a registered benchmark
-// named by bench, or an inline workload spec. Intervals asks for the
-// time-resolved decomposition; it is honored by /v1/workloads/analyze and
-// rejected in /v1/sweep batches (sweeps return aggregate rows).
-type cellRequest struct {
-	Bench     string          `json:"bench,omitempty"`
-	Spec      json.RawMessage `json:"spec,omitempty"`
-	Threads   int             `json:"threads"`
-	Cores     int             `json:"cores,omitempty"`
-	Intervals int             `json:"intervals,omitempty"`
-}
-
-// decodeBody strictly decodes one JSON request body: size-capped, unknown
-// fields rejected, trailing data rejected — the same contract ParseSpec
-// applies to the spec object itself, so every front end agrees on what a
-// valid input is.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	return decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), v)
-}
-
-// decodeStrict is decodeBody's transport-free core: the exact decoding
-// contract applied to every POST body, factored out so the fuzz suites can
-// drive it on raw bytes without an HTTP round trip.
-func decodeStrict(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after the request object")
-	}
-	return nil
-}
-
-// buildCell resolves one body cell into an engine cell.
-func buildCell(c cellRequest) (exp.Cell, error) {
-	if len(c.Spec) > 0 {
-		if c.Bench != "" {
-			return exp.Cell{}, fmt.Errorf("give bench or spec, not both")
-		}
-		spec, err := workload.ParseSpec(c.Spec)
-		if err != nil {
-			return exp.Cell{}, err
-		}
-		return checkCellBounds(exp.Cell{Spec: &spec, Threads: c.Threads, Cores: c.Cores})
-	}
-	return checkCell(exp.Cell{Bench: c.Bench, Threads: c.Threads, Cores: c.Cores})
-}
-
 // simContext derives the context a request waits under.
 func (s *Server) simContext(r *http.Request) (context.Context, context.CancelFunc) {
 	if s.simTimeout <= 0 {
@@ -397,6 +359,10 @@ func (s *Server) modeConfig(m sim.Mode) *sim.Config {
 	return &cfg
 }
 
+// call is the engine call of one request: what a row's parse step returns
+// and serve runs. It answers the document to encode.
+type call func(context.Context) (stack.Document, error)
+
 // detached runs one engine call under a context of its own and waits for it
 // under ctx. When ctx ends first the caller gets ctx.Err() promptly (504 on
 // the deadline, 408 when the client went away) while the call keeps running
@@ -405,161 +371,70 @@ func (s *Server) modeConfig(m sim.Mode) *sim.Config {
 // Background completion is still bounded by the engine's worker pool and
 // the simulator's MaxCycles safety net. This is the one place a request's
 // simulations leave the request's lifetime.
-func detached[T any](ctx context.Context, call func(context.Context) (T, error)) (T, error) {
+func detached(ctx context.Context, c call) (stack.Document, error) {
 	type result struct {
-		v   T
+		doc stack.Document
 		err error
 	}
 	ch := make(chan result, 1)
 	go func() {
-		v, err := call(context.Background())
-		ch <- result{v, err}
+		doc, err := c(context.Background())
+		ch <- result{doc, err}
 	}()
 	select {
 	case r := <-ch:
-		return r.v, r.err
+		return r.doc, r.err
 	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
 // serve is the tail of every simulating endpoint, after its parse step: the
 // engine call, detached, under the request's simulation deadline; one error
-// mapping; the negotiated Content-Type; the encoder.
-func serve[T any](s *Server, w http.ResponseWriter, r *http.Request, f stack.Format,
-	call func(context.Context) (T, error), encode func(io.Writer, stack.Format, T) error) {
+// mapping; the negotiated Content-Type; the one encoder.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, f stack.Format, c call) *apiError {
 	ctx, cancel := s.simContext(r)
 	defer cancel()
-	v, err := detached(ctx, call)
+	doc, err := detached(ctx, c)
 	if err != nil {
-		writeError(w, r, s.simAPIError(err))
-		return
+		return s.simAPIError(err)
 	}
 	w.Header().Set("Content-Type", f.ContentType())
-	encode(w, f, v)
+	stack.EncodeDocument(w, f, doc)
+	return nil
 }
 
 // cellsCall is the engine call of the aggregate endpoints: cells in one
-// deduplicated pass, in opts.mode.
-func (s *Server) cellsCall(opts requestOptions, cells ...exp.Cell) func(context.Context) ([]exp.Outcome, error) {
+// deduplicated pass, in opts.mode, answering one stack row per cell.
+func (s *Server) cellsCall(opts requestOptions, cells ...exp.Cell) call {
 	cfg := s.modeConfig(opts.mode)
-	return func(ctx context.Context) ([]exp.Outcome, error) {
+	return func(ctx context.Context) (stack.Document, error) {
 		reqs := make([]exp.Request, len(cells))
 		for i, c := range cells {
 			reqs[i] = exp.Request{Cell: c, Config: cfg}
 		}
-		return s.engine.Do(ctx, reqs)
-	}
-}
-
-// serveCells answers an aggregate request: one stack row per cell.
-func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, opts requestOptions, cells ...exp.Cell) {
-	serve(s, w, r, opts.format, s.cellsCall(opts, cells...),
-		func(w io.Writer, f stack.Format, outs []exp.Outcome) error {
-			bars := make([]stack.Bar, len(outs))
-			for i, out := range outs {
-				bars[i] = outcomeBar(out)
-			}
-			return stack.Encode(w, f, bars)
-		})
-}
-
-// serveSeries answers a time-resolved request: cell split into count
-// intervals.
-func (s *Server) serveSeries(w http.ResponseWriter, r *http.Request, opts requestOptions, cell exp.Cell, count int) {
-	req := exp.Request{Cell: cell, Config: s.modeConfig(opts.mode)}
-	serve(s, w, r, opts.format,
-		func(ctx context.Context) (exp.IntervalOutcome, error) {
-			return s.engine.MeasureIntervals(ctx, req, count)
-		},
-		func(w io.Writer, f stack.Format, out exp.IntervalOutcome) error {
-			return stack.EncodeTimeSeries(w, f, out.Series)
-		})
-}
-
-// outcomeBar is the report row source of one outcome.
-func outcomeBar(out exp.Outcome) stack.Bar {
-	return stack.Bar{Label: out.Bench.FullName(), Stack: out.Stack}
-}
-
-// handleStack serves GET /v1/stack: one (benchmark, threads[, cores]) cell,
-// in the exact (default) or sampled fast simulation mode.
-func (s *Server) handleStack(w http.ResponseWriter, r *http.Request) {
-	opts, aerr := parseOptions(r, optionSpec{format: true, cell: true, mode: true})
-	if aerr != nil {
-		writeError(w, r, aerr)
-		return
-	}
-	s.serveCells(w, r, opts, opts.cell)
-}
-
-// handleStackIntervals serves GET /v1/stack/intervals: one cell's
-// time-resolved speedup stack, the run split into ?intervals=K equal slices
-// of its committed ops (default 32). The aggregate outcome and its
-// sequential reference share /v1/stack's cache; the interval series has its
-// own memo keyed by (cell, K).
-func (s *Server) handleStackIntervals(w http.ResponseWriter, r *http.Request) {
-	opts, aerr := parseOptions(r, optionSpec{format: true, cell: true, intervals: true, mode: true})
-	if aerr != nil {
-		writeError(w, r, aerr)
-		return
-	}
-	s.serveSeries(w, r, opts, opts.cell, opts.intervals)
-}
-
-// sweepRequest is the POST /v1/sweep body.
-type sweepRequest struct {
-	Cells []cellRequest `json:"cells"`
-}
-
-// handleSweep serves POST /v1/sweep: a batch of cells in one engine pass,
-// deduplicated against each other and the cache. ?mode=fast applies to
-// every cell in the batch.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	opts, aerr := parseOptions(r, optionSpec{format: true, mode: true})
-	if aerr != nil {
-		writeError(w, r, aerr)
-		return
-	}
-	var req sweepRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, r, badRequest("bad body: %v", err))
-		return
-	}
-	if len(req.Cells) == 0 {
-		writeError(w, r, badRequest("empty cell list"))
-		return
-	}
-	if len(req.Cells) > s.maxSweepCells {
-		writeError(w, r, badRequest("%d cells exceeds the %d-cell batch limit",
-			len(req.Cells), s.maxSweepCells))
-		return
-	}
-	cells := make([]exp.Cell, len(req.Cells))
-	for i, c := range req.Cells {
-		// Cell indices in error prefixes are 0-based positions in the
-		// declared JSON array — the contract exp.CellErrorIndexBase pins.
-		if c.Intervals != 0 {
-			writeError(w, r, badRequest(
-				"cell %d: sweeps return aggregate stacks; use /v1/stack/intervals or /v1/workloads/analyze for a time-resolved one",
-				exp.CellErrorIndexBase+i))
-			return
-		}
-		cell, err := buildCell(c)
+		outs, err := s.engine.Do(ctx, reqs)
 		if err != nil {
-			ae := asAPIError(err)
-			ae.Message = fmt.Sprintf("cell %d: %s", exp.CellErrorIndexBase+i, ae.Message)
-			writeError(w, r, ae)
-			return
+			return nil, err
 		}
-		cells[i] = cell
+		bars := make(stack.Bars, len(outs))
+		for i, out := range outs {
+			bars[i] = stack.Bar{Label: out.Bench.FullName(), Stack: out.Stack}
+		}
+		return bars, nil
 	}
-	if opts.format == stack.FormatNDJSON {
-		s.streamSweep(w, r, opts, cells)
-		return
+}
+
+// seriesCall is the engine call of the time-resolved endpoints: cell split
+// into count intervals. The aggregate outcome and its sequential reference
+// share the aggregate endpoints' cache; the interval series has its own
+// memo keyed by (cell, count).
+func (s *Server) seriesCall(opts requestOptions, cell exp.Cell, count int) call {
+	req := exp.Request{Cell: cell, Config: s.modeConfig(opts.mode)}
+	return func(ctx context.Context) (stack.Document, error) {
+		out, err := s.engine.MeasureIntervals(ctx, req, count)
+		return out.Series, err
 	}
-	s.serveCells(w, r, opts, cells...)
 }
 
 // streamSweep answers an NDJSON sweep as a stream: one compact ReportRow
@@ -572,19 +447,23 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // normal error response; after rows are on the wire the status is already
 // 200, so the envelope becomes the terminating line of the stream —
 // NDJSON consumers must treat a line with an "error" key as a failed tail.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, opts requestOptions, cells []exp.Cell) {
+func streamSweep(s *Server, w http.ResponseWriter, r *http.Request, opts requestOptions) *apiError {
+	cells, aerr := parseSweep(r)
+	if aerr != nil {
+		return aerr
+	}
 	ctx, cancel := s.simContext(r)
 	defer cancel()
 	type result struct {
-		outs []exp.Outcome
-		err  error
+		doc stack.Document
+		err error
 	}
 	results := make([]chan result, len(cells))
 	for i := range cells {
 		results[i] = make(chan result, 1)
 		go func(i int, c exp.Cell) {
-			outs, err := detached(ctx, s.cellsCall(opts, c))
-			results[i] <- result{outs, err}
+			doc, err := detached(ctx, s.cellsCall(opts, c))
+			results[i] <- result{doc, err}
 		}(i, cells[i])
 	}
 	flusher, _ := w.(http.Flusher)
@@ -595,214 +474,34 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, opts reques
 			ae := s.simAPIError(res.err)
 			ae.Message = fmt.Sprintf("cell %d: %s", exp.CellErrorIndexBase+i, ae.Message)
 			if !wrote {
-				writeError(w, r, ae)
-				return
+				return ae
 			}
 			json.NewEncoder(w).Encode(errorEnvelope{Error: errorBody{
 				Code: ae.Code, Message: ae.Message, Suggestion: ae.Suggestion}})
-			return
+			return nil
 		}
 		if !wrote {
 			w.Header().Set("Content-Type", stack.FormatNDJSON.ContentType())
 			wrote = true
 		}
-		stack.EncodeRowNDJSON(w, stack.Row(outcomeBar(res.outs[0])))
+		stack.EncodeDocument(w, stack.FormatNDJSON, res.doc)
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
+	return nil
 }
 
-// handleAnalyze serves POST /v1/workloads/analyze: one inline custom
-// workload at a thread count, measured end-to-end. It is the
-// bring-your-own-benchmark twin of GET /v1/stack and shares its cache: the
-// engine keys on the spec's canonical fingerprint, so repeating a spec —
-// under any name, inline or registered — is a cache hit.
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	opts, aerr := parseOptions(r, optionSpec{format: true, mode: true})
-	if aerr != nil {
-		writeError(w, r, aerr)
-		return
-	}
-	var req cellRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, r, badRequest("bad body: %v", err))
-		return
-	}
-	if len(req.Spec) == 0 {
-		writeError(w, r, badRequest("missing spec (POST {\"spec\":{...},\"threads\":N})"))
-		return
-	}
-	if req.Bench != "" {
-		writeError(w, r, badRequest("analyze takes a spec, not a bench name (use /v1/stack)"))
-		return
-	}
-	count := 0
-	if req.Intervals != 0 {
-		var err error
-		if count, err = parseIntervals("", req.Intervals); err != nil {
-			writeError(w, r, badRequest("%v", err))
-			return
-		}
-	}
-	cell, err := buildCell(req)
-	if err != nil {
-		writeError(w, r, asAPIError(err))
-		return
-	}
-	if count > 0 {
-		// Time-resolved analysis of the custom spec, sharing /v1/stack/
-		// intervals' memo and the aggregate's fingerprint-keyed cache.
-		s.serveSeries(w, r, opts, cell, count)
-		return
-	}
-	s.serveCells(w, r, opts, cell)
-}
-
-// validateResponse is the POST /v1/workloads/validate answer.
-type validateResponse struct {
-	Valid bool   `json:"valid"`
-	Error string `json:"error,omitempty"`
-	// Fingerprint is the canonical workload identity (the cache key) and
-	// Canonical the normalized spec it hashes; both only when valid.
-	Fingerprint string         `json:"fingerprint,omitempty"`
-	Name        string         `json:"name,omitempty"`
-	Canonical   *workload.Spec `json:"canonical,omitempty"`
-}
-
-// handleValidate serves POST /v1/workloads/validate: a dry run of the spec
-// pipeline. The body is the bare workload spec JSON (the same bytes the
-// speedup-stack CLI takes via -spec); nothing is simulated. A syntactically
-// readable but invalid spec answers 200 with valid=false and the actionable
-// validation error, so CI pipelines can lint spec files cheaply.
-func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	if _, aerr := parseOptions(r, optionSpec{}); aerr != nil {
-		writeError(w, r, aerr)
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeError(w, r, badRequest("reading body: %v", err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	spec, err := workload.ParseSpec(data)
-	if err != nil {
-		enc.Encode(validateResponse{Valid: false, Error: err.Error()})
-		return
-	}
-	enc.Encode(validateResponse{
-		Valid:       true,
-		Fingerprint: spec.Fingerprint().String(),
-		Name:        workload.Benchmark{Spec: spec}.FullName(),
-		Canonical:   &spec,
-	})
-}
-
-// handleAdvise serves GET /v1/advise: the scaling advisor for one
-// registered benchmark. The sweep's cells ride the same fingerprint-keyed
-// memo as every other endpoint, so advising a benchmark that has already
-// been measured reuses those runs, and repeating an advise is free.
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	opts, aerr := parseOptions(r, optionSpec{format: true, advise: true, mode: true})
-	if aerr != nil {
-		writeError(w, r, aerr)
-		return
-	}
-	req := exp.Request{Cell: opts.cell, Config: s.modeConfig(opts.mode)}
-	serve(s, w, r, opts.format,
-		func(ctx context.Context) (scaling.Advice, error) {
-			return s.engine.Advise(ctx, req, opts.maxThreads)
-		},
-		scaling.Encode)
-}
-
-// whatifRequest is the POST /v1/whatif body: a cell (bench or inline spec,
-// threads, optional cores) plus an optional list of catalog intervention
-// IDs; absent means the full catalog.
-type whatifRequest struct {
-	Bench         string          `json:"bench,omitempty"`
-	Spec          json.RawMessage `json:"spec,omitempty"`
-	Threads       int             `json:"threads"`
-	Cores         int             `json:"cores,omitempty"`
-	Interventions []string        `json:"interventions,omitempty"`
-}
-
-// parseWhatIf resolves a decoded what-if body into an engine cell and the
-// requested intervention IDs, applying the same cell bounds as every other
-// endpoint plus the what-if floor (a single-threaded run has no scaling gap
-// to attribute). It performs no simulation, so the fuzz suite can drive it
-// on arbitrary bodies; intervention IDs are resolved here too, so unknown
-// ones fail before any simulation is spent.
-func parseWhatIf(req whatifRequest) (exp.Cell, []string, error) {
-	cell, err := buildCell(cellRequest{Bench: req.Bench, Spec: req.Spec, Threads: req.Threads, Cores: req.Cores})
-	if err != nil {
-		return exp.Cell{}, nil, err
-	}
-	if req.Threads < exp.MinWhatIfThreads {
-		return exp.Cell{}, nil, badRequest("what-if needs threads >= %d (a single-threaded run has no scaling gap), got %d",
-			exp.MinWhatIfThreads, req.Threads)
-	}
-	for _, id := range req.Interventions {
-		if _, err := whatif.ByID(id); err != nil {
-			return exp.Cell{}, nil, err
-		}
-	}
-	return cell, req.Interventions, nil
-}
-
-// handleWhatIf serves POST /v1/whatif: the causal what-if report for one
-// cell — each applicable catalog intervention predicted by re-evaluating
-// the estimator with its components scaled, validated by re-simulating the
-// mutated spec/machine, and ranked by predicted gain. Everything rides the
-// fingerprint-keyed memo, so repeating a request simulates nothing new.
-func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
-	opts, aerr := parseOptions(r, optionSpec{format: true})
-	if aerr != nil {
-		writeError(w, r, aerr)
-		return
-	}
-	var req whatifRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, r, badRequest("bad body: %v", err))
-		return
-	}
-	cell, ids, err := parseWhatIf(req)
-	if err != nil {
-		writeError(w, r, asAPIError(err))
-		return
-	}
-	serve(s, w, r, opts.format,
-		func(ctx context.Context) (whatif.Report, error) {
-			return s.engine.WhatIf(ctx, exp.Request{Cell: cell}, ids)
-		},
-		whatif.Encode)
-}
-
-// handleBenchmarks serves GET /v1/benchmarks.
-func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	if _, aerr := parseOptions(r, optionSpec{}); aerr != nil {
-		writeError(w, r, aerr)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(map[string][]string{"benchmarks": workload.Names()})
-}
-
-// handleHealthz serves GET /healthz.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// healthz serves GET /healthz.
+func healthz(s *Server, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
 
-// handleMetrics serves GET /metrics in Prometheus text exposition format:
+// metrics serves GET /metrics in Prometheus text exposition format:
 // per-route request counts, per-code response counts, and the engine's
 // simulation/cache counters.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func metrics(s *Server, w http.ResponseWriter, r *http.Request) {
 	st := s.engine.Stats()
 	s.mu.Lock()
 	routes := make([]string, 0, len(s.requests))

@@ -254,18 +254,14 @@ func TestSweepBadRequests(t *testing.T) {
 	} else if e := decodeEnvelope(t, w); e.Code != "unknown_benchmark" || !strings.HasPrefix(e.Message, "cell 0:") {
 		t.Errorf("unexpected envelope: %+v", e)
 	}
-	// Batch limit.
-	srv := New(Options{Engine: s.Engine(), MaxSweepCells: 2})
-	var cells []string
-	for i := 0; i < 3; i++ {
-		cells = append(cells, fmt.Sprintf(`{"bench":%q,"threads":%d}`, testBench, i+2))
+	// Batch limit: MaxSweepCells+1 trivial cells, rejected before any runs.
+	cell := fmt.Sprintf(`{"bench":%q,"threads":2}`, testBench)
+	w := post(`{"cells":[` + strings.Repeat(cell+",", MaxSweepCells) + cell + `]}`)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "1025 cells exceeds the 1024-cell batch limit") {
+		t.Errorf("over-limit batch: status %d, want 400 (%.120s)", w.Code, w.Body)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/v1/sweep",
-		strings.NewReader(`{"cells":[`+strings.Join(cells, ",")+`]}`))
-	w := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(w, req)
-	if w.Code != http.StatusBadRequest {
-		t.Errorf("over-limit batch: status %d, want 400", w.Code)
+	if st := s.Engine().Stats(); st.CellRuns != 0 {
+		t.Errorf("bad sweeps ran %d simulations", st.CellRuns)
 	}
 }
 

@@ -6,12 +6,9 @@
 // threshold number of times is marked as a candidate spin load, and when a
 // marked load finally observes a different value that was written by another
 // core, the elapsed time since the load's first occurrence is classified as
-// spinning.
-//
-// A second detector in the style of Li et al. (backward branches with
-// unchanged processor state) is provided for ablation studies; the paper
-// selects the Tian scheme for its lower hardware cost, and so does the
-// default simulator configuration.
+// spinning. (The paper also considers Li et al.'s backward-branch scheme and
+// selects Tian's for its lower hardware cost; only the selected one lives
+// here.)
 package spin
 
 import "fmt"

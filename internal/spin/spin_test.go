@@ -126,41 +126,3 @@ func TestDetectorSizeBytes(t *testing.T) {
 		t.Fatalf("SizeBytes = %d, want 217 (paper budget)", got)
 	}
 }
-
-func TestLiDetectorChargesUnchangedState(t *testing.T) {
-	d := NewLiDetector(LiConfig{BranchEntries: 4})
-	sig := uint64(0xDEAD)
-	d.ObserveBackwardBranch(0, 0x80, sig)
-	var total uint64
-	for i := 1; i <= 10; i++ {
-		total += d.ObserveBackwardBranch(uint64(i*20), 0x80, sig)
-	}
-	if total != 200 {
-		t.Fatalf("charged %d, want 200", total)
-	}
-	// State change ends the episode.
-	if got := d.ObserveBackwardBranch(220, 0x80, sig+1); got != 0 {
-		t.Fatalf("changed state still charged %d", got)
-	}
-	if d.DetectedEpisodes() != 1 {
-		t.Fatalf("episodes = %d, want 1", d.DetectedEpisodes())
-	}
-}
-
-func TestLiFeedEpisode(t *testing.T) {
-	d := NewLiDetector(LiConfig{BranchEntries: 4})
-	got := FeedEpisodeLi(d, Episode{
-		PC: 0x90, Start: 0, Period: 12, End: 1200, OldValue: 7, NewValue: 8,
-	})
-	// (iters-1) periods charged: 99 * 12 = 1188.
-	if got != 1188 {
-		t.Fatalf("charged %d, want 1188", got)
-	}
-}
-
-func TestLiSizeSmallerThanNothing(t *testing.T) {
-	li := NewLiDetector(LiConfig{BranchEntries: 4})
-	if li.SizeBytes() <= 0 {
-		t.Fatal("size must be positive")
-	}
-}

@@ -171,8 +171,68 @@ func Row(b Bar) ReportRow {
 	}
 }
 
-// Rows converts a set of bars into report rows, preserving order.
-func Rows(bars []Bar) []ReportRow {
+// Document is one analysis result in every form a report can take. Each
+// analysis answers with one — Bars, TimeSeries, scaling.Advice,
+// whatif.Report — and EncodeDocument is the only code that knows the
+// formats, so a new analysis is a new Document, never a new encoder.
+type Document interface {
+	// Text is the human-readable report.
+	Text() string
+	// JSON is the value whose encoding is the json (indented) and ndjson
+	// (compact) body.
+	JSON() any
+	// CSV is the document as one flat table.
+	CSV() (header []string, records [][]string)
+	// SVG writes the standalone chart.
+	SVG(w io.Writer) error
+}
+
+// EncodeDocument writes d to w in the requested format. A []ReportRow
+// document streams as ndjson one compact row per line — each line exactly
+// json.Marshal(row) plus a newline, the contract the fleet layer's
+// byte-level sweep merging relies on; every other JSON value is one line.
+func EncodeDocument(w io.Writer, f Format, d Document) error {
+	switch f {
+	case FormatText, "":
+		_, err := io.WriteString(w, d.Text())
+		return err
+	case FormatJSON:
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(d.JSON())
+	case FormatNDJSON:
+		enc, v := json.NewEncoder(w), d.JSON()
+		rows, ok := v.([]ReportRow)
+		if !ok {
+			return enc.Encode(v)
+		}
+		for _, row := range rows {
+			if err := enc.Encode(row); err != nil {
+				return err
+			}
+		}
+		return nil
+	case FormatCSV:
+		header, records := d.CSV()
+		return WriteCSV(w, header, records)
+	case FormatSVG:
+		return d.SVG(w)
+	}
+	return fmt.Errorf("stack: unknown format %q", f)
+}
+
+// Encode is EncodeDocument(w, f, Bars(bars)); it survives as a name because
+// benchmark/probes.go compiles against it.
+func Encode(w io.Writer, f Format, bars []Bar) error { return EncodeDocument(w, f, Bars(bars)) }
+
+// Bars is the aggregate report: one speedup stack per bar.
+type Bars []Bar
+
+// Text is the ASCII rendering followed by the numeric table.
+func (bars Bars) Text() string { return Render(bars, 64) + "\n" + Table(bars) }
+
+// JSON is the []ReportRow form, one row per stack, in order.
+func (bars Bars) JSON() any {
 	rows := make([]ReportRow, len(bars))
 	for i, b := range bars {
 		rows[i] = Row(b)
@@ -180,57 +240,24 @@ func Rows(bars []Bar) []ReportRow {
 	return rows
 }
 
-// EncodeJSON writes the bars as an indented JSON array of ReportRow
-// objects, one per stack, terminated by a newline.
-func EncodeJSON(w io.Writer, bars []Bar) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Rows(bars))
-}
-
-// EncodeNDJSON writes the bars as newline-delimited JSON: one compact
-// ReportRow per line. A line is exactly json.Marshal(Row(bar)) plus a
-// newline, which is the contract the fleet layer's byte-level sweep
-// merging relies on.
-func EncodeNDJSON(w io.Writer, bars []Bar) error {
-	for _, b := range bars {
-		if err := EncodeRowNDJSON(w, Row(b)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EncodeRowNDJSON writes one report row as a single compact JSON line.
-func EncodeRowNDJSON(w io.Writer, row ReportRow) error {
-	data, err := json.Marshal(row)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// EncodeCSV writes one header row plus one record per stack with every
-// component in speedup units. The column layout is shared with the
-// experiment harness's figure CSV emitters.
-func EncodeCSV(w io.Writer, bars []Bar) error {
+// CSV is one record per stack with every component in speedup units. The
+// column layout is shared with the experiment harness's figure CSV emitters.
+func (bars Bars) CSV() ([]string, [][]string) {
 	header := []string{"label", "threads", "estimated", "actual",
 		"base", "posLLC", "negLLC", "netLLC", "memory", "spin", "yield", "imbalance"}
 	records := make([][]string, len(bars))
-	for i, b := range bars {
-		s := b.Stack
+	for i, bar := range bars {
+		s := bar.Stack
 		tp := float64(s.Tp)
 		records[i] = []string{
-			b.Label, strconv.Itoa(s.N), CSVFloat(s.Estimated()), CSVFloat(s.ActualSpeedup),
+			bar.Label, strconv.Itoa(s.N), CSVFloat(s.Estimated()), CSVFloat(s.ActualSpeedup),
 			CSVFloat(s.Base()), CSVFloat(s.Components.PosLLC / tp), CSVFloat(s.Components.NegLLC / tp),
 			CSVFloat(s.Components.Net() / tp), CSVFloat(s.Components.NegMem / tp),
 			CSVFloat(s.Components.Spin / tp), CSVFloat(s.Components.Yield / tp),
 			CSVFloat(s.Components.Imbalance / tp),
 		}
 	}
-	return WriteCSV(w, header, records)
+	return header, records
 }
 
 // CSVFloat is the spelling of a float in every CSV report of the repo:
@@ -246,30 +273,4 @@ func WriteCSV(w io.Writer, header []string, records [][]string) error {
 		return err
 	}
 	return cw.WriteAll(records) // flushes
-}
-
-// Encode writes the bars to w in the requested format. Text combines the
-// ASCII rendering with the numeric table; the other formats are the
-// machine-readable encoders above.
-func Encode(w io.Writer, f Format, bars []Bar) error {
-	switch f {
-	case FormatText, "":
-		if _, err := io.WriteString(w, Render(bars, 64)); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, Table(bars))
-		return err
-	case FormatJSON:
-		return EncodeJSON(w, bars)
-	case FormatNDJSON:
-		return EncodeNDJSON(w, bars)
-	case FormatCSV:
-		return EncodeCSV(w, bars)
-	case FormatSVG:
-		return EncodeSVG(w, bars)
-	}
-	return fmt.Errorf("stack: unknown format %q", f)
 }

@@ -70,11 +70,11 @@ func TestEncodeGolden(t *testing.T) {
 	}
 }
 
-// svgOf is the EncodeSVG document for the bars.
+// svgOf is the Bars.SVG document for the bars.
 func svgOf(t *testing.T, bars []Bar) string {
 	t.Helper()
 	var b strings.Builder
-	if err := EncodeSVG(&b, bars); err != nil {
+	if err := Bars(bars).SVG(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()
@@ -109,7 +109,7 @@ func TestSVGEscapesLabels(t *testing.T) {
 }
 
 func TestRowDerivations(t *testing.T) {
-	rows := Rows(fixtureBars())
+	rows := Bars(fixtureBars()).JSON().([]ReportRow)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}

@@ -42,8 +42,8 @@ var svgSeries = []string{
 	"#4a3aa7", // imbalance
 }
 
-// EncodeSVG writes the bars to w as a standalone SVG document.
-func EncodeSVG(w io.Writer, bars []Bar) error {
+// SVG writes the bars to w as a standalone SVG document.
+func (bars Bars) SVG(w io.Writer) error {
 	b := new(strings.Builder)
 	const (
 		marginL = 46.0  // room for y tick labels

@@ -49,9 +49,8 @@ func timelineBands(iv Interval, n int) [5]float64 {
 	return out
 }
 
-// EncodeTimeSeriesSVG writes the stacked-timeline SVG document for the
-// series to w.
-func EncodeTimeSeriesSVG(w io.Writer, ts TimeSeries) error {
+// SVG writes the stacked-timeline SVG document for the series to w.
+func (ts TimeSeries) SVG(w io.Writer) error {
 	b := new(strings.Builder)
 	const (
 		marginL = 52.0

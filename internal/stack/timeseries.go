@@ -1,7 +1,6 @@
 package stack
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -144,8 +143,9 @@ type IntervalRow struct {
 	Cycles     core.IntComponents `json:"cycles"`
 }
 
-// Report converts the series into its machine-readable form.
-func Report(ts TimeSeries) TimeSeriesReport {
+// JSON converts the series into its machine-readable form, one
+// TimeSeriesReport object.
+func (ts TimeSeries) JSON() any {
 	rows := make([]IntervalRow, len(ts.Intervals))
 	for i, iv := range ts.Intervals {
 		rows[i] = IntervalRow{
@@ -169,18 +169,10 @@ func Report(ts TimeSeries) TimeSeriesReport {
 	}
 }
 
-// EncodeTimeSeriesJSON writes the series as one indented JSON
-// TimeSeriesReport object terminated by a newline.
-func EncodeTimeSeriesJSON(w io.Writer, ts TimeSeries) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Report(ts))
-}
-
-// EncodeTimeSeriesCSV writes one header row, one record per interval with
-// the exact integer-cycle components, and a final "total" record carrying
-// the aggregate (to which the interval records sum exactly).
-func EncodeTimeSeriesCSV(w io.Writer, ts TimeSeries) error {
+// CSV is one record per interval with the exact integer-cycle components,
+// and a final "total" record carrying the aggregate (to which the interval
+// records sum exactly).
+func (ts TimeSeries) CSV() ([]string, [][]string) {
 	header := []string{"benchmark", "threads", "interval", "start_ops", "end_ops",
 		"start_cycle", "end_cycle", "neg_llc_cycles", "pos_llc_cycles",
 		"memory_cycles", "spinning_cycles", "yielding_cycles", "imbalance_cycles"}
@@ -200,14 +192,14 @@ func EncodeTimeSeriesCSV(w io.Writer, ts TimeSeries) error {
 			iv.StartCycle, iv.EndCycle, iv.Components))
 	}
 	records = append(records, rec("total", 0, ts.TotalOps, 0, ts.Tp, ts.Aggregate))
-	return WriteCSV(w, header, records)
+	return header, records
 }
 
-// TimeSeriesTable renders the series as a fixed-width text table: one row
+// Text renders the series as a fixed-width text table: one row
 // per interval showing the op range, the wall-cycle span, and each
 // component as a percentage of the interval's thread-cycle capacity
 // (N × wall cycles), followed by the aggregate row.
-func TimeSeriesTable(ts TimeSeries) string {
+func (ts TimeSeries) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s N=%d  Tp=%d cycles  %d ops in %d intervals (every %d ops)\n",
 		ts.Label, ts.N, ts.Tp, ts.TotalOps, len(ts.Intervals), ts.EveryOps)
@@ -237,25 +229,6 @@ func TimeSeriesTable(ts TimeSeries) string {
 	return b.String()
 }
 
-// EncodeTimeSeries writes the series to w in the requested format: text is
-// the fixed-width interval table, json one TimeSeriesReport object, csv one
-// record per interval plus a total record, and svg the stacked-timeline
-// chart.
-func EncodeTimeSeries(w io.Writer, f Format, ts TimeSeries) error {
-	switch f {
-	case FormatText, "":
-		_, err := io.WriteString(w, TimeSeriesTable(ts))
-		return err
-	case FormatJSON:
-		return EncodeTimeSeriesJSON(w, ts)
-	case FormatNDJSON:
-		// The one-object report as a single compact line, for uniformity
-		// with the streaming sweep format.
-		return json.NewEncoder(w).Encode(Report(ts))
-	case FormatCSV:
-		return EncodeTimeSeriesCSV(w, ts)
-	case FormatSVG:
-		return EncodeTimeSeriesSVG(w, ts)
-	}
-	return fmt.Errorf("stack: unknown format %q", f)
-}
+// EncodeTimeSeries is EncodeDocument(w, f, ts); it survives as a name because
+// benchmark/probes.go compiles against it.
+func EncodeTimeSeries(w io.Writer, f Format, ts TimeSeries) error { return EncodeDocument(w, f, ts) }

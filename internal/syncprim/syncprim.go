@@ -198,8 +198,6 @@ type Queue struct {
 	popWaiters  []int
 
 	pushes, pops uint64
-	blockedPush  uint64
-	blockedPop   uint64
 }
 
 // NewQueue returns a queue holding at most capacity items.
@@ -213,20 +211,11 @@ func NewQueue(capacity int) *Queue {
 // Items returns current occupancy.
 func (q *Queue) Items() int { return q.items }
 
-// Closed reports whether the queue is closed.
-func (q *Queue) Closed() bool { return q.closed }
-
 // Pushes and Pops return operation counts.
 func (q *Queue) Pushes() uint64 { return q.pushes }
 
 // Pops returns the number of successful pops.
 func (q *Queue) Pops() uint64 { return q.pops }
-
-// BlockedPushes returns how many pushes had to wait.
-func (q *Queue) BlockedPushes() uint64 { return q.blockedPush }
-
-// BlockedPops returns how many pops had to wait.
-func (q *Queue) BlockedPops() uint64 { return q.blockedPop }
 
 // Push inserts an item for tid. Outcomes:
 //   - granted >= 0: the item was handed directly to blocked popper granted
@@ -254,7 +243,6 @@ func (q *Queue) Push(tid int, prefer func(tid int) bool) (granted int, ok bool) 
 		q.pushes++
 		return -1, true
 	}
-	q.blockedPush++
 	q.pushWaiters = append(q.pushWaiters, tid)
 	return -1, false
 }
@@ -283,7 +271,6 @@ func (q *Queue) Pop(tid int, prefer func(tid int) bool) (granted int, ok, closed
 	if q.closed {
 		return -1, false, true
 	}
-	q.blockedPop++
 	q.popWaiters = append(q.popWaiters, tid)
 	return -1, false, false
 }

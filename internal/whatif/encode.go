@@ -1,7 +1,6 @@
 package whatif
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -10,36 +9,25 @@ import (
 	"repro/internal/stack"
 )
 
-// Encode writes a Report to w in the requested format, reusing the stack
-// package's format vocabulary: text is the human-readable ranking, JSON the
-// Report object, CSV one record per prediction, and SVG the baseline and
-// per-intervention re-simulated stacks as one bar chart.
-func Encode(w io.Writer, f stack.Format, r Report) error {
-	switch f {
-	case stack.FormatText, "":
-		_, err := io.WriteString(w, Text(r))
-		return err
-	case stack.FormatJSON:
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(r)
-	case stack.FormatNDJSON:
-		return json.NewEncoder(w).Encode(r)
-	case stack.FormatCSV:
-		return encodeCSV(w, r)
-	case stack.FormatSVG:
-		if len(r.Bars) == 0 {
-			return fmt.Errorf("whatif: report carries no stacks to draw (SVG needs a locally-computed report)")
-		}
-		return stack.Encode(w, stack.FormatSVG, r.Bars)
+// Encode is stack.EncodeDocument(w, f, r); it survives as a name because
+// benchmark/probes.go compiles against it.
+func Encode(w io.Writer, f stack.Format, r Report) error { return stack.EncodeDocument(w, f, r) }
+
+// JSON is the Report object itself (Bars is not part of the wire form).
+func (r Report) JSON() any { return r }
+
+// SVG draws the report's stacks; only a locally-computed report carries them.
+func (r Report) SVG(w io.Writer) error {
+	if len(r.Bars) == 0 {
+		return fmt.Errorf("whatif: report carries no stacks to draw (SVG needs a locally-computed report)")
 	}
-	return fmt.Errorf("whatif: unknown format %q", f)
+	return stack.Bars(r.Bars).SVG(w)
 }
 
 // Text renders the human-readable what-if report: the baseline, then every
 // applicable intervention ranked by predicted gain, each with its concrete
 // mutation and its predicted-vs-resimulated outcome.
-func Text(r Report) string {
+func (r Report) Text() string {
 	var b strings.Builder
 	label := fmt.Sprintf("%s x%d", r.Benchmark, r.Threads)
 	if r.Cores != 0 && r.Cores != r.Threads {
@@ -63,9 +51,9 @@ func Text(r Report) string {
 	return b.String()
 }
 
-// encodeCSV writes one record per prediction; the per-report baseline
-// repeats on every record so the file stays a single flat table.
-func encodeCSV(w io.Writer, r Report) error {
+// CSV is one record per prediction; the per-report baseline repeats on
+// every record so the file stays a single flat table.
+func (r Report) CSV() ([]string, [][]string) {
 	f := stack.CSVFloat
 	header := []string{"benchmark", "threads", "baseline_speedup", "intervention", "component",
 		"mutation", "predicted_speedup", "actual_speedup", "predicted_gain", "actual_gain", "error"}
@@ -78,5 +66,5 @@ func encodeCSV(w io.Writer, r Report) error {
 			f(p.PredictedGain), f(p.ActualGain), f(p.Error),
 		}
 	}
-	return stack.WriteCSV(w, header, records)
+	return header, records
 }

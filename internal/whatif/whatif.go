@@ -335,7 +335,8 @@ type Prediction struct {
 
 // Report is the full what-if answer for one (workload, threads) cell:
 // every applicable intervention predicted, re-simulated and ranked by
-// predicted gain (descending; ties break on intervention ID).
+// predicted gain (descending; ties break on intervention ID). It is a
+// stack.Document (encode.go).
 type Report struct {
 	// Benchmark labels the workload; Threads (and Cores, when it differs
 	// from Threads) the analyzed run shape.

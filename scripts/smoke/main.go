@@ -47,22 +47,14 @@ func main() {
 	defer cancel()
 	c := client.New(*base)
 
-	// Readiness: the server may still be binding when CI launches us.
-	var err error
-	for i := 0; i < 100; i++ {
-		if err = c.Healthz(ctx); err == nil {
-			break
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-	check("healthz", err)
+	ready(ctx, c, "healthz")
 
 	names, err := c.Benchmarks(ctx)
 	check("benchmarks", err)
 	expect("benchmarks", len(names) >= 20, "only %d registered", len(names))
 
 	const bench = "cholesky_splash2"
-	row, err := c.Stack(ctx, bench, 8, 0)
+	row, err := c.Stack(ctx, client.Cell{Bench: bench, Threads: 8})
 	check("stack", err)
 	expect("stack", row.Benchmark == bench && row.Actual > 0, "row %+v", row)
 
@@ -72,7 +64,7 @@ func main() {
 	expect("stack svg", strings.HasPrefix(string(svg), "<svg") && ct == "image/svg+xml",
 		"content type %q", ct)
 
-	rep, err := c.StackIntervals(ctx, bench, 8, 0, 8)
+	rep, err := c.StackIntervals(ctx, client.Cell{Bench: bench, Threads: 8}, 8)
 	check("intervals", err)
 	expect("intervals", rep.Benchmark == bench && len(rep.Intervals) > 0,
 		"%d intervals", len(rep.Intervals))
@@ -83,7 +75,7 @@ func main() {
 	check("validate", err)
 	expect("validate", v.Valid && len(v.Fingerprint) == 64 && v.Canonical != nil, "result %+v", v)
 
-	arow, err := c.Analyze(ctx, *v.Canonical, 8, 0)
+	arow, err := c.Stack(ctx, client.Cell{Spec: v.Canonical, Threads: 8})
 	check("analyze", err)
 	expect("analyze", arow.Benchmark == "ci-kernel" && arow.Actual >= 1, "row %+v", arow)
 
@@ -105,7 +97,7 @@ func main() {
 	// only the mutated cells: all four catalog interventions apply to
 	// cholesky (a task queue with a dispatch lock and skewed shares), hence
 	// exactly four new cell runs — asserted by the metrics block below.
-	wrep, err := c.WhatIf(ctx, bench, 8, nil)
+	wrep, err := c.WhatIf(ctx, client.Cell{Bench: bench, Threads: 8}, nil)
 	check("whatif", err)
 	expect("whatif", wrep.Benchmark == bench && wrep.Threads == 8 &&
 		len(wrep.Predictions) == 4, "report %+v", wrep)
@@ -117,7 +109,7 @@ func main() {
 			"predictions not ranked by predicted gain: %+v", wrep.Predictions)
 	}
 	// Repeating the what-if — and narrowing it to a subset — is pure memo.
-	wrep2, err := c.WhatIf(ctx, bench, 8, []string{"double_llc"})
+	wrep2, err := c.WhatIf(ctx, client.Cell{Bench: bench, Threads: 8}, []string{"double_llc"})
 	check("whatif repeat", err)
 	expect("whatif repeat", len(wrep2.Predictions) == 1 &&
 		wrep2.Predictions[0].Intervention == "double_llc", "report %+v", wrep2)
@@ -131,14 +123,14 @@ func main() {
 	// fast-vs-exact regression test).
 	fc := client.New(*base)
 	fc.Mode = "fast"
-	frow, err := fc.Stack(ctx, bench, 8, 0)
+	frow, err := fc.Stack(ctx, client.Cell{Bench: bench, Threads: 8})
 	check("fast stack", err)
 	expect("fast stack", frow.Benchmark == bench && frow.Actual > 0, "row %+v", frow)
 	d := frow.Estimated - row.Estimated
 	expect("fast stack", d < 3.6 && d > -3.6,
 		"fast estimate %v too far from exact %v", frow.Estimated, row.Estimated)
 	// Repeating the fast cell is a memo hit, like any other cell.
-	frow2, err := fc.Stack(ctx, bench, 8, 0)
+	frow2, err := fc.Stack(ctx, client.Cell{Bench: bench, Threads: 8})
 	check("fast stack repeat", err)
 	expect("fast stack repeat", frow2 == frow, "fast rows differ: %+v vs %+v", frow2, frow)
 
@@ -162,7 +154,7 @@ func main() {
 	// suggestion is machine-readable, an undeclared query parameter is
 	// a 400 with its own stable code, and a typo'd what-if intervention is
 	// a 404 carrying the nearest catalog ID.
-	_, err = c.Stack(ctx, "choleski", 8, 0)
+	_, err = c.Stack(ctx, client.Cell{Bench: "choleski", Threads: 8})
 	var ae *client.APIError
 	expect("404 envelope", errors.As(err, &ae), "error %v", err)
 	expect("404 envelope", ae.StatusCode == 404 && ae.Code == "unknown_benchmark" &&
@@ -172,7 +164,7 @@ func main() {
 	expect("unknown-param envelope", errors.As(err, &ae), "error %v", err)
 	expect("unknown-param envelope", ae.StatusCode == 400 && ae.Code == "unknown_parameter",
 		"APIError %+v", ae)
-	_, err = c.WhatIf(ctx, bench, 8, []string{"double_lcc"})
+	_, err = c.WhatIf(ctx, client.Cell{Bench: bench, Threads: 8}, []string{"double_lcc"})
 	expect("unknown-intervention envelope", errors.As(err, &ae), "error %v", err)
 	expect("unknown-intervention envelope", ae.StatusCode == 404 &&
 		ae.Code == "unknown_intervention" && ae.Suggestion == "double_llc",
@@ -180,7 +172,7 @@ func main() {
 	// An unknown simulation mode is a 400 with the uniform invalid_argument
 	// envelope, like any other malformed value.
 	fc.Mode = "bogus"
-	_, err = fc.Stack(ctx, bench, 8, 0)
+	_, err = fc.Stack(ctx, client.Cell{Bench: bench, Threads: 8})
 	expect("bad-mode envelope", errors.As(err, &ae), "error %v", err)
 	expect("bad-mode envelope", ae.StatusCode == 400 && ae.Code == "invalid_argument",
 		"APIError %+v", ae)
@@ -230,16 +222,8 @@ func fleetChecks(ctx context.Context, pair string) {
 	urls := strings.Split(pair, ",")
 	expect("fleet", len(urls) == 2, "-fleet wants two comma-separated URLs, got %q", pair)
 	a, b := client.New(urls[0]), client.New(urls[1])
-	for _, node := range []*client.Client{a, b} {
-		var err error
-		for i := 0; i < 100; i++ {
-			if err = node.Healthz(ctx); err == nil {
-				break
-			}
-			time.Sleep(200 * time.Millisecond)
-		}
-		check("fleet healthz", err)
-	}
+	ready(ctx, a, "fleet healthz")
+	ready(ctx, b, "fleet healthz")
 
 	// Peer cache-fill: one cell through both nodes. Whichever node is not
 	// the cell's home forwards one hop and caches the home's bytes, so the
@@ -305,21 +289,26 @@ func fleetChecks(ctx context.Context, pair string) {
 // Retry-After hint.
 func limitedChecks(ctx context.Context, baseURL string) {
 	c := client.New(baseURL)
-	var err error
-	for i := 0; i < 100; i++ {
-		if err = c.Healthz(ctx); err == nil {
-			break
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-	check("limited healthz", err)
-	_, err = c.Stack(ctx, "blackscholes_parsec_small", 1, 0)
+	ready(ctx, c, "limited healthz")
+	_, err := c.Stack(ctx, client.Cell{Bench: "blackscholes_parsec_small", Threads: 1})
 	check("limited first request", err)
-	_, err = c.Stack(ctx, "blackscholes_parsec_small", 1, 0)
+	_, err = c.Stack(ctx, client.Cell{Bench: "blackscholes_parsec_small", Threads: 1})
 	var ae *client.APIError
 	expect("429 envelope", errors.As(err, &ae), "error %v", err)
 	expect("429 envelope", ae.StatusCode == 429 && ae.Code == "rate_limited",
 		"APIError %+v", ae)
+}
+
+// ready waits for a server that may still be binding when CI launches us.
+func ready(ctx context.Context, c *client.Client, step string) {
+	var err error
+	for i := 0; i < 100; i++ {
+		if err = c.Healthz(ctx); err == nil {
+			return
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+	check(step, err)
 }
 
 // metricValue extracts one counter from a Prometheus text exposition; a

@@ -194,7 +194,10 @@ type TimeSeriesReport = stack.TimeSeriesReport
 // TimeSeries is the time-resolved form of one speedup stack: the aggregate
 // decomposition plus per-interval component breakdowns whose integer-cycle
 // values sum exactly to the aggregate. Produce one with MeasureIntervals;
-// render it with EncodeTimeSeries.
+// it is a Document, so Encode renders it: FormatText is a fixed-width
+// interval table, FormatJSON one report object (metadata, aggregate, exact
+// per-interval cycles), FormatCSV one record per interval plus a total
+// record, and FormatSVG a standalone stacked-timeline chart.
 type TimeSeries = stack.TimeSeries
 
 // TimeSeriesInterval is one time slice of a TimeSeries.
@@ -224,15 +227,6 @@ func MeasureIntervals(ctx context.Context, r Request, intervals int) (TimeSeries
 	return out.Series, nil
 }
 
-// EncodeTimeSeries writes a time-resolved stack to w in the requested
-// format: FormatText is a fixed-width interval table, FormatJSON one report
-// object (metadata, aggregate, exact per-interval cycles), FormatCSV one
-// record per interval plus a total record, and FormatSVG a standalone
-// stacked-timeline chart.
-func EncodeTimeSeries(w io.Writer, f Format, ts TimeSeries) error {
-	return stack.EncodeTimeSeries(w, f, ts)
-}
-
 // Render draws a result as an ASCII speedup stack with a legend.
 func Render(r Result) string {
 	return stack.Render([]stack.Bar{{Label: r.Benchmark, Stack: r.Stack}}, 64)
@@ -257,13 +251,19 @@ func Formats() []Format { return stack.Formats() }
 // ParseFormat resolves a format name case-insensitively.
 func ParseFormat(s string) (Format, error) { return stack.ParseFormat(s) }
 
-// Encode writes the results to w in the requested format: FormatText is
-// the ASCII rendering plus the numeric table, FormatJSON an indented JSON
+// Document is one analysis result in every report form. Stacks (of
+// Results), TimeSeries, Advice and WhatIfReport are all Documents; Encode
+// writes any of them.
+type Document = stack.Document
+
+// Stacks is the aggregate report of one or more results: FormatText is the
+// ASCII rendering plus the numeric table, FormatJSON an indented JSON
 // array, FormatCSV a header plus one record per result, and FormatSVG a
 // standalone SVG chart.
-func Encode(w io.Writer, f Format, rs ...Result) error {
-	return stack.Encode(w, f, bars(rs))
-}
+func Stacks(rs ...Result) Document { return stack.Bars(bars(rs)) }
+
+// Encode writes a document to w in the requested format.
+func Encode(w io.Writer, f Format, d Document) error { return stack.EncodeDocument(w, f, d) }
 
 func bars(rs []Result) []stack.Bar {
 	out := make([]stack.Bar, len(rs))

@@ -227,12 +227,12 @@ func TestAPISurface(t *testing.T) {
 	want := strings.Fields(`
 		Advice AdviceClass AdviceFit AdviceLinear AdviceNegative AdvicePoint
 		AdviceRecommendation AdviceSaturated Advise Benchmarks Components
-		Encode EncodeAdvice EncodeTimeSeries EncodeWhatIf Format FormatCSV
+		Document Encode Format FormatCSV
 		FormatJSON FormatSVG FormatText Formats HardwareCost
 		IntervalComponents Interventions LoadTrace MaxAdviseThreads
 		MaxIntervals Measure MeasureAll MeasureIntervals MinAdviseThreads
 		MinWhatIfThreads ParseFormat ParseWorkload RecordTrace Render Request
-		Result Stack StackRow Table TimeSeries TimeSeriesInterval
+		Result Stack StackRow Stacks Table TimeSeries TimeSeriesInterval
 		TimeSeriesReport TopBottlenecks WhatIf WhatIfDoubleLLC
 		WhatIfHalveLockHold WhatIfHalveMemLatency WhatIfIntervention
 		WhatIfPrediction WhatIfRemoveImbalance WhatIfReport Workload

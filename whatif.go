@@ -2,7 +2,6 @@ package speedupstack
 
 import (
 	"context"
-	"io"
 
 	"repro/internal/exp"
 	"repro/internal/whatif"
@@ -12,7 +11,10 @@ import (
 // threads) cell: every applicable catalog intervention's predicted speedup
 // gain — the Section 3/4 estimator re-evaluated with the intervention's
 // stack components virtually scaled — validated by re-simulating the
-// concretely mutated workload or machine, ranked by predicted gain.
+// concretely mutated workload or machine, ranked by predicted gain. It is a
+// Document: FormatText is the human-readable ranking, FormatJSON the report
+// object, FormatCSV one record per prediction, and FormatSVG the baseline
+// and per-intervention re-simulated stacks as one bar chart.
 type WhatIfReport = whatif.Report
 
 // WhatIfPrediction is one evaluated intervention: predicted and
@@ -47,12 +49,4 @@ func WhatIf(ctx context.Context, r Request, interventions ...string) (WhatIfRepo
 		return WhatIfReport{}, err
 	}
 	return newEngine().WhatIf(ctx, req, interventions)
-}
-
-// EncodeWhatIf writes a WhatIfReport to w in the requested format:
-// FormatText is the human-readable ranking, FormatJSON the report object,
-// FormatCSV one record per prediction, and FormatSVG the baseline and
-// per-intervention re-simulated stacks as one bar chart.
-func EncodeWhatIf(w io.Writer, f Format, rep WhatIfReport) error {
-	return whatif.Encode(w, f, rep)
 }
