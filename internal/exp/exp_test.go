@@ -32,11 +32,11 @@ func TestSweepPairsRuns(t *testing.T) {
 func TestEngineCachesSequentialTime(t *testing.T) {
 	e := NewEngine(sim.Default())
 	b, _ := workload.ByName("swaptions_parsec_small")
-	ts1, err := e.seqTime(context.Background(), e.Config(), b)
+	ts1, err := e.seqTime(context.Background(), e.Config(), b.Spec.Fingerprint(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2, err := e.seqTime(context.Background(), e.Config(), b)
+	ts2, err := e.seqTime(context.Background(), e.Config(), b.Spec.Fingerprint(), b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,3 +219,70 @@ func TestStatsOccupancy(t *testing.T) {
 		t.Fatalf("occupancy entries=%d limit=%d, want 1 and 7", st.CellMemoEntries, st.CellMemoLimit)
 	}
 }
+
+// TestEditedRegistryCopyIsADistinctCell pins where a precomputed fingerprint
+// may come from: the name index, by name, and nowhere else. A copy of a
+// registered spec that is then edited runs as an inline spec, hashes as what
+// it has become and gets its own memo entry — it must never ride the
+// registered name's fingerprint into the registered cell's result.
+func TestEditedRegistryCopyIsADistinctCell(t *testing.T) {
+	const name = "blackscholes_parsec_small"
+	e := NewEngine(sim.Default(), WithWorkers(2))
+	ctx := context.Background()
+	named, err := e.Sweep(ctx, []Cell{{Bench: name, Threads: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := workload.ByName(name)
+	b.Spec.Seed++
+	_, registered, _ := workload.Identity(name)
+	if b.Spec.Fingerprint() == registered {
+		t.Fatal("the edited copy hashes to the registered fingerprint")
+	}
+	edited, err := e.Sweep(ctx, []Cell{{Spec: &b.Spec, Threads: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.CellRuns != 2 || st.SeqRuns != 2 || st.CellMemoEntries != 2 {
+		t.Errorf("edited copy shared the registered cell's memo entry: %+v", st)
+	}
+	if edited[0].Bench.Spec.Seed != b.Spec.Seed || named[0].Bench.Spec.Seed == b.Spec.Seed {
+		t.Errorf("outcomes carry seeds %d (named) and %d (edited), want the registry's and %d",
+			named[0].Bench.Spec.Seed, edited[0].Bench.Spec.Seed, b.Spec.Seed)
+	}
+	// Both stay their own entry: repeating either simulates nothing.
+	if _, err := e.Sweep(ctx, []Cell{{Bench: name, Threads: 2}, {Spec: &b.Spec, Threads: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.CellRuns != 2 {
+		t.Errorf("repeat re-simulated: %+v", st)
+	}
+}
+
+// TestMemoisedNamedCellHashesNothing holds the hit path of a registered name
+// to its allocation count: the fingerprint comes out of the name index, so
+// nothing is canonicalised, marshalled or hashed (28 allocations per call
+// before the index, 17 with it). The same cell given as an inline spec still
+// hashes, once, and so allocates more.
+func TestMemoisedNamedCellHashesNothing(t *testing.T) {
+	const name = "blackscholes_parsec_small"
+	e := NewEngine(sim.Default(), WithWorkers(2))
+	ctx := context.Background()
+	b, _ := workload.ByName(name)
+	namedReq := []Request{{Cell: Cell{Bench: name, Threads: 2}}}
+	inlineReq := []Request{{Cell: Cell{Spec: &b.Spec, Threads: 2}}}
+	if _, err := e.Do(ctx, namedReq); err != nil {
+		t.Fatal(err)
+	}
+	named := testing.AllocsPerRun(100, func() { e.Do(ctx, namedReq) })
+	inline := testing.AllocsPerRun(100, func() { e.Do(ctx, inlineReq) })
+	if st := e.Stats(); st.CellRuns != 1 {
+		t.Fatalf("the measured calls simulated: %+v", st)
+	}
+	if named > 20 {
+		t.Errorf("a memoised named cell costs %v allocations per Do, want <= 20", named)
+	}
+	if inline <= named {
+		t.Errorf("inline spec %v allocations, named %v: the named path is hashing too", inline, named)
+	}
+}

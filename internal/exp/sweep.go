@@ -272,18 +272,25 @@ func (e *Engine) SweepConfig(ctx context.Context, cfg sim.Config, cells []Cell) 
 }
 
 // resolve validates one request (Cell.Resolve) and maps it to the workload
-// it names and its memo key, under the request's machine or the engine's.
+// it names and its memo key, under the request's machine or the engine's. A
+// registered name's fingerprint comes from the workload name index, computed
+// once per process; only an inline spec is hashed, once, here.
 func (e *Engine) resolve(req Request) (workload.Benchmark, cellKey, error) {
 	cell := req.Cell.normalize()
 	b, err := cell.Resolve()
 	if err != nil {
 		return workload.Benchmark{}, cellKey{}, err
 	}
-	cfg := e.base
+	k := cellKey{cfg: e.base, threads: cell.Threads, cores: cell.Cores}
 	if req.Config != nil {
-		cfg = *req.Config
+		k.cfg = *req.Config
 	}
-	return b, cellKey{cfg: cfg, fp: b.Spec.Fingerprint(), threads: cell.Threads, cores: cell.Cores}, nil
+	if cell.Spec != nil {
+		k.fp = b.Spec.Fingerprint()
+	} else {
+		_, k.fp, _ = workload.Identity(cell.Bench)
+	}
+	return b, k, nil
 }
 
 // Do executes a batch of requests, deduplicating identical cells within
@@ -418,7 +425,7 @@ func (e *Engine) add(counter *int, d int) {
 // reference), mirroring the paper's pairing of every multi-threaded run
 // with a single-threaded run of the same work.
 func (e *Engine) runCell(ctx context.Context, k cellKey, b workload.Benchmark) (Outcome, error) {
-	ts, err := e.seqTime(ctx, k.cfg, b)
+	ts, err := e.seqTime(ctx, k.cfg, k.fp, b)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -463,10 +470,11 @@ func (e *Engine) runCell(ctx context.Context, k cellKey, b workload.Benchmark) (
 	}, nil
 }
 
-// seqTime resolves the benchmark's single-threaded reference time under
-// cfg, with the same claim-or-wait discipline as cell.
-func (e *Engine) seqTime(ctx context.Context, cfg sim.Config, b workload.Benchmark) (uint64, error) {
-	k := seqKey{cfg: cfg.WithCores(1), fp: b.Spec.Fingerprint()}
+// seqTime resolves the single-threaded reference time of b, whose
+// fingerprint is fp (the cell key's: it is not hashed again), under cfg,
+// with the same claim-or-wait discipline as cell.
+func (e *Engine) seqTime(ctx context.Context, cfg sim.Config, fp workload.Fingerprint, b workload.Benchmark) (uint64, error) {
+	k := seqKey{cfg: cfg.WithCores(1), fp: fp}
 	return e.seq.Do(ctx, k,
 		func() { e.add(&e.stats.SeqHits, 1) },
 		func() (uint64, bool, error) {

@@ -11,12 +11,19 @@
 //  1. A resolves the request's workload identity (bench name or inline
 //     spec) to its fingerprint without simulating anything, and looks up
 //     the home on the ring.
-//  2. A consults its peer-response cache; a hit answers immediately with
-//     the bytes B produced earlier.
-//  3. On a miss, A forwards the request to B with the hop header set
-//     (one hop at most: B serves hop-marked requests locally, never
-//     re-forwards), collapses concurrent identical misses onto one
-//     fetch, and caches B's 200 response.
+//  2. A consults its peer-response cache under the request's canonical
+//     identity — method, home, path, the options as the service's own
+//     parser reads them (negotiated format, canonical benchmark name,
+//     defaults filled; service.Identity.Options) and the body — so the
+//     same question in another parameter order, through an Accept header
+//     instead of ?format=, under an alias or with a default spelled out
+//     is the same entry. A hit answers immediately with the bytes B
+//     produced earlier.
+//  3. On a miss, A forwards the request to B exactly as the client sent
+//     it (raw query, Accept, body) with the hop header set (one hop at
+//     most: B serves hop-marked requests locally, never re-forwards),
+//     collapses concurrent misses of one identity onto one fetch, and
+//     caches B's 200 response under that identity.
 //  4. If B is unreachable, A falls back to simulating locally —
 //     availability over strict exactly-once.
 //
@@ -76,8 +83,9 @@ type Handler struct {
 	ring   *Ring
 	self   string
 	client *http.Client
-	// cache holds the peers' 200 responses by full request identity and
-	// collapses concurrent identical misses onto one forwarded request.
+	// cache holds the peers' 200 responses by canonical request identity
+	// (peerKey) and collapses concurrent misses of one identity onto one
+	// forwarded request.
 	cache *memo.Cache[string, *peerResp]
 
 	local      atomic.Uint64 // routable requests served by this node as home
@@ -200,7 +208,7 @@ func (h *Handler) routeHome(w http.ResponseWriter, r *http.Request, home string,
 		h.serveLocal(w, r)
 		return
 	}
-	resp, err := h.fromPeer(r, home, r.URL.RawQuery, id.Body, id.BodyID)
+	resp, err := h.fromPeer(r, home, peerKey(r, home, id.Options, id.BodyID), r.URL.RawQuery, id.Body)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The fetch ended with this request, not with the peer: the
@@ -225,9 +233,9 @@ func (h *Handler) routeHome(w http.ResponseWriter, r *http.Request, home string,
 // who was waiting on it. Any answer this request did not fetch itself is a
 // peer-cache hit. When the request that was fetching is canceled, a waiter
 // that is still live fetches again instead of inheriting the cancellation.
-func (h *Handler) fromPeer(r *http.Request, home, query string, body []byte, bodyID string) (*peerResp, error) {
+func (h *Handler) fromPeer(r *http.Request, home, key, query string, body []byte) (*peerResp, error) {
 	fetched := false
-	resp, err := h.cache.Do(r.Context(), peerKey(r, home, query, bodyID), nil,
+	resp, err := h.cache.Do(r.Context(), key, nil,
 		func() (*peerResp, bool, error) {
 			fetched = true
 			resp, err := h.forward(r, home, query, body)
@@ -240,11 +248,12 @@ func (h *Handler) fromPeer(r *http.Request, home, query string, body []byte, bod
 }
 
 // peerKey is the cache identity of a forwarded request: everything that
-// can change the response bytes (the Accept header participates in format
-// negotiation). bodyID is the body's stand-in (service.Identity.BodyID).
-func peerKey(r *http.Request, home, query, bodyID string) string {
-	return r.Method + " " + home + r.URL.Path + "?" + query +
-		"\x00" + r.Header.Get("Accept") + "\x00" + bodyID
+// can change the response bytes, in canonical form. options is the query and
+// Accept header as the service parses them (service.Identity.Options), never
+// the client's spelling; bodyID is the body's stand-in
+// (service.Identity.BodyID).
+func peerKey(r *http.Request, home, options, bodyID string) string {
+	return r.Method + " " + home + r.URL.Path + "\x00" + options + "\x00" + bodyID
 }
 
 // forward performs one hop-marked peer request and captures the response.

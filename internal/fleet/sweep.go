@@ -35,7 +35,7 @@ func (h *Handler) routeSplit(w http.ResponseWriter, r *http.Request, homes []str
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = h.subRequest(r, homes[i], sp.Query, sp.Bodies[i])
+			results[i] = h.subRequest(r, homes[i], sp, sp.Bodies[i])
 		}(i)
 	}
 	wg.Wait()
@@ -85,9 +85,9 @@ func (h *Handler) routeSplit(w http.ResponseWriter, r *http.Request, homes []str
 // fallback on peer failure. A fetch that ended with the request itself
 // (the client hung up) is nobody's failure: it counts no peer error and
 // starts no local simulation, which would only break exactly-once.
-func (h *Handler) subRequest(r *http.Request, home, query string, body []byte) *peerResp {
+func (h *Handler) subRequest(r *http.Request, home string, sp service.Split, body []byte) *peerResp {
 	if home != h.self {
-		resp, err := h.fromPeer(r, home, query, body, string(body))
+		resp, err := h.fromPeer(r, home, peerKey(r, home, sp.Options, string(body)), sp.Query, body)
 		if err == nil {
 			return resp
 		}
@@ -96,7 +96,7 @@ func (h *Handler) subRequest(r *http.Request, home, query string, body []byte) *
 		}
 		h.peerErrors.Add(1)
 	}
-	return h.localSub(r, query, body)
+	return h.localSub(r, sp.Query, body)
 }
 
 // localSub serves one sub-request on the local service. The hop header marks

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,14 +78,35 @@ type requestOptions struct {
 	cores      int
 }
 
-// parseOptions parses and validates the request's query string against the
-// endpoint's declaration. Unknown parameters, malformed values and
-// out-of-bounds shapes all come back as apiErrors ready for writeError.
-func parseOptions(r *http.Request, spec optionSpec) (requestOptions, *apiError) {
+// identity renders the parsed options as the request's canonical option
+// identity (Identity.Options): the values the service will act on rather
+// than the spelling the client chose — the negotiated format, the canonical
+// benchmark name, every default filled in (cores = threads included), in
+// one fixed order. Options a row does not accept are zero for every request
+// to it, so they separate nothing.
+func (o requestOptions) identity() string {
+	cores := o.cell.Cores
+	if cores == 0 {
+		cores = o.cell.Threads
+	}
+	b := make([]byte, 0, 96)
+	b = append(b, o.format...)
+	b = append(b, ' ')
+	b = append(b, o.cell.Bench...)
+	for _, n := range [...]int{o.cell.Threads, cores, o.intervals, o.maxThreads, int(o.mode), o.cores} {
+		b = strconv.AppendInt(append(b, ' '), int64(n), 10)
+	}
+	return string(b)
+}
+
+// parseOptions parses and validates a request's query q (and its Accept
+// header) against the declaration of the endpoint at path. Unknown
+// parameters, malformed values and out-of-bounds shapes all come back as
+// apiErrors ready for writeError.
+func parseOptions(path string, q url.Values, accept string, spec optionSpec) (requestOptions, *apiError) {
 	if spec.unchecked {
 		return requestOptions{}, nil
 	}
-	q := r.URL.Query()
 	allowed := make(map[string]bool, 6)
 	for _, name := range spec.params() {
 		allowed[name] = true
@@ -101,13 +123,13 @@ func parseOptions(r *http.Request, spec optionSpec) (requestOptions, *apiError) 
 				accepts = strings.Join(spec.params(), ", ")
 			}
 			return requestOptions{}, &apiError{Status: http.StatusBadRequest, Code: codeUnknownParameter,
-				Message: fmt.Sprintf("unknown query parameter %q (%s accepts %s)", name, r.URL.Path, accepts)}
+				Message: fmt.Sprintf("unknown query parameter %q (%s accepts %s)", name, path, accepts)}
 		}
 	}
 
 	opts := requestOptions{format: stack.FormatJSON}
 	if spec.format {
-		f, err := stack.NegotiateFormat(q.Get("format"), r.Header.Get("Accept"), stack.FormatJSON)
+		f, err := stack.NegotiateFormat(q.Get("format"), accept, stack.FormatJSON)
 		if err != nil {
 			return requestOptions{}, badRequest("%v", err)
 		}
@@ -132,11 +154,11 @@ func parseOptions(r *http.Request, spec optionSpec) (requestOptions, *apiError) 
 		if bench == "" {
 			return requestOptions{}, badRequest("missing bench parameter")
 		}
-		b, ok := workload.ByName(bench)
+		full, _, ok := workload.Identity(bench)
 		if !ok {
 			return requestOptions{}, asAPIError(workload.UnknownBenchmarkError(bench))
 		}
-		opts.cell = exp.Cell{Bench: b.FullName()}
+		opts.cell = exp.Cell{Bench: full}
 		opts.maxThreads = defaultAdviseThreads
 		if s := q.Get("max_threads"); s != "" {
 			n, err := strconv.Atoi(s)
@@ -193,11 +215,11 @@ func parseCell(bench, threadsStr, coresStr string) (exp.Cell, error) {
 // workload.BenchmarkLookupError (carrying the nearest-name suggestion),
 // which asAPIError maps to HTTP 404.
 func checkCell(c exp.Cell) (exp.Cell, error) {
-	b, ok := workload.ByName(c.Bench)
+	full, _, ok := workload.Identity(c.Bench)
 	if !ok {
 		return exp.Cell{}, workload.UnknownBenchmarkError(c.Bench)
 	}
-	c.Bench = b.FullName()
+	c.Bench = full
 	return checkCellBounds(c)
 }
 

@@ -382,17 +382,38 @@ type Identity struct {
 	// equality: the body itself, or for a trace upload its header identity
 	// and label, so megabytes of payload are never hashed or compared.
 	BodyID string
+	// Options is the request's canonical option identity — the query and the
+	// Accept header as the route's own optionSpec reads them: the negotiated
+	// format, alias names normalised, defaults filled, parameter order and
+	// repeated values that lose to the first irrelevant. Two requests to one
+	// path with equal Options and BodyID get the same bytes from the service.
+	// A query the route rejects keeps its stable-sorted raw pairs instead.
+	Options string
 
+	route *route
 	cells []cellRequest
+}
+
+// optionIdentity is the canonical option identity of a query to rt. A query
+// rt rejects has no parsed form: it keeps its raw pairs, sorted by name, and
+// its Accept header (a client that negotiated text gets its error as text),
+// behind a "?" no parsed identity starts with.
+func (rt *route) optionIdentity(q url.Values, accept string) string {
+	opts, aerr := parseOptions(rt.path, q, accept, rt.opts)
+	if aerr != nil {
+		return "?" + q.Encode() + "\x00" + accept
+	}
+	return opts.identity()
 }
 
 // Identify resolves the workload identity of r from its route's row:
 // routable is false when no workload-keyed route matches r's method and
-// path. The identity step is deliberately lenient and cheap — a registry
+// path. The identity step is deliberately lenient and cheap — a name-index
 // lookup, one workload.ParseSpec per inline spec, trace.DecodeMeta on a
-// trace's header (never a payload decode) — and buffers the body within
-// the route's own limit. It is a function, not a Server method, because it
-// reads only the table: the handler behind a routing layer may be wrapped.
+// trace's header (never a payload decode), the route's own option parse for
+// Options — and buffers the body within the route's own limit. It is a
+// function, not a Server method, because it reads only the table: the
+// handler behind a routing layer may be wrapped.
 func Identify(r *http.Request) (id Identity, routable bool) {
 	var rt *route
 	for i := range routes {
@@ -404,6 +425,8 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 	if rt == nil {
 		return id, false
 	}
+	q := r.URL.Query()
+	id.route, id.Options = rt, rt.optionIdentity(q, r.Header.Get("Accept"))
 	if rt.body > 0 && r.Body != nil {
 		body, err := io.ReadAll(io.LimitReader(r.Body, rt.body+1))
 		r.Body.Close()
@@ -415,7 +438,7 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 	}
 	switch rt.identity {
 	case identQueryBench:
-		id.cells = []cellRequest{{Bench: r.URL.Query().Get("bench")}}
+		id.cells = []cellRequest{{Bench: q.Get("bench")}}
 	case identBodyCell:
 		id.cells = make([]cellRequest, 1)
 		if json.Unmarshal(id.Body, &id.cells[0]) != nil {
@@ -449,14 +472,13 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 	return id, true
 }
 
-// fingerprint resolves the cell's workload identity; ok is false when it
+// fingerprint resolves the cell's workload identity — a registered name's
+// from the name index, an inline spec's by hashing it; ok is false when it
 // does not resolve cleanly (the service will answer the error).
 func (c cellRequest) fingerprint() (fp workload.Fingerprint, ok bool) {
 	if len(c.Spec) == 0 {
-		if b, ok := workload.ByName(c.Bench); ok {
-			return b.Spec.Fingerprint(), true
-		}
-		return fp, false
+		_, fp, ok = workload.Identity(c.Bench)
+		return fp, ok
 	}
 	if c.Bench != "" {
 		return fp, false
@@ -472,8 +494,9 @@ func (c cellRequest) fingerprint() (fp workload.Fingerprint, ok bool) {
 // to the same path whose row lines, concatenated in declared order, are the
 // whole answer's ndjson body (and, indented as one array, its json body).
 type Split struct {
-	// Query is every sub-request's query string.
-	Query string
+	// Query is every sub-request's query string, Options its canonical
+	// option identity (Identity.Options).
+	Query, Options string
 	// Bodies are the sub-request bodies, one per cell, in declared order.
 	Bodies [][]byte
 	// Format is what the client negotiated: FormatJSON or FormatNDJSON.
@@ -495,10 +518,11 @@ func (id Identity) Split(r *http.Request) (sp Split, ok bool) {
 			return sp, false
 		}
 	}
-	sp.Format, sp.Query = f, "format=ndjson"
+	sub := url.Values{"format": {string(stack.FormatNDJSON)}}
 	if m := q.Get("mode"); m != "" {
-		sp.Query += "&mode=" + url.QueryEscape(m)
+		sub.Set("mode", m)
 	}
+	sp.Format, sp.Query, sp.Options = f, sub.Encode(), id.route.optionIdentity(sub, "")
 	sp.Bodies = make([][]byte, len(id.cells))
 	for i, c := range id.cells {
 		if sp.Bodies[i], err = json.Marshal(sweepRequest{Cells: []cellRequest{c}}); err != nil {

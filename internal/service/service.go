@@ -281,7 +281,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rt route) *api
 		}
 		defer release()
 	}
-	opts, aerr := parseOptions(r, rt.opts)
+	opts, aerr := parseOptions(r.URL.Path, r.URL.Query(), r.Header.Get("Accept"), rt.opts)
 	if aerr != nil {
 		return aerr
 	}

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -367,18 +367,54 @@ func All() []Benchmark {
 	return out
 }
 
+// entry is one registered workload as the name index holds it, with the
+// two things every request used to re-derive from it computed once: its
+// full name and its fingerprint. The fingerprint lives here and nowhere
+// else — never on the copyable Benchmark or Spec — so it is reachable only
+// by name (Identity), and an edited copy of a registered spec always hashes
+// as what it has become.
+type entry struct {
+	bench    Benchmark
+	fullName string
+	fp       Fingerprint
+}
+
+// nameIndex is the immutable name index over the Figure 6 analogues
+// followed by the contention patterns: byName maps every full name and
+// every plain name to its entry, the first entry in that order winning a
+// name more than one claims ("blackscholes" is parsec_medium).
+type nameIndex struct {
+	entries []entry
+	byName  map[string]*entry
+	names   []string // full names, sorted
+}
+
+// index is built once, before main, and only read afterwards.
+var index = buildIndex()
+
+func buildIndex() nameIndex {
+	var ix nameIndex
+	for _, b := range slices.Concat(registry, patterns) {
+		ix.entries = append(ix.entries, entry{bench: b, fullName: b.FullName(), fp: b.Spec.Fingerprint()})
+	}
+	ix.byName = make(map[string]*entry, 2*len(ix.entries))
+	for i := range ix.entries {
+		e := &ix.entries[i]
+		for _, name := range []string{e.fullName, e.bench.Spec.Name} {
+			if _, taken := ix.byName[name]; !taken {
+				ix.byName[name] = e
+			}
+		}
+		ix.names = append(ix.names, e.fullName)
+	}
+	sort.Strings(ix.names)
+	return ix
+}
+
 // Names lists the full identifiers (name_suite) of every registered
 // workload — the Figure 6 analogues plus the contention patterns — sorted.
 func Names() []string {
-	names := make([]string, 0, len(registry)+len(patterns))
-	for _, b := range registry {
-		names = append(names, b.FullName())
-	}
-	for _, b := range patterns {
-		names = append(names, b.FullName())
-	}
-	sort.Strings(names)
-	return names
+	return slices.Clone(index.names)
 }
 
 // FullName returns "name_suite", disambiguating the input classes. Custom
@@ -387,21 +423,25 @@ func (b Benchmark) FullName() string {
 	if b.Spec.Suite == "" {
 		return b.Spec.Name
 	}
-	return fmt.Sprintf("%s_%s", b.Spec.Name, b.Spec.Suite)
+	return b.Spec.Name + "_" + b.Spec.Suite
 }
 
 // ByName finds a benchmark by FullName or plain name (first match), looking
 // through the Figure 6 analogues and then the contention patterns.
 func ByName(name string) (Benchmark, bool) {
-	for _, b := range registry {
-		if b.FullName() == name || b.Spec.Name == name {
-			return b, true
-		}
-	}
-	for _, b := range patterns {
-		if b.FullName() == name || b.Spec.Name == name {
-			return b, true
-		}
+	if e := index.byName[name]; e != nil {
+		return e.bench, true
 	}
 	return Benchmark{}, false
+}
+
+// Identity resolves a registered name (FullName or plain, exactly as ByName
+// does) to the workload's full name and fingerprint, both computed once when
+// the index was built: the per-request path from a name to a memo, cache or
+// ring key hashes nothing.
+func Identity(name string) (fullName string, fp Fingerprint, ok bool) {
+	if e := index.byName[name]; e != nil {
+		return e.fullName, e.fp, true
+	}
+	return "", Fingerprint{}, false
 }

@@ -45,15 +45,17 @@ func UnknownBenchmarkError(name string) error {
 	return &BenchmarkLookupError{Name: name, Suggestion: Suggest(name)}
 }
 
-// Suggest returns the registered benchmark name (FullName or plain name)
-// closest to name by edit distance, or "" when nothing is close enough to
-// be a plausible typo (distance greater than 2 or a third of the input).
+// Suggest returns the registered name (FullName or plain name, of an
+// analogue or a contention pattern — every name ByName resolves) closest to
+// name by edit distance, or "" when nothing is close enough to be a
+// plausible typo (distance greater than 2 or a third of the input). Ties go
+// to the earlier entry, analogues before patterns.
 func Suggest(name string) string {
 	in := strings.ToLower(name)
 	limit := max(2, len(in)/3)
 	best, bestDist := "", limit+1
-	for _, b := range registry {
-		for _, cand := range []string{b.FullName(), b.Spec.Name} {
+	for _, e := range index.entries {
+		for _, cand := range []string{e.fullName, e.bench.Spec.Name} {
 			if d := editDistance(in, strings.ToLower(cand)); d < bestDist {
 				best, bestDist = cand, d
 			}

@@ -4,9 +4,10 @@
 // runs it; it exits non-zero on the first failed check.
 //
 // With -fleet it additionally drives a separate two-node fleet (started
-// with -self/-peers): peer cache-fill byte-identity, fleet-wide
-// exactly-once simulation, forwarding counters, and streamed NDJSON
-// sweeps. With -limited it checks the 429 envelope of a rate-limited
+// with -self/-peers): peer cache-fill byte-identity, the canonical
+// peer-cache key (a reordered query is a hit, not a second forward),
+// fleet-wide exactly-once simulation, forwarding counters, and streamed
+// NDJSON sweeps. With -limited it checks the 429 envelope of a rate-limited
 // server (started with -rate-limit 0.001 -rate-burst 1). These use their
 // own servers because the main suite pins literal run counts on -base.
 //
@@ -217,7 +218,8 @@ func main() {
 
 // fleetChecks drives a separate two-node fleet: the same cell through
 // either node answers byte-identically and costs the fleet exactly one
-// simulation, sweeps stream as NDJSON, and the fleet counters are live.
+// simulation and, in any parameter order, one forward; sweeps stream as
+// NDJSON, and the fleet counters are live.
 func fleetChecks(ctx context.Context, pair string) {
 	urls := strings.Split(pair, ",")
 	expect("fleet", len(urls) == 2, "-fleet wants two comma-separated URLs, got %q", pair)
@@ -236,6 +238,35 @@ func fleetChecks(ctx context.Context, pair string) {
 	check("fleet stack B", err)
 	expect("fleet byte-identity", string(bodyA) == string(bodyB) && ctA == ctB,
 		"nodes disagree: %q (%s) vs %q (%s)", bodyA, ctA, bodyB, ctB)
+
+	// Canonical peer-cache key: the node that is not the cell's home has
+	// forwarded it once, spelled bench=...&threads=2. The same question in
+	// the other parameter order is the same cache entry there — a peer-cache
+	// hit, no second forward, the same bytes.
+	away, awayURL := a, urls[0]
+	m, err := a.Metrics(ctx)
+	check("fleet metrics A", err)
+	if metricValue(m, "speedupd_fleet_forwarded_total") == 0 {
+		away, awayURL = b, urls[1]
+		m, err = b.Metrics(ctx)
+		check("fleet metrics B", err)
+	}
+	expect("fleet peer key", metricValue(m, "speedupd_fleet_forwarded_total") == 1,
+		"the non-home node forwarded %d requests for one cell", metricValue(m, "speedupd_fleet_forwarded_total"))
+	hits := metricValue(m, "speedupd_fleet_peer_cache_hits_total")
+	reordered, err := http.Get(awayURL + "/v1/stack?threads=2&bench=" + bench)
+	check("fleet peer key", err)
+	rb, err := io.ReadAll(reordered.Body)
+	reordered.Body.Close()
+	check("fleet peer key read", err)
+	expect("fleet peer key", reordered.StatusCode == 200 && string(rb) == string(bodyA),
+		"reordered query answered %d %q, want %q", reordered.StatusCode, rb, bodyA)
+	m, err = away.Metrics(ctx)
+	check("fleet metrics", err)
+	expect("fleet peer key", metricValue(m, "speedupd_fleet_forwarded_total") == 1 &&
+		metricValue(m, "speedupd_fleet_peer_cache_hits_total") == hits+1,
+		"reordered query: %d forwards, %d peer-cache hits; want 1 and %d",
+		metricValue(m, "speedupd_fleet_forwarded_total"), metricValue(m, "speedupd_fleet_peer_cache_hits_total"), hits+1)
 
 	// Streamed NDJSON sweep through node A: one compact row line per cell,
 	// in declared order.
