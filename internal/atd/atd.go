@@ -31,8 +31,8 @@ type Config struct {
 	// SampleShift selects 1-in-2^SampleShift sets for monitoring
 	// (set is sampled iff set % 2^SampleShift == 0). Zero monitors all sets.
 	SampleShift uint
-	// TagBits is the number of tag bits stored per entry, used only by the
-	// hardware cost model.
+	// TagBits is the number of tag bits stored per entry. The simulation
+	// ignores it; it documents the geometry core.Cost prices (Section 4.7).
 	TagBits int
 }
 
@@ -175,13 +175,3 @@ func (d *Directory) AccessSetTag(set int, tag uint64) (hit, sampled bool) {
 // compute the run-time sampling factor (total LLC accesses / sampled
 // accesses) per the paper's Section 4.2.
 func (d *Directory) SampledAccesses() uint64 { return d.sampledAccesses }
-
-// SizeBytes returns the hardware cost of this ATD: sampled sets × ways ×
-// (tag bits + valid + status), rounded up to bytes per entry group. The
-// paper budgets 952 bytes per core for the interference accounting
-// (ATD + ORA + counters); Cost in internal/core composes this figure.
-func (d *Directory) SizeBytes() int {
-	bitsPerEntry := d.cfg.TagBits + 2 // tag + valid + dirty/status bit
-	totalBits := d.cfg.SampledSets() * d.cfg.Ways * bitsPerEntry
-	return (totalBits + 7) / 8
-}

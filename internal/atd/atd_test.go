@@ -146,12 +146,3 @@ func TestDirectoryModelsPrivateCache(t *testing.T) {
 		}
 	}
 }
-
-func TestSizeBytes(t *testing.T) {
-	d := New(Config{Sets: 2048, Ways: 16, LineBytes: 64, SampleShift: 7, TagBits: 24})
-	// 16 sampled sets x 16 ways x 26 bits = 6656 bits = 832 bytes: the
-	// paper's ATD share of the 952-byte interference budget.
-	if got := d.SizeBytes(); got != 832 {
-		t.Fatalf("SizeBytes = %d, want 832", got)
-	}
-}

@@ -73,20 +73,6 @@ const (
 	Modified
 )
 
-// String returns the canonical one-letter state name.
-func (s State) String() string {
-	switch s {
-	case Invalid:
-		return "I"
-	case Shared:
-		return "S"
-	case Modified:
-		return "M"
-	default:
-		return "?"
-	}
-}
-
 // Line is one tag-array entry. The fields beyond Tag/Valid are used only by
 // the cache level that needs them (coherence state in L1s, sharer vector in
 // the LLC); keeping one struct avoids a zoo of near-identical types. The
@@ -124,7 +110,6 @@ type Line struct {
 // int64 divisions Config's own methods pay. Every per-access operation runs
 // in a single pass over the set.
 type Array struct {
-	cfg  Config
 	sets [][]Line
 
 	lineShift uint   // log2(LineBytes): lineAddr = addr >> lineShift
@@ -133,7 +118,7 @@ type Array struct {
 
 	// full[set] records that the set holds no invalid ways, letting insert
 	// skip its victim scan: a full set always evicts the LRU way. Sets
-	// only lose lines through Invalidate (which clears the flag), so in
+	// only lose lines through invalidate (which clears the flag), so in
 	// steady state — an LLC set is never invalidated — the scan runs once.
 	full []bool
 }
@@ -154,7 +139,6 @@ func NewArray(cfg Config) *Array {
 		}
 	}
 	return &Array{
-		cfg:       cfg,
 		sets:      sets,
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 		setBits:   uint(bits.TrailingZeros64(uint64(cfg.Sets()))),
@@ -162,9 +146,6 @@ func NewArray(cfg Config) *Array {
 		full:      make([]bool, cfg.Sets()),
 	}
 }
-
-// Config returns the array geometry.
-func (a *Array) Config() Config { return a.cfg }
 
 // Reset restores the array to its just-constructed state, reusing the
 // backing storage (machine pooling across simulation runs).
@@ -192,9 +173,8 @@ func (a *Array) Tag(addr uint64) uint64 {
 
 // lookup walks (set, tag) exactly once: on a hit the line is promoted to
 // MRU and a pointer to it (now at way 0) returned; on a miss it reports
-// whether the set holds a coherence tombstone of the tag. The single pass
-// replaces the Probe+Touch+Line and Probe+ProbeTombstone sequences. A valid
-// line and a tombstone never share a tag within a set (Insert consumes and
+// whether the set holds a coherence tombstone of the tag. A valid line and
+// a tombstone never share a tag within a set (insert consumes and
 // defensively clears same-tag tombstones), so stopping the walk at a hit
 // cannot miss a tombstone that matters.
 func (a *Array) lookup(set int, tag uint64) (line *Line, hit, tombstone bool) {
@@ -231,49 +211,6 @@ func (a *Array) probeLine(set int, tag uint64) *Line {
 		}
 	}
 	return nil
-}
-
-// Probe looks up addr without updating replacement state. It returns the
-// way index and whether the line is present and valid.
-func (a *Array) Probe(addr uint64) (set, way int, hit bool) {
-	set = a.SetIndex(addr)
-	tag := a.Tag(addr)
-	s := a.sets[set]
-	for w := range s {
-		if s[w].Valid && s[w].Tag == tag {
-			return set, w, true
-		}
-	}
-	return set, -1, false
-}
-
-// ProbeTombstone reports whether the set holds an *invalid* entry whose tag
-// matches addr and that was invalidated by coherence. Used to classify
-// coherence misses.
-func (a *Array) ProbeTombstone(addr uint64) bool {
-	set := a.SetIndex(addr)
-	tag := a.Tag(addr)
-	for w := range a.sets[set] {
-		l := &a.sets[set][w]
-		if !l.Valid && l.CoherenceInvalid && l.Tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Line returns a pointer to the line at (set, way) for metadata updates.
-func (a *Array) Line(set, way int) *Line { return &a.sets[set][way] }
-
-// Touch promotes (set, way) to MRU.
-func (a *Array) Touch(set, way int) {
-	s := a.sets[set]
-	if way == 0 {
-		return
-	}
-	l := s[way]
-	copy(s[1:way+1], s[0:way])
-	s[0] = l
 }
 
 // insert installs (set, tag) as MRU, evicting the LRU entry of the set if
@@ -338,16 +275,11 @@ func (a *Array) insert(set int, tag uint64) (mru *Line, victim Line, evicted boo
 	return &s[0], victim, evicted
 }
 
-// Insert installs a new line for addr as MRU, evicting the LRU entry of the
-// set if every way is valid. Invalid entries (including tombstones) are
-// consumed first, preferring the LRU-most invalid way. It returns the
-// victim's previous contents and whether a valid line was evicted.
-func (a *Array) Insert(addr uint64) (victim Line, evicted bool) {
-	_, victim, evicted = a.insert(a.SetIndex(addr), a.Tag(addr))
-	return victim, evicted
-}
-
-// invalidate is Invalidate with the address math hoisted out.
+// invalidate removes (set, tag) from the array if present. If coherence is
+// true the entry is kept as a tombstone (tag retained, valid bit cleared,
+// CoherenceInvalid set) so a later access can be classified as a coherence
+// miss; otherwise the entry is fully cleared. It returns the line's previous
+// contents and whether the line was present.
 func (a *Array) invalidate(set int, tag uint64, coherence bool) (old Line, present bool) {
 	l := a.probeLine(set, tag)
 	if l == nil {
@@ -367,15 +299,6 @@ func (a *Array) invalidate(set int, tag uint64, coherence bool) (old Line, prese
 		l.CoherenceInvalid = false
 	}
 	return old, true
-}
-
-// Invalidate removes addr from the array if present. If coherence is true
-// the entry is kept as a tombstone (tag retained, valid bit cleared,
-// CoherenceInvalid set) so a later access can be classified as a coherence
-// miss; otherwise the entry is fully cleared. It returns the line's previous
-// contents and whether the line was present.
-func (a *Array) Invalidate(addr uint64, coherence bool) (old Line, present bool) {
-	return a.invalidate(a.SetIndex(addr), a.Tag(addr), coherence)
 }
 
 // VictimAddr reconstructs the base byte address of a victim line evicted

@@ -49,18 +49,54 @@ func TestAddressMapping(t *testing.T) {
 	if c.Tag(a1) == c.Tag(a2) {
 		t.Fatal("tags should differ")
 	}
+	// The array's shift/mask geometry against Config's division-based
+	// reference, on the test geometry and the paper machine's LLC.
+	for _, cfg := range []Config{c, {SizeBytes: 2 << 20, Ways: 16, LineBytes: 64}} {
+		a := NewArray(cfg)
+		rng := trace.NewRNG(7)
+		for i := 0; i < 10000; i++ {
+			addr := rng.Uint64n(1 << 46)
+			if a.SetIndex(addr) != cfg.SetIndex(addr) || a.Tag(addr) != cfg.Tag(addr) {
+				t.Fatalf("%+v addr %#x: array maps to (%d, %#x), reference to (%d, %#x)", cfg, addr,
+					a.SetIndex(addr), a.Tag(addr), cfg.SetIndex(addr), cfg.Tag(addr))
+			}
+		}
+	}
+}
+
+// The helpers below drive an Array by address through the entry points
+// Hierarchy.Access runs — lookup, insert, probeLine, invalidate — so the
+// array tests cover the production walks, not a parallel API.
+
+func lookupAddr(a *Array, addr uint64) (hit, tombstone bool) {
+	_, hit, tombstone = a.lookup(a.SetIndex(addr), a.Tag(addr))
+	return hit, tombstone
+}
+
+func insertAddr(a *Array, addr uint64) (victim Line, evicted bool) {
+	_, victim, evicted = a.insert(a.SetIndex(addr), a.Tag(addr))
+	return victim, evicted
+}
+
+func presentAddr(a *Array, addr uint64) bool {
+	return a.probeLine(a.SetIndex(addr), a.Tag(addr)) != nil
+}
+
+func invalidateAddr(a *Array, addr uint64, coherence bool) bool {
+	_, present := a.invalidate(a.SetIndex(addr), a.Tag(addr), coherence)
+	return present
 }
 
 func TestArrayInsertProbeTouch(t *testing.T) {
 	a := NewArray(smallCfg())
 	addr := uint64(0x1000)
-	if _, _, hit := a.Probe(addr); hit {
+	if hit, _ := lookupAddr(a, addr); hit || presentAddr(a, addr) {
 		t.Fatal("empty array must miss")
 	}
-	if _, evicted := a.Insert(addr); evicted {
+	if _, evicted := insertAddr(a, addr); evicted {
 		t.Fatal("insertion into empty set must not evict")
 	}
-	if _, _, hit := a.Probe(addr); !hit {
+	if hit, _ := lookupAddr(a, addr); !hit || !presentAddr(a, addr) {
 		t.Fatal("inserted line must hit")
 	}
 }
@@ -69,23 +105,24 @@ func TestArrayLRUEviction(t *testing.T) {
 	a := NewArray(smallCfg())
 	set0 := func(i int) uint64 { return uint64(i) * 16 * 64 } // all map to set 0
 	for i := 0; i < 4; i++ {
-		a.Insert(set0(i))
+		insertAddr(a, set0(i))
 	}
-	// Touch line 0 to promote it; line 1 becomes LRU.
-	s, w, hit := a.Probe(set0(0))
-	if !hit {
+	// A lookup hit promotes line 0; line 1 becomes LRU. probeLine must not
+	// promote: probing line 1 leaves it the victim.
+	if hit, _ := lookupAddr(a, set0(0)); !hit {
 		t.Fatal("line 0 missing")
 	}
-	a.Touch(s, w)
-	victim, evicted := a.Insert(set0(4))
+	if !presentAddr(a, set0(1)) {
+		t.Fatal("line 1 missing")
+	}
+	victim, evicted := insertAddr(a, set0(4))
 	if !evicted {
 		t.Fatal("full set must evict")
 	}
-	vaddr := a.VictimAddr(s, victim)
-	if vaddr != set0(1) {
+	if vaddr := a.VictimAddr(0, victim); vaddr != set0(1) {
 		t.Fatalf("evicted %#x, want LRU %#x", vaddr, set0(1))
 	}
-	if _, _, hit := a.Probe(set0(0)); !hit {
+	if !presentAddr(a, set0(0)) {
 		t.Fatal("recently-touched line was evicted")
 	}
 }
@@ -93,27 +130,28 @@ func TestArrayLRUEviction(t *testing.T) {
 func TestArrayInvalidateTombstone(t *testing.T) {
 	a := NewArray(smallCfg())
 	addr := uint64(0x40)
-	a.Insert(addr)
-	if _, present := a.Invalidate(addr, true); !present {
+	insertAddr(a, addr)
+	if !invalidateAddr(a, addr, true) {
 		t.Fatal("invalidate missed present line")
 	}
-	if _, _, hit := a.Probe(addr); hit {
+	hit, tombstone := lookupAddr(a, addr)
+	if hit {
 		t.Fatal("invalidated line still hits")
 	}
-	if !a.ProbeTombstone(addr) {
+	if !tombstone {
 		t.Fatal("coherence tombstone missing")
 	}
 	// Non-coherence invalidation leaves no tombstone.
-	a.Insert(addr)
-	a.Invalidate(addr, false)
-	if a.ProbeTombstone(addr) {
+	insertAddr(a, addr)
+	invalidateAddr(a, addr, false)
+	if _, tombstone := lookupAddr(a, addr); tombstone {
 		t.Fatal("capacity invalidation left a tombstone")
 	}
 }
 
 func TestArrayInvalidateAbsent(t *testing.T) {
 	a := NewArray(smallCfg())
-	if _, present := a.Invalidate(0x123400, true); present {
+	if invalidateAddr(a, 0x123400, true) {
 		t.Fatal("invalidate of absent line reported present")
 	}
 }
@@ -150,12 +188,10 @@ func TestArrayMatchesReferenceLRU(t *testing.T) {
 	rng := trace.NewRNG(1234)
 	for i := 0; i < 50000; i++ {
 		addr := rng.Uint64n(4096*4) / 8 * 8
-		_, _, hit := a.Probe(addr)
-		if hit {
-			s, w, _ := a.Probe(addr)
-			a.Touch(s, w)
-		} else {
-			a.Insert(addr)
+		// The miss walk then the fill: what Hierarchy.Access does.
+		hit, _ := lookupAddr(a, addr)
+		if !hit {
+			insertAddr(a, addr)
 		}
 		refHit := ref.access(addr)
 		if hit != refHit {
@@ -212,8 +248,10 @@ func TestHierarchyWriteMissInvalidatesSharers(t *testing.T) {
 	if out.InvalidationsSent != 2 {
 		t.Fatalf("invalidations = %d, want 2", out.InvalidationsSent)
 	}
-	if h.L1(0).ProbeTombstone(addr) != true || h.L1(1).ProbeTombstone(addr) != true {
-		t.Fatal("sharers lack coherence tombstones")
+	for c := 0; c < 2; c++ {
+		if _, tombstone := lookupAddr(h.l1[c], addr); !tombstone {
+			t.Fatalf("sharer %d lacks a coherence tombstone", c)
+		}
 	}
 }
 
@@ -231,7 +269,7 @@ func TestHierarchyInclusiveEviction(t *testing.T) {
 	if !out.LLCVictimValid {
 		t.Fatalf("expected LLC eviction: %+v", out)
 	}
-	if _, _, hit := h.L1(0).Probe(out.LLCVictimAddr); hit {
+	if presentAddr(h.l1[0], out.LLCVictimAddr) {
 		t.Fatal("inclusion violated: victim still in L1")
 	}
 }
@@ -299,16 +337,15 @@ func TestHierarchyPropertyNoGhostHits(t *testing.T) {
 }
 
 func TestVictimAddrRoundTrip(t *testing.T) {
-	cfg := smallCfg()
-	a := NewArray(cfg)
+	a := NewArray(smallCfg())
 	addr := uint64(0x12340) &^ 63
-	a.Insert(addr)
-	set, way, hit := a.Probe(addr)
-	if !hit {
+	insertAddr(a, addr)
+	set := a.SetIndex(addr)
+	line := a.probeLine(set, a.Tag(addr))
+	if line == nil {
 		t.Fatal("line missing")
 	}
-	line := a.Line(set, way)
-	if got := a.VictimAddr(set, *line); got != addr&^63 {
-		t.Fatalf("VictimAddr = %#x, want %#x", got, addr&^63)
+	if got := a.VictimAddr(set, *line); got != addr {
+		t.Fatalf("VictimAddr = %#x, want %#x", got, addr)
 	}
 }

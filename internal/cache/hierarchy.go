@@ -72,8 +72,6 @@ type Outcome struct {
 	LLCVictimDirty bool
 	// LLCVictimAddr is the base address of the evicted LLC line.
 	LLCVictimAddr uint64
-	// LLCSet is the LLC set index touched by the access (for set sampling).
-	LLCSet int
 }
 
 // NewHierarchy builds a hierarchy with cores identical private L1s and one
@@ -101,15 +99,6 @@ func NewHierarchy(cores int, l1 Config, llc Config) *Hierarchy {
 	}
 	return h
 }
-
-// Cores returns the number of private caches.
-func (h *Hierarchy) Cores() int { return len(h.l1) }
-
-// LLC exposes the shared array (used by the ATD to mirror geometry).
-func (h *Hierarchy) LLC() *Array { return h.llc }
-
-// L1 exposes core's private array (diagnostics and tests).
-func (h *Hierarchy) L1(core int) *Array { return h.l1[core] }
 
 // Stats returns the accumulated protocol statistics.
 func (h *Hierarchy) Stats() *HierarchyStats { return &h.stats }
@@ -148,7 +137,6 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
 	llc := h.llc
 	l1Set, l1Tag := l1.SetIndex(addr), l1.Tag(addr)
 	llcSet, llcTag := llc.SetIndex(addr), llc.Tag(addr)
-	out.LLCSet = llcSet
 
 	line, hit, tombstone := l1.lookup(l1Set, l1Tag)
 	if hit {

@@ -192,6 +192,11 @@ func TestBuildStackPanicsOnMismatch(t *testing.T) {
 
 func TestHardwareCostMatchesPaper(t *testing.T) {
 	b := Cost(PaperCostParams())
+	// The line items: 16 sampled sets x 16 ways x 26 bits of ATD, an
+	// 8-entry ORA at 6 bytes, twelve 48-bit counters.
+	if b.ATDBytes != 832 || b.ORABytes != 48 || b.CounterBytes != 72 {
+		t.Fatalf("ATD/ORA/counters = %d/%d/%d B, want 832/48/72", b.ATDBytes, b.ORABytes, b.CounterBytes)
+	}
 	if b.InterferenceBytes() != 952 {
 		t.Fatalf("interference budget = %d B, want 952", b.InterferenceBytes())
 	}

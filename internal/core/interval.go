@@ -78,25 +78,6 @@ func (c IntComponents) Sub(o IntComponents) IntComponents {
 	return c
 }
 
-// OverheadTotal sums the overhead terms (everything except positive
-// interference), the integer analogue of Components.OverheadTotal.
-func (c IntComponents) OverheadTotal() int64 {
-	return c.NegLLC + c.NegMem + c.Spin + c.Yield + c.Imbalance
-}
-
-// Components converts to the float64 form (for rendering alongside
-// aggregate stacks; the exactness guarantee lives in the integer form).
-func (c IntComponents) Components() Components {
-	return Components{
-		NegLLC:    float64(c.NegLLC),
-		PosLLC:    float64(c.PosLLC),
-		NegMem:    float64(c.NegMem),
-		Spin:      float64(c.Spin),
-		Yield:     float64(c.Yield),
-		Imbalance: float64(c.Imbalance),
-	}
-}
-
 // mulDiv returns x*num/den using a 128-bit intermediate product, so the
 // extrapolations below cannot overflow (cycle counters and access counts
 // each fit in 64 bits; their product does not). den must be non-zero. A

@@ -1,10 +1,13 @@
 package exp
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/stack"
 )
 
@@ -39,5 +42,36 @@ func TestAblationFormatters(t *testing.T) {
 	q := FormatQuantum([]QuantumRow{{Quantum: 100, Speedup16: 5.05, MeanAbsErrPct: 5.4}})
 	if !strings.Contains(q, "5.05") {
 		t.Fatalf("quantum format: %q", q)
+	}
+}
+
+// TestAblationsOnFastEngine runs all three ablations on a fast-mode engine,
+// as `experiments ablation -mode fast` does. The sampling sweep used to
+// configure ATDSampleShift 0 and 3 on the engine's own mode, which fast mode
+// rejects (FastSetShift 5 must not exceed it); it is a study of the
+// hardware proposal, so it runs on the exact machine and gives the exact
+// engine's table.
+func TestAblationsOnFastEngine(t *testing.T) {
+	ctx := context.Background()
+	fast := NewEngine(sim.Default().WithMode(sim.ModeFast))
+	rows, err := AblationSampling(ctx, fast)
+	if err != nil {
+		t.Fatalf("sampling ablation on a fast engine: %v", err)
+	}
+	want, err := AblationSampling(ctx, NewEngine(sim.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("sampling ablation depends on the engine's mode:\nfast  %+v\nexact %+v", rows, want)
+	}
+	if th, err := AblationSpinThreshold(ctx, fast); err != nil || len(th) != 4 {
+		t.Fatalf("spin-threshold ablation on a fast engine: %d rows, %v", len(th), err)
+	}
+	if q, err := AblationQuantum(ctx, fast); err != nil || len(q) != 4 {
+		t.Fatalf("quantum ablation on a fast engine: %d rows, %v", len(q), err)
+	}
+	if st := fast.Stats(); st.FastCellRuns == 0 || st.FastCellRuns == st.CellRuns {
+		t.Fatalf("want exact sampling cells and fast threshold/quantum cells, got %d fast of %d", st.FastCellRuns, st.CellRuns)
 	}
 }

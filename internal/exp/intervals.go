@@ -90,30 +90,10 @@ func (e *Engine) runIntervals(ctx context.Context, ik intervalKey, b workload.Be
 		period = 1
 	}
 
-	release, err := e.acquire(ctx)
+	res, err := e.simulate(ctx, "interval", ik.cfg, b, ik.threads, ik.cores, sim.WithIntervals(period))
 	if err != nil {
 		return IntervalOutcome{}, err
 	}
-	defer release()
-	if e.hook != nil {
-		e.hook("interval", b.FullName(), ik.threads, ik.cores)
-	}
-	e.add(&e.stats.IntervalRuns, 1)
-
-	cfg := ik.cfg.WithCores(ik.cores)
-	cfg.Policy = b.Spec.TunePolicy(cfg.Policy)
-	progs, err := b.Spec.Parallel(ik.threads)
-	if err != nil {
-		return IntervalOutcome{}, err
-	}
-	opts := append(b.Spec.PipelineOptions(ik.threads), sim.WithIntervals(period))
-	res, err := sim.Run(cfg, progs, opts...)
-	if err != nil {
-		return IntervalOutcome{}, fmt.Errorf("%s x%d intervals: %w", b.FullName(), ik.threads, err)
-	}
-	e.mu.Lock()
-	e.stats.SimulatedOps += res.TotalOps
-	e.mu.Unlock()
 	// Interval accounting must be unobservable in the aggregate — snapshots
 	// only read counters. A divergence here is an engine bug, not a
 	// workload property, so fail loudly instead of returning skewed data.

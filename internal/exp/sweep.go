@@ -421,6 +421,45 @@ func (e *Engine) add(counter *int, d int) {
 	e.mu.Unlock()
 }
 
+// simulate is the one place the engine runs the simulator: it takes a
+// worker slot, fires the run hook (before the run, so an observer sees work
+// start), counts the run under its kind — "cell", "seq" or "interval" — and
+// its simulated ops, and hands the spec to workload.Simulate. threads == 0
+// is the sequential reference (workload.Simulate's convention), which the
+// hook sees as the one-thread, one-core run it is.
+func (e *Engine) simulate(ctx context.Context, kind string, cfg sim.Config, b workload.Benchmark, threads, cores int, opts ...sim.Option) (sim.Result, error) {
+	release, err := e.acquire(ctx)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	defer release()
+	if e.hook != nil {
+		e.hook(kind, b.FullName(), max(threads, 1), max(cores, 1))
+	}
+	fast := 0
+	if cfg.Mode == sim.ModeFast {
+		fast = 1
+	}
+	e.mu.Lock()
+	switch kind {
+	case "cell":
+		e.stats.CellRuns++
+		e.stats.FastCellRuns += fast
+	case "seq":
+		e.stats.SeqRuns++
+		e.stats.FastSeqRuns += fast
+	case "interval":
+		e.stats.IntervalRuns++
+	}
+	e.mu.Unlock()
+
+	res, err := workload.Simulate(cfg, b.Spec, threads, cores, nil, opts...)
+	e.mu.Lock()
+	e.stats.SimulatedOps += res.TotalOps
+	e.mu.Unlock()
+	return res, err
+}
+
 // runCell executes the cell's simulation (after securing its sequential
 // reference), mirroring the paper's pairing of every multi-threaded run
 // with a single-threaded run of the same work.
@@ -429,34 +468,10 @@ func (e *Engine) runCell(ctx context.Context, k cellKey, b workload.Benchmark) (
 	if err != nil {
 		return Outcome{}, err
 	}
-	release, err := e.acquire(ctx)
+	res, err := e.simulate(ctx, "cell", k.cfg, b, k.threads, k.cores)
 	if err != nil {
 		return Outcome{}, err
 	}
-	defer release()
-	if e.hook != nil {
-		e.hook("cell", b.FullName(), k.threads, k.cores)
-	}
-	e.mu.Lock()
-	e.stats.CellRuns++
-	if k.cfg.Mode == sim.ModeFast {
-		e.stats.FastCellRuns++
-	}
-	e.mu.Unlock()
-
-	cfg := k.cfg.WithCores(k.cores)
-	cfg.Policy = b.Spec.TunePolicy(cfg.Policy)
-	progs, err := b.Spec.Parallel(k.threads)
-	if err != nil {
-		return Outcome{}, err
-	}
-	res, err := sim.Run(cfg, progs, b.Spec.PipelineOptions(k.threads)...)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("%s x%d: %w", b.FullName(), k.threads, err)
-	}
-	e.mu.Lock()
-	e.stats.SimulatedOps += res.TotalOps
-	e.mu.Unlock()
 	stack := res.Stack(ts)
 	return Outcome{
 		Bench:     b,
@@ -478,43 +493,9 @@ func (e *Engine) seqTime(ctx context.Context, cfg sim.Config, fp workload.Finger
 	return e.seq.Do(ctx, k,
 		func() { e.add(&e.stats.SeqHits, 1) },
 		func() (uint64, bool, error) {
-			ts, err := e.runSeq(ctx, cfg, b)
-			return ts, true, err
+			res, err := e.simulate(ctx, "seq", cfg, b, 0, 0)
+			return res.Tp, true, err
 		})
-}
-
-// runSeq executes the single-threaded reference simulation.
-func (e *Engine) runSeq(ctx context.Context, cfg sim.Config, b workload.Benchmark) (uint64, error) {
-	release, err := e.acquire(ctx)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	if e.hook != nil {
-		e.hook("seq", b.FullName(), 1, 1)
-	}
-	e.mu.Lock()
-	e.stats.SeqRuns++
-	if cfg.Mode == sim.ModeFast {
-		e.stats.FastSeqRuns++
-	}
-	e.mu.Unlock()
-
-	prog, err := b.Spec.Sequential()
-	if err != nil {
-		return 0, err
-	}
-	cfg.Policy = b.Spec.TunePolicy(cfg.Policy)
-	// The reference run contributes only Tp; skipping the accounting
-	// hardware (which never affects timing) halves its tag-directory work.
-	res, err := sim.RunSequential(cfg, prog, sim.WithoutAccounting())
-	if err != nil {
-		return 0, fmt.Errorf("%s sequential: %w", b.FullName(), err)
-	}
-	e.mu.Lock()
-	e.stats.SimulatedOps += res.TotalOps
-	e.mu.Unlock()
-	return res.Tp, nil
 }
 
 // addDeclared and stepDone maintain the cumulative progress counters. The

@@ -199,9 +199,6 @@ func NewController(cfg Config, cores int) *Controller {
 	return c
 }
 
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Reset restores the controller to its just-constructed state, reusing the
 // bank and ORA storage (machine pooling across simulation runs).
 func (c *Controller) Reset() {
@@ -373,10 +370,4 @@ func (o *ORA) Contains(bank int, row uint64) bool {
 		}
 	}
 	return false
-}
-
-// SizeBytes returns the hardware cost of the ORA: each entry stores a bank
-// index (1 byte), a row number (4 bytes) and a valid bit, rounded to bytes.
-func (o *ORA) SizeBytes() int {
-	return len(o.entries) * 6
 }

@@ -198,12 +198,6 @@ func TestORAReplacement(t *testing.T) {
 	}
 }
 
-func TestORASizeBytes(t *testing.T) {
-	if got := NewORA(8).SizeBytes(); got != 48 {
-		t.Fatalf("ORA size = %d, want 48 (paper budget)", got)
-	}
-}
-
 func TestAccessLatencyLowerBound(t *testing.T) {
 	// Property: latency >= row latency + bus cycles, and waits are
 	// consistent with the total.

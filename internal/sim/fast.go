@@ -1,12 +1,11 @@
 package sim
 
-import "repro/internal/trace"
-
 // Fast mode (Config.Mode == ModeFast) extends the paper's set-sampling idea
 // from the ATD into the simulation itself: only LLC sets with
 // set & (2^FastSetShift − 1) == 0 — the "detailed" sets, a deterministic
-// 1-in-2^FastSetShift stride — run the full L1/LLC/directory/DRAM model,
-// and only their misses generate memory traffic. Accesses to every other
+// 1-in-2^FastSetShift stride — run the full L1/LLC/directory/DRAM model
+// (memAccess, the same walk exact mode takes for every access), and only
+// their misses generate memory traffic. Accesses to every other
 // set never touch the cache arrays at all; their whole hierarchy outcome is
 // extrapolated from the detailed sets:
 //
@@ -44,7 +43,9 @@ import "repro/internal/trace"
 // per-quantum scheduler sweep runs proportionally less often.
 const fastQuantumScale = 4
 
-// fastCore is the per-core extrapolation state of one fast-mode run.
+// fastCore is the per-core extrapolation state of one fast-mode run. The
+// det* counters are trained by the detailed walk (memAccess) and read by
+// fastSkippedAccess.
 type fastCore struct {
 	// detL1Accesses/detL1Hits count detailed-set accesses and their L1
 	// hits; their ratio drives the skipped-set L1 predictor. l1Credit is
@@ -64,99 +65,6 @@ type fastCore struct {
 	detMissStall       uint64
 	detMissInterfEst   uint64
 	detMissInterfTruth uint64
-}
-
-// memAccessFast is the ModeFast counterpart of memAccess.
-func (m *Machine) memAccessFast(t *thread, c int, op *trace.Op) {
-	t.time += m.computeCycles(uint64(op.N))
-	isLoad := op.Kind == trace.KindLoad
-
-	lineAddr := op.Addr >> m.llcLineShift
-	set := int(lineAddr & m.llcSetMask)
-	fc := &m.fastCores[c]
-	if uint64(set)&m.fastMask != 0 {
-		m.fastSkippedAccess(t, fc, isLoad)
-		return
-	}
-
-	// Detailed set: the exact-mode path plus extrapolation bookkeeping.
-	fc.detL1Accesses++
-	out := m.hier.Access(c, op.Addr, !isLoad)
-	if out.L1Hit {
-		fc.detL1Hits++
-		if out.Upgrade {
-			t.time += m.cfg.CPU.UpgradeStall
-		}
-		return
-	}
-
-	t.ct.LLCAccesses++
-	fc.detAccesses++
-	estHit, sampled, oraHit := false, false, false
-	if m.acct {
-		tag := lineAddr >> m.llcSetBits
-		if m.atds[c].SampledSet(set) {
-			estHit, sampled = m.atds[c].AccessSetTag(set, tag)
-			t.ct.SampledATDAccesses++
-		}
-		oraHit, _ = m.oracleATDs[c].AccessSetTag(set, tag)
-		t.ct.OracleATDAccesses++
-	}
-
-	if out.LLCHit {
-		fc.detHits++
-		stall := m.cfg.CPU.LLCHitStall
-		if out.DirtyForward {
-			stall += m.cfg.CPU.CoherenceForwardStall
-		}
-		if isLoad {
-			t.time += stall
-			if out.CoherenceMiss {
-				t.ct.OracleCoherenceStall += stall
-			}
-			if sampled && !estHit {
-				t.ct.SampledInterThreadHits++
-			}
-			if m.acct && !oraHit {
-				t.ct.OracleInterThreadHits++
-			}
-		}
-		return
-	}
-
-	// Detailed-set LLC miss: the only misses that reach the DRAM model in
-	// fast mode (the sampled subset of memory traffic).
-	res := m.memc.Access(t.time, c, op.Addr)
-	if out.LLCVictimDirty {
-		m.memc.Writeback(t.time, c, out.LLCVictimAddr)
-	}
-	if !isLoad {
-		return
-	}
-
-	stall := m.cfg.CPU.BlockingMissStall(res.Latency)
-	t.time += stall
-	t.ct.LLCLoadMisses++
-	t.ct.StallLLCLoadMiss += stall
-
-	interfEst := m.cfg.CPU.ExposedInterference(res.InterferenceEstimate(), res.Latency)
-	interfTruth := m.cfg.CPU.ExposedInterference(res.InterferenceTruth(), res.Latency)
-	t.ct.MemInterferenceEst += interfEst
-	t.ct.OracleMemInterference += interfTruth
-
-	fc.detMissLoads++
-	fc.detMissStall += stall
-	fc.detMissInterfEst += interfEst
-	fc.detMissInterfTruth += interfTruth
-
-	if sampled && estHit {
-		t.ct.SampledInterThreadMissStall += stall
-		t.ct.SampledInterThreadMissMemInterf += interfEst
-	}
-	if oraHit {
-		t.ct.OracleInterThreadMissStall += stall
-		t.ct.OracleInterThreadMissMemInterf += interfTruth
-	}
 }
 
 // fastSkippedAccess handles an access to a non-detailed LLC set: predicted

@@ -16,13 +16,7 @@ func fastRunBench(t *testing.T, name string, threads int, mode sim.Mode) sim.Res
 	if !ok {
 		t.Fatalf("unknown benchmark %s", name)
 	}
-	cfg := sim.Default().WithCores(threads).WithMode(mode)
-	cfg.Policy = b.Spec.TunePolicy(cfg.Policy)
-	progs, err := b.Spec.Parallel(threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(cfg, progs, b.Spec.PipelineOptions(threads)...)
+	res, err := workload.Simulate(sim.Default().WithMode(mode), b.Spec, threads, threads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +79,8 @@ func TestFastModeDeterministic(t *testing.T) {
 // TestPoolModeKeying pins the pool-recycling contract across modes: a pool
 // alternating fast and exact runs of the same workload must reproduce the
 // mode-pure results exactly — fast and exact machines never share recycled
-// state (Mode is part of Config, the pool key).
+// state (Mode sizes the oracle directories and the extrapolation state, so
+// it is part of the pool key).
 func TestPoolModeKeying(t *testing.T) {
 	exact := fastRunBench(t, "ferret_parsec_medium", 4, sim.ModeExact)
 	fast := fastRunBench(t, "ferret_parsec_medium", 4, sim.ModeFast)

@@ -9,21 +9,15 @@ import (
 	"repro/internal/workload"
 )
 
-// intervalTestRun builds the programs for one registry benchmark and runs
-// it with the given extra options on a small machine.
+// intervalTestRun runs one registry benchmark on a threads-core machine with
+// the given extra options, through the step the sweep engine uses.
 func intervalTestRun(t *testing.T, bench string, threads int, opts ...sim.Option) sim.Result {
 	t.Helper()
 	b, ok := workload.ByName(bench)
 	if !ok {
 		t.Fatalf("%s not registered", bench)
 	}
-	cfg := sim.Default().WithCores(threads)
-	cfg.Policy = b.Spec.TunePolicy(cfg.Policy)
-	progs, err := b.Spec.Parallel(threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(cfg, progs, append(b.Spec.PipelineOptions(threads), opts...)...)
+	res, err := workload.Simulate(sim.Default(), b.Spec, threads, threads, nil, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +110,14 @@ func TestIntervalsPoolReset(t *testing.T) {
 	}
 }
 
-// unbatched hides a program's batching interface so the engine falls back
-// to per-op Next calls.
+// unbatched hides a program's batching interface, so the machine adapts it
+// (trace.Batched) and pulls one-op batches.
 type unbatched struct{ p trace.Program }
 
 func (u unbatched) Next(fb trace.Feedback) trace.Op { return u.p.Next(fb) }
 
-// TestIntervalsUnbatchedProgram covers the per-op snapshot path for
-// programs without a batching interface.
+// TestIntervalsUnbatchedProgram covers snapshots at one-op-batch
+// granularity, for programs without a batching interface.
 func TestIntervalsUnbatchedProgram(t *testing.T) {
 	cfg := sim.Default().WithCores(1)
 	progs := []trace.Program{unbatched{trace.NewSliceProgram(sliceOps(600))}}

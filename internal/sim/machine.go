@@ -27,12 +27,12 @@ const (
 
 // thread is the runtime state of one software thread.
 type thread struct {
-	id   int
-	prog trace.Program
-	// bprog is prog's batching interface, or nil; batchRing buffers the
-	// current chunk (ring[rpos:rlen] is unconsumed). Buffered ops stay
-	// valid across blocking waits: feedback-sensitive programs end batches
-	// after the feedback-producing op (the trace.BatchProgram contract).
+	id int
+	// bprog is the thread's program (a plain trace.Program is adapted at
+	// reset); ring buffers the current chunk (ring[rpos:rlen] is
+	// unconsumed). Buffered ops stay valid across blocking waits:
+	// feedback-sensitive programs end batches after the feedback-producing
+	// op (the trace.BatchProgram contract).
 	bprog trace.BatchProgram
 	ring  []trace.Op
 	rpos  int
@@ -149,29 +149,19 @@ func grow[T any](s []T, id uint32) []T {
 
 // NewMachine builds a machine executing one program per software thread.
 // len(progs) may exceed cfg.Cores (the OS time-slices, Figure 7) but must be
-// at least 1.
+// at least 1. It allocates the storage cfg sizes — tag arrays, controller,
+// tag directories, fast-mode accumulators — and leaves everything else to
+// reset, so "as new" and "as reset" are the same code.
 func NewMachine(cfg Config, progs []trace.Program) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(progs) == 0 {
-		return nil, fmt.Errorf("sim: no thread programs")
-	}
 	m := &Machine{
-		acct:         true,
-		cfg:          cfg,
-		hier:         cache.NewHierarchy(cfg.Cores, cfg.L1, cfg.LLC),
-		memc:         mem.NewController(cfg.Mem, cfg.Cores),
-		os:           sched.New(cfg.Sched, cfg.Cores, len(progs)),
-		coreIdleAt:   make([]uint64, cfg.Cores),
-		llcLineShift: uint(bits.TrailingZeros64(uint64(cfg.LLC.LineBytes))),
-		llcSetBits:   uint(bits.TrailingZeros64(uint64(cfg.LLC.Sets()))),
-		llcSetMask:   uint64(cfg.LLC.Sets()) - 1,
-	}
-	if w := uint64(cfg.CPU.DispatchWidth); w&(w-1) == 0 {
-		m.dispPow2 = true
-		m.dispShift = uint(bits.TrailingZeros64(w))
-		m.dispRound = w - 1
+		hier:       cache.NewHierarchy(cfg.Cores, cfg.L1, cfg.LLC),
+		memc:       mem.NewController(cfg.Mem, cfg.Cores),
+		coreIdleAt: make([]uint64, cfg.Cores),
+		atds:       make([]*atd.Directory, cfg.Cores),
+		oracleATDs: make([]*atd.Directory, cfg.Cores),
 	}
 	// In fast mode the oracle directory samples at the detailed-set stride
 	// (it can only ever observe detailed sets) and its counters are
@@ -179,88 +169,74 @@ func NewMachine(cfg Config, progs []trace.Program) (*Machine, error) {
 	// full coverage, making that factor exactly 1.
 	oracleShift := uint(0)
 	if cfg.Mode == ModeFast {
-		m.fast = true
-		m.fastMask = uint64(1)<<cfg.FastSetShift - 1
 		m.fastCores = make([]fastCore, cfg.Cores)
 		oracleShift = cfg.FastSetShift
 	}
-	m.atds = make([]*atd.Directory, cfg.Cores)
-	m.oracleATDs = make([]*atd.Directory, cfg.Cores)
-	for c := 0; c < cfg.Cores; c++ {
+	for c := range m.atds {
 		m.atds[c] = atd.New(cfg.atdConfig(cfg.ATDSampleShift))
 		m.oracleATDs[c] = atd.New(cfg.atdConfig(oracleShift))
 	}
-	m.threads = make([]*thread, len(progs))
-	for i, p := range progs {
-		t := &thread{
-			id:   i,
-			prog: p,
-			det:  spin.NewDetector(cfg.Spin),
-		}
-		if bp, ok := p.(trace.BatchProgram); ok {
-			t.bprog = bp
-			t.ring = make([]trace.Op, batchSize)
-		}
-		m.threads[i] = t
+	if err := m.reset(cfg, progs); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// reset restores a pooled machine to its just-constructed state for a new
+// reset puts the machine in its just-constructed state for cfg and a new
 // set of thread programs, reusing the multi-megabyte cache, ATD, controller
-// and thread storage behind it. A reset machine is behaviorally
-// indistinguishable from one built by NewMachine with the same
-// configuration: simulation results are a deterministic function of
+// and thread storage behind it. cfg must size that storage exactly as the
+// configuration the machine was built for did (the Pool's key); everything
+// else — the policy, the core model, the quantum — is installed here.
+// NewMachine ends in reset, so a recycled machine is a new one by
+// construction: simulation results are a deterministic function of
 // (config, programs) either way (the pool determinism test and the
 // experiments golden test pin this).
-func (m *Machine) reset(progs []trace.Program) error {
+func (m *Machine) reset(cfg Config, progs []trace.Program) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if len(progs) == 0 {
 		return fmt.Errorf("sim: no thread programs")
 	}
+	m.cfg = cfg
+	m.llcLineShift = uint(bits.TrailingZeros64(uint64(cfg.LLC.LineBytes)))
+	m.llcSetBits = uint(bits.TrailingZeros64(uint64(cfg.LLC.Sets())))
+	m.llcSetMask = uint64(cfg.LLC.Sets()) - 1
+	w := uint64(cfg.CPU.DispatchWidth)
+	m.dispPow2 = w&(w-1) == 0
+	m.dispShift, m.dispRound = uint(bits.TrailingZeros64(w)), w-1
+	m.fast = cfg.Mode == ModeFast
+	m.fastMask = uint64(1)<<cfg.FastSetShift - 1
+
 	m.clock, m.finished, m.ops = 0, 0, 0
 	m.acct = true
 	m.snapEvery, m.nextSnap, m.snaps = 0, 0, nil
-	for i := range m.fastCores {
-		m.fastCores[i] = fastCore{}
-	}
+	clear(m.fastCores)
 	m.hier.Reset()
 	m.memc.Reset()
-	for _, d := range m.atds {
-		d.Reset()
+	for c := range m.atds {
+		m.atds[c].Reset()
+		m.oracleATDs[c].Reset()
 	}
-	for _, d := range m.oracleATDs {
-		d.Reset()
-	}
-	m.os = sched.New(m.cfg.Sched, m.cfg.Cores, len(progs))
-	for i := range m.coreIdleAt {
-		m.coreIdleAt[i] = 0
-	}
+	m.os = sched.New(cfg.Sched, cfg.Cores, len(progs))
+	clear(m.coreIdleAt)
 	clear(m.locks)
 	m.locks = m.locks[:0]
 	clear(m.barriers)
 	m.barriers = m.barriers[:0]
 	clear(m.queues)
 	m.queues = m.queues[:0]
-	if cap(m.threads) >= len(progs) {
-		m.threads = m.threads[:len(progs)]
-	} else {
-		m.threads = append(m.threads[:cap(m.threads)],
-			make([]*thread, len(progs)-cap(m.threads))...)
+	if n := len(progs) - cap(m.threads); n > 0 {
+		m.threads = append(m.threads[:cap(m.threads)], make([]*thread, n)...)
 	}
+	m.threads = m.threads[:len(progs)]
 	for i, p := range progs {
 		t := m.threads[i]
 		if t == nil {
-			t = new(thread)
+			t = &thread{ring: make([]trace.Op, batchSize)}
 			m.threads[i] = t
 		}
-		ring := t.ring
-		*t = thread{id: i, prog: p, det: spin.NewDetector(m.cfg.Spin), ring: ring}
-		if bp, ok := p.(trace.BatchProgram); ok {
-			t.bprog = bp
-			if t.ring == nil {
-				t.ring = make([]trace.Op, batchSize)
-			}
-		}
+		*t = thread{id: i, bprog: trace.Batched(p), det: spin.NewDetector(cfg.Spin), ring: t.ring}
 	}
 	return nil
 }
@@ -443,23 +419,13 @@ func (m *Machine) runCore(c int, qEnd uint64) {
 
 // execOps executes thread t's operations on core c until the quantum ends,
 // the thread blocks, or it finishes. It reports whether the thread entered
-// a blocking wait. Ops are pulled from the thread's batch ring when the
-// program supports batching (one NextBatch call per chunk instead of one
-// interface call per op) and from Next otherwise.
+// a blocking wait. Ops are pulled from the thread's batch ring: one
+// NextBatch call per chunk instead of one interface call per op.
 func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 	pol := &m.cfg.Policy
 	for t.time < qEnd && !t.finished {
-		// Ops are read through a pointer into the ring (or a stack slot for
-		// unbatched programs) to avoid copying the Op struct per operation.
-		var opv trace.Op
-		var op *trace.Op
-		if t.rpos < t.rlen {
-			op = &t.ring[t.rpos]
-			t.rpos++
-		} else if t.bprog != nil {
-			t.rlen = t.bprog.NextBatch(t.ring, t.fb)
-			t.rpos = 1
-			op = &t.ring[0]
+		if t.rpos == t.rlen {
+			t.rlen, t.rpos = t.bprog.NextBatch(t.ring, t.fb), 0
 			// Ops are counted at batch granularity; programs end their
 			// stream with KindEnd inside a batch, so on completed runs
 			// every counted op executes.
@@ -467,14 +433,11 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 			if m.snapEvery != 0 && m.ops >= m.nextSnap {
 				m.snapshot()
 			}
-		} else {
-			opv = t.prog.Next(t.fb)
-			op = &opv
-			m.ops++
-			if m.snapEvery != 0 && m.ops >= m.nextSnap {
-				m.snapshot()
-			}
 		}
+		// Ops are read through a pointer into the ring to avoid copying the
+		// Op struct per operation.
+		op := &t.ring[t.rpos]
+		t.rpos++
 		switch op.Kind {
 		case trace.KindCompute:
 			t.time += m.computeCycles(uint64(op.N))

@@ -5,18 +5,34 @@ import "repro/internal/trace"
 // memAccess walks one load or store through the memory hierarchy, charging
 // stalls to the thread and feeding both the estimator's accounting hardware
 // (sampled ATD, ORA-based memory interference) and the oracle (full-coverage
-// ATD, exact interference attribution). In ModeFast it dispatches to the
-// sampled path (fast.go) instead.
+// ATD, exact interference attribution). It is the one detailed walk: exact
+// mode takes it for every access, ModeFast for the accesses to detailed LLC
+// sets — there it also trains the predictor (fast.go) that stands in for
+// the walk on every other set.
 func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
-	if m.fast {
-		m.memAccessFast(t, c, op)
-		return
-	}
 	// Dispatch slots of the memory instruction itself.
 	t.time += m.computeCycles(uint64(op.N))
 	isLoad := op.Kind == trace.KindLoad
+	lineAddr := op.Addr >> m.llcLineShift
+	set := int(lineAddr & m.llcSetMask)
+
+	// fc is the core's fast-mode extrapolation state, nil in exact mode.
+	var fc *fastCore
+	if m.fast {
+		fc = &m.fastCores[c]
+		if uint64(set)&m.fastMask != 0 {
+			m.fastSkippedAccess(t, fc, isLoad)
+			return
+		}
+	}
 
 	out := m.hier.Access(c, op.Addr, !isLoad)
+	if fc != nil {
+		fc.detL1Accesses++
+		if out.L1Hit {
+			fc.detL1Hits++
+		}
+	}
 	if out.L1Hit {
 		// L1 hits are hidden by the out-of-order window; upgrades expose a
 		// short invalidation round-trip.
@@ -32,10 +48,15 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 	// the LLC's geometry, so the address is decomposed once and the same
 	// (set, tag) pair drives the estimator and the oracle walk.
 	t.ct.LLCAccesses++
-	lineAddr := op.Addr >> m.llcLineShift
+	if fc != nil {
+		fc.detAccesses++
+		if out.LLCHit {
+			fc.detHits++
+		}
+	}
 	estHit, sampled, oraHit := false, false, false
 	if m.acct {
-		set, tag := int(lineAddr&m.llcSetMask), lineAddr>>m.llcSetBits
+		tag := lineAddr >> m.llcSetBits
 		if m.atds[c].SampledSet(set) {
 			estHit, sampled = m.atds[c].AccessSetTag(set, tag)
 			t.ct.SampledATDAccesses++
@@ -70,7 +91,9 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 
 	// LLC miss: go to memory. Stores also consume bus/bank bandwidth (they
 	// interfere with other cores) but retire through the store buffer and
-	// do not stall this thread.
+	// do not stall this thread. In fast mode these detailed-set misses are
+	// the only ones that reach the DRAM model (the sampled subset of memory
+	// traffic).
 	res := m.memc.Access(t.time, c, op.Addr)
 	if out.LLCVictimDirty {
 		m.memc.Writeback(t.time, c, out.LLCVictimAddr)
@@ -88,6 +111,12 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 	interfTruth := m.cfg.CPU.ExposedInterference(res.InterferenceTruth(), res.Latency)
 	t.ct.MemInterferenceEst += interfEst
 	t.ct.OracleMemInterference += interfTruth
+	if fc != nil {
+		fc.detMissLoads++
+		fc.detMissStall += stall
+		fc.detMissInterfEst += interfEst
+		fc.detMissInterfTruth += interfTruth
+	}
 
 	if sampled && estHit {
 		// Inter-thread miss: a private LLC would have hit, so the entire

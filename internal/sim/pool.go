@@ -3,20 +3,24 @@ package sim
 import (
 	"sync"
 
+	"repro/internal/syncprim"
 	"repro/internal/trace"
 )
 
 // Pool recycles Machines — and the multi-megabyte tag-array, ATD and
-// controller backings behind them — across runs of the same configuration,
-// so steady-state simulation (a sweep engine executing many cells, the
-// speedupd service under load) allocates nothing per simulated op and close
-// to nothing per run.
+// controller backings behind them — across runs whose configurations size
+// that storage alike, so steady-state simulation (a sweep engine executing
+// many cells, the speedupd service under load) allocates nothing per
+// simulated op and close to nothing per run.
 //
-// Machines are held in one sync.Pool per configuration: idle machines are
-// dropped by the garbage collector under memory pressure, so a long-running
-// process sweeping many configurations is bounded by its live concurrency,
-// not by the number of configurations it has ever seen. Pool is safe for
-// concurrent use.
+// Machines are held in one sync.Pool per storage key — the configuration
+// with its Policy zeroed. The policy sizes nothing and the machine reads it
+// only through the configuration reset installs, so runs that differ only
+// in it (an inline spec's client-chosen lock_grace) share one entry instead
+// of growing the map by one never-removed entry, and one fresh machine,
+// each. Idle machines are dropped by the garbage collector under memory
+// pressure, so a long-running process sweeping many machine shapes is
+// bounded by its live concurrency. Pool is safe for concurrent use.
 type Pool struct {
 	mu    sync.Mutex
 	pools map[Config]*sync.Pool
@@ -28,6 +32,7 @@ func NewPool() *Pool {
 }
 
 func (p *Pool) pool(cfg Config) *sync.Pool {
+	cfg.Policy = syncprim.Policy{}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	sp := p.pools[cfg]
@@ -40,8 +45,8 @@ func (p *Pool) pool(cfg Config) *sync.Pool {
 
 // Run executes progs to completion on a pooled machine for cfg, applying
 // opts first, and returns the machine to the pool afterwards. Results are
-// identical to building a fresh machine with NewMachine: a reset machine is
-// behaviorally indistinguishable from a new one.
+// identical to building a fresh machine with NewMachine, which itself ends
+// in the reset a recycled machine gets.
 func (p *Pool) Run(cfg Config, progs []trace.Program, opts ...Option) (Result, error) {
 	sp := p.pool(cfg)
 	m, _ := sp.Get().(*Machine)
@@ -51,7 +56,7 @@ func (p *Pool) Run(cfg Config, progs []trace.Program, opts ...Option) (Result, e
 		if err != nil {
 			return Result{}, err
 		}
-	} else if err := m.reset(progs); err != nil {
+	} else if err := m.reset(cfg, progs); err != nil {
 		return Result{}, err
 	}
 	for _, o := range opts {

@@ -84,6 +84,50 @@ func TestPoolResetDeterminism(t *testing.T) {
 	}
 }
 
+// TestPoolKeyIgnoresPolicy pins what the pool keys on: configurations that
+// differ only in Policy — which an inline spec's client-chosen lock_grace
+// reaches — share one entry and one recycled machine, reset installs each
+// run's policy, and every result equals a fresh machine's. Keyed on the
+// whole Config the map grew by one never-removed entry, and one fresh
+// multi-megabyte machine, per distinct grace.
+func TestPoolKeyIgnoresPolicy(t *testing.T) {
+	p := NewPool()
+	var results []Result
+	for i := 0; i < 8; i++ {
+		cfg := Default().WithCores(4)
+		cfg.Policy.LockSpinGrace = uint64(50 << i)
+		fresh, err := NewMachine(cfg, poolTestProgs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Run(cfg, poolTestProgs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("grace %d: pooled result differs from a fresh machine's", cfg.Policy.LockSpinGrace)
+		}
+		results = append(results, got)
+	}
+	if len(p.pools) != 1 {
+		t.Fatalf("%d pool entries after 8 lock graces on one machine shape, want 1", len(p.pools))
+	}
+	if reflect.DeepEqual(results[0], results[7]) {
+		t.Fatal("lock grace 50 and 6400 gave one result: the run's policy was not installed")
+	}
+	// The policy is outside the key, so a recycled machine must still
+	// refuse an invalid one.
+	bad := Default().WithCores(4)
+	bad.Policy.SpinIterationCycles = 0
+	if _, err := p.Run(bad, poolTestProgs()); err == nil {
+		t.Fatal("recycled machine accepted an invalid policy")
+	}
+}
+
 // TestSingleQuantumHorizon pins the MaxCycles boundary of the single-pass
 // sequential fast path: it must match the quantum-stepped loop's effective
 // horizon, so a run finishing inside the final partial quantum completes.

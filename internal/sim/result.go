@@ -122,7 +122,7 @@ func WithoutAccounting() Option {
 
 // Run executes progs to completion on a machine for cfg. Machines (and the
 // multi-megabyte backing arrays inside them) are recycled through a
-// process-wide pool keyed by the full configuration, so repeated runs —
+// process-wide pool keyed by what sizes that storage, so repeated runs —
 // sweeps, service traffic, benchmarks — allocate almost nothing; results
 // are identical to building a fresh machine every time.
 func Run(cfg Config, progs []trace.Program, opts ...Option) (Result, error) {

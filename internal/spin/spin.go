@@ -130,15 +130,6 @@ func (d *Detector) DetectedEpisodes() uint64 { return d.detectedEpisodes }
 // validation, Section 6).
 func (d *Detector) MissedEpisodes() uint64 { return d.missedEpisodes }
 
-// SizeBytes returns the hardware cost: per entry a 64-bit PC, 64-bit
-// address, 64-bit data, mark bit and a 48-bit timestamp plus count bits.
-// With 8 entries this reproduces the paper's 217 bytes per core.
-func (d *Detector) SizeBytes() int {
-	// 3×8 bytes (PC, addr, data) + 6 bytes timestamp + count/mark byte.
-	perEntry := 27
-	return len(d.entries)*perEntry + 1 // +1: table-level control state
-}
-
 // Episode describes one fast-forwarded spin interval; the simulator models
 // test-and-test-and-set spinning as a blocked state (the spin loop hits the
 // local L1 until the lock transfer) and synthesizes the load stream the

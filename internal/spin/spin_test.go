@@ -120,9 +120,3 @@ func TestFeedEpisodeRepeats(t *testing.T) {
 		t.Fatalf("episodes = %d, want 5", d.DetectedEpisodes())
 	}
 }
-
-func TestDetectorSizeBytes(t *testing.T) {
-	if got := NewDetector(cfg()).SizeBytes(); got != 217 {
-		t.Fatalf("SizeBytes = %d, want 217 (paper budget)", got)
-	}
-}

@@ -155,9 +155,6 @@ func NewBarrier(parties int) *Barrier {
 	return &Barrier{parties: parties}
 }
 
-// Parties returns the barrier width.
-func (b *Barrier) Parties() int { return b.parties }
-
 // Waiting returns the number of threads currently blocked at the barrier.
 func (b *Barrier) Waiting() int { return len(b.waiters) }
 

@@ -580,7 +580,7 @@ func (t *Data) HashHex() string { return hex.EncodeToString(t.hash[:]) }
 // stream. Each call returns an independent program, so one Data replays any
 // number of times.
 func (t *Data) ThreadProgram(i int) BatchProgram {
-	return &streamReader{buf: t.threads[i]}
+	return &streamReader{d: decoder{buf: t.threads[i]}}
 }
 
 // SequentialProgram returns a fresh streaming reader over the recorded
@@ -589,7 +589,7 @@ func (t *Data) SequentialProgram() (BatchProgram, error) {
 	if t.seq == nil {
 		return nil, fmt.Errorf("trace: no sequential stream was recorded (re-record with the sequential reference to measure a speedup stack)")
 	}
-	return &streamReader{buf: t.seq}, nil
+	return &streamReader{d: decoder{buf: t.seq}}, nil
 }
 
 // streamReader replays one validated encoded section as a BatchProgram,
@@ -597,37 +597,32 @@ func (t *Data) SequentialProgram() (BatchProgram, error) {
 // its branches — but batches still end immediately after every KindPop so
 // the batch/feedback contract holds for any consumer counting on it.
 type streamReader struct {
-	buf  []byte
-	pos  int
+	d    decoder
 	done bool
 }
 
-// Next implements Program.
-func (r *streamReader) Next(Feedback) Op {
-	if r.done {
-		return End()
-	}
-	d := decoder{buf: r.buf, pos: r.pos}
-	op, err := decodeOp(&d)
-	if err != nil {
-		// Unreachable for Decode-validated sections; fail closed anyway.
-		r.done = true
-		return End()
-	}
-	r.pos = d.pos
-	if op.Kind == KindEnd {
-		r.done = true
-	}
-	return op
+// Next implements Program: the one-op batch.
+func (r *streamReader) Next(fb Feedback) Op {
+	var one [1]Op
+	r.NextBatch(one[:], fb)
+	return one[0]
 }
 
 // NextBatch implements BatchProgram: it fills dst until the batch boundary
 // contract forces a cut — after a KindPop (fresh feedback only arrives at
 // batch boundaries) or at KindEnd.
-func (r *streamReader) NextBatch(dst []Op, fb Feedback) int {
+func (r *streamReader) NextBatch(dst []Op, _ Feedback) int {
 	n := 0
 	for n < len(dst) {
-		op := r.Next(fb)
+		op := End()
+		if !r.done {
+			// A decode error is unreachable for Decode-validated sections;
+			// fail closed anyway by ending the stream.
+			if next, err := decodeOp(&r.d); err == nil {
+				op = next
+			}
+			r.done = op.Kind == KindEnd
+		}
 		dst[n] = op
 		n++
 		if op.Kind == KindPop || op.Kind == KindEnd {

@@ -9,41 +9,30 @@ package trace
 // run exactly.
 //
 // Recording is transparent: a Recorder implements BatchProgram by
-// delegating to the inner program's NextBatch when it has one, and by
-// one-op batches over Next otherwise — both are semantically identical to
-// running the inner program directly (batching is a transport optimization
-// by the BatchProgram contract), so a recorded run's Result equals an
-// unrecorded one's.
+// delegating to the inner program's batches (Batched adapts a plain
+// Program), which is semantically identical to running the inner program
+// directly — batching is a transport optimization by the BatchProgram
+// contract — so a recorded run's Result equals an unrecorded one's.
 type Recorder struct {
-	inner Program
-	batch BatchProgram // non-nil when inner batches
+	inner BatchProgram
 	ops   []Op
 }
 
 // NewRecorder wraps p for recording.
 func NewRecorder(p Program) *Recorder {
-	r := &Recorder{inner: p}
-	if bp, ok := p.(BatchProgram); ok {
-		r.batch = bp
-	}
-	return r
+	return &Recorder{inner: Batched(p)}
 }
 
-// Next implements Program.
+// Next implements Program: the one-op batch.
 func (r *Recorder) Next(fb Feedback) Op {
-	op := r.inner.Next(fb)
-	r.ops = append(r.ops, op)
-	return op
+	var one [1]Op
+	r.NextBatch(one[:], fb)
+	return one[0]
 }
 
 // NextBatch implements BatchProgram.
 func (r *Recorder) NextBatch(dst []Op, fb Feedback) int {
-	if r.batch == nil {
-		dst[0] = r.inner.Next(fb)
-		r.ops = append(r.ops, dst[0])
-		return 1
-	}
-	n := r.batch.NextBatch(dst, fb)
+	n := r.inner.NextBatch(dst, fb)
 	r.ops = append(r.ops, dst[:n]...)
 	return n
 }

@@ -115,11 +115,11 @@ type Program interface {
 	Next(fb Feedback) Op
 }
 
-// BatchProgram is the optional batching extension of Program: generators
-// that implement it hand the simulator whole chunks of their stream, paying
-// one dynamic dispatch per chunk instead of one per operation. The
-// simulator type-asserts for it at machine construction and falls back to
-// Next for plain Programs.
+// BatchProgram is the batching form of Program and the one way the
+// simulator pulls ops: generators hand over whole chunks of their stream,
+// paying one dynamic dispatch per chunk instead of one per operation. Every
+// generator the product builds implements NextBatch and defines Next as the
+// one-op batch; a plain Program is adapted once by Batched.
 //
 // The batching contract:
 //
@@ -142,6 +142,23 @@ type Program interface {
 type BatchProgram interface {
 	Program
 	NextBatch(dst []Op, fb Feedback) int
+}
+
+// Batched returns p's batching interface: p itself when it has one, else an
+// adapter that delivers the Next stream as one-op batches — which meets the
+// batching contract trivially (fresh feedback reaches every op).
+func Batched(p Program) BatchProgram {
+	if bp, ok := p.(BatchProgram); ok {
+		return bp
+	}
+	return oneOpBatches{p}
+}
+
+type oneOpBatches struct{ Program }
+
+func (a oneOpBatches) NextBatch(dst []Op, fb Feedback) int {
+	dst[0] = a.Next(fb)
+	return 1
 }
 
 // Compute returns a computation burst of n instructions.
@@ -190,14 +207,11 @@ func NewSliceProgram(ops []Op) *SliceProgram {
 	return &SliceProgram{ops: ops}
 }
 
-// Next implements Program.
-func (p *SliceProgram) Next(Feedback) Op {
-	if p.pos >= len(p.ops) {
-		return End()
-	}
-	op := p.ops[p.pos]
-	p.pos++
-	return op
+// Next implements Program: the one-op batch.
+func (p *SliceProgram) Next(fb Feedback) Op {
+	var one [1]Op
+	p.NextBatch(one[:], fb)
+	return one[0]
 }
 
 // NextBatch implements BatchProgram by copying the next chunk of the slice.

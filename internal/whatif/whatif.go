@@ -177,44 +177,7 @@ func ByID(id string) (Intervention, error) {
 			return iv, nil
 		}
 	}
-	return Intervention{}, &UnknownInterventionError{ID: id, Suggestion: suggestID(id)}
-}
-
-// suggestID returns the catalog ID closest to id by edit distance, or ""
-// when nothing is close enough to be a plausible typo (same cutoff as the
-// benchmark registry's suggester).
-func suggestID(id string) string {
-	in := strings.ToLower(id)
-	limit := max(2, len(in)/3)
-	best, bestDist := "", limit+1
-	for _, iv := range catalog {
-		if d := editDistance(in, iv.ID); d < bestDist {
-			best, bestDist = iv.ID, d
-		}
-	}
-	return best
-}
-
-// editDistance is the Levenshtein distance between a and b, two rows at a
-// time. Intervention IDs are short, so the quadratic cost is irrelevant.
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min(prev[j]+1, min(cur[j-1]+1, prev[j-1]+cost))
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
+	return Intervention{}, &UnknownInterventionError{ID: id, Suggestion: workload.Nearest(id, IDs())}
 }
 
 // Mutate builds the intervention's concrete mutation for one workload on

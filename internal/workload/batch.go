@@ -2,28 +2,47 @@ package workload
 
 import "repro/internal/trace"
 
-// drainBatch is the shared trace.BatchProgram drain loop for generators
-// with no feedback sensitivity: it copies staged ops into dst, refilling
-// the staging queue until dst is full or the stream ends, and falls back
-// to a trailing End op exactly like the generators' Next methods do. The
-// pop-sensitive pipeline generator and the data-parallel generator (which
-// adds a direct-into-dst fast path) keep specialized loops; the contract
-// all of them implement is documented on trace.BatchProgram.
-func drainBatch(dst []trace.Op, queue *[]trace.Op, qpos *int, ended *bool, refill func()) int {
+// opQueue is the staging queue every generator embeds: a refill appends the
+// ops of the next stretch of the stream to queue, NextBatch drains them
+// into the simulator's buffer. ended marks that the queue holds the
+// stream's trailing ops (KindEnd last).
+type opQueue struct {
+	queue []trace.Op
+	qpos  int
+	ended bool
+}
+
+// drain is the shared trace.BatchProgram loop: it moves staged ops into
+// dst, refilling the queue until dst is full or the stream ends, and
+// answers a call past the end with a lone End op. cutAfterPop ends the
+// batch right after a KindPop, as the contract on trace.BatchProgram
+// demands of a generator that branches on pop feedback: the refill that
+// reads the feedback then always runs first in the following batch, with
+// the simulator's fresh value. The data-parallel generator adds a
+// direct-into-dst fast path and keeps its own loop over the same queue.
+func (q *opQueue) drain(dst []trace.Op, cutAfterPop bool, refill func()) int {
 	n := 0
 	for n < len(dst) {
-		if *qpos < len(*queue) {
-			c := copy(dst[n:], (*queue)[*qpos:])
-			*qpos += c
+		if q.qpos == len(q.queue) {
+			if q.ended {
+				break
+			}
+			q.queue, q.qpos = q.queue[:0], 0
+			refill()
+			continue
+		}
+		if !cutAfterPop {
+			c := copy(dst[n:], q.queue[q.qpos:])
+			q.qpos += c
 			n += c
 			continue
 		}
-		if *ended {
-			break
+		dst[n] = q.queue[q.qpos]
+		q.qpos++
+		n++
+		if dst[n-1].Kind == trace.KindPop {
+			return n
 		}
-		*queue = (*queue)[:0]
-		*qpos = 0
-		refill()
 	}
 	if n == 0 {
 		dst[0] = trace.End()

@@ -39,10 +39,8 @@ type dpProgram struct {
 	csCycle int
 	pcCycle int
 
-	rng   *trace.RNG
-	queue []trace.Op
-	qpos  int
-	ended bool
+	rng *trace.RNG
+	opQueue
 }
 
 // threadsHint scales critical-section frequency to a nominal machine width
@@ -100,32 +98,23 @@ func (s Spec) dataParallelSequential() trace.Program {
 	}
 }
 
-// Next implements trace.Program.
-func (p *dpProgram) Next(trace.Feedback) trace.Op {
-	for {
-		if p.qpos < len(p.queue) {
-			op := p.queue[p.qpos]
-			p.qpos++
-			return op
-		}
-		if p.ended {
-			return trace.End()
-		}
-		p.queue = p.queue[:0]
-		p.qpos = 0
-		p.refill()
-	}
+// Next implements trace.Program: the one-op batch.
+func (p *dpProgram) Next(fb trace.Feedback) trace.Op {
+	var one [1]trace.Op
+	p.NextBatch(one[:], fb)
+	return one[0]
 }
 
 // dpMaxOpsPerAccess bounds what one emitAccessTo call can append: compute,
 // the memory op, a three-op critical section, and an overhead burst.
 const dpMaxOpsPerAccess = 6
 
-// NextBatch implements trace.BatchProgram: it emits the identical op
-// sequence Next would, writing in-slice access runs directly into dst (no
-// staging-queue copy) and draining the queue only for phase transitions.
-// Data-parallel programs never pop, so a batch only ends when dst is full
-// or the stream ends.
+// NextBatch implements trace.BatchProgram: opQueue.drain's loop plus a fast
+// path that writes in-slice access runs directly into dst (no staging-queue
+// copy) whenever dst has room for a whole access, so the queue only carries
+// phase transitions and the tail of a batch. Either way the op sequence is
+// the same. Data-parallel programs never pop, so a batch only ends when dst
+// is full or the stream ends.
 func (p *dpProgram) NextBatch(dst []trace.Op, _ trace.Feedback) int {
 	n := 0
 	for n < len(dst) {
@@ -310,11 +299,4 @@ func (p *dpProgram) emitAccessTo(q *[]trace.Op) {
 			p.overhead = 0
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -114,10 +114,8 @@ type plProgram struct {
 	access   int
 	overhead int
 
-	rng   *trace.RNG
-	queue []trace.Op
-	qpos  int
-	ended bool
+	rng *trace.RNG
+	opQueue
 }
 
 // Pipeline program states.
@@ -221,53 +219,19 @@ func (s Spec) pipelineSequential() trace.Program {
 	}
 }
 
-// Next implements trace.Program.
+// Next implements trace.Program: the one-op batch.
 func (p *plProgram) Next(fb trace.Feedback) trace.Op {
-	for {
-		if p.qpos < len(p.queue) {
-			op := p.queue[p.qpos]
-			p.qpos++
-			return op
-		}
-		if p.ended {
-			return trace.End()
-		}
-		p.queue = p.queue[:0]
-		p.qpos = 0
-		p.refill(fb)
-	}
+	var one [1]trace.Op
+	p.NextBatch(one[:], fb)
+	return one[0]
 }
 
 // NextBatch implements trace.BatchProgram. Pipeline programs branch on pop
 // feedback (plBody reads Feedback.PopOK), so a batch ends immediately after
 // every KindPop: the plBody refill then always runs as the first refill of
-// the following batch, with the simulator's fresh feedback — exactly the
-// value Next would have seen.
+// the following batch, with the simulator's fresh feedback.
 func (p *plProgram) NextBatch(dst []trace.Op, fb trace.Feedback) int {
-	n := 0
-	for n < len(dst) {
-		if p.qpos < len(p.queue) {
-			op := p.queue[p.qpos]
-			p.qpos++
-			dst[n] = op
-			n++
-			if op.Kind == trace.KindPop {
-				return n
-			}
-			continue
-		}
-		if p.ended {
-			break
-		}
-		p.queue = p.queue[:0]
-		p.qpos = 0
-		p.refill(fb)
-	}
-	if n == 0 {
-		dst[0] = trace.End()
-		n = 1
-	}
-	return n
+	return p.drain(dst, true, func() { p.refill(fb) })
 }
 
 func (p *plProgram) refill(fb trace.Feedback) {
@@ -379,27 +343,15 @@ type plSeqProgram struct {
 	eff  []mergedStage
 	item int
 
-	rng   *trace.RNG
-	queue []trace.Op
-	qpos  int
-	ended bool
+	rng *trace.RNG
+	opQueue
 }
 
-// Next implements trace.Program.
-func (p *plSeqProgram) Next(trace.Feedback) trace.Op {
-	for {
-		if p.qpos < len(p.queue) {
-			op := p.queue[p.qpos]
-			p.qpos++
-			return op
-		}
-		if p.ended {
-			return trace.End()
-		}
-		p.queue = p.queue[:0]
-		p.qpos = 0
-		p.refill()
-	}
+// Next implements trace.Program: the one-op batch.
+func (p *plSeqProgram) Next(fb trace.Feedback) trace.Op {
+	var one [1]trace.Op
+	p.NextBatch(one[:], fb)
+	return one[0]
 }
 
 // refill appends the next item's end-to-end work (all stages back to back)
@@ -418,5 +370,5 @@ func (p *plSeqProgram) refill() {
 // NextBatch implements trace.BatchProgram; the sequential reference never
 // pops, so batches only end when dst is full or the stream ends.
 func (p *plSeqProgram) NextBatch(dst []trace.Op, _ trace.Feedback) int {
-	return drainBatch(dst, &p.queue, &p.qpos, &p.ended, p.refill)
+	return p.drain(dst, false, p.refill)
 }

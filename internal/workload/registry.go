@@ -26,9 +26,6 @@ type Benchmark struct {
 	ExpectedClass string
 }
 
-// Name returns the benchmark name.
-func (b Benchmark) Name() string { return b.Spec.Name }
-
 // registry holds the 28 benchmark analogues of the paper's Figure 6.
 // Memory intensity calibration note: one modeled access stands for the
 // L1-filtered, cache-relevant reference stream, so InstrPerAccess is on the

@@ -29,6 +29,7 @@ package workload
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/syncprim"
 	"repro/internal/trace"
 )
@@ -402,6 +403,50 @@ func (s Spec) Sequential() (trace.Program, error) {
 		return s.traceSequential()
 	}
 	return nil, fmt.Errorf("workload %s: unknown kind", s.Name)
+}
+
+// Simulate is the one step from a spec to a simulation, shared by the sweep
+// engine (cells, sequential references, interval runs) and Record. With
+// threads > 0 it runs the parallel programs of s on cores cores of cfg's
+// machine, with the family's machine registrations; threads == 0 selects
+// the single-threaded reference instead: one core, and the accounting
+// hardware off, because that run contributes only its Tp and accounting
+// never affects timing. Either way the machine carries the spec's
+// synchronization-library policy. wrap, if non-nil, replaces each program
+// before the run (Record's recorders); opts are applied after the
+// registrations. A simulator failure is labelled with the workload and the
+// run shape; a spec that cannot build its programs fails bare.
+func Simulate(cfg sim.Config, s Spec, threads, cores int, wrap func(trace.Program) trace.Program, opts ...sim.Option) (sim.Result, error) {
+	var progs []trace.Program
+	var err error
+	if threads == 0 {
+		var p trace.Program
+		p, err = s.Sequential()
+		progs, cores = []trace.Program{p}, 1
+		opts = append(opts, sim.WithoutAccounting())
+	} else {
+		progs, err = s.Parallel(threads)
+		opts = append(s.PipelineOptions(threads), opts...)
+	}
+	if err != nil {
+		return sim.Result{}, err
+	}
+	if wrap != nil {
+		for i, p := range progs {
+			progs[i] = wrap(p)
+		}
+	}
+	cfg = cfg.WithCores(cores)
+	cfg.Policy = s.TunePolicy(cfg.Policy)
+	res, err := sim.Run(cfg, progs, opts...)
+	if err == nil {
+		return res, nil
+	}
+	name := Benchmark{Spec: s}.FullName()
+	if threads == 0 {
+		return sim.Result{}, fmt.Errorf("%s sequential: %w", name, err)
+	}
+	return sim.Result{}, fmt.Errorf("%s x%d: %w", name, threads, err)
 }
 
 // Address-space layout. Regions are separated far enough that no benchmark

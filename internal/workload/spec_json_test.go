@@ -126,18 +126,30 @@ func TestFingerprintIgnoresInertFields(t *testing.T) {
 	}
 }
 
-// drainOps pulls up to limit ops from a program (PopOK always true).
-func drainOps(p trace.Program, limit int) []trace.Op {
+// sameStream reports whether a and b emit the same ops, compared batch by
+// batch up to limit ops. The streams come from the same generator code, so
+// equal streams cut their batches at the same places; pops are answered
+// with PopOK, as an open queue would.
+func sameStream(a, b trace.Program, limit int) bool {
 	fb := trace.Feedback{PopOK: true}
-	var ops []trace.Op
-	for i := 0; i < limit; i++ {
-		op := p.Next(fb)
-		ops = append(ops, op)
-		if op.Kind == trace.KindEnd {
+	ba, bb := trace.Batched(a), trace.Batched(b)
+	bufA, bufB := make([]trace.Op, 512), make([]trace.Op, 512)
+	for ops := 0; ops < limit; {
+		n := ba.NextBatch(bufA, fb)
+		if bb.NextBatch(bufB, fb) != n {
+			return false
+		}
+		for i := 0; i < n; i++ {
+			if bufA[i] != bufB[i] {
+				return false
+			}
+		}
+		if bufA[n-1].Kind == trace.KindEnd {
 			break
 		}
+		ops += n
 	}
-	return ops
+	return true
 }
 
 // TestCanonicalPreservesPrograms is the contract Fingerprint rests on:
@@ -161,7 +173,7 @@ func TestCanonicalPreservesPrograms(t *testing.T) {
 			t.Fatalf("%s: %v", b.FullName(), err)
 		}
 		seqB, _ := c.Sequential()
-		if !reflect.DeepEqual(drainOps(seqA, limit), drainOps(seqB, limit)) {
+		if !sameStream(seqA, seqB, limit) {
 			t.Errorf("%s: sequential op stream changed under canonicalization", b.FullName())
 		}
 		for _, threads := range []int{1, 3, 16} {
@@ -171,7 +183,7 @@ func TestCanonicalPreservesPrograms(t *testing.T) {
 			}
 			progsB, _ := c.Parallel(threads)
 			for tid := range progsA {
-				if !reflect.DeepEqual(drainOps(progsA[tid], limit), drainOps(progsB[tid], limit)) {
+				if !sameStream(progsA[tid], progsB[tid], limit) {
 					t.Errorf("%s x%d thread %d: op stream changed under canonicalization",
 						b.FullName(), threads, tid)
 					break
@@ -208,6 +220,17 @@ func TestSuggest(t *testing.T) {
 		if got := Suggest(in); got != want {
 			t.Errorf("Suggest(%q) = %q, want %q", in, got, want)
 		}
+	}
+	// Nearest, the loop behind it: case-insensitive, earlier candidate wins
+	// a tie, nothing beyond max(2, len/3) edits.
+	if got := Nearest("Lock_Hald", []string{"lock_hole", "lock_hold", "lock_held"}); got != "lock_hold" {
+		t.Errorf("Nearest = %q, want lock_hold", got)
+	}
+	if got := Nearest("abcd", []string{"abxy", "abzw"}); got != "abxy" {
+		t.Errorf("Nearest tie = %q, want the earlier candidate abxy", got)
+	}
+	if got := Nearest("abcd", []string{"awxyz"}); got != "" {
+		t.Errorf("Nearest beyond the cutoff = %q, want none", got)
 	}
 }
 

@@ -46,26 +46,36 @@ func UnknownBenchmarkError(name string) error {
 }
 
 // Suggest returns the registered name (FullName or plain name, of an
-// analogue or a contention pattern — every name ByName resolves) closest to
-// name by edit distance, or "" when nothing is close enough to be a
-// plausible typo (distance greater than 2 or a third of the input). Ties go
-// to the earlier entry, analogues before patterns.
+// analogue or a contention pattern — every name ByName resolves) nearest to
+// name, or "" when nothing is plausibly intended. Ties go to the earlier
+// entry, analogues before patterns.
 func Suggest(name string) string {
+	candidates := make([]string, 0, 2*len(index.entries))
+	for _, e := range index.entries {
+		candidates = append(candidates, e.fullName, e.bench.Spec.Name)
+	}
+	return Nearest(name, candidates)
+}
+
+// Nearest returns the candidate closest to name by case-insensitive edit
+// distance, or "" when nothing is close enough to be a plausible typo
+// (distance greater than 2 or a third of the input). Ties go to the earlier
+// candidate. It is the one did-you-mean behind benchmark names and what-if
+// intervention IDs.
+func Nearest(name string, candidates []string) string {
 	in := strings.ToLower(name)
 	limit := max(2, len(in)/3)
 	best, bestDist := "", limit+1
-	for _, e := range index.entries {
-		for _, cand := range []string{e.fullName, e.bench.Spec.Name} {
-			if d := editDistance(in, strings.ToLower(cand)); d < bestDist {
-				best, bestDist = cand, d
-			}
+	for _, cand := range candidates {
+		if d := editDistance(in, strings.ToLower(cand)); d < bestDist {
+			best, bestDist = cand, d
 		}
 	}
 	return best
 }
 
 // editDistance is the Levenshtein distance between a and b, two rows at a
-// time. The inputs are short benchmark names, so O(len(a)*len(b)) is fine.
+// time. The inputs are short names, so O(len(a)*len(b)) is fine.
 func editDistance(a, b string) int {
 	prev := make([]int, len(b)+1)
 	cur := make([]int, len(b)+1)

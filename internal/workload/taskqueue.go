@@ -22,10 +22,8 @@ type tqProgram struct {
 	access   int
 	overhead int
 
-	rng   *trace.RNG
-	queue []trace.Op
-	qpos  int
-	ended bool
+	rng *trace.RNG
+	opQueue
 }
 
 // taskQueuePrograms builds one program per thread. Items are distributed
@@ -66,28 +64,18 @@ func (s Spec) taskQueueSequential() trace.Program {
 	}
 }
 
-// Next implements trace.Program.
-func (p *tqProgram) Next(trace.Feedback) trace.Op {
-	for {
-		if p.qpos < len(p.queue) {
-			op := p.queue[p.qpos]
-			p.qpos++
-			return op
-		}
-		if p.ended {
-			return trace.End()
-		}
-		p.queue = p.queue[:0]
-		p.qpos = 0
-		p.refill()
-	}
+// Next implements trace.Program: the one-op batch.
+func (p *tqProgram) Next(fb trace.Feedback) trace.Op {
+	var one [1]trace.Op
+	p.NextBatch(one[:], fb)
+	return one[0]
 }
 
-// NextBatch implements trace.BatchProgram: it drains whole refills into dst,
-// emitting the identical op sequence Next would. Task-queue programs never
-// pop, so a batch only ends when dst is full or the stream ends.
+// NextBatch implements trace.BatchProgram: it drains whole refills into
+// dst. Task-queue programs never pop, so a batch only ends when dst is full
+// or the stream ends.
 func (p *tqProgram) NextBatch(dst []trace.Op, _ trace.Feedback) int {
-	return drainBatch(dst, &p.queue, &p.qpos, &p.ended, p.refill)
+	return p.drain(dst, false, p.refill)
 }
 
 func (p *tqProgram) refill() {

@@ -84,10 +84,9 @@ func (s Spec) traceSequential() (trace.Program, error) {
 // result. The capture happens during a live simulation because op streams
 // are execution-driven (pipeline programs branch on pop feedback); the
 // simulator is deterministic, so replaying the file under the same machine
-// reproduces the recorded result exactly — Record mirrors the sweep
-// engine's run mechanics (cores = threads, tuned sync policy, the family's
-// machine registrations, accounting off for the reference) so the engine's
-// replay of the file is byte-identical to its live run of s.
+// reproduces the recorded result exactly. Both runs go through Simulate,
+// the step the sweep engine's cells and references go through, so the
+// engine's replay of the file is byte-identical to its live run of s.
 func Record(cfg sim.Config, s Spec, threads int) (*trace.File, sim.Result, error) {
 	fail := func(err error) (*trace.File, sim.Result, error) { return nil, sim.Result{}, err }
 	if err := s.Validate(); err != nil {
@@ -102,32 +101,18 @@ func Record(cfg sim.Config, s Spec, threads int) (*trace.File, sim.Result, error
 	label := Benchmark{Spec: s}.FullName()
 	s = s.Canonical()
 
-	progs, err := s.Parallel(threads)
+	// Simulate wraps the programs in thread order, then the reference.
+	var recs []*trace.Recorder
+	record := func(p trace.Program) trace.Program {
+		recs = append(recs, trace.NewRecorder(p))
+		return recs[len(recs)-1]
+	}
+	res, err := Simulate(cfg, s, threads, threads, record)
 	if err != nil {
 		return fail(err)
 	}
-	recs := make([]*trace.Recorder, threads)
-	wrapped := make([]trace.Program, threads)
-	for i, p := range progs {
-		recs[i] = trace.NewRecorder(p)
-		wrapped[i] = recs[i]
-	}
-	runCfg := cfg.WithCores(threads)
-	runCfg.Policy = s.TunePolicy(runCfg.Policy)
-	res, err := sim.Run(runCfg, wrapped, s.PipelineOptions(threads)...)
-	if err != nil {
-		return fail(fmt.Errorf("%s x%d: %w", label, threads, err))
-	}
-
-	seqProg, err := s.Sequential()
-	if err != nil {
+	if _, err := Simulate(cfg, s, 0, 0, record); err != nil {
 		return fail(err)
-	}
-	seqRec := trace.NewRecorder(seqProg)
-	seqCfg := cfg
-	seqCfg.Policy = s.TunePolicy(seqCfg.Policy)
-	if _, err := sim.RunSequential(seqCfg, seqRec, sim.WithoutAccounting()); err != nil {
-		return fail(fmt.Errorf("%s sequential: %w", label, err))
 	}
 
 	queues, barriers := s.registrations(threads)
@@ -137,11 +122,11 @@ func Record(cfg sim.Config, s Spec, threads int) (*trace.File, sim.Result, error
 		BarrierGrace: s.BarrierGrace,
 		Queues:       queues,
 		Barriers:     barriers,
-		Sequential:   seqRec.Ops(),
+		Sequential:   recs[threads].Ops(),
 		Threads:      make([][]trace.Op, threads),
 	}
-	for i, r := range recs {
-		f.Threads[i] = r.Ops()
+	for i := range f.Threads {
+		f.Threads[i] = recs[i].Ops()
 	}
 	return f, res, nil
 }

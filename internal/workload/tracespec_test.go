@@ -10,34 +10,13 @@ import (
 	"repro/internal/trace"
 )
 
-// replay runs a spec exactly the way the sweep engine runs a cell (cores =
-// threads, tuned sync policy, the family's machine registrations).
+// replay runs a spec through Simulate, the step the sweep engine's cells go
+// through; threads == 0 is the sequential reference.
 func replay(t *testing.T, cfg sim.Config, s Spec, threads int) sim.Result {
 	t.Helper()
-	progs, err := s.Parallel(threads)
+	res, err := Simulate(cfg, s, threads, threads, nil)
 	if err != nil {
-		t.Fatalf("Parallel: %v", err)
-	}
-	runCfg := cfg.WithCores(threads)
-	runCfg.Policy = s.TunePolicy(runCfg.Policy)
-	res, err := sim.Run(runCfg, progs, s.PipelineOptions(threads)...)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return res
-}
-
-// replaySeq runs a spec's sequential reference the way the engine does.
-func replaySeq(t *testing.T, cfg sim.Config, s Spec) sim.Result {
-	t.Helper()
-	prog, err := s.Sequential()
-	if err != nil {
-		t.Fatalf("Sequential: %v", err)
-	}
-	cfg.Policy = s.TunePolicy(cfg.Policy)
-	res, err := sim.RunSequential(cfg, prog, sim.WithoutAccounting())
-	if err != nil {
-		t.Fatalf("RunSequential: %v", err)
+		t.Fatalf("Simulate x%d: %v", threads, err)
 	}
 	return res
 }
@@ -87,8 +66,8 @@ func TestTraceRoundTrip(t *testing.T) {
 					t.Fatalf("x%d: replayed result differs from live run\nlive   %+v\nreplay %+v", threads, live, got)
 				}
 				if threads == 1 {
-					liveSeq := replaySeq(t, cfg, b.Spec.Canonical())
-					if got := replaySeq(t, cfg, spec); !reflect.DeepEqual(got, liveSeq) {
+					liveSeq := replay(t, cfg, b.Spec.Canonical(), 0)
+					if got := replay(t, cfg, spec, 0); !reflect.DeepEqual(got, liveSeq) {
 						t.Fatalf("replayed sequential reference differs from live run")
 					}
 				}
