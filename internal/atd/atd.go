@@ -12,8 +12,10 @@
 //
 // To bound hardware cost only a subset of sets is monitored (set sampling);
 // penalties measured on sampled sets are extrapolated by the sampling
-// factor. A SampleShift of 0 turns the ATD into the full-coverage oracle the
-// tests and ground-truth analysis use.
+// factor. A SampleShift of 0 monitors every set: that configuration of the
+// same directory is the ground truth a sampled one is judged against (on a
+// sampled set the two are the same LRU over the same stream), so a machine
+// carries one directory per core and no separate oracle.
 package atd
 
 import (
@@ -49,11 +51,6 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// SamplingFactor returns the nominal extrapolation factor 2^SampleShift.
-// The accounting software divides total accesses by sampled accesses at run
-// time (the paper's definition); this is the design-time value.
-func (c Config) SamplingFactor() uint64 { return 1 << c.SampleShift }
 
 // SampledSets returns the number of monitored sets.
 func (c Config) SampledSets() int { return c.Sets >> c.SampleShift }
@@ -115,11 +112,6 @@ func (d *Directory) tag(addr uint64) uint64 {
 	return addr >> d.lineShift >> d.setBits
 }
 
-// Sampled reports whether addr falls in a monitored set.
-func (d *Directory) Sampled(addr uint64) bool {
-	return uint64(d.setIndex(addr))&d.mask == 0
-}
-
 // SampledSet reports whether the given set is monitored. It is small enough
 // to inline, letting callers skip the AccessSetTag call entirely for the
 // (1 - 2^-SampleShift) of accesses that fall outside the sample.
@@ -135,9 +127,8 @@ func (d *Directory) Access(addr uint64) (hit, sampled bool) {
 }
 
 // AccessSetTag is Access with the address already decomposed into the LLC's
-// (set, tag) pair. The simulator decomposes each LLC access once and feeds
-// the same pair to the sampled estimator ATD and the full-coverage oracle
-// ATD — their geometries mirror the same LLC, so the mapping is shared.
+// (set, tag) pair: the simulator decomposes each LLC access once, and the
+// directory's geometry mirrors the LLC's, so the mapping is shared.
 func (d *Directory) AccessSetTag(set int, tag uint64) (hit, sampled bool) {
 	if uint64(set)&d.mask != 0 {
 		return false, false

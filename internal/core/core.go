@@ -20,12 +20,10 @@
 // the hardware cost model of Section 4.7.
 package core
 
-import "fmt"
-
 // ThreadCounters are the raw per-thread event counts gathered during one
 // multi-threaded run. Fields prefixed "Oracle" come from the simulator's
-// omniscient view and are used for ground-truth analysis and tests only;
-// the estimator never reads them.
+// omniscient view and feed OracleComponents only; the estimator never
+// reads them.
 type ThreadCounters struct {
 	// Instrs is the number of dynamically executed instructions.
 	Instrs uint64
@@ -69,17 +67,17 @@ type ThreadCounters struct {
 	// spin grace period, wake latency, and ready-queue waiting).
 	YieldCycles uint64
 
-	// Oracle (ground-truth) counterparts. OracleATDAccesses counts the LLC
-	// accesses the oracle directory actually observed: in exact mode that is
-	// every LLC access, so the oracle's extrapolation factor is exactly 1;
-	// in fast mode only the detailed-set subset is walked and the oracle's
-	// ATD-derived counters are extrapolated by LLCAccesses/OracleATDAccesses,
-	// mirroring the estimator's own sampling-factor machinery.
-	OracleATDAccesses              uint64
-	OracleInterThreadMissStall     uint64
-	OracleInterThreadMissMemInterf uint64
-	OracleInterThreadHits          uint64
+	// DetailedLLCAccesses counts the LLC accesses that took the simulator's
+	// detailed walk: every one in exact mode, the detailed-set subset in
+	// fast mode, where LLCAccesses/DetailedLLCAccesses extrapolates the
+	// coherence stall only that walk observes.
+	DetailedLLCAccesses uint64
+
+	// Oracle counterparts of what the hardware cannot attribute exactly.
+	// OracleInterThreadMissMemInterf is the true memory interference of the
+	// sampled inter-thread misses (SampledInterThreadMissMemInterf's twin).
 	OracleMemInterference          uint64
+	OracleInterThreadMissMemInterf uint64
 	OracleSpinCycles               uint64
 	OracleCoherenceStall           uint64
 }
@@ -189,64 +187,65 @@ func (s Stack) NamedComponents() []ComponentValue {
 	return out
 }
 
-// EstimateComponents performs the software post-processing of Section 4:
-// extrapolates sampled ATD events by the run-time sampling factor,
-// interpolates positive interference with the average miss penalty, and
-// computes the imbalance component from finish times. tp is the duration of
-// the parallel section.
-func EstimateComponents(tp uint64, threads []ThreadCounters) Components {
+// observedComponents sums the terms the accounting hardware and the ground
+// truth derive from the same counters: LLC interference (sampled ATD events
+// extrapolated by the run-time sampling factor, positive interference
+// interpolated with the average miss penalty), yielding (the OS's own
+// bookkeeping) and imbalance (finish times against tp, the duration of the
+// parallel section).
+func observedComponents(tp uint64, threads []ThreadCounters) Components {
 	var c Components
 	for i := range threads {
 		t := &threads[i]
 		factor := samplingFactor(t)
 		c.NegLLC += float64(t.SampledInterThreadMissStall) * factor
 		c.PosLLC += float64(t.SampledInterThreadHits) * factor * avgMissPenalty(t)
-		// Memory interference, minus the (extrapolated) share belonging to
-		// inter-thread misses whose whole stall already sits in NegLLC.
-		memI := float64(t.MemInterferenceEst) -
-			float64(t.SampledInterThreadMissMemInterf)*factor
-		if memI > 0 {
-			c.NegMem += memI
-		}
-		c.Spin += float64(t.SpinDetected)
 		c.Yield += float64(t.YieldCycles)
 		if tp > t.FinishTime {
 			c.Imbalance += float64(tp - t.FinishTime)
 		}
 	}
+	return c
+}
+
+// negMem is a thread's memory interference minus the (extrapolated) share
+// belonging to inter-thread misses, whose whole stall already sits in NegLLC.
+func negMem(t *ThreadCounters, total, interThreadMiss uint64) float64 {
+	return max(float64(total)-float64(interThreadMiss)*samplingFactor(t), 0)
+}
+
+// EstimateComponents performs the software post-processing of Section 4 on
+// what the accounting hardware counted: observedComponents plus the ORA's
+// memory interference and the Tian detector's spin time.
+func EstimateComponents(tp uint64, threads []ThreadCounters) Components {
+	c := observedComponents(tp, threads)
+	for i := range threads {
+		t := &threads[i]
+		c.NegMem += negMem(t, t.MemInterferenceEst, t.SampledInterThreadMissMemInterf)
+		c.Spin += float64(t.SpinDetected)
+	}
 	return clampComponents(c, tp, len(threads))
 }
 
-// OracleComponents builds the ground-truth decomposition, including the
-// components the hardware cannot see (coherence stall, parallelization
-// overhead). instrCyclesPerInstr converts overhead instructions to cycles
-// (1/dispatch width).
+// OracleComponents replaces what hardware cannot see with the simulator's
+// omniscient view: true memory interference and spin time, coherence stall
+// and parallelization overhead (cyclesPerInstr, 1/dispatch width, converts
+// overhead instructions to cycles). Its LLC terms are observedComponents'
+// own, so they are ground truth exactly when the ATD monitors every set the
+// run walks: ATDSampleShift == 0 in exact mode.
 func OracleComponents(tp uint64, threads []ThreadCounters, cyclesPerInstr float64) Components {
-	var c Components
+	c := observedComponents(tp, threads)
 	for i := range threads {
 		t := &threads[i]
-		// The oracle's own sampling factor: exactly 1 in exact mode (the
-		// oracle observes every LLC access, and x/x is exactly 1.0 in IEEE
-		// arithmetic, so exact-mode results are bit-identical); the
-		// detailed-set extrapolation factor in fast mode.
-		factor := 1.0
-		if t.OracleATDAccesses != 0 && t.LLCAccesses != 0 {
-			factor = float64(t.LLCAccesses) / float64(t.OracleATDAccesses)
-		}
-		c.NegLLC += float64(t.OracleInterThreadMissStall) * factor
-		c.PosLLC += float64(t.OracleInterThreadHits) * factor * avgMissPenalty(t)
-		memI := float64(t.OracleMemInterference) -
-			float64(t.OracleInterThreadMissMemInterf)*factor
-		if memI > 0 {
-			c.NegMem += memI
-		}
+		c.NegMem += negMem(t, t.OracleMemInterference, t.OracleInterThreadMissMemInterf)
 		c.Spin += float64(t.OracleSpinCycles)
-		c.Yield += float64(t.YieldCycles)
-		c.Coherence += float64(t.OracleCoherenceStall) * factor
-		c.ParallelOverhead += float64(t.OverheadInstrs) * cyclesPerInstr
-		if tp > t.FinishTime {
-			c.Imbalance += float64(tp - t.FinishTime)
+		// Exactly 1 in exact mode (x/x is 1.0 in IEEE arithmetic).
+		detailed := 1.0
+		if t.DetailedLLCAccesses != 0 {
+			detailed = float64(t.LLCAccesses) / float64(t.DetailedLLCAccesses)
 		}
+		c.Coherence += float64(t.OracleCoherenceStall) * detailed
+		c.ParallelOverhead += float64(t.OverheadInstrs) * cyclesPerInstr
 	}
 	return clampComponents(c, tp, len(threads))
 }
@@ -284,12 +283,4 @@ func clampComponents(c Components, tp uint64, n int) Components {
 		c.ParallelOverhead *= scale
 	}
 	return c
-}
-
-// BuildStack assembles the estimated speedup stack for a run.
-func BuildStack(n int, tp uint64, threads []ThreadCounters) Stack {
-	if n != len(threads) {
-		panic(fmt.Sprintf("core: %d threads of counters for N=%d", len(threads), n))
-	}
-	return Stack{N: n, Tp: tp, Components: EstimateComponents(tp, threads)}
 }

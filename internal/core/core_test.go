@@ -113,26 +113,45 @@ func TestEstimateComponentsMemDedup(t *testing.T) {
 func TestOracleComponentsIncludeHiddenTerms(t *testing.T) {
 	tp := uint64(50_000)
 	threads := []ThreadCounters{{
-		OracleInterThreadMissStall: 300,
-		OracleInterThreadHits:      5,
-		LLCLoadMisses:              10,
-		StallLLCLoadMiss:           1_000, // avg 100
-		OracleMemInterference:      700,
-		OracleSpinCycles:           400,
-		YieldCycles:                800,
-		OracleCoherenceStall:       150,
-		OverheadInstrs:             4_000,
-		FinishTime:                 tp,
+		SampledInterThreadMissStall:     300,
+		SampledInterThreadHits:          5,
+		SampledInterThreadMissMemInterf: 900, // the estimator's view: unused
+		OracleInterThreadMissMemInterf:  100,
+		LLCLoadMisses:                   10,
+		StallLLCLoadMiss:                1_000, // avg 100
+		MemInterferenceEst:              9_000,
+		OracleMemInterference:           700,
+		SpinDetected:                    9_000,
+		OracleSpinCycles:                400,
+		YieldCycles:                     800,
+		OracleCoherenceStall:            150,
+		OverheadInstrs:                  4_000,
+		FinishTime:                      tp,
 	}}
 	c := OracleComponents(tp, threads, 0.25)
-	if c.NegLLC != 300 || c.PosLLC != 500 || c.NegMem != 700 {
+	if c.NegLLC != 300 || c.PosLLC != 500 || c.NegMem != 600 {
 		t.Fatalf("cache/mem components wrong: %+v", c)
+	}
+	if c.Spin != 400 || c.Yield != 800 {
+		t.Fatalf("spin/yield = %v/%v", c.Spin, c.Yield)
 	}
 	if c.Coherence != 150 {
 		t.Fatalf("coherence = %v", c.Coherence)
 	}
 	if c.ParallelOverhead != 1000 {
 		t.Fatalf("overhead = %v", c.ParallelOverhead)
+	}
+	// The LLC terms are the estimator's own, extrapolated by its sampling
+	// factor; coherence by the detailed-walk factor of fast mode.
+	threads[0].LLCAccesses, threads[0].SampledATDAccesses = 800, 100
+	threads[0].DetailedLLCAccesses = 200
+	c = OracleComponents(tp, threads, 0.25)
+	e := EstimateComponents(tp, threads)
+	if c.NegLLC != 300*8 || c.NegLLC != e.NegLLC || c.PosLLC != e.PosLLC {
+		t.Fatalf("LLC terms not shared with the estimator: %+v vs %+v", c, e)
+	}
+	if c.Coherence != 150*4 {
+		t.Fatalf("extrapolated coherence = %v, want %v", c.Coherence, 150*4)
 	}
 }
 
@@ -179,15 +198,6 @@ func TestNamedComponents(t *testing.T) {
 	if len(s.NamedComponents()) != 7 {
 		t.Fatal("hidden components not appended")
 	}
-}
-
-func TestBuildStackPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	BuildStack(4, 100, make([]ThreadCounters, 3))
 }
 
 func TestHardwareCostMatchesPaper(t *testing.T) {

@@ -52,7 +52,7 @@ func TestAdviseRegistryClassification(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep")
 	}
-	e := NewEngine(sim.Default())
+	e := sharedEngine()
 	sawDisagreement := false
 	for _, b := range workload.All() {
 		a, err := e.Advise(context.Background(), Request{Cell: Cell{Bench: b.FullName()}}, 16)

@@ -2,12 +2,23 @@ package exp
 
 import (
 	"context"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
+
+// sharedEngine is the one engine behind the regressions that range over the
+// registry and assert nothing about run counts: its memo simulates each
+// exact 4- and 16-thread cell (and each sequential reference) once for all
+// of them. Tests that count runs, install hooks or compare worker counts
+// build private engines.
+var sharedEngine = sync.OnceValue(func() *Engine {
+	return NewEngine(sim.Default(), WithWorkers(runtime.NumCPU()))
+})
 
 func TestSweepPairsRuns(t *testing.T) {
 	outs, err := NewEngine(sim.Default()).Sweep(context.Background(), []Cell{{Bench: "lud_rodinia", Threads: 4}})
@@ -145,7 +156,7 @@ func TestFigure6ClassesAndSummary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 28-benchmark sweep")
 	}
-	e := NewEngine(sim.Default(), WithWorkers(8))
+	e := sharedEngine()
 	rows, err := Figure6(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)

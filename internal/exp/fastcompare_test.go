@@ -22,7 +22,7 @@ var fastBoundThreadCounts = []int{4, 16}
 // the extrapolation changed meaning. Runs under CI's -race job alongside
 // the what-if regression.
 func TestFastModeErrorBoundsRegression(t *testing.T) {
-	e := NewEngine(sim.Default(), WithWorkers(8))
+	e := sharedEngine()
 	ctx := context.Background()
 
 	var cells []Cell
@@ -114,7 +114,7 @@ func TestValidationCompareShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-grid comparison is not a -short test")
 	}
-	e := NewEngine(sim.Default(), WithWorkers(8))
+	e := sharedEngine()
 	rows, err := ValidationCompare(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,8 @@ package exp
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/workload"
 )
@@ -22,7 +20,7 @@ func TestPatternKnownAnswers(t *testing.T) {
 	if len(pats) < 8 {
 		t.Fatalf("contention suite shrank to %d patterns, want >= 8", len(pats))
 	}
-	e := NewEngine(sim.Default(), WithWorkers(runtime.NumCPU()))
+	e := sharedEngine()
 	ctx := context.Background()
 	for _, b := range pats {
 		b := b

@@ -26,7 +26,7 @@ var whatIfThreadCounts = []int{4, 16}
 // changed meaning — both are findings, not flakes: the simulator and the
 // estimator are fully deterministic.
 func TestWhatIfPredictionErrorRegression(t *testing.T) {
-	e := NewEngine(sim.Default(), WithWorkers(8))
+	e := sharedEngine()
 	ctx := context.Background()
 
 	// worst tracks the observed per-intervention maximum |error| so the

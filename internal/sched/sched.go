@@ -154,14 +154,8 @@ func New(cfg Config, cores, threads int) *OS {
 // Running returns the thread on core, or -1 when the core is idle.
 func (o *OS) Running(core int) int { return o.running[core] }
 
-// State returns the scheduler state of thread tid.
-func (o *OS) State(tid int) ThreadState { return o.threads[tid].state }
-
 // Stats returns the accumulated statistics of thread tid.
 func (o *OS) Stats(tid int) ThreadStats { return o.threads[tid].stats }
-
-// ReadyCount returns the number of threads waiting in the run queue.
-func (o *OS) ReadyCount() int { return len(o.readyQ) }
 
 // HasReady reports whether some ready thread could use a core now.
 func (o *OS) HasReady() bool { return len(o.readyQ) > 0 }

@@ -9,10 +9,10 @@ func TestInitialPlacement(t *testing.T) {
 			t.Fatalf("core %d runs %d, want %d", c, o.Running(c), c)
 		}
 	}
-	if o.ReadyCount() != 2 {
-		t.Fatalf("ready = %d, want 2", o.ReadyCount())
+	if len(o.readyQ) != 2 {
+		t.Fatalf("ready = %d, want 2", len(o.readyQ))
 	}
-	if o.State(4) != StateReady || o.State(0) != StateRunning {
+	if o.threads[4].state != StateReady || o.threads[0].state != StateRunning {
 		t.Fatal("unexpected initial states")
 	}
 }
@@ -21,11 +21,11 @@ func TestBlockWakeSchedule(t *testing.T) {
 	cfg := Default()
 	o := New(cfg, 2, 2)
 	o.Block(0, 1000)
-	if o.Running(0) != -1 || o.State(0) != StateBlocked {
+	if o.Running(0) != -1 || o.threads[0].state != StateBlocked {
 		t.Fatal("block did not free the core")
 	}
 	o.Wake(0, 5000)
-	if o.State(0) != StateReady {
+	if o.threads[0].state != StateReady {
 		t.Fatal("wake did not ready the thread")
 	}
 	st := o.Stats(0)
@@ -141,7 +141,7 @@ func TestPreemptAndSliceExpiry(t *testing.T) {
 		t.Fatal("slice did not expire")
 	}
 	o.Preempt(0, cfg.TimeSliceCycles)
-	if o.Running(0) != -1 || o.State(0) != StateReady {
+	if o.Running(0) != -1 || o.threads[0].state != StateReady {
 		t.Fatal("preempt did not requeue the thread")
 	}
 	tid, _ := o.Schedule(0, cfg.TimeSliceCycles)
@@ -153,7 +153,7 @@ func TestPreemptAndSliceExpiry(t *testing.T) {
 func TestFinish(t *testing.T) {
 	o := New(Default(), 1, 1)
 	o.Finish(0, 1234)
-	if o.State(0) != StateFinished || o.Running(0) != -1 {
+	if o.threads[0].state != StateFinished || o.Running(0) != -1 {
 		t.Fatal("finish did not clear state")
 	}
 	if tid, _ := o.Schedule(0, 2000); tid != -1 {

@@ -60,8 +60,8 @@ func (a *admission) inflight() int {
 }
 
 // rateLimiter is a lazy per-client token bucket: rate tokens per second
-// refill up to burst, one token per request. Clients are keyed by IP; idle
-// buckets are pruned so the map stays bounded.
+// refill up to burst, one token per request. Clients are keyed by IP; the
+// map never holds more than maxRateClients buckets (prune).
 type rateLimiter struct {
 	rate  float64
 	burst float64
@@ -117,14 +117,25 @@ func (l *rateLimiter) allow(key string, now time.Time) (retryAfter time.Duration
 	return time.Duration((1 - b.tokens) / l.rate * float64(time.Second)), false
 }
 
-// prune drops buckets idle long enough to be full again; called under mu
-// when the map is at its bound.
+// prune makes room for one more client; called under mu when the map is at
+// its bound. Buckets idle long enough to be full again are dropped, which
+// forgets nothing. If that frees no room — every client is active — the
+// bucket seen longest ago is evicted and its client restarts with a full
+// burst: under more than maxRateClients simultaneous clients the limiter
+// degrades to admitting above the configured rate, not to unbounded memory.
 func (l *rateLimiter) prune(now time.Time) {
 	idle := time.Duration(l.burst / l.rate * float64(time.Second))
+	var oldest string
+	var oldestLast time.Time
 	for k, b := range l.buckets {
 		if now.Sub(b.last) >= idle {
 			delete(l.buckets, k)
+		} else if oldestLast.IsZero() || b.last.Before(oldestLast) {
+			oldest, oldestLast = k, b.last
 		}
+	}
+	if len(l.buckets) >= maxRateClients {
+		delete(l.buckets, oldest)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -177,6 +178,26 @@ func TestRateLimiterRefill(t *testing.T) {
 	// Distinct clients have distinct buckets.
 	if _, ok := l.allow("other", t0); !ok {
 		t.Fatal("fresh client denied")
+	}
+}
+
+// TestRateLimiterBoundedUnderActiveClients: prune frees nothing while every
+// client is active, so the bound has to come from eviction — twice the bound
+// of distinct clients at one instant must not grow the map past it.
+func TestRateLimiterBoundedUnderActiveClients(t *testing.T) {
+	l := newRateLimiter(1, 1)
+	t0 := time.Unix(1000, 0)
+	for i := 0; i < 2*maxRateClients; i++ {
+		if _, ok := l.allow(strconv.Itoa(i), t0); !ok {
+			t.Fatalf("fresh client %d denied", i)
+		}
+	}
+	if n := len(l.buckets); n > maxRateClients {
+		t.Fatalf("%d buckets for %d active clients, bound is %d", n, 2*maxRateClients, maxRateClients)
+	}
+	// The newest client kept its bucket: it is spent, not reset.
+	if _, ok := l.allow(strconv.Itoa(2*maxRateClients-1), t0); ok {
+		t.Fatal("most recent client's bucket was evicted")
 	}
 }
 

@@ -31,7 +31,7 @@ func runBench(t *testing.T, name string, threads int) sim.Result {
 func TestEstimatedSpeedupWithinBounds(t *testing.T) {
 	for _, name := range []string{"lud_rodinia", "canneal_parsec_small", "ferret_parsec_small"} {
 		res := runBench(t, name, 8)
-		est := res.EstimatedSpeedup()
+		est := res.Stack(0).Estimated()
 		if est < 0 || est > float64(res.Threads)+0.01 {
 			t.Errorf("%s: estimated speedup %v out of [0, N]", name, est)
 		}

@@ -162,12 +162,12 @@ func (c Config) WithLLCSize(bytes int64) Config {
 }
 
 // atdConfig derives the per-core ATD geometry from the LLC.
-func (c Config) atdConfig(sampleShift uint) atd.Config {
+func (c Config) atdConfig() atd.Config {
 	return atd.Config{
 		Sets:        c.LLC.Sets(),
 		Ways:        c.LLC.Ways,
 		LineBytes:   c.LLC.LineBytes,
-		SampleShift: sampleShift,
+		SampleShift: c.ATDSampleShift,
 		TagBits:     24,
 	}
 }

@@ -31,9 +31,11 @@ package sim
 // detailed sets — FastSetShift ≤ ATDSampleShift guarantees every
 // ATD-monitored set is detailed — so the run-time sampling factor
 // LLCAccesses/SampledATDAccesses extrapolates the interference counters to
-// the full population through the paper's own Section 4.2 machinery. The
-// oracle directory likewise samples at FastSetShift and is extrapolated by
-// LLCAccesses/OracleATDAccesses in core.OracleComponents.
+// the full population through the paper's own Section 4.2 machinery. There
+// is no second directory for ground truth: Result.Oracle's LLC terms are the
+// estimator's, true for the detailed sets when ATDSampleShift equals
+// FastSetShift (the defaults), and its coherence term is extrapolated by
+// LLCAccesses/DetailedLLCAccesses in core.OracleComponents.
 //
 // Everything is a deterministic function of (config, workload): same
 // inputs, byte-identical fast-mode results — just not exact-mode results.

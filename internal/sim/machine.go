@@ -63,15 +63,14 @@ type thread struct {
 type Machine struct {
 	cfg Config
 
-	clock      uint64
-	hier       *cache.Hierarchy
-	memc       *mem.Controller
-	atds       []*atd.Directory // per core: sampled (the hardware proposal)
-	oracleATDs []*atd.Directory // per core: full coverage (ground truth)
-	os         *sched.OS
+	clock uint64
+	hier  *cache.Hierarchy
+	memc  *mem.Controller
+	atds  []*atd.Directory // per core, monitoring 1 in 2^ATDSampleShift sets
+	os    *sched.OS
 
-	// LLC address decomposition, precomputed so one (set, tag) pair per
-	// access feeds both tag directories (their geometry mirrors the LLC).
+	// LLC address decomposition, precomputed so the (set, tag) pair of an
+	// access also feeds the tag directory (its geometry mirrors the LLC).
 	llcLineShift uint
 	llcSetBits   uint
 	llcSetMask   uint64
@@ -161,20 +160,12 @@ func NewMachine(cfg Config, progs []trace.Program) (*Machine, error) {
 		memc:       mem.NewController(cfg.Mem, cfg.Cores),
 		coreIdleAt: make([]uint64, cfg.Cores),
 		atds:       make([]*atd.Directory, cfg.Cores),
-		oracleATDs: make([]*atd.Directory, cfg.Cores),
 	}
-	// In fast mode the oracle directory samples at the detailed-set stride
-	// (it can only ever observe detailed sets) and its counters are
-	// extrapolated by LLCAccesses/OracleATDAccesses; in exact mode it keeps
-	// full coverage, making that factor exactly 1.
-	oracleShift := uint(0)
 	if cfg.Mode == ModeFast {
 		m.fastCores = make([]fastCore, cfg.Cores)
-		oracleShift = cfg.FastSetShift
 	}
 	for c := range m.atds {
-		m.atds[c] = atd.New(cfg.atdConfig(cfg.ATDSampleShift))
-		m.oracleATDs[c] = atd.New(cfg.atdConfig(oracleShift))
+		m.atds[c] = atd.New(cfg.atdConfig())
 	}
 	if err := m.reset(cfg, progs); err != nil {
 		return nil, err
@@ -216,7 +207,6 @@ func (m *Machine) reset(cfg Config, progs []trace.Program) error {
 	m.memc.Reset()
 	for c := range m.atds {
 		m.atds[c].Reset()
-		m.oracleATDs[c].Reset()
 	}
 	m.os = sched.New(cfg.Sched, cfg.Cores, len(progs))
 	clear(m.coreIdleAt)

@@ -4,11 +4,11 @@ import "repro/internal/trace"
 
 // memAccess walks one load or store through the memory hierarchy, charging
 // stalls to the thread and feeding both the estimator's accounting hardware
-// (sampled ATD, ORA-based memory interference) and the oracle (full-coverage
-// ATD, exact interference attribution). It is the one detailed walk: exact
-// mode takes it for every access, ModeFast for the accesses to detailed LLC
-// sets — there it also trains the predictor (fast.go) that stands in for
-// the walk on every other set.
+// (the set-sampled ATD, ORA-based memory interference) and the oracle
+// counters (exact memory-interference attribution, coherence stall). It is
+// the one detailed walk: exact mode takes it for every access, ModeFast for
+// the accesses to detailed LLC sets — there it also trains the predictor
+// (fast.go) that stands in for the walk on every other set.
 func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 	// Dispatch slots of the memory instruction itself.
 	t.time += m.computeCycles(uint64(op.N))
@@ -42,27 +42,22 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 		return
 	}
 
-	// The access reaches the shared LLC: update both tag directories. The
-	// hardware ATD observes every LLC access of its core (paper Section
-	// 4.1); only sampled sets are backed by state. Both directories mirror
-	// the LLC's geometry, so the address is decomposed once and the same
-	// (set, tag) pair drives the estimator and the oracle walk.
+	// The access reaches the shared LLC: update the core's tag directory.
+	// The hardware ATD observes every LLC access of its core (paper Section
+	// 4.1); only sampled sets are backed by state. It mirrors the LLC's
+	// geometry, so the (set, tag) pair decomposed above drives it too.
 	t.ct.LLCAccesses++
+	t.ct.DetailedLLCAccesses++
 	if fc != nil {
 		fc.detAccesses++
 		if out.LLCHit {
 			fc.detHits++
 		}
 	}
-	estHit, sampled, oraHit := false, false, false
-	if m.acct {
-		tag := lineAddr >> m.llcSetBits
-		if m.atds[c].SampledSet(set) {
-			estHit, sampled = m.atds[c].AccessSetTag(set, tag)
-			t.ct.SampledATDAccesses++
-		}
-		oraHit, _ = m.oracleATDs[c].AccessSetTag(set, tag)
-		t.ct.OracleATDAccesses++
+	estHit, sampled := false, false
+	if m.acct && m.atds[c].SampledSet(set) {
+		estHit, sampled = m.atds[c].AccessSetTag(set, lineAddr>>m.llcSetBits)
+		t.ct.SampledATDAccesses++
 	}
 
 	if out.LLCHit {
@@ -81,9 +76,6 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 			// missed. Loads only — store hits avoid no exposed stall.
 			if sampled && !estHit {
 				t.ct.SampledInterThreadHits++
-			}
-			if m.acct && !oraHit {
-				t.ct.OracleInterThreadHits++
 			}
 		}
 		return
@@ -125,9 +117,6 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 		// twice (once in NegLLC, once in NegMem).
 		t.ct.SampledInterThreadMissStall += stall
 		t.ct.SampledInterThreadMissMemInterf += interfEst
-	}
-	if oraHit {
-		t.ct.OracleInterThreadMissStall += stall
 		t.ct.OracleInterThreadMissMemInterf += interfTruth
 	}
 }

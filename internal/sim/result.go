@@ -23,8 +23,12 @@ type Result struct {
 	// Estimated is the component decomposition the accounting hardware
 	// produces (sampled ATD, ORA, Tian detector, OS yield bookkeeping).
 	Estimated core.Components
-	// Oracle is the ground-truth decomposition from the simulator's
-	// omniscient view, including the components hardware cannot see.
+	// Oracle replaces what hardware cannot see with the simulator's
+	// omniscient view (true memory interference and spin, coherence,
+	// parallelization overhead). Its LLC terms are Estimated's, so it is the
+	// ground truth exactly when the run's ATDSampleShift is 0: accounting
+	// never affects timing, so that run of the same cell is the reference
+	// for any other shift (cmd/calibrate -v prints it).
 	Oracle core.Components
 	// CacheStats and MemStats expose substrate-level counters.
 	CacheStats cache.HierarchyStats
@@ -55,11 +59,6 @@ func (r Result) Stack(ts uint64) core.Stack {
 		s.ActualSpeedup = float64(ts) / float64(r.Tp)
 	}
 	return s
-}
-
-// EstimatedSpeedup returns Ŝ per Formula (4).
-func (r Result) EstimatedSpeedup() float64 {
-	return r.Stack(0).Estimated()
 }
 
 // result gathers counters from the machine after completion.
@@ -112,7 +111,7 @@ func WithBarrier(id uint32, parties int) Option {
 // per-core ATD walks) for the run. Accounting never affects timing — the
 // directories only feed the per-thread interference counters — so Tp and
 // every substrate statistic are unchanged; only the ATD-derived counters
-// (sampled/oracle inter-thread hits and miss attributions) read zero. Use
+// (inter-thread hits and miss attributions) read zero. Use
 // it for runs whose accounting nobody consumes: the sequential reference
 // contributes only its execution time, and a single-core machine has no
 // inter-thread interference to account in the first place.

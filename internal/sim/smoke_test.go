@@ -58,7 +58,7 @@ func TestComputeOnlyPerfectScaling(t *testing.T) {
 	if s < 3.99 || s > 4.01 {
 		t.Fatalf("speedup = %.3f, want ~4 (seq=%d par=%d)", s, seq.Tp, par.Tp)
 	}
-	est := par.EstimatedSpeedup()
+	est := par.Stack(0).Estimated()
 	if est < 3.9 || est > 4.01 {
 		t.Fatalf("estimated speedup = %.3f, want ~4", est)
 	}
@@ -191,8 +191,8 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("nondeterministic: Tp %d vs %d, instrs %d vs %d",
 			r1.Tp, r2.Tp, r1.TotalInstrs, r2.TotalInstrs)
 	}
-	if r1.EstimatedSpeedup() != r2.EstimatedSpeedup() {
+	if r1.Stack(0).Estimated() != r2.Stack(0).Estimated() {
 		t.Fatalf("nondeterministic estimate: %v vs %v",
-			r1.EstimatedSpeedup(), r2.EstimatedSpeedup())
+			r1.Stack(0).Estimated(), r2.Stack(0).Estimated())
 	}
 }

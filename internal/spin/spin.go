@@ -48,10 +48,6 @@ type entry struct {
 type Detector struct {
 	cfg     Config
 	entries []entry
-
-	detectedCycles   uint64
-	detectedEpisodes uint64
-	missedEpisodes   uint64 // episodes ended before reaching the threshold
 }
 
 // NewDetector returns a Detector.
@@ -81,14 +77,12 @@ func (d *Detector) ObserveLoad(now, pc, addr, value uint64, writtenByOther bool)
 		}
 		return 0
 	}
-	// Value (or address) changed.
+	// Value (or address) changed. An episode that ends unmarked, below the
+	// threshold, goes undetected (an error source in the paper's validation,
+	// Section 6).
 	detected := uint64(0)
 	if e.marked && writtenByOther && now > e.firstTime {
 		detected = now - e.firstTime
-		d.detectedCycles += detected
-		d.detectedEpisodes++
-	} else if e.count > 1 {
-		d.missedEpisodes++
 	}
 	*e = entry{pc: pc, addr: addr, value: value, count: 1, firstTime: now, valid: true}
 	return detected
@@ -118,17 +112,6 @@ func (d *Detector) insert(pc uint64) *entry {
 	}
 	return victim
 }
-
-// DetectedCycles returns the total spin cycles the detector has charged.
-func (d *Detector) DetectedCycles() uint64 { return d.detectedCycles }
-
-// DetectedEpisodes returns the number of spin episodes detected.
-func (d *Detector) DetectedEpisodes() uint64 { return d.detectedEpisodes }
-
-// MissedEpisodes returns the number of repeated-load episodes that ended
-// below the threshold (undetected spinning, an error source in the paper's
-// validation, Section 6).
-func (d *Detector) MissedEpisodes() uint64 { return d.missedEpisodes }
 
 // Episode describes one fast-forwarded spin interval; the simulator models
 // test-and-test-and-set spinning as a blocked state (the spin loop hits the

@@ -25,9 +25,9 @@ func TestDetectsSpinAboveThreshold(t *testing.T) {
 	if detected != 300 {
 		t.Fatalf("detected %d cycles, want 300 (first load at t=0)", detected)
 	}
-	if d.DetectedEpisodes() != 1 || d.DetectedCycles() != 300 {
-		t.Fatalf("episode bookkeeping wrong: %d eps, %d cycles",
-			d.DetectedEpisodes(), d.DetectedCycles())
+	// The episode is charged once: the entry restarted with the new value.
+	if got := d.ObserveLoad(310, pc, addr, 0, true); got != 0 {
+		t.Fatalf("episode charged twice (%d more cycles)", got)
 	}
 }
 
@@ -40,8 +40,8 @@ func TestBelowThresholdUndetected(t *testing.T) {
 	if got := d.ObserveLoad(200, pc, addr, 1, true); got != 0 {
 		t.Fatalf("short episode detected (%d cycles)", got)
 	}
-	if d.MissedEpisodes() != 1 {
-		t.Fatalf("missed episode not counted")
+	if e := d.find(pc); e == nil || e.count != 1 || e.marked {
+		t.Fatalf("entry not restarted after the missed episode: %+v", e)
 	}
 }
 
@@ -105,18 +105,22 @@ func TestFeedEpisodeTooShort(t *testing.T) {
 func TestFeedEpisodeRepeats(t *testing.T) {
 	// The same lock PC spins repeatedly; each episode is detected afresh.
 	d := NewDetector(cfg())
-	total := uint64(0)
+	total, episodes := uint64(0), 0
 	for i := 0; i < 5; i++ {
 		start := uint64(i * 100000)
-		total += FeedEpisode(d, Episode{
+		got := FeedEpisode(d, Episode{
 			PC: 0x60, Addr: 0x3000, Start: start, Period: 12,
 			End: start + 2400, OldValue: 0, NewValue: 1,
 		})
+		total += got
+		if got != 0 {
+			episodes++
+		}
 	}
 	if total != 5*2400 {
 		t.Fatalf("total detected %d, want %d", total, 5*2400)
 	}
-	if d.DetectedEpisodes() != 5 {
-		t.Fatalf("episodes = %d, want 5", d.DetectedEpisodes())
+	if episodes != 5 {
+		t.Fatalf("episodes = %d, want 5", episodes)
 	}
 }

@@ -70,35 +70,18 @@ func DefaultPolicy() Policy {
 type Lock struct {
 	owner   int
 	waiters []int
-
-	acquisitions uint64
-	contended    uint64
 }
 
 // NewLock returns an unlocked Lock.
 func NewLock() *Lock { return &Lock{owner: -1} }
-
-// Owner returns the current owner or -1.
-func (l *Lock) Owner() int { return l.owner }
-
-// Waiters returns the number of queued waiters.
-func (l *Lock) Waiters() int { return len(l.waiters) }
-
-// Acquisitions returns the total successful acquisitions.
-func (l *Lock) Acquisitions() uint64 { return l.acquisitions }
-
-// Contended returns how many acquisitions had to wait.
-func (l *Lock) Contended() uint64 { return l.contended }
 
 // Acquire attempts to take the lock for tid. It returns true on immediate
 // success; otherwise tid is appended to the FIFO wait queue.
 func (l *Lock) Acquire(tid int) bool {
 	if l.owner < 0 {
 		l.owner = tid
-		l.acquisitions++
 		return true
 	}
-	l.contended++
 	l.waiters = append(l.waiters, tid)
 	return false
 }
@@ -122,7 +105,6 @@ func (l *Lock) Release(prefer func(tid int) bool) (next int, transferred bool) {
 	next = l.waiters[idx]
 	l.waiters = append(l.waiters[:idx], l.waiters[idx+1:]...)
 	l.owner = next
-	l.acquisitions++
 	return next, true
 }
 
@@ -143,8 +125,6 @@ type Barrier struct {
 	parties int
 	arrived int
 	waiters []int
-
-	episodes uint64
 }
 
 // NewBarrier returns a barrier for parties threads.
@@ -154,12 +134,6 @@ func NewBarrier(parties int) *Barrier {
 	}
 	return &Barrier{parties: parties}
 }
-
-// Waiting returns the number of threads currently blocked at the barrier.
-func (b *Barrier) Waiting() int { return len(b.waiters) }
-
-// Episodes returns how many times the barrier has released.
-func (b *Barrier) Episodes() uint64 { return b.episodes }
 
 // Arrive registers tid at the barrier. If tid is the last party, it returns
 // (released, true) where released are the previously waiting threads (tid
@@ -176,7 +150,6 @@ func (b *Barrier) Arrive(tid int) (released []int, last bool) {
 		released = b.waiters
 		b.waiters = b.waiters[:0]
 		b.arrived = 0
-		b.episodes++
 		return released, true
 	}
 	b.waiters = append(b.waiters, tid)
@@ -193,8 +166,6 @@ type Queue struct {
 
 	pushWaiters []int
 	popWaiters  []int
-
-	pushes, pops uint64
 }
 
 // NewQueue returns a queue holding at most capacity items.
@@ -204,15 +175,6 @@ func NewQueue(capacity int) *Queue {
 	}
 	return &Queue{capacity: capacity}
 }
-
-// Items returns current occupancy.
-func (q *Queue) Items() int { return q.items }
-
-// Pushes and Pops return operation counts.
-func (q *Queue) Pushes() uint64 { return q.pushes }
-
-// Pops returns the number of successful pops.
-func (q *Queue) Pops() uint64 { return q.pops }
 
 // Push inserts an item for tid. Outcomes:
 //   - granted >= 0: the item was handed directly to blocked popper granted
@@ -231,13 +193,10 @@ func (q *Queue) Push(tid int, prefer func(tid int) bool) (granted int, ok bool) 
 		idx := pickWaiter(q.popWaiters, prefer)
 		granted = q.popWaiters[idx]
 		q.popWaiters = append(q.popWaiters[:idx], q.popWaiters[idx+1:]...)
-		q.pushes++
-		q.pops++
 		return granted, true
 	}
 	if q.items < q.capacity {
 		q.items++
-		q.pushes++
 		return -1, true
 	}
 	q.pushWaiters = append(q.pushWaiters, tid)
@@ -254,13 +213,11 @@ func (q *Queue) Push(tid int, prefer func(tid int) bool) (granted int, ok bool) 
 func (q *Queue) Pop(tid int, prefer func(tid int) bool) (granted int, ok, closed bool) {
 	if q.items > 0 {
 		q.items--
-		q.pops++
 		if len(q.pushWaiters) > 0 {
 			idx := pickWaiter(q.pushWaiters, prefer)
 			granted = q.pushWaiters[idx]
 			q.pushWaiters = append(q.pushWaiters[:idx], q.pushWaiters[idx+1:]...)
 			q.items++
-			q.pushes++
 			return granted, true, false
 		}
 		return -1, true, false

@@ -10,35 +10,42 @@ func TestLockUncontended(t *testing.T) {
 	if !l.Acquire(3) {
 		t.Fatal("free lock refused")
 	}
-	if l.Owner() != 3 {
-		t.Fatalf("owner = %d", l.Owner())
+	if l.owner != 3 {
+		t.Fatalf("owner = %d", l.owner)
 	}
 	if next, transferred := l.Release(nil); transferred || next != -1 {
 		t.Fatal("release with no waiters transferred")
 	}
-	if l.Owner() != -1 {
+	if l.owner != -1 {
 		t.Fatal("lock not freed")
 	}
 }
 
 func TestLockFIFO(t *testing.T) {
 	l := NewLock()
-	l.Acquire(0)
-	l.Acquire(1)
-	l.Acquire(2)
-	if l.Waiters() != 2 || l.Contended() != 2 {
-		t.Fatalf("waiters=%d contended=%d", l.Waiters(), l.Contended())
+	acquisitions, contended := 0, 0
+	for tid := 0; tid < 3; tid++ {
+		if l.Acquire(tid) {
+			acquisitions++
+		} else {
+			contended++
+		}
+	}
+	if len(l.waiters) != 2 || contended != 2 {
+		t.Fatalf("waiters=%d contended=%d", len(l.waiters), contended)
 	}
 	next, transferred := l.Release(nil)
 	if !transferred || next != 1 {
 		t.Fatalf("handoff to %d, want 1", next)
 	}
-	next, _ = l.Release(nil)
-	if next != 2 {
+	acquisitions++
+	next, transferred = l.Release(nil)
+	if !transferred || next != 2 {
 		t.Fatalf("handoff to %d, want 2", next)
 	}
-	if l.Acquisitions() != 3 {
-		t.Fatalf("acquisitions = %d", l.Acquisitions())
+	acquisitions++
+	if acquisitions != 3 || l.owner != 2 {
+		t.Fatalf("acquisitions = %d, owner = %d", acquisitions, l.owner)
 	}
 }
 
@@ -84,15 +91,15 @@ func TestBarrier(t *testing.T) {
 	if !last || len(released) != 2 {
 		t.Fatalf("last arrival: last=%v released=%v", last, released)
 	}
-	if b.Episodes() != 1 {
-		t.Fatalf("episodes = %d", b.Episodes())
+	// Sense reversal: one episode released everyone, reusable immediately.
+	if len(b.waiters) != 0 || b.arrived != 0 {
+		t.Fatalf("after release: waiting=%d arrived=%d", len(b.waiters), b.arrived)
 	}
-	// Sense reversal: reusable immediately.
 	if _, last := b.Arrive(0); last {
 		t.Fatal("barrier not reset")
 	}
-	if b.Waiting() != 1 {
-		t.Fatalf("waiting = %d", b.Waiting())
+	if len(b.waiters) != 1 {
+		t.Fatalf("waiting = %d", len(b.waiters))
 	}
 }
 
@@ -104,8 +111,8 @@ func TestQueueBasicFlow(t *testing.T) {
 	if granted, ok, closed := q.Pop(1, nil); !ok || closed || granted != -1 {
 		t.Fatal("pop of available item failed")
 	}
-	if q.Items() != 0 {
-		t.Fatalf("items = %d", q.Items())
+	if q.items != 0 {
+		t.Fatalf("items = %d", q.items)
 	}
 }
 
@@ -118,7 +125,7 @@ func TestQueueBlockingPopGrantedByPush(t *testing.T) {
 	if !ok || granted != 5 {
 		t.Fatalf("push should grant blocked popper 5, got %d", granted)
 	}
-	if q.Items() != 0 {
+	if q.items != 0 {
 		t.Fatal("direct handoff should not change occupancy")
 	}
 }
@@ -133,8 +140,8 @@ func TestQueueBlockingPushGrantedByPop(t *testing.T) {
 	if !ok || granted != 1 {
 		t.Fatalf("pop should admit blocked pusher 1, got %d", granted)
 	}
-	if q.Items() != 1 {
-		t.Fatalf("items = %d, want 1 (admitted push)", q.Items())
+	if q.items != 1 {
+		t.Fatalf("items = %d, want 1 (admitted push)", q.items)
 	}
 }
 
@@ -179,23 +186,37 @@ func TestQueuePushClosedPanics(t *testing.T) {
 }
 
 func TestQueueConservation(t *testing.T) {
-	// Property: pops never exceed pushes; occupancy = pushes - pops - handoffs.
+	// Property: pops never exceed pushes; occupancy = pushes - pops, over the
+	// successful operations counted here — a push handed straight to a
+	// blocked popper is one of each, and so is a pop that admits a blocked
+	// pusher's item.
 	f := func(ops []bool) bool {
 		q := NewQueue(4)
+		pushes, pops := 0, 0
 		for i, push := range ops {
 			if push {
 				if len(q.pushWaiters) == 0 { // avoid unbounded waiter lists
-					q.Push(i, nil)
+					if granted, ok := q.Push(i, nil); ok {
+						pushes++
+						if granted >= 0 {
+							pops++
+						}
+					}
 				}
 			} else {
 				if len(q.popWaiters) == 0 {
-					q.Pop(i, nil)
+					if granted, ok, _ := q.Pop(i, nil); ok {
+						pops++
+						if granted >= 0 {
+							pushes++
+						}
+					}
 				}
 			}
-			if q.Pops() > q.Pushes() {
+			if pops > pushes || q.items != pushes-pops {
 				return false
 			}
-			if q.Items() < 0 || q.Items() > 4 {
+			if q.items < 0 || q.items > 4 {
 				return false
 			}
 		}
