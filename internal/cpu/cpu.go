@@ -23,11 +23,9 @@ import "fmt"
 
 // Config describes the core microarchitecture.
 type Config struct {
-	// DispatchWidth is the sustained dispatch/issue width.
+	// DispatchWidth is the sustained dispatch/issue width, a power of two
+	// (the simulator rounds dispatch with a shift).
 	DispatchWidth int
-	// ROBSize is the reorder-buffer capacity (documentational; the overlap
-	// credit summarizes its effect).
-	ROBSize int
 	// LLCHitStall is the exposed stall of an L1 miss that hits the LLC.
 	LLCHitStall uint64
 	// LLCMissBase is the fixed LLC-miss overhead (tag lookup, request
@@ -46,11 +44,8 @@ type Config struct {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.DispatchWidth <= 0 {
-		return fmt.Errorf("cpu: dispatch width must be positive, got %d", c.DispatchWidth)
-	}
-	if c.ROBSize <= 0 {
-		return fmt.Errorf("cpu: ROB size must be positive, got %d", c.ROBSize)
+	if w := c.DispatchWidth; w <= 0 || w&(w-1) != 0 {
+		return fmt.Errorf("cpu: dispatch width must be a positive power of two, got %d", w)
 	}
 	return nil
 }
@@ -59,7 +54,6 @@ func (c Config) Validate() error {
 func Default() Config {
 	return Config{
 		DispatchWidth:         4,
-		ROBSize:               128,
 		LLCHitStall:           8,
 		LLCMissBase:           12,
 		MLPOverlap:            24,

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -9,11 +10,13 @@ func TestValidate(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Config{DispatchWidth: 0, ROBSize: 128}).Validate(); err == nil {
+	if err := (Config{DispatchWidth: 0}).Validate(); err == nil {
 		t.Fatal("zero width accepted")
 	}
-	if err := (Config{DispatchWidth: 4, ROBSize: 0}).Validate(); err == nil {
-		t.Fatal("zero ROB accepted")
+	// The simulator rounds dispatch with a shift (TestDispatchRoundingMatchesComputeCycles
+	// in internal/sim), so a width that is not a power of two is rejected.
+	if err := (Config{DispatchWidth: 3}).Validate(); err == nil || !strings.Contains(err.Error(), "dispatch width") {
+		t.Fatalf("width 3: %v", err)
 	}
 }
 

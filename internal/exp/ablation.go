@@ -66,8 +66,8 @@ func probeError(ctx context.Context, e *Engine, cfg sim.Config) (float64, error)
 // cost more tag storage and reduce extrapolation noise. The paper picks a
 // high sampling factor to reach its 952-byte budget. The sweep is a study
 // of the hardware proposal's accuracy, so it always runs on the exact
-// machine, whatever the engine's mode: fast mode simulates only 1 in 32 LLC
-// sets in detail and cannot host an ATD that samples more densely than that.
+// machine, whatever the engine's mode: in fast mode the shift also picks the
+// sets simulated in detail, and the sweep would vary more than the ATD.
 func AblationSampling(ctx context.Context, e *Engine) ([]SamplingRow, error) {
 	base := e.Config().WithMode(sim.ModeExact)
 	var rows []SamplingRow

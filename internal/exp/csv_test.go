@@ -46,11 +46,11 @@ func TestAblationFormatters(t *testing.T) {
 }
 
 // TestAblationsOnFastEngine runs all three ablations on a fast-mode engine,
-// as `experiments ablation -mode fast` does. The sampling sweep used to
-// configure ATDSampleShift 0 and 3 on the engine's own mode, which fast mode
-// rejects (FastSetShift 5 must not exceed it); it is a study of the
-// hardware proposal, so it runs on the exact machine and gives the exact
-// engine's table.
+// as `experiments ablation -mode fast` does. The sampling sweep varies
+// ATDSampleShift, which in fast mode also picks the sets simulated in
+// detail; it is a study of the hardware proposal, not of the sampled
+// simulator, so it runs on the exact machine and gives the exact engine's
+// table.
 func TestAblationsOnFastEngine(t *testing.T) {
 	ctx := context.Background()
 	fast := NewEngine(sim.Default().WithMode(sim.ModeFast))

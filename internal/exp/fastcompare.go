@@ -81,19 +81,13 @@ func FormatValidationCompare(rows []ValidationCompareRow) string {
 }
 
 // FastDeviation is the per-component deviation of one fast-mode outcome
-// from its exact-mode counterpart, in speedup units (each mode's component
-// cycles divided by its own Tp — the units of sim.FastErrorBounds).
+// from its exact-mode counterpart, in the fields and units of the bounds it
+// is held to: speedup units, each mode's component cycles divided by its
+// own Tp.
 type FastDeviation struct {
-	Benchmark     string
-	Threads       int
-	NegLLC        float64
-	PosLLC        float64
-	NegMem        float64
-	Spin          float64
-	Yield         float64
-	Imbalance     float64
-	Speedup       float64
-	ActualSpeedup float64
+	Benchmark string
+	Threads   int
+	sim.FastBounds
 }
 
 // Exceeds reports the first field exceeding the given bounds, or "" when
@@ -127,9 +121,7 @@ func Deviation(exact, fast Outcome) FastDeviation {
 		return abs(f(fast.Stack.Components)/float64(fast.Tp) -
 			f(exact.Stack.Components)/float64(exact.Tp))
 	}
-	return FastDeviation{
-		Benchmark:     exact.Bench.FullName(),
-		Threads:       exact.Threads,
+	return FastDeviation{exact.Bench.FullName(), exact.Threads, sim.FastBounds{
 		NegLLC:        comp(func(c core.Components) float64 { return c.NegLLC }),
 		PosLLC:        comp(func(c core.Components) float64 { return c.PosLLC }),
 		NegMem:        comp(func(c core.Components) float64 { return c.NegMem }),
@@ -138,7 +130,7 @@ func Deviation(exact, fast Outcome) FastDeviation {
 		Imbalance:     comp(func(c core.Components) float64 { return c.Imbalance }),
 		Speedup:       abs(fast.Estimated - exact.Estimated),
 		ActualSpeedup: abs(fast.Actual - exact.Actual),
-	}
+	}}
 }
 
 func abs(x float64) float64 {

@@ -99,12 +99,6 @@ func FormatCurves(curves []SpeedupCurve) string {
 	return b.String()
 }
 
-// SweepAll runs every registered benchmark at the given thread count on the
-// engine's worker pool and returns outcomes in registry order.
-func SweepAll(ctx context.Context, e *Engine, threads int) ([]Outcome, error) {
-	return e.Sweep(ctx, allBenchCells(threads))
-}
-
 // ValidationRow is one line of the Section 6 validation table.
 type ValidationRow struct {
 	Threads int
@@ -233,7 +227,7 @@ type TreeRow struct {
 // Figure6 classifies every benchmark at 16 threads by scaling class and
 // dominant components, reproducing the paper's tree.
 func Figure6(ctx context.Context, e *Engine) ([]TreeRow, error) {
-	outs, err := SweepAll(ctx, e, 16)
+	outs, err := e.Sweep(ctx, allBenchCells(16))
 	if err != nil {
 		return nil, err
 	}

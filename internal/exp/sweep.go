@@ -22,15 +22,6 @@ import (
 // declared order, so figure output is byte-identical regardless of the
 // worker count.
 
-// CellErrorIndexBase is the single definition of the "cell %d" error-prefix
-// contract: cell indices in batch errors — Do's "exp: cell %d: ..." and the
-// /v1/sweep endpoint's "cell %d: ..." — are 0-based positions in the
-// declared request slice, matching both Go slice indexing and the JSON
-// array the service decodes. Every prefix is built by adding this base, so
-// the contract cannot drift between layers without failing the tests that
-// assert the literal "cell 0:" prefix.
-const CellErrorIndexBase = 0
-
 // Cell is one declared simulation: a workload at a thread count on a core
 // count. Cores == 0 means threads = cores, the paper's default pairing.
 //
@@ -307,7 +298,8 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 	for i, req := range reqs {
 		b, k, err := e.resolve(req)
 		if err != nil {
-			return nil, fmt.Errorf("exp: cell %d: %w", CellErrorIndexBase+i, err)
+			// 0-based, like the /v1/sweep endpoint's "cell %d:" prefixes.
+			return nil, fmt.Errorf("exp: cell %d: %w", i, err)
 		}
 		resolved[i], keys[i] = b, k
 		if _, ok := benches[k.fp]; !ok {

@@ -184,9 +184,9 @@ func TestSweepUnknownBenchmark(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error for unknown benchmark")
 	}
-	// Cell prefixes are CellErrorIndexBase-based positions in the declared
-	// slice: the second cell is "cell 1", and a failing first cell would be
-	// the literal "cell 0" (the contract service clients parse).
+	// Cell prefixes are 0-based positions in the declared slice: the second
+	// cell is "cell 1", and a failing first cell would be the literal
+	// "cell 0" (the contract service clients parse).
 	if !strings.Contains(err.Error(), "cell 1:") {
 		t.Errorf("error %q does not carry the 0-based cell index", err)
 	}
@@ -194,8 +194,8 @@ func TestSweepUnknownBenchmark(t *testing.T) {
 		t.Errorf("simulations ran despite resolution failure: %+v", st)
 	}
 	_, err = e.Sweep(context.Background(), []Cell{{Bench: "no_such_benchmark", Threads: 2}})
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cell %d:", CellErrorIndexBase)) {
-		t.Errorf("first-cell error %q does not start at index base %d", err, CellErrorIndexBase)
+	if err == nil || !strings.Contains(err.Error(), "cell 0:") {
+		t.Errorf("first-cell error %q does not start at index 0", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/stack"
 	"repro/internal/whatif"
 )
@@ -56,8 +57,7 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 	// One batched Do over every applicable mutation: spec mutations carry
 	// their own fingerprints, machine mutations their own configurations, so
 	// the batch deduplicates against everything already simulated.
-	applied := make([]whatif.Intervention, 0, len(ivs))
-	muts := make([]whatif.Mutation, 0, len(ivs))
+	preds := make([]whatif.Prediction, 0, len(ivs))
 	reqs := make([]Request, 0, len(ivs))
 	for _, iv := range ivs {
 		m, ok := iv.Mutate(b.Spec, k.cfg)
@@ -72,41 +72,30 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 			mreq.Cell.Spec = &spec
 			mreq.Config = m.Config
 		}
-		applied = append(applied, iv)
-		muts = append(muts, m)
+		gain := whatif.PredictGain(base.Stack, iv)
+		preds = append(preds, whatif.Prediction{
+			Intervention:     iv.ID,
+			Summary:          iv.Summary,
+			Component:        iv.Component,
+			Mutation:         m.Description,
+			PredictedGain:    gain,
+			PredictedSpeedup: base.Actual + gain,
+		})
 		reqs = append(reqs, mreq)
 	}
 	mouts, err := e.Do(ctx, reqs)
 	if err != nil {
 		return whatif.Report{}, err
 	}
-
-	type ranked struct {
-		pred whatif.Prediction
-		bar  stack.Bar
-	}
-	rows := make([]ranked, len(applied))
-	for i, iv := range applied {
-		gain := whatif.PredictGain(base.Stack, iv)
-		out := mouts[i]
-		rows[i] = ranked{
-			pred: whatif.Prediction{
-				Intervention:     iv.ID,
-				Summary:          iv.Summary,
-				Component:        iv.Component,
-				Mutation:         muts[i].Description,
-				PredictedGain:    gain,
-				PredictedSpeedup: base.Actual + gain,
-				ActualSpeedup:    out.Actual,
-				ActualGain:       out.Actual - base.Actual,
-				Error:            (base.Actual + gain - out.Actual) / float64(k.threads),
-			},
-			bar: stack.Bar{Label: iv.ID, Stack: out.Stack},
-		}
-	}
-	preds := make([]whatif.Prediction, len(rows))
-	for i, r := range rows {
-		preds[i] = r.pred
+	// The re-simulated stacks are keyed by intervention so the bars can
+	// follow the ranking (a repeated ID maps to the same stack either way).
+	stacks := make(map[string]core.Stack, len(preds))
+	for i, out := range mouts {
+		p := &preds[i]
+		p.ActualSpeedup = out.Actual
+		p.ActualGain = out.Actual - base.Actual
+		p.Error = (p.PredictedSpeedup - out.Actual) / float64(k.threads)
+		stacks[p.Intervention] = out.Stack
 	}
 	whatif.Rank(preds)
 
@@ -116,7 +105,7 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 		BaselineSpeedup:   base.Actual,
 		BaselineEstimated: base.Estimated,
 		Predictions:       preds,
-		Bars:              make([]stack.Bar, 0, len(rows)+1),
+		Bars:              make([]stack.Bar, 0, len(preds)+1),
 	}
 	if k.cores != k.threads {
 		rep.Cores = k.cores
@@ -127,12 +116,7 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 	})
 	// Bars follow the ranking so the chart reads top intervention first.
 	for _, p := range preds {
-		for _, r := range rows {
-			if r.pred.Intervention == p.Intervention {
-				rep.Bars = append(rep.Bars, r.bar)
-				break
-			}
-		}
+		rep.Bars = append(rep.Bars, stack.Bar{Label: p.Intervention, Stack: stacks[p.Intervention]})
 	}
 	return rep, nil
 }

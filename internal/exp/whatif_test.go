@@ -177,9 +177,9 @@ func TestWhatIfUnknownIntervention(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown intervention accepted")
 	}
-	var ivErr *whatif.UnknownInterventionError
+	var ivErr *workload.LookupError
 	if !errors.As(err, &ivErr) {
-		t.Fatalf("error %T is not *whatif.UnknownInterventionError", err)
+		t.Fatalf("error %T is not *workload.LookupError", err)
 	}
 	if ivErr.Suggestion != whatif.DoubleLLC {
 		t.Errorf("suggestion = %q, want %q", ivErr.Suggestion, whatif.DoubleLLC)

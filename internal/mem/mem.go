@@ -51,6 +51,16 @@ func (c Config) Validate() error {
 	if c.Banks <= 0 || c.BusCycles == 0 || c.RowBytes <= 0 || c.LineBytes <= 0 {
 		return fmt.Errorf("mem: non-positive parameter in %+v", c)
 	}
+	// The controller decomposes addresses with shifts and a mask.
+	if !pow2(uint64(c.Banks)) {
+		return fmt.Errorf("mem: Banks %d not a power of two", c.Banks)
+	}
+	if !pow2(uint64(c.LineBytes)) {
+		return fmt.Errorf("mem: LineBytes %d not a power of two", c.LineBytes)
+	}
+	if !pow2(uint64(c.RowBytes / c.LineBytes)) {
+		return fmt.Errorf("mem: RowBytes %d not a power-of-two multiple of LineBytes %d", c.RowBytes, c.LineBytes)
+	}
 	if c.RowMissCycles < c.RowHitCycles {
 		return fmt.Errorf("mem: row miss (%d) faster than row hit (%d)", c.RowMissCycles, c.RowHitCycles)
 	}
@@ -149,15 +159,10 @@ type Controller struct {
 	banks []bank
 	oras  []*ORA
 
-	// Precomputed address decomposition. When the bank count and the
-	// lines-per-row ratio are powers of two (the common configuration),
-	// bank and row come out of shifts and a mask instead of the divisions
-	// Config.Bank/Config.Row pay; geomPow2 gates the fast path.
-	geomPow2  bool
+	// Precomputed address decomposition for bankRow.
 	lineShift uint
-	bankBits  uint
 	bankMask  uint64
-	rowShift  uint // bankBits + log2(lines per row)
+	rowShift  uint // log2(banks) + log2(lines per row)
 
 	stats Stats
 }
@@ -176,14 +181,9 @@ func NewController(cfg Config, cores int) *Controller {
 		panic(err)
 	}
 	c := &Controller{cfg: cfg, busLastOwner: -1}
-	linesPerRow := uint64(cfg.RowBytes / cfg.LineBytes)
-	if pow2(uint64(cfg.Banks)) && pow2(uint64(cfg.LineBytes)) && linesPerRow > 0 && pow2(linesPerRow) {
-		c.geomPow2 = true
-		c.lineShift = uint(bits.TrailingZeros64(uint64(cfg.LineBytes)))
-		c.bankBits = uint(bits.TrailingZeros64(uint64(cfg.Banks)))
-		c.bankMask = uint64(cfg.Banks) - 1
-		c.rowShift = c.bankBits + uint(bits.TrailingZeros64(linesPerRow))
-	}
+	c.lineShift = uint(bits.TrailingZeros64(uint64(cfg.LineBytes)))
+	c.bankMask = uint64(cfg.Banks) - 1
+	c.rowShift = uint(bits.TrailingZeros64(uint64(cfg.Banks)) + bits.TrailingZeros64(uint64(cfg.RowBytes/cfg.LineBytes)))
 	c.banks = make([]bank, cfg.Banks)
 	for i := range c.banks {
 		c.banks[i] = bank{
@@ -223,14 +223,12 @@ func (c *Controller) Reset() {
 // Stats returns accumulated counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// bankRow decomposes addr once: the bank index and row, via the precomputed
-// shift/mask fast path or Config's division fallback.
+// bankRow decomposes addr once into Config.Bank and Config.Row. The bank
+// count, line size and lines-per-row ratio are powers of two
+// (Config.Validate), so shifts and a mask replace Config's divisions.
 func (c *Controller) bankRow(addr uint64) (int, uint64) {
-	if c.geomPow2 {
-		line := addr >> c.lineShift
-		return int(line & c.bankMask), line >> c.rowShift
-	}
-	return c.cfg.Bank(addr), c.cfg.Row(addr)
+	line := addr >> c.lineShift
+	return int(line & c.bankMask), line >> c.rowShift
 }
 
 // Access services a cache-line fetch for core starting at time now and

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -237,5 +239,40 @@ func TestRowHitStatsAccumulate(t *testing.T) {
 	}
 	if st.RowHits == 0 {
 		t.Fatal("sequential same-bank stream should produce row hits")
+	}
+}
+
+// TestControllerDecompositionMatchesConfig holds the controller's shift/mask
+// address decomposition to its references, Config.Bank and Config.Row, on
+// the default geometry and on the smallest one Validate admits short of a
+// single bank. Validate rejects every geometry the shifts could not serve,
+// which is why the controller carries no division fallback.
+func TestControllerDecompositionMatchesConfig(t *testing.T) {
+	corner := testCfg()
+	corner.Banks, corner.RowBytes = 2, corner.LineBytes // one line per row
+	for _, cfg := range []Config{testCfg(), corner} {
+		c := NewController(cfg, 1)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 10_000; i++ {
+			addr := rng.Uint64()
+			if b, r := c.bankRow(addr); b != cfg.Bank(addr) || r != cfg.Row(addr) {
+				t.Fatalf("%+v: bankRow(%#x) = (%d, %d), Config says (%d, %d)",
+					cfg, addr, b, r, cfg.Bank(addr), cfg.Row(addr))
+			}
+		}
+	}
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"Banks", func(c *Config) { c.Banks = 3 }},
+		{"LineBytes", func(c *Config) { c.LineBytes = 48 }},
+		{"RowBytes", func(c *Config) { c.RowBytes = 3 * c.LineBytes }},
+	} {
+		bad := testCfg()
+		tc.mutate(&bad)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("non-power-of-two %s: %v", tc.field, err)
+		}
 	}
 }

@@ -115,7 +115,6 @@ func (a Advice) Chart() stack.CurveChart {
 		Title:  fmt.Sprintf("%s: scaling fit (%s)", a.Benchmark, a.Class),
 		XLabel: "threads",
 		YLabel: "speedup",
-		Ideal:  true,
 		Series: []stack.CurveSeries{
 			measured,
 			{Name: fmt.Sprintf("amdahl σ=%.3f", a.Amdahl.Sigma), Points: sample(a.Amdahl), Dashed: true},

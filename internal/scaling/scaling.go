@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/stack"
@@ -310,10 +309,11 @@ func quality(f Fit, points []Point) (r2, rmse float64) {
 	return 1 - ssRes/ssTot, rmse
 }
 
-// Classify buckets a validated sweep: negative when the top of the sweep has
-// fallen below NegativeDropFrac of the measured peak, linear when the top
-// still runs at LinearEfficiency or better, saturated otherwise.
-func Classify(points []Point) Class {
+// Classify buckets a validated sweep against its measured peak, which it
+// also returns: negative when the top of the sweep has fallen below
+// NegativeDropFrac of the peak, linear when the top still runs at
+// LinearEfficiency or better, saturated otherwise.
+func Classify(points []Point) (Class, Point) {
 	peak := points[0]
 	for _, p := range points[1:] {
 		if p.Speedup > peak.Speedup {
@@ -323,11 +323,11 @@ func Classify(points []Point) Class {
 	last := points[len(points)-1]
 	switch {
 	case last.Speedup < NegativeDropFrac*peak.Speedup:
-		return ClassNegative
+		return ClassNegative, peak
 	case last.Speedup/float64(last.Threads) >= LinearEfficiency:
-		return ClassLinear
+		return ClassLinear, peak
 	default:
-		return ClassSaturated
+		return ClassSaturated, peak
 	}
 }
 
@@ -364,29 +364,25 @@ func Build(label string, spec *workload.Spec, points []Point, st *core.Stack) (A
 	if err != nil {
 		return Advice{}, err
 	}
+	class, peak := Classify(points)
 	a := Advice{
-		Benchmark:  label,
-		MaxThreads: points[len(points)-1].Threads,
-		Points:     append([]Point(nil), points...),
-		Amdahl:     amdahl,
-		USL:        usl,
-		NStar:      usl.NStar(),
-		Class:      Classify(points),
+		Benchmark:   label,
+		MaxThreads:  points[len(points)-1].Threads,
+		Points:      append([]Point(nil), points...),
+		Amdahl:      amdahl,
+		USL:         usl,
+		NStar:       usl.NStar(),
+		Class:       class,
+		PeakSpeedup: peak.Speedup,
+		PeakThreads: peak.Threads,
 	}
-	peak := points[0]
-	for _, p := range points[1:] {
-		if p.Speedup > peak.Speedup {
-			peak = p
-		}
-	}
-	a.PeakSpeedup, a.PeakThreads = peak.Speedup, peak.Threads
 	if st != nil {
 		a.SigmaStack = SigmaFromStack(*st)
 		a.SigmaAgrees = math.Abs(a.SigmaStack-amdahl.Sigma) <= SigmaAgreementBound
-		if tops := stack.TopComponents(*st, 1); len(tops) > 0 {
-			a.Bottleneck = tops[0]
-		}
 		a.Recommendations = recommend(spec, *st, usl)
+		if len(a.Recommendations) > 0 {
+			a.Bottleneck = a.Recommendations[0].Component
+		}
 	}
 	return a, nil
 }
@@ -396,28 +392,12 @@ func Build(label string, spec *workload.Spec, points []Point, st *core.Stack) (A
 // negligibility threshold produce nothing; the rest are ranked by their cost
 // in speedup units.
 func recommend(spec *workload.Spec, st core.Stack, usl Fit) []Recommendation {
-	named := stack.Named(st)
-	type comp struct {
-		name  string
-		value float64
-	}
-	comps := make([]comp, 0, len(named))
-	for name, v := range named {
-		if v >= stack.NegligibleThreshold {
-			comps = append(comps, comp{name, v})
-		}
-	}
-	sort.Slice(comps, func(i, j int) bool {
-		if comps[i].value != comps[j].value {
-			return comps[i].value > comps[j].value
-		}
-		return comps[i].name < comps[j].name
-	})
-	recs := make([]Recommendation, 0, len(comps))
-	for _, c := range comps {
-		r := recommendOne(spec, c.name, usl)
-		r.Component = c.name
-		r.Impact = round4(c.value)
+	ranked := stack.Ranked(st)
+	recs := make([]Recommendation, 0, len(ranked))
+	for _, d := range ranked {
+		r := recommendOne(spec, d.Name, usl)
+		r.Component = d.Name
+		r.Impact = round4(d.Value)
 		recs = append(recs, r)
 	}
 	return recs

@@ -167,7 +167,7 @@ func TestClassifyBoundaries(t *testing.T) {
 		{[]Point{{1, 1}, {2, 2}, {4, 3.9}, {8, 7}, {16, 10}}, ClassLinear},
 	}
 	for i, c := range cases {
-		if got := Classify(c.pts); got != c.want {
+		if got, _ := Classify(c.pts); got != c.want {
 			t.Errorf("case %d: Classify = %s, want %s", i, got, c.want)
 		}
 	}

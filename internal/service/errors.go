@@ -80,19 +80,17 @@ func asAPIError(err error) *apiError {
 	if errors.As(err, &ae) {
 		return ae
 	}
-	var lookup *workload.BenchmarkLookupError
+	var lookup *workload.LookupError
 	if errors.As(err, &lookup) {
-		// A well-formed request for a benchmark that does not exist is a
-		// missing resource, not a malformed request.
-		return &apiError{Status: http.StatusNotFound, Code: codeUnknownBenchmark,
+		// A well-formed request for a benchmark or a what-if intervention
+		// that does not exist is a missing resource, not a malformed
+		// request: 404, with the nearest known name as the suggestion.
+		code := codeUnknownBenchmark
+		if lookup.Sentinel == whatif.ErrUnknownIntervention {
+			code = codeUnknownIntervention
+		}
+		return &apiError{Status: http.StatusNotFound, Code: code,
 			Message: lookup.Error(), Suggestion: lookup.Suggestion}
-	}
-	var ivErr *whatif.UnknownInterventionError
-	if errors.As(err, &ivErr) {
-		// Same reasoning for a what-if intervention that is not in the
-		// catalog: 404, with the nearest catalog ID as the suggestion.
-		return &apiError{Status: http.StatusNotFound, Code: codeUnknownIntervention,
-			Message: ivErr.Error(), Suggestion: ivErr.Suggestion}
 	}
 	return badRequest("%v", err)
 }

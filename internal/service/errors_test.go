@@ -2,10 +2,15 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/whatif"
+	"repro/internal/workload"
 )
 
 // decodeEnvelope decodes a structured error response, failing the test on
@@ -132,5 +137,41 @@ func TestErrorTextFormat(t *testing.T) {
 	w = get(t, s.Handler(), "/v1/stack?bench="+testBench+"&threads=2&format=bogus")
 	if e := decodeEnvelope(t, w); e.Code != "invalid_argument" {
 		t.Errorf("bad-format code %q", e.Code)
+	}
+}
+
+// TestLookupErrorsThroughAsAPIError pins the one "unknown NAME" path: a
+// benchmark name and a what-if intervention ID that do not resolve reach
+// the envelope as 404s with their own codes, the exact messages every front
+// end has always shown, and the suggestion lifted out machine-readably —
+// and still match their sentinels under errors.Is.
+func TestLookupErrorsThroughAsAPIError(t *testing.T) {
+	_, ivTypo := whatif.ByID("double_lcc")
+	_, ivNoise := whatif.ByID("zzzzzzzzzzzzzzzzzzzz")
+	for _, tc := range []struct {
+		err        error
+		sentinel   error
+		code       string
+		message    string
+		suggestion string
+	}{
+		{workload.UnknownBenchmarkError("choleski"), workload.ErrUnknownBenchmark, codeUnknownBenchmark,
+			`unknown benchmark "choleski" (did you mean "cholesky"?)`, "cholesky"},
+		{workload.UnknownBenchmarkError("qwertyuiop"), workload.ErrUnknownBenchmark, codeUnknownBenchmark,
+			`unknown benchmark "qwertyuiop" (not one of the 28 registered analogues)`, ""},
+		{ivTypo, whatif.ErrUnknownIntervention, codeUnknownIntervention,
+			`unknown intervention "double_lcc" (did you mean "double_llc"?)`, "double_llc"},
+		{ivNoise, whatif.ErrUnknownIntervention, codeUnknownIntervention,
+			`unknown intervention "zzzzzzzzzzzzzzzzzzzz" (catalog: ` + strings.Join(whatif.IDs(), ", ") + `)`, ""},
+	} {
+		// Wrapped, as the engine returns a failed cell.
+		ae := asAPIError(fmt.Errorf("exp: cell 0: %w", tc.err))
+		if ae.Status != http.StatusNotFound || ae.Code != tc.code || ae.Message != tc.message || ae.Suggestion != tc.suggestion {
+			t.Errorf("asAPIError(%v) = %d %s %q (suggestion %q); want 404 %s %q (suggestion %q)",
+				tc.err, ae.Status, ae.Code, ae.Message, ae.Suggestion, tc.code, tc.message, tc.suggestion)
+		}
+		if !errors.Is(tc.err, tc.sentinel) {
+			t.Errorf("%v does not match its sentinel %v", tc.err, tc.sentinel)
+		}
 	}
 }

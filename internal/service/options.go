@@ -212,7 +212,7 @@ func parseCell(bench, threadsStr, coresStr string) (exp.Cell, error) {
 // checkCell validates a named cell (shared by the query and body paths) and
 // normalizes plain-name aliases ("cholesky") to canonical full names, so
 // response labels are canonical. An unregistered name fails with a
-// workload.BenchmarkLookupError (carrying the nearest-name suggestion),
+// workload.LookupError (carrying the nearest-name suggestion),
 // which asAPIError maps to HTTP 404.
 func checkCell(c exp.Cell) (exp.Cell, error) {
 	full, _, ok := workload.Identity(c.Bench)

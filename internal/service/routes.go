@@ -167,16 +167,15 @@ func parseSweep(r *http.Request) ([]exp.Cell, *apiError) {
 	cells := make([]exp.Cell, len(req.Cells))
 	for i, c := range req.Cells {
 		// Cell indices in error prefixes are 0-based positions in the
-		// declared JSON array — the contract exp.CellErrorIndexBase pins.
+		// declared JSON array, as in exp.Engine.Do's.
 		if c.Intervals != 0 {
 			return nil, badRequest(
-				"cell %d: sweeps return aggregate stacks; use /v1/stack/intervals or /v1/workloads/analyze for a time-resolved one",
-				exp.CellErrorIndexBase+i)
+				"cell %d: sweeps return aggregate stacks; use /v1/stack/intervals or /v1/workloads/analyze for a time-resolved one", i)
 		}
 		cell, err := buildCell(c)
 		if err != nil {
 			ae := asAPIError(err)
-			ae.Message = fmt.Sprintf("cell %d: %s", exp.CellErrorIndexBase+i, ae.Message)
+			ae.Message = fmt.Sprintf("cell %d: %s", i, ae.Message)
 			return nil, ae
 		}
 		cells[i] = cell

@@ -30,10 +30,11 @@
 // Every simulating endpoint above that documents ?mode= accepts the
 // simulation fidelity: "exact" (the default) simulates every LLC set and
 // memory access in full detail and is byte-identical run to run, while
-// "fast" simulates only the deterministic 1-in-2^sim.Config.FastSetShift
-// subset of LLC sets, extrapolates the rest, and answers several times
-// faster with its deviation from exact mode bounded by sim.FastErrorBounds
-// (pinned in CI). On /v1/sweep the mode applies to every cell in the batch.
+// "fast" simulates in detail only the LLC sets the ATD samples (the
+// deterministic 1-in-32 subset), extrapolates the rest, and answers several
+// times faster with its deviation from exact mode bounded by
+// sim.FastErrorBounds (pinned in CI). On /v1/sweep the mode applies to every
+// cell in the batch.
 // Fast and exact results never share a cache entry — the memo keys on the
 // full machine configuration, mode included — and /metrics splits
 // speedupd_sim_cell_runs_total into _exact_total and _fast_total so
@@ -472,7 +473,7 @@ func streamSweep(s *Server, w http.ResponseWriter, r *http.Request, opts request
 		res := <-results[i]
 		if res.err != nil {
 			ae := s.simAPIError(res.err)
-			ae.Message = fmt.Sprintf("cell %d: %s", exp.CellErrorIndexBase+i, ae.Message)
+			ae.Message = fmt.Sprintf("cell %d: %s", i, ae.Message)
 			if !wrote {
 				return ae
 			}

@@ -36,16 +36,13 @@ type Config struct {
 	// Config — the machine pool, the sweep engine's memo — separates fast
 	// and exact state automatically.
 	Mode Mode
-	// FastSetShift selects the 1-in-2^shift detailed LLC sets in ModeFast
-	// (ignored in ModeExact). It must not exceed ATDSampleShift, so every
-	// ATD-monitored set is also simulated in detail.
-	FastSetShift uint
 
 	CPU cpu.Config
 	L1  cache.Config
 	LLC cache.Config
 	Mem mem.Config
-	// ATDSampleShift selects 1-in-2^shift LLC sets for ATD monitoring.
+	// ATDSampleShift selects 1-in-2^shift LLC sets for ATD monitoring; in
+	// ModeFast those are also the only sets simulated in detail.
 	ATDSampleShift uint
 	Spin           spin.Config
 	Sched          sched.Config
@@ -57,12 +54,11 @@ type Config struct {
 // bus in front of 8 memory banks.
 func Default() Config {
 	return Config{
-		Cores:        16,
-		Quantum:      100,
-		MaxCycles:    4_000_000_000,
-		Mode:         ModeExact,
-		FastSetShift: 5,
-		CPU:          cpu.Default(),
+		Cores:     16,
+		Quantum:   100,
+		MaxCycles: 4_000_000_000,
+		Mode:      ModeExact,
+		CPU:       cpu.Default(),
 		L1: cache.Config{
 			SizeBytes: 64 << 10,
 			Ways:      8,
@@ -125,18 +121,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: ATD sample shift %d too large for %d LLC sets",
 			c.ATDSampleShift, c.LLC.Sets())
 	}
-	switch c.Mode {
-	case ModeExact:
-	case ModeFast:
-		if c.LLC.Sets()>>c.FastSetShift == 0 {
-			return fmt.Errorf("sim: fast set shift %d leaves no detailed sets for %d LLC sets",
-				c.FastSetShift, c.LLC.Sets())
-		}
-		if c.FastSetShift > c.ATDSampleShift {
-			return fmt.Errorf("sim: fast set shift %d exceeds ATD sample shift %d (ATD-monitored sets must be simulated in detail)",
-				c.FastSetShift, c.ATDSampleShift)
-		}
-	default:
+	if c.Mode > ModeFast {
 		return fmt.Errorf("sim: unknown mode %d", c.Mode)
 	}
 	return nil

@@ -1,13 +1,13 @@
 package sim
 
-// Fast mode (Config.Mode == ModeFast) extends the paper's set-sampling idea
-// from the ATD into the simulation itself: only LLC sets with
-// set & (2^FastSetShift − 1) == 0 — the "detailed" sets, a deterministic
-// 1-in-2^FastSetShift stride — run the full L1/LLC/directory/DRAM model
-// (memAccess, the same walk exact mode takes for every access), and only
-// their misses generate memory traffic. Accesses to every other
-// set never touch the cache arrays at all; their whole hierarchy outcome is
-// extrapolated from the detailed sets:
+// Fast mode (Config.Mode == ModeFast) carries the paper's one sampling
+// decision from the ATD into the simulation itself: only the LLC sets the
+// ATD samples, set & (2^ATDSampleShift − 1) == 0 — the "detailed" sets, a
+// deterministic 1-in-2^ATDSampleShift stride — run the full
+// L1/LLC/directory/DRAM model (memAccess, the same walk exact mode takes
+// for every access), and only their misses generate memory traffic.
+// Accesses to every other set never touch the cache arrays at all; their
+// whole hierarchy outcome is extrapolated from the detailed sets:
 //
 //   - The L1 hit/miss outcome is predicted with a Bresenham-style
 //     accumulator tracking this core's detailed-set L1 hit rate (predicted
@@ -27,15 +27,14 @@ package sim
 // for proportionally fewer scheduler sweeps.
 //
 // Counter semantics feed the unmodified estimator: LLCAccesses counts the
-// full population (detailed and skipped) while the ATDs observe only
-// detailed sets — FastSetShift ≤ ATDSampleShift guarantees every
-// ATD-monitored set is detailed — so the run-time sampling factor
+// full population (detailed and skipped) while the ATDs observe exactly
+// the detailed sets — with accounting on, SampledATDAccesses equals
+// DetailedLLCAccesses per thread — so the run-time sampling factor
 // LLCAccesses/SampledATDAccesses extrapolates the interference counters to
 // the full population through the paper's own Section 4.2 machinery. There
 // is no second directory for ground truth: Result.Oracle's LLC terms are the
-// estimator's, true for the detailed sets when ATDSampleShift equals
-// FastSetShift (the defaults), and its coherence term is extrapolated by
-// LLCAccesses/DetailedLLCAccesses in core.OracleComponents.
+// estimator's, true for the detailed sets, and its coherence term is
+// extrapolated by LLCAccesses/DetailedLLCAccesses in core.OracleComponents.
 //
 // Everything is a deterministic function of (config, workload): same
 // inputs, byte-identical fast-mode results — just not exact-mode results.

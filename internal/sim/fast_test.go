@@ -51,12 +51,6 @@ func TestFastConfigValidate(t *testing.T) {
 		t.Fatalf("default fast config invalid: %v", err)
 	}
 	bad := cfg
-	bad.FastSetShift = bad.ATDSampleShift + 1
-	if err := bad.Validate(); err == nil ||
-		!strings.Contains(err.Error(), "ATD sample shift") {
-		t.Errorf("FastSetShift > ATDSampleShift accepted: %v", err)
-	}
-	bad = cfg
 	bad.Mode = sim.Mode(7)
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "unknown mode") {
 		t.Errorf("unknown mode accepted: %v", err)
@@ -113,5 +107,50 @@ func TestFastModeSkipsWork(t *testing.T) {
 	}
 	if fast.TotalOps != exact.TotalOps {
 		t.Errorf("fast mode changed the op stream: %d vs %d ops", fast.TotalOps, exact.TotalOps)
+	}
+}
+
+// TestFastDetailSetIsATDSample pins the one sampling decision: fast mode
+// simulates in detail exactly the LLC sets the ATD samples, at whatever
+// stride ATDSampleShift sets.
+func TestFastDetailSetIsATDSample(t *testing.T) {
+	// (a) Per thread the directory observes exactly the detailed accesses,
+	// a strict subset of the full population — one analogue per family.
+	for _, name := range []string{"canneal_parsec_small", "cholesky_splash2", "ferret_parsec_small"} {
+		for _, threads := range []int{4, 8} {
+			res := fastRunBench(t, name, threads, sim.ModeFast)
+			for i, ct := range res.PerThread {
+				if ct.SampledATDAccesses != ct.DetailedLLCAccesses || ct.DetailedLLCAccesses >= ct.LLCAccesses {
+					t.Errorf("%s x%d thread %d: %d sampled ATD, %d detailed, %d LLC accesses; want sampled == detailed < all",
+						name, threads, i, ct.SampledATDAccesses, ct.DetailedLLCAccesses, ct.LLCAccesses)
+				}
+			}
+		}
+	}
+
+	// (b) The stride is the ATD's: a denser or sparser sample is a valid fast
+	// machine, deterministic, and simulates more or fewer accesses in detail.
+	b, _ := workload.ByName("canneal_parsec_small")
+	detailed := func(shift uint) (total uint64) {
+		t.Helper()
+		cfg := sim.Default().WithMode(sim.ModeFast)
+		cfg.ATDSampleShift = shift
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("fast mode at ATD sample shift %d: %v", shift, err)
+		}
+		first, err := workload.Simulate(cfg, b.Spec, 8, 8, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := workload.Simulate(cfg, b.Spec, 8, 8, nil); !reflect.DeepEqual(first, again) {
+			t.Errorf("fast mode at shift %d is not deterministic", shift)
+		}
+		for _, ct := range first.PerThread {
+			total += ct.DetailedLLCAccesses
+		}
+		return total
+	}
+	if d4, d5, d6 := detailed(4), detailed(5), detailed(6); !(d4 > d5 && d5 > d6) {
+		t.Errorf("detailed LLC accesses at shifts 4, 5, 6 = %d, %d, %d; want strictly decreasing", d4, d5, d6)
 	}
 }

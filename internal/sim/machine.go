@@ -75,10 +75,7 @@ type Machine struct {
 	llcSetBits   uint
 	llcSetMask   uint64
 
-	// Dispatch rounding, precomputed: cpu.Config.ComputeCycles divides by
-	// DispatchWidth on every compute and memory op; for power-of-two
-	// widths (the default four-wide core) the ceil-divide is a shift.
-	dispPow2  bool
+	// Dispatch rounding, precomputed for computeCycles.
 	dispShift uint
 	dispRound uint64
 
@@ -103,8 +100,8 @@ type Machine struct {
 	acct bool
 
 	// Fast-mode state (Config.Mode == ModeFast, fast.go): fastMask selects
-	// the detailed LLC sets (set&fastMask == 0) and fastCores holds the
-	// per-core extrapolation accumulators.
+	// the detailed LLC sets (set&fastMask == 0), exactly the sets the ATDs
+	// sample, and fastCores holds the per-core extrapolation accumulators.
 	fast      bool
 	fastMask  uint64
 	fastCores []fastCore
@@ -129,13 +126,11 @@ type Machine struct {
 // batchSize is the per-thread op ring capacity for batching programs.
 const batchSize = 512
 
-// computeCycles is cpu.Config.ComputeCycles with the division replaced by
-// the precomputed shift for power-of-two dispatch widths.
+// computeCycles is cpu.Config.ComputeCycles, paid on every compute and
+// memory op, with the ceil-divide as a shift: the dispatch width is a power
+// of two (cpu.Config.Validate).
 func (m *Machine) computeCycles(instrs uint64) uint64 {
-	if m.dispPow2 {
-		return (instrs + m.dispRound) >> m.dispShift
-	}
-	return m.cfg.CPU.ComputeCycles(instrs)
+	return (instrs + m.dispRound) >> m.dispShift
 }
 
 // grow extends s so that id is a valid index.
@@ -194,10 +189,9 @@ func (m *Machine) reset(cfg Config, progs []trace.Program) error {
 	m.llcSetBits = uint(bits.TrailingZeros64(uint64(cfg.LLC.Sets())))
 	m.llcSetMask = uint64(cfg.LLC.Sets()) - 1
 	w := uint64(cfg.CPU.DispatchWidth)
-	m.dispPow2 = w&(w-1) == 0
 	m.dispShift, m.dispRound = uint(bits.TrailingZeros64(w)), w-1
 	m.fast = cfg.Mode == ModeFast
-	m.fastMask = uint64(1)<<cfg.FastSetShift - 1
+	m.fastMask = uint64(1)<<cfg.ATDSampleShift - 1
 
 	m.clock, m.finished, m.ops = 0, 0, 0
 	m.acct = true

@@ -16,12 +16,11 @@ const (
 	// detail. It is the zero value: existing configurations keep their
 	// byte-identical behavior.
 	ModeExact Mode = iota
-	// ModeFast simulates only the deterministic 1-in-2^FastSetShift subset
-	// of LLC sets in detail — extending the ATD's set-sampling gate (paper
-	// Section 4.2) into the LLC and memory models — and extrapolates the
-	// skipped sets from the detailed ones. Same estimator, cheaper inputs:
-	// the run-level factors (sampling factor, average miss penalty) are
-	// frozen from the scaled counters exactly as in exact mode.
+	// ModeFast simulates in detail only the LLC sets the ATD samples (paper
+	// Section 4.2) and extrapolates the skipped sets from them; fast.go has
+	// the model. Same estimator, cheaper inputs: the run-level factors
+	// (sampling factor, average miss penalty) are frozen from the scaled
+	// counters exactly as in exact mode.
 	ModeFast
 )
 
@@ -67,7 +66,7 @@ type FastBounds struct {
 }
 
 // FastErrorBounds is the documented accuracy contract of ModeFast with the
-// default FastSetShift, measured across all 28 registered analogues at 4
+// default ATDSampleShift, measured across all 28 registered analogues at 4
 // and 16 threads and asserted by the fast-vs-exact regression test in
 // internal/exp (which runs under CI's -race job). The values carry
 // ~30% headroom over the observed worst-case deviations (NegLLC 0.59,

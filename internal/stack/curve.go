@@ -9,11 +9,10 @@ import (
 
 // Curve charts: the line-chart half of the design system, used by the
 // scaling advisor to overlay fitted Amdahl/USL curves on a measured thread
-// sweep. The chart shares the bar chart's tokens (surface, ink, grid,
-// categorical series colors) so every SVG the repo emits looks like one
-// family: measured data wears solid lines with point markers, fitted models
-// wear dashed lines, and vertical annotation lines (e.g. the USL optimum N*)
-// are recessive hairlines with muted labels.
+// sweep. The chart draws on the bar chart's canvas (svg.go), so every SVG the
+// repo emits looks like one family: measured data wears solid lines with
+// point markers, fitted models wear dashed lines, and vertical annotation
+// lines (e.g. the USL optimum N*) are recessive hairlines with muted labels.
 
 // CurvePoint is one (x, y) sample of a curve series.
 type CurvePoint struct {
@@ -44,99 +43,64 @@ type CurveChart struct {
 	XLabel string
 	YLabel string
 	Series []CurveSeries
-	// Ideal draws the y = x reference (ideal scaling) as a recessive line.
-	Ideal bool
 	// VLines are vertical annotations (drawn behind the series).
 	VLines []CurveVLine
 }
 
 // EncodeCurveSVG writes the chart to w as a standalone SVG document.
-func EncodeCurveSVG(w io.Writer, c CurveChart) error {
-	b := new(strings.Builder)
+func EncodeCurveSVG(w io.Writer, ch CurveChart) error {
 	const (
 		marginL = 46.0
-		marginT = 48.0
 		marginB = 40.0
 		plotW   = 420.0
 		plotH   = 280.0
 		legendW = 190.0
 	)
-	width := marginL + plotW + legendW
-	height := marginT + plotH + marginB
 
 	// Scales: 0..max on both axes, from the data (plus annotations and the
 	// ideal line, which runs to the x extent).
 	xMax, yMax := 1.0, 1.0
-	for _, s := range c.Series {
+	for _, s := range ch.Series {
 		for _, p := range s.Points {
 			xMax = math.Max(xMax, p.X)
 			yMax = math.Max(yMax, p.Y)
 		}
 	}
-	for _, v := range c.VLines {
+	for _, v := range ch.VLines {
 		xMax = math.Max(xMax, v.X)
 	}
-	if c.Ideal {
-		yMax = math.Max(yMax, xMax)
-	}
-	yMax = math.Ceil(yMax)
+	yMax = math.Ceil(math.Max(yMax, xMax))
 	x := func(v float64) float64 { return marginL + v/xMax*plotW }
-	y := func(v float64) float64 { return marginT + plotH - v/yMax*plotH }
-	xTick := tickStep(xMax)
-	yTick := tickStep(yMax)
+	y := func(v float64) float64 { return svgTop + plotH - v/yMax*plotH }
 
-	fmt.Fprintf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f" role="img" aria-label="%s">`+"\n",
-		width, height, width, height, xmlEscape(c.Title))
-	fmt.Fprintf(b, `<rect width="%.0f" height="%.0f" fill="%s"/>`+"\n", width, height, svgSurface)
-	fmt.Fprintf(b, `<text x="%.1f" y="24" font-family='%s' font-size="14" font-weight="600" fill="%s">%s</text>`+"\n",
-		marginL, svgFont, svgInk, xmlEscape(c.Title))
-	if c.YLabel != "" {
-		fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-family='%s' font-size="11" fill="%s">%s</text>`+"\n",
-			marginL, marginT-8, svgFont, svgMuted, xmlEscape(c.YLabel))
+	c := newCanvas(marginL, plotW, marginL+plotW+legendW, svgTop+plotH+marginB, ch.Title, ch.Title, ch.YLabel)
+	for v, step := 0.0, tickStep(yMax); v <= yMax+1e-9; v += step {
+		c.gridRow(y(v), v == 0, tickLabel(v))
 	}
+	for v, step := 0.0, tickStep(xMax); v <= xMax+1e-9; v += step {
+		c.text(x(v), svgTop+plotH+16, svgMuted, anchorMiddle, tickLabel(v))
+	}
+	c.text(marginL+plotW, svgTop+plotH+32, svgMuted, anchorEnd, xmlEscape(ch.XLabel))
 
-	// Grid and ticks (hairline, recessive; baseline darker).
-	for v := 0.0; v <= yMax+1e-9; v += yTick {
-		yy := y(v)
-		color := svgGrid
-		if v == 0 {
-			color = svgBaseline
-		}
-		fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1"/>`+"\n",
-			marginL, yy, marginL+plotW, yy, color)
-		fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-family='%s' font-size="11" fill="%s" text-anchor="end">%s</text>`+"\n",
-			marginL-6, yy+4, svgFont, svgMuted, tickLabel(v))
-	}
-	for v := 0.0; v <= xMax+1e-9; v += xTick {
-		xx := x(v)
-		fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-family='%s' font-size="11" fill="%s" text-anchor="middle">%s</text>`+"\n",
-			xx, marginT+plotH+16, svgFont, svgMuted, tickLabel(v))
-	}
-	if c.XLabel != "" {
-		fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-family='%s' font-size="11" fill="%s" text-anchor="end">%s</text>`+"\n",
-			marginL+plotW, marginT+plotH+32, svgFont, svgMuted, xmlEscape(c.XLabel))
-	}
-
-	// Annotations behind the data: ideal-scaling reference and vertical lines.
-	if c.Ideal {
-		top := math.Min(xMax, yMax)
-		fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1" stroke-dasharray="2 3"/>`+"\n",
-			x(0), y(0), x(top), y(top), svgBaseline)
-	}
-	for _, v := range c.VLines {
+	// Annotations behind the data: the y = x ideal-scaling line, the VLines.
+	top := math.Min(xMax, yMax)
+	c.line(x(0), y(0), x(top), y(top), svgBaseline, ` stroke-dasharray="2 3"`)
+	for _, v := range ch.VLines {
 		xx := x(v.X)
-		fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1" stroke-dasharray="4 3"/>`+"\n",
-			xx, marginT, xx, marginT+plotH, svgBaseline)
-		if v.Label != "" {
-			fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-family='%s' font-size="11" fill="%s" text-anchor="middle">%s</text>`+"\n",
-				xx, marginT-8, svgFont, svgMuted, xmlEscape(v.Label))
-		}
+		c.line(xx, svgTop, xx, svgTop+plotH, svgBaseline, ` stroke-dasharray="4 3"`)
+		c.text(xx, svgTop-8, svgMuted, anchorMiddle, xmlEscape(v.Label))
 	}
 
 	// Series: fixed categorical slot per index, solid for data, dashed for
 	// fits, circular markers where requested.
-	for si, s := range c.Series {
-		color := svgSeries[si%len(svgSeries)]
+	style := func(si int) (color, dash string) {
+		if ch.Series[si].Dashed {
+			dash = ` stroke-dasharray="5 4"`
+		}
+		return svgSeries[si%len(svgSeries)], dash
+	}
+	for si, s := range ch.Series {
+		color, dash := style(si)
 		if len(s.Points) > 1 {
 			var path strings.Builder
 			for i, p := range s.Points {
@@ -146,44 +110,31 @@ func EncodeCurveSVG(w io.Writer, c CurveChart) error {
 				}
 				fmt.Fprintf(&path, "%c%.1f %.1f", cmd, x(p.X), y(p.Y))
 			}
-			dash := ""
-			if s.Dashed {
-				dash = ` stroke-dasharray="5 4"`
-			}
-			fmt.Fprintf(b, `<path d="%s" fill="none" stroke="%s" stroke-width="2"%s/>`+"\n",
+			fmt.Fprintf(c, `<path d="%s" fill="none" stroke="%s" stroke-width="2"%s/>`+"\n",
 				path.String(), color, dash)
 		}
 		if s.Marker {
 			for _, p := range s.Points {
-				fmt.Fprintf(b, `<circle cx="%.1f" cy="%.1f" r="3.5" fill="%s" stroke="%s" stroke-width="1">`,
+				fmt.Fprintf(c, `<circle cx="%.1f" cy="%.1f" r="3.5" fill="%s" stroke="%s" stroke-width="1">`,
 					x(p.X), y(p.Y), color, svgSurface)
-				fmt.Fprintf(b, `<title>%s: (%.4g, %.4g)</title></circle>`+"\n", xmlEscape(s.Name), p.X, p.Y)
+				fmt.Fprintf(c, `<title>%s: (%.4g, %.4g)</title></circle>`+"\n", xmlEscape(s.Name), p.X, p.Y)
 			}
 		}
 	}
 
 	// Legend: swatch lines mirroring each series' style.
-	lx := marginL + plotW + 24
-	for si, s := range c.Series {
-		yy := marginT + 4 + float64(si)*20
-		color := svgSeries[si%len(svgSeries)]
-		dash := ""
-		if s.Dashed {
-			dash = ` stroke-dasharray="5 4"`
-		}
-		fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2"%s/>`+"\n",
+	for si, s := range ch.Series {
+		color, dash := style(si)
+		lx, yy := c.legendRow(si)
+		fmt.Fprintf(c, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2"%s/>`+"\n",
 			lx, yy+6, lx+16, yy+6, color, dash)
 		if s.Marker {
-			fmt.Fprintf(b, `<circle cx="%.1f" cy="%.1f" r="3.5" fill="%s" stroke="%s" stroke-width="1"/>`+"\n",
+			fmt.Fprintf(c, `<circle cx="%.1f" cy="%.1f" r="3.5" fill="%s" stroke="%s" stroke-width="1"/>`+"\n",
 				lx+8, yy+6, color, svgSurface)
 		}
-		fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-family='%s' font-size="11" fill="%s">%s</text>`+"\n",
-			lx+22, yy+10, svgFont, svgInk2, xmlEscape(s.Name))
+		c.text(lx+22, yy+10, svgInk2, "", xmlEscape(s.Name))
 	}
-
-	b.WriteString("</svg>\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	return c.finish(w)
 }
 
 // tickStep picks a 1/2/5-scaled tick interval giving at most ~8 ticks.

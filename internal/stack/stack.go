@@ -25,50 +25,83 @@ const (
 // not considered a scaling delimiter (used by the Figure 6 classification).
 const NegligibleThreshold = 0.30
 
-// Named returns the classification components of a stack in speedup units.
-// The cache component is the *net* negative LLC interference, matching how
-// Figure 6 ranks delimiters.
-func Named(s core.Stack) map[string]float64 {
-	tp := float64(s.Tp)
-	net := s.Components.Net()
-	if net < 0 {
-		net = 0
-	}
-	return map[string]float64{
-		CompCache:     net / tp,
-		CompMemory:    s.Components.NegMem / tp,
-		CompSpinning:  s.Components.Spin / tp,
-		CompYielding:  s.Components.Yield / tp,
-		CompImbalance: s.Components.Imbalance / tp,
-	}
+// components is the stack's vocabulary, in the paper's Figure 5 drawing
+// order (base speedup at the bottom/left, then positive LLC interference,
+// then the delimiters). Every renderer and the classification read it, so a
+// new component is one row here plus its value in units. The index is the
+// component's svgSeries colour slot.
+var components = [...]struct {
+	key    string // classification name (Comp*), "" when not a delimiter
+	name   string // chart legend and tooltip name
+	legend string // ASCII legend label
+	glyph  byte   // ASCII bar block
+}{
+	{"", "base speedup", "base speedup", '#'},
+	{"", "positive LLC interference", "positive LLC", '+'},
+	{CompCache, "net negative LLC interference", "net negative LLC", '.'},
+	{CompMemory, "negative memory interference", "memory", 'm'},
+	{CompSpinning, "spinning", "spinning", 's'},
+	{CompYielding, "yielding", "yielding", 'y'},
+	{CompImbalance, "imbalance", "imbalance", 'i'},
 }
 
-// TopComponents returns the up-to-k largest non-negligible components of a
-// stack, largest first.
-func TopComponents(s core.Stack, k int) []string {
-	named := Named(s)
-	type kv struct {
-		name string
-		v    float64
+// units returns a stack's components in speedup units, in components order;
+// they sum to N. The cache component is the *net* negative LLC interference,
+// matching how Figure 6 ranks delimiters.
+func units(s core.Stack) [len(components)]float64 {
+	tp := float64(s.Tp)
+	c := s.Components
+	return [...]float64{max(s.Base(), 0), c.PosLLC / tp, max(c.Net(), 0) / tp,
+		c.NegMem / tp, c.Spin / tp, c.Yield / tp, c.Imbalance / tp}
+}
+
+// Named returns the classification components of a stack in speedup units,
+// keyed by the Comp* names.
+func Named(s core.Stack) map[string]float64 {
+	named := make(map[string]float64, len(components))
+	for i, v := range units(s) {
+		if key := components[i].key; key != "" {
+			named[key] = v
+		}
 	}
-	list := make([]kv, 0, len(named))
-	for n, v := range named {
-		if v >= NegligibleThreshold {
-			list = append(list, kv{n, v})
+	return named
+}
+
+// Delimiter is one classification component of a stack and its cost in
+// speedup units.
+type Delimiter struct {
+	Name  string
+	Value float64
+}
+
+// Ranked returns the non-negligible classification components of a stack,
+// largest first, ties by name.
+func Ranked(s core.Stack) []Delimiter {
+	var list []Delimiter
+	for i, v := range units(s) {
+		if key := components[i].key; key != "" && v >= NegligibleThreshold {
+			list = append(list, Delimiter{key, v})
 		}
 	}
 	sort.Slice(list, func(i, j int) bool {
-		if list[i].v != list[j].v {
-			return list[i].v > list[j].v
+		if list[i].Value != list[j].Value {
+			return list[i].Value > list[j].Value
 		}
-		return list[i].name < list[j].name
+		return list[i].Name < list[j].Name
 	})
+	return list
+}
+
+// TopComponents returns the names of the up-to-k largest non-negligible
+// components of a stack, largest first.
+func TopComponents(s core.Stack, k int) []string {
+	list := Ranked(s)
 	if len(list) > k {
 		list = list[:k]
 	}
 	out := make([]string, len(list))
-	for i, e := range list {
-		out[i] = e.name
+	for i, d := range list {
+		out[i] = d.Name
 	}
 	return out
 }
@@ -103,8 +136,7 @@ type Bar struct {
 }
 
 // Render draws a set of speedup stacks as horizontal ASCII bars, one block
-// per segment, in the paper's Figure 5 component order (base speedup at the
-// bottom/left, then positive LLC interference, then the delimiters).
+// per component, in components order.
 func Render(bars []Bar, width int) string {
 	if width <= 0 {
 		width = 64
@@ -114,38 +146,8 @@ func Render(bars []Bar, width int) string {
 		b.WriteString(renderOne(bar, width))
 		b.WriteByte('\n')
 	}
-	b.WriteString(legend())
+	b.WriteString(legend)
 	return b.String()
-}
-
-type segment struct {
-	name  string
-	runeC byte
-	value float64
-}
-
-// segments decomposes a stack into its drawing order. All values are in
-// speedup units and sum to N.
-func segments(s core.Stack) []segment {
-	tp := float64(s.Tp)
-	base := s.Base()
-	if base < 0 {
-		base = 0
-	}
-	pos := s.Components.PosLLC / tp
-	net := s.Components.Net() / tp
-	if net < 0 {
-		net = 0
-	}
-	return []segment{
-		{"base speedup", '#', base},
-		{"positive LLC interference", '+', pos},
-		{"net negative LLC interference", '.', net},
-		{"negative memory interference", 'm', s.Components.NegMem / tp},
-		{"spinning", 's', s.Components.Spin / tp},
-		{"yielding", 'y', s.Components.Yield / tp},
-		{"imbalance", 'i', s.Components.Imbalance / tp},
-	}
 }
 
 func renderOne(bar Bar, width int) string {
@@ -158,13 +160,13 @@ func renderOne(bar Bar, width int) string {
 	sb.WriteString(" |")
 	perUnit := float64(width) / float64(s.N)
 	total := 0
-	for _, seg := range segments(s) {
-		n := int(seg.value*perUnit + 0.5)
+	for i, v := range units(s) {
+		n := int(v*perUnit + 0.5)
 		if total+n > width {
 			n = width - total
 		}
-		for i := 0; i < n; i++ {
-			sb.WriteByte(seg.runeC)
+		for j := 0; j < n; j++ {
+			sb.WriteByte(components[i].glyph)
 		}
 		total += n
 	}
@@ -176,10 +178,13 @@ func renderOne(bar Bar, width int) string {
 	return sb.String()
 }
 
-func legend() string {
-	return "legend: #=base speedup  +=positive LLC  .=net negative LLC  " +
-		"m=memory  s=spinning  y=yielding  i=imbalance\n"
-}
+var legend = func() string {
+	keys := make([]string, len(components))
+	for i, c := range components {
+		keys[i] = string(c.glyph) + "=" + c.legend
+	}
+	return "legend: " + strings.Join(keys, "  ") + "\n"
+}()
 
 // Table renders a numeric component table for a set of stacks, one row per
 // bar, in speedup units.

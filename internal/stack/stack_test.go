@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -97,13 +98,13 @@ func TestRenderContainsSegmentsAndLegend(t *testing.T) {
 func TestRenderSegmentsSumToN(t *testing.T) {
 	s := sample()
 	total := 0.0
-	for _, seg := range segments(s) {
-		total += seg.value
+	for _, v := range units(s) {
+		total += v
 	}
 	// base + pos + net + mem + spin + yield + imbalance = N (up to the
 	// clamping of negative values, absent here).
 	if total < 15.99 || total > 16.01 {
-		t.Fatalf("segments sum to %v, want 16", total)
+		t.Fatalf("units sum to %v, want 16", total)
 	}
 }
 
@@ -123,5 +124,109 @@ func TestRenderDefaultWidth(t *testing.T) {
 	out := Render([]Bar{{Label: "b", Stack: sample()}}, 0)
 	if out == "" {
 		t.Fatal("empty render")
+	}
+}
+
+// legendOf maps each legend label of an SVG chart to its swatch's fill.
+func legendOf(t *testing.T, svg string) map[string]string {
+	t.Helper()
+	swatch := regexp.MustCompile(`<rect x="[^"]*" y="[^"]*" width="12" height="12" rx="2" fill="([^"]*)"/>\n<text [^>]*>([^<]*)</text>`)
+	out := map[string]string{}
+	for _, m := range swatch.FindAllStringSubmatch(svg, -1) {
+		out[m[2]] = m[1]
+	}
+	return out
+}
+
+// TestComponentTableDrivesEveryRenderer pins the components table as the one
+// vocabulary: both charts' legends, the ASCII legend, the classification
+// names and the ranking are all read off it.
+func TestComponentTableDrivesEveryRenderer(t *testing.T) {
+	var agg, tl strings.Builder
+	if err := (Bars{{Label: "x", Stack: sample()}}).SVG(&agg); err != nil {
+		t.Fatal(err)
+	}
+	ts := TimeSeries{Label: "x", N: 4, TotalOps: 100, Intervals: []Interval{{
+		EndOps: 100, EndCycle: 1000,
+		Components: core.IntComponents{NegLLC: 300, PosLLC: 100, NegMem: 200, Spin: 400, Yield: 500, Imbalance: 50},
+	}}}
+	if err := ts.SVG(&tl); err != nil {
+		t.Fatal(err)
+	}
+	aggLegend, tlLegend := legendOf(t, agg.String()), legendOf(t, tl.String())
+	delimiters := 0
+	for i, c := range components {
+		if aggLegend[c.name] != svgSeries[i] {
+			t.Errorf("aggregate legend: %q wears %q, want slot %d (%s)", c.name, aggLegend[c.name], i, svgSeries[i])
+		}
+		if c.key == "" {
+			if _, ok := tlLegend[c.name]; ok {
+				t.Errorf("timeline legend lists %q, which is not a delimiter", c.name)
+			}
+			continue
+		}
+		delimiters++
+		if tlLegend[c.name] != aggLegend[c.name] {
+			t.Errorf("timeline legend: %q wears %q, the aggregate chart %q", c.name, tlLegend[c.name], aggLegend[c.name])
+		}
+		if !strings.Contains(tl.String(), "): "+c.name+" ") {
+			t.Errorf("timeline draws no %q band", c.name)
+		}
+	}
+	if len(aggLegend) != len(components) || len(tlLegend) != delimiters {
+		t.Errorf("legends list %d and %d components, want %d and %d", len(aggLegend), len(tlLegend), len(components), delimiters)
+	}
+
+	// The ASCII legend names every glyph the bar can emit.
+	glyphs := " "
+	for _, c := range components {
+		glyphs += string(c.glyph)
+		if !strings.Contains(legend, string(c.glyph)+"="+c.legend) {
+			t.Errorf("legend %q does not name %c=%s", legend, c.glyph, c.legend)
+		}
+	}
+	bar := renderOne(Bar{Label: "x", Stack: sample()}, 64)
+	if body := bar[strings.Index(bar, "|")+1 : strings.LastIndex(bar, "|")]; strings.Trim(body, glyphs) != "" {
+		t.Errorf("bar %q uses a glyph outside the table", body)
+	}
+
+	// Named's keys are exactly the Comp* constants.
+	named := Named(sample())
+	for _, key := range []string{CompCache, CompMemory, CompSpinning, CompYielding, CompImbalance} {
+		if _, ok := named[key]; !ok {
+			t.Errorf("Named lacks %q", key)
+		}
+	}
+	if len(named) != 5 {
+		t.Errorf("Named = %v, want the five Comp* keys", named)
+	}
+
+	// Ranked is the ranking TopComponents names: thresholded, largest
+	// first, ties by name.
+	for _, tc := range []struct {
+		name string
+		c    core.Components
+		want []string
+	}{
+		{"sample", sample().Components, []string{CompYielding, CompSpinning, CompCache, CompMemory}}, // imbalance 0.1 is negligible
+		{"all equal", core.Components{NegLLC: 1000, NegMem: 1000, Spin: 1000, Yield: 1000, Imbalance: 1000},
+			[]string{CompCache, CompImbalance, CompMemory, CompSpinning, CompYielding}},
+		{"at and under the threshold", core.Components{Spin: 300, Yield: 299}, []string{CompSpinning}},
+		{"nothing", core.Components{}, nil},
+	} {
+		s := core.Stack{N: 16, Tp: 1000, Components: tc.c}
+		ranked, top := Ranked(s), TopComponents(s, 5)
+		if len(ranked) != len(tc.want) || len(top) != len(tc.want) {
+			t.Errorf("%s: Ranked = %v, TopComponents = %v, want %v", tc.name, ranked, top, tc.want)
+			continue
+		}
+		for i, d := range ranked {
+			if d.Name != tc.want[i] || top[i] != d.Name || d.Value != Named(s)[d.Name] {
+				t.Errorf("%s: Ranked = %v, TopComponents = %v, want %v", tc.name, ranked, top, tc.want)
+			}
+			if i > 0 && (ranked[i-1].Value < d.Value || ranked[i-1].Value == d.Value && ranked[i-1].Name > d.Name) {
+				t.Errorf("%s: %v is out of order", tc.name, ranked)
+			}
+		}
 	}
 }

@@ -3,9 +3,8 @@ package stack
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
-
-	"repro/internal/core"
 )
 
 // SVG rendering of speedup stacks: one vertical stacked bar per measured
@@ -30,9 +29,10 @@ const (
 	svgFont     = `system-ui, -apple-system, "Segoe UI", sans-serif`
 )
 
-// svgSeries is the fixed categorical assignment: component i always wears
-// slot i, independent of which components a particular stack exhibits.
-var svgSeries = []string{
+// svgSeries is the fixed categorical assignment: components[i] always wears
+// slot i, independent of which components a particular stack exhibits (and
+// a curve chart's i-th series wears slot i).
+var svgSeries = [len(components)]string{
 	"#2a78d6", // base speedup
 	"#eb6834", // positive LLC interference
 	"#1baf7a", // net negative LLC interference
@@ -42,58 +42,104 @@ var svgSeries = []string{
 	"#4a3aa7", // imbalance
 }
 
+// canvas is the scaffold every chart draws on: the document frame, the two
+// text styles, the hairline, the grid row and the legend column right of
+// the plot area. A renderer adds only its marks, with fmt.Fprintf(c, ...).
+type canvas struct {
+	strings.Builder
+	left, plotW float64 // the plot area's left edge and width
+}
+
+// svgTop is the plot area's top edge: title above, axis caption just over it.
+const svgTop = 48.0
+
+// newCanvas opens a width × height document: surface, title, y-axis caption.
+func newCanvas(left, plotW, width, height float64, aria, title, caption string) *canvas {
+	c := &canvas{left: left, plotW: plotW}
+	fmt.Fprintf(c, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f" role="img" aria-label="%s">`+"\n",
+		width, height, width, height, xmlEscape(aria))
+	fmt.Fprintf(c, `<rect width="%.0f" height="%.0f" fill="%s"/>`+"\n", width, height, svgSurface)
+	fmt.Fprintf(c, `<text x="%.1f" y="24" font-family='%s' font-size="14" font-weight="600" fill="%s">%s</text>`+"\n",
+		left, svgFont, svgInk, xmlEscape(title))
+	c.text(left, svgTop-8, svgMuted, "", xmlEscape(caption))
+	return c
+}
+
+// The text-anchor attribute, for text's attrs.
+const (
+	anchorStart  = ` text-anchor="start"`
+	anchorMiddle = ` text-anchor="middle"`
+	anchorEnd    = ` text-anchor="end"`
+)
+
+// text writes an 11px label (content already escaped) with attrs appended.
+func (c *canvas) text(x, y float64, fill, attrs, content string) {
+	fmt.Fprintf(c, `<text x="%.1f" y="%.1f" font-family='%s' font-size="11" fill="%s"%s>%s</text>`+"\n",
+		x, y, svgFont, fill, attrs, content)
+}
+
+// line writes a 1px line with attrs appended to its attributes.
+func (c *canvas) line(x1, y1, x2, y2 float64, stroke, attrs string) {
+	fmt.Fprintf(c, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1"%s/>`+"\n",
+		x1, y1, x2, y2, stroke, attrs)
+}
+
+// gridRow writes the gridline at y, darker for the baseline, and its tick label.
+func (c *canvas) gridRow(y float64, baseline bool, label string) {
+	color := svgGrid
+	if baseline {
+		color = svgBaseline
+	}
+	c.line(c.left, y, c.left+c.plotW, y, color, "")
+	c.text(c.left-6, y+4, svgMuted, anchorEnd, label)
+}
+
+// legendRow returns the top-left corner of the legend's i-th row.
+func (c *canvas) legendRow(i int) (x, y float64) {
+	return c.left + c.plotW + 24, svgTop + 4 + float64(i)*20
+}
+
+// swatch writes the legend's i-th row for a component: colour and name.
+func (c *canvas) swatch(i, component int) {
+	x, y := c.legendRow(i)
+	fmt.Fprintf(c, `<rect x="%.1f" y="%.1f" width="12" height="12" rx="2" fill="%s"/>`+"\n", x, y, svgSeries[component])
+	c.text(x+18, y+10, svgInk2, "", components[component].name)
+}
+
+// finish closes the document and writes it to w.
+func (c *canvas) finish(w io.Writer) error {
+	c.WriteString("</svg>\n")
+	_, err := io.WriteString(w, c.String())
+	return err
+}
+
 // SVG writes the bars to w as a standalone SVG document.
 func (bars Bars) SVG(w io.Writer) error {
-	b := new(strings.Builder)
 	const (
 		marginL = 46.0  // room for y tick labels
-		marginT = 48.0  // title
 		plotH   = 280.0 // plot area height
 		barW    = 24.0  // bar thickness (capped per mark spec)
 		step    = 46.0  // x distance between bar centers
 		labelH  = 118.0 // rotated benchmark labels under the baseline
 		legendW = 210.0
 	)
-	n := len(bars)
-	if n == 0 {
-		n = 1
-	}
-	plotW := float64(n)*step + 18
-	width := marginL + plotW + legendW
-	height := marginT + plotH + labelH
+	plotW := float64(max(len(bars), 1))*step + 18
 
 	// y scale: 0..yMax speedup units, yMax = the tallest stack's N.
 	yMax := 1
 	for _, bar := range bars {
-		if bar.Stack.N > yMax {
-			yMax = bar.Stack.N
-		}
+		yMax = max(yMax, bar.Stack.N)
 	}
 	tick := 1
 	for yMax/tick > 8 {
 		tick *= 2
 	}
-	y := func(v float64) float64 { return marginT + plotH - v/float64(yMax)*plotH }
+	y := func(v float64) float64 { return svgTop + plotH - v/float64(yMax)*plotH }
 
-	fmt.Fprintf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f" role="img" aria-label="Speedup stacks">`+"\n",
-		width, height, width, height)
-	fmt.Fprintf(b, `<rect width="%.0f" height="%.0f" fill="%s"/>`+"\n", width, height, svgSurface)
-	fmt.Fprintf(b, `<text x="%.1f" y="24" font-family='%s' font-size="14" font-weight="600" fill="%s">Speedup stacks</text>`+"\n",
-		marginL, svgFont, svgInk)
-	fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-family='%s' font-size="11" fill="%s">speedup</text>`+"\n",
-		marginL, marginT-8, svgFont, svgMuted)
-
-	// Gridlines and y tick labels (hairline, recessive; baseline darker).
+	c := newCanvas(marginL, plotW, marginL+plotW+legendW, svgTop+plotH+labelH,
+		"Speedup stacks", "Speedup stacks", "speedup")
 	for v := 0; v <= yMax; v += tick {
-		yy := y(float64(v))
-		color, sw := svgGrid, 1.0
-		if v == 0 {
-			color = svgBaseline
-		}
-		fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="%.0f"/>`+"\n",
-			marginL, yy, marginL+plotW, yy, color, sw)
-		fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-family='%s' font-size="11" fill="%s" text-anchor="end">%d</text>`+"\n",
-			marginL-6, yy+4, svgFont, svgMuted, v)
+		c.gridRow(y(float64(v)), v == 0, strconv.Itoa(v))
 	}
 
 	// Bars: stacked segments bottom-up with a 2px surface gap between
@@ -101,74 +147,58 @@ func (bars Bars) SVG(w io.Writer) error {
 	// the topmost drawn segment gets the 4px-radius rounded data-end.
 	for i, bar := range bars {
 		x := marginL + 14 + float64(i)*step
-		segs := segments(bar.Stack)
+		vals := units(bar.Stack)
 		// Pixel boundaries of the cumulative stack.
 		type drawn struct {
-			si       int
-			y0, y1   float64 // top, bottom (y0 < y1)
-			interior bool    // has a drawn segment above it
+			si     int
+			y0, y1 float64 // top, bottom (y0 < y1)
 		}
 		var ds []drawn
 		cum := 0.0
-		for si, seg := range segs {
-			if seg.value <= 0 {
+		for si, v := range vals {
+			if v <= 0 {
 				continue
 			}
-			lo, hi := y(cum+seg.value), y(cum)
-			cum += seg.value
+			lo, hi := y(cum+v), y(cum)
+			cum += v
 			if hi-lo < 1.2 { // too thin to draw; value still advances the stack
 				continue
 			}
 			ds = append(ds, drawn{si: si, y0: lo, y1: hi})
-		}
-		for di := range ds {
-			if di+1 < len(ds) {
-				ds[di].interior = true
-			}
 		}
 		for di, d := range ds {
 			top, bot := d.y0, d.y1
 			if di > 0 {
 				bot -= 1 // gap below: this segment's bottom edge
 			}
-			if d.interior {
+			interior := di+1 < len(ds) // has a drawn segment above it
+			if interior {
 				top += 1 // gap above
 			}
-			seg := segs[d.si]
-			fmt.Fprintf(b, `<path d="%s" fill="%s">`, barPath(x, top, barW, bot-top, !d.interior), svgSeries[d.si])
-			fmt.Fprintf(b, `<title>%s: %s %.2f</title></path>`+"\n", xmlEscape(bar.Label), seg.name, seg.value)
+			fmt.Fprintf(c, `<path d="%s" fill="%s">`, barPath(x, top, barW, bot-top, !interior), svgSeries[d.si])
+			fmt.Fprintf(c, `<title>%s: %s %.2f</title></path>`+"\n", xmlEscape(bar.Label), components[d.si].name, vals[d.si])
 		}
 		// Measured speedup marker: an ink tick across the bar.
 		if s := bar.Stack.ActualSpeedup; s > 0 {
 			yy := y(s)
-			fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2">`,
+			fmt.Fprintf(c, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2">`,
 				x-4, yy, x+barW+4, yy, svgInk)
-			fmt.Fprintf(b, `<title>%s: measured speedup %.2f</title></line>`+"\n", xmlEscape(bar.Label), s)
+			fmt.Fprintf(c, `<title>%s: measured speedup %.2f</title></line>`+"\n", xmlEscape(bar.Label), s)
 		}
 		// Benchmark label, rotated so long name_suite identifiers fit.
-		lx, ly := x+barW/2, marginT+plotH+14
-		fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-family='%s' font-size="11" fill="%s" text-anchor="end" transform="rotate(-40 %.1f %.1f)">%s</text>`+"\n",
-			lx, ly, svgFont, svgInk2, lx, ly, xmlEscape(bar.Label))
+		lx, ly := x+barW/2, svgTop+plotH+14
+		c.text(lx, ly, svgInk2, anchorEnd+fmt.Sprintf(` transform="rotate(-40 %.1f %.1f)"`, lx, ly), xmlEscape(bar.Label))
 	}
 
 	// Legend: one swatch per component (fixed order) plus the marker key.
-	lx := marginL + plotW + 24
-	ly := marginT + 4
-	for si, seg := range segments(core.Stack{N: 1, Tp: 1}) {
-		yy := ly + float64(si)*20
-		fmt.Fprintf(b, `<rect x="%.1f" y="%.1f" width="12" height="12" rx="2" fill="%s"/>`+"\n", lx, yy, svgSeries[si])
-		fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-family='%s' font-size="11" fill="%s">%s</text>`+"\n",
-			lx+18, yy+10, svgFont, svgInk2, seg.name)
+	for si := range components {
+		c.swatch(si, si)
 	}
-	yy := ly + float64(len(svgSeries))*20
-	fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2"/>`+"\n",
-		lx, yy+6, lx+12, yy+6, svgInk)
-	fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-family='%s' font-size="11" fill="%s">measured speedup</text>`+"\n",
-		lx+18, yy+10, svgFont, svgInk2)
-
-	b.WriteString("</svg>\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	lx, ly := c.legendRow(len(components))
+	fmt.Fprintf(c, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2"/>`+"\n",
+		lx, ly+6, lx+12, ly+6, svgInk)
+	c.text(lx+18, ly+10, svgInk2, "", "measured speedup")
+	return c.finish(w)
 }
 
 // barPath returns a rect path for one segment; the topmost segment of a
@@ -183,7 +213,6 @@ func barPath(x, y, w, h float64, roundTop bool) string {
 		x, y+r, h-r, w, h-r, r, r, r, r, w-2*r, r, r, r, r)
 }
 
-func xmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func xmlEscape(s string) string { return xmlEscaper.Replace(s) }

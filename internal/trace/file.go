@@ -333,10 +333,14 @@ func header(data []byte) (*Data, *decoder, error) {
 	if t.lockGrace > maxTraceGrace || t.barrierGrace > maxTraceGrace {
 		return nil, nil, fmt.Errorf("trace: grace values must be <= %d cycles", uint64(maxTraceGrace))
 	}
-	if t.queues, err = decodeQueueRegs(d); err != nil {
+	t.queues, err = decodeRegs(d, "queue", "capacity", "cap", 1<<20,
+		func(id uint32, v int) QueueReg { return QueueReg{ID: id, Cap: v} })
+	if err != nil {
 		return nil, nil, err
 	}
-	if t.barriers, err = decodeBarrierRegs(d); err != nil {
+	t.barriers, err = decodeRegs(d, "barrier", "parties", "parties", maxTraceThreads,
+		func(id uint32, v int) BarrierReg { return BarrierReg{ID: id, Parties: v} })
+	if err != nil {
 		return nil, nil, err
 	}
 	threads, err := d.uvarint("thread count")
@@ -353,56 +357,34 @@ func header(data []byte) (*Data, *decoder, error) {
 	return t, d, nil
 }
 
-func decodeQueueRegs(d *decoder) ([]QueueReg, error) {
-	n, err := d.uvarint("queue count")
+// decodeRegs reads one registration list: a count, then that many
+// (id, value) pairs, each value at most maxVal. kind, field and short name
+// the list in positioned errors ("queue", "capacity", "cap").
+func decodeRegs[R any](d *decoder, kind, field, short string, maxVal uint64, reg func(id uint32, v int) R) ([]R, error) {
+	n, err := d.uvarint(kind + " count")
 	if err != nil {
 		return nil, err
 	}
 	// Each registration occupies at least two bytes, so the remaining
 	// buffer bounds the believable count before anything is allocated.
 	if n > maxRegs || n*2 > uint64(d.remaining()) {
-		return nil, fmt.Errorf("trace: implausible queue count %d", n)
+		return nil, fmt.Errorf("trace: implausible %s count %d", kind, n)
 	}
-	regs := make([]QueueReg, n)
+	idWhat, valWhat := kind+" id", kind+" "+field
+	regs := make([]R, n)
 	for i := range regs {
-		id, err := d.uvarint("queue id")
+		id, err := d.uvarint(idWhat)
 		if err != nil {
 			return nil, err
 		}
-		cap, err := d.uvarint("queue capacity")
+		v, err := d.uvarint(valWhat)
 		if err != nil {
 			return nil, err
 		}
-		if id > 1<<32-1 || cap > 1<<20 {
-			return nil, fmt.Errorf("trace: queue registration %d out of range (id %d, cap %d)", i, id, cap)
+		if id > 1<<32-1 || v > maxVal {
+			return nil, fmt.Errorf("trace: %s registration %d out of range (id %d, %s %d)", kind, i, id, short, v)
 		}
-		regs[i] = QueueReg{ID: uint32(id), Cap: int(cap)}
-	}
-	return regs, nil
-}
-
-func decodeBarrierRegs(d *decoder) ([]BarrierReg, error) {
-	n, err := d.uvarint("barrier count")
-	if err != nil {
-		return nil, err
-	}
-	if n > maxRegs || n*2 > uint64(d.remaining()) {
-		return nil, fmt.Errorf("trace: implausible barrier count %d", n)
-	}
-	regs := make([]BarrierReg, n)
-	for i := range regs {
-		id, err := d.uvarint("barrier id")
-		if err != nil {
-			return nil, err
-		}
-		parties, err := d.uvarint("barrier parties")
-		if err != nil {
-			return nil, err
-		}
-		if id > 1<<32-1 || parties > maxTraceThreads {
-			return nil, fmt.Errorf("trace: barrier registration %d out of range (id %d, parties %d)", i, id, parties)
-		}
-		regs[i] = BarrierReg{ID: uint32(id), Parties: int(parties)}
+		regs[i] = reg(uint32(id), int(v))
 	}
 	return regs, nil
 }

@@ -148,36 +148,17 @@ func IDs() []string {
 // the speedupd service maps it to HTTP 404 with the nearest-ID suggestion.
 var ErrUnknownIntervention = errors.New("unknown intervention")
 
-// UnknownInterventionError is the typed form of a failed catalog lookup,
-// carrying the nearest catalog ID as a machine-readable suggestion.
-type UnknownInterventionError struct {
-	// ID is the identifier that failed to resolve; Suggestion the closest
-	// catalog ID, or "" when nothing is plausibly intended.
-	ID         string
-	Suggestion string
-}
-
-// Error renders the failed ID, the did-you-mean suggestion when one exists,
-// and the full catalog otherwise.
-func (e *UnknownInterventionError) Error() string {
-	if e.Suggestion != "" {
-		return fmt.Sprintf("%v %q (did you mean %q?)", ErrUnknownIntervention, e.ID, e.Suggestion)
-	}
-	return fmt.Sprintf("%v %q (catalog: %s)", ErrUnknownIntervention, e.ID, strings.Join(IDs(), ", "))
-}
-
-// Is makes errors.Is(err, ErrUnknownIntervention) hold for lookup errors.
-func (e *UnknownInterventionError) Is(target error) bool { return target == ErrUnknownIntervention }
-
 // ByID resolves a catalog intervention, failing with a typed
-// *UnknownInterventionError carrying the nearest-ID suggestion.
+// *workload.LookupError carrying the nearest-ID suggestion, or the full
+// catalog when nothing is close.
 func ByID(id string) (Intervention, error) {
 	for _, iv := range catalog {
 		if iv.ID == id {
 			return iv, nil
 		}
 	}
-	return Intervention{}, &UnknownInterventionError{ID: id, Suggestion: workload.Nearest(id, IDs())}
+	return Intervention{}, &workload.LookupError{Sentinel: ErrUnknownIntervention, Name: id,
+		Suggestion: workload.Nearest(id, IDs()), Tail: "catalog: " + strings.Join(IDs(), ", ")}
 }
 
 // Mutate builds the intervention's concrete mutation for one workload on

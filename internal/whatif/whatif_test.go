@@ -54,7 +54,7 @@ func TestCatalogReturnsCopies(t *testing.T) {
 }
 
 // TestByID resolves every catalog ID and types the failure path: unknown IDs
-// fail with *UnknownInterventionError, match errors.Is, and carry a
+// fail with *workload.LookupError, match errors.Is, and carry a
 // nearest-ID suggestion for plausible typos but not for noise.
 func TestByID(t *testing.T) {
 	for _, id := range IDs() {
@@ -70,9 +70,9 @@ func TestByID(t *testing.T) {
 	if !errors.Is(err, ErrUnknownIntervention) {
 		t.Error("lookup failure does not match ErrUnknownIntervention")
 	}
-	var typed *UnknownInterventionError
+	var typed *workload.LookupError
 	if !errors.As(err, &typed) {
-		t.Fatalf("lookup failure is %T, not *UnknownInterventionError", err)
+		t.Fatalf("lookup failure is %T, not *workload.LookupError", err)
 	}
 	if typed.Suggestion != DoubleLLC {
 		t.Errorf("suggestion for double_lcc = %q, want %q", typed.Suggestion, DoubleLLC)
@@ -81,7 +81,7 @@ func TestByID(t *testing.T) {
 		t.Errorf("error %q lacks the did-you-mean hint", err)
 	}
 	_, err = ByID("zzzzzzzzzzzzzzzzzzzz")
-	var noise *UnknownInterventionError
+	var noise *workload.LookupError
 	if !errors.As(err, &noise) {
 		t.Fatalf("noise lookup is %T", err)
 	}

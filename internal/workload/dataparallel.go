@@ -43,10 +43,10 @@ type dpProgram struct {
 	opQueue
 }
 
-// threadsHint scales critical-section frequency to a nominal machine width
-// so the sequential reference executes identical body work; data volumes
-// never depend on it.
-func (s *Spec) threadsHint() int { return 16 }
+// nominalThreads is the machine width that critical-section cadence and the
+// sequential reference's work shares are laid out for, so the reference
+// executes identical body work; data volumes never depend on it.
+const nominalThreads = 16
 
 // csCadence returns how many accesses separate critical sections (0 when
 // the spec emits none): CSPerThreadPerPhase per nominal thread-phase,
@@ -56,7 +56,7 @@ func (s *Spec) csCadence(totalLines int) int {
 		return 0
 	}
 	every := totalLines * s.SweepsPerPhase /
-		(s.CSPerThreadPerPhase * s.threadsHint())
+		(s.CSPerThreadPerPhase * nominalThreads)
 	if every < 1 {
 		every = 1
 	}
@@ -92,7 +92,7 @@ func (s Spec) dataParallelSequential() trace.Program {
 		threads:    1,
 		seq:        true,
 		totalLines: totalLines,
-		shares:     workShares(16, s.EffectiveParallelism),
+		shares:     workShares(nominalThreads, s.EffectiveParallelism),
 		csEvery:    spec.csCadence(totalLines),
 		rng:        trace.NewRNG(s.Seed ^ 0xABCDEF),
 	}

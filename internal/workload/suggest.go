@@ -8,41 +8,42 @@ import (
 
 // ErrUnknownBenchmark tags lookup failures for a name that is not in the
 // registry. Callers branch on it with errors.Is — the speedupd service maps
-// it to HTTP 404 — while the message (built by UnknownBenchmarkError)
-// carries the nearest-name suggestion shared by every front end.
+// it to HTTP 404 — while the message carries the nearest-name suggestion.
 var ErrUnknownBenchmark = errors.New("unknown benchmark")
 
-// BenchmarkLookupError is the typed form of a failed registry lookup. It
-// matches ErrUnknownBenchmark under errors.Is, and carries the nearest-name
-// suggestion as a field so structured surfaces (the speedupd error envelope)
-// can expose it machine-readably while Error() keeps rendering the exact
-// message every front end has always shown.
-type BenchmarkLookupError struct {
+// LookupError is the one typed "unknown NAME (did you mean S?)" failure,
+// behind benchmark names here and intervention IDs in internal/whatif. It
+// unwraps to its sentinel and carries the nearest-name suggestion as a field,
+// so structured surfaces (the speedupd error envelope) expose it
+// machine-readably while Error() renders the message every front end shows.
+type LookupError struct {
+	// Sentinel names what was looked up ("unknown benchmark"); callers
+	// branch on it with errors.Is.
+	Sentinel error
 	// Name is the name that failed to resolve; Suggestion the closest
-	// registered name, or "" when nothing is plausibly intended.
+	// known name, or "" when nothing is plausibly intended.
 	Name       string
 	Suggestion string
+	// Tail is the parenthetical shown instead when there is no suggestion.
+	Tail string
 }
 
-// Error renders the message every front end shows: the failed name plus
-// the did-you-mean suggestion when one exists.
-func (e *BenchmarkLookupError) Error() string {
+// Error is the failed name plus the did-you-mean suggestion, or the tail.
+func (e *LookupError) Error() string {
 	if e.Suggestion != "" {
-		return fmt.Sprintf("%v %q (did you mean %q?)", ErrUnknownBenchmark, e.Name, e.Suggestion)
+		return fmt.Sprintf("%v %q (did you mean %q?)", e.Sentinel, e.Name, e.Suggestion)
 	}
-	return fmt.Sprintf("%v %q (not one of the %d registered analogues)", ErrUnknownBenchmark, e.Name, len(registry))
+	return fmt.Sprintf("%v %q (%s)", e.Sentinel, e.Name, e.Tail)
 }
 
-// Is makes errors.Is(err, ErrUnknownBenchmark) hold for wrapped lookup
-// errors without a separate sentinel in the chain.
-func (e *BenchmarkLookupError) Is(target error) bool { return target == ErrUnknownBenchmark }
+// Unwrap exposes the sentinel to errors.Is.
+func (e *LookupError) Unwrap() error { return e.Sentinel }
 
-// UnknownBenchmarkError builds the user-facing error for a failed lookup,
-// including the closest registered name when one is plausibly intended.
-// The CLI and the HTTP service both surface this exact message; the service
-// additionally lifts the typed Suggestion into its error envelope.
+// UnknownBenchmarkError builds the LookupError for a failed registry lookup,
+// with the closest registered name when one is plausibly intended.
 func UnknownBenchmarkError(name string) error {
-	return &BenchmarkLookupError{Name: name, Suggestion: Suggest(name)}
+	return &LookupError{Sentinel: ErrUnknownBenchmark, Name: name, Suggestion: Suggest(name),
+		Tail: fmt.Sprintf("not one of the %d registered analogues", len(registry))}
 }
 
 // Suggest returns the registered name (FullName or plain name, of an
