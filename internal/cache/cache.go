@@ -1,8 +1,14 @@
 // Package cache implements the on-chip cache substrate of the simulated CMP:
-// set-associative tag arrays with true-LRU replacement, per-core private L1
-// data caches with MSI invalidation state, and a shared, inclusive last-level
-// cache (LLC) that carries a sharer vector per line for directory-style
-// coherence.
+// per-core private L1 data caches with MSI invalidation state over a shared,
+// inclusive last-level cache (LLC) that carries a sharer vector per line for
+// directory-style coherence, both with true-LRU replacement.
+//
+// Each level's tag array holds only what that level reads. An L1 way is one
+// word — tag plus a 2-bit state (empty, coherence tombstone, Shared,
+// Modified) — so an 8-way set is 64 bytes, one host cache line. An LLC way
+// is 16 bytes: a biased tag with the dirty bit and Modified owner, and the
+// sharer vector. Both keep their ways in MRU-to-LRU order, so a hit usually
+// stops at way 0 and replacement needs no victim search.
 //
 // The package is purely functional/structural: it models *which* accesses
 // hit and *what* gets evicted or invalidated. Timing (latencies, bus and
@@ -10,6 +16,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -23,6 +30,18 @@ type Config struct {
 	// LineBytes is the cache-line size (power of two).
 	LineBytes int64
 }
+
+// minWayBytes is the smallest way (SizeBytes/Ways, i.e. Sets × LineBytes)
+// the packed tag arrays accept. A tag is the address bits above
+// log2(SizeBytes/Ways), so a way of at least 2^9 bytes leaves nine free
+// bits below every tag: the LLC's biased tag needs one, its dirty bit and
+// owner field the other eight (the L1's state needs two).
+const minWayBytes = 1 << (llcTagShift + 1)
+
+// ErrWayTooSmall rejects a geometry whose ways (SizeBytes/Ways) are smaller
+// than the 512 bytes the packed tag arrays need to hold every 64-bit
+// address's tag exactly.
+var ErrWayTooSmall = errors.New("cache: way (SizeBytes/Ways) smaller than 512 bytes")
 
 // Validate reports whether the geometry is internally consistent.
 func (c Config) Validate() error {
@@ -39,6 +58,9 @@ func (c Config) Validate() error {
 	sets := lines / int64(c.Ways)
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d not a power of two", sets)
+	}
+	if way := sets * c.LineBytes; way < minWayBytes {
+		return fmt.Errorf("%w: %+v has %d-byte ways", ErrWayTooSmall, c, way)
 	}
 	return nil
 }
@@ -63,175 +85,151 @@ func (c Config) Tag(addr uint64) uint64 {
 	return c.LineAddr(addr) / uint64(c.Sets())
 }
 
-// State is the MSI coherence state of a private-cache line.
-type State uint8
-
-// Private-cache line states.
-const (
-	Invalid State = iota
-	Shared
-	Modified
-)
-
-// Line is one tag-array entry. The fields beyond Tag/Valid are used only by
-// the cache level that needs them (coherence state in L1s, sharer vector in
-// the LLC); keeping one struct avoids a zoo of near-identical types. The
-// two 8-byte words lead so the struct packs into 24 bytes — set walks and
-// MRU shifts move 25% less memory than the naive 32-byte layout.
-type Line struct {
-	Tag uint64
-	// Sharers is a bit vector of cores holding the line in their L1
-	// (LLC directory). Limits the simulated machine to 64 cores.
-	Sharers uint64
-	Valid   bool
-	Dirty   bool
-	// State is the MSI state for private caches.
-	State State
-	// OwnerMod is the core holding the line Modified in its L1, or -1.
-	OwnerMod int8
-	// InsertedBy is the core whose miss installed the line (LLC only).
-	InsertedBy int8
-	// CoherenceInvalid marks an L1 tombstone: the line was invalidated by a
-	// coherence action (remote store) rather than replaced. A subsequent
-	// miss that matches the tombstone is a coherence miss. Per the paper
-	// (Section 4.5), the status bits are updated while the tag remains in
-	// the array, which is exactly what makes this classification possible.
-	CoherenceInvalid bool
-}
-
-// Array is a set-associative tag array with true-LRU replacement. Ways are
-// stored in MRU-to-LRU order within each set; with the small associativities
-// used here (<= 16 ways) the shift on promotion is cheaper and simpler than
-// per-line counters.
-//
-// The geometry is precomputed once at construction: because line size and
-// set count are powers of two (Config.Validate enforces both), the
-// per-access address decomposition is two shifts and a mask instead of the
-// int64 divisions Config's own methods pay. Every per-access operation runs
-// in a single pass over the set.
-type Array struct {
-	sets [][]Line
-
+// geometry is a tag array's address decomposition, precomputed once:
+// because line size and set count are powers of two (Config.Validate
+// enforces both), splitting an address is two shifts and a mask instead of
+// the int64 divisions Config's own methods pay.
+type geometry struct {
 	lineShift uint   // log2(LineBytes): lineAddr = addr >> lineShift
 	setBits   uint   // log2(Sets): tag = lineAddr >> setBits
 	setMask   uint64 // Sets-1: set = lineAddr & setMask
-
-	// full[set] records that the set holds no invalid ways, letting insert
-	// skip its victim scan: a full set always evicts the LRU way. Sets
-	// only lose lines through invalidate (which clears the flag), so in
-	// steady state — an LLC set is never invalidated — the scan runs once.
-	full []bool
+	assoc     int    // ways per set
 }
 
-// NewArray allocates a tag array for the given geometry. It panics on an
-// invalid configuration: geometry is static builder input, not runtime data.
-func NewArray(cfg Config) *Array {
+// newGeometry validates cfg and precomputes its decomposition. It panics on
+// an invalid configuration: geometry is static builder input, not runtime
+// data.
+func newGeometry(cfg Config) geometry {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := make([][]Line, cfg.Sets())
-	backing := make([]Line, cfg.Sets()*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-		for w := range sets[i] {
-			sets[i][w].OwnerMod = -1
-			sets[i][w].InsertedBy = -1
-		}
-	}
-	return &Array{
-		sets:      sets,
+	return geometry{
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 		setBits:   uint(bits.TrailingZeros64(uint64(cfg.Sets()))),
 		setMask:   uint64(cfg.Sets()) - 1,
-		full:      make([]bool, cfg.Sets()),
+		assoc:     cfg.Ways,
 	}
 }
 
-// Reset restores the array to its just-constructed state, reusing the
-// backing storage (machine pooling across simulation runs).
-func (a *Array) Reset() {
-	for _, s := range a.sets {
-		for w := range s {
-			s[w] = Line{OwnerMod: -1, InsertedBy: -1}
+// split returns the set and tag addr maps to (Config.SetIndex, Config.Tag).
+func (g geometry) split(addr uint64) (set int, tag uint64) {
+	line := addr >> g.lineShift
+	return int(line & g.setMask), line >> g.setBits
+}
+
+// join is split's inverse: the base byte address of (set, tag).
+func (g geometry) join(set int, tag uint64) uint64 {
+	return (tag<<g.setBits | uint64(set)) << g.lineShift
+}
+
+// An L1 way is one word: the tag shifted above a 2-bit state. Shared and
+// Modified both carry l1ValidBit; a Modified line is exactly a dirty one
+// (every L1 transition sets or clears both together), so no dirty bit is
+// kept. The zero word is an empty way.
+const (
+	l1Empty     uint64 = iota // no line and no tombstone
+	l1Tombstone               // invalidated by a remote store, tag kept
+	l1Shared
+	l1Modified
+
+	l1StateBits = 2
+	l1StateMask = 1<<l1StateBits - 1
+	l1ValidBit  = l1Shared // set in l1Shared and l1Modified only
+)
+
+// l1Array is one core's private L1 tag array: Sets × Ways words, each set's
+// ways in MRU-to-LRU order. A tombstone keeps its tag because the paper
+// (Section 4.5) updates the status bits while the tag stays in the array,
+// which is what lets a later miss on it classify as a coherence miss.
+type l1Array struct {
+	geometry
+	words []uint64
+
+	// full[set] records that the set holds no invalid ways, letting insert
+	// skip its victim scan: a full set always evicts the LRU way. Sets only
+	// lose lines through invalidate, which clears the flag.
+	full []bool
+}
+
+func newL1Array(cfg Config) l1Array {
+	g := newGeometry(cfg)
+	return l1Array{
+		geometry: g,
+		words:    make([]uint64, cfg.Sets()*cfg.Ways),
+		full:     make([]bool, cfg.Sets()),
+	}
+}
+
+// reset empties the array, reusing its storage.
+func (a *l1Array) reset() {
+	clear(a.words)
+	clear(a.full)
+}
+
+func (a *l1Array) setWords(set int) []uint64 {
+	base := set * a.assoc
+	return a.words[base : base+a.assoc : base+a.assoc]
+}
+
+// lookup walks (set, tag) once: on a hit the way is promoted to MRU and a
+// pointer to it (now way 0) returned; on a miss it reports whether the set
+// holds a coherence tombstone of the tag. A valid way and a tombstone never
+// share a tag within a set (insert consumes same-tag tombstones), so
+// stopping the walk at a hit cannot miss a tombstone that matters.
+func (a *l1Array) lookup(set int, tag uint64) (way *uint64, tombstone bool) {
+	s := a.setWords(set)
+	key := tag << l1StateBits
+	for w, word := range s {
+		if word&^l1StateMask != key {
+			continue
+		}
+		if word&l1ValidBit != 0 {
+			if w != 0 {
+				copy(s[1:w+1], s[:w])
+				s[0] = word
+			}
+			return &s[0], false
+		}
+		if word == key|l1Tombstone {
+			tombstone = true
 		}
 	}
-	for i := range a.full {
-		a.full[i] = false
-	}
+	return nil, tombstone
 }
 
-// SetIndex returns the set addr maps to (precomputed shift/mask fast path;
-// equals Config.SetIndex).
-func (a *Array) SetIndex(addr uint64) int {
-	return int((addr >> a.lineShift) & a.setMask)
-}
-
-// Tag returns addr's tag (precomputed shift fast path; equals Config.Tag).
-func (a *Array) Tag(addr uint64) uint64 {
-	return addr >> a.lineShift >> a.setBits
-}
-
-// lookup walks (set, tag) exactly once: on a hit the line is promoted to
-// MRU and a pointer to it (now at way 0) returned; on a miss it reports
-// whether the set holds a coherence tombstone of the tag. A valid line and
-// a tombstone never share a tag within a set (insert consumes and
-// defensively clears same-tag tombstones), so stopping the walk at a hit
-// cannot miss a tombstone that matters.
-func (a *Array) lookup(set int, tag uint64) (line *Line, hit, tombstone bool) {
-	s := a.sets[set]
-	for w := range s {
-		l := &s[w]
-		// Tag first: in the common mismatch case this is the only branch
-		// taken per way.
-		if l.Tag == tag {
-			if l.Valid {
-				if w != 0 {
-					moved := *l
-					copy(s[1:w+1], s[0:w])
-					s[0] = moved
-				}
-				return &s[0], true, false
-			}
-			if l.CoherenceInvalid {
-				tombstone = true
-			}
-		}
-	}
-	return nil, false, tombstone
-}
-
-// probeLine returns the valid line holding (set, tag) without touching
-// replacement state, or nil. Used by the paths that must not promote:
-// upgrade handling and L1-victim writeback into the LLC.
-func (a *Array) probeLine(set int, tag uint64) *Line {
-	s := a.sets[set]
-	for w := range s {
-		if s[w].Tag == tag && s[w].Valid {
+// probe returns the valid way holding (set, tag) without touching the LRU
+// order, or nil.
+func (a *l1Array) probe(set int, tag uint64) *uint64 {
+	s := a.setWords(set)
+	key := tag << l1StateBits
+	for w, word := range s {
+		if word&^l1StateMask == key && word&l1ValidBit != 0 {
 			return &s[w]
 		}
 	}
 	return nil
 }
 
-// insert installs (set, tag) as MRU, evicting the LRU entry of the set if
-// every way is valid, and returns a pointer to the installed line. Invalid
-// entries (including tombstones) are consumed first, preferring the
-// LRU-most invalid way; a tombstone of the same tag is always consumed, so
-// a stale coherence marker cannot survive the line's return.
-func (a *Array) insert(set int, tag uint64) (mru *Line, victim Line, evicted bool) {
-	s := a.sets[set]
+// insert installs (set, tag) as MRU in the given state and returns the way
+// it displaced, evicted when that way was valid. Invalid ways (tombstones
+// included) are consumed first, the LRU-most one preferred; a tombstone of
+// the same tag is always consumed, so a stale coherence marker cannot
+// survive the line's return.
+func (a *l1Array) insert(set int, tag, state uint64) (victim uint64, evicted bool) {
+	s := a.setWords(set)
+	key := tag << l1StateBits
 	way := len(s) - 1
 	consumed := false // the fill way is a tombstone of this tag
 	if !a.full[set] {
 		way = -1
 		invalids := 0
 		for w := len(s) - 1; w >= 0; w-- {
-			if !s[w].Valid {
+			if s[w]&l1ValidBit == 0 {
 				invalids++
 				if way < 0 {
 					way = w
 				}
-				if s[w].CoherenceInvalid && s[w].Tag == tag {
+				if s[w] == key|l1Tombstone {
 					way = w
 					consumed = true
 					break
@@ -250,59 +248,125 @@ func (a *Array) insert(set int, tag uint64) (mru *Line, victim Line, evicted boo
 		}
 	}
 	victim = s[way]
-	evicted = victim.Valid
-	// Shift everything down and install at MRU position.
-	copy(s[1:way+1], s[0:way])
-	s[0] = Line{
-		Tag:        tag,
-		Valid:      true,
-		OwnerMod:   -1,
-		InsertedBy: -1,
-	}
+	copy(s[1:way+1], s[:way])
+	s[0] = key | state
 	if consumed {
-		// The selection scan stopped at the consumed tombstone, so the
-		// more-MRU ways were not examined: defensively clear any stale
-		// tombstone of this tag. (When the scan completed without a
-		// break it examined every way and proved no such tombstone
-		// exists, so this pass is skipped.)
+		// The scan stopped at the consumed tombstone without examining the
+		// more-MRU ways: defensively clear any stale tombstone of this tag.
 		for w := 1; w < len(s); w++ {
-			if !s[w].Valid && s[w].CoherenceInvalid && s[w].Tag == tag {
-				s[w].CoherenceInvalid = false
-				s[w].Tag = 0
+			if s[w] == key|l1Tombstone {
+				s[w] = l1Empty
 			}
 		}
 	}
-	return &s[0], victim, evicted
+	return victim, victim&l1ValidBit != 0
 }
 
-// invalidate removes (set, tag) from the array if present. If coherence is
-// true the entry is kept as a tombstone (tag retained, valid bit cleared,
-// CoherenceInvalid set) so a later access can be classified as a coherence
-// miss; otherwise the entry is fully cleared. It returns the line's previous
-// contents and whether the line was present.
-func (a *Array) invalidate(set int, tag uint64, coherence bool) (old Line, present bool) {
-	l := a.probeLine(set, tag)
-	if l == nil {
-		return Line{}, false
+// invalidate removes (set, tag) from the array if present, leaving a
+// tombstone if coherence is true and an empty way otherwise. It returns the
+// way's previous word and whether the line was present.
+func (a *l1Array) invalidate(set int, tag uint64, coherence bool) (old uint64, present bool) {
+	w := a.probe(set, tag)
+	if w == nil {
+		return 0, false
 	}
 	a.full[set] = false
-	old = *l
-	l.Valid = false
-	l.Dirty = false
-	l.State = Invalid
-	l.Sharers = 0
-	l.OwnerMod = -1
+	old = *w
+	*w = l1Empty
 	if coherence {
-		l.CoherenceInvalid = true
-	} else {
-		l.Tag = 0
-		l.CoherenceInvalid = false
+		*w = tag<<l1StateBits | l1Tombstone
 	}
 	return old, true
 }
 
-// VictimAddr reconstructs the base byte address of a victim line evicted
-// from set.
-func (a *Array) VictimAddr(set int, v Line) uint64 {
-	return (v.Tag<<a.setBits | uint64(set)) << a.lineShift
+// victimAddr is the base byte address of the line word held in set.
+func (a *l1Array) victimAddr(set int, word uint64) uint64 {
+	return a.join(set, word>>l1StateBits)
+}
+
+// An LLC way's key word packs (tag+1) above the dirty bit and the Modified
+// owner as owner+1 (0: no owner; NewHierarchy caps cores at 64). The zero
+// key is an empty way, so no valid bit is needed, and ErrWayTooSmall's rule
+// keeps tag+1 below 2^55 so the shift never drops a bit.
+const (
+	llcOwnerMask        = 1<<7 - 1
+	llcDirty     uint64 = 1 << 7
+	llcTagShift         = 8
+)
+
+// llcWay is one 16-byte LLC way.
+type llcWay struct {
+	key uint64
+	// sharers is a bit vector of the cores holding the line in their L1
+	// (the directory). Limits the simulated machine to 64 cores.
+	sharers uint64
+}
+
+// owner returns the core holding the line Modified in its L1, or -1.
+func (l *llcWay) owner() int { return int(l.key&llcOwnerMask) - 1 }
+
+func (l *llcWay) setOwner(core int) { l.key = l.key&^llcOwnerMask | uint64(core+1) }
+
+// llcArray is the shared LLC's tag array: Sets × Ways ways, each set's ways
+// in MRU-to-LRU order. The LLC is never invalidated (only L1s are), so its
+// valid ways always form a prefix of the set and its empty ways sit at the
+// LRU tail: insert always takes the last way.
+type llcArray struct {
+	geometry
+	ways []llcWay
+}
+
+func newLLCArray(cfg Config) llcArray {
+	return llcArray{geometry: newGeometry(cfg), ways: make([]llcWay, cfg.Sets()*cfg.Ways)}
+}
+
+func (a *llcArray) setWays(set int) []llcWay {
+	base := set * a.assoc
+	return a.ways[base : base+a.assoc : base+a.assoc]
+}
+
+// lookup returns the way holding (set, tag) promoted to MRU, or nil.
+func (a *llcArray) lookup(set int, tag uint64) *llcWay {
+	s := a.setWays(set)
+	biased := tag + 1
+	for w := range s {
+		if s[w].key>>llcTagShift == biased {
+			if w != 0 {
+				hit := s[w]
+				copy(s[1:w+1], s[:w])
+				s[0] = hit
+			}
+			return &s[0]
+		}
+	}
+	return nil
+}
+
+// probe returns the way holding (set, tag) without touching the LRU order,
+// or nil.
+func (a *llcArray) probe(set int, tag uint64) *llcWay {
+	s := a.setWays(set)
+	biased := tag + 1
+	for w := range s {
+		if s[w].key>>llcTagShift == biased {
+			return &s[w]
+		}
+	}
+	return nil
+}
+
+// insert installs (set, tag) as MRU with no sharers, owner or dirt, and
+// returns it with the LRU way it displaced (key 0 when that way was empty).
+func (a *llcArray) insert(set int, tag uint64) (mru *llcWay, victim llcWay) {
+	s := a.setWays(set)
+	last := len(s) - 1
+	victim = s[last]
+	copy(s[1:], s[:last])
+	s[0] = llcWay{key: (tag + 1) << llcTagShift}
+	return &s[0], victim
+}
+
+// victimAddr is the base byte address of the line v held in set.
+func (a *llcArray) victimAddr(set int, v llcWay) uint64 {
+	return a.join(set, v.key>>llcTagShift-1)
 }

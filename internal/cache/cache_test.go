@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +28,19 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted: %+v", i, c)
 		}
 	}
+	// The packed arrays need 9 bits below every tag: 512-byte ways.
+	if err := (Config{SizeBytes: 1024, Ways: 2, LineBytes: 64}).Validate(); err != nil {
+		t.Errorf("512-byte ways rejected: %v", err)
+	}
+	for _, c := range []Config{
+		{SizeBytes: 512, Ways: 2, LineBytes: 64},  // 4 sets x 64 B
+		{SizeBytes: 4096, Ways: 16, LineBytes: 8}, // 32 sets x 8 B
+		{SizeBytes: 64, Ways: 64, LineBytes: 1},   // one set of 1-byte lines
+	} {
+		if err := c.Validate(); !errors.Is(err, ErrWayTooSmall) {
+			t.Errorf("%+v: %v, want ErrWayTooSmall", c, err)
+		}
+	}
 }
 
 func TestAddressMapping(t *testing.T) {
@@ -49,46 +63,57 @@ func TestAddressMapping(t *testing.T) {
 	if c.Tag(a1) == c.Tag(a2) {
 		t.Fatal("tags should differ")
 	}
-	// The array's shift/mask geometry against Config's division-based
-	// reference, on the test geometry and the paper machine's LLC.
+	// The arrays' shift/mask geometry against Config's division-based
+	// reference, on the test geometry and the paper machine's LLC, over the
+	// whole 64-bit address space; join must invert split.
 	for _, cfg := range []Config{c, {SizeBytes: 2 << 20, Ways: 16, LineBytes: 64}} {
-		a := NewArray(cfg)
+		g := newGeometry(cfg)
 		rng := trace.NewRNG(7)
 		for i := 0; i < 10000; i++ {
-			addr := rng.Uint64n(1 << 46)
-			if a.SetIndex(addr) != cfg.SetIndex(addr) || a.Tag(addr) != cfg.Tag(addr) {
+			addr := rng.Uint64()
+			set, tag := g.split(addr)
+			if set != cfg.SetIndex(addr) || tag != cfg.Tag(addr) {
 				t.Fatalf("%+v addr %#x: array maps to (%d, %#x), reference to (%d, %#x)", cfg, addr,
-					a.SetIndex(addr), a.Tag(addr), cfg.SetIndex(addr), cfg.Tag(addr))
+					set, tag, cfg.SetIndex(addr), cfg.Tag(addr))
+			}
+			if base := addr &^ uint64(cfg.LineBytes-1); g.join(set, tag) != base {
+				t.Fatalf("%+v: join(split(%#x)) = %#x, want %#x", cfg, addr, g.join(set, tag), base)
 			}
 		}
 	}
 }
 
-// The helpers below drive an Array by address through the entry points
-// Hierarchy.Access runs — lookup, insert, probeLine, invalidate — so the
-// array tests cover the production walks, not a parallel API.
+// The helpers below drive an L1 array by address through the entry points
+// Hierarchy.Access runs — lookup, insert, probe, invalidate — so the array
+// tests cover the production walks, not a parallel API.
 
-func lookupAddr(a *Array, addr uint64) (hit, tombstone bool) {
-	_, hit, tombstone = a.lookup(a.SetIndex(addr), a.Tag(addr))
-	return hit, tombstone
+func newL1(cfg Config) *l1Array {
+	a := newL1Array(cfg)
+	return &a
 }
 
-func insertAddr(a *Array, addr uint64) (victim Line, evicted bool) {
-	_, victim, evicted = a.insert(a.SetIndex(addr), a.Tag(addr))
-	return victim, evicted
+func lookupAddr(a *l1Array, addr uint64) (hit, tombstone bool) {
+	way, tombstone := a.lookup(a.split(addr))
+	return way != nil, tombstone
 }
 
-func presentAddr(a *Array, addr uint64) bool {
-	return a.probeLine(a.SetIndex(addr), a.Tag(addr)) != nil
+func insertAddr(a *l1Array, addr uint64) (victim uint64, evicted bool) {
+	set, tag := a.split(addr)
+	return a.insert(set, tag, l1Shared)
 }
 
-func invalidateAddr(a *Array, addr uint64, coherence bool) bool {
-	_, present := a.invalidate(a.SetIndex(addr), a.Tag(addr), coherence)
+func presentAddr(a *l1Array, addr uint64) bool {
+	return a.probe(a.split(addr)) != nil
+}
+
+func invalidateAddr(a *l1Array, addr uint64, coherence bool) bool {
+	set, tag := a.split(addr)
+	_, present := a.invalidate(set, tag, coherence)
 	return present
 }
 
 func TestArrayInsertProbeTouch(t *testing.T) {
-	a := NewArray(smallCfg())
+	a := newL1(smallCfg())
 	addr := uint64(0x1000)
 	if hit, _ := lookupAddr(a, addr); hit || presentAddr(a, addr) {
 		t.Fatal("empty array must miss")
@@ -102,7 +127,7 @@ func TestArrayInsertProbeTouch(t *testing.T) {
 }
 
 func TestArrayLRUEviction(t *testing.T) {
-	a := NewArray(smallCfg())
+	a := newL1(smallCfg())
 	set0 := func(i int) uint64 { return uint64(i) * 16 * 64 } // all map to set 0
 	for i := 0; i < 4; i++ {
 		insertAddr(a, set0(i))
@@ -119,7 +144,7 @@ func TestArrayLRUEviction(t *testing.T) {
 	if !evicted {
 		t.Fatal("full set must evict")
 	}
-	if vaddr := a.VictimAddr(0, victim); vaddr != set0(1) {
+	if vaddr := a.victimAddr(0, victim); vaddr != set0(1) {
 		t.Fatalf("evicted %#x, want LRU %#x", vaddr, set0(1))
 	}
 	if !presentAddr(a, set0(0)) {
@@ -128,7 +153,7 @@ func TestArrayLRUEviction(t *testing.T) {
 }
 
 func TestArrayInvalidateTombstone(t *testing.T) {
-	a := NewArray(smallCfg())
+	a := newL1(smallCfg())
 	addr := uint64(0x40)
 	insertAddr(a, addr)
 	if !invalidateAddr(a, addr, true) {
@@ -150,7 +175,7 @@ func TestArrayInvalidateTombstone(t *testing.T) {
 }
 
 func TestArrayInvalidateAbsent(t *testing.T) {
-	a := NewArray(smallCfg())
+	a := newL1(smallCfg())
 	if invalidateAddr(a, 0x123400, true) {
 		t.Fatal("invalidate of absent line reported present")
 	}
@@ -181,21 +206,32 @@ func (r *referenceLRU) access(addr uint64) bool {
 	return false
 }
 
+// TestArrayMatchesReferenceLRU holds both arrays' replacement, on their own,
+// to the reference's: the miss walk then the fill, as Hierarchy.Access runs
+// them.
 func TestArrayMatchesReferenceLRU(t *testing.T) {
 	cfg := smallCfg()
-	a := NewArray(cfg)
-	ref := &referenceLRU{cfg: cfg, sets: map[int][]uint64{}}
+	l1 := newL1(cfg)
+	llc := newLLCArray(cfg)
+	refL1 := &referenceLRU{cfg: cfg, sets: map[int][]uint64{}}
+	refLLC := &referenceLRU{cfg: cfg, sets: map[int][]uint64{}}
 	rng := trace.NewRNG(1234)
 	for i := 0; i < 50000; i++ {
 		addr := rng.Uint64n(4096*4) / 8 * 8
-		// The miss walk then the fill: what Hierarchy.Access does.
-		hit, _ := lookupAddr(a, addr)
+		hit, _ := lookupAddr(l1, addr)
 		if !hit {
-			insertAddr(a, addr)
+			insertAddr(l1, addr)
 		}
-		refHit := ref.access(addr)
-		if hit != refHit {
-			t.Fatalf("access %d (%#x): model hit=%v, reference hit=%v", i, addr, hit, refHit)
+		if refHit := refL1.access(addr); hit != refHit {
+			t.Fatalf("access %d (%#x): L1 hit=%v, reference hit=%v", i, addr, hit, refHit)
+		}
+		set, tag := llc.split(addr)
+		hit = llc.lookup(set, tag) != nil
+		if !hit {
+			llc.insert(set, tag)
+		}
+		if refHit := refLLC.access(addr); hit != refHit {
+			t.Fatalf("access %d (%#x): LLC hit=%v, reference hit=%v", i, addr, hit, refHit)
 		}
 	}
 }
@@ -249,36 +285,36 @@ func TestHierarchyWriteMissInvalidatesSharers(t *testing.T) {
 		t.Fatalf("invalidations = %d, want 2", out.InvalidationsSent)
 	}
 	for c := 0; c < 2; c++ {
-		if _, tombstone := lookupAddr(h.l1[c], addr); !tombstone {
+		if _, tombstone := lookupAddr(&h.l1[c], addr); !tombstone {
 			t.Fatalf("sharer %d lacks a coherence tombstone", c)
 		}
 	}
 }
 
 func TestHierarchyInclusiveEviction(t *testing.T) {
-	// Tiny LLC: 4 sets x 2 ways. Filling one LLC set evicts lines that must
-	// also vanish from the L1s (inclusion).
-	l1 := Config{SizeBytes: 1024, Ways: 2, LineBytes: 64} // 8 sets
-	llc := Config{SizeBytes: 512, Ways: 2, LineBytes: 64} // 4 sets
+	// Tiny LLC: 8 sets x 2 ways. Filling one LLC set evicts lines that must
+	// also vanish from the L1s (inclusion); the L1 alone would keep them.
+	l1 := Config{SizeBytes: 2048, Ways: 2, LineBytes: 64}  // 16 sets
+	llc := Config{SizeBytes: 1024, Ways: 2, LineBytes: 64} // 8 sets
 	h := NewHierarchy(1, l1, llc)
-	// Three addresses in the same LLC set (stride = sets*line = 256).
-	a0, a1, a2 := uint64(0), uint64(256), uint64(512)
+	// Three addresses in the same LLC set (stride = sets*line = 512).
+	a0, a1, a2 := uint64(0), uint64(512), uint64(1024)
 	h.Access(0, a0, false)
 	h.Access(0, a1, false)
 	out := h.Access(0, a2, false)
 	if !out.LLCVictimValid {
 		t.Fatalf("expected LLC eviction: %+v", out)
 	}
-	if presentAddr(h.l1[0], out.LLCVictimAddr) {
+	if presentAddr(&h.l1[0], out.LLCVictimAddr) {
 		t.Fatal("inclusion violated: victim still in L1")
 	}
 }
 
 func TestHierarchyDirtyVictimWriteback(t *testing.T) {
-	l1 := Config{SizeBytes: 1024, Ways: 2, LineBytes: 64}
-	llc := Config{SizeBytes: 512, Ways: 2, LineBytes: 64}
+	l1 := Config{SizeBytes: 2048, Ways: 2, LineBytes: 64}
+	llc := Config{SizeBytes: 1024, Ways: 2, LineBytes: 64}
 	h := NewHierarchy(1, l1, llc)
-	a0, a1, a2 := uint64(0), uint64(256), uint64(512)
+	a0, a1, a2 := uint64(0), uint64(512), uint64(1024)
 	h.Access(0, a0, true) // dirty in L1
 	h.Access(0, a1, false)
 	out := h.Access(0, a2, false)
@@ -337,15 +373,22 @@ func TestHierarchyPropertyNoGhostHits(t *testing.T) {
 }
 
 func TestVictimAddrRoundTrip(t *testing.T) {
-	a := NewArray(smallCfg())
-	addr := uint64(0x12340) &^ 63
-	insertAddr(a, addr)
-	set := a.SetIndex(addr)
-	line := a.probeLine(set, a.Tag(addr))
-	if line == nil {
-		t.Fatal("line missing")
-	}
-	if got := a.VictimAddr(set, *line); got != addr {
-		t.Fatalf("VictimAddr = %#x, want %#x", got, addr)
+	for _, addr := range []uint64{0x12340, 1<<63 | 0x12340, ^uint64(63)} {
+		addr &^= 63
+		a := newL1(smallCfg())
+		insertAddr(a, addr)
+		set, tag := a.split(addr)
+		way := a.probe(set, tag)
+		if way == nil {
+			t.Fatal("line missing")
+		}
+		if got := a.victimAddr(set, *way); got != addr {
+			t.Fatalf("L1 victimAddr = %#x, want %#x", got, addr)
+		}
+		llc := newLLCArray(smallCfg())
+		llc.insert(set, tag)
+		if got := llc.victimAddr(set, *llc.probe(set, tag)); got != addr {
+			t.Fatalf("LLC victimAddr = %#x, want %#x", got, addr)
+		}
 	}
 }

@@ -11,8 +11,8 @@ import "math/bits"
 // caller (internal/sim) based on the returned Outcome, which keeps the
 // protocol unit-testable without a timing model.
 type Hierarchy struct {
-	l1  []*Array
-	llc *Array
+	l1  []l1Array
+	llc llcArray
 
 	stats HierarchyStats
 }
@@ -81,11 +81,11 @@ func NewHierarchy(cores int, l1 Config, llc Config) *Hierarchy {
 		panic("cache: core count must be in [1,64] (sharer vector is 64-bit)")
 	}
 	h := &Hierarchy{
-		l1:  make([]*Array, cores),
-		llc: NewArray(llc),
+		l1:  make([]l1Array, cores),
+		llc: newLLCArray(llc),
 	}
 	for i := range h.l1 {
-		h.l1[i] = NewArray(l1)
+		h.l1[i] = newL1Array(l1)
 	}
 	h.stats = HierarchyStats{
 		L1Hits:          make([]uint64, cores),
@@ -106,10 +106,10 @@ func (h *Hierarchy) Stats() *HierarchyStats { return &h.stats }
 // Reset restores the hierarchy to its just-constructed state, reusing every
 // tag array and counter slice (machine pooling across simulation runs).
 func (h *Hierarchy) Reset() {
-	for _, a := range h.l1 {
-		a.Reset()
+	for i := range h.l1 {
+		h.l1[i].reset()
 	}
-	h.llc.Reset()
+	clear(h.llc.ways)
 	for _, s := range [][]uint64{
 		h.stats.L1Hits, h.stats.L1Misses, h.stats.LLCHits, h.stats.LLCMisses,
 		h.stats.CoherenceMisses, h.stats.Upgrades, h.stats.Invalidations,
@@ -126,33 +126,32 @@ func (h *Hierarchy) Reset() {
 // structural outcome. It updates L1 and LLC contents, replacement state,
 // sharer vectors and coherence tombstones.
 //
-// The address is decomposed exactly once per array geometry (all L1s share
-// one geometry, so one L1 set/tag pair serves every private cache), and
-// each set touched is walked in a single pass: lookup fuses probe, MRU
+// The address is split exactly once per array geometry (all L1s share one
+// geometry, so one L1 set/tag pair serves every private cache), and each
+// set touched is walked in a single pass: the L1 lookup fuses probe, MRU
 // promotion and tombstone classification; insert fuses victim selection
 // with the MRU install.
 func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
 	var out Outcome
-	l1 := h.l1[core]
-	llc := h.llc
-	l1Set, l1Tag := l1.SetIndex(addr), l1.Tag(addr)
-	llcSet, llcTag := llc.SetIndex(addr), llc.Tag(addr)
+	l1 := &h.l1[core]
+	llc := &h.llc
+	l1Set, l1Tag := l1.split(addr)
+	llcSet, llcTag := llc.split(addr)
 
-	line, hit, tombstone := l1.lookup(l1Set, l1Tag)
-	if hit {
+	way, tombstone := l1.lookup(l1Set, l1Tag)
+	if way != nil {
 		h.stats.L1Hits[core]++
 		out.L1Hit = true
-		if write && line.State == Shared {
+		if write && *way&l1StateMask == l1Shared {
 			// Upgrade: invalidate all other sharers via the directory.
 			out.Upgrade = true
 			h.stats.Upgrades[core]++
-			if lline := llc.probeLine(llcSet, llcTag); lline != nil {
-				out.InvalidationsSent = h.invalidateRemoteSharers(core, l1Set, l1Tag, lline)
-				lline.Sharers = 1 << uint(core)
-				lline.OwnerMod = int8(core)
+			if line := llc.probe(llcSet, llcTag); line != nil {
+				out.InvalidationsSent = h.invalidateRemoteSharers(core, l1Set, l1Tag, line)
+				line.sharers = 1 << uint(core)
+				line.setOwner(core)
 			}
-			line.State = Modified
-			line.Dirty = true
+			*way = *way&^l1StateMask | l1Modified
 		}
 		return out
 	}
@@ -164,36 +163,32 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
 		h.stats.CoherenceMisses[core]++
 	}
 
-	if line, llcHit, _ := llc.lookup(llcSet, llcTag); llcHit {
+	if line := llc.lookup(llcSet, llcTag); line != nil {
 		h.stats.LLCHits[core]++
 		out.LLCHit = true
-		if line.OwnerMod >= 0 && int(line.OwnerMod) != core {
+		if owner := line.owner(); owner >= 0 && owner != core {
 			// Remote Modified copy: forward and downgrade/invalidate it.
 			out.DirtyForward = true
 			h.stats.DirtyForwards[core]++
-			owner := int(line.OwnerMod)
 			if write {
 				if _, present := h.l1[owner].invalidate(l1Set, l1Tag, true); present {
 					h.stats.Invalidations[owner]++
 					out.InvalidationsSent++
 				}
-				line.Sharers &^= 1 << uint(owner)
-			} else {
+				line.sharers &^= 1 << uint(owner)
+			} else if ow := h.l1[owner].probe(l1Set, l1Tag); ow != nil {
 				// Downgrade owner M->S; its data is written back into LLC.
-				if ol := h.l1[owner].probeLine(l1Set, l1Tag); ol != nil {
-					ol.State = Shared
-					ol.Dirty = false
-				}
+				*ow = *ow&^l1StateMask | l1Shared
 			}
-			line.Dirty = true
-			line.OwnerMod = -1
+			line.key |= llcDirty
+			line.setOwner(-1)
 		}
 		if write {
 			out.InvalidationsSent += h.invalidateRemoteSharers(core, l1Set, l1Tag, line)
-			line.Sharers = 1 << uint(core)
-			line.OwnerMod = int8(core)
+			line.sharers = 1 << uint(core)
+			line.setOwner(core)
 		} else {
-			line.Sharers |= 1 << uint(core)
+			line.sharers |= 1 << uint(core)
 		}
 		h.fillL1(core, l1Set, l1Tag, write)
 		return out
@@ -201,33 +196,30 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
 
 	// LLC miss: fetch from memory, install in LLC then L1.
 	h.stats.LLCMisses[core]++
-	newLine, victim, evicted := llc.insert(llcSet, llcTag)
-	if evicted {
+	line, victim := llc.insert(llcSet, llcTag)
+	if victim.key != 0 {
 		out.LLCVictimValid = true
-		out.LLCVictimAddr = llc.VictimAddr(llcSet, victim)
+		out.LLCVictimAddr = llc.victimAddr(llcSet, victim)
 		// Inclusive LLC: purge the victim from every sharer's L1. These are
 		// capacity invalidations, not coherence, so no tombstone is left.
-		// All L1s share one geometry: decompose the victim address once,
-		// and iterate set bits instead of scanning every core.
-		vSet, vTag := l1.SetIndex(out.LLCVictimAddr), l1.Tag(out.LLCVictimAddr)
-		dirtyInL1 := false
-		for v := victim.Sharers; v != 0; v &= v - 1 {
+		// All L1s share one geometry: split the victim address once, and
+		// iterate set bits instead of scanning every core.
+		vSet, vTag := l1.split(out.LLCVictimAddr)
+		dirty := victim.key&llcDirty != 0 || victim.owner() >= 0
+		for v := victim.sharers; v != 0; v &= v - 1 {
 			c := bits.TrailingZeros64(v)
-			if old, present := h.l1[c].invalidate(vSet, vTag, false); present {
-				if old.State == Modified || old.Dirty {
-					dirtyInL1 = true
-				}
+			if old, present := h.l1[c].invalidate(vSet, vTag, false); present && old&l1StateMask == l1Modified {
+				dirty = true
 			}
 		}
-		if victim.Dirty || victim.OwnerMod >= 0 || dirtyInL1 {
+		if dirty {
 			out.LLCVictimDirty = true
 			h.stats.LLCWritebacks++
 		}
 	}
-	newLine.InsertedBy = int8(core)
-	newLine.Sharers = 1 << uint(core)
+	line.sharers = 1 << uint(core)
 	if write {
-		newLine.OwnerMod = int8(core)
+		line.setOwner(core)
 	}
 	h.fillL1(core, l1Set, l1Tag, write)
 	return out
@@ -235,11 +227,11 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
 
 // invalidateRemoteSharers invalidates the (set, tag) line in every L1 other
 // than core's, leaving coherence tombstones. All L1s share one geometry, so
-// the caller's decomposition serves every private cache. It returns the
-// number of invalidations.
-func (h *Hierarchy) invalidateRemoteSharers(core, set int, tag uint64, line *Line) int {
+// the caller's split serves every private cache. It returns the number of
+// invalidations.
+func (h *Hierarchy) invalidateRemoteSharers(core, set int, tag uint64, line *llcWay) int {
 	n := 0
-	for v := line.Sharers &^ (1 << uint(core)); v != 0; v &= v - 1 {
+	for v := line.sharers &^ (1 << uint(core)); v != 0; v &= v - 1 {
 		c := bits.TrailingZeros64(v)
 		if _, present := h.l1[c].invalidate(set, tag, true); present {
 			h.stats.Invalidations[c]++
@@ -253,25 +245,23 @@ func (h *Hierarchy) invalidateRemoteSharers(core, set int, tag uint64, line *Lin
 // state and handles the L1 victim (writeback into the LLC line, sharer-bit
 // cleanup).
 func (h *Hierarchy) fillL1(core, set int, tag uint64, write bool) {
-	l1 := h.l1[core]
-	line, victim, evicted := l1.insert(set, tag)
+	l1 := &h.l1[core]
+	state := l1Shared
 	if write {
-		line.State = Modified
-		line.Dirty = true
-	} else {
-		line.State = Shared
+		state = l1Modified
 	}
+	victim, evicted := l1.insert(set, tag, state)
 	if !evicted {
 		return
 	}
-	vaddr := l1.VictimAddr(set, victim)
-	if vline := h.llc.probeLine(h.llc.SetIndex(vaddr), h.llc.Tag(vaddr)); vline != nil {
-		vline.Sharers &^= 1 << uint(core)
-		if victim.State == Modified || victim.Dirty {
-			vline.Dirty = true
+	vaddr := l1.victimAddr(set, victim)
+	if vline := h.llc.probe(h.llc.split(vaddr)); vline != nil {
+		vline.sharers &^= 1 << uint(core)
+		if victim&l1StateMask == l1Modified {
+			vline.key |= llcDirty
 		}
-		if vline.OwnerMod == int8(core) {
-			vline.OwnerMod = -1
+		if vline.owner() == core {
+			vline.setOwner(-1)
 		}
 	}
 }

@@ -1,0 +1,116 @@
+package cache_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// randomStream draws n accesses over cores from a mix built to exercise
+// every protocol path on the given LLC geometry: a small hot pool every core
+// shares (coherence misses, upgrades, dirty forwards), lines crowding a few
+// LLC sets (LRU order, L1 and LLC evictions, inclusion purges), the same
+// crowd above 2^63, and the top of the address space, where tags are
+// widest.
+func randomStream(seed uint64, cores, n int, writeRatio float64, llc cache.Config) []cache.RefAccess {
+	rng := trace.NewRNG(seed)
+	line, sets := uint64(llc.LineBytes), uint64(llc.Sets())
+	crowd := func() uint64 {
+		return (uint64(rng.Intn(4)) + sets*uint64(rng.Intn(3*llc.Ways))) * line
+	}
+	out := make([]cache.RefAccess, n)
+	for i := range out {
+		var addr uint64
+		switch r := rng.Intn(8); {
+		case r < 3:
+			addr = uint64(rng.Intn(48)) * line
+		case r < 6:
+			addr = crowd()
+		case r < 7:
+			addr = 1<<63 | crowd()
+		default:
+			addr = ^uint64(0) - rng.Uint64n(3*uint64(llc.Ways)*sets*line)
+		}
+		out[i] = cache.RefAccess{
+			Core:  rng.Intn(cores),
+			Addr:  addr + rng.Uint64n(line),
+			Write: rng.Float64() < writeRatio,
+		}
+	}
+	return out
+}
+
+// recordedStream interleaves the loads and stores of a recorded op stream
+// round-robin, thread i on core i, up to max accesses.
+func recordedStream(f *trace.File, max int) []cache.RefAccess {
+	var out []cache.RefAccess
+	next := make([]int, len(f.Threads))
+	for progress := true; progress && len(out) < max; {
+		progress = false
+		for c, ops := range f.Threads {
+			for next[c] < len(ops) {
+				op := ops[next[c]]
+				next[c]++
+				if op.Kind == trace.KindLoad || op.Kind == trace.KindStore {
+					out = append(out, cache.RefAccess{Core: c, Addr: op.Addr, Write: op.Kind == trace.KindStore})
+					progress = true
+					break
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestHierarchyMatchesReference is the fence around the packed tag arrays:
+// Hierarchy.Access must agree, Outcome by Outcome and in its final
+// statistics, with the plain reference model in reference_test.go — on
+// seeded random streams over 1 to 16 cores, three geometries and three
+// write ratios, and on the recorded op streams of one analogue per workload
+// family.
+func TestHierarchyMatchesReference(t *testing.T) {
+	def := sim.Default()
+	tinyLLC := cache.Config{SizeBytes: 4096, Ways: 4, LineBytes: 64}
+	geometries := []struct {
+		name    string
+		l1, llc cache.Config
+	}{
+		{"tiny", cache.Config{SizeBytes: 1024, Ways: 2, LineBytes: 64}, tinyLLC},
+		{"default", def.L1, def.LLC},
+		{"l1_1way", cache.Config{SizeBytes: 512, Ways: 1, LineBytes: 64}, tinyLLC},
+	}
+	seed := uint64(1)
+	for _, g := range geometries {
+		for _, cores := range []int{1, 2, 5, 16} {
+			for _, wr := range []float64{0, 0.3, 1} {
+				seed++
+				stream := randomStream(seed, cores, 20_000, wr, g.llc)
+				t.Run(fmt.Sprintf("%s/%dc/w%.1f", g.name, cores, wr), func(t *testing.T) {
+					cache.ReplayAgainstReference(t, cores, g.l1, g.llc, stream)
+				})
+			}
+		}
+	}
+
+	const threads = 4
+	for _, name := range []string{"fft_splash2", "cholesky_splash2", "dedup_parsec_small"} {
+		b, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("no analogue %s", name)
+		}
+		f, _, err := workload.Record(def, b.Spec, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := recordedStream(f, 300_000)
+		for _, g := range geometries[:2] {
+			t.Run(fmt.Sprintf("%s/%s", name, g.name), func(t *testing.T) {
+				cache.ReplayAgainstReference(t, threads, g.l1, g.llc, stream)
+			})
+		}
+	}
+}

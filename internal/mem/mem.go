@@ -194,7 +194,7 @@ func NewController(cfg Config, cores int) *Controller {
 	}
 	c.oras = make([]*ORA, cores)
 	for i := range c.oras {
-		c.oras[i] = NewORA(cfg.ORAEntries)
+		c.oras[i] = NewORA(cfg.ORAEntries, cfg.Banks)
 	}
 	return c
 }
@@ -313,59 +313,68 @@ func (c *Controller) Writeback(now uint64, core int, addr uint64) {
 	c.busLastOwner = core
 }
 
-// ORA is the per-core Open Row Array: a small fully-associative LRU table of
-// (bank, row) pairs this core opened, used to attribute row-buffer conflicts
-// to other cores. Capacity is the hardware budget knob; the paper's cost
-// model assumes a handful of entries per core.
+// ORA is the per-core Open Row Array: a small LRU table of the rows this
+// core opened, used to attribute row-buffer conflicts to other cores. It
+// holds at most one row per bank (the most recent one this core opened
+// there), so it is stored per bank: Contains is one load and a compare, and
+// Record is O(1) except when a new bank arrives at a full ORA, which scans
+// for the least recently recorded bank to evict. Capacity is the hardware
+// budget knob; the paper's cost model assumes a handful of entries per core,
+// and the default (8 entries over 8 banks) never evicts.
 type ORA struct {
-	entries []oraEntry
+	slots    []oraSlot // indexed by bank
+	clock    uint64    // Records so far
+	held     int       // slots holding a row
+	capacity int
 }
 
-type oraEntry struct {
-	bank  int
-	row   uint64
-	valid bool
+type oraSlot struct {
+	row uint64
+	// stamp is the clock at the bank's latest Record; 0 means the ORA holds
+	// no row for the bank.
+	stamp uint64
 }
 
-// NewORA returns an ORA with n entries.
-func NewORA(n int) *ORA {
-	return &ORA{entries: make([]oraEntry, n)}
+// NewORA returns an ORA with capacity entries over banks banks.
+func NewORA(capacity, banks int) *ORA {
+	return &ORA{slots: make([]oraSlot, banks), capacity: capacity}
 }
 
-// Reset empties the ORA, reusing its entry storage.
+// Reset empties the ORA, reusing its storage.
 func (o *ORA) Reset() {
-	for i := range o.entries {
-		o.entries[i] = oraEntry{}
-	}
+	clear(o.slots)
+	o.clock, o.held = 0, 0
 }
 
-// Record notes that this core opened row in bank, promoting it to MRU.
+// Record notes that this core opened row in bank, making it the most
+// recently used entry.
 func (o *ORA) Record(bank int, row uint64) {
-	idx := len(o.entries) - 1
-	for i := range o.entries {
-		e := &o.entries[i]
-		if e.valid && e.bank == bank {
-			// One entry per bank: the most recent row opened in that bank.
-			idx = i
-			break
-		}
-		if !e.valid {
-			idx = i
-			break
+	o.clock++
+	s := &o.slots[bank]
+	if s.stamp == 0 {
+		if o.held < o.capacity {
+			o.held++
+		} else {
+			o.evictLRU()
 		}
 	}
-	copy(o.entries[1:idx+1], o.entries[0:idx])
-	o.entries[0] = oraEntry{bank: bank, row: row, valid: true}
+	s.row, s.stamp = row, o.clock
+}
+
+// evictLRU drops the held bank recorded least recently.
+func (o *ORA) evictLRU() {
+	lru := -1
+	for b, s := range o.slots {
+		if s.stamp != 0 && (lru < 0 || s.stamp < o.slots[lru].stamp) {
+			lru = b
+		}
+	}
+	o.slots[lru].stamp = 0
 }
 
 // Contains reports whether the ORA believes this core opened row in bank
 // most recently.
 func (o *ORA) Contains(bank int, row uint64) bool {
-	for i := range o.entries {
-		e := &o.entries[i]
-		if e.valid && e.bank == bank {
-			return e.row == row
-		}
-	}
-	return false
+	s := &o.slots[bank]
+	return s.stamp != 0 && s.row == row
 }

@@ -177,7 +177,7 @@ func TestInterferenceHelpers(t *testing.T) {
 }
 
 func TestORAReplacement(t *testing.T) {
-	o := NewORA(2)
+	o := NewORA(2, 3)
 	o.Record(0, 100)
 	o.Record(1, 200)
 	if !o.Contains(0, 100) || !o.Contains(1, 200) {
@@ -273,6 +273,70 @@ func TestControllerDecompositionMatchesConfig(t *testing.T) {
 		tc.mutate(&bad)
 		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("non-power-of-two %s: %v", tc.field, err)
+		}
+	}
+}
+
+// refORA is the Open Row Array as a fully-associative MRU-to-LRU list of
+// (bank, row) entries — the representation the per-bank ORA replaced, kept
+// as TestORAMatchesReference's reference.
+type refORA struct {
+	entries []refORAEntry
+}
+
+type refORAEntry struct {
+	bank  int
+	row   uint64
+	valid bool
+}
+
+// record notes that row was opened in bank: the bank's entry (or the first
+// free one, or the LRU one) moves to MRU holding row.
+func (o *refORA) record(bank int, row uint64) {
+	idx := len(o.entries) - 1
+	for i, e := range o.entries {
+		if !e.valid || e.bank == bank {
+			idx = i
+			break
+		}
+	}
+	copy(o.entries[1:idx+1], o.entries[:idx])
+	o.entries[0] = refORAEntry{bank: bank, row: row, valid: true}
+}
+
+func (o *refORA) contains(bank int, row uint64) bool {
+	for _, e := range o.entries {
+		if e.valid && e.bank == bank {
+			return e.row == row
+		}
+	}
+	return false
+}
+
+// TestORAMatchesReference replays 10k seeded records and probes through the
+// controller's ORA and the MRU-list reference at capacities below, at and
+// above the bank count, and on a two-bank controller, demanding the same
+// answer to every probe.
+func TestORAMatchesReference(t *testing.T) {
+	for _, tc := range []struct{ banks, entries int }{
+		{8, 1}, {8, 3}, {8, 8}, {8, 12}, {2, 1}, {2, 3},
+	} {
+		cfg := testCfg()
+		cfg.Banks, cfg.ORAEntries = tc.banks, tc.entries
+		o := NewController(cfg, 1).oras[0]
+		ref := &refORA{entries: make([]refORAEntry, tc.entries)}
+		rng := rand.New(rand.NewSource(int64(tc.banks*100 + tc.entries)))
+		for i := 0; i < 10_000; i++ {
+			bank, row := rng.Intn(tc.banks), uint64(rng.Intn(4))
+			if rng.Intn(2) == 0 {
+				o.Record(bank, row)
+				ref.record(bank, row)
+				continue
+			}
+			if got, want := o.Contains(bank, row), ref.contains(bank, row); got != want {
+				t.Fatalf("%d banks, %d entries, step %d: Contains(%d, %d) = %v, reference %v",
+					tc.banks, tc.entries, i, bank, row, got, want)
+			}
 		}
 	}
 }

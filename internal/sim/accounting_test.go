@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -164,6 +165,26 @@ func TestInvalidConfigRejected(t *testing.T) {
 	cfg = sim.Default()
 	if _, err := sim.Run(cfg, nil); err == nil {
 		t.Fatal("no programs accepted")
+	}
+}
+
+// TestLineSizesMustMatch: the inclusive hierarchy maps victims between L1
+// and LLC through one line address, so Validate rejects a machine whose
+// L1, LLC and memory line sizes differ, naming the fields.
+func TestLineSizesMustMatch(t *testing.T) {
+	if err := sim.Default().Validate(); err != nil {
+		t.Fatalf("default machine rejected: %v", err)
+	}
+	cfg := sim.Default()
+	cfg.L1.LineBytes = 32
+	err := cfg.Validate()
+	if err == nil {
+		t.Fatal("32/64/64-byte L1/LLC/memory lines accepted")
+	}
+	for _, field := range []string{"L1.LineBytes", "LLC.LineBytes", "Mem.LineBytes"} {
+		if !strings.Contains(err.Error(), field) {
+			t.Errorf("error %q does not name %s", err, field)
+		}
 	}
 }
 

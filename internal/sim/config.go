@@ -108,6 +108,13 @@ func (c Config) Validate() error {
 	if err := c.Mem.Validate(); err != nil {
 		return err
 	}
+	// The inclusive hierarchy derives an L1 victim's LLC line, and an LLC
+	// victim's L1 lines, from one address: mismatched line sizes would break
+	// inclusion silently.
+	if c.L1.LineBytes != c.LLC.LineBytes || c.LLC.LineBytes != c.Mem.LineBytes {
+		return fmt.Errorf("sim: L1.LineBytes %d, LLC.LineBytes %d and Mem.LineBytes %d must be equal",
+			c.L1.LineBytes, c.LLC.LineBytes, c.Mem.LineBytes)
+	}
 	if err := c.Spin.Validate(); err != nil {
 		return err
 	}
