@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	speedupd [-addr :8080] [-workers N] [-cache CELLS] [-sim-timeout 2m]
+//	speedupd [-addr :8080] [-workers N] [-cache CELLS] [-sim-timeout D]
 //	         [-drain 10s] [-pprof]
 //	         [-max-inflight N] [-rate-limit RPS] [-rate-burst N]
 //	         [-self URL -peers URL,URL,...] [-fleet-cache N]
@@ -65,8 +65,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", runtime.NumCPU(), "max concurrent simulations")
-	cache := flag.Int("cache", 4096, "LRU result cache size in cells (-1 = unbounded)")
-	simTimeout := flag.Duration("sim-timeout", 2*time.Minute, "per-request simulation budget (-1s = none)")
+	cache := flag.Int("cache", 0, "LRU result cache size in cells (0 = default 4096, -1 = unbounded)")
+	simTimeout := flag.Duration("sim-timeout", 0, "per-request simulation budget (0 = default 2m, -1s = none)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profile a slow sweep live)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently admitted simulating requests (0 = unbounded; excess sheds 429)")
@@ -128,8 +128,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	log.Printf("speedupd: listening on %s (%d workers, cache %d cells, pprof %v)",
-		l.Addr(), *workers, *cache, *pprofOn)
+	log.Printf("speedupd: listening on %s (%d workers, cell cache bound %d (0 = unbounded), pprof %v)",
+		l.Addr(), *workers, srv.Engine().Stats().CellMemoLimit, *pprofOn)
 	if err := service.Serve(ctx, l, handler, *drain); err != nil {
 		log.Fatalf("speedupd: %v", err)
 	}

@@ -30,23 +30,6 @@ type HierarchyStats struct {
 	LLCWritebacks   uint64   // dirty LLC victims written to memory
 }
 
-// Clone returns a deep copy of the statistics: the per-core slices are
-// copied, not aliased. Results that outlive the hierarchy must clone —
-// machines are pooled across runs, so the live counters are reset and
-// reused after the run that produced them.
-func (s HierarchyStats) Clone() HierarchyStats {
-	c := s
-	c.L1Hits = append([]uint64(nil), s.L1Hits...)
-	c.L1Misses = append([]uint64(nil), s.L1Misses...)
-	c.LLCHits = append([]uint64(nil), s.LLCHits...)
-	c.LLCMisses = append([]uint64(nil), s.LLCMisses...)
-	c.CoherenceMisses = append([]uint64(nil), s.CoherenceMisses...)
-	c.Upgrades = append([]uint64(nil), s.Upgrades...)
-	c.Invalidations = append([]uint64(nil), s.Invalidations...)
-	c.DirtyForwards = append([]uint64(nil), s.DirtyForwards...)
-	return c
-}
-
 // Outcome describes what one access did to the hierarchy.
 type Outcome struct {
 	// L1Hit is true when the access hit in the local L1 (no LLC involvement

@@ -25,10 +25,8 @@ package core
 // omniscient view and feed OracleComponents only; the estimator never
 // reads them.
 type ThreadCounters struct {
-	// Instrs is the number of dynamically executed instructions.
-	Instrs uint64
-	// OverheadInstrs is the subset of Instrs injected by parallelization
-	// (ground truth; invisible to the accounting hardware).
+	// OverheadInstrs counts the executed instructions injected by
+	// parallelization (ground truth; invisible to the accounting hardware).
 	OverheadInstrs uint64
 	// FinishTime is the cycle at which the thread completed its work.
 	FinishTime uint64
@@ -146,11 +144,6 @@ func (s Stack) Base() float64 {
 	return float64(s.N) - s.Components.OverheadTotal()/float64(s.Tp)
 }
 
-// ComponentSpeedup converts a cycle-valued component to speedup units.
-func (s Stack) ComponentSpeedup(cycles float64) float64 {
-	return cycles / float64(s.Tp)
-}
-
 // Error returns the validation error of Formula (6): (Ŝ − S)/N. It panics
 // when no actual speedup was recorded.
 func (s Stack) Error() float64 {
@@ -158,33 +151,6 @@ func (s Stack) Error() float64 {
 		panic("core: Stack.Error without recorded actual speedup")
 	}
 	return (s.Estimated() - s.ActualSpeedup) / float64(s.N)
-}
-
-// ComponentValue pairs a component name with its magnitude in speedup units.
-type ComponentValue struct {
-	Name  string
-	Value float64
-}
-
-// NamedComponents returns the stack's overhead components in speedup units,
-// using the paper's naming. Positive interference is not included (it is
-// not an overhead term); use ComponentSpeedup(Components.PosLLC) for it.
-func (s Stack) NamedComponents() []ComponentValue {
-	tp := float64(s.Tp)
-	out := []ComponentValue{
-		{Name: "net negative LLC interference", Value: s.Components.Net() / tp},
-		{Name: "negative memory interference", Value: s.Components.NegMem / tp},
-		{Name: "spinning", Value: s.Components.Spin / tp},
-		{Name: "yielding", Value: s.Components.Yield / tp},
-		{Name: "imbalance", Value: s.Components.Imbalance / tp},
-	}
-	if s.Components.Coherence > 0 {
-		out = append(out, ComponentValue{Name: "cache coherency", Value: s.Components.Coherence / tp})
-	}
-	if s.Components.ParallelOverhead > 0 {
-		out = append(out, ComponentValue{Name: "parallelization overhead", Value: s.Components.ParallelOverhead / tp})
-	}
-	return out
 }
 
 // observedComponents sums the terms the accounting hardware and the ground

@@ -181,25 +181,6 @@ func TestSamplingFactorFallback(t *testing.T) {
 	}
 }
 
-func TestNamedComponents(t *testing.T) {
-	s := Stack{N: 16, Tp: 1000, Components: Components{
-		NegLLC: 100, PosLLC: 40, NegMem: 50, Spin: 30, Yield: 20, Imbalance: 10,
-	}}
-	named := s.NamedComponents()
-	if len(named) != 5 {
-		t.Fatalf("components = %d, want 5", len(named))
-	}
-	if named[0].Name != "net negative LLC interference" || named[0].Value != 0.06 {
-		t.Fatalf("net component wrong: %+v", named[0])
-	}
-	// Hidden terms appear only when non-zero.
-	s.Components.Coherence = 5
-	s.Components.ParallelOverhead = 7
-	if len(s.NamedComponents()) != 7 {
-		t.Fatal("hidden components not appended")
-	}
-}
-
 func TestHardwareCostMatchesPaper(t *testing.T) {
 	b := Cost(PaperCostParams())
 	// The line items: 16 sampled sets x 16 ways x 26 bits of ATD, an
@@ -219,12 +200,5 @@ func TestHardwareCostMatchesPaper(t *testing.T) {
 	total := b.TotalBytes(16)
 	if total < 18_000 || total > 19_000 {
 		t.Fatalf("16-core total = %d B, want ~18 KB", total)
-	}
-}
-
-func TestComponentSpeedupConversion(t *testing.T) {
-	s := Stack{N: 8, Tp: 2000}
-	if got := s.ComponentSpeedup(500); got != 0.25 {
-		t.Fatalf("speedup units = %v", got)
 	}
 }

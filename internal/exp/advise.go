@@ -62,7 +62,7 @@ func (e *Engine) Advise(ctx context.Context, req Request, maxThreads int) (scali
 		points[i] = scaling.Point{Threads: o.Threads, Speedup: o.Actual}
 	}
 	top := outs[len(outs)-1]
-	a, err := scaling.Build(b.FullName(), &b.Spec, points, &top.Stack)
+	a, err := scaling.Build(b.FullName(), b.Spec, points, top.Stack)
 	if err != nil {
 		return scaling.Advice{}, err
 	}

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -73,11 +72,6 @@ func TestGroundTruthIsSampleShiftZero(t *testing.T) {
 		if s.Ts != g.Ts || s.Tp != g.Tp || s.Result.TotalOps != g.Result.TotalOps {
 			t.Errorf("%s x%d: timing depends on the sample shift: Ts %d/%d Tp %d/%d ops %d/%d",
 				name, c.Threads, s.Ts, g.Ts, s.Tp, g.Tp, s.Result.TotalOps, g.Result.TotalOps)
-		}
-		if !reflect.DeepEqual(s.Result.SchedStats, g.Result.SchedStats) ||
-			!reflect.DeepEqual(s.Result.CacheStats, g.Result.CacheStats) ||
-			s.Result.MemStats != g.Result.MemStats {
-			t.Errorf("%s x%d: substrate statistics depend on the sample shift", name, c.Threads)
 		}
 		for tid := range g.Result.PerThread {
 			st, gt := s.Result.PerThread[tid], g.Result.PerThread[tid]

@@ -103,7 +103,7 @@ func (e *Engine) runIntervals(ctx context.Context, ik intervalKey, b workload.Be
 			b.FullName(), ik.threads, res.Tp, agg.Tp, res.TotalOps, agg.Result.TotalOps)
 	}
 	series, err := stack.NewTimeSeries(b.FullName(), res.Stack(agg.Ts),
-		res.PerThread, res.Intervals, res.IntervalEvery)
+		res.PerThread, res.Intervals, period)
 	if err != nil {
 		return IntervalOutcome{}, err
 	}

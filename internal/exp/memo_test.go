@@ -72,6 +72,29 @@ func TestCellMemoLimitEviction(t *testing.T) {
 	}
 }
 
+// TestImpossibleRunShapeSimulatesNothing: a cell whose run shape the
+// simulator cannot build fails in Cell.Resolve, before the engine spends a
+// sequential reference on it.
+func TestImpossibleRunShapeSimulatesNothing(t *testing.T) {
+	h := newCountingHook()
+	e := NewEngine(sim.Default(), WithWorkers(2), WithRunHook(h.hook))
+	for _, c := range []Cell{
+		{Bench: "cholesky", Threads: 65},
+		{Bench: "cholesky", Threads: 4, Cores: -1},
+		{Bench: "cholesky", Threads: 4, Cores: 65},
+		{Bench: "cholesky", Threads: 257, Cores: 64},
+	} {
+		if _, err := e.Sweep(context.Background(), []Cell{c}); err == nil {
+			t.Errorf("%d threads on %d cores: accepted", c.Threads, c.Cores)
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.runs) != 0 {
+		t.Errorf("impossible run shapes simulated: %v", h.runs)
+	}
+}
+
 // testSpec returns a small custom data-parallel spec under the given name.
 // The behavioural fields are fixed, so any two calls produce
 // fingerprint-identical workloads regardless of naming.

@@ -79,15 +79,24 @@ type seqKey struct {
 	fp  workload.Fingerprint
 }
 
-// Resolve validates the cell — a positive thread count, then a consistent
-// inline Spec or a registered Bench (failing with the nearest-name
-// suggestion) — and returns the workload it names, an inline Spec in its
-// canonical form. It is the one validation behind every engine entry point
-// and the root package's Request, so the same bad input reads the same at
-// every door.
+// Resolve validates the cell — its run shape, then a consistent inline Spec
+// or a registered Bench (failing with the nearest-name suggestion) — and
+// returns the workload it names, an inline Spec in its canonical form. It
+// is the one validation behind every engine entry point, the root package's
+// Request and the service's cells, so the same bad input reads the same at
+// every door and fails before any simulation.
 func (c Cell) Resolve() (workload.Benchmark, error) {
-	if c.Threads <= 0 {
-		return workload.Benchmark{}, fmt.Errorf("non-positive thread count %d", c.Threads)
+	if c.Threads < 1 || c.Threads > 256 {
+		return workload.Benchmark{}, fmt.Errorf("threads must be in [1,256], got %d", c.Threads)
+	}
+	// 64 cores is the simulator's limit (sim.Config.Validate). Cores
+	// defaults to threads (the paper's pairing), so a bare thread count must
+	// itself fit it.
+	if c.Cores < 0 || c.Cores > 64 {
+		return workload.Benchmark{}, fmt.Errorf("cores must be in [0,64], got %d", c.Cores)
+	}
+	if c.Cores == 0 && c.Threads > 64 {
+		return workload.Benchmark{}, fmt.Errorf("threads %d exceeds the simulator's 64-core limit; pass an explicit cores", c.Threads)
 	}
 	if c.Spec != nil {
 		s := *c.Spec
@@ -267,11 +276,11 @@ func (e *Engine) SweepConfig(ctx context.Context, cfg sim.Config, cells []Cell) 
 // registered name's fingerprint comes from the workload name index, computed
 // once per process; only an inline spec is hashed, once, here.
 func (e *Engine) resolve(req Request) (workload.Benchmark, cellKey, error) {
-	cell := req.Cell.normalize()
-	b, err := cell.Resolve()
+	b, err := req.Cell.Resolve()
 	if err != nil {
 		return workload.Benchmark{}, cellKey{}, err
 	}
+	cell := req.Cell.normalize()
 	k := cellKey{cfg: e.base, threads: cell.Threads, cores: cell.Cores}
 	if req.Config != nil {
 		k.cfg = *req.Config

@@ -351,11 +351,11 @@ func SigmaFromStack(st core.Stack) float64 {
 	return clamp01(s / ((1 - s) * float64(st.N-1)))
 }
 
-// Build assembles the full advisor answer for one measured sweep. spec and
-// st are optional: without a spec there are no spec-field recommendations,
-// and without a stack (the speedup stack at the top of the sweep) there is
-// no serial-fraction cross-check. Points must be ascending by thread count.
-func Build(label string, spec *workload.Spec, points []Point, st *core.Stack) (Advice, error) {
+// Build assembles the full advisor answer for one measured sweep of spec:
+// the fits over points, which must be ascending by thread count, and, from
+// st, the speedup stack at the top of the sweep, the serial-fraction
+// cross-check and the ranked spec-field recommendations.
+func Build(label string, spec workload.Spec, points []Point, st core.Stack) (Advice, error) {
 	amdahl, err := FitAmdahl(points)
 	if err != nil {
 		return Advice{}, err
@@ -375,14 +375,12 @@ func Build(label string, spec *workload.Spec, points []Point, st *core.Stack) (A
 		Class:       class,
 		PeakSpeedup: peak.Speedup,
 		PeakThreads: peak.Threads,
+		SigmaStack:  SigmaFromStack(st),
 	}
-	if st != nil {
-		a.SigmaStack = SigmaFromStack(*st)
-		a.SigmaAgrees = math.Abs(a.SigmaStack-amdahl.Sigma) <= SigmaAgreementBound
-		a.Recommendations = recommend(spec, *st, usl)
-		if len(a.Recommendations) > 0 {
-			a.Bottleneck = a.Recommendations[0].Component
-		}
+	a.SigmaAgrees = math.Abs(a.SigmaStack-amdahl.Sigma) <= SigmaAgreementBound
+	a.Recommendations = recommend(&spec, st, usl)
+	if len(a.Recommendations) > 0 {
+		a.Bottleneck = a.Recommendations[0].Component
 	}
 	return a, nil
 }
@@ -404,12 +402,8 @@ func recommend(spec *workload.Spec, st core.Stack, usl Fit) []Recommendation {
 }
 
 // recommendOne maps one dominant component onto the spec field most directly
-// responsible for it, given the workload's structure. A nil spec yields
-// generic (fieldless) advice.
+// responsible for it, given the workload's structure.
 func recommendOne(spec *workload.Spec, component string, usl Fit) Recommendation {
-	if spec == nil {
-		return genericRecommendation(component, usl)
-	}
 	switch component {
 	case stack.CompSpinning:
 		switch {
@@ -508,29 +502,7 @@ func recommendOne(spec *workload.Spec, component string, usl Fit) Recommendation
 				spec.ArrayBytes, spec.SharedBytes),
 		}
 	}
-	return genericRecommendation(component, usl)
-}
-
-// genericRecommendation is the spec-free fallback, still component-specific.
-func genericRecommendation(component string, usl Fit) Recommendation {
-	switch component {
-	case stack.CompSpinning:
-		return Recommendation{Action: "reduce lock contention",
-			Detail: fmt.Sprintf("spinning dominates and fitted contention κ=%.2g; shrink critical sections or shard the contended lock", usl.Kappa)}
-	case stack.CompYielding:
-		return Recommendation{Action: "remove serialization",
-			Detail: fmt.Sprintf("threads park on synchronization (fitted serial fraction σ=%.3f); break up the serial section", usl.Sigma)}
-	case stack.CompImbalance:
-		return Recommendation{Action: "balance per-thread work",
-			Detail: "the slowest thread finishes last while the rest idle"}
-	case stack.CompMemory:
-		return Recommendation{Action: "reduce memory-subsystem pressure",
-			Detail: "cross-thread bank and bus interference dominates; lower the access rate or improve locality"}
-	case stack.CompCache:
-		return Recommendation{Action: "shrink the shared-cache footprint",
-			Detail: "inter-thread LLC evictions dominate; reduce the working set or add reuse"}
-	}
-	return Recommendation{Action: "profile further", Detail: "no structural cause identified"}
+	panic("scaling: stack.Ranked yielded unknown component " + component)
 }
 
 // heaviestSerialStage returns the index and normalized weight of the

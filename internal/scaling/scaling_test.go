@@ -49,9 +49,6 @@ func TestFitTooFewPoints(t *testing.T) {
 		if _, err := FitUSL(pts); err == nil {
 			t.Errorf("case %d: FitUSL accepted %v", i, pts)
 		}
-		if _, err := Build("x", nil, pts, nil); err == nil {
-			t.Errorf("case %d: Build accepted %v", i, pts)
-		}
 	}
 }
 
@@ -59,23 +56,27 @@ func TestFitTooFewPoints(t *testing.T) {
 // no division blowup, an unbounded N* (encoded as 0), and classify linear.
 func TestFitPerfectlyLinear(t *testing.T) {
 	pts := amdahlPoints(0, 1, 2, 4, 8, 16)
-	a, err := Build("ideal", nil, pts, nil)
+	amdahl, err := FitAmdahl(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Amdahl.Sigma != 0 || a.USL.Sigma != 0 || a.USL.Kappa != 0 {
-		t.Errorf("ideal data fit sigma=%v/%v kappa=%v, want zeros", a.Amdahl.Sigma, a.USL.Sigma, a.USL.Kappa)
+	usl, err := FitUSL(pts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.NStar != 0 {
-		t.Errorf("NStar = %v, want 0 (unbounded)", a.NStar)
+	if amdahl.Sigma != 0 || usl.Sigma != 0 || usl.Kappa != 0 {
+		t.Errorf("ideal data fit sigma=%v/%v kappa=%v, want zeros", amdahl.Sigma, usl.Sigma, usl.Kappa)
 	}
-	for _, f := range []Fit{a.Amdahl, a.USL} {
+	if usl.NStar() != 0 {
+		t.Errorf("NStar = %v, want 0 (unbounded)", usl.NStar())
+	}
+	for _, f := range []Fit{amdahl, usl} {
 		if math.IsNaN(f.R2) || math.IsInf(f.R2, 0) || f.R2 != 1 || f.RMSE != 0 {
 			t.Errorf("ideal fit quality R2=%v RMSE=%v, want 1 and 0", f.R2, f.RMSE)
 		}
 	}
-	if a.Class != ClassLinear {
-		t.Errorf("class = %s, want linear", a.Class)
+	if class, _ := Classify(pts); class != ClassLinear {
+		t.Errorf("class = %s, want linear", class)
 	}
 }
 
@@ -119,24 +120,25 @@ func TestFitRecoversUSL(t *testing.T) {
 // still produces a constrained, finite fit.
 func TestFitNegativeScaling(t *testing.T) {
 	pts := []Point{{1, 1}, {2, 1.8}, {4, 2.8}, {8, 2.2}, {16, 1.2}}
-	a, err := Build("turnover", nil, pts, nil)
+	usl, err := FitUSL(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Class != ClassNegative {
-		t.Errorf("class = %s, want negative", a.Class)
+	class, peak := Classify(pts)
+	if class != ClassNegative {
+		t.Errorf("class = %s, want negative", class)
 	}
-	if a.PeakThreads != 4 || a.PeakSpeedup != 2.8 {
-		t.Errorf("peak = %.2f@%d, want 2.80@4", a.PeakSpeedup, a.PeakThreads)
+	if peak.Threads != 4 || peak.Speedup != 2.8 {
+		t.Errorf("peak = %.2f@%d, want 2.80@4", peak.Speedup, peak.Threads)
 	}
-	if a.USL.Kappa <= 0 {
-		t.Errorf("turnover curve fit kappa=%v, want > 0", a.USL.Kappa)
+	if usl.Kappa <= 0 {
+		t.Errorf("turnover curve fit kappa=%v, want > 0", usl.Kappa)
 	}
-	if a.NStar <= 0 || a.NStar >= 16 {
-		t.Errorf("NStar = %v, want inside the swept range", a.NStar)
+	if n := usl.NStar(); n <= 0 || n >= 16 {
+		t.Errorf("NStar = %v, want inside the swept range", n)
 	}
-	if a.USL.Sigma < 0 || a.USL.Sigma > 1 {
-		t.Errorf("sigma=%v outside [0,1]", a.USL.Sigma)
+	if usl.Sigma < 0 || usl.Sigma > 1 {
+		t.Errorf("sigma=%v outside [0,1]", usl.Sigma)
 	}
 }
 
@@ -199,7 +201,7 @@ func TestBuildCrossCheckAndRecommendations(t *testing.T) {
 	pts := amdahlPoints(0.12, 1, 2, 4, 8, 16)
 	// A spinning-dominated stack whose implied sigma (~0.117) matches the fit.
 	st := core.Stack{N: 16, Tp: 1000, Components: core.Components{Spin: 8000, Yield: 1500, Imbalance: 500}}
-	a, err := Build(b.FullName(), &b.Spec, pts, &st)
+	a, err := Build(b.FullName(), b.Spec, pts, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +227,7 @@ func TestBuildCrossCheckAndRecommendations(t *testing.T) {
 	// Disagreement: a steep serialized-looking curve whose stack blames
 	// memory instead — the fitted sigma has no serialization to match.
 	memSt := core.Stack{N: 16, Tp: 1000, Components: core.Components{NegMem: 9000}}
-	d, err := Build(b.FullName(), &b.Spec, amdahlPoints(0.25, 1, 2, 4, 8, 16), &memSt)
+	d, err := Build(b.FullName(), b.Spec, amdahlPoints(0.25, 1, 2, 4, 8, 16), memSt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,17 +264,12 @@ func TestRecommendationFieldsPerFamily(t *testing.T) {
 			t.Errorf("%s/%s: empty action or detail", c.bench, c.component)
 		}
 	}
-	// Spec-free advice still names the component's generic fix.
-	g := recommendOne(nil, stack.CompSpinning, Fit{})
-	if g.Field != "" || g.Action == "" {
-		t.Errorf("generic recommendation: %+v", g)
-	}
 }
 
 func TestEncodeFormats(t *testing.T) {
 	b, _ := workload.ByName("lud_rodinia")
 	st := core.Stack{N: 16, Tp: 1000, Components: core.Components{Yield: 6000, Imbalance: 1000}}
-	a, err := Build(b.FullName(), &b.Spec, amdahlPoints(0.1, 1, 2, 4, 8, 16), &st)
+	a, err := Build(b.FullName(), b.Spec, amdahlPoints(0.1, 1, 2, 4, 8, 16), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,10 +324,10 @@ func TestEncodeFormats(t *testing.T) {
 }
 
 // TestDegenerateSweepTyped pins the typed failure contract: a sweep the
-// fitter cannot use — empty, or effectively N=1-only — fails every entry
-// point with an error matching ErrDegenerateSweep, so callers (the advise
-// endpoint, the experiments section) can branch on it instead of string
-// matching, and no Inf/NaN Advice ever reaches an encoder.
+// fitter cannot use — empty, or effectively N=1-only — fails both fitters,
+// and so Build, which fits first, with an error matching ErrDegenerateSweep,
+// so callers (the advise endpoint, the experiments section) can branch on it
+// instead of string matching, and no Inf/NaN Advice ever reaches an encoder.
 func TestDegenerateSweepTyped(t *testing.T) {
 	degenerate := [][]Point{
 		nil,
@@ -344,9 +341,6 @@ func TestDegenerateSweepTyped(t *testing.T) {
 			if _, err := fit(pts); !errors.Is(err, ErrDegenerateSweep) {
 				t.Errorf("case %d: %s error %v does not match ErrDegenerateSweep", i, name, err)
 			}
-		}
-		if _, err := Build("x", nil, pts, nil); !errors.Is(err, ErrDegenerateSweep) {
-			t.Errorf("case %d: Build error %v does not match ErrDegenerateSweep", i, err)
 		}
 	}
 	// Malformed-but-sufficient sweeps are a different failure: they must NOT
@@ -362,7 +356,7 @@ func TestDegenerateSweepTyped(t *testing.T) {
 func TestEncodeRecommendationWhatIfLine(t *testing.T) {
 	b, _ := workload.ByName("lud_rodinia")
 	st := core.Stack{N: 16, Tp: 1000, Components: core.Components{Yield: 6000, Imbalance: 1000}}
-	a, err := Build(b.FullName(), &b.Spec, amdahlPoints(0.1, 1, 2, 4, 8, 16), &st)
+	a, err := Build(b.FullName(), b.Spec, amdahlPoints(0.1, 1, 2, 4, 8, 16), st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,30 +83,12 @@ func (s ThreadState) String() string {
 	}
 }
 
-// ThreadStats are per-thread scheduler statistics.
-type ThreadStats struct {
-	// ReadyWaitCycles is time spent runnable but without a core (only
-	// non-zero when threads > cores).
-	ReadyWaitCycles uint64
-	// BlockedCycles is time spent descheduled on a synchronization object,
-	// measured from deschedule to becoming ready again (wake latency
-	// included). This is the OS-visible part of the yield component.
-	BlockedCycles uint64
-	// CtxSwitches counts times the thread was switched onto a core.
-	CtxSwitches uint64
-	// Migrations counts resumes on a different core than last time.
-	Migrations uint64
-}
-
 type threadInfo struct {
-	state        ThreadState
-	core         int // current core when running, else -1
-	lastCore     int
-	readySince   uint64
-	blockedSince uint64
-	availableAt  uint64 // earliest time a ready thread may start (wake latency)
-	sliceStart   uint64
-	stats        ThreadStats
+	state       ThreadState
+	core        int // current core when running, else -1
+	lastCore    int
+	availableAt uint64 // earliest time a ready thread may start (wake latency)
+	sliceStart  uint64
 }
 
 // OS is the scheduler instance for one simulated machine.
@@ -154,15 +136,12 @@ func New(cfg Config, cores, threads int) *OS {
 // Running returns the thread on core, or -1 when the core is idle.
 func (o *OS) Running(core int) int { return o.running[core] }
 
-// Stats returns the accumulated statistics of thread tid.
-func (o *OS) Stats(tid int) ThreadStats { return o.threads[tid].stats }
-
 // HasReady reports whether some ready thread could use a core now.
 func (o *OS) HasReady() bool { return len(o.readyQ) > 0 }
 
-// Block deschedules the running thread tid at time now (futex wait). Its
-// core becomes idle; call Schedule to refill it.
-func (o *OS) Block(tid int, now uint64) {
+// Block deschedules the running thread tid (futex wait). Its core becomes
+// idle; call Schedule to refill it.
+func (o *OS) Block(tid int) {
 	t := &o.threads[tid]
 	if t.state != StateRunning {
 		panic(fmt.Sprintf("sched: Block(%d) in state %v", tid, t.state))
@@ -170,7 +149,6 @@ func (o *OS) Block(tid int, now uint64) {
 	o.running[t.core] = -1
 	t.state = StateBlocked
 	t.core = -1
-	t.blockedSince = now
 }
 
 // Wake makes a blocked thread ready at now; it becomes eligible to run
@@ -180,16 +158,13 @@ func (o *OS) Wake(tid int, now uint64) {
 	if t.state != StateBlocked {
 		panic(fmt.Sprintf("sched: Wake(%d) in state %v", tid, t.state))
 	}
-	ready := now + o.cfg.WakeLatencyCycles
-	t.stats.BlockedCycles += ready - t.blockedSince
 	t.state = StateReady
-	t.readySince = ready
-	t.availableAt = ready
+	t.availableAt = now + o.cfg.WakeLatencyCycles
 	o.readyQ = append(o.readyQ, tid)
 }
 
 // Finish marks a running thread as terminated and frees its core.
-func (o *OS) Finish(tid int, now uint64) {
+func (o *OS) Finish(tid int) {
 	t := &o.threads[tid]
 	if t.state != StateRunning {
 		panic(fmt.Sprintf("sched: Finish(%d) in state %v", tid, t.state))
@@ -210,7 +185,6 @@ func (o *OS) Preempt(core int, now uint64) {
 	o.running[core] = -1
 	t.state = StateReady
 	t.core = -1
-	t.readySince = now
 	t.availableAt = now
 	o.readyQ = append(o.readyQ, tid)
 }
@@ -225,13 +199,14 @@ func (o *OS) SliceExpired(core int, now uint64) bool {
 	return now-o.threads[tid].sliceStart >= o.cfg.TimeSliceCycles
 }
 
-// Schedule fills an idle core from the run queue at time now. Like Linux's
-// wake affinity, it prefers a ready thread that last ran on this core
+// Schedule fills an idle core from the run queue at time now. It prefers a
+// never-placed thread, so preempted threads cannot starve newcomers; then,
+// like Linux's wake affinity, a ready thread that last ran on this core
 // (keeping private caches and the per-core accounting hardware warm; with
-// one thread per core this yields strict pinning), then a never-placed
-// thread, then the queue head. It returns the chosen thread and the time it
-// actually starts executing (after wake latency, context switch, migration
-// and scheduler decision overhead), or (-1, 0) when no thread is ready.
+// one thread per core this yields strict pinning); then the queue head. It
+// returns the chosen thread and the time it actually starts executing
+// (after wake latency, context switch, migration and scheduler decision
+// overhead), or (-1, 0) when no thread is ready.
 func (o *OS) Schedule(core int, now uint64) (tid int, startAt uint64) {
 	if o.running[core] >= 0 || len(o.readyQ) == 0 {
 		return -1, 0
@@ -261,15 +236,10 @@ func (o *OS) Schedule(core int, now uint64) (tid int, startAt uint64) {
 	if t.availableAt > start {
 		start = t.availableAt
 	}
-	if start > t.readySince {
-		t.stats.ReadyWaitCycles += start - t.readySince
-	}
 	start += o.cfg.CtxSwitchCycles + o.cfg.DecisionCyclesPerCore*uint64(o.cores)
 	if t.lastCore >= 0 && t.lastCore != core {
 		start += o.cfg.MigrationCycles
-		t.stats.Migrations++
 	}
-	t.stats.CtxSwitches++
 	t.state = StateRunning
 	t.core = core
 	t.lastCore = core

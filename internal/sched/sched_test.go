@@ -20,17 +20,13 @@ func TestInitialPlacement(t *testing.T) {
 func TestBlockWakeSchedule(t *testing.T) {
 	cfg := Default()
 	o := New(cfg, 2, 2)
-	o.Block(0, 1000)
+	o.Block(0)
 	if o.Running(0) != -1 || o.threads[0].state != StateBlocked {
 		t.Fatal("block did not free the core")
 	}
 	o.Wake(0, 5000)
 	if o.threads[0].state != StateReady {
 		t.Fatal("wake did not ready the thread")
-	}
-	st := o.Stats(0)
-	if st.BlockedCycles != 5000-1000+cfg.WakeLatencyCycles {
-		t.Fatalf("blocked cycles = %d", st.BlockedCycles)
 	}
 	tid, startAt := o.Schedule(0, 6000)
 	if tid != 0 {
@@ -51,8 +47,8 @@ func TestScheduleAffinity(t *testing.T) {
 	// the core it last ran on (wake affinity keeps caches and the per-core
 	// accounting hardware warm).
 	o := New(Default(), 2, 2)
-	o.Block(0, 100)
-	o.Block(1, 150)
+	o.Block(0)
+	o.Block(1)
 	o.Wake(1, 200) // queue order: [1]
 	o.Wake(0, 250) // queue order: [1, 0]
 	tid, _ := o.Schedule(0, 10_000)
@@ -79,22 +75,18 @@ func TestScheduleFreshBeatsAffinity(t *testing.T) {
 func TestScheduleFreshThreadPreferred(t *testing.T) {
 	o := New(Default(), 1, 3)
 	// Threads 1,2 never ran (lastCore -1). Core 0 blocks thread 0.
-	o.Block(0, 100)
+	o.Block(0)
 	tid, _ := o.Schedule(0, 200)
 	if tid != 1 {
 		t.Fatalf("scheduled %d, want fresh thread 1", tid)
-	}
-	st := o.Stats(1)
-	if st.CtxSwitches != 1 {
-		t.Fatalf("ctx switches = %d", st.CtxSwitches)
 	}
 }
 
 func TestMigrationCost(t *testing.T) {
 	cfg := Default()
 	o := New(cfg, 2, 2)
-	o.Block(0, 100) // frees core 0
-	o.Block(1, 100) // frees core 1
+	o.Block(0) // frees core 0
+	o.Block(1) // frees core 1
 	o.Wake(0, 100)
 	o.Wake(1, 100)
 	// Schedule thread 0 onto core 1: a migration.
@@ -112,19 +104,13 @@ func TestMigrationCost(t *testing.T) {
 	if startAt != base {
 		t.Fatalf("no-migration start = %d, want %d", startAt, base)
 	}
-	if o.Stats(0).Migrations != 0 {
-		t.Fatal("unexpected migration counted")
-	}
 	// Now force a cross-core resume.
-	o.Block(0, 60_000)
+	o.Block(0)
 	o.Wake(0, 60_000)
-	o.Block(1, 60_000) // frees core 1
+	o.Block(1) // frees core 1
 	tid, startAt = o.Schedule(1, 70_000)
 	if tid != 0 {
 		t.Fatalf("expected thread 0 on core 1, got %d", tid)
-	}
-	if o.Stats(0).Migrations != 1 {
-		t.Fatal("migration not counted")
 	}
 	if startAt != 70_000+cfg.CtxSwitchCycles+cfg.DecisionCyclesPerCore*2+cfg.MigrationCycles {
 		t.Fatalf("migration start = %d", startAt)
@@ -152,7 +138,7 @@ func TestPreemptAndSliceExpiry(t *testing.T) {
 
 func TestFinish(t *testing.T) {
 	o := New(Default(), 1, 1)
-	o.Finish(0, 1234)
+	o.Finish(0)
 	if o.threads[0].state != StateFinished || o.Running(0) != -1 {
 		t.Fatal("finish did not clear state")
 	}
@@ -164,12 +150,13 @@ func TestFinish(t *testing.T) {
 func TestReadyWaitAccounting(t *testing.T) {
 	cfg := Default()
 	o := New(cfg, 1, 2) // thread 1 starts ready
-	o.Block(0, 1000)
-	_, _ = o.Schedule(0, 9000)
-	st := o.Stats(1)
-	// Thread 1 was ready from t=0 (readySince 0) until scheduled at 9000.
-	if st.ReadyWaitCycles != 9000 {
-		t.Fatalf("ready wait = %d, want 9000", st.ReadyWaitCycles)
+	o.Block(0)
+	// Thread 1 was ready from t=0, so it starts when the core is offered
+	// at 9000, plus the switch and decision costs; the machine charges the
+	// wait up to then as yielding.
+	tid, startAt := o.Schedule(0, 9000)
+	if want := 9000 + cfg.CtxSwitchCycles + cfg.DecisionCyclesPerCore; tid != 1 || startAt != want {
+		t.Fatalf("Schedule = thread %d at %d, want thread 1 at %d", tid, startAt, want)
 	}
 }
 

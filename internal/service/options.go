@@ -209,35 +209,22 @@ func parseCell(bench, threadsStr, coresStr string) (exp.Cell, error) {
 	return checkCell(exp.Cell{Bench: bench, Threads: threads, Cores: cores})
 }
 
-// checkCell validates a named cell (shared by the query and body paths) and
-// normalizes plain-name aliases ("cholesky") to canonical full names, so
-// response labels are canonical. An unregistered name fails with a
-// workload.LookupError (carrying the nearest-name suggestion),
-// which asAPIError maps to HTTP 404.
+// checkCell validates a cell (shared by the query, body and trace paths)
+// with the engine's own exp.Cell.Resolve. A named cell's plain-name alias
+// ("cholesky") is first normalized to its canonical full name, so response
+// labels are canonical; an unregistered name fails there, before the run
+// shape is checked, with a workload.LookupError (carrying the nearest-name
+// suggestion), which asAPIError maps to HTTP 404.
 func checkCell(c exp.Cell) (exp.Cell, error) {
-	full, _, ok := workload.Identity(c.Bench)
-	if !ok {
-		return exp.Cell{}, workload.UnknownBenchmarkError(c.Bench)
+	if c.Spec == nil {
+		full, _, ok := workload.Identity(c.Bench)
+		if !ok {
+			return exp.Cell{}, workload.UnknownBenchmarkError(c.Bench)
+		}
+		c.Bench = full
 	}
-	c.Bench = full
-	return checkCellBounds(c)
-}
-
-// checkCellBounds enforces the run-shape limits shared by named and inline
-// cells. The 64-core ceiling is the simulator's hard limit
-// (sim.Config.Validate), which holds for every machine configuration the
-// service can be built with.
-func checkCellBounds(c exp.Cell) (exp.Cell, error) {
-	if c.Threads < 1 || c.Threads > 256 {
-		return exp.Cell{}, fmt.Errorf("threads must be in [1,256], got %d", c.Threads)
-	}
-	if c.Cores < 0 || c.Cores > 64 {
-		return exp.Cell{}, fmt.Errorf("cores must be in [0,64], got %d", c.Cores)
-	}
-	// Cores defaults to threads (the paper's pairing), so a bare thread
-	// count must itself fit the simulator's core limit.
-	if c.Cores == 0 && c.Threads > 64 {
-		return exp.Cell{}, fmt.Errorf("threads %d exceeds the simulator's 64-core limit; pass an explicit cores", c.Threads)
+	if _, err := c.Resolve(); err != nil {
+		return exp.Cell{}, err
 	}
 	return c, nil
 }

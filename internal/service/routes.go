@@ -134,7 +134,7 @@ func buildCell(c cellRequest) (exp.Cell, error) {
 		if err != nil {
 			return exp.Cell{}, err
 		}
-		return checkCellBounds(exp.Cell{Spec: &spec, Threads: c.Threads, Cores: c.Cores})
+		return checkCell(exp.Cell{Spec: &spec, Threads: c.Threads, Cores: c.Cores})
 	}
 	return checkCell(exp.Cell{Bench: c.Bench, Threads: c.Threads, Cores: c.Cores})
 }
@@ -245,7 +245,7 @@ func parseTraceAnalyze(s *Server, r *http.Request, opts requestOptions) (call, *
 		return nil, badRequest("bad trace: %v", err)
 	}
 	spec := workload.TraceSpec(td)
-	cell, err := checkCellBounds(exp.Cell{Spec: &spec, Threads: spec.TraceThreads(), Cores: opts.cores})
+	cell, err := checkCell(exp.Cell{Spec: &spec, Threads: spec.TraceThreads(), Cores: opts.cores})
 	if err != nil {
 		return nil, asAPIError(err)
 	}

@@ -26,21 +26,21 @@ func intervalTestRun(t *testing.T, bench string, threads int, opts ...sim.Option
 
 // TestIntervalsDisabledIdentical pins the tentpole's no-perturbation
 // contract: enabling interval accounting changes nothing but the Intervals
-// fields — Tp, every counter, every substrate statistic are byte-identical.
+// field — Tp and every counter are byte-identical.
 // (With the option disabled the golden experiments hash pins the same
 // thing against the full evaluation.)
 func TestIntervalsDisabledIdentical(t *testing.T) {
 	for _, bench := range []string{"bodytrack_parsec_small", "ferret_parsec_small", "cholesky_splash2"} {
 		plain := intervalTestRun(t, bench, 4)
 		with := intervalTestRun(t, bench, 4, sim.WithIntervals(plain.TotalOps/8+1))
-		if len(with.Intervals) == 0 || with.IntervalEvery == 0 {
+		if len(with.Intervals) == 0 {
 			t.Fatalf("%s: interval run recorded no snapshots", bench)
 		}
-		if plain.Intervals != nil || plain.IntervalEvery != 0 {
+		if plain.Intervals != nil {
 			t.Fatalf("%s: plain run carries interval state", bench)
 		}
 		stripped := with
-		stripped.Intervals, stripped.IntervalEvery = nil, 0
+		stripped.Intervals = nil
 		if !reflect.DeepEqual(plain, stripped) {
 			t.Fatalf("%s: interval accounting perturbed the result:\nplain %+v\nwith  %+v",
 				bench, plain, stripped)
@@ -72,8 +72,8 @@ func TestIntervalSnapshots(t *testing.T) {
 		}
 		if k > 0 {
 			for i := range s.Threads {
-				if s.Threads[i].Instrs < snaps[k-1].Threads[i].Instrs {
-					t.Fatalf("snapshot %d thread %d: Instrs not cumulative", k, i)
+				if s.Threads[i].LLCAccesses < snaps[k-1].Threads[i].LLCAccesses {
+					t.Fatalf("snapshot %d thread %d: LLCAccesses not cumulative", k, i)
 				}
 			}
 		}
@@ -105,19 +105,23 @@ func TestIntervalsPoolReset(t *testing.T) {
 		t.Fatal("interval run recorded no snapshots")
 	}
 	plain := intervalTestRun(t, "swaptions_parsec_small", 2)
-	if plain.Intervals != nil || plain.IntervalEvery != 0 {
+	if plain.Intervals != nil {
 		t.Fatal("pooled machine leaked interval accounting into a plain run")
 	}
 }
 
-// unbatched hides a program's batching interface, so the machine adapts it
-// (trace.Batched) and pulls one-op batches.
+// unbatched hands the machine a program's stream one op per batch.
 type unbatched struct{ p trace.Program }
 
 func (u unbatched) Next(fb trace.Feedback) trace.Op { return u.p.Next(fb) }
 
+func (u unbatched) NextBatch(dst []trace.Op, fb trace.Feedback) int {
+	dst[0] = u.p.Next(fb)
+	return 1
+}
+
 // TestIntervalsUnbatchedProgram covers snapshots at one-op-batch
-// granularity, for programs without a batching interface.
+// granularity.
 func TestIntervalsUnbatchedProgram(t *testing.T) {
 	cfg := sim.Default().WithCores(1)
 	progs := []trace.Program{unbatched{trace.NewSliceProgram(sliceOps(600))}}

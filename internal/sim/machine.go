@@ -28,16 +28,15 @@ const (
 // thread is the runtime state of one software thread.
 type thread struct {
 	id int
-	// bprog is the thread's program (a plain trace.Program is adapted at
-	// reset); ring buffers the current chunk (ring[rpos:rlen] is
-	// unconsumed). Buffered ops stay valid across blocking waits:
-	// feedback-sensitive programs end batches after the feedback-producing
-	// op (the trace.BatchProgram contract).
-	bprog trace.BatchProgram
-	ring  []trace.Op
-	rpos  int
-	rlen  int
-	fb    trace.Feedback
+	// prog is the thread's program; ring buffers the current chunk
+	// (ring[rpos:rlen] is unconsumed). Buffered ops stay valid across
+	// blocking waits: feedback-sensitive programs end batches after the
+	// feedback-producing op (the trace.Program contract).
+	prog trace.Program
+	ring []trace.Op
+	rpos int
+	rlen int
+	fb   trace.Feedback
 
 	// time is the thread's local execution cursor in cycles.
 	time     uint64
@@ -220,7 +219,7 @@ func (m *Machine) reset(cfg Config, progs []trace.Program) error {
 			t = &thread{ring: make([]trace.Op, batchSize)}
 			m.threads[i] = t
 		}
-		*t = thread{id: i, bprog: trace.Batched(p), det: spin.NewDetector(cfg.Spin), ring: t.ring}
+		*t = thread{id: i, prog: p, det: spin.NewDetector(cfg.Spin), ring: t.ring}
 	}
 	return nil
 }
@@ -377,7 +376,7 @@ func (m *Machine) runCore(c int, qEnd uint64) {
 			if parkAt < qEnd {
 				t.parked = true
 				t.parkedAt = parkAt
-				m.os.Block(t.id, parkAt)
+				m.os.Block(t.id)
 				m.coreIdleAt[c] = parkAt
 				continue
 			}
@@ -409,7 +408,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 	pol := &m.cfg.Policy
 	for t.time < qEnd && !t.finished {
 		if t.rpos == t.rlen {
-			t.rlen, t.rpos = t.bprog.NextBatch(t.ring, t.fb), 0
+			t.rlen, t.rpos = t.prog.NextBatch(t.ring, t.fb), 0
 			// Ops are counted at batch granularity; programs end their
 			// stream with KindEnd inside a batch, so on completed runs
 			// every counted op executes.
@@ -425,13 +424,11 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 		switch op.Kind {
 		case trace.KindCompute:
 			t.time += m.computeCycles(uint64(op.N))
-			t.ct.Instrs += uint64(op.N)
 			if op.Overhead {
 				t.ct.OverheadInstrs += uint64(op.N)
 			}
 
 		case trace.KindLoad, trace.KindStore:
-			t.ct.Instrs += uint64(op.N)
 			if op.Overhead {
 				t.ct.OverheadInstrs += uint64(op.N)
 			}
@@ -501,7 +498,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 		case trace.KindEnd:
 			t.finished = true
 			t.ct.FinishTime = t.time
-			m.os.Finish(t.id, t.time)
+			m.os.Finish(t.id)
 			m.coreIdleAt[c] = t.time
 			m.finished++
 			return false
@@ -555,7 +552,7 @@ func (m *Machine) grantWaiter(w *thread, g uint64, popOK bool) {
 		// granularity). Park and wake to keep OS bookkeeping exact.
 		w.parked = true
 		w.parkedAt = w.waitStart + grace
-		m.os.Block(w.id, w.parkedAt)
+		m.os.Block(w.id)
 		m.os.Wake(w.id, g)
 	}
 }

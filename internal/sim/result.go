@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/mem"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -18,8 +15,6 @@ type Result struct {
 	Tp uint64
 	// PerThread holds the raw accounting counters, one per software thread.
 	PerThread []core.ThreadCounters
-	// SchedStats holds per-thread OS statistics.
-	SchedStats []sched.ThreadStats
 	// Estimated is the component decomposition the accounting hardware
 	// produces (sampled ATD, ORA, Tian detector, OS yield bookkeeping).
 	Estimated core.Components
@@ -30,24 +25,16 @@ type Result struct {
 	// never affects timing, so that run of the same cell is the reference
 	// for any other shift (cmd/calibrate -v prints it).
 	Oracle core.Components
-	// CacheStats and MemStats expose substrate-level counters.
-	CacheStats cache.HierarchyStats
-	MemStats   mem.Stats
-	// TotalInstrs and TotalOverheadInstrs aggregate instruction counts.
-	TotalInstrs         uint64
-	TotalOverheadInstrs uint64
 	// TotalOps counts the trace operations the machine consumed from its
 	// programs — the unit simulator throughput (ops/sec) is measured in.
 	// Counting happens at batch granularity; on completed runs every
 	// counted op was executed (program streams end inside their batch).
 	TotalOps uint64
 	// Intervals holds the cumulative accounting snapshots taken every
-	// IntervalEvery committed ops plus one at completion (WithIntervals);
-	// nil when interval accounting is disabled. Every other Result field is
+	// WithIntervals period of committed ops plus one at completion; nil
+	// when interval accounting is disabled. Every other Result field is
 	// identical with or without it — snapshots never affect timing.
 	Intervals []core.IntervalSnapshot
-	// IntervalEvery is the snapshot period in committed ops (0 = disabled).
-	IntervalEvery uint64
 }
 
 // Stack assembles the estimated speedup stack of the run. If ts (the
@@ -64,31 +51,22 @@ func (r Result) Stack(ts uint64) core.Stack {
 // result gathers counters from the machine after completion.
 func (m *Machine) result() Result {
 	r := Result{
-		Cores:   m.cfg.Cores,
-		Threads: len(m.threads),
-		// Clone: the machine (and its live counter slices) is pooled and
-		// reused after this run; the Result must own its statistics.
-		CacheStats: m.hier.Stats().Clone(),
-		MemStats:   m.memc.Stats(),
-		TotalOps:   m.ops,
+		Cores:     m.cfg.Cores,
+		Threads:   len(m.threads),
+		TotalOps:  m.ops,
+		PerThread: make([]core.ThreadCounters, len(m.threads)),
 	}
-	r.PerThread = make([]core.ThreadCounters, len(m.threads))
-	r.SchedStats = make([]sched.ThreadStats, len(m.threads))
 	for i, t := range m.threads {
 		r.PerThread[i] = t.ct
-		r.SchedStats[i] = m.os.Stats(i)
 		if t.ct.FinishTime > r.Tp {
 			r.Tp = t.ct.FinishTime
 		}
-		r.TotalInstrs += t.ct.Instrs
-		r.TotalOverheadInstrs += t.ct.OverheadInstrs
 	}
 	r.Estimated = core.EstimateComponents(r.Tp, r.PerThread)
 	r.Oracle = core.OracleComponents(r.Tp, r.PerThread,
 		1/float64(m.cfg.CPU.DispatchWidth))
 	if m.snapEvery != 0 {
 		r.Intervals = m.finishIntervals(r.Tp)
-		r.IntervalEvery = m.snapEvery
 	}
 	return r
 }

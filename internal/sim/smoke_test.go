@@ -23,18 +23,28 @@ func computeOnly(bursts int, width uint32) trace.Program {
 	return trace.NewSliceProgram(ops)
 }
 
+// feedbackProgram is a test program whose every batch is the one op next
+// computes from the latest feedback.
+type feedbackProgram struct{ next func(trace.Feedback) trace.Op }
+
+func (p feedbackProgram) Next(fb trace.Feedback) trace.Op { return p.next(fb) }
+
+func (p feedbackProgram) NextBatch(dst []trace.Op, fb trace.Feedback) int {
+	dst[0] = p.next(fb)
+	return 1
+}
+
 func TestComputeOnlySingleThread(t *testing.T) {
 	cfg := smallConfig(1)
 	res, err := Run(cfg, []trace.Program{computeOnly(1000, 400)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantInstrs := uint64(1000 * 400)
-	if res.TotalInstrs != wantInstrs {
-		t.Fatalf("instrs = %d, want %d", res.TotalInstrs, wantInstrs)
+	if res.TotalOps != 1001 { // the bursts and the end marker
+		t.Fatalf("ops = %d, want 1001", res.TotalOps)
 	}
 	// 400k instructions at width 4 = 100k cycles.
-	wantCycles := wantInstrs / uint64(cfg.CPU.DispatchWidth)
+	wantCycles := uint64(1000*400) / uint64(cfg.CPU.DispatchWidth)
 	if res.Tp != wantCycles {
 		t.Fatalf("Tp = %d, want %d", res.Tp, wantCycles)
 	}
@@ -119,9 +129,8 @@ func TestLockMutualExclusionTiming(t *testing.T) {
 func TestQueuePipelineCompletes(t *testing.T) {
 	cfg := smallConfig(2)
 	items := 200
-	producer := trace.FuncProgram(nil)
 	sent := 0
-	producer = func(fb trace.Feedback) trace.Op {
+	producer := feedbackProgram{func(trace.Feedback) trace.Op {
 		if sent < items {
 			sent++
 			if sent%2 == 1 {
@@ -134,9 +143,9 @@ func TestQueuePipelineCompletes(t *testing.T) {
 			return trace.CloseQueue(7)
 		}
 		return trace.End()
-	}
+	}}
 	state := 0
-	consumer := trace.FuncProgram(func(fb trace.Feedback) trace.Op {
+	consumer := feedbackProgram{func(fb trace.Feedback) trace.Op {
 		switch state {
 		case 0:
 			state = 1
@@ -149,7 +158,7 @@ func TestQueuePipelineCompletes(t *testing.T) {
 			return trace.Compute(2000)
 		}
 		return trace.End()
-	})
+	}}
 	res, err := Run(cfg, []trace.Program{producer, consumer}, WithQueue(7, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +175,7 @@ func TestDeterminism(t *testing.T) {
 		for i := range progs {
 			rng := trace.NewRNG(uint64(42 + i))
 			n := 0
-			progs[i] = trace.FuncProgram(func(fb trace.Feedback) trace.Op {
+			progs[i] = feedbackProgram{func(trace.Feedback) trace.Op {
 				if n >= 2000 {
 					return trace.End()
 				}
@@ -175,7 +184,7 @@ func TestDeterminism(t *testing.T) {
 					return trace.Load(rng.Uint64n(1<<22), 0x1000+uint64(n%7)*4)
 				}
 				return trace.Compute(uint32(20 + rng.Intn(80)))
-			})
+			}}
 		}
 		return progs
 	}
@@ -187,9 +196,9 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Tp != r2.Tp || r1.TotalInstrs != r2.TotalInstrs {
-		t.Fatalf("nondeterministic: Tp %d vs %d, instrs %d vs %d",
-			r1.Tp, r2.Tp, r1.TotalInstrs, r2.TotalInstrs)
+	if r1.Tp != r2.Tp || r1.TotalOps != r2.TotalOps {
+		t.Fatalf("nondeterministic: Tp %d vs %d, ops %d vs %d",
+			r1.Tp, r2.Tp, r1.TotalOps, r2.TotalOps)
 	}
 	if r1.Stack(0).Estimated() != r2.Stack(0).Estimated() {
 		t.Fatalf("nondeterministic estimate: %v vs %v",

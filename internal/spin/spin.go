@@ -159,10 +159,5 @@ func FeedEpisode(d *Detector, ep Episode) uint64 {
 		t := ep.Start + i*ep.Period
 		d.ObserveLoad(t, ep.PC, ep.Addr, ep.OldValue, false)
 	}
-	// Bump the internal count to the true iteration total so diagnostics
-	// reflect reality (marking already happened if it ever would).
-	if e := d.find(ep.PC); e != nil && uint64(e.count) < iters {
-		e.count = int(iters)
-	}
 	return d.ObserveLoad(ep.End, ep.PC, ep.Addr, ep.NewValue, true)
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/scaling"
 	"repro/internal/stack"
 	"repro/internal/whatif"
+	"repro/internal/workload"
 )
 
 // TestDocumentConformance holds the four Document implementations to the
@@ -23,9 +24,10 @@ func TestDocumentConformance(t *testing.T) {
 		N: 8, Tp: 1000, ActualSpeedup: 5.1,
 		Components: core.Components{NegLLC: 400, PosLLC: 150, NegMem: 800, Spin: 350, Yield: 600, Imbalance: 120},
 	}}}
-	advice, err := scaling.Build("alpha_suite", nil,
+	b, _ := workload.ByName("cholesky_splash2")
+	advice, err := scaling.Build("alpha_suite", b.Spec,
 		[]scaling.Point{{Threads: 1, Speedup: 1}, {Threads: 2, Speedup: 1.9}, {Threads: 4, Speedup: 3.4}, {Threads: 8, Speedup: 5.1}},
-		&bars[0].Stack)
+		bars[0].Stack)
 	if err != nil {
 		t.Fatal(err)
 	}

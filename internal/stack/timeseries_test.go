@@ -33,7 +33,7 @@ func seriesFor(t *testing.T, bench string, threads int, every uint64) stack.Time
 		t.Fatal(err)
 	}
 	ts, err := stack.NewTimeSeries(b.FullName(), res.Stack(0), res.PerThread,
-		res.Intervals, res.IntervalEvery)
+		res.Intervals, every)
 	if err != nil {
 		t.Fatal(err)
 	}

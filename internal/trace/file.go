@@ -535,10 +535,6 @@ func (t *Data) Label() string { return t.label }
 // Threads returns the recorded thread count.
 func (t *Data) Threads() int { return len(t.threads) }
 
-// HasSequential reports whether the trace carries the single-threaded
-// reference stream.
-func (t *Data) HasSequential() bool { return t.seq != nil }
-
 // LockGrace returns the recorded lock spin-grace override (0 = default).
 func (t *Data) LockGrace() uint64 { return t.lockGrace }
 
@@ -561,20 +557,20 @@ func (t *Data) HashHex() string { return hex.EncodeToString(t.hash[:]) }
 // ThreadProgram returns a fresh streaming reader over thread i's recorded
 // stream. Each call returns an independent program, so one Data replays any
 // number of times.
-func (t *Data) ThreadProgram(i int) BatchProgram {
+func (t *Data) ThreadProgram(i int) Program {
 	return &streamReader{d: decoder{buf: t.threads[i]}}
 }
 
 // SequentialProgram returns a fresh streaming reader over the recorded
 // single-threaded reference stream.
-func (t *Data) SequentialProgram() (BatchProgram, error) {
+func (t *Data) SequentialProgram() (Program, error) {
 	if t.seq == nil {
 		return nil, fmt.Errorf("trace: no sequential stream was recorded (re-record with the sequential reference to measure a speedup stack)")
 	}
 	return &streamReader{d: decoder{buf: t.seq}}, nil
 }
 
-// streamReader replays one validated encoded section as a BatchProgram,
+// streamReader replays one validated encoded section as a Program,
 // decoding ops lazily. Feedback is ignored — a recorded stream already took
 // its branches — but batches still end immediately after every KindPop so
 // the batch/feedback contract holds for any consumer counting on it.
@@ -590,7 +586,7 @@ func (r *streamReader) Next(fb Feedback) Op {
 	return one[0]
 }
 
-// NextBatch implements BatchProgram: it fills dst until the batch boundary
+// NextBatch implements Program: it fills dst until the batch boundary
 // contract forces a cut — after a KindPop (fresh feedback only arrives at
 // batch boundaries) or at KindEnd.
 func (r *streamReader) NextBatch(dst []Op, _ Feedback) int {

@@ -41,7 +41,7 @@ func sampleFile() *File {
 // drain replays a program to exhaustion via NextBatch, asserting the batch
 // contract: every batch ends at (or before) the first KindPop, and the
 // stream terminates with KindEnd.
-func drain(t *testing.T, p BatchProgram) []Op {
+func drain(t *testing.T, p Program) []Op {
 	t.Helper()
 	var out []Op
 	buf := make([]Op, 5)
@@ -71,8 +71,8 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Data: %v", err)
 	}
-	if d.Label() != f.Label || d.Threads() != 2 || !d.HasSequential() {
-		t.Fatalf("header mismatch: label %q threads %d seq %v", d.Label(), d.Threads(), d.HasSequential())
+	if d.Label() != f.Label || d.Threads() != 2 {
+		t.Fatalf("header mismatch: label %q threads %d", d.Label(), d.Threads())
 	}
 	if d.LockGrace() != f.LockGrace || d.BarrierGrace() != f.BarrierGrace {
 		t.Fatalf("grace mismatch: %d/%d", d.LockGrace(), d.BarrierGrace())
@@ -203,15 +203,11 @@ func FuzzTraceDecode(f *testing.F) {
 			t.Fatalf("meta/full decode disagree: %+v vs %d %s", m, d.Threads(), d.HashHex())
 		}
 		total := uint64(0)
-		progs := make([]BatchProgram, 0, d.Threads()+1)
+		progs := make([]Program, 0, d.Threads()+1)
 		for i := 0; i < d.Threads(); i++ {
 			progs = append(progs, d.ThreadProgram(i))
 		}
-		if d.HasSequential() {
-			sp, err := d.SequentialProgram()
-			if err != nil {
-				t.Fatal(err)
-			}
+		if sp, err := d.SequentialProgram(); err == nil { // fails only when none was recorded
 			progs = append(progs, sp)
 		}
 		ops := make([]Op, 64)

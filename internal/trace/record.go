@@ -8,19 +8,16 @@ package trace
 // deterministic, so replaying the captured streams reproduces the recorded
 // run exactly.
 //
-// Recording is transparent: a Recorder implements BatchProgram by
-// delegating to the inner program's batches (Batched adapts a plain
-// Program), which is semantically identical to running the inner program
-// directly — batching is a transport optimization by the BatchProgram
-// contract — so a recorded run's Result equals an unrecorded one's.
+// Recording is transparent: a Recorder hands on the inner program's
+// batches unchanged, so a recorded run's Result equals an unrecorded one's.
 type Recorder struct {
-	inner BatchProgram
+	inner Program
 	ops   []Op
 }
 
 // NewRecorder wraps p for recording.
 func NewRecorder(p Program) *Recorder {
-	return &Recorder{inner: Batched(p)}
+	return &Recorder{inner: p}
 }
 
 // Next implements Program: the one-op batch.
@@ -30,7 +27,7 @@ func (r *Recorder) Next(fb Feedback) Op {
 	return one[0]
 }
 
-// NextBatch implements BatchProgram.
+// NextBatch implements Program.
 func (r *Recorder) NextBatch(dst []Op, fb Feedback) int {
 	n := r.inner.NextBatch(dst, fb)
 	r.ops = append(r.ops, dst[:n]...)

@@ -101,65 +101,47 @@ type Op struct {
 }
 
 // Feedback carries the outcome of the previously executed blocking op back
-// into the program on the next Next call.
+// into the program at the next batch boundary.
 type Feedback struct {
 	// PopOK reports whether the last KindPop produced an item. False means
 	// the queue was closed and drained.
 	PopOK bool
 }
 
-// Program produces a thread's operation stream. Next is called once per
-// operation; implementations are typically small state machines. Programs
-// must eventually emit KindEnd. After KindEnd, Next is not called again.
-type Program interface {
-	Next(fb Feedback) Op
-}
-
-// BatchProgram is the batching form of Program and the one way the
-// simulator pulls ops: generators hand over whole chunks of their stream,
-// paying one dynamic dispatch per chunk instead of one per operation. Every
-// generator the product builds implements NextBatch and defines Next as the
-// one-op batch; a plain Program is adapted once by Batched.
+// Program produces a thread's operation stream, and NextBatch is the one
+// way the simulator pulls it: a program hands over whole chunks of its
+// stream, paying one dynamic dispatch per chunk instead of one per
+// operation. Implementations are typically small state machines. Next is
+// the one-op batch.
 //
 // The batching contract:
 //
-//   - The concatenation of the batches must be exactly the op sequence that
-//     repeated Next calls would produce: batching is a transport
-//     optimization, never a semantic one. In particular, adjacent Compute
-//     bursts must NOT be merged across op boundaries — the core model
-//     rounds each burst to dispatch-width cycle granularity
-//     (cpu.ComputeCycles), so merging two bursts is timing-visible.
+//   - The stream is the same at every batch size: the concatenation of the
+//     batches pulled with len(dst) == 1 equals the one pulled with any
+//     larger dst. Batching is a transport optimization, never a semantic
+//     one. In particular, adjacent Compute bursts must NOT be merged across
+//     op boundaries — the core model rounds each burst to dispatch-width
+//     cycle granularity (cpu.ComputeCycles), so merging two bursts is
+//     timing-visible.
 //   - NextBatch fills dst from the front and returns n, the number of ops
 //     written, with 1 <= n <= len(dst) (callers pass len(dst) >= 1).
-//   - fb carries the outcome of the last blocking op exactly as it would
-//     reach Next. A batch must therefore end immediately after any op whose
-//     outcome feeds back into the stream (KindPop: the program branches on
-//     Feedback.PopOK), because fresh feedback is only delivered at batch
-//     boundaries. Ops with no feedback (locks, barriers, pushes) may be
-//     followed by more ops in the same batch even though the simulator may
-//     block mid-batch; the buffered tail stays valid across the wait.
-//   - After a batch containing KindEnd, NextBatch is not called again.
-type BatchProgram interface {
-	Program
+//   - fb carries the outcome of the last blocking op. A batch must end
+//     immediately after any op whose outcome feeds back into the stream
+//     (KindPop: the program branches on Feedback.PopOK), because fresh
+//     feedback is only delivered at batch boundaries. Ops with no feedback
+//     (locks, barriers, pushes) may be followed by more ops in the same
+//     batch even though the simulator may block mid-batch; the buffered
+//     tail stays valid across the wait.
+//   - Programs must eventually emit KindEnd. After a batch containing
+//     KindEnd, the program is not called again.
+type Program interface {
+	Next(fb Feedback) Op
 	NextBatch(dst []Op, fb Feedback) int
 }
 
-// Batched returns p's batching interface: p itself when it has one, else an
-// adapter that delivers the Next stream as one-op batches — which meets the
-// batching contract trivially (fresh feedback reaches every op).
-func Batched(p Program) BatchProgram {
-	if bp, ok := p.(BatchProgram); ok {
-		return bp
-	}
-	return oneOpBatches{p}
-}
-
-type oneOpBatches struct{ Program }
-
-func (a oneOpBatches) NextBatch(dst []Op, fb Feedback) int {
-	dst[0] = a.Next(fb)
-	return 1
-}
+// BatchProgram is Program under its former name, kept for callers written
+// against it.
+type BatchProgram = Program
 
 // Compute returns a computation burst of n instructions.
 func Compute(n uint32) Op { return Op{Kind: KindCompute, N: n} }
@@ -214,7 +196,7 @@ func (p *SliceProgram) Next(fb Feedback) Op {
 	return one[0]
 }
 
-// NextBatch implements BatchProgram by copying the next chunk of the slice.
+// NextBatch implements Program by copying the next chunk of the slice.
 // SliceProgram ignores feedback entirely, so batches need not break at pops.
 func (p *SliceProgram) NextBatch(dst []Op, _ Feedback) int {
 	if p.pos >= len(p.ops) {
@@ -225,9 +207,3 @@ func (p *SliceProgram) NextBatch(dst []Op, _ Feedback) int {
 	p.pos += n
 	return n
 }
-
-// FuncProgram adapts a plain function to the Program interface.
-type FuncProgram func(fb Feedback) Op
-
-// Next implements Program.
-func (f FuncProgram) Next(fb Feedback) Op { return f(fb) }

@@ -183,26 +183,6 @@ func TestSliceProgramEmpty(t *testing.T) {
 	}
 }
 
-func TestFuncProgram(t *testing.T) {
-	n := 0
-	p := FuncProgram(func(Feedback) Op {
-		n++
-		if n > 2 {
-			return End()
-		}
-		return Compute(uint32(n))
-	})
-	if op := p.Next(Feedback{}); op.N != 1 {
-		t.Fatalf("first op N = %d", op.N)
-	}
-	if op := p.Next(Feedback{}); op.N != 2 {
-		t.Fatalf("second op N = %d", op.N)
-	}
-	if op := p.Next(Feedback{}); op.Kind != KindEnd {
-		t.Fatal("third op not End")
-	}
-}
-
 func TestRNGUint64nPropertyInRange(t *testing.T) {
 	f := func(seed uint64, n uint64) bool {
 		if n == 0 {

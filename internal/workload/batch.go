@@ -12,10 +12,10 @@ type opQueue struct {
 	ended bool
 }
 
-// drain is the shared trace.BatchProgram loop: it moves staged ops into
+// drain is the shared trace.Program loop: it moves staged ops into
 // dst, refilling the queue until dst is full or the stream ends, and
 // answers a call past the end with a lone End op. cutAfterPop ends the
-// batch right after a KindPop, as the contract on trace.BatchProgram
+// batch right after a KindPop, as the contract on trace.Program
 // demands of a generator that branches on pop feedback: the refill that
 // reads the feedback then always runs first in the following batch, with
 // the simulator's fresh value. The data-parallel generator adds a

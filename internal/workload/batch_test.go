@@ -9,21 +9,20 @@ import (
 
 // pull drains up to limit ops of p and returns them with the number of pops
 // seen. size 0 pulls through Next; size > 0 through NextBatch with len(dst)
-// == size, failing the test when a batch breaks the trace.BatchProgram
+// == size, failing the test when a batch breaks the trace.Program
 // contract: 1 <= n <= len(dst), and a KindPop only as the last op of its
 // batch. Pops are answered the way a queue that closes would: the first
 // okPops with PopOK true, every later one with false — so the feedback
 // delivered at a cut takes both values.
 func pull(t *testing.T, p trace.Program, size, okPops, limit int) (ops []trace.Op, pops int) {
 	t.Helper()
-	bp := p.(trace.BatchProgram) // every generator the product builds batches
 	buf := make([]trace.Op, max(size, 1))
 	var fb trace.Feedback
 	for len(ops) < limit {
 		n := 1
 		if size == 0 {
 			buf[0] = p.Next(fb)
-		} else if n = bp.NextBatch(buf, fb); n < 1 || n > size {
+		} else if n = p.NextBatch(buf, fb); n < 1 || n > size {
 			t.Fatalf("NextBatch returned %d for len(dst) %d", n, size)
 		}
 		for i, op := range buf[:n] {

@@ -109,7 +109,7 @@ func (p *dpProgram) Next(fb trace.Feedback) trace.Op {
 // the memory op, a three-op critical section, and an overhead burst.
 const dpMaxOpsPerAccess = 6
 
-// NextBatch implements trace.BatchProgram: opQueue.drain's loop plus a fast
+// NextBatch implements trace.Program: opQueue.drain's loop plus a fast
 // path that writes in-slice access runs directly into dst (no staging-queue
 // copy) whenever dst has room for a whole access, so the queue only carries
 // phase transitions and the tail of a batch. Either way the op sequence is

@@ -226,7 +226,7 @@ func (p *plProgram) Next(fb trace.Feedback) trace.Op {
 	return one[0]
 }
 
-// NextBatch implements trace.BatchProgram. Pipeline programs branch on pop
+// NextBatch implements trace.Program. Pipeline programs branch on pop
 // feedback (plBody reads Feedback.PopOK), so a batch ends immediately after
 // every KindPop: the plBody refill then always runs as the first refill of
 // the following batch, with the simulator's fresh feedback.
@@ -367,7 +367,7 @@ func (p *plSeqProgram) refill() {
 	p.item++
 }
 
-// NextBatch implements trace.BatchProgram; the sequential reference never
+// NextBatch implements trace.Program; the sequential reference never
 // pops, so batches only end when dst is full or the stream ends.
 func (p *plSeqProgram) NextBatch(dst []trace.Op, _ trace.Feedback) int {
 	return p.drain(dst, false, p.refill)

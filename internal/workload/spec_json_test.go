@@ -132,11 +132,10 @@ func TestFingerprintIgnoresInertFields(t *testing.T) {
 // with PopOK, as an open queue would.
 func sameStream(a, b trace.Program, limit int) bool {
 	fb := trace.Feedback{PopOK: true}
-	ba, bb := trace.Batched(a), trace.Batched(b)
 	bufA, bufB := make([]trace.Op, 512), make([]trace.Op, 512)
 	for ops := 0; ops < limit; {
-		n := ba.NextBatch(bufA, fb)
-		if bb.NextBatch(bufB, fb) != n {
+		n := a.NextBatch(bufA, fb)
+		if b.NextBatch(bufB, fb) != n {
 			return false
 		}
 		for i := 0; i < n; i++ {

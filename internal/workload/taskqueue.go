@@ -71,7 +71,7 @@ func (p *tqProgram) Next(fb trace.Feedback) trace.Op {
 	return one[0]
 }
 
-// NextBatch implements trace.BatchProgram: it drains whole refills into
+// NextBatch implements trace.Program: it drains whole refills into
 // dst. Task-queue programs never pop, so a batch only ends when dst is full
 // or the stream ends.
 func (p *tqProgram) NextBatch(dst []trace.Op, _ trace.Feedback) int {

@@ -169,8 +169,9 @@ func TestRequestValidation(t *testing.T) {
 	}{
 		{"neither", Request{Threads: 4}, "exactly one of Bench and Workload"},
 		{"both", Request{Bench: "cholesky", Workload: &w, Threads: 4}, "exactly one of Bench and Workload"},
-		{"zero threads", Request{Bench: "cholesky"}, "non-positive thread count 0"},
-		{"negative threads", Request{Workload: &w, Threads: -2}, "non-positive thread count -2"},
+		{"zero threads", Request{Bench: "cholesky"}, "threads must be in [1,256], got 0"},
+		{"negative threads", Request{Workload: &w, Threads: -2}, "threads must be in [1,256], got -2"},
+		{"too many threads", Request{Bench: "cholesky", Threads: 65}, "threads 65 exceeds the simulator's 64-core limit"},
 		{"unknown bench", Request{Bench: "choleski", Threads: 4}, `did you mean "cholesky"?`},
 		{"invalid workload", Request{Workload: &bad, Threads: 4}, "array_bytes"},
 	} {
