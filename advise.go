@@ -40,7 +40,8 @@ const (
 )
 
 // Advisor sweep bounds: the USL fit needs a sweep top of at least
-// MinAdviseThreads, and the service-aligned ceiling is MaxAdviseThreads.
+// MinAdviseThreads, and MaxAdviseThreads is the simulator's 64-core limit,
+// because the sweep keeps cores = threads at every point.
 const (
 	MinAdviseThreads = exp.MinAdviseThreads
 	MaxAdviseThreads = exp.MaxAdviseThreads

@@ -57,8 +57,8 @@ func main() {
 		out := outs[0]
 		comps := stack.TopComponents(out.Stack, 3)
 		fmt.Printf("%-28s %7.2f %7.2f %7.2f %+6.1f  %-34s %v  (%.2fs)\n",
-			b.FullName(), b.PaperSpeedup16, out.Actual, out.Estimated,
-			100*out.Error(), fmt.Sprint(comps), b.PaperComponents,
+			b.FullName(), b.PaperSpeedup16, out.Stack.ActualSpeedup, out.Stack.Estimated(),
+			100*out.Stack.Error(), fmt.Sprint(comps), b.PaperComponents,
 			time.Since(t0).Seconds())
 		if *verbose {
 			fmt.Print(stack.Table([]stack.Bar{{Label: b.FullName(), Stack: out.Stack}}))
@@ -68,7 +68,7 @@ func main() {
 				continue
 			}
 			o := gt[0].Result.Oracle
-			tp := float64(gt[0].Tp)
+			tp := float64(gt[0].Stack.Tp)
 			fmt.Printf("  oracle: posLLC=%.2f negLLC=%.2f mem=%.2f spin=%.2f yield=%.2f imbal=%.2f coher=%.2f ovh=%.2f\n",
 				o.PosLLC/tp, o.NegLLC/tp, o.NegMem/tp, o.Spin/tp, o.Yield/tp,
 				o.Imbalance/tp, o.Coherence/tp, o.ParallelOverhead/tp)

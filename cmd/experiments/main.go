@@ -171,7 +171,7 @@ var sections = []section{
 		bars := make([]stack.Bar, len(outs))
 		for i, o := range outs {
 			bars[i] = stack.Bar{
-				Label: fmt.Sprintf("%s x%d", o.Bench.FullName(), o.Threads),
+				Label: fmt.Sprintf("%s x%d", o.Bench.FullName(), o.Stack.N),
 				Stack: o.Stack,
 			}
 		}

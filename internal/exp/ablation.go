@@ -53,7 +53,7 @@ func probeError(ctx context.Context, e *Engine, cfg sim.Config) (float64, error)
 	}
 	total := 0.0
 	for _, out := range outs {
-		e := out.Error()
+		e := out.Stack.Error()
 		if e < 0 {
 			e = -e
 		}
@@ -135,7 +135,7 @@ func AblationSpinThreshold(ctx context.Context, e *Engine) ([]ThresholdRow, erro
 		rows = append(rows, ThresholdRow{
 			Threshold:     th,
 			MeanAbsErrPct: meanErr,
-			SpinShare:     out.Stack.Components.Spin / float64(out.Tp),
+			SpinShare:     out.Stack.Components.Spin / float64(out.Stack.Tp),
 		})
 	}
 	return rows, nil
@@ -180,7 +180,7 @@ func AblationQuantum(ctx context.Context, e *Engine) ([]QuantumRow, error) {
 		}
 		rows = append(rows, QuantumRow{
 			Quantum:       q,
-			Speedup16:     outs[0].Actual,
+			Speedup16:     outs[0].Stack.ActualSpeedup,
 			MeanAbsErrPct: meanErr,
 		})
 	}

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/scaling"
@@ -16,8 +15,9 @@ import (
 // sweep must reach 3 threads.
 const MinAdviseThreads = 3
 
-// MaxAdviseThreads bounds the sweep top; it matches the per-cell thread
-// ceiling of the speedupd service.
+// MaxAdviseThreads bounds the sweep top at the simulator's 64-core limit:
+// the sweep keeps cores = threads at every point, so its top thread count is
+// also its core count.
 const MaxAdviseThreads = 64
 
 // AdviseThreads returns the advisor's sweep schedule for a top of max:
@@ -39,7 +39,7 @@ func AdviseThreads(max int) []int {
 // these cells — costs no new simulation.
 func (e *Engine) Advise(ctx context.Context, req Request, maxThreads int) (scaling.Advice, error) {
 	if maxThreads < MinAdviseThreads || maxThreads > MaxAdviseThreads {
-		return scaling.Advice{}, fmt.Errorf("exp: advise max threads must be in [%d, %d], got %d",
+		return scaling.Advice{}, refuse("max_threads must be in [%d,%d], got %d",
 			MinAdviseThreads, MaxAdviseThreads, maxThreads)
 	}
 	req.Threads, req.Cores = maxThreads, 0
@@ -59,7 +59,7 @@ func (e *Engine) Advise(ctx context.Context, req Request, maxThreads int) (scali
 	}
 	points := make([]scaling.Point, len(outs))
 	for i, o := range outs {
-		points[i] = scaling.Point{Threads: o.Threads, Speedup: o.Actual}
+		points[i] = scaling.Point{Threads: o.Stack.N, Speedup: o.Stack.ActualSpeedup}
 	}
 	top := outs[len(outs)-1]
 	a, err := scaling.Build(b.FullName(), b.Spec, points, top.Stack)

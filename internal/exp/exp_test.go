@@ -26,16 +26,16 @@ func TestSweepPairsRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := outs[0]
-	if out.Ts == 0 || out.Tp == 0 {
+	if out.Ts == 0 || out.Stack.Tp == 0 {
 		t.Fatal("missing timings")
 	}
-	if out.Actual <= 1 || out.Actual > 4.05 {
-		t.Fatalf("4-thread speedup %v implausible", out.Actual)
+	if s := out.Stack.ActualSpeedup; s <= 1 || s > 4.05 {
+		t.Fatalf("4-thread speedup %v implausible", s)
 	}
-	if out.Stack.ActualSpeedup != out.Actual {
-		t.Fatal("stack does not carry the actual speedup")
+	if out.Stack.ActualSpeedup != float64(out.Ts)/float64(out.Stack.Tp) {
+		t.Fatal("stack does not carry the actual speedup Ts/Tp")
 	}
-	if e := out.Error(); e < -0.5 || e > 0.5 {
+	if e := out.Stack.Error(); e < -0.5 || e > 0.5 {
 		t.Fatalf("error %v implausible", e)
 	}
 }
@@ -69,8 +69,8 @@ func TestFigure1CurvesMonotoneStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out2, out4 := outs[0], outs[1]; out2.Actual <= 1.5 || out4.Actual <= out2.Actual {
-		t.Fatalf("scaling broken: 2T=%v 4T=%v", out2.Actual, out4.Actual)
+	if s2, s4 := outs[0].Stack.ActualSpeedup, outs[1].Stack.ActualSpeedup; s2 <= 1.5 || s4 <= s2 {
+		t.Fatalf("scaling broken: 2T=%v 4T=%v", s2, s4)
 	}
 }
 

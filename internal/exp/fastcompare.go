@@ -49,9 +49,9 @@ func ValidationCompare(ctx context.Context, e *Engine) ([]ValidationCompareRow, 
 		row := ValidationCompareRow{Threads: n}
 		for j := i * perCount; j < (i+1)*perCount; j++ {
 			ex, fa := exact[j], fast[j]
-			row.ExactMeanAbsErrPct += 100 * abs(ex.Error())
-			row.FastMeanAbsErrPct += 100 * abs(fa.Error())
-			delta := 100 * abs(fa.Estimated-ex.Estimated) / float64(n)
+			row.ExactMeanAbsErrPct += 100 * abs(ex.Stack.Error())
+			row.FastMeanAbsErrPct += 100 * abs(fa.Stack.Error())
+			delta := 100 * abs(fa.Stack.Estimated()-ex.Stack.Estimated()) / float64(n)
 			row.MeanAbsDeltaPct += delta
 			if delta > row.MaxAbsDeltaPct {
 				row.MaxAbsDeltaPct = delta
@@ -118,18 +118,18 @@ func (d FastDeviation) Exceeds(b sim.FastBounds) string {
 // per-component deviation the error-bound regression asserts.
 func Deviation(exact, fast Outcome) FastDeviation {
 	comp := func(f func(core.Components) float64) float64 {
-		return abs(f(fast.Stack.Components)/float64(fast.Tp) -
-			f(exact.Stack.Components)/float64(exact.Tp))
+		return abs(f(fast.Stack.Components)/float64(fast.Stack.Tp) -
+			f(exact.Stack.Components)/float64(exact.Stack.Tp))
 	}
-	return FastDeviation{exact.Bench.FullName(), exact.Threads, sim.FastBounds{
+	return FastDeviation{exact.Bench.FullName(), exact.Stack.N, sim.FastBounds{
 		NegLLC:        comp(func(c core.Components) float64 { return c.NegLLC }),
 		PosLLC:        comp(func(c core.Components) float64 { return c.PosLLC }),
 		NegMem:        comp(func(c core.Components) float64 { return c.NegMem }),
 		Spin:          comp(func(c core.Components) float64 { return c.Spin }),
 		Yield:         comp(func(c core.Components) float64 { return c.Yield }),
 		Imbalance:     comp(func(c core.Components) float64 { return c.Imbalance }),
-		Speedup:       abs(fast.Estimated - exact.Estimated),
-		ActualSpeedup: abs(fast.Actual - exact.Actual),
+		Speedup:       abs(fast.Stack.Estimated() - exact.Stack.Estimated()),
+		ActualSpeedup: abs(fast.Stack.ActualSpeedup - exact.Stack.ActualSpeedup),
 	}}
 }
 

@@ -71,7 +71,7 @@ func Figure1(ctx context.Context, e *Engine) ([]SpeedupCurve, error) {
 	for _, name := range Figure1Benchmarks {
 		c := SpeedupCurve{Benchmark: name, Points: []CurvePoint{{Threads: 1, Speedup: 1}}}
 		for _, n := range ThreadCounts {
-			c.Points = append(c.Points, CurvePoint{Threads: n, Speedup: outs[i].Actual})
+			c.Points = append(c.Points, CurvePoint{Threads: n, Speedup: outs[i].Stack.ActualSpeedup})
 			i++
 		}
 		curves = append(curves, c)
@@ -124,7 +124,7 @@ func Validation(ctx context.Context, e *Engine) ([]ValidationRow, error) {
 	for i, n := range ThreadCounts {
 		row := ValidationRow{Threads: n}
 		for _, o := range outs[i*perCount : (i+1)*perCount] {
-			e := o.Error()
+			e := o.Stack.Error()
 			if e < 0 {
 				e = -e
 			}
@@ -173,9 +173,9 @@ func Figure4(ctx context.Context, e *Engine) ([]Figure4Row, error) {
 	for _, o := range outs {
 		rows = append(rows, Figure4Row{
 			Benchmark: o.Bench.FullName(),
-			Threads:   o.Threads,
-			Actual:    o.Actual,
-			Estimated: o.Estimated,
+			Threads:   o.Stack.N,
+			Actual:    o.Stack.ActualSpeedup,
+			Estimated: o.Stack.Estimated(),
 		})
 	}
 	return rows, nil
@@ -204,7 +204,7 @@ func Figure5(ctx context.Context, e *Engine) ([]stack.Bar, error) {
 	bars := make([]stack.Bar, 0, len(outs))
 	for _, out := range outs {
 		bars = append(bars, stack.Bar{
-			Label: fmt.Sprintf("%s x%d", out.Bench.Spec.Name, out.Threads),
+			Label: fmt.Sprintf("%s x%d", out.Bench.Spec.Name, out.Stack.N),
 			Stack: out.Stack,
 		})
 	}
@@ -234,11 +234,11 @@ func Figure6(ctx context.Context, e *Engine) ([]TreeRow, error) {
 	rows := make([]TreeRow, 0, len(outs))
 	for _, o := range outs {
 		rows = append(rows, TreeRow{
-			Class:           stack.Classify(o.Actual),
+			Class:           stack.Classify(o.Stack.ActualSpeedup),
 			Components:      stack.TopComponents(o.Stack, 3),
 			Benchmark:       o.Bench.Spec.Name,
 			Suite:           o.Bench.Spec.Suite,
-			Speedup:         o.Actual,
+			Speedup:         o.Stack.ActualSpeedup,
 			PaperSpeedup:    o.Bench.PaperSpeedup16,
 			PaperComponents: o.Bench.PaperComponents,
 		})
@@ -320,8 +320,8 @@ func Figure7(ctx context.Context, e *Engine) ([]Figure7Row, error) {
 	for i, cores := range figure7CoreCounts {
 		rows = append(rows, Figure7Row{
 			Cores:          cores,
-			ThreadsEqCores: outs[2*i].Actual,
-			Threads16:      outs[2*i+1].Actual,
+			ThreadsEqCores: outs[2*i].Stack.ActualSpeedup,
+			Threads16:      outs[2*i+1].Stack.ActualSpeedup,
 		})
 	}
 	return rows, nil

@@ -10,26 +10,23 @@ import (
 )
 
 // Time-resolved measurement: MeasureIntervals runs a cell with the
-// simulator's interval accounting enabled and returns a stack.TimeSeries
-// next to the usual aggregate Outcome. It composes with everything the
-// engine already memoizes — the sequential reference and the aggregate
-// outcome come from the fingerprint-keyed memo (sizing the snapshot period
-// needs the run's total op count, which the aggregate provides), and the
-// interval run itself is memoized under the same key extended by the
-// interval count, with the same singleflight and LRU discipline as cells.
+// simulator's interval accounting enabled and returns a stack.TimeSeries. It
+// composes with everything the engine already memoizes — the sequential
+// reference and the aggregate outcome come from the fingerprint-keyed memo
+// (sizing the snapshot period needs the run's total op count, which the
+// aggregate provides), and the interval run itself is memoized under the
+// same key extended by the interval count, with the same singleflight and
+// LRU discipline as cells.
 
-// MaxIntervals bounds the interval count of a time-resolved measurement.
-// Each interval snapshot copies the per-thread counters, so the bound keeps
-// one request's snapshot memory small (≤ a few MB at 64 threads).
-const MaxIntervals = 4096
+// MaxIntervals bounds the interval count of a time-resolved measurement, for
+// the library and the service alike. Each interval snapshot copies the
+// per-thread counters, so the bound keeps one request's snapshot memory
+// small: about 4.5 MB at 64 threads.
+const MaxIntervals = 512
 
-// IntervalOutcome couples a cell's aggregate Outcome with its time-resolved
-// decomposition. Result is the interval-enabled run with the raw snapshots
-// dropped (they are folded into Series, and memoizing them twice would
-// double every cache entry); by the determinism contract it is identical
-// to the aggregate run, which runIntervals verifies.
+// IntervalOutcome is a cell's time-resolved decomposition. The aggregate
+// outcome it was cut from stays in the cell memo, where Do finds it.
 type IntervalOutcome struct {
-	Outcome
 	// Series is the interval-resolved speedup stack; its interval
 	// components sum exactly to Series.Aggregate.
 	Series stack.TimeSeries
@@ -51,7 +48,7 @@ type intervalKey struct {
 // fingerprint — cost one interval-enabled simulation.
 func (e *Engine) MeasureIntervals(ctx context.Context, req Request, count int) (IntervalOutcome, error) {
 	if count < 1 || count > MaxIntervals {
-		return IntervalOutcome{}, fmt.Errorf("exp: interval count must be in [1,%d], got %d", MaxIntervals, count)
+		return IntervalOutcome{}, refuse("intervals must be in [1,%d], got %d", MaxIntervals, count)
 	}
 	b, k, err := e.resolve(req)
 	if err != nil {
@@ -67,9 +64,8 @@ func (e *Engine) MeasureIntervals(ctx context.Context, req Request, count int) (
 	if err != nil {
 		return IntervalOutcome{}, err
 	}
-	// Like Do: identity is the fingerprint, so a memoized outcome may carry
+	// Like Do: identity is the fingerprint, so a memoized series may carry
 	// the naming of whichever alias measured it first.
-	out.Bench = b
 	out.Series.Label = b.FullName()
 	return out, nil
 }
@@ -97,20 +93,12 @@ func (e *Engine) runIntervals(ctx context.Context, ik intervalKey, b workload.Be
 	// Interval accounting must be unobservable in the aggregate — snapshots
 	// only read counters. A divergence here is an engine bug, not a
 	// workload property, so fail loudly instead of returning skewed data.
-	if res.Tp != agg.Tp || res.TotalOps != agg.Result.TotalOps {
+	if res.Tp != agg.Result.Tp || res.TotalOps != agg.Result.TotalOps {
 		return IntervalOutcome{}, fmt.Errorf(
 			"exp: interval accounting perturbed %s x%d: Tp %d vs %d, ops %d vs %d",
-			b.FullName(), ik.threads, res.Tp, agg.Tp, res.TotalOps, agg.Result.TotalOps)
+			b.FullName(), ik.threads, res.Tp, agg.Result.Tp, res.TotalOps, agg.Result.TotalOps)
 	}
 	series, err := stack.NewTimeSeries(b.FullName(), res.Stack(agg.Ts),
 		res.PerThread, res.Intervals, period)
-	if err != nil {
-		return IntervalOutcome{}, err
-	}
-	// The raw snapshots are folded into the series; memoizing them again on
-	// the Result would double every cache entry's snapshot memory.
-	res.Intervals = nil
-	out := IntervalOutcome{Outcome: agg, Series: series}
-	out.Result = res
-	return out, nil
+	return IntervalOutcome{Series: series}, err
 }

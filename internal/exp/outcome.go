@@ -69,23 +69,16 @@ import (
 )
 
 // Outcome is one (benchmark, thread-count) measurement: the multi-threaded
-// run, its single-threaded reference, and the derived speedup stack.
+// run, its single-threaded reference, and the derived speedup stack. The
+// stack is the one copy of every derived figure — thread count N, parallel
+// time Tp, actual speedup S = Ts/Tp, Ŝ (Estimated) and Formula (6)'s
+// Error — and is embedded, so an Outcome reads them as its own.
 type Outcome struct {
-	Bench   workload.Benchmark
-	Threads int
-	// Ts and Tp are the sequential and parallel execution times (cycles).
+	Bench workload.Benchmark
+	// Ts is the sequential execution time (cycles).
 	Ts uint64
-	Tp uint64
-	// Actual is S = Ts/Tp; Estimated is Ŝ from the accounting hardware.
-	Actual    float64
-	Estimated float64
 	// Stack is the estimated speedup stack with the actual speedup attached.
-	Stack core.Stack
+	core.Stack
 	// Result is the full multi-threaded simulation result.
 	Result sim.Result
-}
-
-// Error returns the signed validation error (Ŝ−S)/N of Formula (6).
-func (o Outcome) Error() float64 {
-	return (o.Estimated - o.Actual) / float64(o.Threads)
 }

@@ -1,0 +1,85 @@
+package exp
+
+import (
+	"context"
+	"errors"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// TestRefusalsAreTyped pins the engine as the one judge of a request: every
+// refusal it makes before simulating is a *RequestError carrying the
+// wording the service answers on the wire, every failed name or ID lookup
+// a *workload.LookupError, and none of them fires the run hook.
+func TestRefusalsAreTyped(t *testing.T) {
+	var runs atomic.Int32
+	e := NewEngine(sim.Default(), WithRunHook(func(string, string, int, int) { runs.Add(1) }))
+	ctx := context.Background()
+	b, ok := workload.ByName("cholesky_splash2")
+	if !ok {
+		t.Fatal("cholesky_splash2 not registered")
+	}
+	spec := b.Spec
+	invalid := b.Spec
+	invalid.ArrayBytes = -1
+	good := Request{Cell: Cell{Bench: "cholesky_splash2", Threads: 4}}
+	do := func(c Cell) func() error {
+		return func() error { _, err := e.Do(ctx, []Request{{Cell: c}}); return err }
+	}
+
+	for _, tc := range []struct {
+		name   string
+		call   func() error
+		lookup bool   // a *workload.LookupError rather than a *RequestError
+		msg    string // the exact message, when pinned
+	}{
+		{"advise range low", func() error { _, err := e.Advise(ctx, good, 2); return err },
+			false, "max_threads must be in [3,64], got 2"},
+		{"advise range high", func() error { _, err := e.Advise(ctx, good, MaxAdviseThreads+1); return err },
+			false, "max_threads must be in [3,64], got 65"},
+		{"what-if floor", func() error {
+			_, err := e.WhatIf(ctx, Request{Cell: Cell{Bench: "cholesky_splash2", Threads: 1}}, nil)
+			return err
+		}, false, "what-if needs threads >= 2 (a single-threaded run has no scaling gap), got 1"},
+		{"unknown intervention", func() error { _, err := e.WhatIf(ctx, good, []string{"triple_llc"}); return err },
+			true, ""},
+		{"interval range low", func() error { _, err := e.MeasureIntervals(ctx, good, 0); return err },
+			false, "intervals must be in [1,512], got 0"},
+		{"interval range high", func() error { _, err := e.MeasureIntervals(ctx, good, MaxIntervals+1); return err },
+			false, "intervals must be in [1,512], got 513"},
+		{"bench and spec", do(Cell{Bench: "cholesky_splash2", Spec: &spec, Threads: 4}),
+			false, "exp: cell 0: give bench or spec, not both"},
+		{"threads", do(Cell{Bench: "cholesky_splash2"}),
+			false, "exp: cell 0: threads must be in [1,256], got 0"},
+		{"cores", do(Cell{Bench: "cholesky_splash2", Threads: 4, Cores: 65}),
+			false, "exp: cell 0: cores must be in [0,64], got 65"},
+		{"threads over the core limit", do(Cell{Bench: "cholesky_splash2", Threads: 65}),
+			false, "exp: cell 0: threads 65 exceeds the simulator's 64-core limit; pass an explicit cores"},
+		{"invalid spec", do(Cell{Spec: &invalid, Threads: 4}), false, ""},
+		{"unknown bench", do(Cell{Bench: "nosuch", Threads: 4}), true, ""},
+		{"neither bench nor spec", do(Cell{Threads: 4}), true, ""},
+	} {
+		err := tc.call()
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		var refused *RequestError
+		var lookup *workload.LookupError
+		if tc.lookup && !errors.As(err, &lookup) {
+			t.Errorf("%s: %T (%v) is not a *workload.LookupError", tc.name, err, err)
+		}
+		if !tc.lookup && !errors.As(err, &refused) {
+			t.Errorf("%s: %T (%v) is not a *RequestError", tc.name, err, err)
+		}
+		if tc.msg != "" && err.Error() != tc.msg {
+			t.Errorf("%s: message %q, want %q", tc.name, err, tc.msg)
+		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("refused requests fired the run hook %d times", n)
+	}
+}

@@ -32,7 +32,8 @@ import (
 // analogue (or to another custom spec under a different name) is the same
 // simulation and runs once.
 type Cell struct {
-	// Bench names a registered benchmark analogue. Ignored when Spec is set.
+	// Bench names a registered benchmark analogue. Exactly one of Bench and
+	// Spec is set.
 	Bench string
 	// Spec is an inline workload description. It is validated during
 	// resolution and participates in dedup and memoization exactly like a
@@ -79,29 +80,51 @@ type seqKey struct {
 	fp  workload.Fingerprint
 }
 
-// Resolve validates the cell — its run shape, then a consistent inline Spec
-// or a registered Bench (failing with the nearest-name suggestion) — and
-// returns the workload it names, an inline Spec in its canonical form. It
-// is the one validation behind every engine entry point, the root package's
-// Request and the service's cells, so the same bad input reads the same at
-// every door and fails before any simulation.
+// RequestError is a request the engine refuses before simulating anything:
+// a run shape, count or workload naming outside what it accepts, or an
+// invalid inline spec. Unknown names and intervention IDs fail with
+// *workload.LookupError instead. Front ends map the type, never the text:
+// the service answers a RequestError 400 invalid_argument.
+type RequestError struct{ Err error }
+
+// Error returns the refusal's message, unprefixed.
+func (e *RequestError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the refusal's cause.
+func (e *RequestError) Unwrap() error { return e.Err }
+
+// refuse builds a RequestError from a format string.
+func refuse(format string, args ...any) error {
+	return &RequestError{fmt.Errorf(format, args...)}
+}
+
+// Resolve validates the cell — bench or spec, then its run shape, then a
+// consistent inline Spec or a registered Bench (failing with the
+// nearest-name suggestion) — and returns the workload it names, an inline
+// Spec in its canonical form. It is the one validation behind every engine
+// entry point, the root package's Request and the service's cells, so the
+// same bad input reads the same at every door and fails before any
+// simulation.
 func (c Cell) Resolve() (workload.Benchmark, error) {
+	if c.Spec != nil && c.Bench != "" {
+		return workload.Benchmark{}, refuse("give bench or spec, not both")
+	}
 	if c.Threads < 1 || c.Threads > 256 {
-		return workload.Benchmark{}, fmt.Errorf("threads must be in [1,256], got %d", c.Threads)
+		return workload.Benchmark{}, refuse("threads must be in [1,256], got %d", c.Threads)
 	}
 	// 64 cores is the simulator's limit (sim.Config.Validate). Cores
 	// defaults to threads (the paper's pairing), so a bare thread count must
 	// itself fit it.
 	if c.Cores < 0 || c.Cores > 64 {
-		return workload.Benchmark{}, fmt.Errorf("cores must be in [0,64], got %d", c.Cores)
+		return workload.Benchmark{}, refuse("cores must be in [0,64], got %d", c.Cores)
 	}
 	if c.Cores == 0 && c.Threads > 64 {
-		return workload.Benchmark{}, fmt.Errorf("threads %d exceeds the simulator's 64-core limit; pass an explicit cores", c.Threads)
+		return workload.Benchmark{}, refuse("threads %d exceeds the simulator's 64-core limit; pass an explicit cores", c.Threads)
 	}
 	if c.Spec != nil {
 		s := *c.Spec
 		if err := s.Validate(); err != nil {
-			return workload.Benchmark{}, err
+			return workload.Benchmark{}, &RequestError{err}
 		}
 		return workload.Benchmark{Spec: s.Canonical()}, nil
 	}
@@ -118,11 +141,10 @@ type Stats struct {
 	// SeqRuns and CellRuns are simulations actually executed.
 	SeqRuns  int
 	CellRuns int
-	// FastSeqRuns and FastCellRuns are the subset of those runs executed in
-	// sim.ModeFast (the sampled fast lane); the exact-mode counts are the
-	// differences. Fast and exact cells never alias in the memo — Mode is
-	// part of sim.Config, the memo key — so the split is exact.
-	FastSeqRuns  int
+	// FastCellRuns is the subset of CellRuns executed in sim.ModeFast (the
+	// sampled fast lane); the exact-mode count is the difference. Fast and
+	// exact cells never alias in the memo — Mode is part of sim.Config, the
+	// memo key — so the split is exact.
 	FastCellRuns int
 	// SeqHits and CellHits are requests satisfied by a memoized (or
 	// in-flight) entry.
@@ -437,18 +459,15 @@ func (e *Engine) simulate(ctx context.Context, kind string, cfg sim.Config, b wo
 	if e.hook != nil {
 		e.hook(kind, b.FullName(), max(threads, 1), max(cores, 1))
 	}
-	fast := 0
-	if cfg.Mode == sim.ModeFast {
-		fast = 1
-	}
 	e.mu.Lock()
 	switch kind {
 	case "cell":
 		e.stats.CellRuns++
-		e.stats.FastCellRuns += fast
+		if cfg.Mode == sim.ModeFast {
+			e.stats.FastCellRuns++
+		}
 	case "seq":
 		e.stats.SeqRuns++
-		e.stats.FastSeqRuns += fast
 	case "interval":
 		e.stats.IntervalRuns++
 	}
@@ -473,17 +492,7 @@ func (e *Engine) runCell(ctx context.Context, k cellKey, b workload.Benchmark) (
 	if err != nil {
 		return Outcome{}, err
 	}
-	stack := res.Stack(ts)
-	return Outcome{
-		Bench:     b,
-		Threads:   k.threads,
-		Ts:        ts,
-		Tp:        res.Tp,
-		Actual:    stack.ActualSpeedup,
-		Estimated: stack.Estimated(),
-		Stack:     stack,
-		Result:    res,
-	}, nil
+	return Outcome{Bench: b, Ts: ts, Stack: res.Stack(ts), Result: res}, nil
 }
 
 // seqTime resolves the single-threaded reference time of b, whose

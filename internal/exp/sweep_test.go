@@ -41,8 +41,8 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		rows := make([]Figure4Row, len(outs))
 		for i, o := range outs {
 			rows[i] = Figure4Row{
-				Benchmark: o.Bench.FullName(), Threads: o.Threads,
-				Actual: o.Actual, Estimated: o.Estimated,
+				Benchmark: o.Bench.FullName(), Threads: o.Stack.N,
+				Actual: o.Stack.ActualSpeedup, Estimated: o.Stack.Estimated(),
 			}
 		}
 		text := FormatFigure4(rows)
@@ -57,8 +57,8 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: rendered text differs:\n%s\nvs\n%s", workers, text, refText)
 		}
 	}
-	if ref[0].Actual <= 1 {
-		t.Fatalf("implausible speedup %v", ref[0].Actual)
+	if ref[0].Stack.ActualSpeedup <= 1 {
+		t.Fatalf("implausible speedup %v", ref[0].Stack.ActualSpeedup)
 	}
 }
 

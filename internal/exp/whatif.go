@@ -28,7 +28,7 @@ const MinWhatIfThreads = 2
 // simulated the baseline) costs zero extra simulations.
 func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.Report, error) {
 	if req.Threads < MinWhatIfThreads {
-		return whatif.Report{}, fmt.Errorf("exp: what-if needs at least %d threads (a single-threaded run has no scaling gap), got %d",
+		return whatif.Report{}, refuse("what-if needs threads >= %d (a single-threaded run has no scaling gap), got %d",
 			MinWhatIfThreads, req.Threads)
 	}
 	ivs := whatif.Catalog()
@@ -79,7 +79,7 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 			Component:        iv.Component,
 			Mutation:         m.Description,
 			PredictedGain:    gain,
-			PredictedSpeedup: base.Actual + gain,
+			PredictedSpeedup: base.Stack.ActualSpeedup + gain,
 		})
 		reqs = append(reqs, mreq)
 	}
@@ -92,9 +92,9 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 	stacks := make(map[string]core.Stack, len(preds))
 	for i, out := range mouts {
 		p := &preds[i]
-		p.ActualSpeedup = out.Actual
-		p.ActualGain = out.Actual - base.Actual
-		p.Error = (p.PredictedSpeedup - out.Actual) / float64(k.threads)
+		p.ActualSpeedup = out.Stack.ActualSpeedup
+		p.ActualGain = out.Stack.ActualSpeedup - base.Stack.ActualSpeedup
+		p.Error = (p.PredictedSpeedup - out.Stack.ActualSpeedup) / float64(k.threads)
 		stacks[p.Intervention] = out.Stack
 	}
 	whatif.Rank(preds)
@@ -102,8 +102,8 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 	rep := whatif.Report{
 		Benchmark:         b.FullName(),
 		Threads:           k.threads,
-		BaselineSpeedup:   base.Actual,
-		BaselineEstimated: base.Estimated,
+		BaselineSpeedup:   base.Stack.ActualSpeedup,
+		BaselineEstimated: base.Stack.Estimated(),
 		Predictions:       preds,
 		Bars:              make([]stack.Bar, 0, len(preds)+1),
 	}

@@ -160,7 +160,7 @@ func TestWhatIfMinThreads(t *testing.T) {
 	if err == nil {
 		t.Fatal("what-if accepted a single-threaded cell")
 	}
-	if !strings.Contains(err.Error(), "at least 2 threads") {
+	if !strings.Contains(err.Error(), "threads >= 2") {
 		t.Errorf("error %q does not state the thread floor", err)
 	}
 	if st := e.Stats(); st.CellRuns != 0 {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/exp"
 	"repro/internal/stack"
 	"repro/internal/whatif"
 	"repro/internal/workload"
@@ -95,13 +96,17 @@ func asAPIError(err error) *apiError {
 	return badRequest("%v", err)
 }
 
-// simAPIError maps a failed engine call onto an apiError: timeouts are the
-// gateway's fault (504), cancellations the client's (499-style 408), an
-// intervention ID the engine does not know the same 404 the parse step
-// gives, anything else a 500.
+// simAPIError maps a failed engine call onto an apiError. The engine judges
+// every request rule the parse step does not: a refusal (*exp.RequestError)
+// is a 400 and a failed name or ID lookup (*workload.LookupError) a 404,
+// both through asAPIError with the engine's own message. Timeouts are the
+// gateway's fault (504), cancellations the client's (499-style 408), and
+// anything else a 500.
 func (s *Server) simAPIError(err error) *apiError {
+	var refused *exp.RequestError
+	var lookup *workload.LookupError
 	switch {
-	case errors.Is(err, whatif.ErrUnknownIntervention):
+	case errors.As(err, &refused), errors.As(err, &lookup):
 		return asAPIError(err)
 	case errors.Is(err, context.DeadlineExceeded):
 		return &apiError{Status: http.StatusGatewayTimeout, Code: codeSimTimeout,

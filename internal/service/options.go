@@ -143,11 +143,14 @@ func parseOptions(path string, q url.Values, accept string, spec optionSpec) (re
 		opts.cell = cell
 	}
 	if spec.intervals {
-		n, err := parseIntervals(q.Get("intervals"), 0)
-		if err != nil {
-			return requestOptions{}, badRequest("%v", err)
+		opts.intervals = defaultIntervals
+		if s := q.Get("intervals"); s != "" {
+			n, err := strconv.Atoi(s)
+			if err != nil {
+				return requestOptions{}, badRequest("bad intervals %q: %v", s, err)
+			}
+			opts.intervals = n
 		}
-		opts.intervals = n
 	}
 	if spec.advise {
 		bench := q.Get("bench")
@@ -164,10 +167,6 @@ func parseOptions(path string, q url.Values, accept string, spec optionSpec) (re
 			n, err := strconv.Atoi(s)
 			if err != nil {
 				return requestOptions{}, badRequest("bad max_threads %q: %v", s, err)
-			}
-			if n < exp.MinAdviseThreads || n > exp.MaxAdviseThreads {
-				return requestOptions{}, badRequest("max_threads must be in [%d,%d], got %d",
-					exp.MinAdviseThreads, exp.MaxAdviseThreads, n)
 			}
 			opts.maxThreads = n
 		}
@@ -227,23 +226,4 @@ func checkCell(c exp.Cell) (exp.Cell, error) {
 		return exp.Cell{}, err
 	}
 	return c, nil
-}
-
-// parseIntervals validates an interval count. s is the query value (absent
-// when empty), body the decoded body field (absent when zero); an absent
-// count selects the default, an explicit one must be in range.
-func parseIntervals(s string, body int) (int, error) {
-	n := body
-	if s != "" {
-		var err error
-		if n, err = strconv.Atoi(s); err != nil {
-			return 0, fmt.Errorf("bad intervals %q: %v", s, err)
-		}
-	} else if n == 0 {
-		return defaultIntervals, nil
-	}
-	if n < 1 || n > maxIntervals {
-		return 0, fmt.Errorf("intervals must be in [1,%d], got %d", maxIntervals, n)
-	}
-	return n, nil
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/stack"
 	"repro/internal/trace"
-	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
@@ -124,19 +123,18 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// buildCell resolves one body cell into an engine cell.
+// buildCell parses one body cell into an engine cell and has the engine
+// judge it (checkCell).
 func buildCell(c cellRequest) (exp.Cell, error) {
+	cell := exp.Cell{Bench: c.Bench, Threads: c.Threads, Cores: c.Cores}
 	if len(c.Spec) > 0 {
-		if c.Bench != "" {
-			return exp.Cell{}, fmt.Errorf("give bench or spec, not both")
-		}
 		spec, err := workload.ParseSpec(c.Spec)
 		if err != nil {
 			return exp.Cell{}, err
 		}
-		return checkCell(exp.Cell{Spec: &spec, Threads: c.Threads, Cores: c.Cores})
+		cell.Spec = &spec
 	}
-	return checkCell(exp.Cell{Bench: c.Bench, Threads: c.Threads, Cores: c.Cores})
+	return checkCell(cell)
 }
 
 // parseStack is GET /v1/stack: one (benchmark, threads[, cores]) cell, in
@@ -198,7 +196,8 @@ func parseSweepCall(s *Server, r *http.Request, opts requestOptions) (call, *api
 // a thread count, measured end-to-end. It is the bring-your-own-benchmark
 // twin of GET /v1/stack and shares its cache: the engine keys on the spec's
 // canonical fingerprint, so repeating a spec — under any name, inline or
-// registered — is a cache hit. "intervals" selects the time-resolved form.
+// registered — is a cache hit. A nonzero "intervals" selects the
+// time-resolved form; the engine judges its range.
 func parseAnalyze(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
 	var req cellRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
@@ -210,19 +209,12 @@ func parseAnalyze(s *Server, r *http.Request, opts requestOptions) (call, *apiEr
 	if req.Bench != "" {
 		return nil, badRequest("analyze takes a spec, not a bench name (use /v1/stack)")
 	}
-	count := 0
-	if req.Intervals != 0 {
-		var err error
-		if count, err = parseIntervals("", req.Intervals); err != nil {
-			return nil, badRequest("%v", err)
-		}
-	}
 	cell, err := buildCell(req)
 	if err != nil {
 		return nil, asAPIError(err)
 	}
-	if count > 0 {
-		return s.seriesCall(opts, cell, count), nil
+	if req.Intervals != 0 {
+		return s.seriesCall(opts, cell, req.Intervals), nil
 	}
 	return s.cellsCall(opts, cell), nil
 }
@@ -274,45 +266,24 @@ type whatifRequest struct {
 	Interventions []string        `json:"interventions,omitempty"`
 }
 
-// parseWhatIf resolves a decoded what-if body into an engine cell and the
-// requested intervention IDs, applying the same cell bounds as every other
-// endpoint plus the what-if floor (a single-threaded run has no scaling gap
-// to attribute). It performs no simulation, so the fuzz suite can drive it
-// on arbitrary bodies; intervention IDs are resolved here too, so unknown
-// ones fail before any simulation is spent.
-func parseWhatIf(req whatifRequest) (exp.Cell, []string, error) {
-	cell, err := buildCell(cellRequest{Bench: req.Bench, Spec: req.Spec, Threads: req.Threads, Cores: req.Cores})
-	if err != nil {
-		return exp.Cell{}, nil, err
-	}
-	if req.Threads < exp.MinWhatIfThreads {
-		return exp.Cell{}, nil, badRequest("what-if needs threads >= %d (a single-threaded run has no scaling gap), got %d",
-			exp.MinWhatIfThreads, req.Threads)
-	}
-	for _, id := range req.Interventions {
-		if _, err := whatif.ByID(id); err != nil {
-			return exp.Cell{}, nil, err
-		}
-	}
-	return cell, req.Interventions, nil
-}
-
 // parseWhatIfCall is POST /v1/whatif: the causal what-if report for one
 // cell — each applicable catalog intervention predicted by re-evaluating
 // the estimator with its components scaled, validated by re-simulating the
 // mutated spec/machine, and ranked by predicted gain. Everything rides the
-// fingerprint-keyed memo, so repeating a request simulates nothing new.
+// fingerprint-keyed memo, so repeating a request simulates nothing new. The
+// what-if floor and the intervention IDs are the engine's to judge:
+// Engine.WhatIf refuses both before it simulates anything.
 func parseWhatIfCall(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
 	var req whatifRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
 		return nil, badRequest("bad body: %v", err)
 	}
-	cell, ids, err := parseWhatIf(req)
+	cell, err := buildCell(cellRequest{Bench: req.Bench, Spec: req.Spec, Threads: req.Threads, Cores: req.Cores})
 	if err != nil {
 		return nil, asAPIError(err)
 	}
 	return func(ctx context.Context) (stack.Document, error) {
-		return s.engine.WhatIf(ctx, exp.Request{Cell: cell}, ids)
+		return s.engine.WhatIf(ctx, exp.Request{Cell: cell}, req.Interventions)
 	}, nil
 }
 

@@ -178,11 +178,8 @@ const (
 	defaultCacheCells = 4096
 	defaultSimTimeout = 2 * time.Minute
 	// defaultIntervals is the slice count when an interval request does not
-	// name one; maxIntervals caps what one request may ask for (each
-	// interval snapshot copies per-thread counters, so the cap bounds the
-	// response and cache-entry size).
+	// name one; exp.MaxIntervals caps what one request may ask for.
 	defaultIntervals = 32
-	maxIntervals     = 512
 	// defaultAdviseThreads is the advisor's sweep top when the request does
 	// not name one: the paper's 16-thread machine.
 	defaultAdviseThreads = 16

@@ -210,9 +210,16 @@ func FuzzWhatIfJSON(f *testing.F) {
 			t.Fatalf("re-encoded request rejected: %v\n%s", err, round)
 		}
 
-		cell, _, err := parseWhatIf(req)
+		cell, err := buildCell(cellRequest{Bench: req.Bench, Spec: req.Spec, Threads: req.Threads, Cores: req.Cores})
 		if err != nil {
 			return // invalid requests fail with a typed error, never panic
+		}
+		// The engine resolves the intervention IDs; an unknown one fails
+		// with the typed lookup error, never a panic.
+		for _, id := range req.Interventions {
+			if _, err := whatif.ByID(id); err != nil {
+				return
+			}
 		}
 		// A valid cell: resolve its spec and apply the entire catalog.
 		spec := workloadSpecOf(t, cell.Bench, cell.Spec)
@@ -256,7 +263,7 @@ func workloadSpecOf(t *testing.T, bench string, spec *workload.Spec) workload.Sp
 	}
 	b, ok := workload.ByName(bench)
 	if !ok {
-		t.Fatalf("parseWhatIf accepted unknown benchmark %q", bench)
+		t.Fatalf("buildCell accepted unknown benchmark %q", bench)
 	}
 	return b.Spec
 }

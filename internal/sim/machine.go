@@ -43,16 +43,15 @@ type thread struct {
 	finished bool
 
 	// Blocking-wait state.
-	waiting     bool
-	kind        waitKind
-	waitID      uint32
-	waitStart   uint64
-	parked      bool   // OS has descheduled the thread (futex wait)
-	parkedAt    uint64 // when it parked
-	granted     bool
-	grantAt     uint64 // effective grant time (before handoff/wake latency)
-	grantPopOK  bool   // result for queue-pop grants
-	grantHanded bool   // lock/queue grants transfer ownership directly
+	waiting    bool
+	kind       waitKind
+	waitID     uint32
+	waitStart  uint64
+	parked     bool   // OS has descheduled the thread (futex wait)
+	parkedAt   uint64 // when it parked
+	granted    bool
+	grantAt    uint64 // effective grant time (before handoff/wake latency)
+	grantPopOK bool   // result for queue-pop grants
 
 	det *spin.Detector
 	ct  core.ThreadCounters

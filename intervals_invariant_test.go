@@ -49,8 +49,14 @@ func TestIntervalSumInvariant(t *testing.T) {
 		wg.Add(1)
 		go func(c cellID) {
 			defer wg.Done()
-			out, err := e.MeasureIntervals(ctx,
-				exp.Request{Cell: exp.Cell{Bench: c.bench, Threads: c.threads}}, intervals)
+			req := exp.Request{Cell: exp.Cell{Bench: c.bench, Threads: c.threads}}
+			out, err := e.MeasureIntervals(ctx, req, intervals)
+			if err != nil {
+				fail("%s x%d: %v", c.bench, c.threads, err)
+				return
+			}
+			// The aggregate run the series was cut from: a cell-memo hit.
+			agg, err := e.Do(ctx, []exp.Request{req})
 			if err != nil {
 				fail("%s x%d: %v", c.bench, c.threads, err)
 				return
@@ -86,8 +92,8 @@ func TestIntervalSumInvariant(t *testing.T) {
 			// miss penalty, ≤ penalty+1 per thread).
 			fc := ts.Stack.Components
 			penalty := 0.0
-			for i := range out.Result.PerThread {
-				tc := &out.Result.PerThread[i]
+			for i := range agg[0].Result.PerThread {
+				tc := &agg[0].Result.PerThread[i]
 				if tc.LLCLoadMisses > 0 {
 					if p := float64(tc.StallLLCLoadMiss) / float64(tc.LLCLoadMisses); p > penalty {
 						penalty = p

@@ -36,7 +36,6 @@ package speedupstack
 
 import (
 	"context"
-	"errors"
 	"io"
 	"runtime"
 
@@ -117,13 +116,10 @@ type Request struct {
 }
 
 // resolve is the one Request → exp.Request step behind every entry point:
-// it checks the request's shape, validates it with the engine's own
-// exp.Cell.Resolve (so every door fails with the same text) and binds the
-// resolved workload and, for Fast, the sampled machine.
+// it validates the request with the engine's own exp.Cell.Resolve (so every
+// door fails with the same text) and binds the resolved workload and, for
+// Fast, the sampled machine.
 func (r Request) resolve() (exp.Request, error) {
-	if (r.Bench == "") == (r.Workload == nil) {
-		return exp.Request{}, errors.New("speedupstack: a Request names exactly one of Bench and Workload")
-	}
 	b, err := exp.Cell{Bench: r.Bench, Spec: r.Workload, Threads: r.Threads}.Resolve()
 	if err != nil {
 		return exp.Request{}, err
@@ -174,7 +170,7 @@ func MeasureAll(ctx context.Context, rs []Request) ([]Result, error) {
 	for i, out := range outs {
 		results[i] = Result{
 			Benchmark: out.Bench.FullName(),
-			Threads:   out.Threads,
+			Threads:   out.Stack.N,
 			Stack:     out.Stack,
 		}
 	}
@@ -207,7 +203,8 @@ type TimeSeriesInterval = stack.Interval
 // TimeSeries interval (or of its aggregate).
 type IntervalComponents = core.IntComponents
 
-// MaxIntervals bounds the interval count of a time-resolved measurement.
+// MaxIntervals bounds the interval count of a time-resolved measurement: the
+// same 512 the speedupd service accepts.
 const MaxIntervals = exp.MaxIntervals
 
 // MeasureIntervals is Measure with time resolution: it divides the run into

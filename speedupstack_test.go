@@ -167,8 +167,8 @@ func TestRequestValidation(t *testing.T) {
 		req  Request
 		want string
 	}{
-		{"neither", Request{Threads: 4}, "exactly one of Bench and Workload"},
-		{"both", Request{Bench: "cholesky", Workload: &w, Threads: 4}, "exactly one of Bench and Workload"},
+		{"neither", Request{Threads: 4}, `unknown benchmark ""`},
+		{"both", Request{Bench: "cholesky", Workload: &w, Threads: 4}, "give bench or spec, not both"},
 		{"zero threads", Request{Bench: "cholesky"}, "threads must be in [1,256], got 0"},
 		{"negative threads", Request{Workload: &w, Threads: -2}, "threads must be in [1,256], got -2"},
 		{"too many threads", Request{Bench: "cholesky", Threads: 65}, "threads 65 exceeds the simulator's 64-core limit"},
