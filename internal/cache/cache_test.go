@@ -41,6 +41,13 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%+v: %v, want ErrWayTooSmall", c, err)
 		}
 	}
+	// The 7-bit slot index names at most 128 ways.
+	if err := (Config{SizeBytes: 128 * 4096, Ways: 128, LineBytes: 64}).Validate(); err != nil {
+		t.Errorf("128 ways rejected: %v", err)
+	}
+	if err := (Config{SizeBytes: 256 * 4096, Ways: 256, LineBytes: 64}).Validate(); !errors.Is(err, ErrTooManyWays) {
+		t.Errorf("256 ways: %v, want ErrTooManyWays", err)
+	}
 }
 
 func TestAddressMapping(t *testing.T) {
@@ -99,7 +106,7 @@ func lookupAddr(a *l1Array, addr uint64) (hit, tombstone bool) {
 
 func insertAddr(a *l1Array, addr uint64) (victim uint64, evicted bool) {
 	set, tag := a.split(addr)
-	return a.insert(set, tag, l1Shared)
+	return a.insert(set, tag, 0, l1Shared)
 }
 
 func presentAddr(a *l1Array, addr uint64) bool {
@@ -226,7 +233,7 @@ func TestArrayMatchesReferenceLRU(t *testing.T) {
 			t.Fatalf("access %d (%#x): L1 hit=%v, reference hit=%v", i, addr, hit, refHit)
 		}
 		set, tag := llc.split(addr)
-		hit = llc.lookup(set, tag) != nil
+		hit = llc.lookup(set, tag) >= 0
 		if !hit {
 			llc.insert(set, tag)
 		}
@@ -386,8 +393,11 @@ func TestVictimAddrRoundTrip(t *testing.T) {
 			t.Fatalf("L1 victimAddr = %#x, want %#x", got, addr)
 		}
 		llc := newLLCArray(smallCfg())
-		llc.insert(set, tag)
-		if got := llc.victimAddr(set, *llc.probe(set, tag)); got != addr {
+		slot, _ := llc.insert(set, tag)
+		if found := llc.find(set, tag); found != slot {
+			t.Fatalf("LLC find = slot %d, want %d", found, slot)
+		}
+		if got := llc.victimAddr(set, *llc.way(set, slot)); got != addr {
 			t.Fatalf("LLC victimAddr = %#x, want %#x", got, addr)
 		}
 	}

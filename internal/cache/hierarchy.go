@@ -92,7 +92,7 @@ func (h *Hierarchy) Reset() {
 	for i := range h.l1 {
 		h.l1[i].reset()
 	}
-	clear(h.llc.ways)
+	h.llc.reset()
 	for _, s := range [][]uint64{
 		h.stats.L1Hits, h.stats.L1Misses, h.stats.LLCHits, h.stats.LLCMisses,
 		h.stats.CoherenceMisses, h.stats.Upgrades, h.stats.Invalidations,
@@ -113,7 +113,8 @@ func (h *Hierarchy) Reset() {
 // geometry, so one L1 set/tag pair serves every private cache), and each
 // set touched is walked in a single pass: the L1 lookup fuses probe, MRU
 // promotion and tombstone classification; insert fuses victim selection
-// with the MRU install.
+// with the MRU install. An L1 line's LLC line is reached through the slot
+// the L1 word stores, never by a second LLC search.
 func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
 	var out Outcome
 	l1 := &h.l1[core]
@@ -129,11 +130,10 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
 			// Upgrade: invalidate all other sharers via the directory.
 			out.Upgrade = true
 			h.stats.Upgrades[core]++
-			if line := llc.probe(llcSet, llcTag); line != nil {
-				out.InvalidationsSent = h.invalidateRemoteSharers(core, l1Set, l1Tag, line)
-				line.sharers = 1 << uint(core)
-				line.setOwner(core)
-			}
+			line := llc.way(llcSet, l1Slot(*way))
+			out.InvalidationsSent = h.invalidateRemoteSharers(core, l1Set, l1Tag, line)
+			line.sharers = 1 << uint(core)
+			line.setOwner(core)
 			*way = *way&^l1StateMask | l1Modified
 		}
 		return out
@@ -146,7 +146,8 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
 		h.stats.CoherenceMisses[core]++
 	}
 
-	if line := llc.lookup(llcSet, llcTag); line != nil {
+	if slot := llc.lookup(llcSet, llcTag); slot >= 0 {
+		line := llc.way(llcSet, slot)
 		h.stats.LLCHits[core]++
 		out.LLCHit = true
 		if owner := line.owner(); owner >= 0 && owner != core {
@@ -173,13 +174,13 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
 		} else {
 			line.sharers |= 1 << uint(core)
 		}
-		h.fillL1(core, l1Set, l1Tag, write)
+		h.fillL1(core, l1Set, l1Tag, slot, write)
 		return out
 	}
 
 	// LLC miss: fetch from memory, install in LLC then L1.
 	h.stats.LLCMisses[core]++
-	line, victim := llc.insert(llcSet, llcTag)
+	slot, victim := llc.insert(llcSet, llcTag)
 	if victim.key != 0 {
 		out.LLCVictimValid = true
 		out.LLCVictimAddr = llc.victimAddr(llcSet, victim)
@@ -200,11 +201,12 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
 			h.stats.LLCWritebacks++
 		}
 	}
+	line := llc.way(llcSet, slot)
 	line.sharers = 1 << uint(core)
 	if write {
 		line.setOwner(core)
 	}
-	h.fillL1(core, l1Set, l1Tag, write)
+	h.fillL1(core, l1Set, l1Tag, slot, write)
 	return out
 }
 
@@ -224,27 +226,27 @@ func (h *Hierarchy) invalidateRemoteSharers(core, set int, tag uint64, line *llc
 	return n
 }
 
-// fillL1 installs the (set, tag) line into core's L1 in the appropriate MSI
-// state and handles the L1 victim (writeback into the LLC line, sharer-bit
-// cleanup).
-func (h *Hierarchy) fillL1(core, set int, tag uint64, write bool) {
+// fillL1 installs the (set, tag) line, held in LLC slot slot, into core's
+// L1 in the appropriate MSI state and handles the L1 victim (writeback into
+// its LLC line, sharer-bit cleanup). Inclusion keeps the victim's LLC line
+// in the slot its word names.
+func (h *Hierarchy) fillL1(core, set int, tag uint64, slot int, write bool) {
 	l1 := &h.l1[core]
 	state := l1Shared
 	if write {
 		state = l1Modified
 	}
-	victim, evicted := l1.insert(set, tag, state)
+	victim, evicted := l1.insert(set, tag, slot, state)
 	if !evicted {
 		return
 	}
-	vaddr := l1.victimAddr(set, victim)
-	if vline := h.llc.probe(h.llc.split(vaddr)); vline != nil {
-		vline.sharers &^= 1 << uint(core)
-		if victim&l1StateMask == l1Modified {
-			vline.key |= llcDirty
-		}
-		if vline.owner() == core {
-			vline.setOwner(-1)
-		}
+	vSet, _ := h.llc.split(l1.victimAddr(set, victim))
+	vline := h.llc.way(vSet, l1Slot(victim))
+	vline.sharers &^= 1 << uint(core)
+	if victim&l1StateMask == l1Modified {
+		vline.key |= llcDirty
+	}
+	if vline.owner() == core {
+		vline.setOwner(-1)
 	}
 }

@@ -66,12 +66,28 @@ func recordedStream(f *trace.File, max int) []cache.RefAccess {
 	return out
 }
 
+// collisionStream draws n accesses over cores from addrs, a set of lines
+// whose tags share one fingerprint (cache.FingerprintCollisions).
+func collisionStream(seed uint64, cores, n int, writeRatio float64, addrs []uint64) []cache.RefAccess {
+	rng := trace.NewRNG(seed)
+	out := make([]cache.RefAccess, n)
+	for i := range out {
+		out[i] = cache.RefAccess{
+			Core:  rng.Intn(cores),
+			Addr:  addrs[rng.Intn(len(addrs))],
+			Write: rng.Float64() < writeRatio,
+		}
+	}
+	return out
+}
+
 // TestHierarchyMatchesReference is the fence around the packed tag arrays:
 // Hierarchy.Access must agree, Outcome by Outcome and in its final
-// statistics, with the plain reference model in reference_test.go — on
-// seeded random streams over 1 to 16 cores, three geometries and three
-// write ratios, and on the recorded op streams of one analogue per workload
-// family.
+// statistics, with the plain reference model in reference_test.go, and keep
+// the stable-slot invariant throughout — on seeded random streams over 1 to
+// 16 cores, four geometries (one with a 64-way LLC) and three write ratios;
+// on streams whose tags all share one fingerprint byte, above 2^63; and on
+// the recorded op streams of one analogue per workload family.
 func TestHierarchyMatchesReference(t *testing.T) {
 	def := sim.Default()
 	tinyLLC := cache.Config{SizeBytes: 4096, Ways: 4, LineBytes: 64}
@@ -82,6 +98,7 @@ func TestHierarchyMatchesReference(t *testing.T) {
 		{"tiny", cache.Config{SizeBytes: 1024, Ways: 2, LineBytes: 64}, tinyLLC},
 		{"default", def.L1, def.LLC},
 		{"l1_1way", cache.Config{SizeBytes: 512, Ways: 1, LineBytes: 64}, tinyLLC},
+		{"llc_64way", cache.Config{SizeBytes: 2048, Ways: 4, LineBytes: 64}, cache.Config{SizeBytes: 64 << 10, Ways: 64, LineBytes: 64}},
 	}
 	seed := uint64(1)
 	for _, g := range geometries {
@@ -93,6 +110,18 @@ func TestHierarchyMatchesReference(t *testing.T) {
 					cache.ReplayAgainstReference(t, cores, g.l1, g.llc, stream)
 				})
 			}
+		}
+	}
+
+	for _, g := range []int{1, 3} { // default, llc_64way
+		geo := geometries[g]
+		addrs := cache.FingerprintCollisions(geo.llc, 3*geo.llc.Ways)
+		for _, cores := range []int{1, 5} {
+			seed++
+			stream := collisionStream(seed, cores, 20_000, 0.3, addrs)
+			t.Run(fmt.Sprintf("fingerprint_collisions/%s/%dc", geo.name, cores), func(t *testing.T) {
+				cache.ReplayAgainstReference(t, cores, geo.l1, geo.llc, stream)
+			})
 		}
 	}
 

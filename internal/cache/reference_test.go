@@ -298,10 +298,10 @@ type RefAccess struct {
 }
 
 // ReplayAgainstReference replays stream through Hierarchy.Access and the
-// reference model, failing on the first Outcome that differs, on any LLC set
-// whose valid ways stop forming an MRU prefix (checked on the accessed set
-// after every access and on every set at the end), and on final statistics
-// that differ.
+// reference model, failing on the first Outcome that differs, on a broken
+// slot invariant (slotInvariant; after every access on the sets it touched,
+// every 1,024 accesses and at the end on every set), and on final
+// statistics that differ.
 func ReplayAgainstReference(t *testing.T, cores int, l1, llc Config, stream []RefAccess) {
 	t.Helper()
 	h := NewHierarchy(cores, l1, llc)
@@ -312,28 +312,102 @@ func ReplayAgainstReference(t *testing.T, cores int, l1, llc Config, stream []Re
 		if got != want {
 			t.Fatalf("access %d (core %d, %#x, write %v):\nhierarchy %+v\nreference %+v", i, a.Core, a.Addr, a.Write, got, want)
 		}
-		if err := llcTailInvariant(h, llc.SetIndex(a.Addr)); err != nil {
+		touched := []uint64{a.Addr}
+		if got.LLCVictimValid {
+			touched = append(touched, got.LLCVictimAddr)
+		}
+		err := h.slotInvariant(touched)
+		if err == nil && i%1024 == 1023 {
+			err = h.slotInvariant(nil)
+		}
+		if err != nil {
 			t.Fatalf("after access %d: %v", i, err)
 		}
 	}
-	for s := 0; s < llc.Sets(); s++ {
-		if err := llcTailInvariant(h, s); err != nil {
-			t.Fatal(err)
-		}
+	if err := h.slotInvariant(nil); err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(*h.Stats(), ref.stats) {
 		t.Fatalf("statistics differ:\nhierarchy %+v\nreference %+v", *h.Stats(), ref.stats)
 	}
 }
 
-// llcTailInvariant checks that LLC set s's valid ways form a prefix: the
-// LLC is never invalidated, so its empty ways stay at the LRU tail.
-func llcTailInvariant(h *Hierarchy, s int) error {
-	ways := h.llc.setWays(s)
-	for w := 1; w < len(ways); w++ {
-		if ways[w].key != 0 && ways[w-1].key == 0 {
-			return fmt.Errorf("LLC set %d: valid way %d follows an empty way", s, w)
+// slotInvariant checks the stable-slot structure on the L1 and LLC sets
+// addrs map to, or on every set when addrs is nil:
+//   - every valid L1 way's slot names an LLC way holding its tag and its
+//     core's sharer bit;
+//   - every LLC set's order is a permutation of its slots whose empty slots
+//     sit at the LRU tail (the LLC is never invalidated);
+//   - every valid LLC slot's fingerprint is its tag's.
+func (h *Hierarchy) slotInvariant(addrs []uint64) error {
+	var l1Sets, llcSets []int
+	if addrs == nil {
+		for s := range h.l1[0].full {
+			l1Sets = append(l1Sets, s)
+		}
+		for s := 0; s < len(h.llc.ways)/h.llc.assoc; s++ {
+			llcSets = append(llcSets, s)
+		}
+	}
+	for _, addr := range addrs {
+		s, _ := h.l1[0].split(addr)
+		l1Sets = append(l1Sets, s)
+		s, _ = h.llc.split(addr)
+		llcSets = append(llcSets, s)
+	}
+	for c := range h.l1 {
+		l1 := &h.l1[c]
+		for _, s := range l1Sets {
+			for w, word := range l1.setWords(s) {
+				if word&l1ValidBit == 0 {
+					continue
+				}
+				addr := l1.victimAddr(s, word)
+				llcSet, llcTag := h.llc.split(addr)
+				line := h.llc.way(llcSet, l1Slot(word))
+				if line.key>>llcTagShift != llcTag+1 || line.sharers&(1<<uint(c)) == 0 {
+					return fmt.Errorf("core %d L1 set %d way %d (%#x): slot %d of LLC set %d holds key %#x, sharers %#x",
+						c, s, w, addr, l1Slot(word), llcSet, line.key, line.sharers)
+				}
+			}
+		}
+	}
+	for _, s := range llcSets {
+		seen := make([]bool, h.llc.assoc)
+		empty := false
+		for p, slot := range h.llc.setOrder(s) {
+			if int(slot) >= len(seen) || seen[slot] {
+				return fmt.Errorf("LLC set %d: order %v is not a permutation", s, h.llc.setOrder(s))
+			}
+			seen[slot] = true
+			key := h.llc.way(s, int(slot)).key
+			if key == 0 {
+				empty = true
+				continue
+			}
+			if empty {
+				return fmt.Errorf("LLC set %d: valid slot %d at order position %d follows an empty slot", s, slot, p)
+			}
+			fw := h.llc.fps[s*h.llc.fpWords+int(slot)>>3]
+			if got, want := uint8(fw>>(uint(slot&7)*8)), fingerprint(key>>llcTagShift-1); got != want {
+				return fmt.Errorf("LLC set %d slot %d: fingerprint %#x, want %#x", s, slot, got, want)
+			}
 		}
 	}
 	return nil
+}
+
+// FingerprintCollisions returns n line addresses, all in LLC set 0 of llc
+// and all at or above 2^63, whose tags share one fingerprint byte: a stream
+// over them defeats the lookup's pre-filter, so every probe falls through
+// to full-key compares.
+func FingerprintCollisions(llc Config, n int) []uint64 {
+	g := newGeometry(llc)
+	var out []uint64
+	for tag := uint64(1) << (63 - g.setBits - g.lineShift); len(out) < n; tag++ {
+		if fingerprint(tag) == 0x5A {
+			out = append(out, g.join(0, tag))
+		}
+	}
+	return out
 }

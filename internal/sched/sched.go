@@ -139,16 +139,18 @@ func (o *OS) Running(core int) int { return o.running[core] }
 // HasReady reports whether some ready thread could use a core now.
 func (o *OS) HasReady() bool { return len(o.readyQ) > 0 }
 
-// Block deschedules the running thread tid (futex wait). Its core becomes
-// idle; call Schedule to refill it.
-func (o *OS) Block(tid int) {
+// Block deschedules the running thread tid (futex wait) and returns the
+// core it ran on, which becomes idle; call Schedule to refill it.
+func (o *OS) Block(tid int) (core int) {
 	t := &o.threads[tid]
 	if t.state != StateRunning {
 		panic(fmt.Sprintf("sched: Block(%d) in state %v", tid, t.state))
 	}
-	o.running[t.core] = -1
+	core = t.core
+	o.running[core] = -1
 	t.state = StateBlocked
 	t.core = -1
+	return core
 }
 
 // Wake makes a blocked thread ready at now; it becomes eligible to run

@@ -91,6 +91,13 @@ type Machine struct {
 	coreIdleAt []uint64
 	finished   int
 
+	// coreAt is what Run polls each quantum, one word per core: the time of
+	// the core's running thread, or coreIdle. Only runCore(c) moves core
+	// c's thread or its time, and Run stores its return here; the one
+	// change made from another core, grantWaiter parking a spinning
+	// waiter, marks that core idle itself.
+	coreAt []uint64
+
 	// acct enables the interference-accounting hardware (the per-core
 	// ATDs). It never affects timing — the directories only feed counters
 	// — so runs whose accounting nobody reads (sequential references,
@@ -152,6 +159,7 @@ func NewMachine(cfg Config, progs []trace.Program) (*Machine, error) {
 		hier:       cache.NewHierarchy(cfg.Cores, cfg.L1, cfg.LLC),
 		memc:       mem.NewController(cfg.Mem, cfg.Cores),
 		coreIdleAt: make([]uint64, cfg.Cores),
+		coreAt:     make([]uint64, cfg.Cores),
 		atds:       make([]*atd.Directory, cfg.Cores),
 	}
 	if cfg.Mode == ModeFast {
@@ -280,6 +288,9 @@ func syncPC(kind waitKind, id uint32) uint64 {
 	return 0xE000_0000 + uint64(kind)<<20 + uint64(id)*16
 }
 
+// coreIdle is coreAt's mark for a core with no running thread.
+const coreIdle = ^uint64(0)
+
 // Run executes the machine to completion and returns the result.
 func (m *Machine) Run() (Result, error) {
 	quantum := m.cfg.Quantum
@@ -302,45 +313,52 @@ func (m *Machine) Run() (Result, error) {
 		}
 	}
 	m.quantum = quantum
+	for c := range m.coreAt {
+		m.coreAt[c] = coreIdle
+		if tid := m.os.Running(c); tid >= 0 {
+			m.coreAt[c] = m.threads[tid].time
+		}
+	}
 	for m.finished < len(m.threads) {
 		if m.clock >= m.cfg.MaxCycles {
 			return Result{}, fmt.Errorf("sim: exceeded MaxCycles=%d with %d/%d threads finished",
 				m.cfg.MaxCycles, m.finished, len(m.threads))
 		}
 		qEnd := m.clock + quantum
-		for c := 0; c < m.cfg.Cores; c++ {
-			// Fast skip of cores whose thread has already executed past
-			// this quantum boundary — runCore's own first check, hoisted
-			// to avoid the call on the (common) nothing-to-do quanta.
-			if tid := m.os.Running(c); tid >= 0 && m.threads[tid].time >= qEnd {
+		for c, at := range m.coreAt {
+			// Skip, without the call, a core whose thread has already
+			// executed past this quantum boundary and an idle core with
+			// nothing to schedule: runCore would return at once.
+			if at >= qEnd && (at != coreIdle || !m.os.HasReady()) {
 				continue
 			}
-			m.runCore(c, qEnd)
+			m.coreAt[c] = m.runCore(c, qEnd)
 		}
 		m.clock = qEnd
 	}
 	return m.result(), nil
 }
 
-// runCore advances core c until the quantum boundary.
-func (m *Machine) runCore(c int, qEnd uint64) {
+// runCore advances core c until the quantum boundary and returns the
+// core's coreAt word: its running thread's time, or coreIdle.
+func (m *Machine) runCore(c int, qEnd uint64) uint64 {
 	for {
 		tid := m.os.Running(c)
 		if tid < 0 {
 			// Idle core: try to pull a ready thread.
 			if !m.os.HasReady() {
-				return
+				return coreIdle
 			}
 			now := m.coreIdleAt[c]
 			if now < qEnd-m.quantum {
 				now = qEnd - m.quantum
 			}
 			if now >= qEnd {
-				return
+				return coreIdle
 			}
 			ntid, startAt := m.os.Schedule(c, now)
 			if ntid < 0 {
-				return
+				return coreIdle
 			}
 			t := m.threads[ntid]
 			if startAt > t.time {
@@ -355,14 +373,14 @@ func (m *Machine) runCore(c int, qEnd uint64) {
 
 		t := m.threads[tid]
 		if t.time >= qEnd {
-			return
+			return t.time
 		}
 
 		if t.waiting {
 			if t.granted {
 				resume := t.grantAt + m.cfg.Policy.HandoffCycles
 				if resume > qEnd {
-					return
+					return t.time
 				}
 				if resume > t.time {
 					t.time = resume
@@ -379,7 +397,7 @@ func (m *Machine) runCore(c int, qEnd uint64) {
 				m.coreIdleAt[c] = parkAt
 				continue
 			}
-			return // spinning through the rest of the quantum
+			return t.time // spinning through the rest of the quantum
 		}
 
 		// Preempt on slice expiry when others are ready.
@@ -395,7 +413,7 @@ func (m *Machine) runCore(c int, qEnd uint64) {
 		if t.finished {
 			continue
 		}
-		return // quantum exhausted
+		return t.time // quantum exhausted
 	}
 }
 
@@ -551,7 +569,7 @@ func (m *Machine) grantWaiter(w *thread, g uint64, popOK bool) {
 		// granularity). Park and wake to keep OS bookkeeping exact.
 		w.parked = true
 		w.parkedAt = w.waitStart + grace
-		m.os.Block(w.id)
+		m.coreAt[m.os.Block(w.id)] = coreIdle
 		m.os.Wake(w.id, g)
 	}
 }

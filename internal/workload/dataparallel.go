@@ -147,15 +147,10 @@ func (p *dpProgram) NextBatch(dst []trace.Op, _ trace.Feedback) int {
 	return n
 }
 
-// refillRun bounds how many accesses one refill emits, keeping the op queue
-// small while amortizing the refill bookkeeping over a run of accesses.
-const refillRun = 64
-
-// refill appends the ops of the next run of accesses (or a phase
-// transition) to the queue. Emitting a bounded run per call instead of a
-// single access produces the identical op stream — the slice/sweep boundary
-// checks happen at exactly the same points — while paying the refill
-// dispatch once per run.
+// refill appends the next access (or a phase transition) to the queue. It
+// runs only where NextBatch's fast path cannot — at a slice boundary, or
+// when dst has no room for a whole access — so one access per call keeps
+// the queue within dpMaxOpsPerAccess ops and its backing array small.
 func (p *dpProgram) refill() {
 	if p.sliceLen == 0 && !p.enterSlice() {
 		return
@@ -168,14 +163,8 @@ func (p *dpProgram) refill() {
 			return
 		}
 	}
-	n := p.sliceLen - p.line
-	if n > refillRun {
-		n = refillRun
-	}
-	for i := 0; i < n; i++ {
-		p.emitAccessTo(&p.queue)
-		p.line++
-	}
+	p.emitAccessTo(&p.queue)
+	p.line++
 }
 
 // enterSlice computes the current slice bounds; it returns false when the
