@@ -63,12 +63,46 @@ func TestCellMemoLimitEviction(t *testing.T) {
 	if st.CellEvictions < 2 {
 		t.Errorf("CellEvictions = %d, want >= 2", st.CellEvictions)
 	}
-	// Sequential references are never evicted: one per benchmark.
-	if got := h.count("seq:blackscholes_parsec_small"); got != 1 {
-		t.Errorf("seq reference simulated %d times, want 1", got)
+	// The sequential reference shares the bound: B's evicted A's, so A's
+	// second cell run pays for its reference again.
+	if got := h.count("seq:blackscholes_parsec_small"); got != 2 {
+		t.Errorf("seq reference simulated %d times, want 2", got)
 	}
 	if !reflect.DeepEqual(outA1[0].Stack, outA2[0].Stack) {
 		t.Errorf("re-simulated outcome differs:\n%+v\n%+v", outA1[0].Stack, outA2[0].Stack)
+	}
+}
+
+// TestSeqMemoLimit: the sequential-reference memo keeps the bound the cell
+// memo has. A client mints a new reference with every inline spec's seed,
+// so an unbounded memo would retain one configuration per distinct spec for
+// the life of the process.
+func TestSeqMemoLimit(t *testing.T) {
+	e := NewEngine(sim.Default(), WithWorkers(2), WithCellMemoLimit(2))
+	ctx := context.Background()
+	var first []Outcome
+	for seed := uint64(1); seed <= 5; seed++ {
+		spec := testSpec("seeded")
+		spec.Seed = seed
+		outs, err := e.Do(ctx, []Request{{Cell: Cell{Spec: &spec, Threads: 2}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = outs
+		}
+	}
+	if got := e.seq.Occupancy().Entries; got > 2 {
+		t.Errorf("sequential-reference memo holds %d entries under a limit of 2", got)
+	}
+	spec := testSpec("seeded")
+	spec.Seed = 1
+	again, err := e.Do(ctx, []Request{{Cell: Cell{Spec: &spec, Threads: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first[0].Stack, again[0].Stack) {
+		t.Errorf("re-simulated reference changed the stack:\n%+v\n%+v", first[0].Stack, again[0].Stack)
 	}
 }
 

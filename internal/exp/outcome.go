@@ -37,10 +37,10 @@
 //     one exception is a claim abandoned because its context was canceled
 //     before the simulation ran: that entry is removed and the next
 //     request re-executes it.
-//   - The outcome memo is unbounded by default (right for one-shot figure
+//   - The memos are unbounded by default (right for one-shot figure
 //     regeneration, where the cell set is finite and declared up front).
-//     Long-running callers bound it with WithCellMemoLimit, which evicts
-//     completed outcomes least-recently-used; an evicted cell re-simulates
+//     Long-running callers bound each with WithCellMemoLimit, which evicts
+//     completed entries least-recently-used; an evicted entry re-simulates
 //     on its next request and in-flight entries are never evicted.
 //
 // Worker-pool guarantees:

@@ -195,8 +195,7 @@ type Engine struct {
 	stats Stats
 
 	// The three memos (internal/memo: singleflight plus LRU), keyed by the
-	// engine's own identities: seq unbounded (one uint64 per workload),
-	// cells and intervals each bounded by cellLimit. Simulations are
+	// engine's own identities, each bounded by cellLimit. Simulations are
 	// deterministic, so every run retains its result, errors included; only
 	// a claim abandoned by cancellation is released for the next caller.
 	seq       *memo.Cache[seqKey, uint64]
@@ -240,7 +239,9 @@ func WithRunHook(f func(kind, bench string, threads, cores int)) Option {
 // only drops completed entries — an in-flight simulation keeps its
 // singleflight slot until it finishes — and an evicted cell simply
 // re-simulates on its next request, so results are unaffected. The interval
-// memo gets the same bound of its own.
+// and sequential-reference memos get the same bound, each of its own: every
+// key holds a full machine configuration and a client can mint keys at will
+// (an inline spec's seed, a what-if mutation).
 func WithCellMemoLimit(n int) Option {
 	return func(e *Engine) { e.cellLimit = max(n, 0) }
 }
@@ -254,7 +255,7 @@ func NewEngine(cfg sim.Config, opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	e.seq = memo.New[seqKey, uint64](0)
+	e.seq = memo.New[seqKey, uint64](e.cellLimit)
 	e.cells = memo.New[cellKey, Outcome](e.cellLimit)
 	e.intervals = memo.New[intervalKey, IntervalOutcome](e.cellLimit)
 	return e

@@ -79,12 +79,9 @@ func Default() Config {
 			ORAEntries:    8,
 		},
 		ATDSampleShift: 5,
-		Spin: spin.Config{
-			TableEntries: 8,
-			Threshold:    16,
-		},
-		Sched:  sched.Default(),
-		Policy: syncprim.DefaultPolicy(),
+		Spin:           spin.Config{Threshold: 16},
+		Sched:          sched.Default(),
+		Policy:         syncprim.DefaultPolicy(),
 	}
 }
 

@@ -21,7 +21,7 @@ func TestGrantParkMarksCoreIdle(t *testing.T) {
 	w := m.threads[core]
 	w.time = 500
 	m.coreAt[core] = w.time
-	m.beginWait(w, waitLock, 0)
+	m.beginWait(w, waitLock)
 	m.grantWaiter(w, w.waitStart+m.grace(waitLock)+1, true)
 	if !w.parked || m.os.Running(core) >= 0 {
 		t.Fatalf("waiter not parked off core %d: parked %v, running %d", core, w.parked, m.os.Running(core))

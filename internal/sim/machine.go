@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/sched"
-	"repro/internal/spin"
 	"repro/internal/syncprim"
 	"repro/internal/trace"
 )
@@ -45,7 +44,6 @@ type thread struct {
 	// Blocking-wait state.
 	waiting    bool
 	kind       waitKind
-	waitID     uint32
 	waitStart  uint64
 	parked     bool   // OS has descheduled the thread (futex wait)
 	parkedAt   uint64 // when it parked
@@ -53,8 +51,7 @@ type thread struct {
 	grantAt    uint64 // effective grant time (before handoff/wake latency)
 	grantPopOK bool   // result for queue-pop grants
 
-	det *spin.Detector
-	ct  core.ThreadCounters
+	ct core.ThreadCounters
 }
 
 // Machine is one simulated CMP executing a set of software threads.
@@ -226,7 +223,7 @@ func (m *Machine) reset(cfg Config, progs []trace.Program) error {
 			t = &thread{ring: make([]trace.Op, batchSize)}
 			m.threads[i] = t
 		}
-		*t = thread{id: i, prog: p, det: spin.NewDetector(cfg.Spin), ring: t.ring}
+		*t = thread{id: i, prog: p, ring: t.ring}
 	}
 	return nil
 }
@@ -276,16 +273,6 @@ func (m *Machine) RegisterQueue(id uint32, capacity int) {
 func (m *Machine) RegisterBarrier(id uint32, parties int) {
 	m.barriers = grow(m.barriers, id)
 	m.barriers[id] = syncprim.NewBarrier(parties)
-}
-
-// Synthetic addresses and PCs for synchronization words, consumed by the
-// spin detector. Placed far above workload data regions.
-func syncAddr(kind waitKind, id uint32) uint64 {
-	return 0xF000_0000_0000 + uint64(kind)<<32 + uint64(id)*64
-}
-
-func syncPC(kind waitKind, id uint32) uint64 {
-	return 0xE000_0000 + uint64(kind)<<20 + uint64(id)*16
 }
 
 // coreIdle is coreAt's mark for a core with no running thread.
@@ -456,7 +443,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 			if m.lock(op.ID).Acquire(t.id) {
 				break
 			}
-			m.beginWait(t, waitLock, op.ID)
+			m.beginWait(t, waitLock)
 			return true
 
 		case trace.KindUnlock:
@@ -474,7 +461,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 				}
 				break
 			}
-			m.beginWait(t, waitBarrier, op.ID)
+			m.beginWait(t, waitBarrier)
 			return true
 
 		case trace.KindPush:
@@ -486,7 +473,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 				}
 				break
 			}
-			m.beginWait(t, waitQueuePush, op.ID)
+			m.beginWait(t, waitQueuePush)
 			return true
 
 		case trace.KindPop:
@@ -503,7 +490,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 				t.fb.PopOK = false
 				break
 			}
-			m.beginWait(t, waitQueuePop, op.ID)
+			m.beginWait(t, waitQueuePop)
 			return true
 
 		case trace.KindCloseQueue:
@@ -534,10 +521,9 @@ func (m *Machine) spinning(tid int) bool {
 }
 
 // beginWait records that t started a blocking wait at its current time.
-func (m *Machine) beginWait(t *thread, k waitKind, id uint32) {
+func (m *Machine) beginWait(t *thread, k waitKind) {
 	t.waiting = true
 	t.kind = k
-	t.waitID = id
 	t.waitStart = t.time
 	t.parked = false
 	t.granted = false
@@ -604,16 +590,7 @@ func (m *Machine) finishWait(t *thread, resume uint64) {
 			spinDur = grace + pol.HandoffCycles
 		}
 		t.ct.OracleSpinCycles += spinDur
-		detected := spin.FeedEpisode(t.det, spin.Episode{
-			PC:       syncPC(t.kind, t.waitID),
-			Addr:     syncAddr(t.kind, t.waitID),
-			Start:    t.waitStart,
-			Period:   pol.SpinIterationCycles,
-			End:      t.waitStart + spinDur,
-			OldValue: 0,
-			NewValue: 1,
-		})
-		t.ct.SpinDetected += detected
+		t.ct.SpinDetected += m.cfg.Spin.Detected(spinDur, pol.SpinIterationCycles)
 	}
 
 	if t.kind == waitQueuePop {
