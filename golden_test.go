@@ -103,8 +103,9 @@ func TestGoldenExperimentsAll(t *testing.T) {
 
 // TestZeroSteadyStateAllocs pins the allocation behavior of the pooled
 // hot path: once a machine for a configuration exists, re-running a small
-// registry workload allocates a small per-run constant (programs, spin
-// detectors, result slices) and nothing per simulated op.
+// registry workload allocates a small per-run constant (programs and their
+// staging queues, the scheduler, per-phase barriers, result slices) and
+// nothing per simulated op.
 func TestZeroSteadyStateAllocs(t *testing.T) {
 	bench, ok := workload.ByName("swaptions_parsec_small")
 	if !ok {
@@ -132,10 +133,10 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 		allocs, warm.TotalOps, allocs/float64(warm.TotalOps))
 
 	// Zero per-op allocations means the total is a per-run constant
-	// (programs, spin detectors, per-phase barriers, result slices):
-	// quadrupling the simulated work must not move it. Quadrupling the
-	// sweep count quadruples the op stream on the same machine
-	// configuration with an identical synchronization structure.
+	// (programs and their staging queues, the scheduler, per-phase barriers,
+	// result slices): quadrupling the simulated work must not move it.
+	// Quadrupling the sweep count quadruples the op stream on the same
+	// machine configuration with an identical synchronization structure.
 	big := bench.Spec
 	big.SweepsPerPhase *= 4
 	big.Name = bench.Spec.Name + "-x4"

@@ -91,7 +91,7 @@ func TestAddressMapping(t *testing.T) {
 }
 
 // The helpers below drive an L1 array by address through the entry points
-// Hierarchy.Access runs — lookup, insert, probe, invalidate — so the array
+// Hierarchy.AccessTo runs — lookup, insert, probe, invalidate — so the array
 // tests cover the production walks, not a parallel API.
 
 func newL1(cfg Config) *l1Array {
@@ -214,7 +214,7 @@ func (r *referenceLRU) access(addr uint64) bool {
 }
 
 // TestArrayMatchesReferenceLRU holds both arrays' replacement, on their own,
-// to the reference's: the miss walk then the fill, as Hierarchy.Access runs
+// to the reference's: the miss walk then the fill, as Hierarchy.AccessTo runs
 // them.
 func TestArrayMatchesReferenceLRU(t *testing.T) {
 	cfg := smallCfg()

@@ -105,9 +105,19 @@ func (h *Hierarchy) Reset() {
 	h.stats.LLCWritebacks = 0
 }
 
-// Access performs one load or store by core to addr and returns the
-// structural outcome. It updates L1 and LLC contents, replacement state,
-// sharer vectors and coherence tombstones.
+// Access is AccessTo returning the outcome by value, for callers off the
+// simulator's per-access path.
+func (h *Hierarchy) Access(core int, addr uint64, write bool) (out Outcome) {
+	h.AccessTo(&out, core, addr, write)
+	return out
+}
+
+// AccessTo performs one load or store by core to addr and writes the
+// structural outcome to *out, overwriting all of it. It updates L1 and LLC
+// contents, replacement state, sharer vectors and coherence tombstones.
+// The outcome is filled in place because returning the 40-byte struct by
+// value makes the caller reload it across the callee's narrow stores, a
+// store-forwarding stall on every access.
 //
 // The address is split exactly once per array geometry (all L1s share one
 // geometry, so one L1 set/tag pair serves every private cache), and each
@@ -115,8 +125,8 @@ func (h *Hierarchy) Reset() {
 // promotion and tombstone classification; insert fuses victim selection
 // with the MRU install. An L1 line's LLC line is reached through the slot
 // the L1 word stores, never by a second LLC search.
-func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
-	var out Outcome
+func (h *Hierarchy) AccessTo(out *Outcome, core int, addr uint64, write bool) {
+	*out = Outcome{}
 	l1 := &h.l1[core]
 	llc := &h.llc
 	l1Set, l1Tag := l1.split(addr)
@@ -136,7 +146,7 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
 			line.setOwner(core)
 			*way = *way&^l1StateMask | l1Modified
 		}
-		return out
+		return
 	}
 
 	// L1 miss path; the miss walk above already classified the tombstone.
@@ -175,7 +185,7 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
 			line.sharers |= 1 << uint(core)
 		}
 		h.fillL1(core, l1Set, l1Tag, slot, write)
-		return out
+		return
 	}
 
 	// LLC miss: fetch from memory, install in LLC then L1.
@@ -207,7 +217,6 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Outcome {
 		line.setOwner(core)
 	}
 	h.fillL1(core, l1Set, l1Tag, slot, write)
-	return out
 }
 
 // invalidateRemoteSharers invalidates the (set, tag) line in every L1 other

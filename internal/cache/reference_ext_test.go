@@ -82,12 +82,14 @@ func collisionStream(seed uint64, cores, n int, writeRatio float64, addrs []uint
 }
 
 // TestHierarchyMatchesReference is the fence around the packed tag arrays:
-// Hierarchy.Access must agree, Outcome by Outcome and in its final
+// Hierarchy.AccessTo must agree, Outcome by Outcome and in its final
 // statistics, with the plain reference model in reference_test.go, and keep
 // the stable-slot invariant throughout — on seeded random streams over 1 to
 // 16 cores, four geometries (one with a 64-way LLC) and three write ratios;
 // on streams whose tags all share one fingerprint byte, above 2^63; and on
-// the recorded op streams of one analogue per workload family.
+// the recorded op streams of one analogue per workload family. A last row
+// holds the by-value Access, which only the benchmark calls, to the Outcome
+// AccessTo fills.
 func TestHierarchyMatchesReference(t *testing.T) {
 	def := sim.Default()
 	tinyLLC := cache.Config{SizeBytes: 4096, Ways: 4, LineBytes: 64}
@@ -142,4 +144,17 @@ func TestHierarchyMatchesReference(t *testing.T) {
 			})
 		}
 	}
+
+	tiny := geometries[0]
+	stream := randomStream(seed+1, 5, 20_000, 0.3, tiny.llc)
+	t.Run("by_value_access", func(t *testing.T) {
+		byValue, inPlace := cache.NewHierarchy(5, tiny.l1, tiny.llc), cache.NewHierarchy(5, tiny.l1, tiny.llc)
+		var want cache.Outcome
+		for i, a := range stream {
+			inPlace.AccessTo(&want, a.Core, a.Addr, a.Write)
+			if got := byValue.Access(a.Core, a.Addr, a.Write); got != want {
+				t.Fatalf("access %d: Access returned %+v, AccessTo filled %+v", i, got, want)
+			}
+		}
+	})
 }

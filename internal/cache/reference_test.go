@@ -12,7 +12,7 @@ import (
 // addresses are split with Config's divisions, not the arrays' shifts. It is
 // the one generic 24-byte Line both levels shared before the tag arrays were
 // packed, kept here as the fence: ReplayAgainstReference drives the same
-// accesses through it and through Hierarchy.Access and demands the same
+// accesses through it and through Hierarchy.AccessTo and demands the same
 // Outcome for every access and the same statistics at the end.
 
 type refState uint8
@@ -297,17 +297,19 @@ type RefAccess struct {
 	Write bool
 }
 
-// ReplayAgainstReference replays stream through Hierarchy.Access and the
-// reference model, failing on the first Outcome that differs, on a broken
-// slot invariant (slotInvariant; after every access on the sets it touched,
-// every 1,024 accesses and at the end on every set), and on final
-// statistics that differ.
+// ReplayAgainstReference replays stream through Hierarchy.AccessTo, the
+// simulator's entry point, and the reference model, failing on the first
+// Outcome that differs, on a broken slot invariant (slotInvariant; after
+// every access on the sets it touched, every 1,024 accesses and at the end
+// on every set), and on final statistics that differ. One Outcome is reused
+// across the replay, so a field AccessTo leaves unset shows as a stale value.
 func ReplayAgainstReference(t *testing.T, cores int, l1, llc Config, stream []RefAccess) {
 	t.Helper()
 	h := NewHierarchy(cores, l1, llc)
 	ref := newRefHierarchy(cores, l1, llc)
+	var got Outcome
 	for i, a := range stream {
-		got := h.Access(a.Core, a.Addr, a.Write)
+		h.AccessTo(&got, a.Core, a.Addr, a.Write)
 		want := ref.access(a.Core, a.Addr, a.Write)
 		if got != want {
 			t.Fatalf("access %d (core %d, %#x, write %v):\nhierarchy %+v\nreference %+v", i, a.Core, a.Addr, a.Write, got, want)

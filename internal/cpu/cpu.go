@@ -70,8 +70,10 @@ func (c Config) ComputeCycles(instrs uint64) uint64 {
 }
 
 // BlockingMissStall returns the exposed stall of a blocking LLC load miss
-// whose memory-system latency (queueing included) is memLatency.
-func (c Config) BlockingMissStall(memLatency uint64) uint64 {
+// whose memory-system latency (queueing included) is memLatency. It and
+// ExposedInterference run on every blocking miss, so they take a pointer: a
+// value receiver copies the whole Config onto the stack on every call.
+func (c *Config) BlockingMissStall(memLatency uint64) uint64 {
 	total := c.LLCMissBase + memLatency
 	if total <= c.MLPOverlap {
 		return 0
@@ -83,7 +85,7 @@ func (c Config) BlockingMissStall(memLatency uint64) uint64 {
 // the fraction of the miss latency that was actually exposed, so that
 // overlap hides interference and base latency proportionally. This keeps
 // the accounted interference consistent with the charged stall.
-func (c Config) ExposedInterference(interference, memLatency uint64) uint64 {
+func (c *Config) ExposedInterference(interference, memLatency uint64) uint64 {
 	if interference == 0 {
 		return 0
 	}

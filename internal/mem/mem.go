@@ -118,7 +118,7 @@ type AccessResult struct {
 // InterferenceTruth returns the ground-truth interference cycles of the
 // access: waits caused by other cores plus the row penalty when another core
 // closed this core's row.
-func (r AccessResult) InterferenceTruth() uint64 {
+func (r *AccessResult) InterferenceTruth() uint64 {
 	v := r.BankWaitOther + r.BusWaitOther
 	if r.RowConflictOtherTruth {
 		v += r.RowPenalty
@@ -130,7 +130,7 @@ func (r AccessResult) InterferenceTruth() uint64 {
 // hardware would charge: resource waits attributed to other cores (the
 // hardware observes the occupant directly, per the paper) plus the row
 // penalty when the ORA flags the conflict.
-func (r AccessResult) InterferenceEstimate() uint64 {
+func (r *AccessResult) InterferenceEstimate() uint64 {
 	v := r.BankWaitOther + r.BusWaitOther
 	if r.RowConflictOtherORA {
 		v += r.RowPenalty
@@ -231,11 +231,21 @@ func (c *Controller) bankRow(addr uint64) (int, uint64) {
 	return int(line & c.bankMask), line >> c.rowShift
 }
 
-// Access services a cache-line fetch for core starting at time now and
-// returns its timing/interference decomposition.
-func (c *Controller) Access(now uint64, core int, addr uint64) AccessResult {
+// Access is AccessTo returning the result by value, for callers off the
+// simulator's per-access path.
+func (c *Controller) Access(now uint64, core int, addr uint64) (res AccessResult) {
+	c.AccessTo(&res, now, core, addr)
+	return res
+}
+
+// AccessTo services a cache-line fetch for core starting at time now and
+// writes its timing/interference decomposition to *res, overwriting all of
+// it. Like cache.Hierarchy.AccessTo it fills the caller's struct in place
+// rather than returning it, which would cost a store-forwarding stall per
+// access.
+func (c *Controller) AccessTo(res *AccessResult, now uint64, core int, addr uint64) {
 	c.stats.Accesses++
-	var res AccessResult
+	*res = AccessResult{}
 	bankIdx, row := c.bankRow(addr)
 	bk := &c.banks[bankIdx]
 
@@ -296,7 +306,6 @@ func (c *Controller) Access(now uint64, core int, addr uint64) AccessResult {
 	c.oras[core].Record(bankIdx, row)
 
 	res.Latency = done - now
-	return res
 }
 
 // Writeback models a dirty-line eviction: the line crosses the bus to the

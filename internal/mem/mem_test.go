@@ -313,30 +313,66 @@ func (o *refORA) contains(bank int, row uint64) bool {
 	return false
 }
 
-// TestORAMatchesReference replays 10k seeded records and probes through the
-// controller's ORA and the MRU-list reference at capacities below, at and
-// above the bank count, and on a two-bank controller, demanding the same
-// answer to every probe.
+// TestORAMatchesReference replays 10k seeded steps over two cores through
+// the controller and per-core MRU-list references, at ORA capacities below,
+// at and above the bank count, and on a two-bank controller. An access step
+// goes through AccessTo, the simulator's entry point: its row-hit verdict
+// must match the bank's open row, and its ORA verdict on a row miss the
+// reference's answer before the reference records the row. A probe step asks
+// the core's ORA directly. A last row holds the by-value Access, which only
+// the benchmark calls, to the result AccessTo fills.
 func TestORAMatchesReference(t *testing.T) {
+	const cores = 2
 	for _, tc := range []struct{ banks, entries int }{
 		{8, 1}, {8, 3}, {8, 8}, {8, 12}, {2, 1}, {2, 3},
 	} {
 		cfg := testCfg()
 		cfg.Banks, cfg.ORAEntries = tc.banks, tc.entries
-		o := NewController(cfg, 1).oras[0]
-		ref := &refORA{entries: make([]refORAEntry, tc.entries)}
+		c := NewController(cfg, cores)
+		refs := make([]refORA, cores)
+		for i := range refs {
+			refs[i].entries = make([]refORAEntry, tc.entries)
+		}
+		open := make([]int64, tc.banks) // open row per bank, -1 for none
+		for b := range open {
+			open[b] = -1
+		}
+		rowLines := cfg.RowBytes / cfg.LineBytes
 		rng := rand.New(rand.NewSource(int64(tc.banks*100 + tc.entries)))
+		var res AccessResult // reused: AccessTo must overwrite every field
 		for i := 0; i < 10_000; i++ {
-			bank, row := rng.Intn(tc.banks), uint64(rng.Intn(4))
+			core, bank, row := rng.Intn(cores), rng.Intn(tc.banks), uint64(rng.Intn(4))
+			ref := &refs[core]
 			if rng.Intn(2) == 0 {
-				o.Record(bank, row)
+				line := (int64(row)*rowLines+rng.Int63n(rowLines))*int64(tc.banks) + int64(bank)
+				rowHit := open[bank] == int64(row)
+				wantORA := !rowHit && ref.contains(bank, row)
+				c.AccessTo(&res, uint64(i)*1000, core, uint64(line*cfg.LineBytes))
+				if res.RowHit != rowHit || res.RowConflictOtherORA != wantORA {
+					t.Fatalf("%d banks, %d entries, step %d: core %d bank %d row %d: row hit %v, ORA conflict %v; reference %v, %v",
+						tc.banks, tc.entries, i, core, bank, row, res.RowHit, res.RowConflictOtherORA, rowHit, wantORA)
+				}
 				ref.record(bank, row)
+				open[bank] = int64(row)
 				continue
 			}
-			if got, want := o.Contains(bank, row), ref.contains(bank, row); got != want {
-				t.Fatalf("%d banks, %d entries, step %d: Contains(%d, %d) = %v, reference %v",
-					tc.banks, tc.entries, i, bank, row, got, want)
+			if got, want := c.oras[core].Contains(bank, row), ref.contains(bank, row); got != want {
+				t.Fatalf("%d banks, %d entries, step %d: core %d Contains(%d, %d) = %v, reference %v",
+					tc.banks, tc.entries, i, core, bank, row, got, want)
 			}
+		}
+	}
+
+	byValue, inPlace := NewController(testCfg(), cores), NewController(testCfg(), cores)
+	rng := rand.New(rand.NewSource(7))
+	var want AccessResult
+	for i := 0; i < 10_000; i++ {
+		// Arrivals 50 cycles apart keep the bus and banks queued, so every
+		// wait and attribution field takes non-zero values.
+		now, core, addr := uint64(i)*50, rng.Intn(cores), uint64(rng.Intn(1<<16))*64
+		inPlace.AccessTo(&want, now, core, addr)
+		if got := byValue.Access(now, core, addr); got != want {
+			t.Fatalf("access %d: Access returned %+v, AccessTo filled %+v", i, got, want)
 		}
 	}
 }

@@ -43,7 +43,8 @@ func (m *Machine) takeSnapshot() core.IntervalSnapshot {
 		Threads:  make([]core.ThreadCounters, len(m.threads)),
 		Finished: make([]bool, len(m.threads)),
 	}
-	for i, t := range m.threads {
+	for i := range m.threads {
+		t := &m.threads[i]
 		snap.Threads[i] = t.ct
 		snap.Finished[i] = t.finished
 		if t.time > snap.Time {

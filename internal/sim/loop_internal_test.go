@@ -18,7 +18,7 @@ func TestGrantParkMarksCoreIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	const core = 1 // thread i starts on core i
-	w := m.threads[core]
+	w := &m.threads[core]
 	w.time = 500
 	m.coreAt[core] = w.time
 	m.beginWait(w, waitLock)

@@ -84,7 +84,7 @@ type Machine struct {
 	barriers []*syncprim.Barrier
 	queues   []*syncprim.Queue
 
-	threads    []*thread
+	threads    []thread
 	coreIdleAt []uint64
 	finished   int
 
@@ -214,16 +214,16 @@ func (m *Machine) reset(cfg Config, progs []trace.Program) error {
 	clear(m.queues)
 	m.queues = m.queues[:0]
 	if n := len(progs) - cap(m.threads); n > 0 {
-		m.threads = append(m.threads[:cap(m.threads)], make([]*thread, n)...)
+		m.threads = append(m.threads[:cap(m.threads)], make([]thread, n)...)
 	}
 	m.threads = m.threads[:len(progs)]
 	for i, p := range progs {
-		t := m.threads[i]
-		if t == nil {
-			t = &thread{ring: make([]trace.Op, batchSize)}
-			m.threads[i] = t
+		t := &m.threads[i]
+		ring := t.ring
+		if ring == nil {
+			ring = make([]trace.Op, batchSize)
 		}
-		*t = thread{id: i, prog: p, ring: t.ring}
+		*t = thread{id: i, prog: p, ring: ring}
 	}
 	return nil
 }
@@ -347,7 +347,7 @@ func (m *Machine) runCore(c int, qEnd uint64) uint64 {
 			if ntid < 0 {
 				return coreIdle
 			}
-			t := m.threads[ntid]
+			t := &m.threads[ntid]
 			if startAt > t.time {
 				t.time = startAt
 			}
@@ -358,7 +358,7 @@ func (m *Machine) runCore(c int, qEnd uint64) uint64 {
 			continue
 		}
 
-		t := m.threads[tid]
+		t := &m.threads[tid]
 		if t.time >= qEnd {
 			return t.time
 		}
@@ -449,7 +449,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 		case trace.KindUnlock:
 			t.time += pol.AcquireCycles
 			if next, transferred := m.lock(op.ID).Release(m.spinning); transferred {
-				m.grantWaiter(m.threads[next], t.time, true)
+				m.grantWaiter(&m.threads[next], t.time, true)
 			}
 
 		case trace.KindBarrier:
@@ -457,7 +457,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 			released, last := m.barrier(op.ID).Arrive(t.id)
 			if last {
 				for _, w := range released {
-					m.grantWaiter(m.threads[w], t.time, true)
+					m.grantWaiter(&m.threads[w], t.time, true)
 				}
 				break
 			}
@@ -469,7 +469,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 			granted, ok := m.queue(op.ID).Push(t.id, m.spinning)
 			if ok {
 				if granted >= 0 {
-					m.grantWaiter(m.threads[granted], t.time, true)
+					m.grantWaiter(&m.threads[granted], t.time, true)
 				}
 				break
 			}
@@ -482,7 +482,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 			if ok {
 				t.fb.PopOK = true
 				if granted >= 0 {
-					m.grantWaiter(m.threads[granted], t.time, true)
+					m.grantWaiter(&m.threads[granted], t.time, true)
 				}
 				break
 			}
@@ -496,7 +496,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 		case trace.KindCloseQueue:
 			t.time += pol.QueueOpCycles
 			for _, w := range m.queue(op.ID).Close() {
-				m.grantWaiter(m.threads[w], t.time, false)
+				m.grantWaiter(&m.threads[w], t.time, false)
 			}
 
 		case trace.KindEnd:

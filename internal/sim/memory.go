@@ -1,6 +1,10 @@
 package sim
 
-import "repro/internal/trace"
+import (
+	"repro/internal/cache"
+	"repro/internal/mem"
+	"repro/internal/trace"
+)
 
 // memAccess walks one load or store through the memory hierarchy, charging
 // stalls to the thread and feeding both the estimator's accounting hardware
@@ -26,7 +30,9 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 		}
 	}
 
-	out := m.hier.Access(c, op.Addr, !isLoad)
+	// The walks fill results kept on this frame (cache.Hierarchy.AccessTo).
+	var out cache.Outcome
+	m.hier.AccessTo(&out, c, op.Addr, !isLoad)
 	if fc != nil {
 		fc.detL1Accesses++
 		if out.L1Hit {
@@ -86,7 +92,8 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 	// do not stall this thread. In fast mode these detailed-set misses are
 	// the only ones that reach the DRAM model (the sampled subset of memory
 	// traffic).
-	res := m.memc.Access(t.time, c, op.Addr)
+	var res mem.AccessResult
+	m.memc.AccessTo(&res, t.time, c, op.Addr)
 	if out.LLCVictimDirty {
 		m.memc.Writeback(t.time, c, out.LLCVictimAddr)
 	}

@@ -56,7 +56,8 @@ func (m *Machine) result() Result {
 		TotalOps:  m.ops,
 		PerThread: make([]core.ThreadCounters, len(m.threads)),
 	}
-	for i, t := range m.threads {
+	for i := range m.threads {
+		t := &m.threads[i]
 		r.PerThread[i] = t.ct
 		if t.ct.FinishTime > r.Tp {
 			r.Tp = t.ct.FinishTime

@@ -453,9 +453,9 @@ func decodeSection(d *decoder, totalOps *uint64) ([]byte, error) {
 		return nil, fmt.Errorf("empty stream (must hold at least %v)", KindEnd)
 	}
 	sd := decoder{buf: body}
+	var op Op
 	for i := uint64(0); i < count; i++ {
-		op, err := decodeOp(&sd)
-		if err != nil {
+		if err := decodeOp(&sd, &op); err != nil {
 			return nil, fmt.Errorf("op %d: %w", i, err)
 		}
 		if (op.Kind == KindEnd) != (i == count-1) {
@@ -469,64 +469,65 @@ func decodeSection(d *decoder, totalOps *uint64) ([]byte, error) {
 	return body, nil
 }
 
-// decodeOp decodes one op at the decoder's position.
-func decodeOp(d *decoder) (Op, error) {
+// decodeOp decodes the op at the decoder's position into op, writing every
+// field (op is a reused ring slot). On error op's contents are unspecified.
+func decodeOp(d *decoder, op *Op) error {
 	if d.remaining() == 0 {
-		return Op{}, fmt.Errorf("truncated stream")
+		return fmt.Errorf("truncated stream")
 	}
 	head := d.buf[d.pos]
 	d.pos++
 	if head&^byte(headKindMask|headHasN|headOverhead) != 0 {
-		return Op{}, fmt.Errorf("reserved head bits %#x set", head)
+		return fmt.Errorf("reserved head bits %#x set", head)
 	}
 	kind := Kind(head & headKindMask)
 	if kind > KindEnd {
-		return Op{}, fmt.Errorf("unknown kind %d", kind)
+		return fmt.Errorf("unknown kind %d", kind)
 	}
-	op := Op{Kind: kind, N: defaultN(kind), Overhead: head&headOverhead != 0}
+	op.Kind, op.N, op.Addr, op.PC, op.ID, op.Overhead = kind, defaultN(kind), 0, 0, 0, head&headOverhead != 0
 	var err error
 	switch kind {
 	case KindCompute:
 		if head&headHasN != 0 {
-			return Op{}, fmt.Errorf("compute carries its count unconditionally")
+			return fmt.Errorf("compute carries its count unconditionally")
 		}
 		n, err := d.uvarint("compute count")
 		if err != nil {
-			return Op{}, err
+			return err
 		}
 		if n > 1<<32-1 {
-			return Op{}, fmt.Errorf("compute count %d overflows uint32", n)
+			return fmt.Errorf("compute count %d overflows uint32", n)
 		}
 		op.N = uint32(n)
 	case KindLoad, KindStore:
 		if op.Addr, err = d.uvarint("address"); err != nil {
-			return Op{}, err
+			return err
 		}
 		if op.PC, err = d.uvarint("pc"); err != nil {
-			return Op{}, err
+			return err
 		}
 	case KindEnd:
 	default:
 		id, err := d.uvarint("sync id")
 		if err != nil {
-			return Op{}, err
+			return err
 		}
 		if id > 1<<32-1 {
-			return Op{}, fmt.Errorf("sync id %d overflows uint32", id)
+			return fmt.Errorf("sync id %d overflows uint32", id)
 		}
 		op.ID = uint32(id)
 	}
 	if kind != KindCompute && head&headHasN != 0 {
 		n, err := d.uvarint("op count")
 		if err != nil {
-			return Op{}, err
+			return err
 		}
 		if n > 1<<32-1 || n == uint64(defaultN(kind)) {
-			return Op{}, fmt.Errorf("non-canonical op count %d", n)
+			return fmt.Errorf("non-canonical op count %d", n)
 		}
 		op.N = uint32(n)
 	}
-	return op, nil
+	return nil
 }
 
 // Label returns the recorded name (may be empty).
@@ -592,18 +593,15 @@ func (r *streamReader) Next(fb Feedback) Op {
 func (r *streamReader) NextBatch(dst []Op, _ Feedback) int {
 	n := 0
 	for n < len(dst) {
-		op := End()
-		if !r.done {
-			// A decode error is unreachable for Decode-validated sections;
-			// fail closed anyway by ending the stream.
-			if next, err := decodeOp(&r.d); err == nil {
-				op = next
-			}
-			r.done = op.Kind == KindEnd
-		}
-		dst[n] = op
+		op := &dst[n]
 		n++
-		if op.Kind == KindPop || op.Kind == KindEnd {
+		// A decode error is unreachable for Decode-validated sections; fail
+		// closed anyway by ending the stream.
+		if r.done || decodeOp(&r.d, op) != nil {
+			*op = End()
+		}
+		r.done = op.Kind == KindEnd
+		if op.Kind == KindPop || r.done {
 			break
 		}
 	}

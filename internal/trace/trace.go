@@ -143,14 +143,41 @@ type Program interface {
 // against it.
 type BatchProgram = Program
 
+// SetCompute overwrites o with Compute(n). Like every in-place writer it
+// sets every field, because o may be a reused ring slot holding a stale op.
+// The per-access generators write through it: building an Op by value and
+// copying it into the ring stalls on store forwarding.
+func (o *Op) SetCompute(n uint32) {
+	o.Kind, o.N, o.Addr, o.PC, o.ID, o.Overhead = KindCompute, n, 0, 0, 0, false
+}
+
+// SetAccess overwrites o with Store(addr, pc) if store is set, else with
+// Load(addr, pc).
+func (o *Op) SetAccess(store bool, addr, pc uint64) {
+	kind := KindLoad
+	if store {
+		kind = KindStore
+	}
+	o.Kind, o.N, o.Addr, o.PC, o.ID, o.Overhead = kind, 1, addr, pc, 0, false
+}
+
 // Compute returns a computation burst of n instructions.
-func Compute(n uint32) Op { return Op{Kind: KindCompute, N: n} }
+func Compute(n uint32) (o Op) {
+	o.SetCompute(n)
+	return o
+}
 
 // Load returns a load of addr from load-site pc.
-func Load(addr, pc uint64) Op { return Op{Kind: KindLoad, N: 1, Addr: addr, PC: pc} }
+func Load(addr, pc uint64) (o Op) {
+	o.SetAccess(false, addr, pc)
+	return o
+}
 
 // Store returns a store to addr from store-site pc.
-func Store(addr, pc uint64) Op { return Op{Kind: KindStore, N: 1, Addr: addr, PC: pc} }
+func Store(addr, pc uint64) (o Op) {
+	o.SetAccess(true, addr, pc)
+	return o
+}
 
 // Lock returns a lock-acquire op for lock id.
 func Lock(id uint32) Op { return Op{Kind: KindLock, N: 1, ID: id} }

@@ -12,6 +12,19 @@ type opQueue struct {
 	ended bool
 }
 
+// slot extends q by one op and returns it for an in-place writer
+// (trace.Op.SetCompute, SetAccess). The slot may hold a stale op from an
+// earlier refill, which the writer overwrites field by field.
+func slot(q *[]trace.Op) *trace.Op {
+	n := len(*q)
+	if n < cap(*q) {
+		*q = (*q)[:n+1]
+	} else {
+		*q = append(*q, trace.Op{})
+	}
+	return &(*q)[n]
+}
+
 // drain is the shared trace.Program loop: it moves staged ops into
 // dst, refilling the queue until dst is full or the stream ends, and
 // answers a call past the end with a lone End op. cutAfterPop ends the

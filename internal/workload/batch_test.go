@@ -93,11 +93,11 @@ func TestBatchSizeInvariance(t *testing.T) {
 
 func diffOps(got, want []trace.Op) error {
 	if len(got) != len(want) {
-		return fmt.Errorf("%d ops, Next gave %d", len(got), len(want))
+		return fmt.Errorf("%d ops, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			return fmt.Errorf("op %d is %+v, Next gave %+v", i, got[i], want[i])
+			return fmt.Errorf("op %d is %+v, want %+v", i, got[i], want[i])
 		}
 	}
 	return nil

@@ -13,10 +13,9 @@ import "repro/internal/trace"
 // the ATD's private counterfactual — keeping the estimator's assumptions
 // aligned with the measured baseline, as in the paper's methodology.
 type dpProgram struct {
-	s       *Spec
-	tid     int
-	threads int
-	seq     bool // sequential reference: no sync, no overhead
+	s   *Spec
+	tid int
+	seq bool // sequential reference: no sync, no overhead
 
 	totalLines int
 	shares     []float64
@@ -30,6 +29,9 @@ type dpProgram struct {
 	sliceLen  int
 	sharedPos uint64
 	overhead  int // accumulated overhead instructions (x1000 fixed point)
+	// overheadStep is what each access adds to overhead: 0 for the
+	// sequential reference, constant per program otherwise.
+	overheadStep int
 
 	// csEvery is the precomputed critical-section cadence (0 = no critical
 	// sections); csCycle mirrors csCounter % csEvery and pcCycle mirrors
@@ -68,15 +70,16 @@ func (s Spec) dataParallelPrograms(threads int) []trace.Program {
 	progs := make([]trace.Program, threads)
 	spec := s
 	totalLines := int(s.ArrayBytes / lineBytes)
+	step := int(spec.overheadAt(threads) * 1000 * float64(spec.InstrPerAccess+1))
 	for t := 0; t < threads; t++ {
 		progs[t] = &dpProgram{
-			s:          &spec,
-			tid:        t,
-			threads:    threads,
-			totalLines: totalLines,
-			shares:     workShares(threads, s.EffectiveParallelism),
-			csEvery:    spec.csCadence(totalLines),
-			rng:        trace.NewRNG(s.Seed ^ (uint64(t)+1)*0x9e3779b97f4a7c15),
+			s:            &spec,
+			tid:          t,
+			totalLines:   totalLines,
+			shares:       workShares(threads, s.EffectiveParallelism),
+			csEvery:      spec.csCadence(totalLines),
+			overheadStep: step,
+			rng:          trace.NewRNG(s.Seed ^ (uint64(t)+1)*0x9e3779b97f4a7c15),
 		}
 	}
 	return progs
@@ -89,7 +92,6 @@ func (s Spec) dataParallelSequential() trace.Program {
 	return &dpProgram{
 		s:          &spec,
 		tid:        0,
-		threads:    1,
 		seq:        true,
 		totalLines: totalLines,
 		shares:     workShares(nominalThreads, s.EffectiveParallelism),
@@ -222,7 +224,7 @@ func (p *dpProgram) advanceSlice() {
 func (p *dpProgram) emitAccessTo(q *[]trace.Op) {
 	s := p.s
 	if s.InstrPerAccess > 0 {
-		*q = append(*q, trace.Compute(uint32(s.InstrPerAccess)))
+		slot(q).SetCompute(uint32(s.InstrPerAccess))
 	}
 
 	var addr uint64
@@ -249,11 +251,7 @@ func (p *dpProgram) emitAccessTo(q *[]trace.Op) {
 	if p.pcCycle == 13 {
 		p.pcCycle = 0
 	}
-	if store {
-		*q = append(*q, trace.Store(addr, pc))
-	} else {
-		*q = append(*q, trace.Load(addr, pc))
-	}
+	slot(q).SetAccess(store, addr, pc)
 
 	// Critical sections at the precomputed cadence, spread evenly over the
 	// access stream so the sequential reference executes the same body work
@@ -279,12 +277,12 @@ func (p *dpProgram) emitAccessTo(q *[]trace.Op) {
 
 	// Parallelization overhead, accumulated in 1/1000 instruction units and
 	// emitted in bursts so the op stream stays compact.
-	if !p.seq && s.overheadAt(p.threads) > 0 {
-		p.overhead += int(s.overheadAt(p.threads) * 1000 * float64(s.InstrPerAccess+1))
+	if p.overheadStep > 0 {
+		p.overhead += p.overheadStep
 		if p.overhead >= 256_000 {
-			burst := trace.Compute(uint32(p.overhead / 1000))
+			burst := slot(q)
+			burst.SetCompute(uint32(p.overhead / 1000))
 			burst.Overhead = true
-			*q = append(*q, burst)
 			p.overhead = 0
 		}
 	}

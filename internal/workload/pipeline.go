@@ -309,7 +309,7 @@ func (p *plProgram) emitBody() {
 func emitItemWork(queue *[]trace.Op, rng *trace.RNG, s *Spec, item, instr, accesses int, seq bool) {
 	if accesses <= 0 {
 		if instr > 0 {
-			*queue = append(*queue, trace.Compute(uint32(instr)))
+			slot(queue).SetCompute(uint32(instr))
 		}
 		return
 	}
@@ -319,7 +319,7 @@ func emitItemWork(queue *[]trace.Op, rng *trace.RNG, s *Spec, item, instr, acces
 	base := (item * itemLines) % totalLines
 	for a := 0; a < accesses; a++ {
 		if chunk > 0 {
-			*queue = append(*queue, trace.Compute(uint32(chunk)))
+			slot(queue).SetCompute(uint32(chunk))
 		}
 		pc := 0x420000 + uint64(a%5)*4
 		var addr uint64
@@ -329,11 +329,7 @@ func emitItemWork(queue *[]trace.Op, rng *trace.RNG, s *Spec, item, instr, acces
 		} else {
 			addr = privateBase + uint64((base+a%itemLines)%totalLines)*lineBytes
 		}
-		if rng.Bool(s.StoreFrac) {
-			*queue = append(*queue, trace.Store(addr, pc))
-		} else {
-			*queue = append(*queue, trace.Load(addr, pc))
-		}
+		slot(queue).SetAccess(rng.Bool(s.StoreFrac), addr, pc)
 	}
 }
 

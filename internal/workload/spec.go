@@ -349,8 +349,8 @@ func (s Spec) Canonical() Spec {
 
 // overheadAt returns the effective overhead fraction for a run with the
 // given thread count (OverheadFrac is the 16-thread calibration point). The
-// generators call it per access, so it takes a pointer: a value receiver
-// copies the whole Spec on every call.
+// pipeline generator calls it per item, so it takes a pointer: a value
+// receiver copies the whole Spec on every call.
 func (s *Spec) overheadAt(threads int) float64 {
 	return s.OverheadFrac * float64(threads) / 16
 }

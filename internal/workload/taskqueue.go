@@ -8,10 +8,9 @@ import "repro/internal/trace"
 // parallelism; whether waiters spin or yield is the lock library's policy
 // (cholesky's SPLASH-2 locks spin, freqmine's pthread mutexes park).
 type tqProgram struct {
-	s       *Spec
-	tid     int
-	threads int
-	seq     bool
+	s   *Spec
+	tid int
+	seq bool
 
 	itemStart int
 	itemCount int
@@ -21,6 +20,9 @@ type tqProgram struct {
 	inItem   bool
 	access   int
 	overhead int
+	// overheadStep is what each item adds to overhead: 0 for the
+	// sequential reference, constant per program otherwise.
+	overheadStep int
 
 	rng *trace.RNG
 	opQueue
@@ -34,15 +36,16 @@ func (s Spec) taskQueuePrograms(threads int) []trace.Program {
 	parts := splitInts(s.Items, shares)
 	progs := make([]trace.Program, threads)
 	spec := s
+	step := int(spec.overheadAt(threads) * 1000 * float64(spec.ItemInstr))
 	start := 0
 	for t := 0; t < threads; t++ {
 		progs[t] = &tqProgram{
-			s:         &spec,
-			tid:       t,
-			threads:   threads,
-			itemStart: start,
-			itemCount: parts[t],
-			rng:       trace.NewRNG(s.Seed ^ (uint64(t)+11)*0x9e3779b97f4a7c15),
+			s:            &spec,
+			tid:          t,
+			itemStart:    start,
+			itemCount:    parts[t],
+			overheadStep: step,
+			rng:          trace.NewRNG(s.Seed ^ (uint64(t)+11)*0x9e3779b97f4a7c15),
 		}
 		start += parts[t]
 	}
@@ -56,7 +59,6 @@ func (s Spec) taskQueueSequential() trace.Program {
 	return &tqProgram{
 		s:         &spec,
 		tid:       0,
-		threads:   1,
 		seq:       true,
 		itemStart: 0,
 		itemCount: s.Items,
@@ -137,9 +139,9 @@ func (p *tqProgram) refill() {
 	}
 	for i := 0; i < n; i++ {
 		if chunk > 0 {
-			p.queue = append(p.queue, trace.Compute(uint32(chunk)))
+			slot(&p.queue).SetCompute(uint32(chunk))
 		}
-		p.queue = append(p.queue, p.itemAccess(item, p.access))
+		p.itemAccess(slot(&p.queue), item, p.access)
 		p.access++
 	}
 	if p.access >= s.ItemAccesses {
@@ -147,22 +149,20 @@ func (p *tqProgram) refill() {
 	}
 }
 
-// itemAccess produces the access-th memory reference of the given item.
-// Private references reuse one of 16 fixed blocks of the array, selected by
-// the item's position (item groups own blocks, independent of the thread
-// count, so the sequential reference touches identical data with identical
-// locality). The intra-block reuse is what a private LLC would retain —
-// shared-LLC thrashing of it is negative interference.
-func (p *tqProgram) itemAccess(item, access int) trace.Op {
+// itemAccess writes the access-th memory reference of the given item into
+// op. Private references reuse one of 16 fixed blocks of the array,
+// selected by the item's position (item groups own blocks, independent of
+// the thread count, so the sequential reference touches identical data with
+// identical locality). The intra-block reuse is what a private LLC would
+// retain — shared-LLC thrashing of it is negative interference.
+func (p *tqProgram) itemAccess(op *trace.Op, item, access int) {
 	s := p.s
 	pc := 0x410000 + uint64(access%7)*4
 	if s.SharedFrac > 0 && p.rng.Bool(s.SharedFrac) {
 		sharedLines := uint64(s.SharedBytes / lineBytes)
 		addr := sharedBase + p.rng.Uint64n(sharedLines)*lineBytes
-		if p.rng.Bool(s.SharedStoreFrac) {
-			return trace.Store(addr, pc)
-		}
-		return trace.Load(addr, pc)
+		op.SetAccess(p.rng.Bool(s.SharedStoreFrac), addr, pc)
+		return
 	}
 	const blocks = 16
 	totalLines := max(blocks, int(s.ArrayBytes/lineBytes))
@@ -170,18 +170,14 @@ func (p *tqProgram) itemAccess(item, access int) trace.Op {
 	group := item * blocks / max(1, s.Items)
 	line := group*blockLines + (item*s.ItemAccesses+access)%blockLines
 	addr := privateBase + uint64(line)*lineBytes
-	if p.rng.Bool(s.StoreFrac) {
-		return trace.Store(addr, pc)
-	}
-	return trace.Load(addr, pc)
+	op.SetAccess(p.rng.Bool(s.StoreFrac), addr, pc)
 }
 
 func (p *tqProgram) finishItem() {
-	s := p.s
 	p.inItem = false
 	p.done++
-	if !p.seq && s.overheadAt(p.threads) > 0 {
-		p.overhead += int(s.overheadAt(p.threads) * 1000 * float64(s.ItemInstr))
+	if p.overheadStep > 0 {
+		p.overhead += p.overheadStep
 		if p.overhead >= 64_000 {
 			burst := trace.Compute(uint32(p.overhead / 1000))
 			burst.Overhead = true
