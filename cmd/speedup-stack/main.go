@@ -37,8 +37,8 @@
 // several times faster, deterministic, with its deviation from the exact
 // stack bounded by the documented sim.FastErrorBounds. The default, exact,
 // is byte-identical run to run. The advisor, what-if and interval paths
-// stay exact in this CLI (the speedupd service serves their fast variants
-// via ?mode=fast).
+// stay exact in this CLI. The speedupd service serves fast advice and fast
+// interval series via ?mode=fast; its what-if is exact only.
 //
 // -record FILE runs the workload once and writes the binary op trace of that
 // run to FILE: every operation every thread issued, plus the run's machine
@@ -134,9 +134,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case req.Fast && analysis:
 		// The advisor, what-if and interval reports are exact-mode paths in
-		// this CLI; the speedupd service serves their fast variants
-		// (?mode=fast).
-		return exit(2, "-mode fast applies to the aggregate stack only; drop -advise/-whatif/-intervals or use speedupd's ?mode=fast")
+		// this CLI; speedupd serves fast advice and interval series.
+		return exit(2, "-mode fast applies to the aggregate stack only; drop -advise/-whatif/-intervals, or ask speedupd's /v1/advise or /v1/stack/intervals with ?mode=fast")
 	case *record != "" && (*tracePath != "" || analysis || req.Fast):
 		return exit(2, "-record captures one exact aggregate run; drop -trace/-advise/-whatif/-intervals/-mode fast")
 	case *tracePath != "" && (analysis || req.Fast):

@@ -5,7 +5,7 @@
 //
 //	speedupd [-addr :8080] [-workers N] [-cache CELLS] [-sim-timeout D]
 //	         [-drain 10s] [-pprof]
-//	         [-max-inflight N] [-rate-limit RPS] [-rate-burst N]
+//	         [-max-inflight N] [-rate-limit RPS]
 //	         [-self URL -peers URL,URL,...] [-fleet-cache N]
 //
 // Endpoints (see internal/service):
@@ -31,8 +31,8 @@
 //
 // Overload protection: -max-inflight bounds concurrently admitted
 // simulating requests (excess load is shed with 429 "overloaded" and
-// Retry-After) and -rate-limit/-rate-burst add a per-client token bucket
-// (429 "rate_limited").
+// Retry-After) and -rate-limit adds a per-client token bucket holding
+// max(1, ceil(RPS)) tokens (429 "rate_limited").
 //
 // Fleet mode: -self and -peers (every node runs the same -peers list, its
 // own address in it as -self) shard the cache across cooperating nodes —
@@ -71,7 +71,6 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profile a slow sweep live)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently admitted simulating requests (0 = unbounded; excess sheds 429)")
 	rateLimit := flag.Float64("rate-limit", 0, "per-client request rate on simulating endpoints, in req/s (0 = off)")
-	rateBurst := flag.Int("rate-burst", 0, "token-bucket burst when -rate-limit is set (default ceil(rate))")
 	self := flag.String("self", "", "fleet: this node's address as it appears in -peers")
 	peers := flag.String("peers", "", "fleet: comma-separated member addresses, -self included, identical on every node")
 	fleetCache := flag.Int("fleet-cache", 0, "fleet: peer-response cache entries (0 = default 4096, -1 = off)")
@@ -87,7 +86,6 @@ func main() {
 		SimTimeout:  *simTimeout,
 		MaxInFlight: *maxInflight,
 		RateLimit:   *rateLimit,
-		RateBurst:   *rateBurst,
 	})
 
 	handler := srv.Handler()

@@ -51,7 +51,9 @@ type ThreadCounters struct {
 
 	// MemInterferenceEst is the memory-subsystem interference the hardware
 	// charges on blocking misses: bus/bank waits caused by other cores and
-	// ORA-flagged row conflicts, scaled by the exposed-stall fraction.
+	// ORA-flagged row conflicts, scaled by the exposed-stall fraction. The
+	// ORA's verdict is the ground truth (package mem), so the oracle charges
+	// the same.
 	MemInterferenceEst uint64
 	// SampledInterThreadMissMemInterf is the memory interference portion of
 	// sampled inter-thread misses. Those misses charge their whole stall to
@@ -72,12 +74,8 @@ type ThreadCounters struct {
 	DetailedLLCAccesses uint64
 
 	// Oracle counterparts of what the hardware cannot attribute exactly.
-	// OracleInterThreadMissMemInterf is the true memory interference of the
-	// sampled inter-thread misses (SampledInterThreadMissMemInterf's twin).
-	OracleMemInterference          uint64
-	OracleInterThreadMissMemInterf uint64
-	OracleSpinCycles               uint64
-	OracleCoherenceStall           uint64
+	OracleSpinCycles     uint64
+	OracleCoherenceStall uint64
 }
 
 // Components aggregates the speedup-stack cycle components across all
@@ -156,9 +154,10 @@ func (s Stack) Error() float64 {
 // observedComponents sums the terms the accounting hardware and the ground
 // truth derive from the same counters: LLC interference (sampled ATD events
 // extrapolated by the run-time sampling factor, positive interference
-// interpolated with the average miss penalty), yielding (the OS's own
-// bookkeeping) and imbalance (finish times against tp, the duration of the
-// parallel section).
+// interpolated with the average miss penalty), memory interference (the
+// ORA's, less the extrapolated share of inter-thread misses, whose whole
+// stall already sits in NegLLC), yielding (the OS's own bookkeeping) and
+// imbalance (finish times against tp, the duration of the parallel section).
 func observedComponents(tp uint64, threads []ThreadCounters) Components {
 	var c Components
 	for i := range threads {
@@ -166,6 +165,7 @@ func observedComponents(tp uint64, threads []ThreadCounters) Components {
 		factor := samplingFactor(t)
 		c.NegLLC += float64(t.SampledInterThreadMissStall) * factor
 		c.PosLLC += float64(t.SampledInterThreadHits) * factor * avgMissPenalty(t)
+		c.NegMem += max(float64(t.MemInterferenceEst)-float64(t.SampledInterThreadMissMemInterf)*factor, 0)
 		c.Yield += float64(t.YieldCycles)
 		if tp > t.FinishTime {
 			c.Imbalance += float64(tp - t.FinishTime)
@@ -174,36 +174,27 @@ func observedComponents(tp uint64, threads []ThreadCounters) Components {
 	return c
 }
 
-// negMem is a thread's memory interference minus the (extrapolated) share
-// belonging to inter-thread misses, whose whole stall already sits in NegLLC.
-func negMem(t *ThreadCounters, total, interThreadMiss uint64) float64 {
-	return max(float64(total)-float64(interThreadMiss)*samplingFactor(t), 0)
-}
-
 // EstimateComponents performs the software post-processing of Section 4 on
-// what the accounting hardware counted: observedComponents plus the ORA's
-// memory interference and the Tian detector's spin time.
+// what the accounting hardware counted: observedComponents plus the Tian
+// detector's spin time.
 func EstimateComponents(tp uint64, threads []ThreadCounters) Components {
 	c := observedComponents(tp, threads)
 	for i := range threads {
-		t := &threads[i]
-		c.NegMem += negMem(t, t.MemInterferenceEst, t.SampledInterThreadMissMemInterf)
-		c.Spin += float64(t.SpinDetected)
+		c.Spin += float64(threads[i].SpinDetected)
 	}
 	return clampComponents(c, tp, len(threads))
 }
 
 // OracleComponents replaces what hardware cannot see with the simulator's
-// omniscient view: true memory interference and spin time, coherence stall
-// and parallelization overhead (cyclesPerInstr, 1/dispatch width, converts
-// overhead instructions to cycles). Its LLC terms are observedComponents'
-// own, so they are ground truth exactly when the ATD monitors every set the
-// run walks: ATDSampleShift == 0 in exact mode.
+// omniscient view: true spin time, coherence stall and parallelization
+// overhead (cyclesPerInstr, 1/dispatch width, converts overhead instructions
+// to cycles). Its LLC and memory terms are observedComponents' own, so they
+// are ground truth exactly when the ATD monitors every set the run walks:
+// ATDSampleShift == 0 in exact mode.
 func OracleComponents(tp uint64, threads []ThreadCounters, cyclesPerInstr float64) Components {
 	c := observedComponents(tp, threads)
 	for i := range threads {
 		t := &threads[i]
-		c.NegMem += negMem(t, t.OracleMemInterference, t.OracleInterThreadMissMemInterf)
 		c.Spin += float64(t.OracleSpinCycles)
 		// Exactly 1 in exact mode (x/x is 1.0 in IEEE arithmetic).
 		detailed := 1.0

@@ -115,13 +115,11 @@ func TestOracleComponentsIncludeHiddenTerms(t *testing.T) {
 	threads := []ThreadCounters{{
 		SampledInterThreadMissStall:     300,
 		SampledInterThreadHits:          5,
-		SampledInterThreadMissMemInterf: 900, // the estimator's view: unused
-		OracleInterThreadMissMemInterf:  100,
+		SampledInterThreadMissMemInterf: 100,
 		LLCLoadMisses:                   10,
 		StallLLCLoadMiss:                1_000, // avg 100
-		MemInterferenceEst:              9_000,
-		OracleMemInterference:           700,
-		SpinDetected:                    9_000,
+		MemInterferenceEst:              700,
+		SpinDetected:                    9_000, // the estimator's view: unused
 		OracleSpinCycles:                400,
 		YieldCycles:                     800,
 		OracleCoherenceStall:            150,
@@ -141,14 +139,16 @@ func TestOracleComponentsIncludeHiddenTerms(t *testing.T) {
 	if c.ParallelOverhead != 1000 {
 		t.Fatalf("overhead = %v", c.ParallelOverhead)
 	}
-	// The LLC terms are the estimator's own, extrapolated by its sampling
-	// factor; coherence by the detailed-walk factor of fast mode.
+	// The LLC and memory terms are the estimator's own, extrapolated by its
+	// sampling factor; coherence by the detailed-walk factor of fast mode.
 	threads[0].LLCAccesses, threads[0].SampledATDAccesses = 800, 100
 	threads[0].DetailedLLCAccesses = 200
+	threads[0].MemInterferenceEst = 1_000
 	c = OracleComponents(tp, threads, 0.25)
 	e := EstimateComponents(tp, threads)
-	if c.NegLLC != 300*8 || c.NegLLC != e.NegLLC || c.PosLLC != e.PosLLC {
-		t.Fatalf("LLC terms not shared with the estimator: %+v vs %+v", c, e)
+	if c.NegLLC != 300*8 || c.NegLLC != e.NegLLC || c.PosLLC != e.PosLLC ||
+		c.NegMem != 1_000-100*8 || c.NegMem != e.NegMem {
+		t.Fatalf("LLC and memory terms not shared with the estimator: %+v vs %+v", c, e)
 	}
 	if c.Coherence != 150*4 {
 		t.Fatalf("extrapolated coherence = %v, want %v", c.Coherence, 150*4)

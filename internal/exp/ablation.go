@@ -85,7 +85,7 @@ func AblationSampling(ctx context.Context, e *Engine) ([]SamplingRow, error) {
 		sets := cfg.LLC.Sets() >> shift
 		cost := core.Cost(core.CostParams{
 			SampledSets: sets, Ways: cfg.LLC.Ways, TagBits: 24,
-			ORAEntries: cfg.Mem.ORAEntries, Counters: 12, SpinEntries: 8,
+			ORAEntries: cfg.Mem.Banks, Counters: 12, SpinEntries: 8,
 		})
 		rows = append(rows, SamplingRow{
 			SampleShift:   shift,

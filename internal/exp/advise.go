@@ -38,14 +38,19 @@ func AdviseThreads(max int) []int {
 // for the same workload — or advice after a sweep that already simulated
 // these cells — costs no new simulation.
 func (e *Engine) Advise(ctx context.Context, req Request, maxThreads int) (scaling.Advice, error) {
+	b, err := req.Cell.resolveWorkload()
+	if err != nil {
+		return scaling.Advice{}, err
+	}
+	// The sweep's run shape is maxThreads, which this range keeps valid.
 	if maxThreads < MinAdviseThreads || maxThreads > MaxAdviseThreads {
 		return scaling.Advice{}, refuse("max_threads must be in [%d,%d], got %d",
 			MinAdviseThreads, MaxAdviseThreads, maxThreads)
 	}
 	req.Threads, req.Cores = maxThreads, 0
-	b, k, err := e.resolve(req)
-	if err != nil {
-		return scaling.Advice{}, err
+	cfg := e.base
+	if req.Config != nil {
+		cfg = *req.Config
 	}
 	threads := AdviseThreads(maxThreads)
 	reqs := make([]Request, len(threads))
@@ -66,7 +71,7 @@ func (e *Engine) Advise(ctx context.Context, req Request, maxThreads int) (scali
 	if err != nil {
 		return scaling.Advice{}, err
 	}
-	attachPredictedGains(a.Recommendations, b.Spec, k.cfg, top.Stack)
+	attachPredictedGains(a.Recommendations, b.Spec, cfg, top.Stack)
 	return a, nil
 }
 

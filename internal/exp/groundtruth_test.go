@@ -30,7 +30,6 @@ func atdFree(t core.ThreadCounters) core.ThreadCounters {
 	t.SampledInterThreadMissStall = 0
 	t.SampledInterThreadHits = 0
 	t.SampledInterThreadMissMemInterf = 0
-	t.OracleInterThreadMissMemInterf = 0
 	return t
 }
 
@@ -38,8 +37,8 @@ func atdFree(t core.ThreadCounters) core.ThreadCounters {
 // directory per core and no oracle: the same cell at ATDSampleShift 0 is the
 // ground truth of any sampled run. Accounting is invisible to timing, so
 // everything but the ATD-derived counters is equal between the two shifts;
-// at shift 0 every sampling factor is exactly 1 and Result.Oracle's LLC terms
-// are Result.Estimated's; and the sampled estimate stays within
+// at shift 0 every sampling factor is exactly 1 and Result.Oracle's LLC and
+// memory terms are Result.Estimated's; and the sampled estimate stays within
 // groundTruthBounds of that truth.
 func TestGroundTruthIsSampleShiftZero(t *testing.T) {
 	if testing.Short() {
@@ -85,9 +84,9 @@ func TestGroundTruthIsSampleShiftZero(t *testing.T) {
 			}
 		}
 		ge, gor := g.Result.Estimated, g.Result.Oracle
-		if gor.NegLLC != ge.NegLLC || gor.PosLLC != ge.PosLLC {
-			t.Errorf("%s x%d: shift-0 oracle LLC terms %v/%v differ from the estimate's %v/%v",
-				name, c.Threads, gor.NegLLC, gor.PosLLC, ge.NegLLC, ge.PosLLC)
+		if gor.NegLLC != ge.NegLLC || gor.PosLLC != ge.PosLLC || gor.NegMem != ge.NegMem {
+			t.Errorf("%s x%d: shift-0 oracle LLC and memory terms %v/%v/%v differ from the estimate's %v/%v/%v",
+				name, c.Threads, gor.NegLLC, gor.PosLLC, gor.NegMem, ge.NegLLC, ge.PosLLC, ge.NegMem)
 		}
 
 		tp, se := float64(g.Tp), s.Result.Estimated

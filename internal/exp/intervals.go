@@ -47,12 +47,12 @@ type intervalKey struct {
 // cell, so repeated requests — any alias or inline spec with the same
 // fingerprint — cost one interval-enabled simulation.
 func (e *Engine) MeasureIntervals(ctx context.Context, req Request, count int) (IntervalOutcome, error) {
-	if count < 1 || count > MaxIntervals {
-		return IntervalOutcome{}, refuse("intervals must be in [1,%d], got %d", MaxIntervals, count)
-	}
 	b, k, err := e.resolve(req)
 	if err != nil {
 		return IntervalOutcome{}, err
+	}
+	if count < 1 || count > MaxIntervals {
+		return IntervalOutcome{}, refuse("intervals must be in [1,%d], got %d", MaxIntervals, count)
 	}
 	ik := intervalKey{cellKey: k, count: count}
 	out, err := e.intervals.Do(ctx, ik,

@@ -13,7 +13,9 @@ import (
 // TestRefusalsAreTyped pins the engine as the one judge of a request: every
 // refusal it makes before simulating is a *RequestError carrying the
 // wording the service answers on the wire, every failed name or ID lookup
-// a *workload.LookupError, and none of them fires the run hook.
+// a *workload.LookupError, and none of them fires the run hook. A request
+// wrong twice fails on the wire's first rule: bench or spec, the workload,
+// the run shape, the endpoint's own rule, then the intervention IDs.
 func TestRefusalsAreTyped(t *testing.T) {
 	var runs atomic.Int32
 	e := NewEngine(sim.Default(), WithRunHook(func(string, string, int, int) { runs.Add(1) }))
@@ -25,7 +27,9 @@ func TestRefusalsAreTyped(t *testing.T) {
 	spec := b.Spec
 	invalid := b.Spec
 	invalid.ArrayBytes = -1
+	invalidErr := invalid.Validate()
 	good := Request{Cell: Cell{Bench: "cholesky_splash2", Threads: 4}}
+	nosuch := workload.UnknownBenchmarkError("nosuch").Error()
 	do := func(c Cell) func() error {
 		return func() error { _, err := e.Do(ctx, []Request{{Cell: c}}); return err }
 	}
@@ -61,6 +65,36 @@ func TestRefusalsAreTyped(t *testing.T) {
 		{"invalid spec", do(Cell{Spec: &invalid, Threads: 4}), false, ""},
 		{"unknown bench", do(Cell{Bench: "nosuch", Threads: 4}), true, ""},
 		{"neither bench nor spec", do(Cell{Threads: 4}), true, ""},
+		{"unknown bench + threads 0", do(Cell{Bench: "nosuch"}), true, "exp: cell 0: " + nosuch},
+		{"invalid spec + threads 0", do(Cell{Spec: &invalid}), false, "exp: cell 0: " + invalidErr.Error()},
+		{"unknown bench + what-if floor", func() error {
+			_, err := e.WhatIf(ctx, Request{Cell: Cell{Bench: "nosuch", Threads: 1}}, nil)
+			return err
+		}, true, nosuch},
+		{"unknown bench + unknown intervention", func() error {
+			_, err := e.WhatIf(ctx, Request{Cell: Cell{Bench: "nosuch", Threads: 4}}, []string{"triple_llc"})
+			return err
+		}, true, nosuch},
+		{"unknown bench + advise range", func() error {
+			_, err := e.Advise(ctx, Request{Cell: Cell{Bench: "nosuch"}}, 2)
+			return err
+		}, true, nosuch},
+		{"unknown bench + interval range", func() error {
+			_, err := e.MeasureIntervals(ctx, Request{Cell: Cell{Bench: "nosuch", Threads: 4}}, 0)
+			return err
+		}, true, nosuch},
+		{"threads 0 + interval range", func() error {
+			_, err := e.MeasureIntervals(ctx, Request{Cell: Cell{Bench: "cholesky_splash2"}}, 0)
+			return err
+		}, false, "threads must be in [1,256], got 0"},
+		{"threads 0 + unknown intervention", func() error {
+			_, err := e.WhatIf(ctx, Request{Cell: Cell{Bench: "cholesky_splash2"}}, []string{"triple_llc"})
+			return err
+		}, false, "threads must be in [1,256], got 0"},
+		{"what-if floor + unknown intervention", func() error {
+			_, err := e.WhatIf(ctx, Request{Cell: Cell{Bench: "cholesky_splash2", Threads: 1}}, []string{"triple_llc"})
+			return err
+		}, false, "what-if needs threads >= 2 (a single-threaded run has no scaling gap), got 1"},
 	} {
 		err := tc.call()
 		if err == nil {

@@ -98,16 +98,18 @@ func refuse(format string, args ...any) error {
 	return &RequestError{fmt.Errorf(format, args...)}
 }
 
-// Resolve validates the cell — bench or spec, then its run shape, then a
-// consistent inline Spec or a registered Bench (failing with the
-// nearest-name suggestion) — and returns the workload it names, an inline
-// Spec in its canonical form. It is the one validation behind every engine
-// entry point, the root package's Request and the service's cells, so the
-// same bad input reads the same at every door and fails before any
-// simulation.
+// Resolve validates the cell — bench or spec, then the workload (a
+// consistent inline Spec or a registered Bench, failing with the
+// nearest-name suggestion), then its run shape — and returns the workload it
+// names, an inline Spec in its canonical form. It is the one validation
+// behind every engine entry point, the root package's Request and the
+// service's cells, so the same bad input reads the same at every door and
+// fails before any simulation. An endpoint's own rules (the what-if floor,
+// the interval count, intervention IDs) are judged after it.
 func (c Cell) Resolve() (workload.Benchmark, error) {
-	if c.Spec != nil && c.Bench != "" {
-		return workload.Benchmark{}, refuse("give bench or spec, not both")
+	b, err := c.resolveWorkload()
+	if err != nil {
+		return workload.Benchmark{}, err
 	}
 	if c.Threads < 1 || c.Threads > 256 {
 		return workload.Benchmark{}, refuse("threads must be in [1,256], got %d", c.Threads)
@@ -120,6 +122,15 @@ func (c Cell) Resolve() (workload.Benchmark, error) {
 	}
 	if c.Cores == 0 && c.Threads > 64 {
 		return workload.Benchmark{}, refuse("threads %d exceeds the simulator's 64-core limit; pass an explicit cores", c.Threads)
+	}
+	return b, nil
+}
+
+// resolveWorkload is Resolve short of the run shape: bench or spec, then the
+// workload.
+func (c Cell) resolveWorkload() (workload.Benchmark, error) {
+	if c.Spec != nil && c.Bench != "" {
+		return workload.Benchmark{}, refuse("give bench or spec, not both")
 	}
 	if c.Spec != nil {
 		s := *c.Spec

@@ -27,6 +27,10 @@ const MinWhatIfThreads = 2
 // repeating a what-if (or running one after an advise or sweep that already
 // simulated the baseline) costs zero extra simulations.
 func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.Report, error) {
+	b, k, err := e.resolve(req)
+	if err != nil {
+		return whatif.Report{}, err
+	}
 	if req.Threads < MinWhatIfThreads {
 		return whatif.Report{}, refuse("what-if needs threads >= %d (a single-threaded run has no scaling gap), got %d",
 			MinWhatIfThreads, req.Threads)
@@ -41,10 +45,6 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 			}
 			ivs[i] = iv
 		}
-	}
-	b, k, err := e.resolve(req)
-	if err != nil {
-		return whatif.Report{}, err
 	}
 
 	// Baseline first: the predictions are pure arithmetic over its stack.

@@ -2,16 +2,21 @@
 // shared split-transaction memory bus, a configurable number of DRAM banks
 // with an open-page (open-row) policy, and FCFS service at each resource.
 //
-// Two views of interference are produced for every access:
+// Every access reports the interference other cores caused it: the bus or
+// bank waits behind another core's transfer (the controller sees the
+// occupant, as the paper's hardware does), plus the row-miss penalty when
+// another core closed a row this core had open. The row verdict is the
+// paper's per-core Open Row Array (Section 4.1): for every bank, the row this
+// core last accessed there. A row miss on the row the ORA holds is
+// interference.
 //
-//   - Ground truth: the controller knows exactly which core occupied the bus
-//     or bank while this access waited, and whether a row that this core had
-//     open was closed by another core in the meantime.
-//   - Estimator: the per-core Open Row Array (ORA) of the paper (Section
-//     4.1) predicts whether a row-buffer conflict was caused by another core
-//     by remembering only the rows *this* core opened. Capacity evictions in
-//     the ORA make the estimate imperfect in exactly the way the hardware
-//     proposal is.
+// That verdict is also the ground truth — "this core's last access to the
+// bank was to the requested row, and another core accessed the bank since" —
+// so the controller keeps one table, not two. On a row miss, a matching ORA
+// row implies the other two conditions: the bank has an open row, because
+// this core's earlier access opened one; and its last accessor is another
+// core, because otherwise the open row would be this core's last row and the
+// access would hit.
 //
 // Timing is transactional rather than cycle-stepped: each resource keeps a
 // monotone "free at" timeline, which is equivalent to cycle-accurate FCFS
@@ -42,8 +47,6 @@ type Config struct {
 	RowBytes int64
 	// LineBytes is the transfer granularity (cache-line size).
 	LineBytes int64
-	// ORAEntries is the per-core Open Row Array capacity.
-	ORAEntries int
 }
 
 // Validate reports whether the configuration is consistent.
@@ -63,9 +66,6 @@ func (c Config) Validate() error {
 	}
 	if c.RowMissCycles < c.RowHitCycles {
 		return fmt.Errorf("mem: row miss (%d) faster than row hit (%d)", c.RowMissCycles, c.RowHitCycles)
-	}
-	if c.ORAEntries <= 0 {
-		return fmt.Errorf("mem: ORAEntries must be positive")
 	}
 	return nil
 }
@@ -105,34 +105,20 @@ type AccessResult struct {
 	BusWaitOther  uint64
 	// RowHit reports whether the access hit the open row.
 	RowHit bool
-	// RowConflictOtherTruth is the ground truth: this core's previous
-	// access to the bank targeted the same row, and another core closed it
-	// in between, so the row-miss penalty is interference.
-	RowConflictOtherTruth bool
-	// RowConflictOtherORA is the estimator's verdict from the per-core ORA.
-	RowConflictOtherORA bool
+	// RowConflictOther reports a row miss on the row this core's ORA holds
+	// for the bank: another core closed it, so the row-miss penalty is
+	// interference.
+	RowConflictOther bool
 	// RowPenalty is the extra latency paid over a row hit (0 on row hits).
 	RowPenalty uint64
 }
 
-// InterferenceTruth returns the ground-truth interference cycles of the
-// access: waits caused by other cores plus the row penalty when another core
-// closed this core's row.
-func (r *AccessResult) InterferenceTruth() uint64 {
+// Interference returns the interference cycles of the access: waits caused
+// by other cores plus the row penalty when another core closed this core's
+// row.
+func (r *AccessResult) Interference() uint64 {
 	v := r.BankWaitOther + r.BusWaitOther
-	if r.RowConflictOtherTruth {
-		v += r.RowPenalty
-	}
-	return v
-}
-
-// InterferenceEstimate returns the interference cycles the accounting
-// hardware would charge: resource waits attributed to other cores (the
-// hardware observes the occupant directly, per the paper) plus the row
-// penalty when the ORA flags the conflict.
-func (r *AccessResult) InterferenceEstimate() uint64 {
-	v := r.BankWaitOther + r.BusWaitOther
-	if r.RowConflictOtherORA {
+	if r.RowConflictOther {
 		v += r.RowPenalty
 	}
 	return v
@@ -143,10 +129,12 @@ type bank struct {
 	lastOwner int
 	openRow   uint64
 	rowValid  bool
-	// lastRowByCore tracks, per core, the row of that core's most recent
-	// access to this bank — the ground-truth analogue of the ORA.
-	lastRowByCore []uint64
-	lastRowValid  []bool
+}
+
+// oraEntry is one ORA row: the row a core last accessed in a bank.
+type oraEntry struct {
+	row   uint64
+	valid bool
 }
 
 // Controller is the shared memory controller.
@@ -157,7 +145,9 @@ type Controller struct {
 	busLastOwner int
 
 	banks []bank
-	oras  []*ORA
+	// ora holds every core's Open Row Array, one entry per bank, at
+	// core*Banks + bank.
+	ora []oraEntry
 
 	// Precomputed address decomposition for bankRow.
 	lineShift uint
@@ -186,16 +176,9 @@ func NewController(cfg Config, cores int) *Controller {
 	c.rowShift = uint(bits.TrailingZeros64(uint64(cfg.Banks)) + bits.TrailingZeros64(uint64(cfg.RowBytes/cfg.LineBytes)))
 	c.banks = make([]bank, cfg.Banks)
 	for i := range c.banks {
-		c.banks[i] = bank{
-			lastOwner:     -1,
-			lastRowByCore: make([]uint64, cores),
-			lastRowValid:  make([]bool, cores),
-		}
+		c.banks[i].lastOwner = -1
 	}
-	c.oras = make([]*ORA, cores)
-	for i := range c.oras {
-		c.oras[i] = NewORA(cfg.ORAEntries, cfg.Banks)
-	}
+	c.ora = make([]oraEntry, cores*cfg.Banks)
 	return c
 }
 
@@ -206,18 +189,9 @@ func (c *Controller) Reset() {
 	c.busLastOwner = -1
 	c.stats = Stats{}
 	for i := range c.banks {
-		b := &c.banks[i]
-		b.freeAt, b.lastOwner, b.openRow, b.rowValid = 0, -1, 0, false
-		for j := range b.lastRowByCore {
-			b.lastRowByCore[j] = 0
-		}
-		for j := range b.lastRowValid {
-			b.lastRowValid[j] = false
-		}
+		c.banks[i] = bank{lastOwner: -1}
 	}
-	for _, o := range c.oras {
-		o.Reset()
-	}
+	clear(c.ora)
 }
 
 // Stats returns accumulated counters.
@@ -248,6 +222,7 @@ func (c *Controller) AccessTo(res *AccessResult, now uint64, core int, addr uint
 	*res = AccessResult{}
 	bankIdx, row := c.bankRow(addr)
 	bk := &c.banks[bankIdx]
+	ora := &c.ora[core*len(c.banks)+bankIdx]
 
 	// Bank queueing.
 	start := now
@@ -269,17 +244,9 @@ func (c *Controller) AccessTo(res *AccessResult, now uint64, core int, addr uint
 		rowLat = c.cfg.RowMissCycles
 		res.RowPenalty = c.cfg.RowPenalty()
 		c.stats.RowMisses++
-		// Ground truth: would this have been a row hit in isolation? Yes
-		// iff this core's previous access to the bank was to the same row
-		// and some other core opened a different row in between.
-		if bk.lastRowValid[core] && bk.lastRowByCore[core] == row &&
-			bk.rowValid && bk.lastOwner != core {
-			res.RowConflictOtherTruth = true
-		}
-		// Estimator: the ORA remembers rows this core opened; a match means
-		// "I opened this row most recently (as far as I know), so someone
-		// else must have closed it".
-		res.RowConflictOtherORA = c.oras[core].Contains(bankIdx, row)
+		// Would this have been a row hit in isolation? Yes iff this core's
+		// last access to the bank was to this row (see the package comment).
+		res.RowConflictOther = ora.valid && ora.row == row
 	}
 	bankDone := start + rowLat
 
@@ -299,11 +266,9 @@ func (c *Controller) AccessTo(res *AccessResult, now uint64, core int, addr uint
 	bk.lastOwner = core
 	bk.openRow = row
 	bk.rowValid = true
-	bk.lastRowByCore[core] = row
-	bk.lastRowValid[core] = true
+	*ora = oraEntry{row: row, valid: true}
 	c.busFreeAt = done
 	c.busLastOwner = core
-	c.oras[core].Record(bankIdx, row)
 
 	res.Latency = done - now
 }
@@ -320,70 +285,4 @@ func (c *Controller) Writeback(now uint64, core int, addr uint64) {
 	}
 	c.busFreeAt = busStart + c.cfg.BusCycles
 	c.busLastOwner = core
-}
-
-// ORA is the per-core Open Row Array: a small LRU table of the rows this
-// core opened, used to attribute row-buffer conflicts to other cores. It
-// holds at most one row per bank (the most recent one this core opened
-// there), so it is stored per bank: Contains is one load and a compare, and
-// Record is O(1) except when a new bank arrives at a full ORA, which scans
-// for the least recently recorded bank to evict. Capacity is the hardware
-// budget knob; the paper's cost model assumes a handful of entries per core,
-// and the default (8 entries over 8 banks) never evicts.
-type ORA struct {
-	slots    []oraSlot // indexed by bank
-	clock    uint64    // Records so far
-	held     int       // slots holding a row
-	capacity int
-}
-
-type oraSlot struct {
-	row uint64
-	// stamp is the clock at the bank's latest Record; 0 means the ORA holds
-	// no row for the bank.
-	stamp uint64
-}
-
-// NewORA returns an ORA with capacity entries over banks banks.
-func NewORA(capacity, banks int) *ORA {
-	return &ORA{slots: make([]oraSlot, banks), capacity: capacity}
-}
-
-// Reset empties the ORA, reusing its storage.
-func (o *ORA) Reset() {
-	clear(o.slots)
-	o.clock, o.held = 0, 0
-}
-
-// Record notes that this core opened row in bank, making it the most
-// recently used entry.
-func (o *ORA) Record(bank int, row uint64) {
-	o.clock++
-	s := &o.slots[bank]
-	if s.stamp == 0 {
-		if o.held < o.capacity {
-			o.held++
-		} else {
-			o.evictLRU()
-		}
-	}
-	s.row, s.stamp = row, o.clock
-}
-
-// evictLRU drops the held bank recorded least recently.
-func (o *ORA) evictLRU() {
-	lru := -1
-	for b, s := range o.slots {
-		if s.stamp != 0 && (lru < 0 || s.stamp < o.slots[lru].stamp) {
-			lru = b
-		}
-	}
-	o.slots[lru].stamp = 0
-}
-
-// Contains reports whether the ORA believes this core opened row in bank
-// most recently.
-func (o *ORA) Contains(bank int, row uint64) bool {
-	s := &o.slots[bank]
-	return s.stamp != 0 && s.row == row
 }

@@ -209,21 +209,18 @@ func parseCell(bench, threadsStr, coresStr string) (exp.Cell, error) {
 }
 
 // checkCell validates a cell (shared by the query, body and trace paths)
-// with the engine's own exp.Cell.Resolve. A named cell's plain-name alias
-// ("cholesky") is first normalized to its canonical full name, so response
-// labels are canonical; an unregistered name fails there, before the run
-// shape is checked, with a workload.LookupError (carrying the nearest-name
-// suggestion), which asAPIError maps to HTTP 404.
+// with the engine's own exp.Cell.Resolve, which judges the workload before
+// the run shape: an unregistered name fails with a workload.LookupError
+// (carrying the nearest-name suggestion), which asAPIError maps to HTTP 404.
+// A named cell's plain-name alias ("cholesky") is normalized to the
+// canonical full name Resolve found, so response labels are canonical.
 func checkCell(c exp.Cell) (exp.Cell, error) {
-	if c.Spec == nil {
-		full, _, ok := workload.Identity(c.Bench)
-		if !ok {
-			return exp.Cell{}, workload.UnknownBenchmarkError(c.Bench)
-		}
-		c.Bench = full
-	}
-	if _, err := c.Resolve(); err != nil {
+	b, err := c.Resolve()
+	if err != nil {
 		return exp.Cell{}, err
+	}
+	if c.Spec == nil {
+		c.Bench = b.FullName()
 	}
 	return c, nil
 }

@@ -60,8 +60,8 @@ func (a *admission) inflight() int {
 }
 
 // rateLimiter is a lazy per-client token bucket: rate tokens per second
-// refill up to burst, one token per request. Clients are keyed by IP; the
-// map never holds more than maxRateClients buckets (prune).
+// refill up to burst, max(1, ceil(rate)), one token per request. Clients are
+// keyed by IP; the map never holds more than maxRateClients buckets (prune).
 type rateLimiter struct {
 	rate  float64
 	burst float64
@@ -77,17 +77,11 @@ type bucket struct {
 
 const maxRateClients = 4096
 
-func newRateLimiter(rate float64, burst int) *rateLimiter {
+func newRateLimiter(rate float64) *rateLimiter {
 	if rate <= 0 {
 		return nil
 	}
-	if burst <= 0 {
-		burst = int(math.Ceil(rate))
-		if burst < 1 {
-			burst = 1
-		}
-	}
-	return &rateLimiter{rate: rate, burst: float64(burst), buckets: make(map[string]*bucket)}
+	return &rateLimiter{rate: rate, burst: max(1, math.Ceil(rate)), buckets: make(map[string]*bucket)}
 }
 
 // allow spends one token for key, refilling by elapsed wall time. ok=false

@@ -125,7 +125,7 @@ func TestAdmissionControl(t *testing.T) {
 // fleet-internal traffic, and the throttle counter on /metrics.
 func TestRateLimit(t *testing.T) {
 	s, _ := newTestServer(t)
-	s.limiter = newRateLimiter(0.5, 1) // 1 token, slow refill
+	s.limiter = newRateLimiter(0.5) // 1 token, slow refill
 	target := "/v1/stack?bench=" + testBench + "&threads=2"
 
 	if w := get(t, s.Handler(), target); w.Code != http.StatusOK {
@@ -158,7 +158,7 @@ func TestRateLimit(t *testing.T) {
 // tokens refill at the configured rate up to the burst, and the retry hint
 // covers the deficit.
 func TestRateLimiterRefill(t *testing.T) {
-	l := newRateLimiter(2, 2) // 2 rps, burst 2
+	l := newRateLimiter(2) // 2 rps, burst 2
 	t0 := time.Unix(1000, 0)
 	for i := 0; i < 2; i++ {
 		if _, ok := l.allow("c", t0); !ok {
@@ -185,7 +185,7 @@ func TestRateLimiterRefill(t *testing.T) {
 // client is active, so the bound has to come from eviction — twice the bound
 // of distinct clients at one instant must not grow the map past it.
 func TestRateLimiterBoundedUnderActiveClients(t *testing.T) {
-	l := newRateLimiter(1, 1)
+	l := newRateLimiter(1)
 	t0 := time.Unix(1000, 0)
 	for i := 0; i < 2*maxRateClients; i++ {
 		if _, ok := l.allow(strconv.Itoa(i), t0); !ok {

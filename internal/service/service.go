@@ -163,11 +163,9 @@ type Options struct {
 	// second; over-limit requests get 429 "rate_limited" with Retry-After.
 	// Fleet-internal hops (requests carrying HopHeader) bypass the rate
 	// limiter — their client was accounted at the node that accepted them —
-	// but still count against MaxInFlight.
+	// but still count against MaxInFlight. The bucket holds
+	// max(1, ceil(RateLimit)) tokens.
 	RateLimit float64
-	// RateBurst is the token-bucket depth when RateLimit is set
-	// (default: ceil(RateLimit), minimum 1).
-	RateBurst int
 	// Engine, if set, overrides Workers/CacheCells with a caller-owned
 	// engine (tests, embedding); otherwise the server builds one on the
 	// paper's default machine.
@@ -230,7 +228,7 @@ func New(opts Options) *Server {
 		requests:   make(map[string]uint64),
 		responses:  make(map[int]uint64),
 		adm:        newAdmission(opts.MaxInFlight),
-		limiter:    newRateLimiter(opts.RateLimit, opts.RateBurst),
+		limiter:    newRateLimiter(opts.RateLimit),
 	}
 	for _, rt := range routes {
 		s.mux.HandleFunc(rt.path, s.dispatcher(rt))

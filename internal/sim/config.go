@@ -76,7 +76,6 @@ func Default() Config {
 			RowMissCycles: 210,
 			RowBytes:      4 << 10,
 			LineBytes:     64,
-			ORAEntries:    8,
 		},
 		ATDSampleShift: 5,
 		Spin:           spin.Config{Threshold: 16},

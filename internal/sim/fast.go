@@ -62,10 +62,9 @@ type fastCore struct {
 	// access and pays detAccesses per predicted hit.
 	hitCredit uint64
 	// Detailed blocking-load-miss totals, for average-cost charging.
-	detMissLoads       uint64
-	detMissStall       uint64
-	detMissInterfEst   uint64
-	detMissInterfTruth uint64
+	detMissLoads  uint64
+	detMissStall  uint64
+	detMissInterf uint64
 }
 
 // fastSkippedAccess handles an access to a non-detailed LLC set: predicted
@@ -99,17 +98,15 @@ func (m *Machine) fastSkippedAccess(t *thread, fc *fastCore, isLoad bool) {
 	if !isLoad {
 		return
 	}
-	var stall, interfEst, interfTruth uint64
+	var stall, interf uint64
 	if fc.detMissLoads > 0 {
 		stall = fc.detMissStall / fc.detMissLoads
-		interfEst = fc.detMissInterfEst / fc.detMissLoads
-		interfTruth = fc.detMissInterfTruth / fc.detMissLoads
+		interf = fc.detMissInterf / fc.detMissLoads
 	} else {
 		stall = m.cfg.CPU.BlockingMissStall(m.cfg.Mem.RowHitCycles + m.cfg.Mem.BusCycles)
 	}
 	t.time += stall
 	t.ct.LLCLoadMisses++
 	t.ct.StallLLCLoadMiss += stall
-	t.ct.MemInterferenceEst += interfEst
-	t.ct.OracleMemInterference += interfTruth
+	t.ct.MemInterferenceEst += interf
 }

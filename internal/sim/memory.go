@@ -8,11 +8,11 @@ import (
 
 // memAccess walks one load or store through the memory hierarchy, charging
 // stalls to the thread and feeding both the estimator's accounting hardware
-// (the set-sampled ATD, ORA-based memory interference) and the oracle
-// counters (exact memory-interference attribution, coherence stall). It is
-// the one detailed walk: exact mode takes it for every access, ModeFast for
-// the accesses to detailed LLC sets — there it also trains the predictor
-// (fast.go) that stands in for the walk on every other set.
+// (the set-sampled ATD, ORA-based memory interference, which is exact) and
+// the oracle's coherence stall. It is the one detailed walk: exact mode takes
+// it for every access, ModeFast for the accesses to detailed LLC sets —
+// there it also trains the predictor (fast.go) that stands in for the walk
+// on every other set.
 func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 	// Dispatch slots of the memory instruction itself.
 	t.time += m.computeCycles(uint64(op.N))
@@ -106,15 +106,12 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 	t.ct.LLCLoadMisses++
 	t.ct.StallLLCLoadMiss += stall
 
-	interfEst := m.cfg.CPU.ExposedInterference(res.InterferenceEstimate(), res.Latency)
-	interfTruth := m.cfg.CPU.ExposedInterference(res.InterferenceTruth(), res.Latency)
-	t.ct.MemInterferenceEst += interfEst
-	t.ct.OracleMemInterference += interfTruth
+	interf := m.cfg.CPU.ExposedInterference(res.Interference(), res.Latency)
+	t.ct.MemInterferenceEst += interf
 	if fc != nil {
 		fc.detMissLoads++
 		fc.detMissStall += stall
-		fc.detMissInterfEst += interfEst
-		fc.detMissInterfTruth += interfTruth
+		fc.detMissInterf += interf
 	}
 
 	if sampled && estHit {
@@ -123,7 +120,6 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 		// interference too, so the post-processing can avoid counting it
 		// twice (once in NegLLC, once in NegMem).
 		t.ct.SampledInterThreadMissStall += stall
-		t.ct.SampledInterThreadMissMemInterf += interfEst
-		t.ct.OracleInterThreadMissMemInterf += interfTruth
+		t.ct.SampledInterThreadMissMemInterf += interf
 	}
 }

@@ -19,11 +19,11 @@ type Result struct {
 	// produces (sampled ATD, ORA, Tian detector, OS yield bookkeeping).
 	Estimated core.Components
 	// Oracle replaces what hardware cannot see with the simulator's
-	// omniscient view (true memory interference and spin, coherence,
-	// parallelization overhead). Its LLC terms are Estimated's, so it is the
-	// ground truth exactly when the run's ATDSampleShift is 0: accounting
-	// never affects timing, so that run of the same cell is the reference
-	// for any other shift (cmd/calibrate -v prints it).
+	// omniscient view (true spin, coherence, parallelization overhead). Its
+	// LLC and memory terms are Estimated's, so it is the ground truth exactly
+	// when the run's ATDSampleShift is 0: accounting never affects timing, so
+	// that run of the same cell is the reference for any other shift
+	// (cmd/calibrate -v prints it).
 	Oracle core.Components
 	// TotalOps counts the trace operations the machine consumed from its
 	// programs — the unit simulator throughput (ops/sec) is measured in.

@@ -8,8 +8,8 @@
 // peer-cache key (a reordered query is a hit, not a second forward),
 // fleet-wide exactly-once simulation, forwarding counters, and streamed
 // NDJSON sweeps. With -limited it checks the 429 envelope of a rate-limited
-// server (started with -rate-limit 0.001 -rate-burst 1). These use their
-// own servers because the main suite pins literal run counts on -base.
+// server (started with -rate-limit 0.001, a one-token bucket). These use
+// their own servers because the main suite pins literal run counts on -base.
 //
 // Usage:
 //
@@ -41,7 +41,7 @@ func main() {
 	base := flag.String("base", "http://127.0.0.1:8080", "server base URL")
 	pprof := flag.Bool("pprof", false, "also probe /debug/pprof (server must run with -pprof)")
 	fleet := flag.String("fleet", "", "two comma-separated base URLs of a 2-node fleet (fleet checks)")
-	limited := flag.String("limited", "", "base URL of a server running -rate-limit 0.001 -rate-burst 1 (429 envelope check)")
+	limited := flag.String("limited", "", "base URL of a server running -rate-limit 0.001 (429 envelope check)")
 	flag.Parse()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
@@ -315,8 +315,8 @@ func fleetChecks(ctx context.Context, pair string) {
 }
 
 // limitedChecks pins the shed envelope of a server started with
-// -rate-limit 0.001 -rate-burst 1: the first simulating request drains
-// the bucket, the second is a 429 with the uniform envelope and a
+// -rate-limit 0.001, whose bucket holds one token: the first simulating
+// request drains it, the second is a 429 with the uniform envelope and a
 // Retry-After hint.
 func limitedChecks(ctx context.Context, baseURL string) {
 	c := client.New(baseURL)

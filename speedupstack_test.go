@@ -174,6 +174,9 @@ func TestRequestValidation(t *testing.T) {
 		{"too many threads", Request{Bench: "cholesky", Threads: 65}, "threads 65 exceeds the simulator's 64-core limit"},
 		{"unknown bench", Request{Bench: "choleski", Threads: 4}, `did you mean "cholesky"?`},
 		{"invalid workload", Request{Workload: &bad, Threads: 4}, "array_bytes"},
+		// The workload is judged before the run shape.
+		{"unknown bench, zero threads", Request{Bench: "choleski"}, `did you mean "cholesky"?`},
+		{"invalid workload, zero threads", Request{Workload: &bad}, "array_bytes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Measure(ctx, tc.req)
