@@ -17,80 +17,58 @@
 //     is charged only for these blocking misses, mirroring Section 4.1.
 //   - Store misses retire through the store buffer and do not stall the
 //     core, but they do occupy the shared memory system.
+//
+// The paper evaluates one core (Section 5), so its costs are constants.
 package cpu
 
-import "fmt"
-
-// Config describes the core microarchitecture.
-type Config struct {
-	// DispatchWidth is the sustained dispatch/issue width, a power of two
-	// (the simulator rounds dispatch with a shift).
-	DispatchWidth int
+// The paper's core: four-wide superscalar out-of-order.
+const (
+	// DispatchWidth is the sustained dispatch/issue width.
+	DispatchWidth = 4
 	// LLCHitStall is the exposed stall of an L1 miss that hits the LLC.
-	LLCHitStall uint64
+	LLCHitStall uint64 = 8
 	// LLCMissBase is the fixed LLC-miss overhead (tag lookup, request
 	// launch) added before the memory-system latency.
-	LLCMissBase uint64
+	LLCMissBase uint64 = 12
 	// MLPOverlap is the fixed number of miss cycles hidden by out-of-order
 	// execution (memory-level parallelism credit) on a blocking load miss.
-	MLPOverlap uint64
+	MLPOverlap uint64 = 24
 	// CoherenceForwardStall is the extra exposed stall when the data must
 	// be forwarded from a remote Modified line.
-	CoherenceForwardStall uint64
+	CoherenceForwardStall uint64 = 16
 	// UpgradeStall is the exposed stall of a store upgrade (S->M
 	// invalidation round). Small: stores retire through the store buffer.
-	UpgradeStall uint64
-}
-
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	if w := c.DispatchWidth; w <= 0 || w&(w-1) != 0 {
-		return fmt.Errorf("cpu: dispatch width must be a positive power of two, got %d", w)
-	}
-	return nil
-}
-
-// Default returns the paper's core: four-wide superscalar out-of-order.
-func Default() Config {
-	return Config{
-		DispatchWidth:         4,
-		LLCHitStall:           8,
-		LLCMissBase:           12,
-		MLPOverlap:            24,
-		CoherenceForwardStall: 16,
-		UpgradeStall:          4,
-	}
-}
+	UpgradeStall uint64 = 4
+)
 
 // ComputeCycles returns the cycles to dispatch instrs instructions of
-// miss-free computation: ceil(instrs / width).
-func (c Config) ComputeCycles(instrs uint64) uint64 {
-	w := uint64(c.DispatchWidth)
-	return (instrs + w - 1) / w
+// miss-free computation: ceil(instrs / DispatchWidth). It runs on every
+// compute and memory op; the constant power-of-two divisor compiles to a
+// shift.
+func ComputeCycles(instrs uint64) uint64 {
+	return (instrs + DispatchWidth - 1) / DispatchWidth
 }
 
 // BlockingMissStall returns the exposed stall of a blocking LLC load miss
-// whose memory-system latency (queueing included) is memLatency. It and
-// ExposedInterference run on every blocking miss, so they take a pointer: a
-// value receiver copies the whole Config onto the stack on every call.
-func (c *Config) BlockingMissStall(memLatency uint64) uint64 {
-	total := c.LLCMissBase + memLatency
-	if total <= c.MLPOverlap {
+// whose memory-system latency (queueing included) is memLatency.
+func BlockingMissStall(memLatency uint64) uint64 {
+	total := LLCMissBase + memLatency
+	if total <= MLPOverlap {
 		return 0
 	}
-	return total - c.MLPOverlap
+	return total - MLPOverlap
 }
 
 // ExposedInterference scales raw interference cycles of a blocking miss by
 // the fraction of the miss latency that was actually exposed, so that
 // overlap hides interference and base latency proportionally. This keeps
 // the accounted interference consistent with the charged stall.
-func (c *Config) ExposedInterference(interference, memLatency uint64) uint64 {
+func ExposedInterference(interference, memLatency uint64) uint64 {
 	if interference == 0 {
 		return 0
 	}
-	total := c.LLCMissBase + memLatency
-	stall := c.BlockingMissStall(memLatency)
+	total := LLCMissBase + memLatency
+	stall := BlockingMissStall(memLatency)
 	if stall >= total {
 		return interference
 	}

@@ -12,45 +12,26 @@ package sched
 
 import "fmt"
 
-// Config describes the scheduler.
-type Config struct {
+// The scheduler's costs, loosely modeled on a Linux CFS-like scheduler at a
+// 2 GHz clock. The paper evaluates one machine, so they are constants.
+const (
 	// TimeSliceCycles is the preemption quantum for ready threads competing
 	// for cores. Only relevant when threads > cores.
-	TimeSliceCycles uint64
+	TimeSliceCycles uint64 = 200_000
 	// CtxSwitchCycles is charged each time a core switches threads.
-	CtxSwitchCycles uint64
+	CtxSwitchCycles uint64 = 900
 	// WakeLatencyCycles is the futex wake-up latency: the delay between a
 	// wake event and the thread becoming ready.
-	WakeLatencyCycles uint64
+	WakeLatencyCycles uint64 = 2_200
 	// MigrationCycles is the extra cost when a thread resumes on a core
 	// different from its last one (cold private caches, in our model a
 	// fixed charge).
-	MigrationCycles uint64
+	MigrationCycles uint64 = 1_200
 	// DecisionCyclesPerCore models scheduler bookkeeping that grows with
 	// the number of cores; it reproduces the small efficiency loss the
 	// paper observes for the 16-core Linux scheduler in Figure 7.
-	DecisionCyclesPerCore uint64
-}
-
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	if c.TimeSliceCycles == 0 {
-		return fmt.Errorf("sched: time slice must be positive")
-	}
-	return nil
-}
-
-// Default returns a configuration loosely modeled on a Linux CFS-like
-// scheduler at a 2 GHz clock.
-func Default() Config {
-	return Config{
-		TimeSliceCycles:       200_000,
-		CtxSwitchCycles:       900,
-		WakeLatencyCycles:     2_200,
-		MigrationCycles:       1_200,
-		DecisionCyclesPerCore: 28,
-	}
-}
+	DecisionCyclesPerCore uint64 = 28
+)
 
 // ThreadState is the scheduler-visible state of a thread.
 type ThreadState uint8
@@ -93,7 +74,6 @@ type threadInfo struct {
 
 // OS is the scheduler instance for one simulated machine.
 type OS struct {
-	cfg     Config
 	cores   int
 	threads []threadInfo
 	running []int // per core: thread id or -1
@@ -103,15 +83,11 @@ type OS struct {
 // New builds an OS managing threads software threads over cores cores and
 // performs initial placement: thread i starts on core i for i < cores; the
 // rest start ready in the run queue.
-func New(cfg Config, cores, threads int) *OS {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+func New(cores, threads int) *OS {
 	if cores <= 0 || threads <= 0 {
 		panic("sched: cores and threads must be positive")
 	}
 	o := &OS{
-		cfg:     cfg,
 		cores:   cores,
 		threads: make([]threadInfo, threads),
 		running: make([]int, cores),
@@ -161,7 +137,7 @@ func (o *OS) Wake(tid int, now uint64) {
 		panic(fmt.Sprintf("sched: Wake(%d) in state %v", tid, t.state))
 	}
 	t.state = StateReady
-	t.availableAt = now + o.cfg.WakeLatencyCycles
+	t.availableAt = now + WakeLatencyCycles
 	o.readyQ = append(o.readyQ, tid)
 }
 
@@ -198,7 +174,7 @@ func (o *OS) SliceExpired(core int, now uint64) bool {
 	if tid < 0 {
 		return false
 	}
-	return now-o.threads[tid].sliceStart >= o.cfg.TimeSliceCycles
+	return now-o.threads[tid].sliceStart >= TimeSliceCycles
 }
 
 // Schedule fills an idle core from the run queue at time now. It prefers a
@@ -238,9 +214,9 @@ func (o *OS) Schedule(core int, now uint64) (tid int, startAt uint64) {
 	if t.availableAt > start {
 		start = t.availableAt
 	}
-	start += o.cfg.CtxSwitchCycles + o.cfg.DecisionCyclesPerCore*uint64(o.cores)
+	start += CtxSwitchCycles + DecisionCyclesPerCore*uint64(o.cores)
 	if t.lastCore >= 0 && t.lastCore != core {
-		start += o.cfg.MigrationCycles
+		start += MigrationCycles
 	}
 	t.state = StateRunning
 	t.core = core

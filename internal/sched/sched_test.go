@@ -3,7 +3,7 @@ package sched
 import "testing"
 
 func TestInitialPlacement(t *testing.T) {
-	o := New(Default(), 4, 6)
+	o := New(4, 6)
 	for c := 0; c < 4; c++ {
 		if o.Running(c) != c {
 			t.Fatalf("core %d runs %d, want %d", c, o.Running(c), c)
@@ -18,8 +18,7 @@ func TestInitialPlacement(t *testing.T) {
 }
 
 func TestBlockWakeSchedule(t *testing.T) {
-	cfg := Default()
-	o := New(cfg, 2, 2)
+	o := New(2, 2)
 	o.Block(0)
 	if o.Running(0) != -1 || o.threads[0].state != StateBlocked {
 		t.Fatal("block did not free the core")
@@ -32,11 +31,11 @@ func TestBlockWakeSchedule(t *testing.T) {
 	if tid != 0 {
 		t.Fatalf("scheduled %d, want 0", tid)
 	}
-	wantStart := uint64(5000) + cfg.WakeLatencyCycles
+	wantStart := uint64(5000) + WakeLatencyCycles
 	if wantStart < 6000 {
 		wantStart = 6000
 	}
-	wantStart += cfg.CtxSwitchCycles + cfg.DecisionCyclesPerCore*2
+	wantStart += CtxSwitchCycles + DecisionCyclesPerCore*2
 	if startAt != wantStart {
 		t.Fatalf("startAt = %d, want %d", startAt, wantStart)
 	}
@@ -46,7 +45,7 @@ func TestScheduleAffinity(t *testing.T) {
 	// With no never-placed threads in the queue, a woken thread returns to
 	// the core it last ran on (wake affinity keeps caches and the per-core
 	// accounting hardware warm).
-	o := New(Default(), 2, 2)
+	o := New(2, 2)
 	o.Block(0)
 	o.Block(1)
 	o.Wake(1, 200) // queue order: [1]
@@ -64,7 +63,7 @@ func TestScheduleAffinity(t *testing.T) {
 func TestScheduleFreshBeatsAffinity(t *testing.T) {
 	// Never-placed threads are picked ahead of affine ones so preempted
 	// threads cannot starve newcomers.
-	o := New(Default(), 1, 3)
+	o := New(1, 3)
 	o.Preempt(0, 100) // thread 0 requeued behind fresh threads 1, 2
 	tid, _ := o.Schedule(0, 200)
 	if tid != 1 {
@@ -73,7 +72,7 @@ func TestScheduleFreshBeatsAffinity(t *testing.T) {
 }
 
 func TestScheduleFreshThreadPreferred(t *testing.T) {
-	o := New(Default(), 1, 3)
+	o := New(1, 3)
 	// Threads 1,2 never ran (lastCore -1). Core 0 blocks thread 0.
 	o.Block(0)
 	tid, _ := o.Schedule(0, 200)
@@ -83,8 +82,7 @@ func TestScheduleFreshThreadPreferred(t *testing.T) {
 }
 
 func TestMigrationCost(t *testing.T) {
-	cfg := Default()
-	o := New(cfg, 2, 2)
+	o := New(2, 2)
 	o.Block(0) // frees core 0
 	o.Block(1) // frees core 1
 	o.Wake(0, 100)
@@ -100,7 +98,7 @@ func TestMigrationCost(t *testing.T) {
 	if tid != 0 {
 		t.Fatalf("expected thread 0, got %d", tid)
 	}
-	base := uint64(50_000) + cfg.CtxSwitchCycles + cfg.DecisionCyclesPerCore*2
+	base := uint64(50_000) + CtxSwitchCycles + DecisionCyclesPerCore*2
 	if startAt != base {
 		t.Fatalf("no-migration start = %d, want %d", startAt, base)
 	}
@@ -112,32 +110,31 @@ func TestMigrationCost(t *testing.T) {
 	if tid != 0 {
 		t.Fatalf("expected thread 0 on core 1, got %d", tid)
 	}
-	if startAt != 70_000+cfg.CtxSwitchCycles+cfg.DecisionCyclesPerCore*2+cfg.MigrationCycles {
+	if startAt != 70_000+CtxSwitchCycles+DecisionCyclesPerCore*2+MigrationCycles {
 		t.Fatalf("migration start = %d", startAt)
 	}
 }
 
 func TestPreemptAndSliceExpiry(t *testing.T) {
-	cfg := Default()
-	o := New(cfg, 1, 2)
-	if o.SliceExpired(0, cfg.TimeSliceCycles-1) {
+	o := New(1, 2)
+	if o.SliceExpired(0, TimeSliceCycles-1) {
 		t.Fatal("slice expired early")
 	}
-	if !o.SliceExpired(0, cfg.TimeSliceCycles) {
+	if !o.SliceExpired(0, TimeSliceCycles) {
 		t.Fatal("slice did not expire")
 	}
-	o.Preempt(0, cfg.TimeSliceCycles)
+	o.Preempt(0, TimeSliceCycles)
 	if o.Running(0) != -1 || o.threads[0].state != StateReady {
 		t.Fatal("preempt did not requeue the thread")
 	}
-	tid, _ := o.Schedule(0, cfg.TimeSliceCycles)
+	tid, _ := o.Schedule(0, TimeSliceCycles)
 	if tid != 1 {
 		t.Fatalf("next thread = %d, want 1 (fresh)", tid)
 	}
 }
 
 func TestFinish(t *testing.T) {
-	o := New(Default(), 1, 1)
+	o := New(1, 1)
 	o.Finish(0)
 	if o.threads[0].state != StateFinished || o.Running(0) != -1 {
 		t.Fatal("finish did not clear state")
@@ -148,14 +145,13 @@ func TestFinish(t *testing.T) {
 }
 
 func TestReadyWaitAccounting(t *testing.T) {
-	cfg := Default()
-	o := New(cfg, 1, 2) // thread 1 starts ready
+	o := New(1, 2) // thread 1 starts ready
 	o.Block(0)
 	// Thread 1 was ready from t=0, so it starts when the core is offered
 	// at 9000, plus the switch and decision costs; the machine charges the
 	// wait up to then as yielding.
 	tid, startAt := o.Schedule(0, 9000)
-	if want := 9000 + cfg.CtxSwitchCycles + cfg.DecisionCyclesPerCore; tid != 1 || startAt != want {
+	if want := 9000 + CtxSwitchCycles + DecisionCyclesPerCore; tid != 1 || startAt != want {
 		t.Fatalf("Schedule = thread %d at %d, want thread 1 at %d", tid, startAt, want)
 	}
 }

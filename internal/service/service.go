@@ -341,17 +341,12 @@ func (s *Server) simContext(r *http.Request) (context.Context, context.CancelFun
 	return context.WithTimeout(r.Context(), s.simTimeout)
 }
 
-// modeConfig maps a parsed ?mode= onto the engine request's configuration
-// override: nil when the request asks for the engine's own mode (the common
-// case, which keeps the base-machine memo key), otherwise the base machine
-// re-moded. Fast and exact results never share a cache entry — the memo is
-// keyed by the full configuration, Mode included.
+// modeConfig maps a parsed ?mode= onto the engine request's configuration:
+// the base machine in that mode, which is the base itself when the request
+// asks for the engine's own mode. Fast and exact results never share a cache
+// entry — the memo is keyed by the full configuration, Mode included.
 func (s *Server) modeConfig(m sim.Mode) *sim.Config {
-	cfg := s.engine.Config()
-	if m == cfg.Mode {
-		return nil
-	}
-	cfg = cfg.WithMode(m)
+	cfg := s.engine.Config().WithMode(m)
 	return &cfg
 }
 

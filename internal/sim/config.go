@@ -15,14 +15,15 @@ import (
 
 	"repro/internal/atd"
 	"repro/internal/cache"
-	"repro/internal/cpu"
 	"repro/internal/mem"
-	"repro/internal/sched"
 	"repro/internal/spin"
 	"repro/internal/syncprim"
 )
 
-// Config assembles the full machine description.
+// Config assembles the settable part of the machine description. The
+// core's, the scheduler's and the synchronization library's costs are the
+// same on every machine the experiments evaluate, so they are constants in
+// packages cpu, sched and syncprim.
 type Config struct {
 	// Cores is the number of hardware contexts.
 	Cores int
@@ -37,7 +38,6 @@ type Config struct {
 	// and exact state automatically.
 	Mode Mode
 
-	CPU cpu.Config
 	L1  cache.Config
 	LLC cache.Config
 	Mem mem.Config
@@ -45,7 +45,6 @@ type Config struct {
 	// ModeFast those are also the only sets simulated in detail.
 	ATDSampleShift uint
 	Spin           spin.Config
-	Sched          sched.Config
 	Policy         syncprim.Policy
 }
 
@@ -58,7 +57,6 @@ func Default() Config {
 		Quantum:   100,
 		MaxCycles: 4_000_000_000,
 		Mode:      ModeExact,
-		CPU:       cpu.Default(),
 		L1: cache.Config{
 			SizeBytes: 64 << 10,
 			Ways:      8,
@@ -79,7 +77,6 @@ func Default() Config {
 		},
 		ATDSampleShift: 5,
 		Spin:           spin.Config{Threshold: 16},
-		Sched:          sched.Default(),
 		Policy:         syncprim.DefaultPolicy(),
 	}
 }
@@ -91,9 +88,6 @@ func (c Config) Validate() error {
 	}
 	if c.Quantum == 0 {
 		return fmt.Errorf("sim: quantum must be positive")
-	}
-	if err := c.CPU.Validate(); err != nil {
-		return err
 	}
 	if err := c.L1.Validate(); err != nil {
 		return err
@@ -112,12 +106,6 @@ func (c Config) Validate() error {
 			c.L1.LineBytes, c.LLC.LineBytes, c.Mem.LineBytes)
 	}
 	if err := c.Spin.Validate(); err != nil {
-		return err
-	}
-	if err := c.Sched.Validate(); err != nil {
-		return err
-	}
-	if err := c.Policy.Validate(); err != nil {
 		return err
 	}
 	if c.LLC.Sets()>>c.ATDSampleShift == 0 {
@@ -156,6 +144,5 @@ func (c Config) atdConfig() atd.Config {
 		Ways:        c.LLC.Ways,
 		LineBytes:   c.LLC.LineBytes,
 		SampleShift: c.ATDSampleShift,
-		TagBits:     24,
 	}
 }

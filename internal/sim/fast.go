@@ -1,5 +1,7 @@
 package sim
 
+import "repro/internal/cpu"
+
 // Fast mode (Config.Mode == ModeFast) carries the paper's one sampling
 // decision from the ATD into the simulation itself: only the LLC sets the
 // ATD samples, set & (2^ATDSampleShift − 1) == 0 — the "detailed" sets, a
@@ -88,7 +90,7 @@ func (m *Machine) fastSkippedAccess(t *thread, fc *fastCore, isLoad bool) {
 			fc.hitCredit -= fc.detAccesses
 			// Predicted LLC hit.
 			if isLoad {
-				t.time += m.cfg.CPU.LLCHitStall
+				t.time += cpu.LLCHitStall
 			}
 			return
 		}
@@ -103,7 +105,7 @@ func (m *Machine) fastSkippedAccess(t *thread, fc *fastCore, isLoad bool) {
 		stall = fc.detMissStall / fc.detMissLoads
 		interf = fc.detMissInterf / fc.detMissLoads
 	} else {
-		stall = m.cfg.CPU.BlockingMissStall(m.cfg.Mem.RowHitCycles + m.cfg.Mem.BusCycles)
+		stall = cpu.BlockingMissStall(m.cfg.Mem.RowHitCycles + m.cfg.Mem.BusCycles)
 	}
 	t.time += stall
 	t.ct.LLCLoadMisses++

@@ -7,6 +7,7 @@ import (
 	"repro/internal/atd"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/sched"
 	"repro/internal/syncprim"
@@ -70,10 +71,6 @@ type Machine struct {
 	llcSetBits   uint
 	llcSetMask   uint64
 
-	// Dispatch rounding, precomputed for computeCycles.
-	dispShift uint
-	dispRound uint64
-
 	// Synchronization primitives, indexed directly by id. Workload
 	// generators use small dense id spaces (locks 0..NumLocks, pipeline
 	// queues/barriers per stage, one barrier per phase), so a grow-on-use
@@ -128,13 +125,6 @@ type Machine struct {
 // batchSize is the per-thread op ring capacity for batching programs.
 const batchSize = 512
 
-// computeCycles is cpu.Config.ComputeCycles, paid on every compute and
-// memory op, with the ceil-divide as a shift: the dispatch width is a power
-// of two (cpu.Config.Validate).
-func (m *Machine) computeCycles(instrs uint64) uint64 {
-	return (instrs + m.dispRound) >> m.dispShift
-}
-
 // grow extends s so that id is a valid index.
 func grow[T any](s []T, id uint32) []T {
 	if int(id) < len(s) {
@@ -175,7 +165,7 @@ func NewMachine(cfg Config, progs []trace.Program) (*Machine, error) {
 // set of thread programs, reusing the multi-megabyte cache, ATD, controller
 // and thread storage behind it. cfg must size that storage exactly as the
 // configuration the machine was built for did (the Pool's key); everything
-// else — the policy, the core model, the quantum — is installed here.
+// else — the policy, the spin detector, the quantum — is installed here.
 // NewMachine ends in reset, so a recycled machine is a new one by
 // construction: simulation results are a deterministic function of
 // (config, programs) either way (the pool determinism test and the
@@ -191,8 +181,6 @@ func (m *Machine) reset(cfg Config, progs []trace.Program) error {
 	m.llcLineShift = uint(bits.TrailingZeros64(uint64(cfg.LLC.LineBytes)))
 	m.llcSetBits = uint(bits.TrailingZeros64(uint64(cfg.LLC.Sets())))
 	m.llcSetMask = uint64(cfg.LLC.Sets()) - 1
-	w := uint64(cfg.CPU.DispatchWidth)
-	m.dispShift, m.dispRound = uint(bits.TrailingZeros64(w)), w-1
 	m.fast = cfg.Mode == ModeFast
 	m.fastMask = uint64(1)<<cfg.ATDSampleShift - 1
 
@@ -205,7 +193,7 @@ func (m *Machine) reset(cfg Config, progs []trace.Program) error {
 	for c := range m.atds {
 		m.atds[c].Reset()
 	}
-	m.os = sched.New(cfg.Sched, cfg.Cores, len(progs))
+	m.os = sched.New(cfg.Cores, len(progs))
 	clear(m.coreIdleAt)
 	clear(m.locks)
 	m.locks = m.locks[:0]
@@ -365,7 +353,7 @@ func (m *Machine) runCore(c int, qEnd uint64) uint64 {
 
 		if t.waiting {
 			if t.granted {
-				resume := t.grantAt + m.cfg.Policy.HandoffCycles
+				resume := t.grantAt + syncprim.HandoffCycles
 				if resume > qEnd {
 					return t.time
 				}
@@ -409,7 +397,6 @@ func (m *Machine) runCore(c int, qEnd uint64) uint64 {
 // a blocking wait. Ops are pulled from the thread's batch ring: one
 // NextBatch call per chunk instead of one interface call per op.
 func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
-	pol := &m.cfg.Policy
 	for t.time < qEnd && !t.finished {
 		if t.rpos == t.rlen {
 			t.rlen, t.rpos = t.prog.NextBatch(t.ring, t.fb), 0
@@ -427,7 +414,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 		t.rpos++
 		switch op.Kind {
 		case trace.KindCompute:
-			t.time += m.computeCycles(uint64(op.N))
+			t.time += cpu.ComputeCycles(uint64(op.N))
 			if op.Overhead {
 				t.ct.OverheadInstrs += uint64(op.N)
 			}
@@ -439,7 +426,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 			m.memAccess(t, c, op)
 
 		case trace.KindLock:
-			t.time += pol.AcquireCycles
+			t.time += syncprim.AcquireCycles
 			if m.lock(op.ID).Acquire(t.id) {
 				break
 			}
@@ -447,13 +434,13 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 			return true
 
 		case trace.KindUnlock:
-			t.time += pol.AcquireCycles
+			t.time += syncprim.AcquireCycles
 			if next, transferred := m.lock(op.ID).Release(m.spinning); transferred {
 				m.grantWaiter(&m.threads[next], t.time, true)
 			}
 
 		case trace.KindBarrier:
-			t.time += pol.AcquireCycles
+			t.time += syncprim.AcquireCycles
 			released, last := m.barrier(op.ID).Arrive(t.id)
 			if last {
 				for _, w := range released {
@@ -465,7 +452,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 			return true
 
 		case trace.KindPush:
-			t.time += pol.QueueOpCycles
+			t.time += syncprim.QueueOpCycles
 			granted, ok := m.queue(op.ID).Push(t.id, m.spinning)
 			if ok {
 				if granted >= 0 {
@@ -477,7 +464,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 			return true
 
 		case trace.KindPop:
-			t.time += pol.QueueOpCycles
+			t.time += syncprim.QueueOpCycles
 			granted, ok, closed := m.queue(op.ID).Pop(t.id, m.spinning)
 			if ok {
 				t.fb.PopOK = true
@@ -494,7 +481,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 			return true
 
 		case trace.KindCloseQueue:
-			t.time += pol.QueueOpCycles
+			t.time += syncprim.QueueOpCycles
 			for _, w := range m.queue(op.ID).Close() {
 				m.grantWaiter(&m.threads[w], t.time, false)
 			}
@@ -568,13 +555,12 @@ func (m *Machine) grace(k waitKind) uint64 {
 	case waitBarrier:
 		return m.cfg.Policy.BarrierSpinGrace
 	default:
-		return m.cfg.Policy.QueueSpinGrace
+		return syncprim.QueueSpinGrace
 	}
 }
 
 // finishWait finalizes accounting when thread t resumes at time resume.
 func (m *Machine) finishWait(t *thread, resume uint64) {
-	pol := &m.cfg.Policy
 	grace := m.grace(t.kind)
 
 	spinEnd := resume
@@ -586,11 +572,11 @@ func (m *Machine) finishWait(t *thread, resume uint64) {
 	}
 	if spinEnd > t.waitStart {
 		spinDur := spinEnd - t.waitStart
-		if spinDur > grace+pol.HandoffCycles {
-			spinDur = grace + pol.HandoffCycles
+		if spinDur > grace+syncprim.HandoffCycles {
+			spinDur = grace + syncprim.HandoffCycles
 		}
 		t.ct.OracleSpinCycles += spinDur
-		t.ct.SpinDetected += m.cfg.Spin.Detected(spinDur, pol.SpinIterationCycles)
+		t.ct.SpinDetected += m.cfg.Spin.Detected(spinDur, syncprim.SpinIterationCycles)
 	}
 
 	if t.kind == waitQueuePop {

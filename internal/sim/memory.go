@@ -2,6 +2,7 @@ package sim
 
 import (
 	"repro/internal/cache"
+	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -15,7 +16,7 @@ import (
 // on every other set.
 func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 	// Dispatch slots of the memory instruction itself.
-	t.time += m.computeCycles(uint64(op.N))
+	t.time += cpu.ComputeCycles(uint64(op.N))
 	isLoad := op.Kind == trace.KindLoad
 	lineAddr := op.Addr >> m.llcLineShift
 	set := int(lineAddr & m.llcSetMask)
@@ -43,7 +44,7 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 		// L1 hits are hidden by the out-of-order window; upgrades expose a
 		// short invalidation round-trip.
 		if out.Upgrade {
-			t.time += m.cfg.CPU.UpgradeStall
+			t.time += cpu.UpgradeStall
 		}
 		return
 	}
@@ -67,9 +68,9 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 	}
 
 	if out.LLCHit {
-		stall := m.cfg.CPU.LLCHitStall
+		stall := cpu.LLCHitStall
 		if out.DirtyForward {
-			stall += m.cfg.CPU.CoherenceForwardStall
+			stall += cpu.CoherenceForwardStall
 		}
 		if isLoad {
 			t.time += stall
@@ -101,12 +102,12 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 		return
 	}
 
-	stall := m.cfg.CPU.BlockingMissStall(res.Latency)
+	stall := cpu.BlockingMissStall(res.Latency)
 	t.time += stall
 	t.ct.LLCLoadMisses++
 	t.ct.StallLLCLoadMiss += stall
 
-	interf := m.cfg.CPU.ExposedInterference(res.Interference(), res.Latency)
+	interf := cpu.ExposedInterference(res.Interference(), res.Latency)
 	t.ct.MemInterferenceEst += interf
 	if fc != nil {
 		fc.detMissLoads++

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/trace"
 )
 
@@ -65,7 +66,7 @@ func (m *Machine) result() Result {
 	}
 	r.Estimated = core.EstimateComponents(r.Tp, r.PerThread)
 	r.Oracle = core.OracleComponents(r.Tp, r.PerThread,
-		1/float64(m.cfg.CPU.DispatchWidth))
+		1/float64(cpu.DispatchWidth))
 	if m.snapEvery != 0 {
 		r.Intervals = m.finishIntervals(r.Tp)
 	}

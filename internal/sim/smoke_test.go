@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/trace"
 )
 
@@ -44,7 +45,7 @@ func TestComputeOnlySingleThread(t *testing.T) {
 		t.Fatalf("ops = %d, want 1001", res.TotalOps)
 	}
 	// 400k instructions at width 4 = 100k cycles.
-	wantCycles := uint64(1000*400) / uint64(cfg.CPU.DispatchWidth)
+	wantCycles := uint64(1000*400) / cpu.DispatchWidth
 	if res.Tp != wantCycles {
 		t.Fatalf("Tp = %d, want %d", res.Tp, wantCycles)
 	}
@@ -203,30 +204,5 @@ func TestDeterminism(t *testing.T) {
 	if r1.Stack(0).Estimated() != r2.Stack(0).Estimated() {
 		t.Fatalf("nondeterministic estimate: %v vs %v",
 			r1.Stack(0).Estimated(), r2.Stack(0).Estimated())
-	}
-}
-
-// TestDispatchRoundingMatchesComputeCycles holds the machine's shift-based
-// dispatch rounding to its reference, cpu.Config.ComputeCycles, for every
-// power-of-two width — the only widths cpu.Config.Validate admits, which is
-// why the machine carries no division fallback.
-func TestDispatchRoundingMatchesComputeCycles(t *testing.T) {
-	for _, width := range []int{1, 2, 4, 8} {
-		cfg := smallConfig(1)
-		cfg.CPU.DispatchWidth = width
-		m, err := NewMachine(cfg, []trace.Program{computeOnly(1, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n := uint64(0); n <= 4096; n++ {
-			if got, want := m.computeCycles(n), cfg.CPU.ComputeCycles(n); got != want {
-				t.Fatalf("width %d: computeCycles(%d) = %d, ComputeCycles = %d", width, n, got, want)
-			}
-		}
-	}
-	cfg := smallConfig(1)
-	cfg.CPU.DispatchWidth = 3
-	if _, err := NewMachine(cfg, []trace.Program{computeOnly(1, 1)}); err == nil {
-		t.Error("a machine with dispatch width 3 was built")
 	}
 }

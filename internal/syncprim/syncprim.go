@@ -4,64 +4,51 @@
 //
 // The primitives are pure state machines over thread IDs: *when* waits start
 // and end, and how waiting time splits into spinning versus yielding, is
-// decided by the simulator's engine using the spin-then-yield policy in
-// Policy. Keeping the state machines timing-free makes them independently
-// testable and mirrors the real division of labor between a synchronization
-// library and the hardware it runs on.
+// decided by the simulator's engine using the costs below and the
+// spin-then-yield policy in Policy. Keeping the state machines timing-free
+// makes them independently testable and mirrors the real division of labor
+// between a synchronization library and the hardware it runs on.
 package syncprim
 
-import "fmt"
-
-// Policy captures the synchronization library's cost and back-off model.
-// Spin grace periods are per primitive kind because real libraries differ:
-// SPLASH-2's PARMACS locks spin (nearly) indefinitely while its barriers
-// park on condition variables; PARSEC's pthread mutexes are adaptive with
-// short spin phases. This distinction is what separates spin-dominant from
-// yield-dominant benchmarks in the paper's Figure 6.
-type Policy struct {
+// The synchronization library's fixed costs. The paper evaluates one
+// library, so only the spin-then-yield thresholds a workload tunes (Policy)
+// vary.
+const (
 	// AcquireCycles is the cost of an uncontended atomic acquire/release
 	// (the lock-handling instructions; parallelization overhead per the
 	// paper's Section 3.5).
-	AcquireCycles uint64
+	AcquireCycles uint64 = 40
 	// HandoffCycles is the cache-line-transfer delay between a release and
 	// a spinning waiter's successful acquire.
-	HandoffCycles uint64
-	// LockSpinGrace is how long a lock waiter spins before the library
-	// parks it (futex wait): the spin-then-yield threshold. Waits shorter
-	// than this are pure spinning; longer waits spin for the grace period
-	// and yield for the rest.
+	HandoffCycles uint64 = 60
+	// QueueSpinGrace is the spin-then-yield threshold on queue push/pop.
+	QueueSpinGrace uint64 = 150
+	// SpinIterationCycles is the spin-loop body length, which sets the load
+	// cadence the Tian detector observes.
+	SpinIterationCycles uint64 = 12
+	// QueueOpCycles is the cost of a queue push/pop critical section.
+	QueueOpCycles uint64 = 48
+)
+
+// Policy captures the synchronization library's back-off model: how long a
+// waiter spins before the library parks it (futex wait). Waits shorter than
+// the grace period are pure spinning; longer waits spin for the grace period
+// and yield for the rest. Grace periods are per primitive kind because real
+// libraries differ: SPLASH-2's PARMACS locks spin (nearly) indefinitely
+// while its barriers park on condition variables; PARSEC's pthread mutexes
+// are adaptive with short spin phases. This distinction is what separates
+// spin-dominant from yield-dominant benchmarks in the paper's Figure 6.
+type Policy struct {
+	// LockSpinGrace is the spin-then-yield threshold at locks.
 	LockSpinGrace uint64
 	// BarrierSpinGrace is the spin-then-yield threshold at barriers.
 	BarrierSpinGrace uint64
-	// QueueSpinGrace is the spin-then-yield threshold on queue push/pop.
-	QueueSpinGrace uint64
-	// SpinIterationCycles is the spin-loop body length, which sets the load
-	// cadence the Tian detector observes.
-	SpinIterationCycles uint64
-	// QueueOpCycles is the cost of a queue push/pop critical section.
-	QueueOpCycles uint64
-}
-
-// Validate reports whether the policy is usable.
-func (p Policy) Validate() error {
-	if p.SpinIterationCycles == 0 {
-		return fmt.Errorf("syncprim: spin iteration cycles must be positive")
-	}
-	return nil
 }
 
 // DefaultPolicy returns a policy modeled on an adaptive pthread library:
 // brief spinning, then futex parking.
 func DefaultPolicy() Policy {
-	return Policy{
-		AcquireCycles:       40,
-		HandoffCycles:       60,
-		LockSpinGrace:       6_000,
-		BarrierSpinGrace:    4_000,
-		QueueSpinGrace:      150,
-		SpinIterationCycles: 12,
-		QueueOpCycles:       48,
-	}
+	return Policy{LockSpinGrace: 6_000, BarrierSpinGrace: 4_000}
 }
 
 // Lock is a FIFO spin-then-yield mutex. Owner transfer happens at release

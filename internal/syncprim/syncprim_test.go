@@ -226,14 +226,3 @@ func TestQueueConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPolicyValidate(t *testing.T) {
-	if err := DefaultPolicy().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultPolicy()
-	p.SpinIterationCycles = 0
-	if err := p.Validate(); err == nil {
-		t.Fatal("zero spin iteration accepted")
-	}
-}

@@ -111,7 +111,6 @@ type plProgram struct {
 	produced int
 	localCnt int
 	state    int
-	access   int
 	overhead int
 
 	rng *trace.RNG
@@ -211,10 +210,8 @@ func (s Spec) PipelineOptions(threads int) []sim.Option {
 // processed end-to-end, no queues.
 func (s Spec) pipelineSequential() trace.Program {
 	spec := s
-	eff, _ := pipelinePlan(s.Stages, len(s.Stages))
 	return &plSeqProgram{
 		s:   &spec,
-		eff: eff,
 		rng: trace.NewRNG(s.Seed ^ 0x77FF11),
 	}
 }
@@ -291,7 +288,7 @@ func (p *plProgram) emitBody() {
 	accesses := int(float64(s.ItemAccesses)*w + 0.5)
 	item := p.localCnt*p.nStage[p.stage] + p.rank
 	p.localCnt++
-	emitItemWork(&p.queue, p.rng, s, item, instr, accesses, false)
+	emitItemWork(&p.queue, p.rng, s, item, instr, accesses)
 	if s.overheadAt(p.threads) > 0 {
 		p.overhead += int(s.overheadAt(p.threads) * 1000 * float64(instr))
 		if p.overhead >= 64_000 {
@@ -306,7 +303,7 @@ func (p *plProgram) emitBody() {
 // emitItemWork appends compute and memory ops for one item's processing.
 // Item regions wrap around ArrayBytes, so successive stages touch the same
 // lines (producer-consumer sharing).
-func emitItemWork(queue *[]trace.Op, rng *trace.RNG, s *Spec, item, instr, accesses int, seq bool) {
+func emitItemWork(queue *[]trace.Op, rng *trace.RNG, s *Spec, item, instr, accesses int) {
 	if accesses <= 0 {
 		if instr > 0 {
 			slot(queue).SetCompute(uint32(instr))
@@ -336,7 +333,6 @@ func emitItemWork(queue *[]trace.Op, rng *trace.RNG, s *Spec, item, instr, acces
 // plSeqProgram is the sequential pipeline reference.
 type plSeqProgram struct {
 	s    *Spec
-	eff  []mergedStage
 	item int
 
 	rng *trace.RNG
@@ -358,8 +354,7 @@ func (p *plSeqProgram) refill() {
 		p.ended = true
 		return
 	}
-	emitItemWork(&p.queue, p.rng, p.s, p.item,
-		p.s.ItemInstr, p.s.ItemAccesses, true)
+	emitItemWork(&p.queue, p.rng, p.s, p.item, p.s.ItemInstr, p.s.ItemAccesses)
 	p.item++
 }
 
