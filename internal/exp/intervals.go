@@ -55,12 +55,19 @@ func (e *Engine) MeasureIntervals(ctx context.Context, req Request, count int) (
 		return IntervalOutcome{}, refuse("intervals must be in [1,%d], got %d", MaxIntervals, count)
 	}
 	ik := intervalKey{cellKey: k, count: count}
-	out, err := e.intervals.Do(ctx, ik,
-		func() { e.add(&e.stats.IntervalHits, 1) },
-		func() (IntervalOutcome, bool, error) {
+	hit := func() { e.add(&e.stats.IntervalHits, 1) }
+	out, err, ok := e.intervals.Peek(ik)
+	switch {
+	case ok:
+		hit()
+	case memoOnly(ctx):
+		return IntervalOutcome{}, ErrNotMemoized
+	default:
+		out, err = e.intervals.Do(ctx, ik, hit, func() (IntervalOutcome, bool, error) {
 			out, err := e.runIntervals(ctx, ik, b)
 			return out, true, err
 		})
+	}
 	if err != nil {
 		return IntervalOutcome{}, err
 	}

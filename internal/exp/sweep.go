@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -327,10 +328,28 @@ func (e *Engine) resolve(req Request) (workload.Benchmark, cellKey, error) {
 	return b, k, nil
 }
 
+// ErrNotMemoized is a MemoOnly call's answer when the memo lacks part of it.
+var ErrNotMemoized = errors.New("exp: not memoized")
+
+type memoOnlyKey struct{}
+
+// MemoOnly marks ctx so that an engine call under it answers from retained
+// memo entries alone, on the caller's goroutine, or fails with
+// ErrNotMemoized before counting any hit or progress — so repeating the
+// call under an ordinary context counts every hit once.
+func MemoOnly(ctx context.Context) context.Context {
+	return context.WithValue(ctx, memoOnlyKey{}, true)
+}
+
+// memoOnly reports whether ctx was marked by MemoOnly.
+func memoOnly(ctx context.Context) bool { return ctx.Value(memoOnlyKey{}) != nil }
+
 // Do executes a batch of requests, deduplicating identical cells within
 // the batch and against everything the engine has already simulated, and
-// returns Outcomes in declared order. On error the first failure in
-// declared order is returned; a canceled context aborts promptly without
+// returns Outcomes in declared order. Cells the memo retains are answered
+// on the caller's goroutine; only the rest — misses and joins of another
+// call's in-flight cell — get a goroutine each. On error the first failure
+// in declared order is returned; a canceled context aborts promptly without
 // waiting for queued cells.
 func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 	// Resolve workloads and keys up front so unknown names and invalid
@@ -359,32 +378,56 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 			unique = append(unique, k)
 		}
 	}
-	e.addDeclared(len(unique))
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// One goroutine per unique cell; the engine-wide semaphore bounds the
-	// actual simulations, not these bookkeeping goroutines, so a cell
-	// waiting on another claimant's in-flight work never idles a slot.
 	results := make([]Outcome, len(unique))
 	errs := make([]error, len(unique))
-	var wg sync.WaitGroup
+	var misses []int
+	failed, answered := false, 0
 	for i, k := range unique {
-		wg.Add(1)
-		go func(i int, k cellKey) {
-			defer wg.Done()
-			out, err := e.cell(ctx, k, benches[k.fp])
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			results[i] = out
-			e.stepDone()
-		}(i, k)
+		var ok bool
+		results[i], errs[i], ok = e.cells.Peek(k)
+		switch {
+		case !ok:
+			misses = append(misses, i)
+		case errs[i] != nil:
+			failed = true
+		default:
+			answered++
+		}
 	}
-	wg.Wait()
+	if len(misses) > 0 && memoOnly(ctx) {
+		return nil, ErrNotMemoized
+	}
+	e.addDeclared(len(unique))
+	e.add(&e.stats.CellHits, len(unique)-len(misses))
+	for range answered {
+		e.stepDone()
+	}
+
+	// One goroutine per miss, unless a retained failure already decides the
+	// batch; the engine-wide semaphore bounds the actual simulations, not
+	// these bookkeeping goroutines, so a cell waiting on another claimant's
+	// in-flight work never idles a slot.
+	if len(misses) > 0 && !failed {
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		var wg sync.WaitGroup
+		for _, i := range misses {
+			wg.Add(1)
+			go func(i int, k cellKey) {
+				defer wg.Done()
+				out, err := e.cell(ctx, k, benches[k.fp])
+				if err != nil {
+					errs[i] = err
+					cancel()
+					return
+				}
+				results[i] = out
+				e.stepDone()
+			}(i, unique[i])
+		}
+		wg.Wait()
+	}
 
 	// Report the first failure in declared order, preferring a real
 	// simulation error over the cancellations it triggered in the rest of

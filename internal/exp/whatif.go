@@ -47,18 +47,14 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 		}
 	}
 
-	// Baseline first: the predictions are pure arithmetic over its stack.
-	outs, err := e.Do(ctx, []Request{req})
-	if err != nil {
-		return whatif.Report{}, err
-	}
-	base := outs[0]
-
-	// One batched Do over every applicable mutation: spec mutations carry
-	// their own fingerprints, machine mutations their own configurations, so
-	// the batch deduplicates against everything already simulated.
+	// One batched Do over the baseline and every applicable mutation: spec
+	// mutations carry their own fingerprints, machine mutations their own
+	// configurations, so the batch deduplicates against everything already
+	// simulated. No key depends on the baseline's result, and one batch
+	// keeps a MemoOnly call all-or-nothing.
 	preds := make([]whatif.Prediction, 0, len(ivs))
-	reqs := make([]Request, 0, len(ivs))
+	reqs := append(make([]Request, 0, len(ivs)+1), req)
+	applied := make([]whatif.Intervention, 0, len(ivs))
 	for _, iv := range ivs {
 		m, ok := iv.Mutate(b.Spec, k.cfg)
 		if !ok {
@@ -72,26 +68,28 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 			mreq.Cell.Spec = &spec
 			mreq.Config = m.Config
 		}
-		gain := whatif.PredictGain(base.Stack, iv)
 		preds = append(preds, whatif.Prediction{
-			Intervention:     iv.ID,
-			Summary:          iv.Summary,
-			Component:        iv.Component,
-			Mutation:         m.Description,
-			PredictedGain:    gain,
-			PredictedSpeedup: base.Stack.ActualSpeedup + gain,
+			Intervention: iv.ID,
+			Summary:      iv.Summary,
+			Component:    iv.Component,
+			Mutation:     m.Description,
 		})
+		applied = append(applied, iv)
 		reqs = append(reqs, mreq)
 	}
-	mouts, err := e.Do(ctx, reqs)
+	outs, err := e.Do(ctx, reqs)
 	if err != nil {
 		return whatif.Report{}, err
 	}
-	// The re-simulated stacks are keyed by intervention so the bars can
-	// follow the ranking (a repeated ID maps to the same stack either way).
+	// The predictions are pure arithmetic over the baseline's stack. The
+	// re-simulated stacks are keyed by intervention so the bars can follow
+	// the ranking (a repeated ID maps to the same stack either way).
+	base := outs[0]
 	stacks := make(map[string]core.Stack, len(preds))
-	for i, out := range mouts {
+	for i, out := range outs[1:] {
 		p := &preds[i]
+		p.PredictedGain = whatif.PredictGain(base.Stack, applied[i])
+		p.PredictedSpeedup = base.Stack.ActualSpeedup + p.PredictedGain
 		p.ActualSpeedup = out.Stack.ActualSpeedup
 		p.ActualGain = out.Stack.ActualSpeedup - base.Stack.ActualSpeedup
 		p.Error = (p.PredictedSpeedup - out.Stack.ActualSpeedup) / float64(k.threads)

@@ -1,7 +1,8 @@
 // Package memo is the repo's one cache: claim-or-wait singleflight in front
 // of an LRU over completed entries. The sweep engine memoizes sequential
 // references, cell outcomes and interval series in it, and the fleet layer
-// its peers' responses; both get the same contract from the one Do.
+// its peers' responses; both get the same contract from the one Do. Peek,
+// Do's retained branch alone, never claims or waits.
 package memo
 
 import (
@@ -68,16 +69,12 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, onHit func(), run func() (v
 	joined := false
 	for {
 		c.mu.Lock()
-		e, ok := c.entries[key]
-		if !ok {
+		e, retained := c.lookup(key)
+		if e == nil {
 			e = &entry[K, V]{key: key, done: make(chan struct{})}
 			c.entries[key] = e
 			c.mu.Unlock()
 			return c.fly(ctx, e, run)
-		}
-		retained := e.el != nil
-		if retained {
-			c.lru.MoveToFront(e.el)
 		}
 		c.mu.Unlock()
 		if !joined && onHit != nil {
@@ -103,6 +100,30 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, onHit func(), run func() (v
 		c.mu.Unlock()
 		return e.val, e.err
 	}
+}
+
+// Peek returns key's retained result without claiming or waiting: ok is
+// false when key is absent or still in flight. A retained entry becomes the
+// most recently used, exactly as when Do returns it.
+func (c *Cache[K, V]) Peek(key K) (v V, err error, ok bool) {
+	c.mu.Lock()
+	e, ok := c.lookup(key)
+	c.mu.Unlock()
+	if !ok {
+		return v, nil, false
+	}
+	return e.val, e.err, true
+}
+
+// lookup returns key's entry (nil when absent) and whether it is retained,
+// moving a retained entry to the front of the LRU. c.mu must be held.
+func (c *Cache[K, V]) lookup(key K) (e *entry[K, V], retained bool) {
+	e = c.entries[key]
+	if e == nil || e.el == nil {
+		return e, false
+	}
+	c.lru.MoveToFront(e.el)
+	return e, true
 }
 
 // fly executes the claimant's run for e and ends the flight: abandoned,

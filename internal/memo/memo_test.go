@@ -257,3 +257,83 @@ func TestLRUOrder(t *testing.T) {
 		t.Fatalf("occupancy %+v", occ)
 	}
 }
+
+// TestPeek covers each state a key can be in: absent, in flight, retained
+// (value or error) and evicted. Peek answers only the retained ones, and
+// never claims, waits or executes.
+func TestPeek(t *testing.T) {
+	c := New[int, int](2)
+	ctx := context.Background()
+	peek := func(k int) result {
+		t.Helper()
+		v, err, ok := c.Peek(k)
+		if !ok {
+			return result{v: -1}
+		}
+		return result{v, err}
+	}
+	absent := result{v: -1}
+	if r := peek(1); r != absent {
+		t.Fatalf("absent key: %+v", r)
+	}
+	if occ := c.Occupancy(); occ.Entries != 0 {
+		t.Fatalf("Peek on an absent key claimed it: %+v", occ)
+	}
+
+	release, done := flight(ctx, c, 1, value(11))
+	if r := peek(1); r != absent {
+		t.Fatalf("in-flight key: %+v", r)
+	}
+	release()
+	<-done
+	if r := peek(1); r != (result{11, nil}) {
+		t.Fatalf("retained value: %+v", r)
+	}
+
+	boom := errors.New("boom")
+	c.Do(ctx, 2, nil, func() (int, bool, error) { return 0, true, boom })
+	if r := peek(2); r.v != 0 || r.err != boom {
+		t.Fatalf("retained error: %+v, want 0, %v", r, boom)
+	}
+
+	c.Do(ctx, 3, nil, value(33)) // evicts 1, the least recently used
+	if r := peek(1); r != absent {
+		t.Fatalf("evicted key: %+v", r)
+	}
+	if occ := c.Occupancy(); occ.Entries != 2 || occ.Evictions != 1 {
+		t.Fatalf("occupancy %+v, want 2 entries and 1 eviction", occ)
+	}
+}
+
+// TestPeekPromotesLikeDo replays TestLRUOrder's access pattern with every
+// hit answered by Peek instead of Do: the executions and evictions must be
+// the same, so a Peek hit moves an entry exactly as a Do hit does.
+func TestPeekPromotesLikeDo(t *testing.T) {
+	for _, hit := range []string{"Do", "Peek"} {
+		c := New[int, int](2)
+		runs := map[int]int{}
+		do := func(k int) {
+			t.Helper()
+			if hit == "Peek" {
+				if v, err, ok := c.Peek(k); ok {
+					if v != k || err != nil {
+						t.Fatalf("Peek(%d) = %v, %v", k, v, err)
+					}
+					return
+				}
+			}
+			if v, err := c.Do(context.Background(), k, nil, func() (int, bool, error) { runs[k]++; return k, true, nil }); v != k || err != nil {
+				t.Fatalf("key %d = %v, %v", k, v, err)
+			}
+		}
+		for _, k := range []int{1, 2, 1, 3, 1, 2, 3} {
+			do(k)
+		}
+		if runs[1] != 1 || runs[2] != 2 || runs[3] != 2 {
+			t.Fatalf("%s hits: executions per key %v, want 1:1 2:2 3:2", hit, runs)
+		}
+		if occ := c.Occupancy(); occ.Entries != 2 || occ.Evictions != 3 {
+			t.Fatalf("%s hits: occupancy %+v", hit, occ)
+		}
+	}
+}

@@ -77,10 +77,11 @@
 // then the Accept header (application/json, application/x-ndjson, text/csv,
 // image/svg+xml, text/plain), then JSON. The ndjson format is the streaming
 // twin of json: one compact ReportRow per line. On POST /v1/sweep it changes
-// the serving discipline — rows are flushed in declared order as cells
-// complete, so a large batch starts answering with its first finished cells
-// instead of buffering the whole sweep; a failure after rows are on the wire
-// terminates the stream with an error-envelope line.
+// the serving discipline — rows go out in declared order as cells complete,
+// flushed whenever the next row must still be waited for, so a large batch
+// starts answering with its first finished cells instead of buffering the
+// whole sweep; a failure after rows are on the wire terminates the stream
+// with an error-envelope line.
 //
 // Overload protection: Options.MaxInFlight bounds how many requests may
 // concurrently occupy the simulating endpoints — excess load is shed
@@ -114,19 +115,22 @@
 // where the workload identity lives, and the parse step that turns the
 // request into an engine call answering a stack.Document. One dispatcher
 // serves every row: method check, protection, option parsing, the parse
-// step, then serve — the call run by detached (under a context of its own,
-// so a request that exceeds Options.SimTimeout or hangs up gets its error
-// promptly while the work finishes in the background and lands in the memo,
-// where a retry finds it), one error mapping, the negotiated Content-Type,
-// stack.EncodeDocument. The streamed NDJSON sweep runs each cell through
-// the same detached. Identify reads the same rows for a routing layer in
-// front of the service (internal/fleet), which therefore spells no path,
-// body shape or limit of its own.
+// step, then serve — the call run by detached (answered on the request's
+// goroutine when the memo holds it whole, so a memo hit never times out;
+// otherwise under a context of its own, so a request that exceeds
+// Options.SimTimeout or hangs up gets its error promptly while the work
+// finishes in the background and lands in the memo, where a retry finds
+// it), one error mapping, the negotiated Content-Type, stack.EncodeDocument.
+// The streamed NDJSON sweep does the same per cell: a memo-only attempt,
+// and a detached call for a miss. Identify reads the same rows for a
+// routing layer in front of the service (internal/fleet), which therefore
+// spells no path, body shape or limit of its own.
 package service
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -150,7 +154,8 @@ type Options struct {
 	// SimTimeout caps how long one request waits for its simulations
 	// (default 2m; negative disables). Exceeding it answers 504; the
 	// simulations detach and finish in the background, filling the cache
-	// so a retry is a hit.
+	// so a retry is a hit. An answer the cache already holds whole waits
+	// for nothing, so it never times out.
 	SimTimeout time.Duration
 	// MaxInFlight bounds how many requests may concurrently occupy the
 	// simulating endpoints; excess requests are shed immediately with a
@@ -354,30 +359,53 @@ func (s *Server) modeConfig(m sim.Mode) *sim.Config {
 // and serve runs. It answers the document to encode.
 type call func(context.Context) (stack.Document, error)
 
-// detached runs one engine call under a context of its own and waits for it
-// under ctx. When ctx ends first the caller gets ctx.Err() promptly (504 on
-// the deadline, 408 when the client went away) while the call keeps running
-// in the background and lands in the engine's memo — deterministic work is
-// never wasted, and a retry of the same request becomes a cache hit.
-// Background completion is still bounded by the engine's worker pool and
-// the simulator's MaxCycles safety net. This is the one place a request's
-// simulations leave the request's lifetime.
-func detached(ctx context.Context, c call) (stack.Document, error) {
-	type result struct {
-		doc stack.Document
-		err error
-	}
+// result is one engine call's answer.
+type result struct {
+	doc stack.Document
+	err error
+}
+
+// memoOnly is the context of a call's memo-only attempt, which never
+// blocks: neither the request's deadline nor its cancellation applies.
+var memoOnly = exp.MemoOnly(context.Background())
+
+// detached starts one engine call and answers on the returned channel. A
+// call the engine's memo holds whole is answered at once, on the caller's
+// goroutine under exp.MemoOnly: it waits for nothing, so it cannot time
+// out. Any other call runs under a context of its own, so whoever waits
+// for it may give up (see wait) while it keeps running in the background
+// and lands in the engine's memo — deterministic work is never wasted, and
+// a retry of the same request becomes a cache hit. Background completion
+// is still bounded by the engine's worker pool and the simulator's
+// MaxCycles safety net. This is the one place a request's simulations
+// leave the request's lifetime.
+func detached(c call) <-chan result {
 	ch := make(chan result, 1)
+	if doc, err := c(memoOnly); !errors.Is(err, exp.ErrNotMemoized) {
+		ch <- result{doc, err}
+		return ch
+	}
 	go func() {
 		doc, err := c(context.Background())
 		ch <- result{doc, err}
 	}()
-	select {
-	case r := <-ch:
-		return r.doc, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	return ch
+}
+
+// wait receives a detached call's answer. One already answered is returned
+// even when ctx has ended; otherwise ctx's end answers ctx.Err() (504 on
+// the deadline, 408 when the client went away) and leaves the call running.
+func wait(ctx context.Context, ch <-chan result) (stack.Document, error) {
+	if len(ch) == 0 {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case r := <-ch:
+			return r.doc, r.err
+		}
 	}
+	r := <-ch
+	return r.doc, r.err
 }
 
 // serve is the tail of every simulating endpoint, after its parse step: the
@@ -386,7 +414,7 @@ func detached(ctx context.Context, c call) (stack.Document, error) {
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, f stack.Format, c call) *apiError {
 	ctx, cancel := s.simContext(r)
 	defer cancel()
-	doc, err := detached(ctx, c)
+	doc, err := wait(ctx, detached(c))
 	if err != nil {
 		return s.simAPIError(err)
 	}
@@ -429,15 +457,15 @@ func (s *Server) seriesCall(opts requestOptions, cell exp.Cell, count int) call 
 }
 
 // streamSweep answers an NDJSON sweep as a stream: one compact ReportRow
-// line per cell, in the declared cell order, each flushed onto the wire as
-// soon as that cell's result (and its predecessors') are available. Every
-// cell runs as its own detached engine call under the request's one
-// deadline, so large batches start answering with their first completed
-// rows instead of buffering the whole sweep, and a timeout still leaves
-// the finished work in the cache. A failure before the first row is the
-// normal error response; after rows are on the wire the status is already
-// 200, so the envelope becomes the terminating line of the stream —
-// NDJSON consumers must treat a line with an "error" key as a failed tail.
+// line per cell, in the declared cell order. Every cell is its own
+// detached engine call under the request's one deadline, so large batches
+// start answering with their first completed rows instead of buffering the
+// whole sweep, and a timeout still leaves the finished work in the cache.
+// Rows already answered are written together and flushed onto the wire
+// only when the handler must wait for the next one. A failure before the first row is the normal error response; after
+// rows are on the wire the status is already 200, so the envelope becomes
+// the terminating line of the stream — NDJSON consumers must treat a line
+// with an "error" key as a failed tail.
 func streamSweep(s *Server, w http.ResponseWriter, r *http.Request, opts requestOptions) *apiError {
 	cells, aerr := parseSweep(r)
 	if aerr != nil {
@@ -445,24 +473,19 @@ func streamSweep(s *Server, w http.ResponseWriter, r *http.Request, opts request
 	}
 	ctx, cancel := s.simContext(r)
 	defer cancel()
-	type result struct {
-		doc stack.Document
-		err error
-	}
-	results := make([]chan result, len(cells))
-	for i := range cells {
-		results[i] = make(chan result, 1)
-		go func(i int, c exp.Cell) {
-			doc, err := detached(ctx, s.cellsCall(opts, c))
-			results[i] <- result{doc, err}
-		}(i, cells[i])
+	results := make([]<-chan result, len(cells))
+	for i, c := range cells {
+		results[i] = detached(s.cellsCall(opts, c))
 	}
 	flusher, _ := w.(http.Flusher)
 	wrote := false
-	for i := range results {
-		res := <-results[i]
-		if res.err != nil {
-			ae := s.simAPIError(res.err)
+	for i, ch := range results {
+		if len(ch) == 0 && wrote && flusher != nil {
+			flusher.Flush()
+		}
+		doc, err := wait(ctx, ch)
+		if err != nil {
+			ae := s.simAPIError(err)
 			ae.Message = fmt.Sprintf("cell %d: %s", i, ae.Message)
 			if !wrote {
 				return ae
@@ -475,10 +498,7 @@ func streamSweep(s *Server, w http.ResponseWriter, r *http.Request, opts request
 			w.Header().Set("Content-Type", stack.FormatNDJSON.ContentType())
 			wrote = true
 		}
-		stack.EncodeDocument(w, stack.FormatNDJSON, res.doc)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		stack.EncodeDocument(w, stack.FormatNDJSON, doc)
 	}
 	return nil
 }
