@@ -58,14 +58,16 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/exp"
 	"repro/internal/fleet"
 	"repro/internal/service"
+	"repro/internal/sim"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", runtime.NumCPU(), "max concurrent simulations")
-	cache := flag.Int("cache", 0, "LRU result cache size in cells (0 = default 4096, -1 = unbounded)")
+	cache := flag.Int("cache", 4096, "LRU result cache size in cells (<= 0 = unbounded)")
 	simTimeout := flag.Duration("sim-timeout", 0, "per-request simulation budget (0 = default 2m, -1s = none)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profile a slow sweep live)")
@@ -81,8 +83,7 @@ func main() {
 	}
 
 	srv := service.New(service.Options{
-		Workers:     *workers,
-		CacheCells:  *cache,
+		Engine:      exp.NewEngine(sim.Default(), exp.WithWorkers(*workers), exp.WithCellMemoLimit(*cache)),
 		SimTimeout:  *simTimeout,
 		MaxInFlight: *maxInflight,
 		RateLimit:   *rateLimit,

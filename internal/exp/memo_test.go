@@ -196,18 +196,22 @@ func TestInlineSpecSharesMemoWithRegistry(t *testing.T) {
 }
 
 // TestSpecTwoConfigsSimulateTwice pins the other half of the key: the same
-// spec under two machine configurations is two distinct simulations.
+// spec under two machine configurations is two distinct simulations, and
+// two sequential references when the configurations differ in a field the
+// reference reads. A change only to a field it does not read — the ATD
+// sample shift, the spin threshold, the quantum — re-simulates the cell
+// but shares Ts (sim.Config.Sequential).
 func TestSpecTwoConfigsSimulateTwice(t *testing.T) {
 	h := newCountingHook()
 	e := NewEngine(sim.Default(), WithWorkers(2), WithRunHook(h.hook))
 	ctx := context.Background()
 	spec := testSpec("cfgsweep")
 	cells := []Cell{{Spec: &spec, Threads: 2}}
-	if _, err := e.Sweep(ctx, cells); err != nil {
+	base, err := e.Sweep(ctx, cells)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.Default()
-	cfg.Quantum = 200
+	cfg := sim.Default().WithLLCSize(1 << 20)
 	if _, err := e.SweepConfig(ctx, cfg, cells); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +219,7 @@ func TestSpecTwoConfigsSimulateTwice(t *testing.T) {
 		t.Errorf("same spec under two configs simulated %d times, want 2", got)
 	}
 	if got := h.count("seq:cfgsweep"); got != 2 {
-		t.Errorf("sequential reference under two configs simulated %d times, want 2", got)
+		t.Errorf("sequential reference under two LLC sizes simulated %d times, want 2", got)
 	}
 	// Re-requesting under either config is now a pure memo hit.
 	before := e.Stats()
@@ -224,6 +228,29 @@ func TestSpecTwoConfigsSimulateTwice(t *testing.T) {
 	}
 	if st := e.Stats(); st.CellRuns != before.CellRuns {
 		t.Errorf("repeat under explicit config re-simulated: %+v", st)
+	}
+
+	unread := []func(*sim.Config){
+		func(c *sim.Config) { c.ATDSampleShift = 3 },
+		func(c *sim.Config) { c.Spin.Threshold = 64 },
+		func(c *sim.Config) { c.Quantum = 200 },
+	}
+	for i, set := range unread {
+		cfg := sim.Default()
+		set(&cfg)
+		outs, err := e.SweepConfig(ctx, cfg, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.count("cell:cfgsweep"); got != 3+i {
+			t.Errorf("change %d: cell simulated %d times in all, want %d", i, got, 3+i)
+		}
+		if got := h.count("seq:cfgsweep"); got != 2 {
+			t.Errorf("change %d: sequential reference simulated %d times in all, want 2", i, got)
+		}
+		if outs[0].Ts != base[0].Ts {
+			t.Errorf("change %d: Ts %d, base machine %d", i, outs[0].Ts, base[0].Ts)
+		}
 	}
 }
 

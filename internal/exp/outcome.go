@@ -22,9 +22,10 @@
 //     simulation. sim.Config is a comparable value struct and the
 //     fingerprint a byte array, so keys need no serialization.
 //   - Sequential references (the single-threaded run every speedup stack is
-//     measured against) are memoized separately, keyed by the configuration
-//     normalized to one core — Ts does not depend on the sweep's core
-//     count, so one reference serves every thread count of a benchmark.
+//     measured against) are memoized separately, keyed by the machine they
+//     run on, sim.Config.Sequential: one core, every field that run never
+//     reads reset. One reference serves every thread count of a benchmark
+//     and every quantum, spin threshold and exact-mode sample shift.
 //   - Memoization is engine-lifetime and singleflight: duplicates within a
 //     batch, across batches, and across concurrent batches all collapse
 //     onto one execution. A request finding an in-flight entry waits for it

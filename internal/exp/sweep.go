@@ -75,7 +75,8 @@ type cellKey struct {
 }
 
 // seqKey identifies a memoized sequential reference. The configuration is
-// normalized to one core: Ts does not depend on the sweep's core count.
+// the machine the reference runs on, sim.Config.Sequential, so runs that
+// differ only in fields it never reads (core count included) share one Ts.
 type seqKey struct {
 	cfg sim.Config
 	fp  workload.Fingerprint
@@ -551,11 +552,11 @@ func (e *Engine) runCell(ctx context.Context, k cellKey, b workload.Benchmark) (
 }
 
 // seqTime resolves the single-threaded reference time of b, whose
-// fingerprint is fp (the cell key's: it is not hashed again), under cfg,
-// with the same claim-or-wait discipline as cell.
+// fingerprint is fp (the cell key's: it is not hashed again), keyed by and
+// simulated on cfg's sequential machine, with the claim-or-wait of cell.
 func (e *Engine) seqTime(ctx context.Context, cfg sim.Config, fp workload.Fingerprint, b workload.Benchmark) (uint64, error) {
-	k := seqKey{cfg: cfg.WithCores(1), fp: fp}
-	return e.seq.Do(ctx, k,
+	cfg = cfg.Sequential()
+	return e.seq.Do(ctx, seqKey{cfg: cfg, fp: fp},
 		func() { e.add(&e.stats.SeqHits, 1) },
 		func() (uint64, bool, error) {
 			res, err := e.simulate(ctx, "seq", cfg, b, 0, 0)

@@ -111,14 +111,15 @@ func TestSweepDedup(t *testing.T) {
 		t.Error("expected memo hits on the second pass")
 	}
 
-	// A different machine configuration must not hit the memo.
+	// A different machine configuration must not hit the cell memo. The
+	// sequential reference does not read the quantum, so it still hits.
 	cfg := sim.Default()
 	cfg.Quantum = 200
 	if _, err := e.SweepConfig(context.Background(), cfg, cells[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.CellRuns != 5 || st.SeqRuns != 3 {
-		t.Errorf("stats after config change = %+v, want 5 cell runs and 3 seq runs", st)
+	if st := e.Stats(); st.CellRuns != 5 || st.SeqRuns != 2 {
+		t.Errorf("stats after config change = %+v, want 5 cell runs and 2 seq runs", st)
 	}
 }
 

@@ -101,7 +101,7 @@
 //
 // Caching and concurrency: results are cached in the engine's memo — an
 // LRU keyed by the full (machine configuration, workload fingerprint,
-// threads, cores) identity, bounded by Options.CacheCells — and concurrent
+// threads, cores) identity, bounded by exp.WithCellMemoLimit — and concurrent
 // identical requests collapse onto a single simulation (the engine's
 // singleflight protocol), so a thundering herd asking for the same stack
 // costs one simulation; an inline spec identical to a registered benchmark
@@ -146,11 +146,6 @@ import (
 // Options configures a Server. The zero value serves the paper's default
 // machine with sensible production bounds.
 type Options struct {
-	// Workers bounds concurrent simulations (default: GOMAXPROCS).
-	Workers int
-	// CacheCells bounds the LRU result cache, in cells (default 4096;
-	// negative disables the bound).
-	CacheCells int
 	// SimTimeout caps how long one request waits for its simulations
 	// (default 2m; negative disables). Exceeding it answers 504; the
 	// simulations detach and finish in the background, filling the cache
@@ -171,14 +166,13 @@ type Options struct {
 	// but still count against MaxInFlight. The bucket holds
 	// max(1, ceil(RateLimit)) tokens.
 	RateLimit float64
-	// Engine, if set, overrides Workers/CacheCells with a caller-owned
-	// engine (tests, embedding); otherwise the server builds one on the
-	// paper's default machine.
+	// Engine runs every simulation, bounded by its own WithWorkers and
+	// WithCellMemoLimit. Nil builds one on the paper's default machine
+	// with GOMAXPROCS workers and a 4096-cell memo.
 	Engine *exp.Engine
 }
 
 const (
-	defaultCacheCells = 4096
 	defaultSimTimeout = 2 * time.Minute
 	// defaultIntervals is the slice count when an interval request does not
 	// name one; exp.MaxIntervals caps what one request may ask for.
@@ -208,15 +202,7 @@ type Server struct {
 func New(opts Options) *Server {
 	e := opts.Engine
 	if e == nil {
-		cache := opts.CacheCells
-		if cache == 0 {
-			cache = defaultCacheCells
-		}
-		eopts := []exp.Option{exp.WithCellMemoLimit(cache)}
-		if opts.Workers > 0 {
-			eopts = append(eopts, exp.WithWorkers(opts.Workers))
-		}
-		e = exp.NewEngine(sim.Default(), eopts...)
+		e = exp.NewEngine(sim.Default(), exp.WithCellMemoLimit(4096))
 	}
 	st := opts.SimTimeout
 	if st == 0 {
@@ -545,7 +531,7 @@ func metrics(s *Server, w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "speedupd_sim_cell_evictions_total %d\n", st.CellEvictions)
 	// Cache occupancy next to the churn counters: how full the cell memo is
 	// against its configured bound (limit 0 = unbounded), so operators can
-	// size CacheCells from live data instead of eviction archaeology.
+	// size the memo bound from live data instead of eviction archaeology.
 	fmt.Fprintf(w, "speedupd_sim_cell_memo_entries %d\n", st.CellMemoEntries)
 	fmt.Fprintf(w, "speedupd_sim_cell_memo_limit %d\n", st.CellMemoLimit)
 	fmt.Fprintf(w, "speedupd_sim_interval_runs_total %d\n", st.IntervalRuns)

@@ -130,6 +130,36 @@ func (c Config) WithCores(n int) Config {
 	return c
 }
 
+// Sequential returns the machine the single-threaded reference runs on: one
+// core, with every field that run (one thread, accounting off, one quantum)
+// never reads reset — Spin, ATDSampleShift in exact mode, Quantum beyond
+// the horizon it sets — so configurations differing only there share one
+// reference. An invalid configuration keeps its fields and its error.
+func (c Config) Sequential() Config {
+	c.Cores = 1
+	if c.Validate() != nil {
+		return c
+	}
+	d := Default()
+	c.Spin, c.Quantum = d.Spin, c.horizon()
+	if c.Mode == ModeExact && c.LLC.Sets()>>d.ATDSampleShift != 0 { // else the LLC needs its shift
+		c.ATDSampleShift = d.ATDSampleShift
+	}
+	return c
+}
+
+// horizon is where a single-quantum run stops: the stepped loop's first
+// quantum boundary at or past MaxCycles.
+func (c Config) horizon() uint64 {
+	if c.MaxCycles <= c.Quantum {
+		return c.Quantum
+	}
+	if h := (c.MaxCycles-1)/c.Quantum*c.Quantum + c.Quantum; h >= c.MaxCycles {
+		return h
+	}
+	return c.MaxCycles // overflow
+}
+
 // WithLLCSize returns a copy with the LLC capacity replaced (Figure 9's
 // sweep parameter).
 func (c Config) WithLLCSize(bytes int64) Config {

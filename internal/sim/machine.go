@@ -276,16 +276,10 @@ func (m *Machine) Run() (Result, error) {
 		// One thread on one core — the sequential reference shape — has no
 		// other actor contending for any shared resource, so the relaxed
 		// synchronization quantum bounds nothing: boundaries are
-		// unobservable and the run can execute as a single quantum. Timing
-		// is identical op for op; only the per-quantum loop overhead goes.
-		// The horizon is the quantum-stepped loop's effective one — the
-		// first quantum boundary at or past MaxCycles — so runs finishing
-		// inside the final partial quantum still complete, exactly as in
-		// the stepped loop.
-		quantum = (m.cfg.MaxCycles-1)/m.cfg.Quantum*m.cfg.Quantum + m.cfg.Quantum
-		if quantum < m.cfg.MaxCycles { // overflow guard
-			quantum = m.cfg.MaxCycles
-		}
+		// unobservable and the run can execute as a single quantum, up to
+		// the stepped loop's horizon. Timing is identical op for op; only
+		// the per-quantum loop overhead goes.
+		quantum = m.cfg.horizon()
 	}
 	m.quantum = quantum
 	for c := range m.coreAt {

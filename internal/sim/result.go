@@ -108,9 +108,9 @@ func Run(cfg Config, progs []trace.Program, opts ...Option) (Result, error) {
 	return defaultPool.Run(cfg, progs, opts...)
 }
 
-// RunSequential executes prog alone on a single-core machine with the same
-// cache and memory parameters; its Tp is the single-threaded reference time
-// Ts of the speedup definition, Formula (1).
+// RunSequential executes prog alone on cfg's sequential machine
+// (Config.Sequential) with the accounting hardware off; its Tp is the
+// single-threaded reference time Ts of the speedup definition, Formula (1).
 func RunSequential(cfg Config, prog trace.Program, opts ...Option) (Result, error) {
-	return Run(cfg.WithCores(1), []trace.Program{prog}, opts...)
+	return Run(cfg.Sequential(), []trace.Program{prog}, append(opts, WithoutAccounting())...)
 }

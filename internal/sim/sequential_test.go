@@ -31,13 +31,19 @@ func TestRunSequentialEdges(t *testing.T) {
 		t.Fatal("quantum 100: a run past the 1000-cycle horizon completed")
 	}
 
-	// An invalid configuration fails with its own error, even where the
-	// fields it gets wrong are ones the run never reads.
+	// A configuration that cannot run fails with its own error, even where
+	// the field it gets wrong is one the run never reads. MaxCycles 0 with
+	// a power-of-two quantum is where the stepped loop's horizon formula
+	// wraps to 0, which is no valid quantum.
 	bad := Default()
 	bad.ATDSampleShift = 20
-	_, want := Run(bad.WithCores(1), []trace.Program{burst(400)}, WithoutAccounting())
-	if _, err := RunSequential(bad, burst(400), WithoutAccounting()); err == nil || want == nil || err.Error() != want.Error() {
-		t.Fatalf("shift 20: RunSequential error %v, the machine's %v", err, want)
+	zero := Default()
+	zero.MaxCycles, zero.Quantum = 0, 128
+	for _, c := range []Config{bad, zero} {
+		_, want := Run(c.WithCores(1), []trace.Program{burst(400)}, WithoutAccounting())
+		if _, err := RunSequential(c, burst(400), WithoutAccounting()); err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("RunSequential error %v, the machine's %v", err, want)
+		}
 	}
 	// A shift that is valid for the caller's LLC stays valid: an 8-set LLC
 	// takes shift 2 but not the default 5.

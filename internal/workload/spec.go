@@ -411,7 +411,7 @@ func (s Spec) Sequential() (trace.Program, error) {
 // engine (cells, sequential references, interval runs) and Record. With
 // threads > 0 it runs the parallel programs of s on cores cores of cfg's
 // machine, with the family's machine registrations; threads == 0 selects
-// the single-threaded reference instead: one core, and the accounting
+// the single-threaded reference instead: cfg.Sequential(), accounting
 // hardware off, because that run contributes only its Tp and accounting
 // never affects timing. Either way the machine carries the spec's
 // synchronization-library policy. wrap, if non-nil, replaces each program
@@ -424,10 +424,11 @@ func Simulate(cfg sim.Config, s Spec, threads, cores int, wrap func(trace.Progra
 	if threads == 0 {
 		var p trace.Program
 		p, err = s.Sequential()
-		progs, cores = []trace.Program{p}, 1
+		progs, cfg = []trace.Program{p}, cfg.Sequential()
 		opts = append(opts, sim.WithoutAccounting())
 	} else {
 		progs, err = s.Parallel(threads)
+		cfg = cfg.WithCores(cores)
 		opts = append(s.PipelineOptions(threads), opts...)
 	}
 	if err != nil {
@@ -438,7 +439,6 @@ func Simulate(cfg sim.Config, s Spec, threads, cores int, wrap func(trace.Progra
 			progs[i] = wrap(p)
 		}
 	}
-	cfg = cfg.WithCores(cores)
 	cfg.Policy = s.TunePolicy(cfg.Policy)
 	res, err := sim.Run(cfg, progs, opts...)
 	if err == nil {
