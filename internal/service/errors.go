@@ -36,6 +36,7 @@ const (
 	codeSimTimeout          = "sim_timeout"
 	codeRequestCanceled     = "request_canceled"
 	codeSimFailed           = "sim_failed"
+	codeEncodeFailed        = "encode_failed"
 	codeOverloaded          = "overloaded"
 	codeRateLimited         = "rate_limited"
 )

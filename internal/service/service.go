@@ -242,8 +242,8 @@ func (s *Server) dispatcher(rt route) http.HandlerFunc {
 		s.requests[rt.path]++
 		s.mu.Unlock()
 		rw := &statusWriter{ResponseWriter: w}
-		if aerr := s.dispatch(rw, r, rt); aerr != nil {
-			writeError(rw, r, aerr)
+		if aerr := s.dispatch(rw, r, rt); aerr != nil && rw.code == 0 {
+			writeError(rw, r, aerr) // once a response began, a failure to write it cannot be answered
 		}
 		s.mu.Lock()
 		s.responses[rw.status()]++
@@ -396,7 +396,9 @@ func wait(ctx context.Context, ch <-chan result) (stack.Document, error) {
 
 // serve is the tail of every simulating endpoint, after its parse step: the
 // engine call, detached, under the request's simulation deadline; one error
-// mapping; the negotiated Content-Type; the one encoder.
+// mapping; the negotiated Content-Type; the one encoder. The encoder renders
+// the whole body before writing any of it, so a document it cannot encode
+// (a NaN in a JSON body) answers the 500 envelope, not an empty 200.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, f stack.Format, c call) *apiError {
 	ctx, cancel := s.simContext(r)
 	defer cancel()
@@ -405,7 +407,10 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, f stack.Format, c
 		return s.simAPIError(err)
 	}
 	w.Header().Set("Content-Type", f.ContentType())
-	stack.EncodeDocument(w, f, doc)
+	if err := stack.EncodeDocument(w, f, doc); err != nil {
+		return &apiError{Status: http.StatusInternalServerError, Code: codeEncodeFailed,
+			Message: fmt.Sprintf("encoding the %s report: %v", f, err)}
+	}
 	return nil
 }
 

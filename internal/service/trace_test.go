@@ -2,11 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/workload"
@@ -146,5 +149,59 @@ func TestTraceAnalyzeRejects(t *testing.T) {
 	}
 	if st := s.Engine().Stats(); st.CellRuns != 0 {
 		t.Errorf("rejected requests ran %d simulations", st.CellRuns)
+	}
+}
+
+// zeroWorkTraces are uploads whose replay takes zero cycles: every thread
+// stream holds just End, or an empty Compute burst and End. Each once made
+// every stack value NaN — the text report then tried to pad its bar with
+// int(NaN) spaces and killed the process, json and ndjson answered 200
+// with an empty body.
+var zeroWorkTraces = map[string]string{
+	"end only":     "SPTR\x01\x01\x00\x00\x00\x00\x00\x02\x01\x01\x09\x01\x01\x09\x01\x01\x09",
+	"empty bursts": "SPTR\x01\x01\x00\x00\x00\x00\x00\x02\x01\x01\x09\x02\x03\x00\x00\x09\x02\x03\x00\x00\x09",
+}
+
+// TestTraceZeroWorkRefused pins the refusal at decode: every format answers
+// 400 invalid_argument, nothing simulates, and the server keeps serving.
+func TestTraceZeroWorkRefused(t *testing.T) {
+	s, sims := newTestServer(t)
+	h := s.Handler()
+	for name, body := range zeroWorkTraces {
+		for _, f := range stack.Formats() {
+			w := post(t, h, "/v1/traces/analyze?format="+string(f), body)
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "no thread stream holds work") {
+				t.Errorf("%s, %s: status %d, body %q", name, f, w.Code, w.Body)
+			}
+			if f != stack.FormatText && !strings.Contains(w.Body.String(), `"invalid_argument"`) {
+				t.Errorf("%s, %s: envelope %q", name, f, w.Body)
+			}
+		}
+	}
+	if *sims != 0 {
+		t.Errorf("refused uploads ran %d simulations", *sims)
+	}
+	if w := get(t, h, "/v1/stack?bench="+testBench+"&threads=2&format=text"); w.Code != http.StatusOK {
+		t.Errorf("server stopped serving: status %d, body %s", w.Code, w.Body)
+	}
+}
+
+// TestServeEncodeFailure pins serve's answer to a document the encoder
+// refuses (a zero-cycle stack's NaN values in a JSON body): the 500
+// envelope, with nothing written before it.
+func TestServeEncodeFailure(t *testing.T) {
+	s, _ := newTestServer(t)
+	nan := func(context.Context) (stack.Document, error) {
+		return stack.Bars{{Label: "zero", Stack: core.Stack{N: 2}}}, nil
+	}
+	for _, f := range []stack.Format{stack.FormatJSON, stack.FormatNDJSON} {
+		w := httptest.NewRecorder()
+		aerr := s.serve(w, httptest.NewRequest(http.MethodGet, "/v1/stack", nil), f, nan)
+		if aerr == nil || aerr.Status != http.StatusInternalServerError || aerr.Code != codeEncodeFailed {
+			t.Errorf("%s: serve answered %+v, want a 500 %s", f, aerr, codeEncodeFailed)
+		}
+		if w.Body.Len() != 0 {
+			t.Errorf("%s: %d body bytes written before the failure", f, w.Body.Len())
+		}
 	}
 }

@@ -1,10 +1,9 @@
 package stack
 
 import (
-	"fmt"
 	"io"
 	"math"
-	"strings"
+	"strconv"
 )
 
 // Curve charts: the line-chart half of the design system, used by the
@@ -80,7 +79,7 @@ func EncodeCurveSVG(w io.Writer, ch CurveChart) error {
 	for v, step := 0.0, tickStep(xMax); v <= xMax+1e-9; v += step {
 		c.text(x(v), svgTop+plotH+16, svgMuted, anchorMiddle, tickLabel(v))
 	}
-	c.text(marginL+plotW, svgTop+plotH+32, svgMuted, anchorEnd, xmlEscape(ch.XLabel))
+	c.text(marginL+plotW, svgTop+plotH+32, svgMuted, anchorEnd, ch.XLabel)
 
 	// Annotations behind the data: the y = x ideal-scaling line, the VLines.
 	top := math.Min(xMax, yMax)
@@ -88,7 +87,7 @@ func EncodeCurveSVG(w io.Writer, ch CurveChart) error {
 	for _, v := range ch.VLines {
 		xx := x(v.X)
 		c.line(xx, svgTop, xx, svgTop+plotH, svgBaseline, ` stroke-dasharray="4 3"`)
-		c.text(xx, svgTop-8, svgMuted, anchorMiddle, xmlEscape(v.Label))
+		c.text(xx, svgTop-8, svgMuted, anchorMiddle, v.Label)
 	}
 
 	// Series: fixed categorical slot per index, solid for data, dashed for
@@ -102,22 +101,21 @@ func EncodeCurveSVG(w io.Writer, ch CurveChart) error {
 	for si, s := range ch.Series {
 		color, dash := style(si)
 		if len(s.Points) > 1 {
-			var path strings.Builder
+			c.raw(`<path d="`)
 			for i, p := range s.Points {
-				cmd := 'L'
+				cmd := "L"
 				if i == 0 {
-					cmd = 'M'
+					cmd = "M"
 				}
-				fmt.Fprintf(&path, "%c%.1f %.1f", cmd, x(p.X), y(p.Y))
+				c.raw(cmd).num(x(p.X)).raw(" ").num(y(p.Y))
 			}
-			fmt.Fprintf(c, `<path d="%s" fill="none" stroke="%s" stroke-width="2"%s/>`+"\n",
-				path.String(), color, dash)
+			c.raw(`" fill="none" stroke="`).raw(color).raw(`" stroke-width="2"`).raw(dash).raw("/>\n")
 		}
 		if s.Marker {
 			for _, p := range s.Points {
-				fmt.Fprintf(c, `<circle cx="%.1f" cy="%.1f" r="3.5" fill="%s" stroke="%s" stroke-width="1">`,
-					x(p.X), y(p.Y), color, svgSurface)
-				fmt.Fprintf(c, `<title>%s: (%.4g, %.4g)</title></circle>`+"\n", xmlEscape(s.Name), p.X, p.Y)
+				c.circleOpen(x(p.X), y(p.Y), color).raw(`><title>`).esc(s.Name).raw(": (")
+				c.b = strconv.AppendFloat(append(strconv.AppendFloat(c.b, p.X, 'g', 4, 64), ", "...), p.Y, 'g', 4, 64) // fmt's %.4g
+				c.raw(")</title></circle>\n")
 			}
 		}
 	}
@@ -126,15 +124,19 @@ func EncodeCurveSVG(w io.Writer, ch CurveChart) error {
 	for si, s := range ch.Series {
 		color, dash := style(si)
 		lx, yy := c.legendRow(si)
-		fmt.Fprintf(c, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2"%s/>`+"\n",
-			lx, yy+6, lx+16, yy+6, color, dash)
+		c.lineOpen(lx, yy+6, lx+16, yy+6, color).raw(` stroke-width="2"`).raw(dash).raw("/>\n")
 		if s.Marker {
-			fmt.Fprintf(c, `<circle cx="%.1f" cy="%.1f" r="3.5" fill="%s" stroke="%s" stroke-width="1"/>`+"\n",
-				lx+8, yy+6, color, svgSurface)
+			c.circleOpen(lx+8, yy+6, color).raw("/>\n")
 		}
-		c.text(lx+22, yy+10, svgInk2, "", xmlEscape(s.Name))
+		c.text(lx+22, yy+10, svgInk2, "", s.Name)
 	}
 	return c.finish(w)
+}
+
+// circleOpen writes a point marker up to its closing bracket.
+func (c *canvas) circleOpen(cx, cy float64, fill string) *canvas {
+	return c.raw(`<circle cx="`).num(cx).raw(`" cy="`).num(cy).raw(`" r="3.5" fill="`).raw(fill).
+		raw(`" stroke="` + svgSurface + `" stroke-width="1"`)
 }
 
 // tickStep picks a 1/2/5-scaled tick interval giving at most ~8 ticks.
@@ -156,7 +158,7 @@ func tickStep(max float64) float64 {
 // tickLabel formats a tick value without trailing zeros.
 func tickLabel(v float64) string {
 	if v == math.Trunc(v) {
-		return fmt.Sprintf("%.0f", v)
+		return string(appendFixed(nil, v, 0))
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -187,31 +188,38 @@ type Document interface {
 	SVG(w io.Writer) error
 }
 
-// EncodeDocument writes d to w in the requested format. A []ReportRow
-// document streams as ndjson one compact row per line — each line exactly
-// json.Marshal(row) plus a newline, the contract the fleet layer's
-// byte-level sweep merging relies on; every other JSON value is one line.
+// EncodeDocument writes d to w in the requested format, rendering the whole
+// body before its one Write: a body that fails to render (a NaN in JSON)
+// leaves w untouched. A []ReportRow document is ndjson one compact row per
+// line — each line exactly json.Marshal(row) plus a newline, the contract
+// the fleet layer's byte-level sweep merging relies on; every other JSON
+// value is one line.
 func EncodeDocument(w io.Writer, f Format, d Document) error {
 	switch f {
 	case FormatText, "":
 		_, err := io.WriteString(w, d.Text())
 		return err
 	case FormatJSON:
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(d.JSON())
+		compact, err := json.Marshal(d.JSON())
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(append(indentJSON(make([]byte, 0, 2*len(compact)), compact), '\n'))
+		return err
 	case FormatNDJSON:
-		enc, v := json.NewEncoder(w), d.JSON()
-		rows, ok := v.([]ReportRow)
-		if !ok {
-			return enc.Encode(v)
-		}
-		for _, row := range rows {
-			if err := enc.Encode(row); err != nil {
-				return err
+		var body bytes.Buffer
+		enc, v := json.NewEncoder(&body), d.JSON()
+		if rows, ok := v.([]ReportRow); ok {
+			for _, row := range rows {
+				if err := enc.Encode(row); err != nil {
+					return err
+				}
 			}
+		} else if err := enc.Encode(v); err != nil {
+			return err
 		}
-		return nil
+		_, err := w.Write(body.Bytes())
+		return err
 	case FormatCSV:
 		header, records := d.CSV()
 		return WriteCSV(w, header, records)
@@ -262,15 +270,16 @@ func (bars Bars) CSV() ([]string, [][]string) {
 
 // CSVFloat is the spelling of a float in every CSV report of the repo:
 // fixed-point, four decimals.
-func CSVFloat(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
+func CSVFloat(v float64) string { return string(appendFixed(make([]byte, 0, 24), v, 4)) }
 
-// WriteCSV writes header and then records to w as one CSV document — the
-// shared tail of every CSV report (stacks, time series, advice, what-if
-// and the figure tables), so quoting and flushing are decided in one place.
+// WriteCSV writes header and then records to w as one CSV document, in one
+// Write — the shared tail of every CSV report (stacks, time series, advice,
+// what-if and the figure tables), so quoting is decided in one place.
 func WriteCSV(w io.Writer, header []string, records [][]string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	return cw.WriteAll(records) // flushes
+	var body bytes.Buffer
+	cw := csv.NewWriter(&body)
+	cw.Write(header) // a bytes.Buffer takes every write
+	cw.WriteAll(records)
+	_, err := w.Write(body.Bytes())
+	return err
 }

@@ -5,8 +5,8 @@
 package stack
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -141,41 +141,41 @@ func Render(bars []Bar, width int) string {
 	if width <= 0 {
 		width = 64
 	}
-	var b strings.Builder
+	b := make([]byte, 0, len(bars)*(width+64)+len(legend))
 	for _, bar := range bars {
-		b.WriteString(renderOne(bar, width))
-		b.WriteByte('\n')
+		b = append(renderOne(b, bar, width), '\n')
 	}
-	b.WriteString(legend)
-	return b.String()
+	return string(append(b, legend...))
 }
 
-func renderOne(bar Bar, width int) string {
+// renderOne appends one bar's line. A segment's width is clamped to the
+// room left, so a stack whose units are not finite (Tp = 0) still draws
+// exactly width cells.
+func renderOne(b []byte, bar Bar, width int) []byte {
 	s := bar.Stack
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-28s N=%-3d est=%5.2f", bar.Label, s.N, s.Estimated())
+	b = padTo(append(b, bar.Label...), len(b), -28)
+	b = append(b, " N="...)
+	b = padTo(strconv.AppendInt(b, int64(s.N), 10), len(b), -3)
+	b = append(b, " est="...)
+	b = padTo(appendFixed(b, s.Estimated(), 2), len(b), 5)
 	if s.ActualSpeedup > 0 {
-		fmt.Fprintf(&sb, " act=%5.2f", s.ActualSpeedup)
+		b = append(b, " act="...)
+		b = padTo(appendFixed(b, s.ActualSpeedup, 2), len(b), 5)
 	}
-	sb.WriteString(" |")
+	b = append(b, " |"...)
 	perUnit := float64(width) / float64(s.N)
 	total := 0
 	for i, v := range units(s) {
-		n := int(v*perUnit + 0.5)
-		if total+n > width {
-			n = width - total
-		}
-		for j := 0; j < n; j++ {
-			sb.WriteByte(components[i].glyph)
+		n := min(max(int(v*perUnit+0.5), 0), width-total)
+		for range n {
+			b = append(b, components[i].glyph)
 		}
 		total += n
 	}
-	for total < width {
-		sb.WriteByte(' ')
-		total++
+	for ; total < width; total++ {
+		b = append(b, ' ')
 	}
-	sb.WriteString("|")
-	return sb.String()
+	return append(b, '|')
 }
 
 var legend = func() string {
@@ -186,22 +186,25 @@ var legend = func() string {
 	return "legend: " + strings.Join(keys, "  ") + "\n"
 }()
 
+// tableHeader is Table's first line, aligned to its rows.
+const tableHeader = "benchmark                        N     est  actual  posLLC  netLLC  memory    spin   yield   imbal\n"
+
 // Table renders a numeric component table for a set of stacks, one row per
 // bar, in speedup units.
 func Table(bars []Bar) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %5s %7s %7s %7s %7s %7s %7s %7s %7s\n",
-		"benchmark", "N", "est", "actual", "posLLC", "netLLC", "memory",
-		"spin", "yield", "imbal")
+	b := append(make([]byte, 0, len(tableHeader)*(len(bars)+1)), tableHeader...)
 	for _, bar := range bars {
 		s := bar.Stack
 		tp := float64(s.Tp)
-		net := s.Components.Net() / tp
-		fmt.Fprintf(&b, "%-28s %5d %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f\n",
-			bar.Label, s.N, s.Estimated(), s.ActualSpeedup,
-			s.Components.PosLLC/tp, net, s.Components.NegMem/tp,
-			s.Components.Spin/tp, s.Components.Yield/tp,
-			s.Components.Imbalance/tp)
+		b = append(padTo(append(b, bar.Label...), len(b), -28), ' ')
+		b = padTo(strconv.AppendInt(b, int64(s.N), 10), len(b), 5)
+		for _, v := range [...]float64{s.Estimated(), s.ActualSpeedup, s.Components.PosLLC / tp,
+			s.Components.Net() / tp, s.Components.NegMem / tp, s.Components.Spin / tp,
+			s.Components.Yield / tp, s.Components.Imbalance / tp} {
+			b = append(b, ' ')
+			b = padTo(appendFixed(b, v, 2), len(b), 7)
+		}
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }

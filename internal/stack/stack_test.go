@@ -185,7 +185,7 @@ func TestComponentTableDrivesEveryRenderer(t *testing.T) {
 			t.Errorf("legend %q does not name %c=%s", legend, c.glyph, c.legend)
 		}
 	}
-	bar := renderOne(Bar{Label: "x", Stack: sample()}, 64)
+	bar := string(renderOne(nil, Bar{Label: "x", Stack: sample()}, 64))
 	if body := bar[strings.Index(bar, "|")+1 : strings.LastIndex(bar, "|")]; strings.Trim(body, glyphs) != "" {
 		t.Errorf("bar %q uses a glyph outside the table", body)
 	}
@@ -227,6 +227,33 @@ func TestComponentTableDrivesEveryRenderer(t *testing.T) {
 			if i > 0 && (ranked[i-1].Value < d.Value || ranked[i-1].Value == d.Value && ranked[i-1].Name > d.Name) {
 				t.Errorf("%s: %v is out of order", tc.name, ranked)
 			}
+		}
+	}
+}
+
+// TestZeroCycleStackStaysBounded pins the renderers on a stack with Tp = 0,
+// whose units are all NaN: each text bar is exactly width cells, and a
+// format that cannot encode NaN fails before writing a byte.
+func TestZeroCycleStackStaysBounded(t *testing.T) {
+	bars := Bars{{Label: "zero", Stack: core.Stack{N: 2}}, {Label: "none", Stack: core.Stack{}}}
+	for _, width := range []int{1, 64, 200} {
+		for _, line := range strings.Split(Render(bars, width), "\n")[:len(bars)] {
+			if body := line[strings.Index(line, "|")+1 : strings.LastIndex(line, "|")]; len(body) != width {
+				t.Errorf("width %d: bar %q is %d cells", width, line, len(body))
+			}
+		}
+	}
+	for _, f := range Formats() {
+		var b strings.Builder
+		err := EncodeDocument(&b, f, bars)
+		if b.Len() > 16<<10 {
+			t.Errorf("%s: %d bytes", f, b.Len())
+		}
+		if err != nil && b.Len() != 0 {
+			t.Errorf("%s: %v after %d bytes were written", f, err, b.Len())
+		}
+		if wantErr := f == FormatJSON || f == FormatNDJSON; (err != nil) != wantErr {
+			t.Errorf("%s: error %v, want one: %v", f, err, wantErr)
 		}
 	}
 }

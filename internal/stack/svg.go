@@ -1,7 +1,6 @@
 package stack
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -42,11 +41,14 @@ var svgSeries = [len(components)]string{
 	"#4a3aa7", // imbalance
 }
 
-// canvas is the scaffold every chart draws on: the document frame, the two
-// text styles, the hairline, the grid row and the legend column right of
-// the plot area. A renderer adds only its marks, with fmt.Fprintf(c, ...).
+// canvas is the scaffold every chart draws on: an append-only byte writer
+// holding the whole document, plus the frame, the two text styles, the
+// hairline, the grid row and the legend column right of the plot area. A
+// renderer adds only its marks, through the chained appenders raw (bytes
+// as given), esc (XML-escaped text), num (a 1-decimal coordinate), fixed
+// and uint, and finish writes the document in one Write.
 type canvas struct {
-	strings.Builder
+	b           []byte
 	left, plotW float64 // the plot area's left edge and width
 }
 
@@ -55,15 +57,25 @@ const svgTop = 48.0
 
 // newCanvas opens a width × height document: surface, title, y-axis caption.
 func newCanvas(left, plotW, width, height float64, aria, title, caption string) *canvas {
-	c := &canvas{left: left, plotW: plotW}
-	fmt.Fprintf(c, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f" role="img" aria-label="%s">`+"\n",
-		width, height, width, height, xmlEscape(aria))
-	fmt.Fprintf(c, `<rect width="%.0f" height="%.0f" fill="%s"/>`+"\n", width, height, svgSurface)
-	fmt.Fprintf(c, `<text x="%.1f" y="24" font-family='%s' font-size="14" font-weight="600" fill="%s">%s</text>`+"\n",
-		left, svgFont, svgInk, xmlEscape(title))
-	c.text(left, svgTop-8, svgMuted, "", xmlEscape(caption))
+	c := &canvas{b: make([]byte, 0, 6<<10), left: left, plotW: plotW} // a one-bar chart is ~5 KB
+	c.raw(`<svg xmlns="http://www.w3.org/2000/svg" width="`).fixed(width, 0).raw(`" height="`).fixed(height, 0).
+		raw(`" viewBox="0 0 `).fixed(width, 0).raw(" ").fixed(height, 0).raw(`" role="img" aria-label="`).esc(aria).raw("\">\n")
+	c.raw(`<rect width="`).fixed(width, 0).raw(`" height="`).fixed(height, 0).raw(`" fill="` + svgSurface + "\"/>\n")
+	c.raw(`<text x="`).num(left).raw(`" y="24" font-family='` + svgFont + `' font-size="14" font-weight="600" fill="` + svgInk + `">`).
+		esc(title).raw("</text>\n")
+	c.text(left, svgTop-8, svgMuted, "", caption)
 	return c
 }
+
+func (c *canvas) raw(s string) *canvas { c.b = append(c.b, s...); return c }
+
+func (c *canvas) esc(s string) *canvas { return c.raw(xmlEscaper.Replace(s)) }
+
+func (c *canvas) num(v float64) *canvas { return c.fixed(v, 1) }
+
+func (c *canvas) fixed(v float64, prec int) *canvas { c.b = appendFixed(c.b, v, prec); return c }
+
+func (c *canvas) uint(n uint64) *canvas { c.b = strconv.AppendUint(c.b, n, 10); return c }
 
 // The text-anchor attribute, for text's attrs.
 const (
@@ -72,16 +84,28 @@ const (
 	anchorEnd    = ` text-anchor="end"`
 )
 
-// text writes an 11px label (content already escaped) with attrs appended.
+// text writes an 11px label, content escaped, with attrs appended to its
+// attributes. textOpen and textClose are its halves, for a label whose
+// attributes carry numbers.
 func (c *canvas) text(x, y float64, fill, attrs, content string) {
-	fmt.Fprintf(c, `<text x="%.1f" y="%.1f" font-family='%s' font-size="11" fill="%s"%s>%s</text>`+"\n",
-		x, y, svgFont, fill, attrs, content)
+	c.textOpen(x, y, fill).raw(attrs).textClose(content)
 }
 
-// line writes a 1px line with attrs appended to its attributes.
+func (c *canvas) textOpen(x, y float64, fill string) *canvas {
+	return c.raw(`<text x="`).num(x).raw(`" y="`).num(y).raw(`" font-family='` + svgFont + `' font-size="11" fill="`).raw(fill).raw(`"`)
+}
+
+func (c *canvas) textClose(content string) { c.raw(">").esc(content).raw("</text>\n") }
+
+// line writes a 1px line with attrs appended to its attributes. lineOpen
+// writes a line up to its stroke, for one of another width.
 func (c *canvas) line(x1, y1, x2, y2 float64, stroke, attrs string) {
-	fmt.Fprintf(c, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1"%s/>`+"\n",
-		x1, y1, x2, y2, stroke, attrs)
+	c.lineOpen(x1, y1, x2, y2, stroke).raw(` stroke-width="1"`).raw(attrs).raw("/>\n")
+}
+
+func (c *canvas) lineOpen(x1, y1, x2, y2 float64, stroke string) *canvas {
+	return c.raw(`<line x1="`).num(x1).raw(`" y1="`).num(y1).raw(`" x2="`).num(x2).raw(`" y2="`).num(y2).
+		raw(`" stroke="`).raw(stroke).raw(`"`)
 }
 
 // gridRow writes the gridline at y, darker for the baseline, and its tick label.
@@ -102,14 +126,13 @@ func (c *canvas) legendRow(i int) (x, y float64) {
 // swatch writes the legend's i-th row for a component: colour and name.
 func (c *canvas) swatch(i, component int) {
 	x, y := c.legendRow(i)
-	fmt.Fprintf(c, `<rect x="%.1f" y="%.1f" width="12" height="12" rx="2" fill="%s"/>`+"\n", x, y, svgSeries[component])
+	c.raw(`<rect x="`).num(x).raw(`" y="`).num(y).raw(`" width="12" height="12" rx="2" fill="`).raw(svgSeries[component]).raw("\"/>\n")
 	c.text(x+18, y+10, svgInk2, "", components[component].name)
 }
 
-// finish closes the document and writes it to w.
+// finish closes the document and writes it to w in one Write.
 func (c *canvas) finish(w io.Writer) error {
-	c.WriteString("</svg>\n")
-	_, err := io.WriteString(w, c.String())
+	_, err := w.Write(c.raw("</svg>\n").b)
 	return err
 }
 
@@ -175,19 +198,19 @@ func (bars Bars) SVG(w io.Writer) error {
 			if interior {
 				top += 1 // gap above
 			}
-			fmt.Fprintf(c, `<path d="%s" fill="%s">`, barPath(x, top, barW, bot-top, !interior), svgSeries[d.si])
-			fmt.Fprintf(c, `<title>%s: %s %.2f</title></path>`+"\n", xmlEscape(bar.Label), components[d.si].name, vals[d.si])
+			c.raw(`<path d="`).barPath(x, top, barW, bot-top, !interior).raw(`" fill="`).raw(svgSeries[d.si]).raw(`"><title>`).
+				esc(bar.Label).raw(": ").raw(components[d.si].name).raw(" ").fixed(vals[d.si], 2).raw("</title></path>\n")
 		}
 		// Measured speedup marker: an ink tick across the bar.
 		if s := bar.Stack.ActualSpeedup; s > 0 {
 			yy := y(s)
-			fmt.Fprintf(c, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2">`,
-				x-4, yy, x+barW+4, yy, svgInk)
-			fmt.Fprintf(c, `<title>%s: measured speedup %.2f</title></line>`+"\n", xmlEscape(bar.Label), s)
+			c.lineOpen(x-4, yy, x+barW+4, yy, svgInk).raw(` stroke-width="2"><title>`).
+				esc(bar.Label).raw(": measured speedup ").fixed(s, 2).raw("</title></line>\n")
 		}
 		// Benchmark label, rotated so long name_suite identifiers fit.
 		lx, ly := x+barW/2, svgTop+plotH+14
-		c.text(lx, ly, svgInk2, anchorEnd+fmt.Sprintf(` transform="rotate(-40 %.1f %.1f)"`, lx, ly), xmlEscape(bar.Label))
+		c.textOpen(lx, ly, svgInk2).raw(anchorEnd + ` transform="rotate(-40 `).num(lx).raw(" ").num(ly).raw(`)"`).
+			textClose(bar.Label)
 	}
 
 	// Legend: one swatch per component (fixed order) plus the marker key.
@@ -195,24 +218,21 @@ func (bars Bars) SVG(w io.Writer) error {
 		c.swatch(si, si)
 	}
 	lx, ly := c.legendRow(len(components))
-	fmt.Fprintf(c, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="2"/>`+"\n",
-		lx, ly+6, lx+12, ly+6, svgInk)
+	c.lineOpen(lx, ly+6, lx+12, ly+6, svgInk).raw(` stroke-width="2"/>` + "\n")
 	c.text(lx+18, ly+10, svgInk2, "", "measured speedup")
 	return c.finish(w)
 }
 
-// barPath returns a rect path for one segment; the topmost segment of a
+// barPath writes a rect path for one segment; the topmost segment of a
 // stack gets 4px rounded top corners (square at every interior boundary and
 // at the baseline).
-func barPath(x, y, w, h float64, roundTop bool) string {
-	r := 4.0
+func (c *canvas) barPath(x, y, w, h float64, roundTop bool) *canvas {
+	const r = 4.0
 	if !roundTop || h < r {
-		return fmt.Sprintf("M%.1f %.1fh%.1fv%.1fh-%.1fz", x, y, w, h, w)
+		return c.raw("M").num(x).raw(" ").num(y).raw("h").num(w).raw("v").num(h).raw("h-").num(w).raw("z")
 	}
-	return fmt.Sprintf("M%.1f %.1fv%.1fh%.1fv-%.1fa%.0f %.0f 0 0 0 -%.0f -%.0fh-%.1fa%.0f %.0f 0 0 0 -%.0f %.0fz",
-		x, y+r, h-r, w, h-r, r, r, r, r, w-2*r, r, r, r, r)
+	return c.raw("M").num(x).raw(" ").num(y + r).raw("v").num(h - r).raw("h").num(w).raw("v-").num(h - r).
+		raw("a4 4 0 0 0 -4 -4h-").num(w - 2*r).raw("a4 4 0 0 0 -4 4z")
 }
 
 var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-
-func xmlEscape(s string) string { return xmlEscaper.Replace(s) }

@@ -1,8 +1,8 @@
 package stack
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 )
 
 // SVG rendering of a time-resolved speedup stack: the run's committed ops
@@ -66,11 +66,11 @@ func (ts TimeSeries) SVG(w io.Writer) error {
 	}
 
 	c := newCanvas(marginL, plotW, marginL+plotW+legendW, svgTop+plotH+axisH, "Speedup-stack timeline",
-		fmt.Sprintf("Speedup-stack timeline — %s (N=%d)", ts.Label, ts.N), "capacity lost")
+		"Speedup-stack timeline — "+ts.Label+" (N="+strconv.Itoa(ts.N)+")", "capacity lost")
 	// Horizontal grid: 4 steps plus the darker baseline, labels in percent.
 	for i := 0; i <= 4; i++ {
 		v := yMax * float64(i) / 4
-		c.gridRow(y(v), i == 0, fmt.Sprintf("%.0f%%", v*100))
+		c.gridRow(y(v), i == 0, string(append(appendFixed(nil, v*100, 0), '%')))
 	}
 
 	// Columns: one per interval, spanning its op range, bands stacked
@@ -94,10 +94,9 @@ func (ts TimeSeries) SVG(w io.Writer) error {
 			if bot-top < 0.6 {
 				continue
 			}
-			fmt.Fprintf(c, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s">`,
-				x0, top, x1-x0, bot-top, svgSeries[si])
-			fmt.Fprintf(c, `<title>interval %d (ops %d-%d): %s %.1f%%</title></rect>`+"\n",
-				iv.Index, iv.StartOps, iv.EndOps, components[si].name, v*100)
+			c.raw(`<rect x="`).num(x0).raw(`" y="`).num(top).raw(`" width="`).num(x1 - x0).raw(`" height="`).num(bot - top).
+				raw(`" fill="`).raw(svgSeries[si]).raw(`"><title>interval `).uint(uint64(iv.Index)).raw(" (ops ").uint(iv.StartOps).
+				raw("-").uint(iv.EndOps).raw("): ").raw(components[si].name).raw(" ").num(v * 100).raw("%</title></rect>\n")
 		}
 	}
 
@@ -135,14 +134,14 @@ func (ts TimeSeries) SVG(w io.Writer) error {
 func fmtOps(n uint64) string {
 	switch {
 	case n >= 10_000_000:
-		return fmt.Sprintf("%dM", n/1_000_000)
+		return strconv.FormatUint(n/1_000_000, 10) + "M"
 	case n >= 1_000_000:
-		return fmt.Sprintf("%.1fM", float64(n)/1e6)
+		return string(append(appendFixed(nil, float64(n)/1e6, 1), 'M'))
 	case n >= 10_000:
-		return fmt.Sprintf("%dk", n/1000)
+		return strconv.FormatUint(n/1000, 10) + "k"
 	case n >= 1_000:
-		return fmt.Sprintf("%.1fk", float64(n)/1e3)
+		return string(append(appendFixed(nil, float64(n)/1e3, 1), 'k'))
 	default:
-		return fmt.Sprintf("%d", n)
+		return strconv.FormatUint(n, 10)
 	}
 }

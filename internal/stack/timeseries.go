@@ -209,7 +209,7 @@ func (ts TimeSeries) Text() string {
 		if cap <= 0 {
 			return "-"
 		}
-		return strconv.FormatFloat(100*float64(v)/float64(cap), 'f', 2, 64)
+		return string(appendFixed(make([]byte, 0, 24), 100*float64(v)/float64(cap), 2))
 	}
 	row := func(slot string, startOps, endOps, startCycle, endCycle uint64, c core.IntComponents, cap int64) {
 		net := c.NegLLC - c.PosLLC

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Binary op-trace format (version 1). A trace file captures one recorded
@@ -95,8 +96,8 @@ type File struct {
 }
 
 // Encode writes the file in binary form. It fails on shapes the decoder
-// would reject (no threads, oversized label, out-of-range registrations),
-// so every encoded trace round-trips.
+// would reject (no threads, no thread op doing work, oversized label,
+// out-of-range registrations), so every encoded trace round-trips.
 func (f *File) Encode(w io.Writer) error {
 	buf, err := f.appendTo(nil)
 	if err != nil {
@@ -131,6 +132,9 @@ func (f *File) appendTo(dst []byte) ([]byte, error) {
 	}
 	if f.LockGrace > maxTraceGrace || f.BarrierGrace > maxTraceGrace {
 		return nil, fmt.Errorf("trace: grace values must be <= %d cycles", uint64(maxTraceGrace))
+	}
+	if !slices.ContainsFunc(f.Threads, func(ops []Op) bool { return slices.ContainsFunc(ops, Op.works) }) {
+		return nil, errNoWork
 	}
 	dst = append(dst, formatMagic...)
 	flags := byte(0)
@@ -172,6 +176,10 @@ func (f *File) appendTo(dst []byte) ([]byte, error) {
 	}
 	return dst, nil
 }
+
+// errNoWork refuses a trace in which no thread op works (Op.works): its
+// replay takes zero cycles, and no speedup stack divides by that.
+var errNoWork = fmt.Errorf("trace: no thread stream holds work (an op besides %v and empty computes)", KindEnd)
 
 // appendSection appends one op-stream section (count, byte length, ops).
 func appendSection(dst []byte, ops []Op) ([]byte, error) {
@@ -393,7 +401,9 @@ func decodeRegs[R any](d *decoder, kind, field, short string, maxVal uint64, reg
 // section is walked once, so hostile input — truncated buffers, corrupt
 // varints, misplaced End ops, trailing garbage — fails here with a
 // positioned error and the returned Data's streaming readers can never
-// fail mid-simulation. Decode never panics and never allocates more than a
+// fail mid-simulation. A trace in which no thread op does work (every
+// thread stream only End and empty Compute bursts) is refused too, before
+// anything replays it. Decode never panics and never allocates more than a
 // small multiple of len(data).
 func Decode(data []byte) (*Data, error) {
 	t, d, err := header(data)
@@ -401,14 +411,18 @@ func Decode(data []byte) (*Data, error) {
 		return nil, err
 	}
 	if t.seq != nil {
-		if t.seq, err = decodeSection(d, &t.totalOps); err != nil {
+		if t.seq, err = decodeSection(d, &t.totalOps, new(bool)); err != nil {
 			return nil, fmt.Errorf("trace: sequential stream: %w", err)
 		}
 	}
+	work := false
 	for i := range t.threads {
-		if t.threads[i], err = decodeSection(d, &t.totalOps); err != nil {
+		if t.threads[i], err = decodeSection(d, &t.totalOps, &work); err != nil {
 			return nil, fmt.Errorf("trace: thread %d stream: %w", i, err)
 		}
+	}
+	if !work {
+		return nil, errNoWork
 	}
 	if d.remaining() != 0 {
 		return nil, fmt.Errorf("trace: %d trailing bytes after the last stream", d.remaining())
@@ -435,8 +449,9 @@ func DecodeMeta(data []byte) (Meta, error) {
 }
 
 // decodeSection validates one op-stream section and returns its encoded
-// body. totalOps accumulates the declared (and verified) op count.
-func decodeSection(d *decoder, totalOps *uint64) ([]byte, error) {
+// body. totalOps accumulates the declared (and verified) op count, work
+// whether any op works.
+func decodeSection(d *decoder, totalOps *uint64, work *bool) ([]byte, error) {
 	count, err := d.uvarint("op count")
 	if err != nil {
 		return nil, err
@@ -461,6 +476,7 @@ func decodeSection(d *decoder, totalOps *uint64) ([]byte, error) {
 		if (op.Kind == KindEnd) != (i == count-1) {
 			return nil, fmt.Errorf("op %d: %v must be exactly the final op", i, KindEnd)
 		}
+		*work = *work || op.works()
 	}
 	if sd.remaining() != 0 {
 		return nil, fmt.Errorf("%d bytes beyond the declared %d ops", sd.remaining(), count)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -163,6 +164,7 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		"unknown flags":  append([]byte("SPTR\x01\xff"), valid[6:]...),
 		"truncated body": valid[:len(valid)-3],
 		"trailing junk":  append(append([]byte{}, valid...), 0x00),
+		"zero work":      []byte(zeroWork),
 	}
 	for name, data := range cases {
 		if _, err := Decode(data); err == nil {
@@ -176,7 +178,22 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 	if _, err := (&File{Threads: [][]Op{{Compute(1)}}}).Data(); err == nil {
 		t.Errorf("stream without End was accepted")
 	}
+	// No thread op doing work: refused by Encode too; one idle thread is fine.
+	if _, err := (&File{Sequential: []Op{Compute(1), End()}, Threads: [][]Op{{End()}, {End()}}}).Data(); !errors.Is(err, errNoWork) {
+		t.Errorf("zero-work file: %v, want %v", err, errNoWork)
+	}
+	if _, err := (&File{Threads: [][]Op{{Compute(0), End()}, {Compute(0), End()}}}).Data(); !errors.Is(err, errNoWork) {
+		t.Errorf("empty-burst file: %v, want %v", err, errNoWork)
+	}
+	if _, err := (&File{Threads: [][]Op{{End()}, {Compute(1), End()}}}).Data(); err != nil {
+		t.Errorf("one idle thread refused: %v", err)
+	}
 }
+
+// zeroWork is a 21-byte trace — a sequential stream and two threads, each
+// nothing but End — that every decoder check but errNoWork passes. Its
+// replay takes zero cycles, which once made every stack value NaN.
+const zeroWork = "SPTR\x01\x01\x00\x00\x00\x00\x00\x02\x01\x01\x09\x01\x01\x09\x01\x01\x09"
 
 func FuzzTraceDecode(f *testing.F) {
 	var buf bytes.Buffer
@@ -187,6 +204,7 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("SPTR\x01\x00"))
+	f.Add([]byte(zeroWork))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode must never panic or over-allocate; on success the trace

@@ -100,6 +100,10 @@ type Op struct {
 	Overhead bool
 }
 
+// works reports whether op costs its thread time: every op but End and an
+// empty Compute burst does.
+func (op Op) works() bool { return op.Kind != KindEnd && (op.Kind != KindCompute || op.N > 0) }
+
 // Feedback carries the outcome of the previously executed blocking op back
 // into the program at the next batch boundary.
 type Feedback struct {

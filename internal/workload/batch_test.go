@@ -51,43 +51,46 @@ func pull(t *testing.T, p trace.Program, size, okPops, limit int) (ops []trace.O
 func TestBatchSizeInvariance(t *testing.T) {
 	const limit = 20_000
 	for _, b := range append(All(), Patterns()...) {
-		for _, threads := range []int{0, 1, 3, 16} {
-			// programs builds a fresh set: a drained program cannot rewind.
-			programs := func() []trace.Program {
-				if threads == 0 {
-					p, err := b.Spec.Sequential()
-					if err != nil {
-						t.Fatalf("%s: %v", b.FullName(), err)
+		t.Run(b.FullName(), func(t *testing.T) {
+			t.Parallel()
+			for _, threads := range []int{0, 1, 3, 16} {
+				// programs builds a fresh set: a drained program cannot rewind.
+				programs := func() []trace.Program {
+					if threads == 0 {
+						p, err := b.Spec.Sequential()
+						if err != nil {
+							t.Fatalf("%s: %v", b.FullName(), err)
+						}
+						return []trace.Program{p}
 					}
-					return []trace.Program{p}
+					progs, err := b.Spec.Parallel(threads)
+					if err != nil {
+						t.Fatalf("%s x%d: %v", b.FullName(), threads, err)
+					}
+					return progs
 				}
-				progs, err := b.Spec.Parallel(threads)
-				if err != nil {
-					t.Fatalf("%s x%d: %v", b.FullName(), threads, err)
-				}
-				return progs
-			}
-			for _, okPops := range []int{limit, 3} {
-				var want [][]trace.Op
-				pops := 0
-				for _, p := range programs() {
-					ops, n := pull(t, p, 0, okPops, limit)
-					want, pops = append(want, ops), pops+n
-				}
-				for _, size := range []int{1, 7, 512} {
-					for tid, p := range programs() {
-						got, _ := pull(t, p, size, okPops, limit)
-						if err := diffOps(got, want[tid]); err != nil {
-							t.Fatalf("%s x%d thread %d, len(dst) %d, %d ok pops: %v",
-								b.FullName(), threads, tid, size, okPops, err)
+				for _, okPops := range []int{limit, 3} {
+					var want [][]trace.Op
+					pops := 0
+					for _, p := range programs() {
+						ops, n := pull(t, p, 0, okPops, limit)
+						want, pops = append(want, ops), pops+n
+					}
+					for _, size := range []int{1, 7, 512} {
+						for tid, p := range programs() {
+							got, _ := pull(t, p, size, okPops, limit)
+							if err := diffOps(got, want[tid]); err != nil {
+								t.Fatalf("%s x%d thread %d, len(dst) %d, %d ok pops: %v",
+									b.FullName(), threads, tid, size, okPops, err)
+							}
 						}
 					}
-				}
-				if pops == 0 {
-					break // no feedback to vary
+					if pops == 0 {
+						break // no feedback to vary
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

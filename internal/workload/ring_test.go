@@ -73,77 +73,80 @@ func pullRing(p trace.Program, poisoned bool, okPops, limit int) []trace.Op {
 func TestOpWritersOverwriteStaleRing(t *testing.T) {
 	const limit = 20_000
 	for _, b := range append(All(), Patterns()...) {
-		var traced [][]trace.Op // sequential first, then the 4-thread streams
-		for _, threads := range []int{0, 1, 4, 16} {
-			programs := func() []trace.Program {
-				if threads == 0 {
-					p, err := b.Spec.Sequential()
+		t.Run(b.FullName(), func(t *testing.T) {
+			t.Parallel()
+			var traced [][]trace.Op // sequential first, then the 4-thread streams
+			for _, threads := range []int{0, 1, 4, 16} {
+				programs := func() []trace.Program {
+					if threads == 0 {
+						p, err := b.Spec.Sequential()
+						if err != nil {
+							t.Fatalf("%s: %v", b.FullName(), err)
+						}
+						return []trace.Program{p}
+					}
+					progs, err := b.Spec.Parallel(threads)
 					if err != nil {
-						t.Fatalf("%s: %v", b.FullName(), err)
+						t.Fatalf("%s x%d: %v", b.FullName(), threads, err)
 					}
-					return []trace.Program{p}
+					return progs
 				}
-				progs, err := b.Spec.Parallel(threads)
-				if err != nil {
-					t.Fatalf("%s x%d: %v", b.FullName(), threads, err)
-				}
-				return progs
-			}
-			for _, okPops := range []int{limit, 3} {
-				zeroed := programs()
-				pops := 0
-				for tid, p := range programs() {
-					want := pullRing(zeroed[tid], false, okPops, limit)
-					if err := diffOps(pullRing(p, true, okPops, limit), want); err != nil {
-						t.Fatalf("%s x%d thread %d, %d ok pops: poisoned ring: %v",
-							b.FullName(), threads, tid, okPops, err)
-					}
-					for _, op := range want {
-						if op.Kind == trace.KindPop {
-							pops++
+				for _, okPops := range []int{limit, 3} {
+					zeroed := programs()
+					pops := 0
+					for tid, p := range programs() {
+						want := pullRing(zeroed[tid], false, okPops, limit)
+						if err := diffOps(pullRing(p, true, okPops, limit), want); err != nil {
+							t.Fatalf("%s x%d thread %d, %d ok pops: poisoned ring: %v",
+								b.FullName(), threads, tid, okPops, err)
+						}
+						for _, op := range want {
+							if op.Kind == trace.KindPop {
+								pops++
+							}
+						}
+						if okPops == limit && (threads == 0 || threads == 4) {
+							traced = append(traced, want)
 						}
 					}
-					if okPops == limit && (threads == 0 || threads == 4) {
-						traced = append(traced, want)
+					if pops == 0 {
+						break // no feedback to vary
 					}
 				}
-				if pops == 0 {
-					break // no feedback to vary
-				}
 			}
-		}
 
-		f := &trace.File{Sequential: ended(traced[0]), Threads: make([][]trace.Op, len(traced)-1)}
-		for i := range f.Threads {
-			f.Threads[i] = ended(traced[i+1])
-		}
-		var buf bytes.Buffer
-		if err := f.Encode(&buf); err != nil {
-			t.Fatalf("%s: Encode: %v", b.FullName(), err)
-		}
-		d, err := trace.Decode(buf.Bytes())
-		if err != nil {
-			t.Fatalf("%s: Decode: %v", b.FullName(), err)
-		}
-		replay := func(i int) trace.Program {
-			if i > 0 {
-				return d.ThreadProgram(i - 1)
+			f := &trace.File{Sequential: ended(traced[0]), Threads: make([][]trace.Op, len(traced)-1)}
+			for i := range f.Threads {
+				f.Threads[i] = ended(traced[i+1])
 			}
-			p, err := d.SequentialProgram()
+			var buf bytes.Buffer
+			if err := f.Encode(&buf); err != nil {
+				t.Fatalf("%s: Encode: %v", b.FullName(), err)
+			}
+			d, err := trace.Decode(buf.Bytes())
 			if err != nil {
-				t.Fatalf("%s: %v", b.FullName(), err)
+				t.Fatalf("%s: Decode: %v", b.FullName(), err)
 			}
-			return p
-		}
-		for i, stream := range traced {
-			for _, poisoned := range []bool{false, true} {
-				got := pullRing(replay(i), poisoned, limit, limit+1)
-				if err := diffOps(got, ended(stream)); err != nil {
-					t.Fatalf("%s: replay of stream %d (0 = sequential), poisoned %v: %v",
-						b.FullName(), i, poisoned, err)
+			replay := func(i int) trace.Program {
+				if i > 0 {
+					return d.ThreadProgram(i - 1)
+				}
+				p, err := d.SequentialProgram()
+				if err != nil {
+					t.Fatalf("%s: %v", b.FullName(), err)
+				}
+				return p
+			}
+			for i, stream := range traced {
+				for _, poisoned := range []bool{false, true} {
+					got := pullRing(replay(i), poisoned, limit, limit+1)
+					if err := diffOps(got, ended(stream)); err != nil {
+						t.Fatalf("%s: replay of stream %d (0 = sequential), poisoned %v: %v",
+							b.FullName(), i, poisoned, err)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
