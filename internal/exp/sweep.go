@@ -113,19 +113,24 @@ func (c Cell) Resolve() (workload.Benchmark, error) {
 	if err != nil {
 		return workload.Benchmark{}, err
 	}
+	return b, c.CheckShape()
+}
+
+// CheckShape is Resolve's run-shape rule alone: the thread and core counts.
+func (c Cell) CheckShape() error {
 	if c.Threads < 1 || c.Threads > 256 {
-		return workload.Benchmark{}, refuse("threads must be in [1,256], got %d", c.Threads)
+		return refuse("threads must be in [1,256], got %d", c.Threads)
 	}
 	// 64 cores is the simulator's limit (sim.Config.Validate). Cores
 	// defaults to threads (the paper's pairing), so a bare thread count must
 	// itself fit it.
 	if c.Cores < 0 || c.Cores > 64 {
-		return workload.Benchmark{}, refuse("cores must be in [0,64], got %d", c.Cores)
+		return refuse("cores must be in [0,64], got %d", c.Cores)
 	}
 	if c.Cores == 0 && c.Threads > 64 {
-		return workload.Benchmark{}, refuse("threads %d exceeds the simulator's 64-core limit; pass an explicit cores", c.Threads)
+		return refuse("threads %d exceeds the simulator's 64-core limit; pass an explicit cores", c.Threads)
 	}
-	return b, nil
+	return nil
 }
 
 // resolveWorkload is Resolve short of the run shape: bench or spec, then the

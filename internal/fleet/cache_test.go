@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/fleet"
+	"repro/internal/service"
 	"repro/internal/workload"
 )
 
@@ -82,7 +83,7 @@ func TestFleetCanceledFetchDoesNotFailItsWaiters(t *testing.T) {
 	var once sync.Once
 	release := func() { once.Do(func() { close(hold) }) }
 	forwards := forwardSignal{started: make(chan struct{}, 8)} // room for every forward the test can cause
-	urls, _, handlers := newFleetWith(t, 2, func(i int, o *fleet.Options) []exp.Option {
+	urls, _, handlers := newFleetWith(t, 2, func(i int, o *fleet.Options, _ *service.Options) []exp.Option {
 		o.Client = &http.Client{Transport: forwards}
 		// Every simulation in the fleet waits for the test's go-ahead.
 		return []exp.Option{exp.WithRunHook(func(string, string, int, int) { <-hold })}
@@ -182,7 +183,7 @@ func TestFleetHangUpMidSplitSweep(t *testing.T) {
 	var once sync.Once
 	release := func() { once.Do(func() { close(hold) }) }
 	forwards := forwardSignal{started: make(chan struct{}, 8), failed: make(chan error, 8)}
-	urls, _, handlers := newFleetWith(t, 2, func(i int, o *fleet.Options) []exp.Option {
+	urls, _, handlers := newFleetWith(t, 2, func(i int, o *fleet.Options, _ *service.Options) []exp.Option {
 		o.Client = &http.Client{Transport: forwards}
 		return []exp.Option{exp.WithRunHook(func(string, string, int, int) { <-hold })}
 	})
@@ -237,7 +238,7 @@ func TestFleetHangUpMidSplitSweep(t *testing.T) {
 // is passed on but never retained. Read off the away node's own counters.
 func TestFleetPeerCacheLRU(t *testing.T) {
 	const bench = "blackscholes_parsec_small"
-	urls, _, handlers := newFleetWith(t, 2, func(i int, o *fleet.Options) []exp.Option {
+	urls, _, handlers := newFleetWith(t, 2, func(i int, o *fleet.Options, _ *service.Options) []exp.Option {
 		o.CacheEntries = 2
 		return nil
 	})

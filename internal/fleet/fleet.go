@@ -27,12 +27,15 @@
 //  4. If B is unreachable, A falls back to simulating locally —
 //     availability over strict exactly-once.
 //
-// Multi-cell batches (sweeps) are split per cell: each cell is dispatched
-// to its home as a single-cell NDJSON sub-sweep (one compact row line), and
-// the rows are reassembled in declared order — a byte-exact merge, because
-// every encoder is deterministic and the json form is exactly the indented
-// ndjson rows (pinned by service tests). Sweeps in csv/svg/text formats
-// are served locally: those documents cannot be merged from row bytes.
+// Multi-cell batches (sweeps) whose cells have different homes make one
+// NDJSON sub-sweep per home (the node's own group served inline), and each
+// cell takes the next row line of its group's reply — a byte-exact merge,
+// because every encoder is deterministic and the json form is exactly the
+// indented ndjson rows (pinned by service tests). The first non-200 group
+// reply, by its first cell's position, answers for the batch; a 200 group
+// reply short of rows (a cell failed mid-stream) makes the node serve the
+// whole batch itself. Sweeps in csv/svg/text formats are served locally:
+// those documents cannot be merged from row bytes.
 //
 // Determinism contract: a fleet answers every /v1 request with bytes
 // identical to a single node's, because routing only changes where the
@@ -42,7 +45,7 @@
 // What the fleet knows about the wire it learns from service.Identify,
 // which reads the service's own route table: which requests are
 // workload-keyed, their fingerprints, the replayable body within the
-// route's limit, and how a batch splits into single-cell sub-requests. This
+// route's limit, and how a batch splits into per-home sub-sweeps. This
 // package holds no path, body shape or limit of the service — only what is
 // its own: the ring, the peer cache, the forward, the fallback, the merge.
 package fleet
@@ -88,8 +91,8 @@ type Handler struct {
 	// forwarded request.
 	cache *memo.Cache[string, *peerResp]
 
-	local      atomic.Uint64 // routable requests served by this node as home
-	forwarded  atomic.Uint64 // requests sent to a peer home
+	local      atomic.Uint64 // routable requests and sub-sweeps served by this node as home
+	forwarded  atomic.Uint64 // requests and sub-sweeps sent to a peer home
 	received   atomic.Uint64 // hop-marked requests served for peers
 	peerHits   atomic.Uint64 // answers filled from the peer-response cache
 	peerErrors atomic.Uint64 // peer fetch failures (fell back to local)
@@ -155,7 +158,7 @@ func (h *Handler) Ring() *Ring { return h.ring }
 
 // ServeHTTP routes one request: hop-marked and non-routable requests go
 // straight to the local service; workload-keyed requests go to their home
-// node; batches whose cells have different homes split per cell. Anything
+// node; batches whose cells have different homes split per home. Anything
 // whose identity does not resolve (oversized or malformed body, unknown
 // benchmark, invalid spec) is served locally, where the service produces
 // the canonical error.
@@ -228,10 +231,10 @@ func (h *Handler) routeHome(w http.ResponseWriter, r *http.Request, home string,
 }
 
 // fromPeer answers from the peer-response cache, collapsing concurrent
-// identical misses onto a single forwarded request. Only a 200 is retained
-// for later callers; an error reply or a failed fetch still reaches everyone
-// who was waiting on it. Any answer this request did not fetch itself is a
-// peer-cache hit. When the request that was fetching is canceled, a waiter
+// identical misses onto a single forwarded request. Only a whole 200 is
+// retained for later callers; an error reply, a partial stream
+// (service.Partial) or a failed fetch still reaches everyone who was waiting
+// on it. Any answer this request did not fetch itself is a peer-cache hit. When the request that was fetching is canceled, a waiter
 // that is still live fetches again instead of inheriting the cancellation.
 func (h *Handler) fromPeer(r *http.Request, home, key, query string, body []byte) (*peerResp, error) {
 	fetched := false
@@ -239,7 +242,7 @@ func (h *Handler) fromPeer(r *http.Request, home, key, query string, body []byte
 		func() (*peerResp, bool, error) {
 			fetched = true
 			resp, err := h.forward(r, home, query, body)
-			return resp, err == nil && resp.status == http.StatusOK, err
+			return resp, err == nil && resp.status == http.StatusOK && !service.Partial(resp.body), err
 		})
 	if err == nil && !fetched {
 		h.peerHits.Add(1)

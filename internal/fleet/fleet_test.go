@@ -44,8 +44,9 @@ func newFleet(t *testing.T, n int) (urls []string, engines []*exp.Engine, handle
 
 // newFleetWith is newFleet with a say in each node's set-up: tune, if not
 // nil, may adjust node i's fleet options (Self and Peers are filled in) and
-// returns extra options for its engine.
-func newFleetWith(t *testing.T, n int, tune func(i int, o *fleet.Options) []exp.Option) (urls []string, engines []*exp.Engine, handlers []*fleet.Handler) {
+// service options (the engine is set after it) and returns extra options for
+// its engine.
+func newFleetWith(t *testing.T, n int, tune func(i int, o *fleet.Options, so *service.Options) []exp.Option) (urls []string, engines []*exp.Engine, handlers []*fleet.Handler) {
 	t.Helper()
 	late := make([]*lateHandler, n)
 	urls = make([]string, n)
@@ -59,12 +60,14 @@ func newFleetWith(t *testing.T, n int, tune func(i int, o *fleet.Options) []exp.
 	handlers = make([]*fleet.Handler, n)
 	for i := range late {
 		opts := fleet.Options{Self: urls[i], Peers: urls}
+		var sopts service.Options
 		eopts := []exp.Option{exp.WithWorkers(2)}
 		if tune != nil {
-			eopts = append(eopts, tune(i, &opts)...)
+			eopts = append(eopts, tune(i, &opts, &sopts)...)
 		}
 		engines[i] = exp.NewEngine(sim.Default(), eopts...)
-		svc := service.New(service.Options{Engine: engines[i]})
+		sopts.Engine = engines[i]
+		svc := service.New(sopts)
 		fh, err := fleet.Wrap(svc.Handler(), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -130,6 +133,10 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 	benchA, benchB := splitBenches(t, handlers[0])
 	sweepBody := fmt.Sprintf(
 		`{"cells":[{"bench":%q,"threads":2},{"bench":%q,"threads":2}]}`, benchA, benchB)
+	// Homes interleave A, B, A, B, A, and the last cell repeats the first:
+	// each home's rows must be dealt back to their declared positions.
+	interleaved := fmt.Sprintf(`{"cells":[{"bench":%[1]q,"threads":2},{"bench":%[2]q,"threads":2},`+
+		`{"bench":%[1]q,"threads":3},{"bench":%[2]q,"threads":3},{"bench":%[1]q,"threads":2}]}`, benchA, benchB)
 	requests := []struct {
 		method, path, body string
 	}{
@@ -138,6 +145,8 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 		{http.MethodGet, "/v1/stack?bench=" + benchB + "&threads=2&format=text", ""},
 		{http.MethodPost, "/v1/sweep", sweepBody},
 		{http.MethodPost, "/v1/sweep?format=ndjson", sweepBody},
+		{http.MethodPost, "/v1/sweep", interleaved},
+		{http.MethodPost, "/v1/sweep?format=ndjson", interleaved},
 		{http.MethodGet, "/v1/advise?bench=" + benchA + "&max_threads=4", ""},
 	}
 	for _, req := range requests {

@@ -18,7 +18,7 @@ import (
 // answers every request with a 200 one byte over maxPeerReply. The node must
 // treat that like any other peer failure — count it, serve the request from
 // a local simulation, retain nothing in the peer cache — for a single-home
-// request (routeHome) and for the foreign cell of a split sweep
+// request (routeHome) and for the foreign group of a split sweep
 // (subRequest). It is an internal test so it can read the cache's occupancy.
 func TestFleetOversizedPeerReplyFallsBack(t *testing.T) {
 	bloated := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

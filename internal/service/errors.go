@@ -100,14 +100,14 @@ func asAPIError(err error) *apiError {
 // simAPIError maps a failed engine call onto an apiError. The engine judges
 // every request rule the parse step does not: a refusal (*exp.RequestError)
 // is a 400 and a failed name or ID lookup (*workload.LookupError) a 404,
-// both through asAPIError with the engine's own message. Timeouts are the
-// gateway's fault (504), cancellations the client's (499-style 408), and
-// anything else a 500.
+// both through asAPIError with the engine's own message, and so is a bad
+// trace replay (workload.ErrBadTrace). Timeouts are the gateway's fault
+// (504), cancellations the client's (499-style 408), and anything else a 500.
 func (s *Server) simAPIError(err error) *apiError {
 	var refused *exp.RequestError
 	var lookup *workload.LookupError
 	switch {
-	case errors.As(err, &refused), errors.As(err, &lookup):
+	case errors.As(err, &refused), errors.As(err, &lookup), errors.Is(err, workload.ErrBadTrace):
 		return asAPIError(err)
 	case errors.Is(err, context.DeadlineExceeded):
 		return &apiError{Status: http.StatusGatewayTimeout, Code: codeSimTimeout,

@@ -165,8 +165,8 @@ func TestIdentifyRepeatedValueOrder(t *testing.T) {
 	}
 }
 
-// TestSplitCarriesCanonicalOptions: the single-cell sub-requests of a split
-// sweep get one option identity however the batch itself was asked for.
+// TestSplitCarriesCanonicalOptions: the sub-sweeps of a split sweep get one
+// option identity however the batch itself was asked for.
 func TestSplitCarriesCanonicalOptions(t *testing.T) {
 	body := `{"cells":[{"bench":"cholesky","threads":2},{"bench":"fft_splash2","threads":2}]}`
 	split := func(query, accept string) Split {
@@ -176,7 +176,7 @@ func TestSplitCarriesCanonicalOptions(t *testing.T) {
 			r.Header.Set("Accept", accept)
 		}
 		id, _ := Identify(r)
-		sp, ok := id.Split(r)
+		sp, ok := id.Split(r, []int{0, 1})
 		if !ok || len(sp.Bodies) != 2 {
 			t.Fatalf("?%s (Accept %q): split ok=%v into %d bodies", query, accept, ok, len(sp.Bodies))
 		}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 
 	"repro/internal/exp"
 	"repro/internal/stack"
@@ -342,8 +343,8 @@ func benchmarks(s *Server, w http.ResponseWriter, r *http.Request) {
 type Identity struct {
 	// Keys are the workload fingerprints the request is about: one for a
 	// single-workload request, one per cell for a sweep. Empty when the
-	// identity does not resolve cleanly (oversized or malformed body,
-	// unknown benchmark, invalid spec, a batch outside its bounds): any
+	// identity does not resolve cleanly (oversized or malformed body, unknown
+	// benchmark, invalid spec or run shape, a batch outside its bounds): any
 	// node's service then answers the canonical error.
 	Keys []string
 	// Body is the buffered request body; r.Body has been reset to replay it.
@@ -433,7 +434,10 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 	keys := make([]string, len(id.cells))
 	for i, c := range id.cells {
 		fp, ok := c.fingerprint()
-		if !ok || (c.Intervals != 0 && rt.identity == identBodyCells) { // sweeps reject interval cells
+		if ok && rt.identity == identBodyCells { // a batch is refused whole, never split
+			ok = c.Intervals == 0 && exp.Cell{Threads: c.Threads, Cores: c.Cores}.CheckShape() == nil
+		}
+		if !ok {
 			return id, true
 		}
 		keys[i] = fp.String()
@@ -460,24 +464,26 @@ func (c cellRequest) fingerprint() (fp workload.Fingerprint, ok bool) {
 	return spec.Fingerprint(), true
 }
 
-// Split is how a multi-cell request divides into single-cell sub-requests
-// to the same path whose row lines, concatenated in declared order, are the
-// whole answer's ndjson body (and, indented as one array, its json body).
+// Split is how a multi-cell request divides into sub-sweeps to the same
+// path, one per group of cells, whose row lines Merge deals back into the
+// whole answer.
 type Split struct {
 	// Query is every sub-request's query string, Options its canonical
 	// option identity (Identity.Options).
 	Query, Options string
-	// Bodies are the sub-request bodies, one per cell, in declared order.
+	// Bodies are the sub-request bodies, one per group, in declared order.
 	Bodies [][]byte
 	// Format is what the client negotiated: FormatJSON or FormatNDJSON.
 	Format stack.Format
+	group  []int // each cell's group
 }
 
-// Split divides the identified multi-cell request r. ok is false when its
-// answer cannot be assembled from rows: a document format (csv, svg, text),
-// or a query parameter the sub-requests would not carry — which must reach
-// a service whole, to be answered or rejected there.
-func (id Identity) Split(r *http.Request) (sp Split, ok bool) {
+// Split divides the identified multi-cell request r into one sub-sweep per
+// group, group[i] being cell i's (from 0, none skipped). ok is false when
+// its answer cannot be assembled from rows: a document format (csv, svg,
+// text), or a query parameter the sub-requests would not carry — which must
+// reach a service whole, to be answered or rejected there.
+func (id Identity) Split(r *http.Request, group []int) (sp Split, ok bool) {
 	q := r.URL.Query()
 	f, err := stack.NegotiateFormat(q.Get("format"), r.Header.Get("Accept"), stack.FormatJSON)
 	if err != nil || (f != stack.FormatJSON && f != stack.FormatNDJSON) {
@@ -492,12 +498,53 @@ func (id Identity) Split(r *http.Request) (sp Split, ok bool) {
 	if m := q.Get("mode"); m != "" {
 		sub.Set("mode", m)
 	}
-	sp.Format, sp.Query, sp.Options = f, sub.Encode(), id.route.optionIdentity(sub, "")
-	sp.Bodies = make([][]byte, len(id.cells))
+	sp.Format, sp.Query, sp.Options, sp.group = f, sub.Encode(), id.route.optionIdentity(sub, ""), group
+	reqs := make([]sweepRequest, slices.Max(group)+1)
 	for i, c := range id.cells {
-		if sp.Bodies[i], err = json.Marshal(sweepRequest{Cells: []cellRequest{c}}); err != nil {
+		reqs[group[i]].Cells = append(reqs[group[i]].Cells, c)
+	}
+	sp.Bodies = make([][]byte, len(reqs))
+	for g := range reqs {
+		if sp.Bodies[g], err = json.Marshal(reqs[g]); err != nil {
 			return sp, false
 		}
 	}
 	return sp, true
+}
+
+// Merge deals the groups' 200 reply bodies back into the whole answer: each
+// cell, in declared order, takes the next row line of its group's reply, the
+// json form indenting the rows as one array, as the service's own answer
+// does. ok is false unless each reply holds one row per cell of its group.
+func (sp Split) Merge(replies [][]byte) (body []byte, ok bool) {
+	lines := make([][][]byte, len(replies))
+	for g, reply := range replies {
+		lines[g] = bytes.SplitAfter(reply, []byte("\n"))
+	}
+	rows := make([][]byte, len(sp.group))
+	for i, g := range sp.group {
+		if len(lines[g]) < 2 {
+			return nil, false
+		}
+		rows[i], lines[g] = lines[g][0], lines[g][1:]
+	}
+	for g, rest := range lines {
+		if len(rest) != 1 || len(rest[0]) != 0 || Partial(replies[g]) {
+			return nil, false
+		}
+	}
+	if sp.Format == stack.FormatNDJSON {
+		return bytes.Join(rows, nil), true
+	}
+	var merged bytes.Buffer
+	err := json.Indent(&merged, slices.Concat([]byte("["), bytes.Join(rows, []byte(",")), []byte("]")), "", "  ")
+	return append(merged.Bytes(), '\n'), err == nil
+}
+
+// Partial reports whether a 200 reply body is an ndjson sweep that failed
+// part way, which streamSweep ends with an error line: it answers its own
+// request, but no other.
+func Partial(body []byte) bool {
+	last := bytes.LastIndexByte(bytes.TrimSuffix(body, []byte("\n")), '\n')
+	return bytes.HasPrefix(body[last+1:], []byte(`{"error"`))
 }

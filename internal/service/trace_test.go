@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stack"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -182,6 +183,35 @@ func TestTraceZeroWorkRefused(t *testing.T) {
 		t.Errorf("refused uploads ran %d simulations", *sims)
 	}
 	if w := get(t, h, "/v1/stack?bench="+testBench+"&threads=2&format=text"); w.Code != http.StatusOK {
+		t.Errorf("server stopped serving: status %d, body %s", w.Code, w.Body)
+	}
+}
+
+// TestTraceSyncViolationRefused pins the answer to an upload whose ops no
+// run can have recorded — here an Unlock of a lock the thread never took, in
+// a thread stream and in the sequential stream. The replay used to panic in
+// an engine goroutine and take the process down; now each answers 400
+// invalid_argument and the server keeps serving.
+func TestTraceSyncViolationRefused(t *testing.T) {
+	s, _ := newTestServer(t)
+	h := s.Handler()
+	bad := []trace.Op{trace.Compute(10), trace.Unlock(1), trace.End()}
+	good := []trace.Op{trace.Compute(10), trace.End()}
+	for name, f := range map[string]trace.File{
+		"thread stream":     {Sequential: []trace.Op{trace.Compute(20), trace.End()}, Threads: [][]trace.Op{bad, good}},
+		"sequential stream": {Sequential: bad, Threads: [][]trace.Op{good, good}},
+	} {
+		var buf bytes.Buffer
+		if err := f.Encode(&buf); err != nil {
+			t.Fatalf("%s: Encode: %v", name, err)
+		}
+		w := post(t, h, "/v1/traces/analyze", buf.String())
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"invalid_argument"`) ||
+			!strings.Contains(w.Body.String(), "Release of unheld lock") {
+			t.Errorf("%s: status %d, body %s", name, w.Code, w.Body)
+		}
+	}
+	if w := get(t, h, "/v1/stack?bench="+testBench+"&threads=2"); w.Code != http.StatusOK {
 		t.Errorf("server stopped serving: status %d, body %s", w.Code, w.Body)
 	}
 }

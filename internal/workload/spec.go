@@ -27,6 +27,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sim"
@@ -407,6 +408,10 @@ func (s Spec) Sequential() (trace.Program, error) {
 	return nil, fmt.Errorf("workload %s: unknown kind", s.Name)
 }
 
+// ErrBadTrace marks a replayed trace whose ops no run can have recorded (an
+// Unlock of a lock not held): the upload is at fault, not the simulator.
+var ErrBadTrace = errors.New("trace breaks the synchronization library's rules")
+
 // Simulate is the one step from a spec to a simulation, shared by the sweep
 // engine (cells, sequential references, interval runs) and Record. With
 // threads > 0 it runs the parallel programs of s on cores cores of cfg's
@@ -417,10 +422,17 @@ func (s Spec) Sequential() (trace.Program, error) {
 // synchronization-library policy. wrap, if non-nil, replaces each program
 // before the run (Record's recorders); opts are applied after the
 // registrations. A simulator failure is labelled with the workload and the
-// run shape; a spec that cannot build its programs fails bare.
-func Simulate(cfg sim.Config, s Spec, threads, cores int, wrap func(trace.Program) trace.Program, opts ...sim.Option) (sim.Result, error) {
+// run shape; a spec that cannot build its programs fails bare. A replayed
+// trace that breaks the sync library's rules fails with ErrBadTrace.
+func Simulate(cfg sim.Config, s Spec, threads, cores int, wrap func(trace.Program) trace.Program, opts ...sim.Option) (res sim.Result, err error) {
+	if s.Kind == KindTrace { // a generator's panic is a bug, an upload's is not
+		defer func() {
+			if p := recover(); p != nil {
+				res, err = sim.Result{}, fmt.Errorf("%s: %w: %v", Benchmark{Spec: s}.FullName(), ErrBadTrace, p)
+			}
+		}()
+	}
 	var progs []trace.Program
-	var err error
 	if threads == 0 {
 		var p trace.Program
 		p, err = s.Sequential()
@@ -440,7 +452,7 @@ func Simulate(cfg sim.Config, s Spec, threads, cores int, wrap func(trace.Progra
 		}
 	}
 	cfg.Policy = s.TunePolicy(cfg.Policy)
-	res, err := sim.Run(cfg, progs, opts...)
+	res, err = sim.Run(cfg, progs, opts...)
 	if err == nil {
 		return res, nil
 	}
