@@ -9,9 +9,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Ablation studies for the accounting architecture's design choices
-// (DESIGN.md's per-experiment index). These are not paper figures; they
-// probe the knobs the paper fixed: the ATD sampling factor (Section 4.1
+// Ablation studies for the accounting architecture's design choices (the
+// ablations row of PAPER.md's figure map). These are not paper figures;
+// they probe the knobs the paper fixed: the ATD sampling factor (Section 4.1
 // trades hardware cost against extrapolation noise), the Tian detector's
 // repetition threshold (Section 4.3), and the engine's relaxed-
 // synchronization quantum (a simulator-fidelity check). Each sweep point
@@ -38,26 +38,14 @@ var ablationProbeSet = []string{
 	"ferret_parsec_small",
 }
 
-func probeCells() []Cell {
-	cells := make([]Cell, len(ablationProbeSet))
-	for i, name := range ablationProbeSet {
-		cells[i] = Cell{Bench: name, Threads: 16}
-	}
-	return cells
-}
-
 func probeError(ctx context.Context, e *Engine, cfg sim.Config) (float64, error) {
-	outs, err := e.SweepConfig(ctx, cfg, probeCells())
+	outs, err := e.SweepConfig(ctx, cfg, cellsAt(16, ablationProbeSet))
 	if err != nil {
 		return 0, err
 	}
 	total := 0.0
 	for _, out := range outs {
-		e := out.Stack.Error()
-		if e < 0 {
-			e = -e
-		}
-		total += 100 * e
+		total += 100 * abs(out.Stack.Error())
 	}
 	return total / float64(len(outs)), nil
 }
@@ -195,4 +183,24 @@ func FormatQuantum(rows []QuantumRow) string {
 		fmt.Fprintf(&b, "%-10d %18.2f %14.1f\n", r.Quantum, r.Speedup16, r.MeanAbsErrPct)
 	}
 	return b.String()
+}
+
+// runAblation composes the three ablation sweeps into one section.
+func runAblation(ctx context.Context, e *Engine, _ Params) (string, error) {
+	rows, err := AblationSampling(ctx, e)
+	if err != nil {
+		return "", err
+	}
+	th, err := AblationSpinThreshold(ctx, e)
+	if err != nil {
+		return "", err
+	}
+	qr, err := AblationQuantum(ctx, e)
+	if err != nil {
+		return "", err
+	}
+	return "ATD sampling factor (hardware cost vs accuracy; exact machine in every mode):\n" +
+		FormatSampling(rows) +
+		"\nTian detector threshold:\n" + FormatThreshold(th) +
+		"\nengine quantum (fidelity check):\n" + FormatQuantum(qr), nil
 }

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"context"
+	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/scaling"
@@ -100,4 +102,39 @@ func attachPredictedGains(recs []scaling.Recommendation, spec workload.Spec, cfg
 			rec.Intervention, rec.PredictedGain = bestID, bestGain
 		}
 	}
+}
+
+// runAdvise prints the scaling advisor's one-line summary for every
+// registered workload.
+func runAdvise(ctx context.Context, e *Engine, p Params) (string, error) {
+	names := workload.Names()
+	var b strings.Builder
+	fmt.Fprintf(&b, "scaling advisor, sweep 1..%d (powers of two), %d workloads\n\n",
+		p.MaxThreads, len(names))
+	fmt.Fprintf(&b, "%-26s %-10s %7s %9s %6s %6s %-10s %s\n",
+		"benchmark", "class", "sigma", "kappa", "n*", "agree", "bottleneck", "top recommendation")
+	for _, name := range names {
+		a, err := e.Advise(ctx, Request{Cell: Cell{Bench: name}}, p.MaxThreads)
+		if err != nil {
+			return "", err
+		}
+		nstar, agree, bottleneck, top := "-", "yes", "-", "-"
+		if a.NStar > 0 {
+			nstar = fmt.Sprintf("%.1f", a.NStar)
+		}
+		if !a.SigmaAgrees {
+			agree = "NO"
+		}
+		if a.Bottleneck != "" {
+			bottleneck = a.Bottleneck
+		}
+		if len(a.Recommendations) > 0 {
+			if top = a.Recommendations[0].Field; top == "" {
+				top = a.Recommendations[0].Action
+			}
+		}
+		fmt.Fprintf(&b, "%-26s %-10s %7.4f %9.6f %6s %6s %-10s %s\n",
+			name, a.Class, a.USL.Sigma, a.USL.Kappa, nstar, agree, bottleneck, top)
+	}
+	return b.String(), nil
 }

@@ -47,6 +47,15 @@ func allBenchCells(threadCounts ...int) []Cell {
 	return cells
 }
 
+// cellsAt declares the named benchmarks at one thread count.
+func cellsAt(threads int, names []string) []Cell {
+	cells := make([]Cell, len(names))
+	for i, name := range names {
+		cells[i] = Cell{Bench: name, Threads: threads}
+	}
+	return cells
+}
+
 // CurvePoint is one (threads, speedup) sample.
 type CurvePoint struct {
 	Threads int
@@ -124,13 +133,10 @@ func Validation(ctx context.Context, e *Engine) ([]ValidationRow, error) {
 	for i, n := range ThreadCounts {
 		row := ValidationRow{Threads: n}
 		for _, o := range outs[i*perCount : (i+1)*perCount] {
-			e := o.Stack.Error()
-			if e < 0 {
-				e = -e
-			}
-			row.MeanAbsErrPct += 100 * e
-			if 100*e > row.MaxAbsErrPct {
-				row.MaxAbsErrPct = 100 * e
+			e := 100 * abs(o.Stack.Error())
+			row.MeanAbsErrPct += e
+			if e > row.MaxAbsErrPct {
+				row.MaxAbsErrPct = e
 				row.Worst = o.Bench.FullName()
 			}
 		}
@@ -201,12 +207,9 @@ func Figure5(ctx context.Context, e *Engine) ([]stack.Bar, error) {
 	if err != nil {
 		return nil, err
 	}
-	bars := make([]stack.Bar, 0, len(outs))
-	for _, out := range outs {
-		bars = append(bars, stack.Bar{
-			Label: fmt.Sprintf("%s x%d", out.Bench.Spec.Name, out.Stack.N),
-			Stack: out.Stack,
-		})
+	bars := make([]stack.Bar, len(outs))
+	for i, out := range outs {
+		bars[i] = stack.Bar{Label: fmt.Sprintf("%s x%d", out.Bench.Spec.Name, out.Stack.N), Stack: out.Stack}
 	}
 	return bars, nil
 }
@@ -372,11 +375,7 @@ var Figure8Benchmarks = []string{
 // at 16 cores for the benchmarks with visible positive sharing. Its cells
 // are a subset of the 16-thread validation grid.
 func Figure8(ctx context.Context, e *Engine) ([]InterferenceRow, error) {
-	cells := make([]Cell, len(Figure8Benchmarks))
-	for i, name := range Figure8Benchmarks {
-		cells[i] = Cell{Bench: name, Threads: 16}
-	}
-	outs, err := e.Sweep(ctx, cells)
+	outs, err := e.Sweep(ctx, cellsAt(16, Figure8Benchmarks))
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,12 @@ package exp
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/stack"
 	"repro/internal/whatif"
+	"repro/internal/workload"
 )
 
 // MinWhatIfThreads is the smallest cell the what-if engine accepts: a
@@ -117,4 +119,29 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 		rep.Bars = append(rep.Bars, stack.Bar{Label: p.Intervention, Stack: stacks[p.Intervention]})
 	}
 	return rep, nil
+}
+
+// runWhatIf prints every registered workload's top intervention with its
+// predicted and re-simulated gains.
+func runWhatIf(ctx context.Context, e *Engine, p Params) (string, error) {
+	names := workload.Names()
+	var b strings.Builder
+	fmt.Fprintf(&b, "causal what-if engine, %d workloads x%d threads (predicted vs re-simulated gains)\n\n",
+		len(names), p.Threads)
+	fmt.Fprintf(&b, "%-26s %8s %-18s %9s %9s %8s\n",
+		"benchmark", "baseline", "top intervention", "gain(est)", "gain(sim)", "error")
+	for _, name := range names {
+		rep, err := e.WhatIf(ctx, Request{Cell: Cell{Bench: name, Threads: p.Threads}}, nil)
+		if err != nil {
+			return "", err
+		}
+		if len(rep.Predictions) == 0 {
+			fmt.Fprintf(&b, "%-26s %8.2f %-18s\n", name, rep.BaselineSpeedup, "-")
+			continue
+		}
+		q := rep.Predictions[0]
+		fmt.Fprintf(&b, "%-26s %8.2f %-18s %+9.2f %+9.2f %+8.3f\n",
+			name, rep.BaselineSpeedup, q.Intervention, q.PredictedGain, q.ActualGain, q.Error)
+	}
+	return b.String(), nil
 }

@@ -1,0 +1,64 @@
+package speedupstack
+
+import (
+	"os"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/exp"
+)
+
+// TestArtifactRegistryDocumented holds PAPER.md's figure map and README's
+// `experiments` usage line to the artifact registry: every `all` section has
+// a map row, every row names a registered section, and the usage line lists
+// exactly the registry plus "all".
+func TestArtifactRegistryDocumented(t *testing.T) {
+	registered := map[string]bool{}
+	for _, a := range exp.Artifacts {
+		registered[a.Name] = true
+	}
+
+	paper, err := os.ReadFile("PAPER.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := map[string]bool{}
+	section := regexp.MustCompile("`experiments ([\\w-]+)")
+	for _, line := range strings.Split(string(paper), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		for _, m := range section.FindAllStringSubmatch(line, -1) {
+			mapped[m[1]] = true
+			if !registered[m[1]] {
+				t.Errorf("PAPER.md: a figure-map row names `experiments %s`, which exp.Artifacts lacks", m[1])
+			}
+		}
+	}
+	for _, a := range exp.Artifacts {
+		if !a.OnDemand && !mapped[a.Name] {
+			t.Errorf("PAPER.md: no figure-map row names `experiments %s`", a.Name)
+		}
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`experiments \[flags\] \[([^\]]+)\]`).FindSubmatch(readme)
+	if m == nil {
+		t.Fatal("README.md: no `experiments [flags] [...]` usage line")
+	}
+	listed := strings.Split(string(m[1]), "|")
+	want := []string{"all"}
+	for name := range registered {
+		want = append(want, name)
+	}
+	slices.Sort(listed)
+	slices.Sort(want)
+	if !slices.Equal(slices.Compact(listed), want) {
+		t.Errorf("README.md's usage line lists %v; the registry plus all is %v", listed, want)
+	}
+}
