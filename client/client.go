@@ -4,8 +4,8 @@
 // between the in-process library and the service without translating.
 //
 // Setting Client.Mode to "fast" asks the server for sampled fast-mode
-// simulation on every simulating call — several times faster, deterministic,
-// with its deviation from exact mode bounded by sim.FastErrorBounds.
+// simulation on every simulating call (README, "Fast mode: sampled
+// simulation").
 // Setting Client.Retries lets idempotent GETs ride out the server's
 // overload shedding (429, 503) with jittered backoff that honors
 // Retry-After; POSTs are never retried.
@@ -45,12 +45,10 @@ type Client struct {
 	BaseURL string
 	// HTTPClient is the transport; nil means http.DefaultClient.
 	HTTPClient *http.Client
-	// Mode selects the simulation fidelity for every simulating call:
-	// "exact" (full detail, byte-identical), "fast" (deterministic sampled
-	// sets, several times faster, error-bounded — see sim.FastErrorBounds),
-	// or empty for the server default (exact). It is sent as ?mode= on
-	// Stack, StackIntervals, Sweep, AnalyzeTrace and Advise; an
-	// unrecognized value fails with code "invalid_argument".
+	// Mode selects the simulation fidelity, "exact" or "fast", or empty for
+	// the server default (exact). Every simulating call sends it as ?mode=;
+	// the server answers an unrecognized value, or an analysis that fast
+	// mode cannot serve, with code "invalid_argument".
 	Mode string
 	// Retries is the number of extra attempts for idempotent GET requests
 	// answered 429 (shed or rate-limited) or 503. Zero, the default,
@@ -239,7 +237,7 @@ func (c *Client) Advise(ctx context.Context, bench string, maxThreads int) (spee
 // catalog ID as Suggestion.
 func (c *Client) WhatIf(ctx context.Context, cell Cell, interventions []string) (speedupstack.WhatIfReport, error) {
 	var rep speedupstack.WhatIfReport
-	err := c.postJSON(ctx, "/v1/whatif", nil, struct {
+	err := c.postJSON(ctx, "/v1/whatif", c.addMode(url.Values{}), struct {
 		Cell
 		Interventions []string `json:"interventions,omitempty"`
 	}{cell, interventions}, &rep)

@@ -179,8 +179,9 @@ func TestClientAPIError(t *testing.T) {
 }
 
 // TestClientMode pins the client's fidelity knob: Mode="fast" rides every
-// simulating call as ?mode=fast, the server counts the runs as sampled, and
-// a bogus mode fails with the uniform invalid_argument envelope.
+// simulating call as ?mode=fast, the server counts the runs as sampled or
+// refuses the analyses fast mode cannot serve, and a bogus mode fails with
+// the uniform invalid_argument envelope.
 func TestClientMode(t *testing.T) {
 	e := exp.NewEngine(sim.Default(), exp.WithWorkers(2))
 	srv := httptest.NewServer(service.New(service.Options{Engine: e}).Handler())
@@ -216,9 +217,24 @@ func TestClientMode(t *testing.T) {
 		t.Errorf("metrics missing fidelity split:\n%s", m)
 	}
 
+	// Advise and WhatIf send the mode too, and the engine refuses both on
+	// the sampled machine before simulating anything.
+	runs := e.Stats().CellRuns
+	var ae *APIError
+	_, err = c.Advise(ctx, testBench, 4)
+	if !errors.As(err, &ae) || ae.StatusCode != 400 || ae.Code != "invalid_argument" {
+		t.Errorf("fast advise error = %v", err)
+	}
+	_, err = c.WhatIf(ctx, Cell{Bench: testBench, Threads: 2}, nil)
+	if !errors.As(err, &ae) || ae.StatusCode != 400 || ae.Code != "invalid_argument" {
+		t.Errorf("fast what-if error = %v", err)
+	}
+	if st := e.Stats(); st.CellRuns != runs {
+		t.Errorf("refused calls ran %d simulations", st.CellRuns-runs)
+	}
+
 	c.Mode = "bogus"
 	_, err = c.Stack(ctx, Cell{Bench: testBench, Threads: 2})
-	var ae *APIError
 	if !errors.As(err, &ae) || ae.Code != "invalid_argument" {
 		t.Fatalf("bogus mode error = %v", err)
 	}

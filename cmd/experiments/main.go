@@ -16,7 +16,7 @@
 // -outdir SVGs and prints each section framed by exp.Frame. One sweep engine
 // serves every section over -workers workers; stdout is byte-identical for
 // any worker count, and timing and progress go to stderr. -mode fast runs
-// the sampled machine (deterministic, error-bounded by sim.FastErrorBounds).
+// the sampled machine (README, "Fast mode: sampled simulation").
 package main
 
 import (

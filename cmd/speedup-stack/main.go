@@ -33,20 +33,17 @@
 // spec-field recommendations. svg draws the measured sweep with both
 // fitted curves overlaid.
 //
-// -mode fast measures the aggregate stack on the sampled fast-mode machine:
-// several times faster, deterministic, with its deviation from the exact
-// stack bounded by the documented sim.FastErrorBounds. The default, exact,
-// is byte-identical run to run. The advisor, what-if and interval paths
-// stay exact in this CLI. The speedupd service serves fast advice and fast
-// interval series via ?mode=fast; its what-if is exact only.
+// -mode fast runs on the sampled fast-mode machine (README, "Fast mode:
+// sampled simulation"); the default, exact, is byte-identical run to run.
 //
 // -record FILE runs the workload once and writes the binary op trace of that
 // run to FILE: every operation every thread issued, plus the run's machine
 // registrations — the compact versioned format specified in internal/trace.
 // -trace FILE replays a recorded trace instead of generating a workload and
-// prints its speedup stack; the replay reproduces the recorded run's result
-// byte-identically, at the trace's recorded thread count (-threads does not
-// apply), and the same file uploads to speedupd's POST /v1/traces/analyze.
+// prints its speedup stack at the trace's recorded thread count (-threads
+// does not apply); in exact mode the replay reproduces the recorded run's
+// result byte-identically. The same file uploads to speedupd's POST
+// /v1/traces/analyze.
 //
 // -whatif switches to the causal what-if engine: each applicable catalog
 // intervention (halve the lock hold time, remove imbalance, double the LLC,
@@ -58,8 +55,8 @@
 //
 // Flag combinations that would silently drop a flag are usage errors (exit
 // status 2): a negative -intervals, -interventions without -whatif,
-// -max-threads without -advise, and the -mode fast/-record/-trace
-// exclusions above.
+// -max-threads without -advise, and -record or -trace next to another
+// report.
 package main
 
 import (
@@ -132,16 +129,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	analysis := *whatIf || *advise || *intervals > 0
 	switch {
-	case req.Fast && analysis:
-		// The advisor, what-if and interval reports are exact-mode paths in
-		// this CLI; speedupd serves fast advice and interval series.
-		return exit(2, "-mode fast applies to the aggregate stack only; drop -advise/-whatif/-intervals, or ask speedupd's /v1/advise or /v1/stack/intervals with ?mode=fast")
-	case *record != "" && (*tracePath != "" || analysis || req.Fast):
-		return exit(2, "-record captures one exact aggregate run; drop -trace/-advise/-whatif/-intervals/-mode fast")
-	case *tracePath != "" && (analysis || req.Fast):
-		// A trace replay is an exact aggregate measurement by contract:
-		// the replay must reproduce the recorded run byte-identically.
-		return exit(2, "-trace replays the recorded run exactly; drop -advise/-whatif/-intervals/-mode fast")
+	case *record != "" && (*tracePath != "" || analysis):
+		return exit(2, "-record captures one aggregate run; drop -trace/-advise/-whatif/-intervals")
+	case *tracePath != "" && analysis:
+		// A trace replays at its recorded thread count: one aggregate stack.
+		return exit(2, "-trace replays the recorded run's aggregate stack; drop -advise/-whatif/-intervals")
 	case *intervals < 0:
 		return exit(2, fmt.Sprintf("-intervals must not be negative, got %d", *intervals))
 	case given["interventions"] && !*whatIf:
@@ -159,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return speedupstack.LoadTrace(bytes.NewReader(data))
 		})
 		if err == nil {
-			req = speedupstack.Request{Workload: &w, Threads: w.TraceThreads()}
+			req.Bench, req.Workload, req.Threads = "", &w, w.TraceThreads()
 		}
 	case *spec != "":
 		if w, err = load(*spec, speedupstack.ParseWorkload); err == nil {
@@ -211,20 +203,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// recordTrace captures one run of the request as a binary op trace file.
+// recordTrace captures one run of the request as a binary op trace file,
+// written only once the recording succeeded.
 func recordTrace(req speedupstack.Request, path string) error {
-	out, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := speedupstack.RecordTrace(&buf, req); err != nil {
 		return err
 	}
-	err = speedupstack.RecordTrace(out, req)
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path)
-	}
-	return err
+	return os.WriteFile(path, buf.Bytes(), 0o666)
 }
 
 // load reads the workload file at path — a spec or a recorded trace — with

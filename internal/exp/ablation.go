@@ -70,11 +70,9 @@ func AblationSampling(ctx context.Context, e *Engine) ([]SamplingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		sets := cfg.LLC.Sets() >> shift
-		cost := core.Cost(core.CostParams{
-			SampledSets: sets, Ways: cfg.LLC.Ways, TagBits: 24,
-			ORAEntries: cfg.Mem.Banks, Counters: 12, SpinEntries: 8,
-		})
+		p := core.PaperCostParams()
+		p.SampledSets, p.Ways, p.ORAEntries = cfg.LLC.Sets()>>shift, cfg.LLC.Ways, cfg.Mem.Banks
+		cost := core.Cost(p)
 		rows = append(rows, SamplingRow{
 			SampleShift:   shift,
 			ATDBytes:      cost.ATDBytes,

@@ -54,6 +54,11 @@ func (e *Engine) Advise(ctx context.Context, req Request, maxThreads int) (scali
 	if req.Config != nil {
 		cfg = *req.Config
 	}
+	// Fast mode's sampled sets break the advisor's classification (README,
+	// "Fast mode: sampled simulation"), so the sweep needs the exact machine.
+	if cfg.Mode == sim.ModeFast {
+		return scaling.Advice{}, refuse("advise runs on the exact machine only: fast mode breaks the advisor's scaling classification")
+	}
 	threads := AdviseThreads(maxThreads)
 	reqs := make([]Request, len(threads))
 	for i, n := range threads {

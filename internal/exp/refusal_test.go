@@ -15,10 +15,14 @@ import (
 // wording the service answers on the wire, every failed name or ID lookup
 // a *workload.LookupError, and none of them fires the run hook. A request
 // wrong twice fails on the wire's first rule: bench or spec, the workload,
-// the run shape, the endpoint's own rule, then the intervention IDs.
+// the run shape, the endpoint's own rules (its range or floor, then the
+// exact machine that advise and what-if need), then the intervention IDs.
 func TestRefusalsAreTyped(t *testing.T) {
 	var runs atomic.Int32
-	e := NewEngine(sim.Default(), WithRunHook(func(string, string, int, int) { runs.Add(1) }))
+	hook := WithRunHook(func(string, string, int, int) { runs.Add(1) })
+	e := NewEngine(sim.Default(), hook)
+	fastCfg := sim.Default().WithMode(sim.ModeFast)
+	fastEngine := NewEngine(fastCfg, hook)
 	ctx := context.Background()
 	b, ok := workload.ByName("cholesky_splash2")
 	if !ok {
@@ -29,6 +33,9 @@ func TestRefusalsAreTyped(t *testing.T) {
 	invalid.ArrayBytes = -1
 	invalidErr := invalid.Validate()
 	good := Request{Cell: Cell{Bench: "cholesky_splash2", Threads: 4}}
+	fast := Request{Cell: good.Cell, Config: &fastCfg}
+	const adviseFast = "advise runs on the exact machine only: fast mode breaks the advisor's scaling classification"
+	const whatIfFast = "what-if runs on the exact machine only: fast mode breaks the prediction error bounds"
 	nosuch := workload.UnknownBenchmarkError("nosuch").Error()
 	do := func(c Cell) func() error {
 		return func() error { _, err := e.Do(ctx, []Request{{Cell: c}}); return err }
@@ -91,6 +98,18 @@ func TestRefusalsAreTyped(t *testing.T) {
 			_, err := e.WhatIf(ctx, Request{Cell: Cell{Bench: "cholesky_splash2"}}, []string{"triple_llc"})
 			return err
 		}, false, "threads must be in [1,256], got 0"},
+		{"advise on the fast machine", func() error { _, err := e.Advise(ctx, fast, 16); return err },
+			false, adviseFast},
+		{"advise on a fast engine", func() error { _, err := fastEngine.Advise(ctx, good, 16); return err },
+			false, adviseFast},
+		{"what-if on the fast machine", func() error { _, err := e.WhatIf(ctx, fast, nil); return err },
+			false, whatIfFast},
+		{"what-if on a fast engine", func() error { _, err := fastEngine.WhatIf(ctx, good, nil); return err },
+			false, whatIfFast},
+		{"advise range + fast machine", func() error { _, err := e.Advise(ctx, fast, 2); return err },
+			false, "max_threads must be in [3,64], got 2"},
+		{"fast machine + unknown intervention", func() error { _, err := e.WhatIf(ctx, fast, []string{"triple_llc"}); return err },
+			false, whatIfFast},
 		{"what-if floor + unknown intervention", func() error {
 			_, err := e.WhatIf(ctx, Request{Cell: Cell{Bench: "cholesky_splash2", Threads: 1}}, []string{"triple_llc"})
 			return err

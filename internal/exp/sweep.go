@@ -17,8 +17,10 @@ import (
 // bounded worker pool. Cells shared between figures are simulated exactly
 // once: both sequential references and full Outcomes are memoized for the
 // lifetime of the Engine, keyed by the complete machine configuration plus
-// the workload's canonical fingerprint, so regenerating the whole
-// evaluation is a single deduplicated parallel pass. Every simulation is a
+// the workload's canonical fingerprint. Regenerating the whole evaluation
+// still issues one Do per section (the ablation alone issues 20, in
+// sequence); the memo is what removes the duplicates among them, so every
+// shared cell and reference is simulated once. Every simulation is a
 // deterministic function of (config, workload), and results are returned in
 // declared order, so figure output is byte-identical regardless of the
 // worker count.
@@ -83,10 +85,11 @@ type seqKey struct {
 }
 
 // RequestError is a request the engine refuses before simulating anything:
-// a run shape, count or workload naming outside what it accepts, or an
-// invalid inline spec. Unknown names and intervention IDs fail with
-// *workload.LookupError instead. Front ends map the type, never the text:
-// the service answers a RequestError 400 invalid_argument.
+// a run shape, count or workload naming outside what it accepts, an invalid
+// inline spec, or the fast machine for an analysis that needs the exact
+// one. Unknown names and intervention IDs fail with *workload.LookupError
+// instead. Front ends map the type, never the text: the service answers a
+// RequestError 400 invalid_argument.
 type RequestError struct{ Err error }
 
 // Error returns the refusal's message, unprefixed.

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/whatif"
 	"repro/internal/workload"
@@ -36,6 +37,11 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 	if req.Threads < MinWhatIfThreads {
 		return whatif.Report{}, refuse("what-if needs threads >= %d (a single-threaded run has no scaling gap), got %d",
 			MinWhatIfThreads, req.Threads)
+	}
+	// Fast mode's sampled sets break whatif.ErrorBounds (README, "Fast
+	// mode: sampled simulation"), so the analysis needs the exact machine.
+	if k.cfg.Mode == sim.ModeFast {
+		return whatif.Report{}, refuse("what-if runs on the exact machine only: fast mode breaks the prediction error bounds")
 	}
 	ivs := whatif.Catalog()
 	if len(ids) > 0 {

@@ -88,14 +88,10 @@ func TestIdentifyCanonicalOptions(t *testing.T) {
 			full = append(full, pair{"max_threads", "16"})
 			different = append(different, []pair{{"max_threads", "8"}})
 		}
-		if o.mode {
-			full = append(full, pair{"mode", "exact"})
-			different = append(different, []pair{{"mode", "fast"}})
+		if rt.protected {
+			full = append(full, pair{"mode", "exact"}, pair{"format", "json"})
+			different = append(different, []pair{{"mode", "fast"}}, []pair{{"format", "csv"}})
 			rejected = append(rejected, append([]pair{{"mode", "sloppy"}}, base...))
-		}
-		if o.format {
-			full = append(full, pair{"format", "json"})
-			different = append(different, []pair{{"format", "csv"}})
 		}
 
 		want := identifyRow(t, rt, rawQuery(base), "")
@@ -113,7 +109,7 @@ func TestIdentifyCanonicalOptions(t *testing.T) {
 		permutations(base, func(ps []pair) { same(rawQuery(ps), "") })
 		permutations(full, func(ps []pair) { same(rawQuery(ps), "") })
 		same(rawQuery(append(append([]pair{}, base...), loser...)), "") // the first value wins
-		if o.format {
+		if rt.protected {
 			same(rawQuery(base), "application/json")
 			same(rawQuery(base), "text/html, application/json;q=0.9, text/csv")
 			same(rawQuery(full), "text/csv") // an explicit ?format= beats Accept
@@ -132,7 +128,7 @@ func TestIdentifyCanonicalOptions(t *testing.T) {
 			// d's parameters come first, so they win over base's.
 			differs(rawQuery(append(append([]pair{}, d...), base...)), "")
 		}
-		if o.format {
+		if rt.protected {
 			differs(rawQuery(base), "image/svg+xml")
 		}
 		rejected = append(rejected, append([]pair{{"nosuch", "1"}}, base...))

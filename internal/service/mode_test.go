@@ -1,11 +1,16 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/exp"
+	"repro/internal/sim"
 	"repro/internal/stack"
 )
 
@@ -146,5 +151,70 @@ func TestSweepAndAnalyzeModeFast(t *testing.T) {
 	}
 	if st := s.Engine().Stats(); st.FastCellRuns != st.CellRuns {
 		t.Fatalf("analyze cell not fast: %+v", st)
+	}
+}
+
+// TestModeOnEveryProtectedRow ranges over the route table: every simulating
+// row takes ?mode=exact and ?mode=fast, and only the engine decides which
+// analyses the sampled machine may serve. Advise and what-if answer fast
+// mode with the engine's own refusal, 400 invalid_argument, simulating
+// nothing; every other row answers 200 and counts a fast cell run.
+func TestModeOnEveryProtectedRow(t *testing.T) {
+	ctx := context.Background()
+	requests := matrixRequests(t)
+	fast := sim.Default().WithMode(sim.ModeFast)
+	// The engine call each refusing row makes, on the fast machine.
+	refusals := map[string]func(*exp.Engine) error{
+		"/v1/advise": func(e *exp.Engine) error {
+			_, err := e.Advise(ctx, exp.Request{Cell: exp.Cell{Bench: testBench}, Config: &fast}, 4)
+			return err
+		},
+		"/v1/whatif": func(e *exp.Engine) error {
+			_, err := e.WhatIf(ctx, exp.Request{Cell: exp.Cell{Bench: "cholesky", Threads: 2}, Config: &fast}, nil)
+			return err
+		},
+	}
+	for _, rt := range routes {
+		if !rt.protected {
+			continue
+		}
+		s, _ := newTestServer(t)
+		mr := requests[rt.path]
+		send := func(mode string) *httptest.ResponseRecorder {
+			target := rt.path + "?" + strings.TrimPrefix(mr.query+"&mode="+mode, "&")
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, httptest.NewRequest(rt.method, target, strings.NewReader(mr.body)))
+			return w
+		}
+		if w := send("exact"); w.Code != http.StatusOK {
+			t.Errorf("%s mode=exact: status %d: %.200s", rt.path, w.Code, w.Body)
+			continue
+		}
+		before := s.Engine().Stats()
+		w := send("fast")
+		after := s.Engine().Stats()
+		refusal, refused := refusals[rt.path]
+		if !refused {
+			if w.Code != http.StatusOK || after.FastCellRuns <= before.FastCellRuns {
+				t.Errorf("%s mode=fast: status %d, fast cell runs %d -> %d: %.200s",
+					rt.path, w.Code, before.FastCellRuns, after.FastCellRuns, w.Body)
+			}
+			continue
+		}
+		err := refusal(s.Engine())
+		var re *exp.RequestError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s: the engine's fast refusal is %T (%v), want *exp.RequestError", rt.path, err, err)
+		}
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s mode=fast: status %d, want 400: %.200s", rt.path, w.Code, w.Body)
+			continue
+		}
+		if e := decodeEnvelope(t, w); e.Code != "invalid_argument" || e.Message != err.Error() {
+			t.Errorf("%s mode=fast: envelope %+v, want invalid_argument %q", rt.path, e, err)
+		}
+		if st := s.Engine().Stats(); after != before || st != before {
+			t.Errorf("%s mode=fast moved the engine's stats:\n%+v\n%+v\n%+v", rt.path, before, after, st)
+		}
 	}
 }

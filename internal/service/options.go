@@ -19,22 +19,20 @@ import (
 // (called by the dispatcher, never by a handler) enforces the declaration, negotiates the format, and applies the bounds, so endpoints
 // cannot drift apart — and any parameter outside the declaration is a 400,
 // never silently ignored (a misspelled ?thread=8 would otherwise measure
-// the wrong cell without complaint).
+// the wrong cell without complaint). Every simulating (protected) row also
+// accepts ?format= (with Accept-header negotiation; the other rows always
+// answer JSON) and ?mode=exact|fast, the simulation fidelity, whose use the
+// engine judges.
 
-// optionSpec declares an endpoint's accepted query parameters.
+// optionSpec declares an endpoint's accepted query parameters beyond the
+// format and mode every simulating row takes.
 type optionSpec struct {
-	// format accepts ?format= and Accept-header negotiation. Endpoints
-	// without it always answer JSON.
-	format bool
 	// cell accepts bench, threads and cores — the single-cell GET shape.
 	cell bool
 	// intervals accepts the interval count of a time-resolved request.
 	intervals bool
 	// advise accepts bench and max_threads — the advisor GET shape.
 	advise bool
-	// mode accepts ?mode=exact|fast, the simulation fidelity. Endpoints
-	// without it always simulate in the engine's own mode.
-	mode bool
 	// traceCell accepts cores — the trace-analyze shape. Threads are not a
 	// parameter: a trace replays at its recorded thread count.
 	traceCell bool
@@ -43,25 +41,22 @@ type optionSpec struct {
 	unchecked bool
 }
 
-// params lists the accepted parameter names, sorted, for error messages.
-func (o optionSpec) params() []string {
+// params lists the parameter names rt accepts, sorted, for error messages.
+func (rt *route) params() []string {
 	var names []string
-	if o.format {
-		names = append(names, "format")
+	if rt.protected {
+		names = append(names, "format", "mode")
 	}
-	if o.cell {
+	if rt.opts.cell {
 		names = append(names, "bench", "threads", "cores")
 	}
-	if o.intervals {
+	if rt.opts.intervals {
 		names = append(names, "intervals")
 	}
-	if o.advise {
+	if rt.opts.advise {
 		names = append(names, "bench", "max_threads")
 	}
-	if o.mode {
-		names = append(names, "mode")
-	}
-	if o.traceCell {
+	if rt.opts.traceCell {
 		names = append(names, "cores")
 	}
 	sort.Strings(names)
@@ -100,15 +95,14 @@ func (o requestOptions) identity() string {
 }
 
 // parseOptions parses and validates a request's query q (and its Accept
-// header) against the declaration of the endpoint at path. Unknown
-// parameters, malformed values and out-of-bounds shapes all come back as
-// apiErrors ready for writeError.
-func parseOptions(path string, q url.Values, accept string, spec optionSpec) (requestOptions, *apiError) {
-	if spec.unchecked {
+// header) against rt's declaration. Unknown parameters, malformed values and
+// out-of-bounds shapes all come back as apiErrors ready for writeError.
+func (rt *route) parseOptions(q url.Values, accept string) (requestOptions, *apiError) {
+	if rt.opts.unchecked {
 		return requestOptions{}, nil
 	}
 	allowed := make(map[string]bool, 6)
-	for _, name := range spec.params() {
+	for _, name := range rt.params() {
 		allowed[name] = true
 	}
 	given := make([]string, 0, len(q))
@@ -120,29 +114,29 @@ func parseOptions(path string, q url.Values, accept string, spec optionSpec) (re
 		if !allowed[name] {
 			accepts := "no query parameters"
 			if len(allowed) > 0 {
-				accepts = strings.Join(spec.params(), ", ")
+				accepts = strings.Join(rt.params(), ", ")
 			}
 			return requestOptions{}, &apiError{Status: http.StatusBadRequest, Code: codeUnknownParameter,
-				Message: fmt.Sprintf("unknown query parameter %q (%s accepts %s)", name, path, accepts)}
+				Message: fmt.Sprintf("unknown query parameter %q (%s accepts %s)", name, rt.path, accepts)}
 		}
 	}
 
 	opts := requestOptions{format: stack.FormatJSON}
-	if spec.format {
+	if rt.protected {
 		f, err := stack.NegotiateFormat(q.Get("format"), accept, stack.FormatJSON)
 		if err != nil {
 			return requestOptions{}, badRequest("%v", err)
 		}
 		opts.format = f
 	}
-	if spec.cell {
+	if rt.opts.cell {
 		cell, err := parseCell(q.Get("bench"), q.Get("threads"), q.Get("cores"))
 		if err != nil {
 			return requestOptions{}, asAPIError(err)
 		}
 		opts.cell = cell
 	}
-	if spec.intervals {
+	if rt.opts.intervals {
 		opts.intervals = defaultIntervals
 		if s := q.Get("intervals"); s != "" {
 			n, err := strconv.Atoi(s)
@@ -152,7 +146,7 @@ func parseOptions(path string, q url.Values, accept string, spec optionSpec) (re
 			opts.intervals = n
 		}
 	}
-	if spec.advise {
+	if rt.opts.advise {
 		bench := q.Get("bench")
 		if bench == "" {
 			return requestOptions{}, badRequest("missing bench parameter")
@@ -171,14 +165,14 @@ func parseOptions(path string, q url.Values, accept string, spec optionSpec) (re
 			opts.maxThreads = n
 		}
 	}
-	if spec.mode {
+	if rt.protected {
 		m, err := sim.ParseMode(q.Get("mode"))
 		if err != nil {
 			return requestOptions{}, badRequest("%v", err)
 		}
 		opts.mode = m
 	}
-	if spec.traceCell {
+	if rt.opts.traceCell {
 		if s := q.Get("cores"); s != "" {
 			n, err := strconv.Atoi(s)
 			if err != nil {

@@ -51,8 +51,9 @@ type route struct {
 	method, path string
 	// opts declares the accepted query parameters (options.go).
 	opts optionSpec
-	// protected rows sit behind the rate limiter and the admission gate;
-	// the cheap introspection rows stay reachable while the server sheds.
+	// protected rows are the simulating ones: they sit behind the rate
+	// limiter and the admission gate, and take ?format= and ?mode=; the
+	// cheap introspection rows stay reachable while the server sheds.
 	protected bool
 	// identity is where the workload identity lives; body bounds the
 	// request body (0: the route takes none).
@@ -71,20 +72,20 @@ type route struct {
 // a route. New registers the rows, the dispatcher runs them, Identify reads
 // them, and the tests range over them.
 var routes = []route{
-	{method: http.MethodGet, path: "/v1/stack", opts: optionSpec{format: true, cell: true, mode: true},
+	{method: http.MethodGet, path: "/v1/stack", opts: optionSpec{cell: true},
 		protected: true, identity: identQueryBench, parse: parseStack},
-	{method: http.MethodGet, path: "/v1/stack/intervals", opts: optionSpec{format: true, cell: true, intervals: true, mode: true},
+	{method: http.MethodGet, path: "/v1/stack/intervals", opts: optionSpec{cell: true, intervals: true},
 		protected: true, identity: identQueryBench, parse: parseStackIntervals},
-	{method: http.MethodPost, path: "/v1/sweep", opts: optionSpec{format: true, mode: true},
+	{method: http.MethodPost, path: "/v1/sweep",
 		protected: true, identity: identBodyCells, body: maxJSONBytes, parse: parseSweepCall, stream: streamSweep},
-	{method: http.MethodPost, path: "/v1/workloads/analyze", opts: optionSpec{format: true, mode: true},
+	{method: http.MethodPost, path: "/v1/workloads/analyze",
 		protected: true, identity: identBodyCell, body: maxJSONBytes, parse: parseAnalyze},
 	{method: http.MethodPost, path: "/v1/workloads/validate", body: maxJSONBytes, plain: validate},
-	{method: http.MethodPost, path: "/v1/traces/analyze", opts: optionSpec{format: true, mode: true, traceCell: true},
+	{method: http.MethodPost, path: "/v1/traces/analyze", opts: optionSpec{traceCell: true},
 		protected: true, identity: identTraceHeader, body: MaxTraceBytes, parse: parseTraceAnalyze},
-	{method: http.MethodGet, path: "/v1/advise", opts: optionSpec{format: true, advise: true, mode: true},
+	{method: http.MethodGet, path: "/v1/advise", opts: optionSpec{advise: true},
 		protected: true, identity: identQueryBench, parse: parseAdvise},
-	{method: http.MethodPost, path: "/v1/whatif", opts: optionSpec{format: true},
+	{method: http.MethodPost, path: "/v1/whatif",
 		protected: true, identity: identBodyCell, body: maxJSONBytes, parse: parseWhatIfCall},
 	{method: http.MethodGet, path: "/v1/benchmarks", plain: benchmarks},
 	{method: http.MethodGet, path: "/healthz", opts: optionSpec{unchecked: true}, plain: healthz},
@@ -284,7 +285,7 @@ func parseWhatIfCall(s *Server, r *http.Request, opts requestOptions) (call, *ap
 		return nil, asAPIError(err)
 	}
 	return func(ctx context.Context) (stack.Document, error) {
-		return s.engine.WhatIf(ctx, exp.Request{Cell: cell}, req.Interventions)
+		return s.engine.WhatIf(ctx, exp.Request{Cell: cell, Config: s.modeConfig(opts.mode)}, req.Interventions)
 	}, nil
 }
 
@@ -370,7 +371,7 @@ type Identity struct {
 // its Accept header (a client that negotiated text gets its error as text),
 // behind a "?" no parsed identity starts with.
 func (rt *route) optionIdentity(q url.Values, accept string) string {
-	opts, aerr := parseOptions(rt.path, q, accept, rt.opts)
+	opts, aerr := rt.parseOptions(q, accept)
 	if aerr != nil {
 		return "?" + q.Encode() + "\x00" + accept
 	}

@@ -90,7 +90,7 @@ func TestFormatMatrix(t *testing.T) {
 			continue
 		}
 		formats := []string{""}
-		if rt.opts.format {
+		if rt.protected {
 			formats = []string{"json", "ndjson", "csv", "svg", "text"}
 		}
 		for _, f := range formats {

@@ -13,7 +13,7 @@
 //	POST /v1/workloads/validate  {...workload spec...}  (dry run, no simulation)
 //	POST /v1/traces/analyze[?cores=M][&mode=F][&format=F]  binary op trace (≤32MB)
 //	GET  /v1/advise?bench=NAME[&max_threads=M][&mode=F][&format=json|csv|svg|text]
-//	POST /v1/whatif       {"bench":"...","threads":N[,"cores":M]
+//	POST /v1/whatif[?mode=F][&format=F]  {"bench":"...","threads":N[,"cores":M]
 //	                       [,"interventions":["halve_lock_hold",...]]}
 //	                      (or "spec" instead of "bench", like /v1/sweep)
 //	GET  /v1/benchmarks   registered benchmark analogues
@@ -27,19 +27,16 @@
 // internal/stack.TimeSeries). The SVG format draws a stacked timeline
 // instead of the aggregate bar chart.
 //
-// Every simulating endpoint above that documents ?mode= accepts the
-// simulation fidelity: "exact" (the default) simulates every LLC set and
-// memory access in full detail and is byte-identical run to run, while
-// "fast" simulates in detail only the LLC sets the ATD samples (the
-// deterministic 1-in-32 subset), extrapolates the rest, and answers several
-// times faster with its deviation from exact mode bounded by
-// sim.FastErrorBounds (pinned in CI). On /v1/sweep the mode applies to every
-// cell in the batch.
-// Fast and exact results never share a cache entry — the memo keys on the
-// full machine configuration, mode included — and /metrics splits
-// speedupd_sim_cell_runs_total into _exact_total and _fast_total so
-// operators can see which fidelity is paying the simulation bill. An
-// unknown mode is a 400 invalid_argument like any other malformed value.
+// Every simulating endpoint accepts ?mode=, the simulation fidelity:
+// "exact" (the default) or "fast", the sampled machine (README, "Fast mode:
+// sampled simulation"). The service forwards it to the engine, which alone
+// decides which analyses the sampled machine may serve and answers a
+// refusal as 400 invalid_argument, like an unknown mode. On /v1/sweep the
+// mode applies to every cell in the batch. Fast and exact results never
+// share a cache entry — the memo keys on the full machine configuration,
+// mode included — and /metrics splits speedupd_sim_cell_runs_total into
+// _exact_total and _fast_total so operators can see which fidelity is
+// paying the simulation bill.
 //
 // Workloads are first-class: wherever a cell names a registered benchmark
 // ("bench") it can instead carry an inline workload spec ("spec", the JSON
@@ -268,7 +265,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rt route) *api
 		}
 		defer release()
 	}
-	opts, aerr := parseOptions(r.URL.Path, r.URL.Query(), r.Header.Get("Accept"), rt.opts)
+	opts, aerr := rt.parseOptions(r.URL.Query(), r.Header.Get("Accept"))
 	if aerr != nil {
 		return aerr
 	}

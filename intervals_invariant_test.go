@@ -14,17 +14,25 @@ import (
 )
 
 // TestIntervalSumInvariant pins the tentpole guarantee of time-resolved
-// stacks across the whole registry: for every benchmark analogue at 1, 4
-// and 16 threads, the per-interval integer components sum *exactly* (int64
-// equality, no tolerance) to the series' aggregate, the intervals
-// partition the run's ops and cycles, and the integer aggregate tracks the
-// float estimator within its documented rounding bound.
+// stacks across the whole registry, on the exact and on the fast machine:
+// for every benchmark analogue at 1, 4 and 16 threads, the per-interval
+// integer components sum *exactly* (int64 equality, no tolerance) to the
+// series' aggregate, the intervals partition the run's ops and cycles, and
+// the integer aggregate tracks the float estimator within its documented
+// rounding bound.
 func TestIntervalSumInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-registry interval sweep is not a -short test")
 	}
+	for _, mode := range []sim.Mode{sim.ModeExact, sim.ModeFast} {
+		t.Run(mode.String(), func(t *testing.T) { checkIntervalSums(t, sim.Default().WithMode(mode)) })
+	}
+}
+
+// checkIntervalSums is TestIntervalSumInvariant on one machine.
+func checkIntervalSums(t *testing.T, cfg sim.Config) {
 	const intervals = 8
-	e := exp.NewEngine(sim.Default(), exp.WithWorkers(runtime.NumCPU()))
+	e := exp.NewEngine(cfg, exp.WithWorkers(runtime.NumCPU()))
 	ctx := context.Background()
 
 	type cellID struct {

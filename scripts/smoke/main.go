@@ -134,6 +134,16 @@ func main() {
 	frow2, err := fc.Stack(ctx, client.Cell{Bench: bench, Threads: 8})
 	check("fast stack repeat", err)
 	expect("fast stack repeat", frow2 == frow, "fast rows differ: %+v vs %+v", frow2, frow)
+	// The advisor and the what-if engine need the exact machine: the engine
+	// refuses both fast requests with 400 invalid_argument before simulating
+	// anything, so the metrics block below counts no run for them.
+	var ae *client.APIError
+	_, aerr := fc.Advise(ctx, bench, 8)
+	_, werr := fc.WhatIf(ctx, client.Cell{Bench: bench, Threads: 8}, nil)
+	for _, err := range []error{aerr, werr} {
+		expect("fast advise/what-if refused", errors.As(err, &ae) && ae.StatusCode == 400 &&
+			ae.Code == "invalid_argument", "error %v", err)
+	}
 
 	// Recorded traces: record a cheap cell in-process (the same binary
 	// format speedup-stack -record writes), upload it, and replay it at its
@@ -156,7 +166,6 @@ func main() {
 	// a 400 with its own stable code, and a typo'd what-if intervention is
 	// a 404 carrying the nearest catalog ID.
 	_, err = c.Stack(ctx, client.Cell{Bench: "choleski", Threads: 8})
-	var ae *client.APIError
 	expect("404 envelope", errors.As(err, &ae), "error %v", err)
 	expect("404 envelope", ae.StatusCode == 404 && ae.Code == "unknown_benchmark" &&
 		ae.Suggestion == "cholesky", "APIError %+v", ae)
@@ -188,7 +197,7 @@ func main() {
 	// 1/2/4 new, 8 cached: 3), what-if (baseline cached, 4 mutated cells),
 	// fast stack (1 sampled run, repeat cached), trace analyze (1 replay,
 	// repeat cached under the trace's content hash); the what-if repeat, the
-	// subset, and every error ran nothing. The fidelity split counts the
+	// subset, the fast advise and what-if, and every error ran nothing. The fidelity split counts the
 	// sampled run separately from the ten exact ones.
 	metrics, err := c.Metrics(ctx)
 	check("metrics", err)

@@ -106,12 +106,9 @@ type Request struct {
 	Workload *Workload
 	// Threads is the thread count.
 	Threads int
-	// Fast selects sampled fast mode (sim.ModeFast): only a deterministic
-	// subset of LLC sets runs the detailed cache and memory model and the
-	// rest is extrapolated — several times faster, every stack component
-	// within the documented sim.FastErrorBounds of the exact result.
-	// Deterministic, but not byte-identical to exact mode: leave it unset
-	// when results must reproduce the golden hashes.
+	// Fast selects sampled fast mode (sim.ModeFast; README, "Fast mode:
+	// sampled simulation", says which analyses serve it): several times
+	// faster and deterministic, but not byte-identical to exact mode.
 	Fast bool
 }
 

@@ -2,15 +2,22 @@ package speedupstack
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/exp"
+	"repro/internal/service"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -153,8 +160,9 @@ func TestFastRequest(t *testing.T) {
 	}
 }
 
-// TestRequestValidation pins the one-seam guarantee: a malformed Request
-// fails with the same text at every door, before any simulation.
+// TestRequestValidation pins the one-seam guarantee: a malformed Request,
+// or a fast one for an analysis that needs the exact machine, fails with
+// the same text at every door, before any simulation.
 func TestRequestValidation(t *testing.T) {
 	w, err := ParseWorkload([]byte(specJSON))
 	if err != nil {
@@ -198,6 +206,43 @@ func TestRequestValidation(t *testing.T) {
 				if got := call(); got == nil || got.Error() != err.Error() {
 					t.Errorf("%s: error %v, want %v", door, got, err)
 				}
+			}
+		})
+	}
+
+	// The engine alone refuses the sampled machine for the advisor and the
+	// what-if engine, before any simulation; speedupd answers the same text
+	// (the CLI's stderr line is pinned to it in cmd/speedup-stack).
+	e := exp.NewEngine(sim.Default())
+	srv := service.New(service.Options{Engine: e}).Handler()
+	fast := Request{Bench: "cholesky", Threads: 4, Fast: true}
+	for _, tc := range []struct {
+		name                 string
+		call                 func() error
+		method, target, body string
+	}{
+		{"fast Advise", func() error { _, err := Advise(ctx, fast, 4); return err },
+			"GET", "/v1/advise?bench=cholesky&max_threads=4&mode=fast", ""},
+		{"fast WhatIf", func() error { _, err := WhatIf(ctx, fast); return err },
+			"POST", "/v1/whatif?mode=fast", `{"bench":"cholesky","threads":4}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.call()
+			var refused *exp.RequestError
+			if !errors.As(err, &refused) {
+				t.Fatalf("error %T (%v), want *exp.RequestError", err, err)
+			}
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)))
+			var env struct {
+				Error struct{ Code, Message string }
+			}
+			if jerr := json.Unmarshal(w.Body.Bytes(), &env); jerr != nil || w.Code != http.StatusBadRequest ||
+				env.Error.Code != "invalid_argument" || env.Error.Message != err.Error() {
+				t.Errorf("speedupd: status %d, body %s; want 400 invalid_argument %q", w.Code, w.Body, err)
+			}
+			if st := e.Stats(); st.CellRuns+st.SeqRuns != 0 {
+				t.Errorf("speedupd simulated a refused request: %+v", st)
 			}
 		})
 	}

@@ -25,7 +25,7 @@ import (
 // trace captures an exact run: a Fast request is an error.
 func RecordTrace(w io.Writer, r Request) error {
 	if r.Fast {
-		return errors.New("speedupstack: a trace records an exact run; unset Fast")
+		return errors.New("speedupstack: a trace records an exact run, so it refuses fast mode")
 	}
 	req, err := r.resolve()
 	if err != nil {
