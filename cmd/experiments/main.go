@@ -1,6 +1,7 @@
 // Command experiments regenerates the paper's evaluation (Figures 1 and
 // 4–9, the Section 6 validation table, the Section 4.7 hardware budget and
-// the ablations) on the simulated 16-core machine.
+// the ablations) on the simulated 16-core machine, and on demand the
+// workload tuning table with each analogue's ground truth (calibrate).
 //
 // Usage:
 //
@@ -9,6 +10,7 @@
 //	experiments phases [-intervals 32] [-outdir DIR]
 //	experiments advise [-max-threads 16]
 //	experiments whatif [-threads 16]
+//	experiments calibrate [-threads 16]
 //	experiments all -mode fast
 //
 // The sections, their order and which of them "all" runs are the registry
@@ -79,7 +81,7 @@ func main() {
 	modeFlag := flag.String("mode", "exact", "simulation fidelity: exact (byte-identical) or fast (sampled, several times faster, error-bounded)")
 	flag.IntVar(&params.Intervals, "intervals", params.Intervals, "interval count for the phases section")
 	flag.IntVar(&params.MaxThreads, "max-threads", params.MaxThreads, "sweep top for the advise section")
-	flag.IntVar(&params.Threads, "threads", params.Threads, "thread count for the whatif section")
+	flag.IntVar(&params.Threads, "threads", params.Threads, "thread count for the whatif and calibrate sections")
 	flag.Parse()
 	which := "all"
 	if flag.NArg() > 0 {

@@ -31,22 +31,20 @@ func TestWriteStacksCSV(t *testing.T) {
 }
 
 func TestAblationFormatters(t *testing.T) {
-	s := FormatSampling([]SamplingRow{{SampleShift: 5, ATDBytes: 3328, MeanAbsErrPct: 5.4}})
-	if !strings.Contains(s, "3328") {
-		t.Fatalf("sampling format: %q", s)
-	}
-	th := FormatThreshold([]ThresholdRow{{Threshold: 16, MeanAbsErrPct: 5.4, SpinShare: 3.6}})
-	if !strings.Contains(th, "3.60") {
-		t.Fatalf("threshold format: %q", th)
-	}
-	q := FormatQuantum([]QuantumRow{{Quantum: 100, Speedup16: 5.05, MeanAbsErrPct: 5.4}})
-	if !strings.Contains(q, "5.05") {
-		t.Fatalf("quantum format: %q", q)
+	out := FormatAblation(Ablations{
+		Sampling:  []SamplingRow{{SampleShift: 5, ATDBytes: 3328, MeanAbsErrPct: 5.4}},
+		Threshold: []ThresholdRow{{Threshold: 16, MeanAbsErrPct: 5.4, SpinShare: 3.6}},
+		Quantum:   []QuantumRow{{Quantum: 100, Speedup16: 5.05, MeanAbsErrPct: 5.4}},
+	})
+	for table, want := range map[string]string{"sampling": "3328", "threshold": "3.60", "quantum": "5.05"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("%s format: %q lacks %s", table, out, want)
+		}
 	}
 }
 
-// TestAblationsOnFastEngine runs all three ablations on a fast-mode engine,
-// as `experiments ablation -mode fast` does. The sampling sweep varies
+// TestAblationsOnFastEngine runs the ablation on a fast-mode engine, as
+// `experiments ablation -mode fast` does. The sampling sweep varies
 // ATDSampleShift, which in fast mode also picks the sets simulated in
 // detail; it is a study of the hardware proposal, not of the sampled
 // simulator, so it runs on the exact machine and gives the exact engine's
@@ -54,22 +52,20 @@ func TestAblationFormatters(t *testing.T) {
 func TestAblationsOnFastEngine(t *testing.T) {
 	ctx := context.Background()
 	fast := NewEngine(sim.Default().WithMode(sim.ModeFast))
-	rows, err := AblationSampling(ctx, fast)
+	got, err := Ablation(ctx, fast)
 	if err != nil {
-		t.Fatalf("sampling ablation on a fast engine: %v", err)
+		t.Fatalf("ablation on a fast engine: %v", err)
 	}
-	want, err := AblationSampling(ctx, NewEngine(sim.Default()))
+	want, err := Ablation(ctx, NewEngine(sim.Default()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rows, want) {
-		t.Fatalf("sampling ablation depends on the engine's mode:\nfast  %+v\nexact %+v", rows, want)
+	if !reflect.DeepEqual(got.Sampling, want.Sampling) {
+		t.Fatalf("sampling ablation depends on the engine's mode:\nfast  %+v\nexact %+v", got.Sampling, want.Sampling)
 	}
-	if th, err := AblationSpinThreshold(ctx, fast); err != nil || len(th) != 4 {
-		t.Fatalf("spin-threshold ablation on a fast engine: %d rows, %v", len(th), err)
-	}
-	if q, err := AblationQuantum(ctx, fast); err != nil || len(q) != 4 {
-		t.Fatalf("quantum ablation on a fast engine: %d rows, %v", len(q), err)
+	if len(got.Sampling) != 4 || len(got.Threshold) != 4 || len(got.Quantum) != 4 {
+		t.Fatalf("ablation on a fast engine: %d sampling, %d threshold, %d quantum rows, want 4 each",
+			len(got.Sampling), len(got.Threshold), len(got.Quantum))
 	}
 	if st := fast.Stats(); st.FastCellRuns == 0 || st.FastCellRuns == st.CellRuns {
 		t.Fatalf("want exact sampling cells and fast threshold/quantum cells, got %d fast of %d", st.FastCellRuns, st.CellRuns)

@@ -32,17 +32,16 @@ type ValidationCompareRow struct {
 // analogue at every thread count) in both exact and fast mode on one
 // engine and pairs the results. The two grids never alias in the memo —
 // Mode is part of the cell key — so each mode's numbers are exactly what
-// Validation would report for that mode.
+// Validation would report for that mode. Both grids are declared in one
+// batch.
 func ValidationCompare(ctx context.Context, e *Engine) ([]ValidationCompareRow, error) {
 	cells := allBenchCells(ThreadCounts...)
-	exact, err := e.SweepConfig(ctx, e.base.WithMode(sim.ModeExact), cells)
+	outs, err := e.Do(ctx, append(onMachine(e.base.WithMode(sim.ModeExact), cells),
+		onMachine(e.base.WithMode(sim.ModeFast), cells)...))
 	if err != nil {
 		return nil, err
 	}
-	fast, err := e.SweepConfig(ctx, e.base.WithMode(sim.ModeFast), cells)
-	if err != nil {
-		return nil, err
-	}
+	exact, fast := outs[:len(cells)], outs[len(cells):]
 	perCount := len(cells) / len(ThreadCounts)
 	rows := make([]ValidationCompareRow, 0, len(ThreadCounts))
 	for i, n := range ThreadCounts {

@@ -31,11 +31,11 @@ func TestFastModeErrorBoundsRegression(t *testing.T) {
 			cells = append(cells, Cell{Bench: b.FullName(), Threads: n})
 		}
 	}
-	exact, err := e.SweepConfig(ctx, e.Config().WithMode(sim.ModeExact), cells)
+	exact, err := e.Do(ctx, onMachine(e.Config().WithMode(sim.ModeExact), cells))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := e.SweepConfig(ctx, e.Config().WithMode(sim.ModeFast), cells)
+	fast, err := e.Do(ctx, onMachine(e.Config().WithMode(sim.ModeFast), cells))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestGroundTruthIsSampleShiftZero(t *testing.T) {
 	}
 	full := e.Config()
 	full.ATDSampleShift = 0
-	truth, err := e.SweepConfig(ctx, full, cells)
+	truth, err := e.Do(ctx, onMachine(full, cells))
 	if err != nil {
 		t.Fatal(err)
 	}

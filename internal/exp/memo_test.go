@@ -212,7 +212,7 @@ func TestSpecTwoConfigsSimulateTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.Default().WithLLCSize(1 << 20)
-	if _, err := e.SweepConfig(ctx, cfg, cells); err != nil {
+	if _, err := e.Do(ctx, onMachine(cfg, cells)); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.count("cell:cfgsweep"); got != 2 {
@@ -223,7 +223,7 @@ func TestSpecTwoConfigsSimulateTwice(t *testing.T) {
 	}
 	// Re-requesting under either config is now a pure memo hit.
 	before := e.Stats()
-	if _, err := e.SweepConfig(ctx, cfg, cells); err != nil {
+	if _, err := e.Do(ctx, onMachine(cfg, cells)); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.CellRuns != before.CellRuns {
@@ -238,7 +238,7 @@ func TestSpecTwoConfigsSimulateTwice(t *testing.T) {
 	for i, set := range unread {
 		cfg := sim.Default()
 		set(&cfg)
-		outs, err := e.SweepConfig(ctx, cfg, cells)
+		outs, err := e.Do(ctx, onMachine(cfg, cells))
 		if err != nil {
 			t.Fatal(err)
 		}

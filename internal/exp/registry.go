@@ -20,7 +20,7 @@ type Params struct {
 	Intervals  int                            // phases: intervals per run
 	Timelines  func([]stack.TimeSeries) error // phases: receives the series, if set
 	MaxThreads int                            // advise: sweep top
-	Threads    int                            // whatif: thread count
+	Threads    int                            // whatif, calibrate: thread count
 }
 
 // DefaultParams are the sections' inputs when no flag overrides them.
@@ -48,12 +48,13 @@ var Artifacts = []Artifact{
 	{Name: "hwcost", Run: func(context.Context, *Engine, Params) (string, error) {
 		return HardwareCostReport(), nil
 	}},
-	{Name: "ablation", Run: runAblation},
+	{Name: "ablation", Run: show(Ablation, FormatAblation)},
 	{Name: "phases", OnDemand: true, Run: runPhases},
 	{Name: "custom", OnDemand: true, Run: runCustom},
 	{Name: "whatif", OnDemand: true, Run: runWhatIf},
 	{Name: "fastcompare", OnDemand: true, Run: show(ValidationCompare, FormatValidationCompare)},
 	{Name: "advise", OnDemand: true, Run: runAdvise},
+	{Name: "calibrate", OnDemand: true, Run: runCalibrate},
 }
 
 // Frame renders a section the way `experiments` prints it: a header line,

@@ -17,10 +17,10 @@ import (
 // bounded worker pool. Cells shared between figures are simulated exactly
 // once: both sequential references and full Outcomes are memoized for the
 // lifetime of the Engine, keyed by the complete machine configuration plus
-// the workload's canonical fingerprint. Regenerating the whole evaluation
-// still issues one Do per section (the ablation alone issues 20, in
-// sequence); the memo is what removes the duplicates among them, so every
-// shared cell and reference is simulated once. Every simulation is a
+// the workload's canonical fingerprint. Each section of the evaluation
+// declares all its cells, across every machine it sweeps, in one Do; the
+// memo is what removes the duplicates between sections, so every shared
+// cell and reference is simulated once. Every simulation is a
 // deterministic function of (config, workload), and results are returned in
 // declared order, so figure output is byte-identical regardless of the
 // worker count.
@@ -302,17 +302,18 @@ func (e *Engine) Stats() Stats {
 // Sweep executes the cells under the engine's base configuration and
 // returns one Outcome per declared cell, in declared order.
 func (e *Engine) Sweep(ctx context.Context, cells []Cell) ([]Outcome, error) {
-	return e.SweepConfig(ctx, e.base, cells)
+	return e.Do(ctx, onMachine(e.base, cells))
 }
 
-// SweepConfig executes the cells under an explicit machine configuration
-// (Figure 9's LLC sweep, the ablations), sharing the engine's pool and memo.
-func (e *Engine) SweepConfig(ctx context.Context, cfg sim.Config, cells []Cell) ([]Outcome, error) {
+// onMachine binds the cells to one machine configuration: a section that
+// sweeps several machines (Figure 9's LLC sizes, the ablations) appends one
+// such run per machine into a single Do.
+func onMachine(cfg sim.Config, cells []Cell) []Request {
 	reqs := make([]Request, len(cells))
 	for i, c := range cells {
 		reqs[i] = Request{Cell: c, Config: &cfg}
 	}
-	return e.Do(ctx, reqs)
+	return reqs
 }
 
 // resolve validates one request (Cell.Resolve) and maps it to the workload

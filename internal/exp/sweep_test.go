@@ -115,7 +115,7 @@ func TestSweepDedup(t *testing.T) {
 	// sequential reference does not read the quantum, so it still hits.
 	cfg := sim.Default()
 	cfg.Quantum = 200
-	if _, err := e.SweepConfig(context.Background(), cfg, cells[:1]); err != nil {
+	if _, err := e.Do(context.Background(), onMachine(cfg, cells[:1])); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.CellRuns != 5 || st.SeqRuns != 2 {

@@ -31,10 +31,9 @@
 // NDJSON sub-sweep per home (the node's own group served inline), and each
 // cell takes the next row line of its group's reply — a byte-exact merge,
 // because every encoder is deterministic and the json form is exactly the
-// indented ndjson rows (pinned by service tests). The first non-200 group
-// reply, by its first cell's position, answers for the batch; a 200 group
-// reply short of rows (a cell failed mid-stream) makes the node serve the
-// whole batch itself. Sweeps in csv/svg/text formats are served locally:
+// indented ndjson rows (pinned by service tests). A group reply that is not
+// a 200, or a 200 short of rows (a cell failed mid-stream), makes the node
+// serve the whole batch itself, so an error names the client's cell index. Sweeps in csv/svg/text formats are served locally:
 // those documents cannot be merged from row bytes.
 //
 // Determinism contract: a fleet answers every /v1 request with bytes

@@ -165,3 +165,34 @@ func TestFleetSplitShortGroupReply(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetSplitTimedOutGroupServedLocally: a group whose home answers it
+// with an error — here a 504, its cold cell outliving the home's SimTimeout
+// — cannot be merged, and relaying it would name the cell's index in its
+// group. The node that took the batch serves it whole instead: the same 200
+// bytes a single node gives.
+func TestFleetSplitTimedOutGroupServedLocally(t *testing.T) {
+	urls, _, handlers := newFleetWith(t, 2, func(i int, _ *fleet.Options, so *service.Options) []exp.Option {
+		if i == 1 {
+			so.SimTimeout = time.Nanosecond
+		}
+		return nil
+	})
+	single := httptest.NewServer(service.New(service.Options{Engine: exp.NewEngine(sim.Default(), exp.WithWorkers(2))}).Handler())
+	t.Cleanup(single.Close)
+	b := homedBenches(t, urls, handlers[0].Ring())
+	mine, theirs := b[0], b[1] // homed on node 0, which takes the batch, and on node 1
+	// Each format asks for a thread count node 1 has not simulated yet.
+	for threads, query := range []string{"", "?format=ndjson"} {
+		body := fmt.Sprintf(`{"cells":[{"bench":%[1]q,"threads":%[3]d},{"bench":%[2]q,"threads":%[3]d}]}`, mine, theirs, threads+2)
+		fwd := metric(t, urls[0], "speedupd_fleet_forwarded_total")
+		code, got := fetch(t, http.MethodPost, urls[0]+"/v1/sweep"+query, body)
+		if n := metric(t, urls[0], "speedupd_fleet_forwarded_total") - fwd; n != 1 {
+			t.Errorf("%q: %d forwards, want node 1's group fetched once", query, n)
+		}
+		wantCode, want := fetch(t, http.MethodPost, single.URL+"/v1/sweep"+query, body)
+		if wantCode != http.StatusOK || code != wantCode || got != want {
+			t.Errorf("%q: %d %q, a single node answers %d %q", query, code, got, wantCode, want)
+		}
+	}
+}

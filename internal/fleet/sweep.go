@@ -47,27 +47,20 @@ func (h *Handler) routeSplit(w http.ResponseWriter, r *http.Request, homes []str
 	}
 	replies := make([][]byte, len(results))
 	for g, res := range results {
-		if res == nil {
-			// A sub-request could not even be built; serving locally
-			// produces the canonical envelope (and is mostly cache hits by
-			// now).
+		if res == nil || res.status != http.StatusOK {
+			// No sub-request, or a group refused or timed out on its home:
+			// its error would name the cell's index in the group, so only
+			// the whole batch, served here, gives the single node's answer
+			// (and is mostly cache hits by now).
 			h.serveLocal(w, r)
-			return
-		}
-		if res.status != http.StatusOK {
-			// The first failing group in declared order answers for the
-			// batch, envelope and status untouched — matching the
-			// single-node contract of one error per sweep.
-			writePeerResp(w, res)
 			return
 		}
 		replies[g] = res.body
 	}
 	body, ok := sp.Merge(replies)
 	if !ok {
-		// A group's reply is short of rows (a cell failed mid-stream): only
-		// the whole batch, served here, gives the single node's answer and
-		// cell index.
+		// A group's reply is short of rows (a cell failed mid-stream): the
+		// same local answer.
 		h.serveLocal(w, r)
 		return
 	}

@@ -24,7 +24,7 @@ type Result struct {
 	// LLC and memory terms are Estimated's, so it is the ground truth exactly
 	// when the run's ATDSampleShift is 0: accounting never affects timing, so
 	// that run of the same cell is the reference for any other shift
-	// (cmd/calibrate -v prints it).
+	// (`experiments calibrate` prints it).
 	Oracle core.Components
 	// TotalOps counts the trace operations the machine consumed from its
 	// programs — the unit simulator throughput (ops/sec) is measured in.
