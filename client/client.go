@@ -312,6 +312,11 @@ func (c *Client) send(req *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
+// maxRetryAfter caps the Retry-After a server may ask for, in seconds (a
+// day), so the wait cannot overflow a time.Duration; the request's context
+// bounds the total wait in any case.
+const maxRetryAfter = 24 * 60 * 60
+
 // retryDelay picks the wait before retry number attempt: the server's
 // Retry-After when the response names one, otherwise exponential backoff
 // from 100ms, plus up to 50% random jitter so synchronized clients spread
@@ -320,7 +325,7 @@ func retryDelay(resp *http.Response, attempt int) time.Duration {
 	base := time.Duration(100*(1<<attempt)) * time.Millisecond
 	if s := resp.Header.Get("Retry-After"); s != "" {
 		if secs, err := strconv.Atoi(s); err == nil && secs >= 0 {
-			base = time.Duration(secs) * time.Second
+			base = time.Duration(min(secs, maxRetryAfter)) * time.Second
 		}
 	}
 	return base + time.Duration(rand.Int63n(int64(base)/2+1))

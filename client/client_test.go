@@ -323,29 +323,32 @@ func TestClientNoRetryOnPost(t *testing.T) {
 }
 
 // TestClientRetryHonorsContext pins that cancellation interrupts the
-// backoff wait instead of letting the retry fire.
+// backoff wait instead of letting the retry fire, also when the server asks
+// for a wait longer than a time.Duration holds.
 func TestClientRetryHonorsContext(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.Header().Set("Retry-After", "30")
-		w.WriteHeader(http.StatusTooManyRequests)
-	}))
-	t.Cleanup(srv.Close)
-	c := New(srv.URL)
-	c.Retries = 1
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := c.Benchmarks(ctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("error = %v, want context deadline", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("cancellation took %v — backoff not interruptible", d)
-	}
-	if hits.Load() != 1 {
-		t.Errorf("%d attempts, want 1 (retry must not fire after cancel)", hits.Load())
+	for _, retryAfter := range []string{"30", "9999999999"} {
+		var hits atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			w.Header().Set("Retry-After", retryAfter)
+			w.WriteHeader(http.StatusTooManyRequests)
+		}))
+		t.Cleanup(srv.Close)
+		c := New(srv.URL)
+		c.Retries = 1
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		_, err := c.Benchmarks(ctx)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Retry-After %s: error = %v, want context deadline", retryAfter, err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("Retry-After %s: cancellation took %v — backoff not interruptible", retryAfter, d)
+		}
+		if hits.Load() != 1 {
+			t.Errorf("Retry-After %s: %d attempts, want 1 (retry must not fire after cancel)", retryAfter, hits.Load())
+		}
 	}
 }
 

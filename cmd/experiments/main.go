@@ -110,10 +110,14 @@ func main() {
 		defer cancel()
 	}
 
+	var e *exp.Engine
 	opts := []exp.Option{exp.WithWorkers(*workers)}
 	if !*quiet {
-		opts = append(opts, exp.WithProgress(func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rcells: %d/%d ", done, total)
+		// The progress line is the engine's own count, redrawn as each
+		// simulation starts.
+		opts = append(opts, exp.WithRunHook(func(string, string, int, int) {
+			st := e.Stats()
+			fmt.Fprintf(os.Stderr, "\rcells: %d/%d ", st.CellsDone, st.CellsDeclared)
 		}))
 	}
 	mode, err := sim.ParseMode(*modeFlag)
@@ -121,7 +125,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	e := exp.NewEngine(sim.Default().WithMode(mode), opts...)
+	e = exp.NewEngine(sim.Default().WithMode(mode), opts...)
 
 	if *specPath != "" {
 		params.Spec = readSpec

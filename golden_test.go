@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/exp"
@@ -68,8 +69,19 @@ func sha256Hex(s string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestGoldenExperimentsAll regenerates every registered section through one
-// exact and one fast engine (the cmd/experiments code path), checks the
+// sharedEngines are the package's one exact and one fast engine, behind the
+// tests that range over the registry: TestGoldenExperimentsAll and
+// TestIntervalSumInvariant simulate each shared cell once between them.
+var sharedEngines = sync.OnceValue(func() map[sim.Mode]*exp.Engine {
+	engines := map[sim.Mode]*exp.Engine{}
+	for _, mode := range []sim.Mode{sim.ModeExact, sim.ModeFast} {
+		engines[mode] = exp.NewEngine(sim.Default().WithMode(mode), exp.WithWorkers(runtime.NumCPU()))
+	}
+	return engines
+})
+
+// TestGoldenExperimentsAll regenerates every registered section through the
+// shared exact and fast engines (the cmd/experiments code path), checks the
 // original artifact set against goldenHash and every framed section against
 // the digest table.
 func TestGoldenExperimentsAll(t *testing.T) {
@@ -80,7 +92,7 @@ func TestGoldenExperimentsAll(t *testing.T) {
 	got := map[string]map[string]string{}
 	var old strings.Builder
 	for _, mode := range []sim.Mode{sim.ModeExact, sim.ModeFast} {
-		e := exp.NewEngine(sim.Default().WithMode(mode), exp.WithWorkers(runtime.NumCPU()))
+		e := sharedEngines()[mode]
 		digests := map[string]string{}
 		var all strings.Builder
 		for _, a := range exp.Artifacts {

@@ -14,8 +14,9 @@ import (
 // sharedEngine is the one engine behind the regressions that range over the
 // registry and assert nothing about run counts: its memo simulates each
 // exact 4- and 16-thread cell (and each sequential reference) once for all
-// of them. Tests that count runs, install hooks or compare worker counts
-// build private engines.
+// of them. The declare-once test reads a Stats.Batches delta here, which a
+// memo hit counts like a run. Tests that count runs, install hooks or
+// compare worker counts build private engines.
 var sharedEngine = sync.OnceValue(func() *Engine {
 	return NewEngine(sim.Default(), WithWorkers(runtime.NumCPU()))
 })

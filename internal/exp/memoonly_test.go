@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -40,47 +39,26 @@ func memoOnlyCalls() []memoOnlyCall {
 	}
 }
 
-// progressCounter records an engine's cumulative progress.
-type progressCounter struct {
-	mu          sync.Mutex
-	done, total int
-}
-
-func (p *progressCounter) observe(done, total int) {
-	p.mu.Lock()
-	p.done, p.total = done, total
-	p.mu.Unlock()
-}
-
-func (p *progressCounter) get() [2]int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return [2]int{p.done, p.total}
-}
-
 // TestMemoOnlyIsAllOrNothing: a call under MemoOnly whose memo entries are
-// only partly there fails with ErrNotMemoized and leaves every counter —
-// Stats and progress — as it found them. Once the call has been made the
-// ordinary way, MemoOnly answers exactly what an ordinary repeat answers and
-// counts exactly the hits the ordinary repeat counts.
+// only partly there fails with ErrNotMemoized and leaves every Stats
+// counter, Batches, CellsDeclared and CellsDone included, as it found them.
+// Once the call has been made the ordinary way, MemoOnly answers exactly
+// what an ordinary repeat answers and counts exactly the hits the ordinary
+// repeat counts.
 func TestMemoOnlyIsAllOrNothing(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range memoOnlyCalls() {
 		t.Run(c.name, func(t *testing.T) {
-			var p progressCounter
-			e := NewEngine(sim.Default(), WithWorkers(2), WithProgress(p.observe))
+			e := NewEngine(sim.Default(), WithWorkers(2))
 			if err := c.warm(ctx, e); err != nil {
 				t.Fatal(err)
 			}
-			st, prog := e.Stats(), p.get()
+			st := e.Stats()
 			if _, err := c.run(MemoOnly(ctx), e); !errors.Is(err, ErrNotMemoized) {
 				t.Fatalf("partly memoized call: err %v, want ErrNotMemoized", err)
 			}
 			if got := e.Stats(); got != st {
 				t.Errorf("failed memo-only call moved the stats:\n got %+v\nwant %+v", got, st)
-			}
-			if got := p.get(); got != prog {
-				t.Errorf("failed memo-only call moved the progress: %v, want %v", got, prog)
 			}
 
 			if _, err := c.run(ctx, e); err != nil {

@@ -2,11 +2,8 @@ package exp
 
 import (
 	"context"
-	"runtime"
-	"sync"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -17,24 +14,15 @@ var gridSections = []string{
 	"ablation", "fastcompare", "calibrate", "custom",
 }
 
-// TestGridSectionsDeclareOnce runs every grid section on an engine whose
-// progress callback counts the declarations: each Do with cells raises the
-// declared total once, memo hits included, so a section that raises it
-// twice issues its cells in sequential steps, each waiting on the last.
+// TestGridSectionsDeclareOnce runs every grid section on the shared engine
+// and reads how many batches it declared: each Do with cells counts one in
+// Stats.Batches, memo hits included, so a section that counts two issues
+// its cells in sequential steps, each waiting on the last.
 func TestGridSectionsDeclareOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every grid section")
 	}
-	var mu sync.Mutex
-	raises, last := 0, 0
-	e := NewEngine(sim.Default(), WithWorkers(runtime.NumCPU()), WithProgress(func(_, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if total > last {
-			raises++
-			last = total
-		}
-	}))
+	e := sharedEngine()
 	custom, ok := workload.ByName("lud_rodinia")
 	if !ok {
 		t.Fatal("lud_rodinia not registered")
@@ -50,16 +38,12 @@ func TestGridSectionsDeclareOnce(t *testing.T) {
 		if !ok {
 			t.Fatalf("section %s is not registered", name)
 		}
-		mu.Lock()
-		raises = 0
-		mu.Unlock()
+		before := e.Stats().Batches
 		if _, err := a.Run(context.Background(), e, p); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		mu.Lock()
-		if raises > 1 {
-			t.Errorf("%s declared its cells in %d steps, want one Do", name, raises)
+		if n := e.Stats().Batches - before; n > 1 {
+			t.Errorf("%s declared its cells in %d steps, want one Do", name, n)
 		}
-		mu.Unlock()
 	}
 }

@@ -193,23 +193,30 @@ type Stats struct {
 	// add nothing). SimulatedOps over wall-clock time is the engine's
 	// simulator throughput.
 	SimulatedOps uint64
+	// Batches counts the Do calls that declared at least one cell, memo
+	// hits included: a section that declares its cells in one Do adds one.
+	// CellsDeclared and CellsDone are the unique cells those calls declared
+	// (duplicates within a call count once) and the ones answered so far —
+	// the progress of everything the engine has been asked.
+	Batches       int
+	CellsDeclared int
+	CellsDone     int
 }
 
 // Engine is the concurrent deduplicating sweep executor. It is safe for
 // use by multiple goroutines; overlapping sweeps share the memo and never
-// simulate the same cell twice.
+// simulate the same cell twice. It is observed through Stats, which counts
+// its batches, cells, runs and hits, and through the run hook, which sees
+// each simulation start.
 type Engine struct {
 	base sim.Config
 	// sem bounds simulation parallelism engine-wide: concurrent sweeps on
 	// one engine share the same worker budget.
 	sem chan struct{}
 
-	// progress, if set, observes cumulative cell completion across the
-	// engine's lifetime. It may be invoked from multiple goroutines, but
-	// calls are serialized by the engine.
-	progress func(done, total int)
 	// hook, if set, observes every simulation actually executed (kind is
-	// "seq", "cell" or "interval"). Intended for tests and instrumentation.
+	// "seq", "cell" or "interval"): tests, instrumentation and the
+	// experiments progress line.
 	hook func(kind string, bench string, threads, cores int)
 
 	mu    sync.Mutex
@@ -223,9 +230,6 @@ type Engine struct {
 	cells     *memo.Cache[cellKey, Outcome]
 	intervals *memo.Cache[intervalKey, IntervalOutcome]
 	cellLimit int
-
-	progressMu          sync.Mutex
-	doneCells, totCells int
 }
 
 // Option customizes an Engine.
@@ -238,12 +242,6 @@ func WithWorkers(n int) Option {
 			e.sem = make(chan struct{}, n)
 		}
 	}
-}
-
-// WithProgress installs a progress callback receiving the cumulative
-// (completed, declared) unique-cell counts.
-func WithProgress(f func(done, total int)) Option {
-	return func(e *Engine) { e.progress = f }
 }
 
 // WithRunHook installs a hook invoked once per simulation actually
@@ -345,8 +343,8 @@ type memoOnlyKey struct{}
 
 // MemoOnly marks ctx so that an engine call under it answers from retained
 // memo entries alone, on the caller's goroutine, or fails with
-// ErrNotMemoized before counting any hit or progress — so repeating the
-// call under an ordinary context counts every hit once.
+// ErrNotMemoized before moving any Stats counter — so repeating the call
+// under an ordinary context counts every hit, batch and cell once.
 func MemoOnly(ctx context.Context) context.Context {
 	return context.WithValue(ctx, memoOnlyKey{}, true)
 }
@@ -408,11 +406,14 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 	if len(misses) > 0 && memoOnly(ctx) {
 		return nil, ErrNotMemoized
 	}
-	e.addDeclared(len(unique))
-	e.add(&e.stats.CellHits, len(unique)-len(misses))
-	for range answered {
-		e.stepDone()
+	e.mu.Lock()
+	if len(unique) > 0 {
+		e.stats.Batches++
 	}
+	e.stats.CellsDeclared += len(unique)
+	e.stats.CellsDone += answered
+	e.stats.CellHits += len(unique) - len(misses)
+	e.mu.Unlock()
 
 	// One goroutine per miss, unless a retained failure already decides the
 	// batch; the engine-wide semaphore bounds the actual simulations, not
@@ -433,7 +434,7 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 					return
 				}
 				results[i] = out
-				e.stepDone()
+				e.add(&e.stats.CellsDone, 1)
 			}(i, unique[i])
 		}
 		wg.Wait()
@@ -571,25 +572,4 @@ func (e *Engine) seqTime(ctx context.Context, cfg sim.Config, fp workload.Finger
 			res, err := e.simulate(ctx, "seq", cfg, b, 0, 0)
 			return res.Tp, true, err
 		})
-}
-
-// addDeclared and stepDone maintain the cumulative progress counters. The
-// callback runs under progressMu so invocations are serialized and counts
-// never appear to move backwards; it must not call back into the engine.
-func (e *Engine) addDeclared(n int) {
-	e.progressMu.Lock()
-	defer e.progressMu.Unlock()
-	e.totCells += n
-	if e.progress != nil && n > 0 {
-		e.progress(e.doneCells, e.totCells)
-	}
-}
-
-func (e *Engine) stepDone() {
-	e.progressMu.Lock()
-	defer e.progressMu.Unlock()
-	e.doneCells++
-	if e.progress != nil {
-		e.progress(e.doneCells, e.totCells)
-	}
 }

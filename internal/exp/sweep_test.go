@@ -200,22 +200,32 @@ func TestSweepUnknownBenchmark(t *testing.T) {
 	}
 }
 
-// TestSweepProgress checks the cumulative progress callback reaches
-// (total, total) exactly once per unique cell.
+// TestSweepProgress checks the engine's progress counters: one Do is one
+// batch, and every unique cell it declares is counted declared and done
+// once, the in-batch duplicate included once. A batch the memo answers
+// whole still counts as a batch and all its cells, so a section's batch
+// count does not depend on what the memo already holds.
 func TestSweepProgress(t *testing.T) {
-	var mu sync.Mutex
-	var last [2]int
-	e := NewEngine(sim.Default(), WithWorkers(2),
-		WithProgress(func(done, total int) {
-			mu.Lock()
-			last = [2]int{done, total}
-			mu.Unlock()
-		}))
+	e := NewEngine(sim.Default(), WithWorkers(2))
+	progress := func() [3]int {
+		st := e.Stats()
+		return [3]int{st.Batches, st.CellsDeclared, st.CellsDone}
+	}
 	if _, err := e.Sweep(context.Background(), sweepTestCells()); err != nil {
 		t.Fatal(err)
 	}
-	if last != [2]int{4, 4} {
-		t.Fatalf("final progress = %v, want [4 4] (unique cells)", last)
+	if got := progress(); got != [3]int{1, 4, 4} {
+		t.Fatalf("(batches, declared, done) = %v, want [1 4 4] (unique cells)", got)
+	}
+	runs := e.Stats().CellRuns
+	if _, err := e.Sweep(context.Background(), sweepTestCells()); err != nil {
+		t.Fatal(err)
+	}
+	if got := progress(); got != [3]int{2, 8, 8} {
+		t.Errorf("after a memo-answered batch (batches, declared, done) = %v, want [2 8 8]", got)
+	}
+	if st := e.Stats(); st.CellRuns != runs {
+		t.Errorf("memo-answered batch simulated %d cells", st.CellRuns-runs)
 	}
 }
 

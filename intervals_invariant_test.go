@@ -3,7 +3,6 @@ package speedupstack
 import (
 	"context"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -25,15 +24,17 @@ func TestIntervalSumInvariant(t *testing.T) {
 		t.Skip("whole-registry interval sweep is not a -short test")
 	}
 	for _, mode := range []sim.Mode{sim.ModeExact, sim.ModeFast} {
-		t.Run(mode.String(), func(t *testing.T) { checkIntervalSums(t, sim.Default().WithMode(mode)) })
+		t.Run(mode.String(), func(t *testing.T) { checkIntervalSums(t, sharedEngines()[mode]) })
 	}
 }
 
-// checkIntervalSums is TestIntervalSumInvariant on one machine.
-func checkIntervalSums(t *testing.T, cfg sim.Config) {
+// checkIntervalSums is TestIntervalSumInvariant on one machine. The engine
+// is shared, so the interval runs are counted as a delta; no other test asks
+// for 8 intervals, so every one of them simulates here.
+func checkIntervalSums(t *testing.T, e *exp.Engine) {
 	const intervals = 8
-	e := exp.NewEngine(cfg, exp.WithWorkers(runtime.NumCPU()))
 	ctx := context.Background()
+	before := e.Stats().IntervalRuns
 
 	type cellID struct {
 		bench   string
@@ -131,7 +132,7 @@ func checkIntervalSums(t *testing.T, cfg sim.Config) {
 	}
 	wg.Wait()
 
-	if st := e.Stats(); st.IntervalRuns != len(cells) {
-		t.Errorf("expected %d interval simulations, engine ran %d", len(cells), st.IntervalRuns)
+	if runs := e.Stats().IntervalRuns - before; runs != len(cells) {
+		t.Errorf("expected %d interval simulations, engine ran %d", len(cells), runs)
 	}
 }
