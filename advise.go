@@ -52,10 +52,5 @@ const (
 // and returns the full advisor answer. The sweep sets the thread count:
 // r.Threads is ignored.
 func Advise(ctx context.Context, r Request, maxThreads int) (Advice, error) {
-	r.Threads = maxThreads
-	req, err := r.resolve()
-	if err != nil {
-		return Advice{}, err
-	}
-	return newEngine().Advise(ctx, req, maxThreads)
+	return newEngine().Advise(ctx, r.request(), maxThreads)
 }

@@ -70,6 +70,7 @@ import (
 	"strings"
 
 	speedupstack "repro"
+	"repro/internal/sim"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -117,14 +118,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return exit(2, err)
 	}
-	req := speedupstack.Request{Bench: *bench, Threads: *threads}
-	switch *mode {
-	case "", "exact":
-	case "fast":
-		req.Fast = true
-	default:
-		return exit(2, fmt.Sprintf("unknown -mode %q (want exact or fast)", *mode))
+	m, err := sim.ParseMode(*mode)
+	if err != nil {
+		return exit(2, err)
 	}
+	req := speedupstack.Request{Bench: *bench, Threads: *threads, Fast: m == sim.ModeFast}
 	given := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	analysis := *whatIf || *advise || *intervals > 0

@@ -3,14 +3,39 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	speedupstack "repro"
+	"repro/client"
+	"repro/internal/exp"
+	"repro/internal/service"
+	"repro/internal/sim"
 )
+
+// speedupdRefusal serves target on a fresh speedupd and returns its error
+// message, failing unless the answer is 400 invalid_argument.
+func speedupdRefusal(t *testing.T, h http.Handler, target string) string {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", target, nil))
+	var env struct {
+		Error struct{ Code, Message string }
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || w.Code != http.StatusBadRequest ||
+		env.Error.Code != "invalid_argument" {
+		t.Fatalf("speedupd %s: status %d, body %s; want 400 invalid_argument", target, w.Code, w.Body)
+	}
+	return env.Error.Message
+}
 
 // TestUsageErrors pins the requests the command refuses before running
 // anything: one line on stderr, nothing on stdout, and exit status 2 for a
@@ -18,6 +43,7 @@ import (
 // library's own text, the same text every door gives.
 func TestUsageErrors(t *testing.T) {
 	ctx := context.Background()
+	srv := service.New(service.Options{Engine: exp.NewEngine(sim.Default())}).Handler()
 	fast := speedupstack.Request{Bench: "cholesky_splash2", Threads: 16, Fast: true}
 	_, adviseErr := speedupstack.Advise(ctx, fast, 16)
 	_, whatIfErr := speedupstack.WhatIf(ctx, fast)
@@ -39,7 +65,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-max-threads 8 -whatif", 2, "add -advise"},
 		{"-mode fast -advise", 1, adviseErr.Error()},
 		{"-mode fast -whatif", 1, whatIfErr.Error()},
-		{"-mode turbo", 2, "unknown -mode"},
+		{"-mode turbo", 2, speedupdRefusal(t, srv, "/v1/advise?bench=cholesky&mode=turbo")},
 		{"-record out.trace -trace in.trace", 2, "-record captures one aggregate run"},
 		{"-record out.trace -advise", 2, "-record captures one aggregate run"},
 		{"-record out.trace -whatif", 2, "-record captures one aggregate run"},
@@ -65,6 +91,62 @@ func TestUsageErrors(t *testing.T) {
 			if _, err := os.Stat("out.trace"); err == nil {
 				os.Remove("out.trace")
 				t.Error("a refused -record left out.trace behind")
+			}
+		})
+	}
+}
+
+// TestAdviseRangeOneText checks that the engine alone judges the advisor's
+// sweep top: every door answers a top outside [MinAdviseThreads,
+// MaxAdviseThreads] with exp.Engine.Advise's own text, before any
+// simulation.
+func TestAdviseRangeOneText(t *testing.T) {
+	ctx := context.Background()
+	e := exp.NewEngine(sim.Default())
+	srv := service.New(service.Options{Engine: exp.NewEngine(sim.Default())}).Handler()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	var experiments func(context.Context, *exp.Engine, exp.Params) (string, error)
+	for _, a := range exp.Artifacts {
+		if a.Name == "advise" {
+			experiments = a.Run
+		}
+	}
+	for _, n := range []int{0, 2, 65, 300} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			_, err := e.Advise(ctx, exp.Request{Cell: exp.Cell{Bench: "cholesky"}}, n)
+			var refused *exp.RequestError
+			if !errors.As(err, &refused) {
+				t.Fatalf("engine: error %T (%v), want *exp.RequestError", err, err)
+			}
+			want := err.Error()
+			// The library ignores Request.Threads for the sweep, whatever it holds.
+			if _, err := speedupstack.Advise(ctx, speedupstack.Request{Bench: "cholesky", Threads: n}, n); err == nil || err.Error() != want {
+				t.Errorf("library: error %v, want %q", err, want)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-bench", "cholesky", "-advise", "-max-threads", fmt.Sprint(n)}, &stdout, &stderr); code != 1 || stderr.String() != want+"\n" || stdout.Len() != 0 {
+				t.Errorf("speedup-stack: exit status %d, stderr %q, stdout %q; want 1 and %q", code, stderr.String(), stdout.String(), want)
+			}
+			if got := speedupdRefusal(t, srv, fmt.Sprintf("/v1/advise?bench=cholesky&max_threads=%d", n)); got != want {
+				t.Errorf("speedupd: message %q, want %q", got, want)
+			}
+			p := exp.DefaultParams
+			p.MaxThreads = n
+			if _, err := experiments(ctx, e, p); err == nil || err.Error() != want {
+				t.Errorf("experiments advise: error %v, want %q", err, want)
+			}
+			// The client sends max_threads only when set: 0 asks for the
+			// service's default top.
+			if n != 0 {
+				_, err := client.New(hs.URL).Advise(ctx, "cholesky", n)
+				var api *client.APIError
+				if !errors.As(err, &api) || api.Message != want {
+					t.Errorf("client: error %v, want the message %q", err, want)
+				}
+			}
+			if st := e.Stats(); st.CellRuns+st.SeqRuns != 0 {
+				t.Errorf("a refused sweep top simulated: %+v", st)
 			}
 		})
 	}

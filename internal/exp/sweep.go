@@ -186,7 +186,8 @@ type Stats struct {
 	IntervalRuns      int
 	IntervalHits      int
 	IntervalEvictions int
-	// InFlight is a gauge: simulations executing right now.
+	// InFlight is a gauge: simulations executing right now (worker slots
+	// taken).
 	InFlight int
 	// SimulatedOps is the cumulative count of trace operations executed by
 	// the engine's simulations (cells and sequential references; memo hits
@@ -289,6 +290,7 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	st := e.stats
 	e.mu.Unlock()
+	st.InFlight = len(e.sem)
 	cell := e.cells.Occupancy()
 	st.CellEvictions = cell.Evictions
 	st.CellMemoEntries = cell.Entries
@@ -470,10 +472,10 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 	return outs, nil
 }
 
-// acquire takes an engine-wide worker slot for one simulation and counts it
-// in flight, or fails with the context's error — also when the context died
-// while the slot was being handed over. The returned release must be called
-// once the simulation is done.
+// acquire takes an engine-wide worker slot for one simulation (Stats counts
+// the taken slots in flight), or fails with the context's error — also when
+// the context died while the slot was being handed over. The returned
+// release must be called once the simulation is done.
 func (e *Engine) acquire(ctx context.Context) (release func(), err error) {
 	select {
 	case e.sem <- struct{}{}:
@@ -484,11 +486,7 @@ func (e *Engine) acquire(ctx context.Context) (release func(), err error) {
 		<-e.sem
 		return nil, err
 	}
-	e.add(&e.stats.InFlight, 1)
-	return func() {
-		e.add(&e.stats.InFlight, -1)
-		<-e.sem
-	}, nil
+	return func() { <-e.sem }, nil
 }
 
 // cell resolves one unique cell through the cell memo: claim and

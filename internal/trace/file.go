@@ -20,11 +20,11 @@ import (
 //	offset 0   magic "SPTR" (4 raw bytes)
 //	offset 4   version (1 raw byte, = 1)
 //	offset 5   flags   (1 raw byte; bit0 = sequential stream present)
-//	           label       varint length (<= 256) + raw bytes
-//	           lock_grace / barrier_grace   varints (cycles)
-//	           queue registrations    varint count, then per queue: id, cap
-//	           barrier registrations  varint count, then per barrier: id, parties
-//	           threads     varint T in [1, 256]
+//	           label       varint length (<= MaxLabelLen) + raw bytes
+//	           lock_grace / barrier_grace   varints (cycles, <= MaxGrace)
+//	           queue registrations    varint count (<= MaxRegs), then per queue: id, cap (<= MaxQueueCap)
+//	           barrier registrations  varint count (<= MaxRegs), then per barrier: id, parties (<= MaxThreads)
+//	           threads     varint T in [1, MaxThreads]
 //	           sequential section (only when flagged), then T thread sections
 //
 // A section is: varint op count, varint byte length, then exactly that many
@@ -52,13 +52,19 @@ const (
 	headKindMask = 0x0f
 	headHasN     = 1 << 4
 	headOverhead = 1 << 5
+)
 
-	maxLabelLen     = 256
-	maxRegs         = 1 << 16
-	maxTraceThreads = 256
-	// maxTraceGrace mirrors the workload spec bound so a decoded trace
-	// always builds a valid replay spec.
-	maxTraceGrace = 1 << 62
+// Header bounds of the format, shared by Decode and File.CheckHeader: the
+// label's length in bytes, each registration list's length, the thread
+// count (and a barrier's parties), a queue's capacity, and the grace
+// overrides in cycles, which the workload spec takes as its own bound so a
+// decoded trace always builds a valid replay spec.
+const (
+	MaxLabelLen = 256
+	MaxRegs     = 1 << 16
+	MaxThreads  = 256
+	MaxQueueCap = 1 << 20
+	MaxGrace    = 1 << 62
 )
 
 // QueueReg is one bounded-queue registration a replay must re-create.
@@ -95,9 +101,9 @@ type File struct {
 	Threads [][]Op
 }
 
-// Encode writes the file in binary form. It fails on shapes the decoder
-// would reject (no threads, no thread op doing work, oversized label,
-// out-of-range registrations), so every encoded trace round-trips.
+// Encode writes the file in binary form. It fails on every shape Decode
+// refuses — a header CheckHeader refuses, a malformed op stream, or no
+// thread op doing work — so every encoded trace round-trips.
 func (f *File) Encode(w io.Writer) error {
 	buf, err := f.appendTo(nil)
 	if err != nil {
@@ -119,23 +125,50 @@ func (f *File) Data() (*Data, error) {
 	return Decode(buf)
 }
 
-// appendTo appends the encoded file to dst.
+// CheckHeader refuses every header Decode refuses, by the bounds above. It
+// reads the op streams only for their count, so a recorder can run it
+// before it records an op.
+func (f *File) CheckHeader() error {
+	if len(f.Threads) < 1 || len(f.Threads) > MaxThreads {
+		return fmt.Errorf("trace: thread count must be in [1, %d], got %d", MaxThreads, len(f.Threads))
+	}
+	if len(f.Label) > MaxLabelLen {
+		return fmt.Errorf("trace: label length %d exceeds %d", len(f.Label), MaxLabelLen)
+	}
+	if len(f.Queues) > MaxRegs || len(f.Barriers) > MaxRegs {
+		return fmt.Errorf("trace: at most %d queue and %d barrier registrations", MaxRegs, MaxRegs)
+	}
+	for _, q := range f.Queues {
+		if q.Cap < 0 || q.Cap > MaxQueueCap {
+			return fmt.Errorf("trace: queue %d capacity must be in [0, %d], got %d", q.ID, MaxQueueCap, q.Cap)
+		}
+	}
+	for _, b := range f.Barriers {
+		if b.Parties < 0 || b.Parties > MaxThreads {
+			return fmt.Errorf("trace: barrier %d parties must be in [0, %d], got %d", b.ID, MaxThreads, b.Parties)
+		}
+	}
+	if f.LockGrace > MaxGrace || f.BarrierGrace > MaxGrace {
+		return fmt.Errorf("trace: grace values must be <= %d cycles", uint64(MaxGrace))
+	}
+	return nil
+}
+
+// appendTo appends the encoded file to dst once CheckHeader and the work
+// rule pass.
 func (f *File) appendTo(dst []byte) ([]byte, error) {
-	if len(f.Threads) < 1 || len(f.Threads) > maxTraceThreads {
-		return nil, fmt.Errorf("trace: thread count must be in [1, %d], got %d", maxTraceThreads, len(f.Threads))
-	}
-	if len(f.Label) > maxLabelLen {
-		return nil, fmt.Errorf("trace: label exceeds %d bytes", maxLabelLen)
-	}
-	if len(f.Queues) > maxRegs || len(f.Barriers) > maxRegs {
-		return nil, fmt.Errorf("trace: at most %d queue and %d barrier registrations", maxRegs, maxRegs)
-	}
-	if f.LockGrace > maxTraceGrace || f.BarrierGrace > maxTraceGrace {
-		return nil, fmt.Errorf("trace: grace values must be <= %d cycles", uint64(maxTraceGrace))
+	if err := f.CheckHeader(); err != nil {
+		return nil, err
 	}
 	if !slices.ContainsFunc(f.Threads, func(ops []Op) bool { return slices.ContainsFunc(ops, Op.works) }) {
 		return nil, errNoWork
 	}
+	return f.write(dst)
+}
+
+// write appends the file to dst unchecked, failing only on a malformed op
+// stream.
+func (f *File) write(dst []byte) ([]byte, error) {
 	dst = append(dst, formatMagic...)
 	flags := byte(0)
 	if f.Sequential != nil {
@@ -148,17 +181,11 @@ func (f *File) appendTo(dst []byte) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, f.BarrierGrace)
 	dst = binary.AppendUvarint(dst, uint64(len(f.Queues)))
 	for _, q := range f.Queues {
-		if q.Cap < 0 {
-			return nil, fmt.Errorf("trace: negative capacity for queue %d", q.ID)
-		}
 		dst = binary.AppendUvarint(dst, uint64(q.ID))
 		dst = binary.AppendUvarint(dst, uint64(q.Cap))
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(f.Barriers)))
 	for _, b := range f.Barriers {
-		if b.Parties < 0 {
-			return nil, fmt.Errorf("trace: negative parties for barrier %d", b.ID)
-		}
 		dst = binary.AppendUvarint(dst, uint64(b.ID))
 		dst = binary.AppendUvarint(dst, uint64(b.Parties))
 	}
@@ -318,8 +345,8 @@ func header(data []byte) (*Data, *decoder, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if labelLen > maxLabelLen {
-		return nil, nil, fmt.Errorf("trace: label length %d exceeds %d", labelLen, maxLabelLen)
+	if labelLen > MaxLabelLen {
+		return nil, nil, fmt.Errorf("trace: label length %d exceeds %d", labelLen, MaxLabelLen)
 	}
 	label, err := d.bytes(labelLen, "label")
 	if err != nil {
@@ -338,15 +365,15 @@ func header(data []byte) (*Data, *decoder, error) {
 	if t.barrierGrace, err = d.uvarint("barrier_grace"); err != nil {
 		return nil, nil, err
 	}
-	if t.lockGrace > maxTraceGrace || t.barrierGrace > maxTraceGrace {
-		return nil, nil, fmt.Errorf("trace: grace values must be <= %d cycles", uint64(maxTraceGrace))
+	if t.lockGrace > MaxGrace || t.barrierGrace > MaxGrace {
+		return nil, nil, fmt.Errorf("trace: grace values must be <= %d cycles", uint64(MaxGrace))
 	}
-	t.queues, err = decodeRegs(d, "queue", "capacity", "cap", 1<<20,
+	t.queues, err = decodeRegs(d, "queue", "capacity", "cap", MaxQueueCap,
 		func(id uint32, v int) QueueReg { return QueueReg{ID: id, Cap: v} })
 	if err != nil {
 		return nil, nil, err
 	}
-	t.barriers, err = decodeRegs(d, "barrier", "parties", "parties", maxTraceThreads,
+	t.barriers, err = decodeRegs(d, "barrier", "parties", "parties", MaxThreads,
 		func(id uint32, v int) BarrierReg { return BarrierReg{ID: id, Parties: v} })
 	if err != nil {
 		return nil, nil, err
@@ -355,8 +382,8 @@ func header(data []byte) (*Data, *decoder, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if threads < 1 || threads > maxTraceThreads {
-		return nil, nil, fmt.Errorf("trace: thread count must be in [1, %d], got %d", maxTraceThreads, threads)
+	if threads < 1 || threads > MaxThreads {
+		return nil, nil, fmt.Errorf("trace: thread count must be in [1, %d], got %d", MaxThreads, threads)
 	}
 	t.threads = make([][]byte, threads)
 	if flags&flagSequential != 0 {
@@ -375,7 +402,7 @@ func decodeRegs[R any](d *decoder, kind, field, short string, maxVal uint64, reg
 	}
 	// Each registration occupies at least two bytes, so the remaining
 	// buffer bounds the believable count before anything is allocated.
-	if n > maxRegs || n*2 > uint64(d.remaining()) {
+	if n > MaxRegs || n*2 > uint64(d.remaining()) {
 		return nil, fmt.Errorf("trace: implausible %s count %d", kind, n)
 	}
 	idWhat, valWhat := kind+" id", kind+" "+field
@@ -597,11 +624,7 @@ type streamReader struct {
 }
 
 // Next implements Program: the one-op batch.
-func (r *streamReader) Next(fb Feedback) Op {
-	var one [1]Op
-	r.NextBatch(one[:], fb)
-	return one[0]
-}
+func (r *streamReader) Next(fb Feedback) Op { return One(r, fb) }
 
 // NextBatch implements Program: it fills dst until the batch boundary
 // contract forces a cut — after a KindPop (fresh feedback only arrives at

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -246,6 +247,113 @@ func FuzzTraceDecode(f *testing.F) {
 		}
 		if total != d.TotalOps() {
 			t.Fatalf("streams yielded %d ops, declared %d", total, d.TotalOps())
+		}
+	})
+}
+
+// TestEncodeHeaderBounds pins the registration bounds Encode shares with
+// Decode: a queue capacity of MaxQueueCap and MaxThreads barrier parties
+// encode and round-trip, one more of either is refused before writing.
+func TestEncodeHeaderBounds(t *testing.T) {
+	file := func(cap, parties int) *File {
+		return &File{
+			Queues:   []QueueReg{{ID: 0, Cap: cap}},
+			Barriers: []BarrierReg{{ID: 2000, Parties: parties}},
+			Threads:  [][]Op{{Compute(1), End()}},
+		}
+	}
+	for _, tc := range []struct {
+		name         string
+		cap, parties int
+		ok           bool
+	}{
+		{"largest queue", MaxQueueCap, 1, true},
+		{"widest barrier", 1, MaxThreads, true},
+		{"queue too large", MaxQueueCap + 1, 1, false},
+		{"barrier too wide", 1, MaxThreads + 1, false},
+		{"negative capacity", -1, 1, false},
+		{"negative parties", 1, -1, false},
+	} {
+		var buf bytes.Buffer
+		err := file(tc.cap, tc.parties).Encode(&buf)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Encode error %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if err == nil {
+			if _, err := Decode(buf.Bytes()); err != nil {
+				t.Errorf("%s: Decode refused what Encode wrote: %v", tc.name, err)
+			}
+		}
+	}
+}
+
+// FuzzFileHeader holds File.CheckHeader to Decode: over every header field
+// — label length, graces, registration counts, queue capacities, barrier
+// parties and thread count — the check accepts a header exactly when Decode
+// accepts the same header written without it. Every stream is
+// {Compute(1), End()}, so only the header can be refused.
+func FuzzFileHeader(f *testing.F) {
+	type header struct {
+		label               int
+		lockGrace, barGrace uint64
+		queues, barriers    int
+		queueCap, parties   int
+		threads             int
+	}
+	for _, h := range []header{
+		{0, 0, 0, 1, 1, 16, 2, 2},
+		{MaxLabelLen, MaxGrace, MaxGrace, 1, 1, MaxQueueCap, MaxThreads, MaxThreads},
+		{MaxLabelLen + 1, 0, 0, 0, 0, 0, 0, 1},
+		{0, MaxGrace + 1, 0, 0, 0, 0, 0, 1},
+		{0, 0, MaxGrace + 1, 0, 0, 0, 0, 1},
+		{0, 0, 0, 1, 0, MaxQueueCap + 1, 0, 1},
+		{0, 0, 0, 0, 1, 0, MaxThreads + 1, 1},
+		{0, 0, 0, 1, 1, -1, -1, 1},
+		{0, 0, 0, MaxRegs, MaxRegs, 1, 1, 1},
+		{0, 0, 0, MaxRegs + 1, 0, 1, 1, 1},
+		{0, 0, 0, 0, MaxRegs + 1, 1, 1, 1},
+		{0, 0, 0, 0, 0, 0, 0, 0},
+		{0, 0, 0, 0, 0, 0, 0, MaxThreads + 1},
+	} {
+		f.Add(uint16(h.label), h.lockGrace, h.barGrace, uint32(h.queues), uint32(h.barriers),
+			int64(h.queueCap), int64(h.parties), uint16(h.threads))
+	}
+	f.Fuzz(func(t *testing.T, label uint16, lockGrace, barGrace uint64, queues, barriers uint32, queueCap, parties int64, threads uint16) {
+		// Each count ranges just past its bound, so both sides of every
+		// rule stay reachable without huge inputs.
+		file := &File{
+			Label:        strings.Repeat("x", int(label)%(2*MaxLabelLen)),
+			LockGrace:    lockGrace,
+			BarrierGrace: barGrace,
+			Queues:       make([]QueueReg, int(queues)%(MaxRegs+2)),
+			Barriers:     make([]BarrierReg, int(barriers)%(MaxRegs+2)),
+			Threads:      make([][]Op, int(threads)%(2*MaxThreads)),
+		}
+		for i := range file.Queues {
+			file.Queues[i] = QueueReg{ID: uint32(i), Cap: int(queueCap)}
+		}
+		for i := range file.Barriers {
+			file.Barriers[i] = BarrierReg{ID: uint32(i), Parties: int(parties)}
+		}
+		for i := range file.Threads {
+			file.Threads[i] = []Op{Compute(1), End()}
+		}
+		unchecked, err := file.write(nil)
+		if err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		_, derr := Decode(unchecked)
+		cerr := file.CheckHeader()
+		if (cerr == nil) != (derr == nil) {
+			t.Fatalf("CheckHeader error %v, Decode error %v", cerr, derr)
+		}
+		var buf bytes.Buffer
+		if err := file.Encode(&buf); (err == nil) != (cerr == nil) {
+			t.Fatalf("Encode error %v, CheckHeader error %v", err, cerr)
+		}
+		if cerr == nil && !bytes.Equal(buf.Bytes(), unchecked) {
+			t.Fatal("Encode wrote other bytes than the unchecked writer")
 		}
 	})
 }

@@ -21,11 +21,7 @@ func NewRecorder(p Program) *Recorder {
 }
 
 // Next implements Program: the one-op batch.
-func (r *Recorder) Next(fb Feedback) Op {
-	var one [1]Op
-	r.NextBatch(one[:], fb)
-	return one[0]
-}
+func (r *Recorder) Next(fb Feedback) Op { return One(r, fb) }
 
 // NextBatch implements Program.
 func (r *Recorder) NextBatch(dst []Op, fb Feedback) int {

@@ -116,7 +116,7 @@ type Feedback struct {
 // way the simulator pulls it: a program hands over whole chunks of its
 // stream, paying one dynamic dispatch per chunk instead of one per
 // operation. Implementations are typically small state machines. Next is
-// the one-op batch.
+// the one-op batch, One.
 //
 // The batching contract:
 //
@@ -141,6 +141,14 @@ type Feedback struct {
 type Program interface {
 	Next(fb Feedback) Op
 	NextBatch(dst []Op, fb Feedback) int
+}
+
+// One is the one-op pull, NextBatch with len(dst) == 1: the body of every
+// Program's Next.
+func One(p Program, fb Feedback) Op {
+	var one [1]Op
+	p.NextBatch(one[:], fb)
+	return one[0]
 }
 
 // BatchProgram is Program under its former name, kept for callers written
@@ -221,11 +229,7 @@ func NewSliceProgram(ops []Op) *SliceProgram {
 }
 
 // Next implements Program: the one-op batch.
-func (p *SliceProgram) Next(fb Feedback) Op {
-	var one [1]Op
-	p.NextBatch(one[:], fb)
-	return one[0]
-}
+func (p *SliceProgram) Next(fb Feedback) Op { return One(p, fb) }
 
 // NextBatch implements Program by copying the next chunk of the slice.
 // SliceProgram ignores feedback entirely, so batches need not break at pops.

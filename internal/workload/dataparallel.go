@@ -101,11 +101,7 @@ func (s Spec) dataParallelSequential() trace.Program {
 }
 
 // Next implements trace.Program: the one-op batch.
-func (p *dpProgram) Next(fb trace.Feedback) trace.Op {
-	var one [1]trace.Op
-	p.NextBatch(one[:], fb)
-	return one[0]
-}
+func (p *dpProgram) Next(fb trace.Feedback) trace.Op { return trace.One(p, fb) }
 
 // dpMaxOpsPerAccess bounds what one emitAccessTo call can append: compute,
 // the memory op, a three-op critical section, and an overhead burst.

@@ -217,11 +217,7 @@ func (s Spec) pipelineSequential() trace.Program {
 }
 
 // Next implements trace.Program: the one-op batch.
-func (p *plProgram) Next(fb trace.Feedback) trace.Op {
-	var one [1]trace.Op
-	p.NextBatch(one[:], fb)
-	return one[0]
-}
+func (p *plProgram) Next(fb trace.Feedback) trace.Op { return trace.One(p, fb) }
 
 // NextBatch implements trace.Program. Pipeline programs branch on pop
 // feedback (plBody reads Feedback.PopOK), so a batch ends immediately after
@@ -340,11 +336,7 @@ type plSeqProgram struct {
 }
 
 // Next implements trace.Program: the one-op batch.
-func (p *plSeqProgram) Next(fb trace.Feedback) trace.Op {
-	var one [1]trace.Op
-	p.NextBatch(one[:], fb)
-	return one[0]
-}
+func (p *plSeqProgram) Next(fb trace.Feedback) trace.Op { return trace.One(p, fb) }
 
 // refill appends the next item's end-to-end work (all stages back to back)
 // or the terminal op.

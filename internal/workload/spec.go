@@ -180,16 +180,15 @@ type Spec struct {
 // generators handle: no division by zero, no overflowing uint32 op fields,
 // no effectively-unbounded simulations from a single HTTP request.
 const (
-	maxDataBytes  = 4 << 30 // ArrayBytes, SharedBytes
-	maxCount      = 1 << 20 // Phases, SweepsPerPhase, ItemAccesses, QueueCap, CSPerThreadPerPhase
-	maxInstr      = 1 << 30 // per-op instruction fields (must fit uint32 bursts)
-	maxItems      = 1 << 26 // task/pipeline items
-	maxLocks      = 1 << 16 // NumLocks
-	maxStages     = 64      // pipeline stages
-	maxEffPar     = 4096    // EffectiveParallelism
-	minEffPar     = 0.1     // smallest non-zero EffectiveParallelism
-	maxStageWT    = 1e6     // single stage weight
-	maxGraceValue = 1 << 62 // Lock/BarrierGrace (cycles)
+	maxDataBytes = 4 << 30 // ArrayBytes, SharedBytes
+	maxCount     = 1 << 20 // Phases, SweepsPerPhase, ItemAccesses, QueueCap, CSPerThreadPerPhase
+	maxInstr     = 1 << 30 // per-op instruction fields (must fit uint32 bursts)
+	maxItems     = 1 << 26 // task/pipeline items
+	maxLocks     = 1 << 16 // NumLocks
+	maxStages    = 64      // pipeline stages
+	maxEffPar    = 4096    // EffectiveParallelism
+	minEffPar    = 0.1     // smallest non-zero EffectiveParallelism
+	maxStageWT   = 1e6     // single stage weight
 )
 
 // Validate checks the spec for consistency. Errors name the offending field
@@ -293,8 +292,8 @@ func (s Spec) Validate() error {
 			return fail("%s must be in [0, %d], got %d", n.name, n.max, n.v)
 		}
 	}
-	if s.LockGrace > maxGraceValue || s.BarrierGrace > maxGraceValue {
-		return fail("lock_grace and barrier_grace must be <= %d cycles", uint64(maxGraceValue))
+	if s.LockGrace > trace.MaxGrace || s.BarrierGrace > trace.MaxGrace {
+		return fail("lock_grace and barrier_grace must be <= %d cycles", uint64(trace.MaxGrace))
 	}
 	return nil
 }

@@ -67,11 +67,7 @@ func (s Spec) taskQueueSequential() trace.Program {
 }
 
 // Next implements trace.Program: the one-op batch.
-func (p *tqProgram) Next(fb trace.Feedback) trace.Op {
-	var one [1]trace.Op
-	p.NextBatch(one[:], fb)
-	return one[0]
-}
+func (p *tqProgram) Next(fb trace.Feedback) trace.Op { return trace.One(p, fb) }
 
 // NextBatch implements trace.Program: it drains whole refills into
 // dst. Task-queue programs never pop, so a batch only ends when dst is full

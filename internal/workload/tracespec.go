@@ -86,7 +86,8 @@ func (s Spec) traceSequential() (trace.Program, error) {
 // simulator is deterministic, so replaying the file under the same machine
 // reproduces the recorded result exactly. Both runs go through Simulate,
 // the step the sweep engine's cells and references go through, so the
-// engine's replay of the file is byte-identical to its live run of s.
+// engine's replay of the file is byte-identical to its live run of s. The
+// file's header passes trace.File.CheckHeader before anything simulates.
 func Record(cfg sim.Config, s Spec, threads int) (*trace.File, sim.Result, error) {
 	fail := func(err error) (*trace.File, sim.Result, error) { return nil, sim.Result{}, err }
 	if err := s.Validate(); err != nil {
@@ -95,11 +96,26 @@ func Record(cfg sim.Config, s Spec, threads int) (*trace.File, sim.Result, error
 	if s.Kind == KindTrace {
 		return fail(fmt.Errorf("workload %s: already a trace replay; copy the trace file instead of re-recording it", s.Name))
 	}
-	if threads <= 0 || threads > 256 {
-		return fail(fmt.Errorf("workload %s: record thread count must be in [1, 256], got %d", s.Name, threads))
+	if threads < 1 {
+		// Simulate reads 0 threads as the sequential reference.
+		return fail(fmt.Errorf("workload %s: need at least one thread", s.Name))
 	}
 	label := Benchmark{Spec: s}.FullName()
 	s = s.Canonical()
+
+	// The streams are filled in once both runs are recorded.
+	queues, barriers := s.registrations(threads)
+	f := &trace.File{
+		Label:        label,
+		LockGrace:    s.LockGrace,
+		BarrierGrace: s.BarrierGrace,
+		Queues:       queues,
+		Barriers:     barriers,
+		Threads:      make([][]trace.Op, threads),
+	}
+	if err := f.CheckHeader(); err != nil {
+		return fail(err)
+	}
 
 	// Simulate wraps the programs in thread order, then the reference.
 	var recs []*trace.Recorder
@@ -114,17 +130,7 @@ func Record(cfg sim.Config, s Spec, threads int) (*trace.File, sim.Result, error
 	if _, err := Simulate(cfg, s, 0, 0, record); err != nil {
 		return fail(err)
 	}
-
-	queues, barriers := s.registrations(threads)
-	f := &trace.File{
-		Label:        label,
-		LockGrace:    s.LockGrace,
-		BarrierGrace: s.BarrierGrace,
-		Queues:       queues,
-		Barriers:     barriers,
-		Sequential:   recs[threads].Ops(),
-		Threads:      make([][]trace.Op, threads),
-	}
+	f.Sequential = recs[threads].Ops()
 	for i := range f.Threads {
 		f.Threads[i] = recs[i].Ops()
 	}

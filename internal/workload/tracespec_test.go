@@ -117,6 +117,24 @@ func TestRecordRejectsTraceSpec(t *testing.T) {
 	}
 }
 
+// TestRecordRefusesBadHeader pins that Record judges its file's header with
+// trace.File.CheckHeader before it simulates: a spec whose full name is
+// longer than a trace label may be fails with the label error, not with a
+// recorded file that Encode then refuses.
+func TestRecordRefusesBadHeader(t *testing.T) {
+	b, _ := ByName("fft_splash2")
+	s := b.Spec
+	s.Name = strings.Repeat("n", trace.MaxLabelLen)
+	want := (&trace.File{Label: Benchmark{Spec: s}.FullName(), Threads: make([][]trace.Op, 1)}).CheckHeader()
+	if want == nil {
+		t.Fatal("the header check accepts the oversized label")
+	}
+	f, _, err := Record(sim.Default(), s, 1)
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("Record: file %v, error %v; want the header error %q", f != nil, err, want)
+	}
+}
+
 // TestTraceIdentityTracksGraces pins that the sync-library overrides are
 // part of a trace's identity: the same op streams under different spin
 // graces are different simulations and must not share a memo entry.

@@ -112,21 +112,17 @@ type Request struct {
 	Fast bool
 }
 
-// resolve is the one Request → exp.Request step behind every entry point:
-// it validates the request with the engine's own exp.Cell.Resolve (so every
-// door fails with the same text) and binds the resolved workload and, for
-// Fast, the sampled machine.
-func (r Request) resolve() (exp.Request, error) {
-	b, err := exp.Cell{Bench: r.Bench, Spec: r.Workload, Threads: r.Threads}.Resolve()
-	if err != nil {
-		return exp.Request{}, err
-	}
-	req := exp.Request{Cell: exp.Cell{Spec: &b.Spec, Threads: r.Threads}}
+// request is the one Request → exp.Request step behind every entry point.
+// It judges nothing: it keeps the bench name, so the engine's name index
+// supplies the fingerprint, and binds the sampled machine for Fast. The
+// engine's own checks are the one judge of every field.
+func (r Request) request() exp.Request {
+	req := exp.Request{Cell: exp.Cell{Bench: r.Bench, Spec: r.Workload, Threads: r.Threads}}
 	if r.Fast {
 		cfg := sim.Default().WithMode(sim.ModeFast)
 		req.Config = &cfg
 	}
-	return req, nil
+	return req
 }
 
 // newEngine returns the all-CPU default-machine engine every entry point
@@ -152,10 +148,13 @@ func Measure(ctx context.Context, r Request) (Result, error) {
 // malformed request fails the batch before anything runs; canceling ctx
 // aborts the remaining simulations promptly.
 func MeasureAll(ctx context.Context, rs []Request) ([]Result, error) {
+	// Do prefixes a refusal with the cell's batch index; judging each
+	// request first with the engine's exp.Cell.Resolve keeps the text every
+	// other door gives.
 	reqs := make([]exp.Request, len(rs))
 	for i, r := range rs {
-		var err error
-		if reqs[i], err = r.resolve(); err != nil {
+		reqs[i] = r.request()
+		if _, err := reqs[i].Resolve(); err != nil {
 			return nil, err
 		}
 	}
@@ -210,11 +209,7 @@ const MaxIntervals = exp.MaxIntervals
 // accounting never perturbs results (the simulator only snapshots
 // counters).
 func MeasureIntervals(ctx context.Context, r Request, intervals int) (TimeSeries, error) {
-	req, err := r.resolve()
-	if err != nil {
-		return TimeSeries{}, err
-	}
-	out, err := newEngine().MeasureIntervals(ctx, req, intervals)
+	out, err := newEngine().MeasureIntervals(ctx, r.request(), intervals)
 	if err != nil {
 		return TimeSeries{}, err
 	}

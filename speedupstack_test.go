@@ -174,17 +174,21 @@ func TestRequestValidation(t *testing.T) {
 		name string
 		req  Request
 		want string
+		// shape marks a run-shape row. Advise ignores Request.Threads: its
+		// sweep top is judged by the engine alone, and cmd/speedup-stack's
+		// TestAdviseRangeOneText holds every door to that text.
+		shape bool
 	}{
-		{"neither", Request{Threads: 4}, `unknown benchmark ""`},
-		{"both", Request{Bench: "cholesky", Workload: &w, Threads: 4}, "give bench or spec, not both"},
-		{"zero threads", Request{Bench: "cholesky"}, "threads must be in [1,256], got 0"},
-		{"negative threads", Request{Workload: &w, Threads: -2}, "threads must be in [1,256], got -2"},
-		{"too many threads", Request{Bench: "cholesky", Threads: 65}, "threads 65 exceeds the simulator's 64-core limit"},
-		{"unknown bench", Request{Bench: "choleski", Threads: 4}, `did you mean "cholesky"?`},
-		{"invalid workload", Request{Workload: &bad, Threads: 4}, "array_bytes"},
+		{"neither", Request{Threads: 4}, `unknown benchmark ""`, false},
+		{"both", Request{Bench: "cholesky", Workload: &w, Threads: 4}, "give bench or spec, not both", false},
+		{"zero threads", Request{Bench: "cholesky"}, "threads must be in [1,256], got 0", true},
+		{"negative threads", Request{Workload: &w, Threads: -2}, "threads must be in [1,256], got -2", true},
+		{"too many threads", Request{Bench: "cholesky", Threads: 65}, "threads 65 exceeds the simulator's 64-core limit", true},
+		{"unknown bench", Request{Bench: "choleski", Threads: 4}, `did you mean "cholesky"?`, false},
+		{"invalid workload", Request{Workload: &bad, Threads: 4}, "array_bytes", false},
 		// The workload is judged before the run shape.
-		{"unknown bench, zero threads", Request{Bench: "choleski"}, `did you mean "cholesky"?`},
-		{"invalid workload, zero threads", Request{Workload: &bad}, "array_bytes"},
+		{"unknown bench, zero threads", Request{Bench: "choleski"}, `did you mean "cholesky"?`, false},
+		{"invalid workload, zero threads", Request{Workload: &bad}, "array_bytes", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Measure(ctx, tc.req)
@@ -197,10 +201,11 @@ func TestRequestValidation(t *testing.T) {
 					return err
 				},
 				"MeasureIntervals": func() error { _, err := MeasureIntervals(ctx, tc.req, 4); return err },
-				// The advisor's sweep top is its thread count.
-				"Advise":      func() error { _, err := Advise(ctx, tc.req, tc.req.Threads); return err },
-				"WhatIf":      func() error { _, err := WhatIf(ctx, tc.req); return err },
-				"RecordTrace": func() error { return RecordTrace(io.Discard, tc.req) },
+				"WhatIf":           func() error { _, err := WhatIf(ctx, tc.req); return err },
+				"RecordTrace":      func() error { return RecordTrace(io.Discard, tc.req) },
+			}
+			if !tc.shape {
+				doors["Advise"] = func() error { _, err := Advise(ctx, tc.req, tc.req.Threads); return err }
 			}
 			for door, call := range doors {
 				if got := call(); got == nil || got.Error() != err.Error() {

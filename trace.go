@@ -27,11 +27,13 @@ func RecordTrace(w io.Writer, r Request) error {
 	if r.Fast {
 		return errors.New("speedupstack: a trace records an exact run, so it refuses fast mode")
 	}
-	req, err := r.resolve()
+	// No engine call judges this request, so the engine's own
+	// exp.Cell.Resolve does.
+	b, err := r.request().Resolve()
 	if err != nil {
 		return err
 	}
-	f, _, err := workload.Record(sim.Default(), *req.Spec, req.Threads)
+	f, _, err := workload.Record(sim.Default(), b.Spec, r.Threads)
 	if err != nil {
 		return err
 	}

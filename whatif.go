@@ -44,9 +44,5 @@ func Interventions() []WhatIfIntervention { return whatif.Catalog() }
 // thread count. interventions selects catalog entries by ID; none means the
 // full catalog. Interventions that do not apply to the workload are skipped.
 func WhatIf(ctx context.Context, r Request, interventions ...string) (WhatIfReport, error) {
-	req, err := r.resolve()
-	if err != nil {
-		return WhatIfReport{}, err
-	}
-	return newEngine().WhatIf(ctx, req, interventions)
+	return newEngine().WhatIf(ctx, r.request(), interventions)
 }
