@@ -3,6 +3,7 @@ package speedupstack
 import (
 	"context"
 
+	"repro/internal/cache"
 	"repro/internal/exp"
 	"repro/internal/scaling"
 )
@@ -40,11 +41,11 @@ const (
 )
 
 // Advisor sweep bounds: the USL fit needs a sweep top of at least
-// MinAdviseThreads, and MaxAdviseThreads is the simulator's 64-core limit,
+// MinAdviseThreads, and MaxAdviseThreads is the simulator's core limit,
 // because the sweep keeps cores = threads at every point.
 const (
 	MinAdviseThreads = exp.MinAdviseThreads
-	MaxAdviseThreads = exp.MaxAdviseThreads
+	MaxAdviseThreads = cache.MaxCores
 )
 
 // Advise sweeps the request's workload from 1 to maxThreads (powers of two

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	speedupstack "repro"
+	"repro/internal/service"
 )
 
 // Client talks to one speedupd server. The zero value is not usable; build
@@ -130,11 +131,6 @@ func (c *Client) Benchmarks(ctx context.Context) ([]string, error) {
 	return resp.Benchmarks, nil
 }
 
-// defaultIntervals is the server's slice count for GET /v1/stack/intervals
-// without ?intervals=. A spec cell's POST body has no such default (absent
-// means the aggregate), so StackIntervals names it there.
-const defaultIntervals = 32
-
 // measure sends one single-cell measurement and decodes the answer into v.
 // A named cell is a GET of path with the cell in the query; an inline spec
 // is a POST to /v1/workloads/analyze with the cell as the body. intervals,
@@ -169,10 +165,12 @@ func (c *Client) Stack(ctx context.Context, cell Cell) (speedupstack.StackRow, e
 }
 
 // StackIntervals measures one cell time-resolved: the run split into
-// intervals equal slices (0 means the server default, 32).
+// intervals equal slices (0 means the server default,
+// speedupstack.DefaultIntervals).
 func (c *Client) StackIntervals(ctx context.Context, cell Cell, intervals int) (speedupstack.TimeSeriesReport, error) {
+	// A spec cell's POST body has no default: absent means the aggregate.
 	if intervals == 0 && cell.Spec != nil {
-		intervals = defaultIntervals
+		intervals = speedupstack.DefaultIntervals
 	}
 	var rep speedupstack.TimeSeriesReport
 	err := c.measure(ctx, "/v1/stack/intervals", cell, intervals, &rep)
@@ -217,8 +215,9 @@ func (c *Client) Validate(ctx context.Context, specJSON []byte) (ValidateResult,
 }
 
 // Advise runs the scaling advisor: a memoized thread sweep up to maxThreads
-// (0 means the server default, 16), Amdahl and USL fits, the classification,
-// the serial-fraction cross-check and ranked recommendations.
+// (0 means the server default, speedupstack.DefaultThreads), Amdahl and USL
+// fits, the classification, the serial-fraction cross-check and ranked
+// recommendations.
 func (c *Client) Advise(ctx context.Context, bench string, maxThreads int) (speedupstack.Advice, error) {
 	q := url.Values{"bench": {bench}}
 	if maxThreads != 0 {
@@ -377,7 +376,7 @@ func (c *Client) fetch(req *http.Request) ([]byte, string, error) {
 		return nil, "", err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, service.MaxReplyBytes))
 	if err != nil {
 		return nil, "", err
 	}

@@ -40,10 +40,9 @@
 // run to FILE: every operation every thread issued, plus the run's machine
 // registrations — the compact versioned format specified in internal/trace.
 // -trace FILE replays a recorded trace instead of generating a workload and
-// prints its speedup stack at the trace's recorded thread count (-threads
-// does not apply); in exact mode the replay reproduces the recorded run's
-// result byte-identically. The same file uploads to speedupd's POST
-// /v1/traces/analyze.
+// prints its speedup stack at the trace's recorded thread count; in exact
+// mode the replay reproduces the recorded run's result byte-identically. The
+// same file uploads to speedupd's POST /v1/traces/analyze.
 //
 // -whatif switches to the causal what-if engine: each applicable catalog
 // intervention (halve the lock hold time, remove imbalance, double the LLC,
@@ -55,7 +54,8 @@
 //
 // Flag combinations that would silently drop a flag are usage errors (exit
 // status 2): a negative -intervals, -interventions without -whatif,
-// -max-threads without -advise, and -record or -trace next to another
+// -max-threads without -advise, -threads with -trace or -advise (the trace
+// and the sweep set the thread count), and -record or -trace next to another
 // report.
 package main
 
@@ -84,11 +84,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	bench := fs.String("bench", "cholesky_splash2", "benchmark (name or name_suite)")
 	spec := fs.String("spec", "", "workload spec JSON file (overrides -bench)")
-	threads := fs.Int("threads", 16, "thread count (= core count)")
+	threads := fs.Int("threads", speedupstack.DefaultThreads, "thread count (= core count)")
 	format := fs.String("format", "text", "output format: text|json|csv|svg")
 	intervals := fs.Int("intervals", 0, "time-resolve the stack into N intervals (0 = aggregate only)")
 	advise := fs.Bool("advise", false, "run the scaling advisor (Amdahl/USL fits and recommendations)")
-	maxThreads := fs.Int("max-threads", 16, "sweep top for -advise")
+	maxThreads := fs.Int("max-threads", speedupstack.DefaultThreads, "sweep top for -advise")
 	whatIf := fs.Bool("whatif", false, "run the causal what-if engine (predicted vs re-simulated intervention gains)")
 	interventions := fs.String("interventions", "", "comma-separated intervention IDs for -whatif (empty = full catalog)")
 	mode := fs.String("mode", "exact", "simulation fidelity: exact (byte-identical) or fast (sampled, several times faster, error-bounded)")
@@ -138,6 +138,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exit(2, "-interventions selects what-if interventions; add -whatif")
 	case given["max-threads"] && !*advise:
 		return exit(2, "-max-threads is the advisor's sweep top; add -advise")
+	case given["threads"] && (*tracePath != "" || *advise):
+		return exit(2, "-trace and -advise set the thread count themselves; drop -threads")
 	}
 
 	// The workload: a recorded trace (at its recorded thread count), a spec

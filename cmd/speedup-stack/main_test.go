@@ -74,6 +74,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-trace in.trace -advise", 2, "-trace replays the recorded run's aggregate stack"},
 		{"-trace in.trace -whatif", 2, "-trace replays the recorded run's aggregate stack"},
 		{"-trace in.trace -intervals 4", 2, "-trace replays the recorded run's aggregate stack"},
+		{"-trace in.trace -threads 8", 2, "drop -threads"},
+		{"-advise -threads 8", 2, "drop -threads"},
 		{"-format yaml", 2, "yaml"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {

@@ -315,7 +315,7 @@ func (a *l1Array) victimAddr(set int, word uint64) uint64 {
 }
 
 // An LLC way's key word packs (tag+1) above the dirty bit and the Modified
-// owner as owner+1 (0: no owner; NewHierarchy caps cores at 64). The zero
+// owner as owner+1 (0: no owner; NewHierarchy caps cores at MaxCores). The zero
 // key is an empty way, so no valid bit is needed, and ErrWayTooSmall's rule
 // keeps tag+1 below 2^55 so the shift never drops a bit.
 const (
@@ -328,7 +328,7 @@ const (
 type llcWay struct {
 	key uint64
 	// sharers is a bit vector of the cores holding the line in their L1
-	// (the directory). Limits the simulated machine to 64 cores.
+	// (the directory). Limits the simulated machine to MaxCores cores.
 	sharers uint64
 }
 

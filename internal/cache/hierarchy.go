@@ -1,6 +1,9 @@
 package cache
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Hierarchy models the two-level cache system of the simulated CMP: private
 // per-core L1 data caches over a shared, inclusive LLC, kept coherent with a
@@ -57,11 +60,16 @@ type Outcome struct {
 	LLCVictimAddr uint64
 }
 
+// MaxCores is the simulated machine's core limit, read by every judge of a
+// core count: the LLC directory keeps one sharer bit per core in a 64-bit
+// vector (llcWay.sharers).
+const MaxCores = 64
+
 // NewHierarchy builds a hierarchy with cores identical private L1s and one
 // shared LLC.
 func NewHierarchy(cores int, l1 Config, llc Config) *Hierarchy {
-	if cores <= 0 || cores > 64 {
-		panic("cache: core count must be in [1,64] (sharer vector is 64-bit)")
+	if cores <= 0 || cores > MaxCores {
+		panic(fmt.Sprintf("cache: core count must be in [1,%d] (sharer vector is 64-bit)", MaxCores))
 	}
 	h := &Hierarchy{
 		l1:  make([]l1Array, cores),

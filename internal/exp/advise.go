@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/scaling"
 	"repro/internal/sim"
@@ -16,11 +17,6 @@ import (
 // has two parameters and needs at least two multi-threaded samples, so the
 // sweep must reach 3 threads.
 const MinAdviseThreads = 3
-
-// MaxAdviseThreads bounds the sweep top at the simulator's 64-core limit:
-// the sweep keeps cores = threads at every point, so its top thread count is
-// also its core count.
-const MaxAdviseThreads = 64
 
 // AdviseThreads returns the advisor's sweep schedule for a top of max:
 // powers of two from 1, plus max itself. The geometric spacing samples the
@@ -44,10 +40,11 @@ func (e *Engine) Advise(ctx context.Context, req Request, maxThreads int) (scali
 	if err != nil {
 		return scaling.Advice{}, err
 	}
-	// The sweep's run shape is maxThreads, which this range keeps valid.
-	if maxThreads < MinAdviseThreads || maxThreads > MaxAdviseThreads {
+	// The sweep's run shape is maxThreads (cores = threads at every point),
+	// which this range keeps valid.
+	if maxThreads < MinAdviseThreads || maxThreads > cache.MaxCores {
 		return scaling.Advice{}, refuse("max_threads must be in [%d,%d], got %d",
-			MinAdviseThreads, MaxAdviseThreads, maxThreads)
+			MinAdviseThreads, cache.MaxCores, maxThreads)
 	}
 	req.Threads, req.Cores = maxThreads, 0
 	cfg := e.base

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/scaling"
 	"repro/internal/sim"
 	"repro/internal/stack"
@@ -30,7 +31,7 @@ func TestAdviseThreadsSchedule(t *testing.T) {
 func TestAdviseBounds(t *testing.T) {
 	e := NewEngine(sim.Default())
 	req := Request{Cell: Cell{Bench: "fft_splash2"}}
-	for _, max := range []int{0, 1, 2, MaxAdviseThreads + 1} {
+	for _, max := range []int{0, 1, 2, cache.MaxCores + 1} {
 		if _, err := e.Advise(context.Background(), req, max); err == nil {
 			t.Errorf("Advise with max threads %d: want error", max)
 		}

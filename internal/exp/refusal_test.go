@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -49,7 +50,7 @@ func TestRefusalsAreTyped(t *testing.T) {
 	}{
 		{"advise range low", func() error { _, err := e.Advise(ctx, good, 2); return err },
 			false, "max_threads must be in [3,64], got 2"},
-		{"advise range high", func() error { _, err := e.Advise(ctx, good, MaxAdviseThreads+1); return err },
+		{"advise range high", func() error { _, err := e.Advise(ctx, good, cache.MaxCores+1); return err },
 			false, "max_threads must be in [3,64], got 65"},
 		{"what-if floor", func() error {
 			_, err := e.WhatIf(ctx, Request{Cell: Cell{Bench: "cholesky_splash2", Threads: 1}}, nil)

@@ -23,8 +23,15 @@ type Params struct {
 	Threads    int                            // whatif, calibrate: thread count
 }
 
+// The inputs of every door that names none: the paper's 16-thread machine
+// (thread count and advisor sweep top) and a time-resolved slice count.
+const (
+	DefaultThreads   = 16
+	DefaultIntervals = 32
+)
+
 // DefaultParams are the sections' inputs when no flag overrides them.
-var DefaultParams = Params{Intervals: 32, MaxThreads: 16, Threads: 16}
+var DefaultParams = Params{Intervals: DefaultIntervals, MaxThreads: DefaultThreads, Threads: DefaultThreads}
 
 // Artifact is one section of the evaluation: Name selects it on the command
 // line and names its digest, Run produces its body, and an OnDemand section

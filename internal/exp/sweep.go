@@ -7,8 +7,10 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/memo"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -121,17 +123,15 @@ func (c Cell) Resolve() (workload.Benchmark, error) {
 
 // CheckShape is Resolve's run-shape rule alone: the thread and core counts.
 func (c Cell) CheckShape() error {
-	if c.Threads < 1 || c.Threads > 256 {
-		return refuse("threads must be in [1,256], got %d", c.Threads)
+	if c.Threads < 1 || c.Threads > trace.MaxThreads {
+		return refuse("threads must be in [1,%d], got %d", trace.MaxThreads, c.Threads)
 	}
-	// 64 cores is the simulator's limit (sim.Config.Validate). Cores
-	// defaults to threads (the paper's pairing), so a bare thread count must
-	// itself fit it.
-	if c.Cores < 0 || c.Cores > 64 {
-		return refuse("cores must be in [0,64], got %d", c.Cores)
+	// A bare thread count is also the core count (the paper's pairing).
+	if c.Cores < 0 || c.Cores > cache.MaxCores {
+		return refuse("cores must be in [0,%d], got %d", cache.MaxCores, c.Cores)
 	}
-	if c.Cores == 0 && c.Threads > 64 {
-		return refuse("threads %d exceeds the simulator's 64-core limit; pass an explicit cores", c.Threads)
+	if c.Cores == 0 && c.Threads > cache.MaxCores {
+		return refuse("threads %d exceeds the simulator's %d-core limit; pass an explicit cores", c.Threads, cache.MaxCores)
 	}
 	return nil
 }

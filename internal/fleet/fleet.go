@@ -258,12 +258,6 @@ func peerKey(r *http.Request, home, options, bodyID string) string {
 	return r.Method + " " + home + r.URL.Path + "\x00" + options + "\x00" + bodyID
 }
 
-// maxPeerReply bounds the peer reply a node buffers (and, for a 200,
-// retains in the peer cache): the bound client.fetch puts on any reply, an
-// order of magnitude above the largest document the route table produces (a
-// 1,024-cell SVG sweep). A larger reply is a peer failure like any other.
-const maxPeerReply = 16 << 20
-
 // forward performs one hop-marked peer request and captures the response.
 func (h *Handler) forward(r *http.Request, home, query string, body []byte) (*peerResp, error) {
 	u := home + r.URL.Path
@@ -287,12 +281,13 @@ func (h *Handler) forward(r *http.Request, home, query string, body []byte) (*pe
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerReply+1))
+	// A reply over the bound a node buffers is a peer failure like any other.
+	data, err := io.ReadAll(io.LimitReader(resp.Body, service.MaxReplyBytes+1))
 	if err != nil {
 		return nil, err
 	}
-	if len(data) > maxPeerReply {
-		return nil, fmt.Errorf("fleet: reply from %s exceeds %d bytes", home, maxPeerReply)
+	if len(data) > service.MaxReplyBytes {
+		return nil, fmt.Errorf("fleet: reply from %s exceeds %d bytes", home, service.MaxReplyBytes)
 	}
 	return &peerResp{
 		status:      resp.StatusCode,

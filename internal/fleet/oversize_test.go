@@ -15,16 +15,16 @@ import (
 )
 
 // TestFleetOversizedPeerReplyFallsBack homes benchmarks on a member that
-// answers every request with a 200 one byte over maxPeerReply. The node must
-// treat that like any other peer failure — count it, serve the request from
-// a local simulation, retain nothing in the peer cache — for a single-home
+// answers every request with a 200 one byte over service.MaxReplyBytes. The
+// node must treat that like any other peer failure — count it, serve the
+// request from a local simulation, retain nothing in the peer cache — for a single-home
 // request (routeHome) and for the foreign group of a split sweep
 // (subRequest). It is an internal test so it can read the cache's occupancy.
 func TestFleetOversizedPeerReplyFallsBack(t *testing.T) {
 	bloated := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		chunk := make([]byte, 1<<20)
-		for sent := 0; sent <= maxPeerReply; sent += len(chunk) {
+		for sent := 0; sent <= service.MaxReplyBytes; sent += len(chunk) {
 			if _, err := w.Write(chunk); err != nil {
 				return
 			}

@@ -137,7 +137,7 @@ func (rt *route) parseOptions(q url.Values, accept string) (requestOptions, *api
 		opts.cell = cell
 	}
 	if rt.opts.intervals {
-		opts.intervals = defaultIntervals
+		opts.intervals = exp.DefaultIntervals
 		if s := q.Get("intervals"); s != "" {
 			n, err := strconv.Atoi(s)
 			if err != nil {
@@ -156,7 +156,7 @@ func (rt *route) parseOptions(q url.Values, accept string) (requestOptions, *api
 			return requestOptions{}, asAPIError(workload.UnknownBenchmarkError(bench))
 		}
 		opts.cell = exp.Cell{Bench: full}
-		opts.maxThreads = defaultAdviseThreads
+		opts.maxThreads = exp.DefaultThreads
 		if s := q.Get("max_threads"); s != "" {
 			n, err := strconv.Atoi(s)
 			if err != nil {

@@ -35,15 +35,18 @@ const (
 	identTraceHeader
 )
 
-// Body bounds. MaxTraceBytes covers a 16-thread trace of the heaviest
+// Wire bounds. MaxTraceBytes covers a 16-thread trace of the heaviest
 // registered analogue (~10MB) with headroom while keeping a hostile upload
 // from buffering without bound; MaxSweepCells caps one POST /v1/sweep batch.
 // Both are enforced here and honored by Identify, so a routing layer in
-// front of the service can neither exceed nor bypass them.
+// front of the service can neither exceed nor bypass them. MaxReplyBytes
+// bounds the reply a reader buffers (the client, a fleet hop), an order of
+// magnitude above the largest one the table produces (a 1,024-cell SVG sweep).
 const (
 	maxJSONBytes  = 1 << 20
 	MaxTraceBytes = 32 << 20
 	MaxSweepCells = 1024
+	MaxReplyBytes = 16 << 20
 )
 
 // route is one row of the table.

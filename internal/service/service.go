@@ -164,20 +164,12 @@ type Options struct {
 	// max(1, ceil(RateLimit)) tokens.
 	RateLimit float64
 	// Engine runs every simulation, bounded by its own WithWorkers and
-	// WithCellMemoLimit. Nil builds one on the paper's default machine
-	// with GOMAXPROCS workers and a 4096-cell memo.
+	// WithCellMemoLimit. It is required: the caller sizes the memo
+	// (speedupd's -cache).
 	Engine *exp.Engine
 }
 
-const (
-	defaultSimTimeout = 2 * time.Minute
-	// defaultIntervals is the slice count when an interval request does not
-	// name one; exp.MaxIntervals caps what one request may ask for.
-	defaultIntervals = 32
-	// defaultAdviseThreads is the advisor's sweep top when the request does
-	// not name one: the paper's 16-thread machine.
-	defaultAdviseThreads = 16
-)
+const defaultSimTimeout = 2 * time.Minute
 
 // Server is the speedupd HTTP service.
 type Server struct {
@@ -195,12 +187,8 @@ type Server struct {
 	rateLimited uint64            // rate-limit rejections (429 rate_limited)
 }
 
-// New assembles a Server from the options.
+// New assembles a Server from the options; opts.Engine must be set.
 func New(opts Options) *Server {
-	e := opts.Engine
-	if e == nil {
-		e = exp.NewEngine(sim.Default(), exp.WithCellMemoLimit(4096))
-	}
 	st := opts.SimTimeout
 	if st == 0 {
 		st = defaultSimTimeout
@@ -209,7 +197,7 @@ func New(opts Options) *Server {
 		st = 0
 	}
 	s := &Server{
-		engine:     e,
+		engine:     opts.Engine,
 		simTimeout: st,
 		mux:        http.NewServeMux(),
 		started:    time.Now(),

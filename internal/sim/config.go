@@ -83,8 +83,8 @@ func Default() Config {
 
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
-	if c.Cores <= 0 || c.Cores > 64 {
-		return fmt.Errorf("sim: cores must be in [1,64], got %d", c.Cores)
+	if c.Cores <= 0 || c.Cores > cache.MaxCores {
+		return fmt.Errorf("sim: cores must be in [1,%d], got %d", cache.MaxCores, c.Cores)
 	}
 	if c.Quantum == 0 {
 		return fmt.Errorf("sim: quantum must be positive")

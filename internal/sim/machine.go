@@ -240,7 +240,7 @@ func (m *Machine) barrier(id uint32) *syncprim.Barrier {
 }
 
 // queue returns the queue with the given id, created on first use with a
-// default capacity; workloads can size queues via RegisterQueue.
+// default capacity; workloads can size queues via WithQueue.
 func (m *Machine) queue(id uint32) *syncprim.Queue {
 	m.queues = grow(m.queues, id)
 	q := m.queues[id]
@@ -249,18 +249,6 @@ func (m *Machine) queue(id uint32) *syncprim.Queue {
 		m.queues[id] = q
 	}
 	return q
-}
-
-// RegisterQueue pre-creates queue id with the given capacity.
-func (m *Machine) RegisterQueue(id uint32, capacity int) {
-	m.queues = grow(m.queues, id)
-	m.queues[id] = syncprim.NewQueue(capacity)
-}
-
-// RegisterBarrier pre-creates barrier id spanning parties threads.
-func (m *Machine) RegisterBarrier(id uint32, parties int) {
-	m.barriers = grow(m.barriers, id)
-	m.barriers[id] = syncprim.NewBarrier(parties)
 }
 
 // coreIdle is coreAt's mark for a core with no running thread.

@@ -3,6 +3,7 @@ package sim
 import (
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/syncprim"
 	"repro/internal/trace"
 )
 
@@ -78,13 +79,19 @@ type Option func(*Machine)
 
 // WithQueue pre-creates bounded queue id with the given capacity.
 func WithQueue(id uint32, capacity int) Option {
-	return func(m *Machine) { m.RegisterQueue(id, capacity) }
+	return func(m *Machine) {
+		m.queues = grow(m.queues, id)
+		m.queues[id] = syncprim.NewQueue(capacity)
+	}
 }
 
 // WithBarrier pre-creates barrier id spanning parties threads (default is
 // all threads).
 func WithBarrier(id uint32, parties int) Option {
-	return func(m *Machine) { m.RegisterBarrier(id, parties) }
+	return func(m *Machine) {
+		m.barriers = grow(m.barriers, id)
+		m.barriers[id] = syncprim.NewBarrier(parties)
+	}
 }
 
 // WithoutAccounting disables the interference-accounting hardware (the

@@ -181,7 +181,7 @@ type Spec struct {
 // no effectively-unbounded simulations from a single HTTP request.
 const (
 	maxDataBytes = 4 << 30 // ArrayBytes, SharedBytes
-	maxCount     = 1 << 20 // Phases, SweepsPerPhase, ItemAccesses, QueueCap, CSPerThreadPerPhase
+	maxCount     = 1 << 20 // Phases, SweepsPerPhase, ItemAccesses, CSPerThreadPerPhase
 	maxInstr     = 1 << 30 // per-op instruction fields (must fit uint32 bursts)
 	maxItems     = 1 << 26 // task/pipeline items
 	maxLocks     = 1 << 16 // NumLocks
@@ -286,7 +286,7 @@ func (s Spec) Validate() error {
 		{"num_locks", s.NumLocks, maxLocks},
 		{"items", s.Items, maxItems},
 		{"item_accesses", s.ItemAccesses, maxCount},
-		{"queue_cap", s.QueueCap, maxCount},
+		{"queue_cap", s.QueueCap, trace.MaxQueueCap}, // a valid spec always records
 	} {
 		if n.v < 0 || n.v > n.max {
 			return fail("%s must be in [0, %d], got %d", n.name, n.max, n.v)

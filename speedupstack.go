@@ -199,9 +199,14 @@ type TimeSeriesInterval = stack.Interval
 // TimeSeries interval (or of its aggregate).
 type IntervalComponents = core.IntComponents
 
-// MaxIntervals bounds the interval count of a time-resolved measurement: the
-// same 512 the speedupd service accepts.
-const MaxIntervals = exp.MaxIntervals
+// What speedupd and speedup-stack take when a request names none — the
+// paper's 16-thread machine (thread count and advisor sweep top) and an
+// interval count — and MaxIntervals, the interval bound every door shares.
+const (
+	DefaultThreads   = exp.DefaultThreads
+	DefaultIntervals = exp.DefaultIntervals
+	MaxIntervals     = exp.MaxIntervals
+)
 
 // MeasureIntervals is Measure with time resolution: it divides the run into
 // intervals equal slices of its committed trace operations and returns the

@@ -281,7 +281,7 @@ func TestAPISurface(t *testing.T) {
 	want := strings.Fields(`
 		Advice AdviceClass AdviceFit AdviceLinear AdviceNegative AdvicePoint
 		AdviceRecommendation AdviceSaturated Advise Benchmarks Components
-		Document Encode Format FormatCSV
+		DefaultIntervals DefaultThreads Document Encode Format FormatCSV
 		FormatJSON FormatSVG FormatText Formats HardwareCost
 		IntervalComponents Interventions LoadTrace MaxAdviseThreads
 		MaxIntervals Measure MeasureAll MeasureIntervals MinAdviseThreads
