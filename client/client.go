@@ -112,20 +112,14 @@ type Cell struct {
 // ValidateResult is the answer of Validate: a dry run of the spec pipeline.
 // Valid=false comes with the actionable validation error; Valid=true with
 // the canonical spec and its fingerprint (the cache key).
-type ValidateResult struct {
-	Valid       bool                   `json:"valid"`
-	Error       string                 `json:"error,omitempty"`
-	Fingerprint string                 `json:"fingerprint,omitempty"`
-	Name        string                 `json:"name,omitempty"`
-	Canonical   *speedupstack.Workload `json:"canonical,omitempty"`
-}
+type ValidateResult = service.ValidateResponse
 
 // Benchmarks lists the registered benchmark analogues.
 func (c *Client) Benchmarks(ctx context.Context) ([]string, error) {
 	var resp struct {
 		Benchmarks []string `json:"benchmarks"`
 	}
-	if err := c.getJSON(ctx, "/v1/benchmarks", nil, &resp); err != nil {
+	if err := c.call(ctx, "/v1/benchmarks", nil, "", nil, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Benchmarks, nil
@@ -137,7 +131,7 @@ func (c *Client) Benchmarks(ctx context.Context) ([]string, error) {
 // when positive, asks for the time-resolved form.
 func (c *Client) measure(ctx context.Context, path string, cell Cell, intervals int, v any) error {
 	if cell.Spec != nil {
-		return c.postJSON(ctx, "/v1/workloads/analyze", c.addMode(url.Values{}), struct {
+		return c.call(ctx, "/v1/workloads/analyze", c.addMode(url.Values{}), jsonType, struct {
 			Cell
 			Intervals int `json:"intervals,omitempty"`
 		}{cell, intervals}, v)
@@ -149,7 +143,7 @@ func (c *Client) measure(ctx context.Context, path string, cell Cell, intervals 
 	if intervals != 0 {
 		q.Set("intervals", strconv.Itoa(intervals))
 	}
-	return c.getJSON(ctx, path, c.addMode(q), v)
+	return c.call(ctx, path, c.addMode(q), "", nil, v)
 }
 
 // Stack measures one cell end to end.
@@ -181,7 +175,7 @@ func (c *Client) StackIntervals(ctx context.Context, cell Cell, intervals int) (
 // each other and the server's cache.
 func (c *Client) Sweep(ctx context.Context, cells []Cell) ([]speedupstack.StackRow, error) {
 	var rows []speedupstack.StackRow
-	err := c.postJSON(ctx, "/v1/sweep", c.addMode(url.Values{}), map[string]any{"cells": cells}, &rows)
+	err := c.call(ctx, "/v1/sweep", c.addMode(url.Values{}), jsonType, map[string]any{"cells": cells}, &rows)
 	return rows, err
 }
 
@@ -196,7 +190,7 @@ func (c *Client) AnalyzeTrace(ctx context.Context, tr io.Reader, cores int) (spe
 		q.Set("cores", strconv.Itoa(cores))
 	}
 	var rows []speedupstack.StackRow
-	if err := c.post(ctx, "/v1/traces/analyze", c.addMode(q), "application/octet-stream", tr, &rows); err != nil {
+	if err := c.call(ctx, "/v1/traces/analyze", c.addMode(q), "application/octet-stream", tr, &rows); err != nil {
 		return speedupstack.StackRow{}, err
 	}
 	if len(rows) != 1 {
@@ -210,7 +204,7 @@ func (c *Client) AnalyzeTrace(ctx context.Context, tr io.Reader, cores int) (spe
 // an APIError.
 func (c *Client) Validate(ctx context.Context, specJSON []byte) (ValidateResult, error) {
 	var resp ValidateResult
-	err := c.post(ctx, "/v1/workloads/validate", nil, "application/json", bytes.NewReader(specJSON), &resp)
+	err := c.call(ctx, "/v1/workloads/validate", nil, jsonType, bytes.NewReader(specJSON), &resp)
 	return resp, err
 }
 
@@ -224,7 +218,7 @@ func (c *Client) Advise(ctx context.Context, bench string, maxThreads int) (spee
 		q.Set("max_threads", strconv.Itoa(maxThreads))
 	}
 	var a speedupstack.Advice
-	err := c.getJSON(ctx, "/v1/advise", c.addMode(q), &a)
+	err := c.call(ctx, "/v1/advise", c.addMode(q), "", nil, &a)
 	return a, err
 }
 
@@ -236,7 +230,7 @@ func (c *Client) Advise(ctx context.Context, bench string, maxThreads int) (spee
 // catalog ID as Suggestion.
 func (c *Client) WhatIf(ctx context.Context, cell Cell, interventions []string) (speedupstack.WhatIfReport, error) {
 	var rep speedupstack.WhatIfReport
-	err := c.postJSON(ctx, "/v1/whatif", c.addMode(url.Values{}), struct {
+	err := c.call(ctx, "/v1/whatif", c.addMode(url.Values{}), jsonType, struct {
 		Cell
 		Interventions []string `json:"interventions,omitempty"`
 	}{cell, interventions}, &rep)
@@ -340,45 +334,55 @@ func (c *Client) newRequest(ctx context.Context, method, path string, query url.
 	return http.NewRequestWithContext(ctx, method, target, body)
 }
 
-// getJSON GETs path and decodes the JSON answer into v.
-func (c *Client) getJSON(ctx context.Context, path string, query url.Values, v any) error {
-	req, err := c.newRequest(ctx, http.MethodGet, path, query, nil)
-	if err != nil {
-		return err
-	}
-	return c.do(req, v)
-}
+// jsonType is the Content-Type of every JSON request body.
+const jsonType = "application/json"
 
-// post POSTs body as contentType to path and decodes the JSON answer into v.
-func (c *Client) post(ctx context.Context, path string, query url.Values, contentType string, body io.Reader, v any) error {
-	req, err := c.newRequest(ctx, http.MethodPost, path, query, body)
+// call sends one request to path and decodes the JSON answer into v. A nil
+// body is a GET. Any other body is a POST typed contentType: an io.Reader
+// is sent as is, anything else marshaled as JSON.
+func (c *Client) call(ctx context.Context, path string, query url.Values, contentType string, body, v any) error {
+	method, payload := http.MethodPost, io.Reader(nil)
+	switch b := body.(type) {
+	case nil:
+		method = http.MethodGet
+	case io.Reader:
+		payload = b
+	default:
+		data, err := json.Marshal(b)
+		if err != nil {
+			return fmt.Errorf("speedupd: encoding request: %w", err)
+		}
+		payload = bytes.NewReader(data)
+	}
+	req, err := c.newRequest(ctx, method, path, query, payload)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", contentType)
-	return c.do(req, v)
-}
-
-// postJSON is post with body marshaled as JSON.
-func (c *Client) postJSON(ctx context.Context, path string, query url.Values, body, v any) error {
-	data, err := json.Marshal(body)
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	data, _, err := c.fetch(req)
 	if err != nil {
 		return err
 	}
-	return c.post(ctx, path, query, "application/json", bytes.NewReader(data), v)
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("speedupd: decoding response: %v", err)
+	}
+	return nil
 }
 
 // fetch runs one request and returns the response body and its
-// Content-Type, mapping error statuses to *APIError.
+// Content-Type, mapping error statuses to *APIError. A body over
+// service.MaxReplyBytes is an error, whatever the status.
 func (c *Client) fetch(req *http.Request) ([]byte, string, error) {
 	resp, err := c.send(req)
 	if err != nil {
 		return nil, "", err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, service.MaxReplyBytes))
+	body, err := service.ReadReply(resp.Body)
 	if err != nil {
-		return nil, "", err
+		return nil, "", fmt.Errorf("speedupd: %w", err)
 	}
 	if resp.StatusCode >= 400 {
 		return nil, "", decodeAPIError(resp.StatusCode, body)
@@ -386,29 +390,11 @@ func (c *Client) fetch(req *http.Request) ([]byte, string, error) {
 	return body, resp.Header.Get("Content-Type"), nil
 }
 
-// do runs one request and decodes a success into v.
-func (c *Client) do(req *http.Request, v any) error {
-	body, _, err := c.fetch(req)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("speedupd: decoding response: %v", err)
-	}
-	return nil
-}
-
 // decodeAPIError lifts an error response into *APIError: the structured
 // envelope when the body is one, the raw body as the message otherwise
 // (text-format errors, intermediaries).
 func decodeAPIError(status int, body []byte) *APIError {
-	var env struct {
-		Error struct {
-			Code       string `json:"code"`
-			Message    string `json:"message"`
-			Suggestion string `json:"suggestion"`
-		} `json:"error"`
-	}
+	var env service.ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err == nil && env.Error.Message != "" {
 		return &APIError{StatusCode: status, Code: env.Error.Code,
 			Message: env.Error.Message, Suggestion: env.Error.Suggestion}

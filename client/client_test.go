@@ -260,6 +260,26 @@ func flakyServer(t *testing.T, fail int, status int) (*httptest.Server, *atomic.
 	return srv, &hits
 }
 
+// TestClientOversizedReplyFails pins the reply bound: a body one byte over
+// service.MaxReplyBytes is an error from every call, never a truncated
+// reply — the rule the fleet hop applies to a peer's reply.
+func TestClientOversizedReplyFails(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(bytes.Repeat([]byte(" "), service.MaxReplyBytes+1))
+	}))
+	t.Cleanup(srv.Close)
+	c := New(srv.URL)
+	ctx := context.Background()
+	body, _, err := c.Raw(ctx, "/v1/stack", nil, "")
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("Raw: %d bytes, error %v; want the bound's error", len(body), err)
+	}
+	if _, err := c.Stack(ctx, Cell{Bench: testBench, Threads: 2}); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("Stack: error %v; want the bound's error", err)
+	}
+}
+
 // TestClientRetries pins the retry contract: with Retries set, a GET rides
 // out 429s and 503s and succeeds on a later attempt; with the zero default
 // the first 429 is surfaced as *APIError.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/scaling"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -130,7 +131,7 @@ func TestHardwareCostReportMatchesPaper(t *testing.T) {
 func TestFormatters(t *testing.T) {
 	curves := []SpeedupCurve{{
 		Benchmark: "x",
-		Points:    []CurvePoint{{1, 1}, {2, 1.9}},
+		Points:    []scaling.Point{{Threads: 1, Speedup: 1}, {Threads: 2, Speedup: 1.9}},
 	}}
 	if s := FormatCurves(curves); !strings.Contains(s, "1.90") {
 		t.Fatalf("curve formatting: %q", s)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -135,4 +136,57 @@ func TestValidationCompareShape(t *testing.T) {
 	if !strings.Contains(tbl, "exact mean|e|%") || len(strings.Split(tbl, "\n")) < 5 {
 		t.Errorf("unexpected table:\n%s", tbl)
 	}
+}
+
+// FastDeviation is the per-component deviation of one fast-mode outcome
+// from its exact-mode counterpart, in the fields and units of the bounds it
+// is held to: speedup units, each mode's component cycles divided by its
+// own Tp.
+type FastDeviation struct {
+	Benchmark string
+	Threads   int
+	sim.FastBounds
+}
+
+// Exceeds reports the first field exceeding the given bounds, or "" when
+// every deviation is within them.
+func (d FastDeviation) Exceeds(b sim.FastBounds) string {
+	switch {
+	case d.NegLLC > b.NegLLC:
+		return "NegLLC"
+	case d.PosLLC > b.PosLLC:
+		return "PosLLC"
+	case d.NegMem > b.NegMem:
+		return "NegMem"
+	case d.Spin > b.Spin:
+		return "Spin"
+	case d.Yield > b.Yield:
+		return "Yield"
+	case d.Imbalance > b.Imbalance:
+		return "Imbalance"
+	case d.Speedup > b.Speedup:
+		return "Speedup"
+	case d.ActualSpeedup > b.ActualSpeedup:
+		return "ActualSpeedup"
+	}
+	return ""
+}
+
+// Deviation pairs an exact and a fast outcome of the same cell into the
+// per-component deviation the error-bound regression asserts.
+func Deviation(exact, fast Outcome) FastDeviation {
+	comp := func(f func(core.Components) float64) float64 {
+		return abs(f(fast.Stack.Components)/float64(fast.Stack.Tp) -
+			f(exact.Stack.Components)/float64(exact.Stack.Tp))
+	}
+	return FastDeviation{exact.Bench.FullName(), exact.Stack.N, sim.FastBounds{
+		NegLLC:        comp(func(c core.Components) float64 { return c.NegLLC }),
+		PosLLC:        comp(func(c core.Components) float64 { return c.PosLLC }),
+		NegMem:        comp(func(c core.Components) float64 { return c.NegMem }),
+		Spin:          comp(func(c core.Components) float64 { return c.Spin }),
+		Yield:         comp(func(c core.Components) float64 { return c.Yield }),
+		Imbalance:     comp(func(c core.Components) float64 { return c.Imbalance }),
+		Speedup:       abs(fast.Stack.Estimated() - exact.Stack.Estimated()),
+		ActualSpeedup: abs(fast.Stack.ActualSpeedup - exact.Stack.ActualSpeedup),
+	}}
 }

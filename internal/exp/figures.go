@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/scaling"
 	"repro/internal/stack"
 	"repro/internal/workload"
 )
@@ -56,16 +57,10 @@ func cellsAt(threads int, names []string) []Cell {
 	return cells
 }
 
-// CurvePoint is one (threads, speedup) sample.
-type CurvePoint struct {
-	Threads int
-	Speedup float64
-}
-
 // SpeedupCurve is one benchmark's scaling curve (Figure 1).
 type SpeedupCurve struct {
 	Benchmark string
-	Points    []CurvePoint
+	Points    []scaling.Point
 }
 
 // Figure1 reproduces the speedup curves of Figure 1: speedup as a function
@@ -78,9 +73,9 @@ func Figure1(ctx context.Context, e *Engine) ([]SpeedupCurve, error) {
 	curves := make([]SpeedupCurve, 0, len(Figure1Benchmarks))
 	i := 0
 	for _, name := range Figure1Benchmarks {
-		c := SpeedupCurve{Benchmark: name, Points: []CurvePoint{{Threads: 1, Speedup: 1}}}
+		c := SpeedupCurve{Benchmark: name, Points: []scaling.Point{{Threads: 1, Speedup: 1}}}
 		for _, n := range ThreadCounts {
-			c.Points = append(c.Points, CurvePoint{Threads: n, Speedup: outs[i].Stack.ActualSpeedup})
+			c.Points = append(c.Points, scaling.Point{Threads: n, Speedup: outs[i].Stack.ActualSpeedup})
 			i++
 		}
 		curves = append(curves, c)

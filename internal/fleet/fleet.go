@@ -52,7 +52,6 @@ package fleet
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -68,16 +67,14 @@ type Options struct {
 	// Peers is the full member list, Self included, identical on every
 	// node. Addresses may be host:port or http://host:port.
 	Peers []string
-	// CacheEntries bounds the peer-response cache (default 4096;
-	// negative disables caching).
+	// CacheEntries bounds the peer-response cache, with memo.New's meaning:
+	// 0 retains without bound, a negative limit retains nothing.
 	CacheEntries int
 	// Client performs peer requests (default http.DefaultClient; peer
 	// calls inherit each request's context, so the service's own
 	// SimTimeout bounds them).
 	Client *http.Client
 }
-
-const defaultCacheEntries = 4096
 
 // Handler is the fleet routing layer around a service handler.
 type Handler struct {
@@ -126,16 +123,12 @@ func Wrap(inner http.Handler, opts Options) (*Handler, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	cacheEntries := opts.CacheEntries
-	if cacheEntries == 0 {
-		cacheEntries = defaultCacheEntries
-	}
 	return &Handler{
 		inner:  inner,
 		ring:   ring,
 		self:   self,
 		client: client,
-		cache:  memo.New[string, *peerResp](cacheEntries),
+		cache:  memo.New[string, *peerResp](opts.CacheEntries),
 	}, nil
 }
 
@@ -282,12 +275,9 @@ func (h *Handler) forward(r *http.Request, home, query string, body []byte) (*pe
 	}
 	defer resp.Body.Close()
 	// A reply over the bound a node buffers is a peer failure like any other.
-	data, err := io.ReadAll(io.LimitReader(resp.Body, service.MaxReplyBytes+1))
+	data, err := service.ReadReply(resp.Body)
 	if err != nil {
-		return nil, err
-	}
-	if len(data) > service.MaxReplyBytes {
-		return nil, fmt.Errorf("fleet: reply from %s exceeds %d bytes", home, service.MaxReplyBytes)
+		return nil, fmt.Errorf("fleet: reply from %s: %w", home, err)
 	}
 	return &peerResp{
 		status:      resp.StatusCode,

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -56,15 +55,22 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.Message }
 
-// errorEnvelope is the wire form of an apiError.
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
+// ErrorEnvelope is the wire form of an apiError, the one declaration the
+// service writes and the client reads.
+type ErrorEnvelope struct {
+	Error ErrorBody `json:"error"`
 }
 
-type errorBody struct {
+// ErrorBody is the envelope's content.
+type ErrorBody struct {
 	Code       string `json:"code"`
 	Message    string `json:"message"`
 	Suggestion string `json:"suggestion,omitempty"`
+}
+
+// envelope is e's wire form.
+func (e *apiError) envelope() ErrorEnvelope {
+	return ErrorEnvelope{Error: ErrorBody{Code: e.Code, Message: e.Message, Suggestion: e.Suggestion}}
 }
 
 // badRequest builds a 400 invalid_argument error.
@@ -136,9 +142,5 @@ func writeError(w http.ResponseWriter, r *http.Request, e *apiError) {
 		fmt.Fprintf(w, "error: %s\n", e.Message)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(e.Status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(errorEnvelope{Error: errorBody{Code: e.Code, Message: e.Message, Suggestion: e.Suggestion}})
+	writeJSON(w, e.Status, e.envelope())
 }

@@ -15,9 +15,9 @@ import (
 
 // decodeEnvelope decodes a structured error response, failing the test on
 // anything that is not a well-formed envelope.
-func decodeEnvelope(t *testing.T, w *httptest.ResponseRecorder) errorBody {
+func decodeEnvelope(t *testing.T, w *httptest.ResponseRecorder) ErrorBody {
 	t.Helper()
-	var env errorEnvelope
+	var env ErrorEnvelope
 	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
 		t.Fatalf("response is not an error envelope: %v\n%s", err, w.Body)
 	}

@@ -102,7 +102,7 @@ func TestAdmissionControl(t *testing.T) {
 	if got := w.Header().Get("Retry-After"); got == "" {
 		t.Error("429 without Retry-After header")
 	}
-	var env errorEnvelope
+	var env ErrorEnvelope
 	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Error.Code != codeOverloaded {
 		t.Fatalf("envelope %s (err %v), want code %q", w.Body, err, codeOverloaded)
 	}
@@ -135,7 +135,7 @@ func TestRateLimit(t *testing.T) {
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-limit request: %d: %s", w.Code, w.Body)
 	}
-	var env errorEnvelope
+	var env ErrorEnvelope
 	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Error.Code != codeRateLimited {
 		t.Fatalf("envelope %s (err %v), want code %q", w.Body, err, codeRateLimited)
 	}

@@ -40,14 +40,25 @@ const (
 // from buffering without bound; MaxSweepCells caps one POST /v1/sweep batch.
 // Both are enforced here and honored by Identify, so a routing layer in
 // front of the service can neither exceed nor bypass them. MaxReplyBytes
-// bounds the reply a reader buffers (the client, a fleet hop), an order of
-// magnitude above the largest one the table produces (a 1,024-cell SVG sweep).
+// bounds the reply a reader buffers (the client, a fleet hop; both read
+// through ReadReply), an order of magnitude above the largest one the table
+// produces (a 1,024-cell SVG sweep).
 const (
 	maxJSONBytes  = 1 << 20
 	MaxTraceBytes = 32 << 20
 	MaxSweepCells = 1024
 	MaxReplyBytes = 16 << 20
 )
+
+// ReadReply reads a whole reply body of at most MaxReplyBytes. A longer
+// body is an error, never a truncated reply.
+func ReadReply(body io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(body, MaxReplyBytes+1))
+	if err == nil && len(data) > MaxReplyBytes {
+		return nil, fmt.Errorf("reply exceeds %d bytes", MaxReplyBytes)
+	}
+	return data, err
+}
 
 // route is one row of the table.
 type route struct {
@@ -292,16 +303,18 @@ func parseWhatIfCall(s *Server, r *http.Request, opts requestOptions) (call, *ap
 	}, nil
 }
 
-// writeJSON answers a plain row with one indented JSON object.
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers with status and one indented JSON object: a plain row
+// or an error envelope.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
 }
 
-// validateResponse is the POST /v1/workloads/validate answer.
-type validateResponse struct {
+// ValidateResponse is the POST /v1/workloads/validate answer.
+type ValidateResponse struct {
 	Valid bool   `json:"valid"`
 	Error string `json:"error,omitempty"`
 	// Fingerprint is the canonical workload identity (the cache key) and
@@ -324,10 +337,10 @@ func validate(s *Server, w http.ResponseWriter, r *http.Request) {
 	}
 	spec, err := workload.ParseSpec(data)
 	if err != nil {
-		writeJSON(w, validateResponse{Valid: false, Error: err.Error()})
+		writeJSON(w, http.StatusOK, ValidateResponse{Valid: false, Error: err.Error()})
 		return
 	}
-	writeJSON(w, validateResponse{
+	writeJSON(w, http.StatusOK, ValidateResponse{
 		Valid:       true,
 		Fingerprint: spec.Fingerprint().String(),
 		Name:        workload.Benchmark{Spec: spec}.FullName(),
@@ -337,7 +350,7 @@ func validate(s *Server, w http.ResponseWriter, r *http.Request) {
 
 // benchmarks serves GET /v1/benchmarks.
 func benchmarks(s *Server, w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string][]string{"benchmarks": workload.Names()})
+	writeJSON(w, http.StatusOK, map[string][]string{"benchmarks": workload.Names()})
 }
 
 // Identity is what a routing layer in front of the service (internal/fleet)

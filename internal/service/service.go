@@ -54,12 +54,13 @@
 // trace performs zero additional simulations.
 //
 // /v1/advise runs the scaling advisor (internal/scaling) over a memoized
-// thread sweep — powers of two up to max_threads (default 16, bounds
-// [3,64]) — and reports deterministic Amdahl and USL fits, the
-// diminishing-returns point N*, a linear/saturated/negative classification,
-// a cross-check of the fitted serial fraction against the stack's
-// serialization components, and ranked spec-field recommendations. The SVG
-// format draws the measured sweep with both fitted curves overlaid.
+// thread sweep — powers of two up to max_threads (default
+// exp.DefaultThreads, bounds [exp.MinAdviseThreads, cache.MaxCores]) — and
+// reports deterministic Amdahl and USL fits, the diminishing-returns point
+// N*, a linear/saturated/negative classification, a cross-check of the
+// fitted serial fraction against the stack's serialization components, and
+// ranked spec-field recommendations. The SVG format draws the measured
+// sweep with both fitted curves overlaid.
 //
 // /v1/whatif runs the causal what-if engine (internal/whatif) on one cell:
 // it re-evaluates the estimator with each catalog intervention's stack
@@ -466,8 +467,7 @@ func streamSweep(s *Server, w http.ResponseWriter, r *http.Request, opts request
 			if !wrote {
 				return ae
 			}
-			json.NewEncoder(w).Encode(errorEnvelope{Error: errorBody{
-				Code: ae.Code, Message: ae.Message, Suggestion: ae.Suggestion}})
+			json.NewEncoder(w).Encode(ae.envelope())
 			return nil
 		}
 		if !wrote {

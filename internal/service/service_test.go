@@ -537,9 +537,9 @@ func TestStackIntervalsEndpoint(t *testing.T) {
 	if n := len(rep.Intervals); n < 1 || n > 7 {
 		t.Fatalf("%d intervals for a target of 6", n)
 	}
-	sum := rep.Intervals[0].Cycles
+	sum := rep.Intervals[0].Components
 	for _, iv := range rep.Intervals[1:] {
-		sum = sum.Add(iv.Cycles)
+		sum = sum.Add(iv.Components)
 	}
 	if sum != rep.AggregateCycles {
 		t.Fatalf("served intervals do not sum to the aggregate: %+v vs %+v", sum, rep.AggregateCycles)

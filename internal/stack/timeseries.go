@@ -48,16 +48,20 @@ type TimeSeries struct {
 // Interval is one time slice of a TimeSeries: the half-open op range
 // (StartOps, EndOps], the wall-cycle span the run covered while committing
 // those ops, and the integer-cycle components attributed to the slice.
+// It is also the report's interval row: summing any field of Components
+// across all rows reproduces the matching AggregateCycles field exactly.
 type Interval struct {
 	// Index is the interval's position, starting at 0.
-	Index int
+	Index int `json:"index"`
 	// StartOps and EndOps bound the slice in cumulative committed ops.
-	StartOps, EndOps uint64
+	StartOps uint64 `json:"start_ops"`
+	EndOps   uint64 `json:"end_ops"`
 	// StartCycle and EndCycle bound the slice in cycles (the furthest
 	// thread-local time at each boundary; the last EndCycle is Tp).
-	StartCycle, EndCycle uint64
+	StartCycle uint64 `json:"start_cycle"`
+	EndCycle   uint64 `json:"end_cycle"`
 	// Components is the slice's integer-cycle decomposition.
-	Components core.IntComponents
+	Components core.IntComponents `json:"cycles"`
 }
 
 // Capacity returns the interval's total thread-cycle capacity,
@@ -128,35 +132,12 @@ type TimeSeriesReport struct {
 	Aggregate       ReportRow          `json:"aggregate"`
 	AggregateCycles core.IntComponents `json:"aggregate_cycles"`
 	// Intervals are the per-interval rows, in run order.
-	Intervals []IntervalRow `json:"intervals"`
-}
-
-// IntervalRow is one interval of a TimeSeriesReport. Cycles carries the
-// exact integer components; summing any field across all rows reproduces
-// the matching AggregateCycles field exactly.
-type IntervalRow struct {
-	Index      int                `json:"index"`
-	StartOps   uint64             `json:"start_ops"`
-	EndOps     uint64             `json:"end_ops"`
-	StartCycle uint64             `json:"start_cycle"`
-	EndCycle   uint64             `json:"end_cycle"`
-	Cycles     core.IntComponents `json:"cycles"`
+	Intervals []Interval `json:"intervals"`
 }
 
 // JSON converts the series into its machine-readable form, one
 // TimeSeriesReport object.
 func (ts TimeSeries) JSON() any {
-	rows := make([]IntervalRow, len(ts.Intervals))
-	for i, iv := range ts.Intervals {
-		rows[i] = IntervalRow{
-			Index:      iv.Index,
-			StartOps:   iv.StartOps,
-			EndOps:     iv.EndOps,
-			StartCycle: iv.StartCycle,
-			EndCycle:   iv.EndCycle,
-			Cycles:     iv.Components,
-		}
-	}
 	return TimeSeriesReport{
 		Benchmark:       ts.Label,
 		Threads:         ts.N,
@@ -165,7 +146,7 @@ func (ts TimeSeries) JSON() any {
 		IntervalOps:     ts.EveryOps,
 		Aggregate:       Row(Bar{Label: ts.Label, Stack: ts.Stack}),
 		AggregateCycles: ts.Aggregate,
-		Intervals:       rows,
+		Intervals:       ts.Intervals,
 	}
 }
 

@@ -86,7 +86,7 @@ func TestTimeSeriesEncoders(t *testing.T) {
 	}
 	var sum core.IntComponents
 	for _, iv := range rep.Intervals {
-		sum = sum.Add(iv.Cycles)
+		sum = sum.Add(iv.Components)
 	}
 	if sum != rep.AggregateCycles {
 		t.Fatalf("decoded interval sum != aggregate_cycles")

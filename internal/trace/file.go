@@ -113,18 +113,6 @@ func (f *File) Encode(w io.Writer) error {
 	return err
 }
 
-// Data encodes the file and decodes it back, returning the validated
-// replayable form. This is the canonical way to go from recorded ops to a
-// *Data: it guarantees the in-memory form is exactly what a reader of the
-// written file would see.
-func (f *File) Data() (*Data, error) {
-	buf, err := f.appendTo(nil)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(buf)
-}
-
 // CheckHeader refuses every header Decode refuses, by the bounds above. It
 // reads the op streams only for their count, so a recorder can run it
 // before it records an op.

@@ -67,11 +67,21 @@ func drain(t *testing.T, p Program) []Op {
 	}
 }
 
+// roundTrip encodes f and decodes it back: the replayable form a reader of
+// the written file sees.
+func roundTrip(f *File) (*Data, error) {
+	var buf bytes.Buffer
+	if err := f.Encode(&buf); err != nil {
+		return nil, err
+	}
+	return Decode(buf.Bytes())
+}
+
 func TestFileRoundTrip(t *testing.T) {
 	f := sampleFile()
-	d, err := f.Data()
+	d, err := roundTrip(f)
 	if err != nil {
-		t.Fatalf("Data: %v", err)
+		t.Fatalf("round trip: %v", err)
 	}
 	if d.Label() != f.Label || d.Threads() != 2 {
 		t.Fatalf("header mismatch: label %q threads %d", d.Label(), d.Threads())
@@ -108,12 +118,12 @@ func TestFileRoundTrip(t *testing.T) {
 
 func TestHashIgnoresLabel(t *testing.T) {
 	f := sampleFile()
-	d1, err := f.Data()
+	d1, err := roundTrip(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Label = "renamed"
-	d2, err := f.Data()
+	d2, err := roundTrip(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +131,7 @@ func TestHashIgnoresLabel(t *testing.T) {
 		t.Fatalf("relabeling changed the content hash: %s vs %s", d1.HashHex(), d2.HashHex())
 	}
 	f.LockGrace++
-	d3, err := f.Data()
+	d3, err := roundTrip(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,20 +183,20 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		}
 	}
 	// End mid-stream must be rejected.
-	if _, err := (&File{Threads: [][]Op{{Compute(1), End(), Compute(1), End()}}}).Data(); err == nil {
+	if _, err := roundTrip((&File{Threads: [][]Op{{Compute(1), End(), Compute(1), End()}}})); err == nil {
 		t.Errorf("mid-stream End was accepted")
 	}
-	if _, err := (&File{Threads: [][]Op{{Compute(1)}}}).Data(); err == nil {
+	if _, err := roundTrip((&File{Threads: [][]Op{{Compute(1)}}})); err == nil {
 		t.Errorf("stream without End was accepted")
 	}
 	// No thread op doing work: refused by Encode too; one idle thread is fine.
-	if _, err := (&File{Sequential: []Op{Compute(1), End()}, Threads: [][]Op{{End()}, {End()}}}).Data(); !errors.Is(err, errNoWork) {
+	if _, err := roundTrip((&File{Sequential: []Op{Compute(1), End()}, Threads: [][]Op{{End()}, {End()}}})); !errors.Is(err, errNoWork) {
 		t.Errorf("zero-work file: %v, want %v", err, errNoWork)
 	}
-	if _, err := (&File{Threads: [][]Op{{Compute(0), End()}, {Compute(0), End()}}}).Data(); !errors.Is(err, errNoWork) {
+	if _, err := roundTrip((&File{Threads: [][]Op{{Compute(0), End()}, {Compute(0), End()}}})); !errors.Is(err, errNoWork) {
 		t.Errorf("empty-burst file: %v, want %v", err, errNoWork)
 	}
-	if _, err := (&File{Threads: [][]Op{{End()}, {Compute(1), End()}}}).Data(); err != nil {
+	if _, err := roundTrip((&File{Threads: [][]Op{{End()}, {Compute(1), End()}}})); err != nil {
 		t.Errorf("one idle thread refused: %v", err)
 	}
 }

@@ -12,31 +12,26 @@ import (
 // their data regions are shared between stages, so consumers reuse lines
 // producers touched (positive interference plus coherence traffic).
 
-// mergedStage is one effective stage after thread-count-aware merging.
-type mergedStage struct {
-	weight float64
-	serial bool
-}
-
-// plan computes the effective stage list and per-stage thread counts for a
-// given thread count.
-func pipelinePlan(stages []StageSpec, threads int) (eff []mergedStage, nStage []int) {
+// pipelinePlan computes the effective stage list — the stages after
+// thread-count-aware merging, weights normalized — and per-stage thread
+// counts for a given thread count.
+func pipelinePlan(stages []StageSpec, threads int) (eff []StageSpec, nStage []int) {
 	s := len(stages)
 	effCount := s
 	if threads < s {
 		effCount = threads
 	}
-	eff = make([]mergedStage, effCount)
+	eff = make([]StageSpec, effCount)
 	// Merge contiguous groups of the original stages into effCount groups
 	// of near-equal length.
 	for g := 0; g < effCount; g++ {
 		lo := g * s / effCount
 		hi := (g + 1) * s / effCount
-		m := mergedStage{serial: true}
+		m := StageSpec{Serial: true}
 		for i := lo; i < hi; i++ {
-			m.weight += stages[i].Weight
+			m.Weight += stages[i].Weight
 			if !stages[i].Serial {
-				m.serial = false
+				m.Serial = false
 			}
 		}
 		eff[g] = m
@@ -44,10 +39,10 @@ func pipelinePlan(stages []StageSpec, threads int) (eff []mergedStage, nStage []
 	// Normalize weights.
 	total := 0.0
 	for _, m := range eff {
-		total += m.weight
+		total += m.Weight
 	}
 	for i := range eff {
-		eff[i].weight /= total
+		eff[i].Weight /= total
 	}
 	// Thread assignment: serial stages get one thread; the rest go
 	// round-robin over parallel stages (or over everything if all serial).
@@ -55,11 +50,11 @@ func pipelinePlan(stages []StageSpec, threads int) (eff []mergedStage, nStage []
 	remaining := threads
 	var parallel []int
 	for i, m := range eff {
-		if m.serial && remaining > 0 {
+		if m.Serial && remaining > 0 {
 			nStage[i] = 1
 			remaining--
 		}
-		if !m.serial {
+		if !m.Serial {
 			parallel = append(parallel, i)
 		}
 	}
@@ -101,7 +96,7 @@ type plProgram struct {
 	tid     int
 	threads int
 
-	eff    []mergedStage
+	eff    []StageSpec
 	nStage []int
 	stage  int
 	rank   int
@@ -279,7 +274,7 @@ func (p *plProgram) finish() {
 // over the item's shared data region.
 func (p *plProgram) emitBody() {
 	s := p.s
-	w := p.eff[p.stage].weight
+	w := p.eff[p.stage].Weight
 	instr := int(float64(s.ItemInstr) * w)
 	accesses := int(float64(s.ItemAccesses)*w + 0.5)
 	item := p.localCnt*p.nStage[p.stage] + p.rank

@@ -76,13 +76,23 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// roundTrip encodes f and decodes it back: the replayable form a reader of
+// the written file sees.
+func roundTrip(f *trace.File) (*trace.Data, error) {
+	var buf bytes.Buffer
+	if err := f.Encode(&buf); err != nil {
+		return nil, err
+	}
+	return trace.Decode(buf.Bytes())
+}
+
 func TestTraceSpecOnlyReplaysRecordedThreadCount(t *testing.T) {
 	b, _ := ByName("fft_splash2")
 	f, _, err := Record(sim.Default(), b.Spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := f.Data()
+	d, err := roundTrip(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +118,7 @@ func TestRecordRejectsTraceSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := f.Data()
+	d, err := roundTrip(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +150,12 @@ func TestRecordRefusesBadHeader(t *testing.T) {
 // graces are different simulations and must not share a memo entry.
 func TestTraceIdentityTracksGraces(t *testing.T) {
 	f := &trace.File{Threads: [][]trace.Op{{trace.Compute(5), trace.End()}}}
-	d1, err := f.Data()
+	d1, err := roundTrip(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.LockGrace = 1 << 30
-	d2, err := f.Data()
+	d2, err := roundTrip(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,7 +222,7 @@ func TestPipelinePlanCoversAllThreads(t *testing.T) {
 		}
 		wsum := 0.0
 		for _, m := range eff {
-			wsum += m.weight
+			wsum += m.Weight
 		}
 		if math.Abs(wsum-1) > 1e-9 {
 			t.Fatalf("threads=%d: weights sum to %v", threads, wsum)

@@ -1,6 +1,7 @@
 package speedupstack
 
 import (
+	"fmt"
 	"os"
 	"regexp"
 	"slices"
@@ -60,5 +61,24 @@ func TestArtifactRegistryDocumented(t *testing.T) {
 	slices.Sort(want)
 	if !slices.Equal(slices.Compact(listed), want) {
 		t.Errorf("README.md's usage line lists %v; the registry plus all is %v", listed, want)
+	}
+}
+
+// TestAdviseBoundsDocumented holds README's advisor-bounds sentence and the
+// refusal it quotes to the constants: moving MinAdviseThreads or
+// MaxAdviseThreads fails here until README follows.
+func TestAdviseBoundsDocumented(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.Join(strings.Fields(string(readme)), " ")
+	for _, want := range []string{
+		fmt.Sprintf("The sweep top must lie in [%d, %d] (`MinAdviseThreads`, `MaxAdviseThreads`:", MinAdviseThreads, MaxAdviseThreads),
+		fmt.Sprintf("`max_threads must be in [%d,%d], got N`", MinAdviseThreads, MaxAdviseThreads),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("README.md lacks %q", want)
+		}
 	}
 }

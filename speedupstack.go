@@ -192,7 +192,8 @@ type TimeSeriesReport = stack.TimeSeriesReport
 // record, and FormatSVG a standalone stacked-timeline chart.
 type TimeSeries = stack.TimeSeries
 
-// TimeSeriesInterval is one time slice of a TimeSeries.
+// TimeSeriesInterval is one time slice of a TimeSeries, and one row of a
+// TimeSeriesReport's Intervals.
 type TimeSeriesInterval = stack.Interval
 
 // IntervalComponents are the exact integer-cycle stack components of one
