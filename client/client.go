@@ -380,7 +380,7 @@ func (c *Client) fetch(req *http.Request) ([]byte, string, error) {
 		return nil, "", err
 	}
 	defer resp.Body.Close()
-	body, err := service.ReadReply(resp.Body)
+	body, err := service.ReadReply(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, "", fmt.Errorf("speedupd: %w", err)
 	}

@@ -280,6 +280,23 @@ func TestClientOversizedReplyFails(t *testing.T) {
 	}
 }
 
+// TestClientShortReplyFails pins the other end of the reply read: a body
+// shorter than its declared Content-Length (the server hung up mid-reply)
+// is an error, never the bytes that arrived, although the reader sized its
+// buffer from the declared length.
+func TestClientShortReplyFails(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", "1000")
+		io.WriteString(w, `{"benchmarks":[`)
+	}))
+	t.Cleanup(srv.Close)
+	body, _, err := New(srv.URL).Raw(context.Background(), "/v1/benchmarks", nil, "")
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("Raw: %q, error %v; want %v", body, err, io.ErrUnexpectedEOF)
+	}
+}
+
 // TestClientRetries pins the retry contract: with Retries set, a GET rides
 // out 429s and 503s and succeeds on a later attempt; with the zero default
 // the first 429 is surfaced as *APIError.

@@ -83,3 +83,9 @@ type Outcome struct {
 	// Result is the full multi-threaded simulation result.
 	Result sim.Result
 }
+
+// fill copies every field of from but Bench into o (a field added to
+// Outcome is added here). Identity is the fingerprint, so a memoized
+// outcome may carry the naming of whichever alias simulated it first; Do
+// fills each returned slot so that it keeps the caller's own resolution.
+func (o *Outcome) fill(from Outcome) { o.Ts, o.Stack, o.Result = from.Ts, from.Stack, from.Result }

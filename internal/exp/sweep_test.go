@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -120,6 +121,22 @@ func TestSweepDedup(t *testing.T) {
 	}
 	if st := e.Stats(); st.CellRuns != 5 || st.SeqRuns != 2 {
 		t.Errorf("stats after config change = %+v, want 5 cell runs and 2 seq runs", st)
+	}
+
+	// Past dedupScan cells a batch deduplicates through a map: the grid
+	// three times over, on a fresh engine, simulates the same four cells
+	// and answers every copy.
+	big := slices.Concat(cells, cells, cells)
+	fresh := NewEngine(sim.Default(), WithWorkers(4))
+	outs3, err := fresh.Sweep(context.Background(), big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(big) <= dedupScan || !reflect.DeepEqual(outs3, slices.Concat(outs1, outs1, outs1)) {
+		t.Errorf("a %d-cell batch (dedupScan %d) answered other outcomes than the grid's", len(big), dedupScan)
+	}
+	if st := fresh.Stats(); st.CellRuns != 4 || st.CellsDeclared != 4 {
+		t.Errorf("the grid three times over: stats = %+v, want 4 cell runs and 4 cells declared", st)
 	}
 }
 

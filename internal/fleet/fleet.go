@@ -275,7 +275,7 @@ func (h *Handler) forward(r *http.Request, home, query string, body []byte) (*pe
 	}
 	defer resp.Body.Close()
 	// A reply over the bound a node buffers is a peer failure like any other.
-	data, err := service.ReadReply(resp.Body)
+	data, err := service.ReadReply(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: reply from %s: %w", home, err)
 	}

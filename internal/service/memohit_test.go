@@ -15,9 +15,9 @@ import (
 
 // TestMemoHitIgnoresSimTimeout pins the other half of the detach contract:
 // an answer the memo already holds never waits, so it cannot time out. For
-// every simulating row, a patient request warms the engine; then a request
-// on the same engine under a 1ns budget must answer 200 with the same bytes
-// and run no simulation.
+// every simulating row, and for each serve-path row in CSV too, a patient
+// request warms the engine; then a request on the same engine under a 1ns
+// budget must answer 200 with the same bytes and run no simulation.
 func TestMemoHitIgnoresSimTimeout(t *testing.T) {
 	cellBody := `{"bench":"` + testBench + `","threads":2}`
 	sweepBody := `{"cells":[` + cellBody + `,{"bench":"` + testBench + `","threads":1}]}`
@@ -32,6 +32,12 @@ func TestMemoHitIgnoresSimTimeout(t *testing.T) {
 		{"trace", http.MethodPost, "/v1/traces/analyze", string(recordTestTrace(t, 2))},
 		{"advise", http.MethodGet, "/v1/advise?bench=" + testBench + "&max_threads=4", ""},
 		{"whatif", http.MethodPost, "/v1/whatif", cellBody},
+		// The serve-path rows again in CSV, the format appended in place:
+		// a hit builds no deadline, whatever the encoder.
+		{"stack csv", http.MethodGet, "/v1/stack?bench=" + testBench + "&threads=2&format=csv", ""},
+		{"intervals csv", http.MethodGet, "/v1/stack/intervals?bench=" + testBench + "&threads=2&intervals=4&format=csv", ""},
+		{"advise csv", http.MethodGet, "/v1/advise?bench=" + testBench + "&max_threads=4&format=csv", ""},
+		{"whatif csv", http.MethodPost, "/v1/whatif?format=csv", cellBody},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := exp.NewEngine(sim.Default(), exp.WithWorkers(1))

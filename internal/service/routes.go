@@ -50,14 +50,43 @@ const (
 	MaxReplyBytes = 16 << 20
 )
 
+// replyStart caps the buffer ReadReply makes before it has read a byte, so
+// a peer that declares more than it sends cannot make a reader allocate
+// MaxReplyBytes up front; the table's replies are almost all below it.
+const replyStart = 64 << 10
+
 // ReadReply reads a whole reply body of at most MaxReplyBytes. A longer
-// body is an error, never a truncated reply.
-func ReadReply(body io.Reader) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(body, MaxReplyBytes+1))
-	if err == nil && len(data) > MaxReplyBytes {
+// body is an error, never a truncated reply. declared is the length the
+// reply announces (http.Response.ContentLength, -1 when unknown): the
+// buffer starts at it, capped at replyStart, with one byte more to see the
+// end, so a reply that keeps its word is read into one allocation of its
+// own size, which a cache of replies (the fleet's) retains as is; past
+// that the buffer grows as io.ReadAll's does, from where io.ReadAll starts
+// when the length is unknown.
+func ReadReply(body io.Reader, declared int64) ([]byte, error) {
+	size := int64(512)
+	if declared >= 0 {
+		size = min(declared, replyStart) + 1
+	}
+	data := make([]byte, 0, size)
+	limited := io.LimitedReader{R: body, N: MaxReplyBytes + 1}
+	for {
+		n, err := limited.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return data, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
+	if len(data) > MaxReplyBytes {
 		return nil, fmt.Errorf("reply exceeds %d bytes", MaxReplyBytes)
 	}
-	return data, err
+	return data, nil
 }
 
 // route is one row of the table.

@@ -114,15 +114,16 @@
 // request into an engine call answering a stack.Document. One dispatcher
 // serves every row: method check, protection, option parsing, the parse
 // step, then serve — the call run by detached (answered on the request's
-// goroutine when the memo holds it whole, so a memo hit never times out;
-// otherwise under a context of its own, so a request that exceeds
-// Options.SimTimeout or hangs up gets its error promptly while the work
-// finishes in the background and lands in the memo, where a retry finds
-// it), one error mapping, the negotiated Content-Type, stack.EncodeDocument.
-// The streamed NDJSON sweep does the same per cell: a memo-only attempt,
-// and a detached call for a miss. Identify reads the same rows for a
-// routing layer in front of the service (internal/fleet), which therefore
-// spells no path, body shape or limit of its own.
+// goroutine when the memo holds it whole, so a memo hit never times out
+// and builds no deadline; otherwise under a context of its own, so a
+// request that exceeds Options.SimTimeout or hangs up gets its error
+// promptly while the work finishes in the background and lands in the
+// memo, where a retry finds it), one error mapping, the negotiated
+// Content-Type, stack.EncodeDocument. The streamed NDJSON sweep does the
+// same per cell: a memo-only attempt, and a detached call for a miss.
+// Identify reads the same rows for a routing layer in front of the service
+// (internal/fleet), which therefore spells no path, body shape or limit of
+// its own.
 package service
 
 import (
@@ -132,6 +133,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -175,6 +177,7 @@ const defaultSimTimeout = 2 * time.Minute
 // Server is the speedupd HTTP service.
 type Server struct {
 	engine     *exp.Engine
+	modes      [sim.ModeFast + 1]sim.Config // the engine's machine in each mode
 	simTimeout time.Duration
 	mux        *http.ServeMux
 	started    time.Time
@@ -206,6 +209,9 @@ func New(opts Options) *Server {
 		responses:  make(map[int]uint64),
 		adm:        newAdmission(opts.MaxInFlight),
 		limiter:    newRateLimiter(opts.RateLimit),
+	}
+	for m := range s.modes {
+		s.modes[m] = s.engine.Config().WithMode(sim.Mode(m))
 	}
 	for _, rt := range routes {
 		s.mux.HandleFunc(rt.path, s.dispatcher(rt))
@@ -321,11 +327,9 @@ func (s *Server) simContext(r *http.Request) (context.Context, context.CancelFun
 // modeConfig maps a parsed ?mode= onto the engine request's configuration:
 // the base machine in that mode, which is the base itself when the request
 // asks for the engine's own mode. Fast and exact results never share a cache
-// entry — the memo is keyed by the full configuration, Mode included.
-func (s *Server) modeConfig(m sim.Mode) *sim.Config {
-	cfg := s.engine.Config().WithMode(m)
-	return &cfg
-}
+// entry — the memo is keyed by the full configuration, Mode included. The
+// configuration is shared by every request, and the engine only reads it.
+func (s *Server) modeConfig(m sim.Mode) *sim.Config { return &s.modes[m] }
 
 // call is the engine call of one request: what a row's parse step returns
 // and serve runs. It answers the document to encode.
@@ -341,27 +345,26 @@ type result struct {
 // blocks: neither the request's deadline nor its cancellation applies.
 var memoOnly = exp.MemoOnly(context.Background())
 
-// detached starts one engine call and answers on the returned channel. A
-// call the engine's memo holds whole is answered at once, on the caller's
-// goroutine under exp.MemoOnly: it waits for nothing, so it cannot time
-// out. Any other call runs under a context of its own, so whoever waits
-// for it may give up (see wait) while it keeps running in the background
-// and lands in the engine's memo — deterministic work is never wasted, and
-// a retry of the same request becomes a cache hit. Background completion
-// is still bounded by the engine's worker pool and the simulator's
-// MaxCycles safety net. This is the one place a request's simulations
-// leave the request's lifetime.
-func detached(c call) <-chan result {
-	ch := make(chan result, 1)
+// detached starts one engine call. A call the engine's memo holds whole is
+// answered at once, on the caller's goroutine under exp.MemoOnly, with a
+// nil channel: it waits for nothing, so it cannot time out and needs no
+// deadline. Any other call runs under a context of its own and answers on
+// the returned channel, so whoever waits for it may give up (see wait)
+// while it keeps running in the background and lands in the engine's memo —
+// deterministic work is never wasted, and a retry of the same request
+// becomes a cache hit. Background completion is still bounded by the
+// engine's worker pool and the simulator's MaxCycles safety net. This is
+// the one place a request's simulations leave the request's lifetime.
+func detached(c call) (result, <-chan result) {
 	if doc, err := c(memoOnly); !errors.Is(err, exp.ErrNotMemoized) {
-		ch <- result{doc, err}
-		return ch
+		return result{doc, err}, nil
 	}
+	ch := make(chan result, 1)
 	go func() {
 		doc, err := c(context.Background())
 		ch <- result{doc, err}
 	}()
-	return ch
+	return result{}, ch
 }
 
 // wait receives a detached call's answer. One already answered is returned
@@ -381,19 +384,23 @@ func wait(ctx context.Context, ch <-chan result) (stack.Document, error) {
 }
 
 // serve is the tail of every simulating endpoint, after its parse step: the
-// engine call, detached, under the request's simulation deadline; one error
-// mapping; the negotiated Content-Type; the one encoder. The encoder renders
-// the whole body before writing any of it, so a document it cannot encode
-// (a NaN in a JSON body) answers the 500 envelope, not an empty 200.
+// engine call, detached, and for a miss the wait under the request's
+// simulation deadline; one error mapping; the negotiated Content-Type; the
+// one encoder. The encoder renders the whole body before writing any of it,
+// so a document it cannot encode (a NaN in a JSON body) answers the 500
+// envelope, not an empty 200.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, f stack.Format, c call) *apiError {
-	ctx, cancel := s.simContext(r)
-	defer cancel()
-	doc, err := wait(ctx, detached(c))
-	if err != nil {
-		return s.simAPIError(err)
+	res, ch := detached(c)
+	if ch != nil {
+		ctx, cancel := s.simContext(r)
+		defer cancel()
+		res.doc, res.err = wait(ctx, ch)
+	}
+	if res.err != nil {
+		return s.simAPIError(res.err)
 	}
 	w.Header().Set("Content-Type", f.ContentType())
-	if err := stack.EncodeDocument(w, f, doc); err != nil {
+	if err := stack.EncodeDocument(w, f, res.doc); err != nil {
 		return &apiError{Status: http.StatusInternalServerError, Code: codeEncodeFailed,
 			Message: fmt.Sprintf("encoding the %s report: %v", f, err)}
 	}
@@ -435,32 +442,42 @@ func (s *Server) seriesCall(opts requestOptions, cell exp.Cell, count int) call 
 
 // streamSweep answers an NDJSON sweep as a stream: one compact ReportRow
 // line per cell, in the declared cell order. Every cell is its own
-// detached engine call under the request's one deadline, so large batches
+// detached engine call, and the cells the memo misses wait under the
+// request's one deadline, built only when a cell misses. So large batches
 // start answering with their first completed rows instead of buffering the
 // whole sweep, and a timeout still leaves the finished work in the cache.
 // Rows already answered are written together and flushed onto the wire
-// only when the handler must wait for the next one. A failure before the first row is the normal error response; after
-// rows are on the wire the status is already 200, so the envelope becomes
-// the terminating line of the stream — NDJSON consumers must treat a line
-// with an "error" key as a failed tail.
+// only when the handler must wait for the next one. A failure before the
+// first row is the normal error response; after rows are on the wire the
+// status is already 200, so the envelope becomes the terminating line of
+// the stream — NDJSON consumers must treat a line with an "error" key as a
+// failed tail.
 func streamSweep(s *Server, w http.ResponseWriter, r *http.Request, opts requestOptions) *apiError {
 	cells, aerr := parseSweep(r)
 	if aerr != nil {
 		return aerr
 	}
-	ctx, cancel := s.simContext(r)
-	defer cancel()
-	results := make([]<-chan result, len(cells))
+	answered := make([]result, len(cells))
+	pending := make([]<-chan result, len(cells))
 	for i, c := range cells {
-		results[i] = detached(s.cellsCall(opts, c))
+		answered[i], pending[i] = detached(s.cellsCall(opts, c))
+	}
+	ctx := r.Context()
+	if slices.ContainsFunc(pending, func(ch <-chan result) bool { return ch != nil }) {
+		var cancel context.CancelFunc
+		ctx, cancel = s.simContext(r)
+		defer cancel()
 	}
 	flusher, _ := w.(http.Flusher)
 	wrote := false
-	for i, ch := range results {
-		if len(ch) == 0 && wrote && flusher != nil {
-			flusher.Flush()
+	for i, ch := range pending {
+		doc, err := answered[i].doc, answered[i].err
+		if ch != nil {
+			if len(ch) == 0 && wrote && flusher != nil {
+				flusher.Flush()
+			}
+			doc, err = wait(ctx, ch)
 		}
-		doc, err := wait(ctx, ch)
 		if err != nil {
 			ae := s.simAPIError(err)
 			ae.Message = fmt.Sprintf("cell %d: %s", i, ae.Message)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
+	"unicode"
 	"unicode/utf8"
 )
 
@@ -93,4 +95,32 @@ func indentJSON(dst, src []byte) []byte {
 		}
 	}
 	return dst
+}
+
+// appendCSV appends one record as a CSV line, byte for byte what
+// encoding/csv's Writer (comma separator, LF line ends) writes for it: a
+// field is quoted when it holds a quote, a comma, a CR or an LF, when it is
+// the two bytes \. (a PostgreSQL end-of-data marker), or when its first
+// rune is a space by unicode.IsSpace; inside the quotes every quote is
+// doubled and every other byte is kept.
+func appendCSV(dst []byte, record []string) []byte {
+	for i, f := range record {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		first, _ := utf8.DecodeRuneInString(f)
+		if f != `\.` && !strings.ContainsAny(f, "\",\r\n") && !unicode.IsSpace(first) {
+			dst = append(dst, f...)
+			continue
+		}
+		dst = append(dst, '"')
+		for j := 0; j < len(f); j++ {
+			if f[j] == '"' {
+				dst = append(dst, '"')
+			}
+			dst = append(dst, f[j])
+		}
+		dst = append(dst, '"')
+	}
+	return append(dst, '\n')
 }

@@ -2,8 +2,10 @@ package stack
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -79,4 +81,51 @@ func TestPadTo(t *testing.T) {
 			t.Errorf("padTo(%q, %d) = %q, want %q", tc.s, tc.width, got[1:], tc.want)
 		}
 	}
+}
+
+// FuzzWriteCSV holds WriteCSV to encoding/csv's Writer, its reference. The
+// input is a document: records split at \x1e, fields at \x1f, the first
+// record the header. The seeds hold every field the quoting rule decides
+// on, and a seeded run of records drawn from those pieces.
+func FuzzWriteCSV(f *testing.F) {
+	pieces := []string{"", "a", "label", `"`, `""`, ",", "\r", "\n", "\r\n", `\.`, `\\.`, `.\`,
+		" ", " lead", "trail ", "\tx", "\u00a0x", "\u3000", "\xff", "\xc2", "\xc2\xa0", "0.1234", "é"}
+	for _, p := range pieces {
+		f.Add(p)
+		f.Add("h\x1fh2\x1e" + p + "\x1f" + p + "x")
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 64 {
+		var doc strings.Builder
+		for r := range 1 + rng.Intn(4) {
+			if r > 0 {
+				doc.WriteByte('\x1e')
+			}
+			for c := range 1 + rng.Intn(4) {
+				if c > 0 {
+					doc.WriteByte('\x1f')
+				}
+				for range rng.Intn(3) {
+					doc.WriteString(pieces[rng.Intn(len(pieces))])
+				}
+			}
+		}
+		f.Add(doc.String())
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		var records [][]string
+		for _, rec := range strings.Split(doc, "\x1e") {
+			records = append(records, strings.Split(rec, "\x1f"))
+		}
+		var want bytes.Buffer
+		cw := csv.NewWriter(&want)
+		cw.WriteAll(records)
+		var got bytes.Buffer
+		if err := WriteCSV(&got, records[0], records[1:]); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("WriteCSV(%q) = %q, want %q", records, got.String(), want.String())
+		}
+	})
 }

@@ -2,7 +2,6 @@ package stack
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -274,12 +273,22 @@ func CSVFloat(v float64) string { return string(appendFixed(make([]byte, 0, 24),
 
 // WriteCSV writes header and then records to w as one CSV document, in one
 // Write — the shared tail of every CSV report (stacks, time series, advice,
-// what-if and the figure tables), so quoting is decided in one place.
+// what-if and the figure tables), so quoting is decided in one place
+// (appendCSV). The buffer is sized for the unquoted document.
 func WriteCSV(w io.Writer, header []string, records [][]string) error {
-	var body bytes.Buffer
-	cw := csv.NewWriter(&body)
-	cw.Write(header) // a bytes.Buffer takes every write
-	cw.WriteAll(records)
-	_, err := w.Write(body.Bytes())
+	size := 0
+	for _, f := range header {
+		size += len(f) + 1 // the field and its comma or line feed
+	}
+	for _, rec := range records {
+		for _, f := range rec {
+			size += len(f) + 1
+		}
+	}
+	body := appendCSV(make([]byte, 0, size), header)
+	for _, rec := range records {
+		body = appendCSV(body, rec)
+	}
+	_, err := w.Write(body)
 	return err
 }
