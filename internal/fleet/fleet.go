@@ -70,9 +70,9 @@ type Options struct {
 	// CacheEntries bounds the peer-response cache, with memo.New's meaning:
 	// 0 retains without bound, a negative limit retains nothing.
 	CacheEntries int
-	// Client performs peer requests (default http.DefaultClient; peer
-	// calls inherit each request's context, so the service's own
-	// SimTimeout bounds them).
+	// Client performs peer requests (default http.DefaultClient, which has
+	// no timeout; a peer call inherits the inbound request's context, so
+	// only the calling client's own deadline or disconnect bounds it).
 	Client *http.Client
 }
 

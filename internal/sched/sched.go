@@ -7,7 +7,9 @@
 // *yielding* component: a thread that exceeds its spin grace period is
 // descheduled, the OS records the descheduled time, and (when more software
 // threads than cores exist, as in Figure 7) another ready thread gets the
-// core.
+// core. It alone owns each thread's state (State) and the slice rule
+// (Preempt); the simulator owns only the sync wait, and a spinner is a
+// waiting thread the scheduler has on a core.
 package sched
 
 import "fmt"
@@ -112,6 +114,9 @@ func New(cores, threads int) *OS {
 // Running returns the thread on core, or -1 when the core is idle.
 func (o *OS) Running(core int) int { return o.running[core] }
 
+// State returns thread tid's scheduling state.
+func (o *OS) State(tid int) ThreadState { return o.threads[tid].state }
+
 // HasReady reports whether some ready thread could use a core now.
 func (o *OS) HasReady() bool { return len(o.readyQ) > 0 }
 
@@ -152,29 +157,23 @@ func (o *OS) Finish(tid int) {
 	t.core = -1
 }
 
-// Preempt moves the running thread on core back to the ready queue (time
-// slice expiry). The caller should only preempt when HasReady() is true.
-func (o *OS) Preempt(core int, now uint64) {
+// Preempt requeues core's running thread if its time slice is used up at
+// now and another thread is ready, and reports whether it did.
+func (o *OS) Preempt(core int, now uint64) bool {
 	tid := o.running[core]
-	if tid < 0 {
-		return
+	if tid < 0 || len(o.readyQ) == 0 {
+		return false
 	}
 	t := &o.threads[tid]
+	if now-t.sliceStart < TimeSliceCycles {
+		return false
+	}
 	o.running[core] = -1
 	t.state = StateReady
 	t.core = -1
 	t.availableAt = now
 	o.readyQ = append(o.readyQ, tid)
-}
-
-// SliceExpired reports whether the thread on core has exhausted its time
-// slice at now.
-func (o *OS) SliceExpired(core int, now uint64) bool {
-	tid := o.running[core]
-	if tid < 0 {
-		return false
-	}
-	return now-o.threads[tid].sliceStart >= TimeSliceCycles
+	return true
 }
 
 // Schedule fills an idle core from the run queue at time now. It prefers a

@@ -12,7 +12,7 @@ func TestInitialPlacement(t *testing.T) {
 	if len(o.readyQ) != 2 {
 		t.Fatalf("ready = %d, want 2", len(o.readyQ))
 	}
-	if o.threads[4].state != StateReady || o.threads[0].state != StateRunning {
+	if o.State(4) != StateReady || o.State(0) != StateRunning {
 		t.Fatal("unexpected initial states")
 	}
 }
@@ -20,11 +20,11 @@ func TestInitialPlacement(t *testing.T) {
 func TestBlockWakeSchedule(t *testing.T) {
 	o := New(2, 2)
 	o.Block(0)
-	if o.Running(0) != -1 || o.threads[0].state != StateBlocked {
+	if o.Running(0) != -1 || o.State(0) != StateBlocked {
 		t.Fatal("block did not free the core")
 	}
 	o.Wake(0, 5000)
-	if o.threads[0].state != StateReady {
+	if o.State(0) != StateReady {
 		t.Fatal("wake did not ready the thread")
 	}
 	tid, startAt := o.Schedule(0, 6000)
@@ -64,8 +64,8 @@ func TestScheduleFreshBeatsAffinity(t *testing.T) {
 	// Never-placed threads are picked ahead of affine ones so preempted
 	// threads cannot starve newcomers.
 	o := New(1, 3)
-	o.Preempt(0, 100) // thread 0 requeued behind fresh threads 1, 2
-	tid, _ := o.Schedule(0, 200)
+	o.Preempt(0, TimeSliceCycles) // thread 0 requeued behind fresh threads 1, 2
+	tid, _ := o.Schedule(0, TimeSliceCycles)
 	if tid != 1 {
 		t.Fatalf("core 0 got thread %d, want fresh thread 1", tid)
 	}
@@ -116,16 +116,23 @@ func TestMigrationCost(t *testing.T) {
 }
 
 func TestPreemptAndSliceExpiry(t *testing.T) {
+	// With nobody ready, a used-up slice does not preempt.
+	alone := New(1, 1)
+	if alone.Preempt(0, 10*TimeSliceCycles) || alone.Running(0) != 0 {
+		t.Fatal("preempted with no ready thread")
+	}
 	o := New(1, 2)
-	if o.SliceExpired(0, TimeSliceCycles-1) {
+	if o.Preempt(0, TimeSliceCycles-1) || o.Running(0) != 0 {
 		t.Fatal("slice expired early")
 	}
-	if !o.SliceExpired(0, TimeSliceCycles) {
+	if !o.Preempt(0, TimeSliceCycles) {
 		t.Fatal("slice did not expire")
 	}
-	o.Preempt(0, TimeSliceCycles)
-	if o.Running(0) != -1 || o.threads[0].state != StateReady {
+	if o.Running(0) != -1 || o.State(0) != StateReady {
 		t.Fatal("preempt did not requeue the thread")
+	}
+	if o.Preempt(0, 2*TimeSliceCycles) {
+		t.Fatal("preempted an idle core")
 	}
 	tid, _ := o.Schedule(0, TimeSliceCycles)
 	if tid != 1 {
@@ -136,7 +143,7 @@ func TestPreemptAndSliceExpiry(t *testing.T) {
 func TestFinish(t *testing.T) {
 	o := New(1, 1)
 	o.Finish(0)
-	if o.threads[0].state != StateFinished || o.Running(0) != -1 {
+	if o.State(0) != StateFinished || o.Running(0) != -1 {
 		t.Fatal("finish did not clear state")
 	}
 	if tid, _ := o.Schedule(0, 2000); tid != -1 {
@@ -160,5 +167,69 @@ func TestStateString(t *testing.T) {
 	if StateRunning.String() != "running" || StateBlocked.String() != "blocked" ||
 		StateReady.String() != "ready" || StateFinished.String() != "finished" {
 		t.Fatal("state strings wrong")
+	}
+}
+
+// TestStateTransitions walks every transition the simulator makes and
+// reads the result through State, and holds the three guarded calls to
+// their panics: Block and Finish of a thread that is not running, and Wake
+// of a thread that is not blocked.
+func TestStateTransitions(t *testing.T) {
+	type step struct {
+		do   func(o *OS)
+		want ThreadState // thread 0's state after do
+	}
+	block := func(o *OS) { o.Block(0) }
+	wake := func(o *OS) { o.Wake(0, 0) }
+	finish := func(o *OS) { o.Finish(0) }
+	// The never-placed thread 1 takes the core first and runs to its end.
+	schedule := func(o *OS) {
+		if tid, _ := o.Schedule(0, 0); tid == 1 {
+			o.Finish(1)
+			o.Schedule(0, 0)
+		}
+	}
+	preempt := func(o *OS) { o.Preempt(0, TimeSliceCycles) }
+	for _, tc := range []struct {
+		name  string
+		steps []step
+		panic func(o *OS) // nil: every step is legal
+	}{
+		{"park and resume", []step{{block, StateBlocked}, {wake, StateReady}, {schedule, StateRunning}}, nil},
+		{"slice and resume", []step{{preempt, StateReady}, {schedule, StateRunning}}, nil},
+		{"finish", []step{{finish, StateFinished}}, nil},
+		{"block blocked", []step{{block, StateBlocked}}, block},
+		{"block ready", []step{{preempt, StateReady}}, block},
+		{"block finished", []step{{finish, StateFinished}}, block},
+		{"wake running", nil, wake},
+		{"wake ready", []step{{block, StateBlocked}, {wake, StateReady}}, wake},
+		{"wake finished", []step{{finish, StateFinished}}, wake},
+		{"finish blocked", []step{{block, StateBlocked}}, finish},
+		{"finish ready", []step{{preempt, StateReady}}, finish},
+		{"finish finished", []step{{finish, StateFinished}}, finish},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// One core, and a second thread always ready so the slice rule
+			// can preempt thread 0.
+			o := New(1, 2)
+			if o.State(0) != StateRunning {
+				t.Fatalf("initial state %v, want running", o.State(0))
+			}
+			for i, s := range tc.steps {
+				s.do(o)
+				if got := o.State(0); got != s.want {
+					t.Fatalf("step %d: state %v, want %v", i, got, s.want)
+				}
+			}
+			if tc.panic == nil {
+				return
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("no panic from state %v", o.State(0))
+				}
+			}()
+			tc.panic(o)
+		})
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"repro/internal/core"
+	"repro/internal/sched"
 )
 
 // Interval accounting: an opt-in mode in which the machine snapshots the
@@ -46,7 +47,7 @@ func (m *Machine) takeSnapshot() core.IntervalSnapshot {
 	for i := range m.threads {
 		t := &m.threads[i]
 		snap.Threads[i] = t.ct
-		snap.Finished[i] = t.finished
+		snap.Finished[i] = m.os.State(i) == sched.StateFinished
 		if t.time > snap.Time {
 			snap.Time = t.time
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -23,8 +24,9 @@ func TestGrantParkMarksCoreIdle(t *testing.T) {
 	m.coreAt[core] = w.time
 	m.beginWait(w, waitLock)
 	m.grantWaiter(w, w.waitStart+m.grace(waitLock)+1, true)
-	if !w.parked || m.os.Running(core) >= 0 {
-		t.Fatalf("waiter not parked off core %d: parked %v, running %d", core, w.parked, m.os.Running(core))
+	// Parked and at once woken by the grant: ready, and off its core.
+	if st := m.os.State(w.id); st != sched.StateReady || m.os.Running(core) >= 0 {
+		t.Fatalf("waiter not parked off core %d: state %v, running %d", core, st, m.os.Running(core))
 	}
 	if m.coreAt[core] != coreIdle {
 		t.Fatalf("coreAt[%d] = %d after the park, want coreIdle", core, m.coreAt[core])

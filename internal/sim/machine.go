@@ -14,18 +14,18 @@ import (
 	"repro/internal/trace"
 )
 
-// waitKind identifies what a blocked thread is waiting on.
+// waitKind identifies what a waiting thread is waiting on.
 type waitKind uint8
 
 const (
-	waitNone waitKind = iota
-	waitLock
+	waitLock waitKind = iota
 	waitBarrier
 	waitQueuePop
 	waitQueuePush
 )
 
-// thread is the runtime state of one software thread.
+// thread is the runtime state of one software thread; its scheduling state
+// is m.os.State's alone.
 type thread struct {
 	id int
 	// prog is the thread's program; ring buffers the current chunk
@@ -39,15 +39,12 @@ type thread struct {
 	fb   trace.Feedback
 
 	// time is the thread's local execution cursor in cycles.
-	time     uint64
-	finished bool
+	time uint64
 
-	// Blocking-wait state.
+	// The sync wait; an ungranted waiter parks at waitStart + grace(kind).
 	waiting    bool
 	kind       waitKind
 	waitStart  uint64
-	parked     bool   // OS has descheduled the thread (futex wait)
-	parkedAt   uint64 // when it parked
 	granted    bool
 	grantAt    uint64 // effective grant time (before handoff/wake latency)
 	grantPopOK bool   // result for queue-pop grants
@@ -323,7 +320,7 @@ func (m *Machine) runCore(c int, qEnd uint64) uint64 {
 			}
 			if t.waiting {
 				// Woken from a parked synchronization wait.
-				m.finishWait(t, t.time)
+				m.finishWait(t, t.time, true)
 			}
 			continue
 		}
@@ -342,14 +339,12 @@ func (m *Machine) runCore(c int, qEnd uint64) uint64 {
 				if resume > t.time {
 					t.time = resume
 				}
-				m.finishWait(t, t.time)
+				m.finishWait(t, t.time, false)
 				continue
 			}
 			// Still waiting: park once the spin grace period expires.
 			parkAt := t.waitStart + m.grace(t.kind)
 			if parkAt < qEnd {
-				t.parked = true
-				t.parkedAt = parkAt
 				m.os.Block(t.id)
 				m.coreIdleAt[c] = parkAt
 				continue
@@ -357,29 +352,21 @@ func (m *Machine) runCore(c int, qEnd uint64) uint64 {
 			return t.time // spinning through the rest of the quantum
 		}
 
-		// Preempt on slice expiry when others are ready.
-		if m.os.HasReady() && m.os.SliceExpired(c, t.time) {
-			m.os.Preempt(c, t.time)
+		if m.os.Preempt(c, t.time) {
 			m.coreIdleAt[c] = t.time
 			continue
 		}
 
-		if blocked := m.execOps(t, c, qEnd); blocked {
-			continue // wait state handled on the next iteration
-		}
-		if t.finished {
-			continue
-		}
-		return t.time // quantum exhausted
+		m.execOps(t, c, qEnd) // the next iteration sees where it stopped
 	}
 }
 
 // execOps executes thread t's operations on core c until the quantum ends,
-// the thread blocks, or it finishes. It reports whether the thread entered
-// a blocking wait. Ops are pulled from the thread's batch ring: one
-// NextBatch call per chunk instead of one interface call per op.
-func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
-	for t.time < qEnd && !t.finished {
+// the thread begins a wait, or it finishes. Ops are pulled from the
+// thread's batch ring: one NextBatch call per chunk instead of one
+// interface call per op.
+func (m *Machine) execOps(t *thread, c int, qEnd uint64) {
+	for t.time < qEnd {
 		if t.rpos == t.rlen {
 			t.rlen, t.rpos = t.prog.NextBatch(t.ring, t.fb), 0
 			// Ops are counted at batch granularity; programs end their
@@ -413,7 +400,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 				break
 			}
 			m.beginWait(t, waitLock)
-			return true
+			return
 
 		case trace.KindUnlock:
 			t.time += syncprim.AcquireCycles
@@ -431,7 +418,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 				break
 			}
 			m.beginWait(t, waitBarrier)
-			return true
+			return
 
 		case trace.KindPush:
 			t.time += syncprim.QueueOpCycles
@@ -443,7 +430,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 				break
 			}
 			m.beginWait(t, waitQueuePush)
-			return true
+			return
 
 		case trace.KindPop:
 			t.time += syncprim.QueueOpCycles
@@ -460,7 +447,7 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 				break
 			}
 			m.beginWait(t, waitQueuePop)
-			return true
+			return
 
 		case trace.KindCloseQueue:
 			t.time += syncprim.QueueOpCycles
@@ -469,24 +456,22 @@ func (m *Machine) execOps(t *thread, c int, qEnd uint64) (blocked bool) {
 			}
 
 		case trace.KindEnd:
-			t.finished = true
 			t.ct.FinishTime = t.time
 			m.os.Finish(t.id)
 			m.coreIdleAt[c] = t.time
 			m.finished++
-			return false
+			return
 
 		default:
 			panic(fmt.Sprintf("sim: unknown op kind %v", op.Kind))
 		}
 	}
-	return false
 }
 
-// spinning reports whether waiter tid is still actively spinning (not yet
-// parked); used as the barging preference for lock and queue handoffs.
+// spinning reports whether waiter tid is still on its core (not parked);
+// used as the barging preference for lock and queue handoffs.
 func (m *Machine) spinning(tid int) bool {
-	return !m.threads[tid].parked
+	return m.os.State(tid) == sched.StateRunning
 }
 
 // beginWait records that t started a blocking wait at its current time.
@@ -494,7 +479,6 @@ func (m *Machine) beginWait(t *thread, k waitKind) {
 	t.waiting = true
 	t.kind = k
 	t.waitStart = t.time
-	t.parked = false
 	t.granted = false
 	t.grantPopOK = true
 }
@@ -513,17 +497,17 @@ func (m *Machine) grantWaiter(w *thread, g uint64, popOK bool) {
 	w.granted = true
 	w.grantAt = g
 	w.grantPopOK = popOK
-	grace := m.grace(w.kind)
-	if w.parked {
+	if m.os.State(w.id) == sched.StateBlocked {
 		m.os.Wake(w.id, g)
 		return
 	}
-	if g > w.waitStart+grace {
+	if g > w.waitStart+m.grace(w.kind) {
 		// The waiter logically parked before the grant but the engine had
 		// not materialized the park yet (it happens lazily at quantum
 		// granularity). Park and wake to keep OS bookkeeping exact.
-		w.parked = true
-		w.parkedAt = w.waitStart + grace
+		// coreIdleAt stays stale (runCore's park sets it), so a ready thread
+		// may start on the core before the park time; the gap is within the
+		// skew bound, and setting it here moves the golden outputs.
 		m.coreAt[m.os.Block(w.id)] = coreIdle
 		m.os.Wake(w.id, g)
 	}
@@ -541,15 +525,16 @@ func (m *Machine) grace(k waitKind) uint64 {
 	}
 }
 
-// finishWait finalizes accounting when thread t resumes at time resume.
-func (m *Machine) finishWait(t *thread, resume uint64) {
+// finishWait finalizes accounting when thread t resumes at time resume from
+// a wait that parked (at waitStart + grace) or not.
+func (m *Machine) finishWait(t *thread, resume uint64, parked bool) {
 	grace := m.grace(t.kind)
 
 	spinEnd := resume
-	if t.parked {
-		spinEnd = t.parkedAt
-		if resume > t.parkedAt {
-			t.ct.YieldCycles += resume - t.parkedAt
+	if parked {
+		spinEnd = t.waitStart + grace
+		if resume > spinEnd {
+			t.ct.YieldCycles += resume - spinEnd
 		}
 	}
 	if spinEnd > t.waitStart {
@@ -565,7 +550,4 @@ func (m *Machine) finishWait(t *thread, resume uint64) {
 		t.fb.PopOK = t.grantPopOK
 	}
 	t.waiting = false
-	t.kind = waitNone
-	t.parked = false
-	t.granted = false
 }
