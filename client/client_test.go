@@ -212,9 +212,14 @@ func TestClientMode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	if !strings.Contains(m, "speedupd_sim_cell_runs_fast_total") ||
-		!strings.Contains(m, "speedupd_sim_cell_runs_exact_total") {
-		t.Errorf("metrics missing fidelity split:\n%s", m)
+	// Whole sample lines, which a family's # HELP line cannot match.
+	for _, want := range []string{
+		"\nspeedupd_sim_cell_runs_exact_total 0\n",
+		"\nspeedupd_sim_cell_runs_fast_total 2\n",
+	} {
+		if !strings.Contains(m, want) {
+			t.Errorf("metrics missing the fidelity split sample %q:\n%s", strings.TrimSpace(want), m)
+		}
 	}
 
 	// Advise and WhatIf send the mode too, and the engine refuses both on

@@ -40,7 +40,8 @@
 // workload a home node, non-home nodes fill from the home over the /v1
 // surface with at most one hop, and the fleet-wide cost of a unique cell
 // is one simulation. Responses are byte-identical to a single node's
-// (see internal/fleet); /metrics grows speedupd_fleet_* counters.
+// (see internal/fleet); /metrics appends the fleet's families to the
+// service's metric table (README, "Metrics").
 package main
 
 import (

@@ -18,18 +18,20 @@ import (
 	"repro/internal/workload"
 )
 
-// metric reads one un-labelled counter off a node's /metrics page.
-func metric(t *testing.T, url, name string) int {
+// metric reads one sample off a node's /metrics page; a page that fails
+// the parser, or lacks the sample, fails the test.
+func metric(t *testing.T, url, sample string) int {
 	t.Helper()
 	_, page := fetch(t, http.MethodGet, url+"/metrics", "")
-	for _, line := range strings.Split(page, "\n") {
-		var n int
-		if _, err := fmt.Sscanf(line, name+" %d", &n); err == nil {
-			return n
-		}
+	values, _, err := fleet.ParseMetrics(page)
+	if err != nil {
+		t.Fatalf("%s/metrics: %v\n%s", url, err, page)
 	}
-	t.Fatalf("%s/metrics has no %s", url, name)
-	return 0
+	v, ok := values[sample]
+	if !ok {
+		t.Fatalf("%s/metrics has no %s", url, sample)
+	}
+	return int(v)
 }
 
 // homeAndAway returns the indices of bench's home node and of another node

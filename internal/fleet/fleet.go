@@ -298,7 +298,8 @@ func writePeerResp(w http.ResponseWriter, resp *peerResp) {
 	w.Write(resp.body)
 }
 
-// serveMetrics appends the fleet counters to the service's /metrics page.
+// serveMetrics appends the fleet's families to the service's /metrics page,
+// through the service's one writer of the format.
 func (h *Handler) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	rec := &recorder{header: w.Header()} // the service's headers are the answer's
 	h.inner.ServeHTTP(rec, r)
@@ -307,12 +308,14 @@ func (h *Handler) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	if rec.status() != http.StatusOK {
 		return
 	}
-	fmt.Fprintf(w, "speedupd_fleet_nodes %d\n", h.ring.nodes)
-	fmt.Fprintf(w, "speedupd_fleet_local_total %d\n", h.local.Load())
-	fmt.Fprintf(w, "speedupd_fleet_forwarded_total %d\n", h.forwarded.Load())
-	fmt.Fprintf(w, "speedupd_fleet_received_total %d\n", h.received.Load())
-	fmt.Fprintf(w, "speedupd_fleet_peer_cache_hits_total %d\n", h.peerHits.Load())
-	fmt.Fprintf(w, "speedupd_fleet_peer_errors_total %d\n", h.peerErrors.Load())
+	service.WriteMetrics(w,
+		service.Scalar("speedupd_fleet_nodes", "Members of the fleet's ring.", service.Gauge, uint64(h.ring.nodes)),
+		service.Scalar("speedupd_fleet_local_total", "Routable requests and sub-sweeps served here as their home.", service.Counter, h.local.Load()),
+		service.Scalar("speedupd_fleet_forwarded_total", "Requests and sub-sweeps forwarded to a peer home.", service.Counter, h.forwarded.Load()),
+		service.Scalar("speedupd_fleet_received_total", "Hop-marked requests served for peers.", service.Counter, h.received.Load()),
+		service.Scalar("speedupd_fleet_peer_cache_hits_total", "Answers filled from the peer-response cache.", service.Counter, h.peerHits.Load()),
+		service.Scalar("speedupd_fleet_peer_errors_total", "Peer fetches that failed and fell back to local.", service.Counter, h.peerErrors.Load()),
+	)
 }
 
 // recorder is a minimal in-process http.ResponseWriter for serving the

@@ -237,16 +237,10 @@ func TestFleetExactlyOnceColdSweep(t *testing.T) {
 	}
 	hits := 0
 	for _, u := range urls {
-		_, m := fetch(t, http.MethodGet, u+"/metrics", "")
-		if !strings.Contains(m, "speedupd_fleet_nodes 3\n") {
-			t.Errorf("%s/metrics missing fleet node count:\n%s", u, m)
+		if n := metric(t, u, "speedupd_fleet_nodes"); n != 3 {
+			t.Errorf("%s/metrics counts %d fleet nodes, want 3", u, n)
 		}
-		for _, line := range strings.Split(m, "\n") {
-			var n int
-			if _, err := fmt.Sscanf(line, "speedupd_fleet_peer_cache_hits_total %d", &n); err == nil {
-				hits += n
-			}
-		}
+		hits += metric(t, u, "speedupd_fleet_peer_cache_hits_total")
 	}
 	if hits == 0 {
 		t.Error("no peer-cache hits recorded across the fleet after warm repeats")
@@ -324,9 +318,8 @@ func TestFleetPeerFailureFallsBackLocal(t *testing.T) {
 	if e.Stats().CellRuns != 1 {
 		t.Errorf("local fallback ran %d cells, want 1", e.Stats().CellRuns)
 	}
-	_, m := fetch(t, http.MethodGet, srv.URL+"/metrics", "")
-	if !strings.Contains(m, "speedupd_fleet_peer_errors_total 1") {
-		t.Errorf("metrics missing peer error count:\n%s", m)
+	if n := metric(t, srv.URL, "speedupd_fleet_peer_errors_total"); n != 1 {
+		t.Errorf("%d peer errors counted, want 1", n)
 	}
 }
 
@@ -414,5 +407,34 @@ func TestFleetTraceHoming(t *testing.T) {
 	code, body := fetch(t, http.MethodPost, urls[awayIdx]+"/v1/traces/analyze", "not a trace")
 	if code != http.StatusBadRequest || !strings.Contains(body, "invalid_argument") {
 		t.Errorf("corrupt trace: code %d, body %s", code, body)
+	}
+}
+
+// TestFleetMetricsExposition parses a fleet node's page: the service's
+// families and the fleet's six, each declared once, in one valid page.
+func TestFleetMetricsExposition(t *testing.T) {
+	urls, _, handlers := newFleet(t, 2)
+	_, away := homeAndAway(t, urls, handlers[0], "blackscholes_parsec_small")
+	fetch(t, http.MethodGet, urls[away]+"/v1/stack?bench=blackscholes_parsec_small&threads=2", "")
+	_, page := fetch(t, http.MethodGet, urls[away]+"/metrics", "")
+	values, types, err := fleet.ParseMetrics(page)
+	if err != nil {
+		t.Fatalf("fleet /metrics: %v\n%s", err, page)
+	}
+	for name, want := range map[string]struct {
+		typ   string
+		value float64
+	}{
+		"speedupd_fleet_nodes":                 {"gauge", 2},
+		"speedupd_fleet_local_total":           {"counter", 0},
+		"speedupd_fleet_forwarded_total":       {"counter", 1},
+		"speedupd_fleet_received_total":        {"counter", 0},
+		"speedupd_fleet_peer_cache_hits_total": {"counter", 0},
+		"speedupd_fleet_peer_errors_total":     {"counter", 0},
+		"speedupd_sim_cell_runs_total":         {"counter", 0},
+	} {
+		if types[name] != want.typ || values[name] != want.value {
+			t.Errorf("%s: %s %v, want %s %v", name, types[name], values[name], want.typ, want.value)
+		}
 	}
 }

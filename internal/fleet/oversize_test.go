@@ -94,8 +94,8 @@ func TestFleetOversizedPeerReplyFallsBack(t *testing.T) {
 		}
 	}
 	check(http.MethodGet, "/v1/stack?bench="+away+"&threads=2", "", 1)
-	if m := get(srv.URL, http.MethodGet, "/metrics", ""); !strings.Contains(m, "speedupd_fleet_peer_errors_total 1\n") {
-		t.Errorf("metrics missing the peer error:\n%s", m)
+	if values, _, err := parseMetrics(get(srv.URL, http.MethodGet, "/metrics", "")); err != nil || values["speedupd_fleet_peer_errors_total"] != 1 {
+		t.Errorf("/metrics: %v, speedupd_fleet_peer_errors_total %v, want 1", err, values["speedupd_fleet_peer_errors_total"])
 	}
 	sweep := fmt.Sprintf(`{"cells":[{"bench":%q,"threads":2},{"bench":%q,"threads":2}]}`, home, away)
 	check(http.MethodPost, "/v1/sweep?format=ndjson", sweep, 2)

@@ -75,14 +75,7 @@ func TestMemoHitIgnoresSimTimeout(t *testing.T) {
 func TestWhatIfMemoHitsOverHTTP(t *testing.T) {
 	s, _ := newTestServer(t)
 	hits := func() int {
-		var n int
-		for _, line := range strings.Split(get(t, s.Handler(), "/metrics").Body.String(), "\n") {
-			if _, err := fmt.Sscanf(line, "speedupd_sim_cell_memo_hits_total %d", &n); err == nil {
-				return n
-			}
-		}
-		t.Fatal("metrics lack speedupd_sim_cell_memo_hits_total")
-		return 0
+		return int(scrape(t, s.Handler()).value(t, "speedupd_sim_cell_memo_hits_total"))
 	}
 	if w := get(t, s.Handler(), "/v1/stack?bench="+testBench+"&threads=2"); w.Code != http.StatusOK {
 		t.Fatalf("warm-up: status %d (%s)", w.Code, w.Body)

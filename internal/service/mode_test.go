@@ -114,16 +114,11 @@ func TestModeMetricsSplit(t *testing.T) {
 			t.Fatalf("%s: status %d: %s", target, w.Code, w.Body)
 		}
 	}
-	body := get(t, s.Handler(), "/metrics").Body.String()
-	for _, want := range []string{
-		"speedupd_sim_cell_runs_total 2",
-		"speedupd_sim_cell_runs_exact_total 1",
-		"speedupd_sim_cell_runs_fast_total 1",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics missing %q:\n%s", want, body)
-		}
-	}
+	scrape(t, s.Handler()).want(t, map[string]float64{
+		"speedupd_sim_cell_runs_total":       2,
+		"speedupd_sim_cell_runs_exact_total": 1,
+		"speedupd_sim_cell_runs_fast_total":  1,
+	})
 }
 
 // TestSweepAndAnalyzeModeFast drives ?mode=fast through the POST surface:

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -24,40 +25,28 @@ import (
 // simulation capacity.
 const HopHeader = "X-Speedupd-Fleet-Hop"
 
-// admission is a non-blocking concurrency gate over the simulating
-// handlers.
+// admission counts the requests inside the protected routes. The one
+// counter is both the gauge /metrics reads and, when limit is positive, the
+// gate: it moves by compare-and-swap, so a request is shed only when limit
+// requests are really in.
 type admission struct {
-	slots chan struct{}
+	limit int64 // 0 or less: unbounded
+	n     atomic.Int64
 }
 
-func newAdmission(n int) *admission {
-	if n <= 0 {
-		return nil
+// acquire admits one request without blocking; false means the server is
+// at its bound and the request should be shed.
+func (a *admission) acquire() bool {
+	for n := a.n.Load(); a.limit <= 0 || n < a.limit; n = a.n.Load() {
+		if a.n.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
-	return &admission{slots: make(chan struct{}, n)}
+	return false
 }
 
-// acquire takes a slot without blocking; ok=false means the server is at
-// its bound and the request should be shed.
-func (a *admission) acquire() (release func(), ok bool) {
-	if a == nil {
-		return func() {}, true
-	}
-	select {
-	case a.slots <- struct{}{}:
-		return func() { <-a.slots }, true
-	default:
-		return nil, false
-	}
-}
-
-// inflight reports currently admitted requests.
-func (a *admission) inflight() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.slots)
-}
+// release lets one admitted request out.
+func (a *admission) release() { a.n.Add(-1) }
 
 // rateLimiter is a lazy per-client token bucket: rate tokens per second
 // refill up to burst, max(1, ceil(rate)), one token per request. Clients are
@@ -144,28 +133,23 @@ func clientKey(r *http.Request) string {
 }
 
 // admit passes one request to a protected route through the rate limiter
-// and the admission gate; the caller releases the slot when the request is
-// done. Order matters: a rate-limited client is rejected before it can
-// occupy an admission slot.
-func (s *Server) admit(r *http.Request) (release func(), aerr *apiError) {
+// and the admission gate; the caller releases the admission when the
+// request is done. Order matters: a rate-limited client is rejected before
+// it can be admitted.
+func (s *Server) admit(r *http.Request) *apiError {
 	if r.Header.Get(HopHeader) == "" {
 		if retry, ok := s.limiter.allow(clientKey(r), time.Now()); !ok {
-			s.mu.Lock()
-			s.rateLimited++
-			s.mu.Unlock()
-			return nil, &apiError{Status: http.StatusTooManyRequests, Code: codeRateLimited,
+			s.rateLimited.Add(1)
+			return &apiError{Status: http.StatusTooManyRequests, Code: codeRateLimited,
 				Message:    "per-client rate limit exceeded",
 				RetryAfter: int(math.Ceil(retry.Seconds()))}
 		}
 	}
-	release, ok := s.adm.acquire()
-	if !ok {
-		s.mu.Lock()
-		s.shed++
-		s.mu.Unlock()
-		return nil, &apiError{Status: http.StatusTooManyRequests, Code: codeOverloaded,
+	if !s.adm.acquire() {
+		s.shed.Add(1)
+		return &apiError{Status: http.StatusTooManyRequests, Code: codeOverloaded,
 			Message:    "server is at its concurrent-request bound; retry shortly",
 			RetryAfter: 1}
 	}
-	return release, nil
+	return nil
 }

@@ -114,10 +114,7 @@ func TestAdmissionControl(t *testing.T) {
 	if w := get(t, s.Handler(), "/healthz"); w.Code != http.StatusOK {
 		t.Errorf("healthz shed: %d", w.Code)
 	}
-	m := get(t, s.Handler(), "/metrics").Body.String()
-	if !strings.Contains(m, `speedupd_throttled_total{reason="overloaded"} 1`) {
-		t.Errorf("metrics missing shed count:\n%s", m)
-	}
+	scrape(t, s.Handler()).want(t, map[string]float64{`speedupd_throttled_total{reason="overloaded"}`: 1})
 }
 
 // TestRateLimit exhausts a one-token bucket and asserts the 429
@@ -148,10 +145,7 @@ func TestRateLimit(t *testing.T) {
 	if w := get(t, s.Handler(), target, HopHeader, "1"); w.Code != http.StatusOK {
 		t.Errorf("hop-marked request limited: %d: %s", w.Code, w.Body)
 	}
-	m := get(t, s.Handler(), "/metrics").Body.String()
-	if !strings.Contains(m, `speedupd_throttled_total{reason="rate_limited"} 1`) {
-		t.Errorf("metrics missing rate-limit count:\n%s", m)
-	}
+	scrape(t, s.Handler()).want(t, map[string]float64{`speedupd_throttled_total{reason="rate_limited"}`: 1})
 }
 
 // TestRateLimiterRefill drives the token bucket with explicit clocks:
@@ -208,11 +202,8 @@ func TestMetricsOccupancy(t *testing.T) {
 	if w := get(t, s.Handler(), "/v1/stack?bench="+testBench+"&threads=2"); w.Code != http.StatusOK {
 		t.Fatalf("stack: %d", w.Code)
 	}
-	m := get(t, s.Handler(), "/metrics").Body.String()
-	if !strings.Contains(m, "speedupd_sim_cell_memo_entries 1\n") {
-		t.Errorf("metrics missing memo entries:\n%s", m)
-	}
-	if !strings.Contains(m, "speedupd_sim_cell_memo_limit ") {
-		t.Errorf("metrics missing memo limit:\n%s", m)
-	}
+	scrape(t, s.Handler()).want(t, map[string]float64{
+		"speedupd_sim_cell_memo_entries": 1,
+		"speedupd_sim_cell_memo_limit":   float64(s.Engine().Stats().CellMemoLimit),
+	})
 }

@@ -82,7 +82,7 @@ func TestFormatMatrix(t *testing.T) {
 	requests := matrixRequests(t)
 	for _, rt := range routes {
 		if rt.path == "/metrics" {
-			continue // counters and uptime: not a fixed body
+			continue // counters: not a fixed body
 		}
 		mr, ok := requests[rt.path]
 		if !ok {

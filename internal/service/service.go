@@ -18,7 +18,7 @@
 //	                      (or "spec" instead of "bench", like /v1/sweep)
 //	GET  /v1/benchmarks   registered benchmark analogues
 //	GET  /healthz         liveness probe
-//	GET  /metrics         request counts, cache traffic, in-flight sims
+//	GET  /metrics         the metric table (metrics.go), in text exposition format
 //
 // /v1/stack/intervals (and "intervals" on /v1/workloads/analyze) serves the
 // time-resolved form of a stack: the run divided into K equal slices of its
@@ -134,8 +134,7 @@ import (
 	"net"
 	"net/http"
 	"slices"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/exp"
@@ -180,15 +179,14 @@ type Server struct {
 	modes      [sim.ModeFast + 1]sim.Config // the engine's machine in each mode
 	simTimeout time.Duration
 	mux        *http.ServeMux
-	started    time.Time
-	adm        *admission
+	adm        admission
 	limiter    *rateLimiter
 
-	mu          sync.Mutex
-	requests    map[string]uint64 // by route
-	responses   map[int]uint64    // by status code
-	shed        uint64            // admission rejections (429 overloaded)
-	rateLimited uint64            // rate-limit rejections (429 rate_limited)
+	// The counters /metrics reads (metrics.go).
+	requests    []routeRequests     // one per route-table row
+	responses   [1000]atomic.Uint64 // by status code; net/http writes only 100-999
+	shed        atomic.Uint64       // admission rejections (429 overloaded)
+	rateLimited atomic.Uint64       // rate-limit rejections (429 rate_limited)
 }
 
 // New assembles a Server from the options; opts.Engine must be set.
@@ -204,17 +202,16 @@ func New(opts Options) *Server {
 		engine:     opts.Engine,
 		simTimeout: st,
 		mux:        http.NewServeMux(),
-		started:    time.Now(),
-		requests:   make(map[string]uint64),
-		responses:  make(map[int]uint64),
-		adm:        newAdmission(opts.MaxInFlight),
+		adm:        admission{limit: int64(opts.MaxInFlight)},
 		limiter:    newRateLimiter(opts.RateLimit),
+		requests:   make([]routeRequests, len(routes)),
 	}
 	for m := range s.modes {
 		s.modes[m] = s.engine.Config().WithMode(sim.Mode(m))
 	}
-	for _, rt := range routes {
-		s.mux.HandleFunc(rt.path, s.dispatcher(rt))
+	for i, rt := range routes {
+		s.requests[i].path = rt.path
+		s.mux.HandleFunc(rt.path, s.dispatcher(rt, &s.requests[i].n))
 	}
 	return s
 }
@@ -226,20 +223,19 @@ func (s *Server) Engine() *exp.Engine { return s.engine }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // dispatcher is the one handler behind every row of the route table. It
-// counts the request and records the response status; in between, dispatch
-// runs the row.
-func (s *Server) dispatcher(rt route) http.HandlerFunc {
+// counts the request on the row's counter and the response by its status;
+// in between, dispatch runs the row.
+func (s *Server) dispatcher(rt route, requests *atomic.Uint64) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		s.requests[rt.path]++
-		s.mu.Unlock()
+		requests.Add(1)
 		rw := &statusWriter{ResponseWriter: w}
 		if aerr := s.dispatch(rw, r, rt); aerr != nil && rw.code == 0 {
 			writeError(rw, r, aerr) // once a response began, a failure to write it cannot be answered
 		}
-		s.mu.Lock()
-		s.responses[rw.status()]++
-		s.mu.Unlock()
+		if rw.code == 0 {
+			rw.code = http.StatusOK // nothing was written: net/http answers an empty 200
+		}
+		s.responses[rw.code].Add(1)
 	}
 }
 
@@ -254,11 +250,10 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rt route) *api
 			Message: fmt.Sprintf("%s requires %s", rt.path, rt.method)}
 	}
 	if rt.protected {
-		release, aerr := s.admit(r)
-		if aerr != nil {
+		if aerr := s.admit(r); aerr != nil {
 			return aerr
 		}
-		defer release()
+		defer s.adm.release()
 	}
 	opts, aerr := rt.parseOptions(r.URL.Query(), r.Header.Get("Accept"))
 	if aerr != nil {
@@ -299,13 +294,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 		w.code = http.StatusOK
 	}
 	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
 }
 
 // Flush forwards to the underlying writer so the NDJSON streaming path can
@@ -500,73 +488,6 @@ func streamSweep(s *Server, w http.ResponseWriter, r *http.Request, opts request
 func healthz(s *Server, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
-}
-
-// metrics serves GET /metrics in Prometheus text exposition format:
-// per-route request counts, per-code response counts, and the engine's
-// simulation/cache counters.
-func metrics(s *Server, w http.ResponseWriter, r *http.Request) {
-	st := s.engine.Stats()
-	s.mu.Lock()
-	routes := make([]string, 0, len(s.requests))
-	for p := range s.requests {
-		routes = append(routes, p)
-	}
-	sort.Strings(routes)
-	codes := make([]int, 0, len(s.responses))
-	for c := range s.responses {
-		codes = append(codes, c)
-	}
-	sort.Ints(codes)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, p := range routes {
-		fmt.Fprintf(w, "speedupd_requests_total{path=%q} %d\n", p, s.requests[p])
-	}
-	for _, c := range codes {
-		fmt.Fprintf(w, "speedupd_responses_total{code=\"%d\"} %d\n", c, s.responses[c])
-	}
-	s.mu.Unlock()
-	fmt.Fprintf(w, "speedupd_sim_cell_runs_total %d\n", st.CellRuns)
-	// Sampled (fast-mode) vs exact cell runs, so operators can see which
-	// fidelity is paying the simulation bill. The two always sum to
-	// speedupd_sim_cell_runs_total.
-	fmt.Fprintf(w, "speedupd_sim_cell_runs_exact_total %d\n", st.CellRuns-st.FastCellRuns)
-	fmt.Fprintf(w, "speedupd_sim_cell_runs_fast_total %d\n", st.FastCellRuns)
-	fmt.Fprintf(w, "speedupd_sim_cell_memo_hits_total %d\n", st.CellHits)
-	fmt.Fprintf(w, "speedupd_sim_seq_runs_total %d\n", st.SeqRuns)
-	fmt.Fprintf(w, "speedupd_sim_seq_memo_hits_total %d\n", st.SeqHits)
-	fmt.Fprintf(w, "speedupd_sim_cell_evictions_total %d\n", st.CellEvictions)
-	// Cache occupancy next to the churn counters: how full the cell memo is
-	// against its configured bound (limit 0 = unbounded), so operators can
-	// size the memo bound from live data instead of eviction archaeology.
-	fmt.Fprintf(w, "speedupd_sim_cell_memo_entries %d\n", st.CellMemoEntries)
-	fmt.Fprintf(w, "speedupd_sim_cell_memo_limit %d\n", st.CellMemoLimit)
-	fmt.Fprintf(w, "speedupd_sim_interval_runs_total %d\n", st.IntervalRuns)
-	fmt.Fprintf(w, "speedupd_sim_interval_memo_hits_total %d\n", st.IntervalHits)
-	fmt.Fprintf(w, "speedupd_sim_interval_evictions_total %d\n", st.IntervalEvictions)
-	fmt.Fprintf(w, "speedupd_sim_inflight %d\n", st.InFlight)
-	// Protection-layer counters: requests shed at the admission gate, shed
-	// by the per-client rate limiter, and the currently admitted count.
-	s.mu.Lock()
-	shed, limited := s.shed, s.rateLimited
-	s.mu.Unlock()
-	fmt.Fprintf(w, "speedupd_throttled_total{reason=\"overloaded\"} %d\n", shed)
-	fmt.Fprintf(w, "speedupd_throttled_total{reason=\"rate_limited\"} %d\n", limited)
-	fmt.Fprintf(w, "speedupd_admitted_inflight %d\n", s.adm.inflight())
-	hitRate := 0.0
-	if lookups := st.CellRuns + st.CellHits; lookups > 0 {
-		hitRate = float64(st.CellHits) / float64(lookups)
-	}
-	fmt.Fprintf(w, "speedupd_cache_hit_rate %.4f\n", hitRate)
-	// Simulator throughput: cumulative trace ops executed by the engine's
-	// simulations, and the lifetime average rate, so operators can see
-	// whether the simulator itself (rather than caching) is the bottleneck.
-	fmt.Fprintf(w, "speedupd_simulated_ops_total %d\n", st.SimulatedOps)
-	opsPerSec := 0.0
-	if up := time.Since(s.started).Seconds(); up > 0 {
-		opsPerSec = float64(st.SimulatedOps) / up
-	}
-	fmt.Fprintf(w, "speedupd_simulated_ops_per_second %.1f\n", opsPerSec)
 }
 
 // Serve runs h on l until ctx is canceled, then shuts down gracefully:

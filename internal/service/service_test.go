@@ -187,17 +187,11 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	if got := atomic.LoadInt32(sims); got != 1 {
 		t.Errorf("repeat request re-simulated (%d runs)", got)
 	}
-	m := get(t, s.Handler(), "/metrics").Body.String()
-	for _, want := range []string{
-		"speedupd_sim_cell_runs_total 1",
-		"speedupd_sim_cell_memo_hits_total 1",
-		`speedupd_requests_total{path="/v1/stack"} 2`,
-		"speedupd_cache_hit_rate 0.5000",
-	} {
-		if !strings.Contains(m, want) {
-			t.Errorf("metrics missing %q:\n%s", want, m)
-		}
-	}
+	scrape(t, s.Handler()).want(t, map[string]float64{
+		"speedupd_sim_cell_runs_total":              1,
+		"speedupd_sim_cell_memo_hits_total":         1,
+		`speedupd_requests_total{path="/v1/stack"}`: 2,
+	})
 }
 
 func TestSweepEndpoint(t *testing.T) {

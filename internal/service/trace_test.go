@@ -70,16 +70,11 @@ func TestTraceAnalyzeEndpoint(t *testing.T) {
 	if *sims != 1 {
 		t.Fatalf("repeated upload re-simulated: %d runs, want 1", *sims)
 	}
-	body := get(t, s.Handler(), "/metrics").Body.String()
-	for _, want := range []string{
-		"speedupd_sim_cell_runs_total 1",
-		"speedupd_sim_cell_runs_exact_total 1",
-		"speedupd_sim_cell_runs_fast_total 0",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics missing %q after trace analyze + repeat:\n%s", want, body)
-		}
-	}
+	scrape(t, s.Handler()).want(t, map[string]float64{
+		"speedupd_sim_cell_runs_total":       1,
+		"speedupd_sim_cell_runs_exact_total": 1,
+		"speedupd_sim_cell_runs_fast_total":  0,
+	})
 
 	// An explicit cores override is a different cell (own simulation), and a
 	// fast-mode replay never shares the exact entry.

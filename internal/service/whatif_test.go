@@ -3,8 +3,6 @@ package service
 import (
 	"encoding/json"
 	"net/http"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -17,19 +15,7 @@ import (
 // the same observation path the smoke driver and operators use.
 func cellRunsFromMetrics(t *testing.T, s *Server) int {
 	t.Helper()
-	w := get(t, s.Handler(), "/metrics")
-	if w.Code != http.StatusOK {
-		t.Fatalf("/metrics status %d", w.Code)
-	}
-	m := regexp.MustCompile(`(?m)^speedupd_sim_cell_runs_total (\d+)$`).FindStringSubmatch(w.Body.String())
-	if m == nil {
-		t.Fatalf("speedupd_sim_cell_runs_total not exposed:\n%s", w.Body)
-	}
-	n, err := strconv.Atoi(m[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
+	return int(scrape(t, s.Handler()).value(t, "speedupd_sim_cell_runs_total"))
 }
 
 // TestWhatIfEndpointJSON is the endpoint's happy path plus the issue's memo

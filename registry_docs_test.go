@@ -2,6 +2,8 @@ package speedupstack
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"slices"
@@ -9,6 +11,9 @@ import (
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/fleet"
+	"repro/internal/service"
+	"repro/internal/sim"
 )
 
 // TestArtifactRegistryDocumented holds PAPER.md's figure map and README's
@@ -79,6 +84,54 @@ func TestAdviseBoundsDocumented(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("README.md lacks %q", want)
+		}
+	}
+}
+
+// TestMetricTableDocumented holds README's metric table to the live page:
+// the families a service wrapped in a one-member fleet declares in its
+// # TYPE lines are exactly the table's rows, and every speedupd_ metric
+// README.md or ARCHITECTURE.md names is one of them.
+func TestMetricTableDocumented(t *testing.T) {
+	svc := service.New(service.Options{Engine: exp.NewEngine(sim.Default(), exp.WithWorkers(1))})
+	node, err := fleet.Wrap(svc.Handler(), fleet.Options{Self: "http://self", Peers: []string{"http://self"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	node.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	families := map[string]bool{}
+	var declared []string
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(w.Body.String(), -1) {
+		families[m[1]] = true
+		declared = append(declared, m[1])
+	}
+	if len(families) == 0 {
+		t.Fatalf("/metrics declares no family:\n%s", w.Body)
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `(speedupd_[a-z_]+)` \\|").FindAllStringSubmatch(string(readme), -1) {
+		rows = append(rows, m[1])
+	}
+	slices.Sort(rows)
+	slices.Sort(declared)
+	if !slices.Equal(rows, declared) {
+		t.Errorf("README.md's metric table lists %v; the page declares %v", rows, declared)
+	}
+	for _, doc := range []string{"README.md", "ARCHITECTURE.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range regexp.MustCompile(`speedupd_[a-z_]+`).FindAllString(string(text), -1) {
+			if !families[name] {
+				t.Errorf("%s names %s, which /metrics does not declare", doc, name)
+			}
 		}
 	}
 }
