@@ -24,8 +24,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -38,69 +40,81 @@ import (
 	"repro/internal/workload"
 )
 
-// The section inputs: -spec and -outdir here, the rest parse into params.
-var (
-	specPath = flag.String("spec", "", "workload spec JSON for the custom section")
-	outDir   = flag.String("outdir", "", "also write phases timelines as SVG files into DIR")
-	params   = exp.DefaultParams
-)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// readSpec loads the custom section's workload from -spec.
-func readSpec() (workload.Spec, error) {
-	data, err := os.ReadFile(*specPath)
+// readSpec loads the custom section's workload from the spec file at path.
+func readSpec(path string) (workload.Spec, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return workload.Spec{}, err
 	}
 	spec, err := workload.ParseSpec(data)
 	if err != nil {
-		err = fmt.Errorf("%s: %w", *specPath, err)
+		err = fmt.Errorf("%s: %w", path, err)
 	}
 	return spec, err
 }
 
-// writeTimelines writes the phases section's series into -outdir.
-func writeTimelines(series []stack.TimeSeries) error {
+// writeTimelines writes the phases section's series into dir, one SVG file
+// each, and names every file it writes on log.
+func writeTimelines(dir string, series []stack.TimeSeries, log io.Writer) error {
 	for _, ts := range series {
 		var svg bytes.Buffer
 		if err := ts.SVG(&svg); err != nil {
 			return err
 		}
-		path := filepath.Join(*outDir, "timeline_"+ts.Label+".svg")
+		path := filepath.Join(dir, "timeline_"+ts.Label+".svg")
 		if err := os.WriteFile(path, svg.Bytes(), 0o666); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+		fmt.Fprintf(log, "wrote %s\n", path)
 	}
 	return nil
 }
 
-func main() {
-	workers := flag.Int("workers", runtime.NumCPU(), "parallel simulation workers")
-	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-	quiet := flag.Bool("q", false, "suppress the progress line")
-	modeFlag := flag.String("mode", "exact", "simulation fidelity: exact (byte-identical) or fast (sampled, several times faster, error-bounded)")
-	flag.IntVar(&params.Intervals, "intervals", params.Intervals, "interval count for the phases section")
-	flag.IntVar(&params.MaxThreads, "max-threads", params.MaxThreads, "sweep top for the advise section")
-	flag.IntVar(&params.Threads, "threads", params.Threads, "thread count for the whatif and calibrate sections")
-	flag.Parse()
+// run is the whole command: it parses args, runs the selected sections on
+// one engine, prints them on stdout and returns the exit status (2 for a
+// usage error, 1 when a section failed).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	params := exp.DefaultParams
+	specPath := fs.String("spec", "", "workload spec JSON for the custom section")
+	outDir := fs.String("outdir", "", "also write phases timelines as SVG files into DIR")
+	workers := fs.Int("workers", runtime.NumCPU(), "parallel simulation workers")
+	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
+	quiet := fs.Bool("q", false, "suppress the progress line")
+	modeFlag := fs.String("mode", "exact", "simulation fidelity: exact (byte-identical) or fast (sampled, several times faster, error-bounded)")
+	fs.IntVar(&params.Intervals, "intervals", params.Intervals, "interval count for the phases section")
+	fs.IntVar(&params.MaxThreads, "max-threads", params.MaxThreads, "sweep top for the advise section")
+	fs.IntVar(&params.Threads, "threads", params.Threads, "thread count for the whatif and calibrate sections")
+	// Parsing stops at the first positional argument, the section; flags
+	// after it are accepted too (`experiments all -workers=8`).
+	err := fs.Parse(args)
 	which := "all"
-	if flag.NArg() > 0 {
-		which = flag.Arg(0)
-		// flag.Parse stops at the first positional argument; accept flags
-		// after the section name too (`experiments all -workers=8`).
-		flag.CommandLine.Parse(flag.Args()[1:])
-		if flag.NArg() > 0 {
-			fmt.Fprintf(os.Stderr, "unexpected arguments %v\n", flag.Args())
-			os.Exit(2)
-		}
+	if err == nil && fs.NArg() > 0 {
+		which = fs.Arg(0)
+		err = fs.Parse(fs.Args()[1:])
 	}
 	var names []string
 	for _, a := range exp.Artifacts {
 		names = append(names, a.Name)
 	}
-	if which != "all" && !slices.Contains(names, which) {
-		fmt.Fprintf(os.Stderr, "unknown section %q (want all or one of %v)\n", which, names)
-		os.Exit(2)
+	mode, modeErr := sim.ParseMode(*modeFlag)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	case fs.NArg() > 0:
+		fmt.Fprintf(stderr, "unexpected arguments %v\n", fs.Args())
+		return 2
+	case which != "all" && !slices.Contains(names, which):
+		fmt.Fprintf(stderr, "unknown section %q (want all or one of %v)\n", which, names)
+		return 2
+	case modeErr != nil:
+		fmt.Fprintln(stderr, modeErr)
+		return 2
 	}
 
 	ctx := context.Background()
@@ -117,21 +131,16 @@ func main() {
 		// simulation starts.
 		opts = append(opts, exp.WithRunHook(func(string, string, int, int) {
 			st := e.Stats()
-			fmt.Fprintf(os.Stderr, "\rcells: %d/%d ", st.CellsDone, st.CellsDeclared)
+			fmt.Fprintf(stderr, "\rcells: %d/%d ", st.CellsDone, st.CellsDeclared)
 		}))
-	}
-	mode, err := sim.ParseMode(*modeFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
 	}
 	e = exp.NewEngine(sim.Default().WithMode(mode), opts...)
 
 	if *specPath != "" {
-		params.Spec = readSpec
+		params.Spec = func() (workload.Spec, error) { return readSpec(*specPath) }
 	}
 	if *outDir != "" {
-		params.Timelines = writeTimelines
+		params.Timelines = func(series []stack.TimeSeries) error { return writeTimelines(*outDir, series, stderr) }
 	}
 	failed := 0
 	for _, a := range exp.Artifacts {
@@ -141,26 +150,27 @@ func main() {
 		t0 := time.Now()
 		body, err := a.Run(ctx, e, params)
 		if !*quiet {
-			fmt.Fprint(os.Stderr, "\r\033[K")
+			fmt.Fprint(stderr, "\r\033[K")
 		}
 		if err != nil {
 			// Keep going: later sections may still complete, and partial
 			// results beat losing the figures already printed.
 			failed++
-			fmt.Fprintf(os.Stderr, "%s: %v\n", a.Name, err)
+			fmt.Fprintf(stderr, "%s: %v\n", a.Name, err)
 			body = "(failed)\n"
 		} else {
-			fmt.Fprintf(os.Stderr, "%s done in %.1fs\n", a.Name, time.Since(t0).Seconds())
+			fmt.Fprintf(stderr, "%s done in %.1fs\n", a.Name, time.Since(t0).Seconds())
 		}
-		fmt.Print(exp.Frame(a.Name, body))
+		fmt.Fprint(stdout, exp.Frame(a.Name, body))
 	}
 
 	if st := e.Stats(); !*quiet {
-		fmt.Fprintf(os.Stderr, "engine: %d cell + %d sequential simulations, %d cell + %d sequential memo hits\n",
+		fmt.Fprintf(stderr, "engine: %d cell + %d sequential simulations, %d cell + %d sequential memo hits\n",
 			st.CellRuns, st.SeqRuns, st.CellHits, st.SeqHits)
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "%d section(s) failed\n", failed)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "%d section(s) failed\n", failed)
+		return 1
 	}
+	return 0
 }

@@ -45,7 +45,7 @@ func runCalibrate(ctx context.Context, e *Engine, p Params) (string, error) {
 			100*s.Error(), fmt.Sprint(stack.TopComponents(s, 3)), bench.PaperComponents)
 		b.WriteString(stack.Table([]stack.Bar{{Label: bench.FullName(), Stack: s}}))
 		gt := outs[len(benches)+i]
-		o, tp := gt.Result.Oracle, float64(gt.Stack.Tp)
+		o, tp := gt.Oracle, float64(gt.Stack.Tp)
 		fmt.Fprintf(&b, "  oracle: posLLC=%.2f negLLC=%.2f mem=%.2f spin=%.2f yield=%.2f imbal=%.2f coher=%.2f ovh=%.2f\n",
 			o.PosLLC/tp, o.NegLLC/tp, o.NegMem/tp, o.Spin/tp, o.Yield/tp,
 			o.Imbalance/tp, o.Coherence/tp, o.ParallelOverhead/tp)

@@ -3,9 +3,12 @@ package exp
 import (
 	"context"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -37,8 +40,8 @@ func atdFree(t core.ThreadCounters) core.ThreadCounters {
 // directory per core and no oracle: the same cell at ATDSampleShift 0 is the
 // ground truth of any sampled run. Accounting is invisible to timing, so
 // everything but the ATD-derived counters is equal between the two shifts;
-// at shift 0 every sampling factor is exactly 1 and Result.Oracle's LLC and
-// memory terms are Result.Estimated's; and the sampled estimate stays within
+// at shift 0 every sampling factor is exactly 1 and the Oracle's LLC and
+// memory terms are the estimate's; and the sampled estimate stays within
 // groundTruthBounds of that truth.
 func TestGroundTruthIsSampleShiftZero(t *testing.T) {
 	if testing.Short() {
@@ -63,17 +66,18 @@ func TestGroundTruthIsSampleShiftZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	perThread := perThreadCounters(t, []sim.Config{e.Config(), full}, cells)
 
 	var worst struct{ NegLLC, PosLLC, NegMem float64 }
 	for i, c := range cells {
 		s, g := sampled[i], truth[i]
 		name := c.Bench
-		if s.Ts != g.Ts || s.Tp != g.Tp || s.Result.TotalOps != g.Result.TotalOps {
+		if s.Ts != g.Ts || s.Tp != g.Tp || s.TotalOps != g.TotalOps {
 			t.Errorf("%s x%d: timing depends on the sample shift: Ts %d/%d Tp %d/%d ops %d/%d",
-				name, c.Threads, s.Ts, g.Ts, s.Tp, g.Tp, s.Result.TotalOps, g.Result.TotalOps)
+				name, c.Threads, s.Ts, g.Ts, s.Tp, g.Tp, s.TotalOps, g.TotalOps)
 		}
-		for tid := range g.Result.PerThread {
-			st, gt := s.Result.PerThread[tid], g.Result.PerThread[tid]
+		for tid := range perThread[i][1] {
+			st, gt := perThread[i][0][tid], perThread[i][1][tid]
 			if atdFree(st) != atdFree(gt) {
 				t.Errorf("%s x%d thread %d: non-ATD counters depend on the sample shift:\n%+v\n%+v",
 					name, c.Threads, tid, st, gt)
@@ -83,13 +87,13 @@ func TestGroundTruthIsSampleShiftZero(t *testing.T) {
 					name, c.Threads, tid, gt.SampledATDAccesses, gt.DetailedLLCAccesses, gt.LLCAccesses)
 			}
 		}
-		ge, gor := g.Result.Estimated, g.Result.Oracle
+		ge, gor := g.Components, g.Oracle
 		if gor.NegLLC != ge.NegLLC || gor.PosLLC != ge.PosLLC || gor.NegMem != ge.NegMem {
 			t.Errorf("%s x%d: shift-0 oracle LLC and memory terms %v/%v/%v differ from the estimate's %v/%v/%v",
 				name, c.Threads, gor.NegLLC, gor.PosLLC, gor.NegMem, ge.NegLLC, ge.PosLLC, ge.NegMem)
 		}
 
-		tp, se := float64(g.Tp), s.Result.Estimated
+		tp, se := float64(g.Tp), s.Components
 		for _, d := range []struct {
 			comp         string
 			delta, bound float64
@@ -109,4 +113,36 @@ func TestGroundTruthIsSampleShiftZero(t *testing.T) {
 	}
 	t.Logf("observed maxima over %d cells: NegLLC %.4f PosLLC %.4f NegMem %.4f",
 		len(cells), worst.NegLLC, worst.PosLLC, worst.NegMem)
+}
+
+// perThreadCounters simulates every cell on each machine, outside the engine
+// and concurrently, and returns the per-thread counters of the runs, indexed
+// by cell and then machine: an Outcome keeps no per-thread counters.
+func perThreadCounters(t *testing.T, machines []sim.Config, cells []Cell) [][][]core.ThreadCounters {
+	t.Helper()
+	counters := make([][][]core.ThreadCounters, len(cells))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, c := range cells {
+		b, _ := workload.ByName(c.Bench)
+		counters[i] = make([][]core.ThreadCounters, len(machines))
+		for m, cfg := range machines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				res, err := workload.Simulate(cfg, b.Spec, c.Threads, c.Threads, nil)
+				if err != nil {
+					t.Errorf("%s x%d: %v", c.Bench, c.Threads, err)
+				}
+				counters[i][m] = res.PerThread
+			}()
+		}
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	return counters
 }

@@ -12,7 +12,7 @@ import (
 // Time-resolved measurement: MeasureIntervals runs a cell with the
 // simulator's interval accounting enabled and returns a stack.TimeSeries. It
 // composes with everything the engine already memoizes — the sequential
-// reference and the aggregate outcome come from the fingerprint-keyed memo
+// reference and the aggregate run come from the fingerprint-keyed memo
 // (sizing the snapshot period needs the run's total op count, which the
 // aggregate provides), and the interval run itself is memoized under the
 // same key extended by the interval count, with the same singleflight and
@@ -25,7 +25,7 @@ import (
 const MaxIntervals = 512
 
 // IntervalOutcome is a cell's time-resolved decomposition. The aggregate
-// outcome it was cut from stays in the cell memo, where Do finds it.
+// run it was cut from stays in the cell memo, where Do finds it.
 type IntervalOutcome struct {
 	// Series is the interval-resolved speedup stack; its interval
 	// components sum exactly to Series.Aggregate.
@@ -78,7 +78,7 @@ func (e *Engine) MeasureIntervals(ctx context.Context, req Request, count int) (
 }
 
 // runIntervals executes the interval-enabled simulation for one unique
-// (cell, count) after securing the memoized aggregate outcome (which also
+// (cell, count) after securing the memoized aggregate run (which also
 // secures the sequential reference and supplies the total op count the
 // snapshot period is derived from).
 func (e *Engine) runIntervals(ctx context.Context, ik intervalKey, b workload.Benchmark) (IntervalOutcome, error) {
@@ -88,7 +88,7 @@ func (e *Engine) runIntervals(ctx context.Context, ik intervalKey, b workload.Be
 	}
 	// ceil(TotalOps/count) boundaries yield at most count intervals; the
 	// completion snapshot merges into the last boundary when they coincide.
-	period := (agg.Result.TotalOps + uint64(ik.count) - 1) / uint64(ik.count)
+	period := (agg.TotalOps + uint64(ik.count) - 1) / uint64(ik.count)
 	if period == 0 {
 		period = 1
 	}
@@ -100,10 +100,10 @@ func (e *Engine) runIntervals(ctx context.Context, ik intervalKey, b workload.Be
 	// Interval accounting must be unobservable in the aggregate — snapshots
 	// only read counters. A divergence here is an engine bug, not a
 	// workload property, so fail loudly instead of returning skewed data.
-	if res.Tp != agg.Result.Tp || res.TotalOps != agg.Result.TotalOps {
+	if res.Tp != agg.Tp || res.TotalOps != agg.TotalOps {
 		return IntervalOutcome{}, fmt.Errorf(
 			"exp: interval accounting perturbed %s x%d: Tp %d vs %d, ops %d vs %d",
-			b.FullName(), ik.threads, res.Tp, agg.Result.Tp, res.TotalOps, agg.Result.TotalOps)
+			b.FullName(), ik.threads, res.Tp, agg.Tp, res.TotalOps, agg.TotalOps)
 	}
 	series, err := stack.NewTimeSeries(b.FullName(), res.Stack(agg.Ts),
 		res.PerThread, res.Intervals, period)

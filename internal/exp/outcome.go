@@ -65,27 +65,31 @@ package exp
 
 import (
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Outcome is one (benchmark, thread-count) measurement: the multi-threaded
-// run, its single-threaded reference, and the derived speedup stack. The
-// stack is the one copy of every derived figure — thread count N, parallel
-// time Tp, actual speedup S = Ts/Tp, Ŝ (Estimated) and Formula (6)'s
-// Error — and is embedded, so an Outcome reads them as its own.
+// Outcome is one (benchmark, thread-count) measurement: the caller's naming
+// of the workload paired with the run the cell memo retains.
 type Outcome struct {
 	Bench workload.Benchmark
+	run
+}
+
+// run is one simulated cell with each of its facts once: the sequential
+// reference time, the speedup stack, and the oracle terms and op count no
+// stack carries. The stack is the one copy of every derived figure —
+// thread count N, parallel time Tp, actual speedup S = Ts/Tp, Ŝ (Estimated)
+// and Formula (6)'s Error — and is embedded, so an Outcome reads them as
+// its own. It holds no naming (identity is the fingerprint, so a memoized
+// run may have been simulated under any alias) and nothing whose size grows
+// with the run's thread count, so every cell-memo entry is the same size.
+type run struct {
 	// Ts is the sequential execution time (cycles).
 	Ts uint64
 	// Stack is the estimated speedup stack with the actual speedup attached.
 	core.Stack
-	// Result is the full multi-threaded simulation result.
-	Result sim.Result
+	// Oracle is the simulator's omniscient decomposition (sim.Result.Oracle).
+	Oracle core.Components
+	// TotalOps counts the trace operations the multi-threaded run consumed.
+	TotalOps uint64
 }
-
-// fill copies every field of from but Bench into o (a field added to
-// Outcome is added here). Identity is the fingerprint, so a memoized
-// outcome may carry the naming of whichever alias simulated it first; Do
-// fills each returned slot so that it keeps the caller's own resolution.
-func (o *Outcome) fill(from Outcome) { o.Ts, o.Stack, o.Result = from.Ts, from.Stack, from.Result }

@@ -18,7 +18,7 @@ import (
 // The sweep engine executes a declared set of simulation cells — each a
 // (workload, threads, cores) triple under a machine configuration — on a
 // bounded worker pool. Cells shared between figures are simulated exactly
-// once: both sequential references and full Outcomes are memoized for the
+// once: both sequential references and cell runs are memoized for the
 // lifetime of the Engine, keyed by the complete machine configuration plus
 // the workload's canonical fingerprint. Each section of the evaluation
 // declares all its cells, across every machine it sweeps, in one Do; the
@@ -66,7 +66,7 @@ type Request struct {
 	Config *sim.Config
 }
 
-// cellKey identifies a memoized Outcome: the full pre-tuning machine
+// cellKey identifies a memoized cell run: the full pre-tuning machine
 // configuration plus the workload identity and run shape. sim.Config is a
 // tree of flat value structs and Fingerprint a byte array, so the key is
 // comparable and needs no serialization. Keying on the fingerprint rather
@@ -172,7 +172,7 @@ type Stats struct {
 	// in-flight) entry.
 	SeqHits  int
 	CellHits int
-	// CellEvictions counts completed outcomes dropped by the cell memo's
+	// CellEvictions counts completed cell runs dropped by the cell memo's
 	// retention bound (WithCellMemoLimit); an evicted cell re-simulates on
 	// its next request.
 	CellEvictions int
@@ -229,7 +229,7 @@ type Engine struct {
 	// deterministic, so every run retains its result, errors included; only
 	// a claim abandoned by cancellation is released for the next caller.
 	seq       *memo.Cache[seqKey, uint64]
-	cells     *memo.Cache[cellKey, Outcome]
+	cells     *memo.Cache[cellKey, run]
 	intervals *memo.Cache[intervalKey, IntervalOutcome]
 	cellLimit int
 }
@@ -252,8 +252,8 @@ func WithRunHook(f func(kind, bench string, threads, cores int)) Option {
 	return func(e *Engine) { e.hook = f }
 }
 
-// WithCellMemoLimit bounds the outcome memo to at most n completed
-// cells (successful outcomes and memoized errors alike), evicted
+// WithCellMemoLimit bounds the cell memo to at most n completed
+// cells (successful runs and memoized errors alike), evicted
 // least-recently-used. Long-running engines (the speedupd service) use
 // this to keep memory bounded; n <= 0 means unbounded, the right choice
 // for one-shot regeneration where every cell is known up front. Eviction
@@ -277,7 +277,7 @@ func NewEngine(cfg sim.Config, opts ...Option) *Engine {
 		o(e)
 	}
 	e.seq = memo.New[seqKey, uint64](e.cellLimit)
-	e.cells = memo.New[cellKey, Outcome](e.cellLimit)
+	e.cells = memo.New[cellKey, run](e.cellLimit)
 	e.intervals = memo.New[intervalKey, IntervalOutcome](e.cellLimit)
 	return e
 }
@@ -409,14 +409,14 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 			continue
 		}
 		unique++
-		out, err, ok := e.cells.Peek(k)
+		r, err, ok := e.cells.Peek(k)
 		switch {
 		case !ok:
 			misses = append(misses, i)
 		case err != nil:
 			fail(err)
 		default:
-			outs[i].fill(out)
+			outs[i].run = r
 			answered++
 		}
 	}
@@ -445,13 +445,13 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 			wg.Add(1)
 			go func(i int, k cellKey, b workload.Benchmark) {
 				defer wg.Done()
-				out, err := e.cell(ctx, k, b)
+				r, err := e.cell(ctx, k, b)
 				if err != nil {
 					errs[i] = err
 					cancel()
 					return
 				}
-				outs[i].fill(out) // Bench, which this loop reads, stays as it is
+				outs[i].run = r // Bench, which this loop reads, stays as it is
 				e.add(&e.stats.CellsDone, 1)
 			}(i, keys[i], outs[j].Bench)
 		}
@@ -465,7 +465,7 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 	}
 	for i := range outs {
 		if j := first(i); j != i {
-			outs[i].fill(outs[j])
+			outs[i].run = outs[j].run
 		}
 	}
 	return outs, nil
@@ -491,12 +491,12 @@ func (e *Engine) acquire(ctx context.Context) (release func(), err error) {
 // cell resolves one unique cell through the cell memo: claim and
 // simulate, or wait for whoever holds it. Abandoned claims (context
 // canceled before the simulation ran) are retried by the next caller.
-func (e *Engine) cell(ctx context.Context, k cellKey, b workload.Benchmark) (Outcome, error) {
+func (e *Engine) cell(ctx context.Context, k cellKey, b workload.Benchmark) (run, error) {
 	return e.cells.Do(ctx, k,
 		func() { e.add(&e.stats.CellHits, 1) },
-		func() (Outcome, bool, error) {
-			out, err := e.runCell(ctx, k, b)
-			return out, true, err
+		func() (run, bool, error) {
+			r, err := e.runCell(ctx, k, b)
+			return r, true, err
 		})
 }
 
@@ -546,16 +546,16 @@ func (e *Engine) simulate(ctx context.Context, kind string, cfg sim.Config, b wo
 // runCell executes the cell's simulation (after securing its sequential
 // reference), mirroring the paper's pairing of every multi-threaded run
 // with a single-threaded run of the same work.
-func (e *Engine) runCell(ctx context.Context, k cellKey, b workload.Benchmark) (Outcome, error) {
+func (e *Engine) runCell(ctx context.Context, k cellKey, b workload.Benchmark) (run, error) {
 	ts, err := e.seqTime(ctx, k.cfg, k.fp, b)
 	if err != nil {
-		return Outcome{}, err
+		return run{}, err
 	}
 	res, err := e.simulate(ctx, "cell", k.cfg, b, k.threads, k.cores)
 	if err != nil {
-		return Outcome{}, err
+		return run{}, err
 	}
-	return Outcome{Bench: b, Ts: ts, Stack: res.Stack(ts), Result: res}, nil
+	return run{Ts: ts, Stack: res.Stack(ts), Oracle: res.Oracle, TotalOps: res.TotalOps}, nil
 }
 
 // seqTime resolves the single-threaded reference time of b, whose

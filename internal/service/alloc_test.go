@@ -38,11 +38,13 @@ func TestMemoHitAllocations(t *testing.T) {
 		format        string
 		allocs, bytes float64
 	}{
-		// Measured 31 allocations and 3,952 bytes (47 and 6,912 with the
-		// per-call maps, deadline and csv.Writer), and 40 and 3,432 (58
-		// and 10,536).
-		{"json", 35, 4500},
-		{"csv", 45, 4000},
+		// Measured 31 allocations and 3,824 bytes (47 and 6,912 with the
+		// per-call maps, deadline and csv.Writer, 3,952 while the engine's
+		// Outcome carried the whole sim.Result), and 40 and 3,304 (58 and
+		// 10,536, then 3,432). The byte bounds keep the headroom 4,500 and
+		// 4,000 gave over 3,952 and 3,432.
+		{"json", 35, 4350},
+		{"csv", 45, 3850},
 	} {
 		req := httptest.NewRequest(http.MethodGet, "/v1/stack?bench="+testBench+"&threads=2&format="+tc.format, nil)
 		serve := func() {

@@ -53,8 +53,6 @@ type apiError struct {
 	RetryAfter int
 }
 
-func (e *apiError) Error() string { return e.Message }
-
 // ErrorEnvelope is the wire form of an apiError, the one declaration the
 // service writes and the client reads.
 type ErrorEnvelope struct {
@@ -80,14 +78,10 @@ func badRequest(format string, args ...any) *apiError {
 }
 
 // asAPIError maps any error onto an apiError: typed lookup failures become
-// 404s carrying their machine-readable suggestion, apiErrors pass through,
-// and everything else is a 400 with the error's own message (the callers
-// here only funnel request-shape errors through this path).
+// 404s carrying their machine-readable suggestion, and everything else is a
+// 400 with the error's own message (the callers here only funnel
+// request-shape errors through this path).
 func asAPIError(err error) *apiError {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae
-	}
 	var lookup *workload.LookupError
 	if errors.As(err, &lookup) {
 		// A well-formed request for a benchmark or a what-if intervention

@@ -146,7 +146,7 @@ func TestComponentTableDrivesEveryRenderer(t *testing.T) {
 	if err := (Bars{{Label: "x", Stack: sample()}}).SVG(&agg); err != nil {
 		t.Fatal(err)
 	}
-	ts := TimeSeries{Label: "x", N: 4, TotalOps: 100, Intervals: []Interval{{
+	ts := TimeSeries{Label: "x", Stack: core.Stack{N: 4}, TotalOps: 100, Intervals: []Interval{{
 		EndOps: 100, EndCycle: 1000,
 		Components: core.IntComponents{NegLLC: 300, PosLLC: 100, NegMem: 200, Spin: 400, Yield: 500, Imbalance: 50},
 	}}}

@@ -46,7 +46,7 @@ func (ts TimeSeries) SVG(w io.Writer) error {
 	yMax := 0.0
 	for _, iv := range ts.Intervals {
 		total := 0.0
-		for _, v := range timelineBands(iv, ts.N) {
+		for _, v := range timelineBands(iv, ts.Stack.N) {
 			total += v
 		}
 		yMax = max(yMax, total)
@@ -66,7 +66,7 @@ func (ts TimeSeries) SVG(w io.Writer) error {
 	}
 
 	c := newCanvas(marginL, plotW, marginL+plotW+legendW, svgTop+plotH+axisH, "Speedup-stack timeline",
-		"Speedup-stack timeline — "+ts.Label+" (N="+strconv.Itoa(ts.N)+")", "capacity lost")
+		"Speedup-stack timeline — "+ts.Label+" (N="+strconv.Itoa(ts.Stack.N)+")", "capacity lost")
 	// Horizontal grid: 4 steps plus the darker baseline, labels in percent.
 	for i := 0; i <= 4; i++ {
 		v := yMax * float64(i) / 4
@@ -85,7 +85,7 @@ func (ts TimeSeries) SVG(w io.Writer) error {
 			continue
 		}
 		cum := 0.0
-		for si, v := range timelineBands(iv, ts.N) {
+		for si, v := range timelineBands(iv, ts.Stack.N) {
 			if v <= 0 {
 				continue
 			}

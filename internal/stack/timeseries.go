@@ -12,7 +12,8 @@ import (
 // TimeSeries is the time-resolved form of one speedup stack: the whole-run
 // aggregate decomposition plus a sequence of intervals (equal slices of the
 // run's committed trace operations) each carrying its own integer-cycle
-// component breakdown.
+// component breakdown. The run's thread count and execution time are its
+// aggregate stack's, read as Stack.N and Stack.Tp.
 //
 // The invariant the type is built around: the componentwise sum of
 // Intervals[i].Components over all intervals equals Aggregate exactly, in
@@ -24,10 +25,6 @@ import (
 type TimeSeries struct {
 	// Label names the measured workload (benchmark FullName).
 	Label string
-	// N is the thread count of the run.
-	N int
-	// Tp is the multi-threaded execution time in cycles.
-	Tp uint64
 	// TotalOps is the run's committed trace operations; the last interval
 	// ends there.
 	TotalOps uint64
@@ -37,7 +34,8 @@ type TimeSeries struct {
 	// sum of the interval components.
 	Aggregate core.IntComponents
 	// Stack is the whole-run aggregate speedup stack (the float estimator,
-	// with the measured actual speedup attached when known). It is the same
+	// with the measured actual speedup attached when known) and the one
+	// copy of the run's thread count N and execution time Tp. It is the same
 	// decomposition as Aggregate up to integer rounding; the exactness
 	// guarantee is stated on Aggregate.
 	Stack core.Stack
@@ -82,8 +80,6 @@ func NewTimeSeries(label string, agg core.Stack, final []core.ThreadCounters,
 	}
 	ts := TimeSeries{
 		Label:     label,
-		N:         agg.N,
-		Tp:        agg.Tp,
 		TotalOps:  snaps[len(snaps)-1].Ops,
 		EveryOps:  everyOps,
 		Stack:     agg,
@@ -140,8 +136,8 @@ type TimeSeriesReport struct {
 func (ts TimeSeries) JSON() any {
 	return TimeSeriesReport{
 		Benchmark:       ts.Label,
-		Threads:         ts.N,
-		TpCycles:        ts.Tp,
+		Threads:         ts.Stack.N,
+		TpCycles:        ts.Stack.Tp,
 		TotalOps:        ts.TotalOps,
 		IntervalOps:     ts.EveryOps,
 		Aggregate:       Row(Bar{Label: ts.Label, Stack: ts.Stack}),
@@ -159,7 +155,7 @@ func (ts TimeSeries) CSV() ([]string, [][]string) {
 		"memory_cycles", "spinning_cycles", "yielding_cycles", "imbalance_cycles"}
 	rec := func(slot string, startOps, endOps, startCycle, endCycle uint64, c core.IntComponents) []string {
 		return []string{
-			ts.Label, strconv.Itoa(ts.N), slot,
+			ts.Label, strconv.Itoa(ts.Stack.N), slot,
 			strconv.FormatUint(startOps, 10), strconv.FormatUint(endOps, 10),
 			strconv.FormatUint(startCycle, 10), strconv.FormatUint(endCycle, 10),
 			strconv.FormatInt(c.NegLLC, 10), strconv.FormatInt(c.PosLLC, 10),
@@ -172,7 +168,7 @@ func (ts TimeSeries) CSV() ([]string, [][]string) {
 		records = append(records, rec(strconv.Itoa(iv.Index), iv.StartOps, iv.EndOps,
 			iv.StartCycle, iv.EndCycle, iv.Components))
 	}
-	records = append(records, rec("total", 0, ts.TotalOps, 0, ts.Tp, ts.Aggregate))
+	records = append(records, rec("total", 0, ts.TotalOps, 0, ts.Stack.Tp, ts.Aggregate))
 	return header, records
 }
 
@@ -183,7 +179,7 @@ func (ts TimeSeries) CSV() ([]string, [][]string) {
 func (ts TimeSeries) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s N=%d  Tp=%d cycles  %d ops in %d intervals (every %d ops)\n",
-		ts.Label, ts.N, ts.Tp, ts.TotalOps, len(ts.Intervals), ts.EveryOps)
+		ts.Label, ts.Stack.N, ts.Stack.Tp, ts.TotalOps, len(ts.Intervals), ts.EveryOps)
 	fmt.Fprintf(&b, "%9s %22s %22s %7s %7s %7s %7s %7s %7s\n",
 		"interval", "ops", "cycles", "netLLC%", "posLLC%", "mem%", "spin%", "yield%", "imbal%")
 	pct := func(v int64, cap int64) string {
@@ -204,9 +200,9 @@ func (ts TimeSeries) Text() string {
 	}
 	for _, iv := range ts.Intervals {
 		row(strconv.Itoa(iv.Index), iv.StartOps, iv.EndOps, iv.StartCycle, iv.EndCycle,
-			iv.Components, iv.Capacity(ts.N))
+			iv.Components, iv.Capacity(ts.Stack.N))
 	}
-	row("total", 0, ts.TotalOps, 0, ts.Tp, ts.Aggregate, int64(ts.N)*int64(ts.Tp))
+	row("total", 0, ts.TotalOps, 0, ts.Stack.Tp, ts.Aggregate, int64(ts.Stack.N)*int64(ts.Stack.Tp))
 	return b.String()
 }
 

@@ -60,9 +60,9 @@ func TestTimeSeriesExactSum(t *testing.T) {
 	if sum != ts.Aggregate {
 		t.Fatalf("interval sum != aggregate:\nsum  %+v\naggr %+v", sum, ts.Aggregate)
 	}
-	if prevOps != ts.TotalOps || prevCycle != ts.Tp {
+	if prevOps != ts.TotalOps || prevCycle != ts.Stack.Tp {
 		t.Fatalf("intervals do not cover the run: end (%d ops, %d cycles), run (%d, %d)",
-			prevOps, prevCycle, ts.TotalOps, ts.Tp)
+			prevOps, prevCycle, ts.TotalOps, ts.Stack.Tp)
 	}
 }
 

@@ -185,7 +185,9 @@ type TimeSeriesReport = stack.TimeSeriesReport
 
 // TimeSeries is the time-resolved form of one speedup stack: the aggregate
 // decomposition plus per-interval component breakdowns whose integer-cycle
-// values sum exactly to the aggregate. Produce one with MeasureIntervals;
+// values sum exactly to the aggregate. The run's thread count and execution
+// time are its aggregate Stack's, Stack.N and Stack.Tp. Produce one with
+// MeasureIntervals;
 // it is a Document, so Encode renders it: FormatText is a fixed-width
 // interval table, FormatJSON one report object (metadata, aggregate, exact
 // per-interval cycles), FormatCSV one record per interval plus a total
