@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -23,48 +24,70 @@ func bytesPerRun(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// TestMemoHitAllocations holds a warmed GET /v1/stack, served through
-// Handler() from the memo, to what it allocates in JSON and in CSV: the
-// request's recorder, the query, the engine's reply slice and the body.
-// The engine call allocates no per-call maps, a hit builds no deadline,
-// and CSV is appended in place without a csv.Writer's 4 KiB buffer.
+// TestMemoHitAllocations holds warmed requests, served through Handler()
+// from the memo, to what they allocate in every format: the request's
+// recorder, the query or body, the engine's reply and the document. The
+// engine call allocates no per-call maps, a hit builds no deadline, and
+// every format but text renders into a pooled body, so no encoder buffer is
+// allocated once the pool is warm.
 func TestMemoHitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	s, sims := newTestServer(t)
 	h := s.Handler()
+	stack := "/v1/stack?bench=" + testBench + "&threads=2&format="
+	sweep := `{"cells":[{"bench":"` + testBench + `","threads":2},{"bench":"` + testBench + `","threads":4}]}`
 	for _, tc := range []struct {
-		format        string
-		allocs, bytes float64
+		name, target, body string
+		allocs, bytes      float64
 	}{
-		// Measured 31 allocations and 3,824 bytes (47 and 6,912 with the
+		// Measured with pooled bodies (allocations and bytes; before them in
+		// brackets): json 28 and 2,952 (31 and 3,824; 47 and 6,912 with the
 		// per-call maps, deadline and csv.Writer, 3,952 while the engine's
-		// Outcome carried the whole sim.Result), and 40 and 3,304 (58 and
-		// 10,536, then 3,432). The byte bounds keep the headroom 4,500 and
-		// 4,000 gave over 3,952 and 3,432.
-		{"json", 35, 4350},
-		{"csv", 45, 3850},
+		// Outcome carried the whole sim.Result), csv 39 and 3,114 (40 and
+		// 3,304; 58 and 10,536, then 3,432), svg 29 and 6,625 (30 and
+		// 12,792), text 31 and 4,224 (32 and 4,672), ndjson 28 and 2,856
+		// (31 and 3,304), 32 intervals 25 and 13,211 (29 and 33,330), and
+		// the two-cell streamed sweep 57 and 5,842 (62 and 6,720). Most of
+		// what is left is the recorder, the query and the document's own
+		// values. The bounds keep the headroom 4,500 and 4,000 bytes gave
+		// over 3,952 and 3,432 (json ×1.1375, csv ×1.165, the new rows
+		// ×1.14) and about an eighth more allocations.
+		{"json", stack + "json", "", 32, 3400},
+		{"csv", stack + "csv", "", 45, 3650},
+		{"svg", stack + "svg", "", 33, 7600},
+		{"text", stack + "text", "", 36, 4850},
+		{"ndjson", stack + "ndjson", "", 32, 3300},
+		{"intervals", "/v1/stack/intervals?bench=" + testBench + "&threads=2&intervals=32", "", 29, 15100},
+		{"sweep", "/v1/sweep?format=ndjson", sweep, 65, 6700},
 	} {
-		req := httptest.NewRequest(http.MethodGet, "/v1/stack?bench="+testBench+"&threads=2&format="+tc.format, nil)
+		method, body := http.MethodGet, strings.NewReader(tc.body)
+		if tc.body != "" {
+			method = http.MethodPost
+		}
+		req := httptest.NewRequest(method, tc.target, body)
+		reqBody := req.Body // the handler wraps req.Body in place
 		serve := func() {
+			body.Reset(tc.body)
+			req.Body = reqBody
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
 			if w.Code != http.StatusOK {
-				t.Fatalf("%s: status %d (%s)", tc.format, w.Code, w.Body)
+				t.Fatalf("%s: status %d (%s)", tc.name, w.Code, w.Body)
 			}
 		}
 		serve() // the miss that warms the memo
 		allocs := testing.AllocsPerRun(200, serve)
 		bytes := bytesPerRun(200, serve)
-		t.Logf("%s: %v allocations, %.0f bytes per request", tc.format, allocs, bytes)
+		t.Logf("%s: %v allocations, %.0f bytes per request", tc.name, allocs, bytes)
 		if allocs > tc.allocs || bytes > tc.bytes {
-			t.Errorf("a memoized %s /v1/stack costs %v allocations and %.0f bytes, want <= %v and <= %v",
-				tc.format, allocs, bytes, tc.allocs, tc.bytes)
+			t.Errorf("a memoized %s costs %v allocations and %.0f bytes, want <= %v and <= %v",
+				tc.name, allocs, bytes, tc.allocs, tc.bytes)
 		}
 	}
-	if *sims != 1 {
-		t.Errorf("ran %d cell simulations, want the one warm-up", *sims)
+	if *sims != 2 {
+		t.Errorf("ran %d cell simulations, want the two warm-ups", *sims)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,4 +165,56 @@ func TestStreamSweepFlushesOnlyBeforeWaiting(t *testing.T) {
 	if want := fresh(cell(2), cell(4)); miss.Code != http.StatusOK || miss.Body.String() != want {
 		t.Errorf("stream with a miss: status %d, body %q, want 200 %q", miss.Code, miss.Body, want)
 	}
+}
+
+// TestConcurrentRepliesMatchSerial sends warmed requests in every format
+// through Handler() from many goroutines at once, a 512-interval timeline
+// SVG (a body past the encoder pool's retention cap) among them. Every
+// reply must equal the same request's serial reply byte for byte: a pooled
+// body is never shared by two renders, nor written after its release.
+func TestConcurrentRepliesMatchSerial(t *testing.T) {
+	s, _ := newTestServer(t)
+	h := s.Handler()
+	cell := "bench=" + testBench + "&threads=2"
+	sweep := `{"cells":[{"bench":"` + testBench + `","threads":2},{"bench":"` + testBench + `","threads":1}]}`
+	type request struct{ method, target, body string }
+	var reqs []request
+	for _, f := range []string{"json", "csv", "svg", "text", "ndjson"} {
+		reqs = append(reqs,
+			request{http.MethodGet, "/v1/stack?" + cell + "&format=" + f, ""},
+			request{http.MethodGet, "/v1/stack/intervals?" + cell + "&intervals=32&format=" + f, ""},
+			request{http.MethodGet, "/v1/advise?bench=" + testBench + "&max_threads=4&format=" + f, ""},
+			request{http.MethodPost, "/v1/sweep?format=" + f, sweep})
+	}
+	reqs = append(reqs, request{http.MethodGet, "/v1/stack/intervals?" + cell + "&intervals=512&format=svg", ""})
+	do := func(rq request) (int, string) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(rq.method, rq.target, strings.NewReader(rq.body)))
+		return w.Code, w.Body.String()
+	}
+	serial := make([]string, len(reqs))
+	for i, rq := range reqs {
+		code, body := do(rq)
+		if code != http.StatusOK {
+			t.Fatalf("%s %s: status %d (%s)", rq.method, rq.target, code, body)
+		}
+		serial[i] = body
+	}
+	const goroutines, rounds = 8, 5
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range rounds * len(reqs) {
+				i := (g*7 + k) % len(reqs) // each goroutine walks the list from its own offset
+				if code, body := do(reqs[i]); code != http.StatusOK || body != serial[i] {
+					t.Errorf("%s %s under concurrency: status %d, a %d-byte body unlike the serial reply's %d bytes",
+						reqs[i].method, reqs[i].target, code, len(body), len(serial[i]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

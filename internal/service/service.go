@@ -389,10 +389,15 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, f stack.Format, c
 	}
 	w.Header().Set("Content-Type", f.ContentType())
 	if err := stack.EncodeDocument(w, f, res.doc); err != nil {
-		return &apiError{Status: http.StatusInternalServerError, Code: codeEncodeFailed,
-			Message: fmt.Sprintf("encoding the %s report: %v", f, err)}
+		return encodeFailed(f, err)
 	}
 	return nil
+}
+
+// encodeFailed is the 500 answering a document the encoder refused.
+func encodeFailed(f stack.Format, err error) *apiError {
+	return &apiError{Status: http.StatusInternalServerError, Code: codeEncodeFailed,
+		Message: fmt.Sprintf("encoding the %s report: %v", f, err)}
 }
 
 // cellsCall is the engine call of the aggregate endpoints: cells in one
@@ -429,26 +434,35 @@ func (s *Server) seriesCall(opts requestOptions, cell exp.Cell, count int) call 
 }
 
 // streamSweep answers an NDJSON sweep as a stream: one compact ReportRow
-// line per cell, in the declared cell order. Every cell is its own
-// detached engine call, and the cells the memo misses wait under the
-// request's one deadline, built only when a cell misses. So large batches
-// start answering with their first completed rows instead of buffering the
-// whole sweep, and a timeout still leaves the finished work in the cache.
-// Rows already answered are written together and flushed onto the wire
-// only when the handler must wait for the next one. A failure before the
-// first row is the normal error response; after rows are on the wire the
-// status is already 200, so the envelope becomes the terminating line of
-// the stream — NDJSON consumers must treat a line with an "error" key as a
-// failed tail.
+// line per cell, in the declared cell order, through stream.
 func streamSweep(s *Server, w http.ResponseWriter, r *http.Request, opts requestOptions) *apiError {
 	cells, aerr := parseSweep(r)
 	if aerr != nil {
 		return aerr
 	}
-	answered := make([]result, len(cells))
-	pending := make([]<-chan result, len(cells))
+	calls := make([]call, len(cells))
 	for i, c := range cells {
-		answered[i], pending[i] = detached(s.cellsCall(opts, c))
+		calls[i] = s.cellsCall(opts, c)
+	}
+	return s.stream(w, r, calls)
+}
+
+// stream answers calls as one NDJSON stream, each call's document in
+// order. Every call is detached, and the calls the memo misses wait under
+// the request's one deadline, built only when a call misses. So large
+// batches start answering with their first completed rows instead of
+// buffering the whole sweep, and a timeout still leaves the finished work in
+// the cache. Rows already answered are written together and flushed onto
+// the wire only when the handler must wait for the next one. A failure — a
+// call's error or a document the encoder refuses — before the first row is
+// the normal error response; after rows are on the wire the status is
+// already 200, so the envelope becomes the terminating line of the stream —
+// NDJSON consumers must treat a line with an "error" key as a failed tail.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, calls []call) *apiError {
+	answered := make([]result, len(calls))
+	pending := make([]<-chan result, len(calls))
+	for i, c := range calls {
+		answered[i], pending[i] = detached(c)
 	}
 	ctx := r.Context()
 	if slices.ContainsFunc(pending, func(ch <-chan result) bool { return ch != nil }) {
@@ -466,20 +480,25 @@ func streamSweep(s *Server, w http.ResponseWriter, r *http.Request, opts request
 			}
 			doc, err = wait(ctx, ch)
 		}
+		var ae *apiError
 		if err != nil {
-			ae := s.simAPIError(err)
-			ae.Message = fmt.Sprintf("cell %d: %s", i, ae.Message)
+			ae = s.simAPIError(err)
+		} else {
 			if !wrote {
-				return ae
+				w.Header().Set("Content-Type", stack.FormatNDJSON.ContentType())
 			}
-			json.NewEncoder(w).Encode(ae.envelope())
-			return nil
+			if err = stack.EncodeDocument(w, stack.FormatNDJSON, doc); err == nil {
+				wrote = true
+				continue
+			}
+			ae = encodeFailed(stack.FormatNDJSON, err)
 		}
+		ae.Message = fmt.Sprintf("cell %d: %s", i, ae.Message)
 		if !wrote {
-			w.Header().Set("Content-Type", stack.FormatNDJSON.ContentType())
-			wrote = true
+			return ae
 		}
-		stack.EncodeDocument(w, stack.FormatNDJSON, doc)
+		json.NewEncoder(w).Encode(ae.envelope())
+		return nil
 	}
 	return nil
 }

@@ -63,7 +63,8 @@ func padTo(dst []byte, from, width int) []byte {
 // byte what json.Indent(dst, src, "", "  ") writes, in one pass without
 // json.Indent's validating scanner.
 func indentJSON(dst, src []byte) []byte {
-	nl := []byte{'\n'} // a line break and the current indentation
+	var nlBuf [64]byte
+	nl := append(nlBuf[:0], '\n') // a line break and the current indentation
 	for i := 0; i < len(src); i++ {
 		switch c := src[i]; c {
 		case '"':

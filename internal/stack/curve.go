@@ -114,7 +114,7 @@ func EncodeCurveSVG(w io.Writer, ch CurveChart) error {
 		if s.Marker {
 			for _, p := range s.Points {
 				c.circleOpen(x(p.X), y(p.Y), color).raw(`><title>`).esc(s.Name).raw(": (")
-				c.b = strconv.AppendFloat(append(strconv.AppendFloat(c.b, p.X, 'g', 4, 64), ", "...), p.Y, 'g', 4, 64) // fmt's %.4g
+				*c.b = strconv.AppendFloat(append(strconv.AppendFloat(*c.b, p.X, 'g', 4, 64), ", "...), p.Y, 'g', 4, 64) // fmt's %.4g
 				c.raw(")</title></circle>\n")
 			}
 		}

@@ -15,11 +15,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestDocumentConformance holds the four Document implementations to the
-// contract EncodeDocument relies on: CSV records as wide as the header, an
-// SVG that parses as XML, a JSON value that survives a marshal round trip,
-// a non-empty text report, and every format encoding without error.
-func TestDocumentConformance(t *testing.T) {
+// documents are the four Document implementations, one hand-built value
+// each (the time series measured on a registry benchmark), by type name.
+func documents(t *testing.T) map[string]stack.Document {
+	t.Helper()
 	bars := stack.Bars{{Label: "alpha_suite", Stack: core.Stack{
 		N: 8, Tp: 1000, ActualSpeedup: 5.1,
 		Components: core.Components{NegLLC: 400, PosLLC: 150, NegMem: 800, Spin: 350, Yield: 600, Imbalance: 120},
@@ -36,12 +35,21 @@ func TestDocumentConformance(t *testing.T) {
 			Component: "spinning", Mutation: "lock_hold 800 -> 400", PredictedGain: 0.2, PredictedSpeedup: 5.3,
 			ActualSpeedup: 5.25, ActualGain: 0.15, Error: 0.0063}},
 		Bars: bars}
-	docs := map[string]stack.Document{
+	return map[string]stack.Document{
 		"stack.Bars":       bars,
 		"stack.TimeSeries": seriesFor(t, "swaptions_parsec_small", 2, 20000),
 		"scaling.Advice":   advice,
 		"whatif.Report":    report,
 	}
+}
+
+// TestDocumentConformance holds the four Document implementations to the
+// contract EncodeDocument relies on: CSV records as wide as the header, an
+// SVG that parses as XML, a JSON value that survives a marshal round trip,
+// a non-empty text report, and every format encoding without error.
+func TestDocumentConformance(t *testing.T) {
+	docs := documents(t)
+	bars, report := docs["stack.Bars"].(stack.Bars), docs["whatif.Report"].(whatif.Report)
 	for name, d := range docs {
 		if d.Text() == "" {
 			t.Errorf("%s: empty text report", name)

@@ -1,13 +1,13 @@
 package stack
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Format selects a report encoding. The same set of formats is understood by
@@ -192,40 +192,91 @@ type Document interface {
 // leaves w untouched. A []ReportRow document is ndjson one compact row per
 // line — each line exactly json.Marshal(row) plus a newline, the contract
 // the fleet layer's byte-level sweep merging relies on; every other JSON
-// value is one line.
+// value is one line. Every format renders into a pooled body (newBody), so
+// once the pool is warm an encode allocates no buffer of its own.
 func EncodeDocument(w io.Writer, f Format, d Document) error {
 	switch f {
-	case FormatText, "":
-		_, err := io.WriteString(w, d.Text())
-		return err
-	case FormatJSON:
-		compact, err := json.Marshal(d.JSON())
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(append(indentJSON(make([]byte, 0, 2*len(compact)), compact), '\n'))
-		return err
-	case FormatNDJSON:
-		var body bytes.Buffer
-		enc, v := json.NewEncoder(&body), d.JSON()
-		if rows, ok := v.([]ReportRow); ok {
-			for _, row := range rows {
-				if err := enc.Encode(row); err != nil {
-					return err
-				}
-			}
-		} else if err := enc.Encode(v); err != nil {
-			return err
-		}
-		_, err := w.Write(body.Bytes())
-		return err
 	case FormatCSV:
 		header, records := d.CSV()
 		return WriteCSV(w, header, records)
 	case FormatSVG:
-		return d.SVG(w)
+		return d.SVG(w) // the chart's canvas draws on a pooled body of its own
 	}
-	return fmt.Errorf("stack: unknown format %q", f)
+	b := newBody()
+	if err := b.appendDocument(f, d); err != nil {
+		b.release()
+		return err
+	}
+	return b.flush(w)
+}
+
+// appendDocument appends d's text, json or ndjson form to b; on an error b
+// holds a partial document.
+func (b *body) appendDocument(f Format, d Document) error {
+	switch f {
+	case FormatText, "":
+		*b = append(*b, d.Text()...)
+	case FormatJSON:
+		// The compact form is json.Marshal's bytes plus the Encoder's line
+		// feed, which indentJSON copies through as the body's last byte.
+		compact := newBody()
+		defer compact.release()
+		if err := json.NewEncoder(compact).Encode(d.JSON()); err != nil {
+			return err
+		}
+		*b = indentJSON(*b, *compact)
+	case FormatNDJSON:
+		enc, v := json.NewEncoder(b), d.JSON()
+		rows, ok := v.([]ReportRow)
+		if !ok {
+			return enc.Encode(v)
+		}
+		for i := range rows {
+			if err := enc.Encode(&rows[i]); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("stack: unknown format %q", f)
+	}
+	return nil
+}
+
+// bodyCap is the capacity past which a body is left to the collector rather
+// than pooled: a warmed memo-hit reply (a stack, a 32-interval series, an
+// advice chart) fits well inside it, while a sweep's megabyte SVG would pin
+// its buffer for as long as the pool keeps it.
+const bodyCap = 64 << 10
+
+// body is a reply under construction: every renderer appends to it, and
+// json.Encoder writes into it.
+type body []byte
+
+// Write appends p; it never fails.
+func (b *body) Write(p []byte) (int, error) { *b = append(*b, p...); return len(p), nil }
+
+// bodies holds released bodies, empty and at most bodyCap in capacity, for
+// the next render; a pooled body is used by one render at a time.
+var bodies = sync.Pool{New: func() any { return new(body) }}
+
+// newBody takes an empty body from the pool.
+func newBody() *body { return bodies.Get().(*body) }
+
+// release empties b and returns it to the pool, unless it grew past
+// bodyCap. b must not be used afterwards.
+func (b *body) release() {
+	if cap(*b) <= bodyCap {
+		*b = (*b)[:0]
+		bodies.Put(b)
+	}
+}
+
+// flush writes b to w in one Write and releases it; io.Writer's contract
+// (Write must not retain p) is what makes the reuse safe.
+func (b *body) flush(w io.Writer) error {
+	_, err := w.Write(*b)
+	b.release()
+	return err
 }
 
 // Encode is EncodeDocument(w, f, Bars(bars)); it survives as a name because
@@ -274,21 +325,12 @@ func CSVFloat(v float64) string { return string(appendFixed(make([]byte, 0, 24),
 // WriteCSV writes header and then records to w as one CSV document, in one
 // Write — the shared tail of every CSV report (stacks, time series, advice,
 // what-if and the figure tables), so quoting is decided in one place
-// (appendCSV). The buffer is sized for the unquoted document.
+// (appendCSV).
 func WriteCSV(w io.Writer, header []string, records [][]string) error {
-	size := 0
-	for _, f := range header {
-		size += len(f) + 1 // the field and its comma or line feed
-	}
+	b := newBody()
+	*b = appendCSV(*b, header)
 	for _, rec := range records {
-		for _, f := range rec {
-			size += len(f) + 1
-		}
+		*b = appendCSV(*b, rec)
 	}
-	body := appendCSV(make([]byte, 0, size), header)
-	for _, rec := range records {
-		body = appendCSV(body, rec)
-	}
-	_, err := w.Write(body)
-	return err
+	return b.flush(w)
 }

@@ -41,14 +41,15 @@ var svgSeries = [len(components)]string{
 	"#4a3aa7", // imbalance
 }
 
-// canvas is the scaffold every chart draws on: an append-only byte writer
+// canvas is the scaffold every chart draws on: a pooled body (encode.go)
 // holding the whole document, plus the frame, the two text styles, the
 // hairline, the grid row and the legend column right of the plot area. A
 // renderer adds only its marks, through the chained appenders raw (bytes
 // as given), esc (XML-escaped text), num (a 1-decimal coordinate), fixed
-// and uint, and finish writes the document in one Write.
+// and uint, and finish writes the document in one Write and releases the
+// body.
 type canvas struct {
-	b           []byte
+	b           *body
 	left, plotW float64 // the plot area's left edge and width
 }
 
@@ -57,7 +58,7 @@ const svgTop = 48.0
 
 // newCanvas opens a width × height document: surface, title, y-axis caption.
 func newCanvas(left, plotW, width, height float64, aria, title, caption string) *canvas {
-	c := &canvas{b: make([]byte, 0, 6<<10), left: left, plotW: plotW} // a one-bar chart is ~5 KB
+	c := &canvas{b: newBody(), left: left, plotW: plotW}
 	c.raw(`<svg xmlns="http://www.w3.org/2000/svg" width="`).fixed(width, 0).raw(`" height="`).fixed(height, 0).
 		raw(`" viewBox="0 0 `).fixed(width, 0).raw(" ").fixed(height, 0).raw(`" role="img" aria-label="`).esc(aria).raw("\">\n")
 	c.raw(`<rect width="`).fixed(width, 0).raw(`" height="`).fixed(height, 0).raw(`" fill="` + svgSurface + "\"/>\n")
@@ -67,15 +68,15 @@ func newCanvas(left, plotW, width, height float64, aria, title, caption string) 
 	return c
 }
 
-func (c *canvas) raw(s string) *canvas { c.b = append(c.b, s...); return c }
+func (c *canvas) raw(s string) *canvas { *c.b = append(*c.b, s...); return c }
 
 func (c *canvas) esc(s string) *canvas { return c.raw(xmlEscaper.Replace(s)) }
 
 func (c *canvas) num(v float64) *canvas { return c.fixed(v, 1) }
 
-func (c *canvas) fixed(v float64, prec int) *canvas { c.b = appendFixed(c.b, v, prec); return c }
+func (c *canvas) fixed(v float64, prec int) *canvas { *c.b = appendFixed(*c.b, v, prec); return c }
 
-func (c *canvas) uint(n uint64) *canvas { c.b = strconv.AppendUint(c.b, n, 10); return c }
+func (c *canvas) uint(n uint64) *canvas { *c.b = strconv.AppendUint(*c.b, n, 10); return c }
 
 // The text-anchor attribute, for text's attrs.
 const (
@@ -130,11 +131,9 @@ func (c *canvas) swatch(i, component int) {
 	c.text(x+18, y+10, svgInk2, "", components[component].name)
 }
 
-// finish closes the document and writes it to w in one Write.
-func (c *canvas) finish(w io.Writer) error {
-	_, err := w.Write(c.raw("</svg>\n").b)
-	return err
-}
+// finish closes the document, writes it to w in one Write and releases the
+// body; c draws nothing afterwards.
+func (c *canvas) finish(w io.Writer) error { return c.raw("</svg>\n").b.flush(w) }
 
 // SVG writes the bars to w as a standalone SVG document.
 func (bars Bars) SVG(w io.Writer) error {
