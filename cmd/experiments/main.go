@@ -30,7 +30,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"time"
 
@@ -81,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	params := exp.DefaultParams
 	specPath := fs.String("spec", "", "workload spec JSON for the custom section")
 	outDir := fs.String("outdir", "", "also write phases timelines as SVG files into DIR")
-	workers := fs.Int("workers", runtime.NumCPU(), "parallel simulation workers")
+	workers := fs.Int("workers", exp.DefaultWorkers(), "parallel simulation workers")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	quiet := fs.Bool("q", false, "suppress the progress line")
 	modeFlag := fs.String("mode", "exact", "simulation fidelity: exact (byte-identical) or fast (sampled, several times faster, error-bounded)")

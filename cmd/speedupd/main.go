@@ -54,7 +54,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -67,7 +66,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", runtime.NumCPU(), "max concurrent simulations")
+	workers := flag.Int("workers", exp.DefaultWorkers(), "max concurrent simulations")
 	cache := flag.Int("cache", 4096, "LRU result cache size in cells (<= 0 = unbounded)")
 	simTimeout := flag.Duration("sim-timeout", 0, "per-request simulation budget (0 = default 2m, -1s = none)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")

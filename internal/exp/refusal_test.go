@@ -63,18 +63,18 @@ func TestRefusalsAreTyped(t *testing.T) {
 		{"interval range high", func() error { _, err := e.MeasureIntervals(ctx, good, MaxIntervals+1); return err },
 			false, "intervals must be in [1,512], got 513"},
 		{"bench and spec", do(Cell{Bench: "cholesky_splash2", Spec: &spec, Threads: 4}),
-			false, "exp: cell 0: give bench or spec, not both"},
+			false, "give bench or spec, not both"},
 		{"threads", do(Cell{Bench: "cholesky_splash2"}),
-			false, "exp: cell 0: threads must be in [1,256], got 0"},
+			false, "threads must be in [1,256], got 0"},
 		{"cores", do(Cell{Bench: "cholesky_splash2", Threads: 4, Cores: 65}),
-			false, "exp: cell 0: cores must be in [0,64], got 65"},
+			false, "cores must be in [0,64], got 65"},
 		{"threads over the core limit", do(Cell{Bench: "cholesky_splash2", Threads: 65}),
-			false, "exp: cell 0: threads 65 exceeds the simulator's 64-core limit; pass an explicit cores"},
+			false, "threads 65 exceeds the simulator's 64-core limit; pass an explicit cores"},
 		{"invalid spec", do(Cell{Spec: &invalid, Threads: 4}), false, ""},
 		{"unknown bench", do(Cell{Bench: "nosuch", Threads: 4}), true, ""},
 		{"neither bench nor spec", do(Cell{Threads: 4}), true, ""},
-		{"unknown bench + threads 0", do(Cell{Bench: "nosuch"}), true, "exp: cell 0: " + nosuch},
-		{"invalid spec + threads 0", do(Cell{Spec: &invalid}), false, "exp: cell 0: " + invalidErr.Error()},
+		{"unknown bench + threads 0", do(Cell{Bench: "nosuch"}), true, nosuch},
+		{"invalid spec + threads 0", do(Cell{Spec: &invalid}), false, invalidErr.Error()},
 		{"unknown bench + what-if floor", func() error {
 			_, err := e.WhatIf(ctx, Request{Cell: Cell{Bench: "nosuch", Threads: 1}}, nil)
 			return err

@@ -237,7 +237,11 @@ type Engine struct {
 // Option customizes an Engine.
 type Option func(*Engine)
 
-// WithWorkers bounds the worker pool (default: GOMAXPROCS).
+// DefaultWorkers is the worker pool's size when no door names one: one
+// simulation per CPU the Go scheduler runs at once (GOMAXPROCS).
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+
+// WithWorkers bounds the worker pool (default: DefaultWorkers).
 func WithWorkers(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
@@ -271,7 +275,7 @@ func WithCellMemoLimit(n int) Option {
 func NewEngine(cfg sim.Config, opts ...Option) *Engine {
 	e := &Engine{
 		base: cfg,
-		sem:  make(chan struct{}, runtime.GOMAXPROCS(0)),
+		sem:  make(chan struct{}, DefaultWorkers()),
 	}
 	for _, o := range opts {
 		o(e)
@@ -368,8 +372,10 @@ const dedupScan = 300 / 30
 // returns Outcomes in declared order. Cells the memo retains are answered
 // on the caller's goroutine; only the rest — misses and joins of another
 // call's in-flight cell — get a goroutine each. On error the first failure
-// in declared order is returned; a canceled context aborts promptly without
-// waiting for queued cells.
+// in declared order is returned; a refused request fails the batch before
+// anything runs, with the refusal as Cell.Resolve words it (a caller that
+// names its cells, as the service does, labels them itself). A canceled
+// context aborts promptly without waiting for queued cells.
 func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 	// Resolve every request into its own slot up front, so unknown names and
 	// invalid inline specs fail before any simulation is spent.
@@ -378,8 +384,7 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 	for i, req := range reqs {
 		b, k, err := e.resolve(req)
 		if err != nil {
-			// 0-based, like the /v1/sweep endpoint's "cell %d:" prefixes.
-			return nil, fmt.Errorf("exp: cell %d: %w", i, err)
+			return nil, err
 		}
 		outs[i].Bench, keys = b, append(keys, k)
 	}

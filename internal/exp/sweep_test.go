@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // sweepTestCells is a small grid with an intra-batch duplicate: two cheap
@@ -202,18 +202,14 @@ func TestSweepUnknownBenchmark(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error for unknown benchmark")
 	}
-	// Cell prefixes are 0-based positions in the declared slice: the second
-	// cell is "cell 1", and a failing first cell would be the literal
-	// "cell 0" (the contract service clients parse).
-	if !strings.Contains(err.Error(), "cell 1:") {
-		t.Errorf("error %q does not carry the 0-based cell index", err)
+	// The refusal is the failing cell's own, unprefixed: a caller that names
+	// cells (the service's "cell i: ") labels them itself.
+	if want := workload.UnknownBenchmarkError("no_such_benchmark"); err.Error() != want.Error() ||
+		!errors.Is(err, workload.ErrUnknownBenchmark) {
+		t.Errorf("error %q, want the cell's own %q", err, want)
 	}
 	if st := e.Stats(); st.CellRuns != 0 {
 		t.Errorf("simulations ran despite resolution failure: %+v", st)
-	}
-	_, err = e.Sweep(context.Background(), []Cell{{Bench: "no_such_benchmark", Threads: 2}})
-	if err == nil || !strings.Contains(err.Error(), "cell 0:") {
-		t.Errorf("first-cell error %q does not start at index 0", err)
 	}
 }
 

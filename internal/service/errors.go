@@ -71,6 +71,15 @@ func (e *apiError) envelope() ErrorEnvelope {
 	return ErrorEnvelope{Error: ErrorBody{Code: e.Code, Message: e.Message, Suggestion: e.Suggestion}}
 }
 
+// within prefixes e's message with the label of the call or cell it is
+// about, when there is one: "cell 3: threads must be ...".
+func (e *apiError) within(label string) *apiError {
+	if label != "" {
+		e.Message = label + ": " + e.Message
+	}
+	return e
+}
+
 // badRequest builds a 400 invalid_argument error.
 func badRequest(format string, args ...any) *apiError {
 	return &apiError{Status: http.StatusBadRequest, Code: codeInvalidArgument,

@@ -164,8 +164,8 @@ func TestLookupErrorsThroughAsAPIError(t *testing.T) {
 		{ivNoise, whatif.ErrUnknownIntervention, codeUnknownIntervention,
 			`unknown intervention "zzzzzzzzzzzzzzzzzzzz" (catalog: ` + strings.Join(whatif.IDs(), ", ") + `)`, ""},
 	} {
-		// Wrapped, as the engine returns a failed cell.
-		ae := asAPIError(fmt.Errorf("exp: cell 0: %w", tc.err))
+		// Wrapped: the lookup is found through any wrapping.
+		ae := asAPIError(fmt.Errorf("wrapped: %w", tc.err))
 		if ae.Status != http.StatusNotFound || ae.Code != tc.code || ae.Message != tc.message || ae.Suggestion != tc.suggestion {
 			t.Errorf("asAPIError(%v) = %d %s %q (suggestion %q); want 404 %s %q (suggestion %q)",
 				tc.err, ae.Status, ae.Code, ae.Message, ae.Suggestion, tc.code, tc.message, tc.suggestion)

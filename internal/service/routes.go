@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
+	"strconv"
 
 	"repro/internal/exp"
 	"repro/internal/stack"
@@ -102,13 +103,12 @@ type route struct {
 	// request body (0: the route takes none).
 	identity identity
 	body     int64
-	// parse turns a well-formed request into its engine call; the
-	// dispatcher serves the document the call answers. stream, when set,
-	// answers the ndjson format itself. plain answers a row that has no
-	// document (introspection, dry runs) directly.
-	parse  func(*Server, *http.Request, requestOptions) (call, *apiError)
-	stream func(*Server, http.ResponseWriter, *http.Request, requestOptions) *apiError
-	plain  func(*Server, http.ResponseWriter, *http.Request)
+	// parse turns a well-formed request into its engine calls, each with
+	// the label its errors carry; the dispatcher hands them to answer, the
+	// one tail. plain answers a row that has no document (introspection,
+	// dry runs) directly.
+	parse func(*Server, *http.Request, requestOptions) ([]labelled, *apiError)
+	plain func(*Server, http.ResponseWriter, *http.Request)
 }
 
 // routes is the route table (see the package comment): nothing else spells
@@ -120,7 +120,7 @@ var routes = []route{
 	{method: http.MethodGet, path: "/v1/stack/intervals", opts: optionSpec{cell: true, intervals: true},
 		protected: true, identity: identQueryBench, parse: parseStackIntervals},
 	{method: http.MethodPost, path: "/v1/sweep",
-		protected: true, identity: identBodyCells, body: maxJSONBytes, parse: parseSweepCall, stream: streamSweep},
+		protected: true, identity: identBodyCells, body: maxJSONBytes, parse: parseSweep},
 	{method: http.MethodPost, path: "/v1/workloads/analyze",
 		protected: true, identity: identBodyCell, body: maxJSONBytes, parse: parseAnalyze},
 	{method: http.MethodPost, path: "/v1/workloads/validate", body: maxJSONBytes, plain: validate},
@@ -184,19 +184,23 @@ func buildCell(c cellRequest) (exp.Cell, error) {
 
 // parseStack is GET /v1/stack: one (benchmark, threads[, cores]) cell, in
 // the exact (default) or sampled fast simulation mode.
-func parseStack(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
-	return s.cellsCall(opts, opts.cell), nil
+func parseStack(s *Server, r *http.Request, opts requestOptions) ([]labelled, *apiError) {
+	return one(s.cellsCall(opts, opts.cell)), nil
 }
 
 // parseStackIntervals is GET /v1/stack/intervals: one cell's time-resolved
 // speedup stack, the run split into ?intervals=K equal slices of its
 // committed ops (default 32).
-func parseStackIntervals(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
-	return s.seriesCall(opts, opts.cell, opts.intervals), nil
+func parseStackIntervals(s *Server, r *http.Request, opts requestOptions) ([]labelled, *apiError) {
+	return one(s.seriesCall(opts, opts.cell, opts.intervals)), nil
 }
 
-// parseSweep decodes and validates a POST /v1/sweep body into engine cells.
-func parseSweep(r *http.Request) ([]exp.Cell, *apiError) {
+// parseSweep is POST /v1/sweep: a batch of cells, ?mode= applying to
+// every one. In the buffered formats it is one engine pass, deduplicated
+// within the batch and against the memo, answering one document; in ndjson
+// each cell is a call of its own, labelled with its cell, so the rows
+// stream out in declared order as their cells complete.
+func parseSweep(s *Server, r *http.Request, opts requestOptions) ([]labelled, *apiError) {
 	var req sweepRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
 		return nil, badRequest("bad body: %v", err)
@@ -209,33 +213,29 @@ func parseSweep(r *http.Request) ([]exp.Cell, *apiError) {
 	}
 	cells := make([]exp.Cell, len(req.Cells))
 	for i, c := range req.Cells {
-		// Cell indices in error prefixes are 0-based positions in the
-		// declared JSON array, as in exp.Engine.Do's.
 		if c.Intervals != 0 {
-			return nil, badRequest(
-				"cell %d: sweeps return aggregate stacks; use /v1/stack/intervals or /v1/workloads/analyze for a time-resolved one", i)
+			return nil, badRequest("sweeps return aggregate stacks; " +
+				"use /v1/stack/intervals or /v1/workloads/analyze for a time-resolved one").within(cellLabel(i))
 		}
 		cell, err := buildCell(c)
 		if err != nil {
-			ae := asAPIError(err)
-			ae.Message = fmt.Sprintf("cell %d: %s", i, ae.Message)
-			return nil, ae
+			return nil, asAPIError(err).within(cellLabel(i))
 		}
 		cells[i] = cell
 	}
-	return cells, nil
+	if opts.format != stack.FormatNDJSON {
+		return one(s.cellsCall(opts, cells...)), nil
+	}
+	calls := make([]labelled, len(cells))
+	for i, c := range cells {
+		calls[i] = labelled{call: s.cellsCall(opts, c), label: cellLabel(i)}
+	}
+	return calls, nil
 }
 
-// parseSweepCall is POST /v1/sweep in every buffered format: a batch of
-// cells in one engine pass, deduplicated against each other and the cache.
-// ?mode=fast applies to every cell in the batch. (ndjson is streamSweep.)
-func parseSweepCall(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
-	cells, aerr := parseSweep(r)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return s.cellsCall(opts, cells...), nil
-}
+// cellLabel labels what concerns a sweep's cell i, its 0-based position in
+// the declared cells: the prefix of the cell's refusal and of its failure.
+func cellLabel(i int) string { return "cell " + strconv.Itoa(i) }
 
 // parseAnalyze is POST /v1/workloads/analyze: one inline custom workload at
 // a thread count, measured end-to-end. It is the bring-your-own-benchmark
@@ -243,7 +243,7 @@ func parseSweepCall(s *Server, r *http.Request, opts requestOptions) (call, *api
 // canonical fingerprint, so repeating a spec — under any name, inline or
 // registered — is a cache hit. A nonzero "intervals" selects the
 // time-resolved form; the engine judges its range.
-func parseAnalyze(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
+func parseAnalyze(s *Server, r *http.Request, opts requestOptions) ([]labelled, *apiError) {
 	var req cellRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
 		return nil, badRequest("bad body: %v", err)
@@ -259,9 +259,9 @@ func parseAnalyze(s *Server, r *http.Request, opts requestOptions) (call, *apiEr
 		return nil, asAPIError(err)
 	}
 	if req.Intervals != 0 {
-		return s.seriesCall(opts, cell, req.Intervals), nil
+		return one(s.seriesCall(opts, cell, req.Intervals)), nil
 	}
-	return s.cellsCall(opts, cell), nil
+	return one(s.cellsCall(opts, cell)), nil
 }
 
 // parseTraceAnalyze is POST /v1/traces/analyze: the body is a recorded
@@ -272,7 +272,7 @@ func parseAnalyze(s *Server, r *http.Request, opts requestOptions) (call, *apiEr
 // engine's fingerprint-keyed memo under the trace's content hash, so
 // re-uploading the same trace (whatever its label) performs zero additional
 // simulations.
-func parseTraceAnalyze(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
+func parseTraceAnalyze(s *Server, r *http.Request, opts requestOptions) ([]labelled, *apiError) {
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
 		return nil, badRequest("reading body: %v", err)
@@ -286,18 +286,18 @@ func parseTraceAnalyze(s *Server, r *http.Request, opts requestOptions) (call, *
 	if err != nil {
 		return nil, asAPIError(err)
 	}
-	return s.cellsCall(opts, cell), nil
+	return one(s.cellsCall(opts, cell)), nil
 }
 
 // parseAdvise is GET /v1/advise: the scaling advisor for one registered
 // benchmark. The sweep's cells ride the same fingerprint-keyed memo as
 // every other endpoint, so advising a benchmark that has already been
 // measured reuses those runs, and repeating an advise is free.
-func parseAdvise(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
+func parseAdvise(s *Server, r *http.Request, opts requestOptions) ([]labelled, *apiError) {
 	req := exp.Request{Cell: opts.cell, Config: s.modeConfig(opts.mode)}
-	return func(ctx context.Context) (stack.Document, error) {
+	return one(func(ctx context.Context) (stack.Document, error) {
 		return s.engine.Advise(ctx, req, opts.maxThreads)
-	}, nil
+	}), nil
 }
 
 // whatifRequest is the POST /v1/whatif body: a cell (bench or inline spec,
@@ -318,7 +318,7 @@ type whatifRequest struct {
 // fingerprint-keyed memo, so repeating a request simulates nothing new. The
 // what-if floor and the intervention IDs are the engine's to judge:
 // Engine.WhatIf refuses both before it simulates anything.
-func parseWhatIfCall(s *Server, r *http.Request, opts requestOptions) (call, *apiError) {
+func parseWhatIfCall(s *Server, r *http.Request, opts requestOptions) ([]labelled, *apiError) {
 	var req whatifRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
 		return nil, badRequest("bad body: %v", err)
@@ -327,9 +327,9 @@ func parseWhatIfCall(s *Server, r *http.Request, opts requestOptions) (call, *ap
 	if err != nil {
 		return nil, asAPIError(err)
 	}
-	return func(ctx context.Context) (stack.Document, error) {
+	return one(func(ctx context.Context) (stack.Document, error) {
 		return s.engine.WhatIf(ctx, exp.Request{Cell: cell, Config: s.modeConfig(opts.mode)}, req.Interventions)
-	}, nil
+	}), nil
 }
 
 // writeJSON answers with status and one indented JSON object: a plain row
@@ -588,8 +588,8 @@ func (sp Split) Merge(replies [][]byte) (body []byte, ok bool) {
 }
 
 // Partial reports whether a 200 reply body is an ndjson sweep that failed
-// part way, which streamSweep ends with an error line: it answers its own
-// request, but no other.
+// part way, which the service ends with an error line (answer): it answers
+// its own request, but no other.
 func Partial(body []byte) bool {
 	last := bytes.LastIndexByte(bytes.TrimSuffix(body, []byte("\n")), '\n')
 	return bytes.HasPrefix(body[last+1:], []byte(`{"error"`))

@@ -111,16 +111,19 @@
 // One route table, one request path: routes.go declares every endpoint
 // above as one row — method, path, accepted query parameters, protection,
 // where the workload identity lives, and the parse step that turns the
-// request into an engine call answering a stack.Document. One dispatcher
-// serves every row: method check, protection, option parsing, the parse
-// step, then serve — the call run by detached (answered on the request's
+// request into its engine calls, each answering a stack.Document and
+// carrying the label its errors are prefixed with ("cell i" for a streamed
+// sweep's cell i; every other call has none). One dispatcher serves every
+// row: method check, protection, option parsing, the parse step, then one
+// tail, answer — each call run by detached (answered on the request's
 // goroutine when the memo holds it whole, so a memo hit never times out
 // and builds no deadline; otherwise under a context of its own, so a
 // request that exceeds Options.SimTimeout or hangs up gets its error
 // promptly while the work finishes in the background and lands in the
 // memo, where a retry finds it), one error mapping, the negotiated
-// Content-Type, stack.EncodeDocument. The streamed NDJSON sweep does the
-// same per cell: a memo-only attempt, and a detached call for a miss.
+// Content-Type, stack.EncodeDocument, the documents written in order. A
+// sweep is one batch call in the buffered formats and one call per cell in
+// ndjson, which is all that makes it stream.
 // Identify reads the same rows for a routing layer in front of the service
 // (internal/fleet), which therefore spells no path, body shape or limit of
 // its own.
@@ -133,7 +136,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -242,7 +244,7 @@ func (s *Server) dispatcher(rt route, requests *atomic.Uint64) http.HandlerFunc 
 // dispatch runs one request through its row: method check, the protection
 // layer (before any parsing, so a shed request costs nothing), the declared
 // query parameters, the body limit, then either the row's plain answer or
-// its parse step followed by serve. A returned error is the response.
+// its parse step followed by answer. A returned error is the response.
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rt route) *apiError {
 	if r.Method != rt.method {
 		w.Header().Set("Allow", rt.method)
@@ -266,14 +268,11 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rt route) *api
 		rt.plain(s, w, r)
 		return nil
 	}
-	if rt.stream != nil && opts.format == stack.FormatNDJSON {
-		return rt.stream(s, w, r, opts)
-	}
-	c, aerr := rt.parse(s, r, opts)
+	calls, aerr := rt.parse(s, r, opts)
 	if aerr != nil {
 		return aerr
 	}
-	return s.serve(w, r, opts.format, c)
+	return s.answer(w, r, opts.format, calls)
 }
 
 // statusWriter captures the response code for metrics.
@@ -319,9 +318,22 @@ func (s *Server) simContext(r *http.Request) (context.Context, context.CancelFun
 // configuration is shared by every request, and the engine only reads it.
 func (s *Server) modeConfig(m sim.Mode) *sim.Config { return &s.modes[m] }
 
-// call is the engine call of one request: what a row's parse step returns
-// and serve runs. It answers the document to encode.
+// call is one engine call. It answers the document to encode.
 type call func(context.Context) (stack.Document, error)
+
+// labelled is one call of a request, as its row's parse step returns it:
+// the label its errors are prefixed with (a streamed sweep's cell i is
+// cellLabel(i); every other call has none), and beside it the call's
+// answer once answer has detached it.
+type labelled struct {
+	call  call
+	label string
+	res   result
+	ch    <-chan result // a miss's pending answer
+}
+
+// one is the calls of a row that makes one unlabelled call.
+func one(c call) []labelled { return []labelled{{call: c}} }
 
 // result is one engine call's answer.
 type result struct {
@@ -371,29 +383,6 @@ func wait(ctx context.Context, ch <-chan result) (stack.Document, error) {
 	return r.doc, r.err
 }
 
-// serve is the tail of every simulating endpoint, after its parse step: the
-// engine call, detached, and for a miss the wait under the request's
-// simulation deadline; one error mapping; the negotiated Content-Type; the
-// one encoder. The encoder renders the whole body before writing any of it,
-// so a document it cannot encode (a NaN in a JSON body) answers the 500
-// envelope, not an empty 200.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, f stack.Format, c call) *apiError {
-	res, ch := detached(c)
-	if ch != nil {
-		ctx, cancel := s.simContext(r)
-		defer cancel()
-		res.doc, res.err = wait(ctx, ch)
-	}
-	if res.err != nil {
-		return s.simAPIError(res.err)
-	}
-	w.Header().Set("Content-Type", f.ContentType())
-	if err := stack.EncodeDocument(w, f, res.doc); err != nil {
-		return encodeFailed(f, err)
-	}
-	return nil
-}
-
 // encodeFailed is the 500 answering a document the encoder refused.
 func encodeFailed(f stack.Format, err error) *apiError {
 	return &apiError{Status: http.StatusInternalServerError, Code: codeEncodeFailed,
@@ -433,67 +422,58 @@ func (s *Server) seriesCall(opts requestOptions, cell exp.Cell, count int) call 
 	}
 }
 
-// streamSweep answers an NDJSON sweep as a stream: one compact ReportRow
-// line per cell, in the declared cell order, through stream.
-func streamSweep(s *Server, w http.ResponseWriter, r *http.Request, opts requestOptions) *apiError {
-	cells, aerr := parseSweep(r)
-	if aerr != nil {
-		return aerr
-	}
-	calls := make([]call, len(cells))
-	for i, c := range cells {
-		calls[i] = s.cellsCall(opts, c)
-	}
-	return s.stream(w, r, calls)
-}
-
-// stream answers calls as one NDJSON stream, each call's document in
-// order. Every call is detached, and the calls the memo misses wait under
-// the request's one deadline, built only when a call misses. So large
-// batches start answering with their first completed rows instead of
-// buffering the whole sweep, and a timeout still leaves the finished work in
-// the cache. Rows already answered are written together and flushed onto
-// the wire only when the handler must wait for the next one. A failure — a
-// call's error or a document the encoder refuses — before the first row is
-// the normal error response; after rows are on the wire the status is
-// already 200, so the envelope becomes the terminating line of the stream —
-// NDJSON consumers must treat a line with an "error" key as a failed tail.
-func (s *Server) stream(w http.ResponseWriter, r *http.Request, calls []call) *apiError {
-	answered := make([]result, len(calls))
-	pending := make([]<-chan result, len(calls))
-	for i, c := range calls {
-		answered[i], pending[i] = detached(c)
+// answer is the tail of every simulating row, after its parse step: it
+// writes the calls' documents in order, in the negotiated format f. Every
+// call is detached, and the calls the memo misses wait under the request's
+// one simulation deadline, built only when a call misses. Documents
+// already answered are written together and flushed onto the wire only
+// when the handler must wait for the next one, so a large streamed sweep
+// starts answering with its first completed rows, and a timeout still
+// leaves the finished work in the memo. A failure — a call's error, or a
+// document the encoder refuses (it renders a whole body before writing any
+// of it) — carries the call's label. Before anything is written it is the
+// normal error response; after rows are on the wire the status is already
+// 200, so the envelope becomes the terminating line of the stream — NDJSON
+// consumers must treat a line with an "error" key as a failed tail. Only a
+// streamed sweep makes more than one call.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, f stack.Format, calls []labelled) *apiError {
+	missed := false
+	for i := range calls {
+		c := &calls[i]
+		c.res, c.ch = detached(c.call)
+		missed = missed || c.ch != nil
 	}
 	ctx := r.Context()
-	if slices.ContainsFunc(pending, func(ch <-chan result) bool { return ch != nil }) {
+	if missed {
 		var cancel context.CancelFunc
 		ctx, cancel = s.simContext(r)
 		defer cancel()
 	}
 	flusher, _ := w.(http.Flusher)
 	wrote := false
-	for i, ch := range pending {
-		doc, err := answered[i].doc, answered[i].err
-		if ch != nil {
-			if len(ch) == 0 && wrote && flusher != nil {
+	for i := range calls {
+		c := &calls[i]
+		if c.ch != nil {
+			if len(c.ch) == 0 && wrote && flusher != nil {
 				flusher.Flush()
 			}
-			doc, err = wait(ctx, ch)
+			c.res.doc, c.res.err = wait(ctx, c.ch)
 		}
 		var ae *apiError
-		if err != nil {
-			ae = s.simAPIError(err)
+		if c.res.err != nil {
+			ae = s.simAPIError(c.res.err)
 		} else {
 			if !wrote {
-				w.Header().Set("Content-Type", stack.FormatNDJSON.ContentType())
+				w.Header().Set("Content-Type", f.ContentType())
 			}
-			if err = stack.EncodeDocument(w, stack.FormatNDJSON, doc); err == nil {
+			err := stack.EncodeDocument(w, f, c.res.doc)
+			if err == nil {
 				wrote = true
 				continue
 			}
-			ae = encodeFailed(stack.FormatNDJSON, err)
+			ae = encodeFailed(f, err)
 		}
-		ae.Message = fmt.Sprintf("cell %d: %s", i, ae.Message)
+		ae.within(c.label)
 		if !wrote {
 			return ae
 		}

@@ -2,14 +2,11 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/trace"
@@ -208,67 +205,5 @@ func TestTraceSyncViolationRefused(t *testing.T) {
 	}
 	if w := get(t, h, "/v1/stack?bench="+testBench+"&threads=2"); w.Code != http.StatusOK {
 		t.Errorf("server stopped serving: status %d, body %s", w.Code, w.Body)
-	}
-}
-
-// TestServeEncodeFailure pins serve's answer to a document the encoder
-// refuses (a zero-cycle stack's NaN values in a JSON body): the 500
-// envelope, with nothing written before it.
-func TestServeEncodeFailure(t *testing.T) {
-	s, _ := newTestServer(t)
-	nan := func(context.Context) (stack.Document, error) {
-		return stack.Bars{{Label: "zero", Stack: core.Stack{N: 2}}}, nil
-	}
-	for _, f := range []stack.Format{stack.FormatJSON, stack.FormatNDJSON} {
-		w := httptest.NewRecorder()
-		aerr := s.serve(w, httptest.NewRequest(http.MethodGet, "/v1/stack", nil), f, nan)
-		if aerr == nil || aerr.Status != http.StatusInternalServerError || aerr.Code != codeEncodeFailed {
-			t.Errorf("%s: serve answered %+v, want a 500 %s", f, aerr, codeEncodeFailed)
-		}
-		if w.Body.Len() != 0 {
-			t.Errorf("%s: %d body bytes written before the failure", f, w.Body.Len())
-		}
-	}
-}
-
-// TestStreamEncodeFailure pins a streamed sweep's answer to a row the
-// encoder refuses. As the first row it is serve's 500 envelope, with nothing
-// written; after a row is on the wire the stream ends with the envelope
-// line, as a failed cell's does, so the reply reads as a short one
-// (Partial) and not as a complete 200 one row short.
-func TestStreamEncodeFailure(t *testing.T) {
-	s, _ := newTestServer(t)
-	good := stack.Bars{{Label: "one", Stack: core.Stack{N: 2, Tp: 100}}}
-	ok := func(context.Context) (stack.Document, error) { return good, nil }
-	nan := func(context.Context) (stack.Document, error) {
-		return stack.Bars{{Label: "zero", Stack: core.Stack{N: 2}}}, nil
-	}
-	req := httptest.NewRequest(http.MethodPost, "/v1/sweep?format=ndjson", nil)
-
-	w := httptest.NewRecorder()
-	if aerr := s.stream(w, req, []call{nan, ok}); aerr == nil || aerr.Status != http.StatusInternalServerError ||
-		aerr.Code != codeEncodeFailed {
-		t.Errorf("failing first row: stream answered %+v, want a 500 %s", aerr, codeEncodeFailed)
-	}
-	if w.Body.Len() != 0 {
-		t.Errorf("failing first row: %d body bytes written before the failure", w.Body.Len())
-	}
-
-	w = httptest.NewRecorder()
-	if aerr := s.stream(w, req, []call{ok, nan, ok}); aerr != nil {
-		t.Fatalf("failing second row: stream answered %+v after a row was written", aerr)
-	}
-	row, _ := json.Marshal(stack.Row(good[0]))
-	lines := strings.SplitAfter(w.Body.String(), "\n")
-	if w.Code != http.StatusOK || len(lines) != 3 || lines[0] != string(row)+"\n" || lines[2] != "" {
-		t.Fatalf("failing second row: status %d, body %q, want 200 with one row and one error line", w.Code, w.Body)
-	}
-	var env ErrorEnvelope
-	if err := json.Unmarshal([]byte(lines[1]), &env); err != nil || env.Error.Code != codeEncodeFailed ||
-		!strings.HasPrefix(env.Error.Message, "cell 1: ") {
-		t.Errorf("failing second row: last line %q (%v), want the cell 1 %s envelope", lines[1], err, codeEncodeFailed)
-	}
-	if !Partial(w.Body.Bytes()) {
-		t.Error("a stream ended by an encode failure does not read as Partial")
 	}
 }

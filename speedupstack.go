@@ -37,7 +37,6 @@ package speedupstack
 import (
 	"context"
 	"io"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -125,10 +124,10 @@ func (r Request) request() exp.Request {
 	return req
 }
 
-// newEngine returns the all-CPU default-machine engine every entry point
-// runs on.
+// newEngine returns the default-machine engine, on exp's default worker
+// pool, that every entry point runs on.
 func newEngine() *exp.Engine {
-	return exp.NewEngine(sim.Default(), exp.WithWorkers(runtime.NumCPU()))
+	return exp.NewEngine(sim.Default())
 }
 
 // Measure runs the request's workload plus its single-threaded reference
@@ -148,15 +147,9 @@ func Measure(ctx context.Context, r Request) (Result, error) {
 // malformed request fails the batch before anything runs; canceling ctx
 // aborts the remaining simulations promptly.
 func MeasureAll(ctx context.Context, rs []Request) ([]Result, error) {
-	// Do prefixes a refusal with the cell's batch index; judging each
-	// request first with the engine's exp.Cell.Resolve keeps the text every
-	// other door gives.
 	reqs := make([]exp.Request, len(rs))
 	for i, r := range rs {
 		reqs[i] = r.request()
-		if _, err := reqs[i].Resolve(); err != nil {
-			return nil, err
-		}
 	}
 	outs, err := newEngine().Do(ctx, reqs)
 	if err != nil {
