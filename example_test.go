@@ -82,3 +82,34 @@ func ExampleMeasureIntervals() {
 	// Output:
 	// 6 intervals over 411196 ops; exact sum: true
 }
+
+// ExampleFormats lists every report format Encode writes; each name is
+// what ParseFormat, speedup-stack's -format and speedupd's ?format= take.
+func ExampleFormats() {
+	for _, f := range speedupstack.Formats() {
+		if _, err := speedupstack.ParseFormat(string(f)); err != nil {
+			panic(err)
+		}
+		fmt.Println(f)
+	}
+	// Output:
+	// text
+	// json
+	// ndjson
+	// csv
+	// svg
+}
+
+// ExampleInterventions lists the what-if catalog: each ID selects that
+// intervention in WhatIf, and Component names the stack component whose
+// cost it scales.
+func ExampleInterventions() {
+	for _, iv := range speedupstack.Interventions() {
+		fmt.Printf("%-17s %-9s %s\n", iv.ID, iv.Component, iv.Summary)
+	}
+	// Output:
+	// halve_lock_hold   spinning  halve the lock hold time (cs_instr / dispatch_instr)
+	// remove_imbalance  yielding  remove work imbalance (balance the per-thread shares)
+	// double_llc        cache     double the shared LLC capacity
+	// halve_mem_latency memory    halve the DRAM latency and bus occupancy
+}

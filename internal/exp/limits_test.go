@@ -41,11 +41,10 @@ func TestLimitFences(t *testing.T) {
 			cache.NewHierarchy(n, cfg.L1, cfg.LLC)
 			return nil
 		}},
-		{"trace.File.CheckHeader threads", trace.MaxThreads,
-			func(n int) error { return (&trace.File{Threads: make([][]trace.Op, n)}).CheckHeader() }},
-		{"trace.File.CheckHeader queue capacity", trace.MaxQueueCap, func(n int) error {
-			f := trace.File{Threads: make([][]trace.Op, 1), Queues: []trace.QueueReg{{Cap: n}}}
-			return f.CheckHeader()
+		{"trace.Header.Check threads", trace.MaxThreads,
+			func(n int) error { return trace.Header{}.Check(n) }},
+		{"trace.Header.Check queue capacity", trace.MaxQueueCap, func(n int) error {
+			return trace.Header{Queues: []trace.QueueReg{{Cap: n}}}.Check(1)
 		}},
 		{"workload.Spec.Validate queue_cap", trace.MaxQueueCap, func(n int) error {
 			s := pipeline

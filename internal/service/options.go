@@ -70,7 +70,6 @@ type requestOptions struct {
 	intervals  int
 	maxThreads int
 	mode       sim.Mode
-	cores      int
 }
 
 // identity renders the parsed options as the request's canonical option
@@ -88,7 +87,7 @@ func (o requestOptions) identity() string {
 	b = append(b, o.format...)
 	b = append(b, ' ')
 	b = append(b, o.cell.Bench...)
-	for _, n := range [...]int{o.cell.Threads, cores, o.intervals, o.maxThreads, int(o.mode), o.cores} {
+	for _, n := range [...]int{o.cell.Threads, cores, o.intervals, o.maxThreads, int(o.mode)} {
 		b = strconv.AppendInt(append(b, ' '), int64(n), 10)
 	}
 	return string(b)
@@ -178,7 +177,7 @@ func (rt *route) parseOptions(q url.Values, accept string) (requestOptions, *api
 			if err != nil {
 				return requestOptions{}, badRequest("bad cores %q: %v", s, err)
 			}
-			opts.cores = n
+			opts.cell.Cores = n
 		}
 	}
 	return opts, nil

@@ -282,7 +282,7 @@ func parseTraceAnalyze(s *Server, r *http.Request, opts requestOptions) ([]label
 		return nil, badRequest("bad trace: %v", err)
 	}
 	spec := workload.TraceSpec(td)
-	cell, err := checkCell(exp.Cell{Spec: &spec, Threads: spec.TraceThreads(), Cores: opts.cores})
+	cell, err := checkCell(exp.Cell{Spec: &spec, Threads: spec.TraceThreads(), Cores: opts.cell.Cores})
 	if err != nil {
 		return nil, asAPIError(err)
 	}

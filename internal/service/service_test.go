@@ -456,8 +456,18 @@ func TestSimTimeoutDetaches(t *testing.T) {
 				t.Fatalf("patient server: status %d (%s)", want.Code, want.Body)
 			}
 
-			e := exp.NewEngine(sim.Default(), exp.WithWorkers(1))
-			if w := do(e, time.Nanosecond); w.Code != http.StatusGatewayTimeout || !strings.Contains(w.Body.String(), codeSimTimeout) {
+			// The first simulation (on the engine's one worker, so every
+			// other waits behind it) is held until the 504 has been seen: a
+			// cheap cell must not finish before the handler waits for it.
+			release := make(chan struct{})
+			var once sync.Once
+			e := exp.NewEngine(sim.Default(), exp.WithWorkers(1),
+				exp.WithRunHook(func(kind, bench string, threads, cores int) {
+					once.Do(func() { <-release })
+				}))
+			w := do(e, time.Nanosecond)
+			close(release)
+			if w.Code != http.StatusGatewayTimeout || !strings.Contains(w.Body.String(), codeSimTimeout) {
 				t.Fatalf("status %d, want 504 %s (%s)", w.Code, codeSimTimeout, w.Body)
 			}
 			deadline := time.Now().Add(30 * time.Second)

@@ -180,27 +180,36 @@ func TestTraceZeroWorkRefused(t *testing.T) {
 }
 
 // TestTraceSyncViolationRefused pins the answer to an upload whose ops no
-// run can have recorded — here an Unlock of a lock the thread never took, in
-// a thread stream and in the sequential stream. The replay used to panic in
-// an engine goroutine and take the process down; now each answers 400
-// invalid_argument and the server keeps serving.
+// run can have recorded — an Unlock of a lock the thread never took, and a
+// Push to a queue the stream has closed, each in a thread stream and in
+// the sequential stream. The replay used to panic in an engine goroutine
+// and take the process down; now each answers 400 invalid_argument naming
+// the violation and the server keeps serving.
 func TestTraceSyncViolationRefused(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
-	bad := []trace.Op{trace.Compute(10), trace.Unlock(1), trace.End()}
+	unlock := []trace.Op{trace.Compute(10), trace.Unlock(1), trace.End()}
+	push := []trace.Op{trace.Compute(10), trace.CloseQueue(0), trace.Push(0), trace.End()}
 	good := []trace.Op{trace.Compute(10), trace.End()}
-	for name, f := range map[string]trace.File{
-		"thread stream":     {Sequential: []trace.Op{trace.Compute(20), trace.End()}, Threads: [][]trace.Op{bad, good}},
-		"sequential stream": {Sequential: bad, Threads: [][]trace.Op{good, good}},
+	seq := []trace.Op{trace.Compute(20), trace.End()}
+	queue := trace.Header{Queues: []trace.QueueReg{{ID: 0, Cap: 4}}}
+	for _, tc := range []struct {
+		name, want string
+		f          trace.File
+	}{
+		{"unlock in thread stream", "Release of unheld lock", trace.File{Sequential: seq, Threads: [][]trace.Op{unlock, good}}},
+		{"unlock in sequential stream", "Release of unheld lock", trace.File{Sequential: unlock, Threads: [][]trace.Op{good, good}}},
+		{"push in thread stream", "Push on closed queue", trace.File{Header: queue, Sequential: seq, Threads: [][]trace.Op{push, good}}},
+		{"push in sequential stream", "Push on closed queue", trace.File{Header: queue, Sequential: push, Threads: [][]trace.Op{good, good}}},
 	} {
 		var buf bytes.Buffer
-		if err := f.Encode(&buf); err != nil {
-			t.Fatalf("%s: Encode: %v", name, err)
+		if err := tc.f.Encode(&buf); err != nil {
+			t.Fatalf("%s: Encode: %v", tc.name, err)
 		}
 		w := post(t, h, "/v1/traces/analyze", buf.String())
 		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"invalid_argument"`) ||
-			!strings.Contains(w.Body.String(), "Release of unheld lock") {
-			t.Errorf("%s: status %d, body %s", name, w.Code, w.Body)
+			!strings.Contains(w.Body.String(), tc.want) {
+			t.Errorf("%s: status %d, body %s", tc.name, w.Code, w.Body)
 		}
 	}
 	if w := get(t, h, "/v1/stack?bench="+testBench+"&threads=2"); w.Code != http.StatusOK {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 )
 
@@ -54,11 +55,11 @@ const (
 	headOverhead = 1 << 5
 )
 
-// Header bounds of the format, shared by Decode and File.CheckHeader: the
-// label's length in bytes, each registration list's length, the thread
-// count (and a barrier's parties), a queue's capacity, and the grace
-// overrides in cycles, which the workload spec takes as its own bound so a
-// decoded trace always builds a valid replay spec.
+// Header bounds of the format, judged by Header.Check: the label's length
+// in bytes, each registration list's length, the thread count (and a
+// barrier's parties), a queue's capacity, and the grace overrides in
+// cycles, which the workload spec takes as its own bound so a decoded trace
+// always builds a valid replay spec.
 const (
 	MaxLabelLen = 256
 	MaxRegs     = 1 << 16
@@ -79,10 +80,9 @@ type BarrierReg struct {
 	Parties int
 }
 
-// File is a recorded trace in memory, ready to encode. Build one from
-// Recorder output (the workload package's Record helper does) and write it
-// with Encode; read one back with Decode.
-type File struct {
+// Header is everything a trace records besides its op streams: the one
+// view File, Data and Meta share.
+type Header struct {
 	// Label names the recording (reports, logs). It is excluded from the
 	// content hash: relabeling never changes replay identity.
 	Label string
@@ -93,6 +93,43 @@ type File struct {
 	// was simulated with; replay re-creates them verbatim.
 	Queues   []QueueReg
 	Barriers []BarrierReg
+}
+
+// Check refuses a header of a trace with the given thread count outside
+// the bounds above. It is the one judge of a header value: Encode and
+// workload.Record run it before they write or simulate, and Decode and
+// DecodeMeta as soon as the header is read.
+func (h Header) Check(threads int) error {
+	if threads < 1 || threads > MaxThreads {
+		return fmt.Errorf("trace: thread count must be in [1, %d], got %d", MaxThreads, threads)
+	}
+	if len(h.Label) > MaxLabelLen {
+		return fmt.Errorf("trace: label length %d exceeds %d", len(h.Label), MaxLabelLen)
+	}
+	if len(h.Queues) > MaxRegs || len(h.Barriers) > MaxRegs {
+		return fmt.Errorf("trace: at most %d queue and %d barrier registrations", MaxRegs, MaxRegs)
+	}
+	for _, q := range h.Queues {
+		if q.Cap < 0 || q.Cap > MaxQueueCap {
+			return fmt.Errorf("trace: queue %d capacity must be in [0, %d], got %d", q.ID, MaxQueueCap, q.Cap)
+		}
+	}
+	for _, b := range h.Barriers {
+		if b.Parties < 0 || b.Parties > MaxThreads {
+			return fmt.Errorf("trace: barrier %d parties must be in [0, %d], got %d", b.ID, MaxThreads, b.Parties)
+		}
+	}
+	if h.LockGrace > MaxGrace || h.BarrierGrace > MaxGrace {
+		return fmt.Errorf("trace: grace values must be <= %d cycles", uint64(MaxGrace))
+	}
+	return nil
+}
+
+// File is a recorded trace in memory, ready to encode. Build one from
+// Recorder output (the workload package's Record helper does) and write it
+// with Encode; read one back with Decode.
+type File struct {
+	Header
 	// Sequential is the single-threaded reference stream (optional; a
 	// trace without one can replay its parallel run but not produce a
 	// speedup stack, which needs the sequential time).
@@ -102,8 +139,8 @@ type File struct {
 }
 
 // Encode writes the file in binary form. It fails on every shape Decode
-// refuses — a header CheckHeader refuses, a malformed op stream, or no
-// thread op doing work — so every encoded trace round-trips.
+// refuses — a header Check refuses, a malformed op stream, or no thread op
+// doing work — so every encoded trace round-trips.
 func (f *File) Encode(w io.Writer) error {
 	buf, err := f.appendTo(nil)
 	if err != nil {
@@ -113,39 +150,10 @@ func (f *File) Encode(w io.Writer) error {
 	return err
 }
 
-// CheckHeader refuses every header Decode refuses, by the bounds above. It
-// reads the op streams only for their count, so a recorder can run it
-// before it records an op.
-func (f *File) CheckHeader() error {
-	if len(f.Threads) < 1 || len(f.Threads) > MaxThreads {
-		return fmt.Errorf("trace: thread count must be in [1, %d], got %d", MaxThreads, len(f.Threads))
-	}
-	if len(f.Label) > MaxLabelLen {
-		return fmt.Errorf("trace: label length %d exceeds %d", len(f.Label), MaxLabelLen)
-	}
-	if len(f.Queues) > MaxRegs || len(f.Barriers) > MaxRegs {
-		return fmt.Errorf("trace: at most %d queue and %d barrier registrations", MaxRegs, MaxRegs)
-	}
-	for _, q := range f.Queues {
-		if q.Cap < 0 || q.Cap > MaxQueueCap {
-			return fmt.Errorf("trace: queue %d capacity must be in [0, %d], got %d", q.ID, MaxQueueCap, q.Cap)
-		}
-	}
-	for _, b := range f.Barriers {
-		if b.Parties < 0 || b.Parties > MaxThreads {
-			return fmt.Errorf("trace: barrier %d parties must be in [0, %d], got %d", b.ID, MaxThreads, b.Parties)
-		}
-	}
-	if f.LockGrace > MaxGrace || f.BarrierGrace > MaxGrace {
-		return fmt.Errorf("trace: grace values must be <= %d cycles", uint64(MaxGrace))
-	}
-	return nil
-}
-
-// appendTo appends the encoded file to dst once CheckHeader and the work
-// rule pass.
+// appendTo appends the encoded file to dst once Check and the work rule
+// pass.
 func (f *File) appendTo(dst []byte) ([]byte, error) {
-	if err := f.CheckHeader(); err != nil {
+	if err := f.Check(len(f.Threads)); err != nil {
 		return nil, err
 	}
 	if !slices.ContainsFunc(f.Threads, func(ops []Op) bool { return slices.ContainsFunc(ops, Op.works) }) {
@@ -259,23 +267,17 @@ func appendOp(dst []byte, op Op) []byte {
 // immutable after Decode and safe for concurrent use; every reader it
 // creates has independent position state.
 type Data struct {
-	label                   string
-	lockGrace, barrierGrace uint64
-	queues                  []QueueReg
-	barriers                []BarrierReg
-	seq                     []byte
-	threads                 [][]byte
-	totalOps                uint64
-	hash                    [sha256.Size]byte
+	hdr      Header
+	seq      []byte
+	threads  [][]byte
+	totalOps uint64
+	hash     [sha256.Size]byte
 }
 
 // Meta is the cheap header view of a trace: everything identity and routing
 // need, parsed without validating the op sections. DecodeMeta produces it.
 type Meta struct {
-	// Label is the recorded name.
-	Label string
-	// LockGrace and BarrierGrace are the recorded grace overrides.
-	LockGrace, BarrierGrace uint64
+	Header
 	// Threads is the recorded thread count.
 	Threads int
 	// HashHex is the lowercase-hex content hash (the replay identity).
@@ -311,9 +313,10 @@ func (d *decoder) bytes(n uint64, what string) ([]byte, error) {
 	return out, nil
 }
 
-// header parses magic through thread count, returning the partially filled
-// Data and the offset where hashing of the tail begins (just after the
-// label). Shared by Decode and DecodeMeta.
+// header parses magic through thread count and judges the header with
+// Check, returning the partially filled Data and the decoder positioned at
+// the first section. The content hash covers everything after the label.
+// Shared by Decode and DecodeMeta.
 func header(data []byte) (*Data, *decoder, error) {
 	if len(data) < 6 {
 		return nil, nil, fmt.Errorf("trace: %d bytes is shorter than the %d-byte header", len(data), 6)
@@ -333,35 +336,29 @@ func header(data []byte) (*Data, *decoder, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if labelLen > MaxLabelLen {
-		return nil, nil, fmt.Errorf("trace: label length %d exceeds %d", labelLen, MaxLabelLen)
-	}
 	label, err := d.bytes(labelLen, "label")
 	if err != nil {
 		return nil, nil, err
 	}
-	t := &Data{label: string(label)}
+	t := &Data{hdr: Header{Label: string(label)}}
 
 	h := sha256.New()
 	h.Write(data[4:6])
 	h.Write(data[d.pos:])
 	h.Sum(t.hash[:0])
 
-	if t.lockGrace, err = d.uvarint("lock_grace"); err != nil {
+	if t.hdr.LockGrace, err = d.uvarint("lock_grace"); err != nil {
 		return nil, nil, err
 	}
-	if t.barrierGrace, err = d.uvarint("barrier_grace"); err != nil {
+	if t.hdr.BarrierGrace, err = d.uvarint("barrier_grace"); err != nil {
 		return nil, nil, err
 	}
-	if t.lockGrace > MaxGrace || t.barrierGrace > MaxGrace {
-		return nil, nil, fmt.Errorf("trace: grace values must be <= %d cycles", uint64(MaxGrace))
-	}
-	t.queues, err = decodeRegs(d, "queue", "capacity", "cap", MaxQueueCap,
+	t.hdr.Queues, err = decodeRegs(d, "queue", "capacity",
 		func(id uint32, v int) QueueReg { return QueueReg{ID: id, Cap: v} })
 	if err != nil {
 		return nil, nil, err
 	}
-	t.barriers, err = decodeRegs(d, "barrier", "parties", "parties", MaxThreads,
+	t.hdr.Barriers, err = decodeRegs(d, "barrier", "parties",
 		func(id uint32, v int) BarrierReg { return BarrierReg{ID: id, Parties: v} })
 	if err != nil {
 		return nil, nil, err
@@ -370,8 +367,8 @@ func header(data []byte) (*Data, *decoder, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if threads < 1 || threads > MaxThreads {
-		return nil, nil, fmt.Errorf("trace: thread count must be in [1, %d], got %d", MaxThreads, threads)
+	if err := t.hdr.Check(saturatingInt(threads)); err != nil {
+		return nil, nil, err
 	}
 	t.threads = make([][]byte, threads)
 	if flags&flagSequential != 0 {
@@ -380,10 +377,15 @@ func header(data []byte) (*Data, *decoder, error) {
 	return t, d, nil
 }
 
+// saturatingInt converts a decoded value to int, so a value past any bound
+// Check judges stays past it on every platform.
+func saturatingInt(v uint64) int { return int(min(v, math.MaxInt)) }
+
 // decodeRegs reads one registration list: a count, then that many
-// (id, value) pairs, each value at most maxVal. kind, field and short name
-// the list in positioned errors ("queue", "capacity", "cap").
-func decodeRegs[R any](d *decoder, kind, field, short string, maxVal uint64, reg func(id uint32, v int) R) ([]R, error) {
+// (id, value) pairs. kind and field name the list in positioned errors
+// ("queue", "capacity"). Only the count is judged here, to bound the
+// allocation; the values are Check's to judge.
+func decodeRegs[R any](d *decoder, kind, field string, reg func(id uint32, v int) R) ([]R, error) {
 	n, err := d.uvarint(kind + " count")
 	if err != nil {
 		return nil, err
@@ -404,10 +406,10 @@ func decodeRegs[R any](d *decoder, kind, field, short string, maxVal uint64, reg
 		if err != nil {
 			return nil, err
 		}
-		if id > 1<<32-1 || v > maxVal {
-			return nil, fmt.Errorf("trace: %s registration %d out of range (id %d, %s %d)", kind, i, id, short, v)
+		if id > 1<<32-1 {
+			return nil, fmt.Errorf("trace: %s registration %d id %d overflows uint32", kind, i, id)
 		}
-		regs[i] = reg(uint32(id), int(v))
+		regs[i] = reg(uint32(id), saturatingInt(v))
 	}
 	return regs, nil
 }
@@ -445,7 +447,7 @@ func Decode(data []byte) (*Data, error) {
 	return t, nil
 }
 
-// DecodeMeta parses just the trace header — label, graces, thread count,
+// DecodeMeta parses just the trace header — the Header, thread count and
 // content hash — without validating the op sections. It is the cheap
 // routing view: the fleet layer homes a multi-megabyte upload from its
 // Meta alone, leaving full validation to the home node's service.
@@ -454,13 +456,7 @@ func DecodeMeta(data []byte) (Meta, error) {
 	if err != nil {
 		return Meta{}, err
 	}
-	return Meta{
-		Label:        t.label,
-		LockGrace:    t.lockGrace,
-		BarrierGrace: t.barrierGrace,
-		Threads:      len(t.threads),
-		HashHex:      t.HashHex(),
-	}, nil
+	return Meta{Header: t.hdr, Threads: len(t.threads), HashHex: t.HashHex()}, nil
 }
 
 // decodeSection validates one op-stream section and returns its encoded
@@ -561,23 +557,16 @@ func decodeOp(d *decoder, op *Op) error {
 	return nil
 }
 
-// Label returns the recorded name (may be empty).
-func (t *Data) Label() string { return t.label }
+// Header returns a copy of the recorded header, registrations included,
+// so no caller can change the Data.
+func (t *Data) Header() Header {
+	h := t.hdr
+	h.Queues, h.Barriers = slices.Clone(h.Queues), slices.Clone(h.Barriers)
+	return h
+}
 
 // Threads returns the recorded thread count.
 func (t *Data) Threads() int { return len(t.threads) }
-
-// LockGrace returns the recorded lock spin-grace override (0 = default).
-func (t *Data) LockGrace() uint64 { return t.lockGrace }
-
-// BarrierGrace returns the recorded barrier spin-grace override.
-func (t *Data) BarrierGrace() uint64 { return t.barrierGrace }
-
-// Queues returns the recorded bounded-queue registrations.
-func (t *Data) Queues() []QueueReg { return append([]QueueReg(nil), t.queues...) }
-
-// Barriers returns the recorded barrier registrations.
-func (t *Data) Barriers() []BarrierReg { return append([]BarrierReg(nil), t.barriers...) }
 
 // TotalOps returns the total recorded op count across every stream.
 func (t *Data) TotalOps() uint64 { return t.totalOps }

@@ -30,13 +30,15 @@ func sampleOps() []Op {
 
 func sampleFile() *File {
 	return &File{
-		Label:        "sample_workload",
-		LockGrace:    1 << 40,
-		BarrierGrace: 1500,
-		Queues:       []QueueReg{{ID: 0, Cap: 16}, {ID: 1, Cap: 1}},
-		Barriers:     []BarrierReg{{ID: 2000, Parties: 1}, {ID: 2001, Parties: 3}},
-		Sequential:   []Op{Compute(10), Load(64, 1), End()},
-		Threads:      [][]Op{sampleOps(), {Compute(5), End()}},
+		Header: Header{
+			Label:        "sample_workload",
+			LockGrace:    1 << 40,
+			BarrierGrace: 1500,
+			Queues:       []QueueReg{{ID: 0, Cap: 16}, {ID: 1, Cap: 1}},
+			Barriers:     []BarrierReg{{ID: 2000, Parties: 1}, {ID: 2001, Parties: 3}},
+		},
+		Sequential: []Op{Compute(10), Load(64, 1), End()},
+		Threads:    [][]Op{sampleOps(), {Compute(5), End()}},
 	}
 }
 
@@ -83,14 +85,15 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
-	if d.Label() != f.Label || d.Threads() != 2 {
-		t.Fatalf("header mismatch: label %q threads %d", d.Label(), d.Threads())
+	h := d.Header()
+	if h.Label != f.Label || d.Threads() != 2 {
+		t.Fatalf("header mismatch: label %q threads %d", h.Label, d.Threads())
 	}
-	if d.LockGrace() != f.LockGrace || d.BarrierGrace() != f.BarrierGrace {
-		t.Fatalf("grace mismatch: %d/%d", d.LockGrace(), d.BarrierGrace())
+	if h.LockGrace != f.LockGrace || h.BarrierGrace != f.BarrierGrace {
+		t.Fatalf("grace mismatch: %d/%d", h.LockGrace, h.BarrierGrace)
 	}
-	if !reflect.DeepEqual(d.Queues(), f.Queues) || !reflect.DeepEqual(d.Barriers(), f.Barriers) {
-		t.Fatalf("registration mismatch: %v %v", d.Queues(), d.Barriers())
+	if !reflect.DeepEqual(h.Queues, f.Queues) || !reflect.DeepEqual(h.Barriers, f.Barriers) {
+		t.Fatalf("registration mismatch: %v %v", h.Queues, h.Barriers)
 	}
 	wantOps := uint64(len(f.Sequential) + len(f.Threads[0]) + len(f.Threads[1]))
 	if d.TotalOps() != wantOps {
@@ -154,9 +157,8 @@ func TestDecodeMetaMatchesDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Meta{Label: d.Label(), LockGrace: d.LockGrace(), BarrierGrace: d.BarrierGrace(),
-		Threads: d.Threads(), HashHex: d.HashHex()}
-	if m != want {
+	want := Meta{Header: d.Header(), Threads: d.Threads(), HashHex: d.HashHex()}
+	if !reflect.DeepEqual(m, want) {
 		t.Fatalf("DecodeMeta = %+v, want %+v", m, want)
 	}
 }
@@ -267,9 +269,8 @@ func FuzzTraceDecode(f *testing.F) {
 func TestEncodeHeaderBounds(t *testing.T) {
 	file := func(cap, parties int) *File {
 		return &File{
-			Queues:   []QueueReg{{ID: 0, Cap: cap}},
-			Barriers: []BarrierReg{{ID: 2000, Parties: parties}},
-			Threads:  [][]Op{{Compute(1), End()}},
+			Header:  Header{Queues: []QueueReg{{ID: 0, Cap: cap}}, Barriers: []BarrierReg{{ID: 2000, Parties: parties}}},
+			Threads: [][]Op{{Compute(1), End()}},
 		}
 	}
 	for _, tc := range []struct {
@@ -298,8 +299,8 @@ func TestEncodeHeaderBounds(t *testing.T) {
 	}
 }
 
-// FuzzFileHeader holds File.CheckHeader to Decode: over every header field
-// — label length, graces, registration counts, queue capacities, barrier
+// FuzzFileHeader holds Header.Check to Decode: over every header field —
+// label length, graces, registration counts, queue capacities, barrier
 // parties and thread count — the check accepts a header exactly when Decode
 // accepts the same header written without it. Every stream is
 // {Compute(1), End()}, so only the header can be refused.
@@ -333,12 +334,14 @@ func FuzzFileHeader(f *testing.F) {
 		// Each count ranges just past its bound, so both sides of every
 		// rule stay reachable without huge inputs.
 		file := &File{
-			Label:        strings.Repeat("x", int(label)%(2*MaxLabelLen)),
-			LockGrace:    lockGrace,
-			BarrierGrace: barGrace,
-			Queues:       make([]QueueReg, int(queues)%(MaxRegs+2)),
-			Barriers:     make([]BarrierReg, int(barriers)%(MaxRegs+2)),
-			Threads:      make([][]Op, int(threads)%(2*MaxThreads)),
+			Header: Header{
+				Label:        strings.Repeat("x", int(label)%(2*MaxLabelLen)),
+				LockGrace:    lockGrace,
+				BarrierGrace: barGrace,
+				Queues:       make([]QueueReg, int(queues)%(MaxRegs+2)),
+				Barriers:     make([]BarrierReg, int(barriers)%(MaxRegs+2)),
+			},
+			Threads: make([][]Op, int(threads)%(2*MaxThreads)),
 		}
 		for i := range file.Queues {
 			file.Queues[i] = QueueReg{ID: uint32(i), Cap: int(queueCap)}
@@ -354,13 +357,13 @@ func FuzzFileHeader(f *testing.F) {
 			t.Fatalf("write: %v", err)
 		}
 		_, derr := Decode(unchecked)
-		cerr := file.CheckHeader()
+		cerr := file.Check(len(file.Threads))
 		if (cerr == nil) != (derr == nil) {
-			t.Fatalf("CheckHeader error %v, Decode error %v", cerr, derr)
+			t.Fatalf("Check error %v, Decode error %v", cerr, derr)
 		}
 		var buf bytes.Buffer
 		if err := file.Encode(&buf); (err == nil) != (cerr == nil) {
-			t.Fatalf("Encode error %v, CheckHeader error %v", err, cerr)
+			t.Fatalf("Encode error %v, Check error %v", err, cerr)
 		}
 		if cerr == nil && !bytes.Equal(buf.Bytes(), unchecked) {
 			t.Fatal("Encode wrote other bytes than the unchecked writer")

@@ -178,7 +178,8 @@ func (s Spec) registrations(threads int) ([]trace.QueueReg, []trace.BarrierReg) 
 		if s.traceData == nil {
 			return nil, nil
 		}
-		return s.traceData.Queues(), s.traceData.Barriers()
+		h := s.traceData.Header()
+		return h.Queues, h.Barriers
 	}
 	return nil, nil
 }

@@ -208,6 +208,22 @@ func TestKindJSONVocabulary(t *testing.T) {
 	}
 }
 
+// TestKindString pins that a kind prints as its JSON name, and that an
+// unknown kind prints its number rather than failing.
+func TestKindString(t *testing.T) {
+	for k, want := range map[Kind]string{
+		KindDataParallel: "data_parallel",
+		KindTaskQueue:    "task_queue",
+		KindPipeline:     "pipeline",
+		KindTrace:        "trace",
+		Kind(99):         "kind(99)",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind(%d).String() = %q, want %q", uint8(k), got, want)
+		}
+	}
+}
+
 func TestSuggest(t *testing.T) {
 	cases := map[string]string{
 		"choleski":        "cholesky",

@@ -16,23 +16,25 @@ import (
 // recording wrapper and emits the trace file whose replay reproduces the
 // run byte-identically.
 
-// TraceSpec builds the replay spec for a decoded trace. The spec's name is
-// the trace label (or a hash-derived placeholder for unlabeled traces), its
-// identity the trace's content hash plus the recorded sync-library graces.
+// TraceSpec builds the replay spec for a decoded trace.
 func TraceSpec(d *trace.Data) Spec {
-	name := d.Label()
-	if name == "" {
-		name = "trace_" + d.HashHex()[:12]
-	}
-	s := Spec{
-		Name:         name,
-		Kind:         KindTrace,
-		TraceHash:    d.HashHex(),
-		LockGrace:    d.LockGrace(),
-		BarrierGrace: d.BarrierGrace(),
-	}
+	s := traceSpec(d.Header(), d.HashHex())
 	s.traceData = d
 	return s
+}
+
+// traceSpec builds a trace's spec from its header and content hash: the
+// name is the label (or a hash-derived placeholder for an unlabeled trace),
+// the identity the hash plus the recorded sync-library graces. TraceSpec
+// and TraceIdentity both build through it, so a trace routes under the
+// identity it replays under.
+func traceSpec(h trace.Header, hashHex string) Spec {
+	name := h.Label
+	if name == "" {
+		name = "trace_" + hashHex[:min(12, len(hashHex))]
+	}
+	return Spec{Name: name, Kind: KindTrace, TraceHash: hashHex,
+		LockGrace: h.LockGrace, BarrierGrace: h.BarrierGrace}
 }
 
 // TraceThreads returns the thread count a trace spec was recorded at, the
@@ -48,11 +50,7 @@ func (s Spec) TraceThreads() int {
 // decoded, from its cheap header view alone: TraceIdentity(m) equals
 // TraceSpec(d).Fingerprint() whenever m describes d. The fleet router uses
 // it to home a trace upload without decoding megabytes of op streams.
-func TraceIdentity(m trace.Meta) Fingerprint {
-	s := Spec{Kind: KindTrace, TraceHash: m.HashHex,
-		LockGrace: m.LockGrace, BarrierGrace: m.BarrierGrace}
-	return s.Fingerprint()
-}
+func TraceIdentity(m trace.Meta) Fingerprint { return traceSpec(m.Header, m.HashHex).Fingerprint() }
 
 // tracePrograms returns the recorded per-thread streams. A trace is a fixed
 // execution, not a generator: it replays only at the recorded thread count.
@@ -87,7 +85,7 @@ func (s Spec) traceSequential() (trace.Program, error) {
 // reproduces the recorded result exactly. Both runs go through Simulate,
 // the step the sweep engine's cells and references go through, so the
 // engine's replay of the file is byte-identical to its live run of s. The
-// file's header passes trace.File.CheckHeader before anything simulates.
+// file's header passes trace.Header.Check before anything simulates.
 func Record(cfg sim.Config, s Spec, threads int) (*trace.File, sim.Result, error) {
 	fail := func(err error) (*trace.File, sim.Result, error) { return nil, sim.Result{}, err }
 	if err := s.Validate(); err != nil {
@@ -103,17 +101,10 @@ func Record(cfg sim.Config, s Spec, threads int) (*trace.File, sim.Result, error
 	label := Benchmark{Spec: s}.FullName()
 	s = s.Canonical()
 
-	// The streams are filled in once both runs are recorded.
 	queues, barriers := s.registrations(threads)
-	f := &trace.File{
-		Label:        label,
-		LockGrace:    s.LockGrace,
-		BarrierGrace: s.BarrierGrace,
-		Queues:       queues,
-		Barriers:     barriers,
-		Threads:      make([][]trace.Op, threads),
-	}
-	if err := f.CheckHeader(); err != nil {
+	h := trace.Header{Label: label, LockGrace: s.LockGrace, BarrierGrace: s.BarrierGrace,
+		Queues: queues, Barriers: barriers}
+	if err := h.Check(threads); err != nil {
 		return fail(err)
 	}
 
@@ -130,7 +121,7 @@ func Record(cfg sim.Config, s Spec, threads int) (*trace.File, sim.Result, error
 	if _, err := Simulate(cfg, s, 0, 0, record); err != nil {
 		return fail(err)
 	}
-	f.Sequential = recs[threads].Ops()
+	f := &trace.File{Header: h, Sequential: recs[threads].Ops(), Threads: make([][]trace.Op, threads)}
 	for i := range f.Threads {
 		f.Threads[i] = recs[i].Ops()
 	}

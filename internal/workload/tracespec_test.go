@@ -128,14 +128,14 @@ func TestRecordRejectsTraceSpec(t *testing.T) {
 }
 
 // TestRecordRefusesBadHeader pins that Record judges its file's header with
-// trace.File.CheckHeader before it simulates: a spec whose full name is
+// trace.Header.Check before it simulates: a spec whose full name is
 // longer than a trace label may be fails with the label error, not with a
 // recorded file that Encode then refuses.
 func TestRecordRefusesBadHeader(t *testing.T) {
 	b, _ := ByName("fft_splash2")
 	s := b.Spec
 	s.Name = strings.Repeat("n", trace.MaxLabelLen)
-	want := (&trace.File{Label: Benchmark{Spec: s}.FullName(), Threads: make([][]trace.Op, 1)}).CheckHeader()
+	want := trace.Header{Label: Benchmark{Spec: s}.FullName()}.Check(1)
 	if want == nil {
 		t.Fatal("the header check accepts the oversized label")
 	}
