@@ -91,8 +91,9 @@ func runCustom(ctx context.Context, e *Engine, p Params) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var cells []Cell
-	for _, n := range []int{1, 2, 4, 8, 16} {
+	// The sequential point, then the paper's sweep.
+	cells := []Cell{{Spec: &spec, Threads: 1}}
+	for _, n := range ThreadCounts {
 		cells = append(cells, Cell{Spec: &spec, Threads: n})
 	}
 	outs, err := e.Sweep(ctx, cells)

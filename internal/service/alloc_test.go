@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"testing"
@@ -27,9 +28,10 @@ func bytesPerRun(runs int, f func()) float64 {
 // TestMemoHitAllocations holds warmed requests, served through Handler()
 // from the memo, to what they allocate in every format: the request's
 // recorder, the query or body, the engine's reply and the document. The
-// engine call allocates no per-call maps, a hit builds no deadline, and
-// every format but text renders into a pooled body, so no encoder buffer is
-// allocated once the pool is warm.
+// engine call allocates no per-call maps, a hit builds no deadline, the
+// option parse allocates only the judged cell's name, and every format
+// renders into a pooled body, so no encoder buffer is allocated once the
+// pool is warm.
 func TestMemoHitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -53,11 +55,14 @@ func TestMemoHitAllocations(t *testing.T) {
 		// what is left is the recorder, the query and the document's own
 		// values. The bounds keep the headroom 4,500 and 4,000 bytes gave
 		// over 3,952 and 3,432 (json ×1.1375, csv ×1.165, the new rows
-		// ×1.14) and about an eighth more allocations.
+		// ×1.14) and about an eighth more allocations. Since then the option
+		// parse stopped allocating (three fewer allocations on every GET
+		// row), and text appends its bars and table straight into the body:
+		// 24 and 2,784, bounded the same way.
 		{"json", stack + "json", "", 32, 3400},
 		{"csv", stack + "csv", "", 45, 3650},
 		{"svg", stack + "svg", "", 33, 7600},
-		{"text", stack + "text", "", 36, 4850},
+		{"text", stack + "text", "", 27, 3200},
 		{"ndjson", stack + "ndjson", "", 32, 3300},
 		{"intervals", "/v1/stack/intervals?bench=" + testBench + "&threads=2&intervals=32", "", 29, 15100},
 		{"sweep", "/v1/sweep?format=ndjson", sweep, 65, 6700},
@@ -117,5 +122,44 @@ func TestReadReplySizesOnce(t *testing.T) {
 	}
 	if n := bytesPerRun(20, read([]byte("{}"), MaxReplyBytes)); n > 2*replyStart {
 		t.Errorf("a 2-byte reply declared %d bytes allocated %.0f bytes, want <= %d", MaxReplyBytes, n, 2*replyStart)
+	}
+}
+
+// TestParseOptionsAllocations holds the option parse of a valid query to at
+// most one allocation on every row that takes query parameters: the walk
+// over the row's list finds an unknown name without a map or a sort, and
+// builds nothing but what judging the cell allocates.
+func TestParseOptionsAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	queries := map[string]string{
+		"/v1/stack":           "bench=cholesky&threads=4&cores=2&format=csv&mode=fast",
+		"/v1/stack/intervals": "bench=cholesky&threads=4&intervals=8&mode=exact",
+		"/v1/advise":          "bench=cholesky&max_threads=8&format=json",
+		"/v1/traces/analyze":  "cores=2&format=text",
+	}
+	for i := range routes {
+		rt := &routes[i]
+		query, ok := queries[rt.path]
+		if !ok {
+			continue
+		}
+		delete(queries, rt.path)
+		q, err := url.ParseQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, aerr := rt.parseOptions(q, ""); aerr != nil {
+			t.Fatalf("%s?%s: %s", rt.path, query, aerr.Message)
+		}
+		allocs := testing.AllocsPerRun(200, func() { rt.parseOptions(q, "") })
+		t.Logf("%s?%s: %v allocations", rt.path, query, allocs)
+		if allocs > 1 {
+			t.Errorf("parsing %s?%s costs %v allocations, want <= 1", rt.path, query, allocs)
+		}
+	}
+	for path := range queries {
+		t.Errorf("no row for %s", path)
 	}
 }

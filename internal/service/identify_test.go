@@ -51,11 +51,11 @@ func identifyRow(t *testing.T, rt route, query, accept string) Identity {
 }
 
 // TestIdentifyCanonicalOptions ranges over every workload-keyed row of the
-// route table and holds Identity.Options to what the row's own optionSpec
-// makes of a request, not to how the client spelled it: any parameter order,
-// the format by ?format=, by Accept or by default, an alias or the full
-// name, a default spelled out or left out, a repeated parameter that loses
-// to its first value — one identity. Anything the service would answer
+// route table and holds Identity.Options to what the row's own parameter
+// list makes of a request, not to how the client spelled it: any parameter
+// order, the format by ?format=, by Accept or by default, an alias or the
+// full name, a default spelled out or left out, a repeated parameter that
+// loses to its first value — one identity. Anything the service would answer
 // differently — another format, cell, mode, count — is another identity, and
 // so is a query the row rejects, which keeps its sorted raw pairs.
 func TestIdentifyCanonicalOptions(t *testing.T) {
@@ -63,28 +63,27 @@ func TestIdentifyCanonicalOptions(t *testing.T) {
 		if rt.identity == identNone {
 			continue
 		}
-		o := rt.opts
 		// base is the shortest spelling; full spells every default out.
 		var base, full, loser []pair
 		var different [][]pair // each replaces or extends base into another question
 		var rejected [][]pair  // whole queries the row answers 400
-		if o.cell || o.advise {
+		if rt.takes("bench") {
 			base = append(base, pair{"bench", "cholesky_splash2"})
 			full = append(full, pair{"bench", "cholesky"})
 			different = append(different, []pair{{"bench", "fft_splash2"}})
 		}
-		if o.cell {
+		if rt.takes("threads") {
 			base = append(base, pair{"threads", "4"})
 			full = append(full, pair{"threads", "4"}, pair{"cores", "4"})
 			loser = append(loser, pair{"threads", "8"})
 			different = append(different, []pair{{"threads", "8"}}, []pair{{"cores", "2"}})
 			rejected = append(rejected, []pair{{"bench", "cholesky_splash2"}, {"threads", "four"}})
 		}
-		if o.intervals {
+		if rt.takes("intervals") {
 			full = append(full, pair{"intervals", "32"})
 			different = append(different, []pair{{"intervals", "4"}})
 		}
-		if o.advise {
+		if rt.takes("max_threads") {
 			full = append(full, pair{"max_threads", "16"})
 			different = append(different, []pair{{"max_threads", "8"}})
 		}
@@ -149,7 +148,7 @@ func TestIdentifyCanonicalOptions(t *testing.T) {
 // questions with two answers and must never share an identity.
 func TestIdentifyRepeatedValueOrder(t *testing.T) {
 	for _, rt := range routes {
-		if !rt.opts.cell {
+		if !rt.takes("threads") {
 			continue
 		}
 		a := identifyRow(t, rt, "bench=cholesky&threads=4&threads=8", "")

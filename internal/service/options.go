@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -15,52 +15,44 @@ import (
 )
 
 // Query-option parsing shared by every /v1 route. Each row of the route
-// table declares which parameters it accepts via an optionSpec; one parser
-// (called by the dispatcher, never by a handler) enforces the declaration, negotiates the format, and applies the bounds, so endpoints
-// cannot drift apart — and any parameter outside the declaration is a 400,
-// never silently ignored (a misspelled ?thread=8 would otherwise measure
-// the wrong cell without complaint). Every simulating (protected) row also
-// accepts ?format= (with Accept-header negotiation; the other rows always
-// answer JSON) and ?mode=exact|fast, the simulation fidelity, whose use the
-// engine judges.
+// table lists the query parameters it takes (params, in the order they are
+// judged); one parser (called by the dispatcher, never by a handler) walks
+// the list, negotiates the format, and applies the bounds, so endpoints
+// cannot drift apart — and any parameter outside the list is a 400, never
+// silently ignored (a misspelled ?thread=8 would otherwise measure the wrong
+// cell without complaint). Every simulating (protected) row also takes
+// ?format= (with Accept-header negotiation; the other rows always answer
+// JSON), judged first, and ?mode=exact|fast, the simulation fidelity, judged
+// last; the engine judges its use.
 
-// optionSpec declares an endpoint's accepted query parameters beyond the
-// format and mode every simulating row takes.
-type optionSpec struct {
-	// cell accepts bench, threads and cores — the single-cell GET shape.
-	cell bool
-	// intervals accepts the interval count of a time-resolved request.
-	intervals bool
-	// advise accepts bench and max_threads — the advisor GET shape.
-	advise bool
-	// traceCell accepts cores — the trace-analyze shape. Threads are not a
-	// parameter: a trace replays at its recorded thread count.
-	traceCell bool
-	// unchecked skips the declaration check: the probe endpoints (/healthz,
-	// /metrics) ignore whatever query a load balancer or scraper appends.
-	unchecked bool
+// The query parameters of the rows that take any beyond format and mode,
+// each list in judging order. Threads is not a trace's parameter: a trace
+// replays at its recorded thread count.
+var (
+	cellParams      = []string{"bench", "threads", "cores"}
+	intervalsParams = []string{"bench", "threads", "cores", "intervals"}
+	adviseParams    = []string{"bench", "max_threads"}
+	traceParams     = []string{"cores"}
+)
+
+// takes reports whether rt takes the query parameter name.
+func (rt *route) takes(name string) bool {
+	return rt.protected && (name == "format" || name == "mode") || slices.Contains(rt.params, name)
 }
 
-// params lists the parameter names rt accepts, sorted, for error messages.
-func (rt *route) params() []string {
-	var names []string
+// unknownParam is the refusal of a query parameter rt does not take.
+func (rt *route) unknownParam(name string) *apiError {
+	names := slices.Clone(rt.params)
 	if rt.protected {
 		names = append(names, "format", "mode")
 	}
-	if rt.opts.cell {
-		names = append(names, "bench", "threads", "cores")
+	slices.Sort(names)
+	accepts := strings.Join(names, ", ")
+	if accepts == "" {
+		accepts = "no query parameters"
 	}
-	if rt.opts.intervals {
-		names = append(names, "intervals")
-	}
-	if rt.opts.advise {
-		names = append(names, "bench", "max_threads")
-	}
-	if rt.opts.traceCell {
-		names = append(names, "cores")
-	}
-	sort.Strings(names)
-	return names
+	return &apiError{Status: http.StatusBadRequest, Code: codeUnknownParameter,
+		Message: fmt.Sprintf("unknown query parameter %q (%s accepts %s)", name, rt.path, accepts)}
 }
 
 // requestOptions are the parsed, validated options of one request.
@@ -94,30 +86,22 @@ func (o requestOptions) identity() string {
 }
 
 // parseOptions parses and validates a request's query q (and its Accept
-// header) against rt's declaration. Unknown parameters, malformed values and
-// out-of-bounds shapes all come back as apiErrors ready for writeError.
+// header) against rt's list, refusing the first fault in judging order: an
+// unknown parameter (the first by name), the format, each listed parameter
+// in turn, the mode. Every refusal comes back as an apiError ready for
+// writeError.
 func (rt *route) parseOptions(q url.Values, accept string) (requestOptions, *apiError) {
-	if rt.opts.unchecked {
+	if rt.unchecked {
 		return requestOptions{}, nil
 	}
-	allowed := make(map[string]bool, 6)
-	for _, name := range rt.params() {
-		allowed[name] = true
-	}
-	given := make([]string, 0, len(q))
+	unknown, found := "", false
 	for name := range q {
-		given = append(given, name)
-	}
-	sort.Strings(given)
-	for _, name := range given {
-		if !allowed[name] {
-			accepts := "no query parameters"
-			if len(allowed) > 0 {
-				accepts = strings.Join(rt.params(), ", ")
-			}
-			return requestOptions{}, &apiError{Status: http.StatusBadRequest, Code: codeUnknownParameter,
-				Message: fmt.Sprintf("unknown query parameter %q (%s accepts %s)", name, rt.path, accepts)}
+		if !rt.takes(name) && (!found || name < unknown) {
+			unknown, found = name, true
 		}
+	}
+	if found {
+		return requestOptions{}, rt.unknownParam(unknown)
 	}
 
 	opts := requestOptions{format: stack.FormatJSON}
@@ -128,40 +112,52 @@ func (rt *route) parseOptions(q url.Values, accept string) (requestOptions, *api
 		}
 		opts.format = f
 	}
-	if rt.opts.cell {
-		cell, err := parseCell(q.Get("bench"), q.Get("threads"), q.Get("cores"))
-		if err != nil {
-			return requestOptions{}, asAPIError(err)
-		}
-		opts.cell = cell
-	}
-	if rt.opts.intervals {
-		opts.intervals = exp.DefaultIntervals
-		if s := q.Get("intervals"); s != "" {
-			n, err := strconv.Atoi(s)
-			if err != nil {
-				return requestOptions{}, badRequest("bad intervals %q: %v", s, err)
+	for _, name := range rt.params {
+		v := q.Get(name)
+		if name == "bench" {
+			if v == "" {
+				return requestOptions{}, badRequest("missing bench parameter")
 			}
-			opts.intervals = n
-		}
-	}
-	if rt.opts.advise {
-		bench := q.Get("bench")
-		if bench == "" {
-			return requestOptions{}, badRequest("missing bench parameter")
-		}
-		full, _, ok := workload.Identity(bench)
-		if !ok {
-			return requestOptions{}, asAPIError(workload.UnknownBenchmarkError(bench))
-		}
-		opts.cell = exp.Cell{Bench: full}
-		opts.maxThreads = exp.DefaultThreads
-		if s := q.Get("max_threads"); s != "" {
-			n, err := strconv.Atoi(s)
-			if err != nil {
-				return requestOptions{}, badRequest("bad max_threads %q: %v", s, err)
+			opts.cell.Bench = v
+			if !rt.takes("cores") {
+				// The advisor's workload is its name alone, judged now, so
+				// an unknown bench outranks a malformed max_threads.
+				full, _, ok := workload.Identity(v)
+				if !ok {
+					return requestOptions{}, asAPIError(workload.UnknownBenchmarkError(v))
+				}
+				opts.cell.Bench = full
 			}
-			opts.maxThreads = n
+			continue
+		}
+		// Every other parameter is an integer, taking its default when
+		// absent; threads has none.
+		var n *int
+		switch name {
+		case "threads":
+			n = &opts.cell.Threads
+		case "cores":
+			n = &opts.cell.Cores
+		case "intervals":
+			n, opts.intervals = &opts.intervals, exp.DefaultIntervals
+		case "max_threads":
+			n, opts.maxThreads = &opts.maxThreads, exp.DefaultThreads
+		}
+		if v != "" || name == "threads" {
+			i, err := strconv.Atoi(v)
+			if err != nil {
+				return requestOptions{}, badRequest("bad %s %q: %v", name, v, err)
+			}
+			*n = i
+		}
+		if name == "cores" && opts.cell.Bench != "" {
+			// A named cell is whole once its cores are read; a trace's is
+			// judged with its spec.
+			cell, err := checkCell(opts.cell)
+			if err != nil {
+				return requestOptions{}, asAPIError(err)
+			}
+			opts.cell = cell
 		}
 	}
 	if rt.protected {
@@ -171,34 +167,7 @@ func (rt *route) parseOptions(q url.Values, accept string) (requestOptions, *api
 		}
 		opts.mode = m
 	}
-	if rt.opts.traceCell {
-		if s := q.Get("cores"); s != "" {
-			n, err := strconv.Atoi(s)
-			if err != nil {
-				return requestOptions{}, badRequest("bad cores %q: %v", s, err)
-			}
-			opts.cell.Cores = n
-		}
-	}
 	return opts, nil
-}
-
-// parseCell validates one requested cell from query parameters.
-func parseCell(bench, threadsStr, coresStr string) (exp.Cell, error) {
-	if bench == "" {
-		return exp.Cell{}, fmt.Errorf("missing bench parameter")
-	}
-	threads, err := strconv.Atoi(threadsStr)
-	if err != nil {
-		return exp.Cell{}, fmt.Errorf("bad threads %q: %v", threadsStr, err)
-	}
-	cores := 0
-	if coresStr != "" {
-		if cores, err = strconv.Atoi(coresStr); err != nil {
-			return exp.Cell{}, fmt.Errorf("bad cores %q: %v", coresStr, err)
-		}
-	}
-	return checkCell(exp.Cell{Bench: bench, Threads: threads, Cores: cores})
 }
 
 // checkCell validates a cell (shared by the query, body and trace paths)

@@ -89,6 +89,7 @@ func TestFaultPrecedence(t *testing.T) {
 		{"trace cores 65", "POST", "/v1/traces/analyze?cores=65", trace, bad, inv, "cores must be in [0,64], got 65"},
 		{"trace cores -1", "POST", "/v1/traces/analyze?cores=-1", trace, bad, inv, "cores must be in [0,64], got -1"},
 		{"trace cores 65 + bad mode", "POST", "/v1/traces/analyze?cores=65&mode=bogus", trace, bad, inv, ""},
+		{"trace cores not a number + bad mode", "POST", "/v1/traces/analyze?cores=lots&mode=bogus", trace, bad, inv, ""},
 		{"trace garbage + cores 65", "POST", "/v1/traces/analyze?cores=65", "not a trace", bad, inv, ""},
 
 		// GET /v1/advise

@@ -93,8 +93,11 @@ func ReadReply(body io.Reader, declared int64) ([]byte, error) {
 // route is one row of the table.
 type route struct {
 	method, path string
-	// opts declares the accepted query parameters (options.go).
-	opts optionSpec
+	// params lists the query parameters the row takes beyond format and
+	// mode, in judging order (options.go); unchecked rows (/healthz,
+	// /metrics) ignore whatever query a load balancer or scraper appends.
+	params    []string
+	unchecked bool
 	// protected rows are the simulating ones: they sit behind the rate
 	// limiter and the admission gate, and take ?format= and ?mode=; the
 	// cheap introspection rows stay reachable while the server sheds.
@@ -115,36 +118,43 @@ type route struct {
 // a route. New registers the rows, the dispatcher runs them, Identify reads
 // them, and the tests range over them.
 var routes = []route{
-	{method: http.MethodGet, path: "/v1/stack", opts: optionSpec{cell: true},
+	{method: http.MethodGet, path: "/v1/stack", params: cellParams,
 		protected: true, identity: identQueryBench, parse: parseStack},
-	{method: http.MethodGet, path: "/v1/stack/intervals", opts: optionSpec{cell: true, intervals: true},
+	{method: http.MethodGet, path: "/v1/stack/intervals", params: intervalsParams,
 		protected: true, identity: identQueryBench, parse: parseStackIntervals},
 	{method: http.MethodPost, path: "/v1/sweep",
 		protected: true, identity: identBodyCells, body: maxJSONBytes, parse: parseSweep},
 	{method: http.MethodPost, path: "/v1/workloads/analyze",
 		protected: true, identity: identBodyCell, body: maxJSONBytes, parse: parseAnalyze},
 	{method: http.MethodPost, path: "/v1/workloads/validate", body: maxJSONBytes, plain: validate},
-	{method: http.MethodPost, path: "/v1/traces/analyze", opts: optionSpec{traceCell: true},
+	{method: http.MethodPost, path: "/v1/traces/analyze", params: traceParams,
 		protected: true, identity: identTraceHeader, body: MaxTraceBytes, parse: parseTraceAnalyze},
-	{method: http.MethodGet, path: "/v1/advise", opts: optionSpec{advise: true},
+	{method: http.MethodGet, path: "/v1/advise", params: adviseParams,
 		protected: true, identity: identQueryBench, parse: parseAdvise},
 	{method: http.MethodPost, path: "/v1/whatif",
 		protected: true, identity: identBodyCell, body: maxJSONBytes, parse: parseWhatIfCall},
 	{method: http.MethodGet, path: "/v1/benchmarks", plain: benchmarks},
-	{method: http.MethodGet, path: "/healthz", opts: optionSpec{unchecked: true}, plain: healthz},
-	{method: http.MethodGet, path: "/metrics", opts: optionSpec{unchecked: true}, plain: metrics},
+	{method: http.MethodGet, path: "/healthz", unchecked: true, plain: healthz},
+	{method: http.MethodGet, path: "/metrics", unchecked: true, plain: metrics},
 }
 
-// cellRequest is one cell of a POST body: either a registered benchmark
-// named by bench, or an inline workload spec. Intervals asks for the
-// time-resolved decomposition; it is honored by /v1/workloads/analyze and
-// rejected in /v1/sweep batches (sweeps return aggregate rows).
+// wireCell is a cell as every POST body spells it: either a registered
+// benchmark named by bench, or an inline workload spec, at a thread and an
+// optional core count.
+type wireCell struct {
+	Bench   string          `json:"bench,omitempty"`
+	Spec    json.RawMessage `json:"spec,omitempty"`
+	Threads int             `json:"threads"`
+	Cores   int             `json:"cores,omitempty"`
+}
+
+// cellRequest is one cell of a /v1/sweep or /v1/workloads/analyze body.
+// Intervals asks for the time-resolved decomposition; it is honored by
+// /v1/workloads/analyze and rejected in /v1/sweep batches (sweeps return
+// aggregate rows).
 type cellRequest struct {
-	Bench     string          `json:"bench,omitempty"`
-	Spec      json.RawMessage `json:"spec,omitempty"`
-	Threads   int             `json:"threads"`
-	Cores     int             `json:"cores,omitempty"`
-	Intervals int             `json:"intervals,omitempty"`
+	wireCell
+	Intervals int `json:"intervals,omitempty"`
 }
 
 // sweepRequest is the POST /v1/sweep body.
@@ -170,7 +180,7 @@ func decodeStrict(r io.Reader, v any) error {
 
 // buildCell parses one body cell into an engine cell and has the engine
 // judge it (checkCell).
-func buildCell(c cellRequest) (exp.Cell, error) {
+func buildCell(c wireCell) (exp.Cell, error) {
 	cell := exp.Cell{Bench: c.Bench, Threads: c.Threads, Cores: c.Cores}
 	if len(c.Spec) > 0 {
 		spec, err := workload.ParseSpec(c.Spec)
@@ -217,7 +227,7 @@ func parseSweep(s *Server, r *http.Request, opts requestOptions) ([]labelled, *a
 			return nil, badRequest("sweeps return aggregate stacks; " +
 				"use /v1/stack/intervals or /v1/workloads/analyze for a time-resolved one").within(cellLabel(i))
 		}
-		cell, err := buildCell(c)
+		cell, err := buildCell(c.wireCell)
 		if err != nil {
 			return nil, asAPIError(err).within(cellLabel(i))
 		}
@@ -254,7 +264,7 @@ func parseAnalyze(s *Server, r *http.Request, opts requestOptions) ([]labelled, 
 	if req.Bench != "" {
 		return nil, badRequest("analyze takes a spec, not a bench name (use /v1/stack)")
 	}
-	cell, err := buildCell(req)
+	cell, err := buildCell(req.wireCell)
 	if err != nil {
 		return nil, asAPIError(err)
 	}
@@ -300,15 +310,11 @@ func parseAdvise(s *Server, r *http.Request, opts requestOptions) ([]labelled, *
 	}), nil
 }
 
-// whatifRequest is the POST /v1/whatif body: a cell (bench or inline spec,
-// threads, optional cores) plus an optional list of catalog intervention
-// IDs; absent means the full catalog.
+// whatifRequest is the POST /v1/whatif body: a cell plus an optional list
+// of catalog intervention IDs; absent means the full catalog.
 type whatifRequest struct {
-	Bench         string          `json:"bench,omitempty"`
-	Spec          json.RawMessage `json:"spec,omitempty"`
-	Threads       int             `json:"threads"`
-	Cores         int             `json:"cores,omitempty"`
-	Interventions []string        `json:"interventions,omitempty"`
+	wireCell
+	Interventions []string `json:"interventions,omitempty"`
 }
 
 // parseWhatIfCall is POST /v1/whatif: the causal what-if report for one
@@ -323,7 +329,7 @@ func parseWhatIfCall(s *Server, r *http.Request, opts requestOptions) ([]labelle
 	if err := decodeStrict(r.Body, &req); err != nil {
 		return nil, badRequest("bad body: %v", err)
 	}
-	cell, err := buildCell(cellRequest{Bench: req.Bench, Spec: req.Spec, Threads: req.Threads, Cores: req.Cores})
+	cell, err := buildCell(req.wireCell)
 	if err != nil {
 		return nil, asAPIError(err)
 	}
@@ -400,11 +406,12 @@ type Identity struct {
 	// and label, so megabytes of payload are never hashed or compared.
 	BodyID string
 	// Options is the request's canonical option identity — the query and the
-	// Accept header as the route's own optionSpec reads them: the negotiated
-	// format, alias names normalised, defaults filled, parameter order and
-	// repeated values that lose to the first irrelevant. Two requests to one
-	// path with equal Options and BodyID get the same bytes from the service.
-	// A query the route rejects keeps its stable-sorted raw pairs instead.
+	// Accept header as the route's own parameter list reads them: the
+	// negotiated format, alias names normalised, defaults filled, parameter
+	// order and repeated values that lose to the first irrelevant. Two
+	// requests to one path with equal Options and BodyID get the same bytes
+	// from the service. A query the route rejects keeps its stable-sorted raw
+	// pairs instead.
 	Options string
 
 	route *route
@@ -455,7 +462,7 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 	}
 	switch rt.identity {
 	case identQueryBench:
-		id.cells = []cellRequest{{Bench: q.Get("bench")}}
+		id.cells = []cellRequest{{wireCell: wireCell{Bench: q.Get("bench")}}}
 	case identBodyCell:
 		id.cells = make([]cellRequest, 1)
 		if json.Unmarshal(id.Body, &id.cells[0]) != nil {
@@ -495,7 +502,7 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 // fingerprint resolves the cell's workload identity — a registered name's
 // from the name index, an inline spec's by hashing it; ok is false when it
 // does not resolve cleanly (the service will answer the error).
-func (c cellRequest) fingerprint() (fp workload.Fingerprint, ok bool) {
+func (c wireCell) fingerprint() (fp workload.Fingerprint, ok bool) {
 	if len(c.Spec) == 0 {
 		_, fp, ok = workload.Identity(c.Bench)
 		return fp, ok

@@ -487,6 +487,37 @@ func TestSimTimeoutDetaches(t *testing.T) {
 	}
 }
 
+// TestSimContextDeadline pins what Options.SimTimeout means for the context
+// a request's simulations are awaited under: a negative timeout builds no
+// deadline, 0 is the 2-minute default, and a positive one is itself. Every
+// context ends with its cancel.
+func TestSimContextDeadline(t *testing.T) {
+	e := exp.NewEngine(sim.Default(), exp.WithWorkers(1))
+	r := httptest.NewRequest(http.MethodGet, "/v1/stack", nil)
+	for _, tc := range []struct {
+		timeout, want time.Duration // want 0: no deadline
+	}{
+		{-time.Second, 0},
+		{0, 2 * time.Minute},
+		{time.Second, time.Second},
+	} {
+		before := time.Now()
+		ctx, cancel := New(Options{Engine: e, SimTimeout: tc.timeout}).simContext(r)
+		after := time.Now()
+		deadline, ok := ctx.Deadline()
+		switch {
+		case tc.want == 0 && ok:
+			t.Errorf("SimTimeout %v: deadline %v, want none", tc.timeout, deadline)
+		case tc.want != 0 && (!ok || deadline.Before(before.Add(tc.want)) || deadline.After(after.Add(tc.want))):
+			t.Errorf("SimTimeout %v: deadline %v (set: %v), want %v from the call", tc.timeout, deadline.Sub(before), ok, tc.want)
+		}
+		cancel()
+		if ctx.Err() != context.Canceled {
+			t.Errorf("SimTimeout %v: after cancel the context reports %v", tc.timeout, ctx.Err())
+		}
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	s, _ := newTestServer(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -196,7 +196,7 @@ func FuzzWhatIfJSON(f *testing.F) {
 			t.Fatalf("re-encoded request rejected: %v\n%s", err, round)
 		}
 
-		cell, err := buildCell(cellRequest{Bench: req.Bench, Spec: req.Spec, Threads: req.Threads, Cores: req.Cores})
+		cell, err := buildCell(req.wireCell)
 		if err != nil {
 			return // invalid requests fail with a typed error, never panic
 		}

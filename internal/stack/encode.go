@@ -94,12 +94,11 @@ func NegotiateFormat(query, accept string, def Format) (Format, error) {
 	if query != "" {
 		return ParseFormat(query)
 	}
-	for _, part := range strings.Split(accept, ",") {
-		mt := strings.TrimSpace(part)
-		if i := strings.IndexByte(mt, ';'); i >= 0 {
-			mt = strings.TrimSpace(mt[:i])
-		}
-		if f, ok := acceptFormats[strings.ToLower(mt)]; ok {
+	for rest := accept; rest != ""; {
+		var mt string
+		mt, rest, _ = strings.Cut(rest, ",")
+		mt, _, _ = strings.Cut(mt, ";")
+		if f, ok := acceptFormats[strings.ToLower(strings.TrimSpace(mt))]; ok {
 			return f, nil
 		}
 	}
@@ -215,7 +214,11 @@ func EncodeDocument(w io.Writer, f Format, d Document) error {
 func (b *body) appendDocument(f Format, d Document) error {
 	switch f {
 	case FormatText, "":
-		*b = append(*b, d.Text()...)
+		if bars, ok := d.(Bars); ok { // the aggregate report renders in place
+			*b = bars.appendText(*b)
+		} else {
+			*b = append(*b, d.Text()...)
+		}
 	case FormatJSON:
 		// The compact form is json.Marshal's bytes plus the Encoder's line
 		// feed, which indentJSON copies through as the body's last byte.
@@ -287,7 +290,12 @@ func Encode(w io.Writer, f Format, bars []Bar) error { return EncodeDocument(w, 
 type Bars []Bar
 
 // Text is the ASCII rendering followed by the numeric table.
-func (bars Bars) Text() string { return Render(bars, 64) + "\n" + Table(bars) }
+func (bars Bars) Text() string { return string(bars.appendText(nil)) }
+
+// appendText appends Text's bytes to b.
+func (bars Bars) appendText(b []byte) []byte {
+	return appendTable(append(appendRender(b, bars, 64), '\n'), bars)
+}
 
 // JSON is the []ReportRow form, one row per stack, in order.
 func (bars Bars) JSON() any {

@@ -161,6 +161,8 @@ func TestNegotiateFormat(t *testing.T) {
 		{"", "image/svg+xml", FormatSVG, false},
 		{"", "text/html, */*", FormatJSON, false}, // browser default falls through
 		{"", "", FormatJSON, false},
+		{"", " Text/Plain ; q=1 ,", FormatText, false},      // case, spaces and parameters ignored
+		{"", ",,application/x-ndjson", FormatNDJSON, false}, // empty entries skipped
 		{"bogus", "", "", true},
 	}
 	for _, c := range cases {

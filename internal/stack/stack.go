@@ -141,11 +141,15 @@ func Render(bars []Bar, width int) string {
 	if width <= 0 {
 		width = 64
 	}
-	b := make([]byte, 0, len(bars)*(width+64)+len(legend))
+	return string(appendRender(make([]byte, 0, len(bars)*(width+64)+len(legend)), bars, width))
+}
+
+// appendRender appends Render's bytes, at a positive width, to b.
+func appendRender(b []byte, bars []Bar, width int) []byte {
 	for _, bar := range bars {
 		b = append(renderOne(b, bar, width), '\n')
 	}
-	return string(append(b, legend...))
+	return append(b, legend...)
 }
 
 // renderOne appends one bar's line. A segment's width is clamped to the
@@ -192,7 +196,12 @@ const tableHeader = "benchmark                        N     est  actual  posLLC 
 // Table renders a numeric component table for a set of stacks, one row per
 // bar, in speedup units.
 func Table(bars []Bar) string {
-	b := append(make([]byte, 0, len(tableHeader)*(len(bars)+1)), tableHeader...)
+	return string(appendTable(make([]byte, 0, len(tableHeader)*(len(bars)+1)), bars))
+}
+
+// appendTable appends Table's bytes to b.
+func appendTable(b []byte, bars []Bar) []byte {
+	b = append(b, tableHeader...)
 	for _, bar := range bars {
 		s := bar.Stack
 		tp := float64(s.Tp)
@@ -206,5 +215,5 @@ func Table(bars []Bar) string {
 		}
 		b = append(b, '\n')
 	}
-	return string(b)
+	return b
 }

@@ -257,3 +257,21 @@ func TestZeroCycleStackStaysBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestFmtOps pins the timeline's op-count axis labels at each side of the
+// unit and precision switches.
+func TestFmtOps(t *testing.T) {
+	for n, want := range map[uint64]string{
+		999:        "999",
+		1_000:      "1.0k",
+		9_999:      "10.0k",
+		10_000:     "10k",
+		999_999:    "999k",
+		1_000_000:  "1.0M",
+		10_000_000: "10M",
+	} {
+		if got := fmtOps(n); got != want {
+			t.Errorf("fmtOps(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
