@@ -182,9 +182,13 @@ func NewController(cfg Config, cores int) *Controller {
 	return c
 }
 
-// Reset restores the controller to its just-constructed state, reusing the
-// bank and ORA storage (machine pooling across simulation runs).
-func (c *Controller) Reset() {
+// Reset restores the controller to its just-constructed state for cfg,
+// reusing the bank and ORA storage (machine pooling across simulation
+// runs). cfg must size that storage as the controller's own configuration
+// does (Banks, RowBytes, LineBytes); Reset installs its timings (BusCycles,
+// RowHitCycles, RowMissCycles), which size nothing.
+func (c *Controller) Reset(cfg Config) {
+	c.cfg.BusCycles, c.cfg.RowHitCycles, c.cfg.RowMissCycles = cfg.BusCycles, cfg.RowHitCycles, cfg.RowMissCycles
 	c.busFreeAt = 0
 	c.busLastOwner = -1
 	c.stats = Stats{}

@@ -98,8 +98,8 @@ func TestMemoHitAllocations(t *testing.T) {
 
 // TestReadReplySizesOnce holds ReadReply's buffer to the reply's declared
 // length: a reply that keeps its word is read into one allocation of its
-// own size, and a declared length past replyStart — a peer may declare
-// anything — buys no more than replyStart up front.
+// own size, and a declared length past 64 KiB — a peer may declare
+// anything — buys no more than 64 KiB up front.
 func TestReadReplySizesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -120,8 +120,9 @@ func TestReadReplySizesOnce(t *testing.T) {
 	if data, _ := ReadReply(bytes.NewReader(honest), int64(len(honest))); cap(data) != len(honest)+1 {
 		t.Errorf("a reply of its declared %d bytes is held in a buffer of %d, want %d", len(honest), cap(data), len(honest)+1)
 	}
-	if n := bytesPerRun(20, read([]byte("{}"), MaxReplyBytes)); n > 2*replyStart {
-		t.Errorf("a 2-byte reply declared %d bytes allocated %.0f bytes, want <= %d", MaxReplyBytes, n, 2*replyStart)
+	const start = 64 << 10
+	if n := bytesPerRun(20, read([]byte("{}"), MaxReplyBytes)); n > 2*start {
+		t.Errorf("a 2-byte reply declared %d bytes allocated %.0f bytes, want <= %d", MaxReplyBytes, n, 2*start)
 	}
 }
 

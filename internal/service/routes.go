@@ -13,6 +13,7 @@ import (
 	"strconv"
 
 	"repro/internal/exp"
+	"repro/internal/sizedio"
 	"repro/internal/stack"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -51,43 +52,20 @@ const (
 	MaxReplyBytes = 16 << 20
 )
 
-// replyStart caps the buffer ReadReply makes before it has read a byte, so
-// a peer that declares more than it sends cannot make a reader allocate
-// MaxReplyBytes up front; the table's replies are almost all below it.
-const replyStart = 64 << 10
-
 // ReadReply reads a whole reply body of at most MaxReplyBytes. A longer
 // body is an error, never a truncated reply. declared is the length the
-// reply announces (http.Response.ContentLength, -1 when unknown): the
-// buffer starts at it, capped at replyStart, with one byte more to see the
-// end, so a reply that keeps its word is read into one allocation of its
-// own size, which a cache of replies (the fleet's) retains as is; past
-// that the buffer grows as io.ReadAll's does, from where io.ReadAll starts
-// when the length is unknown.
+// reply announces (http.Response.ContentLength, -1 when unknown); it sizes
+// the buffer as sizedio.ReadAll does for every body this package reads, so
+// a reply that keeps its word ends in a buffer of its own size, which a
+// cache of replies (the fleet's) retains as is, and costs one allocation up
+// to 64 KiB and at most about 2.4 times its size past that; a chunked
+// reply, of unknown length, grows as io.ReadAll's would.
 func ReadReply(body io.Reader, declared int64) ([]byte, error) {
-	size := int64(512)
-	if declared >= 0 {
-		size = min(declared, replyStart) + 1
-	}
-	data := make([]byte, 0, size)
-	limited := io.LimitedReader{R: body, N: MaxReplyBytes + 1}
-	for {
-		n, err := limited.Read(data[len(data):cap(data)])
-		data = data[:len(data)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return data, err
-		}
-		if len(data) == cap(data) {
-			data = append(data, 0)[:len(data)]
-		}
-	}
-	if len(data) > MaxReplyBytes {
+	data, err := sizedio.ReadAll(body, declared, MaxReplyBytes)
+	if errors.Is(err, sizedio.ErrTooLong) {
 		return nil, fmt.Errorf("reply exceeds %d bytes", MaxReplyBytes)
 	}
-	return data, nil
+	return data, err
 }
 
 // route is one row of the table.
@@ -283,7 +261,7 @@ func parseAnalyze(s *Server, r *http.Request, opts requestOptions) ([]labelled, 
 // re-uploading the same trace (whatever its label) performs zero additional
 // simulations.
 func parseTraceAnalyze(s *Server, r *http.Request, opts requestOptions) ([]labelled, *apiError) {
-	data, err := io.ReadAll(r.Body)
+	data, err := sizedio.ReadAll(r.Body, r.ContentLength, MaxTraceBytes)
 	if err != nil {
 		return nil, badRequest("reading body: %v", err)
 	}
@@ -365,7 +343,7 @@ type ValidateResponse struct {
 // readable but invalid spec answers 200 with valid=false and the actionable
 // validation error, so CI pipelines can lint spec files cheaply.
 func validate(s *Server, w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(r.Body)
+	data, err := sizedio.ReadAll(r.Body, r.ContentLength, maxJSONBytes)
 	if err != nil {
 		writeError(w, r, badRequest("reading body: %v", err))
 		return
@@ -452,11 +430,11 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 	q := r.URL.Query()
 	id.route, id.Options = rt, rt.optionIdentity(q, r.Header.Get("Accept"))
 	if rt.body > 0 && r.Body != nil {
-		body, err := io.ReadAll(io.LimitReader(r.Body, rt.body+1))
+		body, err := sizedio.ReadAll(r.Body, r.ContentLength, rt.body)
 		r.Body.Close()
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		id.Body = body
-		if err != nil || int64(len(body)) > rt.body {
+		if err != nil {
 			return id, true
 		}
 	}

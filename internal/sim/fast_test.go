@@ -72,9 +72,9 @@ func TestFastModeDeterministic(t *testing.T) {
 
 // TestPoolModeKeying pins the pool-recycling contract across modes: a pool
 // alternating fast and exact runs of the same workload must reproduce the
-// mode-pure results exactly — fast and exact machines never share recycled
-// state (Mode sizes the oracle directories and the extrapolation state, so
-// it is part of the pool key).
+// mode-pure results exactly. Mode sizes nothing, so one recycled machine
+// serves both, and reset installs the mode and clears the fast-mode
+// accumulators: no state crosses from a run in one mode to the next.
 func TestPoolModeKeying(t *testing.T) {
 	exact := fastRunBench(t, "ferret_parsec_medium", 4, sim.ModeExact)
 	fast := fastRunBench(t, "ferret_parsec_medium", 4, sim.ModeFast)

@@ -133,8 +133,8 @@ func grow[T any](s []T, id uint32) []T {
 // NewMachine builds a machine executing one program per software thread.
 // len(progs) may exceed cfg.Cores (the OS time-slices, Figure 7) but must be
 // at least 1. It allocates the storage cfg sizes — tag arrays, controller,
-// tag directories, fast-mode accumulators — and leaves everything else to
-// reset, so "as new" and "as reset" are the same code.
+// tag directories — and leaves everything else to reset, so "as new" and
+// "as reset" are the same code.
 func NewMachine(cfg Config, progs []trace.Program) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -145,9 +145,6 @@ func NewMachine(cfg Config, progs []trace.Program) (*Machine, error) {
 		coreIdleAt: make([]uint64, cfg.Cores),
 		coreAt:     make([]uint64, cfg.Cores),
 		atds:       make([]*atd.Directory, cfg.Cores),
-	}
-	if cfg.Mode == ModeFast {
-		m.fastCores = make([]fastCore, cfg.Cores)
 	}
 	for c := range m.atds {
 		m.atds[c] = atd.New(cfg.atdConfig())
@@ -161,8 +158,10 @@ func NewMachine(cfg Config, progs []trace.Program) (*Machine, error) {
 // reset puts the machine in its just-constructed state for cfg and a new
 // set of thread programs, reusing the multi-megabyte cache, ATD, controller
 // and thread storage behind it. cfg must size that storage exactly as the
-// configuration the machine was built for did (the Pool's key); everything
-// else — the policy, the spin detector, the quantum — is installed here.
+// configuration the machine was built for did (the Pool's storageKey);
+// everything else — the quantum, the cycle cap, the mode, the spin
+// detector, the policy, the memory timings — is installed here, and the
+// fast-mode accumulators are allocated on the first fast run.
 // NewMachine ends in reset, so a recycled machine is a new one by
 // construction: simulation results are a deterministic function of
 // (config, programs) either way (the pool determinism test and the
@@ -184,9 +183,12 @@ func (m *Machine) reset(cfg Config, progs []trace.Program) error {
 	m.clock, m.finished, m.ops = 0, 0, 0
 	m.acct = true
 	m.snapEvery, m.nextSnap, m.snaps = 0, 0, nil
+	if m.fast && m.fastCores == nil {
+		m.fastCores = make([]fastCore, cfg.Cores)
+	}
 	clear(m.fastCores)
 	m.hier.Reset()
-	m.memc.Reset()
+	m.memc.Reset(cfg.Mem)
 	for c := range m.atds {
 		m.atds[c].Reset()
 	}

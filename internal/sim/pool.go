@@ -3,6 +3,7 @@ package sim
 import (
 	"sync"
 
+	"repro/internal/spin"
 	"repro/internal/syncprim"
 	"repro/internal/trace"
 )
@@ -13,14 +14,17 @@ import (
 // many cells, the speedupd service under load) allocates nothing per
 // simulated op and close to nothing per run.
 //
-// Machines are held in one sync.Pool per storage key — the configuration
-// with its Policy zeroed. The policy sizes nothing and the machine reads it
-// only through the configuration reset installs, so runs that differ only
-// in it (an inline spec's client-chosen lock_grace) share one entry instead
-// of growing the map by one never-removed entry, and one fresh machine,
-// each. Idle machines are dropped by the garbage collector under memory
-// pressure, so a long-running process sweeping many machine shapes is
-// bounded by its live concurrency. Pool is safe for concurrent use.
+// Machines are held in one sync.Pool per storage shape (storageKey): the
+// configuration with every field that sizes nothing zeroed — the quantum,
+// the cycle cap, the mode, the spin detector, the policy and the memory
+// timings. The machine reads those only through the configuration reset
+// installs, so the exact, fast and sequential runs of one shape, the
+// memory-latency what-ifs and an inline spec's client-chosen lock_grace
+// all share one entry and one recycled machine instead of each growing the
+// map by one never-removed entry, and one fresh machine. Idle machines are
+// dropped by the garbage collector under memory pressure, so a
+// long-running process sweeping many machine shapes is bounded by its live
+// concurrency. Pool is safe for concurrent use.
 type Pool struct {
 	mu    sync.Mutex
 	pools map[Config]*sync.Pool
@@ -31,14 +35,24 @@ func NewPool() *Pool {
 	return &Pool{pools: make(map[Config]*sync.Pool)}
 }
 
+// storageKey is cfg with every field zeroed that sizes no storage of the
+// machine: what Machine.reset installs rather than what NewMachine
+// allocates.
+func storageKey(cfg Config) Config {
+	cfg.Quantum, cfg.MaxCycles, cfg.Mode = 0, 0, 0
+	cfg.Spin, cfg.Policy = spin.Config{}, syncprim.Policy{}
+	cfg.Mem.BusCycles, cfg.Mem.RowHitCycles, cfg.Mem.RowMissCycles = 0, 0, 0
+	return cfg
+}
+
 func (p *Pool) pool(cfg Config) *sync.Pool {
-	cfg.Policy = syncprim.Policy{}
+	key := storageKey(cfg)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	sp := p.pools[cfg]
+	sp := p.pools[key]
 	if sp == nil {
 		sp = &sync.Pool{}
-		p.pools[cfg] = sp
+		p.pools[key] = sp
 	}
 	return sp
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -84,40 +86,172 @@ func TestPoolResetDeterminism(t *testing.T) {
 	}
 }
 
+// installed maps every Config field that sizes no storage — the fields
+// storageKey zeroes and Machine.reset installs — to a valid change that
+// moves a run of poolTestProgs on Default().WithCores(4) (MaxCycles: makes
+// it fail).
+var installed = map[string]func(*Config){
+	"Quantum":                 func(c *Config) { c.Quantum = 37 },
+	"MaxCycles":               func(c *Config) { c.MaxCycles = 50_000 },
+	"Mode":                    func(c *Config) { c.Mode = ModeFast },
+	"Spin.Threshold":          func(c *Config) { c.Spin.Threshold = 2 },
+	"Policy.LockSpinGrace":    func(c *Config) { c.Policy.LockSpinGrace = 50 },
+	"Policy.BarrierSpinGrace": func(c *Config) { c.Policy.BarrierSpinGrace = 50 },
+	"Mem.BusCycles":           func(c *Config) { c.Mem.BusCycles = 8 },
+	"Mem.RowHitCycles":        func(c *Config) { c.Mem.RowHitCycles = 45 },
+	"Mem.RowMissCycles":       func(c *Config) { c.Mem.RowMissCycles = 105 },
+}
+
+// sized lists every Config field that sizes the machine's storage — tag
+// arrays, tag directories, the controller's banks and ORAs, the per-core
+// slices: the fields the pool keys on.
+var sized = []string{
+	"Cores",
+	"L1.SizeBytes", "L1.Ways", "L1.LineBytes",
+	"LLC.SizeBytes", "LLC.Ways", "LLC.LineBytes",
+	"Mem.Banks", "Mem.RowBytes", "Mem.LineBytes",
+	"ATDSampleShift",
+}
+
+// configFields visits every leaf field of Config, by dotted path, with its
+// index path for reflect.Value.FieldByIndex.
+func configFields(visit func(path string, index []int)) {
+	var walk func(t reflect.Type, prefix string, index []int)
+	walk = func(t reflect.Type, prefix string, index []int) {
+		for i := range t.NumField() {
+			f := t.Field(i)
+			idx := append(slices.Clone(index), i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(f.Type, prefix+f.Name+".", idx)
+				continue
+			}
+			visit(prefix+f.Name, idx)
+		}
+	}
+	walk(reflect.TypeOf(Config{}), "", nil)
+}
+
+// TestConfigFieldsSizeOrInstall walks Config: every field is either sized
+// (in the pool's key) or installed by reset (zeroed in the key), and the
+// key moves with exactly the sized ones. A new field fails here until it
+// is classified, and an installed one also needs a change that
+// TestPoolKeyIgnoresPolicy holds a recycled machine to.
+func TestConfigFieldsSizeOrInstall(t *testing.T) {
+	seen := map[string]bool{}
+	configFields(func(path string, index []int) {
+		seen[path] = true
+		_, inst := installed[path]
+		if inst == slices.Contains(sized, path) {
+			t.Errorf("Config.%s must be in exactly one of sized and installed: does it size storage, or does reset install it?", path)
+			return
+		}
+		base := Default()
+		changed := base
+		f := reflect.ValueOf(&changed).Elem().FieldByIndex(index)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		default:
+			t.Fatalf("Config.%s is a %s: teach the walk to change it", path, f.Kind())
+		}
+		if moved := storageKey(changed) != storageKey(base); moved == inst {
+			t.Errorf("Config.%s: changing it moves the pool key: %v, want %v", path, moved, !inst)
+		}
+	})
+	for path := range installed {
+		if !seen[path] {
+			t.Errorf("installed names Config.%s, which does not exist", path)
+		}
+	}
+	for _, path := range sized {
+		if !seen[path] {
+			t.Errorf("sized names Config.%s, which does not exist", path)
+		}
+	}
+}
+
+// freshRun is one run of poolTestProgs on a fresh machine for cfg.
+func freshRun(t *testing.T, cfg Config) (Result, error) {
+	t.Helper()
+	m, err := NewMachine(cfg, poolTestProgs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Run()
+}
+
 // TestPoolKeyIgnoresPolicy pins what the pool keys on: configurations that
-// differ only in Policy — which an inline spec's client-chosen lock_grace
-// reaches — share one entry and one recycled machine, reset installs each
-// run's policy, and every result equals a fresh machine's. Keyed on the
-// whole Config the map grew by one never-removed entry, and one fresh
-// multi-megabyte machine, per distinct grace.
+// differ only in fields that size nothing — the quantum, the cycle cap, the
+// mode, the spin detector, the policy (which an inline spec's lock_grace
+// reaches) and the memory timings (the what-if catalog's halved latency) —
+// share one entry, reset installs each run's fields, and every result
+// equals a fresh machine's. Keyed on the whole Config the map grew by one
+// never-removed entry, and one fresh multi-megabyte machine, per distinct
+// value. The garbage collector may empty a sync.Pool between two runs, so
+// one machine, reset by hand, also runs exact, fast, exact again, halved
+// memory latency and then each field's change.
 func TestPoolKeyIgnoresPolicy(t *testing.T) {
+	base := Default().WithCores(4)
+	want, err := freshRun(t, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halved := base
+	halved.Mem.BusCycles /= 2
+	halved.Mem.RowHitCycles /= 2
+	halved.Mem.RowMissCycles /= 2
+	type run struct {
+		name string
+		cfg  Config
+	}
+	runs := []run{{"exact", base}, {"fast", base.WithMode(ModeFast)}, {"exact again", base}, {"halved memory latency", halved}}
+	var paths []string
+	for path := range installed {
+		paths = append(paths, path)
+	}
+	slices.Sort(paths)
+	for _, path := range paths {
+		cfg := base
+		installed[path](&cfg)
+		runs = append(runs, run{path, cfg})
+	}
+
 	p := NewPool()
-	var results []Result
-	for i := 0; i < 8; i++ {
-		cfg := Default().WithCores(4)
-		cfg.Policy.LockSpinGrace = uint64(50 << i)
-		fresh, err := NewMachine(cfg, poolTestProgs())
-		if err != nil {
-			t.Fatal(err)
+	m, err := NewMachine(base, poolTestProgs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range runs {
+		fresh, ferr := freshRun(t, r.cfg)
+		if i > 0 && r.cfg != base && ferr == nil && reflect.DeepEqual(fresh, want) {
+			t.Errorf("%s: the change moves nothing; pick one that moves the run", r.name)
 		}
-		want, err := fresh.Run()
-		if err != nil {
-			t.Fatal(err)
+		if i > 0 {
+			if err := m.reset(r.cfg, poolTestProgs()); err != nil {
+				t.Fatal(err)
+			}
 		}
-		got, err := p.Run(cfg, poolTestProgs())
-		if err != nil {
-			t.Fatal(err)
+		got, err := m.Run()
+		if fmt.Sprint(err) != fmt.Sprint(ferr) || !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("%s: the recycled machine's run differs from a fresh machine's (errors %v and %v)", r.name, err, ferr)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("grace %d: pooled result differs from a fresh machine's", cfg.Policy.LockSpinGrace)
+		got, err = p.Run(r.cfg, poolTestProgs())
+		if fmt.Sprint(err) != fmt.Sprint(ferr) || !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("%s: a pooled run differs from a fresh machine's (errors %v and %v)", r.name, err, ferr)
 		}
-		results = append(results, got)
 	}
 	if len(p.pools) != 1 {
-		t.Fatalf("%d pool entries after 8 lock graces on one machine shape, want 1", len(p.pools))
+		t.Fatalf("%d pool entries after changing every installed field of one machine shape, want 1", len(p.pools))
 	}
-	if reflect.DeepEqual(results[0], results[7]) {
-		t.Fatal("lock grace 50 and 6400 gave one result: the run's policy was not installed")
+	small := base.WithLLCSize(base.LLC.SizeBytes / 2)
+	fresh, _ := freshRun(t, small)
+	if got, err := p.Run(small, poolTestProgs()); err != nil || !reflect.DeepEqual(got, fresh) {
+		t.Fatalf("a second storage shape: pooled run differs from a fresh machine's (%v)", err)
+	}
+	if len(p.pools) != 2 {
+		t.Fatalf("%d pool entries after two storage shapes, want 2", len(p.pools))
 	}
 }
 

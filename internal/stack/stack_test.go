@@ -259,16 +259,29 @@ func TestZeroCycleStackStaysBounded(t *testing.T) {
 }
 
 // TestFmtOps pins the timeline's op-count axis labels at each side of the
-// unit and precision switches.
+// unit and precision switches: one rounding rule, so a count that rounds
+// across a switch labels as the count past it does.
 func TestFmtOps(t *testing.T) {
 	for n, want := range map[uint64]string{
-		999:        "999",
-		1_000:      "1.0k",
-		9_999:      "10.0k",
-		10_000:     "10k",
-		999_999:    "999k",
-		1_000_000:  "1.0M",
-		10_000_000: "10M",
+		999:           "999",
+		1_000:         "1.0k",
+		1_049:         "1.0k",
+		1_050:         "1.1k",
+		9_949:         "9.9k",
+		9_950:         "10k",
+		9_999:         "10k",
+		10_000:        "10k",
+		10_499:        "10k",
+		10_500:        "11k",
+		999_499:       "999k",
+		999_500:       "1.0M",
+		999_999:       "1.0M",
+		1_000_000:     "1.0M",
+		1_234_567:     "1.2M",
+		9_999_999:     "10M",
+		10_000_000:    "10M",
+		12_500_000:    "13M",
+		1_999_999_999: "2000M",
 	} {
 		if got := fmtOps(n); got != want {
 			t.Errorf("fmtOps(%d) = %q, want %q", n, got, want)

@@ -130,18 +130,24 @@ func (ts TimeSeries) SVG(w io.Writer) error {
 	return c.finish(w)
 }
 
-// fmtOps formats an op count compactly for axis labels (1234567 → "1.2M").
+// fmtOps formats an op count compactly for axis labels (1234567 → "1.2M")
+// by one rounding rule: to the nearest tenth of a unit while that is below
+// ten units, to the nearest unit from there, in k until that rounds to a
+// thousand, then in M. So 9,999 labels as 10k, 999,999 as 1.0M and
+// 9,999,999 as 10M, as 10,000, 1,000,000 and 10,000,000 do.
 func fmtOps(n uint64) string {
-	switch {
-	case n >= 10_000_000:
-		return strconv.FormatUint(n/1_000_000, 10) + "M"
-	case n >= 1_000_000:
-		return string(append(appendFixed(nil, float64(n)/1e6, 1), 'M'))
-	case n >= 10_000:
-		return strconv.FormatUint(n/1000, 10) + "k"
-	case n >= 1_000:
-		return string(append(appendFixed(nil, float64(n)/1e3, 1), 'k'))
-	default:
+	if n < 1_000 {
 		return strconv.FormatUint(n, 10)
 	}
+	unit, suffix := uint64(1_000), byte('k')
+	if (n+unit/2)/unit >= 1_000 {
+		unit, suffix = 1_000_000, 'M'
+	}
+	var b []byte
+	if tenths := (n + unit/20) / (unit / 10); tenths < 100 {
+		b = append(strconv.AppendUint(b, tenths/10, 10), '.', byte('0'+tenths%10))
+	} else {
+		b = strconv.AppendUint(b, (n+unit/2)/unit, 10)
+	}
+	return string(append(b, suffix))
 }

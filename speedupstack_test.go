@@ -1,6 +1,7 @@
 package speedupstack
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -384,5 +386,36 @@ func TestHardwareCost(t *testing.T) {
 	hw := HardwareCost()
 	if hw.InterferenceBytes() != 952 || hw.SpinTableBytes != 217 {
 		t.Fatalf("budget mismatch: %+v", hw)
+	}
+}
+
+// TestLoadTraceReadsAtItsLength holds LoadTrace to the length its reader
+// reports: a ~2 MB trace loaded from a bytes.Reader, as speedup-stack's
+// -trace flag loads a file, allocates at most 2.5 times its size, decode
+// included. Read through io.ReadAll it allocated about 5.4 times.
+func TestLoadTraceReadsAtItsLength(t *testing.T) {
+	var buf bytes.Buffer
+	if err := RecordTrace(&buf, Request{Bench: "blackscholes_parsec_small", Threads: 2}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	var r bytes.Reader
+	load := func() {
+		r.Reset(data)
+		if _, err := LoadTrace(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 3 {
+		load()
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(after.TotalAlloc-before.TotalAlloc) / 3
+	t.Logf("loading a %d-byte trace allocates %.0f bytes (%.2f times)", len(data), n, n/float64(len(data)))
+	if n > 2.5*float64(len(data)) {
+		t.Errorf("loading a %d-byte trace allocated %.0f bytes, want <= 2.5 times its size", len(data), n)
 	}
 }

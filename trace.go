@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/sim"
+	"repro/internal/sizedio"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -43,9 +44,15 @@ func RecordTrace(w io.Writer, r Request) error {
 // LoadTrace reads a recorded binary op trace and returns the Workload that
 // replays it. The workload measures like any other (Measure, MeasureAll,
 // the service), but only at the trace's recorded thread count, which its
-// TraceThreads method reports.
+// TraceThreads method reports. A reader that knows its remaining length
+// (a Len method, as bytes.Reader and bytes.Buffer have) is read into a
+// buffer sized by it.
 func LoadTrace(r io.Reader) (Workload, error) {
-	data, err := io.ReadAll(r)
+	declared := int64(-1)
+	if l, ok := r.(interface{ Len() int }); ok {
+		declared = int64(l.Len())
+	}
+	data, err := sizedio.ReadAll(r, declared, -1)
 	if err != nil {
 		return Workload{}, fmt.Errorf("reading trace: %v", err)
 	}
