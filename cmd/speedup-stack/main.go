@@ -147,14 +147,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var w speedupstack.Workload
 	switch {
 	case *tracePath != "":
-		w, err = load(*tracePath, func(data []byte) (speedupstack.Workload, error) {
-			return speedupstack.LoadTrace(bytes.NewReader(data))
-		})
-		if err == nil {
+		if w, err = load(*tracePath, speedupstack.LoadTrace); err == nil {
 			req.Bench, req.Workload, req.Threads = "", &w, w.TraceThreads()
 		}
 	case *spec != "":
-		if w, err = load(*spec, speedupstack.ParseWorkload); err == nil {
+		if w, err = load(*spec, parseSpec); err == nil {
 			req.Bench, req.Workload = "", &w
 		}
 	}
@@ -213,16 +210,26 @@ func recordTrace(req speedupstack.Request, path string) error {
 	return os.WriteFile(path, buf.Bytes(), 0o666)
 }
 
-// load reads the workload file at path — a spec or a recorded trace — with
-// parse, naming the file in a parse error.
-func load(path string, parse func([]byte) (speedupstack.Workload, error)) (speedupstack.Workload, error) {
-	data, err := os.ReadFile(path)
+// load opens the workload file at path — a spec or a recorded trace — and
+// reads it with parse, naming the file in a parse error.
+func load(path string, parse func(io.Reader) (speedupstack.Workload, error)) (speedupstack.Workload, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return speedupstack.Workload{}, err
 	}
-	w, err := parse(data)
+	defer f.Close()
+	w, err := parse(f)
 	if err != nil {
 		return speedupstack.Workload{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return w, nil
+}
+
+// parseSpec reads a whole workload spec file and parses it.
+func parseSpec(r io.Reader) (speedupstack.Workload, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return speedupstack.Workload{}, err
+	}
+	return speedupstack.ParseWorkload(data)
 }

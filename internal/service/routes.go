@@ -259,13 +259,20 @@ func parseAnalyze(s *Server, r *http.Request, opts requestOptions) ([]labelled, 
 // cores defaults to that count like everywhere else. The cell rides the
 // engine's fingerprint-keyed memo under the trace's content hash, so
 // re-uploading the same trace (whatever its label) performs zero additional
-// simulations.
+// simulations. The trace is decoded as it arrives (trace.DecodeFrom), or in
+// place when a routing layer already holds the body (Identify).
 func parseTraceAnalyze(s *Server, r *http.Request, opts requestOptions) ([]labelled, *apiError) {
-	data, err := sizedio.ReadAll(r.Body, r.ContentLength, MaxTraceBytes)
-	if err != nil {
-		return nil, badRequest("reading body: %v", err)
+	var td *trace.Data
+	var err error
+	if b, ok := r.Body.(heldBody); ok {
+		td, err = trace.Decode(b.data)
+	} else {
+		td, err = trace.DecodeFrom(r.Body)
 	}
-	td, err := trace.Decode(data)
+	var re *trace.ReadError
+	if errors.As(err, &re) {
+		return nil, badRequest("reading body: %v", re.Err)
+	}
 	if err != nil {
 		return nil, badRequest("bad trace: %v", err)
 	}
@@ -377,7 +384,8 @@ type Identity struct {
 	// benchmark, invalid spec or run shape, a batch outside its bounds): any
 	// node's service then answers the canonical error.
 	Keys []string
-	// Body is the buffered request body; r.Body has been reset to replay it.
+	// Body is the buffered request body; r.Body has been reset to replay it
+	// (a heldBody when the whole body was read within its row's bound).
 	Body []byte
 	// BodyID stands in for Body wherever two requests are compared for
 	// equality: the body itself, or for a trace upload its header identity
@@ -432,11 +440,12 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 	if rt.body > 0 && r.Body != nil {
 		body, err := sizedio.ReadAll(r.Body, r.ContentLength, rt.body)
 		r.Body.Close()
-		r.Body = io.NopCloser(bytes.NewReader(body))
 		id.Body = body
 		if err != nil {
+			r.Body = io.NopCloser(bytes.NewReader(body)) // the handler meets the same fault
 			return id, true
 		}
+		r.Body = heldBody{bytes.NewReader(body), body}
 	}
 	switch rt.identity {
 	case identQueryBench:
@@ -476,6 +485,16 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 	id.Keys = keys
 	return id, true
 }
+
+// heldBody is a request body Identify read whole within its row's bound.
+// The dispatcher does not bound it again, and the trace route decodes its
+// bytes in place instead of reading them a second time.
+type heldBody struct {
+	*bytes.Reader
+	data []byte
+}
+
+func (heldBody) Close() error { return nil }
 
 // fingerprint resolves the cell's workload identity — a registered name's
 // from the name index, an inline spec's by hashing it; ok is false when it

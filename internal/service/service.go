@@ -134,8 +134,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -261,7 +263,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rt route) *api
 	if aerr != nil {
 		return aerr
 	}
-	if rt.body > 0 {
+	if _, held := r.Body.(heldBody); rt.body > 0 && !held {
 		r.Body = http.MaxBytesReader(w, r.Body, rt.body)
 	}
 	if rt.plain != nil {
@@ -435,7 +437,9 @@ func (s *Server) seriesCall(opts requestOptions, cell exp.Cell, count int) call 
 // normal error response; after rows are on the wire the status is already
 // 200, so the envelope becomes the terminating line of the stream — NDJSON
 // consumers must treat a line with an "error" key as a failed tail. Only a
-// streamed sweep makes more than one call.
+// streamed sweep makes more than one call; a reply of one document carries
+// its Content-Length, which its one Write gives (lengthWriter), so a reader
+// of it (a fleet hop's ReadReply) sizes its buffer exactly.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, f stack.Format, calls []labelled) *apiError {
 	missed := false
 	for i := range calls {
@@ -450,6 +454,10 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, f stack.Format, 
 		defer cancel()
 	}
 	flusher, _ := w.(http.Flusher)
+	out := io.Writer(w)
+	if len(calls) == 1 {
+		out = lengthWriter{w}
+	}
 	wrote := false
 	for i := range calls {
 		c := &calls[i]
@@ -466,7 +474,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, f stack.Format, 
 			if !wrote {
 				w.Header().Set("Content-Type", f.ContentType())
 			}
-			err := stack.EncodeDocument(w, f, c.res.doc)
+			err := stack.EncodeDocument(out, f, c.res.doc)
 			if err == nil {
 				wrote = true
 				continue
@@ -481,6 +489,15 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, f stack.Format, 
 		return nil
 	}
 	return nil
+}
+
+// lengthWriter announces a reply's length from its first Write, which
+// stack.EncodeDocument makes the reply's whole body.
+type lengthWriter struct{ http.ResponseWriter }
+
+func (w lengthWriter) Write(p []byte) (int, error) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(p)))
+	return w.ResponseWriter.Write(p)
 }
 
 // healthz serves GET /healthz.

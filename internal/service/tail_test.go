@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -184,5 +185,41 @@ func TestAnswerStreamEncodeFailure(t *testing.T) {
 	}
 	if !Partial(w.Body.Bytes()) {
 		t.Error("a stream ended by an encode failure does not read as Partial")
+	}
+}
+
+// TestReplyContentLength: a reply of one document carries its length, past
+// net/http's 2 KiB chunking threshold too — a /v1/stack SVG — so a reader
+// sizes its buffer exactly; a streamed ndjson sweep, whose rows go out as
+// they complete, stays chunked.
+func TestReplyContentLength(t *testing.T) {
+	s, _ := newTestServer(t)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	read := func(resp *http.Response, err error) (*http.Response, []byte) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s %v", resp.Request.URL, resp.StatusCode, body, err)
+		}
+		return resp, body
+	}
+
+	resp, body := read(http.Get(srv.URL + "/v1/stack?bench=" + testBench + "&threads=2&format=svg"))
+	if len(body) <= 2<<10 || resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("a %d-byte SVG reply announced length %d, transfer encoding %v; want its length",
+			len(body), resp.ContentLength, resp.TransferEncoding)
+	}
+
+	cells := strings.Repeat(`{"bench":"`+testBench+`","threads":2},`, 12)
+	resp, body = read(http.Post(srv.URL+"/v1/sweep?format=ndjson", "application/json",
+		strings.NewReader(`{"cells":[`+strings.TrimSuffix(cells, ",")+`]}`)))
+	if len(body) <= 2<<10 || resp.ContentLength != -1 || !slices.Equal(resp.TransferEncoding, []string{"chunked"}) {
+		t.Errorf("a %d-byte streamed sweep announced length %d, transfer encoding %v; want chunked",
+			len(body), resp.ContentLength, resp.TransferEncoding)
 	}
 }

@@ -1,9 +1,11 @@
 // Package sizedio reads a whole stream whose sender announces its length —
-// an HTTP request or reply body with its Content-Length, a trace held in
-// memory — at a cost that is a function of the bytes that arrive: neither
-// of the length announced, which a hostile sender chooses, nor of append's
-// growth policy, which io.ReadAll inherits (about 5.7 times a multi-megabyte
-// body in allocation).
+// a JSON request body or a reply body with its Content-Length, or a body a
+// routing layer buffers to replay — at a cost that is a function of the
+// bytes that arrive: neither of the length announced, which a hostile
+// sender chooses, nor of append's growth policy, which io.ReadAll inherits
+// (about 5.7 times a multi-megabyte body in allocation). A trace is not
+// read through it: the trace decoder reads its input once, into the chunks
+// it keeps (trace.DecodeFrom).
 package sizedio
 
 import (

@@ -119,3 +119,32 @@ func TestDocumentConformance(t *testing.T) {
 		t.Error("unknown format encoded")
 	}
 }
+
+// writeCounter counts the Write calls a body arrives in.
+type writeCounter struct{ writes, bytes int }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// TestEncodeDocumentWritesOnce holds every format of every Document, and
+// the many-row ndjson sweep body, to one Write of the whole body: the
+// service announces a one-document reply's Content-Length from it.
+func TestEncodeDocumentWritesOnce(t *testing.T) {
+	docs := documents(t)
+	bars := docs["stack.Bars"].(stack.Bars)
+	docs["many stack.Bars"] = append(append(stack.Bars{}, bars...), bars[0], bars[0])
+	for name, d := range docs {
+		for _, f := range stack.Formats() {
+			var w writeCounter
+			if err := stack.EncodeDocument(&w, f, d); err != nil {
+				t.Fatalf("%s: encoding %s: %v", name, f, err)
+			}
+			if w.writes != 1 || w.bytes == 0 {
+				t.Errorf("%s in %s: %d bytes in %d writes, want one", name, f, w.bytes, w.writes)
+			}
+		}
+	}
+}

@@ -35,8 +35,9 @@ import (
 // bits 6..7 reserved zero — followed by kind-dependent varint operands:
 // Compute carries N always; Load/Store carry Addr then PC (then N when
 // flagged, default 1); sync ops carry ID (then N when flagged); End carries
-// nothing. Decode validates every section eagerly, so the streaming readers
-// handed to the simulator can never fail mid-run on hostile input.
+// nothing. Decode (a trace in memory) and DecodeFrom (a reader) validate
+// every section eagerly, so the streaming readers handed to the simulator
+// can never fail mid-run on hostile input.
 //
 // Content identity: the trace hash is sha256 over the version byte, the
 // flags byte and everything after the label. The label is excluded for the
@@ -97,14 +98,18 @@ type Header struct {
 
 // Check refuses a header of a trace with the given thread count outside
 // the bounds above. It is the one judge of a header value: Encode and
-// workload.Record run it before they write or simulate, and Decode and
-// DecodeMeta as soon as the header is read.
-func (h Header) Check(threads int) error {
+// workload.Record run it before they write or simulate, and every decoder
+// as soon as the header is read.
+func (h Header) Check(threads int) error { return h.check(len(h.Label), threads) }
+
+// check is Check with the label's length given apart: the decoder keeps no
+// label past MaxLabelLen, only its length.
+func (h Header) check(labelLen, threads int) error {
 	if threads < 1 || threads > MaxThreads {
 		return fmt.Errorf("trace: thread count must be in [1, %d], got %d", MaxThreads, threads)
 	}
-	if len(h.Label) > MaxLabelLen {
-		return fmt.Errorf("trace: label length %d exceeds %d", len(h.Label), MaxLabelLen)
+	if labelLen > MaxLabelLen {
+		return fmt.Errorf("trace: label length %d exceeds %d", labelLen, MaxLabelLen)
 	}
 	if len(h.Queues) > MaxRegs || len(h.Barriers) > MaxRegs {
 		return fmt.Errorf("trace: at most %d queue and %d barrier registrations", MaxRegs, MaxRegs)
@@ -263,13 +268,15 @@ func appendOp(dst []byte, op Op) []byte {
 // Data is a decoded, fully validated trace: the replayable twin of File.
 // The op streams stay in encoded form — ThreadProgram and SequentialProgram
 // hand the simulator streaming readers that decode lazily — so holding a
-// Data costs roughly the file size, not an []Op expansion. Data is
-// immutable after Decode and safe for concurrent use; every reader it
-// creates has independent position state.
+// Data costs roughly the file size, not an []Op expansion. Each stream is a
+// list of chunks, every one of them whole ops: a trace decoded in memory
+// keeps one sub-slice of it per stream, one read from a reader keeps the
+// chunks it read. Data is immutable after decoding and safe for concurrent
+// use; every reader it creates has independent position state.
 type Data struct {
 	hdr      Header
-	seq      []byte
-	threads  [][]byte
+	seq      [][]byte
+	threads  [][][]byte
 	totalOps uint64
 	hash     [sha256.Size]byte
 }
@@ -284,10 +291,13 @@ type Meta struct {
 	HashHex string
 }
 
-// decoder walks one buffer with bounds-checked varint reads.
+// decoder walks one chunk of a section body with bounds-checked varint
+// reads; base is the chunk's offset in the body, which positioned errors
+// report.
 type decoder struct {
-	buf []byte
-	pos int
+	buf  []byte
+	pos  int
+	base int
 }
 
 func (d *decoder) remaining() int { return len(d.buf) - d.pos }
@@ -295,86 +305,80 @@ func (d *decoder) remaining() int { return len(d.buf) - d.pos }
 func (d *decoder) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(d.buf[d.pos:])
 	if n <= 0 {
-		return 0, fmt.Errorf("trace: truncated or malformed varint (%s) at offset %d", what, d.pos)
+		return 0, fmt.Errorf("trace: truncated or malformed varint (%s) at offset %d", what, d.base+d.pos)
 	}
 	d.pos += n
 	return v, nil
 }
 
-// bytes consumes n bytes, failing (rather than allocating) when the buffer
-// does not hold them — header-declared lengths never cause allocation
-// beyond what was actually received.
-func (d *decoder) bytes(n uint64, what string) ([]byte, error) {
-	if n > uint64(d.remaining()) {
-		return nil, fmt.Errorf("trace: %s length %d exceeds the %d bytes remaining", what, n, d.remaining())
-	}
-	out := d.buf[d.pos : d.pos+int(n)]
-	d.pos += int(n)
-	return out, nil
-}
-
 // header parses magic through thread count and judges the header with
-// Check, returning the partially filled Data and the decoder positioned at
-// the first section. The content hash covers everything after the label.
-// Shared by Decode and DecodeMeta.
-func header(data []byte) (*Data, *decoder, error) {
-	if len(data) < 6 {
-		return nil, nil, fmt.Errorf("trace: %d bytes is shorter than the %d-byte header", len(data), 6)
+// check, returning the partially filled Data with s positioned at the first
+// section and hashing from the byte after the label on. Shared by every
+// decode and by DecodeMeta.
+func header(s *source) (*Data, error) {
+	s.fill(6)
+	b := s.buf[s.pos:]
+	if len(b) < 6 {
+		return nil, fmt.Errorf("trace: %d bytes is shorter than the %d-byte header", len(b), 6)
 	}
-	if string(data[:4]) != formatMagic {
-		return nil, nil, fmt.Errorf("trace: bad magic %q (want %q)", data[:4], formatMagic)
+	if string(b[:4]) != formatMagic {
+		return nil, fmt.Errorf("trace: bad magic %q (want %q)", b[:4], formatMagic)
 	}
-	if data[4] != formatVersion {
-		return nil, nil, fmt.Errorf("trace: unsupported version %d (this build reads version %d)", data[4], formatVersion)
+	if b[4] != formatVersion {
+		return nil, fmt.Errorf("trace: unsupported version %d (this build reads version %d)", b[4], formatVersion)
 	}
-	flags := data[5]
+	flags := b[5]
 	if flags&^byte(flagSequential) != 0 {
-		return nil, nil, fmt.Errorf("trace: unknown flag bits %#x", flags&^byte(flagSequential))
+		return nil, fmt.Errorf("trace: unknown flag bits %#x", flags&^byte(flagSequential))
 	}
-	d := &decoder{buf: data, pos: 6}
-	labelLen, err := d.uvarint("label length")
+	s.consume(6)
+	labelLen, err := s.uvarint("label length")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	label, err := d.bytes(labelLen, "label")
-	if err != nil {
-		return nil, nil, err
+	// A label within its bound is kept; a longer one is only skipped, and
+	// check refuses its length.
+	t := &Data{}
+	if labelLen <= MaxLabelLen {
+		s.fill(int(labelLen))
+		if b := s.buf[s.pos:]; len(b) >= int(labelLen) {
+			t.hdr.Label = string(b[:labelLen])
+		}
 	}
-	t := &Data{hdr: Header{Label: string(label)}}
+	if got := s.skip(labelLen); got < labelLen {
+		return nil, fmt.Errorf("trace: label length %d exceeds the %d bytes remaining", labelLen, got)
+	}
+	s.hash = sha256.New()
+	s.hash.Write([]byte{formatVersion, flags})
 
-	h := sha256.New()
-	h.Write(data[4:6])
-	h.Write(data[d.pos:])
-	h.Sum(t.hash[:0])
-
-	if t.hdr.LockGrace, err = d.uvarint("lock_grace"); err != nil {
-		return nil, nil, err
+	if t.hdr.LockGrace, err = s.uvarint("lock_grace"); err != nil {
+		return nil, err
 	}
-	if t.hdr.BarrierGrace, err = d.uvarint("barrier_grace"); err != nil {
-		return nil, nil, err
+	if t.hdr.BarrierGrace, err = s.uvarint("barrier_grace"); err != nil {
+		return nil, err
 	}
-	t.hdr.Queues, err = decodeRegs(d, "queue", "capacity",
+	t.hdr.Queues, err = decodeRegs(s, "queue", "capacity",
 		func(id uint32, v int) QueueReg { return QueueReg{ID: id, Cap: v} })
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	t.hdr.Barriers, err = decodeRegs(d, "barrier", "parties",
+	t.hdr.Barriers, err = decodeRegs(s, "barrier", "parties",
 		func(id uint32, v int) BarrierReg { return BarrierReg{ID: id, Parties: v} })
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	threads, err := d.uvarint("thread count")
+	threads, err := s.uvarint("thread count")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := t.hdr.Check(saturatingInt(threads)); err != nil {
-		return nil, nil, err
+	if err := t.hdr.check(saturatingInt(labelLen), saturatingInt(threads)); err != nil {
+		return nil, err
 	}
-	t.threads = make([][]byte, threads)
+	t.threads = make([][][]byte, threads)
 	if flags&flagSequential != 0 {
-		t.seq = []byte{} // non-nil marks presence; filled by Decode
+		t.seq = [][]byte{} // non-nil marks presence; filled by decode
 	}
-	return t, d, nil
+	return t, nil
 }
 
 // saturatingInt converts a decoded value to int, so a value past any bound
@@ -385,34 +389,57 @@ func saturatingInt(v uint64) int { return int(min(v, math.MaxInt)) }
 // (id, value) pairs. kind and field name the list in positioned errors
 // ("queue", "capacity"). Only the count is judged here, to bound the
 // allocation; the values are Check's to judge.
-func decodeRegs[R any](d *decoder, kind, field string, reg func(id uint32, v int) R) ([]R, error) {
-	n, err := d.uvarint(kind + " count")
+func decodeRegs[R any](s *source, kind, field string, reg func(id uint32, v int) R) ([]R, error) {
+	n, err := s.uvarint(kind + " count")
 	if err != nil {
 		return nil, err
 	}
-	// Each registration occupies at least two bytes, so the remaining
-	// buffer bounds the believable count before anything is allocated.
-	if n > MaxRegs || n*2 > uint64(d.remaining()) {
-		return nil, fmt.Errorf("trace: implausible %s count %d", kind, n)
+	// Each registration occupies at least two bytes, so a count past half
+	// the bytes left is implausible. The count is held to the bytes left
+	// only when a registration fails to decode (a list that decodes whole
+	// has shown them), and the list is sized by the bytes that have
+	// arrived, never by the count alone: when it is full it grows by the
+	// registrations the buffered bytes can hold, or doubles, whichever is
+	// more, up to the count. A list in memory is allocated once.
+	implausible := func() error { return fmt.Errorf("trace: implausible %s count %d", kind, n) }
+	if n > MaxRegs {
+		return nil, implausible()
 	}
+	start := s.off
 	idWhat, valWhat := kind+" id", kind+" "+field
-	regs := make([]R, n)
-	for i := range regs {
-		id, err := d.uvarint(idWhat)
+	regs := make([]R, 0)
+	for i := range n {
+		id, err := s.uvarint(idWhat)
+		var v uint64
+		if err == nil {
+			v, err = s.uvarint(valWhat)
+		}
+		if err == nil && id > 1<<32-1 {
+			err = fmt.Errorf("trace: %s registration %d id %d overflows uint32", kind, i, id)
+		}
 		if err != nil {
+			read := uint64(s.off - start) // before rest moves s.off
+			if 2*n > read+s.rest() {
+				return nil, implausible()
+			}
 			return nil, err
 		}
-		v, err := d.uvarint(valWhat)
-		if err != nil {
-			return nil, err
+		if len(regs) == cap(regs) {
+			more := max(len(regs), 1+(len(s.buf)-s.pos)/2)
+			regs = slices.Grow(regs, int(min(uint64(more), n-i)))
 		}
-		if id > 1<<32-1 {
-			return nil, fmt.Errorf("trace: %s registration %d id %d overflows uint32", kind, i, id)
-		}
-		regs[i] = reg(uint32(id), saturatingInt(v))
+		regs = append(regs, reg(uint32(id), saturatingInt(v)))
 	}
 	return regs, nil
 }
+
+// ReadError is DecodeFrom's error when reading the trace failed. It
+// outranks any fault in the bytes that did arrive, as it would if the trace
+// were read whole before it was decoded.
+type ReadError struct{ Err error }
+
+func (e *ReadError) Error() string { return e.Err.Error() }
+func (e *ReadError) Unwrap() error { return e.Err }
 
 // Decode parses and fully validates a binary trace. Every op of every
 // section is walked once, so hostile input — truncated buffers, corrupt
@@ -420,30 +447,61 @@ func decodeRegs[R any](d *decoder, kind, field string, reg func(id uint32, v int
 // positioned error and the returned Data's streaming readers can never
 // fail mid-simulation. A trace in which no thread op does work (every
 // thread stream only End and empty Compute bursts) is refused too, before
-// anything replays it. Decode never panics and never allocates more than a
-// small multiple of len(data).
-func Decode(data []byte) (*Data, error) {
-	t, d, err := header(data)
+// anything replays it. Decode never panics and copies nothing: the Data's
+// streams are sub-slices of data.
+func Decode(data []byte) (*Data, error) { return decode(inMemory(data)) }
+
+// DecodeFrom reads a binary trace from r to its end and decodes it as
+// Decode does, in the same single pass: the header through a small
+// buffered front, each section body into chunks of at most 64 KiB that the
+// Data keeps, the content hash fed as the bytes pass. Nothing is allocated
+// from a length the trace declares, so a reader costs at most the bytes it
+// sent, one chunk and the front, besides the registration lists, which
+// hold 16 bytes for each registration's two or more. A failure to read r
+// is a *ReadError.
+func DecodeFrom(r io.Reader) (*Data, error) { return decode(fromReader(r, chunkSize)) }
+
+// decode is the one decoder behind Decode and DecodeFrom: header, sections,
+// the work rule, then the rest of the input, which must be empty. It always
+// reads the input to its end, so a read error outranks a format error, as
+// if the trace had been read whole first, and an error counting the bytes
+// left can count them.
+func decode(s *source) (*Data, error) {
+	t, err := decodeSections(s)
+	if n := s.rest(); err == nil && n != 0 {
+		err = fmt.Errorf("trace: %d trailing bytes after the last stream", n)
+	}
+	if s.err != io.EOF {
+		return nil, &ReadError{Err: s.err}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// decodeSections decodes the header and every section, and judges the
+// work rule.
+func decodeSections(s *source) (*Data, error) {
+	t, err := header(s)
 	if err != nil {
 		return nil, err
 	}
 	if t.seq != nil {
-		if t.seq, err = decodeSection(d, &t.totalOps, new(bool)); err != nil {
+		if t.seq, err = decodeSection(s, &t.totalOps, new(bool)); err != nil {
 			return nil, fmt.Errorf("trace: sequential stream: %w", err)
 		}
 	}
 	work := false
 	for i := range t.threads {
-		if t.threads[i], err = decodeSection(d, &t.totalOps, &work); err != nil {
+		if t.threads[i], err = decodeSection(s, &t.totalOps, &work); err != nil {
 			return nil, fmt.Errorf("trace: thread %d stream: %w", i, err)
 		}
 	}
 	if !work {
 		return nil, errNoWork
 	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("trace: %d trailing bytes after the last stream", d.remaining())
-	}
+	s.hash.Sum(t.hash[:0])
 	return t, nil
 }
 
@@ -452,48 +510,86 @@ func Decode(data []byte) (*Data, error) {
 // routing view: the fleet layer homes a multi-megabyte upload from its
 // Meta alone, leaving full validation to the home node's service.
 func DecodeMeta(data []byte) (Meta, error) {
-	t, _, err := header(data)
+	s := inMemory(data)
+	t, err := header(s)
 	if err != nil {
 		return Meta{}, err
 	}
+	s.skip(math.MaxUint64) // the hash covers the sections too
+	s.hash.Sum(t.hash[:0])
 	return Meta{Header: t.hdr, Threads: len(t.threads), HashHex: t.HashHex()}, nil
 }
 
-// decodeSection validates one op-stream section and returns its encoded
-// body. totalOps accumulates the declared (and verified) op count, work
-// whether any op works.
-func decodeSection(d *decoder, totalOps *uint64, work *bool) ([]byte, error) {
-	count, err := d.uvarint("op count")
+// maxOpLen is the longest encoded op: a head byte and three varints (a
+// load's address, pc and count).
+const maxOpLen = 1 + 3*binary.MaxVarintLen64
+
+// decodeSection validates one op-stream section and returns its body as
+// the source hands it out, in chunks: each chunk is validated as it
+// arrives, and an op that might straddle a chunk's end (fewer than
+// maxOpLen bytes left in it while more are to come) is carried to the
+// start of the next, so every chunk holds whole ops and every op is judged
+// with as many bytes as the whole body would show it. totalOps accumulates
+// the declared (and verified) op count, work whether any op works. A fault
+// inside the body is reported only once the rest of the body has arrived,
+// so a body shorter than its declared length is always that error.
+func decodeSection(s *source, totalOps *uint64, work *bool) ([][]byte, error) {
+	count, err := s.uvarint("op count")
 	if err != nil {
 		return nil, err
 	}
-	size, err := d.uvarint("byte length")
+	size, err := s.uvarint("byte length")
 	if err != nil {
 		return nil, err
 	}
-	body, err := d.bytes(size, "stream")
-	if err != nil {
-		return nil, err
-	}
+	var (
+		chunks [][]byte
+		carry  []byte
+		base   int // the body offset carry starts at
+		toCome = size
+		i      uint64
+		op     Op
+		fail   error
+	)
 	if count == 0 {
-		return nil, fmt.Errorf("empty stream (must hold at least %v)", KindEnd)
+		fail = fmt.Errorf("empty stream (must hold at least %v)", KindEnd)
 	}
-	sd := decoder{buf: body}
-	var op Op
-	for i := uint64(0); i < count; i++ {
-		if err := decodeOp(&sd, &op); err != nil {
-			return nil, fmt.Errorf("op %d: %w", i, err)
+	for fail == nil {
+		want := int(min(toCome, uint64(s.chunk-len(carry))))
+		c := s.take(carry, want)
+		if got := len(c) - len(carry); got < want {
+			toCome -= uint64(got)
+			break // the input ended inside the body
 		}
-		if (op.Kind == KindEnd) != (i == count-1) {
-			return nil, fmt.Errorf("op %d: %v must be exactly the final op", i, KindEnd)
+		toCome -= uint64(want)
+		last := toCome == 0
+		d := decoder{buf: c, base: base}
+		for i < count && (last || d.remaining() >= maxOpLen) {
+			if err := decodeOp(&d, &op); err != nil {
+				fail = fmt.Errorf("op %d: %w", i, err)
+				break
+			}
+			if (op.Kind == KindEnd) != (i == count-1) {
+				fail = fmt.Errorf("op %d: %v must be exactly the final op", i, KindEnd)
+				break
+			}
+			*work = *work || op.works()
+			i++
 		}
-		*work = *work || op.works()
+		if fail == nil && i == count && (!last || d.remaining() != 0) {
+			fail = fmt.Errorf("%d bytes beyond the declared %d ops", uint64(d.remaining())+toCome, count)
+		}
+		if fail == nil && last {
+			*totalOps += count
+			return append(chunks, c), nil
+		}
+		chunks = append(chunks, c[:d.pos])
+		carry, base = c[d.pos:], base+d.pos
 	}
-	if sd.remaining() != 0 {
-		return nil, fmt.Errorf("%d bytes beyond the declared %d ops", sd.remaining(), count)
+	if toCome -= s.skip(toCome); toCome != 0 {
+		return nil, fmt.Errorf("trace: stream length %d exceeds the %d bytes remaining", size, size-toCome)
 	}
-	*totalOps += count
-	return body, nil
+	return nil, fail
 }
 
 // decodeOp decodes the op at the decoder's position into op, writing every
@@ -578,9 +674,7 @@ func (t *Data) HashHex() string { return hex.EncodeToString(t.hash[:]) }
 // ThreadProgram returns a fresh streaming reader over thread i's recorded
 // stream. Each call returns an independent program, so one Data replays any
 // number of times.
-func (t *Data) ThreadProgram(i int) Program {
-	return &streamReader{d: decoder{buf: t.threads[i]}}
-}
+func (t *Data) ThreadProgram(i int) Program { return &streamReader{chunks: t.threads[i]} }
 
 // SequentialProgram returns a fresh streaming reader over the recorded
 // single-threaded reference stream.
@@ -588,16 +682,18 @@ func (t *Data) SequentialProgram() (Program, error) {
 	if t.seq == nil {
 		return nil, fmt.Errorf("trace: no sequential stream was recorded (re-record with the sequential reference to measure a speedup stack)")
 	}
-	return &streamReader{d: decoder{buf: t.seq}}, nil
+	return &streamReader{chunks: t.seq}, nil
 }
 
 // streamReader replays one validated encoded section as a Program,
-// decoding ops lazily. Feedback is ignored — a recorded stream already took
-// its branches — but batches still end immediately after every KindPop so
-// the batch/feedback contract holds for any consumer counting on it.
+// decoding ops lazily and stepping to the next chunk when one runs out.
+// Feedback is ignored — a recorded stream already took its branches — but
+// batches still end immediately after every KindPop so the batch/feedback
+// contract holds for any consumer counting on it.
 type streamReader struct {
-	d    decoder
-	done bool
+	d      decoder
+	chunks [][]byte // the section's chunks after d's
+	done   bool
 }
 
 // Next implements Program: the one-op batch.
@@ -611,8 +707,11 @@ func (r *streamReader) NextBatch(dst []Op, _ Feedback) int {
 	for n < len(dst) {
 		op := &dst[n]
 		n++
-		// A decode error is unreachable for Decode-validated sections; fail
-		// closed anyway by ending the stream.
+		if r.d.remaining() == 0 && len(r.chunks) > 0 {
+			r.d, r.chunks = decoder{buf: r.chunks[0]}, r.chunks[1:]
+		}
+		// A decode error is unreachable for validated sections; fail closed
+		// anyway by ending the stream.
 		if r.done || decodeOp(&r.d, op) != nil {
 			*op = End()
 		}

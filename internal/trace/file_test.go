@@ -184,6 +184,32 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 			t.Errorf("%s: Decode accepted hostile input", name)
 		}
 	}
+	// The errors a reader decoding as the bytes arrive must still word as a
+	// decoder of the whole input does: each fault is reported where the
+	// whole input places it, against the bytes the whole input holds.
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"count past a bad registration": {append(append(bytes.Clone(valid[:30]), 45), valid[30:]...),
+			"trace: implausible queue count 45"},
+		"label past the input": {append([]byte("SPTR\x01\x00\xac\x02"), make([]byte, 10)...),
+			"trace: label length 300 exceeds the 10 bytes remaining"},
+		"truncated body": {valid[:len(valid)-3],
+			"trace: thread 1 stream: trace: stream length 3 exceeds the 0 bytes remaining"},
+		"trailing junk": {append(bytes.Clone(valid), 0x00),
+			"trace: 1 trailing bytes after the last stream"},
+		"stream past the input": {append([]byte("SPTR\x01\x00\x00\x00\x00\x00\x00\x01\x01\x80\x80\x80\x0f"), make([]byte, 1<<10)...),
+			"trace: thread 0 stream: trace: stream length 31457280 exceeds the 1024 bytes remaining"},
+		"ops past the count": {[]byte("SPTR\x01\x00\x00\x00\x00\x00\x00\x01\x02\x04\x00\x01\x09\x09"),
+			"trace: thread 0 stream: 1 bytes beyond the declared 2 ops"},
+		"varint past the body": {[]byte("SPTR\x01\x00\x00\x00\x00\x00\x00\x01\x02\x03\x00\x01\x01"),
+			"trace: thread 0 stream: op 1: trace: truncated or malformed varint (address) at offset 3"},
+	} {
+		if _, err := Decode(tc.data); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Decode error %v, want %q", name, err, tc.want)
+		}
+	}
 	// End mid-stream must be rejected.
 	if _, err := roundTrip((&File{Threads: [][]Op{{Compute(1), End(), Compute(1), End()}}})); err == nil {
 		t.Errorf("mid-stream End was accepted")
@@ -220,8 +246,12 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add([]byte(zeroWork))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Decode must never panic or over-allocate; on success the trace
-		// must be fully replayable and agree with its cheap meta view.
+		// Decode must never panic or over-allocate; a reader must decode
+		// the bytes as it does — a byte at a time into the smallest chunks,
+		// the pair that splits the most reads and carries the most ops; on
+		// success the trace must be fully replayable and agree with its
+		// cheap meta view.
+		agreeAt(t, data, 1, maxOpLen)
 		d, err := Decode(data)
 		if err != nil {
 			return

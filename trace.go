@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/sim"
-	"repro/internal/sizedio"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -44,19 +43,15 @@ func RecordTrace(w io.Writer, r Request) error {
 // LoadTrace reads a recorded binary op trace and returns the Workload that
 // replays it. The workload measures like any other (Measure, MeasureAll,
 // the service), but only at the trace's recorded thread count, which its
-// TraceThreads method reports. A reader that knows its remaining length
-// (a Len method, as bytes.Reader and bytes.Buffer have) is read into a
-// buffer sized by it.
+// TraceThreads method reports. The trace is decoded as it is read, each
+// stream into chunks the workload keeps, so loading costs about the
+// trace's size.
 func LoadTrace(r io.Reader) (Workload, error) {
-	declared := int64(-1)
-	if l, ok := r.(interface{ Len() int }); ok {
-		declared = int64(l.Len())
+	d, err := trace.DecodeFrom(r)
+	var re *trace.ReadError
+	if errors.As(err, &re) {
+		return Workload{}, fmt.Errorf("reading trace: %v", re.Err)
 	}
-	data, err := sizedio.ReadAll(r, declared, -1)
-	if err != nil {
-		return Workload{}, fmt.Errorf("reading trace: %v", err)
-	}
-	d, err := trace.Decode(data)
 	if err != nil {
 		return Workload{}, err
 	}
