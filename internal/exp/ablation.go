@@ -107,8 +107,8 @@ func Ablation(ctx context.Context, e *Engine) (Ablations, error) {
 		cfg.Quantum = q
 		reqs = append(reqs, onMachine(cfg, probes)...)
 	}
-	outs, err := e.Do(ctx, reqs)
-	if err != nil {
+	outs := make([]Outcome, len(reqs))
+	if err := e.Do(ctx, reqs, func(i int, out Outcome) { outs[i] = out }); err != nil {
 		return Ablations{}, err
 	}
 

@@ -62,20 +62,19 @@ func (e *Engine) Advise(ctx context.Context, req Request, maxThreads int) (scali
 		reqs[i] = req
 		reqs[i].Threads = n
 	}
-	outs, err := e.Do(ctx, reqs)
+	points := make([]scaling.Point, len(reqs))
+	var top core.Stack // the last point's
+	err = e.Do(ctx, reqs, func(i int, o Outcome) {
+		points[i], top = scaling.Point{Threads: o.Stack.N, Speedup: o.Stack.ActualSpeedup}, o.Stack
+	})
 	if err != nil {
 		return scaling.Advice{}, err
 	}
-	points := make([]scaling.Point, len(outs))
-	for i, o := range outs {
-		points[i] = scaling.Point{Threads: o.Stack.N, Speedup: o.Stack.ActualSpeedup}
-	}
-	top := outs[len(outs)-1]
-	a, err := scaling.Build(b.FullName(), b.Spec, points, top.Stack)
+	a, err := scaling.Build(b.FullName(), b.Spec, points, top)
 	if err != nil {
 		return scaling.Advice{}, err
 	}
-	attachPredictedGains(a.Recommendations, b.Spec, cfg, top.Stack)
+	attachPredictedGains(a.Recommendations, b.Spec, cfg, top)
 	return a, nil
 }
 

@@ -30,7 +30,8 @@ func runCalibrate(ctx context.Context, e *Engine, p Params) (string, error) {
 	for i, b := range benches {
 		cells[i] = Cell{Bench: b.FullName(), Threads: p.Threads}
 	}
-	outs, err := e.Do(ctx, append(onMachine(base, cells), onMachine(truth, cells)...))
+	outs := make([]Outcome, 2*len(cells))
+	err := e.Do(ctx, append(onMachine(base, cells), onMachine(truth, cells)...), func(i int, out Outcome) { outs[i] = out })
 	if err != nil {
 		return "", err
 	}

@@ -35,8 +35,9 @@ type ValidationCompareRow struct {
 // batch.
 func ValidationCompare(ctx context.Context, e *Engine) ([]ValidationCompareRow, error) {
 	cells := allBenchCells(ThreadCounts...)
-	outs, err := e.Do(ctx, append(onMachine(e.base.WithMode(sim.ModeExact), cells),
-		onMachine(e.base.WithMode(sim.ModeFast), cells)...))
+	outs := make([]Outcome, 2*len(cells))
+	err := e.Do(ctx, append(onMachine(e.base.WithMode(sim.ModeExact), cells),
+		onMachine(e.base.WithMode(sim.ModeFast), cells)...), func(i int, out Outcome) { outs[i] = out })
 	if err != nil {
 		return nil, err
 	}

@@ -32,11 +32,11 @@ func TestFastModeErrorBoundsRegression(t *testing.T) {
 			cells = append(cells, Cell{Bench: b.FullName(), Threads: n})
 		}
 	}
-	exact, err := e.Do(ctx, onMachine(e.Config().WithMode(sim.ModeExact), cells))
+	exact, err := outcomes(ctx, e, onMachine(e.Config().WithMode(sim.ModeExact), cells))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := e.Do(ctx, onMachine(e.Config().WithMode(sim.ModeFast), cells))
+	fast, err := outcomes(ctx, e, onMachine(e.Config().WithMode(sim.ModeFast), cells))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -398,13 +398,12 @@ func Figure9(ctx context.Context, e *Engine) ([]InterferenceRow, error) {
 			Config: &cfg,
 		}
 	}
-	outs, err := e.Do(ctx, reqs)
+	rows := make([]InterferenceRow, len(reqs))
+	err := e.Do(ctx, reqs, func(i int, out Outcome) {
+		rows[i] = interferenceRow(fmt.Sprintf("%dMB", figure9LLCMBs[i]), out.Stack)
+	})
 	if err != nil {
 		return nil, err
-	}
-	rows := make([]InterferenceRow, len(outs))
-	for i, out := range outs {
-		rows[i] = interferenceRow(fmt.Sprintf("%dMB", figure9LLCMBs[i]), out.Stack)
 	}
 	return rows, nil
 }

@@ -62,7 +62,7 @@ func TestGroundTruthIsSampleShiftZero(t *testing.T) {
 	}
 	full := e.Config()
 	full.ATDSampleShift = 0
-	truth, err := e.Do(ctx, onMachine(full, cells))
+	truth, err := outcomes(ctx, e, onMachine(full, cells))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -86,7 +86,7 @@ func TestSeqMemoLimit(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		spec := testSpec("seeded")
 		spec.Seed = seed
-		outs, err := e.Do(ctx, []Request{{Cell: Cell{Spec: &spec, Threads: 2}}})
+		outs, err := outcomes(ctx, e, []Request{{Cell: Cell{Spec: &spec, Threads: 2}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestSeqMemoLimit(t *testing.T) {
 	}
 	spec := testSpec("seeded")
 	spec.Seed = 1
-	again, err := e.Do(ctx, []Request{{Cell: Cell{Spec: &spec, Threads: 2}}})
+	again, err := outcomes(ctx, e, []Request{{Cell: Cell{Spec: &spec, Threads: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSpecTwoConfigsSimulateTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.Default().WithLLCSize(1 << 20)
-	if _, err := e.Do(ctx, onMachine(cfg, cells)); err != nil {
+	if _, err := outcomes(ctx, e, onMachine(cfg, cells)); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.count("cell:cfgsweep"); got != 2 {
@@ -225,7 +225,7 @@ func TestSpecTwoConfigsSimulateTwice(t *testing.T) {
 	}
 	// Re-requesting under either config is now a pure memo hit.
 	before := e.Stats()
-	if _, err := e.Do(ctx, onMachine(cfg, cells)); err != nil {
+	if _, err := outcomes(ctx, e, onMachine(cfg, cells)); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.CellRuns != before.CellRuns {
@@ -240,7 +240,7 @@ func TestSpecTwoConfigsSimulateTwice(t *testing.T) {
 	for i, set := range unread {
 		cfg := sim.Default()
 		set(&cfg)
-		outs, err := e.Do(ctx, onMachine(cfg, cells))
+		outs, err := outcomes(ctx, e, onMachine(cfg, cells))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,36 +346,77 @@ func TestEditedRegistryCopyIsADistinctCell(t *testing.T) {
 }
 
 // TestMemoisedNamedCellHashesNothing holds the hit path of a registered name
-// to its allocations: the fingerprint comes out of the name index, so
+// to no allocation at all: the fingerprint comes out of the name index, so
 // nothing is canonicalised, marshalled or hashed, and Do keeps its
-// bookkeeping on the stack, so the returned slice is all it allocates (28
-// allocations per call before the index, 10 and 3,024 bytes while Do built
-// per-call maps and copies). Measured 512 bytes, the size class of a
-// 496-byte Outcome (640 while Outcome carried the whole sim.Result); the
-// bound keeps the 1.6x headroom 1,024 bytes gave that class. The same cell
-// given as an inline spec still hashes, once, and so allocates more.
+// bookkeeping on its stack and hands each outcome to the caller's sink, so a
+// memoised named cell, and a warmed batch of eight with a duplicate, cost
+// nothing (28 allocations per call before the index, 10 and 3,024 bytes
+// while Do built per-call maps and copies, 1 and 512 bytes while it returned
+// an Outcome slice). The same cell given as an inline spec still hashes,
+// once, and so allocates more. A batch whose second cell is a retained
+// failure delivers nothing and returns that failure, without simulating.
 func TestMemoisedNamedCellHashesNothing(t *testing.T) {
-	const name = "blackscholes_parsec_small"
+	const name, other = "blackscholes_parsec_small", "swaptions_parsec_small"
 	e := NewEngine(sim.Default(), WithWorkers(2))
 	ctx := context.Background()
 	b, _ := workload.ByName(name)
 	namedReq := []Request{{Cell: Cell{Bench: name, Threads: 2}}}
 	inlineReq := []Request{{Cell: Cell{Spec: &b.Spec, Threads: 2}}}
-	if _, err := e.Do(ctx, namedReq); err != nil {
+	var batch []Request // seven cells, then the first again
+	for _, c := range []Cell{{Bench: name, Threads: 2}, {Bench: name, Threads: 1}, {Bench: name, Threads: 3},
+		{Bench: name, Threads: 4}, {Bench: other, Threads: 1}, {Bench: other, Threads: 2}, {Bench: other, Threads: 3},
+		{Bench: name, Threads: 2}} {
+		batch = append(batch, Request{Cell: c})
+	}
+	var delivered []int
+	record := func(i int, out Outcome) {
+		delivered = append(delivered, i)
+		if c := batch[i].Cell; out.Bench.FullName() != c.Bench || out.Stack.N != c.Threads {
+			t.Errorf("delivery %d is %s x%d, want %s x%d", i, out.Bench.FullName(), out.Stack.N, c.Bench, c.Threads)
+		}
+	}
+	if err := e.Do(ctx, batch, record); err != nil {
 		t.Fatal(err)
 	}
-	named := testing.AllocsPerRun(100, func() { e.Do(ctx, namedReq) })
-	inline := testing.AllocsPerRun(100, func() { e.Do(ctx, inlineReq) })
-	bytes := bytesPerRun(100, func() { e.Do(ctx, namedReq) })
-	if st := e.Stats(); st.CellRuns != 1 {
+	if !slices.Equal(delivered, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Errorf("Do delivered %v, want every request once in declared order", delivered)
+	}
+	runs := e.Stats().CellRuns
+	ignore := func(int, Outcome) {}
+	for _, tc := range []struct {
+		name string
+		reqs []Request
+	}{{"named cell", namedReq}, {"batch of eight with a duplicate", batch}} {
+		allocs := testing.AllocsPerRun(100, func() { e.Do(ctx, tc.reqs, ignore) })
+		bytes := bytesPerRun(100, func() { e.Do(ctx, tc.reqs, ignore) })
+		if !raceEnabled && (allocs != 0 || bytes != 0) {
+			t.Errorf("a memoised %s costs %v allocations and %.0f bytes per Do, want none", tc.name, allocs, bytes)
+		}
+	}
+	inline := testing.AllocsPerRun(100, func() { e.Do(ctx, inlineReq, ignore) })
+	if inline == 0 {
+		t.Errorf("an inline spec allocates nothing either: the named path is hashing too")
+	}
+	if st := e.Stats(); st.CellRuns != runs {
 		t.Fatalf("the measured calls simulated: %+v", st)
 	}
-	if !raceEnabled && (named > 1 || bytes > 820) {
-		t.Errorf("a memoised named cell costs %v allocations and %.0f bytes per Do, want 1 (the %d-byte Outcome slice) and <= 820",
-			named, bytes, unsafe.Sizeof(Outcome{}))
+
+	// A machine whose cycle budget the cell overruns: the failure is
+	// simulated once and retained like a value.
+	short := sim.Default()
+	short.MaxCycles = 10_000
+	failing := []Request{namedReq[0], {Cell: namedReq[0].Cell, Config: &short}}
+	want := e.Do(ctx, failing[1:], ignore)
+	if want == nil {
+		t.Fatal("a cell past its machine's MaxCycles succeeded")
 	}
-	if inline <= named {
-		t.Errorf("inline spec %v allocations, named %v: the named path is hashing too", inline, named)
+	runs = e.Stats().CellRuns
+	n := 0
+	if err := e.Do(ctx, failing, func(int, Outcome) { n++ }); err != want || n != 0 {
+		t.Errorf("a batch whose second cell is a retained failure delivered %d outcomes and returned %v, want none and %v", n, err, want)
+	}
+	if st := e.Stats(); st.CellRuns != runs {
+		t.Errorf("the retained failure re-simulated: %+v", st)
 	}
 }
 

@@ -24,10 +24,10 @@ func memoOnlyCalls() []memoOnlyCall {
 	a := Request{Cell: Cell{Bench: "blackscholes_parsec_small", Threads: 2}}
 	b := Request{Cell: Cell{Bench: "swaptions_parsec_small", Threads: 2}}
 	do := func(reqs ...Request) func(context.Context, *Engine) error {
-		return func(ctx context.Context, e *Engine) error { _, err := e.Do(ctx, reqs); return err }
+		return func(ctx context.Context, e *Engine) error { _, err := outcomes(ctx, e, reqs); return err }
 	}
 	return []memoOnlyCall{
-		{"batch", func(ctx context.Context, e *Engine) (any, error) { return e.Do(ctx, []Request{a, b, a}) },
+		{"batch", func(ctx context.Context, e *Engine) (any, error) { return outcomes(ctx, e, []Request{a, b, a}) },
 			do(a), [2]int{2, 0}},
 		// blackscholes has two applicable interventions.
 		{"whatif", func(ctx context.Context, e *Engine) (any, error) { return e.WhatIf(ctx, a, nil) },

@@ -8,7 +8,8 @@
 // All execution flows through Engine (sweep.go), a concurrent deduplicating
 // executor. Callers declare cells — (benchmark, threads, cores) triples,
 // optionally bound to an explicit machine configuration — and the engine
-// returns one Outcome per declared cell, in declared order.
+// hands the caller's sink one Outcome per declared cell, in declared order,
+// once the whole batch has succeeded (Sweep collects them into a slice).
 //
 // Dedup and memoization semantics:
 //
@@ -53,7 +54,7 @@
 //   - The bound applies to simulations, not bookkeeping: a cell waiting on
 //     another claimant's in-flight work holds no worker slot, so dedup
 //     never idles the pool.
-//   - Results are returned in declared order and are byte-identical for a
+//   - Results are delivered in declared order and are byte-identical for a
 //     given declared set regardless of the worker count or of how requests
 //     interleave — scheduling affects only wall-clock time.
 //   - Cancellation is prompt: a canceled context abandons queued cells

@@ -39,7 +39,7 @@ func TestRefusalsAreTyped(t *testing.T) {
 	const whatIfFast = "what-if runs on the exact machine only: fast mode breaks the prediction error bounds"
 	nosuch := workload.UnknownBenchmarkError("nosuch").Error()
 	do := func(c Cell) func() error {
-		return func() error { _, err := e.Do(ctx, []Request{{Cell: c}}); return err }
+		return func() error { return e.Do(ctx, []Request{{Cell: c}}, func(int, Outcome) {}) }
 	}
 
 	for _, tc := range []struct {

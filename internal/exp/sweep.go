@@ -24,7 +24,7 @@ import (
 // declares all its cells, across every machine it sweeps, in one Do; the
 // memo is what removes the duplicates between sections, so every shared
 // cell and reference is simulated once. Every simulation is a
-// deterministic function of (config, workload), and results are returned in
+// deterministic function of (config, workload), and results are delivered in
 // declared order, so figure output is byte-identical regardless of the
 // worker count.
 
@@ -307,7 +307,11 @@ func (e *Engine) Stats() Stats {
 // Sweep executes the cells under the engine's base configuration and
 // returns one Outcome per declared cell, in declared order.
 func (e *Engine) Sweep(ctx context.Context, cells []Cell) ([]Outcome, error) {
-	return e.Do(ctx, onMachine(e.base, cells))
+	outs := make([]Outcome, len(cells))
+	if err := e.Do(ctx, onMachine(e.base, cells), func(i int, out Outcome) { outs[i] = out }); err != nil {
+		return nil, err
+	}
+	return outs, nil
 }
 
 // onMachine binds the cells to one machine configuration: a section that
@@ -369,24 +373,34 @@ const dedupScan = 300 / 30
 
 // Do executes a batch of requests, deduplicating identical cells within
 // the batch and against everything the engine has already simulated, and
-// returns Outcomes in declared order. Cells the memo retains are answered
-// on the caller's goroutine; only the rest — misses and joins of another
-// call's in-flight cell — get a goroutine each. On error the first failure
-// in declared order is returned; a refused request fails the batch before
-// anything runs, with the refusal as Cell.Resolve words it (a caller that
-// names its cells, as the service does, labels them itself). A canceled
-// context aborts promptly without waiting for queued cells.
-func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
-	// Resolve every request into its own slot up front, so unknown names and
-	// invalid inline specs fail before any simulation is spent.
-	outs := make([]Outcome, len(reqs))
-	keys := make([]cellKey, 0, dedupScan) // on the stack unless it outgrows it
-	for i, req := range reqs {
+// hands deliver each request's Outcome, in declared order and duplicates
+// included, once the whole batch has succeeded. Cells the memo retains are
+// answered on the caller's goroutine; only the rest — misses and joins of
+// another call's in-flight cell — get a goroutine each, and their runs are
+// copied back before anything is delivered. deliver is called on the
+// caller's goroutine and never retained, and a batch of up to dedupScan
+// requests keeps its bookkeeping on Do's stack, so a batch the memo holds
+// whole allocates nothing. On error nothing is delivered and the first
+// failure in declared order is returned; a refused request fails the batch
+// before anything runs, with the refusal as Cell.Resolve words it (a caller
+// that names its cells, as the service does, labels them itself). A
+// canceled context aborts promptly without waiting for queued cells.
+func (e *Engine) Do(ctx context.Context, reqs []Request, deliver func(i int, out Outcome)) error {
+	// Resolve every request up front, so unknown names and invalid inline
+	// specs fail before any simulation is spent. The bookkeeping of a batch
+	// of up to dedupScan requests stays on the stack.
+	benches := make([]workload.Benchmark, 0, dedupScan)
+	keys := make([]cellKey, 0, dedupScan)
+	runs := make([]run, dedupScan)
+	if len(reqs) > dedupScan {
+		benches, keys, runs = make([]workload.Benchmark, 0, len(reqs)), make([]cellKey, 0, len(reqs)), make([]run, len(reqs))
+	}
+	for _, req := range reqs {
 		b, k, err := e.resolve(req)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		outs[i].Bench, keys = b, append(keys, k)
+		benches, keys = append(benches, b), append(keys, k)
 	}
 	// A duplicate collapses onto the first request with its key.
 	first := func(i int) int { return slices.Index(keys, keys[i]) }
@@ -407,7 +421,7 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 		}
 	}
 
-	var misses []int
+	misses := make([]int, 0, dedupScan)
 	unique, answered := 0, 0
 	for i, k := range keys {
 		if first(i) != i {
@@ -421,12 +435,12 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 		case err != nil:
 			fail(err)
 		default:
-			outs[i].run = r
+			runs[i] = r
 			answered++
 		}
 	}
 	if len(misses) > 0 && memoOnly(ctx) {
-		return nil, ErrNotMemoized
+		return ErrNotMemoized
 	}
 	e.mu.Lock()
 	e.stats.Batches += min(unique, 1) // a batch of no cells is none
@@ -438,42 +452,43 @@ func (e *Engine) Do(ctx context.Context, reqs []Request) ([]Outcome, error) {
 	// One goroutine per miss, unless a retained failure already decides the
 	// batch; the engine-wide semaphore bounds the actual simulations, not
 	// these bookkeeping goroutines, so a cell waiting on another claimant's
-	// in-flight work never idles a slot.
+	// in-flight work never idles a slot. The goroutines answer into slices
+	// of their own, so nothing of Do's stack is shared with them.
 	if len(misses) > 0 && failure == nil {
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		errs := make([]error, len(keys))
+		got := make([]run, len(misses))
+		errs := make([]error, len(misses))
 		var wg sync.WaitGroup
-		for _, i := range misses {
+		for m, i := range misses {
 			// A miss runs the first workload resolved for its fingerprint.
 			j := slices.IndexFunc(keys, func(k cellKey) bool { return k.fp == keys[i].fp })
 			wg.Add(1)
-			go func(i int, k cellKey, b workload.Benchmark) {
+			go func(m int, k cellKey, b workload.Benchmark) {
 				defer wg.Done()
 				r, err := e.cell(ctx, k, b)
 				if err != nil {
-					errs[i] = err
+					errs[m] = err
 					cancel()
 					return
 				}
-				outs[i].run = r // Bench, which this loop reads, stays as it is
+				got[m] = r
 				e.add(&e.stats.CellsDone, 1)
-			}(i, keys[i], outs[j].Bench)
+			}(m, keys[i], benches[j])
 		}
 		wg.Wait()
-		for _, err := range errs {
-			fail(err)
+		for m, i := range misses { // misses are in declared order
+			fail(errs[m])
+			runs[i] = got[m]
 		}
 	}
 	if failure != nil {
-		return nil, failure
+		return failure
 	}
-	for i := range outs {
-		if j := first(i); j != i {
-			outs[i].run = outs[j].run
-		}
+	for i := range keys {
+		deliver(i, Outcome{Bench: benches[i], run: runs[first(i)]})
 	}
-	return outs, nil
+	return nil
 }
 
 // acquire takes an engine-wide worker slot for one simulation (Stats counts

@@ -15,6 +15,15 @@ import (
 	"repro/internal/workload"
 )
 
+// outcomes runs e.Do and collects what it delivers, as Sweep does.
+func outcomes(ctx context.Context, e *Engine, reqs []Request) ([]Outcome, error) {
+	outs := make([]Outcome, len(reqs))
+	if err := e.Do(ctx, reqs, func(i int, out Outcome) { outs[i] = out }); err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
 // sweepTestCells is a small grid with an intra-batch duplicate: two cheap
 // benchmarks at two thread counts each.
 func sweepTestCells() []Cell {
@@ -116,7 +125,7 @@ func TestSweepDedup(t *testing.T) {
 	// sequential reference does not read the quantum, so it still hits.
 	cfg := sim.Default()
 	cfg.Quantum = 200
-	if _, err := e.Do(context.Background(), onMachine(cfg, cells[:1])); err != nil {
+	if _, err := outcomes(context.Background(), e, onMachine(cfg, cells[:1])); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.CellRuns != 5 || st.SeqRuns != 2 {

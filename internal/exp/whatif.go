@@ -85,23 +85,27 @@ func (e *Engine) WhatIf(ctx context.Context, req Request, ids []string) (whatif.
 		applied = append(applied, iv)
 		reqs = append(reqs, mreq)
 	}
-	outs, err := e.Do(ctx, reqs)
-	if err != nil {
-		return whatif.Report{}, err
-	}
-	// The predictions are pure arithmetic over the baseline's stack. The
-	// re-simulated stacks are keyed by intervention so the bars can follow
-	// the ranking (a repeated ID maps to the same stack either way).
-	base := outs[0]
+	// The predictions are pure arithmetic over the baseline's stack, which
+	// is delivered first. The re-simulated stacks are keyed by intervention
+	// so the bars can follow the ranking (a repeated ID maps to the same
+	// stack either way).
+	var base Outcome
 	stacks := make(map[string]core.Stack, len(preds))
-	for i, out := range outs[1:] {
-		p := &preds[i]
-		p.PredictedGain = whatif.PredictGain(base.Stack, applied[i])
+	err = e.Do(ctx, reqs, func(i int, out Outcome) {
+		if i == 0 {
+			base = out
+			return
+		}
+		p := &preds[i-1]
+		p.PredictedGain = whatif.PredictGain(base.Stack, applied[i-1])
 		p.PredictedSpeedup = base.Stack.ActualSpeedup + p.PredictedGain
 		p.ActualSpeedup = out.Stack.ActualSpeedup
 		p.ActualGain = out.Stack.ActualSpeedup - base.Stack.ActualSpeedup
 		p.Error = (p.PredictedSpeedup - out.Stack.ActualSpeedup) / float64(k.threads)
 		stacks[p.Intervention] = out.Stack
+	})
+	if err != nil {
+		return whatif.Report{}, err
 	}
 	whatif.Rank(preds)
 

@@ -137,7 +137,7 @@ func TestWhatIfAfterBaselineAddsOnlyMutations(t *testing.T) {
 	e := NewEngine(sim.Default(), WithWorkers(4))
 	ctx := context.Background()
 	req := Request{Cell: Cell{Bench: "cholesky_splash2", Threads: 8}}
-	if _, err := e.Do(ctx, []Request{req}); err != nil {
+	if _, err := outcomes(ctx, e, []Request{req}); err != nil {
 		t.Fatal(err)
 	}
 	before := e.Stats()

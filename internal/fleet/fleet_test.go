@@ -164,6 +164,33 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 	}
 }
 
+// TestFleetEscapedRepeatedQuery: a query with escaped values and a repeated
+// parameter, whose first value wins, is read alike by the node that takes it
+// (Identify), the node it is forwarded to and a single node: every node
+// answers it, and its repeat from the peer cache, with the single node's
+// bytes.
+func TestFleetEscapedRepeatedQuery(t *testing.T) {
+	urls, _, handlers := newFleet(t, 3)
+	single := httptest.NewServer(service.New(service.Options{
+		Engine: exp.NewEngine(sim.Default(), exp.WithWorkers(2)),
+	}).Handler())
+	t.Cleanup(single.Close)
+
+	bench, _ := splitBenches(t, handlers[0])
+	path := "/v1/stack?bench=" + strings.Replace(bench, "_", "%5F", 1) + "&threads=2&threads=4&format=%6Aso%6E"
+	wantCode, want := fetch(t, http.MethodGet, single.URL+path, "")
+	if wantCode != http.StatusOK || !strings.Contains(want, `"threads": 2,`) {
+		t.Fatalf("single node %s: %d %s", path, wantCode, want)
+	}
+	for i, u := range urls {
+		for range 2 {
+			if gotCode, got := fetch(t, http.MethodGet, u+path, ""); gotCode != wantCode || got != want {
+				t.Errorf("node %d %s: code %d, body diverges from single node\ngot:  %q\nwant: %q", i, path, gotCode, got, want)
+			}
+		}
+	}
+}
+
 // TestFleetSweepLimitMatchesSingleNode: the batch bound is the service's
 // (service.MaxSweepCells), and splitting cannot carry a batch past it — a
 // mixed-home batch one cell over the bound gets, from every node, the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"runtime"
 	"strings"
 	"testing"
@@ -26,12 +25,13 @@ func bytesPerRun(runs int, f func()) float64 {
 }
 
 // TestMemoHitAllocations holds warmed requests, served through Handler()
-// from the memo, to what they allocate in every format: the request's
-// recorder, the query or body, the engine's reply and the document. The
-// engine call allocates no per-call maps, a hit builds no deadline, the
-// option parse allocates only the judged cell's name, and every format
-// renders into a pooled body, so no encoder buffer is allocated once the
-// pool is warm.
+// from the memo, to what they allocate in every format and on every row
+// memo_hit sends: the request's recorder, the body, the calls and the
+// document. The engine call allocates nothing (its outcomes fill the rows
+// in place), the query is read in place without a map, a hit builds no
+// deadline, the option parse allocates only the judged cell's name, and
+// every format renders into a pooled body, so no encoder buffer is
+// allocated once the pool is warm.
 func TestMemoHitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -44,28 +44,29 @@ func TestMemoHitAllocations(t *testing.T) {
 		name, target, body string
 		allocs, bytes      float64
 	}{
-		// Measured with pooled bodies (allocations and bytes; before them in
-		// brackets): json 28 and 2,952 (31 and 3,824; 47 and 6,912 with the
-		// per-call maps, deadline and csv.Writer, 3,952 while the engine's
-		// Outcome carried the whole sim.Result), csv 39 and 3,114 (40 and
-		// 3,304; 58 and 10,536, then 3,432), svg 29 and 6,625 (30 and
-		// 12,792), text 31 and 4,224 (32 and 4,672), ndjson 28 and 2,856
-		// (31 and 3,304), 32 intervals 25 and 13,211 (29 and 33,330), and
-		// the two-cell streamed sweep 57 and 5,842 (62 and 6,720). Most of
-		// what is left is the recorder, the query and the document's own
-		// values. The bounds keep the headroom 4,500 and 4,000 bytes gave
-		// over 3,952 and 3,432 (json ×1.1375, csv ×1.165, the new rows
-		// ×1.14) and about an eighth more allocations. Since then the option
-		// parse stopped allocating (three fewer allocations on every GET
-		// row), and text appends its bars and table straight into the body:
-		// 24 and 2,784, bounded the same way.
-		{"json", stack + "json", "", 32, 3400},
-		{"csv", stack + "csv", "", 45, 3650},
-		{"svg", stack + "svg", "", 33, 7600},
-		{"text", stack + "text", "", 27, 3200},
-		{"ndjson", stack + "ndjson", "", 32, 3300},
-		{"intervals", "/v1/stack/intervals?bench=" + testBench + "&threads=2&intervals=32", "", 29, 15100},
-		{"sweep", "/v1/sweep?format=ndjson", sweep, 65, 6700},
+		// Measured (allocations and bytes; while Do returned an Outcome
+		// slice and the query was parsed into a url.Values map, in
+		// brackets): json 21 and 1,867 (29 and 2,910), csv 32 and 2,024 (40
+		// and 3,064), svg 22 and 5,541 (30 and 6,580), text 19 and 1,795
+		// (27 and 2,835), ndjson 21 and 1,771 (29 and 2,811), 32 intervals
+		// 19 and 12,544 (24 and 12,992), the two-cell streamed sweep 45 and
+		// 4,224 (56 and 5,904), advise 21 and 2,683 (26 and 4,651), and the
+		// what-if 63 and 8,531 (65 and 10,115), most of which is its
+		// mutations' specs and their hashes. Earlier the per-call maps,
+		// deadline and csv.Writer, an Outcome holding the whole sim.Result
+		// and per-format encoder buffers cost json 47 and 6,912. What is
+		// left is mostly the recorder, net/http's header maps and the
+		// document's own values. Each bound is its measurement plus an
+		// eighth more allocations and x1.14 bytes.
+		{"json", stack + "json", "", 24, 2130},
+		{"csv", stack + "csv", "", 36, 2310},
+		{"svg", stack + "svg", "", 25, 6320},
+		{"text", stack + "text", "", 22, 2050},
+		{"ndjson", stack + "ndjson", "", 24, 2020},
+		{"intervals", "/v1/stack/intervals?bench=" + testBench + "&threads=2&intervals=32", "", 22, 14300},
+		{"sweep", "/v1/sweep?format=ndjson", sweep, 51, 4820},
+		{"advise", "/v1/advise?bench=" + testBench + "&max_threads=4", "", 24, 3060},
+		{"whatif", "/v1/whatif", `{"bench":"` + testBench + `","threads":2}`, 71, 9730},
 	} {
 		method, body := http.MethodGet, strings.NewReader(tc.body)
 		if tc.body != "" {
@@ -91,8 +92,8 @@ func TestMemoHitAllocations(t *testing.T) {
 				tc.name, allocs, bytes, tc.allocs, tc.bytes)
 		}
 	}
-	if *sims != 2 {
-		t.Errorf("ran %d cell simulations, want the two warm-ups", *sims)
+	if *sims != 5 {
+		t.Errorf("ran %d cell simulations, want the five warm-ups (two stacks, advise's one-thread point, what-if's two mutations)", *sims)
 	}
 }
 
@@ -126,10 +127,11 @@ func TestReadReplySizesOnce(t *testing.T) {
 	}
 }
 
-// TestParseOptionsAllocations holds the option parse of a valid query to at
-// most one allocation on every row that takes query parameters: the walk
-// over the row's list finds an unknown name without a map or a sort, and
-// builds nothing but what judging the cell allocates.
+// TestParseOptionsAllocations holds the option parse of a valid query, read
+// from its raw string, to at most one allocation on every row that takes
+// query parameters: the query walk builds no map, the walk over the row's
+// list finds an unknown name without a sort, and nothing is built but what
+// judging the cell allocates.
 func TestParseOptionsAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -142,22 +144,18 @@ func TestParseOptionsAllocations(t *testing.T) {
 	}
 	for i := range routes {
 		rt := &routes[i]
-		query, ok := queries[rt.path]
+		raw, ok := queries[rt.path]
 		if !ok {
 			continue
 		}
 		delete(queries, rt.path)
-		q, err := url.ParseQuery(query)
-		if err != nil {
-			t.Fatal(err)
+		if _, aerr := rt.parseOptions(query(raw), ""); aerr != nil {
+			t.Fatalf("%s?%s: %s", rt.path, raw, aerr.Message)
 		}
-		if _, aerr := rt.parseOptions(q, ""); aerr != nil {
-			t.Fatalf("%s?%s: %s", rt.path, query, aerr.Message)
-		}
-		allocs := testing.AllocsPerRun(200, func() { rt.parseOptions(q, "") })
-		t.Logf("%s?%s: %v allocations", rt.path, query, allocs)
+		allocs := testing.AllocsPerRun(200, func() { rt.parseOptions(query(raw), "") })
+		t.Logf("%s?%s: %v allocations", rt.path, raw, allocs)
 		if allocs > 1 {
-			t.Errorf("parsing %s?%s costs %v allocations, want <= 1", rt.path, query, allocs)
+			t.Errorf("parsing %s?%s costs %v allocations, want <= 1", rt.path, raw, allocs)
 		}
 	}
 	for path := range queries {

@@ -138,7 +138,7 @@ func writeError(w http.ResponseWriter, r *http.Request, e *apiError) {
 	if e.RetryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter))
 	}
-	f, nerr := stack.NegotiateFormat(r.URL.Query().Get("format"), r.Header.Get("Accept"), stack.FormatJSON)
+	f, nerr := stack.NegotiateFormat(query(r.URL.RawQuery).get("format"), r.Header.Get("Accept"), stack.FormatJSON)
 	if nerr == nil && f == stack.FormatText {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(e.Status)

@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"net/http"
-	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -90,12 +89,12 @@ func (o requestOptions) identity() string {
 // unknown parameter (the first by name), the format, each listed parameter
 // in turn, the mode. Every refusal comes back as an apiError ready for
 // writeError.
-func (rt *route) parseOptions(q url.Values, accept string) (requestOptions, *apiError) {
+func (rt *route) parseOptions(q query, accept string) (requestOptions, *apiError) {
 	if rt.unchecked {
 		return requestOptions{}, nil
 	}
 	unknown, found := "", false
-	for name := range q {
+	for name, _, rest, ok := q.cut(); ok; name, _, rest, ok = rest.cut() {
 		if !rt.takes(name) && (!found || name < unknown) {
 			unknown, found = name, true
 		}
@@ -106,14 +105,14 @@ func (rt *route) parseOptions(q url.Values, accept string) (requestOptions, *api
 
 	opts := requestOptions{format: stack.FormatJSON}
 	if rt.protected {
-		f, err := stack.NegotiateFormat(q.Get("format"), accept, stack.FormatJSON)
+		f, err := stack.NegotiateFormat(q.get("format"), accept, stack.FormatJSON)
 		if err != nil {
 			return requestOptions{}, badRequest("%v", err)
 		}
 		opts.format = f
 	}
 	for _, name := range rt.params {
-		v := q.Get(name)
+		v := q.get(name)
 		if name == "bench" {
 			if v == "" {
 				return requestOptions{}, badRequest("missing bench parameter")
@@ -161,7 +160,7 @@ func (rt *route) parseOptions(q url.Values, accept string) (requestOptions, *api
 		}
 	}
 	if rt.protected {
-		m, err := sim.ParseMode(q.Get("mode"))
+		m, err := sim.ParseMode(q.get("mode"))
 		if err != nil {
 			return requestOptions{}, badRequest("%v", err)
 		}

@@ -173,14 +173,14 @@ func buildCell(c wireCell) (exp.Cell, error) {
 // parseStack is GET /v1/stack: one (benchmark, threads[, cores]) cell, in
 // the exact (default) or sampled fast simulation mode.
 func parseStack(s *Server, r *http.Request, opts requestOptions) ([]labelled, *apiError) {
-	return one(s.cellsCall(opts, opts.cell)), nil
+	return one(s.cellsCall(s.engineRequest(opts, opts.cell))), nil
 }
 
 // parseStackIntervals is GET /v1/stack/intervals: one cell's time-resolved
 // speedup stack, the run split into ?intervals=K equal slices of its
 // committed ops (default 32).
 func parseStackIntervals(s *Server, r *http.Request, opts requestOptions) ([]labelled, *apiError) {
-	return one(s.seriesCall(opts, opts.cell, opts.intervals)), nil
+	return one(s.seriesCall(s.engineRequest(opts, opts.cell), opts.intervals)), nil
 }
 
 // parseSweep is POST /v1/sweep: a batch of cells, ?mode= applying to
@@ -199,7 +199,7 @@ func parseSweep(s *Server, r *http.Request, opts requestOptions) ([]labelled, *a
 	if len(req.Cells) > MaxSweepCells {
 		return nil, badRequest("%d cells exceeds the %d-cell batch limit", len(req.Cells), MaxSweepCells)
 	}
-	cells := make([]exp.Cell, len(req.Cells))
+	reqs := make([]exp.Request, len(req.Cells))
 	for i, c := range req.Cells {
 		if c.Intervals != 0 {
 			return nil, badRequest("sweeps return aggregate stacks; " +
@@ -209,14 +209,14 @@ func parseSweep(s *Server, r *http.Request, opts requestOptions) ([]labelled, *a
 		if err != nil {
 			return nil, asAPIError(err).within(cellLabel(i))
 		}
-		cells[i] = cell
+		reqs[i] = s.engineRequest(opts, cell)
 	}
 	if opts.format != stack.FormatNDJSON {
-		return one(s.cellsCall(opts, cells...)), nil
+		return one(s.cellsCall(reqs...)), nil
 	}
-	calls := make([]labelled, len(cells))
-	for i, c := range cells {
-		calls[i] = labelled{call: s.cellsCall(opts, c), label: cellLabel(i)}
+	calls := make([]labelled, len(reqs))
+	for i := range reqs {
+		calls[i] = labelled{call: s.cellsCall(reqs[i : i+1]...), label: cellLabel(i)}
 	}
 	return calls, nil
 }
@@ -247,9 +247,9 @@ func parseAnalyze(s *Server, r *http.Request, opts requestOptions) ([]labelled, 
 		return nil, asAPIError(err)
 	}
 	if req.Intervals != 0 {
-		return one(s.seriesCall(opts, cell, req.Intervals)), nil
+		return one(s.seriesCall(s.engineRequest(opts, cell), req.Intervals)), nil
 	}
-	return one(s.cellsCall(opts, cell)), nil
+	return one(s.cellsCall(s.engineRequest(opts, cell))), nil
 }
 
 // parseTraceAnalyze is POST /v1/traces/analyze: the body is a recorded
@@ -281,7 +281,7 @@ func parseTraceAnalyze(s *Server, r *http.Request, opts requestOptions) ([]label
 	if err != nil {
 		return nil, asAPIError(err)
 	}
-	return one(s.cellsCall(opts, cell)), nil
+	return one(s.cellsCall(s.engineRequest(opts, cell))), nil
 }
 
 // parseAdvise is GET /v1/advise: the scaling advisor for one registered
@@ -289,7 +289,7 @@ func parseTraceAnalyze(s *Server, r *http.Request, opts requestOptions) ([]label
 // every other endpoint, so advising a benchmark that has already been
 // measured reuses those runs, and repeating an advise is free.
 func parseAdvise(s *Server, r *http.Request, opts requestOptions) ([]labelled, *apiError) {
-	req := exp.Request{Cell: opts.cell, Config: s.modeConfig(opts.mode)}
+	req := s.engineRequest(opts, opts.cell)
 	return one(func(ctx context.Context) (stack.Document, error) {
 		return s.engine.Advise(ctx, req, opts.maxThreads)
 	}), nil
@@ -319,7 +319,7 @@ func parseWhatIfCall(s *Server, r *http.Request, opts requestOptions) ([]labelle
 		return nil, asAPIError(err)
 	}
 	return one(func(ctx context.Context) (stack.Document, error) {
-		return s.engine.WhatIf(ctx, exp.Request{Cell: cell, Config: s.modeConfig(opts.mode)}, req.Interventions)
+		return s.engine.WhatIf(ctx, s.engineRequest(opts, cell), req.Interventions)
 	}), nil
 }
 
@@ -408,10 +408,11 @@ type Identity struct {
 // rt rejects has no parsed form: it keeps its raw pairs, sorted by name, and
 // its Accept header (a client that negotiated text gets its error as text),
 // behind a "?" no parsed identity starts with.
-func (rt *route) optionIdentity(q url.Values, accept string) string {
+func (rt *route) optionIdentity(q query, accept string) string {
 	opts, aerr := rt.parseOptions(q, accept)
 	if aerr != nil {
-		return "?" + q.Encode() + "\x00" + accept
+		pairs, _ := url.ParseQuery(string(q))
+		return "?" + pairs.Encode() + "\x00" + accept
 	}
 	return opts.identity()
 }
@@ -435,7 +436,7 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 	if rt == nil {
 		return id, false
 	}
-	q := r.URL.Query()
+	q := query(r.URL.RawQuery)
 	id.route, id.Options = rt, rt.optionIdentity(q, r.Header.Get("Accept"))
 	if rt.body > 0 && r.Body != nil {
 		body, err := sizedio.ReadAll(r.Body, r.ContentLength, rt.body)
@@ -449,7 +450,7 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 	}
 	switch rt.identity {
 	case identQueryBench:
-		id.cells = []cellRequest{{wireCell: wireCell{Bench: q.Get("bench")}}}
+		id.cells = []cellRequest{{wireCell: wireCell{Bench: q.get("bench")}}}
 	case identBodyCell:
 		id.cells = make([]cellRequest, 1)
 		if json.Unmarshal(id.Body, &id.cells[0]) != nil {
@@ -534,21 +535,21 @@ type Split struct {
 // text), or a query parameter the sub-requests would not carry — which must
 // reach a service whole, to be answered or rejected there.
 func (id Identity) Split(r *http.Request, group []int) (sp Split, ok bool) {
-	q := r.URL.Query()
-	f, err := stack.NegotiateFormat(q.Get("format"), r.Header.Get("Accept"), stack.FormatJSON)
+	q := query(r.URL.RawQuery)
+	f, err := stack.NegotiateFormat(q.get("format"), r.Header.Get("Accept"), stack.FormatJSON)
 	if err != nil || (f != stack.FormatJSON && f != stack.FormatNDJSON) {
 		return sp, false
 	}
-	for k := range q {
+	for k, _, rest, more := q.cut(); more; k, _, rest, more = rest.cut() {
 		if k != "format" && k != "mode" {
 			return sp, false
 		}
 	}
-	sub := url.Values{"format": {string(stack.FormatNDJSON)}}
-	if m := q.Get("mode"); m != "" {
-		sub.Set("mode", m)
+	sub := "format=" + string(stack.FormatNDJSON)
+	if m := q.get("mode"); m != "" {
+		sub += "&mode=" + url.QueryEscape(m)
 	}
-	sp.Format, sp.Query, sp.Options, sp.group = f, sub.Encode(), id.route.optionIdentity(sub, ""), group
+	sp.Format, sp.Query, sp.Options, sp.group = f, sub, id.route.optionIdentity(query(sub), ""), group
 	reqs := make([]sweepRequest, slices.Max(group)+1)
 	for i, c := range id.cells {
 		reqs[group[i]].Cells = append(reqs[group[i]].Cells, c)

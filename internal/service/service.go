@@ -259,7 +259,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rt route) *api
 		}
 		defer s.adm.release()
 	}
-	opts, aerr := rt.parseOptions(r.URL.Query(), r.Header.Get("Accept"))
+	opts, aerr := rt.parseOptions(query(r.URL.RawQuery), r.Header.Get("Accept"))
 	if aerr != nil {
 		return aerr
 	}
@@ -313,12 +313,15 @@ func (s *Server) simContext(r *http.Request) (context.Context, context.CancelFun
 	return context.WithTimeout(r.Context(), s.simTimeout)
 }
 
-// modeConfig maps a parsed ?mode= onto the engine request's configuration:
-// the base machine in that mode, which is the base itself when the request
-// asks for the engine's own mode. Fast and exact results never share a cache
-// entry — the memo is keyed by the full configuration, Mode included. The
-// configuration is shared by every request, and the engine only reads it.
-func (s *Server) modeConfig(m sim.Mode) *sim.Config { return &s.modes[m] }
+// engineRequest binds a cell to the machine of the request's parsed
+// ?mode=: the base machine in that mode, which is the base itself when the
+// request asks for the engine's own mode. Fast and exact results never
+// share a cache entry — the memo is keyed by the full configuration, Mode
+// included. The configuration is shared by every request, and the engine
+// only reads it.
+func (s *Server) engineRequest(opts requestOptions, c exp.Cell) exp.Request {
+	return exp.Request{Cell: c, Config: &s.modes[opts.mode]}
+}
 
 // call is one engine call. It answers the document to encode.
 type call func(context.Context) (stack.Document, error)
@@ -391,22 +394,22 @@ func encodeFailed(f stack.Format, err error) *apiError {
 		Message: fmt.Sprintf("encoding the %s report: %v", f, err)}
 }
 
-// cellsCall is the engine call of the aggregate endpoints: cells in one
-// deduplicated pass, in opts.mode, answering one stack row per cell.
-func (s *Server) cellsCall(opts requestOptions, cells ...exp.Cell) call {
-	cfg := s.modeConfig(opts.mode)
+// cellsCall is the engine call of the aggregate endpoints: reqs in one
+// deduplicated pass, answering one stack row per request, filled straight
+// from the engine's outcomes. A named cell's Bench is already its canonical
+// full name (checkCell), so only an inline spec's label is built.
+func (s *Server) cellsCall(reqs ...exp.Request) call {
 	return func(ctx context.Context) (stack.Document, error) {
-		reqs := make([]exp.Request, len(cells))
-		for i, c := range cells {
-			reqs[i] = exp.Request{Cell: c, Config: cfg}
-		}
-		outs, err := s.engine.Do(ctx, reqs)
+		bars := make(stack.Bars, len(reqs))
+		err := s.engine.Do(ctx, reqs, func(i int, out exp.Outcome) {
+			label := reqs[i].Bench
+			if label == "" {
+				label = out.Bench.FullName()
+			}
+			bars[i] = stack.Bar{Label: label, Stack: out.Stack}
+		})
 		if err != nil {
 			return nil, err
-		}
-		bars := make(stack.Bars, len(outs))
-		for i, out := range outs {
-			bars[i] = stack.Bar{Label: out.Bench.FullName(), Stack: out.Stack}
 		}
 		return bars, nil
 	}
@@ -416,8 +419,7 @@ func (s *Server) cellsCall(opts requestOptions, cells ...exp.Cell) call {
 // into count intervals. The aggregate outcome and its sequential reference
 // share the aggregate endpoints' cache; the interval series has its own
 // memo keyed by (cell, count).
-func (s *Server) seriesCall(opts requestOptions, cell exp.Cell, count int) call {
-	req := exp.Request{Cell: cell, Config: s.modeConfig(opts.mode)}
+func (s *Server) seriesCall(req exp.Request, count int) call {
 	return func(ctx context.Context) (stack.Document, error) {
 		out, err := s.engine.MeasureIntervals(ctx, req, count)
 		return out.Series, err

@@ -151,17 +151,12 @@ func MeasureAll(ctx context.Context, rs []Request) ([]Result, error) {
 	for i, r := range rs {
 		reqs[i] = r.request()
 	}
-	outs, err := newEngine().Do(ctx, reqs)
+	results := make([]Result, len(reqs))
+	err := newEngine().Do(ctx, reqs, func(i int, out exp.Outcome) {
+		results[i] = Result{Benchmark: out.Bench.FullName(), Threads: out.Stack.N, Stack: out.Stack}
+	})
 	if err != nil {
 		return nil, err
-	}
-	results := make([]Result, len(outs))
-	for i, out := range outs {
-		results[i] = Result{
-			Benchmark: out.Bench.FullName(),
-			Threads:   out.Stack.N,
-			Stack:     out.Stack,
-		}
 	}
 	return results, nil
 }
