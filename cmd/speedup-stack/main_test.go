@@ -229,3 +229,45 @@ func TestFlagsWithTheirMode(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecFile runs a workload spec file through -spec: the small kernel
+// the experiments command's custom section analyzes prints the bytes of
+// the library's own stack for it, and a malformed spec exits 1 with the
+// parse error, after the file's name, as the one line on stderr.
+func TestSpecFile(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{"name":"ci-kernel","kind":"data_parallel","array_bytes":524288,` +
+		`"sweeps_per_phase":1,"phases":1,"instr_per_access":2500,"store_frac":0.1,"seed":11}`
+	good, bad := filepath.Join(dir, "kernel.json"), filepath.Join(dir, "bad.json")
+	for path, data := range map[string]string{good: spec, bad: spec[:len(spec)/2]} {
+		if err := os.WriteFile(path, []byte(data), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := speedupstack.ParseWorkload([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := speedupstack.Measure(context.Background(), speedupstack.Request{Workload: &w, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := speedupstack.Encode(&want, speedupstack.FormatCSV, speedupstack.Stacks(res)); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-spec", good, "-threads", "2", "-format", "csv"}, &stdout, &stderr); code != 0 || stdout.String() != want.String() {
+		t.Errorf("-spec %s: exit status %d, stderr %q, stdout:\n%s\nwant the library's stack:\n%s", good, code, stderr.String(), stdout.String(), want.String())
+	}
+
+	_, perr := speedupstack.ParseWorkload([]byte(spec[:len(spec)/2]))
+	if perr == nil {
+		t.Fatal("the library parsed the malformed spec")
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-spec", bad}, &stdout, &stderr); code != 1 || stderr.String() != bad+": "+perr.Error()+"\n" || stdout.Len() != 0 {
+		t.Errorf("-spec %s: exit status %d, stderr %q, stdout %q; want 1 and the parse error %q", bad, code, stderr.String(), stdout.String(), perr)
+	}
+}

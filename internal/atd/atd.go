@@ -21,6 +21,8 @@ package atd
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/reuse"
 )
 
 // Config describes one per-core ATD.
@@ -78,29 +80,29 @@ type Directory struct {
 
 // New builds a Directory.
 func New(cfg Config) *Directory {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Directory{
-		cfg:       cfg,
-		mask:      (1 << cfg.SampleShift) - 1,
-		tags:      make([]uint64, cfg.SampledSets()*cfg.Ways),
-		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
-		setBits:   uint(bits.TrailingZeros64(uint64(cfg.Sets))),
-		setMask:   uint64(cfg.Sets) - 1,
-	}
+	d := new(Directory)
+	d.Reset(cfg)
+	return d
 }
 
 // Config returns the directory configuration.
 func (d *Directory) Config() Config { return d.cfg }
 
-// Reset empties the directory, reusing its tag storage (machine pooling
-// across simulation runs).
-func (d *Directory) Reset() {
-	for i := range d.tags {
-		d.tags[i] = 0
+// Reset empties the directory and gives it cfg's geometry, whatever it was
+// built for, reusing its tag storage when the capacity is enough (machine
+// pooling across simulation runs).
+func (d *Directory) Reset(cfg Config) {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	d.sampledAccesses = 0
+	*d = Directory{
+		cfg:       cfg,
+		mask:      (1 << cfg.SampleShift) - 1,
+		tags:      reuse.Zeroed(d.tags, cfg.SampledSets()*cfg.Ways),
+		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
+		setBits:   uint(bits.TrailingZeros64(uint64(cfg.Sets))),
+		setMask:   uint64(cfg.Sets) - 1,
+	}
 }
 
 // setIndex and tag mirror the LLC address mapping.

@@ -1,6 +1,7 @@
 package atd
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -139,6 +140,22 @@ func TestDirectoryModelsPrivateCache(t *testing.T) {
 		hit, _ := d.Access(addr)
 		if hit != refHit {
 			t.Fatalf("access %d: ATD hit=%v oracle=%v", i, hit, refHit)
+		}
+	}
+}
+
+// TestResetMatchesNew holds Reset to New: a directory used at one geometry
+// and reset to another, larger or smaller, is deeply equal to a new one.
+func TestResetMatchesNew(t *testing.T) {
+	rng := trace.NewRNG(7)
+	d := New(fullCfg())
+	for _, cfg := range []Config{sampledCfg(3), {Sets: 256, Ways: 8, LineBytes: 64}, sampledCfg(3), fullCfg()} {
+		for range 5000 {
+			d.Access(rng.Uint64n(1 << 20))
+		}
+		d.Reset(cfg)
+		if !reflect.DeepEqual(d, New(cfg)) {
+			t.Fatalf("reset to %+v: differs from a new directory", cfg)
 		}
 	}
 }

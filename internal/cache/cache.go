@@ -24,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+
+	"repro/internal/reuse"
 )
 
 // Config describes the geometry of one cache.
@@ -181,19 +183,12 @@ type l1Array struct {
 	full []bool
 }
 
-func newL1Array(cfg Config) l1Array {
-	g := newGeometry(cfg)
-	return l1Array{
-		geometry: g,
-		words:    make([]uint64, cfg.Sets()*cfg.Ways),
-		full:     make([]bool, cfg.Sets()),
-	}
-}
-
-// reset empties the array, reusing its storage.
-func (a *l1Array) reset() {
-	clear(a.words)
-	clear(a.full)
+// reset empties the array and gives it cfg's geometry, reusing its storage
+// where it is large enough.
+func (a *l1Array) reset(cfg Config) {
+	a.geometry = newGeometry(cfg)
+	a.words = reuse.Zeroed(a.words, cfg.Sets()*cfg.Ways)
+	a.full = reuse.Zeroed(a.full, cfg.Sets())
 }
 
 func (a *l1Array) setWords(set int) []uint64 {
@@ -362,23 +357,15 @@ type llcArray struct {
 	fpWords int // fps words per set: ceil(Ways/8)
 }
 
-func newLLCArray(cfg Config) llcArray {
-	a := llcArray{
-		geometry: newGeometry(cfg),
-		ways:     make([]llcWay, cfg.Sets()*cfg.Ways),
-		order:    make([]uint8, cfg.Sets()*cfg.Ways),
-		fpWords:  (cfg.Ways + 7) / 8,
-	}
-	a.fps = make([]uint64, cfg.Sets()*a.fpWords)
-	a.reset()
-	return a
-}
-
-// reset empties the array, reusing its storage: every way and fingerprint
-// zero, every set's order the identity.
-func (a *llcArray) reset() {
-	clear(a.ways)
-	clear(a.fps)
+// reset empties the array and gives it cfg's geometry, reusing its storage
+// where it is large enough: every way and fingerprint zero, every set's
+// order the identity.
+func (a *llcArray) reset(cfg Config) {
+	a.geometry = newGeometry(cfg)
+	a.fpWords = (cfg.Ways + 7) / 8
+	a.ways = reuse.Zeroed(a.ways, cfg.Sets()*cfg.Ways)
+	a.order = reuse.Zeroed(a.order, cfg.Sets()*cfg.Ways)
+	a.fps = reuse.Zeroed(a.fps, cfg.Sets()*a.fpWords)
 	for i := range a.order {
 		a.order[i] = uint8(i % a.assoc)
 	}

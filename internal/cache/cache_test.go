@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -95,8 +96,15 @@ func TestAddressMapping(t *testing.T) {
 // tests cover the production walks, not a parallel API.
 
 func newL1(cfg Config) *l1Array {
-	a := newL1Array(cfg)
-	return &a
+	a := new(l1Array)
+	a.reset(cfg)
+	return a
+}
+
+func newLLC(cfg Config) *llcArray {
+	a := new(llcArray)
+	a.reset(cfg)
+	return a
 }
 
 func lookupAddr(a *l1Array, addr uint64) (hit, tombstone bool) {
@@ -219,7 +227,7 @@ func (r *referenceLRU) access(addr uint64) bool {
 func TestArrayMatchesReferenceLRU(t *testing.T) {
 	cfg := smallCfg()
 	l1 := newL1(cfg)
-	llc := newLLCArray(cfg)
+	llc := newLLC(cfg)
 	refL1 := &referenceLRU{cfg: cfg, sets: map[int][]uint64{}}
 	refLLC := &referenceLRU{cfg: cfg, sets: map[int][]uint64{}}
 	rng := trace.NewRNG(1234)
@@ -392,7 +400,7 @@ func TestVictimAddrRoundTrip(t *testing.T) {
 		if got := a.victimAddr(set, *way); got != addr {
 			t.Fatalf("L1 victimAddr = %#x, want %#x", got, addr)
 		}
-		llc := newLLCArray(smallCfg())
+		llc := newLLC(smallCfg())
 		slot, _ := llc.insert(set, tag)
 		if found := llc.find(set, tag); found != slot {
 			t.Fatalf("LLC find = slot %d, want %d", found, slot)
@@ -400,5 +408,28 @@ func TestVictimAddrRoundTrip(t *testing.T) {
 		if got := llc.victimAddr(set, *llc.way(set, slot)); got != addr {
 			t.Fatalf("LLC victimAddr = %#x, want %#x", got, addr)
 		}
+	}
+}
+
+// TestResetMatchesNew holds Reset to the constructor: a hierarchy used at
+// one shape and reset to another, with more or fewer cores and a larger or
+// smaller cache, is deeply equal to a new one of that shape.
+func TestResetMatchesNew(t *testing.T) {
+	big := Config{SizeBytes: 65536, Ways: 8, LineBytes: 64}
+	rng := trace.NewRNG(7)
+	cores := 1
+	h := NewHierarchy(cores, smallCfg(), smallCfg())
+	for _, s := range []struct {
+		cores   int
+		l1, llc Config
+	}{{4, smallCfg(), big}, {2, big, smallCfg()}, {3, smallCfg(), big}, {1, smallCfg(), smallCfg()}} {
+		for range 5000 {
+			h.Access(rng.Intn(cores), rng.Uint64n(1<<20), rng.Bool(0.3))
+		}
+		h.Reset(s.cores, s.l1, s.llc)
+		if !reflect.DeepEqual(h, NewHierarchy(s.cores, s.l1, s.llc)) {
+			t.Fatalf("reset to %d cores, L1 %+v, LLC %+v: differs from a new hierarchy", s.cores, s.l1, s.llc)
+		}
+		cores = s.cores
 	}
 }

@@ -3,6 +3,8 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/reuse"
 )
 
 // Hierarchy models the two-level cache system of the simulated CMP: private
@@ -68,50 +70,34 @@ const MaxCores = 64
 // NewHierarchy builds a hierarchy with cores identical private L1s and one
 // shared LLC.
 func NewHierarchy(cores int, l1 Config, llc Config) *Hierarchy {
+	h := new(Hierarchy)
+	h.Reset(cores, l1, llc)
+	return h
+}
+
+// Reset puts the hierarchy in its just-constructed state for cores private
+// L1s of geometry l1 over an LLC of geometry llc, whatever it was built
+// for: each tag array and counter slice is reused when its capacity is
+// enough and allocated otherwise (machine pooling across simulation runs).
+func (h *Hierarchy) Reset(cores int, l1 Config, llc Config) {
 	if cores <= 0 || cores > MaxCores {
 		panic(fmt.Sprintf("cache: core count must be in [1,%d] (sharer vector is 64-bit)", MaxCores))
 	}
-	h := &Hierarchy{
-		l1:  make([]l1Array, cores),
-		llc: newLLCArray(llc),
-	}
+	h.l1 = reuse.Grown(h.l1, cores)
 	for i := range h.l1 {
-		h.l1[i] = newL1Array(l1)
+		h.l1[i].reset(l1)
 	}
-	h.stats = HierarchyStats{
-		L1Hits:          make([]uint64, cores),
-		L1Misses:        make([]uint64, cores),
-		LLCHits:         make([]uint64, cores),
-		LLCMisses:       make([]uint64, cores),
-		CoherenceMisses: make([]uint64, cores),
-		Upgrades:        make([]uint64, cores),
-		Invalidations:   make([]uint64, cores),
-		DirtyForwards:   make([]uint64, cores),
+	h.llc.reset(llc)
+	s := &h.stats
+	for _, c := range []*[]uint64{&s.L1Hits, &s.L1Misses, &s.LLCHits, &s.LLCMisses,
+		&s.CoherenceMisses, &s.Upgrades, &s.Invalidations, &s.DirtyForwards} {
+		*c = reuse.Zeroed(*c, cores)
 	}
-	return h
+	s.LLCWritebacks = 0
 }
 
 // Stats returns the accumulated protocol statistics.
 func (h *Hierarchy) Stats() *HierarchyStats { return &h.stats }
-
-// Reset restores the hierarchy to its just-constructed state, reusing every
-// tag array and counter slice (machine pooling across simulation runs).
-func (h *Hierarchy) Reset() {
-	for i := range h.l1 {
-		h.l1[i].reset()
-	}
-	h.llc.reset()
-	for _, s := range [][]uint64{
-		h.stats.L1Hits, h.stats.L1Misses, h.stats.LLCHits, h.stats.LLCMisses,
-		h.stats.CoherenceMisses, h.stats.Upgrades, h.stats.Invalidations,
-		h.stats.DirtyForwards,
-	} {
-		for i := range s {
-			s[i] = 0
-		}
-	}
-	h.stats.LLCWritebacks = 0
-}
 
 // Access is AccessTo returning the outcome by value, for callers off the
 // simulator's per-access path.

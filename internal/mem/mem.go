@@ -27,6 +27,8 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/reuse"
 )
 
 // pow2 reports whether v is a positive power of two.
@@ -167,35 +169,30 @@ type Stats struct {
 
 // NewController builds a controller for cores cores.
 func NewController(cfg Config, cores int) *Controller {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	c := &Controller{cfg: cfg, busLastOwner: -1}
-	c.lineShift = uint(bits.TrailingZeros64(uint64(cfg.LineBytes)))
-	c.bankMask = uint64(cfg.Banks) - 1
-	c.rowShift = uint(bits.TrailingZeros64(uint64(cfg.Banks)) + bits.TrailingZeros64(uint64(cfg.RowBytes/cfg.LineBytes)))
-	c.banks = make([]bank, cfg.Banks)
-	for i := range c.banks {
-		c.banks[i].lastOwner = -1
-	}
-	c.ora = make([]oraEntry, cores*cfg.Banks)
+	c := new(Controller)
+	c.Reset(cfg, cores)
 	return c
 }
 
-// Reset restores the controller to its just-constructed state for cfg,
-// reusing the bank and ORA storage (machine pooling across simulation
-// runs). cfg must size that storage as the controller's own configuration
-// does (Banks, RowBytes, LineBytes); Reset installs its timings (BusCycles,
-// RowHitCycles, RowMissCycles), which size nothing.
-func (c *Controller) Reset(cfg Config) {
-	c.cfg.BusCycles, c.cfg.RowHitCycles, c.cfg.RowMissCycles = cfg.BusCycles, cfg.RowHitCycles, cfg.RowMissCycles
-	c.busFreeAt = 0
-	c.busLastOwner = -1
-	c.stats = Stats{}
-	for i := range c.banks {
-		c.banks[i] = bank{lastOwner: -1}
+// Reset restores the controller to its just-constructed state for cfg and
+// cores cores, whatever it was built for, reusing the bank and ORA storage
+// when its capacity is enough (machine pooling across simulation runs).
+func (c *Controller) Reset(cfg Config, cores int) {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	clear(c.ora)
+	*c = Controller{
+		cfg:          cfg,
+		busLastOwner: -1,
+		banks:        reuse.Zeroed(c.banks, cfg.Banks),
+		ora:          reuse.Zeroed(c.ora, cores*cfg.Banks),
+		lineShift:    uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
+		bankMask:     uint64(cfg.Banks) - 1,
+		rowShift:     uint(bits.TrailingZeros64(uint64(cfg.Banks)) + bits.TrailingZeros64(uint64(cfg.RowBytes/cfg.LineBytes))),
+	}
+	for i := range c.banks {
+		c.banks[i].lastOwner = -1
+	}
 }
 
 // Stats returns accumulated counters.

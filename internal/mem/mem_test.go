@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -387,6 +388,26 @@ func TestORAMatchesReference(t *testing.T) {
 		inPlace.AccessTo(&want, now, core, addr)
 		if got := byValue.Access(now, core, addr); got != want {
 			t.Fatalf("access %d: Access returned %+v, AccessTo filled %+v", i, got, want)
+		}
+	}
+}
+
+// TestResetMatchesNew holds Reset to NewController: a controller used with
+// one bank and core count and reset to another, larger or smaller, is
+// deeply equal to a new one.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cfg, cores := testCfg(), 2
+	c := NewController(cfg, cores)
+	for _, s := range []struct{ banks, cores int }{{16, 4}, {2, 1}, {8, 3}} {
+		for i := range 5000 {
+			c.Access(uint64(i)*20, rng.Intn(cores), rng.Uint64()%(1<<24))
+		}
+		cfg.Banks, cores = s.banks, s.cores
+		cfg.RowHitCycles /= 2
+		c.Reset(cfg, cores)
+		if !reflect.DeepEqual(c, NewController(cfg, cores)) {
+			t.Fatalf("reset to %d banks and %d cores: differs from a new controller", s.banks, s.cores)
 		}
 	}
 }

@@ -34,8 +34,8 @@ type Config struct {
 
 	// Mode selects exact (byte-identical) or sampled fast simulation. It is
 	// part of the configuration value on purpose: everything keyed by
-	// Config — the machine pool, the sweep engine's memo — separates fast
-	// and exact state automatically.
+	// Config — the sweep engine's memo, the service's caches — separates
+	// fast and exact state automatically.
 	Mode Mode
 
 	L1  cache.Config

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/mem"
+	"repro/internal/reuse"
 	"repro/internal/sched"
 	"repro/internal/syncprim"
 	"repro/internal/trace"
@@ -57,9 +58,9 @@ type Machine struct {
 	cfg Config
 
 	clock uint64
-	hier  *cache.Hierarchy
-	memc  *mem.Controller
-	atds  []*atd.Directory // per core, monitoring 1 in 2^ATDSampleShift sets
+	hier  cache.Hierarchy
+	memc  mem.Controller
+	atds  []atd.Directory // per core, monitoring 1 in 2^ATDSampleShift sets
 	os    *sched.OS
 
 	// LLC address decomposition, precomputed so the (set, tag) pair of an
@@ -73,7 +74,8 @@ type Machine struct {
 	// queues/barriers per stage, one barrier per phase), so a grow-on-use
 	// slice holds exactly as many slots as the map it replaced held
 	// entries, while the per-op lookup is one bounds check instead of a
-	// hash.
+	// hash. A table past syncTableCap is dropped by reset rather than
+	// kept for the next run.
 	locks    []*syncprim.Lock
 	barriers []*syncprim.Barrier
 	queues   []*syncprim.Queue
@@ -122,6 +124,12 @@ type Machine struct {
 // batchSize is the per-thread op ring capacity for batching programs.
 const batchSize = 512
 
+// syncTableCap bounds, in entries (64 KiB of pointers), each sync table a
+// machine keeps across runs. A sync id sizes its table, and every run of
+// every shape shares the pooled machines, so a table a large id grew would
+// otherwise stay retained and be cleared by every later run.
+const syncTableCap = 8 << 10
+
 // grow extends s so that id is a valid index.
 func grow[T any](s []T, id uint32) []T {
 	if int(id) < len(s) {
@@ -130,25 +138,22 @@ func grow[T any](s []T, id uint32) []T {
 	return append(s, make([]T, int(id)+1-len(s))...)
 }
 
+// emptied returns the sync table s emptied for the next run: cleared and
+// truncated, or dropped when its capacity is past syncTableCap.
+func emptied[T any](s []*T) []*T {
+	if cap(s) > syncTableCap {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
 // NewMachine builds a machine executing one program per software thread.
 // len(progs) may exceed cfg.Cores (the OS time-slices, Figure 7) but must be
-// at least 1. It allocates the storage cfg sizes — tag arrays, controller,
-// tag directories — and leaves everything else to reset, so "as new" and
-// "as reset" are the same code.
+// at least 1. It is reset on an empty machine, so "as new" and "as reset"
+// are the same code.
 func NewMachine(cfg Config, progs []trace.Program) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	m := &Machine{
-		hier:       cache.NewHierarchy(cfg.Cores, cfg.L1, cfg.LLC),
-		memc:       mem.NewController(cfg.Mem, cfg.Cores),
-		coreIdleAt: make([]uint64, cfg.Cores),
-		coreAt:     make([]uint64, cfg.Cores),
-		atds:       make([]*atd.Directory, cfg.Cores),
-	}
-	for c := range m.atds {
-		m.atds[c] = atd.New(cfg.atdConfig())
-	}
+	m := new(Machine)
 	if err := m.reset(cfg, progs); err != nil {
 		return nil, err
 	}
@@ -156,16 +161,15 @@ func NewMachine(cfg Config, progs []trace.Program) (*Machine, error) {
 }
 
 // reset puts the machine in its just-constructed state for cfg and a new
-// set of thread programs, reusing the multi-megabyte cache, ATD, controller
-// and thread storage behind it. cfg must size that storage exactly as the
-// configuration the machine was built for did (the Pool's storageKey);
-// everything else — the quantum, the cycle cap, the mode, the spin
-// detector, the policy, the memory timings — is installed here, and the
-// fast-mode accumulators are allocated on the first fast run.
-// NewMachine ends in reset, so a recycled machine is a new one by
-// construction: simulation results are a deterministic function of
-// (config, programs) either way (the pool determinism test and the
-// experiments golden test pin this).
+// set of thread programs, whatever configuration it last ran: every piece
+// of storage cfg sizes — the cache hierarchy, the controller, the tag
+// directories, the per-core and per-thread slices — takes cfg's geometry
+// and reuses its backing array when the capacity is enough, clearing only
+// the part in use. NewMachine is reset on an empty machine, so a recycled
+// machine is a new one by construction: simulation results are a
+// deterministic function of (config, programs) either way (the pool
+// determinism and cross-shape tests and the experiments golden test pin
+// this).
 func (m *Machine) reset(cfg Config, progs []trace.Program) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -183,27 +187,18 @@ func (m *Machine) reset(cfg Config, progs []trace.Program) error {
 	m.clock, m.finished, m.ops = 0, 0, 0
 	m.acct = true
 	m.snapEvery, m.nextSnap, m.snaps = 0, 0, nil
-	if m.fast && m.fastCores == nil {
-		m.fastCores = make([]fastCore, cfg.Cores)
-	}
-	clear(m.fastCores)
-	m.hier.Reset()
-	m.memc.Reset(cfg.Mem)
+	m.hier.Reset(cfg.Cores, cfg.L1, cfg.LLC)
+	m.memc.Reset(cfg.Mem, cfg.Cores)
+	m.atds = reuse.Grown(m.atds, cfg.Cores)
 	for c := range m.atds {
-		m.atds[c].Reset()
+		m.atds[c].Reset(cfg.atdConfig())
 	}
+	m.coreAt = reuse.Zeroed(m.coreAt, cfg.Cores)
+	m.coreIdleAt = reuse.Zeroed(m.coreIdleAt, cfg.Cores)
+	m.fastCores = reuse.Zeroed(m.fastCores, cfg.Cores)
 	m.os = sched.New(cfg.Cores, len(progs))
-	clear(m.coreIdleAt)
-	clear(m.locks)
-	m.locks = m.locks[:0]
-	clear(m.barriers)
-	m.barriers = m.barriers[:0]
-	clear(m.queues)
-	m.queues = m.queues[:0]
-	if n := len(progs) - cap(m.threads); n > 0 {
-		m.threads = append(m.threads[:cap(m.threads)], make([]thread, n)...)
-	}
-	m.threads = m.threads[:len(progs)]
+	m.locks, m.barriers, m.queues = emptied(m.locks), emptied(m.barriers), emptied(m.queues)
+	m.threads = reuse.Grown(m.threads, len(progs))
 	for i, p := range progs {
 		t := &m.threads[i]
 		ring := t.ring

@@ -107,8 +107,8 @@ func WithoutAccounting() Option {
 }
 
 // Run executes progs to completion on a machine for cfg. Machines (and the
-// multi-megabyte backing arrays inside them) are recycled through a
-// process-wide pool keyed by what sizes that storage, so repeated runs —
+// multi-megabyte backing arrays inside them) are recycled through one
+// process-wide pool, whatever configuration each run has, so repeated runs —
 // sweeps, service traffic, benchmarks — allocate almost nothing; results
 // are identical to building a fresh machine every time.
 func Run(cfg Config, progs []trace.Program, opts ...Option) (Result, error) {

@@ -438,7 +438,11 @@ func decodeRegs[R any](s *source, kind, field string, reg func(id uint32, v int)
 // were read whole before it was decoded.
 type ReadError struct{ Err error }
 
+// Error returns the read error's text.
 func (e *ReadError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the read error, so errors.Is and errors.As see through a
+// ReadError to the reader's own error.
 func (e *ReadError) Unwrap() error { return e.Err }
 
 // Decode parses and fully validates a binary trace. Every op of every

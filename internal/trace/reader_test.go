@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
 	"slices"
@@ -175,5 +176,20 @@ func TestDecodeFromChunks(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDecodeFromReadError holds DecodeFrom to its read-error contract: a
+// reader that fails part way through the sample trace makes it return a
+// *ReadError with the reader's text, which errors.As finds and errors.Is
+// sees through to the reader's own error.
+func TestDecodeFromReadError(t *testing.T) {
+	valid := encoded(t, sampleFile())
+	failure := errors.New("the connection dropped")
+	r := io.MultiReader(bytes.NewReader(valid[:len(valid)/2]), iotest.ErrReader(failure))
+	_, err := DecodeFrom(r)
+	var re *ReadError
+	if !errors.As(err, &re) || !errors.Is(err, failure) || err.Error() != failure.Error() {
+		t.Fatalf("DecodeFrom over a failing reader: error %T %v, want a *ReadError wrapping %q", err, err, failure)
 	}
 }
