@@ -17,7 +17,7 @@ func ExampleMeasure() {
 		panic(err)
 	}
 	fmt.Printf("estimated %.2fx, measured %.2fx on %d cores\n",
-		r.Stack.Estimated(), r.Stack.ActualSpeedup, r.Threads)
+		r.Stack.Estimated(), r.Stack.ActualSpeedup, r.Stack.N)
 	fmt.Println("bottlenecks:", speedupstack.TopBottlenecks(r, 2))
 	// Output:
 	// estimated 6.61x, measured 4.38x on 16 cores
@@ -40,7 +40,7 @@ func ExampleMeasureAll() {
 	}
 	for _, r := range rs {
 		fmt.Printf("%-14s x%-2d actual %5.2f\n",
-			r.Benchmark, r.Threads, r.Stack.ActualSpeedup)
+			r.Benchmark, r.Stack.N, r.Stack.ActualSpeedup)
 	}
 	// Output:
 	// radix_splash2  x4  actual  3.41

@@ -48,7 +48,7 @@ func main() {
 	}
 	for _, r := range results {
 		fmt.Printf("threads=%2d  actual=%5.2fx  estimated=%5.2fx  bottlenecks=%v\n",
-			r.Threads, r.Stack.ActualSpeedup, r.Stack.Estimated(), speedupstack.TopBottlenecks(r, 3))
+			r.Stack.N, r.Stack.ActualSpeedup, r.Stack.Estimated(), speedupstack.TopBottlenecks(r, 3))
 	}
 	fmt.Println()
 	if err := speedupstack.Encode(os.Stdout, speedupstack.FormatText, speedupstack.Stacks(results...)); err != nil {

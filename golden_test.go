@@ -154,6 +154,47 @@ func TestGoldenExperimentsAll(t *testing.T) {
 	}
 }
 
+// formula6Bounds bound Formula (6)'s error at threads = cores: the
+// validation table's mean and max |Ŝ−S|/N in %, per thread count, each at
+// most a point above the mean and three above the max the evaluation reads
+// (5.5/17.2, 6.1/20.2, 4.1/15.4 and 3.2/13.9 % at 2, 4, 8 and 16 threads).
+var formula6Bounds = map[int]struct{ mean, max float64 }{
+	2:  {6.5, 20.2},
+	4:  {7.0, 23.1},
+	8:  {5.1, 18.4},
+	16: {4.1, 16.9},
+}
+
+// TestFormula6ErrorBounds holds the estimator to readable bounds across the
+// registry: the validation table, read from the shared exact engine whose
+// cells TestGoldenExperimentsAll simulates too, so it adds no simulation.
+// A change that moves the estimate moves the digests as well; this test
+// says by how much, against a stated bound.
+func TestFormula6ErrorBounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full evaluation regeneration is not a -short test")
+	}
+	rows, err := exp.Validation(context.Background(), sharedEngines()[sim.ModeExact])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(formula6Bounds) {
+		t.Fatalf("validation has %d thread counts, the bounds %d", len(rows), len(formula6Bounds))
+	}
+	for _, r := range rows {
+		b, ok := formula6Bounds[r.Threads]
+		if !ok {
+			t.Errorf("%d threads: no bound", r.Threads)
+			continue
+		}
+		t.Logf("%d threads: mean %.3f %%, max %.3f %% (%s)", r.Threads, r.MeanAbsErrPct, r.MaxAbsErrPct, r.Worst)
+		if r.MeanAbsErrPct > b.mean || r.MaxAbsErrPct > b.max {
+			t.Errorf("%d threads: mean %.1f %%, max %.1f %% (%s), want <= %.1f and %.1f",
+				r.Threads, r.MeanAbsErrPct, r.MaxAbsErrPct, r.Worst, b.mean, b.max)
+		}
+	}
+}
+
 // union returns the keys of two maps.
 func union[V any](a, b map[string]V) map[string]bool {
 	keys := map[string]bool{}

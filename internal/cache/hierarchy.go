@@ -99,6 +99,9 @@ func (h *Hierarchy) Reset(cores int, l1 Config, llc Config) {
 // Stats returns the accumulated protocol statistics.
 func (h *Hierarchy) Stats() *HierarchyStats { return &h.stats }
 
+// LLCSplit returns the LLC set and tag addr maps to.
+func (h *Hierarchy) LLCSplit(addr uint64) (set int, tag uint64) { return h.llc.split(addr) }
+
 // Access is AccessTo returning the outcome by value, for callers off the
 // simulator's per-access path.
 func (h *Hierarchy) Access(core int, addr uint64, write bool) (out Outcome) {

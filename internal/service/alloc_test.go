@@ -121,9 +121,8 @@ func TestReadReplySizesOnce(t *testing.T) {
 	if data, _ := ReadReply(bytes.NewReader(honest), int64(len(honest))); cap(data) != len(honest)+1 {
 		t.Errorf("a reply of its declared %d bytes is held in a buffer of %d, want %d", len(honest), cap(data), len(honest)+1)
 	}
-	const start = 64 << 10
-	if n := bytesPerRun(20, read([]byte("{}"), MaxReplyBytes)); n > 2*start {
-		t.Errorf("a 2-byte reply declared %d bytes allocated %.0f bytes, want <= %d", MaxReplyBytes, n, 2*start)
+	if n := bytesPerRun(20, read([]byte("{}"), MaxReplyBytes)); n > 2*readStart {
+		t.Errorf("a 2-byte reply declared %d bytes allocated %.0f bytes, want <= %d", MaxReplyBytes, n, 2*readStart)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"strconv"
 
 	"repro/internal/exp"
-	"repro/internal/sizedio"
 	"repro/internal/stack"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -54,18 +53,93 @@ const (
 
 // ReadReply reads a whole reply body of at most MaxReplyBytes. A longer
 // body is an error, never a truncated reply. declared is the length the
-// reply announces (http.Response.ContentLength, -1 when unknown); it sizes
-// the buffer as sizedio.ReadAll does for every body this package reads, so
-// a reply that keeps its word ends in a buffer of its own size, which a
-// cache of replies (the fleet's) retains as is, and costs one allocation up
-// to 64 KiB and at most about 2.4 times its size past that; a chunked
-// reply, of unknown length, grows as io.ReadAll's would.
+// reply announces (http.Response.ContentLength, -1 when unknown), which
+// sizes the buffer as readAll's doc says, so a reply that keeps its word
+// ends in a buffer of its own size, which a cache of replies (the fleet's)
+// retains as is.
 func ReadReply(body io.Reader, declared int64) ([]byte, error) {
-	data, err := sizedio.ReadAll(body, declared, MaxReplyBytes)
-	if errors.Is(err, sizedio.ErrTooLong) {
+	data, err := readAll(body, declared, MaxReplyBytes)
+	if errors.Is(err, errTooLong) {
 		return nil, fmt.Errorf("reply exceeds %d bytes", MaxReplyBytes)
 	}
 	return data, err
+}
+
+// readStart caps the buffer readAll makes before it has read a byte, so a
+// sender that declares more than it sends buys at most readStart bytes;
+// almost every request and reply body is below it.
+const readStart = 64 << 10
+
+// errTooLong is readAll's error for a stream longer than its limit.
+var errTooLong = errors.New("service: stream exceeds its limit")
+
+// readAll reads a whole stream whose sender announces its length — a JSON
+// request body or a reply body with its Content-Length, or a body Identify
+// buffers to replay — and returns the bytes, at most limit of them: a
+// longer stream is errTooLong, never a truncated read. declared is the
+// length r announces, -1 when unknown. Its cost is a function of the bytes
+// that arrive: neither of the length announced, which a hostile sender
+// chooses, nor of append's growth policy, which io.ReadAll inherits (about
+// 5.7 times a multi-megabyte body in allocation). A trace is not read
+// through it: the trace decoder reads its input once, into the chunks it
+// keeps (trace.DecodeFrom).
+//
+// With a declared length the buffer starts at min(declared, 64 KiB)+1
+// bytes and doubles, and once half the declared length has arrived it
+// grows to exactly declared+1, the byte past the end that sees EOF. So a
+// stream that keeps its word is read into one allocation of its own size
+// up to 64 KiB, costs at most about 2.4 times its size above that, and
+// ends in a buffer of its own size, which a cache may retain as is; a
+// stream that declares 32 MiB and sends nothing costs 64 KiB. With none
+// there is no size to aim at: the buffer starts at 512 bytes and grows as
+// io.ReadAll's does, by append, whose smaller steps leave less spare room
+// in what a cache retains than doubling would. On an error, readAll
+// returns what it read with it, as io.ReadAll does.
+func readAll(r io.Reader, declared, limit int64) ([]byte, error) {
+	size := int64(512)
+	if declared >= 0 {
+		size = min(declared, readStart) + 1
+	}
+	data := make([]byte, 0, min(size, limit+1))
+	lr := io.LimitedReader{R: r, N: limit + 1}
+	for {
+		if len(data) == cap(data) {
+			if int64(len(data)) > limit {
+				return data, errTooLong
+			}
+			data = grow(data, declared, limit)
+		}
+		n, err := lr.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return data, err
+		}
+	}
+	if int64(len(data)) > limit {
+		return data, errTooLong
+	}
+	return data, nil
+}
+
+// grow returns full data in a larger buffer. With a declared length it is
+// twice the size, or exactly the declared length plus one once half of it
+// has arrived, never past the limit plus the byte that shows a stream is
+// over it (which data is below). Without one it is what append makes of
+// it, as in io.ReadAll.
+func grow(data []byte, declared, limit int64) []byte {
+	if declared < 0 {
+		return append(data, 0)[:len(data)]
+	}
+	size := 2 * int64(cap(data))
+	if end := min(declared, limit) + 1; 2*int64(len(data)) >= end && int64(cap(data)) < end {
+		size = end
+	}
+	grown := make([]byte, len(data), min(size, limit+1))
+	copy(grown, data)
+	return grown
 }
 
 // route is one row of the table.
@@ -350,7 +424,7 @@ type ValidateResponse struct {
 // readable but invalid spec answers 200 with valid=false and the actionable
 // validation error, so CI pipelines can lint spec files cheaply.
 func validate(s *Server, w http.ResponseWriter, r *http.Request) {
-	data, err := sizedio.ReadAll(r.Body, r.ContentLength, maxJSONBytes)
+	data, err := readAll(r.Body, r.ContentLength, maxJSONBytes)
 	if err != nil {
 		writeError(w, r, badRequest("reading body: %v", err))
 		return
@@ -439,7 +513,7 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 	q := query(r.URL.RawQuery)
 	id.route, id.Options = rt, rt.optionIdentity(q, r.Header.Get("Accept"))
 	if rt.body > 0 && r.Body != nil {
-		body, err := sizedio.ReadAll(r.Body, r.ContentLength, rt.body)
+		body, err := readAll(r.Body, r.ContentLength, rt.body)
 		r.Body.Close()
 		id.Body = body
 		if err != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -214,5 +215,56 @@ func TestTraceSyncViolationRefused(t *testing.T) {
 	}
 	if w := get(t, h, "/v1/stack?bench="+testBench+"&threads=2"); w.Code != http.StatusOK {
 		t.Errorf("server stopped serving: status %d, body %s", w.Code, w.Body)
+	}
+}
+
+// TestTraceSyncIDBound pins trace.MaxSyncID at the upload door: a sync id
+// indexes the simulator's dense sync tables, so a few dozen bytes naming a
+// large one once asked for gigabytes. The largest id replays; one more, in
+// an op or a queue registration, answers 400 invalid_argument naming the
+// id (and, in an op, its offset), and nothing simulates it.
+func TestTraceSyncIDBound(t *testing.T) {
+	s, sims := newTestServer(t)
+	h := s.Handler()
+	locks := []trace.Op{trace.Compute(10), trace.Lock(trace.MaxSyncID), trace.Unlock(trace.MaxSyncID), trace.End()}
+	good := []trace.Op{trace.Compute(10), trace.End()}
+	seq := []trace.Op{trace.Compute(20), trace.End()}
+	queue := trace.Header{Queues: []trace.QueueReg{{ID: trace.MaxSyncID, Cap: 4}}}
+	// Encode refuses an id past the bound, so a refused upload is an
+	// accepted one with every varint of the largest id patched to the next
+	// id's, three bytes either way.
+	from, to := binary.AppendUvarint(nil, trace.MaxSyncID), binary.AppendUvarint(nil, trace.MaxSyncID+1)
+	upload := func(f trace.File, past bool) string {
+		var buf bytes.Buffer
+		if err := f.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if past {
+			return string(bytes.ReplaceAll(buf.Bytes(), from, to))
+		}
+		return buf.String()
+	}
+	largest := trace.File{Header: queue, Sequential: seq, Threads: [][]trace.Op{locks, good}}
+	if w := post(t, h, "/v1/traces/analyze", upload(largest, false)); w.Code != http.StatusOK {
+		t.Fatalf("the largest ids: status %d, body %s", w.Code, w.Body)
+	}
+	runs := *sims
+	for _, tc := range []struct {
+		name, want string
+		f          trace.File
+	}{
+		{"queue registration", "trace: queue id 1048576 exceeds 1048575",
+			trace.File{Header: queue, Sequential: seq, Threads: [][]trace.Op{good, good}}},
+		{"lock op", "trace: thread 0 stream: op 1: sync id 1048576 at offset 3 exceeds 1048575",
+			trace.File{Sequential: seq, Threads: [][]trace.Op{locks, good}}},
+	} {
+		w := post(t, h, "/v1/traces/analyze", upload(tc.f, true))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"invalid_argument"`) ||
+			!strings.Contains(w.Body.String(), tc.want) {
+			t.Errorf("%s: status %d, body %s", tc.name, w.Code, w.Body)
+		}
+	}
+	if *sims != runs {
+		t.Errorf("refused uploads ran %d simulations", *sims-runs)
 	}
 }

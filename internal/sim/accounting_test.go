@@ -33,7 +33,7 @@ func TestEstimatedSpeedupWithinBounds(t *testing.T) {
 	for _, name := range []string{"lud_rodinia", "canneal_parsec_small", "ferret_parsec_small"} {
 		res := runBench(t, name, 8)
 		est := res.Stack(0).Estimated()
-		if est < 0 || est > float64(res.Threads)+0.01 {
+		if est < 0 || est > float64(len(res.PerThread))+0.01 {
 			t.Errorf("%s: estimated speedup %v out of [0, N]", name, est)
 		}
 	}
@@ -111,8 +111,8 @@ func TestThreadsExceedCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Threads != 16 || res.Cores != 4 {
-		t.Fatalf("run shape %d threads / %d cores", res.Threads, res.Cores)
+	if len(res.PerThread) != 16 {
+		t.Fatalf("run of 16 threads has %d threads' counters", len(res.PerThread))
 	}
 	// Every oversubscribed thread must get a core and run to its end.
 	for i, ct := range res.PerThread {

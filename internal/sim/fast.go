@@ -4,10 +4,11 @@ import "repro/internal/cpu"
 
 // Fast mode (Config.Mode == ModeFast) carries the paper's one sampling
 // decision from the ATD into the simulation itself: only the LLC sets the
-// ATD samples, set & (2^ATDSampleShift − 1) == 0 — the "detailed" sets, a
-// deterministic 1-in-2^ATDSampleShift stride — run the full
-// L1/LLC/directory/DRAM model (memAccess, the same walk exact mode takes
-// for every access), and only their misses generate memory traffic.
+// ATD samples (atd.Directory.SampledSet: set & (2^ATDSampleShift − 1) ==
+// 0) — the "detailed" sets, a deterministic 1-in-2^ATDSampleShift stride —
+// run the full L1/LLC/directory/DRAM model (memAccess, the same walk exact
+// mode takes for every access), and only their misses generate memory
+// traffic.
 // Accesses to every other set never touch the cache arrays at all; their
 // whole hierarchy outcome is extrapolated from the detailed sets:
 //

@@ -66,9 +66,9 @@ func TestIntervalSnapshots(t *testing.T) {
 		if s.Time < prevTime {
 			t.Fatalf("snapshot %d: time moved backwards (%d after %d)", k, s.Time, prevTime)
 		}
-		if len(s.Threads) != res.Threads || len(s.Finished) != res.Threads {
+		if len(s.Threads) != len(res.PerThread) || len(s.Finished) != len(res.PerThread) {
 			t.Fatalf("snapshot %d: %d counters / %d finished flags for %d threads",
-				k, len(s.Threads), len(s.Finished), res.Threads)
+				k, len(s.Threads), len(s.Finished), len(res.PerThread))
 		}
 		if k > 0 {
 			for i := range s.Threads {

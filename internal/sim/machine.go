@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/atd"
 	"repro/internal/cache"
@@ -63,12 +62,6 @@ type Machine struct {
 	atds  []atd.Directory // per core, monitoring 1 in 2^ATDSampleShift sets
 	os    *sched.OS
 
-	// LLC address decomposition, precomputed so the (set, tag) pair of an
-	// access also feeds the tag directory (its geometry mirrors the LLC).
-	llcLineShift uint
-	llcSetBits   uint
-	llcSetMask   uint64
-
 	// Synchronization primitives, indexed directly by id. Workload
 	// generators use small dense id spaces (locks 0..NumLocks, pipeline
 	// queues/barriers per stage, one barrier per phase), so a grow-on-use
@@ -97,11 +90,10 @@ type Machine struct {
 	// which contribute only Tp) skip the tag-directory walks entirely.
 	acct bool
 
-	// Fast-mode state (Config.Mode == ModeFast, fast.go): fastMask selects
-	// the detailed LLC sets (set&fastMask == 0), exactly the sets the ATDs
-	// sample, and fastCores holds the per-core extrapolation accumulators.
+	// Fast-mode state (Config.Mode == ModeFast, fast.go): the detailed LLC
+	// sets are the ones the ATDs sample (atd.Directory.SampledSet), and
+	// fastCores holds the per-core extrapolation accumulators.
 	fast      bool
-	fastMask  uint64
 	fastCores []fastCore
 
 	// quantum is the effective relaxed-synchronization quantum of the
@@ -178,11 +170,7 @@ func (m *Machine) reset(cfg Config, progs []trace.Program) error {
 		return fmt.Errorf("sim: no thread programs")
 	}
 	m.cfg = cfg
-	m.llcLineShift = uint(bits.TrailingZeros64(uint64(cfg.LLC.LineBytes)))
-	m.llcSetBits = uint(bits.TrailingZeros64(uint64(cfg.LLC.Sets())))
-	m.llcSetMask = uint64(cfg.LLC.Sets()) - 1
 	m.fast = cfg.Mode == ModeFast
-	m.fastMask = uint64(1)<<cfg.ATDSampleShift - 1
 
 	m.clock, m.finished, m.ops = 0, 0, 0
 	m.acct = true
@@ -233,13 +221,13 @@ func (m *Machine) barrier(id uint32) *syncprim.Barrier {
 	return b
 }
 
-// queue returns the queue with the given id, created on first use with a
-// default capacity; workloads can size queues via WithQueue.
+// queue returns the queue with the given id, created on first use with
+// syncprim.DefaultQueueCap; workloads can size queues via WithQueue.
 func (m *Machine) queue(id uint32) *syncprim.Queue {
 	m.queues = grow(m.queues, id)
 	q := m.queues[id]
 	if q == nil {
-		q = syncprim.NewQueue(16)
+		q = syncprim.NewQueue(syncprim.DefaultQueueCap)
 		m.queues[id] = q
 	}
 	return q

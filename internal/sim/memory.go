@@ -18,14 +18,14 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 	// Dispatch slots of the memory instruction itself.
 	t.time += cpu.ComputeCycles(uint64(op.N))
 	isLoad := op.Kind == trace.KindLoad
-	lineAddr := op.Addr >> m.llcLineShift
-	set := int(lineAddr & m.llcSetMask)
+	set, tag := m.hier.LLCSplit(op.Addr)
 
 	// fc is the core's fast-mode extrapolation state, nil in exact mode.
+	// The detailed sets are the ones the core's ATD samples.
 	var fc *fastCore
 	if m.fast {
 		fc = &m.fastCores[c]
-		if uint64(set)&m.fastMask != 0 {
+		if !m.atds[c].SampledSet(set) {
 			m.fastSkippedAccess(t, fc, isLoad)
 			return
 		}
@@ -52,7 +52,7 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 	// The access reaches the shared LLC: update the core's tag directory.
 	// The hardware ATD observes every LLC access of its core (paper Section
 	// 4.1); only sampled sets are backed by state. It mirrors the LLC's
-	// geometry, so the (set, tag) pair decomposed above drives it too.
+	// geometry, so the LLC's (set, tag) pair drives it too.
 	t.ct.LLCAccesses++
 	t.ct.DetailedLLCAccesses++
 	if fc != nil {
@@ -63,7 +63,7 @@ func (m *Machine) memAccess(t *thread, c int, op *trace.Op) {
 	}
 	estHit, sampled := false, false
 	if m.acct && m.atds[c].SampledSet(set) {
-		estHit, sampled = m.atds[c].AccessSetTag(set, lineAddr>>m.llcSetBits)
+		estHit, sampled = m.atds[c].AccessSetTag(set, tag)
 		t.ct.SampledATDAccesses++
 	}
 

@@ -9,13 +9,11 @@ import (
 
 // Result summarizes one simulation run.
 type Result struct {
-	// Cores and Threads describe the run shape.
-	Cores   int
-	Threads int
 	// Tp is the parallel-section execution time: the finish time of the
 	// slowest thread.
 	Tp uint64
-	// PerThread holds the raw accounting counters, one per software thread.
+	// PerThread holds the raw accounting counters, one per software thread,
+	// so its length is the run's thread count.
 	PerThread []core.ThreadCounters
 	// Estimated is the component decomposition the accounting hardware
 	// produces (sampled ATD, ORA, Tian detector, OS yield bookkeeping).
@@ -43,7 +41,7 @@ type Result struct {
 // single-threaded execution time of the same work) is non-zero the stack
 // also records the actual speedup Ts/Tp.
 func (r Result) Stack(ts uint64) core.Stack {
-	s := core.Stack{N: r.Threads, Tp: r.Tp, Components: r.Estimated}
+	s := core.Stack{N: len(r.PerThread), Tp: r.Tp, Components: r.Estimated}
 	if ts != 0 {
 		s.ActualSpeedup = float64(ts) / float64(r.Tp)
 	}
@@ -53,8 +51,6 @@ func (r Result) Stack(ts uint64) core.Stack {
 // result gathers counters from the machine after completion.
 func (m *Machine) result() Result {
 	r := Result{
-		Cores:     m.cfg.Cores,
-		Threads:   len(m.threads),
 		TotalOps:  m.ops,
 		PerThread: make([]core.ThreadCounters, len(m.threads)),
 	}

@@ -155,6 +155,11 @@ type Queue struct {
 	popWaiters  []int
 }
 
+// DefaultQueueCap is the capacity of a queue nobody sized: one the machine
+// creates on first use, and a pipeline's stage queues when its spec leaves
+// QueueCap at zero.
+const DefaultQueueCap = 16
+
 // NewQueue returns a queue holding at most capacity items.
 func NewQueue(capacity int) *Queue {
 	if capacity <= 0 {

@@ -23,8 +23,8 @@ import (
 //	offset 5   flags   (1 raw byte; bit0 = sequential stream present)
 //	           label       varint length (<= MaxLabelLen) + raw bytes
 //	           lock_grace / barrier_grace   varints (cycles, <= MaxGrace)
-//	           queue registrations    varint count (<= MaxRegs), then per queue: id, cap (<= MaxQueueCap)
-//	           barrier registrations  varint count (<= MaxRegs), then per barrier: id, parties (<= MaxThreads)
+//	           queue registrations    varint count (<= MaxRegs), then per queue: id (<= MaxSyncID), cap (<= MaxQueueCap)
+//	           barrier registrations  varint count (<= MaxRegs), then per barrier: id (<= MaxSyncID), parties (<= MaxThreads)
 //	           threads     varint T in [1, MaxThreads]
 //	           sequential section (only when flagged), then T thread sections
 //
@@ -34,10 +34,10 @@ import (
 // byte — bits 0..3 the Kind, bit 4 "N present", bit 5 the Overhead flag,
 // bits 6..7 reserved zero — followed by kind-dependent varint operands:
 // Compute carries N always; Load/Store carry Addr then PC (then N when
-// flagged, default 1); sync ops carry ID (then N when flagged); End carries
-// nothing. Decode (a trace in memory) and DecodeFrom (a reader) validate
-// every section eagerly, so the streaming readers handed to the simulator
-// can never fail mid-run on hostile input.
+// flagged, default 1); sync ops carry ID (<= MaxSyncID; then N when
+// flagged); End carries nothing. Decode (a trace in memory) and DecodeFrom
+// (a reader) validate every section eagerly, so the streaming readers
+// handed to the simulator can never fail mid-run on hostile input.
 //
 // Content identity: the trace hash is sha256 over the version byte, the
 // flags byte and everything after the label. The label is excluded for the
@@ -58,15 +58,17 @@ const (
 
 // Header bounds of the format, judged by Header.Check: the label's length
 // in bytes, each registration list's length, the thread count (and a
-// barrier's parties), a queue's capacity, and the grace overrides in
-// cycles, which the workload spec takes as its own bound so a decoded trace
-// always builds a valid replay spec.
+// barrier's parties), a queue's capacity, the grace overrides in cycles,
+// which the workload spec takes as its own bound so a decoded trace always
+// builds a valid replay spec, and a registration's sync id, which the
+// decoder and Encode judge in ops too: an id's value sizes a sync table.
 const (
 	MaxLabelLen = 256
 	MaxRegs     = 1 << 16
 	MaxThreads  = 256
 	MaxQueueCap = 1 << 20
 	MaxGrace    = 1 << 62
+	MaxSyncID   = 1<<20 - 1
 )
 
 // QueueReg is one bounded-queue registration a replay must re-create.
@@ -115,11 +117,17 @@ func (h Header) check(labelLen, threads int) error {
 		return fmt.Errorf("trace: at most %d queue and %d barrier registrations", MaxRegs, MaxRegs)
 	}
 	for _, q := range h.Queues {
+		if q.ID > MaxSyncID {
+			return fmt.Errorf("trace: queue id %d exceeds %d", q.ID, MaxSyncID)
+		}
 		if q.Cap < 0 || q.Cap > MaxQueueCap {
 			return fmt.Errorf("trace: queue %d capacity must be in [0, %d], got %d", q.ID, MaxQueueCap, q.Cap)
 		}
 	}
 	for _, b := range h.Barriers {
+		if b.ID > MaxSyncID {
+			return fmt.Errorf("trace: barrier id %d exceeds %d", b.ID, MaxSyncID)
+		}
 		if b.Parties < 0 || b.Parties > MaxThreads {
 			return fmt.Errorf("trace: barrier %d parties must be in [0, %d], got %d", b.ID, MaxThreads, b.Parties)
 		}
@@ -221,6 +229,9 @@ func appendSection(dst []byte, ops []Op) ([]byte, error) {
 		}
 		if op.Kind == KindEnd && i != len(ops)-1 {
 			return nil, fmt.Errorf("op %d: %v before the end of the stream", i, KindEnd)
+		}
+		if op.Kind >= KindLock && op.Kind < KindEnd && op.ID > MaxSyncID { // a sync op
+			return nil, fmt.Errorf("op %d: sync id %d exceeds %d", i, op.ID, MaxSyncID)
 		}
 		body = appendOp(body, op)
 	}
@@ -635,12 +646,13 @@ func decodeOp(d *decoder, op *Op) error {
 		}
 	case KindEnd:
 	default:
+		at := d.base + d.pos
 		id, err := d.uvarint("sync id")
 		if err != nil {
 			return err
 		}
-		if id > 1<<32-1 {
-			return fmt.Errorf("sync id %d overflows uint32", id)
+		if id > MaxSyncID {
+			return fmt.Errorf("sync id %d at offset %d exceeds %d", id, at, MaxSyncID)
 		}
 		op.ID = uint32(id)
 	}

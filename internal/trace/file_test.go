@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -326,6 +328,66 @@ func TestEncodeHeaderBounds(t *testing.T) {
 				t.Errorf("%s: Decode refused what Encode wrote: %v", tc.name, err)
 			}
 		}
+	}
+}
+
+// TestSyncIDBound pins MaxSyncID at every door: a lock id, a queue
+// registration and a barrier registration of MaxSyncID encode and decode,
+// by Decode and by a reader alike, and one more is refused by Check (the
+// registrations), by Encode and by both decoders, whose error names the id
+// and, in an op, its offset.
+func TestSyncIDBound(t *testing.T) {
+	locks := func(id uint32) [][]Op { return [][]Op{{Lock(id), Unlock(id), End()}} }
+	largest := &File{
+		Header:  Header{Queues: []QueueReg{{ID: MaxSyncID, Cap: 1}}, Barriers: []BarrierReg{{ID: MaxSyncID, Parties: 1}}},
+		Threads: locks(MaxSyncID),
+	}
+	data := encoded(t, largest)
+	if d, err := Decode(data); err != nil || !reflect.DeepEqual(d.Header(), largest.Header) {
+		t.Fatalf("the largest ids: Decode gave %v", err)
+	}
+	Agree(t, data)
+
+	// An op id past the bound cannot be encoded, so the refused bytes are
+	// the largest id's with each of its two varints patched to the next id.
+	varint := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	ops := encoded(t, &File{Threads: locks(MaxSyncID)})
+	if n := bytes.Count(ops, varint(MaxSyncID)); n != 2 {
+		t.Fatalf("the lock and unlock ids appear %d times in the trace", n)
+	}
+	pastOps := bytes.ReplaceAll(ops, varint(MaxSyncID), varint(MaxSyncID+1))
+	if err := (&File{Threads: locks(MaxSyncID + 1)}).Encode(io.Discard); err == nil ||
+		err.Error() != "trace: thread 0 stream: op 0: sync id 1048576 exceeds 1048575" {
+		t.Errorf("Encode of lock id %d: %v", MaxSyncID+1, err)
+	}
+	if _, err := Decode(pastOps); err == nil ||
+		err.Error() != "trace: thread 0 stream: op 0: sync id 1048576 at offset 1 exceeds 1048575" {
+		t.Errorf("Decode of lock id %d: %v", MaxSyncID+1, err)
+	}
+	Agree(t, pastOps)
+
+	for _, tc := range []struct {
+		want string
+		hdr  Header
+	}{
+		{"trace: queue id 1048576 exceeds 1048575", Header{Queues: []QueueReg{{ID: MaxSyncID + 1, Cap: 1}}}},
+		{"trace: barrier id 1048576 exceeds 1048575", Header{Barriers: []BarrierReg{{ID: MaxSyncID + 1, Parties: 1}}}},
+	} {
+		f := &File{Header: tc.hdr, Threads: locks(0)}
+		if err := f.Check(1); err == nil || err.Error() != tc.want {
+			t.Errorf("Check: %v, want %q", err, tc.want)
+		}
+		if err := f.Encode(io.Discard); err == nil || err.Error() != tc.want {
+			t.Errorf("Encode: %v, want %q", err, tc.want)
+		}
+		unchecked, err := f.write(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(unchecked); err == nil || err.Error() != tc.want {
+			t.Errorf("Decode: %v, want %q", err, tc.want)
+		}
+		Agree(t, unchecked)
 	}
 }
 

@@ -84,7 +84,7 @@ func longFile(seed uint64, threads, n int) *File {
 			case KindLoad, KindStore:
 				op.Addr, op.PC = wide(64), wide(64)
 			default:
-				op.ID = uint32(wide(32))
+				op.ID = uint32(wide(20)) // at most MaxSyncID
 			}
 			if op.Kind != KindCompute && rng.Bool(0.2) {
 				op.N = uint32(wide(32))

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"repro/internal/sim"
+	"repro/internal/syncprim"
 	"repro/internal/trace"
 )
 
@@ -163,7 +164,7 @@ func (s Spec) registrations(threads int) ([]trace.QueueReg, []trace.BarrierReg) 
 		eff, nStage := pipelinePlan(s.Stages, threads)
 		cap := s.QueueCap
 		if cap <= 0 {
-			cap = 16
+			cap = syncprim.DefaultQueueCap
 		}
 		queues := make([]trace.QueueReg, 0, len(eff)-1)
 		for q := 0; q < len(eff)-1; q++ {

@@ -138,7 +138,8 @@ type Spec struct {
 
 	// Stages describes the pipeline stages.
 	Stages []StageSpec `json:"stages,omitempty"`
-	// QueueCap is the bounded-queue capacity between stages.
+	// QueueCap is the bounded-queue capacity between stages (0 =
+	// syncprim.DefaultQueueCap).
 	QueueCap int `json:"queue_cap,omitempty"`
 
 	// --- Overheads and library behaviour ------------------------------------
@@ -348,11 +349,11 @@ func (s Spec) Canonical() Spec {
 }
 
 // overheadAt returns the effective overhead fraction for a run with the
-// given thread count (OverheadFrac is the 16-thread calibration point). The
-// pipeline generator calls it per item, so it takes a pointer: a value
-// receiver copies the whole Spec on every call.
+// given thread count (OverheadFrac is the calibration point at
+// nominalThreads). The pipeline generator calls it per item, so it takes a
+// pointer: a value receiver copies the whole Spec on every call.
 func (s *Spec) overheadAt(threads int) float64 {
-	return s.OverheadFrac * float64(threads) / 16
+	return s.OverheadFrac * float64(threads) / nominalThreads
 }
 
 // TunePolicy applies the benchmark's synchronization-library overrides to a

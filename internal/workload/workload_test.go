@@ -9,6 +9,18 @@ import (
 	"repro/internal/trace"
 )
 
+// TestSyncIDsWithinTraceBound holds the largest sync id a valid spec makes
+// a generator emit to trace.MaxSyncID, so every valid spec records: a
+// data-parallel phase barrier (Phases <= maxCount), a lock (NumLocks <=
+// maxLocks) and a pipeline stage barrier (2000 + stage, at most maxStages).
+func TestSyncIDsWithinTraceBound(t *testing.T) {
+	for what, id := range map[string]int{"phase barrier": maxCount - 1, "lock": maxLocks - 1, "stage barrier": 2000 + maxStages - 1} {
+		if id > trace.MaxSyncID {
+			t.Errorf("the largest %s id, %d, is past trace.MaxSyncID %d", what, id, trace.MaxSyncID)
+		}
+	}
+}
+
 func TestRegistryComplete(t *testing.T) {
 	all := All()
 	if len(all) != 28 {

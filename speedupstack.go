@@ -52,10 +52,10 @@ type Stack = core.Stack
 // Components are the cycle-valued stack components.
 type Components = core.Components
 
-// Result couples a stack with the benchmark identity it came from.
+// Result couples a stack with the benchmark identity it came from. The
+// run's thread count is its Stack's, Stack.N.
 type Result struct {
 	Benchmark string
-	Threads   int
 	Stack     Stack
 }
 
@@ -153,7 +153,7 @@ func MeasureAll(ctx context.Context, rs []Request) ([]Result, error) {
 	}
 	results := make([]Result, len(reqs))
 	err := newEngine().Do(ctx, reqs, func(i int, out exp.Outcome) {
-		results[i] = Result{Benchmark: out.Bench.FullName(), Threads: out.Stack.N, Stack: out.Stack}
+		results[i] = Result{Benchmark: out.Bench.FullName(), Stack: out.Stack}
 	})
 	if err != nil {
 		return nil, err

@@ -59,7 +59,7 @@ func TestParseWorkloadAndMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Benchmark != "roottest" || res.Threads != 4 {
+	if res.Benchmark != "roottest" || res.Stack.N != 4 {
 		t.Fatalf("unexpected result identity: %+v", res)
 	}
 	if res.Stack.ActualSpeedup <= 1 {
@@ -98,7 +98,7 @@ func TestMeasureAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Threads != 16 || res.Stack.N != 16 {
+	if res.Stack.N != 16 {
 		t.Fatalf("unexpected shape: %+v", res)
 	}
 	if res.Stack.ActualSpeedup <= 1 {
@@ -131,7 +131,7 @@ func TestFastRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.Threads != 8 || fast.Stack.N != 8 {
+	if fast.Stack.N != 8 {
 		t.Fatalf("unexpected shape: %+v", fast)
 	}
 	if d := fast.Stack.Estimated() - exact.Stack.Estimated(); d > 3.6 || d < -3.6 {
@@ -353,9 +353,9 @@ func TestMeasureAllBatch(t *testing.T) {
 	}
 	// Results come back in request order.
 	for i, r := range reqs {
-		if results[i].Benchmark != r.Bench || results[i].Threads != r.Threads {
+		if results[i].Benchmark != r.Bench || results[i].Stack.N != r.Threads {
 			t.Fatalf("result %d = %s x%d, want %s x%d",
-				i, results[i].Benchmark, results[i].Threads, r.Bench, r.Threads)
+				i, results[i].Benchmark, results[i].Stack.N, r.Bench, r.Threads)
 		}
 		if results[i].Stack.ActualSpeedup <= 1 {
 			t.Fatalf("%s x%d speedup %v", r.Bench, r.Threads, results[i].Stack.ActualSpeedup)
