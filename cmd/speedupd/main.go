@@ -75,7 +75,7 @@ func main() {
 	rateLimit := flag.Float64("rate-limit", 0, "per-client request rate on simulating endpoints, in req/s (0 = off)")
 	self := flag.String("self", "", "fleet: this node's address as it appears in -peers")
 	peers := flag.String("peers", "", "fleet: comma-separated member addresses, -self included, identical on every node")
-	fleetCache := flag.Int("fleet-cache", 4096, "fleet: peer-response cache entries (0 = unbounded, < 0 = off)")
+	fleetCache := flag.Int("fleet-cache", 4096, "fleet: peer cache entries, one stack report or one other reply each (0 = unbounded, < 0 = off)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "unexpected arguments %v\n", flag.Args())

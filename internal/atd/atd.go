@@ -20,7 +20,6 @@ package atd
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/reuse"
 )
@@ -61,19 +60,15 @@ func (c Config) SampledSets() int { return c.Sets >> c.SampleShift }
 //
 // Tags are stored flat (one backing array, Ways-strided rows) with a +1
 // bias so that entry 0 means "empty": the bias folds the valid bit into the
-// tag word, halving the state walked per access. The address decomposition
-// is precomputed shift/mask arithmetic (set count and line size are powers
-// of two), mirroring the LLC's geometry.
+// tag word, halving the state walked per access. The directory keeps no
+// address split of its own: the simulator hands it the LLC's (set, tag)
+// (AccessSetTag), and the by-address Access divides by the geometry in cfg.
 type Directory struct {
 	cfg  Config
 	mask uint64 // set is sampled iff set&mask == 0
 	// tags holds Ways-strided MRU-ordered rows of biased tags (tag+1;
 	// 0 = empty way).
 	tags []uint64
-
-	lineShift uint   // log2(LineBytes)
-	setBits   uint   // log2(Sets): tag = lineAddr >> setBits
-	setMask   uint64 // Sets-1
 
 	sampledAccesses uint64
 }
@@ -96,22 +91,10 @@ func (d *Directory) Reset(cfg Config) {
 		panic(err)
 	}
 	*d = Directory{
-		cfg:       cfg,
-		mask:      (1 << cfg.SampleShift) - 1,
-		tags:      reuse.Zeroed(d.tags, cfg.SampledSets()*cfg.Ways),
-		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
-		setBits:   uint(bits.TrailingZeros64(uint64(cfg.Sets))),
-		setMask:   uint64(cfg.Sets) - 1,
+		cfg:  cfg,
+		mask: (1 << cfg.SampleShift) - 1,
+		tags: reuse.Zeroed(d.tags, cfg.SampledSets()*cfg.Ways),
 	}
-}
-
-// setIndex and tag mirror the LLC address mapping.
-func (d *Directory) setIndex(addr uint64) int {
-	return int((addr >> d.lineShift) & d.setMask)
-}
-
-func (d *Directory) tag(addr uint64) uint64 {
-	return addr >> d.lineShift >> d.setBits
 }
 
 // SampledSet reports whether the given set is monitored. It is small enough
@@ -124,8 +107,11 @@ func (d *Directory) SampledSet(set int) bool {
 // Access simulates the private-LLC lookup for addr: it reports whether the
 // private cache would have hit, then updates LRU state and installs the line
 // on a miss. For non-sampled sets it reports sampled=false and does nothing.
+// It splits addr as the LLC of cfg's geometry does; the simulator, which
+// has the LLC's split at hand, calls AccessSetTag.
 func (d *Directory) Access(addr uint64) (hit, sampled bool) {
-	return d.AccessSetTag(d.setIndex(addr), d.tag(addr))
+	line, sets := addr/uint64(d.cfg.LineBytes), uint64(d.cfg.Sets)
+	return d.AccessSetTag(int(line%sets), line/sets)
 }
 
 // AccessSetTag is Access with the address already decomposed into the LLC's

@@ -277,4 +277,56 @@ func TestFleetPeerCacheLRU(t *testing.T) {
 				i, step.path, gotHit == 1, gotFwd, step.hit, forwarded)
 		}
 	}
+	// q3, q2 and q1 were each evicted once; q2 and q3 are held.
+	if n, ev := metric(t, urls[away], "speedupd_fleet_peer_cache_entries"),
+		metric(t, urls[away], "speedupd_fleet_peer_cache_evictions_total"); n != 2 || ev != 3 {
+		t.Errorf("the peer cache holds %d entries after %d evictions, want 2 after 3", n, ev)
+	}
+}
+
+// TestFleetConcurrentFormatsShareOneReport: once a node holds a cell's
+// report, concurrent requests for it in every format are all peer-cache
+// hits, each answering the home's bytes in its own format, and the report
+// is one entry. Under -race it holds the shared bars to read-only use.
+func TestFleetConcurrentFormatsShareOneReport(t *testing.T) {
+	const bench = "blackscholes_parsec_small"
+	urls, _, handlers := newFleet(t, 2)
+	home, away := homeAndAway(t, urls, handlers[0], bench)
+	path := "/v1/stack?bench=" + bench + "&threads=2&format="
+	if code, body := fetch(t, http.MethodGet, urls[away]+path+"json", ""); code != http.StatusOK {
+		t.Fatalf("first ask: %d %s", code, body)
+	}
+	formats := []string{"json", "csv", "svg", "text", "ndjson"}
+	want := map[string]string{}
+	for _, f := range formats {
+		_, want[f] = fetch(t, http.MethodGet, urls[home]+path+f, "")
+	}
+	const perFormat = 4
+	var wg sync.WaitGroup
+	for _, f := range formats {
+		for range perFormat {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Get(urls[away] + path + f)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				got, err := io.ReadAll(resp.Body)
+				if err != nil || resp.StatusCode != http.StatusOK || string(got) != want[f] {
+					t.Errorf("%s: %d %q (%v), the home answers %q", f, resp.StatusCode, got, err, want[f])
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if fwd, hits := metric(t, urls[away], "speedupd_fleet_forwarded_total"),
+		metric(t, urls[away], "speedupd_fleet_peer_cache_hits_total"); fwd != 1 || hits != len(formats)*perFormat {
+		t.Errorf("%d forwards and %d hits, want 1 and %d", fwd, hits, len(formats)*perFormat)
+	}
+	if n := metric(t, urls[away], "speedupd_fleet_peer_cache_entries"); n != 1 {
+		t.Errorf("the peer cache holds %d entries for one cell in five formats, want 1", n)
+	}
 }

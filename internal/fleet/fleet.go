@@ -11,30 +11,34 @@
 //  1. A resolves the request's workload identity (bench name or inline
 //     spec) to its fingerprint without simulating anything, and looks up
 //     the home on the ring.
-//  2. A consults its peer-response cache under the request's canonical
-//     identity — method, home, path, the options as the service's own
-//     parser reads them (negotiated format, canonical benchmark name,
-//     defaults filled; service.Identity.Options) and the body — so the
-//     same question in another parameter order, through an Accept header
-//     instead of ?format=, under an alias or with a default spelled out
-//     is the same entry. A hit answers immediately with the bytes B
-//     produced earlier.
-//  3. On a miss, A forwards the request to B exactly as the client sent
-//     it (raw query, Accept, body) with the hop header set (one hop at
-//     most: B serves hop-marked requests locally, never re-forwards),
-//     collapses concurrent misses of one identity onto one fetch, and
-//     caches B's 200 response under that identity.
+//  2. A consults its peer cache under the request's canonical identity —
+//     method, home, path, the options as the service's own parser reads
+//     them (negotiated format, canonical benchmark name, defaults filled;
+//     service.Identity.Options) and the body — so the same question in
+//     another parameter order, through an Accept header instead of
+//     ?format=, under an alias or with a default spelled out is the same
+//     entry. An aggregate report (a stack.Bars reply; service.Identity.Rows
+//     says which) is kept as its bars under the identity with the format
+//     left out, so a hit in any format renders them through the service's
+//     own writer (service.WriteDocument) into the bytes B would write.
+//     Other replies (intervals, advise, what-if) are kept as B's bytes.
+//  3. On a miss, A forwards the request to B exactly as the client sent it
+//     (raw query, Accept, body) with the hop header set (one hop at most:
+//     B serves hop-marked requests locally, never re-forwards) and, for a
+//     report, the rows header: B answers the bars' exact rows
+//     (stack.FormatRows). Concurrent misses of one identity collapse onto
+//     one fetch, and only a 200 is kept. B's error is relayed as written
+//     for the client's format; a waiter in another format asks again.
 //  4. If B is unreachable, A falls back to simulating locally —
 //     availability over strict exactly-once.
 //
-// Multi-cell batches (sweeps) whose cells have different homes make one
-// NDJSON sub-sweep per home (the node's own group served inline), and each
-// cell takes the next row line of its group's reply — a byte-exact merge,
-// because every encoder is deterministic and the json form is exactly the
-// indented ndjson rows (pinned by service tests). A group reply that is not
-// a 200, or a 200 short of rows (a cell failed mid-stream), makes the node
-// serve the whole batch itself, so an error names the client's cell index. Sweeps in csv/svg/text formats are served locally:
-// those documents cannot be merged from row bytes.
+// Sweeps whose cells have different homes make one sub-sweep per home, in
+// any format: each group is fetched as exact rows (the node's own from its
+// own service), each cell takes the next bar of its group, and the whole
+// report is rendered once. A group answered with anything but one bar per
+// cell, or a sweep's error from its one home (which ran the batch as one
+// call where a single node streams it), makes the node serve the whole
+// batch itself, so an error names the client's cell index.
 //
 // Determinism contract: a fleet answers every /v1 request with bytes
 // identical to a single node's, because routing only changes where the
@@ -46,11 +50,13 @@
 // workload-keyed, their fingerprints, the replayable body within the
 // route's limit, and how a batch splits into per-home sub-sweeps. This
 // package holds no path, body shape or limit of the service — only what is
-// its own: the ring, the peer cache, the forward, the fallback, the merge.
+// its own: the ring, the peer cache, the forward, the fallback, the dealing
+// of a split sweep's bars.
 package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"net/http"
 	"strings"
@@ -58,6 +64,7 @@ import (
 
 	"repro/internal/memo"
 	"repro/internal/service"
+	"repro/internal/stack"
 )
 
 // Options configures a fleet member.
@@ -67,8 +74,10 @@ type Options struct {
 	// Peers is the full member list, Self included, identical on every
 	// node. Addresses may be host:port or http://host:port.
 	Peers []string
-	// CacheEntries bounds the peer-response cache, with memo.New's meaning:
-	// 0 retains without bound, a negative limit retains nothing.
+	// CacheEntries bounds the peer cache in entries, each one aggregate
+	// report (whatever formats it is asked in) or one other reply, with
+	// memo.New's meaning: 0 retains without bound, a negative limit retains
+	// nothing.
 	CacheEntries int
 	// Client performs peer requests (default http.DefaultClient, which has
 	// no timeout; a peer call inherits the inbound request's context, so
@@ -82,24 +91,31 @@ type Handler struct {
 	ring   *Ring
 	self   string
 	client *http.Client
-	// cache holds the peers' 200 responses by canonical request identity
-	// (peerKey) and collapses concurrent misses of one identity onto one
-	// forwarded request.
+	// cache holds the peers' 200 answers by canonical request identity
+	// (peerKey) — an aggregate report's bars, or any other reply's bytes —
+	// and collapses concurrent misses of one identity onto one forwarded
+	// request.
 	cache *memo.Cache[string, *peerResp]
 
 	local      atomic.Uint64 // routable requests and sub-sweeps served by this node as home
 	forwarded  atomic.Uint64 // requests and sub-sweeps sent to a peer home
 	received   atomic.Uint64 // hop-marked requests served for peers
-	peerHits   atomic.Uint64 // answers filled from the peer-response cache
+	peerHits   atomic.Uint64 // answers filled from the peer cache
 	peerErrors atomic.Uint64 // peer fetch failures (fell back to local)
 }
 
-// peerResp is one captured peer (or local sub-request) response.
+// peerResp is one captured peer (or local sub-request) response: a 200
+// answer to the rows header holds its report's bars and no bytes, any other
+// its bytes.
 type peerResp struct {
 	status      int
 	contentType string
 	retryAfter  string
 	body        []byte
+	bars        stack.Bars
+	// options is the Options of the request that fetched it, whose format
+	// an error reply is written in.
+	options string
 }
 
 // Wrap builds the fleet layer around inner, which must be the node's own
@@ -196,14 +212,14 @@ func (h *Handler) serveLocal(w http.ResponseWriter, r *http.Request) {
 }
 
 // routeHome serves a request whose one home node is known: locally when
-// this node is the home, otherwise from the home peer via the response
-// cache.
+// this node is the home, otherwise from the home peer via the peer cache.
 func (h *Handler) routeHome(w http.ResponseWriter, r *http.Request, home string, id service.Identity) {
 	if home == h.self {
 		h.serveLocal(w, r)
 		return
 	}
-	resp, err := h.fromPeer(r, home, peerKey(r, home, id.Options, id.BodyID), r.URL.RawQuery, id.Body)
+	rows := id.Rows != ""
+	resp, err := h.fromPeer(r, home, peerKey(r, home, cmp.Or(id.Rows, id.Options), id.BodyID), id.Options, r.URL.RawQuery, id.Body, rows)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The fetch ended with this request, not with the peer: the
@@ -219,40 +235,72 @@ func (h *Handler) routeHome(w http.ResponseWriter, r *http.Request, home string,
 		h.serveLocal(w, r)
 		return
 	}
-	writePeerResp(w, resp)
+	switch {
+	case resp.status == http.StatusOK && rows:
+		h.render(w, r, id.Format, resp.bars)
+	case resp.status != http.StatusOK && id.Batch():
+		// The home ran the sweep as one call, where a single node streams
+		// an ndjson one cell by cell: only the batch served here gives the
+		// single node's failure.
+		h.serveLocal(w, r)
+	default:
+		writePeerResp(w, resp) // a reply's bytes, or the client's own error
+	}
 }
 
-// fromPeer answers from the peer-response cache, collapsing concurrent
-// identical misses onto a single forwarded request. Only a whole 200 is
-// retained for later callers; an error reply, a partial stream
-// (service.Partial) or a failed fetch still reaches everyone who was waiting
-// on it. Any answer this request did not fetch itself is a peer-cache hit. When the request that was fetching is canceled, a waiter
-// that is still live fetches again instead of inheriting the cancellation.
-func (h *Handler) fromPeer(r *http.Request, home, key, query string, body []byte) (*peerResp, error) {
+// render answers r with a report in format f through the service's own
+// writer of a one-document reply. A report the format cannot spell (a
+// non-finite number in a JSON body) is served here instead, where the
+// service writes its error as a single node would.
+func (h *Handler) render(w http.ResponseWriter, r *http.Request, f stack.Format, bars stack.Bars) {
+	if service.WriteDocument(w, f, bars) != nil {
+		h.serveLocal(w, r)
+	}
+}
+
+// fromPeer answers from the peer cache, collapsing concurrent identical
+// misses onto a single forwarded request; rows asks the home for the
+// report's exact rows. Only a 200 is retained for later callers; an error
+// reply or a failed fetch still reaches everyone who was waiting on it,
+// except that an error written for another format (options is this
+// request's Options) is fetched again for this one. Any answer this request
+// did not fetch itself is a peer-cache hit. When the request that was
+// fetching is canceled, a waiter that is still live fetches again instead
+// of inheriting the cancellation.
+func (h *Handler) fromPeer(r *http.Request, home, key, options, query string, body []byte, rows bool) (*peerResp, error) {
 	fetched := false
 	resp, err := h.cache.Do(r.Context(), key, nil,
 		func() (*peerResp, bool, error) {
 			fetched = true
-			resp, err := h.forward(r, home, query, body)
-			return resp, err == nil && resp.status == http.StatusOK && !service.Partial(resp.body), err
+			resp, err := h.forward(r, home, query, body, rows)
+			if err != nil {
+				return nil, false, err
+			}
+			resp.options = options
+			return resp, resp.status == http.StatusOK, nil
 		})
-	if err == nil && !fetched {
-		h.peerHits.Add(1)
+	if err != nil || fetched {
+		return resp, err
 	}
-	return resp, err
+	if resp.status != http.StatusOK && resp.options != options {
+		return h.forward(r, home, query, body, rows)
+	}
+	h.peerHits.Add(1)
+	return resp, nil
 }
 
 // peerKey is the cache identity of a forwarded request: everything that
-// can change the response bytes, in canonical form. options is the query and
-// Accept header as the service parses them (service.Identity.Options), never
-// the client's spelling; bodyID is the body's stand-in
-// (service.Identity.BodyID).
+// can change the answer, in canonical form. options is the query and Accept
+// header as the service parses them (service.Identity.Options, or Rows for
+// a report, which every format renders), never the client's spelling;
+// bodyID is the body's stand-in (service.Identity.BodyID).
 func peerKey(r *http.Request, home, options, bodyID string) string {
 	return r.Method + " " + home + r.URL.Path + "\x00" + options + "\x00" + bodyID
 }
 
-// forward performs one hop-marked peer request and captures the response.
-func (h *Handler) forward(r *http.Request, home, query string, body []byte) (*peerResp, error) {
+// forward performs one hop-marked peer request and captures the response;
+// with rows, a 200 is the report's exact rows, decoded into its bars.
+func (h *Handler) forward(r *http.Request, home, query string, body []byte, rows bool) (*peerResp, error) {
 	u := home + r.URL.Path
 	if query != "" {
 		u += "?" + query
@@ -262,6 +310,9 @@ func (h *Handler) forward(r *http.Request, home, query string, body []byte) (*pe
 		return nil, err
 	}
 	req.Header.Set(service.HopHeader, h.self)
+	if rows {
+		req.Header.Set(service.RowsHeader, "1")
+	}
 	if a := r.Header.Get("Accept"); a != "" {
 		req.Header.Set("Accept", a)
 	}
@@ -279,12 +330,26 @@ func (h *Handler) forward(r *http.Request, home, query string, body []byte) (*pe
 	if err != nil {
 		return nil, fmt.Errorf("fleet: reply from %s: %w", home, err)
 	}
-	return &peerResp{
-		status:      resp.StatusCode,
-		contentType: resp.Header.Get("Content-Type"),
-		retryAfter:  resp.Header.Get("Retry-After"),
+	return capture(resp.StatusCode, resp.Header, data, rows)
+}
+
+// capture is a reply's peerResp: a 200 rows reply holds its decoded bars
+// (malformed rows are a peer failure), any other reply its bytes.
+func capture(status int, header http.Header, data []byte, rows bool) (*peerResp, error) {
+	resp := &peerResp{
+		status:      status,
+		contentType: header.Get("Content-Type"),
+		retryAfter:  header.Get("Retry-After"),
 		body:        data,
-	}, nil
+	}
+	if rows && status == http.StatusOK {
+		bars, err := stack.DecodeRows(data)
+		if err != nil {
+			return nil, err
+		}
+		resp.body, resp.bars = nil, bars
+	}
+	return resp, nil
 }
 
 func writePeerResp(w http.ResponseWriter, resp *peerResp) {
@@ -308,13 +373,16 @@ func (h *Handler) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	if rec.status() != http.StatusOK {
 		return
 	}
+	occ := h.cache.Occupancy()
 	service.WriteMetrics(w,
 		service.Scalar("speedupd_fleet_nodes", "Members of the fleet's ring.", service.Gauge, uint64(h.ring.nodes)),
 		service.Scalar("speedupd_fleet_local_total", "Routable requests and sub-sweeps served here as their home.", service.Counter, h.local.Load()),
 		service.Scalar("speedupd_fleet_forwarded_total", "Requests and sub-sweeps forwarded to a peer home.", service.Counter, h.forwarded.Load()),
 		service.Scalar("speedupd_fleet_received_total", "Hop-marked requests served for peers.", service.Counter, h.received.Load()),
-		service.Scalar("speedupd_fleet_peer_cache_hits_total", "Answers filled from the peer-response cache.", service.Counter, h.peerHits.Load()),
+		service.Scalar("speedupd_fleet_peer_cache_hits_total", "Answers filled from the peer cache.", service.Counter, h.peerHits.Load()),
 		service.Scalar("speedupd_fleet_peer_errors_total", "Peer fetches that failed and fell back to local.", service.Counter, h.peerErrors.Load()),
+		service.Scalar("speedupd_fleet_peer_cache_entries", "Peer-cache entries: retained reports and replies, and fetches in flight.", service.Gauge, uint64(occ.Entries)),
+		service.Scalar("speedupd_fleet_peer_cache_evictions_total", "Peer-cache entries evicted to stay within the cache's bound.", service.Counter, uint64(occ.Evictions)),
 	)
 }
 

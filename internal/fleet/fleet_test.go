@@ -120,9 +120,13 @@ func splitBenches(t *testing.T, h *fleet.Handler) (a, b string) {
 }
 
 // TestFleetByteIdenticalToSingleNode is the determinism contract: every
-// node of a 3-node fleet answers every request with bytes identical to a
-// standalone single node — routing changes where simulations run, never
-// what is computed.
+// node of a 3-node fleet answers every routable row, in every format it
+// offers, with bytes identical to a standalone single node — routing
+// changes where simulations run, never what is computed. Each node is asked
+// each request twice, so the second answer of a node that is not the home
+// comes from its peer cache. The rows are a cell's stack, its intervals, an
+// inline spec's analysis with and without intervals, a recorded trace's
+// replay, advise, what-if, and sweeps whose cells have both homes.
 func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 	urls, _, handlers := newFleet(t, 3)
 	single := httptest.NewServer(service.New(service.Options{
@@ -137,17 +141,34 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 	// each home's rows must be dealt back to their declared positions.
 	interleaved := fmt.Sprintf(`{"cells":[{"bench":%[1]q,"threads":2},{"bench":%[2]q,"threads":2},`+
 		`{"bench":%[1]q,"threads":3},{"bench":%[2]q,"threads":3},{"bench":%[1]q,"threads":2}]}`, benchA, benchB)
-	requests := []struct {
-		method, path, body string
-	}{
-		{http.MethodGet, "/v1/stack?bench=" + benchA + "&threads=2", ""},
-		{http.MethodGet, "/v1/stack?bench=" + benchA + "&threads=2&format=csv", ""},
-		{http.MethodGet, "/v1/stack?bench=" + benchB + "&threads=2&format=text", ""},
-		{http.MethodPost, "/v1/sweep", sweepBody},
-		{http.MethodPost, "/v1/sweep?format=ndjson", sweepBody},
-		{http.MethodPost, "/v1/sweep", interleaved},
-		{http.MethodPost, "/v1/sweep?format=ndjson", interleaved},
-		{http.MethodGet, "/v1/advise?bench=" + benchA + "&max_threads=4", ""},
+	b, ok := workload.ByName("blackscholes_parsec_small")
+	if !ok {
+		t.Fatal("test bench not registered")
+	}
+	f, _, err := workload.Record(sim.Default(), b.Spec, 2)
+	if err != nil {
+		t.Fatalf("Record: %v", err)
+	}
+	var traceBody bytes.Buffer
+	if err := f.Encode(&traceBody); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	type request struct{ method, path, body string }
+	var requests []request
+	for _, format := range []string{"json", "csv", "svg", "text", "ndjson"} {
+		q := "format=" + format
+		requests = append(requests,
+			request{http.MethodGet, "/v1/stack?bench=" + benchA + "&threads=2&" + q, ""},
+			request{http.MethodGet, "/v1/stack?bench=" + benchB + "&threads=2&" + q, ""},
+			request{http.MethodGet, "/v1/stack/intervals?bench=" + benchA + "&threads=2&intervals=4&" + q, ""},
+			request{http.MethodPost, "/v1/workloads/analyze?" + q, `{"spec":` + specJSON + `,"threads":2}`},
+			request{http.MethodPost, "/v1/workloads/analyze?" + q, `{"spec":` + specJSON + `,"threads":2,"intervals":4}`},
+			request{http.MethodPost, "/v1/traces/analyze?" + q, traceBody.String()},
+			request{http.MethodGet, "/v1/advise?bench=" + benchA + "&max_threads=4&" + q, ""},
+			request{http.MethodPost, "/v1/whatif?" + q, `{"spec":` + specJSON + `,"threads":2,"interventions":["double_llc","halve_lock_hold"]}`},
+			request{http.MethodPost, "/v1/sweep?" + q, sweepBody},
+			request{http.MethodPost, "/v1/sweep?" + q, interleaved},
+		)
 	}
 	for _, req := range requests {
 		wantCode, want := fetch(t, req.method, single.URL+req.path, req.body)
@@ -155,10 +176,12 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 			t.Fatalf("single node %s: %d %s", req.path, wantCode, want)
 		}
 		for i, u := range urls {
-			gotCode, got := fetch(t, req.method, u+req.path, req.body)
-			if gotCode != wantCode || got != want {
-				t.Errorf("node %d %s %s: code %d, body diverges from single node\ngot:  %q\nwant: %q",
-					i, req.method, req.path, gotCode, got, want)
+			for ask := range 2 {
+				gotCode, got := fetch(t, req.method, u+req.path, req.body)
+				if gotCode != wantCode || got != want {
+					t.Errorf("node %d %s %s (ask %d): code %d, body diverges from single node\ngot:  %q\nwant: %q",
+						i, req.method, req.path, ask+1, gotCode, got, want)
+				}
 			}
 		}
 	}
@@ -438,7 +461,7 @@ func TestFleetTraceHoming(t *testing.T) {
 }
 
 // TestFleetMetricsExposition parses a fleet node's page: the service's
-// families and the fleet's six, each declared once, in one valid page.
+// families and the fleet's eight, each declared once, in one valid page.
 func TestFleetMetricsExposition(t *testing.T) {
 	urls, _, handlers := newFleet(t, 2)
 	_, away := homeAndAway(t, urls, handlers[0], "blackscholes_parsec_small")
@@ -452,13 +475,15 @@ func TestFleetMetricsExposition(t *testing.T) {
 		typ   string
 		value float64
 	}{
-		"speedupd_fleet_nodes":                 {"gauge", 2},
-		"speedupd_fleet_local_total":           {"counter", 0},
-		"speedupd_fleet_forwarded_total":       {"counter", 1},
-		"speedupd_fleet_received_total":        {"counter", 0},
-		"speedupd_fleet_peer_cache_hits_total": {"counter", 0},
-		"speedupd_fleet_peer_errors_total":     {"counter", 0},
-		"speedupd_sim_cell_runs_total":         {"counter", 0},
+		"speedupd_fleet_nodes":                      {"gauge", 2},
+		"speedupd_fleet_local_total":                {"counter", 0},
+		"speedupd_fleet_forwarded_total":            {"counter", 1},
+		"speedupd_fleet_received_total":             {"counter", 0},
+		"speedupd_fleet_peer_cache_hits_total":      {"counter", 0},
+		"speedupd_fleet_peer_errors_total":          {"counter", 0},
+		"speedupd_fleet_peer_cache_entries":         {"gauge", 1},
+		"speedupd_fleet_peer_cache_evictions_total": {"counter", 0},
+		"speedupd_sim_cell_runs_total":              {"counter", 0},
 	} {
 		if types[name] != want.typ || values[name] != want.value {
 			t.Errorf("%s: %s %v, want %s %v", name, types[name], values[name], want.typ, want.value)

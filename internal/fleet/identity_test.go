@@ -22,10 +22,13 @@ type spelling struct{ query, accept string }
 // name, a default spelled out or left out — it is one entry. The first
 // spelling is forwarded to the home exactly as the client sent it (asserted
 // in the home's own handler), every later one is a peer-cache hit, and all
-// answer the home's bytes. What the home would answer differently is not
-// shared: of a repeated parameter the home reads the first value, so the two
-// orders of ?threads=3&threads=1 are two entries; and a non-200 is passed on
-// but never kept.
+// answer the home's bytes. A /v1/stack entry is the stack itself, so the
+// same cell in another format is a hit too, answering the home's bytes in
+// that format; an intervals or advise entry is a reply, kept under its
+// format. What the home would answer differently is not shared: of a
+// repeated parameter the home reads the first value, so the two orders of
+// ?threads=3&threads=1 are two entries; and a non-200 is passed on but
+// never kept.
 func TestFleetPeerCacheKeyIsCanonical(t *testing.T) {
 	// The pattern's plain name resolves to it alone, so it has an alias.
 	const full, alias = "false_sharing_contention", "false_sharing"
@@ -111,8 +114,9 @@ func TestFleetPeerCacheKeyIsCanonical(t *testing.T) {
 	}
 
 	for _, g := range []struct {
-		path  string
-		asked []spelling // one question; the first spelling is the one forwarded
+		path   string
+		asked  []spelling // one question; the first spelling is the one forwarded
+		cached bool       // an earlier group's entry answers the first spelling too
 	}{
 		{"/v1/stack", []spelling{
 			{"bench=" + full + "&threads=2", ""},
@@ -122,29 +126,36 @@ func TestFleetPeerCacheKeyIsCanonical(t *testing.T) {
 			{"threads=2&bench=" + alias, "text/html, application/json;q=0.9"},
 			{"cores=2&mode=exact&threads=2&format=json&bench=" + alias, "text/csv"},
 			{"bench=" + full + "&threads=2&threads=1", ""}, // the first value wins
-		}},
-		{"/v1/stack", []spelling{ // the format is part of the question
+		}, false},
+		{"/v1/stack", []spelling{ // the format is not part of the question: the stack is kept
 			{"threads=2&bench=" + full, "text/csv"},
 			{"bench=" + alias + "&format=csv&threads=2", ""},
-		}},
+			{"format=svg&threads=2&bench=" + full, ""},
+			{"bench=" + full + "&threads=2", "text/plain"},
+			{"bench=" + alias + "&threads=2&format=ndjson", ""},
+		}, true},
 		{"/v1/stack/intervals", []spelling{
 			{"intervals=4&threads=2&bench=" + alias, "application/json"},
 			{"bench=" + full + "&threads=2&intervals=4", ""},
 			{"mode=exact&format=json&cores=2&bench=" + full + "&intervals=4&threads=2", ""},
-		}},
+		}, false},
 		{"/v1/stack/intervals", []spelling{ // the default count, left out or spelled out
 			{"bench=" + full + "&threads=2", ""},
 			{"intervals=32&threads=2&bench=" + full, ""},
-		}},
+		}, false},
 		{"/v1/advise", []spelling{
 			{"bench=" + full + "&max_threads=4", ""},
 			{"max_threads=4&bench=" + alias, ""},
 			{"mode=exact&max_threads=4&format=json&bench=" + full, ""},
 			{"max_threads=4&bench=" + full, "application/json"},
-		}},
+		}, false},
 	} {
 		for i, s := range g.asked {
-			step(g.path, s, http.StatusOK, i > 0, g.asked[0])
+			wantAs := g.asked[0]
+			if g.cached {
+				wantAs = s // the home's own bytes in this spelling's format
+			}
+			step(g.path, s, http.StatusOK, i > 0 || g.cached, wantAs)
 		}
 	}
 

@@ -1,12 +1,19 @@
 package fleet_test
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/fleet"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -123,5 +130,91 @@ func TestFleetInlineSpecRouting(t *testing.T) {
 			t.Errorf("%s %s: local %d → %d, forwarded %d → %d; want one local answer and no forward",
 				req.path, req.body, local, l, forwarded, f)
 		}
+	}
+}
+
+// heldTransport is a peer transport whose first forward waits for release;
+// every forward is announced on started as it begins.
+type heldTransport struct {
+	started chan struct{}
+	release chan struct{}
+	first   atomic.Bool
+}
+
+func (h *heldTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	h.started <- struct{}{}
+	if !h.first.Swap(true) {
+		<-h.release
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestFleetReportErrorInEachFormat: the home's refusal of a report request
+// is the client's own answer, written in the client's format, and is never
+// kept. A request in another format that joins the fetch of a refused one
+// does not take that format's error: it gets its own, as a single node
+// writes it, by asking the home again.
+func TestFleetReportErrorInEachFormat(t *testing.T) {
+	held := &heldTransport{started: make(chan struct{}, 8), release: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(held.release) }) }
+	urls, _, handlers := newFleetWith(t, 2, func(i int, o *fleet.Options, _ *service.Options) []exp.Option {
+		o.Client = &http.Client{Transport: held}
+		return nil
+	})
+	t.Cleanup(release)
+	single := httptest.NewServer(service.New(service.Options{Engine: exp.NewEngine(sim.Default(), exp.WithWorkers(2))}).Handler())
+	t.Cleanup(single.Close)
+	spec, err := workload.ParseSpec([]byte(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	away := 0
+	if handlers[0].Ring().Owner(spec.Fingerprint().String()) == urls[0] {
+		away = 1
+	}
+	body := `{"spec":` + specJSON + `,"threads":0}`
+	type reply struct {
+		code int
+		body string
+	}
+	ask := func(query string, sent func()) reply {
+		trace := &httptrace.ClientTrace{WroteRequest: func(httptrace.WroteRequestInfo) { sent() }}
+		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
+			http.MethodPost, urls[away]+"/v1/workloads/analyze"+query, strings.NewReader(body))
+		if err != nil {
+			return reply{0, err.Error()}
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return reply{0, err.Error()}
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return reply{0, err.Error()}
+		}
+		return reply{resp.StatusCode, string(data)}
+	}
+	claimant, waiter := make(chan reply, 1), make(chan reply, 1)
+	go func() { claimant <- ask("", func() {}) }()
+	<-held.started // the json request's fetch is held on its way to the home
+	sent := make(chan struct{})
+	go func() { waiter <- ask("?format=text", func() { close(sent) }) }()
+	<-sent
+	release()
+	for _, c := range []struct {
+		query string
+		got   reply
+	}{{"", <-claimant}, {"?format=text", <-waiter}} {
+		wantCode, want := fetch(t, http.MethodPost, single.URL+"/v1/workloads/analyze"+c.query, body)
+		if wantCode != http.StatusBadRequest || c.got.code != wantCode || c.got.body != want {
+			t.Errorf("%q: %d %q, a single node answers %d %q", c.query, c.got.code, c.got.body, wantCode, want)
+		}
+	}
+	if fwd, hits, n := metric(t, urls[away], "speedupd_fleet_forwarded_total"),
+		metric(t, urls[away], "speedupd_fleet_peer_cache_hits_total"),
+		metric(t, urls[away], "speedupd_fleet_peer_cache_entries"); fwd != 2 || hits != 0 || n != 0 {
+		t.Errorf("%d forwards, %d hits, %d entries; want each format's error fetched once and none kept", fwd, hits, n)
 	}
 }

@@ -96,12 +96,13 @@ func TestFleetRefusedSplitSweepMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// TestFleetSplitShortGroupReply: a group whose sub-sweep fails after some of
-// its rows — its warm cell streams, its cold cell times out — answers 200
-// with fewer rows than cells. The node that took the batch must then serve
-// the whole batch itself: the bytes its own service gives, with the error
-// naming the client's cell index, not the cell's position in its group. The
-// short reply is not kept: asking again forwards again.
+// TestFleetSplitShortGroupReply: a group with a warm cell and a cold one
+// that times out has only part of its report, and its home, answering the
+// group's exact rows as one call, answers the timeout instead of a short
+// report. The node that took the batch must then serve the whole batch
+// itself: the bytes its own service gives, with the error naming the
+// client's cell index, not the cell's position in its group. The failed
+// reply is not kept: asking again forwards again.
 func TestFleetSplitShortGroupReply(t *testing.T) {
 	hold := make(chan struct{})
 	urls, engines, handlers := newFleetWith(t, 2, func(i int, _ *fleet.Options, so *service.Options) []exp.Option {
@@ -127,7 +128,7 @@ func TestFleetSplitShortGroupReply(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Node 1's group is cells 1 and 2: it streams cell 1's row, then fails.
+	// Node 1's group is cells 1 and 2: cell 1 is warm, cell 2 times out.
 	body := fmt.Sprintf(`{"cells":[{"bench":%q,"threads":2},{"bench":%[2]q,"threads":2},{"bench":%[2]q,"threads":3}]}`, mine, theirs)
 	local := func(path string) (int, string) {
 		t.Helper()
@@ -193,6 +194,31 @@ func TestFleetSplitTimedOutGroupServedLocally(t *testing.T) {
 		wantCode, want := fetch(t, http.MethodPost, single.URL+"/v1/sweep"+query, body)
 		if wantCode != http.StatusOK || code != wantCode || got != want {
 			t.Errorf("%q: %d %q, a single node answers %d %q", query, code, got, wantCode, want)
+		}
+	}
+}
+
+// TestFleetSplitDocumentFormatsExactlyOnce: a mixed-home sweep asked for
+// as csv, svg or text splits like a json one. Each cell is simulated once
+// in the whole fleet, on its own home, whichever node takes the batch.
+func TestFleetSplitDocumentFormatsExactlyOnce(t *testing.T) {
+	urls, engines, handlers := newFleet(t, 3)
+	b := homedBenches(t, urls, handlers[0].Ring())
+	for i, format := range []string{"csv", "svg", "text"} {
+		// Each format asks for a thread count nobody has simulated yet.
+		body := fmt.Sprintf(`{"cells":[{"bench":%[1]q,"threads":%[4]d},{"bench":%[2]q,"threads":%[4]d},{"bench":%[3]q,"threads":%[4]d}]}`,
+			b[0], b[1], b[2], i+2)
+		before := make([]int, len(engines))
+		for n, e := range engines {
+			before[n] = e.Stats().CellRuns
+		}
+		if code, resp := fetch(t, http.MethodPost, urls[i]+"/v1/sweep?format="+format, body); code != http.StatusOK {
+			t.Fatalf("%s at node %d: %d %s", format, i, code, resp)
+		}
+		for n, e := range engines {
+			if runs := e.Stats().CellRuns - before[n]; runs != 1 {
+				t.Errorf("%s sweep at node %d: node %d simulated %d cells, want its own one", format, i, n, runs)
+			}
 		}
 	}
 }

@@ -7,10 +7,12 @@ import (
 	"sync"
 
 	"repro/internal/service"
+	"repro/internal/stack"
 )
 
 // routeSplit answers a batch whose cells live on different homes with one
-// sub-sweep per home: n cells over h homes cost h sub-requests.
+// sub-sweep per home: n cells over h homes cost h sub-requests, each
+// answered as its group's exact rows.
 func (h *Handler) routeSplit(w http.ResponseWriter, r *http.Request, homes []string, id service.Identity) {
 	// Groups are numbered by the declared position of their first cell.
 	var groupHomes []string
@@ -20,19 +22,19 @@ func (h *Handler) routeSplit(w http.ResponseWriter, r *http.Request, homes []str
 			group[i], groupHomes = len(groupHomes), append(groupHomes, home)
 		}
 	}
-	sp, ok := id.Split(r, group)
+	sp, ok := id.Split(group)
 	if !ok {
 		h.serveLocal(w, r)
 		return
 	}
-	results := make([]*peerResp, len(groupHomes))
+	results := make([]stack.Bars, len(groupHomes))
 	var wg sync.WaitGroup
 	for g, home := range groupHomes {
 		if home != h.self {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				results[g] = h.subRequest(r, home, sp, sp.Bodies[g])
+				results[g] = h.subRequest(r, home, sp.Query, id.Rows, sp.Bodies[g])
 			}()
 		}
 	}
@@ -45,63 +47,66 @@ func (h *Handler) routeSplit(w http.ResponseWriter, r *http.Request, homes []str
 		// only simulate what the homes already own.
 		return
 	}
-	replies := make([][]byte, len(results))
-	for g, res := range results {
-		if res == nil || res.status != http.StatusOK {
-			// No sub-request, or a group refused or timed out on its home:
-			// its error would name the cell's index in the group, so only
-			// the whole batch, served here, gives the single node's answer
-			// (and is mostly cache hits by now).
+	// Each cell, in declared order, takes the next bar of its group.
+	bars := make(stack.Bars, len(group))
+	next := make([]int, len(results))
+	for i, g := range group {
+		if next[g] == len(results[g]) {
+			// A group refused or timed out on its home (no bars), or
+			// answered short: its error would name the cell's index in the
+			// group, so only the whole batch, served here, gives the single
+			// node's answer (and is mostly cache hits by now).
 			h.serveLocal(w, r)
 			return
 		}
-		replies[g] = res.body
+		bars[i] = results[g][next[g]]
+		next[g]++
 	}
-	body, ok := sp.Merge(replies)
-	if !ok {
-		// A group's reply is short of rows (a cell failed mid-stream): the
-		// same local answer.
-		h.serveLocal(w, r)
-		return
+	for g, res := range results {
+		if next[g] != len(res) {
+			h.serveLocal(w, r) // a group answered more bars than cells
+			return
+		}
 	}
-	w.Header().Set("Content-Type", sp.Format.ContentType())
-	w.Write(body)
+	h.render(w, r, id.Format, bars)
 }
 
-// subRequest fills one remote group's sub-sweep from its home via the
-// response cache, with local fallback on peer failure. A fetch that ended
+// subRequest fills one remote group's bars from its home via the peer
+// cache, under options (the batch's Identity.Rows), with local fallback on
+// peer failure; nil when the home refused the group. A fetch that ended
 // with the request itself (the client hung up) is nobody's failure: it
 // counts no peer error and starts no local simulation, which would only
 // break exactly-once.
-func (h *Handler) subRequest(r *http.Request, home string, sp service.Split, body []byte) *peerResp {
-	resp, err := h.fromPeer(r, home, peerKey(r, home, sp.Options, string(body)), sp.Query, body)
+func (h *Handler) subRequest(r *http.Request, home, query, options string, body []byte) stack.Bars {
+	resp, err := h.fromPeer(r, home, peerKey(r, home, options, string(body)), options, query, body, true)
 	if err == nil {
-		return resp
+		return resp.bars
 	}
 	if r.Context().Err() != nil {
 		return nil
 	}
 	h.peerErrors.Add(1)
-	return h.localSub(r, sp.Query, body)
+	return h.localSub(r, query, body)
 }
 
-// localSub serves one sub-sweep on the local service. The hop header marks
-// it fleet-internal: the client was already rate-limit-accounted when the
-// batch was accepted.
-func (h *Handler) localSub(r *http.Request, query string, body []byte) *peerResp {
+// localSub serves one group's sub-sweep on the local service, as exact
+// rows, and returns its bars; nil when the service refused it. The hop
+// header marks it fleet-internal: the client was already rate-limit-
+// accounted when the batch was accepted.
+func (h *Handler) localSub(r *http.Request, query string, body []byte) stack.Bars {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, r.URL.Path+"?"+query, bytes.NewReader(body))
 	if err != nil {
 		return nil
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(service.HopHeader, h.self)
+	req.Header.Set(service.RowsHeader, "1")
 	h.local.Add(1)
 	rec := &recorder{header: make(http.Header)}
 	h.inner.ServeHTTP(rec, req)
-	return &peerResp{
-		status:      rec.status(),
-		contentType: rec.header.Get("Content-Type"),
-		retryAfter:  rec.header.Get("Retry-After"),
-		body:        rec.body.Bytes(),
+	resp, err := capture(rec.status(), rec.header, rec.body.Bytes(), true)
+	if err != nil {
+		return nil
 	}
+	return resp.bars
 }

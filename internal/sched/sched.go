@@ -76,9 +76,9 @@ type threadInfo struct {
 
 // OS is the scheduler instance for one simulated machine.
 type OS struct {
-	cores   int
 	threads []threadInfo
 	running []int // per core: thread id or -1
+	busy    int   // cores running a thread
 	readyQ  []int // FIFO of ready thread ids
 }
 
@@ -90,7 +90,6 @@ func New(cores, threads int) *OS {
 		panic("sched: cores and threads must be positive")
 	}
 	o := &OS{
-		cores:   cores,
 		threads: make([]threadInfo, threads),
 		running: make([]int, cores),
 	}
@@ -104,6 +103,7 @@ func New(cores, threads int) *OS {
 			o.threads[t].core = t
 			o.threads[t].lastCore = t
 			o.running[t] = t
+			o.busy++
 		} else {
 			o.readyQ = append(o.readyQ, t)
 		}
@@ -120,6 +120,11 @@ func (o *OS) State(tid int) ThreadState { return o.threads[tid].state }
 // HasReady reports whether some ready thread could use a core now.
 func (o *OS) HasReady() bool { return len(o.readyQ) > 0 }
 
+// Stalled reports whether no core runs a thread and no thread is ready.
+// Only a running thread wakes a blocked one, so then no thread that is not
+// finished will ever run again. It is one comparison, not a scan.
+func (o *OS) Stalled() bool { return o.busy == 0 && len(o.readyQ) == 0 }
+
 // Block deschedules the running thread tid (futex wait) and returns the
 // core it ran on, which becomes idle; call Schedule to refill it.
 func (o *OS) Block(tid int) (core int) {
@@ -129,6 +134,7 @@ func (o *OS) Block(tid int) (core int) {
 	}
 	core = t.core
 	o.running[core] = -1
+	o.busy--
 	t.state = StateBlocked
 	t.core = -1
 	return core
@@ -153,6 +159,7 @@ func (o *OS) Finish(tid int) {
 		panic(fmt.Sprintf("sched: Finish(%d) in state %v", tid, t.state))
 	}
 	o.running[t.core] = -1
+	o.busy--
 	t.state = StateFinished
 	t.core = -1
 }
@@ -169,6 +176,7 @@ func (o *OS) Preempt(core int, now uint64) bool {
 		return false
 	}
 	o.running[core] = -1
+	o.busy--
 	t.state = StateReady
 	t.core = -1
 	t.availableAt = now
@@ -213,7 +221,7 @@ func (o *OS) Schedule(core int, now uint64) (tid int, startAt uint64) {
 	if t.availableAt > start {
 		start = t.availableAt
 	}
-	start += CtxSwitchCycles + DecisionCyclesPerCore*uint64(o.cores)
+	start += CtxSwitchCycles + DecisionCyclesPerCore*uint64(len(o.running))
 	if t.lastCore >= 0 && t.lastCore != core {
 		start += MigrationCycles
 	}
@@ -222,5 +230,6 @@ func (o *OS) Schedule(core int, now uint64) (tid int, startAt uint64) {
 	t.lastCore = core
 	t.sliceStart = start
 	o.running[core] = tid
+	o.busy++
 	return tid, start
 }

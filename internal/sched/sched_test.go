@@ -220,6 +220,9 @@ func TestStateTransitions(t *testing.T) {
 				if got := o.State(0); got != s.want {
 					t.Fatalf("step %d: state %v, want %v", i, got, s.want)
 				}
+				if got, want := o.Stalled(), stalledByScan(o); got != want {
+					t.Fatalf("step %d: Stalled() = %v, a scan of the cores and threads says %v", i, got, want)
+				}
 			}
 			if tc.panic == nil {
 				return
@@ -232,4 +235,20 @@ func TestStateTransitions(t *testing.T) {
 			tc.panic(o)
 		})
 	}
+}
+
+// stalledByScan is Stalled's reference: no core runs a thread and no thread
+// is ready, read off every core and thread.
+func stalledByScan(o *OS) bool {
+	for c := range o.running {
+		if o.Running(c) >= 0 {
+			return false
+		}
+	}
+	for tid := range o.threads {
+		if o.State(tid) == StateReady {
+			return false
+		}
+	}
+	return true
 }

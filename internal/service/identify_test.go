@@ -161,34 +161,46 @@ func TestIdentifyRepeatedValueOrder(t *testing.T) {
 }
 
 // TestSplitCarriesCanonicalOptions: the sub-sweeps of a split sweep get one
-// option identity however the batch itself was asked for.
+// option identity, the request's Rows, however the batch itself was asked
+// for, in any of the five formats.
 func TestSplitCarriesCanonicalOptions(t *testing.T) {
 	body := `{"cells":[{"bench":"cholesky","threads":2},{"bench":"fft_splash2","threads":2}]}`
-	split := func(query, accept string) Split {
+	type identified struct{ Query, Options, sub string }
+	split := func(query, accept string) identified {
 		t.Helper()
 		r := httptest.NewRequest("POST", strings.TrimSuffix("/v1/sweep?"+query, "?"), strings.NewReader(body))
 		if accept != "" {
 			r.Header.Set("Accept", accept)
 		}
 		id, _ := Identify(r)
-		sp, ok := id.Split(r, []int{0, 1})
+		sp, ok := id.Split([]int{0, 1})
 		if !ok || len(sp.Bodies) != 2 {
 			t.Fatalf("?%s (Accept %q): split ok=%v into %d bodies", query, accept, ok, len(sp.Bodies))
 		}
-		return sp
+		// A sub-sweep's identity, as the service reads its query, is the
+		// batch's Rows.
+		sub, _ := Identify(httptest.NewRequest("POST", "/v1/sweep?"+sp.Query, strings.NewReader(string(sp.Bodies[0]))))
+		return identified{sp.Query, id.Rows, sub.Rows}
 	}
 	want := split("", "")
-	if want.Query != "format=ndjson" {
-		t.Errorf("sub-request query %q, want format=ndjson", want.Query)
+	if want.Query != "mode=exact" || want.sub != want.Options {
+		t.Errorf("sub-request query %q of identity %q, want mode=exact of the batch's %q", want.Query, want.sub, want.Options)
 	}
 	for _, c := range []struct{ query, accept string }{
-		{"format=json", ""}, {"format=ndjson", ""}, {"", "application/x-ndjson"}, {"mode=exact", ""}, {"mode=exact&format=json", "text/csv"},
+		{"format=json", ""}, {"format=ndjson", ""}, {"", "application/x-ndjson"}, {"mode=exact", ""},
+		{"mode=exact&format=json", "text/csv"}, {"format=svg", ""}, {"", "text/csv"}, {"format=text", ""},
 	} {
-		if got := split(c.query, c.accept); got.Options != want.Options {
-			t.Errorf("?%s (Accept %q): sub-request identity %q, want %q", c.query, c.accept, got.Options, want.Options)
+		if got := split(c.query, c.accept); got != want {
+			t.Errorf("?%s (Accept %q): sub-request %q identity %q, want %q %q", c.query, c.accept, got.Query, got.Options, want.Query, want.Options)
 		}
 	}
-	if fast := split("mode=fast", ""); fast.Options == want.Options || fast.Query != "format=ndjson&mode=fast" {
+	if fast := split("mode=fast", ""); fast.Options == want.Options || fast.Query != "mode=fast" || fast.sub != fast.Options {
 		t.Errorf("mode=fast: sub-request query %q identity %q (exact: %q)", fast.Query, fast.Options, want.Options)
+	}
+	r := httptest.NewRequest("POST", "/v1/sweep?format=nosuch", strings.NewReader(body))
+	if id, _ := Identify(r); id.Rows != "" {
+		t.Errorf("a rejected query has Rows %q", id.Rows)
+	} else if _, ok := id.Split([]int{0, 1}); ok {
+		t.Error("a sweep with a rejected query split: it must reach a service whole")
 	}
 }

@@ -25,6 +25,12 @@ import (
 // simulation capacity.
 const HopHeader = "X-Speedupd-Fleet-Hop"
 
+// RowsHeader asks for a reply's aggregate report as its exact rows
+// (stack.FormatRows) instead of the negotiated format, which still decides
+// how an error is written. A fleet hop sets it when Identify gives the
+// request Rows; on any other row the answer is a 500 encode_failed.
+const RowsHeader = "X-Speedupd-Fleet-Rows"
+
 // admission counts the requests inside the protected routes. The one
 // counter is both the gauge /metrics reads and, when limit is positive, the
 // gate: it moves by compare-and-swap, so a request is shed only when limit

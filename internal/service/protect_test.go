@@ -50,8 +50,8 @@ func TestSweepNDJSONStreaming(t *testing.T) {
 	}
 }
 
-// TestSweepNDJSONMergesToJSON pins the byte-level contract the fleet layer
-// relies on: wrapping the compact NDJSON lines into an array and indenting
+// TestSweepNDJSONMergesToJSON pins that a sweep's two JSON forms are one
+// report: wrapping the compact NDJSON lines into an array and indenting
 // reproduces the FormatJSON response exactly.
 func TestSweepNDJSONMergesToJSON(t *testing.T) {
 	s, _ := newTestServer(t)

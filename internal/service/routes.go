@@ -13,6 +13,7 @@ import (
 	"strconv"
 
 	"repro/internal/exp"
+	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -158,6 +159,10 @@ type route struct {
 	// request body (0: the route takes none).
 	identity identity
 	body     int64
+	// stacks rows answer an aggregate report, a stack.Bars document (on
+	// /v1/workloads/analyze only without "intervals"), which a fleet hop may
+	// ask for as its exact rows (RowsHeader).
+	stacks bool
 	// parse turns a well-formed request into its engine calls, each with
 	// the label its errors carry; the dispatcher hands them to answer, the
 	// one tail. plain answers a row that has no document (introspection,
@@ -171,16 +176,16 @@ type route struct {
 // them, and the tests range over them.
 var routes = []route{
 	{method: http.MethodGet, path: "/v1/stack", params: cellParams,
-		protected: true, identity: identQueryBench, parse: parseStack},
+		protected: true, identity: identQueryBench, stacks: true, parse: parseStack},
 	{method: http.MethodGet, path: "/v1/stack/intervals", params: intervalsParams,
 		protected: true, identity: identQueryBench, parse: parseStackIntervals},
 	{method: http.MethodPost, path: "/v1/sweep",
-		protected: true, identity: identBodyCells, body: maxJSONBytes, parse: parseSweep},
+		protected: true, identity: identBodyCells, body: maxJSONBytes, stacks: true, parse: parseSweep},
 	{method: http.MethodPost, path: "/v1/workloads/analyze",
-		protected: true, identity: identBodyCell, body: maxJSONBytes, parse: parseAnalyze},
+		protected: true, identity: identBodyCell, body: maxJSONBytes, stacks: true, parse: parseAnalyze},
 	{method: http.MethodPost, path: "/v1/workloads/validate", body: maxJSONBytes, plain: validate},
 	{method: http.MethodPost, path: "/v1/traces/analyze", params: traceParams,
-		protected: true, identity: identTraceHeader, body: MaxTraceBytes, parse: parseTraceAnalyze},
+		protected: true, identity: identTraceHeader, body: MaxTraceBytes, stacks: true, parse: parseTraceAnalyze},
 	{method: http.MethodGet, path: "/v1/advise", params: adviseParams,
 		protected: true, identity: identQueryBench, parse: parseAdvise},
 	{method: http.MethodPost, path: "/v1/whatif",
@@ -473,22 +478,36 @@ type Identity struct {
 	// from the service. A query the route rejects keeps its stable-sorted raw
 	// pairs instead.
 	Options string
+	// Rows is Options with the format left out, set only when the reply is
+	// an aggregate report (a stack.Bars document) and the query parses: a
+	// routing layer may then ask the home for the report's exact rows
+	// (RowsHeader), keep them under Rows and render them in any Format,
+	// the format the request negotiated, with WriteDocument.
+	Rows   string
+	Format stack.Format
 
 	route *route
+	mode  sim.Mode
 	cells []cellRequest
 }
 
-// optionIdentity is the canonical option identity of a query to rt. A query
-// rt rejects has no parsed form: it keeps its raw pairs, sorted by name, and
-// its Accept header (a client that negotiated text gets its error as text),
-// behind a "?" no parsed identity starts with.
-func (rt *route) optionIdentity(q query, accept string) string {
+// Batch reports whether the request is a sweep: a batch whose failure a
+// service may answer part way through a streamed reply, so only the whole
+// batch, served by one service, gives a single node's answer to it.
+func (id Identity) Batch() bool { return id.route.identity == identBodyCells }
+
+// optionIdentity is the canonical option identity of a query to rt, with
+// the options it parses to (ok). A query rt rejects has no parsed form: it
+// keeps its raw pairs, sorted by name, and its Accept header (a client that
+// negotiated text gets its error as text), behind a "?" no parsed identity
+// starts with.
+func (rt *route) optionIdentity(q query, accept string) (identity string, opts requestOptions, ok bool) {
 	opts, aerr := rt.parseOptions(q, accept)
 	if aerr != nil {
 		pairs, _ := url.ParseQuery(string(q))
-		return "?" + pairs.Encode() + "\x00" + accept
+		return "?" + pairs.Encode() + "\x00" + accept, opts, false
 	}
-	return opts.identity()
+	return opts.identity(), opts, true
 }
 
 // Identify resolves the workload identity of r from its route's row:
@@ -511,7 +530,14 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 		return id, false
 	}
 	q := query(r.URL.RawQuery)
-	id.route, id.Options = rt, rt.optionIdentity(q, r.Header.Get("Accept"))
+	id.route = rt
+	var opts requestOptions
+	var parsed bool
+	id.Options, opts, parsed = rt.optionIdentity(q, r.Header.Get("Accept"))
+	if parsed && rt.stacks {
+		id.Format, id.mode, opts.format = opts.format, opts.mode, ""
+		id.Rows = opts.identity() // a format no request negotiates: separate from every Options
+	}
 	if rt.body > 0 && r.Body != nil {
 		body, err := readAll(r.Body, r.ContentLength, rt.body)
 		r.Body.Close()
@@ -529,6 +555,9 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 		id.cells = make([]cellRequest, 1)
 		if json.Unmarshal(id.Body, &id.cells[0]) != nil {
 			return id, true
+		}
+		if id.cells[0].Intervals != 0 {
+			id.Rows = "" // the time-resolved analysis is no aggregate report
 		}
 	case identBodyCells:
 		var req sweepRequest
@@ -590,86 +619,32 @@ func (c wireCell) fingerprint() (fp workload.Fingerprint, ok bool) {
 }
 
 // Split is how a multi-cell request divides into sub-sweeps to the same
-// path, one per group of cells, whose row lines Merge deals back into the
-// whole answer.
+// path, one per group of cells, each answered as its group's exact rows.
+// A sub-sweep's option identity is the whole request's Rows: a sweep takes
+// no option but the format and the mode, which Query carries.
 type Split struct {
-	// Query is every sub-request's query string, Options its canonical
-	// option identity (Identity.Options).
-	Query, Options string
+	// Query is every sub-request's query string.
+	Query string
 	// Bodies are the sub-request bodies, one per group, in declared order.
 	Bodies [][]byte
-	// Format is what the client negotiated: FormatJSON or FormatNDJSON.
-	Format stack.Format
-	group  []int // each cell's group
 }
 
-// Split divides the identified multi-cell request r into one sub-sweep per
+// Split divides the identified multi-cell request into one sub-sweep per
 // group, group[i] being cell i's (from 0, none skipped). ok is false when
-// its answer cannot be assembled from rows: a document format (csv, svg,
-// text), or a query parameter the sub-requests would not carry — which must
-// reach a service whole, to be answered or rejected there.
-func (id Identity) Split(r *http.Request, group []int) (sp Split, ok bool) {
-	q := query(r.URL.RawQuery)
-	f, err := stack.NegotiateFormat(q.get("format"), r.Header.Get("Accept"), stack.FormatJSON)
-	if err != nil || (f != stack.FormatJSON && f != stack.FormatNDJSON) {
+// the request has no Rows, its query being one the route rejects, which
+// must reach a service whole to be answered there.
+func (id Identity) Split(group []int) (sp Split, ok bool) {
+	if id.Rows == "" {
 		return sp, false
 	}
-	for k, _, rest, more := q.cut(); more; k, _, rest, more = rest.cut() {
-		if k != "format" && k != "mode" {
-			return sp, false
-		}
-	}
-	sub := "format=" + string(stack.FormatNDJSON)
-	if m := q.get("mode"); m != "" {
-		sub += "&mode=" + url.QueryEscape(m)
-	}
-	sp.Format, sp.Query, sp.Options, sp.group = f, sub, id.route.optionIdentity(query(sub), ""), group
+	sp.Query = "mode=" + id.mode.String()
 	reqs := make([]sweepRequest, slices.Max(group)+1)
 	for i, c := range id.cells {
 		reqs[group[i]].Cells = append(reqs[group[i]].Cells, c)
 	}
 	sp.Bodies = make([][]byte, len(reqs))
 	for g := range reqs {
-		if sp.Bodies[g], err = json.Marshal(reqs[g]); err != nil {
-			return sp, false
-		}
+		sp.Bodies[g], _ = json.Marshal(reqs[g]) // cannot fail: every cell was decoded from JSON
 	}
 	return sp, true
-}
-
-// Merge deals the groups' 200 reply bodies back into the whole answer: each
-// cell, in declared order, takes the next row line of its group's reply, the
-// json form indenting the rows as one array, as the service's own answer
-// does. ok is false unless each reply holds one row per cell of its group.
-func (sp Split) Merge(replies [][]byte) (body []byte, ok bool) {
-	lines := make([][][]byte, len(replies))
-	for g, reply := range replies {
-		lines[g] = bytes.SplitAfter(reply, []byte("\n"))
-	}
-	rows := make([][]byte, len(sp.group))
-	for i, g := range sp.group {
-		if len(lines[g]) < 2 {
-			return nil, false
-		}
-		rows[i], lines[g] = lines[g][0], lines[g][1:]
-	}
-	for g, rest := range lines {
-		if len(rest) != 1 || len(rest[0]) != 0 || Partial(replies[g]) {
-			return nil, false
-		}
-	}
-	if sp.Format == stack.FormatNDJSON {
-		return bytes.Join(rows, nil), true
-	}
-	var merged bytes.Buffer
-	err := json.Indent(&merged, slices.Concat([]byte("["), bytes.Join(rows, []byte(",")), []byte("]")), "", "  ")
-	return append(merged.Bytes(), '\n'), err == nil
-}
-
-// Partial reports whether a 200 reply body is an ndjson sweep that failed
-// part way, which the service ends with an error line (answer): it answers
-// its own request, but no other.
-func Partial(body []byte) bool {
-	last := bytes.LastIndexByte(bytes.TrimSuffix(body, []byte("\n")), '\n')
-	return bytes.HasPrefix(body[last+1:], []byte(`{"error"`))
 }

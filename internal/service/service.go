@@ -134,7 +134,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -262,6 +261,9 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rt route) *api
 	opts, aerr := rt.parseOptions(query(r.URL.RawQuery), r.Header.Get("Accept"))
 	if aerr != nil {
 		return aerr
+	}
+	if r.Header.Get(RowsHeader) != "" {
+		opts.format = stack.FormatRows
 	}
 	if _, held := r.Body.(heldBody); rt.body > 0 && !held {
 		r.Body = http.MaxBytesReader(w, r.Body, rt.body)
@@ -439,9 +441,9 @@ func (s *Server) seriesCall(req exp.Request, count int) call {
 // normal error response; after rows are on the wire the status is already
 // 200, so the envelope becomes the terminating line of the stream — NDJSON
 // consumers must treat a line with an "error" key as a failed tail. Only a
-// streamed sweep makes more than one call; a reply of one document carries
-// its Content-Length, which its one Write gives (lengthWriter), so a reader
-// of it (a fleet hop's ReadReply) sizes its buffer exactly.
+// streamed sweep makes more than one call; a reply of one document is
+// WriteDocument's, which carries its Content-Length, so a reader of it (a
+// fleet hop's ReadReply) sizes its buffer exactly.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, f stack.Format, calls []labelled) *apiError {
 	missed := false
 	for i := range calls {
@@ -456,10 +458,6 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, f stack.Format, 
 		defer cancel()
 	}
 	flusher, _ := w.(http.Flusher)
-	out := io.Writer(w)
-	if len(calls) == 1 {
-		out = lengthWriter{w}
-	}
 	wrote := false
 	for i := range calls {
 		c := &calls[i]
@@ -473,10 +471,15 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, f stack.Format, 
 		if c.res.err != nil {
 			ae = s.simAPIError(c.res.err)
 		} else {
-			if !wrote {
-				w.Header().Set("Content-Type", f.ContentType())
+			var err error
+			if len(calls) == 1 {
+				err = WriteDocument(w, f, c.res.doc)
+			} else {
+				if !wrote {
+					w.Header().Set("Content-Type", f.ContentType())
+				}
+				err = stack.EncodeDocument(w, f, c.res.doc)
 			}
-			err := stack.EncodeDocument(out, f, c.res.doc)
 			if err == nil {
 				wrote = true
 				continue
@@ -491,6 +494,16 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, f stack.Format, 
 		return nil
 	}
 	return nil
+}
+
+// WriteDocument writes a reply that is one document, d in format f: its
+// Content-Type, then its body in one Write that announces its length
+// (lengthWriter). It is how answer writes such a reply, and how a fleet
+// node renders a report it holds as exact rows, so both give the same
+// bytes. A document the encoder refuses is the error, with no body written.
+func WriteDocument(w http.ResponseWriter, f stack.Format, d stack.Document) error {
+	w.Header().Set("Content-Type", f.ContentType())
+	return stack.EncodeDocument(lengthWriter{w}, f, d)
 }
 
 // lengthWriter announces a reply's length from its first Write, which

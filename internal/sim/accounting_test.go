@@ -1,8 +1,11 @@
 package sim_test
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -199,6 +202,38 @@ func TestMaxCyclesGuard(t *testing.T) {
 	progs := []trace.Program{trace.NewSliceProgram([]trace.Op{trace.Barrier(1)})}
 	if _, err := sim.Run(cfg, progs, sim.WithBarrier(1, 2)); err == nil {
 		t.Fatal("deadlocked run did not error out")
+	}
+}
+
+// TestDeadlockFailsAtOnce: two threads that take two locks in opposite
+// orders, meeting at a barrier in between so each holds its first lock,
+// deadlock on any core count, and the run fails with the MaxCycles error as soon as
+// both are blocked, rather than after simulating idle quanta up to
+// MaxCycles. Each shape gets three tries at the time bound, so a loaded
+// host does not fail it.
+func TestDeadlockFailsAtOnce(t *testing.T) {
+	progs := func() []trace.Program {
+		return []trace.Program{
+			trace.NewSliceProgram([]trace.Op{trace.Lock(1), trace.Barrier(3), trace.Lock(2), trace.Unlock(2), trace.Unlock(1)}),
+			trace.NewSliceProgram([]trace.Op{trace.Lock(2), trace.Barrier(3), trace.Lock(1), trace.Unlock(1), trace.Unlock(2)}),
+		}
+	}
+	const bound = 20 * time.Millisecond
+	for _, cores := range []int{1, 2, 16} {
+		cfg := sim.Default().WithCores(cores)
+		took := time.Duration(math.MaxInt64)
+		for try := 0; try < 3 && took > bound; try++ {
+			start := time.Now()
+			_, err := sim.Run(cfg, progs(), sim.WithBarrier(3, 2))
+			took = min(took, time.Since(start))
+			want := fmt.Sprintf("sim: exceeded MaxCycles=%d with 0/2 threads finished", cfg.MaxCycles)
+			if err == nil || err.Error() != want {
+				t.Fatalf("%d cores: %v, want %q", cores, err, want)
+			}
+		}
+		if took > bound {
+			t.Errorf("%d cores: the deadlocked run took %v to fail, want under %v", cores, took, bound)
+		}
 	}
 }
 

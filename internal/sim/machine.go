@@ -259,7 +259,10 @@ func (m *Machine) Run() (Result, error) {
 		}
 	}
 	for m.finished < len(m.threads) {
-		if m.clock >= m.cfg.MaxCycles {
+		// A stalled scheduler with a thread unfinished is a deadlock: no
+		// quantum up to MaxCycles could run anything, so the run fails now
+		// with the error it would end in.
+		if m.clock >= m.cfg.MaxCycles || m.os.Stalled() {
 			return Result{}, fmt.Errorf("sim: exceeded MaxCycles=%d with %d/%d threads finished",
 				m.cfg.MaxCycles, m.finished, len(m.threads))
 		}

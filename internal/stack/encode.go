@@ -32,6 +32,11 @@ const (
 	// per line, flushed as results complete — the streaming form of
 	// FormatJSON for large batches.
 	FormatNDJSON Format = "ndjson"
+	// FormatRows is not a report format but the exact wire form of an
+	// aggregate report (Bars.AppendRows), which fleet peers move and cache
+	// instead of its renderings: ParseFormat does not accept it, and no
+	// other document has it.
+	FormatRows Format = "rows"
 )
 
 // Formats lists the supported report formats in presentation order.
@@ -69,6 +74,8 @@ func (f Format) ContentType() string {
 		return "text/csv; charset=utf-8"
 	case FormatSVG:
 		return "image/svg+xml"
+	case FormatRows:
+		return "application/octet-stream"
 	default:
 		return "text/plain; charset=utf-8"
 	}
@@ -189,9 +196,9 @@ type Document interface {
 // EncodeDocument writes d to w in the requested format, rendering the whole
 // body before its one Write: a body that fails to render (a NaN in JSON)
 // leaves w untouched. A []ReportRow document is ndjson one compact row per
-// line — each line exactly json.Marshal(row) plus a newline, the contract
-// the fleet layer's byte-level sweep merging relies on; every other JSON
-// value is one line. Every format renders into a pooled body (newBody), so
+// line, each exactly json.Marshal(row) plus a newline; every other JSON
+// value is one line. FormatRows is a Bars document's exact rows and any
+// other document's error. Every format renders into a pooled body (newBody), so
 // once the pool is warm an encode allocates no buffer of its own.
 func EncodeDocument(w io.Writer, f Format, d Document) error {
 	switch f {
@@ -200,6 +207,14 @@ func EncodeDocument(w io.Writer, f Format, d Document) error {
 		return WriteCSV(w, header, records)
 	case FormatSVG:
 		return d.SVG(w) // the chart's canvas draws on a pooled body of its own
+	case FormatRows:
+		bars, ok := d.(Bars)
+		if !ok {
+			return fmt.Errorf("stack: a %T has no exact rows", d)
+		}
+		b := newBody()
+		*b = bars.AppendRows(*b)
+		return b.flush(w)
 	}
 	b := newBody()
 	if err := b.appendDocument(f, d); err != nil {
