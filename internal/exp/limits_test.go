@@ -47,10 +47,10 @@ func TestLimitFences(t *testing.T) {
 			return trace.Header{Queues: []trace.QueueReg{{Cap: n}}}.Check(1)
 		}},
 		{"trace.Header.Check queue id", trace.MaxSyncID, func(n int) error {
-			return trace.Header{Queues: []trace.QueueReg{{ID: uint32(n)}}}.Check(1)
+			return trace.Header{Queues: []trace.QueueReg{{ID: uint32(n), Cap: 1}}}.Check(1)
 		}},
 		{"trace.Header.Check barrier id", trace.MaxSyncID, func(n int) error {
-			return trace.Header{Barriers: []trace.BarrierReg{{ID: uint32(n)}}}.Check(1)
+			return trace.Header{Barriers: []trace.BarrierReg{{ID: uint32(n), Parties: 1}}}.Check(1)
 		}},
 		{"workload.Spec.Validate queue_cap", trace.MaxQueueCap, func(n int) error {
 			s := pipeline

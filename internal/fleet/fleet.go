@@ -32,13 +32,13 @@
 //  4. If B is unreachable, A falls back to simulating locally —
 //     availability over strict exactly-once.
 //
-// Sweeps whose cells have different homes make one sub-sweep per home, in
-// any format: each group is fetched as exact rows (the node's own from its
-// own service), each cell takes the next bar of its group, and the whole
-// report is rendered once. A group answered with anything but one bar per
-// cell, or a sweep's error from its one home (which ran the batch as one
-// call where a single node streams it), makes the node serve the whole
-// batch itself, so an error names the client's cell index.
+// Every sweep with a remote home is dealt by home, in any format: its
+// cells, decoded as a node decodes them, make one sub-sweep per home (one
+// home, one sub-sweep), each group is fetched as exact rows (the node's own
+// from its own service), each cell takes the next bar of its group, and the
+// whole report is rendered once. A group answered with anything but one bar
+// per cell makes the node serve the whole batch itself, so an error names
+// the client's cell index.
 //
 // Determinism contract: a fleet answers every /v1 request with bytes
 // identical to a single node's, because routing only changes where the
@@ -59,6 +59,7 @@ import (
 	"cmp"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -165,11 +166,13 @@ func normalizeAddr(a string) string {
 func (h *Handler) Ring() *Ring { return h.ring }
 
 // ServeHTTP routes one request: hop-marked and non-routable requests go
-// straight to the local service; workload-keyed requests go to their home
-// node; batches whose cells have different homes split per home. Anything
-// whose identity does not resolve (oversized or malformed body, unknown
-// benchmark, invalid spec) is served locally, where the service produces
-// the canonical error.
+// straight to the local service. A routable one is grouped by home once.
+// Homed entirely here, or nowhere (an identity that does not resolve: a
+// malformed body, an unknown benchmark, a sweep whose query its route
+// rejects, which Split cannot divide), it is served here, where the service
+// writes any error. A sweep with a remote home is dealt by home
+// (routeSplit), one home being one group; any other request is fetched from
+// its one home (routeHome).
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(service.HopHeader) != "" {
 		h.received.Add(1)
@@ -185,24 +188,24 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.inner.ServeHTTP(w, r)
 		return
 	}
-	if len(id.Keys) == 0 {
+	// Groups are numbered by the declared position of their first workload.
+	var homes []string
+	group := make([]int, len(id.Keys))
+	for i, key := range id.Keys {
+		home := h.ring.Owner(key)
+		if group[i] = slices.Index(homes, home); group[i] < 0 {
+			group[i], homes = len(homes), append(homes, home)
+		}
+	}
+	if len(homes) == 0 || len(homes) == 1 && homes[0] == h.self {
 		h.serveLocal(w, r)
 		return
 	}
-	homes := make([]string, len(id.Keys))
-	oneHome := true
-	for i, key := range id.Keys {
-		homes[i] = h.ring.Owner(key)
-		oneHome = oneHome && homes[i] == homes[0]
-	}
-	if oneHome {
-		// One home owns every workload of the request: it forwards verbatim
-		// (any format), and the home's engine deduplicates a batch
-		// internally.
-		h.routeHome(w, r, homes[0], id)
+	if sp, ok := id.Split(group); ok {
+		h.routeSplit(w, r, id, sp, homes, group)
 		return
 	}
-	h.routeSplit(w, r, homes, id)
+	h.routeHome(w, r, homes[0], id) // one workload, so one home
 }
 
 // serveLocal serves r on the local service.
@@ -211,13 +214,9 @@ func (h *Handler) serveLocal(w http.ResponseWriter, r *http.Request) {
 	h.inner.ServeHTTP(w, r)
 }
 
-// routeHome serves a request whose one home node is known: locally when
-// this node is the home, otherwise from the home peer via the peer cache.
+// routeHome serves a single-workload request from its home peer via the
+// peer cache.
 func (h *Handler) routeHome(w http.ResponseWriter, r *http.Request, home string, id service.Identity) {
-	if home == h.self {
-		h.serveLocal(w, r)
-		return
-	}
 	rows := id.Rows != ""
 	resp, err := h.fromPeer(r, home, peerKey(r, home, cmp.Or(id.Rows, id.Options), id.BodyID), id.Options, r.URL.RawQuery, id.Body, rows)
 	if err != nil {
@@ -235,17 +234,11 @@ func (h *Handler) routeHome(w http.ResponseWriter, r *http.Request, home string,
 		h.serveLocal(w, r)
 		return
 	}
-	switch {
-	case resp.status == http.StatusOK && rows:
+	if resp.status == http.StatusOK && rows {
 		h.render(w, r, id.Format, resp.bars)
-	case resp.status != http.StatusOK && id.Batch():
-		// The home ran the sweep as one call, where a single node streams
-		// an ndjson one cell by cell: only the batch served here gives the
-		// single node's failure.
-		h.serveLocal(w, r)
-	default:
-		writePeerResp(w, resp) // a reply's bytes, or the client's own error
+		return
 	}
+	writePeerResp(w, resp) // a reply's bytes, or the client's own error
 }
 
 // render answers r with a report in format f through the service's own

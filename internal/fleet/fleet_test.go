@@ -126,7 +126,8 @@ func splitBenches(t *testing.T, h *fleet.Handler) (a, b string) {
 // each request twice, so the second answer of a node that is not the home
 // comes from its peer cache. The rows are a cell's stack, its intervals, an
 // inline spec's analysis with and without intervals, a recorded trace's
-// replay, advise, what-if, and sweeps whose cells have both homes.
+// replay, advise, what-if, sweeps whose cells have both homes, and a sweep
+// on one home that repeats a cell.
 func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 	urls, _, handlers := newFleet(t, 3)
 	single := httptest.NewServer(service.New(service.Options{
@@ -141,6 +142,7 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 	// each home's rows must be dealt back to their declared positions.
 	interleaved := fmt.Sprintf(`{"cells":[{"bench":%[1]q,"threads":2},{"bench":%[2]q,"threads":2},`+
 		`{"bench":%[1]q,"threads":3},{"bench":%[2]q,"threads":3},{"bench":%[1]q,"threads":2}]}`, benchA, benchB)
+	oneHome := fmt.Sprintf(`{"cells":[{"bench":%[1]q,"threads":2},{"bench":%[1]q,"threads":3},{"bench":%[1]q,"threads":2}]}`, benchB)
 	b, ok := workload.ByName("blackscholes_parsec_small")
 	if !ok {
 		t.Fatal("test bench not registered")
@@ -168,6 +170,7 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 			request{http.MethodPost, "/v1/whatif?" + q, `{"spec":` + specJSON + `,"threads":2,"interventions":["double_llc","halve_lock_hold"]}`},
 			request{http.MethodPost, "/v1/sweep?" + q, sweepBody},
 			request{http.MethodPost, "/v1/sweep?" + q, interleaved},
+			request{http.MethodPost, "/v1/sweep?" + q, oneHome},
 		)
 	}
 	for _, req := range requests {

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -170,5 +171,34 @@ func TestFleetPeerCacheKeyIsCanonical(t *testing.T) {
 	step("/v1/stack", bad, http.StatusBadRequest, false, bad)
 	if n := metric(t, urls[away], "speedupd_fleet_peer_errors_total"); n != 0 {
 		t.Errorf("%d peer errors", n)
+	}
+}
+
+// TestFleetSweepPeerCacheKeyIsCanonical: a sweep whose cells share one
+// remote home is kept under its cells as the service reads them, not as the
+// client spelled them. Asked again at the same node with other whitespace
+// and key order, or in another format, it is a peer-cache hit with no
+// forward, answering the bytes a single node gives.
+func TestFleetSweepPeerCacheKeyIsCanonical(t *testing.T) {
+	urls, _, handlers := newFleet(t, 2)
+	single := httptest.NewServer(service.New(service.Options{Engine: exp.NewEngine(sim.Default(), exp.WithWorkers(2))}).Handler())
+	t.Cleanup(single.Close)
+	theirs := homedBenches(t, urls, handlers[0].Ring())[1] // homed on node 1; node 0 is asked
+	for i, ask := range []struct{ query, body string }{
+		{"", fmt.Sprintf(`{"cells":[{"bench":%[1]q,"threads":2},{"bench":%[1]q,"threads":3}]}`, theirs)},
+		{"", fmt.Sprintf("{ \"cells\" : [\n\t{ \"threads\": 2, \"bench\": %[1]q },\n\t{\"cores\":0, \"threads\":3,\"bench\":%[1]q} ] }", theirs)},
+		{"?format=csv", fmt.Sprintf(`{"cells":[{"threads":2,"bench":%[1]q},{"bench":%[1]q,"threads":3}]}`, theirs)},
+	} {
+		fwd := metric(t, urls[0], "speedupd_fleet_forwarded_total")
+		hits := metric(t, urls[0], "speedupd_fleet_peer_cache_hits_total")
+		code, got := fetch(t, http.MethodPost, urls[0]+"/v1/sweep"+ask.query, ask.body)
+		fwd = metric(t, urls[0], "speedupd_fleet_forwarded_total") - fwd
+		hits = metric(t, urls[0], "speedupd_fleet_peer_cache_hits_total") - hits
+		if want := i > 0; (fwd == 0) != want || (hits == 1) != want {
+			t.Errorf("ask %d: %d forwards, %d hits; want a hit=%v", i, fwd, hits, want)
+		}
+		if wantCode, want := fetch(t, http.MethodPost, single.URL+"/v1/sweep"+ask.query, ask.body); code != wantCode || got != want {
+			t.Errorf("ask %d: %d %q, a single node answers %d %q", i, code, got, wantCode, want)
+		}
 	}
 }

@@ -37,7 +37,9 @@ func runs(e *exp.Engine) int {
 // bytes identical to a single node's, the asked node simulates nothing, and
 // the fleet runs exactly the simulations the single node runs — one cell
 // for the analyze. A cell with both bench and spec, or with an invalid spec, has no
-// home: the asked node answers the single node's 400 itself.
+// home: the asked node answers the single node's 400 itself. So does a
+// sweep with a field the service does not know, at the top or in a cell,
+// whether its cells have one remote home or several.
 func TestFleetInlineSpecRouting(t *testing.T) {
 	urls, engines, handlers := newFleet(t, 3)
 	singleEngine := exp.NewEngine(sim.Default(), exp.WithWorkers(2))
@@ -116,6 +118,10 @@ func TestFleetInlineSpecRouting(t *testing.T) {
 		{"/v1/whatif", `{"spec":` + badSpec + `,"threads":2}`},
 		{"/v1/sweep", fmt.Sprintf(`{"cells":[{"bench":%q,"threads":2},{"bench":"cholesky","spec":%s,"threads":2}]}`, bench, specJSON)},
 		{"/v1/sweep?format=ndjson", fmt.Sprintf(`{"cells":[{"spec":%s,"threads":2},{"bench":%q,"threads":2}]}`, badSpec, bench)},
+		{"/v1/sweep", fmt.Sprintf(`{"cells":[{"spec":%s,"threads":2},{"bench":%q,"threads":2}],"bogus":1}`, specJSON, bench)},
+		{"/v1/sweep?format=ndjson", fmt.Sprintf(`{"cells":[{"bench":%q,"threads":2},{"spec":%s,"threads":2,"colour":"red"}]}`, bench, specJSON)},
+		{"/v1/sweep", fmt.Sprintf(`{"bogus":1,"cells":[{"bench":%q,"threads":2}]}`, bench)},
+		{"/v1/sweep?format=ndjson", fmt.Sprintf(`{"cells":[{"bench":%q,"colour":"red","threads":2}]}`, bench)},
 	} {
 		wantCode, want := fetch(t, http.MethodPost, single.URL+req.path, req.body)
 		if wantCode != http.StatusBadRequest {

@@ -44,9 +44,9 @@ func subRequests(t *testing.T, url string) int {
 	return metric(t, url, "speedupd_fleet_local_total") + metric(t, url, "speedupd_fleet_forwarded_total")
 }
 
-// TestFleetSplitOneSubRequestPerHome pins the cost of a mixed-home sweep: n
-// cells over h homes make h sub-requests, one sub-sweep per home, whichever
-// node takes the batch.
+// TestFleetSplitOneSubRequestPerHome pins the cost of a sweep: n cells over
+// h homes make h sub-requests, one sub-sweep per home, whichever node takes
+// the batch — and a sweep whose cells share one home makes one.
 func TestFleetSplitOneSubRequestPerHome(t *testing.T) {
 	urls, _, handlers := newFleet(t, 3)
 	b := homedBenches(t, urls, handlers[0].Ring())
@@ -61,6 +61,16 @@ func TestFleetSplitOneSubRequestPerHome(t *testing.T) {
 		}
 		if n := subRequests(t, u) - before; n != 3 {
 			t.Errorf("node %d: %d sub-requests for 5 cells over 3 homes, want one per home", i, n)
+		}
+		// Three cells of the next node's benchmark, one of them repeated.
+		other := b[(i+1)%len(b)]
+		oneHome := fmt.Sprintf(`{"cells":[{"bench":%[1]q,"threads":2},{"bench":%[1]q,"threads":4},{"bench":%[1]q,"threads":2}]}`, other)
+		before = subRequests(t, u)
+		if code, resp := fetch(t, http.MethodPost, u+"/v1/sweep?format=ndjson", oneHome); code != http.StatusOK || strings.Count(resp, "\n") != 3 {
+			t.Fatalf("node %d, one-home sweep: %d %s", i, code, resp)
+		}
+		if n := subRequests(t, u) - before; n != 1 {
+			t.Errorf("node %d: %d sub-requests for 3 cells on one home, want 1", i, n)
 		}
 	}
 }

@@ -10,26 +10,15 @@ import (
 	"repro/internal/stack"
 )
 
-// routeSplit answers a batch whose cells live on different homes with one
-// sub-sweep per home: n cells over h homes cost h sub-requests, each
-// answered as its group's exact rows.
-func (h *Handler) routeSplit(w http.ResponseWriter, r *http.Request, homes []string, id service.Identity) {
-	// Groups are numbered by the declared position of their first cell.
-	var groupHomes []string
-	group := make([]int, len(homes))
-	for i, home := range homes {
-		if group[i] = slices.Index(groupHomes, home); group[i] < 0 {
-			group[i], groupHomes = len(groupHomes), append(groupHomes, home)
-		}
-	}
-	sp, ok := id.Split(group)
-	if !ok {
-		h.serveLocal(w, r)
-		return
-	}
-	results := make([]stack.Bars, len(groupHomes))
+// routeSplit answers a sweep with a remote home by dealing it by home:
+// sp holds one sub-sweep per home (homes[g] is group g's, group[i] cell
+// i's), each answered as its group's exact rows, so n cells over h homes
+// cost h sub-requests. The sub-sweeps are canonical re-encodings, so a
+// group's peer-cache entry is shared by every spelling of its cells.
+func (h *Handler) routeSplit(w http.ResponseWriter, r *http.Request, id service.Identity, sp service.Split, homes []string, group []int) {
+	results := make([]stack.Bars, len(homes))
 	var wg sync.WaitGroup
-	for g, home := range groupHomes {
+	for g, home := range homes {
 		if home != h.self {
 			wg.Add(1)
 			go func() {
@@ -38,7 +27,7 @@ func (h *Handler) routeSplit(w http.ResponseWriter, r *http.Request, homes []str
 			}()
 		}
 	}
-	if g := slices.Index(groupHomes, h.self); g >= 0 {
+	if g := slices.Index(homes, h.self); g >= 0 {
 		results[g] = h.localSub(r, sp.Query, sp.Bodies[g])
 	}
 	wg.Wait()

@@ -12,7 +12,11 @@
 // waiting thread the scheduler has on a core.
 package sched
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/reuse"
+)
 
 // The scheduler's costs, loosely modeled on a Linux CFS-like scheduler at a
 // 2 GHz clock. The paper evaluates one machine, so they are constants.
@@ -82,17 +86,25 @@ type OS struct {
 	readyQ  []int // FIFO of ready thread ids
 }
 
-// New builds an OS managing threads software threads over cores cores and
+// New returns an OS just Reset for cores and threads: a new one is a reset one.
+func New(cores, threads int) *OS {
+	o := new(OS)
+	o.Reset(cores, threads)
+	return o
+}
+
+// Reset puts the OS in its just-constructed state for threads software
+// threads over cores cores, whatever it last managed, reusing its storage
+// when the capacity is enough (machine pooling across simulation runs), and
 // performs initial placement: thread i starts on core i for i < cores; the
 // rest start ready in the run queue.
-func New(cores, threads int) *OS {
+func (o *OS) Reset(cores, threads int) {
 	if cores <= 0 || threads <= 0 {
 		panic("sched: cores and threads must be positive")
 	}
-	o := &OS{
-		threads: make([]threadInfo, threads),
-		running: make([]int, cores),
-	}
+	o.threads = reuse.Grown(o.threads, threads)
+	o.running = reuse.Grown(o.running, cores)
+	o.busy, o.readyQ = 0, o.readyQ[:0]
 	for c := range o.running {
 		o.running[c] = -1
 	}
@@ -108,7 +120,6 @@ func New(cores, threads int) *OS {
 			o.readyQ = append(o.readyQ, t)
 		}
 	}
-	return o
 }
 
 // Running returns the thread on core, or -1 when the core is idle.

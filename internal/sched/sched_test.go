@@ -1,6 +1,9 @@
 package sched
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestInitialPlacement(t *testing.T) {
 	o := New(4, 6)
@@ -251,4 +254,32 @@ func stalledByScan(o *OS) bool {
 		}
 	}
 	return true
+}
+
+// TestResetMatchesNew holds Reset to New: an OS that ran at one shape and
+// is reset to another, more or fewer cores and threads, is deeply equal to
+// a new one. A reused run queue is empty but keeps its array, where a new
+// OS with no thread to queue has none, so an empty queue compares as nil.
+func TestResetMatchesNew(t *testing.T) {
+	o := New(2, 5)
+	for _, s := range []struct{ cores, threads int }{{4, 8}, {1, 1}, {3, 2}, {8, 16}, {2, 3}} {
+		// Run a little of every transition, so no state is the initial one.
+		tid := o.Running(0)
+		o.Block(tid)
+		if f := o.Running(len(o.running) - 1); f >= 0 {
+			o.Finish(f)
+		}
+		o.Wake(tid, 1_000)
+		for c := range o.running {
+			o.Schedule(c, 10_000)
+		}
+		o.Reset(s.cores, s.threads)
+		got, want := *o, New(s.cores, s.threads)
+		if len(got.readyQ) == 0 {
+			got.readyQ = nil
+		}
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("reset to %d cores and %d threads: %+v, a new OS is %+v", s.cores, s.threads, got, *want)
+		}
+	}
 }

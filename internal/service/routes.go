@@ -460,8 +460,9 @@ type Identity struct {
 	// Keys are the workload fingerprints the request is about: one for a
 	// single-workload request, one per cell for a sweep. Empty when the
 	// identity does not resolve cleanly (oversized or malformed body, unknown
-	// benchmark, invalid spec or run shape, a batch outside its bounds): any
-	// node's service then answers the canonical error.
+	// benchmark, invalid spec or run shape, a batch outside its bounds or
+	// with a query its route rejects): any node's service then answers the
+	// canonical error.
 	Keys []string
 	// Body is the buffered request body; r.Body has been reset to replay it
 	// (a heldBody when the whole body was read within its row's bound).
@@ -491,11 +492,6 @@ type Identity struct {
 	cells []cellRequest
 }
 
-// Batch reports whether the request is a sweep: a batch whose failure a
-// service may answer part way through a streamed reply, so only the whole
-// batch, served by one service, gives a single node's answer to it.
-func (id Identity) Batch() bool { return id.route.identity == identBodyCells }
-
 // optionIdentity is the canonical option identity of a query to rt, with
 // the options it parses to (ok). A query rt rejects has no parsed form: it
 // keeps its raw pairs, sorted by name, and its Accept header (a client that
@@ -512,12 +508,15 @@ func (rt *route) optionIdentity(q query, accept string) (identity string, opts r
 
 // Identify resolves the workload identity of r from its route's row:
 // routable is false when no workload-keyed route matches r's method and
-// path. The identity step is deliberately lenient and cheap — a name-index
-// lookup, one workload.ParseSpec per inline spec, trace.DecodeMeta on a
-// trace's header (never a payload decode), the route's own option parse for
-// Options — and buffers the body within the route's own limit. It is a
-// function, not a Server method, because it reads only the table: the
-// handler behind a routing layer may be wrapped.
+// path. The identity step is cheap — a name-index lookup, one
+// workload.ParseSpec per inline spec, trace.DecodeMeta on a trace's header
+// (never a payload decode), the route's own option parse for Options — and
+// buffers the body within the route's own limit. A sweep's body is judged
+// by decodeStrict, its route's decoder, because Split re-encodes the cells:
+// a field the route refuses must not vanish on the way. Other bodies cross
+// a hop verbatim, and the home judges them. It is a function, not a Server
+// method, because it reads only the table: the handler behind a routing
+// layer may be wrapped.
 func Identify(r *http.Request) (id Identity, routable bool) {
 	var rt *route
 	for i := range routes {
@@ -560,8 +559,8 @@ func Identify(r *http.Request) (id Identity, routable bool) {
 			id.Rows = "" // the time-resolved analysis is no aggregate report
 		}
 	case identBodyCells:
-		var req sweepRequest
-		if json.Unmarshal(id.Body, &req) != nil || len(req.Cells) > MaxSweepCells {
+		var req sweepRequest // a rejected query has no Rows to split under
+		if !parsed || decodeStrict(bytes.NewReader(id.Body), &req) != nil || len(req.Cells) > MaxSweepCells {
 			return id, true
 		}
 		id.cells = req.Cells
@@ -629,12 +628,12 @@ type Split struct {
 	Bodies [][]byte
 }
 
-// Split divides the identified multi-cell request into one sub-sweep per
-// group, group[i] being cell i's (from 0, none skipped). ok is false when
-// the request has no Rows, its query being one the route rejects, which
-// must reach a service whole to be answered there.
+// Split divides the identified sweep into one sub-sweep per group, group[i]
+// being cell i's (from 0, none skipped); a sweep on one home is one group.
+// ok is false for anything but a sweep whose query the route reads, which
+// must reach its home, or a service, whole.
 func (id Identity) Split(group []int) (sp Split, ok bool) {
-	if id.Rows == "" {
+	if id.route.identity != identBodyCells || id.Rows == "" {
 		return sp, false
 	}
 	sp.Query = "mode=" + id.mode.String()

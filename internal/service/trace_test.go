@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/trace"
@@ -266,5 +268,51 @@ func TestTraceSyncIDBound(t *testing.T) {
 	}
 	if *sims != runs {
 		t.Errorf("refused uploads ran %d simulations", *sims-runs)
+	}
+}
+
+// TestTraceEmptyRegistrationRefused: a queue of no capacity or a barrier of
+// no parties is a header the sync library cannot build, so the upload is
+// refused at its header, 400 invalid_argument naming the registration, and
+// nothing is simulated, not even the sequential reference.
+func TestTraceEmptyRegistrationRefused(t *testing.T) {
+	var runs atomic.Int32
+	s, _ := newTestServer(t, exp.WithRunHook(func(string, string, int, int) { runs.Add(1) }))
+	h := s.Handler()
+	good := []trace.Op{trace.Compute(10), trace.End()}
+	// Encode refuses an empty registration too, so each upload is a valid
+	// one with the registration's count patched to 0: queue 1000 of
+	// capacity 77, barrier 2000 of 2 parties, their varints unique in the
+	// encoding.
+	f := trace.File{
+		Header:     trace.Header{Queues: []trace.QueueReg{{ID: 1000, Cap: 77}}, Barriers: []trace.BarrierReg{{ID: 2000, Parties: 2}}},
+		Sequential: []trace.Op{trace.Compute(20), trace.End()},
+		Threads:    [][]trace.Op{good, good},
+	}
+	var buf bytes.Buffer
+	if err := f.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	reg := func(id uint32, n uint64) []byte {
+		return binary.AppendUvarint(binary.AppendUvarint(nil, uint64(id)), n)
+	}
+	for _, tc := range []struct {
+		want     string
+		from, to []byte
+	}{
+		{"trace: queue 1000 capacity must be in [1, 1048576], got 0", reg(1000, 77), reg(1000, 0)},
+		{"trace: barrier 2000 parties must be in [1, 256], got 0", reg(2000, 2), reg(2000, 0)},
+	} {
+		if n := bytes.Count(buf.Bytes(), tc.from); n != 1 {
+			t.Fatalf("%s: the registration appears %d times in the trace", tc.want, n)
+		}
+		w := post(t, h, "/v1/traces/analyze", string(bytes.Replace(buf.Bytes(), tc.from, tc.to, 1)))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"invalid_argument"`) ||
+			!strings.Contains(w.Body.String(), tc.want) {
+			t.Errorf("%s: status %d, body %s", tc.want, w.Code, w.Body)
+		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("refused uploads ran %d simulations", n)
 	}
 }

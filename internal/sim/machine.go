@@ -60,7 +60,7 @@ type Machine struct {
 	hier  cache.Hierarchy
 	memc  mem.Controller
 	atds  []atd.Directory // per core, monitoring 1 in 2^ATDSampleShift sets
-	os    *sched.OS
+	os    sched.OS
 
 	// Synchronization primitives, indexed directly by id. Workload
 	// generators use small dense id spaces (locks 0..NumLocks, pipeline
@@ -184,7 +184,7 @@ func (m *Machine) reset(cfg Config, progs []trace.Program) error {
 	m.coreAt = reuse.Zeroed(m.coreAt, cfg.Cores)
 	m.coreIdleAt = reuse.Zeroed(m.coreIdleAt, cfg.Cores)
 	m.fastCores = reuse.Zeroed(m.fastCores, cfg.Cores)
-	m.os = sched.New(cfg.Cores, len(progs))
+	m.os.Reset(cfg.Cores, len(progs))
 	m.locks, m.barriers, m.queues = emptied(m.locks), emptied(m.barriers), emptied(m.queues)
 	m.threads = reuse.Grown(m.threads, len(progs))
 	for i, p := range progs {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -23,8 +24,8 @@ import (
 //	offset 5   flags   (1 raw byte; bit0 = sequential stream present)
 //	           label       varint length (<= MaxLabelLen) + raw bytes
 //	           lock_grace / barrier_grace   varints (cycles, <= MaxGrace)
-//	           queue registrations    varint count (<= MaxRegs), then per queue: id (<= MaxSyncID), cap (<= MaxQueueCap)
-//	           barrier registrations  varint count (<= MaxRegs), then per barrier: id (<= MaxSyncID), parties (<= MaxThreads)
+//	           queue registrations    varint count (<= MaxRegs), then per queue: id (<= MaxSyncID), cap in [1, MaxQueueCap]
+//	           barrier registrations  varint count (<= MaxRegs), then per barrier: id (<= MaxSyncID), parties in [1, MaxThreads]
 //	           threads     varint T in [1, MaxThreads]
 //	           sequential section (only when flagged), then T thread sections
 //
@@ -99,9 +100,10 @@ type Header struct {
 }
 
 // Check refuses a header of a trace with the given thread count outside
-// the bounds above. It is the one judge of a header value: Encode and
-// workload.Record run it before they write or simulate, and every decoder
-// as soon as the header is read.
+// the bounds above, or with a queue of no capacity or a barrier of no
+// parties, which the sync library cannot build. It is the one judge of a
+// header value: Encode and workload.Record run it before they write or
+// simulate, and every decoder as soon as the header is read.
 func (h Header) Check(threads int) error { return h.check(len(h.Label), threads) }
 
 // check is Check with the label's length given apart: the decoder keeps no
@@ -120,16 +122,16 @@ func (h Header) check(labelLen, threads int) error {
 		if q.ID > MaxSyncID {
 			return fmt.Errorf("trace: queue id %d exceeds %d", q.ID, MaxSyncID)
 		}
-		if q.Cap < 0 || q.Cap > MaxQueueCap {
-			return fmt.Errorf("trace: queue %d capacity must be in [0, %d], got %d", q.ID, MaxQueueCap, q.Cap)
+		if q.Cap < 1 || q.Cap > MaxQueueCap {
+			return fmt.Errorf("trace: queue %d capacity must be in [1, %d], got %d", q.ID, MaxQueueCap, q.Cap)
 		}
 	}
 	for _, b := range h.Barriers {
 		if b.ID > MaxSyncID {
 			return fmt.Errorf("trace: barrier id %d exceeds %d", b.ID, MaxSyncID)
 		}
-		if b.Parties < 0 || b.Parties > MaxThreads {
-			return fmt.Errorf("trace: barrier %d parties must be in [0, %d], got %d", b.ID, MaxThreads, b.Parties)
+		if b.Parties < 1 || b.Parties > MaxThreads {
+			return fmt.Errorf("trace: barrier %d parties must be in [1, %d], got %d", b.ID, MaxThreads, b.Parties)
 		}
 	}
 	if h.LockGrace > MaxGrace || h.BarrierGrace > MaxGrace {
@@ -155,7 +157,13 @@ type File struct {
 // refuses — a header Check refuses, a malformed op stream, or no thread op
 // doing work — so every encoded trace round-trips.
 func (f *File) Encode(w io.Writer) error {
-	buf, err := f.appendTo(nil)
+	if err := f.Check(len(f.Threads)); err != nil {
+		return err
+	}
+	if !slices.ContainsFunc(f.Threads, func(ops []Op) bool { return slices.ContainsFunc(ops, Op.works) }) {
+		return errNoWork
+	}
+	buf, err := f.write()
 	if err != nil {
 		return err
 	}
@@ -163,22 +171,18 @@ func (f *File) Encode(w io.Writer) error {
 	return err
 }
 
-// appendTo appends the encoded file to dst once Check and the work rule
-// pass.
-func (f *File) appendTo(dst []byte) ([]byte, error) {
-	if err := f.Check(len(f.Threads)); err != nil {
-		return nil, err
+// write encodes the file unchecked, failing only on a malformed op stream.
+// It writes into one buffer of at most n bytes, every op counted at its
+// length (opLen) and every other varint at its widest, so a multi-megabyte
+// recording costs one buffer rather than a copy per growth.
+func (f *File) write() ([]byte, error) {
+	n := len(formatMagic) + 2 + len(f.Label) + binary.MaxVarintLen64*(8+2*(len(f.Queues)+len(f.Barriers)+len(f.Threads)))
+	for _, ops := range slices.Concat([][]Op{f.Sequential}, f.Threads) {
+		for _, op := range ops {
+			n += opLen(op)
+		}
 	}
-	if !slices.ContainsFunc(f.Threads, func(ops []Op) bool { return slices.ContainsFunc(ops, Op.works) }) {
-		return nil, errNoWork
-	}
-	return f.write(dst)
-}
-
-// write appends the file to dst unchecked, failing only on a malformed op
-// stream.
-func (f *File) write(dst []byte) ([]byte, error) {
-	dst = append(dst, formatMagic...)
+	dst := append(make([]byte, 0, n), formatMagic...)
 	flags := byte(0)
 	if f.Sequential != nil {
 		flags |= flagSequential
@@ -218,11 +222,14 @@ func (f *File) write(dst []byte) ([]byte, error) {
 var errNoWork = fmt.Errorf("trace: no thread stream holds work (an op besides %v and empty computes)", KindEnd)
 
 // appendSection appends one op-stream section (count, byte length, ops).
+// The ops are written behind room for the two lengths, which is closed up
+// once they are known.
 func appendSection(dst []byte, ops []Op) ([]byte, error) {
 	if len(ops) == 0 || ops[len(ops)-1].Kind != KindEnd {
 		return nil, fmt.Errorf("stream must end with %v", KindEnd)
 	}
-	body := make([]byte, 0, len(ops)*3)
+	start := len(dst)
+	dst = append(dst, make([]byte, 2*binary.MaxVarintLen64)...)
 	for i, op := range ops {
 		if op.Kind > KindEnd {
 			return nil, fmt.Errorf("op %d: unknown kind %d", i, op.Kind)
@@ -233,11 +240,12 @@ func appendSection(dst []byte, ops []Op) ([]byte, error) {
 		if op.Kind >= KindLock && op.Kind < KindEnd && op.ID > MaxSyncID { // a sync op
 			return nil, fmt.Errorf("op %d: sync id %d exceeds %d", i, op.ID, MaxSyncID)
 		}
-		body = appendOp(body, op)
+		dst = appendOp(dst, op)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(ops)))
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	return append(dst, body...), nil
+	body := dst[start+2*binary.MaxVarintLen64:]
+	head := binary.AppendUvarint(dst[start:start], uint64(len(ops)))
+	head = binary.AppendUvarint(head, uint64(len(body)))
+	return dst[:start+len(head)+copy(dst[start+len(head):], body)], nil
 }
 
 // defaultN is the implied N of a kind when the head byte carries no explicit
@@ -275,6 +283,29 @@ func appendOp(dst []byte, op Op) []byte {
 	}
 	return dst
 }
+
+// opLen is the length appendOp appends for op, counted without writing.
+// It repeats appendOp's layout rather than sharing an operand table with
+// it: the shared table made encoding a recorded trace ~40 % slower.
+func opLen(op Op) int {
+	n := 1 // the head byte
+	switch op.Kind {
+	case KindCompute:
+		n += uvarintLen(uint64(op.N))
+	case KindLoad, KindStore:
+		n += uvarintLen(op.Addr) + uvarintLen(op.PC)
+	case KindEnd:
+	default:
+		n += uvarintLen(uint64(op.ID))
+	}
+	if op.Kind != KindCompute && op.N != defaultN(op.Kind) {
+		n += uvarintLen(uint64(op.N))
+	}
+	return n
+}
+
+// uvarintLen is the length binary.AppendUvarint appends for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // Data is a decoded, fully validated trace: the replayable twin of File.
 // The op streams stay in encoded form — ThreadProgram and SequentialProgram

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -295,9 +296,53 @@ func FuzzTraceDecode(f *testing.F) {
 	})
 }
 
+// byteCount is a writer that keeps only the number of bytes written.
+type byteCount int
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	*c += byteCount(len(p))
+	return len(p), nil
+}
+
+// TestEncodeSizesOnce fences what Encode allocates at one buffer of the
+// file's length: it measures every stream before it writes (opLen, held
+// here to appendOp over the whole vocabulary), where growing the buffer by
+// appends cost about six times the file, and a recorded trace is a few
+// megabytes.
+func TestEncodeSizesOnce(t *testing.T) {
+	f := longFile(3, 4, 50_000)
+	f.Label = strings.Repeat("l", MaxLabelLen)
+	for id := range 64 {
+		f.Queues = append(f.Queues, QueueReg{ID: MaxSyncID - uint32(id), Cap: MaxQueueCap})
+		f.Barriers = append(f.Barriers, BarrierReg{ID: MaxSyncID - uint32(id), Parties: MaxThreads})
+	}
+	for _, ops := range append([][]Op{f.Sequential, sampleOps()}, f.Threads...) {
+		for _, op := range ops {
+			if got, want := opLen(op), len(appendOp(nil, op)); got != want {
+				t.Fatalf("opLen(%+v) = %d, appendOp appends %d", op, got, want)
+			}
+		}
+	}
+	var n byteCount
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := f.Encode(&n)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A large allocation is rounded up to whole 8 KiB pages.
+	got, bound := after.TotalAlloc-before.TotalAlloc, uint64(n)+16<<10
+	t.Logf("a %d-byte trace allocates %d bytes", n, got)
+	if got > bound {
+		t.Errorf("encoding a %d-byte trace allocates %d bytes, want <= %d", n, got, bound)
+	}
+}
+
 // TestEncodeHeaderBounds pins the registration bounds Encode shares with
 // Decode: a queue capacity of MaxQueueCap and MaxThreads barrier parties
-// encode and round-trip, one more of either is refused before writing.
+// encode and round-trip, one more of either is refused before writing, and
+// so is a queue of no capacity or a barrier of no parties.
 func TestEncodeHeaderBounds(t *testing.T) {
 	file := func(cap, parties int) *File {
 		return &File{
@@ -316,6 +361,8 @@ func TestEncodeHeaderBounds(t *testing.T) {
 		{"barrier too wide", 1, MaxThreads + 1, false},
 		{"negative capacity", -1, 1, false},
 		{"negative parties", 1, -1, false},
+		{"zero capacity", 0, 1, false},
+		{"zero parties", 1, 0, false},
 	} {
 		var buf bytes.Buffer
 		err := file(tc.cap, tc.parties).Encode(&buf)
@@ -380,7 +427,7 @@ func TestSyncIDBound(t *testing.T) {
 		if err := f.Encode(io.Discard); err == nil || err.Error() != tc.want {
 			t.Errorf("Encode: %v, want %q", err, tc.want)
 		}
-		unchecked, err := f.write(nil)
+		unchecked, err := f.write()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,7 +491,7 @@ func FuzzFileHeader(f *testing.F) {
 		for i := range file.Threads {
 			file.Threads[i] = []Op{Compute(1), End()}
 		}
-		unchecked, err := file.write(nil)
+		unchecked, err := file.write()
 		if err != nil {
 			t.Fatalf("write: %v", err)
 		}
